@@ -19,9 +19,7 @@ fn main() {
         ("ablation_bucketing", e::ablation_bucketing::run),
         ("autotuning", e::autotuning::run),
         ("executor_vectorization", e::executor_vectorization::run),
-        ("flat_executor", e::flat_executor::run),
         ("serving_throughput", e::serving_throughput::run),
-        ("serving_zero_copy", e::serving_zero_copy::run),
         ("fused_attention", e::fused_attention::run),
         ("serving_slo", e::serving_slo::run),
         ("dynamic_graphs", e::dynamic_graphs::run),

@@ -921,200 +921,6 @@ pub mod executor_vectorization {
     }
 }
 
-/// Flat executor: the bytecode dispatch loop vs the recursive tree walk
-/// on the `executor_vectorization` kernel suite, single-threaded, both
-/// with fusion off (pure statement dispatch — where lowering to a flat
-/// `ip`-driven stream pays) and with fusion on (superinstructions vs
-/// fused tree nodes — the shared microkernel fast path should tie).
-/// Emits `ns` and `ratio` records; under `SPARSETIR_BENCH_ASSERT=1` the
-/// bytecode executor must be ≥ 1× the tree executor on the generic CSR
-/// SpMM arm (cora, d=32) — flat dispatch must never regress dispatch.
-pub mod flat_executor {
-    use super::*;
-    use crate::report::{self, BenchRecord};
-    use sparsetir_core::prelude::{bind_csr, bind_dense, bind_zeros, Bindings};
-    use sparsetir_ir::prelude::*;
-    use std::collections::HashMap;
-
-    /// Acceptance floor for bytecode-over-tree on the generic (unfused)
-    /// CSR SpMM arm (cora, d=32).
-    pub const SPEEDUP_BAR: f64 = 1.0;
-
-    fn push(name: &str, value: f64, unit: &'static str, better: &'static str, config: &str) {
-        report::record(BenchRecord {
-            experiment: "flat_executor".to_string(),
-            name: name.to_string(),
-            value,
-            unit,
-            better,
-            config: config.to_string(),
-        });
-    }
-
-    /// Render the comparison (and record it).
-    ///
-    /// # Panics
-    /// Panics when a kernel fails to compile for either backend, or —
-    /// under `SPARSETIR_BENCH_ASSERT=1` — when the bytecode executor
-    /// falls below the ≥ 1× bar on generic CSR SpMM (cora, d=32).
-    #[must_use]
-    pub fn run() -> String {
-        let prev = std::env::var("SPARSETIR_NUM_THREADS").ok();
-        std::env::set_var("SPARSETIR_NUM_THREADS", "1");
-        let out = run_single_threaded();
-        match prev {
-            Some(v) => std::env::set_var("SPARSETIR_NUM_THREADS", v),
-            None => std::env::remove_var("SPARSETIR_NUM_THREADS"),
-        }
-        out
-    }
-
-    /// Time one function under both backends at one fusion setting and
-    /// record the tree/bytecode ratio. Reps are interleaved — one tree
-    /// run, one bytecode run, per round — so slow drift in system load
-    /// hits both series alike instead of biasing whichever ran second.
-    fn duel(
-        tag: &str,
-        func: &PrimFunc,
-        bindings: &Bindings,
-        fuse: bool,
-        reps: usize,
-        config: &str,
-    ) -> (f64, f64, f64) {
-        let tree = CompiledKernel::compile_opts(func, fuse, ExecBackend::Tree).expect("compiles");
-        let code =
-            CompiledKernel::compile_opts(func, fuse, ExecBackend::Bytecode).expect("compiles");
-        assert_eq!(tree.fused_ops(), code.fused_ops(), "{tag}: backends must fuse alike");
-        let scalars = HashMap::new();
-        let mut work = bindings.clone();
-        let mut time_once = |kernel: &CompiledKernel| {
-            let t0 = std::time::Instant::now();
-            kernel.run(&scalars, &mut work).expect("kernel executes");
-            t0.elapsed().as_nanos() as f64
-        };
-        time_once(&tree);
-        time_once(&code);
-        let mut tt_samples = Vec::with_capacity(reps);
-        let mut tb_samples = Vec::with_capacity(reps);
-        for _ in 0..reps.max(1) {
-            tt_samples.push(time_once(&tree));
-            tb_samples.push(time_once(&code));
-        }
-        let tt = report::median(&mut tt_samples);
-        let tb = report::median(&mut tb_samples);
-        let ratio = tt / tb;
-        // Per-arm times only (advisory under the ratio gate): a single
-        // arm's tree/bytecode ratio is too noisy to hard-gate at ±30% —
-        // the aggregate geomean below is the gated ratio record.
-        push(&format!("{tag}/tree"), tt, "ns", "lower", config);
-        push(&format!("{tag}/bytecode"), tb, "ns", "lower", config);
-        (tt, tb, ratio)
-    }
-
-    fn run_single_threaded() -> String {
-        let reps = if smoke() { 5 } else { 9 };
-        let config = format!("threads=1 reps={reps} smoke={}", smoke());
-        let g = graph_by_name("cora").expect("registered").generate();
-        let mut rows = Vec::new();
-        let mut gate_ratio = 0.0;
-        let mut generic_ratios = Vec::new();
-        for &feat in &feat_sweep() {
-            let f = csr_spmm_ir(&g, feat).expect("lowers");
-            let mut rng = gen::rng(3);
-            let x = gen::random_dense(g.cols(), feat, &mut rng);
-            let mut bindings = Bindings::new();
-            bind_csr(&mut bindings, "A", "J", &g);
-            bind_dense(&mut bindings, "B", &x);
-            bind_zeros(&mut bindings, "C", g.rows() * feat);
-            for fuse in [false, true] {
-                let tag =
-                    format!("csr_spmm/cora/d{feat}/{}", if fuse { "fused" } else { "generic" });
-                let (tt, tb, ratio) = duel(&tag, &f, &bindings, fuse, reps, &config);
-                if !fuse {
-                    generic_ratios.push(ratio);
-                }
-                if feat == 32 && !fuse {
-                    gate_ratio = ratio;
-                }
-                rows.push(vec![
-                    "csr".to_string(),
-                    feat.to_string(),
-                    if fuse { "fused" } else { "generic" }.to_string(),
-                    fmt_ms(tt / 1e6),
-                    fmt_ms(tb / 1e6),
-                    fmt_speedup(ratio),
-                ]);
-            }
-        }
-
-        // The hyb(c=2) decomposition — many small bucket loops, so loop
-        // bookkeeping (the tree's recursion) dominates the unfused build.
-        let feat = 32;
-        let mut rng = gen::rng(7);
-        let x = gen::random_dense(g.cols(), feat, &mut rng);
-        let cfg = SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() };
-        let prepared = prepare_spmm(&g, &x, &cfg).expect("decomposes");
-        for fuse in [false, true] {
-            let tag = format!("hyb_spmm/cora/d32/{}", if fuse { "fused" } else { "generic" });
-            let (tt, tb, ratio) =
-                duel(&tag, &prepared.func, &prepared.bindings, fuse, reps, &config);
-            if !fuse {
-                generic_ratios.push(ratio);
-            }
-            rows.push(vec![
-                "hyb(c=2,k=3)".to_string(),
-                feat.to_string(),
-                if fuse { "fused" } else { "generic" }.to_string(),
-                fmt_ms(tt / 1e6),
-                fmt_ms(tb / 1e6),
-                fmt_speedup(ratio),
-            ]);
-        }
-
-        // One machine-portable ratio record for the perf-gate: the
-        // geometric mean over the generic (unfused) arms averages out
-        // per-arm wall-clock noise that a single near-1× ratio cannot
-        // survive at ±30%.
-        let geomean = (generic_ratios.iter().map(|r| r.ln()).sum::<f64>()
-            / generic_ratios.len() as f64)
-            .exp();
-        push("generic/geomean_speedup", geomean, "ratio", "higher", &config);
-
-        if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-            // The true edge on this arm is ~1.1× while single run-to-run
-            // wall-clock noise on a shared box reaches ±15%: give the gate
-            // two re-measurements before declaring a regression.
-            let mut attempts = 0;
-            while gate_ratio < SPEEDUP_BAR && attempts < 2 {
-                attempts += 1;
-                let feat = 32;
-                let f = csr_spmm_ir(&g, feat).expect("lowers");
-                let mut rng = gen::rng(3);
-                let x = gen::random_dense(g.cols(), feat, &mut rng);
-                let mut bindings = Bindings::new();
-                bind_csr(&mut bindings, "A", "J", &g);
-                bind_dense(&mut bindings, "B", &x);
-                bind_zeros(&mut bindings, "C", g.rows() * feat);
-                let tag = format!("csr_spmm/cora/d{feat}/generic/retry{attempts}");
-                let (_, _, ratio) = duel(&tag, &f, &bindings, false, reps * 2 + 1, &config);
-                gate_ratio = gate_ratio.max(ratio);
-            }
-            assert!(
-                gate_ratio >= SPEEDUP_BAR,
-                "bytecode executor {gate_ratio:.2}x below the {SPEEDUP_BAR}x bar vs the tree \
-                 executor on generic CSR SpMM (cora, d=32)"
-            );
-        }
-        render_table(
-            &format!(
-                "Flat executor: tree walk vs bytecode dispatch (cora, 1 thread, bar ≥ {SPEEDUP_BAR}x generic d=32)"
-            ),
-            &["format", "d", "build", "tree", "bytecode", "speedup"],
-            &rows,
-        )
-    }
-}
-
 /// Ablation: bucketing on/off within hyb — fix the column partitioning and
 /// compare power-of-two bucketing (`k = default`) against a single bucket
 /// (`k = 0`, every row padded/split to width 1 blocks of uniform shape is
@@ -1235,7 +1041,6 @@ pub mod serving_throughput {
             tune: false,
             fuse: None,
             batch_window: None,
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
         // Warm the single-request-shape kernel so neither arm pays
@@ -1281,6 +1086,14 @@ pub mod serving_throughput {
                 (0..clients).map(|_| (0..per_client).map(|_| make()).collect()).collect();
             let (ns_unbatched, _) = run_arm_median(adj, &payloads, &warm, false);
             let (ns_batched, stats) = run_arm_median(adj, &payloads, &warm, true);
+            // The counter pins the batched arm to the view contract
+            // regardless of the wall clock: operands and outputs are
+            // staged in place, so a single copied byte is a regression.
+            assert_eq!(
+                stats.bytes_copied, 0,
+                "batched {op} arm copied {} bytes at {clients} clients",
+                stats.bytes_copied
+            );
             let speedup = ns_unbatched / ns_batched;
             if clients == 8 {
                 speedup_at_8 = speedup;
@@ -1430,234 +1243,6 @@ pub mod serving_throughput {
     }
 }
 
-/// Zero-copy batching: requests/sec through the batched engine serving
-/// widened SpMM launches off segmented operand views vs the legacy
-/// copying contract (column-stack the operands, launch, split the wide
-/// output back out). Both arms run the identical engine with the same
-/// batch folding (`max_batch = 16`, one worker) and compile the same
-/// widened kernel — the only difference is `EngineConfig::copy_batch`,
-/// isolating the stack/split/restage copies that the view path deletes.
-pub mod serving_zero_copy {
-    use super::*;
-    use crate::report::{self, BenchRecord};
-    use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineStats, OpRequest};
-    use std::sync::Arc;
-    use std::time::Instant;
-
-    /// Acceptance floor: view-batched SpMM requests/sec over copy-batched
-    /// at 8 client threads sharing one adjacency. The win is pure copy
-    /// elimination — the copy arm pays ~five extra passes over the
-    /// `rows × Σd` operand/output data per widened launch (stack, restage
-    /// into bindings, take, split, plus their allocations) that the view
-    /// arm never makes — so it shows in the small-feature / very sparse
-    /// regime below, where the kernel itself touches each output element
-    /// only a few times.
-    pub const ZERO_COPY_SPEEDUP_BAR: f64 = 1.2;
-
-    fn push(name: &str, value: f64, unit: &'static str, better: &'static str, config: &str) {
-        report::record(BenchRecord {
-            experiment: "serving_zero_copy".to_string(),
-            name: name.to_string(),
-            value,
-            unit,
-            better,
-            config: config.to_string(),
-        });
-    }
-
-    /// Five back-to-back (copy, view) repetition pairs, reduced to the
-    /// pair with the median copy/view speedup. Pairing the arms inside
-    /// each repetition cancels slow machine drift (frequency scaling,
-    /// background load) that independent per-arm medians would fold into
-    /// the ratio; the median over five pairs then absorbs per-pair
-    /// scheduling noise.
-    #[allow(clippy::type_complexity)]
-    fn run_pair_median(
-        adj: &Adjacency,
-        payloads: &[Vec<OpRequest>],
-        warm: &OpRequest,
-    ) -> ((f64, EngineStats), (f64, EngineStats)) {
-        let mut pairs: Vec<((f64, EngineStats), (f64, EngineStats))> = (0..5)
-            .map(|_| {
-                let c = run_arm(adj, payloads.to_vec(), warm.clone(), true);
-                let v = run_arm(adj, payloads.to_vec(), warm.clone(), false);
-                (c, v)
-            })
-            .collect();
-        pairs.sort_by(|a, b| (a.0 .0 / a.1 .0).total_cmp(&(b.0 .0 / b.1 .0)));
-        pairs.swap_remove(2)
-    }
-
-    /// One serving arm: one client thread per payload list, each keeping
-    /// two requests in flight (submit ahead, then wait — the idiom of a
-    /// real serving client hiding its round-trip latency), all against
-    /// the shared adjacency. Returns mean wall-clock nanoseconds per
-    /// request and the timed window's engine counters. Identical
-    /// machinery in both modes — the flag only pins the batch-assembly
-    /// contract. The depth-2 pipeline doubles the widths the worker can
-    /// fold (up to 16 at 8 clients), which amortizes the per-launch
-    /// fixed costs both arms share and leaves the per-rider copies as
-    /// the dominant difference.
-    fn run_arm(
-        adj: &Adjacency,
-        payloads: Vec<Vec<OpRequest>>,
-        warm: OpRequest,
-        copy_batch: bool,
-    ) -> (f64, EngineStats) {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 256,
-            max_batch: 16,
-            tune: false,
-            fuse: None,
-            batch_window: None,
-            copy_batch,
-            ..EngineConfig::default()
-        }));
-        engine.serve(adj, warm).expect("warmup");
-        let total: usize = payloads.iter().map(Vec::len).sum();
-        let warmed = engine.stats();
-        let t0 = Instant::now();
-        std::thread::scope(|s| {
-            for reqs in payloads {
-                let engine = Arc::clone(&engine);
-                let adj = adj.clone();
-                s.spawn(move || {
-                    let mut pending = None;
-                    for req in reqs {
-                        let ticket = engine.submit(&adj, req).expect("submitted");
-                        if let Some(p) = pending.replace(ticket) {
-                            let _: sparsetir_engine::OpOutput = p.wait().expect("request served");
-                        }
-                    }
-                    if let Some(p) = pending {
-                        let _ = p.wait().expect("request served");
-                    }
-                });
-            }
-        });
-        let elapsed = t0.elapsed().as_nanos() as f64;
-        let stats = engine.stats().delta_since(&warmed);
-        (elapsed / total.max(1) as f64, stats)
-    }
-
-    /// Render the sweep (and record it).
-    ///
-    /// # Panics
-    /// Panics when a view-served result disagrees with the reference,
-    /// when either arm's copy counter contradicts its contract (view
-    /// launches must copy zero operand/output bytes; copy launches that
-    /// actually widened must copy some), or — under
-    /// `SPARSETIR_BENCH_ASSERT=1` — when the view arm at 8 clients
-    /// misses its requests/sec bar over the copy arm.
-    #[must_use]
-    pub fn run() -> String {
-        // The regime the views target: many concurrent small-feature
-        // requests on a very sparse graph, where a widened launch's
-        // kernel touches each output element only ~once and the copy
-        // contract's extra passes over the stacked operands are a
-        // first-order cost. Everything stays cache-resident.
-        let (n, per_client): (usize, usize) = if smoke() { (512, 16) } else { (1024, 32) };
-        let feat = 16;
-        let mut rng = gen::rng(0x2C);
-        let g = gen::random_csr_with_row_lengths(
-            n,
-            n,
-            |r| {
-                use rand::Rng;
-                let u: f64 = r.gen_range(0.0..1.0);
-                ((1.0 / (u + 0.35)) as usize).clamp(1, 6)
-            },
-            &mut rng,
-        );
-        let adj = Adjacency::new(g.clone());
-        // Served results off the view path must be the real answer.
-        {
-            let engine = Engine::new(EngineConfig { copy_batch: false, ..EngineConfig::default() });
-            let x = gen::random_dense(n, feat, &mut rng);
-            let served = engine
-                .serve(&adj, OpRequest::Spmm(x.clone()))
-                .and_then(sparsetir_engine::OpOutput::into_dense)
-                .expect("serves");
-            assert!(
-                served.approx_eq(&g.spmm(&x).expect("reference"), 1e-3),
-                "view-served SpMM must match the reference"
-            );
-        }
-        let config = format!(
-            "n={n} nnz={} d={feat} per_client={per_client} workers=1 max_batch=16 smoke={}",
-            g.nnz(),
-            smoke()
-        );
-        let warm = OpRequest::Spmm(gen::random_dense(n, feat, &mut rng));
-        let mut rows = Vec::new();
-        let mut speedup_at_8 = 0.0;
-        for &clients in &[1usize, 4, 8] {
-            let payloads: Vec<Vec<OpRequest>> = (0..clients)
-                .map(|_| {
-                    (0..per_client)
-                        .map(|_| OpRequest::Spmm(gen::random_dense(n, feat, &mut rng)))
-                        .collect()
-                })
-                .collect();
-            let ((ns_copy, copy_stats), (ns_view, view_stats)) =
-                run_pair_median(&adj, &payloads, &warm);
-            // The counters pin the arms to their contracts regardless of
-            // the wall clock: the view arm stages operands and outputs
-            // in place, so a single copied byte is a regression.
-            assert_eq!(
-                view_stats.bytes_copied, 0,
-                "view arm copied {} bytes at {clients} clients",
-                view_stats.bytes_copied
-            );
-            if copy_stats.max_batch >= 2 {
-                assert!(
-                    copy_stats.bytes_copied > 0,
-                    "copy arm widened launches (max batch {}) without counting any staged bytes",
-                    copy_stats.max_batch
-                );
-            }
-            let speedup = ns_copy / ns_view;
-            if clients == 8 {
-                speedup_at_8 = speedup;
-            }
-            let tag = format!("spmm/c{clients}");
-            push(&format!("{tag}/copy"), ns_copy, "ns", "lower", &config);
-            push(&format!("{tag}/view"), ns_view, "ns", "lower", &config);
-            if clients == 8 {
-                // As in `serving_throughput`: only the 8-client ratio is
-                // stable enough to gate on; low-client arms stay
-                // advisory through their ns records.
-                push(&format!("{tag}/speedup"), speedup, "ratio", "higher", &config);
-            }
-            let copied_per_req =
-                copy_stats.bytes_copied as f64 / (clients * per_client).max(1) as f64;
-            rows.push(vec![
-                clients.to_string(),
-                format!("{:.0}", 1e9 / ns_copy),
-                format!("{:.0}", 1e9 / ns_view),
-                fmt_speedup(speedup),
-                format!("{}", view_stats.max_batch),
-                format!("{:.1}", copied_per_req / 1024.0),
-                format!("{}", view_stats.bytes_copied),
-            ]);
-        }
-        if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-            assert!(
-                speedup_at_8 >= ZERO_COPY_SPEEDUP_BAR,
-                "view-batched SpMM serving {speedup_at_8:.2}x below the {ZERO_COPY_SPEEDUP_BAR}x bar at 8 clients"
-            );
-        }
-        render_table(
-            &format!(
-                "Zero-copy serving: view batching vs copy batching (shared adjacency, d={feat}, bar at 8 clients: ≥ {ZERO_COPY_SPEEDUP_BAR}x)"
-            ),
-            &["clients", "copy req/s", "view req/s", "speedup", "max batch", "copy KB/req", "view bytes"],
-            &rows,
-        )
-    }
-}
-
 /// Cross-op fusion at serving time: the fused attention pipeline
 /// (SDDMM → edge-softmax → SpMM compiled into **one** kernel, requests
 /// batched into widened launches) vs the three-launch pipeline serving
@@ -1705,7 +1290,6 @@ pub mod fused_attention {
             tune: false,
             fuse: Some(fused),
             batch_window: None,
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
         // Warm the single-request-shape kernels (one fused, or the
@@ -1911,7 +1495,6 @@ pub mod serving_slo {
             tune: false,
             fuse: None,
             batch_window: None,
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         });
         engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration warmup");
@@ -1956,7 +1539,6 @@ pub mod serving_slo {
             tune: false,
             fuse: None,
             batch_window: if slo { Some(window) } else { None },
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
         // Warm every kernel shape outside the measured window.
@@ -2217,7 +1799,6 @@ pub mod dynamic_graphs {
             tune: false,
             fuse: None,
             batch_window: None,
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         })
     }

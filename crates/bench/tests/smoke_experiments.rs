@@ -25,9 +25,7 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
         ("ablation_bucketing", e::ablation_bucketing::run),
         ("autotuning", e::autotuning::run),
         ("executor_vectorization", e::executor_vectorization::run),
-        ("flat_executor", e::flat_executor::run),
         ("serving_throughput", e::serving_throughput::run),
-        ("serving_zero_copy", e::serving_zero_copy::run),
         ("fused_attention", e::fused_attention::run),
         ("serving_slo", e::serving_slo::run),
         ("dynamic_graphs", e::dynamic_graphs::run),
@@ -46,20 +44,12 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
         "executor_vectorization must record bench results"
     );
     assert!(
-        records.iter().any(|r| r.experiment == "flat_executor"),
-        "flat_executor must record bytecode-vs-tree results"
-    );
-    assert!(
         records.iter().any(|r| r.experiment == "autotuning"),
         "autotuning must record measured times"
     );
     assert!(
         records.iter().any(|r| r.experiment == "serving_throughput"),
         "serving_throughput must record requests/sec results"
-    );
-    assert!(
-        records.iter().any(|r| r.experiment == "serving_zero_copy" && r.name == "spmm/c8/speedup"),
-        "serving_zero_copy must record the gated 8-client view-over-copy speedup"
     );
     assert!(
         records.iter().any(|r| r.experiment == "fused_attention"),

@@ -11,11 +11,11 @@ use std::collections::HashMap;
 pub type Bindings = HashMap<String, TensorData>;
 
 thread_local! {
-    /// Dense operand/output bytes memcpy'd on this thread by the batching
-    /// helpers (`stack`/`split`, `read_dense`, output extraction). The
-    /// serving engine samples it around each batch launch to attribute
-    /// copies per engine without cross-test interference; the zero-copy
-    /// view paths leave it untouched.
+    /// Dense output bytes memcpy'd on this thread ([`read_dense`] and any
+    /// launch path that calls [`count_bytes_copied`]). The serving engine
+    /// samples it around each batch launch to attribute copies per engine
+    /// without cross-test interference; the zero-copy view paths and
+    /// [`take_dense`] leave it untouched.
     static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
 }
 
@@ -156,8 +156,15 @@ mod tests {
         let d = gen::random_dense(3, 4, &mut rng);
         let mut b = Bindings::new();
         bind_dense(&mut b, "X", &d);
+        // The copy counter is live: `read_dense` tallies the bytes it
+        // clones, `take_dense` moves the buffer out and tallies nothing.
+        let before = bytes_copied_on_thread();
         let back = read_dense(&b, "X", 3, 4);
         assert!(back.approx_eq(&d, 0.0));
+        assert_eq!(bytes_copied_on_thread() - before, 3 * 4 * 4);
+        let moved = take_dense(&mut b, "X", 3, 4);
+        assert!(moved.approx_eq(&d, 0.0));
+        assert_eq!(bytes_copied_on_thread() - before, 3 * 4 * 4);
     }
 
     #[test]

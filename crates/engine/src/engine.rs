@@ -16,8 +16,8 @@ use sparsetir_autotune::{tune_op, SparsityFingerprint, TunableOp, TuneCache, Tun
 use sparsetir_gpusim::prelude::GpuSpec;
 use sparsetir_ir::exec::{fusion_default, Runtime};
 use sparsetir_kernels::prelude::{
-    bytes_copied_on_thread, copy_batch_default, AttentionOp, AttnHead, FusedAttentionOp,
-    FusedSageOp, OpConfig, SddmmOp, SparseOp, SpmmOp,
+    bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpConfig,
+    SddmmOp, SparseOp, SpmmOp,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
 use std::collections::hash_map::DefaultHasher;
@@ -55,12 +55,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub enum EngineError {
     /// Request shapes are incompatible with the adjacency.
     Shape(String),
-    /// Pre-0.2 name for a full-queue refusal. The generic submit path
-    /// answers [`EngineError::Rejected`] with
-    /// [`RejectReason::QueueFull`] instead; only the deprecated
-    /// `try_submit_spmm` wrapper still maps back to this variant for its
-    /// legacy callers.
-    Saturated,
     /// The engine shut down before (or while) answering.
     Shutdown,
     /// The admission controller or drain loop refused the submission;
@@ -81,7 +75,6 @@ impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Shape(msg) => write!(f, "engine shape error: {msg}"),
-            EngineError::Saturated => write!(f, "engine queue is full"),
             EngineError::Shutdown => write!(f, "engine has shut down"),
             EngineError::Rejected { reason } => write!(f, "engine rejected submission: {reason}"),
             EngineError::Exec(msg) => write!(f, "engine execution error: {msg}"),
@@ -367,14 +360,6 @@ pub struct EngineConfig {
     /// default) keeps the legacy greedy drain: fire immediately with
     /// whatever is queued.
     pub batch_window: Option<Duration>,
-    /// When true, batched launches run the legacy copying contract —
-    /// stack operands into widened staging buffers, split the wide
-    /// result back per rider — instead of the zero-copy segmented-view
-    /// assembly. The two paths are bit-identical; the copy path survives
-    /// as the differential oracle and the rollback switch. Defaults to
-    /// the `SPARSETIR_COPY_BATCH` environment kill switch (set = copy)
-    /// via [`copy_batch_default`].
-    pub copy_batch: bool,
     /// Degree-histogram drift (see [`SparsityFingerprint::drift`]) above
     /// which [`Engine::apply_delta`] re-anchors the adjacency's tuning
     /// identity and schedules a background retune. At or below the
@@ -393,7 +378,6 @@ impl Default for EngineConfig {
             tune: false,
             fuse: None,
             batch_window: None,
-            copy_batch: copy_batch_default(),
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }
     }
@@ -599,10 +583,9 @@ impl Engine {
         stats
     }
 
-    /// Submit any op, blocking while the queue is at capacity — the one
-    /// generic submit path every typed wrapper routes through. Accepts a
+    /// Submit any op, blocking while the queue is at capacity. Accepts a
     /// [`Submission`] (op + SLO options) or a bare [`OpRequest`]
-    /// (default options — the legacy contract).
+    /// (default options).
     ///
     /// A submission with a deadline blocks on a full queue at most until
     /// that deadline, and is shed at admission when the deadline is
@@ -646,139 +629,6 @@ impl Engine {
         sub: impl Into<Submission>,
     ) -> Result<OpOutput, EngineError> {
         self.submit(adj, sub)?.wait()
-    }
-
-    /// Submit an SpMM request (`adj · feat`), blocking while the queue is
-    /// at capacity.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`].
-    #[deprecated(since = "0.2.0", note = "use engine.submit(adj, Submission::spmm(feat))")]
-    pub fn submit_spmm(&self, adj: &Adjacency, feat: Dense) -> Result<Ticket, EngineError> {
-        self.submit(adj, Submission::spmm(feat))
-    }
-
-    /// Submit an SpMM request without blocking.
-    ///
-    /// # Errors
-    /// See [`Engine::try_submit`]; a full queue answers the legacy
-    /// [`EngineError::Saturated`].
-    #[deprecated(since = "0.2.0", note = "use engine.try_submit(adj, Submission::spmm(feat))")]
-    pub fn try_submit_spmm(&self, adj: &Adjacency, feat: Dense) -> Result<Ticket, EngineError> {
-        self.try_submit(adj, Submission::spmm(feat)).map_err(|e| match e {
-            EngineError::Rejected { reason: RejectReason::QueueFull } => EngineError::Saturated,
-            other => other,
-        })
-    }
-
-    /// Blocking convenience: SpMM request → dense result.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`] and [`Ticket::wait_dense`].
-    #[deprecated(since = "0.2.0", note = "use engine.serve(adj, Submission::spmm(feat))")]
-    pub fn spmm(&self, adj: &Adjacency, feat: Dense) -> Result<Dense, EngineError> {
-        self.submit(adj, Submission::spmm(feat))?.wait_dense()
-    }
-
-    /// Submit an SDDMM request (`adj ⊙ (x · y)` sampled at the
-    /// non-zeros), blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`].
-    #[deprecated(since = "0.2.0", note = "use engine.submit(adj, Submission::sddmm(x, y))")]
-    pub fn submit_sddmm(&self, adj: &Adjacency, x: Dense, y: Dense) -> Result<Ticket, EngineError> {
-        self.submit(adj, Submission::sddmm(x, y))
-    }
-
-    /// Blocking convenience: SDDMM request → per-non-zero values.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`] and [`Ticket::wait_edges`].
-    #[deprecated(since = "0.2.0", note = "use engine.serve(adj, Submission::sddmm(x, y))")]
-    pub fn sddmm(&self, adj: &Adjacency, x: Dense, y: Dense) -> Result<Vec<f32>, EngineError> {
-        self.submit(adj, Submission::sddmm(x, y))?.wait_edges()
-    }
-
-    /// Submit a multi-head attention aggregation (one SpMM per head over
-    /// the shared mask), blocking while the queue is at capacity.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`].
-    #[deprecated(since = "0.2.0", note = "use engine.submit(adj, Submission::attention(heads))")]
-    pub fn submit_attention(
-        &self,
-        adj: &Adjacency,
-        heads: Vec<Dense>,
-    ) -> Result<Ticket, EngineError> {
-        self.submit(adj, Submission::attention(heads))
-    }
-
-    /// Blocking convenience: attention request → per-head results.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`] and [`Ticket::wait_heads`].
-    #[deprecated(since = "0.2.0", note = "use engine.serve(adj, Submission::attention(heads))")]
-    pub fn attention(&self, adj: &Adjacency, heads: Vec<Dense>) -> Result<Vec<Dense>, EngineError> {
-        self.submit(adj, Submission::attention(heads))?.wait_heads()
-    }
-
-    /// Submit a fused attention pipeline request (SDDMM → edge-softmax →
-    /// SpMM in one kernel, one `(Q, Kᵀ, V)` triple per head), blocking
-    /// while the queue is at capacity.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use engine.submit(adj, Submission::fused_attention(heads))"
-    )]
-    pub fn submit_fused_attention(
-        &self,
-        adj: &Adjacency,
-        heads: Vec<AttnHead>,
-    ) -> Result<Ticket, EngineError> {
-        self.submit(adj, Submission::fused_attention(heads))
-    }
-
-    /// Blocking convenience: fused attention request → per-head results.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`] and [`Ticket::wait_heads`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use engine.serve(adj, Submission::fused_attention(heads))"
-    )]
-    pub fn fused_attention(
-        &self,
-        adj: &Adjacency,
-        heads: Vec<AttnHead>,
-    ) -> Result<Vec<Dense>, EngineError> {
-        self.submit(adj, Submission::fused_attention(heads))?.wait_heads()
-    }
-
-    /// Submit a fused GraphSAGE layer step (gather → normalize → matmul
-    /// in one kernel over operands `(X, W)`), blocking while the queue is
-    /// at capacity.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`].
-    #[deprecated(since = "0.2.0", note = "use engine.submit(adj, Submission::fused_sage(x, w))")]
-    pub fn submit_fused_sage(
-        &self,
-        adj: &Adjacency,
-        x: Dense,
-        w: Dense,
-    ) -> Result<Ticket, EngineError> {
-        self.submit(adj, Submission::fused_sage(x, w))
-    }
-
-    /// Blocking convenience: fused SAGE request → dense layer output.
-    ///
-    /// # Errors
-    /// See [`Engine::submit`] and [`Ticket::wait_dense`].
-    #[deprecated(since = "0.2.0", note = "use engine.serve(adj, Submission::fused_sage(x, w))")]
-    pub fn fused_sage(&self, adj: &Adjacency, x: Dense, w: Dense) -> Result<Dense, EngineError> {
-        self.submit(adj, Submission::fused_sage(x, w))?.wait_dense()
     }
 
     /// Apply a batch of edge updates to a served adjacency, returning the
@@ -1413,17 +1263,11 @@ where
     let started = Instant::now();
     // Sample the thread-local copy counter around the launch: the worker
     // thread runs the whole batch, so the delta is exactly the bytes the
-    // batching layer staged for these riders (0 on the view path).
+    // launch memcpy'd for these riders (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
     let result = catch_unwind(AssertUnwindSafe(|| {
         let config = op_config_for::<O>(shared, &adj, &shape, tune);
-        O::execute_batch_mode_on(
-            &shared.runtime,
-            adj.csr(),
-            &reqs,
-            &config,
-            shared.config.copy_batch,
-        )
+        O::execute_batch_on(&shared.runtime, adj.csr(), &reqs, &config)
     }));
     shared
         .stats

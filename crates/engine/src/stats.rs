@@ -411,12 +411,9 @@ pub struct EngineStats {
     /// Scratch-buffer acquisitions that fell through to a fresh
     /// allocation (cold classes, or a drained size class).
     pub pool_misses: u64,
-    /// Operand/result bytes memcpy'd by the batching layer while serving.
-    /// The zero-copy view path keeps this at 0 for batchable ops; it
-    /// counts only under the `SPARSETIR_COPY_BATCH` oracle (or
-    /// [`EngineConfig::copy_batch`](crate::EngineConfig::copy_batch)),
-    /// where every batch stacks operands into widened staging buffers and
-    /// splits results back out.
+    /// Operand/result bytes memcpy'd by launch paths while serving — a
+    /// "something copied" alarm: view assembly and move-out output
+    /// extraction keep this at 0 for every served op.
     pub bytes_copied: u64,
     /// Graph deltas applied through
     /// [`Engine::apply_delta`](crate::Engine::apply_delta).

@@ -2,17 +2,14 @@
 //! request sets — widths 0, 1, and mixed — the batched engine output of
 //! *every served op* (SpMM, SDDMM, multi-head attention) must be
 //! bit-identical to a sequential loop of the op's single-request
-//! `*_execute` calls, including the stack/split round-trips. This is the
-//! serving-path analogue of the executor's interpreter-differential
-//! suite: batching must be a pure performance transformation.
-//!
-//! The suite goes through the deprecated per-op wrappers on purpose:
-//! they are one-line shims over the `Submission` path and must keep
-//! answering bit-identically across the API redesign.
-#![allow(deprecated)]
+//! `*_execute` calls — sequential execution is the batching oracle. This
+//! is the serving-path analogue of the executor's
+//! interpreter-differential suite: batching must be a pure performance
+//! transformation, and it must copy nothing (`bytes_copied == 0` on
+//! every engine, across widths 0/1/mixed, empty rows and 0-head riders).
 
 use proptest::prelude::*;
-use sparsetir_engine::{Adjacency, Engine, EngineConfig};
+use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     attention_pipeline_launch, csr_spmm_execute, sddmm_batched_execute, sddmm_execute,
@@ -140,7 +137,7 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit_spmm(&adj, x.clone()).expect("submits"))
+            .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
             .collect();
         for (i, (x, t)) in xs.iter().zip(tickets).enumerate() {
             let got = t.wait_dense().expect("engine answers");
@@ -150,6 +147,7 @@ proptest! {
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, xs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
+        prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
     }
 
     /// The pure SDDMM batching primitive (block-diagonal stacking): one
@@ -187,7 +185,9 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|(x, y)| engine.submit_sddmm(&adj, x.clone(), y.clone()).expect("submits"))
+            .map(|(x, y)| {
+                engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
+            })
             .collect();
         for (i, ((x, y), t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_edges().expect("engine answers");
@@ -197,6 +197,7 @@ proptest! {
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, reqs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
+        prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
     }
 
     /// The full engine multi-head attention path: per-request head lists
@@ -218,7 +219,9 @@ proptest! {
         let engine = test_engine();
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|heads| engine.submit_attention(&adj, heads.clone()).expect("submits"))
+            .map(|heads| {
+                engine.submit(&adj, Submission::attention(heads.clone())).expect("submits")
+            })
             .collect();
         for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_heads().expect("engine answers");
@@ -231,6 +234,7 @@ proptest! {
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, reqs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
+        prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
     }
 }
 
@@ -286,7 +290,9 @@ proptest! {
         });
         let tickets: Vec<_> = reqs
             .iter()
-            .map(|heads| engine.submit_fused_attention(&adj, heads.clone()).expect("submits"))
+            .map(|heads| {
+                engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
+            })
             .collect();
         let oracle_rt = Runtime::new();
         for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {
@@ -302,6 +308,7 @@ proptest! {
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, reqs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
+        prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
         // Requests with distinct (k, vfeat) shapes must not have shared a
         // launch: the widest recorded fused-attention batch is bounded by
         // the largest same-shape group (0-head requests ride with any

@@ -1,14 +1,10 @@
 //! Behavioral tests for the serving engine: correctness of served
 //! results, batching under a busy worker, backpressure, shape
 //! validation, drain-on-shutdown, and the tuned configuration path.
-//!
-//! These tests deliberately exercise the deprecated per-op wrappers
-//! (`engine.spmm`, `engine.attention`, …) alongside the `Submission`
-//! surface: the wrappers are kept as one-line shims and must stay
-//! behaviorally identical.
-#![allow(deprecated)]
 
-use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineError};
+use sparsetir_engine::{
+    Adjacency, Engine, EngineConfig, EngineError, OpOutput, RejectReason, Submission,
+};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     attention_pipeline_launch, fused_sage_pipeline_launch, sddmm_execute, tuned_spmm_execute,
@@ -44,7 +40,10 @@ fn served_spmm_matches_direct_execution() {
     let x = gen::random_dense(20, 6, &mut rng);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig::default());
-    let served = engine.spmm(&adj, x.clone()).expect("serves");
+    let served = engine
+        .serve(&adj, Submission::spmm(x.clone()))
+        .and_then(OpOutput::into_dense)
+        .expect("serves");
     let direct = tuned_spmm_execute(&a, &x, &SpmmConfig::default_csr()).expect("executes");
     assert!(bit_eq(&served, &direct), "served result must be bit-identical to direct execution");
     assert!(served.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
@@ -61,7 +60,10 @@ fn served_sddmm_matches_direct_execution() {
     let y = gen::random_dense(5, 10, &mut rng);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig::default());
-    let served = engine.sddmm(&adj, x.clone(), y.clone()).expect("serves");
+    let served = engine
+        .serve(&adj, Submission::sddmm(x.clone(), y.clone()))
+        .and_then(OpOutput::into_edges)
+        .expect("serves");
     let direct = sddmm_execute(&a, &x, &y).expect("executes");
     assert_eq!(served.len(), direct.len());
     for (s, d) in served.iter().zip(&direct) {
@@ -91,11 +93,13 @@ fn queued_requests_batch_and_stay_bit_identical() {
     // Occupy the single worker with a heavyweight request (compile +
     // run is milliseconds; the submissions below are microseconds).
     let plug = engine
-        .submit_spmm(&adj_big, gen::random_dense(adj_big.csr().cols(), 32, &mut rng))
+        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
         .expect("submits");
     let xs: Vec<Dense> = (0..6).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
-    let tickets: Vec<_> =
-        xs.iter().map(|x| engine.submit_spmm(&adj, x.clone()).expect("submits")).collect();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .collect();
     plug.wait_dense().expect("plug completes");
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
@@ -127,14 +131,16 @@ fn try_submit_saturates_on_a_full_queue() {
     let mut rng = gen::rng(42);
     // First request occupies the worker for milliseconds; second fills
     // the depth-1 queue; the third must bounce.
-    let t1 =
-        engine.submit_spmm(&adj_big, gen::random_dense(big.cols(), 32, &mut rng)).expect("submits");
-    let t2 =
-        engine.submit_spmm(&adj_big, gen::random_dense(big.cols(), 2, &mut rng)).expect("submits");
+    let t1 = engine
+        .submit(&adj_big, Submission::spmm(gen::random_dense(big.cols(), 32, &mut rng)))
+        .expect("submits");
+    let t2 = engine
+        .submit(&adj_big, Submission::spmm(gen::random_dense(big.cols(), 2, &mut rng)))
+        .expect("submits");
     let err = engine
-        .try_submit_spmm(&adj_big, gen::random_dense(big.cols(), 2, &mut rng))
+        .try_submit(&adj_big, Submission::spmm(gen::random_dense(big.cols(), 2, &mut rng)))
         .expect_err("queue is full");
-    assert_eq!(err, EngineError::Saturated);
+    assert_eq!(err, EngineError::Rejected { reason: RejectReason::QueueFull });
     assert_eq!(engine.stats().rejected, 1);
     t1.wait_dense().expect("completes");
     t2.wait_dense().expect("completes");
@@ -147,13 +153,13 @@ fn shape_mismatches_are_rejected_at_submit() {
     let adj = Adjacency::new(a);
     let engine = Engine::new(EngineConfig::default());
     let bad = gen::random_dense(9, 2, &mut rng);
-    match engine.submit_spmm(&adj, bad) {
+    match engine.submit(&adj, Submission::spmm(bad)) {
         Err(EngineError::Shape(msg)) => assert!(msg.contains("9 rows"), "{msg}"),
         other => panic!("expected shape error, got {other:?}"),
     }
     let x = gen::random_dense(10, 3, &mut rng);
     let y_bad = gen::random_dense(4, 8, &mut rng); // y.rows != x.cols
-    assert!(matches!(engine.submit_sddmm(&adj, x, y_bad), Err(EngineError::Shape(_))));
+    assert!(matches!(engine.submit(&adj, Submission::sddmm(x, y_bad)), Err(EngineError::Shape(_))));
     assert_eq!(engine.stats().submitted, 0, "rejected requests never enqueue");
 }
 
@@ -174,8 +180,10 @@ fn shutdown_drains_pending_requests() {
         ..EngineConfig::default()
     });
     let xs: Vec<Dense> = (0..5).map(|_| gen::random_dense(40, 3, &mut rng)).collect();
-    let tickets: Vec<_> =
-        xs.iter().map(|x| engine.submit_spmm(&adj, x.clone()).expect("submits")).collect();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .collect();
     drop(engine);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("drained on shutdown");
@@ -213,7 +221,10 @@ fn concurrent_clients_get_their_own_answers() {
                     // Mixed widths so the column split-back is exercised.
                     let w = 1 + (client + i) % 5;
                     let x = gen::random_dense(96, w, &mut rng);
-                    let got = engine.spmm(&adj, x.clone()).expect("serves");
+                    let got = engine
+                        .serve(&adj, Submission::spmm(x.clone()))
+                        .and_then(OpOutput::into_dense)
+                        .expect("serves");
                     let want = a.spmm(&x).unwrap();
                     assert!(
                         got.approx_eq(&want, 1e-4),
@@ -250,7 +261,10 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     let mut rng = gen::rng(82);
     for _ in 0..3 {
         let x = gen::random_dense(300, 8, &mut rng);
-        let got = engine.spmm(&adj, x.clone()).expect("serves");
+        let got = engine
+            .serve(&adj, Submission::spmm(x.clone()))
+            .and_then(OpOutput::into_dense)
+            .expect("serves");
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
     }
     assert_eq!(engine.tune_cache().len(), 1, "one cached decision for one adjacency");
@@ -276,7 +290,7 @@ fn repeated_requests_reuse_compiled_kernels() {
     });
     for _ in 0..4 {
         let x = gen::random_dense(32, 4, &mut rng);
-        engine.spmm(&adj, x).expect("serves");
+        engine.serve(&adj, Submission::spmm(x)).and_then(OpOutput::into_dense).expect("serves");
     }
     assert_eq!(
         engine.runtime().compilations(),
@@ -343,7 +357,7 @@ fn engine_survives_injected_worker_panic() {
     });
     // A request before the crash proves the worker was healthy.
     let x0 = gen::random_dense(24, 3, &mut rng);
-    assert!(engine.spmm(&adj, x0).is_ok());
+    assert!(engine.serve(&adj, Submission::spmm(x0)).and_then(OpOutput::into_dense).is_ok());
 
     engine.inject_worker_panic();
 
@@ -351,7 +365,10 @@ fn engine_survives_injected_worker_panic() {
     // thread and must still be served by the surviving worker.
     for i in 0..4 {
         let x = gen::random_dense(24, 2 + i % 3, &mut rng);
-        let got = engine.spmm(&adj, x.clone()).expect("served after worker panic");
+        let got = engine
+            .serve(&adj, Submission::spmm(x.clone()))
+            .and_then(OpOutput::into_dense)
+            .expect("served after worker panic");
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     }
     let stats = engine.stats();
@@ -389,7 +406,10 @@ fn concurrent_submits_survive_worker_panic() {
                 let mut rng = gen::rng(500 + client as u64);
                 for _ in 0..PER_CLIENT {
                     let x = gen::random_dense(64, 1 + client % 4, &mut rng);
-                    let got = engine.spmm(&adj, x.clone()).expect("served");
+                    let got = engine
+                        .serve(&adj, Submission::spmm(x.clone()))
+                        .and_then(OpOutput::into_dense)
+                        .expect("served");
                     assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
                 }
             });
@@ -419,7 +439,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     });
     let mut rng = gen::rng(133);
     let plug = engine
-        .submit_spmm(&adj_big, gen::random_dense(adj_big.csr().cols(), 32, &mut rng))
+        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
         .expect("submits");
     let k = 5;
     let reqs: Vec<(Dense, Dense)> = (0..5)
@@ -427,7 +447,9 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         .collect();
     let tickets: Vec<_> = reqs
         .iter()
-        .map(|(x, y)| engine.submit_sddmm(&adj, x.clone(), y.clone()).expect("submits"))
+        .map(|(x, y)| {
+            engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
+        })
         .collect();
     plug.wait_dense().expect("plug completes");
     for ((x, y), t) in reqs.iter().zip(tickets) {
@@ -463,15 +485,15 @@ fn incompatible_requests_do_not_batch() {
     });
     let mut rng = gen::rng(143);
     let plug = engine
-        .submit_spmm(&adj_big, gen::random_dense(adj_big.csr().cols(), 32, &mut rng))
+        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
         .expect("submits");
     // Two SDDMM inner widths plus one SpMM, all queued behind the plug.
     let s1 = (gen::random_dense(32, 2, &mut rng), gen::random_dense(2, 32, &mut rng));
     let s2 = (gen::random_dense(32, 3, &mut rng), gen::random_dense(3, 32, &mut rng));
-    let t1 = engine.submit_sddmm(&adj, s1.0.clone(), s1.1.clone()).expect("submits");
-    let t2 = engine.submit_sddmm(&adj, s2.0.clone(), s2.1.clone()).expect("submits");
+    let t1 = engine.submit(&adj, Submission::sddmm(s1.0.clone(), s1.1.clone())).expect("submits");
+    let t2 = engine.submit(&adj, Submission::sddmm(s2.0.clone(), s2.1.clone())).expect("submits");
     let x = gen::random_dense(32, 4, &mut rng);
-    let t3 = engine.submit_spmm(&adj, x.clone()).expect("submits");
+    let t3 = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
     plug.wait_dense().expect("plug completes");
     let got1 = t1.wait_edges().expect("completes");
     let got2 = t2.wait_edges().expect("completes");
@@ -508,7 +530,10 @@ fn served_fused_ops_match_their_pipeline_oracles() {
     let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
 
     let head = random_head(&a, 4, 3, &mut rng);
-    let got = engine.fused_attention(&adj, vec![head.clone()]).expect("serves");
+    let got = engine
+        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
+        .and_then(OpOutput::into_heads)
+        .expect("serves");
     assert_eq!(got.len(), 1);
     let oracle = attention_pipeline_launch(&Runtime::new(), &a, &head.q, &head.kt, &head.v, 1)
         .expect("pipeline oracle");
@@ -516,7 +541,10 @@ fn served_fused_ops_match_their_pipeline_oracles() {
 
     let x = gen::random_dense(20, 5, &mut rng);
     let w = gen::random_dense(5, 3, &mut rng);
-    let sage = engine.fused_sage(&adj, x.clone(), w.clone()).expect("serves");
+    let sage = engine
+        .serve(&adj, Submission::fused_sage(x.clone(), w.clone()))
+        .and_then(OpOutput::into_dense)
+        .expect("serves");
     let sage_oracle =
         fused_sage_pipeline_launch(&Runtime::new(), &a, &x, &w).expect("pipeline oracle");
     assert!(bit_eq(&sage, &sage_oracle), "served fused sage must match the two-launch oracle");
@@ -542,15 +570,27 @@ fn engine_fuse_toggle_recompiles_instead_of_serving_stale_kernels() {
     assert!(fused.runtime().fusion());
     assert!(!unfused.runtime().fusion());
 
-    let yes = fused.fused_attention(&adj, vec![head.clone()]).expect("serves");
-    let no = unfused.fused_attention(&adj, vec![head.clone()]).expect("serves");
+    let yes = fused
+        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
+        .and_then(OpOutput::into_heads)
+        .expect("serves");
+    let no = unfused
+        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
+        .and_then(OpOutput::into_heads)
+        .expect("serves");
     assert_eq!(fused.runtime().cached(), 1, "fused path is one cross-op kernel");
     assert_eq!(unfused.runtime().cached(), 3, "unfused path is the three-launch pipeline");
     assert!(bit_eq(&yes[0], &no[0]), "both modes must agree bit-for-bit");
 
     // Re-serving hits each engine's cache: no recompilation either way.
-    fused.fused_attention(&adj, vec![head.clone()]).expect("serves");
-    unfused.fused_attention(&adj, vec![head]).expect("serves");
+    fused
+        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
+        .and_then(OpOutput::into_heads)
+        .expect("serves");
+    unfused
+        .serve(&adj, Submission::fused_attention(vec![head]))
+        .and_then(OpOutput::into_heads)
+        .expect("serves");
     assert_eq!(fused.runtime().compilations(), 1);
     assert_eq!(unfused.runtime().compilations(), 3);
 }
@@ -575,7 +615,7 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     });
     let mut rng = gen::rng(173);
     let plug = engine
-        .submit_spmm(&adj_big, gen::random_dense(adj_big.csr().cols(), 32, &mut rng))
+        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
         .expect("submits");
     // Two compatible (k=2, vfeat=2) requests plus one incompatible
     // (k=3, vfeat=2): the pair must share a launch, the odd one out must
@@ -587,7 +627,9 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     ];
     let tickets: Vec<_> = reqs
         .iter()
-        .map(|heads| engine.submit_fused_attention(&adj, heads.clone()).expect("submits"))
+        .map(|heads| {
+            engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
+        })
         .collect();
     plug.wait_dense().expect("plug completes");
     for (heads, t) in reqs.iter().zip(tickets) {

@@ -12,11 +12,11 @@
 //!    every [`Var`] and buffer name to a dense integer slot, statically
 //!    type every expression (variables are always integers, buffer loads
 //!    are typed by the buffer's dtype), fold constants, and lower the body
-//!    into a typed instruction tree with no string lookups and no per-step
-//!    allocation.
+//!    into a typed statement tree and from there into flat bytecode, with
+//!    no string lookups and no per-step allocation.
 //! 2. **Execute** ([`CompiledKernel::run`]): bind scalar parameters and
 //!    tensor storage into a flat frame (a `Vec<i64>` of scalar slots and a
-//!    table of raw buffer views) and run the instruction tree. Outermost
+//!    table of raw buffer views) and run the instruction stream. Outermost
 //!    loops bound to `blockIdx.*` dispatch their iterations across OS
 //!    threads — blocks are spatial by construction in SparseTIR's model
 //!    (§3.3), and a conservative taint analysis double-checks that every
@@ -34,11 +34,10 @@
 //! errors, casts to integer round-trip through `f64`, and per-dimension
 //! bounds checks fire with the interpreter's error wording.
 //!
-//! On top of the generic tree, a **dense-lane fusion pass** (the `fuse`
-//! submodule)
-//! recognizes innermost loops over contiguous dense axes (the feature
-//! dimension of SpMM/SDDMM, ELL bucket lanes) at compile time and lowers
-//! them to specialized microkernel instructions — `FillLanes`,
+//! On top of the generic program, a **dense-lane fusion pass** (the `fuse`
+//! submodule) recognizes innermost loops over contiguous dense axes (the
+//! feature dimension of SpMM/SDDMM, ELL bucket lanes) at compile time and
+//! lowers them to specialized microkernel instructions — `FillLanes`,
 //! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate` — that run tight
 //! per-lane loops instead of per-element instruction dispatch. Fusion is
 //! on by default (`SPARSETIR_NO_FUSE` disables it); the generic form is
@@ -46,36 +45,39 @@
 //! kernel-cache key includes the fusion flag so toggling it never serves
 //! a stale compiled kernel.
 //!
-//! Execution itself has two backends sharing one compiled representation
-//! (see [`ExecBackend`]). The default is the **flat bytecode executor**
-//! (the `bytecode` submodule): the statement tree is lowered once to a
-//! flat instruction stream with jump-encoded loops and the fused
-//! microkernels embedded as superinstructions, then driven by a single
-//! `ip`-dispatch loop. The original recursive **tree walker** stays
-//! available behind the `SPARSETIR_TREE_EXEC` kill switch; the cache key
-//! includes the backend so flipping the switch recompiles rather than
-//! serving a stale kernel. [`CompiledKernel::disassemble`] renders the
-//! bytecode (for either backend) as a stable text listing — see the
-//! `disasm` submodule and the golden-file tests under `tests/golden/`.
+//! Execution is a **flat bytecode executor** (the `bytecode` submodule):
+//! the statement tree is lowered once to a flat instruction stream with
+//! jump-encoded loops and the fused microkernels embedded as
+//! superinstructions, then driven by a single `ip`-dispatch loop.
+//! [`CompiledKernel::disassemble`] renders the bytecode as a stable text
+//! listing — see the `disasm` submodule and the golden-file tests under
+//! `tests/golden/`.
+//!
+//! Segmented view bindings live in the `views` submodule, the memory plan
+//! and scratch pool in `memory`, and the compile-once kernel cache in
+//! `runtime`; all are re-exported here.
 
 use crate::buffer::Buffer;
 use crate::eval::TensorData;
 use crate::expr::{BinOp, Expr, Intrinsic, Var};
 use crate::func::PrimFunc;
-use crate::printer::print_func;
 use crate::stmt::{ForKind, IterKind, Stmt, TensorTile};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 mod bytecode;
 mod disasm;
 mod fuse;
-use fuse::FusedLanes;
+mod memory;
+mod runtime;
+mod views;
+
+pub use memory::{BufferPool, MemoryPlan, PlanEntry};
+pub use runtime::{exec_func, Runtime};
+pub use views::{BoundArg, ColsView, RowsView, ViewBindings};
 
 /// Error raised while compiling or executing a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,7 +229,8 @@ struct CompiledTile {
     row_stride: IntExpr,
 }
 
-/// Compiled statement tree.
+/// Compiled statement tree: the compile-time IR `bytecode::lower`
+/// consumes (never executed directly).
 #[derive(Debug)]
 enum CStmt {
     For {
@@ -272,9 +275,6 @@ enum CStmt {
     },
     EvalV(ValueExpr),
     Mma(Box<MmaOp>),
-    /// Fused dense-lane loop: microkernel fast path with the generic loop
-    /// retained inside as the bit-exact semantic fallback (see [`fuse`]).
-    Fused(Box<FusedLanes>),
     /// Statement that is ill-typed but only errors if actually executed
     /// (matching the interpreter's lazy runtime errors).
     Fail(String),
@@ -691,130 +691,8 @@ fn num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-impl CStmt {
-    fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
-        match self {
-            CStmt::For { slot, extent, body } => {
-                let n = extent.eval(fr)?;
-                for i in 0..n {
-                    fr.scalars[*slot as usize] = i;
-                    body.exec(fr)?;
-                }
-                Ok(())
-            }
-            CStmt::ParFor { slot, extent, body } => {
-                let n = extent.eval(fr)?;
-                let threads = num_threads().min(n.max(0) as usize);
-                if threads < 2 {
-                    for i in 0..n {
-                        fr.scalars[*slot as usize] = i;
-                        body.exec(fr)?;
-                    }
-                    return Ok(());
-                }
-                let chunk = (n as usize).div_ceil(threads);
-                let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
-                std::thread::scope(|s| {
-                    for t in 0..threads {
-                        let lo = (t * chunk) as i64;
-                        let hi = n.min(((t + 1) * chunk) as i64);
-                        if lo >= hi {
-                            break;
-                        }
-                        let tf = SendFrame(Frame {
-                            scalars: fr.scalars.clone(),
-                            bufs: fr.bufs.clone(),
-                            locals: Vec::new(),
-                            pool: None,
-                        });
-                        let first_err = &first_err;
-                        s.spawn(move || {
-                            // Move the whole wrapper (not just `tf.0`) so
-                            // the `Send` impl on `SendFrame` applies.
-                            let mut tf = tf;
-                            for i in lo..hi {
-                                tf.0.scalars[*slot as usize] = i;
-                                if let Err(e) = body.exec(&mut tf.0) {
-                                    let mut g = first_err.lock().unwrap();
-                                    if g.is_none() {
-                                        *g = Some(e);
-                                    }
-                                    return;
-                                }
-                            }
-                        });
-                    }
-                });
-                match first_err.into_inner().unwrap() {
-                    Some(e) => Err(e),
-                    None => Ok(()),
-                }
-            }
-            CStmt::Block(b) => {
-                let mut any_reduce_nonzero = false;
-                for (slot, binding, is_reduce) in &b.iters {
-                    let v = binding.eval(fr)?;
-                    if *is_reduce && v != 0 {
-                        any_reduce_nonzero = true;
-                    }
-                    fr.scalars[*slot as usize] = v;
-                }
-                let init_needed =
-                    if b.all_spatial { b.init.is_some() } else { !any_reduce_nonzero };
-                if init_needed {
-                    if let Some(init) = &b.init {
-                        init.exec(fr)?;
-                    }
-                }
-                b.body.exec(fr)
-            }
-            CStmt::StoreF { buf, index, value } => exec_store_f(fr, *buf, index, value),
-            CStmt::StoreI { buf, index, value } => exec_store_i(fr, *buf, index, value),
-            CStmt::Seq(stmts) => {
-                for s in stmts {
-                    s.exec(fr)?;
-                }
-                Ok(())
-            }
-            CStmt::If { cond, then_, else_ } => {
-                if cond.eval(fr)? {
-                    then_.exec(fr)
-                } else if let Some(e) = else_ {
-                    e.exec(fr)
-                } else {
-                    Ok(())
-                }
-            }
-            CStmt::Let { slot, value, body } => {
-                let v = value.eval(fr)?;
-                fr.scalars[*slot as usize] = v;
-                body.exec(fr)
-            }
-            CStmt::Alloc { buf, is_float, len_dims, body } => {
-                let mut len: i64 = 1;
-                for d in len_dims {
-                    len *= d.eval(fr)?;
-                }
-                let mut data = alloc_local(fr, *is_float, len as usize);
-                let view = RawBuf::of(&mut data);
-                fr.locals.push(data);
-                let saved = fr.bufs[*buf as usize];
-                fr.bufs[*buf as usize] = view;
-                let r = body.exec(fr);
-                fr.bufs[*buf as usize] = saved;
-                free_local(fr);
-                r
-            }
-            CStmt::EvalV(e) => e.eval_for_effect(fr),
-            CStmt::Mma(op) => exec_mma(fr, &op.c, &op.a, &op.b, op.m, op.n, op.k),
-            CStmt::Fused(f) => f.exec(fr),
-            CStmt::Fail(msg) => Err(ExecError::new(msg.clone())),
-        }
-    }
-}
-
 /// Acquire one kernel-local scratch buffer, from the frame's pool when
-/// present (zeroed either way). Shared by the tree and bytecode `Alloc`.
+/// present (zeroed either way).
 #[inline]
 fn alloc_local(fr: &Frame, is_float: bool, len: usize) -> TensorData {
     match (&fr.pool, is_float) {
@@ -839,8 +717,8 @@ fn free_local(fr: &mut Frame) {
 }
 
 /// `BufferStore` into a float buffer: value first, then index, then the
-/// dtype-dispatched store — shared verbatim by the tree and bytecode
-/// executors so evaluation order and error wording stay identical.
+/// dtype-dispatched store, in the interpreter's evaluation order and
+/// error wording.
 #[inline]
 fn exec_store_f(
     fr: &Frame,
@@ -955,7 +833,7 @@ fn exec_accum_f(
 }
 
 /// `BufferStore` of an int value; int-into-float follows the interpreter
-/// (`as_float() as f32`). Shared by both executors like [`exec_store_f`].
+/// (`as_float() as f32`).
 #[inline]
 fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Result<(), ExecError> {
     let v = value.eval(fr)?;
@@ -1687,49 +1565,6 @@ fn check_parallel(s: &Stmt, tainted: &mut HashSet<Rc<str>>, locals: &mut HashSet
 // Public API
 // ---------------------------------------------------------------------------
 
-/// Executor backend a kernel is compiled for. Both execute the same
-/// slot-compiled program with bit-identical semantics (the interpreter
-/// stays the oracle for both); they differ only in dispatch shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ExecBackend {
-    /// Recursive typed-instruction-tree walk (the original executor,
-    /// retained behind the `SPARSETIR_TREE_EXEC` kill switch).
-    Tree,
-    /// Flat bytecode stream driven by an instruction-pointer dispatch
-    /// loop, with jump-encoded loops and fused-lane superinstructions.
-    Bytecode,
-}
-
-impl ExecBackend {
-    /// Stable lowercase tag (cache diagnostics, disassembly header).
-    #[must_use]
-    pub fn tag(self) -> &'static str {
-        match self {
-            ExecBackend::Tree => "tree",
-            ExecBackend::Bytecode => "bytecode",
-        }
-    }
-}
-
-/// Backend default for [`CompiledKernel::compile`] and new [`Runtime`]s:
-/// the flat bytecode executor, unless the `SPARSETIR_TREE_EXEC`
-/// environment variable is set (the kill switch back to the tree walker).
-#[must_use]
-pub fn backend_default() -> ExecBackend {
-    if std::env::var_os("SPARSETIR_TREE_EXEC").is_some() {
-        ExecBackend::Tree
-    } else {
-        ExecBackend::Bytecode
-    }
-}
-
-/// Executable form of a compiled kernel body, one variant per backend.
-#[derive(Debug)]
-enum Body {
-    Tree(CStmt),
-    Code(bytecode::Code),
-}
-
 /// A compiled, reusable kernel: run it many times against different tensor
 /// bindings without re-walking the IR.
 pub struct CompiledKernel {
@@ -1740,11 +1575,9 @@ pub struct CompiledKernel {
     buffers: Vec<(String, bool, u32)>,
     n_slots: u32,
     n_bufs: u32,
-    body: Body,
-    backend: ExecBackend,
+    /// The lowered flat instruction stream.
+    code: bytecode::Code,
     fuse: bool,
-    /// Number of dense-lane microkernel instructions fused into the body.
-    fused_ops: usize,
     /// Source name of every scalar slot, by index (disassembly).
     slot_names: Vec<String>,
     /// Source name of every buffer slot, by index (disassembly).
@@ -1771,47 +1604,27 @@ impl fmt::Debug for CompiledKernel {
 
 impl CompiledKernel {
     /// Compile `func` into a slot-indexed program with the default fusion
-    /// setting ([`fusion_default`]) and executor backend
-    /// ([`backend_default`]).
+    /// setting ([`fusion_default`]).
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile(func: &PrimFunc) -> Result<CompiledKernel, ExecError> {
-        Self::compile_opts(func, fusion_default(), backend_default())
+        Self::compile_with(func, fusion_default())
     }
 
     /// Compile `func`, explicitly enabling (`true`) or disabling
-    /// (`false`) the dense-lane microkernel fusion pass. With fusion off
-    /// the kernel runs entirely on generic dispatch — the baseline the
-    /// `executor_vectorization` bench compares against. Uses the default
-    /// executor backend ([`backend_default`]).
+    /// (`false`) the dense-lane microkernel fusion pass. The slot-compiled
+    /// statement tree is lowered to a flat instruction stream; with fusion
+    /// on, matching loops lower to superinstructions with the generic
+    /// loop right behind each one as the bit-exact fallback. With fusion
+    /// off the kernel runs entirely on generic dispatch — the baseline
+    /// the `executor_vectorization` bench compares against.
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile_with(func: &PrimFunc, fuse: bool) -> Result<CompiledKernel, ExecError> {
-        Self::compile_opts(func, fuse, backend_default())
-    }
-
-    /// Compile `func` with an explicit fusion flag and executor backend.
-    ///
-    /// Both backends start from the same slot-compiled statement tree.
-    /// For [`ExecBackend::Tree`] the fusion pass rewrites matching loops
-    /// into fused tree nodes; for [`ExecBackend::Bytecode`] the tree is
-    /// lowered to a flat instruction stream, with the fusion analysis
-    /// consulted during lowering to emit superinstructions in place of
-    /// matching loops (the generic loop lowers right behind each one as
-    /// the bit-exact fallback).
-    ///
-    /// # Errors
-    /// Returns [`ExecError`] on references to unbound names or ill-typed
-    /// constructs that the interpreter would also reject.
-    pub fn compile_opts(
-        func: &PrimFunc,
-        fuse: bool,
-        backend: ExecBackend,
-    ) -> Result<CompiledKernel, ExecError> {
         let mut c = Compiler::new();
         let mut params = Vec::with_capacity(func.params.len());
         for p in &func.params {
@@ -1825,27 +1638,14 @@ impl CompiledKernel {
         }
         let tree = c.compile_stmt(&func.body, true)?;
         let plan = MemoryPlan::of(func, &buffers, &c.buf_names, &tree);
-        let (body, fused_ops) = match backend {
-            ExecBackend::Tree => {
-                let (tree, fused_ops) = if fuse { fuse::fuse_stmt(tree) } else { (tree, 0) };
-                (Body::Tree(tree), fused_ops)
-            }
-            ExecBackend::Bytecode => {
-                let code = bytecode::lower(&tree, fuse);
-                let fused_ops = code.fused_ops();
-                (Body::Code(code), fused_ops)
-            }
-        };
         Ok(CompiledKernel {
             name: func.name.to_string(),
             params,
             buffers,
             n_slots: c.n_slots,
             n_bufs: c.n_bufs,
-            body,
-            backend,
+            code: bytecode::lower(&tree, fuse),
             fuse,
-            fused_ops,
             slot_names: c.slot_names,
             buf_names: c.buf_names,
             frame_pool: Mutex::new(Vec::new()),
@@ -1873,54 +1673,28 @@ impl CompiledKernel {
     /// innermost loop matched a contiguous dense-lane pattern.
     #[must_use]
     pub fn fused_ops(&self) -> usize {
-        self.fused_ops
+        self.code.fused_ops()
     }
 
     /// Names of the fused microkernel instructions, in program order
     /// (diagnostics; e.g. `["FillLanes", "AxpyLanes"]` for the hyb SpMM).
     #[must_use]
     pub fn fused_kinds(&self) -> Vec<&'static str> {
-        let mut out = Vec::with_capacity(self.fused_ops);
-        match &self.body {
-            Body::Tree(t) => fuse::collect_micros(t, &mut out),
-            Body::Code(c) => c.collect_micros(&mut out),
-        }
-        out
-    }
-
-    /// The executor backend this kernel was compiled for.
-    #[must_use]
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
+        self.code.micro_names()
     }
 
     /// Stable text listing of the kernel's flat bytecode: header, param
     /// and buffer tables, the scalar-slot table, and one line per
-    /// instruction. Tree-backed kernels lower their tree on demand, so
-    /// the listing is identical for both backends of one compilation —
-    /// golden-file tests on codegen hold regardless of the kill switch.
+    /// instruction.
     #[must_use]
     pub fn disassemble(&self) -> String {
-        match &self.body {
-            Body::Code(code) => disasm::render(self, code),
-            Body::Tree(t) => disasm::render(self, &bytecode::lower(t, self.fuse)),
-        }
+        disasm::render(self, &self.code)
     }
 
     /// True when the outermost loop dispatches iterations across threads.
     #[must_use]
     pub fn is_parallel(&self) -> bool {
-        fn has_par(s: &CStmt) -> bool {
-            match s {
-                CStmt::ParFor { .. } => true,
-                CStmt::Seq(v) => v.iter().any(has_par),
-                _ => false,
-            }
-        }
-        match &self.body {
-            Body::Tree(t) => has_par(t),
-            Body::Code(c) => c.is_parallel(),
-        }
+        self.code.is_parallel()
     }
 
     /// Execute against named scalar parameters and tensor storage, exactly
@@ -1935,30 +1709,10 @@ impl CompiledKernel {
         scalars: &HashMap<String, i64>,
         tensors: &mut HashMap<String, TensorData>,
     ) -> Result<(), ExecError> {
-        let mut frame_scalars = self.frame_pool.lock().unwrap().pop().unwrap_or_default();
-        frame_scalars.resize(self.n_slots as usize, 0);
-        for (name, slot) in &self.params {
-            let v = scalars
-                .get(name)
-                .ok_or_else(|| ExecError::new(format!("missing scalar param `{name}`")))?;
-            frame_scalars[*slot as usize] = *v;
-        }
-        let mut bufs = vec![RawBuf::Absent; self.n_bufs as usize];
-        for (name, is_float, slot) in &self.buffers {
-            let data = tensors.get_mut(name).ok_or_else(|| {
-                ExecError::new(format!("missing tensor binding for buffer `{name}`"))
-            })?;
-            if *is_float != matches!(data, TensorData::F32(_)) {
-                return Err(ExecError::new(format!(
-                    "buffer `{name}` bound to storage of mismatched dtype"
-                )));
-            }
-            // The RawBuf view outlives this loop iteration's borrow; this
-            // is sound because the map is not structurally mutated while
-            // the frame is live and buffer names are distinct keys.
-            bufs[*slot as usize] = RawBuf::of(data);
-        }
-        self.exec_frame(frame_scalars, bufs)
+        self.run_bound(scalars, |name| {
+            let data = tensors.get_mut(name)?;
+            Some((matches!(data, TensorData::F32(_)), RawBuf::of(data)))
+        })
     }
 
     /// Execute like [`CompiledKernel::run`], but with bindings that may be
@@ -1977,6 +1731,31 @@ impl CompiledKernel {
         scalars: &HashMap<String, i64>,
         views: &mut ViewBindings<'_>,
     ) -> Result<(), ExecError> {
+        self.run_bound(scalars, |name| {
+            Some(match views.map.get_mut(name)? {
+                BoundArg::Tensor(data) => (matches!(**data, TensorData::F32(_)), RawBuf::of(data)),
+                // Segmented views are always f32.
+                BoundArg::Cols(v) => (true, v.raw()),
+                BoundArg::Rows(v) => (true, v.raw()),
+            })
+        })
+    }
+
+    /// Shared front half of [`CompiledKernel::run`] and
+    /// [`CompiledKernel::run_views`]: fill a pooled scalar frame from the
+    /// named params, resolve every function-level buffer through `lookup`
+    /// (`(is_float, raw view)` of the binding, `None` when unbound), then
+    /// execute.
+    ///
+    /// The `RawBuf` views outlive the `lookup` borrows that produced
+    /// them; this is sound because the caller's binding map (and each
+    /// view's segment table) is not structurally mutated while the frame
+    /// is live and buffer names are distinct keys.
+    fn run_bound(
+        &self,
+        scalars: &HashMap<String, i64>,
+        mut lookup: impl FnMut(&str) -> Option<(bool, RawBuf)>,
+    ) -> Result<(), ExecError> {
         let mut frame_scalars = self.frame_pool.lock().unwrap().pop().unwrap_or_default();
         frame_scalars.resize(self.n_slots as usize, 0);
         for (name, slot) in &self.params {
@@ -1987,27 +1766,15 @@ impl CompiledKernel {
         }
         let mut bufs = vec![RawBuf::Absent; self.n_bufs as usize];
         for (name, is_float, slot) in &self.buffers {
-            let arg = views.map.get_mut(name.as_str()).ok_or_else(|| {
+            let (bound_float, raw) = lookup(name).ok_or_else(|| {
                 ExecError::new(format!("missing tensor binding for buffer `{name}`"))
             })?;
-            let ok = match arg {
-                BoundArg::Tensor(data) => *is_float == matches!(**data, TensorData::F32(_)),
-                // Segmented views are always f32.
-                BoundArg::Cols(_) | BoundArg::Rows(_) => *is_float,
-            };
-            if !ok {
+            if *is_float != bound_float {
                 return Err(ExecError::new(format!(
                     "buffer `{name}` bound to storage of mismatched dtype"
                 )));
             }
-            // Sound for the same reason as in `run`: the map (and each
-            // view's segment table) is not structurally mutated while the
-            // frame is live.
-            bufs[*slot as usize] = match arg {
-                BoundArg::Tensor(data) => RawBuf::of(data),
-                BoundArg::Cols(v) => v.raw(),
-                BoundArg::Rows(v) => v.raw(),
-            };
+            bufs[*slot as usize] = raw;
         }
         self.exec_frame(frame_scalars, bufs)
     }
@@ -2015,10 +1782,7 @@ impl CompiledKernel {
     fn exec_frame(&self, scalars: Vec<i64>, bufs: Vec<RawBuf>) -> Result<(), ExecError> {
         let mut frame =
             Frame { scalars, bufs, locals: Vec::new(), pool: Some(Arc::clone(&self.pool)) };
-        let result = match &self.body {
-            Body::Tree(t) => t.exec(&mut frame),
-            Body::Code(c) => c.exec(&mut frame),
-        };
+        let result = self.code.exec(&mut frame);
         self.frame_pool.lock().unwrap().push(frame.scalars);
         result
     }
@@ -2032,440 +1796,6 @@ impl CompiledKernel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Segmented view bindings
-// ---------------------------------------------------------------------------
-
-/// A column-segmented f32 binding: one logical `rows × width` row-major
-/// matrix whose columns are backed by several caller-owned row-major
-/// buffers side by side (each segment contributing a contiguous block of
-/// columns). The flat-index→(segment, offset) resolution is a precomputed
-/// per-column table, so the executor's fused lane kernels run per-segment
-/// contiguous loops with no per-element division.
-pub struct ColsView<'a> {
-    table: Vec<ColSeg>,
-    rows: usize,
-    writable: bool,
-    _marker: std::marker::PhantomData<&'a mut [f32]>,
-}
-
-impl<'a> ColsView<'a> {
-    /// Read-only view of `segs` as `(row-major slice, cols)` pairs placed
-    /// side by side; total width is the sum of the `cols` values.
-    ///
-    /// # Errors
-    /// Fails when a segment's length is not `rows * cols`.
-    pub fn read(rows: usize, segs: &[(&'a [f32], usize)]) -> Result<ColsView<'a>, ExecError> {
-        // Read-only: the pointers are never written through (`writable`
-        // gates every store path).
-        let iter = segs.iter().map(|(s, cols)| (s.as_ptr().cast_mut(), s.len(), *cols));
-        Ok(ColsView {
-            table: col_table(rows, iter)?,
-            rows,
-            writable: false,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Writable view of `segs` as `(row-major slice, cols)` pairs placed
-    /// side by side.
-    ///
-    /// # Errors
-    /// Fails when a segment's length is not `rows * cols`.
-    pub fn write(
-        rows: usize,
-        segs: Vec<(&'a mut [f32], usize)>,
-    ) -> Result<ColsView<'a>, ExecError> {
-        let iter = segs.into_iter().map(|(s, cols)| (s.as_mut_ptr(), s.len(), cols));
-        Ok(ColsView {
-            table: col_table(rows, iter)?,
-            rows,
-            writable: true,
-            _marker: std::marker::PhantomData,
-        })
-    }
-
-    /// Total logical width (sum of the segment widths).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Logical row count.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn raw(&self) -> RawBuf {
-        RawBuf::SegCols {
-            table: self.table.as_ptr(),
-            width: self.table.len(),
-            rows: self.rows,
-            writable: self.writable,
-        }
-    }
-}
-
-fn col_table(
-    rows: usize,
-    segs: impl Iterator<Item = (*mut f32, usize, usize)>,
-) -> Result<Vec<ColSeg>, ExecError> {
-    let mut table = Vec::new();
-    for (i, (ptr, len, cols)) in segs.enumerate() {
-        if len != rows * cols {
-            return Err(ExecError::new(format!(
-                "segmented binding: segment {i} has {len} elements, expected {rows}x{cols}"
-            )));
-        }
-        let stride = u32::try_from(cols)
-            .map_err(|_| ExecError::new("segmented binding: segment width overflows u32"))?;
-        for c in 0..cols {
-            // SAFETY: c < cols <= len elements behind ptr.
-            table.push(ColSeg { ptr: unsafe { ptr.add(c) }, stride, rem: stride - c as u32 });
-        }
-    }
-    Ok(table)
-}
-
-/// A row-segmented f32 binding: `n` equal-length contiguous segments
-/// concatenated into one flat logical buffer (rider matrices stacked
-/// along the leading axis).
-pub struct RowsView<'a> {
-    segs: Vec<RowSeg>,
-    seg_len: usize,
-    writable: bool,
-    _marker: std::marker::PhantomData<&'a mut [f32]>,
-}
-
-impl<'a> RowsView<'a> {
-    /// Read-only view of equal-length segments, each of `seg_len`
-    /// elements.
-    ///
-    /// # Errors
-    /// Fails when a segment's length differs from `seg_len`.
-    pub fn read(seg_len: usize, segs: &[&'a [f32]]) -> Result<RowsView<'a>, ExecError> {
-        let mut table = Vec::with_capacity(segs.len());
-        for (i, s) in segs.iter().enumerate() {
-            check_seg_len(i, s.len(), seg_len)?;
-            table.push(RowSeg { ptr: s.as_ptr().cast_mut() });
-        }
-        Ok(RowsView { segs: table, seg_len, writable: false, _marker: std::marker::PhantomData })
-    }
-
-    /// Writable view of equal-length segments, each of `seg_len`
-    /// elements.
-    ///
-    /// # Errors
-    /// Fails when a segment's length differs from `seg_len`.
-    pub fn write(seg_len: usize, segs: Vec<&'a mut [f32]>) -> Result<RowsView<'a>, ExecError> {
-        let mut table = Vec::with_capacity(segs.len());
-        for (i, s) in segs.into_iter().enumerate() {
-            check_seg_len(i, s.len(), seg_len)?;
-            table.push(RowSeg { ptr: s.as_mut_ptr() });
-        }
-        Ok(RowsView { segs: table, seg_len, writable: true, _marker: std::marker::PhantomData })
-    }
-
-    /// Number of segments.
-    #[must_use]
-    pub fn n_segs(&self) -> usize {
-        self.segs.len()
-    }
-
-    fn raw(&self) -> RawBuf {
-        RawBuf::SegRows {
-            segs: self.segs.as_ptr(),
-            n_segs: self.segs.len(),
-            seg_len: self.seg_len,
-            writable: self.writable,
-        }
-    }
-}
-
-fn check_seg_len(i: usize, len: usize, seg_len: usize) -> Result<(), ExecError> {
-    if len != seg_len {
-        return Err(ExecError::new(format!(
-            "segmented binding: segment {i} has {len} elements, expected {seg_len}"
-        )));
-    }
-    Ok(())
-}
-
-/// One binding handed to [`CompiledKernel::run_views`]: a whole tensor or
-/// a segmented view.
-pub enum BoundArg<'a> {
-    /// A whole owned tensor, as [`CompiledKernel::run`] binds.
-    Tensor(&'a mut TensorData),
-    /// A column-segmented f32 view.
-    Cols(ColsView<'a>),
-    /// A row-segmented f32 view.
-    Rows(RowsView<'a>),
-}
-
-/// Named bindings for [`CompiledKernel::run_views`], mixing whole tensors
-/// with segmented views over caller-owned storage.
-#[derive(Default)]
-pub struct ViewBindings<'a> {
-    map: HashMap<String, BoundArg<'a>>,
-}
-
-impl<'a> ViewBindings<'a> {
-    /// Empty binding set.
-    #[must_use]
-    pub fn new() -> ViewBindings<'a> {
-        ViewBindings::default()
-    }
-
-    /// Bind every tensor of `tensors` by name (the bridge from the
-    /// copying path's binding map).
-    pub fn from_tensors(tensors: &'a mut HashMap<String, TensorData>) -> ViewBindings<'a> {
-        let map = tensors.iter_mut().map(|(k, v)| (k.clone(), BoundArg::Tensor(v))).collect();
-        ViewBindings { map }
-    }
-
-    /// Bind a whole tensor under `name`.
-    pub fn bind_tensor(&mut self, name: impl Into<String>, t: &'a mut TensorData) {
-        self.map.insert(name.into(), BoundArg::Tensor(t));
-    }
-
-    /// Bind a column-segmented view under `name`.
-    pub fn bind_cols(&mut self, name: impl Into<String>, v: ColsView<'a>) {
-        self.map.insert(name.into(), BoundArg::Cols(v));
-    }
-
-    /// Bind a row-segmented view under `name`.
-    pub fn bind_rows(&mut self, name: impl Into<String>, v: RowsView<'a>) {
-        self.map.insert(name.into(), BoundArg::Rows(v));
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Memory plan + buffer pool
-// ---------------------------------------------------------------------------
-
-/// One buffer slot's compile-time memory requirement.
-#[derive(Debug, Clone)]
-pub struct PlanEntry {
-    /// Source buffer name.
-    pub name: String,
-    /// Element type (`f32` when true).
-    pub is_float: bool,
-    /// Statically known element count — `Some` when every shape extent is
-    /// a compile-time constant.
-    pub len: Option<usize>,
-    /// True for kernel-local `Allocate` scratch (served from the buffer
-    /// pool at run time) rather than a caller binding.
-    pub local: bool,
-}
-
-/// A [`CompiledKernel`]'s memory plan: per-buffer-slot requirements
-/// computed once at compile time, keying the size-classed [`BufferPool`]
-/// and rendered into the disassembly header.
-#[derive(Debug, Clone, Default)]
-pub struct MemoryPlan {
-    /// One entry per buffer slot, in slot order.
-    pub entries: Vec<PlanEntry>,
-}
-
-impl MemoryPlan {
-    fn of(
-        func: &PrimFunc,
-        buffers: &[(String, bool, u32)],
-        buf_names: &[String],
-        tree: &CStmt,
-    ) -> MemoryPlan {
-        let mut entries: Vec<PlanEntry> = buf_names
-            .iter()
-            .map(|n| PlanEntry { name: n.clone(), is_float: true, len: None, local: true })
-            .collect();
-        for (name, is_float, slot) in buffers {
-            let e = &mut entries[*slot as usize];
-            e.local = false;
-            e.is_float = *is_float;
-            if let Some(b) = func.buffers.iter().find(|b| &*b.name == name.as_str()) {
-                e.len = const_shape_product(&b.shape);
-            }
-        }
-        collect_allocs(tree, &mut entries);
-        MemoryPlan { entries }
-    }
-
-    /// Total statically planned bytes (4-byte elements) across all slots
-    /// with a known length.
-    #[must_use]
-    pub fn static_bytes(&self) -> usize {
-        self.entries.iter().filter_map(|e| e.len).map(|l| l * 4).sum()
-    }
-
-    /// Number of kernel-local scratch slots served from the pool.
-    #[must_use]
-    pub fn pooled_locals(&self) -> usize {
-        self.entries.iter().filter(|e| e.local).count()
-    }
-}
-
-fn const_shape_product(dims: &[Expr]) -> Option<usize> {
-    let mut p: i64 = 1;
-    for d in dims {
-        match d {
-            Expr::Int { value, .. } => p = p.checked_mul(*value)?,
-            _ => return None,
-        }
-    }
-    usize::try_from(p).ok()
-}
-
-fn collect_allocs(s: &CStmt, entries: &mut [PlanEntry]) {
-    match s {
-        CStmt::Alloc { buf, is_float, len_dims, body } => {
-            let e = &mut entries[*buf as usize];
-            e.is_float = *is_float;
-            e.local = true;
-            let mut p: i64 = 1;
-            let mut known = true;
-            for d in len_dims {
-                match d {
-                    IntExpr::Const(c) => p = p.saturating_mul(*c),
-                    _ => known = false,
-                }
-            }
-            if known {
-                e.len = usize::try_from(p).ok();
-            }
-            collect_allocs(body, entries);
-        }
-        CStmt::For { body, .. } | CStmt::ParFor { body, .. } | CStmt::Let { body, .. } => {
-            collect_allocs(body, entries);
-        }
-        CStmt::Block(b) => {
-            if let Some(init) = &b.init {
-                collect_allocs(init, entries);
-            }
-            collect_allocs(&b.body, entries);
-        }
-        CStmt::Seq(v) => {
-            for s in v {
-                collect_allocs(s, entries);
-            }
-        }
-        CStmt::If { then_, else_, .. } => {
-            collect_allocs(then_, entries);
-            if let Some(e) = else_ {
-                collect_allocs(e, entries);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// Number of power-of-two size classes in a [`BufferPool`].
-const POOL_CLASSES: usize = 48;
-
-/// Free buffers retained per size class (bounds idle memory).
-const POOL_MAX_PER_CLASS: usize = 8;
-
-fn size_class(len: usize) -> usize {
-    (len.max(1).next_power_of_two().trailing_zeros() as usize).min(POOL_CLASSES - 1)
-}
-
-/// Size-classed pool of scratch buffers keyed by a kernel's
-/// [`MemoryPlan`] requirements. `acquire_*` pops a free buffer of the
-/// next-power-of-two class (a *hit*) or heap-allocates one (a *miss*) and
-/// returns it zeroed either way; `release_*` files storage back by
-/// capacity class. Kernels compiled through one [`Runtime`] share its
-/// pool, so the serving engine's per-launch scratch (widened outputs,
-/// fused-attention intermediates) stops hitting the allocator once warm.
-pub struct BufferPool {
-    f32_free: Vec<Mutex<Vec<Vec<f32>>>>,
-    i32_free: Vec<Mutex<Vec<Vec<i32>>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-}
-
-impl Default for BufferPool {
-    fn default() -> BufferPool {
-        BufferPool::new()
-    }
-}
-
-impl BufferPool {
-    /// Empty pool.
-    #[must_use]
-    pub fn new() -> BufferPool {
-        BufferPool {
-            f32_free: (0..POOL_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-            i32_free: (0..POOL_CLASSES).map(|_| Mutex::new(Vec::new())).collect(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-        }
-    }
-
-    /// A zeroed `f32` buffer of exactly `len` elements.
-    #[must_use]
-    pub fn acquire_f32(&self, len: usize) -> Vec<f32> {
-        let c = size_class(len);
-        if let Some(mut v) = self.f32_free[c].lock().unwrap().pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            v.clear();
-            v.resize(len, 0.0);
-            return v;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut v = Vec::with_capacity(len.max(1).next_power_of_two());
-        v.resize(len, 0.0);
-        v
-    }
-
-    /// A zeroed `i32` buffer of exactly `len` elements.
-    #[must_use]
-    pub fn acquire_i32(&self, len: usize) -> Vec<i32> {
-        let c = size_class(len);
-        if let Some(mut v) = self.i32_free[c].lock().unwrap().pop() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            v.clear();
-            v.resize(len, 0);
-            return v;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut v = Vec::with_capacity(len.max(1).next_power_of_two());
-        v.resize(len, 0);
-        v
-    }
-
-    /// Return an `f32` buffer's storage to the pool.
-    pub fn release_f32(&self, v: Vec<f32>) {
-        let cap = v.capacity();
-        if cap == 0 {
-            return;
-        }
-        let c = (cap.ilog2() as usize).min(POOL_CLASSES - 1);
-        let mut free = self.f32_free[c].lock().unwrap();
-        if free.len() < POOL_MAX_PER_CLASS {
-            free.push(v);
-        }
-    }
-
-    /// Return an `i32` buffer's storage to the pool.
-    pub fn release_i32(&self, v: Vec<i32>) {
-        let cap = v.capacity();
-        if cap == 0 {
-            return;
-        }
-        let c = (cap.ilog2() as usize).min(POOL_CLASSES - 1);
-        let mut free = self.i32_free[c].lock().unwrap();
-        if free.len() < POOL_MAX_PER_CLASS {
-            free.push(v);
-        }
-    }
-
-    /// `(hits, misses)` counters, cumulative since construction.
-    #[must_use]
-    pub fn counters(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-}
-
 /// Fusion default for [`CompiledKernel::compile`] and new [`Runtime`]s:
 /// on, unless the `SPARSETIR_NO_FUSE` environment variable is set.
 #[must_use]
@@ -2473,848 +1803,5 @@ pub fn fusion_default() -> bool {
     std::env::var_os("SPARSETIR_NO_FUSE").is_none()
 }
 
-/// Number of stripes in the [`Runtime`] kernel cache. Keys land in a
-/// stripe by fingerprint bits, so concurrent compilations of *unrelated*
-/// functions (the serving engine's steady state) almost never touch the
-/// same lock.
-const CACHE_SHARDS: usize = 16;
-
-/// One cache entry: a single-flight cell. The first thread to claim a key
-/// inserts the cell under the stripe lock (cheap) and compiles *outside*
-/// it; racing threads for the same key block on [`OnceLock::get_or_init`]
-/// and receive the one shared kernel, so a compile storm on one hot
-/// function costs exactly one compilation. Compile errors are cached too —
-/// compilation is deterministic in the printed IR, so a failing function
-/// fails identically forever.
-type CacheCell = Arc<OnceLock<Result<Arc<CompiledKernel>, ExecError>>>;
-
-/// Cache key: function fingerprint, fusion flag, executor backend.
-type CacheKey = (u64, bool, ExecBackend);
-
-/// Compile-once/run-many cache of [`CompiledKernel`]s keyed by function
-/// identity (name + printed IR), the fusion flag *and* the executor
-/// backend, so toggling either never serves a stale compiled kernel. The
-/// map is striped across `CACHE_SHARDS` locks with per-key single-flight
-/// compilation (see `CacheCell`); [`Runtime::cached`] and
-/// [`Runtime::compilations`] remain exact across shards even when tree
-/// and bytecode compilations of one function coexist.
-pub struct Runtime {
-    shards: Vec<Mutex<HashMap<CacheKey, CacheCell>>>,
-    compilations: std::sync::atomic::AtomicUsize,
-    fuse: bool,
-    backend: ExecBackend,
-    /// Shared by every kernel compiled through this runtime.
-    pool: Arc<BufferPool>,
-}
-
-impl Default for Runtime {
-    fn default() -> Runtime {
-        Runtime::with_options(fusion_default(), backend_default())
-    }
-}
-
-impl Runtime {
-    /// Empty runtime with the default fusion setting and backend.
-    #[must_use]
-    pub fn new() -> Runtime {
-        Runtime::default()
-    }
-
-    /// Empty runtime with an explicit fusion setting for
-    /// [`Runtime::compile`] and the default executor backend.
-    #[must_use]
-    pub fn with_fusion(fuse: bool) -> Runtime {
-        Runtime::with_options(fuse, backend_default())
-    }
-
-    /// Empty runtime with explicit fusion and executor-backend settings
-    /// for [`Runtime::compile`].
-    #[must_use]
-    pub fn with_options(fuse: bool, backend: ExecBackend) -> Runtime {
-        Runtime {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            compilations: std::sync::atomic::AtomicUsize::new(0),
-            fuse,
-            backend,
-            pool: Arc::new(BufferPool::new()),
-        }
-    }
-
-    /// The size-classed scratch pool shared by every kernel this runtime
-    /// compiles (hit/miss counters feed `EngineStats`).
-    #[must_use]
-    pub fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// This runtime's fusion setting.
-    #[must_use]
-    pub fn fusion(&self) -> bool {
-        self.fuse
-    }
-
-    /// This runtime's executor backend.
-    #[must_use]
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// The process-wide shared runtime (what [`exec_func`] uses).
-    pub fn global() -> &'static Runtime {
-        static GLOBAL: OnceLock<Runtime> = OnceLock::new();
-        GLOBAL.get_or_init(Runtime::new)
-    }
-
-    /// Fingerprint used as the cache key: name plus printed IR, which the
-    /// printer renders canonically (slots, extents, bindings).
-    #[must_use]
-    pub fn fingerprint(func: &PrimFunc) -> u64 {
-        let mut h = DefaultHasher::new();
-        func.name.hash(&mut h);
-        print_func(func).hash(&mut h);
-        h.finish()
-    }
-
-    /// Compile `func` under this runtime's fusion and backend settings,
-    /// or return the cached kernel compiled earlier for an identical
-    /// function.
-    ///
-    /// # Errors
-    /// Propagates [`CompiledKernel::compile`] errors.
-    pub fn compile(&self, func: &PrimFunc) -> Result<Arc<CompiledKernel>, ExecError> {
-        self.compile_opts(func, self.fuse, self.backend)
-    }
-
-    /// Compile `func` with an explicit fusion flag under this runtime's
-    /// backend. See [`Runtime::compile_opts`] for the cache-key contract.
-    ///
-    /// # Errors
-    /// Propagates [`CompiledKernel::compile`] errors.
-    pub fn compile_with(
-        &self,
-        func: &PrimFunc,
-        fuse: bool,
-    ) -> Result<Arc<CompiledKernel>, ExecError> {
-        self.compile_opts(func, fuse, self.backend)
-    }
-
-    /// Compile `func` with an explicit fusion flag and executor backend.
-    /// The cache key is `(fingerprint, fuse, backend)`, so all four
-    /// compilations of one function coexist and every recompilation —
-    /// including one after toggling either flag — is counted by
-    /// [`Runtime::compilations`] instead of serving a stale kernel.
-    /// Concurrent callers racing on one key are single-flighted: exactly
-    /// one thread compiles, the rest block and share the result.
-    ///
-    /// # Errors
-    /// Propagates [`CompiledKernel::compile`] errors.
-    pub fn compile_opts(
-        &self,
-        func: &PrimFunc,
-        fuse: bool,
-        backend: ExecBackend,
-    ) -> Result<Arc<CompiledKernel>, ExecError> {
-        let key = (Self::fingerprint(func), fuse, backend);
-        let cell: CacheCell = {
-            let mut shard = self.shards[self.shard_of(key)].lock().unwrap();
-            Arc::clone(shard.entry(key).or_default())
-        };
-        // Outside the stripe lock: a slow compilation never blocks lookups
-        // of other keys in the same stripe, only co-claimants of this key.
-        cell.get_or_init(|| {
-            let mut kernel = CompiledKernel::compile_opts(func, fuse, backend)?;
-            // Kernels compiled through a runtime draw scratch from its
-            // shared pool rather than a private one.
-            kernel.pool = Arc::clone(&self.pool);
-            self.compilations.fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(kernel))
-        })
-        .clone()
-    }
-
-    fn shard_of(&self, key: CacheKey) -> usize {
-        // The fingerprint is already a hash; fold the fusion and backend
-        // flags into the low (shard-selecting) bits so the compilations
-        // of one function can land apart.
-        let backend_bit = match key.2 {
-            ExecBackend::Tree => 0u64,
-            ExecBackend::Bytecode => 2u64,
-        };
-        ((key.0 ^ u64::from(key.1) ^ backend_bit) % CACHE_SHARDS as u64) as usize
-    }
-
-    /// Number of cached kernels (successful compilations present in the
-    /// cache; in-flight and failed entries are not counted). Exact across
-    /// shards.
-    #[must_use]
-    pub fn cached(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap().values().filter(|c| matches!(c.get(), Some(Ok(_)))).count())
-            .sum()
-    }
-
-    /// Monotonic count of actual compilations performed (cache misses).
-    /// Unlike [`Runtime::cached`] this never decreases, so it cleanly
-    /// asserts "no new compilation happened" across an operation.
-    #[must_use]
-    pub fn compilations(&self) -> usize {
-        self.compilations.load(Ordering::Relaxed)
-    }
-}
-
-/// Drop-in replacement for [`crate::eval::eval_func`] backed by the global
-/// kernel cache: compiles on first sight of a function, then reuses the
-/// slot-compiled program for every subsequent call.
-///
-/// # Errors
-/// Returns [`ExecError`] under the interpreter's error conditions.
-pub fn exec_func(
-    func: &PrimFunc,
-    scalars: &HashMap<String, i64>,
-    tensors: &mut HashMap<String, TensorData>,
-) -> Result<(), ExecError> {
-    Runtime::global().compile(func)?.run(scalars, tensors)
-}
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::buffer::{Buffer, Scope};
-    use crate::dtype::DType;
-    use crate::eval::{eval_func, scalar_map};
-    use crate::expr::Expr;
-    use crate::stmt::{Block, IterVar, ThreadAxis};
-
-    fn run_both(
-        f: &PrimFunc,
-        scalars: &HashMap<String, i64>,
-        tensors: &HashMap<String, TensorData>,
-    ) -> (HashMap<String, TensorData>, HashMap<String, TensorData>) {
-        let mut a = tensors.clone();
-        let mut b = tensors.clone();
-        eval_func(f, scalars, &mut a).expect("interpreter");
-        exec_func(f, scalars, &mut b).expect("executor");
-        (a, b)
-    }
-
-    #[test]
-    fn vector_add_matches_interpreter() {
-        let i = Var::i32("i");
-        let a = Buffer::global_f32("A", vec![Expr::i32(4)]);
-        let b = Buffer::global_f32("B", vec![Expr::i32(4)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
-        let body = Stmt::for_serial(
-            i.clone(),
-            4,
-            Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&i)],
-                value: a.load(vec![Expr::var(&i)]) + b.load(vec![Expr::var(&i)]),
-            },
-        );
-        let f = PrimFunc::new("add", vec![], vec![a, b, c], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
-        tensors.insert("B".to_string(), TensorData::from(vec![10.0f32, 20.0, 30.0, 40.0]));
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 4));
-        let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
-        assert_eq!(ia["C"], ea["C"]);
-        assert_eq!(ea["C"].as_f32(), &[11.0, 22.0, 33.0, 44.0]);
-    }
-
-    #[test]
-    fn reduction_block_matches_interpreter() {
-        let i = Var::i32("i");
-        let j = Var::i32("j");
-        let a = Buffer::global_f32("A", vec![Expr::i32(2), Expr::i32(3)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(2)]);
-        let vi = Var::i32("vi");
-        let vj = Var::i32("vj");
-        let block = Stmt::Block(Block {
-            name: "sum".into(),
-            iter_vars: vec![
-                IterVar::spatial(vi.clone(), Expr::var(&i)),
-                IterVar::reduce(vj.clone(), Expr::var(&j)),
-            ],
-            reads: vec![],
-            writes: vec![],
-            init: Some(Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&vi)],
-                value: Expr::f32(0.0),
-            })),
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&vi)],
-                value: c.load(vec![Expr::var(&vi)]) + a.load(vec![Expr::var(&vi), Expr::var(&vj)]),
-            }),
-        });
-        let body = Stmt::for_serial(i.clone(), 2, Stmt::for_serial(j.clone(), 3, block));
-        let f = PrimFunc::new("rowsum", vec![], vec![a, c], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]));
-        tensors.insert("C".to_string(), TensorData::from(vec![99.0f32, 99.0]));
-        let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
-        assert_eq!(ia["C"], ea["C"]);
-        assert_eq!(ea["C"].as_f32(), &[6.0, 15.0]);
-    }
-
-    #[test]
-    fn block_bound_loop_parallelizes_and_matches() {
-        // C[i] = i over a blockIdx.x-bound loop: parallel-dispatch path.
-        let i = Var::i32("i");
-        let c = Buffer::global_f32("C", vec![Expr::i32(1024)]);
-        let body = Stmt::For {
-            var: i.clone(),
-            extent: Expr::i32(1024),
-            kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&i)],
-                value: Expr::var(&i).cast(DType::F32),
-            }),
-        };
-        let f = PrimFunc::new("iota", vec![], vec![c], body);
-        let k = CompiledKernel::compile(&f).unwrap();
-        assert!(k.is_parallel(), "outermost blockIdx loop should parallelize");
-        let mut tensors = HashMap::new();
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1024));
-        k.run(&HashMap::new(), &mut tensors).unwrap();
-        let expect: Vec<f32> = (0..1024).map(|x| x as f32).collect();
-        assert_eq!(tensors["C"].as_f32(), expect.as_slice());
-    }
-
-    #[test]
-    fn unsafe_block_write_falls_back_to_serial() {
-        // C[0] += 1 under a blockIdx loop: collides, must stay serial.
-        let i = Var::i32("i");
-        let c = Buffer::global_f32("C", vec![Expr::i32(1)]);
-        let body = Stmt::For {
-            var: i.clone(),
-            extent: Expr::i32(64),
-            kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::i32(0)],
-                value: c.load(vec![Expr::i32(0)]) + 1.0f32,
-            }),
-        };
-        let f = PrimFunc::new("collide", vec![], vec![c], body);
-        let k = CompiledKernel::compile(&f).unwrap();
-        assert!(!k.is_parallel(), "colliding writes must not parallelize");
-        let mut tensors = HashMap::new();
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
-        k.run(&HashMap::new(), &mut tensors).unwrap();
-        assert_eq!(tensors["C"].as_f32(), &[64.0]);
-    }
-
-    #[test]
-    fn reduction_over_block_var_falls_back_to_serial() {
-        let i = Var::i32("i");
-        let c = Buffer::global_f32("C", vec![Expr::i32(1)]);
-        let vj = Var::i32("vj");
-        let block = Stmt::Block(Block {
-            name: "s".into(),
-            iter_vars: vec![IterVar::reduce(vj.clone(), Expr::var(&i))],
-            reads: vec![],
-            writes: vec![],
-            init: Some(Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::i32(0)],
-                value: Expr::f32(0.0),
-            })),
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::i32(0)],
-                value: c.load(vec![Expr::i32(0)]) + Expr::var(&vj).cast(DType::F32),
-            }),
-        });
-        let body = Stmt::For {
-            var: i.clone(),
-            extent: Expr::i32(8),
-            kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
-            body: Box::new(block),
-        };
-        let f = PrimFunc::new("redblk", vec![], vec![c], body);
-        let k = CompiledKernel::compile(&f).unwrap();
-        assert!(!k.is_parallel());
-        let mut t = HashMap::new();
-        t.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
-        let mut t2 = t.clone();
-        k.run(&HashMap::new(), &mut t).unwrap();
-        eval_func(&f, &HashMap::new(), &mut t2).unwrap();
-        assert_eq!(t["C"], t2["C"]);
-    }
-
-    #[test]
-    fn scalar_params_and_scoped_allocate_match() {
-        let n = Var::i32("n");
-        let i = Var::i32("i");
-        let tmp = Buffer::new("tmp", DType::F32, vec![Expr::i32(2)], Scope::Shared);
-        let out = Buffer::global_f32("out", vec![Expr::var(&n)]);
-        let inner = Stmt::Allocate {
-            buffer: tmp.clone(),
-            body: Box::new(
-                Stmt::BufferStore {
-                    buffer: tmp.clone(),
-                    indices: vec![Expr::i32(0)],
-                    value: Expr::var(&i).cast(DType::F32) * 3.0f32,
-                }
-                .then(Stmt::BufferStore {
-                    buffer: out.clone(),
-                    indices: vec![Expr::var(&i)],
-                    value: tmp.load(vec![Expr::i32(0)]) + 1.0f32,
-                }),
-            ),
-        };
-        let body = Stmt::for_serial(i.clone(), Expr::var(&n), inner);
-        let f = PrimFunc::new("staged", vec![n], vec![out], body);
-        let scalars = scalar_map(&[("n", 5)]);
-        let mut tensors = HashMap::new();
-        tensors.insert("out".to_string(), TensorData::zeros(DType::F32, 5));
-        let (ia, ea) = run_both(&f, &scalars, &tensors);
-        assert_eq!(ia["out"], ea["out"]);
-        assert_eq!(ea["out"].as_f32(), &[1.0, 4.0, 7.0, 10.0, 13.0]);
-    }
-
-    #[test]
-    fn binary_search_matches_interpreter() {
-        let idx = Buffer::global_i32("indices", vec![Expr::i32(5)]);
-        let out = Buffer::global_i32("out", vec![Expr::i32(1)]);
-        let call = Expr::Call {
-            intrin: Intrinsic::BinarySearch,
-            args: vec![idx.load(vec![Expr::i32(0)]), Expr::i32(0), Expr::i32(5), Expr::i32(9)],
-        };
-        let body =
-            Stmt::BufferStore { buffer: out.clone(), indices: vec![Expr::i32(0)], value: call };
-        let f = PrimFunc::new("find", vec![], vec![idx, out], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("indices".to_string(), TensorData::from(vec![1, 3, 9, 10, 12]));
-        tensors.insert("out".to_string(), TensorData::zeros(DType::I32, 1));
-        let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
-        assert_eq!(ia["out"], ea["out"]);
-        assert_eq!(ea["out"].as_i32(), &[2]);
-    }
-
-    #[test]
-    fn mma_sync_matches_interpreter() {
-        let a = Buffer::global_f32("A", vec![Expr::i32(4)]);
-        let b = Buffer::global_f32("B", vec![Expr::i32(4)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
-        let tile = |buf: &Buffer, stride: i64| TensorTile {
-            buffer: buf.clone(),
-            offset: Expr::i32(0),
-            row_stride: Expr::i32(stride),
-        };
-        let body =
-            Stmt::MmaSync { c: tile(&c, 2), a: tile(&a, 2), b: tile(&b, 2), m: 2, n: 2, k: 2 };
-        let f = PrimFunc::new("mma", vec![], vec![a, b, c], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
-        tensors.insert("B".to_string(), TensorData::from(vec![5.0f32, 6.0, 7.0, 8.0]));
-        tensors.insert("C".to_string(), TensorData::from(vec![1.0f32, 0.0, 0.0, 0.0]));
-        let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
-        assert_eq!(ia["C"], ea["C"]);
-        assert_eq!(ea["C"].as_f32(), &[20.0, 22.0, 43.0, 50.0]);
-    }
-
-    #[test]
-    fn out_of_bounds_and_missing_bindings_error() {
-        let c = Buffer::global_f32("C", vec![Expr::i32(2)]);
-        let body = Stmt::BufferStore {
-            buffer: c.clone(),
-            indices: vec![Expr::i32(5)],
-            value: Expr::f32(0.0),
-        };
-        let f = PrimFunc::new("f", vec![], vec![c.clone()], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 2));
-        let err = exec_func(&f, &HashMap::new(), &mut tensors).unwrap_err();
-        assert!(err.to_string().contains("out of bounds"), "{err}");
-
-        let g = PrimFunc::new("g", vec![], vec![c], Stmt::nop());
-        let err = exec_func(&g, &HashMap::new(), &mut HashMap::new()).unwrap_err();
-        assert!(err.to_string().contains("missing tensor binding"), "{err}");
-    }
-
-    #[test]
-    fn division_by_zero_errors() {
-        let out = Buffer::global_i32("out", vec![Expr::i32(1)]);
-        let body = Stmt::BufferStore {
-            buffer: out.clone(),
-            indices: vec![Expr::i32(0)],
-            value: Expr::i32(4) / Expr::i32(1).min(0),
-        };
-        let f = PrimFunc::new("div0", vec![], vec![out], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("out".to_string(), TensorData::zeros(DType::I32, 1));
-        let err = exec_func(&f, &HashMap::new(), &mut tensors).unwrap_err();
-        assert!(err.to_string().contains("division by zero"), "{err}");
-    }
-
-    /// Functions differing only in an MMA tile's `row_stride` must not
-    /// collide in the kernel cache (regression: the printer once omitted
-    /// strides from the rendered IR the fingerprint hashes).
-    #[test]
-    fn mma_stride_changes_fingerprint() {
-        let build = |stride: i64| {
-            let a = Buffer::global_f32("A", vec![Expr::i32(64)]);
-            let b = Buffer::global_f32("B", vec![Expr::i32(64)]);
-            let c = Buffer::global_f32("C", vec![Expr::i32(64)]);
-            let tile = |buf: &Buffer| TensorTile {
-                buffer: buf.clone(),
-                offset: Expr::i32(0),
-                row_stride: Expr::i32(stride),
-            };
-            let body = Stmt::MmaSync { c: tile(&c), a: tile(&a), b: tile(&b), m: 2, n: 2, k: 2 };
-            PrimFunc::new("mma", vec![], vec![a, b, c], body)
-        };
-        assert_ne!(Runtime::fingerprint(&build(2)), Runtime::fingerprint(&build(4)));
-    }
-
-    /// A float-valued `let` in dead code must not fail compilation — the
-    /// interpreter only errors when the binding executes.
-    #[test]
-    fn float_let_in_dead_branch_is_lazy() {
-        let out = Buffer::global_f32("out", vec![Expr::i32(1)]);
-        let t = Var::i32("t");
-        let bad_let = Stmt::Let { var: t, value: Expr::f32(1.5), body: Box::new(Stmt::nop()) };
-        let body = Stmt::IfThenElse {
-            cond: Expr::i32(0).gt(Expr::i32(1)),
-            then_branch: Box::new(bad_let),
-            else_branch: Some(Box::new(Stmt::BufferStore {
-                buffer: out.clone(),
-                indices: vec![Expr::i32(0)],
-                value: Expr::f32(2.0),
-            })),
-        };
-        let f = PrimFunc::new("lazy", vec![], vec![out], body);
-        let mut tensors = HashMap::new();
-        tensors.insert("out".to_string(), TensorData::zeros(DType::F32, 1));
-        exec_func(&f, &HashMap::new(), &mut tensors).expect("dead float let must not block");
-        assert_eq!(tensors["out"].as_f32(), &[2.0]);
-    }
-
-    #[test]
-    fn runtime_cache_hits_on_identical_functions() {
-        let rt = Runtime::new();
-        let build = || {
-            let i = Var::i32("i");
-            let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
-            let body = Stmt::for_serial(
-                i.clone(),
-                4,
-                Stmt::BufferStore {
-                    buffer: c.clone(),
-                    indices: vec![Expr::var(&i)],
-                    value: Expr::f32(1.0),
-                },
-            );
-            PrimFunc::new("ones", vec![], vec![c], body)
-        };
-        let k1 = rt.compile(&build()).unwrap();
-        let k2 = rt.compile(&build()).unwrap();
-        assert!(Arc::ptr_eq(&k1, &k2), "identical functions must share one kernel");
-        assert_eq!(rt.cached(), 1);
-
-        // A different function compiles separately.
-        let j = Var::i32("j");
-        let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
-        let other = PrimFunc::new(
-            "twos",
-            vec![],
-            vec![c.clone()],
-            Stmt::for_serial(
-                j.clone(),
-                4,
-                Stmt::BufferStore {
-                    buffer: c,
-                    indices: vec![Expr::var(&j)],
-                    value: Expr::f32(2.0),
-                },
-            ),
-        );
-        let k3 = rt.compile(&other).unwrap();
-        assert!(!Arc::ptr_eq(&k1, &k3));
-        assert_eq!(rt.cached(), 2);
-    }
-
-    /// Build the canonical fusable lane loop:
-    /// `for k in 0..n { block { init: C[k] = 0 if j == 0; C[k] += A[0] * B[k] } }`
-    /// wrapped in a serial `j` loop supplying the reduce binding.
-    fn axpy_func(n: i64) -> PrimFunc {
-        let j = Var::i32("j");
-        let k = Var::i32("k");
-        let vk = Var::i32("vk");
-        let vp = Var::i32("vp");
-        let a = Buffer::global_f32("A", vec![Expr::i32(1)]);
-        let b = Buffer::global_f32("B", vec![Expr::i32(n)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(n)]);
-        let block = Stmt::Block(Block {
-            name: "acc".into(),
-            iter_vars: vec![
-                IterVar::spatial(vk.clone(), Expr::var(&k)),
-                IterVar::reduce(vp.clone(), Expr::var(&j)),
-            ],
-            reads: vec![],
-            writes: vec![],
-            init: Some(Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&vk)],
-                value: Expr::f32(0.0),
-            })),
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&vk)],
-                value: c.load(vec![Expr::var(&vk)])
-                    + a.load(vec![Expr::i32(0)]) * b.load(vec![Expr::var(&vk)]),
-            }),
-        });
-        let body = Stmt::for_serial(j.clone(), 3, Stmt::for_serial(k.clone(), n, block));
-        PrimFunc::new("axpy", vec![], vec![a, b, c], body)
-    }
-
-    #[test]
-    fn fusion_produces_axpy_and_matches_generic() {
-        let f = axpy_func(8);
-        let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        let generic = CompiledKernel::compile_with(&f, false).unwrap();
-        assert_eq!(fused.fused_ops(), 1);
-        assert_eq!(fused.fused_kinds(), vec!["AxpyLanes"]);
-        assert_eq!(generic.fused_ops(), 0);
-        let mut t = HashMap::new();
-        t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
-        t.insert("B".to_string(), TensorData::from((0..8).map(|x| x as f32).collect::<Vec<_>>()));
-        t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        let mut tf = t.clone();
-        let mut tg = t.clone();
-        fused.run(&HashMap::new(), &mut tf).unwrap();
-        generic.run(&HashMap::new(), &mut tg).unwrap();
-        assert_eq!(tf["C"], tg["C"]);
-        // Three reduce iterations of 1.5 * B[k].
-        let expect: Vec<f32> = (0..8).map(|x| 4.5 * x as f32).collect();
-        assert_eq!(tf["C"].as_f32(), expect.as_slice());
-    }
-
-    /// Toggling fusion must recompile (counted) and never serve the other
-    /// flag's kernel from the cache — the cache key includes the flag.
-    #[test]
-    fn fusion_flag_is_part_of_the_cache_key() {
-        let rt = Runtime::with_fusion(true);
-        let f = axpy_func(8);
-        let generic = rt.compile_with(&f, false).unwrap();
-        assert_eq!(rt.compilations(), 1);
-        let fused = rt.compile_with(&f, true).unwrap();
-        assert_eq!(rt.compilations(), 2, "fused recompilation must be counted");
-        assert!(!Arc::ptr_eq(&generic, &fused));
-        assert_eq!(generic.fused_ops(), 0);
-        assert_eq!(fused.fused_ops(), 1);
-        // Both flags now hit their own cache entries.
-        assert!(Arc::ptr_eq(&generic, &rt.compile_with(&f, false).unwrap()));
-        assert!(Arc::ptr_eq(&fused, &rt.compile_with(&f, true).unwrap()));
-        assert!(Arc::ptr_eq(&fused, &rt.compile(&f).unwrap()), "runtime default is fused");
-        assert_eq!(rt.compilations(), 2);
-        assert_eq!(rt.cached(), 2);
-    }
-
-    /// A lane loop whose source walks a non-unit stride must stay on the
-    /// generic tree (contiguity requirement) yet still execute correctly.
-    #[test]
-    fn non_contiguous_source_is_not_fused() {
-        let k = Var::i32("k");
-        let b = Buffer::global_f32("B", vec![Expr::i32(16)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
-        let body = Stmt::for_serial(
-            k.clone(),
-            8,
-            Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&k)],
-                value: c.load(vec![Expr::var(&k)]) + b.load(vec![Expr::var(&k) * 2]) * 2.0f32,
-            },
-        );
-        let f = PrimFunc::new("strided", vec![], vec![b, c], body);
-        let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        assert_eq!(fused.fused_ops(), 0, "stride-2 source must not fuse");
-        let mut t = HashMap::new();
-        t.insert("B".to_string(), TensorData::from((0..16).map(|x| x as f32).collect::<Vec<_>>()));
-        t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        let mut t2 = t.clone();
-        fused.run(&HashMap::new(), &mut t).unwrap();
-        eval_func(&f, &HashMap::new(), &mut t2).unwrap();
-        assert_eq!(t["C"], t2["C"]);
-    }
-
-    /// Reading the written buffer anywhere in the loop (here: the scale
-    /// factor) defeats invariance hoisting, so fusion must decline.
-    #[test]
-    fn aliased_coefficient_is_not_fused() {
-        let k = Var::i32("k");
-        let b = Buffer::global_f32("B", vec![Expr::i32(8)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
-        let body = Stmt::for_serial(
-            k.clone(),
-            8,
-            Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&k)],
-                value: c.load(vec![Expr::var(&k)])
-                    + c.load(vec![Expr::i32(0)]) * b.load(vec![Expr::var(&k)]),
-            },
-        );
-        let f = PrimFunc::new("alias", vec![], vec![b, c], body);
-        let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        assert_eq!(fused.fused_ops(), 0, "coefficient loads the written buffer");
-        let mut t = HashMap::new();
-        t.insert("B".to_string(), TensorData::from(vec![1.0f32; 8]));
-        t.insert("C".to_string(), TensorData::from(vec![2.0f32; 8]));
-        let mut t2 = t.clone();
-        fused.run(&HashMap::new(), &mut t).unwrap();
-        eval_func(&f, &HashMap::new(), &mut t2).unwrap();
-        assert_eq!(t["C"], t2["C"]);
-    }
-
-    /// Out-of-bounds lanes must fall back to the generic loop and report
-    /// the interpreter's exact error.
-    #[test]
-    fn fused_bounds_violation_falls_back_with_identical_error() {
-        let k = Var::i32("k");
-        let n = Var::i32("n");
-        let b = Buffer::global_f32("B", vec![Expr::i32(8)]);
-        let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
-        // Extent is a scalar param: the kernel fuses (extent is dynamic),
-        // and binding n = 12 overruns both buffers at run time.
-        let body = Stmt::For {
-            var: k.clone(),
-            extent: Expr::var(&n),
-            kind: ForKind::Serial,
-            body: Box::new(Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&k)],
-                value: c.load(vec![Expr::var(&k)]) + Expr::f32(2.0) * b.load(vec![Expr::var(&k)]),
-            }),
-        };
-        let f = PrimFunc::new("oob", vec![n], vec![b, c], body);
-        let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        assert_eq!(fused.fused_ops(), 1);
-        let mut tensors = HashMap::new();
-        tensors.insert("B".to_string(), TensorData::from(vec![1.0f32; 8]));
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        let scalars = scalar_map(&[("n", 12)]);
-        let mut t2 = tensors.clone();
-        let fast = fused.run(&scalars, &mut tensors).unwrap_err();
-        let generic = CompiledKernel::compile_with(&f, false).unwrap();
-        let slow = generic.run(&scalars, &mut t2).unwrap_err();
-        assert_eq!(fast, slow, "fallback must reproduce the generic error exactly");
-        let mut t3 = t2.clone();
-        let interp = eval_func(&f, &scalars, &mut t3).unwrap_err();
-        assert!(interp
-            .to_string()
-            .ends_with("index 8 out of bounds for dim of extent 8 in buffer `C`"));
-        // The in-bounds prefix written by the generic fallback matches.
-        assert_eq!(tensors["C"], t2["C"]);
-    }
-
-    #[test]
-    fn frames_are_reused_across_runs() {
-        let i = Var::i32("i");
-        let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
-        let body = Stmt::for_serial(
-            i.clone(),
-            8,
-            Stmt::BufferStore {
-                buffer: c.clone(),
-                indices: vec![Expr::var(&i)],
-                value: Expr::var(&i).cast(DType::F32),
-            },
-        );
-        let f = PrimFunc::new("iota8", vec![], vec![c], body);
-        let k = CompiledKernel::compile(&f).unwrap();
-        let mut tensors = HashMap::new();
-        tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        for _ in 0..3 {
-            k.run(&HashMap::new(), &mut tensors).unwrap();
-        }
-        assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
-    }
-
-    /// Tree and bytecode compilations of one function must coexist in one
-    /// cache — switching backends recompiles (counted), never serves the
-    /// other backend's kernel, and `cached()`/`compilations()` stay exact
-    /// across all four (fuse × backend) entries.
-    #[test]
-    fn backend_is_part_of_the_cache_key() {
-        let rt = Runtime::with_options(true, ExecBackend::Bytecode);
-        let f = axpy_func(8);
-        let code = rt.compile(&f).unwrap();
-        assert_eq!(code.backend(), ExecBackend::Bytecode);
-        assert_eq!(rt.compilations(), 1);
-        let tree = rt.compile_opts(&f, true, ExecBackend::Tree).unwrap();
-        assert_eq!(rt.compilations(), 2, "backend switch must recompile, not serve stale");
-        assert!(!Arc::ptr_eq(&code, &tree));
-        assert_eq!(tree.backend(), ExecBackend::Tree);
-        // Both backends fuse the same loop.
-        assert_eq!(code.fused_kinds(), vec!["AxpyLanes"]);
-        assert_eq!(tree.fused_kinds(), vec!["AxpyLanes"]);
-        // All four (fuse × backend) combinations occupy distinct entries.
-        let _ = rt.compile_opts(&f, false, ExecBackend::Tree).unwrap();
-        let _ = rt.compile_opts(&f, false, ExecBackend::Bytecode).unwrap();
-        assert_eq!(rt.compilations(), 4);
-        assert_eq!(rt.cached(), 4);
-        // Every key now hits its own cached Arc.
-        assert!(Arc::ptr_eq(&code, &rt.compile(&f).unwrap()));
-        assert!(Arc::ptr_eq(&tree, &rt.compile_opts(&f, true, ExecBackend::Tree).unwrap()));
-        assert_eq!(rt.compilations(), 4);
-        // Both backends produce identical results.
-        let mut t = HashMap::new();
-        t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
-        t.insert("B".to_string(), TensorData::from((0..8).map(|x| x as f32).collect::<Vec<_>>()));
-        t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-        let mut tc = t.clone();
-        let mut tt = t.clone();
-        code.run(&HashMap::new(), &mut tc).unwrap();
-        tree.run(&HashMap::new(), &mut tt).unwrap();
-        assert_eq!(tc["C"], tt["C"]);
-    }
-
-    /// The `SPARSETIR_TREE_EXEC` kill switch flips `backend_default()`,
-    /// which feeds freshly constructed runtimes — a flipped runtime must
-    /// recompile rather than reuse the other backend's kernel (the env
-    /// var is read eagerly at construction, so no other test races us).
-    #[test]
-    fn tree_exec_kill_switch_selects_tree_backend() {
-        assert_eq!(backend_default(), ExecBackend::Bytecode, "bytecode is the default");
-        let f = axpy_func(8);
-        let rt = Runtime::with_options(true, ExecBackend::Tree);
-        assert_eq!(rt.backend(), ExecBackend::Tree);
-        let k = rt.compile(&f).unwrap();
-        assert_eq!(k.backend(), ExecBackend::Tree);
-        assert_eq!(rt.compilations(), 1);
-        // Flipping the backend (what a fresh runtime under the kill
-        // switch would do) recompiles into a distinct cache entry.
-        let k2 = rt.compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
-        assert!(!Arc::ptr_eq(&k, &k2));
-        assert_eq!(rt.compilations(), 2);
-        assert_eq!(rt.cached(), 2);
-    }
-
-    /// Disassembly is backend-independent: a tree-backed kernel lowers on
-    /// demand and renders the same listing as the bytecode compilation.
-    #[test]
-    fn disassembly_is_identical_across_backends() {
-        let f = axpy_func(8);
-        for fuse in [false, true] {
-            let tree = CompiledKernel::compile_opts(&f, fuse, ExecBackend::Tree).unwrap();
-            let code = CompiledKernel::compile_opts(&f, fuse, ExecBackend::Bytecode).unwrap();
-            assert_eq!(tree.disassemble(), code.disassemble());
-        }
-        let fused = CompiledKernel::compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
-        let listing = fused.disassemble();
-        assert!(
-            listing.contains("super.axpy"),
-            "fused listing has the superinstruction:\n{listing}"
-        );
-        assert!(listing.contains(";; kernel `axpy` fuse=on"));
-    }
-}
+mod tests;

@@ -1,11 +1,11 @@
 //! Flat bytecode executor: tree→bytecode lowering and the `ip`-driven
 //! dispatch loop.
 //!
-//! The tree executor ([`CStmt::exec`]) pays a recursive call and an enum
-//! match per statement node per iteration — `Seq` re-iterates its vector,
-//! `Block` re-inspects its option fields, and every loop level is a stack
-//! frame. This module lowers the compiled tree **once** into a flat
-//! `Vec<Instr>` executed by a single `while ip < end { match }` loop:
+//! A recursive walk of the compiled statement tree would pay a call and
+//! an enum match per statement node per iteration — `Seq` re-iterates its
+//! vector, `Block` re-inspects its option fields, and every loop level is
+//! a stack frame. This module lowers the compiled tree **once** into a
+//! flat `Vec<Instr>` executed by a single `while ip < end { match }` loop:
 //!
 //! * **Loops are jump-encoded.** `LoopStart` pushes a loop record
 //!   (slot, body address, trip count) onto an explicit stack; the
@@ -14,19 +14,19 @@
 //!   their `LoopEnd`. No recursion, no per-iteration `Box` chasing.
 //! * **Blocks are flattened** into bind instructions. A reduce block with
 //!   an init becomes one `BlockHead`: every iter binding plus the
-//!   reduce-init gate (the tree's `init_needed` rule) in a single
+//!   reduce-init gate (the interpreter's `init_needed` rule) in a single
 //!   dispatch, jumping over the lowered init when any reduce binding is
 //!   nonzero. Ungated blocks lower to a bare `Bind`/`BindSlot`/`BindAll`.
-//! * **Fusion emits superinstructions.** Lowering consults the same
-//!   [`fuse::build_fused`] analysis the tree rewriter uses; a matching
-//!   loop becomes one [`Instr::Super`] carrying the [`LaneSpec`]
-//!   microkernel, and the generic loop is lowered immediately behind it
-//!   as the bit-exact fallback (taken when per-lane bounds validation
-//!   fails, reproducing the interpreter's errors).
+//! * **Fusion emits superinstructions.** Lowering consults the
+//!   [`fuse::build_fused`] analysis; a matching loop becomes one
+//!   [`Instr::Super`] carrying the [`LaneSpec`] microkernel, and the
+//!   generic loop is lowered immediately behind it as the bit-exact
+//!   fallback (taken when per-lane bounds validation fails, reproducing
+//!   the interpreter's errors).
 //!
-//! Semantics are bit-identical to the tree executor, which remains
-//! available behind the `SPARSETIR_TREE_EXEC` kill switch; the
-//! differential suite drives interpreter / tree / bytecode 4-way.
+//! Semantics are bit-identical to the reference interpreter
+//! ([`crate::eval`]); the differential suite drives interpreter /
+//! bytecode-generic / bytecode-fused three-way.
 
 use super::fuse::{self, LaneSpec};
 use super::{
@@ -64,7 +64,7 @@ pub(super) enum Instr {
     /// Head of a reduce block with an init: evaluate every iter binding
     /// in order (`true` marks reduce iters), then jump to `init_end` —
     /// skipping the lowered init right behind this instruction — when any
-    /// reduce binding is nonzero (the tree's `!any_reduce_nonzero` gate).
+    /// reduce binding is nonzero (the `!any_reduce_nonzero` init gate).
     BlockHead { iters: Box<[(u32, IntExpr, bool)]>, init_end: u32 },
     /// Conditional: fall through into the then-branch or jump to `else_`.
     Branch { cond: BoolExpr, else_: u32 },
@@ -107,9 +107,7 @@ pub(super) struct Code {
 
 /// Lower a compiled statement tree to flat bytecode. When `fuse` is set,
 /// the fusion analysis runs over each candidate loop during lowering and
-/// emits superinstructions; trees that already contain `CStmt::Fused`
-/// nodes (tree-backend kernels being disassembled) lower those nodes to
-/// the same superinstruction form, so both paths produce identical code.
+/// emits superinstructions.
 pub(super) fn lower(body: &CStmt, fuse: bool) -> Code {
     let mut lw = Lower { instrs: Vec::new(), fused_ops: 0, fuse };
     lw.stmt(body);
@@ -185,7 +183,6 @@ impl Lower {
                 let end = self.here();
                 self.patch(at, end);
             }
-            CStmt::Fused(f) => self.superinstr(f.spec.clone(), &f.generic),
             CStmt::Block(b) => self.block(&b.iters, b),
             CStmt::StoreF { buf, index, value } => {
                 // Peephole: `@buf[i] = @buf[i] + rest` (every reduction
@@ -254,8 +251,8 @@ impl Lower {
     }
 
     /// Lower a block with the given iter list — the block's own, or the
-    /// residual [`licm_split`] left behind after hoisting. The tree gates
-    /// the init on `all_spatial ? init.is_some() : !any_reduce_nonzero`;
+    /// residual [`licm_split`] left behind after hoisting. A block gates
+    /// its init on `all_spatial ? init.is_some() : !any_reduce_nonzero`;
     /// a reduce block's whole head — every binding plus the gate decision
     /// — is one dispatch.
     fn block(&mut self, iters: &[(u32, IntExpr, bool)], b: &CBlock) {
@@ -456,9 +453,6 @@ fn scan_writes(s: &CStmt, w: &mut WriteInfo) {
         CStmt::Mma(op) => {
             w.bufs.insert(op.c.buf);
         }
-        // The microkernel writes a subset of what its generic fallback
-        // writes, so scanning the fallback covers both.
-        CStmt::Fused(f) => scan_writes(&f.generic, w),
         CStmt::Fail(_) => {}
     }
 }
@@ -545,14 +539,15 @@ impl Code {
         self.fused_ops
     }
 
-    /// Push the name of each superinstruction's microkernel, in stream
-    /// order (mirrors [`fuse::collect_micros`] on trees).
-    pub(super) fn collect_micros(&self, out: &mut Vec<&'static str>) {
-        for ins in &self.instrs {
-            if let Instr::Super { spec, .. } = ins {
-                out.push(spec.micro.name());
-            }
-        }
+    /// The name of each superinstruction's microkernel, in stream order.
+    pub(super) fn micro_names(&self) -> Vec<&'static str> {
+        self.instrs
+            .iter()
+            .filter_map(|ins| match ins {
+                Instr::Super { spec, .. } => Some(spec.micro.name()),
+                _ => None,
+            })
+            .collect()
     }
 
     /// True when the stream contains a thread-dispatching loop.
@@ -573,8 +568,8 @@ impl Code {
 }
 
 /// The dispatch loop: execute instructions `[start, end)`. On error the
-/// partially-unwound `State` is discarded by the caller (the tree
-/// executor aborts identically), so no cleanup pass is needed.
+/// partially-unwound `State` is discarded by the caller, so no cleanup
+/// pass is needed.
 #[allow(clippy::too_many_lines)]
 fn run_range(
     code: &[Instr],
@@ -713,9 +708,8 @@ fn run_range(
 }
 
 /// Dispatch iterations `0..n` of the body range `[body_start, body_end)`
-/// across `threads` scoped threads, chunked exactly like the tree
-/// executor's `ParFor` (same chunking, same per-thread frame cloning,
-/// same first-error-wins reporting).
+/// across `threads` scoped threads: contiguous chunks, one cloned frame
+/// per thread, first error wins.
 fn run_parallel(
     code: &[Instr],
     body_start: u32,

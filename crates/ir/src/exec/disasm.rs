@@ -6,9 +6,7 @@
 //! fusion matching or slot allocation shows up as a readable diff.
 //! Scalar slots print as `%N`, buffer slots as `@N` (both resolvable via
 //! the tables), jump targets as zero-padded absolute instruction
-//! addresses. The listing is backend-independent: tree-backed kernels
-//! lower their tree on demand, so the same compilation disassembles
-//! identically under either executor.
+//! addresses.
 
 use super::bytecode::{Code, Instr};
 use super::fuse::{InitKind, LaneSpec, LaneView, Micro, TermShape, TermSpec};

@@ -1,4 +1,4 @@
-//! Dense-lane microkernel fusion over the compiled instruction tree.
+//! Dense-lane microkernel fusion over the compiled statement tree.
 //!
 //! The slot-compiled executor ([`super`]) still dispatches one typed
 //! instruction per scalar in innermost loops: a 32-wide feature-dimension
@@ -8,10 +8,10 @@
 //! inner loops over the feature dimension once the sparse iteration has
 //! been lowered away (§3.3); this pass is the executor-side analogue.
 //!
-//! [`fuse_stmt`] walks the compiled tree and replaces each innermost
-//! `For` whose body is a single `f32` store (optionally wrapped in a
-//! reduction block) with a [`FusedLanes`] node when compile-time analysis
-//! proves:
+//! [`build_fused`] analyzes one innermost `For` whose body is a single
+//! `f32` store (optionally wrapped in a reduction block) and yields a
+//! [`LaneSpec`] — which the bytecode lowering emits as a superinstruction
+//! — when compile-time analysis proves:
 //!
 //! * every block-iter binding is **affine** in the lane variable
 //!   (`base + stride·lane`) with a compile-time-constant stride;
@@ -25,25 +25,25 @@
 //!   that gates `blockIdx` parallelization in the parent module.
 //!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
-//! body), or alias-hazardous is left on the generic tree. Each fused node
-//! also *retains* its generic loop: at run time the microkernel validates
-//! every lane's bounds up front and falls back to the generic tree on any
-//! violation or evaluation error, so error messages and error ordering
-//! stay interpreter-identical.
+//! body), or alias-hazardous is left on generic dispatch. The generic
+//! loop is also lowered right behind every superinstruction: at run time
+//! the microkernel validates every lane's bounds up front and falls
+//! through to the generic loop on any violation or evaluation error, so
+//! error messages and error ordering stay interpreter-identical.
 //!
 //! Arithmetic is replicated bit-for-bit: lanes load `f32`, widen to
 //! `f64`, combine in the source expression's exact association and
 //! operand order, and store back through an `f32` cast per element —
 //! including the per-iteration `f32` round-trip of memory-accumulating
 //! reductions. Element accesses go through the same relaxed-atomic
-//! helpers as the generic tree, so contract-violating IR still cannot
+//! helpers as generic dispatch, so contract-violating IR still cannot
 //! cause undefined behavior: the fused loops win by eliminating
 //! dispatch and per-lane index programs, not by weakening the memory
 //! model.
 
 use super::{
-    elem_load_f32, elem_store_f32, CStmt, ColSeg, ExecError, FloatExpr, FloatOp, Frame, IndexExpr,
-    IntExpr, IntOp, RawBuf,
+    elem_load_f32, elem_store_f32, CStmt, ColSeg, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr,
+    IntOp, RawBuf,
 };
 use std::collections::HashMap;
 
@@ -237,7 +237,7 @@ pub(super) struct LaneView {
 
 /// Association / operand-order shape of a recognized per-lane term.
 /// Preserved exactly so `f64` arithmetic (including NaN payload
-/// propagation) is bit-identical to the generic tree.
+/// propagation) is bit-identical to generic dispatch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TermShape {
     /// `a[l]`
@@ -284,7 +284,7 @@ pub(super) enum InitKind {
 
 /// Specialized dense-lane microkernel instructions. Each operates on
 /// `f32` element ranges resolved once per invocation, replacing the
-/// per-lane instruction-tree dispatch of the generic executor.
+/// per-lane instruction dispatch of the generic executor.
 #[derive(Debug, Clone)]
 pub(super) enum Micro {
     /// `dst[l] = v` for `l ∈ 0..n` — contiguous fill with a
@@ -325,12 +325,11 @@ pub(super) struct FusedIter {
     pub stride: i64,
 }
 
-/// The backend-independent payload of a fused lane loop: everything the
-/// microkernel fast path needs (lane slot, extent, proven iter strides,
-/// init classification, the [`Micro`] op). The tree executor wraps it in
-/// a [`FusedLanes`] node carrying the generic fallback subtree; the
-/// bytecode executor embeds it in a `Super` instruction whose fallback
-/// is the generic loop lowered right after it in the flat stream.
+/// A fused lane loop: everything the microkernel fast path needs (lane
+/// slot, extent, proven iter strides, init classification, the [`Micro`]
+/// op). The bytecode lowering embeds it in a `Super` instruction whose
+/// fallback is the generic loop lowered right after it in the flat
+/// stream.
 #[derive(Debug, Clone)]
 pub(super) struct LaneSpec {
     pub lane_slot: u32,
@@ -340,114 +339,9 @@ pub(super) struct LaneSpec {
     pub micro: Micro,
 }
 
-/// A fused innermost lane loop: the microkernel fast path plus the
-/// original generic loop retained as the bit-exact semantic fallback.
-#[derive(Debug)]
-pub(super) struct FusedLanes {
-    pub spec: LaneSpec,
-    /// The original `For` node; executed whenever a runtime precondition
-    /// (lane bounds, evaluation errors during setup) fails, reproducing
-    /// the generic path's exact behavior and error messages.
-    pub generic: Box<CStmt>,
-}
-
 // ---------------------------------------------------------------------------
 // Pattern detection
 // ---------------------------------------------------------------------------
-
-/// Rewrite `s`, fusing every recognizable innermost lane loop. Returns the
-/// transformed tree and the number of fused microkernel instructions.
-pub(super) fn fuse_stmt(s: CStmt) -> (CStmt, usize) {
-    match s {
-        CStmt::For { slot, extent, body } => {
-            let (body, n) = fuse_stmt(*body);
-            let node = CStmt::For { slot, extent, body: Box::new(body) };
-            match try_fuse_for(node) {
-                Ok(f) => (CStmt::Fused(Box::new(f)), n + 1),
-                Err(node) => (node, n),
-            }
-        }
-        CStmt::ParFor { slot, extent, body } => {
-            let (body, n) = fuse_stmt(*body);
-            (CStmt::ParFor { slot, extent, body: Box::new(body) }, n)
-        }
-        CStmt::Seq(stmts) => {
-            let mut n = 0;
-            let out = stmts
-                .into_iter()
-                .map(|st| {
-                    let (st, k) = fuse_stmt(st);
-                    n += k;
-                    st
-                })
-                .collect();
-            (CStmt::Seq(out), n)
-        }
-        CStmt::If { cond, then_, else_ } => {
-            let (t, mut n) = fuse_stmt(*then_);
-            let e = match else_ {
-                Some(e) => {
-                    let (e, k) = fuse_stmt(*e);
-                    n += k;
-                    Some(Box::new(e))
-                }
-                None => None,
-            };
-            (CStmt::If { cond, then_: Box::new(t), else_: e }, n)
-        }
-        CStmt::Let { slot, value, body } => {
-            let (b, n) = fuse_stmt(*body);
-            (CStmt::Let { slot, value, body: Box::new(b) }, n)
-        }
-        CStmt::Alloc { buf, is_float, len_dims, body } => {
-            let (b, n) = fuse_stmt(*body);
-            (CStmt::Alloc { buf, is_float, len_dims, body: Box::new(b) }, n)
-        }
-        CStmt::Block(mut b) => {
-            let mut n = 0;
-            if let Some(init) = b.init {
-                let (i, k) = fuse_stmt(*init);
-                n += k;
-                b.init = Some(Box::new(i));
-            }
-            let (body, k) = fuse_stmt(*b.body);
-            n += k;
-            b.body = Box::new(body);
-            (CStmt::Block(b), n)
-        }
-        leaf => (leaf, 0),
-    }
-}
-
-/// Collect the names of fused microkernels in `s` (diagnostics).
-pub(super) fn collect_micros(s: &CStmt, out: &mut Vec<&'static str>) {
-    match s {
-        CStmt::Fused(f) => out.push(f.spec.micro.name()),
-        CStmt::For { body, .. } | CStmt::ParFor { body, .. } => collect_micros(body, out),
-        CStmt::Seq(v) => v.iter().for_each(|st| collect_micros(st, out)),
-        CStmt::If { then_, else_, .. } => {
-            collect_micros(then_, out);
-            if let Some(e) = else_ {
-                collect_micros(e, out);
-            }
-        }
-        CStmt::Let { body, .. } | CStmt::Alloc { body, .. } => collect_micros(body, out),
-        CStmt::Block(b) => {
-            if let Some(init) = &b.init {
-                collect_micros(init, out);
-            }
-            collect_micros(&b.body, out);
-        }
-        _ => {}
-    }
-}
-
-fn try_fuse_for(node: CStmt) -> Result<FusedLanes, CStmt> {
-    match build_fused(&node) {
-        Some(spec) => Ok(FusedLanes { spec, generic: Box::new(node) }),
-        None => Err(node),
-    }
-}
 
 /// See through single-statement `Seq` wrappers (lowering routinely wraps
 /// loop and block bodies in singleton sequences).
@@ -462,9 +356,8 @@ fn single(mut s: &CStmt) -> &CStmt {
 }
 
 /// Analyze a `For` node; `Some(spec)` when it matches a fusible lane
-/// loop. Shared by the tree rewriter ([`fuse_stmt`]) and the bytecode
-/// lowering pass, which emits the spec as a `Super` instruction instead
-/// of rewriting the tree.
+/// loop (the bytecode lowering pass emits the spec as a `Super`
+/// instruction).
 #[allow(clippy::too_many_lines)]
 pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
     let CStmt::For { slot: lane, extent, body } = node else {
@@ -844,19 +737,6 @@ enum LaneInit {
     One(i64),
 }
 
-impl FusedLanes {
-    pub(super) fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
-        let n = self.spec.extent.eval(fr)?;
-        if n <= 0 {
-            return Ok(());
-        }
-        match self.spec.try_fast(fr, n) {
-            Some(()) => Ok(()),
-            None => self.generic.exec(fr),
-        }
-    }
-}
-
 impl LaneSpec {
     /// Fast path: evaluate bindings and bases at lane 0, validate every
     /// lane's bounds, then run the microkernel. `None` (no writes done
@@ -910,7 +790,7 @@ impl LaneSpec {
                 };
                 // SAFETY (all arms): every lane index was bounds-checked
                 // by resolve_lanes; element access stays on the relaxed-
-                // atomic helpers shared with the generic tree.
+                // atomic helpers shared with generic dispatch.
                 if init_all {
                     let base = f64::from(init32);
                     for l in 0..n {

@@ -1,0 +1,550 @@
+use super::*;
+use crate::buffer::{Buffer, Scope};
+use crate::dtype::DType;
+use crate::eval::{eval_func, scalar_map};
+use crate::expr::Expr;
+use crate::stmt::{Block, IterVar, ThreadAxis};
+
+fn run_both(
+    f: &PrimFunc,
+    scalars: &HashMap<String, i64>,
+    tensors: &HashMap<String, TensorData>,
+) -> (HashMap<String, TensorData>, HashMap<String, TensorData>) {
+    let mut a = tensors.clone();
+    let mut b = tensors.clone();
+    eval_func(f, scalars, &mut a).expect("interpreter");
+    exec_func(f, scalars, &mut b).expect("executor");
+    (a, b)
+}
+
+#[test]
+fn vector_add_matches_interpreter() {
+    let i = Var::i32("i");
+    let a = Buffer::global_f32("A", vec![Expr::i32(4)]);
+    let b = Buffer::global_f32("B", vec![Expr::i32(4)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
+    let body = Stmt::for_serial(
+        i.clone(),
+        4,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&i)],
+            value: a.load(vec![Expr::var(&i)]) + b.load(vec![Expr::var(&i)]),
+        },
+    );
+    let f = PrimFunc::new("add", vec![], vec![a, b, c], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
+    tensors.insert("B".to_string(), TensorData::from(vec![10.0f32, 20.0, 30.0, 40.0]));
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 4));
+    let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
+    assert_eq!(ia["C"], ea["C"]);
+    assert_eq!(ea["C"].as_f32(), &[11.0, 22.0, 33.0, 44.0]);
+}
+
+#[test]
+fn reduction_block_matches_interpreter() {
+    let i = Var::i32("i");
+    let j = Var::i32("j");
+    let a = Buffer::global_f32("A", vec![Expr::i32(2), Expr::i32(3)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(2)]);
+    let vi = Var::i32("vi");
+    let vj = Var::i32("vj");
+    let block = Stmt::Block(Block {
+        name: "sum".into(),
+        iter_vars: vec![
+            IterVar::spatial(vi.clone(), Expr::var(&i)),
+            IterVar::reduce(vj.clone(), Expr::var(&j)),
+        ],
+        reads: vec![],
+        writes: vec![],
+        init: Some(Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&vi)],
+            value: Expr::f32(0.0),
+        })),
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&vi)],
+            value: c.load(vec![Expr::var(&vi)]) + a.load(vec![Expr::var(&vi), Expr::var(&vj)]),
+        }),
+    });
+    let body = Stmt::for_serial(i.clone(), 2, Stmt::for_serial(j.clone(), 3, block));
+    let f = PrimFunc::new("rowsum", vec![], vec![a, c], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0]));
+    tensors.insert("C".to_string(), TensorData::from(vec![99.0f32, 99.0]));
+    let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
+    assert_eq!(ia["C"], ea["C"]);
+    assert_eq!(ea["C"].as_f32(), &[6.0, 15.0]);
+}
+
+#[test]
+fn block_bound_loop_parallelizes_and_matches() {
+    // C[i] = i over a blockIdx.x-bound loop: parallel-dispatch path.
+    let i = Var::i32("i");
+    let c = Buffer::global_f32("C", vec![Expr::i32(1024)]);
+    let body = Stmt::For {
+        var: i.clone(),
+        extent: Expr::i32(1024),
+        kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&i)],
+            value: Expr::var(&i).cast(DType::F32),
+        }),
+    };
+    let f = PrimFunc::new("iota", vec![], vec![c], body);
+    let k = CompiledKernel::compile(&f).unwrap();
+    assert!(k.is_parallel(), "outermost blockIdx loop should parallelize");
+    let mut tensors = HashMap::new();
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1024));
+    k.run(&HashMap::new(), &mut tensors).unwrap();
+    let expect: Vec<f32> = (0..1024).map(|x| x as f32).collect();
+    assert_eq!(tensors["C"].as_f32(), expect.as_slice());
+}
+
+#[test]
+fn unsafe_block_write_falls_back_to_serial() {
+    // C[0] += 1 under a blockIdx loop: collides, must stay serial.
+    let i = Var::i32("i");
+    let c = Buffer::global_f32("C", vec![Expr::i32(1)]);
+    let body = Stmt::For {
+        var: i.clone(),
+        extent: Expr::i32(64),
+        kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::i32(0)],
+            value: c.load(vec![Expr::i32(0)]) + 1.0f32,
+        }),
+    };
+    let f = PrimFunc::new("collide", vec![], vec![c], body);
+    let k = CompiledKernel::compile(&f).unwrap();
+    assert!(!k.is_parallel(), "colliding writes must not parallelize");
+    let mut tensors = HashMap::new();
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
+    k.run(&HashMap::new(), &mut tensors).unwrap();
+    assert_eq!(tensors["C"].as_f32(), &[64.0]);
+}
+
+#[test]
+fn reduction_over_block_var_falls_back_to_serial() {
+    let i = Var::i32("i");
+    let c = Buffer::global_f32("C", vec![Expr::i32(1)]);
+    let vj = Var::i32("vj");
+    let block = Stmt::Block(Block {
+        name: "s".into(),
+        iter_vars: vec![IterVar::reduce(vj.clone(), Expr::var(&i))],
+        reads: vec![],
+        writes: vec![],
+        init: Some(Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::i32(0)],
+            value: Expr::f32(0.0),
+        })),
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::i32(0)],
+            value: c.load(vec![Expr::i32(0)]) + Expr::var(&vj).cast(DType::F32),
+        }),
+    });
+    let body = Stmt::For {
+        var: i.clone(),
+        extent: Expr::i32(8),
+        kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        body: Box::new(block),
+    };
+    let f = PrimFunc::new("redblk", vec![], vec![c], body);
+    let k = CompiledKernel::compile(&f).unwrap();
+    assert!(!k.is_parallel());
+    let mut t = HashMap::new();
+    t.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
+    let mut t2 = t.clone();
+    k.run(&HashMap::new(), &mut t).unwrap();
+    eval_func(&f, &HashMap::new(), &mut t2).unwrap();
+    assert_eq!(t["C"], t2["C"]);
+}
+
+#[test]
+fn scalar_params_and_scoped_allocate_match() {
+    let n = Var::i32("n");
+    let i = Var::i32("i");
+    let tmp = Buffer::new("tmp", DType::F32, vec![Expr::i32(2)], Scope::Shared);
+    let out = Buffer::global_f32("out", vec![Expr::var(&n)]);
+    let inner = Stmt::Allocate {
+        buffer: tmp.clone(),
+        body: Box::new(
+            Stmt::BufferStore {
+                buffer: tmp.clone(),
+                indices: vec![Expr::i32(0)],
+                value: Expr::var(&i).cast(DType::F32) * 3.0f32,
+            }
+            .then(Stmt::BufferStore {
+                buffer: out.clone(),
+                indices: vec![Expr::var(&i)],
+                value: tmp.load(vec![Expr::i32(0)]) + 1.0f32,
+            }),
+        ),
+    };
+    let body = Stmt::for_serial(i.clone(), Expr::var(&n), inner);
+    let f = PrimFunc::new("staged", vec![n], vec![out], body);
+    let scalars = scalar_map(&[("n", 5)]);
+    let mut tensors = HashMap::new();
+    tensors.insert("out".to_string(), TensorData::zeros(DType::F32, 5));
+    let (ia, ea) = run_both(&f, &scalars, &tensors);
+    assert_eq!(ia["out"], ea["out"]);
+    assert_eq!(ea["out"].as_f32(), &[1.0, 4.0, 7.0, 10.0, 13.0]);
+}
+
+#[test]
+fn binary_search_matches_interpreter() {
+    let idx = Buffer::global_i32("indices", vec![Expr::i32(5)]);
+    let out = Buffer::global_i32("out", vec![Expr::i32(1)]);
+    let call = Expr::Call {
+        intrin: Intrinsic::BinarySearch,
+        args: vec![idx.load(vec![Expr::i32(0)]), Expr::i32(0), Expr::i32(5), Expr::i32(9)],
+    };
+    let body = Stmt::BufferStore { buffer: out.clone(), indices: vec![Expr::i32(0)], value: call };
+    let f = PrimFunc::new("find", vec![], vec![idx, out], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("indices".to_string(), TensorData::from(vec![1, 3, 9, 10, 12]));
+    tensors.insert("out".to_string(), TensorData::zeros(DType::I32, 1));
+    let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
+    assert_eq!(ia["out"], ea["out"]);
+    assert_eq!(ea["out"].as_i32(), &[2]);
+}
+
+#[test]
+fn mma_sync_matches_interpreter() {
+    let a = Buffer::global_f32("A", vec![Expr::i32(4)]);
+    let b = Buffer::global_f32("B", vec![Expr::i32(4)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
+    let tile = |buf: &Buffer, stride: i64| TensorTile {
+        buffer: buf.clone(),
+        offset: Expr::i32(0),
+        row_stride: Expr::i32(stride),
+    };
+    let body = Stmt::MmaSync { c: tile(&c, 2), a: tile(&a, 2), b: tile(&b, 2), m: 2, n: 2, k: 2 };
+    let f = PrimFunc::new("mma", vec![], vec![a, b, c], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("A".to_string(), TensorData::from(vec![1.0f32, 2.0, 3.0, 4.0]));
+    tensors.insert("B".to_string(), TensorData::from(vec![5.0f32, 6.0, 7.0, 8.0]));
+    tensors.insert("C".to_string(), TensorData::from(vec![1.0f32, 0.0, 0.0, 0.0]));
+    let (ia, ea) = run_both(&f, &HashMap::new(), &tensors);
+    assert_eq!(ia["C"], ea["C"]);
+    assert_eq!(ea["C"].as_f32(), &[20.0, 22.0, 43.0, 50.0]);
+}
+
+#[test]
+fn out_of_bounds_and_missing_bindings_error() {
+    let c = Buffer::global_f32("C", vec![Expr::i32(2)]);
+    let body =
+        Stmt::BufferStore { buffer: c.clone(), indices: vec![Expr::i32(5)], value: Expr::f32(0.0) };
+    let f = PrimFunc::new("f", vec![], vec![c.clone()], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 2));
+    let err = exec_func(&f, &HashMap::new(), &mut tensors).unwrap_err();
+    assert!(err.to_string().contains("out of bounds"), "{err}");
+
+    let g = PrimFunc::new("g", vec![], vec![c], Stmt::nop());
+    let err = exec_func(&g, &HashMap::new(), &mut HashMap::new()).unwrap_err();
+    assert!(err.to_string().contains("missing tensor binding"), "{err}");
+}
+
+#[test]
+fn division_by_zero_errors() {
+    let out = Buffer::global_i32("out", vec![Expr::i32(1)]);
+    let body = Stmt::BufferStore {
+        buffer: out.clone(),
+        indices: vec![Expr::i32(0)],
+        value: Expr::i32(4) / Expr::i32(1).min(0),
+    };
+    let f = PrimFunc::new("div0", vec![], vec![out], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("out".to_string(), TensorData::zeros(DType::I32, 1));
+    let err = exec_func(&f, &HashMap::new(), &mut tensors).unwrap_err();
+    assert!(err.to_string().contains("division by zero"), "{err}");
+}
+
+/// Functions differing only in an MMA tile's `row_stride` must not
+/// collide in the kernel cache (regression: the printer once omitted
+/// strides from the rendered IR the fingerprint hashes).
+#[test]
+fn mma_stride_changes_fingerprint() {
+    let build = |stride: i64| {
+        let a = Buffer::global_f32("A", vec![Expr::i32(64)]);
+        let b = Buffer::global_f32("B", vec![Expr::i32(64)]);
+        let c = Buffer::global_f32("C", vec![Expr::i32(64)]);
+        let tile = |buf: &Buffer| TensorTile {
+            buffer: buf.clone(),
+            offset: Expr::i32(0),
+            row_stride: Expr::i32(stride),
+        };
+        let body = Stmt::MmaSync { c: tile(&c), a: tile(&a), b: tile(&b), m: 2, n: 2, k: 2 };
+        PrimFunc::new("mma", vec![], vec![a, b, c], body)
+    };
+    assert_ne!(Runtime::fingerprint(&build(2)), Runtime::fingerprint(&build(4)));
+}
+
+/// A float-valued `let` in dead code must not fail compilation — the
+/// interpreter only errors when the binding executes.
+#[test]
+fn float_let_in_dead_branch_is_lazy() {
+    let out = Buffer::global_f32("out", vec![Expr::i32(1)]);
+    let t = Var::i32("t");
+    let bad_let = Stmt::Let { var: t, value: Expr::f32(1.5), body: Box::new(Stmt::nop()) };
+    let body = Stmt::IfThenElse {
+        cond: Expr::i32(0).gt(Expr::i32(1)),
+        then_branch: Box::new(bad_let),
+        else_branch: Some(Box::new(Stmt::BufferStore {
+            buffer: out.clone(),
+            indices: vec![Expr::i32(0)],
+            value: Expr::f32(2.0),
+        })),
+    };
+    let f = PrimFunc::new("lazy", vec![], vec![out], body);
+    let mut tensors = HashMap::new();
+    tensors.insert("out".to_string(), TensorData::zeros(DType::F32, 1));
+    exec_func(&f, &HashMap::new(), &mut tensors).expect("dead float let must not block");
+    assert_eq!(tensors["out"].as_f32(), &[2.0]);
+}
+
+#[test]
+fn runtime_cache_hits_on_identical_functions() {
+    let rt = Runtime::new();
+    let build = || {
+        let i = Var::i32("i");
+        let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
+        let body = Stmt::for_serial(
+            i.clone(),
+            4,
+            Stmt::BufferStore {
+                buffer: c.clone(),
+                indices: vec![Expr::var(&i)],
+                value: Expr::f32(1.0),
+            },
+        );
+        PrimFunc::new("ones", vec![], vec![c], body)
+    };
+    let k1 = rt.compile(&build()).unwrap();
+    let k2 = rt.compile(&build()).unwrap();
+    assert!(Arc::ptr_eq(&k1, &k2), "identical functions must share one kernel");
+    assert_eq!(rt.cached(), 1);
+
+    // A different function compiles separately.
+    let j = Var::i32("j");
+    let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
+    let other = PrimFunc::new(
+        "twos",
+        vec![],
+        vec![c.clone()],
+        Stmt::for_serial(
+            j.clone(),
+            4,
+            Stmt::BufferStore { buffer: c, indices: vec![Expr::var(&j)], value: Expr::f32(2.0) },
+        ),
+    );
+    let k3 = rt.compile(&other).unwrap();
+    assert!(!Arc::ptr_eq(&k1, &k3));
+    assert_eq!(rt.cached(), 2);
+}
+
+/// Build the canonical fusable lane loop:
+/// `for k in 0..n { block { init: C[k] = 0 if j == 0; C[k] += A[0] * B[k] } }`
+/// wrapped in a serial `j` loop supplying the reduce binding.
+fn axpy_func(n: i64) -> PrimFunc {
+    let j = Var::i32("j");
+    let k = Var::i32("k");
+    let vk = Var::i32("vk");
+    let vp = Var::i32("vp");
+    let a = Buffer::global_f32("A", vec![Expr::i32(1)]);
+    let b = Buffer::global_f32("B", vec![Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(n)]);
+    let block = Stmt::Block(Block {
+        name: "acc".into(),
+        iter_vars: vec![
+            IterVar::spatial(vk.clone(), Expr::var(&k)),
+            IterVar::reduce(vp.clone(), Expr::var(&j)),
+        ],
+        reads: vec![],
+        writes: vec![],
+        init: Some(Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&vk)],
+            value: Expr::f32(0.0),
+        })),
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&vk)],
+            value: c.load(vec![Expr::var(&vk)])
+                + a.load(vec![Expr::i32(0)]) * b.load(vec![Expr::var(&vk)]),
+        }),
+    });
+    let body = Stmt::for_serial(j.clone(), 3, Stmt::for_serial(k.clone(), n, block));
+    PrimFunc::new("axpy", vec![], vec![a, b, c], body)
+}
+
+#[test]
+fn fusion_produces_axpy_and_matches_generic() {
+    let f = axpy_func(8);
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
+    let generic = CompiledKernel::compile_with(&f, false).unwrap();
+    assert_eq!(fused.fused_ops(), 1);
+    assert_eq!(fused.fused_kinds(), vec!["AxpyLanes"]);
+    assert_eq!(generic.fused_ops(), 0);
+    let mut t = HashMap::new();
+    t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
+    t.insert("B".to_string(), TensorData::from((0..8).map(|x| x as f32).collect::<Vec<_>>()));
+    t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
+    let mut tf = t.clone();
+    let mut tg = t.clone();
+    fused.run(&HashMap::new(), &mut tf).unwrap();
+    generic.run(&HashMap::new(), &mut tg).unwrap();
+    assert_eq!(tf["C"], tg["C"]);
+    // Three reduce iterations of 1.5 * B[k].
+    let expect: Vec<f32> = (0..8).map(|x| 4.5 * x as f32).collect();
+    assert_eq!(tf["C"].as_f32(), expect.as_slice());
+}
+
+/// Toggling fusion must recompile (counted) and never serve the other
+/// flag's kernel from the cache — the cache key includes the flag.
+#[test]
+fn fusion_flag_is_part_of_the_cache_key() {
+    let rt = Runtime::with_fusion(true);
+    let f = axpy_func(8);
+    let generic = rt.compile_with(&f, false).unwrap();
+    assert_eq!(rt.compilations(), 1);
+    let fused = rt.compile_with(&f, true).unwrap();
+    assert_eq!(rt.compilations(), 2, "fused recompilation must be counted");
+    assert!(!Arc::ptr_eq(&generic, &fused));
+    assert_eq!(generic.fused_ops(), 0);
+    assert_eq!(fused.fused_ops(), 1);
+    // Both flags now hit their own cache entries.
+    assert!(Arc::ptr_eq(&generic, &rt.compile_with(&f, false).unwrap()));
+    assert!(Arc::ptr_eq(&fused, &rt.compile_with(&f, true).unwrap()));
+    assert!(Arc::ptr_eq(&fused, &rt.compile(&f).unwrap()), "runtime default is fused");
+    assert_eq!(rt.compilations(), 2);
+    assert_eq!(rt.cached(), 2);
+}
+
+/// A lane loop whose source walks a non-unit stride must stay on the
+/// generic tree (contiguity requirement) yet still execute correctly.
+#[test]
+fn non_contiguous_source_is_not_fused() {
+    let k = Var::i32("k");
+    let b = Buffer::global_f32("B", vec![Expr::i32(16)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    let body = Stmt::for_serial(
+        k.clone(),
+        8,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&k)],
+            value: c.load(vec![Expr::var(&k)]) + b.load(vec![Expr::var(&k) * 2]) * 2.0f32,
+        },
+    );
+    let f = PrimFunc::new("strided", vec![], vec![b, c], body);
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
+    assert_eq!(fused.fused_ops(), 0, "stride-2 source must not fuse");
+    let mut t = HashMap::new();
+    t.insert("B".to_string(), TensorData::from((0..16).map(|x| x as f32).collect::<Vec<_>>()));
+    t.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
+    let mut t2 = t.clone();
+    fused.run(&HashMap::new(), &mut t).unwrap();
+    eval_func(&f, &HashMap::new(), &mut t2).unwrap();
+    assert_eq!(t["C"], t2["C"]);
+}
+
+/// Reading the written buffer anywhere in the loop (here: the scale
+/// factor) defeats invariance hoisting, so fusion must decline.
+#[test]
+fn aliased_coefficient_is_not_fused() {
+    let k = Var::i32("k");
+    let b = Buffer::global_f32("B", vec![Expr::i32(8)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    let body = Stmt::for_serial(
+        k.clone(),
+        8,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&k)],
+            value: c.load(vec![Expr::var(&k)])
+                + c.load(vec![Expr::i32(0)]) * b.load(vec![Expr::var(&k)]),
+        },
+    );
+    let f = PrimFunc::new("alias", vec![], vec![b, c], body);
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
+    assert_eq!(fused.fused_ops(), 0, "coefficient loads the written buffer");
+    let mut t = HashMap::new();
+    t.insert("B".to_string(), TensorData::from(vec![1.0f32; 8]));
+    t.insert("C".to_string(), TensorData::from(vec![2.0f32; 8]));
+    let mut t2 = t.clone();
+    fused.run(&HashMap::new(), &mut t).unwrap();
+    eval_func(&f, &HashMap::new(), &mut t2).unwrap();
+    assert_eq!(t["C"], t2["C"]);
+}
+
+/// Out-of-bounds lanes must fall back to the generic loop and report
+/// the interpreter's exact error.
+#[test]
+fn fused_bounds_violation_falls_back_with_identical_error() {
+    let k = Var::i32("k");
+    let n = Var::i32("n");
+    let b = Buffer::global_f32("B", vec![Expr::i32(8)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    // Extent is a scalar param: the kernel fuses (extent is dynamic),
+    // and binding n = 12 overruns both buffers at run time.
+    let body = Stmt::For {
+        var: k.clone(),
+        extent: Expr::var(&n),
+        kind: ForKind::Serial,
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&k)],
+            value: c.load(vec![Expr::var(&k)]) + Expr::f32(2.0) * b.load(vec![Expr::var(&k)]),
+        }),
+    };
+    let f = PrimFunc::new("oob", vec![n], vec![b, c], body);
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
+    assert_eq!(fused.fused_ops(), 1);
+    let mut tensors = HashMap::new();
+    tensors.insert("B".to_string(), TensorData::from(vec![1.0f32; 8]));
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
+    let scalars = scalar_map(&[("n", 12)]);
+    let mut t2 = tensors.clone();
+    let fast = fused.run(&scalars, &mut tensors).unwrap_err();
+    let generic = CompiledKernel::compile_with(&f, false).unwrap();
+    let slow = generic.run(&scalars, &mut t2).unwrap_err();
+    assert_eq!(fast, slow, "fallback must reproduce the generic error exactly");
+    let mut t3 = t2.clone();
+    let interp = eval_func(&f, &scalars, &mut t3).unwrap_err();
+    assert!(interp
+        .to_string()
+        .ends_with("index 8 out of bounds for dim of extent 8 in buffer `C`"));
+    // The in-bounds prefix written by the generic fallback matches.
+    assert_eq!(tensors["C"], t2["C"]);
+}
+
+#[test]
+fn frames_are_reused_across_runs() {
+    let i = Var::i32("i");
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    let body = Stmt::for_serial(
+        i.clone(),
+        8,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: vec![Expr::var(&i)],
+            value: Expr::var(&i).cast(DType::F32),
+        },
+    );
+    let f = PrimFunc::new("iota8", vec![], vec![c], body);
+    let k = CompiledKernel::compile(&f).unwrap();
+    let mut tensors = HashMap::new();
+    tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
+    for _ in 0..3 {
+        k.run(&HashMap::new(), &mut tensors).unwrap();
+    }
+    assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
+}

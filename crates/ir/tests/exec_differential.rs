@@ -1,9 +1,9 @@
-//! Differential property suite: every compiled executor — the generic
-//! tree walk, the dense-lane **fused** tree build, the flat **bytecode**
-//! stream, and bytecode with fused **superinstructions** — must produce
-//! **bit-identical** results to the reference interpreter on random
-//! lowered programs over F32 and I32 buffers, including thread-bound
-//! reduction loops and parallel-dispatched `blockIdx` loops.
+//! Differential property suite: both compiled executor builds — the flat
+//! **bytecode** stream on generic dispatch, and bytecode with fused
+//! **superinstructions** — must produce **bit-identical** results to the
+//! reference interpreter on random lowered programs over F32 and I32
+//! buffers, including thread-bound reduction loops and
+//! parallel-dispatched `blockIdx` loops.
 //!
 //! Programs are drawn in five families:
 //!
@@ -21,12 +21,12 @@
 //!   squarely at the fused `FillLanes`/`AxpyLanes`/`DotLanes`/
 //!   `GatherScaleAccumulate` microkernels and their fallback boundary.
 //!
-//! Every case runs five ways — interpreter, then the four backend×fusion
-//! executor builds (tree / tree+fused / bytecode / bytecode+super) — and
-//! each compiled kernel also runs twice (through the cache) to check
+//! Every case runs three ways — interpreter, bytecode, bytecode+super —
+//! and each compiled kernel also runs twice (through the cache) to check
 //! that frame reuse cannot leak state between invocations. Failure paths
-//! are differential too: runtime bounds/probe errors must carry the same
-//! message and leave the same written prefix on every executor.
+//! are differential too: runtime bounds/probe errors must carry the
+//! interpreter's message and leave the interpreter's written prefix on
+//! every executor.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -66,19 +66,14 @@ fn assert_bits_eq(name: &str, a: &TensorData, b: &TensorData) -> Result<(), Stri
     }
 }
 
-/// The four executor builds under differential test: every backend ×
-/// fusion combination, labeled for error reporting.
-const EXECUTORS: [(ExecBackend, bool, &str); 4] = [
-    (ExecBackend::Tree, false, "tree"),
-    (ExecBackend::Tree, true, "tree+fused"),
-    (ExecBackend::Bytecode, false, "bytecode"),
-    (ExecBackend::Bytecode, true, "bytecode+super"),
-];
+/// The two executor builds under differential test (fusion off / on),
+/// labeled for error reporting.
+const EXECUTORS: [(bool, &str); 2] = [(false, "bytecode"), (true, "bytecode+super")];
 
-/// Run the interpreter and all four backend×fusion executor builds on
-/// the same program and initial tensors; demand bit-identical tensor maps
-/// afterwards. Each compiled path runs twice (cache hit + pooled frame)
-/// to catch state leaking between invocations.
+/// Run the interpreter and both executor builds on the same program and
+/// initial tensors; demand bit-identical tensor maps afterwards. Each
+/// compiled path runs twice (cache hit + pooled frame) to catch state
+/// leaking between invocations.
 fn differential(
     f: &PrimFunc,
     scalars: &HashMap<String, i64>,
@@ -87,8 +82,8 @@ fn differential(
     let mut interp = tensors.clone();
     eval_func(f, scalars, &mut interp).map_err(|e| format!("interpreter failed: {e}"))?;
 
-    for (backend, fuse, label) in EXECUTORS {
-        let rt = Runtime::with_options(fuse, backend);
+    for (fuse, label) in EXECUTORS {
+        let rt = Runtime::with_fusion(fuse);
         let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
         let mut compiled = tensors.clone();
         kernel.run(scalars, &mut compiled).map_err(|e| format!("{label} executor failed: {e}"))?;
@@ -108,38 +103,42 @@ fn differential(
     Ok(())
 }
 
-/// Failure-path differential: the program must fail on every executor
-/// build with the **same error message**, and every executor must leave
-/// the **same written prefix** in the tensors (the in-bounds work done
-/// before the error). Returns that shared error message.
+/// Failure-path differential: the program must fail on the interpreter
+/// and on every executor build with the **same error message** (modulo
+/// the `interpreter error:` / `executor error:` prefix), and every
+/// executor must leave the interpreter's **written prefix** in the
+/// tensors (the in-bounds work done before the error). Returns the
+/// executors' shared error message.
 fn differential_failure(
     f: &PrimFunc,
     scalars: &HashMap<String, i64>,
     tensors: &HashMap<String, TensorData>,
 ) -> Result<String, String> {
-    let mut first: Option<(String, HashMap<String, TensorData>)> = None;
-    for (backend, fuse, label) in EXECUTORS {
-        let rt = Runtime::with_options(fuse, backend);
+    let mut prefix = tensors.clone();
+    let want = match eval_func(f, scalars, &mut prefix) {
+        Err(e) => e.to_string(),
+        Ok(()) => return Err("[interpreter] expected a runtime error, got success".into()),
+    };
+    let want = want.strip_prefix("interpreter error: ").unwrap_or(&want);
+    let mut shared = String::new();
+    for (fuse, label) in EXECUTORS {
+        let rt = Runtime::with_fusion(fuse);
         let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
         let mut after = tensors.clone();
         let err = match kernel.run(scalars, &mut after) {
             Err(e) => e.to_string(),
             Ok(()) => return Err(format!("[{label}] expected a runtime error, got success")),
         };
-        match &first {
-            None => first = Some((err, after)),
-            Some((msg, prefix)) => {
-                if *msg != err {
-                    return Err(format!("[{label}] error `{err}` differs from `{msg}`"));
-                }
-                for (name, data) in prefix {
-                    assert_bits_eq(name, data, &after[name])
-                        .map_err(|e| format!("[{label}] written prefix diverged: {e}"))?;
-                }
-            }
+        if err.strip_prefix("executor error: ") != Some(want) {
+            return Err(format!("[{label}] error `{err}` differs from interpreter's `{want}`"));
         }
+        for (name, data) in &prefix {
+            assert_bits_eq(name, data, &after[name])
+                .map_err(|e| format!("[{label}] written prefix diverged: {e}"))?;
+        }
+        shared = err;
     }
-    Ok(first.expect("EXECUTORS is non-empty").0)
+    Ok(shared)
 }
 
 // ---------------------------------------------------------------------------
@@ -771,7 +770,7 @@ fn out_of_bounds_store_fails_identically_on_every_executor() {
         }),
     };
     let f = PrimFunc::new("oob_store", vec![n], vec![b, c], body);
-    let fused = CompiledKernel::compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
     assert_eq!(fused.fused_ops(), 1, "dynamic-extent axpy fuses to a superinstruction");
     let mut tensors = HashMap::new();
     tensors.insert("B".to_string(), TensorData::F32(vec![1.0; 8]));
@@ -779,10 +778,6 @@ fn out_of_bounds_store_fails_identically_on_every_executor() {
     let scalars = scalar_map(&[("n", 12)]);
     let msg = differential_failure(&f, &scalars, &tensors).unwrap();
     assert_eq!(msg, "executor error: index 8 out of bounds for dim of extent 8 in buffer `C`");
-    let mut interp = tensors.clone();
-    let ierr = eval_func(&f, &scalars, &mut interp).unwrap_err();
-    let bare = msg.strip_prefix("executor error: ").unwrap();
-    assert!(ierr.to_string().ends_with(bare), "interpreter error `{ierr}` must end with `{bare}`");
 }
 
 /// An out-of-bounds *load* (probe failure) part-way through a serial

@@ -10,9 +10,7 @@
 //!   as `<name>.disasm.actual` (CI uploads these as artifacts).
 //!
 //! The kernels are built from a hand-constructed deterministic matrix —
-//! no RNG — so the listings are stable across runs and platforms. Every
-//! kernel is also compiled for both executor backends to pin down that
-//! disassembly is backend-independent (tree kernels lower on demand).
+//! no RNG — so the listings are stable across runs and platforms.
 
 use sparsetir_ir::prelude::*;
 use sparsetir_kernels::prelude::*;
@@ -33,13 +31,9 @@ fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(format!("{name}.disasm"))
 }
 
-/// Compile `func` for both backends, check their listings agree, then
-/// compare (or bless) the golden file.
+/// Compile `func` with fusion on and compare (or bless) the golden file.
 fn check_golden(name: &str, func: &PrimFunc) {
-    let code = CompiledKernel::compile_opts(func, true, ExecBackend::Bytecode).expect("compiles");
-    let tree = CompiledKernel::compile_opts(func, true, ExecBackend::Tree).expect("compiles");
-    let listing = code.disassemble();
-    assert_eq!(listing, tree.disassemble(), "{name}: disassembly must be backend-independent");
+    let listing = CompiledKernel::compile_with(func, true).expect("compiles").disassemble();
 
     let path = golden_path(name);
     if std::env::var_os("SPARSETIR_BLESS").is_some() {
@@ -69,7 +63,7 @@ fn check_golden(name: &str, func: &PrimFunc) {
 fn csr_spmm_disassembly_is_stable() {
     let a = fixture_csr();
     let f = csr_spmm_ir(&a, 4).expect("builds");
-    let k = CompiledKernel::compile_opts(&f, true, ExecBackend::Bytecode).unwrap();
+    let k = CompiledKernel::compile_with(&f, true).unwrap();
     assert!(k.fused_ops() > 0, "CSR SpMM inner loop fuses to a superinstruction");
     check_golden("csr_spmm", &f);
 }

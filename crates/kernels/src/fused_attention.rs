@@ -152,7 +152,7 @@ pub fn fused_attention_launch(
     bind_zeros(&mut bindings, "Sum", a.rows() * heads);
     bind_zeros(&mut bindings, "Out", a.rows() * heads * vfeat);
     rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-    Ok(read_dense(&bindings, "Out", a.rows(), heads * vfeat))
+    Ok(take_dense(&mut bindings, "Out", a.rows(), heads * vfeat))
 }
 
 /// Run the same stacked multi-head attention as the sequential
@@ -205,7 +205,7 @@ pub fn attention_pipeline_launch(
     b3.insert("Sum".to_string(), TensorData::from(sum));
     bind_zeros(&mut b3, "Out", a.rows() * heads * vfeat);
     rt.compile(&agg)?.run(&HashMap::new(), &mut b3)?;
-    Ok(read_dense(&b3, "Out", a.rows(), heads * vfeat))
+    Ok(take_dense(&mut b3, "Out", a.rows(), heads * vfeat))
 }
 
 /// Serve stacked multi-head attention through `rt`, routing on the

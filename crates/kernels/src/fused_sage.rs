@@ -86,7 +86,7 @@ pub fn fused_sage_launch(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelR
     bind_zeros(&mut bindings, "Agg", a.rows() * feat);
     bind_zeros(&mut bindings, "H1", a.rows() * hidden);
     rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-    Ok(read_dense(&bindings, "H1", a.rows(), hidden))
+    Ok(take_dense(&mut bindings, "H1", a.rows(), hidden))
 }
 
 /// Run the same layer step as the two-launch pipeline (gather kernel,
@@ -113,7 +113,7 @@ pub fn fused_sage_pipeline_launch(
     bind_dense(&mut b1, "X", x);
     bind_zeros(&mut b1, "Agg", a.rows() * feat);
     rt.compile(&gather)?.run(&HashMap::new(), &mut b1)?;
-    let agg = b1["Agg"].as_f32().to_vec();
+    let agg = take_values(&mut b1, "Agg");
 
     let matmul = lower(&sage_matmul_program(a.rows(), feat, hidden))?;
     let mut b2 = Bindings::new();
@@ -122,7 +122,7 @@ pub fn fused_sage_pipeline_launch(
     bind_dense(&mut b2, "W", w);
     bind_zeros(&mut b2, "H1", a.rows() * hidden);
     rt.compile(&matmul)?.run(&HashMap::new(), &mut b2)?;
-    Ok(read_dense(&b2, "H1", a.rows(), hidden))
+    Ok(take_dense(&mut b2, "H1", a.rows(), hidden))
 }
 
 /// Serve the fused SAGE layer step through `rt`, routing on the

@@ -50,9 +50,9 @@ pub mod prelude {
     };
     pub use crate::fusedmm::{fusedmm_execute, fusedmm_plan, fusedmm_reference, unfused_plans};
     pub use crate::op::{
-        copy_batch_default, AttentionOp, AttentionOpConfig, AttnHead, FusedAttentionConfig,
-        FusedAttentionOp, FusedSageConfig, FusedSageOp, OpConfig, OpError, RgmsOp, RgmsOperands,
-        SddmmOp, SddmmStacked, SparseOp, SpmmOp,
+        AttentionOp, AttentionOpConfig, AttnHead, FusedAttentionConfig, FusedAttentionOp,
+        FusedSageConfig, FusedSageOp, OpConfig, OpError, RgmsOp, RgmsOperands, SddmmOp, SparseOp,
+        SpmmOp,
     };
     pub use crate::prune::{
         bsr_weight_spmm_plan, dbsr_weight_spmm_plan, srbcrs_weight_spmm_plan,
@@ -76,5 +76,5 @@ pub mod prelude {
         spmm_batched_execute_on, spmm_execute_views_on, tuned_spmm_execute, tuned_spmm_execute_on,
         tuned_spmm_plans, tuned_spmm_time, CsrSpmmParams, PreparedSpmm, SpmmConfig,
     };
-    pub use sparsetir_core::prelude::{bytes_copied_on_thread, count_bytes_copied};
+    pub use sparsetir_core::prelude::bytes_copied_on_thread;
 }

@@ -15,11 +15,8 @@
 //!   requests sharing an adjacency fingerprint into one widened kernel
 //!   launch **without copying operands**: the kernel binds each rider's
 //!   storage directly through segmented views and writes each result
-//!   into its rider's own output buffer. The older copying contract
-//!   ([`stack`](SparseOp::stack) /
-//!   [`launch_stacked`](SparseOp::launch_stacked) /
-//!   [`split`](SparseOp::split)) stays compiled behind the
-//!   `SPARSETIR_COPY_BATCH` kill switch as the bit-identity oracle;
+//!   into its rider's own output buffer. Sequential per-request
+//!   execution is the bit-identity oracle;
 //! * a **reference hook** ([`reference`](SparseOp::reference)) for
 //!   differential testing of every execution path against the smat
 //!   oracles.
@@ -42,26 +39,23 @@
 //!   (program build, lowering, IR fingerprinting, dispatch) and the
 //!   shared coordinate walk across the batch.
 //!
-//! Both strategies execute **zero-copy** by default: instead of
-//! memcpy'ing riders into one stacked operand and slicing the wide
-//! result back, the kernel's buffer slots bind to ordered segment lists
-//! over the riders' own storage (`ColsView`/`RowsView` from
-//! `sparsetir-ir`), and outputs land directly in per-rider buffers.
-//! Dense rider bytes memcpy'd by the batching layer are tallied on the
-//! `bytes_copied` thread counter (`sparsetir-core`), which the view
-//! paths leave at zero.
+//! Both strategies execute **zero-copy**: instead of memcpy'ing riders
+//! into one stacked operand and slicing the wide result back, the
+//! kernel's buffer slots bind to ordered segment lists over the riders'
+//! own storage (`ColsView`/`RowsView` from `sparsetir-ir`), and outputs
+//! land directly in per-rider buffers. The `bytes_copied` thread counter
+//! (`sparsetir-core`) tallies any dense bytes a launch path memcpys; the
+//! view paths leave it at zero.
 
 use crate::attention::{batched_bsr_spmm_plan, batched_csr_spmm_plan, SPARSETIR_BSR_EFFICIENCY};
 use crate::common::{gemm_plan, F32};
 use crate::fused_attention::{
-    fused_attention_execute_on, fused_attention_plans, fused_attention_reference,
-    fused_attention_views_on,
+    fused_attention_plans, fused_attention_reference, fused_attention_views_on,
 };
 use crate::fused_sage::{fused_sage_execute_on, fused_sage_reference};
 use crate::rgms::{rgms_hyb_plan, rgms_naive_plan, RgmsWorkload};
 use crate::sddmm::{sddmm_execute_views_on, sddmm_plan, SddmmParams};
-use crate::spmm::{spmm_execute_views_on, tuned_spmm_execute_on, tuned_spmm_plans, SpmmConfig};
-use sparsetir_core::data::{bind_csr, bind_dense, bind_zeros, count_bytes_copied, Bindings};
+use crate::spmm::{spmm_execute_views_on, tuned_spmm_plans, SpmmConfig};
 use sparsetir_gpusim::prelude::KernelPlan;
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
@@ -86,11 +80,6 @@ pub trait SparseOp {
     type Output: Send + 'static;
     /// Tunable configuration (format decomposition + schedule knobs).
     type Config: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static;
-    /// A batch of requests folded into one widened launch (the copying
-    /// `SPARSETIR_COPY_BATCH` oracle path).
-    type Stacked: Send;
-    /// The raw result of a widened launch, before [`split`](SparseOp::split).
-    type Wide: Send;
     /// Per-rider output buffers of a zero-copy view launch, allocated by
     /// [`assemble`](SparseOp::assemble) and written in place by
     /// [`launch`](SparseOp::launch).
@@ -140,8 +129,7 @@ pub trait SparseOp {
     /// [`outputs`](SparseOp::outputs) hands back per request.
     ///
     /// # Errors
-    /// Reports batch-shape violations (the same conditions
-    /// [`stack`](SparseOp::stack) rejects).
+    /// Reports batch-shape violations.
     fn assemble(adj: &Self::Adj, reqs: &[Self::Operands]) -> Result<Self::Assembled, OpError>;
 
     /// Run one widened launch through `rt`'s kernel cache with every
@@ -163,31 +151,6 @@ pub trait SparseOp {
     /// `reqs` carries the per-request grouping (head counts) that the
     /// flat assembly does not.
     fn outputs(asm: Self::Assembled, reqs: &[Self::Operands]) -> Vec<Self::Output>;
-
-    /// Fold a batch (length ≥ 2, pairwise [`can_batch`](SparseOp::can_batch))
-    /// into one widened launch operand — the copying
-    /// `SPARSETIR_COPY_BATCH` oracle path; every rider byte it moves is
-    /// tallied on the `bytes_copied` thread counter.
-    ///
-    /// # Errors
-    /// Propagates operand-assembly failures.
-    fn stack(adj: &Self::Adj, reqs: &[Self::Operands]) -> Result<Self::Stacked, OpError>;
-
-    /// Run one widened launch over stacked (copied) operands through
-    /// `rt`'s kernel cache — the copying oracle counterpart of
-    /// [`launch`](SparseOp::launch).
-    ///
-    /// # Errors
-    /// Propagates lowering/compilation/execution errors.
-    fn launch_stacked(
-        rt: &Runtime,
-        adj: &Self::Adj,
-        stacked: &Self::Stacked,
-        config: &Self::Config,
-    ) -> Result<Self::Wide, OpError>;
-
-    /// Split a widened result back per request, preserving order.
-    fn split(wide: Self::Wide, reqs: &[Self::Operands]) -> Vec<Self::Output>;
 
     /// Run a single request without the stacking round-trip (the batch-of-
     /// one fast path — no operand copies).
@@ -211,11 +174,8 @@ pub trait SparseOp {
     /// Execute a batch of requests as one widened kernel launch (the
     /// serving engine's primitive): validate →
     /// [`assemble`](SparseOp::assemble) → [`launch`](SparseOp::launch) →
-    /// [`outputs`](SparseOp::outputs), with a copy-free fast path for
-    /// batches of one. Results are bit-identical to executing each
-    /// request alone. Batching mode follows [`copy_batch_default`]: the
-    /// `SPARSETIR_COPY_BATCH` environment variable reroutes through the
-    /// copying stack/split oracle.
+    /// [`outputs`](SparseOp::outputs), with a fast path for batches of
+    /// one. Results are bit-identical to executing each request alone.
     ///
     /// # Errors
     /// Reports the index of the first invalid request or the first
@@ -226,25 +186,6 @@ pub trait SparseOp {
         adj: &Self::Adj,
         reqs: &[Self::Operands],
         config: &Self::Config,
-    ) -> Result<Vec<Self::Output>, OpError> {
-        Self::execute_batch_mode_on(rt, adj, reqs, config, copy_batch_default())
-    }
-
-    /// [`execute_batch_on`](SparseOp::execute_batch_on) with the batching
-    /// mode chosen by the caller instead of the environment: `copy =
-    /// false` runs the zero-copy view path, `copy = true` the copying
-    /// stack/split oracle. Both produce bit-identical results; the
-    /// serving engine threads its own `copy_batch` configuration through
-    /// here so differential tests stay free of environment races.
-    ///
-    /// # Errors
-    /// Like [`execute_batch_on`](SparseOp::execute_batch_on).
-    fn execute_batch_mode_on(
-        rt: &Runtime,
-        adj: &Self::Adj,
-        reqs: &[Self::Operands],
-        config: &Self::Config,
-        copy: bool,
     ) -> Result<Vec<Self::Output>, OpError> {
         for (i, req) in reqs.iter().enumerate() {
             Self::validate(adj, req)
@@ -261,11 +202,6 @@ pub trait SparseOp {
         match reqs {
             [] => Ok(Vec::new()),
             [one] => Ok(vec![Self::launch_one(rt, adj, one, config)?]),
-            many if copy => {
-                let stacked = Self::stack(adj, many)?;
-                let wide = Self::launch_stacked(rt, adj, &stacked, config)?;
-                Ok(Self::split(wide, many))
-            }
             many => {
                 let mut asm = Self::assemble(adj, many)?;
                 Self::launch(rt, adj, many, &mut asm, config)?;
@@ -339,78 +275,6 @@ op_config_conversions!(Rgms, u32);
 op_config_conversions!(FusedAttention, FusedAttentionConfig);
 op_config_conversions!(FusedSage, FusedSageConfig);
 
-/// Batching-mode default for [`SparseOp::execute_batch_on`] and new
-/// serving engines: zero-copy view batching, unless the
-/// `SPARSETIR_COPY_BATCH` environment variable is set — the kill switch
-/// that keeps the copying stack/split path live as the bit-identity
-/// oracle.
-#[must_use]
-pub fn copy_batch_default() -> bool {
-    std::env::var_os("SPARSETIR_COPY_BATCH").is_some()
-}
-
-// ---------------------------------------------------------------------------
-// Column stacking (the copying oracle, shared by SpMM and attention)
-// ---------------------------------------------------------------------------
-
-/// Concatenate dense operands column-wise into one `(rows × Σ wᵢ)`
-/// operand; request `i` owns columns `[offsetᵢ, offsetᵢ + wᵢ)`.
-fn stack_columns<'a>(rows: usize, xs: impl Iterator<Item = &'a Dense>) -> Dense {
-    let xs: Vec<&Dense> = xs.collect();
-    let total: usize = xs.iter().map(|x| x.cols()).sum();
-    count_bytes_copied((rows * total) as u64 * 4);
-    let mut stacked = Dense::zeros(rows, total);
-    let mut offset = 0;
-    for x in xs {
-        let w = x.cols();
-        if w > 0 {
-            for r in 0..rows {
-                stacked.row_mut(r)[offset..offset + w].copy_from_slice(x.row(r));
-            }
-            offset += w;
-        }
-    }
-    stacked
-}
-
-/// Slice a wide output back into per-width results (the mirror of
-/// [`stack_columns`]).
-fn split_columns(wide: &Dense, widths: &[usize]) -> Vec<Dense> {
-    count_bytes_copied((wide.rows() * widths.iter().sum::<usize>()) as u64 * 4);
-    let mut results = Vec::with_capacity(widths.len());
-    let mut offset = 0;
-    for &w in widths {
-        let mut res = Dense::zeros(wide.rows(), w);
-        if w > 0 {
-            for r in 0..wide.rows() {
-                res.row_mut(r).copy_from_slice(&wide.row(r)[offset..offset + w]);
-            }
-            offset += w;
-        }
-        results.push(res);
-    }
-    results
-}
-
-/// Run one column-stacked SpMM launch: widen the schedule's vector split
-/// to span the whole stacked width — otherwise the feature loop re-chunks
-/// into `vec_width·8`-lane pieces and the per-non-zero overhead is paid
-/// once per chunk, exactly the cost batching exists to amortize. An
-/// all-zero-width stack skips the kernel entirely.
-fn launch_stacked_spmm(
-    rt: &Runtime,
-    a: &Csr,
-    stacked: &Dense,
-    config: &SpmmConfig,
-) -> Result<Dense, OpError> {
-    if stacked.cols() == 0 {
-        return Ok(Dense::zeros(a.rows(), 0));
-    }
-    let mut wide = *config;
-    wide.params.vec_width = wide.params.vec_width.max(stacked.cols().div_ceil(8));
-    tuned_spmm_execute_on(rt, a, stacked, &wide)
-}
-
 // ---------------------------------------------------------------------------
 // SpMM
 // ---------------------------------------------------------------------------
@@ -425,8 +289,6 @@ impl SparseOp for SpmmOp {
     type Operands = Dense;
     type Output = Dense;
     type Config = SpmmConfig;
-    type Stacked = Dense;
-    type Wide = Dense;
     type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
@@ -485,24 +347,6 @@ impl SparseOp for SpmmOp {
         asm
     }
 
-    fn stack(adj: &Csr, reqs: &[Dense]) -> Result<Dense, OpError> {
-        Ok(stack_columns(adj.cols(), reqs.iter()))
-    }
-
-    fn launch_stacked(
-        rt: &Runtime,
-        adj: &Csr,
-        stacked: &Dense,
-        config: &SpmmConfig,
-    ) -> Result<Dense, OpError> {
-        launch_stacked_spmm(rt, adj, stacked, config)
-    }
-
-    fn split(wide: Dense, reqs: &[Dense]) -> Vec<Dense> {
-        let widths: Vec<usize> = reqs.iter().map(Dense::cols).collect();
-        split_columns(&wide, &widths)
-    }
-
     fn launch_one(
         rt: &Runtime,
         adj: &Csr,
@@ -530,18 +374,6 @@ impl SparseOp for SpmmOp {
 // SDDMM
 // ---------------------------------------------------------------------------
 
-/// The widened (multi-head) form of an SDDMM batch — operands of the
-/// [`crate::sddmm::batched_sddmm_ir`] kernel.
-pub struct SddmmStacked {
-    /// Column-stacked `X` operands (`rows × heads·k`; head `h` owns
-    /// columns `[h·k, (h+1)·k)`).
-    pub x: Dense,
-    /// Row-stacked `Y` operands (`heads·k × cols`).
-    pub y: Dense,
-    /// Number of folded requests.
-    pub heads: usize,
-}
-
 /// SDDMM (`A ⊙ (X · Y)` sampled at the non-zeros) as a [`SparseOp`]:
 /// requests batch when their inner (reduction) widths agree, folding
 /// into one widened launch whose head axis sits *inside* the fused
@@ -558,8 +390,6 @@ impl SparseOp for SddmmOp {
     type Operands = (Dense, Dense);
     type Output = Vec<f32>;
     type Config = SddmmParams;
-    type Stacked = SddmmStacked;
-    type Wide = Vec<f32>;
     type Assembled = Vec<Vec<f32>>;
 
     fn kind() -> &'static str {
@@ -624,56 +454,6 @@ impl SparseOp for SddmmOp {
         asm
     }
 
-    fn stack(adj: &Csr, reqs: &[(Dense, Dense)]) -> Result<SddmmStacked, OpError> {
-        let heads = reqs.len();
-        let k = reqs[0].0.cols();
-        // X column-stacked: head h owns columns [h·k, (h+1)·k).
-        let x = stack_columns(adj.rows(), reqs.iter().map(|(xh, _)| xh));
-        // Y row-stacked: head h owns rows [h·k, (h+1)·k).
-        let mut y = Dense::zeros(heads * k, adj.cols());
-        for (h, (_, yh)) in reqs.iter().enumerate() {
-            for r in 0..k {
-                y.row_mut(h * k + r).copy_from_slice(yh.row(r));
-            }
-        }
-        count_bytes_copied(y.data().len() as u64 * 4);
-        Ok(SddmmStacked { x, y, heads })
-    }
-
-    fn launch_stacked(
-        rt: &Runtime,
-        adj: &Csr,
-        stacked: &SddmmStacked,
-        _config: &SddmmParams,
-    ) -> Result<Vec<f32>, OpError> {
-        use crate::sddmm::batched_sddmm_ir;
-        use std::collections::HashMap;
-        let heads = stacked.heads;
-        let feat = stacked.x.cols() / heads.max(1);
-        let f = batched_sddmm_ir(adj, heads, feat)?;
-        let mut bindings = Bindings::new();
-        bind_csr(&mut bindings, "A", "J", adj);
-        bind_dense(&mut bindings, "X", &stacked.x);
-        bind_dense(&mut bindings, "Y", &stacked.y);
-        bind_zeros(&mut bindings, "Bout", adj.nnz() * heads);
-        rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-        let wide = bindings["Bout"].as_f32().to_vec();
-        count_bytes_copied(wide.len() as u64 * 4);
-        Ok(wide)
-    }
-
-    fn split(wide: Vec<f32>, reqs: &[(Dense, Dense)]) -> Vec<Vec<f32>> {
-        // The widened output interleaves heads per non-zero:
-        // `wide[e·heads + h]`.
-        let heads = reqs.len();
-        if heads == 0 {
-            return Vec::new();
-        }
-        count_bytes_copied(wide.len() as u64 * 4);
-        let nnz = wide.len() / heads;
-        (0..heads).map(|h| (0..nnz).map(|e| wide[e * heads + h]).collect()).collect()
-    }
-
     fn launch_one(
         rt: &Runtime,
         adj: &Csr,
@@ -728,8 +508,6 @@ impl SparseOp for AttentionOp {
     type Operands = Vec<Dense>;
     type Output = Vec<Dense>;
     type Config = AttentionOpConfig;
-    type Stacked = Dense;
-    type Wide = Dense;
     type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
@@ -802,25 +580,6 @@ impl SparseOp for AttentionOp {
         reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
     }
 
-    fn stack(adj: &Csr, reqs: &[Vec<Dense>]) -> Result<Dense, OpError> {
-        Ok(stack_columns(adj.cols(), reqs.iter().flatten()))
-    }
-
-    fn launch_stacked(
-        rt: &Runtime,
-        adj: &Csr,
-        stacked: &Dense,
-        config: &AttentionOpConfig,
-    ) -> Result<Dense, OpError> {
-        launch_stacked_spmm(rt, adj, stacked, &config.spmm)
-    }
-
-    fn split(wide: Dense, reqs: &[Vec<Dense>]) -> Vec<Vec<Dense>> {
-        let widths: Vec<usize> = reqs.iter().flatten().map(Dense::cols).collect();
-        let mut heads = split_columns(&wide, &widths).into_iter();
-        reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
-    }
-
     fn launch_one(
         rt: &Runtime,
         adj: &Csr,
@@ -868,8 +627,6 @@ impl SparseOp for RgmsOp {
     type Operands = RgmsOperands;
     type Output = Dense;
     type Config = u32;
-    type Stacked = ();
-    type Wide = Dense;
     type Assembled = ();
 
     fn kind() -> &'static str {
@@ -942,23 +699,6 @@ impl SparseOp for RgmsOp {
         Vec::new()
     }
 
-    fn stack(_adj: &RgmsWorkload, _reqs: &[RgmsOperands]) -> Result<(), OpError> {
-        Err("rgms requests do not batch".into())
-    }
-
-    fn launch_stacked(
-        _rt: &Runtime,
-        _adj: &RgmsWorkload,
-        _stacked: &(),
-        _config: &u32,
-    ) -> Result<Dense, OpError> {
-        Err("rgms requests do not batch".into())
-    }
-
-    fn split(wide: Dense, _reqs: &[RgmsOperands]) -> Vec<Dense> {
-        vec![wide]
-    }
-
     fn launch_one(
         _rt: &Runtime,
         adj: &RgmsWorkload,
@@ -987,20 +727,6 @@ pub struct AttnHead {
     pub kt: Dense,
     /// Values (`cols × vfeat`).
     pub v: Dense,
-}
-
-/// The widened form of a fused-attention batch: every head of every
-/// request stacked into the batched-SDDMM operand layout
-/// ([`crate::fused_attention`] module docs).
-pub struct FusedAttnStacked {
-    /// Column-stacked queries (`rows × heads·k`).
-    pub q: Dense,
-    /// Row-stacked transposed keys (`heads·k × cols`).
-    pub kt: Dense,
-    /// Column-stacked values (`cols × heads·vfeat`).
-    pub v: Dense,
-    /// Total folded heads.
-    pub heads: usize,
 }
 
 /// Configuration of the fused attention operator: the score phase's
@@ -1045,8 +771,6 @@ impl SparseOp for FusedAttentionOp {
     type Operands = Vec<AttnHead>;
     type Output = Vec<Dense>;
     type Config = FusedAttentionConfig;
-    type Stacked = FusedAttnStacked;
-    type Wide = Dense;
     type Assembled = Vec<Dense>;
 
     fn kind() -> &'static str {
@@ -1151,43 +875,6 @@ impl SparseOp for FusedAttentionOp {
         reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
     }
 
-    fn stack(adj: &Csr, reqs: &[Vec<AttnHead>]) -> Result<FusedAttnStacked, OpError> {
-        let heads: Vec<&AttnHead> = reqs.iter().flatten().collect();
-        let shapes: Vec<(usize, usize)> = heads.iter().map(|h| (h.q.cols(), h.v.cols())).collect();
-        if shapes.windows(2).any(|w| w[0] != w[1]) {
-            return Err("fused attention: mixed (k, vfeat) shapes in one stacked launch".into());
-        }
-        let k = shapes.first().map_or(0, |s| s.0);
-        let q = stack_columns(adj.rows(), heads.iter().map(|h| &h.q));
-        let v = stack_columns(adj.cols(), heads.iter().map(|h| &h.v));
-        let mut kt = Dense::zeros(heads.len() * k, adj.cols());
-        for (h, head) in heads.iter().enumerate() {
-            for r in 0..k {
-                kt.row_mut(h * k + r).copy_from_slice(head.kt.row(r));
-            }
-        }
-        count_bytes_copied(kt.data().len() as u64 * 4);
-        Ok(FusedAttnStacked { q, kt, v, heads: heads.len() })
-    }
-
-    fn launch_stacked(
-        rt: &Runtime,
-        adj: &Csr,
-        stacked: &FusedAttnStacked,
-        _config: &FusedAttentionConfig,
-    ) -> Result<Dense, OpError> {
-        if stacked.heads == 0 {
-            return Ok(Dense::zeros(adj.rows(), 0));
-        }
-        fused_attention_execute_on(rt, adj, &stacked.q, &stacked.kt, &stacked.v, stacked.heads)
-    }
-
-    fn split(wide: Dense, reqs: &[Vec<AttnHead>]) -> Vec<Vec<Dense>> {
-        let widths: Vec<usize> = reqs.iter().flatten().map(|h| h.v.cols()).collect();
-        let mut heads = split_columns(&wide, &widths).into_iter();
-        reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
-    }
-
     fn launch_one(
         rt: &Runtime,
         adj: &Csr,
@@ -1241,8 +928,6 @@ impl SparseOp for FusedSageOp {
     type Operands = (Dense, Dense);
     type Output = Dense;
     type Config = FusedSageConfig;
-    type Stacked = ();
-    type Wide = Dense;
     type Assembled = ();
 
     fn kind() -> &'static str {
@@ -1305,23 +990,6 @@ impl SparseOp for FusedSageOp {
 
     fn outputs(_asm: (), _reqs: &[(Dense, Dense)]) -> Vec<Dense> {
         Vec::new()
-    }
-
-    fn stack(_adj: &Csr, _reqs: &[(Dense, Dense)]) -> Result<(), OpError> {
-        Err("fused sage requests do not batch".into())
-    }
-
-    fn launch_stacked(
-        _rt: &Runtime,
-        _adj: &Csr,
-        _stacked: &(),
-        _config: &FusedSageConfig,
-    ) -> Result<Dense, OpError> {
-        Err("fused sage requests do not batch".into())
-    }
-
-    fn split(wide: Dense, _reqs: &[(Dense, Dense)]) -> Vec<Dense> {
-        vec![wide]
     }
 
     fn launch_one(

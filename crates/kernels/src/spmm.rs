@@ -337,14 +337,14 @@ pub fn prepare_spmm(
 }
 
 /// Execute one SpMM launch with `B` and `C` bound as column-segmented
-/// views over per-request operands and outputs — the zero-copy
-/// counterpart of the stack/split batching path. Request `i` contributes
+/// views over per-request operands and outputs — the zero-copy batching
+/// primitive. Request `i` contributes
 /// `xs[i].cols()` columns to the stacked width and the kernel writes its
 /// result columns directly into `outs[i]` (which must be
 /// `a.rows() × xs[i].cols()`, zero-filled). Zero-width requests are
 /// skipped; an all-zero-width batch skips the launch. Results are
-/// bit-identical to the copying path: view binding changes only address
-/// resolution, never per-column reduction order.
+/// bit-identical to running each request alone: view binding changes
+/// only address resolution, never per-column reduction order.
 ///
 /// # Errors
 /// Propagates lowering, view-validation and execution errors.
@@ -359,8 +359,10 @@ pub fn spmm_execute_views_on(
     if feat == 0 {
         return Ok(());
     }
-    // Same widening rule as the stacked copy path, so both arms compile
-    // the same schedule (and the same cached kernel) at width `feat`.
+    // Widen the schedule's vector split to span the whole stacked width —
+    // otherwise the feature loop re-chunks into `vec_width·8`-lane pieces
+    // and the per-non-zero overhead is paid once per chunk, exactly the
+    // cost batching exists to amortize.
     let mut wide = *config;
     wide.params.vec_width = config.params.vec_width.max(feat.div_ceil(8));
     let (func, mut structure) = prepare_spmm_structure(a, feat, &wide)?;
@@ -470,7 +472,7 @@ pub fn csr_spmm_execute(a: &Csr, x: &Dense) -> Result<Dense, Box<dyn std::error:
     bind_dense(&mut bindings, "B", x);
     bind_zeros(&mut bindings, "C", a.rows() * x.cols());
     exec_func(&f, &HashMap::new(), &mut bindings)?;
-    Ok(read_dense(&bindings, "C", a.rows(), x.cols()))
+    Ok(take_dense(&mut bindings, "C", a.rows(), x.cols()))
 }
 
 /// Like [`csr_spmm_execute`] but through the reference interpreter —
@@ -485,7 +487,7 @@ pub fn csr_spmm_interpret(a: &Csr, x: &Dense) -> Result<Dense, Box<dyn std::erro
     bind_dense(&mut bindings, "B", x);
     bind_zeros(&mut bindings, "C", a.rows() * x.cols());
     eval_func(&f, &HashMap::new(), &mut bindings)?;
-    Ok(read_dense(&bindings, "C", a.rows(), x.cols()))
+    Ok(take_dense(&mut bindings, "C", a.rows(), x.cols()))
 }
 
 #[cfg(test)]

@@ -2,10 +2,8 @@
 # Intentionally refresh the committed perf-gate baseline.
 #
 # Re-runs exactly what the CI perf-gate job runs — the perf suite
-# (executor + vectorization benches, the tree-vs-bytecode flat-executor
-# duel, the batched-serving throughput sweep for SpMM and SDDMM,
-# the zero-copy serving sweep of view batching vs copy batching,
-# the fused-attention serving sweep of the cross-op fused kernel vs the
+# (executor + vectorization benches, the batched-serving throughput
+# sweep for SpMM and SDDMM, the fused-attention serving sweep of the cross-op fused kernel vs the
 # three-launch pipeline, the serving_slo deadline-hit-rate sweep of
 # the SLO machinery vs the FIFO baseline, and the dynamic_graphs
 # incremental-vs-rebuild update-stream sweep) in smoke mode
