@@ -226,7 +226,9 @@ pub fn tune_attention_block(
 pub fn functional_check_spmm(a: &Csr, feat: usize) -> bool {
     let mut rng = gen::rng(0xB0B);
     let x = gen::random_dense(a.cols(), feat, &mut rng);
-    match (csr_spmm_execute(a, &x), a.spmm(&x)) {
+    let config = SpmmOp::default_config();
+    let rt = sparsetir_ir::exec::Runtime::global();
+    match (SpmmOp::execute_on(rt, a, &x, &config), a.spmm(&x)) {
         (Ok(got), Ok(want)) => got.approx_eq(&want, 1e-3),
         _ => false,
     }

@@ -1374,17 +1374,19 @@ pub mod fused_attention {
                 served[0].approx_eq(&want, 1e-3),
                 "served fused attention must match the f64 reference"
             );
-            let oracle = attention_pipeline_launch(
-                &sparsetir_ir::exec::Runtime::new(),
+            let oracle = FusedAttentionOp::execute_on(
+                &sparsetir_ir::exec::Runtime::with_fusion(false),
                 &g,
-                &head.q,
-                &head.kt,
-                &head.v,
-                1,
+                &vec![head],
+                &FusedAttentionOp::default_config(),
             )
             .expect("three-launch oracle");
             assert!(
-                served[0].data().iter().zip(oracle.data()).all(|(s, o)| s.to_bits() == o.to_bits()),
+                served[0]
+                    .data()
+                    .iter()
+                    .zip(oracle[0].data())
+                    .all(|(s, o)| s.to_bits() == o.to_bits()),
                 "served fused attention must be bit-identical to the three-launch pipeline"
             );
         }

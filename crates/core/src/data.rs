@@ -11,23 +11,22 @@ use std::collections::HashMap;
 pub type Bindings = HashMap<String, TensorData>;
 
 thread_local! {
-    /// Dense output bytes memcpy'd on this thread ([`read_dense`] and any
-    /// launch path that calls [`count_bytes_copied`]). The serving engine
-    /// samples it around each batch launch to attribute copies per engine
-    /// without cross-test interference; the zero-copy view paths and
-    /// [`take_dense`] leave it untouched.
+    /// Dense bytes memcpy'd on this thread ([`bind_dense`] on the way in,
+    /// [`read_dense`] on the way out). The serving engine samples it
+    /// around each batch launch to attribute copies per engine without
+    /// cross-test interference; the zero-copy view paths leave it
+    /// untouched.
     static BYTES_COPIED: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Cumulative dense bytes copied on the calling thread (see
-/// [`count_bytes_copied`]).
+/// Cumulative dense bytes [`bind_dense`] and [`read_dense`] copied on the
+/// calling thread.
 #[must_use]
 pub fn bytes_copied_on_thread() -> u64 {
     BYTES_COPIED.with(Cell::get)
 }
 
-/// Record `n` dense bytes copied on the calling thread.
-pub fn count_bytes_copied(n: u64) {
+fn count_bytes_copied(n: u64) {
     BYTES_COPIED.with(|c| c.set(c.get() + n));
 }
 
@@ -45,8 +44,11 @@ pub fn bind_csr(bindings: &mut Bindings, name: &str, prefix: &str, csr: &Csr) {
     bindings.insert(name.to_string(), TensorData::from(csr.values().to_vec()));
 }
 
-/// Bind a dense matrix as a flat row-major value buffer.
+/// Bind a dense matrix as a flat row-major value buffer — a copy of the
+/// operand, tallied in [`bytes_copied_on_thread`] (view bindings are the
+/// zero-copy alternative).
 pub fn bind_dense(bindings: &mut Bindings, name: &str, d: &Dense) {
+    count_bytes_copied(d.data().len() as u64 * 4);
     bindings.insert(name.to_string(), TensorData::from(d.data().to_vec()));
 }
 
@@ -103,38 +105,6 @@ pub fn read_dense(bindings: &Bindings, name: &str, rows: usize, cols: usize) -> 
     Dense::from_vec(rows, cols, data).expect("shape matches binding length")
 }
 
-/// Remove a bound f32 buffer from the bindings and reshape it as a dense
-/// matrix **without copying** — the zero-copy counterpart of
-/// [`read_dense`] for output extraction after the final launch.
-///
-/// # Panics
-/// Panics when the binding is missing, holds i32 data, or is sized
-/// differently.
-#[must_use]
-pub fn take_dense(bindings: &mut Bindings, name: &str, rows: usize, cols: usize) -> Dense {
-    let data = match bindings.remove(name) {
-        Some(TensorData::F32(v)) => v,
-        Some(TensorData::I32(_)) => panic!("binding `{name}` holds i32 data"),
-        None => panic!("binding `{name}` missing"),
-    };
-    Dense::from_vec(rows, cols, data).expect("shape matches binding length")
-}
-
-/// Remove a bound f32 buffer from the bindings and return its values
-/// **without copying** — the flat-vector counterpart of [`take_dense`]
-/// for edge-shaped outputs (e.g. SDDMM's per-edge scores).
-///
-/// # Panics
-/// Panics when the binding is missing or holds i32 data.
-#[must_use]
-pub fn take_values(bindings: &mut Bindings, name: &str) -> Vec<f32> {
-    match bindings.remove(name) {
-        Some(TensorData::F32(v)) => v,
-        Some(TensorData::I32(_)) => panic!("binding `{name}` holds i32 data"),
-        None => panic!("binding `{name}` missing"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,16 +125,14 @@ mod tests {
         let mut rng = gen::rng(2);
         let d = gen::random_dense(3, 4, &mut rng);
         let mut b = Bindings::new();
-        bind_dense(&mut b, "X", &d);
-        // The copy counter is live: `read_dense` tallies the bytes it
-        // clones, `take_dense` moves the buffer out and tallies nothing.
+        // The copy counter is live: `bind_dense` and `read_dense` tally
+        // the bytes they clone.
         let before = bytes_copied_on_thread();
+        bind_dense(&mut b, "X", &d);
+        assert_eq!(bytes_copied_on_thread() - before, 3 * 4 * 4);
         let back = read_dense(&b, "X", 3, 4);
         assert!(back.approx_eq(&d, 0.0));
-        assert_eq!(bytes_copied_on_thread() - before, 3 * 4 * 4);
-        let moved = take_dense(&mut b, "X", 3, 4);
-        assert!(moved.approx_eq(&d, 0.0));
-        assert_eq!(bytes_copied_on_thread() - before, 3 * 4 * 4);
+        assert_eq!(bytes_copied_on_thread() - before, 2 * 3 * 4 * 4);
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub mod prelude {
     pub use crate::axis::{Axis, AxisKind, AxisStore};
     pub use crate::data::{
         bind_bsr, bind_bucket, bind_csr, bind_dense, bind_ell, bind_zeros, bytes_copied_on_thread,
-        count_bytes_copied, read_dense, take_dense, take_values, Bindings,
+        read_dense, Bindings,
     };
     pub use crate::flatten::{aux_buffer_names, flat_size, flatten_access, lower, lower_to_stage3};
     pub use crate::fused::{

@@ -901,19 +901,11 @@ impl Drop for Engine {
 /// this glue.
 trait Served: TunableOp<Adj = Csr> {
     fn extract(req: OpRequest) -> Self::Operands;
-    fn peek(req: &OpRequest) -> &Self::Operands;
     fn wrap(out: Self::Output) -> OpOutput;
 }
 
 impl Served for SpmmOp {
     fn extract(req: OpRequest) -> Dense {
-        match req {
-            OpRequest::Spmm(x) => x,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &Dense {
         match req {
             OpRequest::Spmm(x) => x,
             _ => unreachable!("kind-matched batch"),
@@ -933,13 +925,6 @@ impl Served for SddmmOp {
         }
     }
 
-    fn peek(req: &OpRequest) -> &(Dense, Dense) {
-        match req {
-            OpRequest::Sddmm(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
     fn wrap(out: Vec<f32>) -> OpOutput {
         OpOutput::Edges(out)
     }
@@ -947,13 +932,6 @@ impl Served for SddmmOp {
 
 impl Served for AttentionOp {
     fn extract(req: OpRequest) -> Vec<Dense> {
-        match req {
-            OpRequest::Attention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &Vec<Dense> {
         match req {
             OpRequest::Attention(heads) => heads,
             _ => unreachable!("kind-matched batch"),
@@ -973,13 +951,6 @@ impl Served for FusedAttentionOp {
         }
     }
 
-    fn peek(req: &OpRequest) -> &Vec<AttnHead> {
-        match req {
-            OpRequest::FusedAttention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
     fn wrap(out: Vec<Dense>) -> OpOutput {
         OpOutput::Heads(out)
     }
@@ -987,13 +958,6 @@ impl Served for FusedAttentionOp {
 
 impl Served for FusedSageOp {
     fn extract(req: OpRequest) -> (Dense, Dense) {
-        match req {
-            OpRequest::FusedSage(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn peek(req: &OpRequest) -> &(Dense, Dense) {
         match req {
             OpRequest::FusedSage(pair) => pair,
             _ => unreachable!("kind-matched batch"),
@@ -1245,7 +1209,6 @@ where
     OpConfig: From<O::Config>,
     O::Config: TryFrom<OpConfig>,
 {
-    let shape = O::shape_of(O::peek(&batch[0].req));
     let adj = batch[0].adj.clone();
     // The batch head decides the tuning mode for its riders (one launch,
     // one configuration).
@@ -1258,6 +1221,8 @@ where
         replies.push((job.enqueued, job.priority, job.reply));
         reqs.push(O::extract(job.req));
     }
+    // The search runs at the batch head's shape (see `op_config_for`).
+    let shape = O::shape_of(&reqs[0]);
     // The config lookup sits inside the catch: a panicking tuning search
     // must answer its riders with `Exec` too, not drop their replies.
     let started = Instant::now();

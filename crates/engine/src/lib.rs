@@ -15,8 +15,7 @@
 //!   fused GraphSAGE layer step all submit, batch, tune and answer
 //!   through the same machinery ([`Engine::submit`] → [`Ticket`] →
 //!   [`OpOutput`]). Built via `Submission::spmm(feat).deadline(d)
-//!   .priority(Priority::Hi)`-style constructors; the pre-0.2 per-op
-//!   `submit_*`/sync wrappers remain as deprecated one-line shims.
+//!   .priority(Priority::Hi)`-style constructors.
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -41,11 +40,13 @@
 //!   and reuses the same per-`(adjacency, op)` tuning decisions.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
-//!   folded into one widened kernel launch — column stacking for
-//!   SpMM/attention, block-diagonal stacking for SDDMM — and split back
-//!   per request. The fixed per-request costs (lowering, IR
-//!   fingerprinting, dispatch) are paid once per batch. Results are
-//!   bit-identical to unbatched execution.
+//!   folded into one widened kernel launch that binds each rider's
+//!   operands and output buffer in place as segmented views — column
+//!   segments for SpMM/attention, a head axis inside the fused non-zero
+//!   loop for SDDMM/fused attention — so nothing is stacked or split
+//!   back ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
+//!   costs (lowering, IR fingerprinting, dispatch) are paid once per
+//!   batch. Results are bit-identical to unbatched execution.
 //! * **Bounded queue with backpressure**: blocking submits wait while
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with

@@ -1,8 +1,9 @@
 //! Property-based differential tests: for random CSR matrices and random
 //! request sets — widths 0, 1, and mixed — the batched engine output of
-//! *every served op* (SpMM, SDDMM, multi-head attention) must be
-//! bit-identical to a sequential loop of the op's single-request
-//! `*_execute` calls — sequential execution is the batching oracle. This
+//! *every served op* (SpMM, SDDMM, multi-head attention, fused attention,
+//! fused SAGE) must be bit-identical to a sequential loop of the op's
+//! single-request `SparseOp::execute_on` calls on a fresh runtime —
+//! sequential execution is the batching oracle. This
 //! is the serving-path analogue of the executor's
 //! interpreter-differential suite: batching must be a pure performance
 //! transformation, and it must copy nothing (`bytes_copied == 0` on
@@ -12,8 +13,7 @@ use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_launch, csr_spmm_execute, sddmm_batched_execute, sddmm_execute,
-    spmm_batched_execute, AttnHead, SpmmConfig,
+    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 
@@ -58,6 +58,14 @@ fn random_pairs(a: &Csr, widths: &[usize], seed: u64) -> Vec<(Dense, Dense)> {
             (gen::random_dense(a.rows(), k, &mut rng), gen::random_dense(k, a.cols(), &mut rng))
         })
         .collect()
+}
+
+/// The sequential oracle: one request alone through the op layer on a
+/// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
+/// the fused ops).
+fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
+    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::default_config())
+        .expect("sequential execution")
 }
 
 fn assert_bit_identical(got: &Dense, want: &Dense, tag: &str) -> Result<(), TestCaseError> {
@@ -114,18 +122,23 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let xs = random_feats(&a, &widths, seed);
-        let batched = spmm_batched_execute(&a, &xs, &SpmmConfig::default_csr())
-            .expect("batched execution");
+        let batched =
+            SpmmOp::execute_batch_on(&Runtime::new(), &a, &xs, &SpmmOp::default_config())
+                .expect("batched execution");
         prop_assert_eq!(batched.len(), xs.len());
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
-            let want = csr_spmm_execute(&a, x).expect("sequential execution");
+            let want = solo::<SpmmOp>(&a, x, true);
             assert_bit_identical(got, &want, &format!("request {i}"))?;
         }
     }
 
     /// The full engine SpMM path: requests submitted as tickets (so the
-    /// worker can fold them into batches), answers compared against the
-    /// sequential loop.
+    /// worker can fold them into batches), every other one asking for
+    /// tuning, answers compared against the sequential loop. Each
+    /// feature matrix also rides a fused-SAGE request (never batched,
+    /// `X`/`W`/`H1` bound as views) checked against its two-launch
+    /// pipeline oracle — with `bind_dense` ticking the counter, neither
+    /// op, tuned or not, may copy a byte.
     #[test]
     fn engine_output_matches_sequential_loop(
         a in sparse_matrix(16, 48),
@@ -133,26 +146,39 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let xs = random_feats(&a, &widths, seed);
+        let ws: Vec<Dense> =
+            xs.iter().map(|x| gen::random_dense(x.cols(), 3, &mut gen::rng(seed))).collect();
         let adj = Adjacency::new(a.clone());
         let engine = test_engine();
+        let submit = |i: usize, sub: Submission| {
+            engine.submit(&adj, sub.tune(i.is_multiple_of(2))).expect("submits")
+        };
         let tickets: Vec<_> = xs
             .iter()
-            .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+            .zip(&ws)
+            .enumerate()
+            .map(|(i, (x, w))| {
+                let sage = Submission::fused_sage(x.clone(), w.clone());
+                (submit(i, Submission::spmm(x.clone())), submit(i + 1, sage))
+            })
             .collect();
-        for (i, (x, t)) in xs.iter().zip(tickets).enumerate() {
-            let got = t.wait_dense().expect("engine answers");
-            let want = csr_spmm_execute(&a, x).expect("sequential execution");
-            assert_bit_identical(&got, &want, &format!("request {i}"))?;
+        for (i, ((x, w), (spmm, sage))) in xs.iter().zip(&ws).zip(tickets).enumerate() {
+            let got = spmm.wait_dense().expect("engine answers");
+            assert_bit_identical(&got, &solo::<SpmmOp>(&a, x, true), &format!("request {i}"))?;
+            let got = sage.wait_dense().expect("engine answers");
+            let want = solo::<FusedSageOp>(&a, &(x.clone(), w.clone()), false);
+            assert_bit_identical(&got, &want, &format!("sage request {i}"))?;
         }
         let stats = engine.stats();
-        prop_assert_eq!(stats.completed, xs.len() as u64);
+        prop_assert_eq!(stats.completed, 2 * xs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
         prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
+        prop_assert_eq!(stats.widths_of("fused_sage").map(|w| w.max_width), Some(1));
     }
 
-    /// The pure SDDMM batching primitive (block-diagonal stacking): one
-    /// launch over `blockdiag(A, …, A)` vs a sequential loop of
-    /// `sddmm_execute` calls. All requests share one inner width here
+    /// The pure SDDMM batching primitive: one widened launch (riders are
+    /// the heads of the batched fused kernel) vs a sequential loop of
+    /// single-request launches. All requests share one inner width here
     /// (the batching contract); widths 0 and 1 are included.
     #[test]
     fn batched_sddmm_kernel_matches_sequential_loop(
@@ -162,16 +188,18 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let reqs = random_pairs(&a, &vec![k; n], seed);
-        let batched = sddmm_batched_execute(&a, &reqs).expect("batched execution");
+        let batched =
+            SddmmOp::execute_batch_on(&Runtime::new(), &a, &reqs, &SddmmOp::default_config())
+                .expect("batched execution");
         prop_assert_eq!(batched.len(), reqs.len());
-        for (i, ((x, y), got)) in reqs.iter().zip(&batched).enumerate() {
-            let want = sddmm_execute(&a, x, y).expect("sequential execution");
+        for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {
+            let want = solo::<SddmmOp>(&a, req, true);
             assert_bits_eq(got, &want, &format!("request {i}"))?;
         }
     }
 
     /// The full engine SDDMM path with *mixed* inner widths: compatible
-    /// requests batch block-diagonally, incompatible ones dispatch alone,
+    /// requests share a widened launch, incompatible ones dispatch alone,
     /// and every answer must still be bit-identical to the sequential
     /// loop.
     #[test]
@@ -189,9 +217,9 @@ proptest! {
                 engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
             })
             .collect();
-        for (i, ((x, y), t)) in reqs.iter().zip(tickets).enumerate() {
+        for (i, (req, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_edges().expect("engine answers");
-            let want = sddmm_execute(&a, x, y).expect("sequential execution");
+            let want = solo::<SddmmOp>(&a, req, true);
             assert_bits_eq(&got, &want, &format!("request {i}"))?;
         }
         let stats = engine.stats();
@@ -203,7 +231,7 @@ proptest! {
     /// The full engine multi-head attention path: per-request head lists
     /// (including 0-head requests) batch column-wise across requests, and
     /// every head's answer must be bit-identical to a sequential
-    /// `csr_spmm_execute` loop over the heads.
+    /// single-request SpMM loop over the heads.
     #[test]
     fn engine_attention_output_matches_sequential_loop(
         a in sparse_matrix(12, 36),
@@ -227,7 +255,7 @@ proptest! {
             let got = t.wait_heads().expect("engine answers");
             prop_assert_eq!(got.len(), heads.len());
             for (h, (x, out)) in heads.iter().zip(&got).enumerate() {
-                let want = csr_spmm_execute(&a, x).expect("sequential execution");
+                let want = solo::<SpmmOp>(&a, x, true);
                 assert_bit_identical(out, &want, &format!("request {i} head {h}"))?;
             }
         }
@@ -294,15 +322,13 @@ proptest! {
                 engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
             })
             .collect();
-        let oracle_rt = Runtime::new();
         for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_heads().expect("engine answers");
             prop_assert_eq!(got.len(), heads.len());
+            // Head by head, so the oracle is unbatched across heads too.
             for (h, (head, out)) in heads.iter().zip(&got).enumerate() {
-                let want =
-                    attention_pipeline_launch(&oracle_rt, &a, &head.q, &head.kt, &head.v, 1)
-                        .expect("three-launch oracle");
-                assert_bit_identical(out, &want, &format!("request {i} head {h}"))?;
+                let want = solo::<FusedAttentionOp>(&a, &vec![head.clone()], false);
+                assert_bit_identical(out, &want[0], &format!("request {i} head {h}"))?;
             }
         }
         let stats = engine.stats();

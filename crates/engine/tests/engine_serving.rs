@@ -7,8 +7,7 @@ use sparsetir_engine::{
 };
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_launch, fused_sage_pipeline_launch, sddmm_execute, tuned_spmm_execute,
-    AttnHead, SpmmConfig,
+    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 use std::sync::Arc;
@@ -25,6 +24,13 @@ fn power_law_csr(n: usize, seed: u64) -> Csr {
         },
         &mut rng,
     )
+}
+
+/// The sequential oracle: one request alone through the op layer on a
+/// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
+/// the fused ops).
+fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
+    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::default_config()).expect("executes")
 }
 
 fn bit_eq(a: &Dense, b: &Dense) -> bool {
@@ -44,7 +50,7 @@ fn served_spmm_matches_direct_execution() {
         .serve(&adj, Submission::spmm(x.clone()))
         .and_then(OpOutput::into_dense)
         .expect("serves");
-    let direct = tuned_spmm_execute(&a, &x, &SpmmConfig::default_csr()).expect("executes");
+    let direct = solo::<SpmmOp>(&a, &x, true);
     assert!(bit_eq(&served, &direct), "served result must be bit-identical to direct execution");
     assert!(served.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     let stats = engine.stats();
@@ -64,7 +70,7 @@ fn served_sddmm_matches_direct_execution() {
         .serve(&adj, Submission::sddmm(x.clone(), y.clone()))
         .and_then(OpOutput::into_edges)
         .expect("serves");
-    let direct = sddmm_execute(&a, &x, &y).expect("executes");
+    let direct = solo::<SddmmOp>(&a, &(x, y), true);
     assert_eq!(served.len(), direct.len());
     for (s, d) in served.iter().zip(&direct) {
         assert_eq!(s.to_bits(), d.to_bits());
@@ -103,7 +109,7 @@ fn queued_requests_batch_and_stay_bit_identical() {
     plug.wait_dense().expect("plug completes");
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
-        let want = tuned_spmm_execute(&small, x, &SpmmConfig::default_csr()).expect("executes");
+        let want = solo::<SpmmOp>(&small, x, true);
         assert!(bit_eq(&got, &want));
     }
     let stats = engine.stats();
@@ -452,9 +458,9 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         })
         .collect();
     plug.wait_dense().expect("plug completes");
-    for ((x, y), t) in reqs.iter().zip(tickets) {
+    for (req, t) in reqs.iter().zip(tickets) {
         let got = t.wait_edges().expect("completes");
-        let want = sddmm_execute(&small, x, y).expect("executes");
+        let want = solo::<SddmmOp>(&small, req, true);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
@@ -498,8 +504,8 @@ fn incompatible_requests_do_not_batch() {
     let got1 = t1.wait_edges().expect("completes");
     let got2 = t2.wait_edges().expect("completes");
     let got3 = t3.wait_dense().expect("completes");
-    for (got, (sx, sy)) in [(got1, &s1), (got2, &s2)] {
-        let want = sddmm_execute(&small, sx, sy).expect("executes");
+    for (got, req) in [(got1, &s1), (got2, &s2)] {
+        let want = solo::<SddmmOp>(&small, req, true);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
@@ -535,9 +541,11 @@ fn served_fused_ops_match_their_pipeline_oracles() {
         .and_then(OpOutput::into_heads)
         .expect("serves");
     assert_eq!(got.len(), 1);
-    let oracle = attention_pipeline_launch(&Runtime::new(), &a, &head.q, &head.kt, &head.v, 1)
-        .expect("pipeline oracle");
-    assert!(bit_eq(&got[0], &oracle), "served fused attention must match the three-launch oracle");
+    let oracle = solo::<FusedAttentionOp>(&a, &vec![head], false);
+    assert!(
+        bit_eq(&got[0], &oracle[0]),
+        "served fused attention must match the three-launch oracle"
+    );
 
     let x = gen::random_dense(20, 5, &mut rng);
     let w = gen::random_dense(5, 3, &mut rng);
@@ -545,8 +553,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
         .serve(&adj, Submission::fused_sage(x.clone(), w.clone()))
         .and_then(OpOutput::into_dense)
         .expect("serves");
-    let sage_oracle =
-        fused_sage_pipeline_launch(&Runtime::new(), &a, &x, &w).expect("pipeline oracle");
+    let sage_oracle = solo::<FusedSageOp>(&a, &(x, w), false);
     assert!(bit_eq(&sage, &sage_oracle), "served fused sage must match the two-launch oracle");
 
     let stats = engine.stats();
@@ -635,11 +642,9 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     for (heads, t) in reqs.iter().zip(tickets) {
         let got = t.wait_heads().expect("completes");
         assert_eq!(got.len(), heads.len());
-        for (head, out) in heads.iter().zip(&got) {
-            let want =
-                attention_pipeline_launch(&Runtime::new(), &small, &head.q, &head.kt, &head.v, 1)
-                    .expect("pipeline oracle");
-            assert!(bit_eq(out, &want), "batched fused attention must match the oracle");
+        let want = solo::<FusedAttentionOp>(&small, heads, false);
+        for (out, want) in got.iter().zip(&want) {
+            assert!(bit_eq(out, want), "batched fused attention must match the oracle");
         }
     }
     let stats = engine.stats();

@@ -73,9 +73,11 @@ fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
     }
 }
 
-/// Batch-of-one fast path: a lone request of every batchable kind runs
-/// end-to-end with zero copies — single-segment views bind the caller's
-/// buffers directly.
+/// Batch of one: a lone request of every served kind — fused SAGE and a
+/// tuned request included — runs end-to-end with zero copies:
+/// single-segment views bind the caller's buffers directly. (With
+/// `bind_dense` ticking the counter, a whole-tensor SAGE binding of `X`
+/// and `W` would show up here.)
 #[test]
 fn batch_of_one_is_zero_copy_end_to_end() {
     let mut rng = gen::rng(0x2c1);
@@ -96,8 +98,14 @@ fn batch_of_one_is_zero_copy_end_to_end() {
     }];
     engine.serve(&adj, Submission::fused_attention(heads)).expect("fused attention serves");
 
+    let (x, w) = (gen::random_dense(32, 6, &mut rng), gen::random_dense(6, 4, &mut rng));
+    engine.serve(&adj, Submission::fused_sage(x.clone(), w.clone())).expect("fused sage serves");
+    engine.serve(&adj, Submission::fused_sage(x, w).tune(true)).expect("tuned sage serves");
+    let x = gen::random_dense(32, 5, &mut rng);
+    engine.serve(&adj, Submission::spmm(x).tune(true)).expect("tuned spmm serves");
+
     let stats = engine.stats();
-    assert_eq!(stats.completed, 3, "all three singleton requests answered: {stats:?}");
+    assert_eq!(stats.completed, 6, "all six singleton requests answered: {stats:?}");
     assert_eq!(stats.bytes_copied, 0, "batch-of-one must be zero-copy: {stats:?}");
 }
 

@@ -27,12 +27,24 @@
 //! are differential too: runtime bounds/probe errors must carry the
 //! interpreter's message and leave the interpreter's written prefix on
 //! every executor.
+//!
+//! A sixth family, `views`, pins the two *binding* modes of one compiled
+//! kernel against each other: the real CSR-SpMM, batched-SDDMM and
+//! fused-attention functions run once over whole concatenated tensors
+//! ([`CompiledKernel::run`]) and once over the same data cut into
+//! caller-owned segments ([`CompiledKernel::run_views`]: one segment,
+//! three, and mixed widths with a zero-width one, cut points not aligned
+//! to head boundaries) — bit-identical outputs, and identical error text
+//! on a short binding and on a store to a read-only view.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
+use sparsetir_kernels::prelude::{csr_spmm_ir, fused_attention_ir};
+use sparsetir_kernels::sddmm::batched_sddmm_ir;
+use sparsetir_smat::prelude::{gen, Csr};
 use std::collections::HashMap;
 
 // ---------------------------------------------------------------------------
@@ -836,6 +848,241 @@ fn missing_binding_fails_identically_on_every_executor() {
     tensors.remove("B");
     let msg = differential_failure(&f, &HashMap::new(), &tensors).unwrap();
     assert_eq!(msg, "executor error: missing tensor binding for buffer `B`");
+}
+
+// ---------------------------------------------------------------------------
+// Family 6: whole tensors (`run`) vs segmented views (`run_views`)
+// ---------------------------------------------------------------------------
+
+/// One view-bound f32 tensor, cut into caller-owned segments. With
+/// `rows: Some(r)` it is `r × Σ widths`, one row-major `r × w` segment
+/// per width side by side (a `ColsView`); with `None` the segments are
+/// `widths[i]`-element runs laid end to end (a read-only `RowsView`).
+#[derive(Clone)]
+struct Part {
+    name: &'static str,
+    rows: Option<usize>,
+    widths: Vec<usize>,
+    writable: bool,
+    segs: Vec<Vec<f32>>,
+}
+
+impl Part {
+    /// Random read-only operand, or a zeroed writable output.
+    fn new(
+        name: &'static str,
+        rows: Option<usize>,
+        widths: Vec<usize>,
+        rng: &mut SmallRng,
+    ) -> Part {
+        let len = |w: &usize| rows.unwrap_or(1) * w;
+        let segs =
+            widths.iter().map(|w| (0..len(w)).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
+        Part { name, rows, segs: segs.collect(), widths, writable: false }
+    }
+
+    fn output(name: &'static str, rows: usize, widths: Vec<usize>) -> Part {
+        let segs = widths.iter().map(|w| vec![0.0; rows * w]).collect();
+        Part { name, rows: Some(rows), widths, writable: true, segs }
+    }
+
+    /// The logical tensor the segments tile, concatenated.
+    fn whole(&self) -> Vec<f32> {
+        let tiles = || self.segs.iter().zip(&self.widths);
+        (0..self.rows.unwrap_or(1))
+            .flat_map(|r| tiles().flat_map(move |(s, w)| &s[r * w..(r + 1) * w]))
+            .copied()
+            .collect()
+    }
+
+    fn bind<'a>(&'a mut self, views: &mut ViewBindings<'a>) -> Result<(), ExecError> {
+        let widths = self.widths.iter().copied();
+        match (self.rows, self.writable) {
+            (Some(rows), true) => {
+                let segs = self.segs.iter_mut().map(Vec::as_mut_slice).zip(widths).collect();
+                views.bind_cols(self.name, ColsView::write(rows, segs)?);
+            }
+            (Some(rows), false) => {
+                let segs: Vec<_> = self.segs.iter().map(Vec::as_slice).zip(widths).collect();
+                views.bind_cols(self.name, ColsView::read(rows, &segs)?);
+            }
+            (None, _) => {
+                let segs: Vec<_> = self.segs.iter().map(Vec::as_slice).collect();
+                views.bind_rows(self.name, RowsView::read(self.widths[0], &segs)?);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The three cuts of a `total`-wide column axis every case runs: one
+/// segment, three near-equal ones, and mixed widths around a zero-width
+/// segment (cut points need not fall on head boundaries).
+fn column_cuts(total: usize) -> [Vec<usize>; 3] {
+    let (third, head) = (total / 3, total.min(1));
+    let mid = (total - head) / 2;
+    [vec![total], vec![third, third, total - 2 * third], vec![head, 0, mid, total - head - mid]]
+}
+
+/// A small random matrix with empty rows, as the CSR structure tensors
+/// `bind_csr(.., "A", "J", ..)` would bind.
+fn views_fixture(seed: u64) -> (Csr, HashMap<String, TensorData>, SmallRng) {
+    let mut rng = gen::rng(seed);
+    let a = gen::random_csr_with_row_lengths(9, 7, |r| r.gen_range(0..4), &mut rng);
+    assert!(a.nnz() > 0 && (0..a.rows()).any(|r| a.row_nnz(r) == 0), "fixture {seed:#x}");
+    let as_i32 =
+        |v: Vec<usize>| TensorData::from(v.into_iter().map(|x| x as i32).collect::<Vec<_>>());
+    let mut t = HashMap::new();
+    t.insert("J_indptr".to_string(), as_i32(a.indptr().to_vec()));
+    t.insert("J_indices".to_string(), as_i32(a.indices().iter().map(|&x| x as usize).collect()));
+    t.insert("A".to_string(), TensorData::from(a.values().to_vec()));
+    (a, t, rng)
+}
+
+/// Run `f` on both executor builds with `parts` bound whole (`run`) and
+/// segmented (`run_views`). Where both succeed every tensor must agree
+/// bit for bit; where either fails both must, with the same error text.
+/// Returns that text per executor build (`None` on success).
+fn views_differential(
+    f: &PrimFunc,
+    structure: &HashMap<String, TensorData>,
+    parts: &[Part],
+) -> Vec<Option<String>> {
+    let scalars = HashMap::new();
+    let run_both = |(fuse, label): (bool, &str)| {
+        let kernel = CompiledKernel::compile_with(f, fuse).expect("compiles");
+        let mut whole = structure.clone();
+        for p in parts {
+            whole.insert(p.name.to_string(), TensorData::from(p.whole()));
+        }
+        let ran_whole = kernel.run(&scalars, &mut whole).map_err(|e| e.to_string());
+
+        let mut tensors = structure.clone();
+        let mut segmented = parts.to_vec();
+        let ran_views = (|| {
+            let mut views = ViewBindings::from_tensors(&mut tensors);
+            for p in &mut segmented {
+                p.bind(&mut views)?;
+            }
+            kernel.run_views(&scalars, &mut views)
+        })()
+        .map_err(|e| e.to_string());
+
+        assert_eq!(ran_whole, ran_views, "[{label}] run vs run_views outcome");
+        for p in segmented.iter().filter(|_| ran_views.is_ok()) {
+            assert_bits_eq(p.name, &whole[p.name], &TensorData::from(p.whole())).expect(label);
+        }
+        for (name, data) in tensors.iter().filter(|_| ran_views.is_ok()) {
+            assert_bits_eq(name, &whole[name], data).expect(label);
+        }
+        ran_views.err()
+    };
+    EXECUTORS.map(run_both).to_vec()
+}
+
+/// The batched-SDDMM operands of `heads` heads at inner width `k`, with
+/// `X`/`Bout` cut by `x_cut`/`out_cut` and `Y` in `y_segs` row segments.
+fn sddmm_parts(
+    a: &Csr,
+    (heads, k): (usize, usize),
+    (x_cut, y_segs, out_cut): (Vec<usize>, usize, Vec<usize>),
+    rng: &mut SmallRng,
+) -> [Part; 3] {
+    [
+        Part::new("X", Some(a.rows()), x_cut, rng),
+        Part::new("Y", None, vec![heads * k * a.cols() / y_segs; y_segs], rng),
+        Part::output("Bout", a.nnz(), out_cut),
+    ]
+}
+
+#[test]
+fn views_csr_spmm_bit_matches_whole_tensors() {
+    let (a, structure, mut rng) = views_fixture(0x51);
+    let f = csr_spmm_ir(&a, 7).unwrap();
+    for cut in column_cuts(7) {
+        let parts = [
+            Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
+            Part::output("C", a.rows(), cut),
+        ];
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    }
+}
+
+#[test]
+fn views_batched_sddmm_bit_matches_whole_tensors() {
+    let (a, structure, mut rng) = views_fixture(0x52);
+    let (heads, k) = (3, 2);
+    let f = batched_sddmm_ir(&a, heads, k).unwrap();
+    let y_segs = [1, heads, heads * k];
+    for ((x_cut, y_segs), out_cut) in
+        column_cuts(heads * k).into_iter().zip(y_segs).zip(column_cuts(heads))
+    {
+        let parts = sddmm_parts(&a, (heads, k), (x_cut, y_segs, out_cut), &mut rng);
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    }
+}
+
+#[test]
+fn views_fused_attention_bit_matches_whole_tensors() {
+    let (a, mut structure, mut rng) = views_fixture(0x53);
+    let (heads, k, vfeat) = (2, 3, 2);
+    let f = fused_attention_ir(&a, heads, k, vfeat).unwrap();
+    for (name, len) in [("S", a.nnz()), ("M", a.rows()), ("P", a.nnz()), ("Sum", a.rows())] {
+        structure.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
+    }
+    let kt_segs = [1, heads, heads * k];
+    for ((q_cut, kt_segs), v_cut) in
+        column_cuts(heads * k).into_iter().zip(kt_segs).zip(column_cuts(heads * vfeat))
+    {
+        let parts = [
+            Part::new("Q", Some(a.rows()), q_cut, &mut rng),
+            Part::new("KT", None, vec![heads * k * a.cols() / kt_segs; kt_segs], &mut rng),
+            Part::new("V", Some(a.cols()), v_cut.clone(), &mut rng),
+            Part::output("Out", a.rows(), v_cut),
+        ];
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    }
+}
+
+/// Failure paths on the batched-SDDMM function (it runs serially, so the
+/// first error is deterministic): a binding one segment short of what the
+/// kernel indexes fails with the same text whether it is a short whole
+/// tensor or a short view — `views_differential` demands that — and a
+/// store through a read-only view is refused by name, on every executor
+/// build.
+#[test]
+fn views_short_segment_and_read_only_store_fail_identically() {
+    let (a, structure, mut rng) = views_fixture(0x54);
+    let (heads, k) = (3, 2);
+    let f = batched_sddmm_ir(&a, heads, k).unwrap();
+    assert!(!CompiledKernel::compile_with(&f, true).unwrap().is_parallel());
+    let full = (vec![heads * k], heads, vec![heads]);
+    // `X` misses its last column segment; `Y` its last row segment.
+    let short_x = sddmm_parts(&a, (heads, k), (vec![2, 2], 1, vec![heads]), &mut rng);
+    let mut short_y = sddmm_parts(&a, (heads, k), full.clone(), &mut rng);
+    short_y[1].segs.pop();
+    short_y[1].widths.pop();
+    for (parts, buffer) in [(short_x, "`X`"), (short_y, "`Y`")] {
+        let errs = views_differential(&f, &structure, &parts);
+        let want = errs[0].clone().expect("a short binding must fail");
+        assert!(want.contains("out of bounds") && want.contains(buffer), "{want}");
+        assert_eq!(errs, [Some(want.clone()), Some(want)]);
+    }
+
+    // `run` has no read-only bindings to compare against: bind the view
+    // run by hand.
+    let mut parts = sddmm_parts(&a, (heads, k), full, &mut rng);
+    parts[2].writable = false;
+    for (fuse, label) in EXECUTORS {
+        let mut tensors = structure.clone();
+        let mut views = ViewBindings::from_tensors(&mut tensors);
+        parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
+        let err = CompiledKernel::compile_with(&f, fuse)
+            .unwrap()
+            .run_views(&HashMap::new(), &mut views)
+            .expect_err(label);
+        assert_eq!(err.to_string(), "executor error: buffer `Bout` is bound to a read-only view");
+    }
 }
 
 proptest! {

@@ -3,13 +3,14 @@
 //! programs), plus the three-launch pipeline that serves both as the
 //! `SPARSETIR_NO_FUSE` fallback and as the bit-identity oracle.
 //!
-//! All entry points here take *stacked* multi-head operands (the PR 5
-//! batching contract, shared with the batched SDDMM): `Q` is
-//! `m × heads·feat` with head `h` owning `feat` consecutive columns,
-//! `KT` is `heads·feat × n` with the heads' key transposes stacked
-//! row-wise, `V` is `n × heads·vfeat` column-stacked, and the output is
-//! `m × heads·vfeat` column-stacked. Per-request stacking/splitting
-//! lives in [`crate::op::FusedAttentionOp`].
+//! The one executable entry point, [`fused_attention_views_on`], takes
+//! *per-head* operands and binds them as segments of the logical stacked
+//! tensors the IR is written against: `Q` is `m × heads·feat` with head
+//! `h` owning `feat` consecutive columns, `KT` is `heads·feat × n` with
+//! the heads' key transposes stacked row-wise, `V` is `n × heads·vfeat`
+//! column-stacked, and the output is `m × heads·vfeat` column-stacked.
+//! Flattening requests into heads and regrouping the outputs lives in
+//! `FusedAttentionOp`.
 //!
 //! ## Numerical contract
 //!
@@ -92,163 +93,67 @@ pub fn attention_aggregate_ir(a: &Csr, heads: usize, vfeat: usize) -> KernelResu
     Ok(lower(&program)?)
 }
 
-fn check_shapes(a: &Csr, q: &Dense, kt: &Dense, v: &Dense, heads: usize) -> KernelResult<()> {
-    if heads == 0 {
-        return Err("fused attention: zero heads".into());
-    }
-    if !q.cols().is_multiple_of(heads) || !v.cols().is_multiple_of(heads) {
-        return Err(format!(
-            "fused attention: stacked widths q={} v={} not divisible by heads={heads}",
-            q.cols(),
-            v.cols()
-        )
-        .into());
-    }
-    if q.rows() != a.rows()
-        || kt.rows() != q.cols()
-        || kt.cols() != a.cols()
-        || v.rows() != a.cols()
-    {
-        return Err(format!(
-            "fused attention: operand shapes q {}x{}, kt {}x{}, v {}x{} vs adjacency {}x{}",
-            q.rows(),
-            q.cols(),
-            kt.rows(),
-            kt.cols(),
-            v.rows(),
-            v.cols(),
-            a.rows(),
-            a.cols()
-        )
-        .into());
+/// The fused-attention head-shape rule — the one check behind both
+/// `FusedAttentionOp::validate` and [`fused_attention_views_on`]: every
+/// `(q, kt, v)` head fits the adjacency and all heads share one
+/// `(k, vfeat)`.
+///
+/// # Errors
+/// Describes the first offending head.
+pub(crate) fn check_heads<'a>(
+    a: &Csr,
+    heads: impl IntoIterator<Item = (&'a Dense, &'a Dense, &'a Dense)>,
+) -> Result<(), String> {
+    let mut shape = None;
+    for (h, (q, kt, v)) in heads.into_iter().enumerate() {
+        if q.rows() != a.rows()
+            || kt.rows() != q.cols()
+            || kt.cols() != a.cols()
+            || v.rows() != a.cols()
+        {
+            return Err(format!(
+                "head {h}: q {}x{}, kt {}x{}, v {}x{} incompatible with {}x{} adjacency",
+                q.rows(),
+                q.cols(),
+                kt.rows(),
+                kt.cols(),
+                v.rows(),
+                v.cols(),
+                a.rows(),
+                a.cols()
+            ));
+        }
+        let first = *shape.get_or_insert((q.cols(), v.cols()));
+        if first != (q.cols(), v.cols()) {
+            return Err(format!(
+                "head {h}: shape ({}, {}) differs from head 0's {first:?} — all heads of one \
+                 launch must share (k, vfeat)",
+                q.cols(),
+                v.cols()
+            ));
+        }
     }
     Ok(())
 }
 
-/// Run stacked multi-head attention as **one** fused kernel launch.
+/// Serve multi-head attention with every dense operand bound as a
+/// segmented view over per-head rider storage — the only executable
+/// fused-attention entry point, routing on the runtime's fusion flag:
+/// one fused kernel launch when fusion is on, the three-launch pipeline
+/// when `SPARSETIR_NO_FUSE` turned it off (bit-identical, see the module
+/// docs). Head `h` contributes `qs[h]` (`rows × k`) as columns
+/// `[h·k, (h+1)·k)` of the logical `Q`, `kts[h]` (`k × cols`) as the
+/// `h`-th row segment of the logical `KT`, `vs[h]` (`cols × vfeat`) as
+/// columns of the logical `V`, and the kernel writes head `h`'s
+/// aggregation directly into `outs[h]` (`rows × vfeat`, zero-filled).
+/// The softmax intermediates `S`/`M`/`P`/`Sum` come from the runtime's
+/// [`BufferPool`] instead of fresh allocations, and on the pipeline
+/// route they move between launches without copies.
 ///
 /// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn fused_attention_launch(
-    rt: &Runtime,
-    a: &Csr,
-    q: &Dense,
-    kt: &Dense,
-    v: &Dense,
-    heads: usize,
-) -> KernelResult<Dense> {
-    check_shapes(a, q, kt, v, heads)?;
-    let (feat, vfeat) = (q.cols() / heads, v.cols() / heads);
-    let f = fused_attention_ir(a, heads, feat, vfeat)?;
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", a);
-    bind_dense(&mut bindings, "Q", q);
-    bind_dense(&mut bindings, "KT", kt);
-    bind_dense(&mut bindings, "V", v);
-    bind_zeros(&mut bindings, "S", a.nnz() * heads);
-    bind_zeros(&mut bindings, "M", a.rows() * heads);
-    bind_zeros(&mut bindings, "P", a.nnz() * heads);
-    bind_zeros(&mut bindings, "Sum", a.rows() * heads);
-    bind_zeros(&mut bindings, "Out", a.rows() * heads * vfeat);
-    rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-    Ok(take_dense(&mut bindings, "Out", a.rows(), heads * vfeat))
-}
-
-/// Run the same stacked multi-head attention as the sequential
-/// three-launch pipeline (score SDDMM, edge-softmax, aggregation) —
-/// the `SPARSETIR_NO_FUSE` fallback and the fused kernel's bit-identity
-/// oracle.
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn attention_pipeline_launch(
-    rt: &Runtime,
-    a: &Csr,
-    q: &Dense,
-    kt: &Dense,
-    v: &Dense,
-    heads: usize,
-) -> KernelResult<Dense> {
-    check_shapes(a, q, kt, v, heads)?;
-    let (feat, vfeat) = (q.cols() / heads, v.cols() / heads);
-
-    // Launch 1: scores into S (nnz × heads, head-interleaved).
-    let score = attention_score_ir(a, heads, feat)?;
-    let mut b1 = Bindings::new();
-    bind_csr(&mut b1, "A", "J", a);
-    bind_dense(&mut b1, "Q", q);
-    bind_dense(&mut b1, "KT", kt);
-    bind_zeros(&mut b1, "S", a.nnz() * heads);
-    rt.compile(&score)?.run(&HashMap::new(), &mut b1)?;
-    let s = b1["S"].as_f32().to_vec();
-
-    // Launch 2: edge-softmax — P = exp(S − rowmax), Sum = Σ P per row.
-    let softmax = edge_softmax_ir(a, heads)?;
-    let mut b2 = Bindings::new();
-    bind_csr(&mut b2, "A", "J", a);
-    b2.insert("S".to_string(), TensorData::from(s));
-    bind_zeros(&mut b2, "M", a.rows() * heads);
-    bind_zeros(&mut b2, "P", a.nnz() * heads);
-    bind_zeros(&mut b2, "Sum", a.rows() * heads);
-    rt.compile(&softmax)?.run(&HashMap::new(), &mut b2)?;
-    let p = b2["P"].as_f32().to_vec();
-    let sum = b2["Sum"].as_f32().to_vec();
-
-    // Launch 3: Out += (P / Sum) · V.
-    let agg = attention_aggregate_ir(a, heads, vfeat)?;
-    let mut b3 = Bindings::new();
-    bind_csr(&mut b3, "A", "J", a);
-    bind_dense(&mut b3, "V", v);
-    b3.insert("P".to_string(), TensorData::from(p));
-    b3.insert("Sum".to_string(), TensorData::from(sum));
-    bind_zeros(&mut b3, "Out", a.rows() * heads * vfeat);
-    rt.compile(&agg)?.run(&HashMap::new(), &mut b3)?;
-    Ok(take_dense(&mut b3, "Out", a.rows(), heads * vfeat))
-}
-
-/// Serve stacked multi-head attention through `rt`, routing on the
-/// runtime's fusion flag: fused single-kernel launch when fusion is on,
-/// the three-launch pipeline when `SPARSETIR_NO_FUSE` turned it off.
-/// Both paths produce bit-identical outputs (see the module docs).
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn fused_attention_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    q: &Dense,
-    kt: &Dense,
-    v: &Dense,
-    heads: usize,
-) -> KernelResult<Dense> {
-    if rt.fusion() {
-        fused_attention_launch(rt, a, q, kt, v, heads)
-    } else {
-        attention_pipeline_launch(rt, a, q, kt, v, heads)
-    }
-}
-
-/// Serve stacked multi-head attention with every dense operand bound as
-/// a segmented view over per-head rider storage — the zero-copy
-/// counterpart of [`fused_attention_execute_on`]. Head `h` contributes
-/// `qs[h]` (`rows × k`) as columns `[h·k, (h+1)·k)` of the logical `Q`,
-/// `kts[h]` (`k × cols`) as the `h`-th row segment of the logical `KT`,
-/// `vs[h]` (`cols × vfeat`) as columns of the logical `V`, and the
-/// kernel writes head `h`'s aggregation directly into `outs[h]`
-/// (`rows × vfeat`, zero-filled). The softmax intermediates `S`/`M`/`P`/
-/// `Sum` come from the runtime's [`BufferPool`] instead of fresh
-/// allocations, and on the `SPARSETIR_NO_FUSE` pipeline route they move
-/// between launches without copies. Outputs are bit-identical to the
-/// stacked-operand entry points: views change only address resolution,
-/// never pass order.
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches (all slices must be the
-/// same non-zero length with uniform `(k, vfeat)`) and propagates
-/// lowering/execution errors.
+/// Rejects zero heads, slices of different lengths and heads that do
+/// not fit the adjacency or mix `(k, vfeat)`; propagates lowering,
+/// view-validation (mis-sized outputs) and execution errors.
 pub fn fused_attention_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -261,6 +166,17 @@ pub fn fused_attention_views_on(
     if heads == 0 {
         return Err("fused attention: zero heads".into());
     }
+    if kts.len() != heads || vs.len() != heads || outs.len() != heads {
+        return Err(format!(
+            "fused attention: {heads} q, {} kt, {} v operands for {} outputs",
+            kts.len(),
+            vs.len(),
+            outs.len()
+        )
+        .into());
+    }
+    check_heads(a, qs.iter().zip(kts).zip(vs).map(|((q, kt), v)| (*q, *kt, *v)))
+        .map_err(|e| format!("fused attention: {e}"))?;
     let (k, vfeat) = (qs[0].cols(), vs[0].cols());
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
@@ -274,6 +190,11 @@ pub fn fused_attention_views_on(
     let v_segs: Vec<(&[f32], usize)> = vs.iter().map(|v| (v.data(), v.cols())).collect();
     let scalars = HashMap::new();
     let result = (|| -> KernelResult<()> {
+        let out_segs = outs.iter_mut().map(|o| {
+            let w = o.cols();
+            (o.data_mut(), w)
+        });
+        let out = ColsView::write(a.rows(), out_segs.collect())?;
         if rt.fusion() {
             // One fused launch: Q/KT/V/Out as views, scratch from the pool.
             let f = fused_attention_ir(a, heads, k, vfeat)?;
@@ -282,14 +203,7 @@ pub fn fused_attention_views_on(
             views.bind_cols("Q", ColsView::read(a.rows(), &q_segs)?);
             views.bind_rows("KT", RowsView::read(k * a.cols(), &kt_segs)?);
             views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
-            let out_segs: Vec<(&mut [f32], usize)> = outs
-                .iter_mut()
-                .map(|o| {
-                    let w = o.cols();
-                    (o.data_mut(), w)
-                })
-                .collect();
-            views.bind_cols("Out", ColsView::write(a.rows(), out_segs)?);
+            views.bind_cols("Out", out);
             kernel.run_views(&scalars, &mut views)?;
             return Ok(());
         }
@@ -309,14 +223,7 @@ pub fn fused_attention_views_on(
         {
             let mut views = ViewBindings::from_tensors(&mut b);
             views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
-            let out_segs: Vec<(&mut [f32], usize)> = outs
-                .iter_mut()
-                .map(|o| {
-                    let w = o.cols();
-                    (o.data_mut(), w)
-                })
-                .collect();
-            views.bind_cols("Out", ColsView::write(a.rows(), out_segs)?);
+            views.bind_cols("Out", out);
             agg.run_views(&scalars, &mut views)?;
         }
         Ok(())
@@ -392,35 +299,54 @@ mod tests {
     use super::*;
     use sparsetir_smat::gen;
 
-    fn operands(
-        a: &Csr,
-        heads: usize,
-        feat: usize,
-        vfeat: usize,
-        seed: u64,
-    ) -> (Dense, Dense, Dense) {
+    type Head = (Dense, Dense, Dense);
+
+    fn heads(a: &Csr, n: usize, feat: usize, vfeat: usize, seed: u64) -> Vec<Head> {
         let mut rng = gen::rng(seed);
-        let q = gen::random_dense(a.rows(), heads * feat, &mut rng);
-        let kt = gen::random_dense(heads * feat, a.cols(), &mut rng);
-        let v = gen::random_dense(a.cols(), heads * vfeat, &mut rng);
-        (q, kt, v)
+        (0..n)
+            .map(|_| {
+                (
+                    gen::random_dense(a.rows(), feat, &mut rng),
+                    gen::random_dense(feat, a.cols(), &mut rng),
+                    gen::random_dense(a.cols(), vfeat, &mut rng),
+                )
+            })
+            .collect()
     }
 
-    fn bit_eq(a: &Dense, b: &Dense) -> bool {
-        a.rows() == b.rows()
-            && a.cols() == b.cols()
-            && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+    /// One launch over `heads` into fresh zeroed outputs.
+    fn launch(rt: &Runtime, a: &Csr, heads: &[Head]) -> KernelResult<Vec<Dense>> {
+        let qs: Vec<&Dense> = heads.iter().map(|h| &h.0).collect();
+        let kts: Vec<&Dense> = heads.iter().map(|h| &h.1).collect();
+        let vs: Vec<&Dense> = heads.iter().map(|h| &h.2).collect();
+        let mut outs: Vec<Dense> =
+            heads.iter().map(|h| Dense::zeros(a.rows(), h.2.cols())).collect();
+        fused_attention_views_on(rt, a, &qs, &kts, &vs, &mut outs)?;
+        Ok(outs)
+    }
+
+    fn bit_eq(a: &[Dense], b: &[Dense]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(a, b)| {
+                (a.rows(), a.cols()) == (b.rows(), b.cols())
+                    && a.data().iter().zip(b.data()).all(|(x, y)| x.to_bits() == y.to_bits())
+            })
+    }
+
+    fn assert_matches_reference(a: &Csr, heads: &[Head], got: &[Dense]) {
+        for ((q, kt, v), got) in heads.iter().zip(got) {
+            let want = fused_attention_reference(a, q, kt, v, 1);
+            assert!(got.approx_eq(&want, 1e-4), "max |Δ| = {}", got.max_abs_diff(&want));
+        }
     }
 
     #[test]
     fn fused_matches_reference_with_relative_epsilon() {
         let mut rng = gen::rng(31);
         let a = gen::random_csr(12, 10, 0.3, &mut rng);
-        let (q, kt, v) = operands(&a, 2, 4, 3, 32);
-        let rt = Runtime::new();
-        let got = fused_attention_launch(&rt, &a, &q, &kt, &v, 2).unwrap();
-        let want = fused_attention_reference(&a, &q, &kt, &v, 2);
-        assert!(got.approx_eq(&want, 1e-4), "max |Δ| = {}", got.max_abs_diff(&want));
+        let hs = heads(&a, 2, 4, 3, 32);
+        let got = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
+        assert_matches_reference(&a, &hs, &got);
     }
 
     #[test]
@@ -437,15 +363,14 @@ mod tests {
             &mut rng,
         );
         assert!((0..a.rows()).any(|r| a.row_nnz(r) == 0), "want an empty row in the fixture");
-        let (q, kt, v) = operands(&a, 3, 4, 5, 34);
-        let rt = Runtime::new();
-        let fused = fused_attention_launch(&rt, &a, &q, &kt, &v, 3).unwrap();
-        let pipeline = attention_pipeline_launch(&rt, &a, &q, &kt, &v, 3).unwrap();
+        let hs = heads(&a, 3, 4, 5, 34);
+        let fused = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
+        let pipeline = launch(&Runtime::with_fusion(false), &a, &hs).unwrap();
         assert!(bit_eq(&fused, &pipeline));
         // Empty rows aggregate to zero.
         for r in 0..a.rows() {
             if a.row_nnz(r) == 0 {
-                assert!(fused.row(r).iter().all(|&x| x == 0.0));
+                assert!(fused.iter().all(|out| out.row(r).iter().all(|&x| x == 0.0)));
             }
         }
     }
@@ -479,22 +404,22 @@ mod tests {
     fn kill_switch_recompiles_instead_of_serving_stale_kernels() {
         let mut rng = gen::rng(36);
         let a = gen::random_csr(10, 10, 0.25, &mut rng);
-        let (q, kt, v) = operands(&a, 2, 3, 3, 37);
+        let hs = heads(&a, 2, 3, 3, 37);
 
         let fused_rt = Runtime::with_fusion(true);
-        let fused = fused_attention_execute_on(&fused_rt, &a, &q, &kt, &v, 2).unwrap();
+        let fused = launch(&fused_rt, &a, &hs).unwrap();
         assert_eq!(fused_rt.cached(), 1, "fused path is one kernel");
 
         let pipeline_rt = Runtime::with_fusion(false);
-        let pipeline = fused_attention_execute_on(&pipeline_rt, &a, &q, &kt, &v, 2).unwrap();
+        let pipeline = launch(&pipeline_rt, &a, &hs).unwrap();
         assert_eq!(pipeline_rt.cached(), 3, "pipeline path is three kernels");
 
         assert!(bit_eq(&fused, &pipeline));
 
         // Serve again on both: compile-once/run-many, no recompiles.
         let (c1, c2) = (fused_rt.compilations(), pipeline_rt.compilations());
-        let _ = fused_attention_execute_on(&fused_rt, &a, &q, &kt, &v, 2).unwrap();
-        let _ = fused_attention_execute_on(&pipeline_rt, &a, &q, &kt, &v, 2).unwrap();
+        let _ = launch(&fused_rt, &a, &hs).unwrap();
+        let _ = launch(&pipeline_rt, &a, &hs).unwrap();
         assert_eq!(fused_rt.compilations(), c1);
         assert_eq!(pipeline_rt.compilations(), c2);
     }
@@ -503,23 +428,34 @@ mod tests {
     fn single_head_unit_vfeat_works() {
         let mut rng = gen::rng(38);
         let a = gen::random_csr(8, 8, 0.4, &mut rng);
-        let (q, kt, v) = operands(&a, 1, 4, 1, 39);
-        let rt = Runtime::new();
-        let got = fused_attention_launch(&rt, &a, &q, &kt, &v, 1).unwrap();
-        let want = fused_attention_reference(&a, &q, &kt, &v, 1);
-        assert!(got.approx_eq(&want, 1e-4));
+        let hs = heads(&a, 1, 4, 1, 39);
+        let got = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
+        assert_matches_reference(&a, &hs, &got);
     }
 
     #[test]
     fn shape_mismatches_are_rejected() {
         let mut rng = gen::rng(40);
         let a = gen::random_csr(8, 8, 0.4, &mut rng);
-        let (q, kt, v) = operands(&a, 2, 3, 3, 41);
+        let hs = heads(&a, 2, 3, 3, 41);
         let rt = Runtime::new();
-        assert!(fused_attention_launch(&rt, &a, &q, &kt, &v, 0).is_err());
-        let bad_q = gen::random_dense(7, 6, &mut gen::rng(42));
-        assert!(fused_attention_launch(&rt, &a, &bad_q, &kt, &v, 2).is_err());
-        let bad_v = gen::random_dense(8, 7, &mut gen::rng(43));
-        assert!(fused_attention_launch(&rt, &a, &q, &kt, &bad_v, 2).is_err());
+        let err = |heads: &[Head]| launch(&rt, &a, heads).expect_err("rejected").to_string();
+        assert!(err(&[]).contains("zero heads"));
+        let mut bad_q = hs.clone();
+        bad_q[1].0 = gen::random_dense(7, 3, &mut gen::rng(42));
+        assert!(err(&bad_q).contains("head 1"), "{}", err(&bad_q));
+        let mut bad_v = hs.clone();
+        bad_v[0].2 = gen::random_dense(7, 3, &mut gen::rng(43));
+        assert!(err(&bad_v).contains("head 0"));
+        // Mixed (k, vfeat) in one launch must not compile at head 0's shape.
+        let mut mixed = hs.clone();
+        mixed.extend(heads(&a, 1, 3, 5, 44));
+        assert!(err(&mixed).contains("head 2: shape (3, 5)"), "{}", err(&mixed));
+        // Slice lengths are checked, not indexed.
+        let (q, kt, v) = &hs[0];
+        let e = fused_attention_views_on(&rt, &a, &[q], &[kt, kt], &[v], &mut [Dense::zeros(8, 3)])
+            .expect_err("length mismatch");
+        assert!(e.to_string().contains("1 q, 2 kt, 1 v operands for 1 outputs"), "{e}");
+        assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
     }
 }

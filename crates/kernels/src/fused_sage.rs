@@ -52,92 +52,80 @@ pub fn fused_sage_ir(a: &Csr, feat: usize, hidden: usize) -> KernelResult<PrimFu
     Ok(lower(&program)?)
 }
 
-fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> KernelResult<()> {
+/// The fused-SAGE request-shape rule — the one check behind both
+/// `FusedSageOp::validate` and [`fused_sage_execute_on`].
+///
+/// # Errors
+/// Describes the mismatch.
+pub(crate) fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
     if x.rows() != a.cols() || w.rows() != x.cols() {
         return Err(format!(
-            "fused sage: operand shapes x {}x{}, w {}x{} vs adjacency {}x{}",
+            "sage operands x {}x{}, w {}x{} incompatible with {}x{} adjacency",
             x.rows(),
             x.cols(),
             w.rows(),
             w.cols(),
             a.rows(),
             a.cols()
-        )
-        .into());
+        ));
     }
     Ok(())
 }
 
-/// Run the fused SAGE layer step as **one** kernel launch:
-/// `H1 = (A_structural · X / deg) · W`.
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn fused_sage_launch(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
-    check_shapes(a, x, w)?;
-    let (feat, hidden) = (x.cols(), w.cols());
-    let f = fused_sage_ir(a, feat, hidden)?;
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", a);
-    bind_dense(&mut bindings, "X", x);
-    bind_dense(&mut bindings, "W", w);
-    bindings.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
-    bind_zeros(&mut bindings, "Agg", a.rows() * feat);
-    bind_zeros(&mut bindings, "H1", a.rows() * hidden);
-    rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-    Ok(take_dense(&mut bindings, "H1", a.rows(), hidden))
-}
-
-/// Run the same layer step as the two-launch pipeline (gather kernel,
-/// then normalize+matmul kernel) — the `SPARSETIR_NO_FUSE` fallback and
-/// the fused kernel's bit-identity oracle.
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn fused_sage_pipeline_launch(
-    rt: &Runtime,
-    a: &Csr,
-    x: &Dense,
-    w: &Dense,
-) -> KernelResult<Dense> {
-    check_shapes(a, x, w)?;
-    let (feat, hidden) = (x.cols(), w.cols());
-
-    let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
-    sparse_fuse(&mut gather, "gather", &["I", "J"])?;
-    let gather = lower(&gather)?;
-    let mut b1 = Bindings::new();
-    bind_csr(&mut b1, "A", "J", a);
-    bind_dense(&mut b1, "X", x);
-    bind_zeros(&mut b1, "Agg", a.rows() * feat);
-    rt.compile(&gather)?.run(&HashMap::new(), &mut b1)?;
-    let agg = take_values(&mut b1, "Agg");
-
-    let matmul = lower(&sage_matmul_program(a.rows(), feat, hidden))?;
-    let mut b2 = Bindings::new();
-    b2.insert("Agg".to_string(), TensorData::from(agg));
-    b2.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
-    bind_dense(&mut b2, "W", w);
-    bind_zeros(&mut b2, "H1", a.rows() * hidden);
-    rt.compile(&matmul)?.run(&HashMap::new(), &mut b2)?;
-    Ok(take_dense(&mut b2, "H1", a.rows(), hidden))
-}
-
-/// Serve the fused SAGE layer step through `rt`, routing on the
-/// runtime's fusion flag (the `SPARSETIR_NO_FUSE` kill switch falls back
-/// to the two-launch pipeline). Both paths are bit-identical.
+/// Serve the fused SAGE layer step `H1 = (A_structural · X / deg) · W`
+/// through `rt` — the only executable fused-SAGE entry point, routing on
+/// the runtime's fusion flag: **one** kernel launch when fusion is on,
+/// the two-launch pipeline (gather kernel, then normalize+matmul kernel)
+/// when `SPARSETIR_NO_FUSE` turned it off. Both routes are bit-identical.
+/// `X`, `W` and the result bind as single-segment views over the
+/// caller's operands and the returned matrix (nothing is copied), the
+/// `Agg` intermediate comes from the runtime's [`BufferPool`] and, on
+/// the pipeline route, stays in place between the two launches.
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates
 /// lowering/execution errors.
 pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
-    if rt.fusion() {
-        fused_sage_launch(rt, a, x, w)
-    } else {
-        fused_sage_pipeline_launch(rt, a, x, w)
+    check_shapes(a, x, w).map_err(|e| format!("fused sage: {e}"))?;
+    let (feat, hidden) = (x.cols(), w.cols());
+    let mut out = Dense::zeros(a.rows(), hidden);
+    let pool = rt.pool().clone();
+    let mut b = Bindings::new();
+    bind_csr(&mut b, "A", "J", a);
+    b.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
+    b.insert("Agg".to_string(), TensorData::from(pool.acquire_f32(a.rows() * feat)));
+    let (x_seg, w_seg) = ([(x.data(), feat)], [(w.data(), hidden)]);
+    let scalars = HashMap::new();
+    let result = (|| -> KernelResult<()> {
+        let h1 = ColsView::write(a.rows(), vec![(out.data_mut(), hidden)])?;
+        if rt.fusion() {
+            let kernel = rt.compile(&fused_sage_ir(a, feat, hidden)?)?;
+            let mut views = ViewBindings::from_tensors(&mut b);
+            views.bind_cols("X", ColsView::read(a.cols(), &x_seg)?);
+            views.bind_cols("W", ColsView::read(feat, &w_seg)?);
+            views.bind_cols("H1", h1);
+            kernel.run_views(&scalars, &mut views)?;
+            return Ok(());
+        }
+        let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
+        sparse_fuse(&mut gather, "gather", &["I", "J"])?;
+        let gather = rt.compile(&lower(&gather)?)?;
+        {
+            let mut views = ViewBindings::from_tensors(&mut b);
+            views.bind_cols("X", ColsView::read(a.cols(), &x_seg)?);
+            gather.run_views(&scalars, &mut views)?;
+        }
+        let matmul = rt.compile(&lower(&sage_matmul_program(a.rows(), feat, hidden))?)?;
+        let mut views = ViewBindings::from_tensors(&mut b);
+        views.bind_cols("W", ColsView::read(feat, &w_seg)?);
+        views.bind_cols("H1", h1);
+        matmul.run_views(&scalars, &mut views)?;
+        Ok(())
+    })();
+    if let Some(TensorData::F32(agg)) = b.remove("Agg") {
+        pool.release_f32(agg);
     }
+    result.map(|()| out)
 }
 
 /// Pure-Rust f64 reference for relative-epsilon validation: mean-of-
@@ -191,9 +179,8 @@ mod tests {
         );
         let x = gen::random_dense(14, 6, &mut rng);
         let w = gen::random_dense(6, 4, &mut rng);
-        let rt = Runtime::new();
-        let fused = fused_sage_launch(&rt, &a, &x, &w).unwrap();
-        let pipeline = fused_sage_pipeline_launch(&rt, &a, &x, &w).unwrap();
+        let fused = fused_sage_execute_on(&Runtime::with_fusion(true), &a, &x, &w).unwrap();
+        let pipeline = fused_sage_execute_on(&Runtime::with_fusion(false), &a, &x, &w).unwrap();
         assert!(bit_eq(&fused, &pipeline), "fused vs pipeline must be bit-identical");
         let reference = fused_sage_reference(&a, &x, &w);
         assert!(fused.approx_eq(&reference, 1e-4), "max |Δ| = {}", fused.max_abs_diff(&reference));
@@ -232,12 +219,31 @@ mod tests {
         );
     }
 
+    /// Zero-width operands bind as zero-width views: no panic, a zero (or
+    /// empty) result on both routes.
+    #[test]
+    fn zero_width_operands_are_served() {
+        let mut rng = gen::rng(54);
+        let a = gen::random_csr(6, 6, 0.4, &mut rng);
+        for rt in [Runtime::with_fusion(true), Runtime::with_fusion(false)] {
+            let no_feat =
+                fused_sage_execute_on(&rt, &a, &Dense::zeros(6, 0), &Dense::zeros(0, 3)).unwrap();
+            assert_eq!((no_feat.rows(), no_feat.cols()), (6, 3));
+            assert!(no_feat.data().iter().all(|&v| v == 0.0));
+            let x = gen::random_dense(6, 2, &mut rng);
+            let no_hidden = fused_sage_execute_on(&rt, &a, &x, &Dense::zeros(2, 0)).unwrap();
+            assert_eq!((no_hidden.rows(), no_hidden.cols()), (6, 0));
+        }
+    }
+
     #[test]
     fn shape_mismatch_is_rejected() {
         let mut rng = gen::rng(53);
         let a = gen::random_csr(8, 8, 0.3, &mut rng);
         let x = gen::random_dense(7, 4, &mut rng);
         let w = gen::random_dense(4, 3, &mut rng);
-        assert!(fused_sage_launch(&Runtime::new(), &a, &x, &w).is_err());
+        let rt = Runtime::new();
+        assert!(fused_sage_execute_on(&rt, &a, &x, &w).is_err());
+        assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
     }
 }

@@ -14,9 +14,14 @@
 //!
 //! Both faces are unified behind the generic [`op::SparseOp`] layer: one
 //! descriptor per operator with a uniform `plans()` face, a zero-copy
-//! batching contract (`can_batch`/`assemble`/`launch`/`outputs`) and a
+//! batching contract (`can_batch` + one `launch`) and a
 //! reference-executor hook, so the autotuner and the serving engine are
-//! op-agnostic.
+//! op-agnostic. Each served kernel has exactly one executable entry
+//! point — [`spmm::spmm_execute_views_on`],
+//! [`sddmm::sddmm_execute_views_on`],
+//! [`fused_attention::fused_attention_views_on`],
+//! [`fused_sage::fused_sage_execute_on`] — binding the caller's operands
+//! and outputs as views; `SparseOp::launch` is a thin adapter over it.
 
 #![warn(missing_docs)]
 
@@ -40,13 +45,11 @@ pub mod prelude {
     };
     pub use crate::common::{gemm_plan, SpmmCost, SpmmLayout, F16, F32};
     pub use crate::fused_attention::{
-        attention_aggregate_ir, attention_pipeline_launch, attention_score_ir, edge_softmax_ir,
-        fused_attention_execute_on, fused_attention_ir, fused_attention_launch,
+        attention_aggregate_ir, attention_score_ir, edge_softmax_ir, fused_attention_ir,
         fused_attention_plans, fused_attention_reference, fused_attention_views_on,
     };
     pub use crate::fused_sage::{
-        fused_sage_execute_on, fused_sage_ir, fused_sage_launch, fused_sage_pipeline_launch,
-        fused_sage_reference, inverse_degrees,
+        fused_sage_execute_on, fused_sage_ir, fused_sage_reference, inverse_degrees,
     };
     pub use crate::fusedmm::{fusedmm_execute, fusedmm_plan, fusedmm_reference, unfused_plans};
     pub use crate::op::{
@@ -63,7 +66,6 @@ pub mod prelude {
         two_stage_footprint_bytes, RgmsWorkload, RGMS_TC_EFFICIENCY,
     };
     pub use crate::sddmm::{
-        sddmm_batched_execute, sddmm_batched_execute_on, sddmm_execute, sddmm_execute_on,
         sddmm_execute_views_on, sddmm_ir, sddmm_param_candidates, sddmm_plan,
         sddmm_row_parallel_plan, tuned_sddmm_time, SddmmParams,
     };
@@ -71,10 +73,9 @@ pub mod prelude {
         conv_reference, sparsetir_conv_plan, torchsparse_plans, ConvMaps,
     };
     pub use crate::spmm::{
-        csr_spmm_execute, csr_spmm_interpret, csr_spmm_ir, csr_spmm_ir_with, csr_spmm_plan,
-        hyb_spmm_plans, hyb_spmm_time, prepare_spmm, prepare_spmm_structure, spmm_batched_execute,
-        spmm_batched_execute_on, spmm_execute_views_on, tuned_spmm_execute, tuned_spmm_execute_on,
-        tuned_spmm_plans, tuned_spmm_time, CsrSpmmParams, PreparedSpmm, SpmmConfig,
+        csr_spmm_ir, csr_spmm_ir_with, csr_spmm_plan, hyb_spmm_plans, hyb_spmm_time, prepare_spmm,
+        prepare_spmm_structure, spmm_execute_views_on, tuned_spmm_plans, tuned_spmm_time,
+        CsrSpmmParams, PreparedSpmm, SpmmConfig,
     };
     pub use sparsetir_core::prelude::bytes_copied_on_thread;
 }

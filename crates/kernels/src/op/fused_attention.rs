@@ -1,0 +1,133 @@
+//! [`FusedAttentionOp`]: cross-op fused attention (SDDMM → edge-softmax
+//! → SpMM, one kernel) behind the [`SparseOp`] face.
+
+use super::{regroup, OpError, SparseOp};
+use crate::fused_attention::{
+    check_heads, fused_attention_plans, fused_attention_reference, fused_attention_views_on,
+};
+use crate::sddmm::SddmmParams;
+use crate::spmm::SpmmConfig;
+use sparsetir_gpusim::prelude::KernelPlan;
+use sparsetir_ir::exec::Runtime;
+use sparsetir_smat::prelude::*;
+
+/// One attention head's operands: query, transposed key and value
+/// projections against the shared mask.
+#[derive(Debug, Clone)]
+pub struct AttnHead {
+    /// Queries (`rows × k`).
+    pub q: Dense,
+    /// Transposed keys (`k × cols`).
+    pub kt: Dense,
+    /// Values (`cols × vfeat`).
+    pub v: Dense,
+}
+
+/// Configuration of the fused attention operator: the score phase's
+/// SDDMM schedule plus the aggregation phase's SpMM schedule (the two
+/// flop-dominant phases its [`plans`](SparseOp::plans) face prices).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct FusedAttentionConfig {
+    /// Score-phase (SDDMM) schedule.
+    pub sddmm: SddmmParams,
+    /// Aggregation-phase (SpMM) schedule.
+    pub spmm: SpmmConfig,
+}
+
+impl Default for FusedAttentionConfig {
+    fn default() -> FusedAttentionConfig {
+        FusedAttentionConfig { sddmm: SddmmParams::default(), spmm: SpmmConfig::default_csr() }
+    }
+}
+
+/// The whole sparse-attention pipeline (score SDDMM → edge-softmax →
+/// aggregation SpMM) as **one** [`SparseOp`] served by a single fused
+/// kernel launch ([`crate::fused_attention::fused_attention_views_on`];
+/// the `SPARSETIR_NO_FUSE` kill switch falls back to the bit-identical
+/// three-launch pipeline). A request is a list of [`AttnHead`]s sharing
+/// one mask; requests batch when their per-head shapes `(k, vfeat)`
+/// agree — every head of every folded request rides the same widened
+/// launch, inside the same fused non-zero walk (the PR 5 multi-head
+/// batching contract), and each `(non-zero, head)` pair keeps exactly
+/// its unbatched reduction order, so batching is bit-identical.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FusedAttentionOp;
+
+/// Per-head `(k, vfeat)` shape of a request, `None` when it has no heads
+/// (0-head requests are compatible with anything — they contribute
+/// nothing to a stacked launch).
+fn attn_head_shape(req: &[AttnHead]) -> Option<(usize, usize)> {
+    req.first().map(|h| (h.q.cols(), h.v.cols()))
+}
+
+impl SparseOp for FusedAttentionOp {
+    type Adj = Csr;
+    type Operands = Vec<AttnHead>;
+    type Output = Vec<Dense>;
+    type Config = FusedAttentionConfig;
+
+    fn kind() -> &'static str {
+        "fused_attention"
+    }
+
+    fn default_config() -> FusedAttentionConfig {
+        FusedAttentionConfig::default()
+    }
+
+    fn sparsity(adj: &Csr) -> SparsityFingerprint {
+        SparsityFingerprint::of(adj)
+    }
+
+    fn shape_of(req: &Vec<AttnHead>) -> Vec<usize> {
+        let (k, vfeat) = attn_head_shape(req).unwrap_or((0, 0));
+        vec![k, vfeat, req.len()]
+    }
+
+    fn validate(adj: &Csr, req: &Vec<AttnHead>) -> Result<(), String> {
+        check_heads(adj, req.iter().map(|h| (&h.q, &h.kt, &h.v)))
+    }
+
+    fn plans(
+        adj: &Csr,
+        shape: &[usize],
+        config: &FusedAttentionConfig,
+        _name: &str,
+    ) -> Vec<KernelPlan> {
+        let k = shape.first().copied().unwrap_or(1).max(1);
+        let vfeat = shape.get(1).copied().unwrap_or(1).max(1);
+        let heads = shape.get(2).copied().unwrap_or(1).max(1);
+        fused_attention_plans(adj, heads, k, vfeat, config.sddmm)
+    }
+
+    fn can_batch(lhs: &Vec<AttnHead>, rhs: &Vec<AttnHead>) -> bool {
+        // One widened launch needs a single rectangular (k, vfeat); 0-head
+        // requests ride along with anything.
+        match (attn_head_shape(lhs), attn_head_shape(rhs)) {
+            (Some(l), Some(r)) => l == r,
+            _ => true,
+        }
+    }
+
+    fn launch(
+        rt: &Runtime,
+        adj: &Csr,
+        reqs: &[Vec<AttnHead>],
+        _config: &FusedAttentionConfig,
+    ) -> Result<Vec<Vec<Dense>>, OpError> {
+        let heads: Vec<&AttnHead> = reqs.iter().flatten().collect();
+        let mut outs: Vec<Dense> =
+            heads.iter().map(|h| Dense::zeros(adj.rows(), h.v.cols())).collect();
+        // A batch of 0-head requests has nothing to launch.
+        if !heads.is_empty() {
+            let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
+            let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
+            let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
+            fused_attention_views_on(rt, adj, &qs, &kts, &vs, &mut outs)?;
+        }
+        Ok(regroup(outs, reqs))
+    }
+
+    fn reference(adj: &Csr, req: &Vec<AttnHead>) -> Result<Vec<Dense>, OpError> {
+        Ok(req.iter().map(|h| fused_attention_reference(adj, &h.q, &h.kt, &h.v, 1)).collect())
+    }
+}

@@ -1,0 +1,255 @@
+//! The generic sparse-operator layer: every kernel in this crate —
+//! SpMM, SDDMM, multi-head attention, RGMS — presents one uniform face
+//! ([`SparseOp`]) so the tuning and serving stacks above it can be
+//! op-agnostic. This is the composability thesis applied to our own
+//! plumbing: one prepare → schedule → compile → execute path, many
+//! operators, instead of each kernel re-implementing the pipeline.
+//!
+//! A [`SparseOp`] bundles:
+//! * an **op descriptor** — kind tag, adjacency type, request shape and a
+//!   tunable [`SparseOp::Config`], with a uniform
+//!   [`plans`](SparseOp::plans) face for the GPU simulator;
+//! * a **batching contract** — [`can_batch`](SparseOp::can_batch) plus
+//!   one [`launch`](SparseOp::launch), so a serving engine can fold
+//!   requests sharing an adjacency fingerprint into one widened kernel
+//!   launch **without copying operands**. Sequential per-request
+//!   execution is the bit-identity oracle;
+//! * a **reference hook** ([`reference`](SparseOp::reference)) for
+//!   differential testing of every execution path against the smat
+//!   oracles.
+//!
+//! A `launch` allocates one zeroed output per rider and hands riders and
+//! outputs to the op's single kernel entry point, which binds them as
+//! segments of the logical tensors its IR is written against
+//! (`ColsView`/`RowsView` from `sparsetir-ir`) — a batch of one is the
+//! same launch with one segment. Two widenings cover all batched ops:
+//! * **Column segments** (SpMM, attention): rider `i`'s feature operand
+//!   is columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
+//!   `Σ wᵢ`, and the schedule's vector split is widened to span it.
+//!   Splitting the (spatial) feature axis differently never changes an
+//!   output column's reduction order, so results are bit-identical to
+//!   unbatched execution.
+//! * **Head axis inside the fused non-zero loop** (SDDMM, fused
+//!   attention): `n` riders over one adjacency are the `n` heads of the
+//!   batched fused kernel ([`crate::sddmm::batched_sddmm_ir`]) — the
+//!   per-non-zero coordinate walk (binary-searched row recovery, index
+//!   loads) is shared by every rider, and each `(non-zero, head)` pair
+//!   keeps exactly its unbatched feature-reduction order. This amortizes
+//!   the per-launch fixed costs (program build, lowering, IR
+//!   fingerprinting, dispatch) and the shared coordinate walk.
+//!
+//! The `bytes_copied` thread counter (`sparsetir-core`) tallies any
+//! dense bytes copied into or out of a whole-tensor binding; every
+//! served op leaves it at zero.
+
+use crate::sddmm::SddmmParams;
+use crate::spmm::SpmmConfig;
+use sparsetir_gpusim::prelude::KernelPlan;
+use sparsetir_ir::exec::Runtime;
+use sparsetir_smat::prelude::*;
+
+mod attention;
+mod fused_attention;
+mod fused_sage;
+mod rgms;
+mod sddmm;
+mod spmm;
+#[cfg(test)]
+mod tests;
+
+pub use attention::{AttentionOp, AttentionOpConfig};
+pub use fused_attention::{AttnHead, FusedAttentionConfig, FusedAttentionOp};
+pub use fused_sage::{FusedSageConfig, FusedSageOp};
+pub use rgms::{RgmsOp, RgmsOperands};
+pub use sddmm::SddmmOp;
+pub use spmm::SpmmOp;
+
+/// Error type of the op layer (lowering, compilation and execution
+/// failures propagate unchanged from the kernel entry points).
+pub type OpError = Box<dyn std::error::Error>;
+
+/// A sparse operator behind the uniform plan/batch/execute face.
+///
+/// Implementations are zero-sized tag types ([`SpmmOp`], [`SddmmOp`],
+/// [`AttentionOp`], [`RgmsOp`]); all state lives in the adjacency,
+/// the per-request [`Operands`](SparseOp::Operands) and the tunable
+/// [`Config`](SparseOp::Config).
+pub trait SparseOp {
+    /// The sparse structure requests are served against ([`Csr`] for the
+    /// single-matrix ops, [`crate::rgms::RgmsWorkload`] for the relational
+    /// one).
+    type Adj;
+    /// Dense operands of one request.
+    type Operands: Send + 'static;
+    /// Per-request result.
+    type Output: Send + 'static;
+    /// Tunable configuration (format decomposition + schedule knobs).
+    type Config: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static;
+
+    /// Stable kind tag (`"spmm"`, `"sddmm"`, …) — tune-cache key material
+    /// and display label.
+    fn kind() -> &'static str;
+
+    /// The untuned default configuration.
+    fn default_config() -> Self::Config;
+
+    /// Structural fingerprint of the adjacency (cache-key material: a
+    /// decision transfers between adjacencies with equal fingerprints).
+    fn sparsity(adj: &Self::Adj) -> SparsityFingerprint;
+
+    /// Workload-shape key of one request (feature width, heads, …): the
+    /// `extra` component of a tuning key, and what [`plans`](SparseOp::plans)
+    /// prices.
+    fn shape_of(req: &Self::Operands) -> Vec<usize>;
+
+    /// Shape-validate one request against the adjacency.
+    ///
+    /// # Errors
+    /// A human-readable description of the first mismatch.
+    fn validate(adj: &Self::Adj, req: &Self::Operands) -> Result<(), String>;
+
+    /// The uniform simulator face: kernel plans of this op at `shape`
+    /// under `config` (the same shape vector [`shape_of`](SparseOp::shape_of)
+    /// produces).
+    fn plans(
+        adj: &Self::Adj,
+        shape: &[usize],
+        config: &Self::Config,
+        name: &str,
+    ) -> Vec<KernelPlan>;
+
+    /// Batching contract: true when two validated requests may share one
+    /// widened launch. Callers must already have matched the adjacency
+    /// fingerprints; this only checks request-shape compatibility.
+    fn can_batch(lhs: &Self::Operands, rhs: &Self::Operands) -> bool;
+
+    /// Run `reqs` as one widened launch through `rt`'s kernel cache and
+    /// return one output per request, in order — the zero-copy batching
+    /// primitive: every dense rider operand binds as a segmented view
+    /// over the request's own storage and results are written in place
+    /// into per-rider buffers. Callers pass a non-empty batch of
+    /// [`validate`](SparseOp::validate)d, pairwise
+    /// [`can_batch`](SparseOp::can_batch) requests, so a never-batching
+    /// op sees exactly one ([`execute_batch_on`](SparseOp::execute_batch_on)
+    /// enforces all of it).
+    ///
+    /// # Errors
+    /// Propagates lowering/compilation/execution errors.
+    fn launch(
+        rt: &Runtime,
+        adj: &Self::Adj,
+        reqs: &[Self::Operands],
+        config: &Self::Config,
+    ) -> Result<Vec<Self::Output>, OpError>;
+
+    /// Reference executor (the smat semantics oracle) for differential
+    /// testing of every batched and unbatched path.
+    ///
+    /// # Errors
+    /// Propagates shape mismatches.
+    fn reference(adj: &Self::Adj, req: &Self::Operands) -> Result<Self::Output, OpError>;
+
+    /// Execute a batch of requests as one widened kernel launch (the
+    /// serving engine's primitive): validate, check the batching
+    /// contract, [`launch`](SparseOp::launch). Results are bit-identical
+    /// to executing each request alone.
+    ///
+    /// # Errors
+    /// Reports the index of the first invalid request or the first
+    /// request violating the [`can_batch`](SparseOp::can_batch) contract;
+    /// propagates lowering/compilation/execution errors.
+    fn execute_batch_on(
+        rt: &Runtime,
+        adj: &Self::Adj,
+        reqs: &[Self::Operands],
+        config: &Self::Config,
+    ) -> Result<Vec<Self::Output>, OpError> {
+        for (i, req) in reqs.iter().enumerate() {
+            Self::validate(adj, req)
+                .map_err(|e| format!("batched {} request {i}: {e}", Self::kind()))?;
+            if i > 0 && !Self::can_batch(&reqs[0], req) {
+                return Err(format!(
+                    "batched {} request {i}: cannot share a launch with request 0 \
+                     (can_batch contract violated)",
+                    Self::kind()
+                )
+                .into());
+            }
+        }
+        if reqs.is_empty() {
+            return Ok(Vec::new());
+        }
+        Self::launch(rt, adj, reqs, config)
+    }
+
+    /// Execute one request through the op layer: a batch of one.
+    ///
+    /// # Errors
+    /// Like [`execute_batch_on`](SparseOp::execute_batch_on).
+    fn execute_on(
+        rt: &Runtime,
+        adj: &Self::Adj,
+        req: &Self::Operands,
+        config: &Self::Config,
+    ) -> Result<Self::Output, OpError> {
+        let mut outs = Self::execute_batch_on(rt, adj, std::slice::from_ref(req), config)?;
+        Ok(outs.pop().expect("one output per request"))
+    }
+}
+
+/// Hand a flat per-head output list back per request, preserving order
+/// (the inverse of flattening multi-head requests into one launch).
+fn regroup<T>(flat: Vec<Dense>, reqs: &[Vec<T>]) -> Vec<Vec<Dense>> {
+    let mut heads = flat.into_iter();
+    reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
+}
+
+/// A tuning decision for *any* [`SparseOp`], as stored in op-agnostic
+/// caches ([`TuneCache<OpConfig>`]-shaped maps in the autotuner and the
+/// serving engine). The variant always matches the workload kind of the
+/// key it is cached under.
+///
+/// [`TuneCache<OpConfig>`]: SparseOp
+#[derive(Debug, Clone, PartialEq)]
+pub enum OpConfig {
+    /// SpMM format × schedule decision.
+    Spmm(SpmmConfig),
+    /// SDDMM schedule decision.
+    Sddmm(SddmmParams),
+    /// Block-sparse attention decision.
+    Attention(AttentionOpConfig),
+    /// RGMS bucket exponent.
+    Rgms(u32),
+    /// Cross-op fused attention decision.
+    FusedAttention(FusedAttentionConfig),
+    /// Cross-op fused GraphSAGE-step decision.
+    FusedSage(FusedSageConfig),
+}
+
+macro_rules! op_config_conversions {
+    ($variant:ident, $ty:ty) => {
+        impl From<$ty> for OpConfig {
+            fn from(c: $ty) -> OpConfig {
+                OpConfig::$variant(c)
+            }
+        }
+
+        impl TryFrom<OpConfig> for $ty {
+            type Error = &'static str;
+
+            fn try_from(c: OpConfig) -> Result<$ty, &'static str> {
+                match c {
+                    OpConfig::$variant(c) => Ok(c),
+                    _ => Err(concat!("OpConfig is not the ", stringify!($variant), " variant")),
+                }
+            }
+        }
+    };
+}
+
+op_config_conversions!(Spmm, SpmmConfig);
+op_config_conversions!(Sddmm, SddmmParams);
+op_config_conversions!(Attention, AttentionOpConfig);
+op_config_conversions!(Rgms, u32);
+op_config_conversions!(FusedAttention, FusedAttentionConfig);
+op_config_conversions!(FusedSage, FusedSageConfig);

@@ -1,0 +1,66 @@
+//! [`SpmmOp`]: SpMM behind the [`SparseOp`] face.
+
+use super::{OpError, SparseOp};
+use crate::spmm::{self, spmm_execute_views_on, tuned_spmm_plans, SpmmConfig};
+use sparsetir_gpusim::prelude::KernelPlan;
+use sparsetir_ir::exec::Runtime;
+use sparsetir_smat::prelude::*;
+
+/// SpMM (`A · X`) as a [`SparseOp`]: one dense feature operand per
+/// request, batched as column segments of one widened launch.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpmmOp;
+
+impl SparseOp for SpmmOp {
+    type Adj = Csr;
+    type Operands = Dense;
+    type Output = Dense;
+    type Config = SpmmConfig;
+
+    fn kind() -> &'static str {
+        "spmm"
+    }
+
+    fn default_config() -> SpmmConfig {
+        SpmmConfig::default_csr()
+    }
+
+    fn sparsity(adj: &Csr) -> SparsityFingerprint {
+        SparsityFingerprint::of(adj)
+    }
+
+    fn shape_of(req: &Dense) -> Vec<usize> {
+        vec![req.cols()]
+    }
+
+    fn validate(adj: &Csr, req: &Dense) -> Result<(), String> {
+        spmm::check_shapes(adj, req)
+    }
+
+    fn plans(adj: &Csr, shape: &[usize], config: &SpmmConfig, name: &str) -> Vec<KernelPlan> {
+        let feat = shape.first().copied().unwrap_or(1);
+        tuned_spmm_plans(adj, feat, config, name)
+    }
+
+    fn can_batch(_lhs: &Dense, _rhs: &Dense) -> bool {
+        // Column segments are width-agnostic: any widths fold together.
+        true
+    }
+
+    fn launch(
+        rt: &Runtime,
+        adj: &Csr,
+        reqs: &[Dense],
+        config: &SpmmConfig,
+    ) -> Result<Vec<Dense>, OpError> {
+        let mut outs: Vec<Dense> =
+            reqs.iter().map(|x| Dense::zeros(adj.rows(), x.cols())).collect();
+        let xs: Vec<&Dense> = reqs.iter().collect();
+        spmm_execute_views_on(rt, adj, &xs, &mut outs, config)?;
+        Ok(outs)
+    }
+
+    fn reference(adj: &Csr, req: &Dense) -> Result<Dense, OpError> {
+        Ok(adj.spmm(req)?)
+    }
+}

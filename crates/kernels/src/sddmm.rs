@@ -183,53 +183,41 @@ pub fn sddmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error::Er
     Ok(f)
 }
 
-/// Execute the IR-path SDDMM through the slot-compiled executor
-/// (compile-once/run-many via the global kernel cache).
+/// The SDDMM request-shape rule — the one check behind both
+/// `SddmmOp::validate` and [`sddmm_execute_views_on`].
 ///
 /// # Errors
-/// Propagates lowering and execution errors.
-pub fn sddmm_execute(
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-) -> Result<Vec<f32>, Box<dyn std::error::Error>> {
-    sddmm_execute_on(Runtime::global(), a, x, y)
-}
-
-/// Like [`sddmm_execute`], but compiling through an explicit [`Runtime`]
-/// instead of the process-wide global one — the serving-engine entry
-/// point.
-///
-/// # Errors
-/// Propagates lowering and execution errors.
-pub fn sddmm_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    x: &Dense,
-    y: &Dense,
-) -> Result<Vec<f32>, Box<dyn std::error::Error>> {
-    let f = sddmm_ir(a, x.cols())?;
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", a);
-    bind_dense(&mut bindings, "X", x);
-    bind_dense(&mut bindings, "Y", y);
-    bind_zeros(&mut bindings, "Bout", a.nnz());
-    rt.compile(&f)?.run(&HashMap::new(), &mut bindings)?;
-    Ok(take_values(&mut bindings, "Bout"))
+/// Describes the mismatch.
+pub(crate) fn check_shapes(a: &Csr, x: &Dense, y: &Dense) -> Result<(), String> {
+    if x.rows() != a.rows() || y.cols() != a.cols() || y.rows() != x.cols() {
+        return Err(format!(
+            "sddmm operands {}x{} · {}x{} incompatible with {}x{} adjacency",
+            x.rows(),
+            x.cols(),
+            y.rows(),
+            y.cols(),
+            a.rows(),
+            a.cols()
+        ));
+    }
+    Ok(())
 }
 
 /// Execute one multi-head SDDMM launch with `X`, `Y` and `Bout` bound as
-/// segmented views over the per-request operands and outputs — the
-/// zero-copy counterpart of the stacking batch path. Request `h`
+/// segmented views over the per-request operands and outputs — the only
+/// executable SDDMM entry point, for one request or a batch. Request `h`
 /// contributes its `m × k` operand as columns `[h·k, (h+1)·k)` of the
 /// logical `X`, its `k × n` operand as the `h`-th row-segment of the
 /// logical `Y`, and the kernel writes head `h`'s per-non-zero scores
 /// directly into `outs[h]` (which must hold `a.nnz()` elements,
-/// zero-filled). All requests must share the inner width `k`; the caller
-/// guarantees a non-empty batch.
+/// zero-filled). All requests must share the inner width `k`. Results
+/// are bit-identical to running each request alone: every
+/// `(non-zero, head)` pair keeps exactly its unbatched reduction order.
 ///
 /// # Errors
-/// Propagates lowering, view-validation and execution errors.
+/// Rejects an empty batch, `reqs`/`outs` of different lengths, operands
+/// incompatible with the adjacency and mixed inner widths; propagates
+/// lowering, view-validation (mis-sized outputs) and execution errors.
 pub fn sddmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -237,7 +225,23 @@ pub fn sddmm_execute_views_on(
     outs: &mut [Vec<f32>],
 ) -> Result<(), Box<dyn std::error::Error>> {
     let heads = reqs.len();
-    let k = reqs[0].0.cols();
+    let Some((first, _)) = reqs.first() else {
+        return Err("sddmm: empty batch".into());
+    };
+    let k = first.cols();
+    if heads != outs.len() {
+        return Err(format!("sddmm: {heads} requests for {} outputs", outs.len()).into());
+    }
+    for (i, (x, y)) in reqs.iter().enumerate() {
+        check_shapes(a, x, y).map_err(|e| format!("sddmm request {i}: {e}"))?;
+        if x.cols() != k {
+            return Err(format!(
+                "sddmm request {i}: inner width {} differs from request 0's {k}",
+                x.cols()
+            )
+            .into());
+        }
+    }
     let f = batched_sddmm_ir(a, heads, k)?;
     let kernel = rt.compile(&f)?;
     let mut structure = Bindings::new();
@@ -275,57 +279,48 @@ pub fn batched_sddmm_ir(
     Ok(f)
 }
 
-/// Execute a *batch* of SDDMM requests against one shared adjacency as a
-/// single widened kernel launch (see [`batched_sddmm_ir`]): the per-head
-/// `X` operands stack column-wise into one `m × heads·feat` operand, the
-/// `Y` operands stack row-wise, one kernel walks the non-zeros once
-/// computing every head's dot product, and the interleaved output splits
-/// back per request. All requests must share the inner (reduction)
-/// width; see [`crate::op::SddmmOp`] for the batching contract. Results
-/// are bit-identical to a sequential loop of [`sddmm_execute`] calls:
-/// every `(non-zero, head)` pair keeps exactly its unbatched reduction
-/// order.
-///
-/// # Errors
-/// Returns an error on an operand-shape mismatch or mixed inner widths,
-/// and propagates lowering/execution errors.
-pub fn sddmm_batched_execute(
-    a: &Csr,
-    reqs: &[(Dense, Dense)],
-) -> Result<Vec<Vec<f32>>, Box<dyn std::error::Error>> {
-    sddmm_batched_execute_on(Runtime::global(), a, reqs)
-}
-
-/// [`sddmm_batched_execute`] through an explicit [`Runtime`].
-///
-/// # Errors
-/// Returns an error on an operand-shape mismatch or mixed inner widths,
-/// and propagates lowering/execution errors.
-pub fn sddmm_batched_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    reqs: &[(Dense, Dense)],
-) -> Result<Vec<Vec<f32>>, Box<dyn std::error::Error>> {
-    use crate::op::{SddmmOp, SparseOp};
-    SddmmOp::execute_batch_on(rt, a, reqs, &SddmmOp::default_config())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sparsetir_smat::gen;
 
+    fn pair(a: &Csr, k: usize, seed: u64) -> (Dense, Dense) {
+        let mut rng = gen::rng(seed);
+        (gen::random_dense(a.rows(), k, &mut rng), gen::random_dense(k, a.cols(), &mut rng))
+    }
+
     #[test]
     fn ir_execution_matches_reference() {
         let mut rng = gen::rng(15);
         let a = gen::random_csr(10, 12, 0.2, &mut rng);
-        let x = gen::random_dense(10, 5, &mut rng);
-        let y = gen::random_dense(5, 12, &mut rng);
-        let got = sddmm_execute(&a, &x, &y).unwrap();
-        let expect = a.sddmm(&x, &y).unwrap();
-        for (g, e) in got.iter().zip(expect.values()) {
+        let req = pair(&a, 5, 16);
+        let mut outs = vec![vec![0.0f32; a.nnz()]];
+        sddmm_execute_views_on(&Runtime::new(), &a, std::slice::from_ref(&req), &mut outs).unwrap();
+        let expect = a.sddmm(&req.0, &req.1).unwrap();
+        for (g, e) in outs[0].iter().zip(expect.values()) {
             assert!((g - e).abs() < 1e-3, "{g} vs {e}");
         }
+    }
+
+    #[test]
+    fn views_launch_rejects_malformed_batches() {
+        let mut rng = gen::rng(17);
+        let a = gen::random_csr(6, 7, 0.4, &mut rng);
+        let rt = Runtime::new();
+        let good = pair(&a, 3, 18);
+        let run = |reqs: &[(Dense, Dense)], outs: &mut [Vec<f32>]| {
+            sddmm_execute_views_on(&rt, &a, reqs, outs).expect_err("must be rejected").to_string()
+        };
+        let nnz = a.nnz();
+        assert!(run(&[], &mut []).contains("empty batch"));
+        assert!(run(std::slice::from_ref(&good), &mut []).contains("1 requests for 0 outputs"));
+        // A mixed-`k` batch must not compile at request 0's width.
+        let wide = pair(&a, 4, 19);
+        let err = run(&[good.clone(), wide], &mut [vec![0.0; nnz], vec![0.0; nnz]]);
+        assert!(err.contains("request 1: inner width 4"), "{err}");
+        let bad = (gen::random_dense(5, 3, &mut rng), good.1.clone());
+        assert!(run(&[bad], &mut [vec![0.0; nnz]]).contains("incompatible"));
+        assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
     }
 
     /// The SDDMM feature loop — one contiguous operand, one

@@ -34,7 +34,8 @@ impl Default for CsrSpmmParams {
 /// One point of the joint SpMM format × schedule space of §2: the `c` of
 /// `hyb(c, k)` (`None` = no format decomposition), the bucket exponent
 /// `k`, and the schedule parameters. The autotuner searches over these;
-/// the `tuned_*` entry points below consume a chosen configuration.
+/// [`prepare_spmm`] and [`spmm_execute_views_on`] consume a chosen
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpmmConfig {
     /// Column partitions `c` (`None` = no format decomposition).
@@ -336,9 +337,25 @@ pub fn prepare_spmm(
     Ok(PreparedSpmm { func, bindings, rows: a.rows(), feat })
 }
 
+/// The SpMM request-shape rule — the one check behind both
+/// `SpmmOp::validate` and [`spmm_execute_views_on`].
+///
+/// # Errors
+/// Describes the mismatch.
+pub(crate) fn check_shapes(a: &Csr, x: &Dense) -> Result<(), String> {
+    if x.rows() != a.cols() {
+        return Err(format!(
+            "feature matrix has {} rows, adjacency has {} cols",
+            x.rows(),
+            a.cols()
+        ));
+    }
+    Ok(())
+}
+
 /// Execute one SpMM launch with `B` and `C` bound as column-segmented
-/// views over per-request operands and outputs — the zero-copy batching
-/// primitive. Request `i` contributes
+/// views over per-request operands and outputs — the only executable
+/// SpMM entry point, for one request or a batch. Request `i` contributes
 /// `xs[i].cols()` columns to the stacked width and the kernel writes its
 /// result columns directly into `outs[i]` (which must be
 /// `a.rows() × xs[i].cols()`, zero-filled). Zero-width requests are
@@ -347,7 +364,9 @@ pub fn prepare_spmm(
 /// only address resolution, never per-column reduction order.
 ///
 /// # Errors
-/// Propagates lowering, view-validation and execution errors.
+/// Rejects `xs`/`outs` of different lengths and an operand whose row
+/// count differs from `a.cols()`; propagates lowering, view-validation
+/// (mis-sized outputs) and execution errors.
 pub fn spmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -355,6 +374,12 @@ pub fn spmm_execute_views_on(
     outs: &mut [Dense],
     config: &SpmmConfig,
 ) -> Result<(), Box<dyn std::error::Error>> {
+    if xs.len() != outs.len() {
+        return Err(format!("spmm: {} operands for {} outputs", xs.len(), outs.len()).into());
+    }
+    for (i, x) in xs.iter().enumerate() {
+        check_shapes(a, x).map_err(|e| format!("spmm request {i}: {e}"))?;
+    }
     let feat: usize = xs.iter().map(|x| x.cols()).sum();
     if feat == 0 {
         return Ok(());
@@ -386,110 +411,6 @@ pub fn spmm_execute_views_on(
     Ok(())
 }
 
-/// Execute `a · x` under a tuned configuration through the slot-compiled
-/// executor — the measured-evaluator entry point and the runtime face of a
-/// tuning decision.
-///
-/// # Errors
-/// Propagates lowering and execution errors.
-pub fn tuned_spmm_execute(
-    a: &Csr,
-    x: &Dense,
-    config: &SpmmConfig,
-) -> Result<Dense, Box<dyn std::error::Error>> {
-    tuned_spmm_execute_on(Runtime::global(), a, x, config)
-}
-
-/// Like [`tuned_spmm_execute`], but compiling through an explicit
-/// [`Runtime`] instead of the process-wide global one — the entry point a
-/// serving engine with its own kernel cache uses.
-///
-/// # Errors
-/// Propagates lowering and execution errors.
-pub fn tuned_spmm_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    x: &Dense,
-    config: &SpmmConfig,
-) -> Result<Dense, Box<dyn std::error::Error>> {
-    let mut prepared = prepare_spmm(a, x, config)?;
-    rt.compile(&prepared.func)?.run(&HashMap::new(), &mut prepared.bindings)?;
-    Ok(take_dense(&mut prepared.bindings, "C", a.rows(), x.cols()))
-}
-
-/// Execute a *batch* of SpMM requests against one shared adjacency as a
-/// single wider kernel launch: the per-request feature matrices are
-/// stacked column-wise into one operand of width `Σ feat_i`, one kernel
-/// runs at that width (with the schedule's vector split widened to span
-/// it), and the output splits back into per-request matrices. This is
-/// the serving engine's batching primitive, expressed through the
-/// generic op layer — see [`crate::op::SpmmOp`] for the stacking
-/// contract.
-///
-/// Width-0 requests are legal and yield `rows × 0` outputs without
-/// joining the stacked launch; an all-empty batch skips the kernel
-/// entirely. Results are bit-identical to running each request through
-/// [`tuned_spmm_execute`] alone: column stacking only widens the spatial
-/// feature axis, leaving each output column's reduction order untouched.
-///
-/// # Errors
-/// Returns an error when any feature matrix's row count differs from
-/// `a.cols()`, and propagates lowering/execution errors.
-pub fn spmm_batched_execute(
-    a: &Csr,
-    xs: &[Dense],
-    config: &SpmmConfig,
-) -> Result<Vec<Dense>, Box<dyn std::error::Error>> {
-    spmm_batched_execute_on(Runtime::global(), a, xs, config)
-}
-
-/// [`spmm_batched_execute`] through an explicit [`Runtime`].
-///
-/// # Errors
-/// Returns an error when any feature matrix's row count differs from
-/// `a.cols()`, and propagates lowering/execution errors.
-pub fn spmm_batched_execute_on(
-    rt: &Runtime,
-    a: &Csr,
-    xs: &[Dense],
-    config: &SpmmConfig,
-) -> Result<Vec<Dense>, Box<dyn std::error::Error>> {
-    use crate::op::{SparseOp, SpmmOp};
-    SpmmOp::execute_batch_on(rt, a, xs, config)
-}
-
-/// Execute the IR-path CSR SpMM through the slot-compiled executor
-/// (compile-once/run-many via the global kernel cache, `blockIdx` loops
-/// dispatched in parallel). The reference interpreter remains available
-/// through [`eval_func`] as the semantics oracle.
-///
-/// # Errors
-/// Propagates lowering and execution errors.
-pub fn csr_spmm_execute(a: &Csr, x: &Dense) -> Result<Dense, Box<dyn std::error::Error>> {
-    let f = csr_spmm_ir(a, x.cols())?;
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", a);
-    bind_dense(&mut bindings, "B", x);
-    bind_zeros(&mut bindings, "C", a.rows() * x.cols());
-    exec_func(&f, &HashMap::new(), &mut bindings)?;
-    Ok(take_dense(&mut bindings, "C", a.rows(), x.cols()))
-}
-
-/// Like [`csr_spmm_execute`] but through the reference interpreter —
-/// kept as the slow oracle for differential testing.
-///
-/// # Errors
-/// Propagates lowering and interpretation errors.
-pub fn csr_spmm_interpret(a: &Csr, x: &Dense) -> Result<Dense, Box<dyn std::error::Error>> {
-    let f = csr_spmm_ir(a, x.cols())?;
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", a);
-    bind_dense(&mut bindings, "B", x);
-    bind_zeros(&mut bindings, "C", a.rows() * x.cols());
-    eval_func(&f, &HashMap::new(), &mut bindings)?;
-    Ok(take_dense(&mut bindings, "C", a.rows(), x.cols()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -510,12 +431,32 @@ mod tests {
         )
     }
 
+    /// The whole-tensor oracle: `prepare_spmm` + `CompiledKernel::run`
+    /// (through the global kernel cache).
+    fn run_whole(a: &Csr, x: &Dense, config: &SpmmConfig) -> Dense {
+        let mut prepared = prepare_spmm(a, x, config).unwrap();
+        exec_func(&prepared.func, &HashMap::new(), &mut prepared.bindings).unwrap();
+        read_dense(&prepared.bindings, "C", a.rows(), x.cols())
+    }
+
+    /// One view launch over `xs` into fresh zeroed outputs.
+    fn run_views(
+        a: &Csr,
+        xs: &[Dense],
+        config: &SpmmConfig,
+    ) -> Result<Vec<Dense>, Box<dyn std::error::Error>> {
+        let mut outs: Vec<Dense> = xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
+        let refs: Vec<&Dense> = xs.iter().collect();
+        spmm_execute_views_on(&Runtime::new(), a, &refs, &mut outs, config)?;
+        Ok(outs)
+    }
+
     #[test]
     fn ir_execution_matches_reference() {
         let mut rng = gen::rng(5);
         let a = gen::random_csr(12, 10, 0.25, &mut rng);
         let x = gen::random_dense(10, 6, &mut rng);
-        let got = csr_spmm_execute(&a, &x).unwrap();
+        let got = run_whole(&a, &x, &SpmmConfig::default_csr());
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     }
 
@@ -535,7 +476,7 @@ mod tests {
             SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() },
             SpmmConfig { col_parts: Some(4), bucket_k: 1, params: CsrSpmmParams::default() },
         ] {
-            let got = tuned_spmm_execute(&a, &x, &config).unwrap();
+            let got = run_views(&a, std::slice::from_ref(&x), &config).unwrap().remove(0);
             assert!(got.approx_eq(&want, 1e-3), "config {}", config.label());
         }
     }
@@ -552,10 +493,10 @@ mod tests {
             SpmmConfig::default_csr(),
             SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() },
         ] {
-            let batched = spmm_batched_execute(&a, &xs, &config).unwrap();
-            assert_eq!(batched.len(), xs.len());
+            // One widened view launch vs one whole-tensor run per request.
+            let batched = run_views(&a, &xs, &config).unwrap();
             for (x, got) in xs.iter().zip(&batched) {
-                let want = tuned_spmm_execute(&a, x, &config).unwrap();
+                let want = run_whole(&a, x, &config);
                 assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
                 for (g, w) in got.data().iter().zip(want.data()) {
                     assert_eq!(g.to_bits(), w.to_bits(), "config {}", config.label());
@@ -569,16 +510,14 @@ mod tests {
         let mut rng = gen::rng(52);
         let a = gen::random_csr(8, 8, 0.3, &mut rng);
         // No requests at all.
-        let none = spmm_batched_execute(&a, &[], &SpmmConfig::default_csr()).unwrap();
-        assert!(none.is_empty());
+        assert!(run_views(&a, &[], &SpmmConfig::default_csr()).unwrap().is_empty());
         // All-zero-width requests skip the kernel launch entirely.
         let empty = Dense::zeros(a.cols(), 0);
-        let out =
-            spmm_batched_execute(&a, &[empty.clone(), empty], &SpmmConfig::default_csr()).unwrap();
-        assert_eq!(out.len(), 2);
-        for o in out {
-            assert_eq!((o.rows(), o.cols()), (a.rows(), 0));
-        }
+        let rt = Runtime::new();
+        let mut outs = vec![Dense::zeros(a.rows(), 0), Dense::zeros(a.rows(), 0)];
+        spmm_execute_views_on(&rt, &a, &[&empty, &empty], &mut outs, &SpmmConfig::default_csr())
+            .unwrap();
+        assert_eq!(rt.compilations(), 0, "nothing to launch, nothing to compile");
     }
 
     #[test]
@@ -587,9 +526,13 @@ mod tests {
         let a = gen::random_csr(8, 8, 0.3, &mut rng);
         let good = gen::random_dense(8, 2, &mut rng);
         let bad = gen::random_dense(9, 2, &mut rng);
-        let err = spmm_batched_execute(&a, &[good, bad], &SpmmConfig::default_csr())
-            .expect_err("row mismatch must be rejected");
+        let config = SpmmConfig::default_csr();
+        let err = run_views(&a, &[good.clone(), bad], &config).expect_err("row mismatch");
         assert!(err.to_string().contains("request 1"), "{err}");
+        // Fewer outputs than operands is an error, not an index panic.
+        let err = spmm_execute_views_on(&Runtime::new(), &a, &[&good, &good], &mut [], &config)
+            .expect_err("length mismatch");
+        assert!(err.to_string().contains("2 operands for 0 outputs"), "{err}");
     }
 
     #[test]
@@ -750,9 +693,11 @@ mod crosscheck_tests {
         let mut rng = gen::rng(81);
         let a = gen::random_csr(40, 32, 0.15, &mut rng);
         let x = gen::random_dense(32, 8, &mut rng);
-        let fast = csr_spmm_execute(&a, &x).unwrap();
-        let slow = csr_spmm_interpret(&a, &x).unwrap();
-        for (f, s) in fast.data().iter().zip(slow.data()) {
+        let prepared = prepare_spmm(&a, &x, &SpmmConfig::default_csr()).unwrap();
+        let (mut fast, mut slow) = (prepared.bindings.clone(), prepared.bindings);
+        exec_func(&prepared.func, &HashMap::new(), &mut fast).unwrap();
+        eval_func(&prepared.func, &HashMap::new(), &mut slow).unwrap();
+        for (f, s) in fast["C"].as_f32().iter().zip(slow["C"].as_f32()) {
             assert_eq!(f.to_bits(), s.to_bits(), "{f} vs {s}");
         }
     }

@@ -31,33 +31,45 @@ fn main() {
     );
 
     // --- One kernel vs three ------------------------------------------
-    // Stacked per-head operands: Q (n × heads·k), Kᵀ (heads·k × n),
-    // V (n × heads·dv) — the same layout batched serving widens into.
-    let q = gen::random_dense(n, heads * k, &mut rng);
-    let kt = gen::random_dense(heads * k, n, &mut rng);
-    let v = gen::random_dense(n, heads * vfeat, &mut rng);
+    // One request of `heads` heads: each head's Q (n × k), Kᵀ (k × n) and
+    // V (n × dv) binds in place as a segment of the launch's logical
+    // stacked operands — the same layout batched serving widens into.
+    let request: Vec<AttnHead> = (0..heads)
+        .map(|_| AttnHead {
+            q: gen::random_dense(n, k, &mut rng),
+            kt: gen::random_dense(k, n, &mut rng),
+            v: gen::random_dense(n, vfeat, &mut rng),
+        })
+        .collect();
+    let config = FusedAttentionOp::default_config();
 
     let fused_rt = Runtime::with_fusion(true);
-    let fused = fused_attention_launch(&fused_rt, &graph, &q, &kt, &v, heads).expect("fused");
+    let fused = FusedAttentionOp::execute_on(&fused_rt, &graph, &request, &config).expect("fused");
     println!(
         "fused:    {} kernel(s) compiled — score, row-max, exp-sum and aggregate passes share one \
          launch",
         fused_rt.cached()
     );
 
+    // The same call on a fusion-off runtime is the three-launch pipeline
+    // (what `SPARSETIR_NO_FUSE` selects).
     let pipeline_rt = Runtime::with_fusion(false);
     let pipeline =
-        attention_pipeline_launch(&pipeline_rt, &graph, &q, &kt, &v, heads).expect("pipeline");
+        FusedAttentionOp::execute_on(&pipeline_rt, &graph, &request, &config).expect("pipeline");
     println!("pipeline: {} kernels compiled — SDDMM, edge-softmax, SpMM", pipeline_rt.cached());
 
-    let bit_identical =
-        fused.data().iter().zip(pipeline.data()).all(|(a, b)| a.to_bits() == b.to_bits());
+    let bit_identical = fused
+        .iter()
+        .zip(&pipeline)
+        .all(|(f, p)| f.data().iter().zip(p.data()).all(|(a, b)| a.to_bits() == b.to_bits()));
     println!("fused vs three-launch pipeline bit-identical: {bit_identical}");
     assert!(bit_identical);
 
-    let reference = fused_attention_reference(&graph, &q, &kt, &v, heads);
-    println!("max |Δ| vs f64 reference: {:.2e}", fused.max_abs_diff(&reference));
-    assert!(fused.approx_eq(&reference, 1e-4));
+    let reference = FusedAttentionOp::reference(&graph, &request).expect("reference");
+    let max_diff =
+        fused.iter().zip(&reference).map(|(f, r)| f.max_abs_diff(r)).fold(0.0f32, f32::max);
+    println!("max |Δ| vs f64 reference: {max_diff:.2e}");
+    assert!(fused.iter().zip(&reference).all(|(f, r)| f.approx_eq(r, 1e-4)));
 
     // The fused kernel still hits the dense-lane microkernels: the score
     // pass gathers+scales over feature lanes, the aggregate pass runs
