@@ -167,21 +167,25 @@ pub struct AttentionSimEvaluator<'a> {
     pub heads: usize,
 }
 
+impl AttentionSimEvaluator<'_> {
+    /// Simulated report of the tensor-core BSR kernel at `block`; `None`
+    /// when the mask does not digitize at that granularity.
+    #[must_use]
+    pub fn report(&self, block: usize) -> Option<KernelReport> {
+        let bsr = Bsr::from_csr(self.mask, block).ok()?;
+        let plan = batched_bsr_spmm_plan(
+            &bsr,
+            self.feat,
+            self.heads,
+            SPARSETIR_BSR_EFFICIENCY,
+            "tune_attn",
+        );
+        Some(simulate_kernel(self.spec, &plan))
+    }
+}
+
 impl Evaluator<usize> for AttentionSimEvaluator<'_> {
     fn evaluate(&self, block: &usize) -> Option<f64> {
-        let bsr = Bsr::from_csr(self.mask, *block).ok()?;
-        Some(
-            simulate_kernel(
-                self.spec,
-                &batched_bsr_spmm_plan(
-                    &bsr,
-                    self.feat,
-                    self.heads,
-                    SPARSETIR_BSR_EFFICIENCY,
-                    "tune_attn",
-                ),
-            )
-            .time_ms,
-        )
+        self.report(*block).map(|r| r.time_ms)
     }
 }

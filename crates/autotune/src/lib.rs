@@ -18,11 +18,12 @@
 //!   hit cache with zero recompilation — the amortization the paper
 //!   assumes.
 //!
-//! Every operator tunes through the one generic [`tune_op`] path: a
-//! [`TunableOp`] contributes its candidate space and simulator scoring,
-//! and the shared machinery handles caching and winner selection. The
-//! per-op entry points below (`tune_spmm`, `tune_sddmm`,
-//! `tune_attention_block`) are thin typed wrappers over it.
+//! The typed tuners below (`tune_spmm`, `tune_sddmm`,
+//! `tune_attention_block`) each pair a [`SearchSpace`] with its
+//! simulator [`Evaluator`] and cache the winner through the one
+//! [`tune_cached`] helper. An op whose *executable* kernel reads the
+//! decision additionally implements [`TunableOp`] — the face the serving
+//! engine tunes through (SpMM today).
 
 #![warn(missing_docs)]
 
@@ -37,11 +38,10 @@ pub use engine::{tune, Evaluator, ListSpace, SearchSpace, Trial, TuneOutcome};
 pub use evaluate::{
     AttentionSimEvaluator, MeasureOpts, SddmmSimEvaluator, SpmmMeasuredEvaluator, SpmmSimEvaluator,
 };
-pub use op::{op_sim_cache, tune_op, FnEvaluator, OpDecision, OpTuneResult, TunableOp};
+pub use op::TunableOp;
 pub use space::{col_part_candidates, schedule_candidates, AttentionSpace, SddmmSpace, SpmmSpace};
 // The configuration types the searches range over live with the kernels
 // that consume them; re-exported here so tuner callers need one import.
-pub use sparsetir_kernels::op::OpConfig;
 pub use sparsetir_kernels::spmm::SpmmConfig;
 
 use sparsetir_gpusim::prelude::*;
@@ -49,11 +49,12 @@ use sparsetir_kernels::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::sync::OnceLock;
 
-/// Result of a simulator-backed SpMM tuning run.
+/// Result of a simulator-backed tuning run over configurations `C`
+/// (SpMM's joint format × schedule space unless said otherwise).
 #[derive(Debug, Clone)]
-pub struct TuneResult {
+pub struct TuneResult<C = SpmmConfig> {
     /// Winning configuration.
-    pub config: SpmmConfig,
+    pub config: C,
     /// Its simulated report.
     pub report: KernelReport,
     /// Number of configurations evaluated by the original search (the
@@ -82,24 +83,42 @@ pub struct MeasuredTuneResult {
     pub from_cache: bool,
 }
 
-/// Result of a simulator-backed SDDMM tuning run.
-#[derive(Debug, Clone)]
-pub struct SddmmTuneResult {
-    /// Winning schedule parameters.
-    pub params: SddmmParams,
-    /// Their simulated report.
-    pub report: KernelReport,
-    /// Number of configurations evaluated.
-    pub trials: usize,
-    /// True when served from the [`TuneCache`].
-    pub from_cache: bool,
+/// Process-wide cache of simulator-backed SpMM decisions.
+pub fn spmm_sim_cache() -> &'static TuneCache<TuneResult> {
+    static CACHE: OnceLock<TuneCache<TuneResult>> = OnceLock::new();
+    CACHE.get_or_init(TuneCache::new)
 }
 
-/// Process-wide cache of measured SpMM decisions (the simulator-backed
-/// decisions of every op share [`op_sim_cache`] instead).
+/// Process-wide cache of measured SpMM decisions.
 pub fn spmm_measured_cache() -> &'static TuneCache<MeasuredTuneResult> {
     static CACHE: OnceLock<TuneCache<MeasuredTuneResult>> = OnceLock::new();
     CACHE.get_or_init(TuneCache::new)
+}
+
+/// Answer `key` from `cache`, or run `search`, price its winner with
+/// `report` and cache the decision: a repeated tune of the same structure
+/// is a [`TuneCache`] hit with zero new simulation or kernel compilation.
+///
+/// # Panics
+/// Panics when `search` finds no feasible candidate.
+pub fn tune_cached<C: Clone>(
+    cache: &TuneCache<TuneResult<C>>,
+    key: TuneKey,
+    search: impl FnOnce() -> Option<TuneOutcome<C>>,
+    report: impl FnOnce(&C) -> KernelReport,
+) -> TuneResult<C> {
+    let (mut result, hit) = cache.get_or_insert_with(key, || {
+        let outcome = search().expect("non-empty search space");
+        let report = report(&outcome.best.candidate);
+        TuneResult {
+            config: outcome.best.candidate,
+            report,
+            trials: outcome.trials.len(),
+            from_cache: false,
+        }
+    });
+    result.from_cache = hit;
+    result
 }
 
 fn tune_key(
@@ -119,19 +138,24 @@ fn tune_key(
 }
 
 /// Grid-search the joint format × schedule space for SpMM on `a` at
-/// feature width `feat` under the simulator, returning the fastest
-/// configuration. A thin typed wrapper over the generic [`tune_op`] path;
-/// cached by sparsity fingerprint, so a repeated tune of the same matrix
-/// is a [`TuneCache`] hit.
+/// feature width `feat` under the simulator ([`SpmmOp`]'s
+/// [`TunableOp::search`]), returning the fastest configuration. Cached by
+/// sparsity fingerprint, so a repeated tune of the same matrix is a
+/// [`TuneCache`] hit.
 #[must_use]
 pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
-    let r = tune_op::<SpmmOp>(spec, a, &[feat]);
+    let r = tune_cached(
+        spmm_sim_cache(),
+        tune_key("spmm", "gpusim", spec, a, vec![feat]),
+        || SpmmOp::search(spec, a, &[feat]),
+        |config| tuned_spmm_time(spec, a, feat, config),
+    );
     if !r.from_cache {
         // In debug builds, verify the tuned operator actually computes
         // SpMM (compiled-executor path, amortized by the kernel cache).
         debug_assert!(functional_check_spmm(a, feat), "tuned SpMM failed the functional check");
     }
-    TuneResult { config: r.config, report: r.report, trials: r.trials, from_cache: r.from_cache }
+    r
 }
 
 /// Two-phase measured tuning for SpMM: the simulator prunes the joint
@@ -186,35 +210,39 @@ pub fn tune_spmm_measured(
     result
 }
 
-/// Tune the SDDMM schedule (§4.2.2) under the simulator — a thin typed
-/// wrapper over the generic [`tune_op`] path, cached by sparsity
-/// fingerprint.
+/// Tune the SDDMM schedule (§4.2.2) under the simulator, cached by
+/// sparsity fingerprint.
 #[must_use]
-pub fn tune_sddmm(spec: &GpuSpec, a: &Csr, feat: usize) -> SddmmTuneResult {
-    let r = tune_op::<SddmmOp>(spec, a, &[feat]);
-    SddmmTuneResult {
-        params: r.config,
-        report: r.report,
-        trials: r.trials,
-        from_cache: r.from_cache,
-    }
+pub fn tune_sddmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult<SddmmParams> {
+    static CACHE: OnceLock<TuneCache<TuneResult<SddmmParams>>> = OnceLock::new();
+    tune_cached(
+        CACHE.get_or_init(TuneCache::new),
+        tune_key("sddmm", "gpusim", spec, a, vec![feat]),
+        || tune(&SddmmSpace, &SddmmSimEvaluator { spec, matrix: a, feat }),
+        |params| simulate_kernel(spec, &sddmm_plan(a, feat, *params, "sparsetir_sddmm")),
+    )
 }
 
 /// Tune the BSR block size for a sparse-attention mask (§4.3.1: "the
 /// sparse matrices used in sparse attentions … have a block-sparse
 /// pattern"; SparseTIR searches the block granularity while Triton fixes
-/// 64). A thin typed wrapper over the generic [`tune_op`] path; returns
-/// `(block, report)` of the fastest candidate, cached by mask
-/// fingerprint.
+/// 64). The winning `config` is the block size of the fastest
+/// tensor-core BSR plan, cached by mask fingerprint.
 #[must_use]
 pub fn tune_attention_block(
     spec: &GpuSpec,
     mask: &Csr,
     feat: usize,
     heads: usize,
-) -> (usize, KernelReport) {
-    let r = tune_op::<AttentionOp>(spec, mask, &[feat, heads]);
-    (r.config.block, r.report)
+) -> TuneResult<usize> {
+    static CACHE: OnceLock<TuneCache<TuneResult<usize>>> = OnceLock::new();
+    let evaluator = AttentionSimEvaluator { spec, mask, feat, heads };
+    tune_cached(
+        CACHE.get_or_init(TuneCache::new),
+        tune_key("attention", "gpusim", spec, mask, vec![feat, heads]),
+        || tune(&AttentionSpace, &evaluator),
+        |block| evaluator.report(*block).expect("the winner digitized in the search"),
+    )
 }
 
 /// Functional spot-check of the tuned operator through the slot-compiled
@@ -226,7 +254,7 @@ pub fn tune_attention_block(
 pub fn functional_check_spmm(a: &Csr, feat: usize) -> bool {
     let mut rng = gen::rng(0xB0B);
     let x = gen::random_dense(a.cols(), feat, &mut rng);
-    let config = SpmmOp::default_config();
+    let config = SpmmConfig::default();
     let rt = sparsetir_ir::exec::Runtime::global();
     match (SpmmOp::execute_on(rt, a, &x, &config), a.spmm(&x)) {
         (Ok(got), Ok(want)) => got.approx_eq(&want, 1e-3),
@@ -355,7 +383,7 @@ mod tests {
         }
         let mask = Csr::from_coo(&coo);
         let spec = GpuSpec::v100();
-        let (block, report) = tune_attention_block(&spec, &mask, 64, 4);
+        let TuneResult { config: block, report, .. } = tune_attention_block(&spec, &mask, 64, 4);
         assert!([16usize, 32, 64].contains(&block));
         let fixed64 = simulate_kernel(
             &spec,

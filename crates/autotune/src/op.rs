@@ -1,125 +1,31 @@
-//! Op-agnostic tuning: any [`SparseOp`] with a search space tunes through
-//! the one generic, cached [`tune_op`] path. The per-op grid loops that
-//! used to live beside each kernel are gone — an op contributes its
-//! candidate space and simulator scoring ([`TunableOp`]), and the shared
-//! machinery handles trial evaluation (parallel OS threads), winner
-//! selection and [`TuneCache`] amortization keyed by sparsity
-//! fingerprint. Decisions are stored as the kind-tagged [`OpConfig`] so
-//! one cache holds every op's configurations.
+//! The tuning face of a [`SparseOp`]. An op whose
+//! [`Config`](SparseOp::Config) carries a knob that changes its generated
+//! kernel contributes the search over that knob ([`TunableOp`]); the
+//! serving engine tunes exactly the ops that implement it and serves every
+//! other op untouched. Today that is SpMM, over the joint format ×
+//! schedule space of §4.2.1. GPU-only schedule spaces — SDDMM's, the attention
+//! block size, the RGMS bucket exponent — change no executable kernel, so
+//! they are not op configuration: the typed tuners in the crate root price
+//! them for the paper figures.
 
-use crate::cache::{TuneCache, TuneKey};
-use crate::engine::{tune, Evaluator, ListSpace, SearchSpace, Trial, TuneOutcome};
-use crate::evaluate::{AttentionSimEvaluator, SddmmSimEvaluator, SpmmSimEvaluator};
-use crate::space::{AttentionSpace, SddmmSpace, SpmmSpace};
-use sparsetir_gpusim::prelude::*;
+use crate::engine::{tune, TuneOutcome};
+use crate::evaluate::SpmmSimEvaluator;
+use crate::space::SpmmSpace;
+use sparsetir_gpusim::prelude::GpuSpec;
 use sparsetir_kernels::prelude::*;
-use sparsetir_kernels::rgms::rgms_hyb_plan;
 use sparsetir_smat::prelude::Csr;
-use std::sync::OnceLock;
 
-/// An [`Evaluator`] built from a plain scoring closure — the adapter that
-/// lets an op's [`TunableOp::search`] reuse the generic trial engine
-/// without a bespoke evaluator type.
-pub struct FnEvaluator<F>(pub F);
-
-impl<C, F> Evaluator<C> for FnEvaluator<F>
-where
-    F: Fn(&C) -> Option<f64> + Sync,
-{
-    fn evaluate(&self, candidate: &C) -> Option<f64> {
-        (self.0)(candidate)
-    }
-}
-
-/// A [`SparseOp`] with a tuning story: a candidate space and a simulator
-/// scoring pass. Everything else — caching, key construction, winner
-/// reporting — is shared by [`tune_op`].
+/// A [`SparseOp`] with a tuning story: a simulator search over the
+/// configurations its `launch` distinguishes.
 pub trait TunableOp: SparseOp {
-    /// Run the op's simulator search at `shape` (the same shape vector
-    /// [`SparseOp::shape_of`] produces). `None` when no candidate is
-    /// feasible.
+    /// Run the op's simulator search at the request shape `shape` (the
+    /// `extra` component of a [`crate::TuneKey`]; `[feat]` for SpMM).
+    /// `None` when no candidate is feasible.
     fn search(
         spec: &GpuSpec,
         adj: &Self::Adj,
         shape: &[usize],
     ) -> Option<TuneOutcome<Self::Config>>;
-
-    /// Simulated report of one configuration at `shape` (stored alongside
-    /// the cached decision).
-    fn report(
-        spec: &GpuSpec,
-        adj: &Self::Adj,
-        shape: &[usize],
-        config: &Self::Config,
-    ) -> KernelReport;
-}
-
-/// A cached op-agnostic tuning decision: the kind-tagged configuration,
-/// the winner's simulated report, and how many trials the original
-/// search evaluated.
-#[derive(Debug, Clone)]
-pub struct OpDecision {
-    /// Winning configuration (variant always matches the key's workload).
-    pub config: OpConfig,
-    /// The winner's simulated report.
-    pub report: KernelReport,
-    /// Configurations evaluated by the original search.
-    pub trials: usize,
-}
-
-/// Result of a [`tune_op`] run, typed back to the op's configuration.
-#[derive(Debug, Clone)]
-pub struct OpTuneResult<C> {
-    /// Winning configuration.
-    pub config: C,
-    /// Its simulated report.
-    pub report: KernelReport,
-    /// Configurations evaluated by the original search (preserved through
-    /// the cache).
-    pub trials: usize,
-    /// True when served from the [`TuneCache`] rather than a fresh search.
-    pub from_cache: bool,
-}
-
-/// The process-wide cache of simulator-backed decisions for *every*
-/// [`SparseOp`] — the `TuneCache<V>` was always generic; this is the one
-/// instantiation all ops share, keyed by `(kind, device, shape,
-/// fingerprint)`.
-pub fn op_sim_cache() -> &'static TuneCache<OpDecision> {
-    static CACHE: OnceLock<TuneCache<OpDecision>> = OnceLock::new();
-    CACHE.get_or_init(TuneCache::new)
-}
-
-/// Tune any [`TunableOp`] on `adj` at `shape` under the simulator,
-/// cached by `(op kind, device, shape, sparsity fingerprint)`: a repeated
-/// tune of the same structure is a [`TuneCache`] hit with zero new
-/// simulation or kernel compilation.
-///
-/// # Panics
-/// Panics when the op's search space has no feasible candidate.
-#[must_use]
-pub fn tune_op<O>(spec: &GpuSpec, adj: &O::Adj, shape: &[usize]) -> OpTuneResult<O::Config>
-where
-    O: TunableOp,
-    OpConfig: From<O::Config>,
-    O::Config: TryFrom<OpConfig>,
-{
-    let key = TuneKey {
-        workload: O::kind(),
-        backend: "gpusim",
-        device: spec.device_id(),
-        extra: shape.to_vec(),
-        fingerprint: O::sparsity(adj),
-    };
-    let (decision, from_cache) = op_sim_cache().get_or_insert_with(key, || {
-        let outcome = O::search(spec, adj, shape).expect("non-empty op search space");
-        let report = O::report(spec, adj, shape, &outcome.best.candidate);
-        OpDecision { config: outcome.best.candidate.into(), report, trials: outcome.trials.len() }
-    });
-    let config = O::Config::try_from(decision.config)
-        .ok()
-        .expect("cached op-config variant matches its kind-scoped key");
-    OpTuneResult { config, report: decision.report, trials: decision.trials, from_cache }
 }
 
 impl TunableOp for SpmmOp {
@@ -127,179 +33,13 @@ impl TunableOp for SpmmOp {
         let feat = shape.first().copied().unwrap_or(1).max(1);
         tune(&SpmmSpace::joint(adj), &SpmmSimEvaluator::new(spec, adj, feat))
     }
-
-    fn report(spec: &GpuSpec, adj: &Csr, shape: &[usize], config: &SpmmConfig) -> KernelReport {
-        let feat = shape.first().copied().unwrap_or(1).max(1);
-        tuned_spmm_time(spec, adj, feat, config)
-    }
-}
-
-impl TunableOp for SddmmOp {
-    fn search(spec: &GpuSpec, adj: &Csr, shape: &[usize]) -> Option<TuneOutcome<SddmmParams>> {
-        let feat = shape.first().copied().unwrap_or(1).max(1);
-        tune(&SddmmSpace, &SddmmSimEvaluator { spec, matrix: adj, feat })
-    }
-
-    fn report(spec: &GpuSpec, adj: &Csr, shape: &[usize], config: &SddmmParams) -> KernelReport {
-        let feat = shape.first().copied().unwrap_or(1).max(1);
-        simulate_kernel(spec, &sddmm_plan(adj, feat, *config, "sparsetir_sddmm"))
-    }
-}
-
-impl TunableOp for AttentionOp {
-    fn search(
-        spec: &GpuSpec,
-        adj: &Csr,
-        shape: &[usize],
-    ) -> Option<TuneOutcome<AttentionOpConfig>> {
-        let feat = shape.first().copied().unwrap_or(1).max(1);
-        let heads = shape.get(1).copied().unwrap_or(1).max(1);
-        let evaluator = AttentionSimEvaluator { spec, mask: adj, feat, heads };
-        let configs: Vec<AttentionOpConfig> = AttentionSpace
-            .candidates()
-            .into_iter()
-            .map(|block| AttentionOpConfig { block, ..AttentionOpConfig::default() })
-            .collect();
-        tune(
-            &ListSpace(configs),
-            &FnEvaluator(|c: &AttentionOpConfig| evaluator.evaluate(&c.block)),
-        )
-        .or_else(|| {
-            // The mask digitizes at none of the searched blocks: fall
-            // back to the default config priced on the CSR CUDA-core
-            // plan, so a served adjacency of any shape still tunes
-            // instead of panicking the search.
-            let config = AttentionOpConfig::default();
-            let score = Self::report(spec, adj, shape, &config).time_ms;
-            Some(TuneOutcome {
-                best: Trial { candidate: config, score },
-                trials: vec![Trial { candidate: config, score }],
-            })
-        })
-    }
-
-    fn report(
-        spec: &GpuSpec,
-        adj: &Csr,
-        shape: &[usize],
-        config: &AttentionOpConfig,
-    ) -> KernelReport {
-        // `plans` already falls back to the CSR CUDA-core plan when the
-        // mask does not digitize at `config.block`.
-        let plan = Self::plans(adj, shape, config, "tune_attn")
-            .into_iter()
-            .next()
-            .expect("attention plan face is non-empty");
-        simulate_kernel(spec, &plan)
-    }
-}
-
-impl TunableOp for FusedAttentionOp {
-    fn search(
-        spec: &GpuSpec,
-        adj: &Csr,
-        shape: &[usize],
-    ) -> Option<TuneOutcome<FusedAttentionConfig>> {
-        // The fused launch is priced as its two flop-dominant phases
-        // (score SDDMM + aggregation SpMM); the searched knob is the
-        // score phase's schedule, scored by the summed phase times.
-        let configs: Vec<FusedAttentionConfig> = sddmm_param_candidates()
-            .into_iter()
-            .map(|sddmm| FusedAttentionConfig { sddmm, ..FusedAttentionConfig::default() })
-            .collect();
-        tune(
-            &ListSpace(configs),
-            &FnEvaluator(|c: &FusedAttentionConfig| {
-                Some(
-                    Self::plans(adj, shape, c, "tune_fused_attn")
-                        .iter()
-                        .map(|p| simulate_kernel(spec, p).time_ms)
-                        .sum(),
-                )
-            }),
-        )
-    }
-
-    fn report(
-        spec: &GpuSpec,
-        adj: &Csr,
-        shape: &[usize],
-        config: &FusedAttentionConfig,
-    ) -> KernelReport {
-        // Store the dominant phase's report (the search already scored
-        // the summed phases).
-        Self::plans(adj, shape, config, "tune_fused_attn")
-            .iter()
-            .map(|p| simulate_kernel(spec, p))
-            .max_by(|a, b| a.time_ms.total_cmp(&b.time_ms))
-            .expect("fused attention plan face is non-empty")
-    }
-}
-
-impl TunableOp for FusedSageOp {
-    fn search(spec: &GpuSpec, adj: &Csr, shape: &[usize]) -> Option<TuneOutcome<FusedSageConfig>> {
-        // One executable schedule today; the single candidate still flows
-        // through the generic trial engine so the decision caches and
-        // reports uniformly.
-        tune(
-            &ListSpace(vec![FusedSageConfig::default()]),
-            &FnEvaluator(|c: &FusedSageConfig| {
-                Some(
-                    Self::plans(adj, shape, c, "tune_fused_sage")
-                        .iter()
-                        .map(|p| simulate_kernel(spec, p).time_ms)
-                        .sum(),
-                )
-            }),
-        )
-    }
-
-    fn report(
-        spec: &GpuSpec,
-        adj: &Csr,
-        shape: &[usize],
-        config: &FusedSageConfig,
-    ) -> KernelReport {
-        Self::plans(adj, shape, config, "tune_fused_sage")
-            .iter()
-            .map(|p| simulate_kernel(spec, p))
-            .max_by(|a, b| a.time_ms.total_cmp(&b.time_ms))
-            .expect("fused sage plan face is non-empty")
-    }
-}
-
-impl TunableOp for RgmsOp {
-    fn search(
-        spec: &GpuSpec,
-        adj: &sparsetir_kernels::rgms::RgmsWorkload,
-        shape: &[usize],
-    ) -> Option<TuneOutcome<u32>> {
-        let tensor_cores = shape.get(2).is_some_and(|&tc| tc != 0);
-        tune(
-            &ListSpace(vec![2u32, 3, 4, 5, 6]),
-            &FnEvaluator(|k: &u32| {
-                Some(
-                    simulate_kernel(spec, &rgms_hyb_plan(adj, *k, tensor_cores, "stir_tuned"))
-                        .time_ms,
-                )
-            }),
-        )
-    }
-
-    fn report(
-        spec: &GpuSpec,
-        adj: &sparsetir_kernels::rgms::RgmsWorkload,
-        shape: &[usize],
-        config: &u32,
-    ) -> KernelReport {
-        let tensor_cores = shape.get(2).is_some_and(|&tc| tc != 0);
-        simulate_kernel(spec, &rgms_hyb_plan(adj, *config, tensor_cores, "stir_tuned"))
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::{tune_attention_block, tune_sddmm, tune_spmm};
+    use sparsetir_gpusim::prelude::*;
+    use sparsetir_kernels::prelude::*;
     use sparsetir_smat::prelude::*;
 
     #[test]
@@ -307,30 +47,16 @@ mod tests {
         let mut rng = gen::rng(61);
         let a = gen::random_csr(200, 200, 0.05, &mut rng);
         let spec = GpuSpec::v100();
-        let r1 = tune_op::<SddmmOp>(&spec, &a, &[32]);
+        let r1 = tune_sddmm(&spec, &a, 32);
         assert!(!r1.from_cache);
         assert_eq!(r1.trials, sddmm_param_candidates().len());
-        let r2 = tune_op::<SddmmOp>(&spec, &a, &[32]);
+        let r2 = tune_sddmm(&spec, &a, 32);
         assert!(r2.from_cache, "second tune of the same shape must hit");
         assert_eq!(r1.config, r2.config);
         // Same matrix, different op kind: a distinct decision.
-        assert!(!tune_op::<SpmmOp>(&spec, &a, &[32]).from_cache);
+        assert!(!tune_spmm(&spec, &a, 32).from_cache);
         // Same op, different shape: a distinct decision.
-        assert!(!tune_op::<SddmmOp>(&spec, &a, &[64]).from_cache);
-    }
-
-    #[test]
-    fn fused_op_tuning_searches_and_caches() {
-        let mut rng = gen::rng(62);
-        let a = gen::random_csr(150, 150, 0.05, &mut rng);
-        let spec = GpuSpec::v100();
-        let r1 = tune_op::<FusedAttentionOp>(&spec, &a, &[16, 16, 4]);
-        assert!(!r1.from_cache);
-        assert_eq!(r1.trials, sddmm_param_candidates().len());
-        assert!(tune_op::<FusedAttentionOp>(&spec, &a, &[16, 16, 4]).from_cache);
-        let sage = tune_op::<FusedSageOp>(&spec, &a, &[16, 8]);
-        assert!(!sage.from_cache, "distinct kind, distinct decision");
-        assert_eq!(sage.trials, 1);
+        assert!(!tune_sddmm(&spec, &a, 64).from_cache);
     }
 
     #[test]
@@ -345,8 +71,8 @@ mod tests {
         }
         let mask = Csr::from_coo(&coo);
         let spec = GpuSpec::v100();
-        let r = tune_op::<AttentionOp>(&spec, &mask, &[32, 4]);
-        assert!([16usize, 32, 64].contains(&r.config.block));
+        let r = tune_attention_block(&spec, &mask, 32, 4);
+        assert!([16usize, 32, 64].contains(&r.config));
         assert_eq!(r.trials, 3);
     }
 }

@@ -680,7 +680,9 @@ pub mod ablation_hfuse {
 /// further).
 pub mod autotuning {
     use super::*;
-    use sparsetir_autotune::{op_sim_cache, spmm_measured_cache, tune_spmm_measured, MeasureOpts};
+    use sparsetir_autotune::{
+        spmm_measured_cache, spmm_sim_cache, tune_spmm_measured, MeasureOpts,
+    };
 
     /// Render the comparison plus `TuneCache` statistics.
     #[must_use]
@@ -741,8 +743,8 @@ pub mod autotuning {
         );
         out.push_str(&format!(
             "TuneCache: sim {} hits / {} misses, measured {} hits / {} misses\n",
-            op_sim_cache().hits(),
-            op_sim_cache().misses(),
+            spmm_sim_cache().hits(),
+            spmm_sim_cache().misses(),
             spmm_measured_cache().hits(),
             spmm_measured_cache().misses(),
         ));
@@ -1378,7 +1380,7 @@ pub mod fused_attention {
                 &sparsetir_ir::exec::Runtime::with_fusion(false),
                 &g,
                 &vec![head],
-                &FusedAttentionOp::default_config(),
+                &(),
             )
             .expect("three-launch oracle");
             assert!(

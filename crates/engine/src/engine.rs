@@ -1,7 +1,8 @@
 //! The serving engine: a bounded multi-producer request queue drained by
 //! a worker pool that folds fingerprint-compatible requests of *any*
-//! batchable [`SparseOp`] — SpMM, SDDMM, multi-head attention — into
-//! single widened kernel launches through one generic request path.
+//! batchable [`SparseOp`] — SpMM, SDDMM, multi-head attention, fused
+//! attention — into single widened kernel launches through one generic
+//! request path.
 //!
 //! Since the SLO redesign the queue is priority-then-deadline ordered,
 //! admission sheds infeasible or expired work with typed
@@ -12,12 +13,12 @@
 
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
-use sparsetir_autotune::{tune_op, SparsityFingerprint, TunableOp, TuneCache, TuneKey};
+use sparsetir_autotune::{SparsityFingerprint, TunableOp, TuneCache, TuneKey, TuneOutcome};
 use sparsetir_gpusim::prelude::GpuSpec;
 use sparsetir_ir::exec::{fusion_default, Runtime};
 use sparsetir_kernels::prelude::{
-    bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpConfig,
-    SddmmOp, SparseOp, SpmmOp,
+    bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp,
+    SparseOp, SpmmConfig, SpmmOp,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
 use std::collections::hash_map::DefaultHasher;
@@ -201,7 +202,8 @@ pub enum OpRequest {
 
 impl OpRequest {
     /// The op kind tag this request routes to (`"spmm"`, `"sddmm"`,
-    /// `"attention"`) — useful for logging and metrics.
+    /// `"attention"`, `"fused_attention"`, `"fused_sage"`) — useful for
+    /// logging and metrics.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
@@ -336,11 +338,13 @@ pub struct EngineConfig {
     /// batching (every request runs alone — the unbatched baseline the
     /// `serving_throughput` experiment compares against).
     pub max_batch: usize,
-    /// When true, the first batch for each `(adjacency, op)` pair runs
-    /// the op's simulator-backed search through the generic `tune_op`
-    /// path and the winning configuration is cached in the engine's
-    /// [`TuneCache`] for every later batch on that pair. When false, all
-    /// requests use the op's default configuration. A submission-level
+    /// When true, the first batch for each `(adjacency, op)` pair of an
+    /// op with a [`TunableOp`] search (SpMM) runs that simulator-backed
+    /// search, and the winning configuration is cached in the engine's
+    /// [`TuneCache`] for every later batch on that pair. An op whose
+    /// launch reads no configuration has nothing to decide and is served
+    /// the same either way. When false, all requests use the op's default
+    /// configuration. A submission-level
     /// [`SubmitOpts::tune`](crate::SubmitOpts::tune) overrides this per
     /// request.
     pub tune: bool,
@@ -414,7 +418,7 @@ struct Shared {
     not_full: Condvar,
     config: EngineConfig,
     runtime: Arc<Runtime>,
-    tune_cache: TuneCache<OpConfig>,
+    tune_cache: TuneCache<SpmmConfig>,
     /// Single-flight guard for tuning searches: [`TuneCache`] computes
     /// outside its lock by design, so without this, workers racing the
     /// *first* batches of one adjacency would each pay the full search.
@@ -425,8 +429,8 @@ struct Shared {
     /// adaptive batch window's arrival-rate signal (a stale value means
     /// waiting for riders is pointless).
     last_arrival_ns: AtomicU64,
-    /// Every tune decision taken under an anchor fingerprint, with a
-    /// type-erased replay closure — the worklist a background retune runs
+    /// Every tune decision taken under an anchor fingerprint, with the
+    /// search that took it — the worklist a background retune replays
     /// when [`Engine::apply_delta`] re-anchors past the drift threshold.
     retune_registry: Mutex<HashMap<SparsityFingerprint, Vec<RetuneRecord>>>,
     /// In-flight background retune threads; joined by
@@ -435,12 +439,23 @@ struct Shared {
     stats: StatsInner,
 }
 
+/// The signature of [`TunableOp::search`] for the ops the engine tunes.
+type Search = fn(&GpuSpec, &Csr, &[usize]) -> Option<TuneOutcome<SpmmConfig>>;
+
 /// One tune decision to replay on re-anchor: the cache key it lives
-/// under, plus a closure re-running the op's `tune_op` search (the op
-/// type and request shape are captured; only the matrix varies).
+/// under, plus the op's search and the request shape it ran at (only the
+/// matrix varies).
+#[derive(Clone)]
 struct RetuneRecord {
     key: TuneKey,
-    retune: Arc<dyn Fn(&Csr) -> OpConfig + Send + Sync>,
+    search: Search,
+    shape: Vec<usize>,
+}
+
+/// Run `search` on `csr` at `shape` and return the winner (the untuned
+/// default when no candidate is feasible).
+fn search_config(search: Search, csr: &Csr, shape: &[usize]) -> SpmmConfig {
+    search(&GpuSpec::v100(), csr, shape).map_or_else(SpmmConfig::default, |o| o.best.candidate)
 }
 
 impl Shared {
@@ -503,7 +518,7 @@ impl Ticket {
 }
 
 /// Multi-tenant serving engine: owns a shared kernel-cache [`Runtime`]
-/// and an op-agnostic [`TuneCache`], accepts [`Submission`]s for any
+/// and a [`TuneCache`] of SpMM decisions, accepts [`Submission`]s for any
 /// served [`SparseOp`] from any number of client threads through one
 /// generic submit path, and batches concurrent requests that share an
 /// [`Adjacency`] fingerprint (and satisfy the op's batching contract)
@@ -565,9 +580,10 @@ impl Engine {
         &self.shared.runtime
     }
 
-    /// The engine's per-(adjacency, op) tuning cache.
+    /// The engine's per-(adjacency, op) tuning cache. Only ops with a
+    /// [`TunableOp`] search ever consult it.
     #[must_use]
-    pub fn tune_cache(&self) -> &TuneCache<OpConfig> {
+    pub fn tune_cache(&self) -> &TuneCache<SpmmConfig> {
         &self.shared.tune_cache
     }
 
@@ -646,7 +662,9 @@ impl Engine {
     ///   then ONE background thread replays the tuning searches against
     ///   the updated matrix and atomically overwrites each seed in the
     ///   [`TuneCache`] as it lands. Requests never observe a gap: they hit
-    ///   either the stale or the fresh decision.
+    ///   either the stale or the fresh decision. With nothing tuned under
+    ///   the old anchor there is nothing to replay: the pass counts as
+    ///   started and completed on the spot and no thread is spawned.
     ///
     /// The predecessor adjacency stays fully servable (requests holding it
     /// batch and execute as before) — callers swap to the successor at
@@ -676,9 +694,8 @@ impl Engine {
         // seeding each new key with the stale decision so lookups keep
         // hitting while the background pass runs.
         let mut work = Vec::new();
-        {
-            let mut reg = lock(&shared.retune_registry);
-            let records = reg.remove(&*adj.anchor).unwrap_or_default();
+        let mut reg = lock(&shared.retune_registry);
+        if let Some(records) = reg.remove(&*adj.anchor) {
             let entry = reg.entry((*next.anchor).clone()).or_default();
             for rec in records {
                 let mut key = rec.key.clone();
@@ -689,20 +706,26 @@ impl Engine {
                 if let Some(stale) = shared.tune_cache.peek(&rec.key) {
                     shared.tune_cache.insert(key.clone(), stale);
                 }
-                work.push((key.clone(), Arc::clone(&rec.retune)));
-                entry.push(RetuneRecord { key, retune: rec.retune });
+                let rec = RetuneRecord { key, ..rec };
+                work.push(rec.clone());
+                entry.push(rec);
             }
         }
+        drop(reg);
         shared.stats.retunes_started.fetch_add(1, Ordering::Relaxed);
+        if work.is_empty() {
+            shared.stats.retunes_completed.fetch_add(1, Ordering::Relaxed);
+            return Ok(next);
+        }
         let csr = Arc::clone(&next.csr);
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name("sparsetir-retune".into())
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    for (key, retune) in &work {
-                        let fresh = retune(&csr);
-                        shared.tune_cache.insert(key.clone(), fresh);
+                    for rec in work {
+                        let fresh = search_config(rec.search, &csr, &rec.shape);
+                        shared.tune_cache.insert(rec.key, fresh);
                     }
                 }));
                 if result.is_err() {
@@ -895,13 +918,20 @@ impl Drop for Engine {
 
 /// The engine-side face of a servable op: how to pull this op's typed
 /// operands out of the [`OpRequest`] enum and wrap its output back into
-/// the unified [`OpOutput`]. Everything else — batching, tuning,
-/// execution — comes from the generic [`SparseOp`]/[`TunableOp`]
-/// contracts, so adding a served op is one enum variant plus one impl of
-/// this glue.
-trait Served: TunableOp<Adj = Csr> {
+/// the unified [`OpOutput`]. Everything else — batching, execution —
+/// comes from the generic [`SparseOp`] contract, so adding a served op is
+/// one enum variant plus one impl of this glue.
+trait Served: SparseOp<Adj = Csr> {
     fn extract(req: OpRequest) -> Self::Operands;
     fn wrap(out: Self::Output) -> OpOutput;
+
+    /// The configuration a tuned batch headed by `head` launches under.
+    /// Only an op with a [`TunableOp`] search has a decision to take (it
+    /// overrides this with [`tuned_config`]); every other op launches
+    /// under its default and never touches the tune cache.
+    fn tuned(_shared: &Shared, _adj: &Adjacency, _head: &Self::Operands) -> Self::Config {
+        Self::Config::default()
+    }
 }
 
 impl Served for SpmmOp {
@@ -914,6 +944,10 @@ impl Served for SpmmOp {
 
     fn wrap(out: Dense) -> OpOutput {
         OpOutput::Dense(out)
+    }
+
+    fn tuned(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
+        tuned_config::<SpmmOp>(shared, adj, &[head.cols()])
     }
 }
 
@@ -1135,24 +1169,17 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     }
 }
 
-/// The configuration for one `(adjacency, op)` pair: the engine-owned
-/// [`TuneCache`] memoizes the op's simulator-backed `tune_op` search per
-/// sparsity fingerprint, so only the first batch on a new pair pays it.
-/// The decision is keyed on the adjacency and op kind alone — request
-/// shapes vary per batch, so the search runs at the triggering request's
-/// shape and the winner is reused for all shapes (the §2 amortization
-/// trade). `tune` is the engine-wide flag unless the batch head's
-/// submission overrode it.
-fn op_config_for<O>(shared: &Shared, adj: &Adjacency, shape: &[usize], tune: bool) -> O::Config
+/// The tuned configuration for one `(adjacency, op)` pair: the
+/// engine-owned [`TuneCache`] memoizes the op's simulator-backed
+/// [`TunableOp::search`] per sparsity fingerprint, so only the first
+/// batch on a new pair pays it. The decision is keyed on the adjacency
+/// and op kind alone — request shapes vary per batch, so the search runs
+/// at the triggering request's `shape` and the winner is reused for all
+/// shapes (the §2 amortization trade).
+fn tuned_config<O>(shared: &Shared, adj: &Adjacency, shape: &[usize]) -> SpmmConfig
 where
-    O: Served,
-    OpConfig: From<O::Config>,
-    O::Config: TryFrom<OpConfig>,
+    O: TunableOp<Adj = Csr, Config = SpmmConfig>,
 {
-    if !tune {
-        return O::default_config();
-    }
-    let spec = GpuSpec::v100();
     // Keyed on the *anchor*, not the matrix's own fingerprint: a
     // below-threshold `apply_delta` successor shares its predecessor's
     // anchor, so its batches hit the predecessor's cached decision —
@@ -1160,7 +1187,7 @@ where
     let key = TuneKey {
         workload: O::kind(),
         backend: "gpusim",
-        device: spec.device_id(),
+        device: GpuSpec::v100().device_id(),
         extra: vec![],
         fingerprint: (*adj.anchor).clone(),
     };
@@ -1169,46 +1196,31 @@ where
     // so concurrent first batches of one adjacency would otherwise each
     // run the full search, while a global guard on the hit path would
     // serialize unrelated adjacencies behind a slow search.
-    let cached = match shared.tune_cache.get(&key) {
-        Some(config) => config,
-        None => {
-            let _flight = lock(&shared.tune_flight);
-            let (config, hit) = shared.tune_cache.get_or_insert_with(key.clone(), || {
-                tune_op::<O>(&spec, adj.csr(), shape).config.into()
-            });
-            if !hit {
-                // First decision under this anchor: remember how to redo
-                // it, so a future re-anchor can replay the search against
-                // the updated matrix in the background.
-                let shape = shape.to_vec();
-                let record = RetuneRecord {
-                    key: key.clone(),
-                    retune: Arc::new(move |csr: &Csr| {
-                        tune_op::<O>(&GpuSpec::v100(), csr, &shape).config.into()
-                    }),
-                };
-                let mut reg = lock(&shared.retune_registry);
-                let entry = reg.entry(key.fingerprint.clone()).or_default();
-                if !entry.iter().any(|r| r.key == key) {
-                    entry.push(record);
-                }
-            }
-            config
+    if let Some(config) = shared.tune_cache.get(&key) {
+        return config;
+    }
+    let _flight = lock(&shared.tune_flight);
+    let (config, hit) = shared
+        .tune_cache
+        .get_or_insert_with(key.clone(), || search_config(O::search, adj.csr(), shape));
+    if !hit {
+        // First decision under this anchor: remember how to redo it, so a
+        // future re-anchor can replay the search against the updated
+        // matrix in the background.
+        let mut reg = lock(&shared.retune_registry);
+        let entry = reg.entry(key.fingerprint.clone()).or_default();
+        if !entry.iter().any(|r| r.key == key) {
+            entry.push(RetuneRecord { key, search: O::search, shape: shape.to_vec() });
         }
-    };
-    O::Config::try_from(cached).unwrap_or_else(|_| O::default_config())
+    }
+    config
 }
 
 /// Serve one kind-matched batch through the op's generic contract:
 /// config lookup → widened `execute_batch_on` → per-request replies. A
 /// panicking kernel answers every rider with [`EngineError::Exec`]
 /// instead of killing the worker.
-fn serve_as<O>(shared: &Shared, batch: Vec<Job>)
-where
-    O: Served,
-    OpConfig: From<O::Config>,
-    O::Config: TryFrom<OpConfig>,
-{
+fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
     let adj = batch[0].adj.clone();
     // The batch head decides the tuning mode for its riders (one launch,
     // one configuration).
@@ -1221,8 +1233,6 @@ where
         replies.push((job.enqueued, job.priority, job.reply));
         reqs.push(O::extract(job.req));
     }
-    // The search runs at the batch head's shape (see `op_config_for`).
-    let shape = O::shape_of(&reqs[0]);
     // The config lookup sits inside the catch: a panicking tuning search
     // must answer its riders with `Exec` too, not drop their replies.
     let started = Instant::now();
@@ -1231,7 +1241,8 @@ where
     // launch memcpy'd for these riders (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        let config = op_config_for::<O>(shared, &adj, &shape, tune);
+        // A tuned search runs at the batch head's shape.
+        let config = if tune { O::tuned(shared, &adj, &reqs[0]) } else { O::Config::default() };
         O::execute_batch_on(&shared.runtime, adj.csr(), &reqs, &config)
     }));
     shared

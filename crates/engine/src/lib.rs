@@ -12,7 +12,7 @@
 //!   wraps the [`OpRequest`] enum over the kernel crate's
 //!   [`SparseOp`](sparsetir_kernels::op::SparseOp) layer — SpMM, SDDMM,
 //!   multi-head attention, the cross-op fused attention pipeline and the
-//!   fused GraphSAGE layer step all submit, batch, tune and answer
+//!   fused GraphSAGE layer step all submit, batch and answer
 //!   through the same machinery ([`Engine::submit`] → [`Ticket`] →
 //!   [`OpOutput`]). Built via `Submission::spmm(feat).deadline(d)
 //!   .priority(Priority::Hi)`-style constructors.
@@ -34,10 +34,13 @@
 //!   `SPARSETIR_NO_FUSE` environment variable). The flag is baked into
 //!   the engine's shared runtime, so toggling it recompiles rather than
 //!   serving stale cached kernels.
-//! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and an
-//!   op-agnostic [`TuneCache`](sparsetir_autotune::TuneCache)** per
-//!   engine: every worker compiles through the same striped kernel cache
-//!   and reuses the same per-`(adjacency, op)` tuning decisions.
+//! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and one
+//!   [`TuneCache`](sparsetir_autotune::TuneCache)** per engine: every
+//!   worker compiles through the same striped kernel cache and reuses
+//!   the same per-`(adjacency, op)` tuning decisions. Only an op with a
+//!   [`TunableOp`](sparsetir_autotune::TunableOp) search (SpMM) has a
+//!   decision to cache; a tuned submission of any other kind is served
+//!   exactly like an untuned one.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
 //!   folded into one widened kernel launch that binds each rider's

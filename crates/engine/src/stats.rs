@@ -418,12 +418,14 @@ pub struct EngineStats {
     /// Graph deltas applied through
     /// [`Engine::apply_delta`](crate::Engine::apply_delta).
     pub deltas_applied: u64,
-    /// Background retune passes launched because a delta pushed the
+    /// Retune passes started because a delta pushed the
     /// degree-histogram drift past
-    /// [`EngineConfig::drift_threshold`](crate::EngineConfig::drift_threshold).
+    /// [`EngineConfig::drift_threshold`](crate::EngineConfig::drift_threshold)
+    /// (run on a background thread; inline when nothing was tuned under
+    /// the old anchor, so there is nothing to replay).
     pub retunes_started: u64,
-    /// Background retune passes that finished and swapped their fresh
-    /// configs into the tune cache.
+    /// Retune passes that finished and swapped their fresh configs into
+    /// the tune cache.
     pub retunes_completed: u64,
     /// Deltas whose drift stayed at or under the threshold, so the old
     /// tuning anchor (and every cached decision under it) was kept.

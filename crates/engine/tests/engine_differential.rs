@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmOp,
+    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 
@@ -64,7 +64,7 @@ fn random_pairs(a: &Csr, widths: &[usize], seed: u64) -> Vec<(Dense, Dense)> {
 /// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
 /// the fused ops).
 fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
-    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::default_config())
+    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::Config::default())
         .expect("sequential execution")
 }
 
@@ -123,7 +123,7 @@ proptest! {
     ) {
         let xs = random_feats(&a, &widths, seed);
         let batched =
-            SpmmOp::execute_batch_on(&Runtime::new(), &a, &xs, &SpmmOp::default_config())
+            SpmmOp::execute_batch_on(&Runtime::new(), &a, &xs, &SpmmConfig::default())
                 .expect("batched execution");
         prop_assert_eq!(batched.len(), xs.len());
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
@@ -189,7 +189,7 @@ proptest! {
     ) {
         let reqs = random_pairs(&a, &vec![k; n], seed);
         let batched =
-            SddmmOp::execute_batch_on(&Runtime::new(), &a, &reqs, &SddmmOp::default_config())
+            SddmmOp::execute_batch_on(&Runtime::new(), &a, &reqs, &())
                 .expect("batched execution");
         prop_assert_eq!(batched.len(), reqs.len());
         for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {

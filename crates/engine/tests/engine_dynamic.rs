@@ -315,6 +315,42 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
     assert_eq!(engine.tune_cache().misses(), 1);
 }
 
+/// With nothing tuned under the old anchor a re-anchor has nothing to
+/// replay: the pass completes inline — no retune thread is spawned, so
+/// nothing is in flight the moment `apply_delta` returns (no
+/// `quiesce_retunes` anywhere) — and the delta accounting still balances.
+#[test]
+fn above_threshold_deltas_with_nothing_tuned_complete_inline() {
+    let n = 16u32;
+    let diagonal: Vec<_> = (0..n).map(|i| (i, i, 1.0f32)).collect();
+    let base = Csr::from_coo(&Coo::from_entries(16, 16, diagonal).expect("in-bounds"));
+    let engine = dynamic_engine(false);
+    let mut adj = Adjacency::new(base);
+    for step in 0..32u64 {
+        // Toggle a second edge on every row: every degree crosses a log2
+        // bucket boundary each step, drift 2.0 >> 0.1.
+        let mut delta = GraphDelta::new();
+        for i in 0..n {
+            if step % 2 == 0 {
+                delta.upsert(i, (i + 1) % n, 0.5);
+            } else {
+                delta.delete(i, (i + 1) % n);
+            }
+        }
+        let next = engine.apply_delta(&adj, &delta).expect("in-bounds delta");
+        assert_ne!(next.anchor(), adj.anchor(), "step {step} re-anchors");
+        let stats = engine.stats();
+        assert_eq!(stats.retunes_in_flight(), 0, "step {step} left a retune in flight");
+        assert_eq!(stats.retunes_skipped + stats.retunes_started, stats.deltas_applied);
+        adj = next;
+    }
+    let stats = engine.stats();
+    assert_eq!(
+        (stats.deltas_applied, stats.retunes_started, stats.retunes_completed),
+        (32, 32, 32)
+    );
+}
+
 /// A delta addressing rows/columns outside the adjacency is refused with
 /// a typed shape error, and the adjacency is left untouched.
 #[test]

@@ -30,7 +30,7 @@ fn power_law_csr(n: usize, seed: u64) -> Csr {
 /// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
 /// the fused ops).
 fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
-    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::default_config()).expect("executes")
+    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::Config::default()).expect("executes")
 }
 
 fn bit_eq(a: &Dense, b: &Dense) -> bool {
@@ -276,6 +276,68 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     assert_eq!(engine.tune_cache().len(), 1, "one cached decision for one adjacency");
     assert_eq!(engine.tune_cache().misses(), 1, "only the first batch tunes");
     assert!(engine.tune_cache().hits() >= 1);
+}
+
+/// The engine tunes only what a launch reads. SDDMM, attention, fused
+/// attention and fused SAGE have no `TunableOp` search, so a
+/// `.tune(true)` submission of theirs never touches the tune cache and
+/// answers exactly like the untuned one; SpMM takes one decision per
+/// anchor, and a re-anchor replays that one decision and nothing else.
+#[test]
+fn tuned_submissions_search_only_ops_whose_launch_reads_a_config() {
+    fn bits(out: OpOutput) -> Vec<u32> {
+        let flat: Vec<f32> = match out {
+            OpOutput::Dense(d) => d.data().to_vec(),
+            OpOutput::Edges(e) => e,
+            OpOutput::Heads(hs) => hs.iter().flat_map(|h| h.data().to_vec()).collect(),
+        };
+        flat.iter().map(|v| v.to_bits()).collect()
+    }
+    let n = 16u32;
+    let diagonal: Vec<_> = (0..n).map(|i| (i, i, 1.0f32)).collect();
+    let a = Csr::from_coo(&Coo::from_entries(16, 16, diagonal).expect("in-bounds"));
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(111);
+    let subs = [
+        Submission::sddmm(gen::random_dense(16, 3, &mut rng), gen::random_dense(3, 16, &mut rng)),
+        Submission::attention((0..2).map(|_| gen::random_dense(16, 2, &mut rng)).collect()),
+        Submission::fused_attention(vec![random_head(&a, 4, 3, &mut rng)]),
+        Submission::fused_sage(
+            gen::random_dense(16, 5, &mut rng),
+            gen::random_dense(5, 3, &mut rng),
+        ),
+    ];
+    for sub in subs {
+        let kind = sub.kind();
+        let tuned = engine.serve(&adj, sub.clone().tune(true)).expect("serves tuned");
+        let plain = engine.serve(&adj, sub).expect("serves untuned");
+        assert_eq!(bits(tuned), bits(plain), "{kind}: a tuned submission changed the answer");
+    }
+    let cache = engine.tune_cache();
+    assert_eq!((cache.len(), cache.misses(), cache.hits()), (0, 0, 0), "nothing to decide");
+
+    let x = gen::random_dense(16, 4, &mut rng);
+    engine.serve(&adj, Submission::spmm(x.clone()).tune(true)).expect("serves tuned spmm");
+    assert_eq!((cache.len(), cache.misses()), (1, 1), "the one searched kind");
+
+    // A second edge on every row shifts the whole degree histogram a bin:
+    // the successor re-anchors and the background pass replays SpMM's
+    // decision under the new anchor — old + new, nothing else.
+    let mut delta = GraphDelta::new();
+    for i in 0..n {
+        delta.upsert(i, (i + 1) % n, 0.5);
+    }
+    let next = engine.apply_delta(&adj, &delta).expect("in-bounds delta");
+    assert_ne!(next.anchor(), adj.anchor(), "above threshold re-anchors");
+    engine.quiesce_retunes();
+    assert_eq!((cache.len(), cache.misses()), (2, 1));
+    let served = engine
+        .serve(&next, Submission::spmm(x.clone()).tune(true))
+        .and_then(OpOutput::into_dense)
+        .expect("serves the successor");
+    assert!(served.approx_eq(&next.csr().spmm(&x).unwrap(), 1e-4));
+    assert_eq!(cache.misses(), 1, "the successor hit the replayed decision");
 }
 
 /// The engine's private runtime caches kernels across requests: repeated

@@ -30,13 +30,9 @@
 //! ≥ 1 by max-shifting, so the folded `P/Sum` coefficient is safe.
 
 use sparsetir_core::prelude::*;
-use sparsetir_gpusim::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
-
-use crate::attention::batched_csr_spmm_plan;
-use crate::sddmm::{sddmm_plan, SddmmParams};
 
 type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
 
@@ -274,24 +270,6 @@ pub fn fused_attention_reference(a: &Csr, q: &Dense, kt: &Dense, v: &Dense, head
         }
     }
     out
-}
-
-/// Simulator face of the fused op: the cost model prices the launch as
-/// its two flop-dominant phases — the score SDDMM and the aggregation
-/// SpMM (the softmax passes ride the same non-zero walk and are
-/// bandwidth-negligible next to them).
-#[must_use]
-pub fn fused_attention_plans(
-    a: &Csr,
-    heads: usize,
-    feat: usize,
-    vfeat: usize,
-    sddmm: SddmmParams,
-) -> Vec<KernelPlan> {
-    vec![
-        sddmm_plan(a, heads * feat, sddmm, "fused_attn_score"),
-        batched_csr_spmm_plan(a, vfeat, heads, "fused_attn_agg"),
-    ]
 }
 
 #[cfg(test)]

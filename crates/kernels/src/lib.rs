@@ -12,11 +12,12 @@
 //!   decomposition mirrors the same schedule parameters, priced by the GPU
 //!   simulator (the substitution for the paper's hardware runs).
 //!
-//! Both faces are unified behind the generic [`op::SparseOp`] layer: one
-//! descriptor per operator with a uniform `plans()` face, a zero-copy
-//! batching contract (`can_batch` + one `launch`) and a
-//! reference-executor hook, so the autotuner and the serving engine are
-//! op-agnostic. Each served kernel has exactly one executable entry
+//! The served kernels' IR path sits behind the generic [`op::SparseOp`]
+//! layer: one descriptor per operator with a `Config` holding exactly
+//! what its launch reads, a zero-copy batching contract (`can_batch` +
+//! one `launch`) and a reference-executor hook, so the serving engine is
+//! op-agnostic; the plan path stays the free `*_plan` builders the typed
+//! tuners price. Each served kernel has exactly one executable entry
 //! point — [`spmm::spmm_execute_views_on`],
 //! [`sddmm::sddmm_execute_views_on`],
 //! [`fused_attention::fused_attention_views_on`],
@@ -46,16 +47,14 @@ pub mod prelude {
     pub use crate::common::{gemm_plan, SpmmCost, SpmmLayout, F16, F32};
     pub use crate::fused_attention::{
         attention_aggregate_ir, attention_score_ir, edge_softmax_ir, fused_attention_ir,
-        fused_attention_plans, fused_attention_reference, fused_attention_views_on,
+        fused_attention_reference, fused_attention_views_on,
     };
     pub use crate::fused_sage::{
         fused_sage_execute_on, fused_sage_ir, fused_sage_reference, inverse_degrees,
     };
     pub use crate::fusedmm::{fusedmm_execute, fusedmm_plan, fusedmm_reference, unfused_plans};
     pub use crate::op::{
-        AttentionOp, AttentionOpConfig, AttnHead, FusedAttentionConfig, FusedAttentionOp,
-        FusedSageConfig, FusedSageOp, OpConfig, OpError, RgmsOp, RgmsOperands, SddmmOp, SparseOp,
-        SpmmOp,
+        AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpError, SddmmOp, SparseOp, SpmmOp,
     };
     pub use crate::prune::{
         bsr_weight_spmm_plan, dbsr_weight_spmm_plan, srbcrs_weight_spmm_plan,

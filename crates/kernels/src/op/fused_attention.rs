@@ -2,12 +2,7 @@
 //! → SpMM, one kernel) behind the [`SparseOp`] face.
 
 use super::{regroup, OpError, SparseOp};
-use crate::fused_attention::{
-    check_heads, fused_attention_plans, fused_attention_reference, fused_attention_views_on,
-};
-use crate::sddmm::SddmmParams;
-use crate::spmm::SpmmConfig;
-use sparsetir_gpusim::prelude::KernelPlan;
+use crate::fused_attention::{check_heads, fused_attention_reference, fused_attention_views_on};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
@@ -21,23 +16,6 @@ pub struct AttnHead {
     pub kt: Dense,
     /// Values (`cols × vfeat`).
     pub v: Dense,
-}
-
-/// Configuration of the fused attention operator: the score phase's
-/// SDDMM schedule plus the aggregation phase's SpMM schedule (the two
-/// flop-dominant phases its [`plans`](SparseOp::plans) face prices).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FusedAttentionConfig {
-    /// Score-phase (SDDMM) schedule.
-    pub sddmm: SddmmParams,
-    /// Aggregation-phase (SpMM) schedule.
-    pub spmm: SpmmConfig,
-}
-
-impl Default for FusedAttentionConfig {
-    fn default() -> FusedAttentionConfig {
-        FusedAttentionConfig { sddmm: SddmmParams::default(), spmm: SpmmConfig::default_csr() }
-    }
 }
 
 /// The whole sparse-attention pipeline (score SDDMM → edge-softmax →
@@ -64,39 +42,14 @@ impl SparseOp for FusedAttentionOp {
     type Adj = Csr;
     type Operands = Vec<AttnHead>;
     type Output = Vec<Dense>;
-    type Config = FusedAttentionConfig;
+    type Config = ();
 
     fn kind() -> &'static str {
         "fused_attention"
     }
 
-    fn default_config() -> FusedAttentionConfig {
-        FusedAttentionConfig::default()
-    }
-
-    fn sparsity(adj: &Csr) -> SparsityFingerprint {
-        SparsityFingerprint::of(adj)
-    }
-
-    fn shape_of(req: &Vec<AttnHead>) -> Vec<usize> {
-        let (k, vfeat) = attn_head_shape(req).unwrap_or((0, 0));
-        vec![k, vfeat, req.len()]
-    }
-
     fn validate(adj: &Csr, req: &Vec<AttnHead>) -> Result<(), String> {
         check_heads(adj, req.iter().map(|h| (&h.q, &h.kt, &h.v)))
-    }
-
-    fn plans(
-        adj: &Csr,
-        shape: &[usize],
-        config: &FusedAttentionConfig,
-        _name: &str,
-    ) -> Vec<KernelPlan> {
-        let k = shape.first().copied().unwrap_or(1).max(1);
-        let vfeat = shape.get(1).copied().unwrap_or(1).max(1);
-        let heads = shape.get(2).copied().unwrap_or(1).max(1);
-        fused_attention_plans(adj, heads, k, vfeat, config.sddmm)
     }
 
     fn can_batch(lhs: &Vec<AttnHead>, rhs: &Vec<AttnHead>) -> bool {
@@ -112,7 +65,7 @@ impl SparseOp for FusedAttentionOp {
         rt: &Runtime,
         adj: &Csr,
         reqs: &[Vec<AttnHead>],
-        _config: &FusedAttentionConfig,
+        (): &(),
     ) -> Result<Vec<Vec<Dense>>, OpError> {
         let heads: Vec<&AttnHead> = reqs.iter().flatten().collect();
         let mut outs: Vec<Dense> =

@@ -1,14 +1,18 @@
-//! The generic sparse-operator layer: every kernel in this crate —
-//! SpMM, SDDMM, multi-head attention, RGMS — presents one uniform face
-//! ([`SparseOp`]) so the tuning and serving stacks above it can be
-//! op-agnostic. This is the composability thesis applied to our own
-//! plumbing: one prepare → schedule → compile → execute path, many
-//! operators, instead of each kernel re-implementing the pipeline.
+//! The generic sparse-operator layer: every *served* kernel in this
+//! crate — SpMM, SDDMM, multi-head attention, fused attention, the fused
+//! GraphSAGE step — presents one uniform executable face ([`SparseOp`])
+//! so the serving stack above it can be op-agnostic. This is the
+//! composability thesis applied to our own plumbing: one prepare →
+//! schedule → compile → execute path, many operators, instead of each
+//! kernel re-implementing the pipeline. GPU pricing is not part of the
+//! face: the simulator plans are the free `*_plan` builders beside each
+//! kernel, driven by the typed tuners in `sparsetir-autotune`.
 //!
 //! A [`SparseOp`] bundles:
-//! * an **op descriptor** — kind tag, adjacency type, request shape and a
-//!   tunable [`SparseOp::Config`], with a uniform
-//!   [`plans`](SparseOp::plans) face for the GPU simulator;
+//! * an **op descriptor** — kind tag, adjacency type, request operands
+//!   and a [`SparseOp::Config`] holding exactly what
+//!   [`launch`](SparseOp::launch) reads (`()` for an op whose kernel has
+//!   no knob);
 //! * a **batching contract** — [`can_batch`](SparseOp::can_batch) plus
 //!   one [`launch`](SparseOp::launch), so a serving engine can fold
 //!   requests sharing an adjacency fingerprint into one widened kernel
@@ -42,25 +46,20 @@
 //! dense bytes copied into or out of a whole-tensor binding; every
 //! served op leaves it at zero.
 
-use crate::sddmm::SddmmParams;
-use crate::spmm::SpmmConfig;
-use sparsetir_gpusim::prelude::KernelPlan;
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
 mod attention;
 mod fused_attention;
 mod fused_sage;
-mod rgms;
 mod sddmm;
 mod spmm;
 #[cfg(test)]
 mod tests;
 
-pub use attention::{AttentionOp, AttentionOpConfig};
-pub use fused_attention::{AttnHead, FusedAttentionConfig, FusedAttentionOp};
-pub use fused_sage::{FusedSageConfig, FusedSageOp};
-pub use rgms::{RgmsOp, RgmsOperands};
+pub use attention::AttentionOp;
+pub use fused_attention::{AttnHead, FusedAttentionOp};
+pub use fused_sage::FusedSageOp;
 pub use sddmm::SddmmOp;
 pub use spmm::SpmmOp;
 
@@ -68,55 +67,35 @@ pub use spmm::SpmmOp;
 /// failures propagate unchanged from the kernel entry points).
 pub type OpError = Box<dyn std::error::Error>;
 
-/// A sparse operator behind the uniform plan/batch/execute face.
+/// A sparse operator behind the uniform batch/execute face.
 ///
 /// Implementations are zero-sized tag types ([`SpmmOp`], [`SddmmOp`],
-/// [`AttentionOp`], [`RgmsOp`]); all state lives in the adjacency,
-/// the per-request [`Operands`](SparseOp::Operands) and the tunable
+/// [`AttentionOp`], [`FusedAttentionOp`], [`FusedSageOp`]); all state
+/// lives in the adjacency, the per-request
+/// [`Operands`](SparseOp::Operands) and the
 /// [`Config`](SparseOp::Config).
 pub trait SparseOp {
-    /// The sparse structure requests are served against ([`Csr`] for the
-    /// single-matrix ops, [`crate::rgms::RgmsWorkload`] for the relational
-    /// one).
+    /// The sparse structure requests are served against.
     type Adj;
     /// Dense operands of one request.
     type Operands: Send + 'static;
     /// Per-request result.
     type Output: Send + 'static;
-    /// Tunable configuration (format decomposition + schedule knobs).
-    type Config: Clone + Send + Sync + PartialEq + std::fmt::Debug + 'static;
+    /// What [`launch`](SparseOp::launch) reads besides the operands: the
+    /// format decomposition and schedule knobs that change the generated
+    /// kernel, `()` when there are none. `Default` is the untuned
+    /// configuration.
+    type Config: Clone + Default + Send + Sync + PartialEq + std::fmt::Debug + 'static;
 
     /// Stable kind tag (`"spmm"`, `"sddmm"`, …) — tune-cache key material
     /// and display label.
     fn kind() -> &'static str;
-
-    /// The untuned default configuration.
-    fn default_config() -> Self::Config;
-
-    /// Structural fingerprint of the adjacency (cache-key material: a
-    /// decision transfers between adjacencies with equal fingerprints).
-    fn sparsity(adj: &Self::Adj) -> SparsityFingerprint;
-
-    /// Workload-shape key of one request (feature width, heads, …): the
-    /// `extra` component of a tuning key, and what [`plans`](SparseOp::plans)
-    /// prices.
-    fn shape_of(req: &Self::Operands) -> Vec<usize>;
 
     /// Shape-validate one request against the adjacency.
     ///
     /// # Errors
     /// A human-readable description of the first mismatch.
     fn validate(adj: &Self::Adj, req: &Self::Operands) -> Result<(), String>;
-
-    /// The uniform simulator face: kernel plans of this op at `shape`
-    /// under `config` (the same shape vector [`shape_of`](SparseOp::shape_of)
-    /// produces).
-    fn plans(
-        adj: &Self::Adj,
-        shape: &[usize],
-        config: &Self::Config,
-        name: &str,
-    ) -> Vec<KernelPlan>;
 
     /// Batching contract: true when two validated requests may share one
     /// widened launch. Callers must already have matched the adjacency
@@ -203,53 +182,3 @@ fn regroup<T>(flat: Vec<Dense>, reqs: &[Vec<T>]) -> Vec<Vec<Dense>> {
     let mut heads = flat.into_iter();
     reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
 }
-
-/// A tuning decision for *any* [`SparseOp`], as stored in op-agnostic
-/// caches ([`TuneCache<OpConfig>`]-shaped maps in the autotuner and the
-/// serving engine). The variant always matches the workload kind of the
-/// key it is cached under.
-///
-/// [`TuneCache<OpConfig>`]: SparseOp
-#[derive(Debug, Clone, PartialEq)]
-pub enum OpConfig {
-    /// SpMM format × schedule decision.
-    Spmm(SpmmConfig),
-    /// SDDMM schedule decision.
-    Sddmm(SddmmParams),
-    /// Block-sparse attention decision.
-    Attention(AttentionOpConfig),
-    /// RGMS bucket exponent.
-    Rgms(u32),
-    /// Cross-op fused attention decision.
-    FusedAttention(FusedAttentionConfig),
-    /// Cross-op fused GraphSAGE-step decision.
-    FusedSage(FusedSageConfig),
-}
-
-macro_rules! op_config_conversions {
-    ($variant:ident, $ty:ty) => {
-        impl From<$ty> for OpConfig {
-            fn from(c: $ty) -> OpConfig {
-                OpConfig::$variant(c)
-            }
-        }
-
-        impl TryFrom<OpConfig> for $ty {
-            type Error = &'static str;
-
-            fn try_from(c: OpConfig) -> Result<$ty, &'static str> {
-                match c {
-                    OpConfig::$variant(c) => Ok(c),
-                    _ => Err(concat!("OpConfig is not the ", stringify!($variant), " variant")),
-                }
-            }
-        }
-    };
-}
-
-op_config_conversions!(Spmm, SpmmConfig);
-op_config_conversions!(Sddmm, SddmmParams);
-op_config_conversions!(Attention, AttentionOpConfig);
-op_config_conversions!(Rgms, u32);
-op_config_conversions!(FusedAttention, FusedAttentionConfig);
-op_config_conversions!(FusedSage, FusedSageConfig);

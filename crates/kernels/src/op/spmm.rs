@@ -1,8 +1,7 @@
 //! [`SpmmOp`]: SpMM behind the [`SparseOp`] face.
 
 use super::{OpError, SparseOp};
-use crate::spmm::{self, spmm_execute_views_on, tuned_spmm_plans, SpmmConfig};
-use sparsetir_gpusim::prelude::KernelPlan;
+use crate::spmm::{self, spmm_execute_views_on, SpmmConfig};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
@@ -21,25 +20,8 @@ impl SparseOp for SpmmOp {
         "spmm"
     }
 
-    fn default_config() -> SpmmConfig {
-        SpmmConfig::default_csr()
-    }
-
-    fn sparsity(adj: &Csr) -> SparsityFingerprint {
-        SparsityFingerprint::of(adj)
-    }
-
-    fn shape_of(req: &Dense) -> Vec<usize> {
-        vec![req.cols()]
-    }
-
     fn validate(adj: &Csr, req: &Dense) -> Result<(), String> {
         spmm::check_shapes(adj, req)
-    }
-
-    fn plans(adj: &Csr, shape: &[usize], config: &SpmmConfig, name: &str) -> Vec<KernelPlan> {
-        let feat = shape.first().copied().unwrap_or(1);
-        tuned_spmm_plans(adj, feat, config, name)
     }
 
     fn can_batch(_lhs: &Dense, _rhs: &Dense) -> bool {

@@ -2,7 +2,7 @@
 //! every op, the batching contract enforced, validation errors indexed.
 
 use super::*;
-use crate::rgms::RgmsWorkload;
+use crate::spmm::{CsrSpmmParams, SpmmConfig};
 
 fn rt() -> Runtime {
     Runtime::new()
@@ -12,6 +12,12 @@ fn bit_eq(a: &[f32], b: &[f32]) -> bool {
     a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
+/// A `hyb(c=2, k=2)` decomposition: lowers to different IR than the CSR
+/// default on any matrix.
+fn hyb_arm() -> SpmmConfig {
+    SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() }
+}
+
 #[test]
 fn spmm_op_batch_matches_singles() {
     let mut rng = gen::rng(71);
@@ -19,12 +25,18 @@ fn spmm_op_batch_matches_singles() {
     let xs: Vec<Dense> =
         [3usize, 0, 1, 5].iter().map(|&w| gen::random_dense(14, w, &mut rng)).collect();
     let rt = rt();
-    let config = SpmmOp::default_config();
-    let batched = SpmmOp::execute_batch_on(&rt, &a, &xs, &config).unwrap();
-    for (x, got) in xs.iter().zip(&batched) {
-        let want = SpmmOp::execute_on(&rt, &a, x, &config).unwrap();
-        assert!(bit_eq(got.data(), want.data()));
-        assert!(got.approx_eq(&SpmmOp::reference(&a, x).unwrap(), 1e-4));
+    // A non-unit `Config` reaches the IR: each configuration compiles its
+    // own kernels, and every one of them computes SpMM.
+    let mut compiled = rt.compilations();
+    for config in [SpmmConfig::default(), hyb_arm()] {
+        let batched = SpmmOp::execute_batch_on(&rt, &a, &xs, &config).unwrap();
+        assert!(rt.compilations() > compiled, "{} compiled nothing new", config.label());
+        compiled = rt.compilations();
+        for (x, got) in xs.iter().zip(&batched) {
+            let want = SpmmOp::execute_on(&rt, &a, x, &config).unwrap();
+            assert!(bit_eq(got.data(), want.data()));
+            assert!(got.approx_eq(&SpmmOp::reference(&a, x).unwrap(), 1e-4));
+        }
     }
 }
 
@@ -38,11 +50,10 @@ fn sddmm_op_block_diagonal_batch_is_bit_identical() {
         .collect();
     assert!(SddmmOp::can_batch(&reqs[0], &reqs[1]));
     let rt = rt();
-    let config = SddmmOp::default_config();
-    let batched = SddmmOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
+    let batched = SddmmOp::execute_batch_on(&rt, &a, &reqs, &()).unwrap();
     assert_eq!(batched.len(), reqs.len());
     for (req, got) in reqs.iter().zip(&batched) {
-        let want = SddmmOp::execute_on(&rt, &a, req, &config).unwrap();
+        let want = SddmmOp::execute_on(&rt, &a, req, &()).unwrap();
         assert!(bit_eq(got, &want));
     }
 }
@@ -57,7 +68,7 @@ fn sddmm_op_refuses_mixed_inner_widths() {
     // The contract is enforced by the batch path itself, not just
     // advertised: a mixed-width batch is a typed error, never a
     // silently wrong stacked launch.
-    let err = SddmmOp::execute_batch_on(&rt(), &a, &[narrow, wide], &SddmmOp::default_config())
+    let err = SddmmOp::execute_batch_on(&rt(), &a, &[narrow, wide], &())
         .expect_err("mixed inner widths must be rejected");
     assert!(err.to_string().contains("request 1"), "{err}");
 }
@@ -72,19 +83,26 @@ fn attention_op_stacks_heads_across_requests() {
         (0..2).map(|_| gen::random_dense(16, 2, &mut rng)).collect(),
     ];
     let rt = rt();
-    let config = AttentionOp::default_config();
-    let batched = AttentionOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
-    assert_eq!(batched.len(), 3);
-    assert_eq!(batched[1].len(), 0);
-    for (req, got) in reqs.iter().zip(&batched) {
-        let want = AttentionOp::reference(&a, req).unwrap();
-        for (g, w) in got.iter().zip(&want) {
-            assert!(g.approx_eq(w, 1e-4));
-        }
-        // And bit-identical to the op's own unbatched execution.
-        let solo = AttentionOp::execute_on(&rt, &a, req, &config).unwrap();
-        for (g, s) in got.iter().zip(&solo) {
-            assert!(bit_eq(g.data(), s.data()));
+    // The configuration is what the launch reads: the same requests under
+    // the CSR default and under a hyb decomposition compile distinct
+    // kernels, and both stack, match the reference and stay bit-identical
+    // to unbatched execution.
+    let mut compiled = rt.compilations();
+    for config in [SpmmConfig::default(), hyb_arm()] {
+        let batched = AttentionOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
+        assert!(rt.compilations() > compiled, "{} compiled nothing new", config.label());
+        compiled = rt.compilations();
+        assert_eq!(batched.len(), 3);
+        assert_eq!(batched[1].len(), 0);
+        for (req, got) in reqs.iter().zip(&batched) {
+            let want = AttentionOp::reference(&a, req).unwrap();
+            for (g, w) in got.iter().zip(&want) {
+                assert!(g.approx_eq(w, 1e-4));
+            }
+            let solo = AttentionOp::execute_on(&rt, &a, req, &config).unwrap();
+            for (g, s) in got.iter().zip(&solo) {
+                assert!(bit_eq(g.data(), s.data()));
+            }
         }
     }
 }
@@ -95,40 +113,9 @@ fn op_validation_reports_request_index() {
     let a = gen::random_csr(8, 8, 0.3, &mut rng);
     let good = gen::random_dense(8, 2, &mut rng);
     let bad = gen::random_dense(9, 2, &mut rng);
-    let err = SpmmOp::execute_batch_on(&rt(), &a, &[good, bad], &SpmmOp::default_config())
+    let err = SpmmOp::execute_batch_on(&rt(), &a, &[good, bad], &SpmmConfig::default())
         .expect_err("row mismatch must be rejected");
     assert!(err.to_string().contains("request 1"), "{err}");
-}
-
-#[test]
-fn rgms_op_executes_and_never_batches() {
-    use rand::Rng;
-    let mut rng = gen::rng(76);
-    let relations: Vec<Csr> = (0..2)
-        .map(|_| {
-            gen::random_csr_with_row_lengths(
-                20,
-                20,
-                |r| {
-                    let u: f64 = r.gen_range(0.0..1.0);
-                    ((3.0 / (u + 0.05)) as usize).clamp(0, 10)
-                },
-                &mut rng,
-            )
-        })
-        .collect();
-    let w = RgmsWorkload { relations, din: 6, dout: 5 };
-    let req = RgmsOperands {
-        x: gen::random_dense(20, 6, &mut rng),
-        weights: (0..2).map(|_| gen::random_dense(6, 5, &mut rng)).collect(),
-    };
-    assert!(!RgmsOp::can_batch(&req, &req));
-    let got = RgmsOp::execute_on(&rt(), &w, &req, &RgmsOp::default_config()).unwrap();
-    let want = RgmsOp::reference(&w, &req).unwrap();
-    assert!(bit_eq(got.data(), want.data()));
-    // The plan face covers both the naive and bucketed variants.
-    assert!(!RgmsOp::plans(&w, &[6, 5, 0], &0, "naive").is_empty());
-    assert!(!RgmsOp::plans(&w, &[6, 5, 1], &5, "hyb_tc").is_empty());
 }
 
 fn attn_req(a: &Csr, heads: usize, k: usize, vfeat: usize, seed: u64) -> Vec<AttnHead> {
@@ -153,12 +140,11 @@ fn fused_attention_op_batch_is_bit_identical_to_singles() {
     assert!(FusedAttentionOp::can_batch(&reqs[0], &reqs[1]));
     assert!(FusedAttentionOp::can_batch(&reqs[0], &reqs[2]));
     let rt = rt();
-    let config = FusedAttentionOp::default_config();
-    let batched = FusedAttentionOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
+    let batched = FusedAttentionOp::execute_batch_on(&rt, &a, &reqs, &()).unwrap();
     assert_eq!(batched.len(), 3);
     assert_eq!(batched[1].len(), 0);
     for (req, got) in reqs.iter().zip(&batched) {
-        let solo = FusedAttentionOp::execute_on(&rt, &a, req, &config).unwrap();
+        let solo = FusedAttentionOp::execute_on(&rt, &a, req, &()).unwrap();
         for (g, s) in got.iter().zip(&solo) {
             assert!(bit_eq(g.data(), s.data()), "batched must be bit-identical to solo");
         }
@@ -177,13 +163,8 @@ fn fused_attention_op_refuses_mixed_head_shapes() {
     let narrow = attn_req(&a, 1, 2, 3, 85);
     let wide = attn_req(&a, 1, 4, 3, 86);
     assert!(!FusedAttentionOp::can_batch(&narrow, &wide));
-    let err = FusedAttentionOp::execute_batch_on(
-        &rt(),
-        &a,
-        &[narrow, wide],
-        &FusedAttentionOp::default_config(),
-    )
-    .expect_err("mixed (k, vfeat) must be rejected");
+    let err = FusedAttentionOp::execute_batch_on(&rt(), &a, &[narrow, wide], &())
+        .expect_err("mixed (k, vfeat) must be rejected");
     assert!(err.to_string().contains("request 1"), "{err}");
     // Non-uniform heads inside one request are a validation error.
     let mut bad = attn_req(&a, 1, 2, 3, 87);
@@ -192,24 +173,12 @@ fn fused_attention_op_refuses_mixed_head_shapes() {
 }
 
 #[test]
-fn fused_attention_op_has_a_plan_face() {
-    let mut rng = gen::rng(89);
-    let a = gen::random_csr(16, 16, 0.2, &mut rng);
-    let req = attn_req(&a, 2, 4, 4, 90);
-    let shape = FusedAttentionOp::shape_of(&req);
-    assert_eq!(shape, vec![4, 4, 2]);
-    let plans = FusedAttentionOp::plans(&a, &shape, &FusedAttentionOp::default_config(), "fa");
-    assert_eq!(plans.len(), 2, "score + aggregation phases");
-}
-
-#[test]
 fn fused_sage_op_executes_and_never_batches() {
     let mut rng = gen::rng(91);
     let a = gen::random_csr(12, 12, 0.3, &mut rng);
     let req = (gen::random_dense(12, 5, &mut rng), gen::random_dense(5, 4, &mut rng));
     assert!(!FusedSageOp::can_batch(&req, &req));
-    let got = FusedSageOp::execute_on(&rt(), &a, &req, &FusedSageOp::default_config()).unwrap();
+    let got = FusedSageOp::execute_on(&rt(), &a, &req, &()).unwrap();
     let want = FusedSageOp::reference(&a, &req).unwrap();
     assert!(got.approx_eq(&want, 1e-4));
-    assert_eq!(FusedSageOp::plans(&a, &[5, 4], &FusedSageOp::default_config(), "fs").len(), 2);
 }

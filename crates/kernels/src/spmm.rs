@@ -46,6 +46,12 @@ pub struct SpmmConfig {
     pub params: CsrSpmmParams,
 }
 
+impl Default for SpmmConfig {
+    fn default() -> SpmmConfig {
+        SpmmConfig::default_csr()
+    }
+}
+
 impl SpmmConfig {
     /// The untuned baseline: plain CSR with the default GE-SpMM schedule.
     #[must_use]

@@ -4,11 +4,12 @@
 //! SparseTIR naive / hyb / hyb+TC fused kernels — plus GPU memory
 //! footprints.
 
-use sparsetir_autotune::tune_op;
+use sparsetir_autotune::{tune, tune_cached, Evaluator, ListSpace, TuneCache, TuneKey, TuneResult};
 use sparsetir_baselines::prelude::rgcn as baseline_rgcn;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_kernels::prelude::*;
 use sparsetir_smat::prelude::*;
+use std::sync::OnceLock;
 
 /// An RGCN layer instance: relational structure plus per-relation weights.
 #[derive(Debug, Clone)]
@@ -94,16 +95,51 @@ pub fn figure20_measurements(spec: &GpuSpec, layer: &RgcnLayer) -> Vec<RgcnMeasu
     ]
 }
 
-/// Search the 3-D hyb bucket exponent `k` through the generic, cached
-/// `tune_op` path (the fixed `k = 5` of the figure is one candidate) and
-/// return `(k, simulated_ms)` of the winner. RGCN picks its operator
-/// through exactly the same op-agnostic tuning layer as SpMM, SDDMM and
-/// attention — and a retune of the same relational structure is a cache
-/// hit.
+/// Simulator scoring of one 3-D hyb bucket exponent `k`.
+struct RgmsSimEvaluator<'a> {
+    spec: &'a GpuSpec,
+    workload: &'a RgmsWorkload,
+    tensor_cores: bool,
+}
+
+impl RgmsSimEvaluator<'_> {
+    fn report(&self, k: u32) -> KernelReport {
+        simulate_kernel(
+            self.spec,
+            &rgms_hyb_plan(self.workload, k, self.tensor_cores, "stir_tuned"),
+        )
+    }
+}
+
+impl Evaluator<u32> for RgmsSimEvaluator<'_> {
+    fn evaluate(&self, k: &u32) -> Option<f64> {
+        Some(self.report(*k).time_ms)
+    }
+}
+
+/// Search the 3-D hyb bucket exponent `k` (the fixed `k = 5` of the
+/// figure is one candidate) and return `(k, simulated_ms)` of the winner.
+/// RGCN picks its operator through the same search engine and
+/// fingerprint-keyed cache as SpMM, SDDMM and attention — a retune of the
+/// same relational structure is a cache hit.
 #[must_use]
 pub fn tuned_rgms(spec: &GpuSpec, layer: &RgcnLayer, tensor_cores: bool) -> (u32, f64) {
+    static CACHE: OnceLock<TuneCache<TuneResult<u32>>> = OnceLock::new();
     let w = &layer.workload;
-    let r = tune_op::<RgmsOp>(spec, w, &[w.din, w.dout, usize::from(tensor_cores)]);
+    let key = TuneKey {
+        workload: "rgms",
+        backend: "gpusim",
+        device: spec.device_id(),
+        extra: vec![w.din, w.dout, usize::from(tensor_cores)],
+        fingerprint: SparsityFingerprint::of_relations(&w.relations),
+    };
+    let evaluator = RgmsSimEvaluator { spec, workload: w, tensor_cores };
+    let r = tune_cached(
+        CACHE.get_or_init(TuneCache::new),
+        key,
+        || tune(&ListSpace(vec![2u32, 3, 4, 5, 6]), &evaluator),
+        |k| evaluator.report(*k),
+    );
     (r.config, r.report.time_ms)
 }
 

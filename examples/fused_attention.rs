@@ -41,10 +41,8 @@ fn main() {
             v: gen::random_dense(n, vfeat, &mut rng),
         })
         .collect();
-    let config = FusedAttentionOp::default_config();
-
     let fused_rt = Runtime::with_fusion(true);
-    let fused = FusedAttentionOp::execute_on(&fused_rt, &graph, &request, &config).expect("fused");
+    let fused = FusedAttentionOp::execute_on(&fused_rt, &graph, &request, &()).expect("fused");
     println!(
         "fused:    {} kernel(s) compiled — score, row-max, exp-sum and aggregate passes share one \
          launch",
@@ -55,7 +53,7 @@ fn main() {
     // (what `SPARSETIR_NO_FUSE` selects).
     let pipeline_rt = Runtime::with_fusion(false);
     let pipeline =
-        FusedAttentionOp::execute_on(&pipeline_rt, &graph, &request, &config).expect("pipeline");
+        FusedAttentionOp::execute_on(&pipeline_rt, &graph, &request, &()).expect("pipeline");
     println!("pipeline: {} kernels compiled — SDDMM, edge-softmax, SpMM", pipeline_rt.cached());
 
     let bit_identical = fused

@@ -11,16 +11,17 @@
 //! | [`smat`] | sparse matrix formats: CSR/CSC, COO, BSR, DBSR, ELL, DIA, CSF, ragged, SR-BCRS, `hyb(c,k)` |
 //! | [`core`] | the paper's contribution: Stage I sparse IR, format decomposition, Stage I schedules, the two lowering passes, horizontal fusion |
 //! | [`gpusim`] | deterministic GPU performance simulator (V100/RTX 3070) — the substitution for physical GPUs |
-//! | [`kernels`] | SparseTIR-generated operators: SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv — unified behind the generic `SparseOp` layer |
+//! | [`kernels`] | SparseTIR-generated operators: SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv, each with a simulator `*_plan` builder; the served ones (SpMM, SDDMM, attention, fused attention, fused GraphSAGE step) also sit behind the executable `SparseOp` face |
 //! | [`baselines`] | cuSPARSE/cuBLAS/Sputnik/dgSPARSE/TACO/Triton/DGL/PyG/Graphiler/TorchSparse-like baselines |
 //! | [`graphs`] | synthetic workload generators for every dataset in the evaluation |
 //! | [`nn`] | end-to-end GraphSAGE training and RGCN inference |
-//! | [`autotune`] | the joint format × schedule search of §2 |
-//! | [`engine`] | concurrent op-agnostic serving engine: one generic request path batching SpMM/SDDMM/attention over the kernel cache |
+//! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners, plus `TunableOp` for ops whose executable kernel reads the decision |
+//! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path batching SpMM / SDDMM / attention / fused attention (and serving the fused GraphSAGE step) over the kernel cache, with SLO admission, incremental graph updates, and tuning for the ops that have a `TunableOp` search (SpMM) |
 //!
-//! See `DESIGN.md` for the system inventory and the per-experiment index,
-//! and `EXPERIMENTS.md` for paper-vs-measured results. The `examples/`
-//! directory walks through the pipeline end to end; start with
+//! See `README.md` for the system inventory ("The three-stage IR",
+//! "Crate map") and for how to run and gate the paper's experiments
+//! ("Quickstart", "Performance tracking"). The `examples/` directory
+//! walks through the pipeline end to end; start with
 //! `cargo run --example quickstart`.
 
 #![warn(missing_docs)]
@@ -38,7 +39,7 @@ pub use sparsetir_smat as smat;
 
 /// Everything the examples and integration tests need, in one import.
 pub mod prelude {
-    pub use sparsetir_autotune::{random_search, tune_op, tune_spmm, SpmmConfig, TuneResult};
+    pub use sparsetir_autotune::{random_search, tune_spmm, SpmmConfig, TuneResult};
     pub use sparsetir_baselines::prelude::*;
     pub use sparsetir_core::prelude::*;
     pub use sparsetir_engine::{

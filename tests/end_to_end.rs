@@ -186,13 +186,8 @@ fn sddmm_fused_ir_on_dataset_slice() {
     let feat = 8;
     let x = gen::random_dense(g.rows(), feat, &mut rng);
     let y = gen::random_dense(feat, g.cols(), &mut rng);
-    let got = SddmmOp::execute_on(
-        &Runtime::new(),
-        &g,
-        &(x.clone(), y.clone()),
-        &SddmmOp::default_config(),
-    )
-    .expect("executes");
+    let got =
+        SddmmOp::execute_on(&Runtime::new(), &g, &(x.clone(), y.clone()), &()).expect("executes");
     let expect = g.sddmm(&x, &y).unwrap();
     for (gv, ev) in got.iter().zip(expect.values()) {
         assert!((gv - ev).abs() < 1e-3);
