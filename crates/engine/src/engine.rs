@@ -25,6 +25,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -407,6 +408,9 @@ struct QueueState {
     /// each pending injection makes one draining worker panic while it
     /// holds the queue lock.
     inject_panics: usize,
+    /// Occupancy test hook (see [`Engine::stall_worker`]): each pending
+    /// gate parks one draining worker until its guard is dropped.
+    stalls: Vec<mpsc::Receiver<()>>,
     /// Monotonic admission counter feeding [`Job::seq`].
     seq: u64,
     shutdown: bool,
@@ -517,6 +521,15 @@ impl Ticket {
     }
 }
 
+/// Guard of [`Engine::stall_worker`]: one worker stays parked while it
+/// lives. It borrows the engine, so the engine cannot shut down (and wait
+/// for that worker) underneath it.
+#[doc(hidden)]
+pub struct WorkerStall<'a> {
+    _guard: mpsc::Sender<()>,
+    _engine: PhantomData<&'a Engine>,
+}
+
 /// Multi-tenant serving engine: owns a shared kernel-cache [`Runtime`]
 /// and a [`TuneCache`] of SpMM decisions, accepts [`Submission`]s for any
 /// served [`SparseOp`] from any number of client threads through one
@@ -546,6 +559,7 @@ impl Engine {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
                 inject_panics: 0,
+                stalls: Vec::new(),
                 seq: 0,
                 shutdown: false,
             }),
@@ -760,6 +774,23 @@ impl Engine {
         st.inject_panics += 1;
         drop(st);
         self.shared.not_empty.notify_one();
+    }
+
+    /// Occupancy test hook: the next worker to reach the queue parks —
+    /// holding neither the lock nor a job — until the returned guard is
+    /// dropped. Requests submitted meanwhile pile up behind it exactly as
+    /// behind a long-running kernel, for as long as the test needs and
+    /// however fast kernels run (with `workers: 1`, nothing is served
+    /// until the drop).
+    #[doc(hidden)]
+    #[must_use = "the worker resumes as soon as the guard is dropped"]
+    pub fn stall_worker(&self) -> WorkerStall<'_> {
+        let (guard, gate) = mpsc::channel();
+        let mut st = lock(&self.shared.state);
+        st.stalls.push(gate);
+        drop(st);
+        self.shared.not_empty.notify_one();
+        WorkerStall { _guard: guard, _engine: PhantomData }
     }
 
     fn submit_request(
@@ -1028,6 +1059,13 @@ fn worker_tick(shared: &Shared) -> bool {
             if st.inject_panics > 0 {
                 st.inject_panics -= 1;
                 panic!("injected worker panic (crash-safety test hook)")
+            }
+            if let Some(gate) = st.stalls.pop() {
+                drop(st);
+                // Parked until the test drops its `WorkerStall`.
+                let _ = gate.recv();
+                st = lock(&shared.state);
+                continue;
             }
             // Expired-at-drain requests are swept out before dispatch
             // and answered Expired — their operands never reach

@@ -25,16 +25,11 @@ fn slo_config() -> EngineConfig {
     }
 }
 
-/// One expired-at-drain scenario: a heavy SpMM occupies the single
-/// worker while a cheap SDDMM victim of shape `(sn, k)` with a deadline
-/// far shorter than the occupant's runtime waits in the queue.
+/// One expired-at-drain scenario: the single worker is stalled
+/// (`Engine::stall_worker`) while a cheap SDDMM victim of shape `(sn, k)`
+/// waits in the queue past its deadline.
 fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     let mut rng = gen::rng(seed);
-    // Heavy occupant: a dense-ish SpMM that keeps the worker busy far
-    // longer than the victim's deadline.
-    let heavy_graph = gen::random_csr(1024, 1024, 0.15, &mut rng);
-    let heavy_adj = Adjacency::new(heavy_graph);
-    let heavy_x = gen::random_dense(1024, 256, &mut rng);
     // Cheap victim: an SDDMM on a small graph. Its op kind has no
     // execution estimate yet, so admission optimistically accepts it.
     let small_graph = gen::random_csr(sn, sn, 0.3, &mut rng);
@@ -43,31 +38,31 @@ fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     let sy = gen::random_dense(k, sn, &mut rng);
 
     let engine = Engine::new(slo_config());
-    let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
-    // Let the idle worker pop the heavy job before the victim arrives.
-    std::thread::sleep(Duration::from_millis(10));
+    let stall = engine.stall_worker();
+    let deadline = Duration::from_millis(1);
     let victim = engine
-        .submit(&small_adj, Submission::sddmm(sx, sy).deadline(Duration::from_millis(1)))
+        .submit(&small_adj, Submission::sddmm(sx, sy).deadline(deadline))
         .expect("victim admits: deadline is in the future and the kind is cold");
+    std::thread::sleep(deadline * 2);
+    drop(stall);
 
     let res = victim.wait();
     assert!(
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::Expired })),
         "expired-at-drain must answer Rejected {{ Expired }}, got {res:?}"
     );
-    heavy.wait_dense().expect("heavy job still serves");
 
     let stats = engine.stats();
     assert_eq!(stats.expired, 1, "exactly the victim expired: {stats:?}");
-    assert_eq!(stats.completed, 1, "only the heavy job executed");
+    assert_eq!(stats.completed, 0, "nothing executed");
     assert_eq!(stats.priority(Priority::Normal).expired, 1);
     // Drain-time expiry is its own counter: the request *was* admitted,
     // so the admission-shed tallies stay untouched.
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.shed.total(), 0);
-    // The proof the operands never reached a kernel: only the heavy
-    // SpMM was ever compiled, and no SDDMM batch was launched.
-    assert_eq!(engine.runtime().cached(), 1, "no kernel may be compiled for the shed SDDMM");
+    // The proof the operands never reached a kernel: nothing was ever
+    // compiled, and no SDDMM batch was launched.
+    assert_eq!(engine.runtime().cached(), 0, "no kernel may be compiled for the shed SDDMM");
     assert!(stats.widths_of("sddmm").is_none(), "no SDDMM launch may be recorded");
 }
 
@@ -75,11 +70,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A request that was admissible at submit time but whose deadline
-    /// lapses while the single worker grinds through a long-running job
-    /// is answered `Rejected { reason: Expired }` at drain — and its
-    /// operands never reach `execute_batch_on`: across random victim
-    /// shapes the engine compiles no kernel for it and completes no
-    /// request for it.
+    /// lapses while the single worker is held up is answered
+    /// `Rejected { reason: Expired }` at drain — and its operands never
+    /// reach `execute_batch_on`: across random victim shapes the engine
+    /// compiles no kernel for it and completes no request for it.
     #[test]
     fn expired_at_drain_is_shed_without_executing(
         seed in 0x51u64..0x61,
@@ -118,7 +112,7 @@ fn histogram_percentiles_are_exact_on_a_known_stream() {
 }
 
 /// The admission eviction path, pinned end to end: with the single
-/// worker occupied and the queue full of Lo work, a Hi submission takes
+/// worker stalled and the queue full of Lo work, a Hi submission takes
 /// the queue tail's slot. The evicted victim is answered
 /// `Rejected { QueueFull }` (exactly once — its shed is tallied once,
 /// under *its own* priority class, and it never executes), everything
@@ -126,8 +120,6 @@ fn histogram_percentiles_are_exact_on_a_known_stream() {
 #[test]
 fn eviction_victim_is_answered_queue_full_exactly_once() {
     let mut rng = gen::rng(0x53);
-    let heavy_adj = Adjacency::new(gen::random_csr(1024, 1024, 0.15, &mut rng));
-    let heavy_x = gen::random_dense(1024, 256, &mut rng);
     let small_adj = Adjacency::new(gen::random_csr(32, 32, 0.3, &mut rng));
     let x = gen::random_dense(32, 4, &mut rng);
 
@@ -140,9 +132,7 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
         batch_window: None,
         ..EngineConfig::default()
     });
-    let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
-    // Let the idle worker pop the heavy job so the queue is free.
-    std::thread::sleep(Duration::from_millis(10));
+    let stall = engine.stall_worker();
     let lo_kept = engine
         .try_submit(&small_adj, Submission::spmm(x.clone()).priority(Priority::Lo))
         .expect("first Lo fills slot 1");
@@ -154,25 +144,24 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
     let hi = engine
         .try_submit(&small_adj, Submission::spmm(x.clone()).priority(Priority::Hi))
         .expect("Hi evicts a Lo victim instead of being rejected");
+    drop(stall);
 
     let res = lo_victim.wait();
     assert!(
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::QueueFull })),
         "the evicted victim must be answered Rejected {{ QueueFull }}, got {res:?}"
     );
-    heavy.wait_dense().expect("heavy serves");
     lo_kept.wait_dense().expect("surviving Lo serves");
     hi.wait_dense().expect("evicting Hi serves");
 
     let stats = engine.stats();
-    assert_eq!(stats.completed, 3, "heavy + surviving Lo + Hi; the victim never executed");
+    assert_eq!(stats.completed, 2, "surviving Lo + Hi; the victim never executed");
     assert_eq!(stats.rejected, 1, "exactly one shed event");
     assert_eq!(stats.shed.queue_full, 1, "tagged as a full-queue shed");
     assert_eq!(stats.priority(Priority::Lo).shed, 1, "counted under the VICTIM's class");
     assert_eq!(stats.priority(Priority::Lo).served, 1);
     assert_eq!(stats.priority(Priority::Hi).shed, 0, "the evictor sheds nothing");
     assert_eq!(stats.priority(Priority::Hi).served, 1, "the evicting Hi request");
-    assert_eq!(stats.priority(Priority::Normal).served, 1, "the heavy occupant");
 }
 
 /// An equal-priority submission never evicts: against a full queue of
@@ -181,8 +170,6 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
 #[test]
 fn equal_priority_submission_never_evicts() {
     let mut rng = gen::rng(0x54);
-    let heavy_adj = Adjacency::new(gen::random_csr(1024, 1024, 0.15, &mut rng));
-    let heavy_x = gen::random_dense(1024, 256, &mut rng);
     let small_adj = Adjacency::new(gen::random_csr(32, 32, 0.3, &mut rng));
     let x = gen::random_dense(32, 4, &mut rng);
 
@@ -195,8 +182,7 @@ fn equal_priority_submission_never_evicts() {
         batch_window: None,
         ..EngineConfig::default()
     });
-    let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
-    std::thread::sleep(Duration::from_millis(10));
+    let stall = engine.stall_worker();
     let queued: Vec<_> = (0..2)
         .map(|i| {
             engine
@@ -209,17 +195,17 @@ fn equal_priority_submission_never_evicts() {
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::QueueFull })),
         "an equal-priority submission must be refused, not evict: {res:?}"
     );
+    drop(stall);
     for (i, t) in queued.into_iter().enumerate() {
         t.wait_dense().unwrap_or_else(|e| panic!("queued request {i} must survive: {e:?}"));
     }
-    heavy.wait_dense().expect("heavy serves");
 
     let stats = engine.stats();
-    assert_eq!(stats.completed, 3, "heavy + both queued requests");
+    assert_eq!(stats.completed, 2, "both queued requests");
     assert_eq!(stats.rejected, 1);
     assert_eq!(stats.shed.queue_full, 1);
     assert_eq!(stats.priority(Priority::Normal).shed, 1, "counted under the SUBMITTER's class");
-    assert_eq!(stats.priority(Priority::Normal).served, 3);
+    assert_eq!(stats.priority(Priority::Normal).served, 2);
 }
 
 /// A saturating Lo-priority flood cannot starve Hi traffic: with the

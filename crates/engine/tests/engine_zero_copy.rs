@@ -3,8 +3,10 @@
 //! batched-vs-sequential bit-identity checks (with the same
 //! `bytes_copied == 0` assertion per case) live in
 //! `engine_differential.rs`; this file forces the interesting schedules
-//! by hand — a widened batch behind a busy worker, the batch-of-one fast
-//! path of every batchable kind, pool reuse, and mid-drain expiry.
+//! by hand — a widened batch behind a stalled worker
+//! (`Engine::stall_worker`: the worker is held by the test, not by a
+//! kernel that has to run long enough), the batch-of-one fast path of
+//! every batchable kind, pool reuse, and mid-drain expiry.
 
 use sparsetir_engine::{
     Adjacency, Engine, EngineConfig, EngineError, Priority, RejectReason, Submission,
@@ -25,13 +27,11 @@ fn test_engine() -> Engine {
     })
 }
 
-/// Deterministically force a widened batch: occupy the single worker
-/// with a heavy job, queue `riders` compatible requests behind it, and
-/// return the engine once everything answered.
+/// Deterministically force a widened batch: stall the single worker,
+/// queue `riders` compatible requests behind it, release it, and return
+/// the engine once everything answered.
 fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
     let mut rng = gen::rng(0x2c0);
-    let heavy_adj = Adjacency::new(gen::random_csr(512, 512, 0.1, &mut rng));
-    let heavy_x = gen::random_dense(512, 128, &mut rng);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
     let adj = Adjacency::new(small);
     let xs: Vec<Dense> = (0..riders).map(|i| gen::random_dense(24, 2 + i, &mut rng)).collect();
@@ -45,15 +45,14 @@ fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
         batch_window: None,
         ..EngineConfig::default()
     });
-    let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
-    // Let the idle worker pop the heavy job so the riders queue up
-    // behind it and drain as one widened dispatch.
-    std::thread::sleep(Duration::from_millis(20));
+    let stall = engine.stall_worker();
     let tickets: Vec<_> = xs
         .iter()
         .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("rider admits"))
         .collect();
-    heavy.wait_dense().expect("heavy job serves");
+    // All riders are queued: the released worker drains them as one
+    // widened dispatch.
+    drop(stall);
     let outs: Vec<Dense> =
         tickets.into_iter().map(|t| t.wait_dense().expect("rider serves")).collect();
     (engine, xs, outs)
@@ -132,15 +131,13 @@ fn repeated_serving_hits_the_buffer_pool() {
 }
 
 /// Mid-drain expiry on the view path: a victim whose deadline lapses
-/// while the worker grinds a heavy job is swept before dispatch — its
-/// live rider still batches and answers, the victim's output buffer is
-/// never assembled or written (no launch of its kind beyond the rider's,
-/// nothing copied), and the answer is `Rejected { Expired }`.
+/// while the worker is held up is swept before dispatch — its live rider
+/// still answers, the victim's output buffer is never assembled or
+/// written (no launch of its kind beyond the rider's, nothing copied),
+/// and the answer is `Rejected { Expired }`.
 #[test]
 fn expired_victim_is_swept_without_writing_its_buffer() {
     let mut rng = gen::rng(0x2c3);
-    let heavy_adj = Adjacency::new(gen::random_csr(1024, 1024, 0.15, &mut rng));
-    let heavy_x = gen::random_dense(1024, 256, &mut rng);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
     let adj = Adjacency::new(small.clone());
     let victim_x = gen::random_dense(24, 3, &mut rng);
@@ -155,31 +152,32 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         batch_window: None,
         ..EngineConfig::default()
     });
-    let heavy = engine.submit(&heavy_adj, Submission::spmm(heavy_x)).expect("heavy admits");
-    std::thread::sleep(Duration::from_millis(10));
-    // The victim's deadline is far shorter than the heavy job's runtime,
-    // so it expires in the queue; the rider has no deadline and drains.
+    let stall = engine.stall_worker();
+    // The victim's deadline lapses while the worker is stalled, so it
+    // expires in the queue; the rider has no deadline and drains.
+    let deadline = Duration::from_millis(1);
     let victim = engine
-        .submit(&adj, Submission::spmm(victim_x).deadline(Duration::from_millis(1)))
+        .submit(&adj, Submission::spmm(victim_x).deadline(deadline))
         .expect("victim admits while its deadline is still open");
     let rider = engine.submit(&adj, Submission::spmm(rider_x)).expect("rider admits");
+    std::thread::sleep(deadline * 2);
+    drop(stall);
 
     let res = victim.wait();
     assert!(
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::Expired })),
         "expired victim must answer Rejected {{ Expired }}, got {res:?}"
     );
-    heavy.wait_dense().expect("heavy still serves");
     rider.wait_dense().expect("live rider still serves");
 
     let stats = engine.stats();
     assert_eq!(stats.expired, 1, "exactly the victim expired: {stats:?}");
-    assert_eq!(stats.completed, 2, "heavy + rider answered: {stats:?}");
+    assert_eq!(stats.completed, 1, "only the rider executed: {stats:?}");
     assert_eq!(stats.priority(Priority::Normal).expired, 1);
     assert_eq!(stats.bytes_copied, 0, "nothing may be staged for the victim: {stats:?}");
-    // The victim never reached assembly: every recorded SpMM dispatch is
-    // a singleton (heavy, then the rider alone after the sweep).
+    // The victim never reached assembly: the one recorded SpMM dispatch
+    // is the rider alone after the sweep.
     let w = stats.widths_of("spmm").expect("spmm dispatched");
     assert_eq!(w.max_width, 1, "the swept victim must not widen any launch: {stats:?}");
-    assert_eq!(w.batches, 2, "heavy + rider dispatched exactly once each: {stats:?}");
+    assert_eq!(w.batches, 1, "the rider dispatched exactly once: {stats:?}");
 }

@@ -1,7 +1,7 @@
 //! Static analysis over the loop-level IR: a structural verifier, FLOP
 //! counting and access summaries. The FLOP counter is used by the test
 //! suite to cross-check simulator kernel plans against the IR they mirror
-//! (DESIGN.md §5.5).
+//! (README, "Interpreter vs. compiled executor").
 
 use crate::buffer::Buffer;
 use crate::expr::{BinOp, Expr, Var};

@@ -310,10 +310,12 @@ struct CBlock {
 /// map (not structurally mutated during execution) and local views point
 /// into the frame's allocation arena.
 ///
-/// All element accesses go through relaxed atomics (free on x86/ARM for
+/// Element accesses go through relaxed atomics (free on x86/ARM for
 /// aligned 32-bit values): even if IR violates the blockIdx spatial
 /// contract and two ParFor iterations touch the same element, the result
-/// is a well-defined value race, never undefined behavior.
+/// is a well-defined value race, never undefined behavior. The one
+/// exception is the fused lane microkernels on a thread-private frame
+/// ([`Frame::exclusive`]), which use plain loads and stores.
 #[derive(Debug, Clone, Copy)]
 enum RawBuf {
     F32 {
@@ -421,6 +423,13 @@ struct Frame {
     /// Size-classed pool serving `Allocate` scratch; `None` in `ParFor`
     /// sub-frames (they fall back to plain heap allocation).
     pool: Option<Arc<BufferPool>>,
+    /// No other thread touches the bound buffers while this frame runs:
+    /// true for the frame a `run` call builds (its bindings are exclusive
+    /// borrows, or shared borrows it only reads), false for the per-thread
+    /// frames of a `Par` that fanned out — `parallel_safe` is a filter,
+    /// not an injectivity proof, so those may share elements. Licenses the
+    /// plain (non-atomic) lane bodies in `fuse`.
+    exclusive: bool,
 }
 
 impl Frame {
@@ -671,15 +680,18 @@ impl ValueExpr {
 }
 
 /// Wrapper sending per-thread frames into scoped threads. The raw buffer
-/// views alias the same storage across threads; all element accesses are
-/// relaxed atomics, so even contract-violating IR cannot cause undefined
-/// behavior — only a deterministic-per-schedule value race. Deterministic,
+/// views alias the same storage across threads; such frames are never
+/// `exclusive`, so all their element accesses are relaxed atomics and even
+/// contract-violating IR cannot cause undefined behavior — only a
+/// deterministic-per-schedule value race. Deterministic,
 /// interpreter-identical results are guaranteed for loops that honour the
 /// blockIdx spatial contract (checked conservatively by `parallel_safe`).
 struct SendFrame(Frame);
 // SAFETY: the raw pointers target allocations that outlive the scoped
-// threads, and every dereference goes through relaxed atomics (see
-// `elem_load_*`/`elem_store_*`), so cross-thread access is well-defined.
+// threads, and every dereference on a non-`exclusive` frame goes through
+// relaxed atomics (see `elem_load_*`/`elem_store_*`), so cross-thread
+// access is well-defined. `run_parallel`, the only constructor, clears
+// `exclusive`.
 unsafe impl Send for SendFrame {}
 
 fn num_threads() -> usize {
@@ -1468,7 +1480,8 @@ fn expr_mentions(e: &Expr, tainted: &HashSet<Rc<str>>) -> bool {
 /// contract that `blockIdx`-bound loops are spatial; it does **not** prove
 /// injectivity (e.g. `C[i % 2]` passes), so IR that lies about the spatial
 /// contract can still race — yielding nondeterministic *values* but never
-/// undefined behavior, since all element accesses are relaxed atomics.
+/// undefined behavior, since every element access of a fanned-out frame is
+/// a relaxed atomic (such frames are not [`Frame::exclusive`]).
 /// Failing the filter falls back to serial execution.
 fn parallel_safe(body: &Stmt, var: &Var) -> bool {
     let mut tainted: HashSet<Rc<str>> = HashSet::new();
@@ -1780,8 +1793,13 @@ impl CompiledKernel {
     }
 
     fn exec_frame(&self, scalars: Vec<i64>, bufs: Vec<RawBuf>) -> Result<(), ExecError> {
-        let mut frame =
-            Frame { scalars, bufs, locals: Vec::new(), pool: Some(Arc::clone(&self.pool)) };
+        let mut frame = Frame {
+            scalars,
+            bufs,
+            locals: Vec::new(),
+            pool: Some(Arc::clone(&self.pool)),
+            exclusive: true,
+        };
         let result = self.code.exec(&mut frame);
         self.frame_pool.lock().unwrap().push(frame.scalars);
         result

@@ -525,11 +525,14 @@ struct LoopFrame {
 struct State {
     loops: Vec<LoopFrame>,
     saved: Vec<RawBuf>,
+    /// Most threads a `Par` may fan out to; `None` asks
+    /// `SPARSETIR_NUM_THREADS` when one is reached.
+    threads: Option<usize>,
 }
 
 impl State {
-    fn new() -> State {
-        State { loops: Vec::new(), saved: Vec::new() }
+    fn new(threads: Option<usize>) -> State {
+        State { loops: Vec::new(), saved: Vec::new(), threads }
     }
 }
 
@@ -562,8 +565,14 @@ impl Code {
 
     /// Execute the whole stream against `fr`.
     pub(super) fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
+        self.exec_on(fr, None)
+    }
+
+    /// [`Code::exec`] with the `Par` thread cap given instead of read from
+    /// the environment.
+    pub(super) fn exec_on(&self, fr: &mut Frame, threads: Option<usize>) -> Result<(), ExecError> {
         let end = u32::try_from(self.instrs.len()).expect("kernel exceeds u32 instructions");
-        run_range(&self.instrs, 0, end, fr, &mut State::new())
+        run_range(&self.instrs, 0, end, fr, &mut State::new(threads))
     }
 }
 
@@ -610,7 +619,7 @@ fn run_range(
                     ip = *lend;
                     continue;
                 }
-                let threads = num_threads().min(n as usize);
+                let threads = st.threads.unwrap_or_else(num_threads).min(n as usize);
                 if threads < 2 {
                     // Serial degenerate case: exactly a LoopStart, reusing
                     // the shared LoopEnd at `lend - 1` as the back edge.
@@ -709,7 +718,8 @@ fn run_range(
 
 /// Dispatch iterations `0..n` of the body range `[body_start, body_end)`
 /// across `threads` scoped threads: contiguous chunks, one cloned frame
-/// per thread, first error wins.
+/// per thread (not `exclusive`: the threads share the bound buffers),
+/// first error wins.
 fn run_parallel(
     code: &[Instr],
     body_start: u32,
@@ -733,13 +743,14 @@ fn run_parallel(
                 bufs: fr.bufs.clone(),
                 locals: Vec::new(),
                 pool: None,
+                exclusive: false,
             });
             let first_err = &first_err;
             s.spawn(move || {
                 // Move the whole wrapper (not just `tf.0`) so the `Send`
                 // impl on `SendFrame` applies.
                 let mut tf = tf;
-                let mut st = State::new();
+                let mut st = State::new(None);
                 for i in lo..hi {
                     tf.0.scalars[slot as usize] = i;
                     if let Err(e) = run_range(code, body_start, body_end, &mut tf.0, &mut st) {

@@ -142,8 +142,13 @@ fn superinstr(spec: &LaneSpec) -> String {
             )
         })
         .collect();
+    // A coalesced `k_o × k_i` nest runs as one lane loop: name both slots
+    // so the chosen lane width is visible next to the split it undoes.
+    let coalesced = spec
+        .outer_slot
+        .map_or_else(String::new, |o| format!(" (coalesced %{o}\u{d7}%{})", spec.lane_slot));
     format!(
-        "{mnemonic} %{} in 0..{}, {detail}, init={}, iters=[{}]",
+        "{mnemonic} %{} in 0..{}{coalesced}, {detail}, init={}, iters=[{}]",
         spec.lane_slot,
         int(&spec.extent),
         init_kind(&spec.init),

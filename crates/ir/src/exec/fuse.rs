@@ -24,22 +24,41 @@
 //!   a slot-level aliasing analysis mirroring the name-level taint check
 //!   that gates `blockIdx` parallelization in the parent module.
 //!
+//! A `k_o × k_i` nest that `Schedule::split` made of such a loop is
+//! **coalesced** back into one lane run when both loops walk the operands
+//! as the unsplit loop would ([`coalesce`]), so the per-invocation
+//! prologue is paid once per non-zero, not once per `E_i` lanes.
+//!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
-//! body), or alias-hazardous is left on generic dispatch. The generic
+//! body — what a split by a factor that does not divide the extent
+//! leaves), or alias-hazardous is left on generic dispatch. The generic
 //! loop is also lowered right behind every superinstruction: at run time
 //! the microkernel validates every lane's bounds up front and falls
 //! through to the generic loop on any violation or evaluation error, so
 //! error messages and error ordering stay interpreter-identical.
 //!
-//! Arithmetic is replicated bit-for-bit: lanes load `f32`, widen to
-//! `f64`, combine in the source expression's exact association and
-//! operand order, and store back through an `f32` cast per element —
-//! including the per-iteration `f32` round-trip of memory-accumulating
-//! reductions. Element accesses go through the same relaxed-atomic
-//! helpers as generic dispatch, so contract-violating IR still cannot
-//! cause undefined behavior: the fused loops win by eliminating
-//! dispatch and per-lane index programs, not by weakening the memory
-//! model.
+//! **Numerics contract: bit-identity to the interpreter.** Lanes load
+//! `f32`, widen to `f64`, combine in the source expression's exact
+//! association and operand order, and store back through an `f32` cast
+//! per element — including the per-iteration `f32` round-trip of
+//! memory-accumulating reductions. No FMA contraction, no reassociation,
+//! no `target_feature` fork: the lane bodies are ordinary scalar Rust the
+//! compiler may unroll and vectorize lane-wise, nothing more. (The one
+//! thing Rust leaves open is which payload survives when two *different*
+//! NaNs meet — `fadd`/`fmul` commute at instruction selection — so a NaN
+//! lane is NaN everywhere, its sign and payload are not pinned.)
+//!
+//! **Memory rule: plain on thread-private frames, atomic otherwise.** On
+//! an [`Frame::exclusive`] frame — the one a `run` call builds; no other
+//! thread touches its buffers — lanes are plain raw-pointer loads and
+//! stores ([`Plain`]), one monomorphised loop per [`TermShape`]. The
+//! per-thread frames of a `Par` that fanned out keep the relaxed-atomic
+//! helpers of generic dispatch ([`Atomic`]): `parallel_safe` is a filter,
+//! not an injectivity proof, so contract-violating IR may make them share
+//! elements, and that must stay a value race, never undefined behavior.
+//! Either way a run is resolved into per-segment contiguous pieces first
+//! ([`pieces`]), so a lane run crossing a column-segment boundary of a
+//! batched binding costs one extra piece, not a table chase per lane.
 
 use super::{
     elem_load_f32, elem_store_f32, CStmt, ColSeg, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr,
@@ -236,8 +255,8 @@ pub(super) struct LaneView {
 }
 
 /// Association / operand-order shape of a recognized per-lane term.
-/// Preserved exactly so `f64` arithmetic (including NaN payload
-/// propagation) is bit-identical to generic dispatch.
+/// Preserved exactly so every `f64` rounding happens where generic
+/// dispatch has it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TermShape {
     /// `a[l]`
@@ -314,6 +333,21 @@ impl Micro {
             Micro::GatherScaleAccumulate { .. } => "GatherScaleAccumulate",
         }
     }
+
+    /// Every lane view the op touches (`dst`, then the term's operands)
+    /// and every lane-invariant value it evaluates once per invocation.
+    fn operands(&self) -> (Vec<&LaneView>, Option<&FloatExpr>) {
+        match self {
+            Micro::FillLanes { dst, value } => (vec![dst], Some(value)),
+            Micro::AxpyLanes { dst, term }
+            | Micro::DotLanes { dst, term }
+            | Micro::GatherScaleAccumulate { dst, term } => {
+                let mut views = vec![dst, &term.a];
+                views.extend(&term.b);
+                (views, term.coeff.as_ref())
+            }
+        }
+    }
 }
 
 /// One block-iter binding of the fused loop, with its proven lane stride.
@@ -333,6 +367,9 @@ pub(super) struct FusedIter {
 #[derive(Debug, Clone)]
 pub(super) struct LaneSpec {
     pub lane_slot: u32,
+    /// Loop slot of the `k_o` loop a coalesced spec absorbed (see
+    /// [`coalesce`]); `extent` then covers the whole `k_o × k_i` nest.
+    pub outer_slot: Option<u32>,
     pub extent: IntExpr,
     pub iters: Vec<FusedIter>,
     pub init: InitKind,
@@ -356,10 +393,75 @@ fn single(mut s: &CStmt) -> &CStmt {
 }
 
 /// Analyze a `For` node; `Some(spec)` when it matches a fusible lane
-/// loop (the bytecode lowering pass emits the spec as a `Super`
-/// instruction).
-#[allow(clippy::too_many_lines)]
+/// loop — or a split `k_o × k_i` nest of one ([`coalesce`]) — which the
+/// bytecode lowering pass emits as a `Super` instruction.
 pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
+    coalesce(node).or_else(|| fuse_lane_loop(node))
+}
+
+/// Lane coalescing: `for k_o in 0..E_o { for k_i in 0..E_i { lane body } }`
+/// — what `Schedule::split("k", E_i)` leaves behind — runs as **one**
+/// lane loop of extent `E_o·E_i` when the inner loop fuses, both extents
+/// are constants (`E_i` positive), and the nest walks every operand
+/// exactly as the single loop over `L = k_o·E_i + k_i` would:
+///
+/// * every iter binding is affine in `k_o` with stride `E_i ×` its `k_i`
+///   stride (so it is affine in `L` with the inner spec's stride), and no
+///   reduce binding moves with `k_o` — the init classification of the
+///   inner spec therefore holds for the whole run;
+/// * every lane view's flat index strides with `k_o` by `E_i ×` its lane
+///   stride (outer dimensions and extents invariant in `k_o` too);
+/// * every value hoisted out of the lanes (fill value, coefficient, init
+///   value) is invariant in `k_o` as well.
+///
+/// The spec is the inner one with the extent widened; at run time
+/// `resolve_lanes` checks the innermost index stays inside its dimension
+/// over all `E_o·E_i` lanes, which is what rules out a carry into outer
+/// dimensions. This undoes the split for the CPU executor only: the IR,
+/// the schedule and the generic fallback (the whole original nest) keep
+/// it.
+fn coalesce(node: &CStmt) -> Option<LaneSpec> {
+    let CStmt::For { slot: outer, extent: IntExpr::Const(eo), body } = node else {
+        return None;
+    };
+    let inner = single(body);
+    let CStmt::For { extent: IntExpr::Const(ei), .. } = inner else {
+        return None;
+    };
+    let lanes = eo.checked_mul(*ei).filter(|_| *ei >= 1)?;
+    let mut spec = fuse_lane_loop(inner)?;
+
+    // Strides in `k_o` alone (the inner lane slot is absent: invariant).
+    let mut env = StrideEnv::new();
+    env.insert(*outer, 1);
+    for it in &spec.iters {
+        let outer_stride = int_stride(&it.binding, &env)?;
+        if outer_stride != ei.checked_mul(it.stride)? || (it.is_reduce && outer_stride != 0) {
+            return None;
+        }
+        env.insert(it.slot, outer_stride);
+    }
+    let (views, hoisted) = spec.micro.operands();
+    let lanes_line_up =
+        views.iter().all(|v| index_lane_stride(&v.index, &env) == ei.checked_mul(v.stride));
+    let init_value = match &spec.init {
+        InitKind::None => None,
+        InitKind::Always { value } | InitKind::WhenReduceZero { value } => Some(value),
+        // Its lane-strided reduce binding was already turned away above.
+        InitKind::AtZeroLane { .. } => return None,
+    };
+    if !lanes_line_up || !hoisted.into_iter().chain(init_value).all(|v| float_invariant(v, &env)) {
+        return None;
+    }
+
+    spec.extent = IntExpr::Const(lanes);
+    spec.outer_slot = Some(*outer);
+    Some(spec)
+}
+
+/// The single-loop analysis behind [`build_fused`].
+#[allow(clippy::too_many_lines)]
+fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
     let CStmt::For { slot: lane, extent, body } = node else {
         return None;
     };
@@ -377,6 +479,14 @@ pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
         };
     let CStmt::StoreF { buf: dst_buf, index: dst_index, value } = store else {
         return None;
+    };
+    let spec = |iters, init, micro| LaneSpec {
+        lane_slot: *lane,
+        outer_slot: None,
+        extent: extent.clone(),
+        iters,
+        init,
+        micro,
     };
 
     // Stride environment: lane → 1, then each block iter in binding order.
@@ -460,7 +570,7 @@ pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
                 return None;
             }
         }
-        return Some(LaneSpec { lane_slot: *lane, extent: extent.clone(), iters, init, micro });
+        return Some(spec(iters, init, micro));
     }
 
     // Accumulating store: value = Load(dst, dst_index) + term.
@@ -488,7 +598,7 @@ pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
             dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
             term,
         };
-        return Some(LaneSpec { lane_slot: *lane, extent: extent.clone(), iters, init, micro });
+        return Some(spec(iters, init, micro));
     }
 
     if dst_stride == 0 {
@@ -505,7 +615,7 @@ pub(super) fn build_fused(node: &CStmt) -> Option<LaneSpec> {
         } else {
             Micro::GatherScaleAccumulate { dst: dstv, term }
         };
-        return Some(LaneSpec { lane_slot: *lane, extent: extent.clone(), iters, init, micro });
+        return Some(spec(iters, init, micro));
     }
 
     None
@@ -599,44 +709,127 @@ fn match_term(e: &FloatExpr, env: &StrideEnv) -> Option<TermSpec> {
 // Runtime
 // ---------------------------------------------------------------------------
 
+/// How a lane body touches an element.
+trait Mem {
+    /// # Safety
+    /// `p` points at a live, aligned `f32` inside a bound buffer, and
+    /// the implementation's own sharing rule holds.
+    unsafe fn load(p: *const f32) -> f32;
+    /// # Safety
+    /// As [`Mem::load`], and the buffer is writable.
+    unsafe fn store(p: *mut f32, v: f32);
+}
+
+/// Plain loads and stores: only on an [`Frame::exclusive`] frame, where no
+/// other thread touches the bound buffers. Raw-pointer accesses, never
+/// `&mut` slices, so operands that alias on the same thread stay defined.
+struct Plain;
+
+/// The relaxed-atomic helpers generic dispatch uses: for the per-thread
+/// frames of a fanned-out `Par`, which may share elements.
+struct Atomic;
+
+impl Mem for Plain {
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> f32 {
+        p.read()
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: f32) {
+        p.write(v);
+    }
+}
+
+impl Mem for Atomic {
+    #[inline(always)]
+    unsafe fn load(p: *const f32) -> f32 {
+        elem_load_f32(p.cast_mut(), 0)
+    }
+    #[inline(always)]
+    unsafe fn store(p: *mut f32, v: f32) {
+        elem_store_f32(p, 0, v);
+    }
+}
+
+/// Which [`Mem`] the lane bodies of a frame run on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum LaneBody {
+    Plain,
+    Atomic,
+}
+
+impl LaneBody {
+    pub(super) fn of(fr: &Frame) -> LaneBody {
+        if fr.exclusive {
+            LaneBody::Plain
+        } else {
+            LaneBody::Atomic
+        }
+    }
+}
+
 /// Resolved lane range of one buffer: every lane's element has been
 /// bounds-checked against both the declared shape and the bound storage.
 #[derive(Clone, Copy)]
 enum Lanes {
-    /// Contiguous (or strided) run inside one allocation.
-    Contig { ptr: *mut f32, base: i64, stride: i64 },
+    /// Strided run inside one allocation: lane `l` is `ptr[stride·l]`.
+    Run { ptr: *mut f32, stride: i64 },
     /// Unit-stride run across a column-segmented binding that crosses a
-    /// segment boundary: each lane chases its own table entry.
+    /// segment boundary: one contiguous piece per segment.
     Cols { table: *const ColSeg, row: usize, col0: usize },
 }
 
 impl Lanes {
-    /// SAFETY: `l < n` for the `n` this was resolved with; every lane was
-    /// bounds-checked by `resolve_lanes`.
-    #[inline]
-    unsafe fn load(&self, l: i64) -> f32 {
-        match *self {
-            Lanes::Contig { ptr, base, stride } => elem_load_f32(ptr, (base + stride * l) as usize),
-            Lanes::Cols { table, row, col0 } => {
-                let e = &*table.add(col0 + l as usize);
-                elem_load_f32(e.ptr, row * e.stride as usize)
-            }
+    fn stride(self) -> i64 {
+        match self {
+            Lanes::Run { stride, .. } => stride,
+            Lanes::Cols { .. } => 1,
         }
     }
 
-    /// SAFETY: same contract as [`Lanes::load`]; the view's writability
-    /// was checked by `resolve_lanes(.., true)`.
-    #[inline]
-    unsafe fn store(&self, l: i64, v: f32) {
-        match *self {
-            Lanes::Contig { ptr, base, stride } => {
-                elem_store_f32(ptr, (base + stride * l) as usize, v);
-            }
+    /// Lane `l`'s element and how many lanes from `l` on lie on one
+    /// `stride`-strided run with it.
+    ///
+    /// # Safety
+    /// `l < n` for the `n` this was resolved with.
+    #[inline(always)]
+    unsafe fn piece(self, l: i64) -> (*mut f32, i64) {
+        match self {
+            Lanes::Run { ptr, stride } => (ptr.offset((stride * l) as isize), i64::MAX),
             Lanes::Cols { table, row, col0 } => {
                 let e = &*table.add(col0 + l as usize);
-                elem_store_f32(e.ptr, row * e.stride as usize, v);
+                (e.ptr.add(row * e.stride as usize), i64::from(e.rem))
             }
         }
+    }
+}
+
+/// Call `body(len, base pointers)` on each maximal stretch of lanes
+/// `from..n` over which every operand of `v` stays on one strided run —
+/// the whole range at once unless a segmented operand crosses a segment
+/// boundary.
+///
+/// # Safety
+/// Every operand was resolved by `resolve_lanes` for (at least) `n` lanes.
+#[inline(always)]
+unsafe fn pieces<const N: usize>(
+    from: i64,
+    n: i64,
+    v: [Lanes; N],
+    mut body: impl FnMut(usize, [*mut f32; N]),
+) {
+    let mut l = from;
+    while l < n {
+        let mut len = n - l;
+        let mut at = [std::ptr::null_mut(); N];
+        for (p, lanes) in at.iter_mut().zip(v) {
+            let (ptr, run) = lanes.piece(l);
+            *p = ptr;
+            len = len.min(run);
+        }
+        debug_assert!(len >= 1, "every column of a segment table has rem >= 1");
+        body(len as usize, at);
+        l += len;
     }
 }
 
@@ -653,54 +846,37 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
         return None;
     }
     let flat_end = flat.checked_add(span)?;
+    let within = |len: i64| flat >= 0 && flat < len && flat_end >= 0 && flat_end < len;
     match fr.bufs[view.buf as usize] {
         RawBuf::F32 { ptr, len } => {
-            let len = i64::try_from(len).ok()?;
-            (flat >= 0 && flat < len && flat_end >= 0 && flat_end < len).then_some(Lanes::Contig {
-                ptr,
-                base: flat,
-                stride: view.stride,
-            })
+            // SAFETY: 0 <= flat < len elements behind ptr.
+            within(i64::try_from(len).ok()?)
+                .then(|| Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride: view.stride })
         }
         RawBuf::SegCols { table, width, rows, writable } => {
             if for_store && !writable {
                 return None;
             }
             let w = i64::try_from(width).ok()?;
-            if w == 0 {
+            if w == 0 || !within(w.checked_mul(i64::try_from(rows).ok()?)?) {
                 return None;
             }
-            let len = w.checked_mul(i64::try_from(rows).ok()?)?;
-            if !(flat >= 0 && flat < len && flat_end >= 0 && flat_end < len) {
-                return None;
-            }
-            let (row, col0) = (flat / w, flat % w);
-            // SAFETY (both arms): col0 < width; the table is valid for
-            // the run.
+            let (row, col0) = ((flat / w) as usize, flat % w);
+            // SAFETY: col0 < width entries in the table, each pointing at
+            // row 0 of a `rows`-row column with row stride `e.stride`, and
+            // row < rows.
+            let (e, first) = unsafe {
+                let e = &*table.add(col0 as usize);
+                (e, e.ptr.add(row * e.stride as usize))
+            };
             match view.stride {
-                0 => {
-                    // Lane-invariant: one element, shared by all lanes.
-                    let e = unsafe { &*table.add(col0 as usize) };
-                    Some(Lanes::Contig { ptr: e.ptr, base: row * i64::from(e.stride), stride: 0 })
-                }
-                1 => {
-                    if col0 + n > w {
-                        // The run would cross a logical row: generic loop.
-                        return None;
-                    }
-                    let e = unsafe { &*table.add(col0 as usize) };
-                    if n <= i64::from(e.rem) {
-                        // The whole run stays inside one segment — serve
-                        // it as a plain contiguous range.
-                        Some(Lanes::Contig {
-                            ptr: e.ptr,
-                            base: row * i64::from(e.stride),
-                            stride: 1,
-                        })
-                    } else {
-                        Some(Lanes::Cols { table, row: row as usize, col0: col0 as usize })
-                    }
-                }
+                // Lane-invariant: one element, shared by all lanes.
+                0 => Some(Lanes::Run { ptr: first, stride: 0 }),
+                // The run would cross a logical row: generic loop.
+                1 if col0 + n > w => None,
+                // The whole run stays inside one segment.
+                1 if n <= i64::from(e.rem) => Some(Lanes::Run { ptr: first, stride: 1 }),
+                1 => Some(Lanes::Cols { table, row, col0: col0 as usize }),
                 _ => None,
             }
         }
@@ -709,11 +885,7 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
                 return None;
             }
             let sl = i64::try_from(seg_len).ok()?;
-            if sl == 0 {
-                return None;
-            }
-            let len = sl.checked_mul(i64::try_from(n_segs).ok()?)?;
-            if !(flat >= 0 && flat < len && flat_end >= 0 && flat_end < len) {
+            if sl == 0 || !within(sl.checked_mul(i64::try_from(n_segs).ok()?)?) {
                 return None;
             }
             let (s, off) = (flat / sl, flat % sl);
@@ -722,9 +894,10 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
                 // The run would cross a segment boundary: generic loop.
                 return None;
             }
-            // SAFETY: s < n_segs; the segment table is valid for the run.
-            let base = unsafe { (*segs.add(s as usize)).ptr };
-            Some(Lanes::Contig { ptr: base, base: off, stride: view.stride })
+            // SAFETY: s < n_segs entries in the table; off < seg_len
+            // elements behind each.
+            let ptr = unsafe { (*segs.add(s as usize)).ptr.add(off as usize) };
+            Some(Lanes::Run { ptr, stride: view.stride })
         }
         _ => None,
     }
@@ -737,18 +910,147 @@ enum LaneInit {
     One(i64),
 }
 
+/// The per-lane `f64` term of `$shape` as a closure `$t(a, b)` over lane
+/// element pointers, loading through `$M` and combining in the source
+/// association and operand order exactly; `$body` is expanded once per
+/// shape, so each gets its own monomorphised lane loop with the shape
+/// `match` outside it.
+macro_rules! with_term {
+    ($M:ident, $shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
+        let c: f64 = $coeff;
+        // SAFETY (caller): `$t` is only applied to lane pointers that
+        // `resolve_lanes` validated, under `$M`'s sharing rule.
+        let ld = |p: *const f32| f64::from(unsafe { $M::load(p) });
+        type P = *const f32;
+        match $shape {
+            TermShape::AOnly => {
+                let $t = move |a: P, _: P| ld(a);
+                $body
+            }
+            TermShape::CoeffA => {
+                let $t = move |a: P, _: P| c * ld(a);
+                $body
+            }
+            TermShape::ACoeff => {
+                let $t = move |a: P, _: P| ld(a) * c;
+                $body
+            }
+            TermShape::AB => {
+                let $t = move |a: P, b: P| ld(a) * ld(b);
+                $body
+            }
+            TermShape::CoeffAB => {
+                let $t = move |a: P, b: P| (c * ld(a)) * ld(b);
+                $body
+            }
+            TermShape::ACoeffB => {
+                let $t = move |a: P, b: P| (ld(a) * c) * ld(b);
+                $body
+            }
+            TermShape::CoeffParenAB => {
+                let $t = move |a: P, b: P| c * (ld(a) * ld(b));
+                $body
+            }
+        }
+    }};
+}
+
+/// Expand `$run` once per lane body with `$M` naming its [`Mem`], and
+/// pick the expansion `$body` selects.
+macro_rules! on_body {
+    ($body:expr, $M:ident => $run:expr) => {
+        match $body {
+            LaneBody::Plain => {
+                type $M = Plain;
+                $run
+            }
+            LaneBody::Atomic => {
+                type $M = Atomic;
+                $run
+            }
+        }
+    };
+}
+
+/// `dst[l] = v` over unit-stride lanes.
+///
+/// # Safety
+/// `d` was resolved for a store over `n` lanes; `M`'s sharing rule holds.
+unsafe fn fill<M: Mem>(n: i64, d: Lanes, v: f32) {
+    pieces(0, n, [d], |len, [pd]| {
+        for l in 0..len {
+            M::store(pd.add(l), v);
+        }
+    });
+}
+
+/// `dst[l] = f32(cur + t(l))` over unit-stride lanes, `cur` being `base`
+/// when the init fires at every lane and `f64(dst[l])` when at none.
+///
+/// # Safety
+/// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
+/// unit stride; `M`'s sharing rule holds.
+unsafe fn axpy<M: Mem>(
+    n: i64,
+    [d, a, b]: [Lanes; 3],
+    base: Option<f64>,
+    t: impl Fn(*const f32, *const f32) -> f64,
+) {
+    debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
+    pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
+        Some(base) => {
+            for l in 0..len {
+                M::store(pd.add(l), (base + t(pa.add(l), pb.add(l))) as f32);
+            }
+        }
+        None => {
+            for l in 0..len {
+                let cur = f64::from(M::load(pd.add(l)));
+                M::store(pd.add(l), (cur + t(pa.add(l), pb.add(l))) as f32);
+            }
+        }
+    });
+}
+
+/// `acc = f32(f64(acc) + t(l))` over lanes `from..n` into the one element
+/// `d`, starting from `start` (or the element's current value): the
+/// per-lane `f32` round-trip of the generic store/load pair is kept.
+///
+/// # Safety
+/// `d` (for a store, stride 0), `a` and `b` were resolved over `n` lanes;
+/// `M`'s sharing rule holds.
+unsafe fn reduce<M: Mem>(
+    (from, n): (i64, i64),
+    [d, a, b]: [Lanes; 3],
+    start: Option<f32>,
+    t: impl Fn(*const f32, *const f32) -> f64,
+) {
+    debug_assert!(d.stride() == 0 && (0..n).contains(&from));
+    let (pd, _) = d.piece(0);
+    let mut acc = start.unwrap_or_else(|| M::load(pd));
+    let (sa, sb) = (a.stride() as isize, b.stride() as isize);
+    pieces(from, n, [a, b], |len, [pa, pb]| {
+        for l in 0..len as isize {
+            acc = (f64::from(acc) + t(pa.offset(l * sa), pb.offset(l * sb))) as f32;
+        }
+    });
+    M::store(pd, acc);
+}
+
 impl LaneSpec {
     /// Fast path: evaluate bindings and bases at lane 0, validate every
     /// lane's bounds, then run the microkernel. `None` (no writes done
     /// yet) falls back to the generic loop.
-    #[allow(clippy::too_many_lines)]
     pub(super) fn try_fast(&self, fr: &mut Frame, n: i64) -> Option<()> {
         fr.scalars[self.lane_slot as usize] = 0;
+        if let Some(outer) = self.outer_slot {
+            fr.scalars[outer as usize] = 0;
+        }
         for it in &self.iters {
             let v = it.binding.eval(fr).ok()?;
             fr.scalars[it.slot as usize] = v;
         }
-        let lane_init = match &self.init {
+        let (lane_init, init_v) = match &self.init {
             InitKind::None => (LaneInit::Never, 0.0f64),
             InitKind::Always { value } => (LaneInit::All, value.eval(fr).ok()?),
             InitKind::WhenReduceZero { value } => {
@@ -765,83 +1067,59 @@ impl LaneSpec {
                 (self.zero_lane(fr, n), v)
             }
         };
-        let (lane_init, init_v) = lane_init;
         // Init value round-trips through the f32 store the generic init
         // performs before the accumulating load reads it back.
         let init32 = init_v as f32;
+        // The plain body is licensed by the frame being thread-private.
+        let body = LaneBody::of(fr);
+        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
 
         match &self.micro {
             Micro::FillLanes { dst, value } => {
                 let v = value.eval(fr).ok()? as f32;
                 let d = resolve_lanes(fr, dst, n, true)?;
-                for l in 0..n {
-                    // SAFETY: resolve_lanes bounds-checked every lane.
-                    unsafe { d.store(l, v) };
-                }
-                Some(())
+                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
+                // and its writability; `fuse_lane_loop` proved its stride
+                // is 1; `M` is `Plain` only on an exclusive frame.
+                on_body!(body, M => unsafe { fill::<M>(n, d, v) });
             }
             Micro::AxpyLanes { dst, term } => {
                 let (coeff, a, b) = resolve_term(fr, term, n)?;
-                let d = resolve_lanes(fr, dst, n, true)?;
-                let init_all = match lane_init {
-                    LaneInit::All => true,
-                    LaneInit::Never => false,
+                let ops = [resolve_lanes(fr, dst, n, true)?, a, b];
+                let base = match lane_init {
+                    LaneInit::All => Some(f64::from(init32)),
+                    LaneInit::Never => None,
                     LaneInit::One(_) => return None, // unreachable by construction
                 };
-                // SAFETY (all arms): every lane index was bounds-checked
-                // by resolve_lanes; element access stays on the relaxed-
-                // atomic helpers shared with generic dispatch.
-                if init_all {
-                    let base = f64::from(init32);
-                    for l in 0..n {
-                        let t = term_at(term.shape, coeff, a, b, l);
-                        unsafe { d.store(l, (base + t) as f32) };
-                    }
-                } else {
-                    for l in 0..n {
-                        let t = term_at(term.shape, coeff, a, b, l);
-                        unsafe {
-                            let cur = f64::from(d.load(l));
-                            d.store(l, (cur + t) as f32);
-                        }
-                    }
-                }
-                Some(())
+                // SAFETY: `resolve_lanes` validated all `n` lanes of every
+                // operand (and `dst`'s writability) before the first write;
+                // `fuse_lane_loop` proved all three strides are 1; `M` is
+                // `Plain` only on an exclusive frame.
+                on_body!(body, M => with_term!(M, term.shape, coeff, |t| unsafe {
+                    axpy::<M>(n, ops, base, t);
+                }));
             }
             Micro::DotLanes { dst, term } | Micro::GatherScaleAccumulate { dst, term } => {
                 let (coeff, a, b) = resolve_term(fr, term, n)?;
-                let d = resolve_lanes(fr, dst, n, true)?;
-                // SAFETY: lane 0 is bounds-checked (stride 0 → one
-                // element); accumulation keeps the per-lane f32 round-trip
-                // the generic store/load pair performs.
-                let mut acc = unsafe { d.load(0) };
-                match lane_init {
-                    LaneInit::Never => {
-                        for l in 0..n {
-                            let t = term_at(term.shape, coeff, a, b, l);
-                            acc = (f64::from(acc) + t) as f32;
-                        }
-                    }
-                    LaneInit::All => {
-                        for l in 0..n {
-                            let t = term_at(term.shape, coeff, a, b, l);
-                            acc = (f64::from(init32) + t) as f32;
-                        }
-                    }
-                    LaneInit::One(l0) => {
-                        for l in 0..n {
-                            if l == l0 {
-                                acc = init32;
-                            }
-                            let t = term_at(term.shape, coeff, a, b, l);
-                            acc = (f64::from(acc) + t) as f32;
-                        }
-                    }
-                }
-                unsafe { d.store(0, acc) };
-                Some(())
+                let ops = [resolve_lanes(fr, dst, n, true)?, a, b];
+                // Every lane at or after an init restarts from the init
+                // value, so only the lanes from the last init on reach the
+                // stored result.
+                let (from, start) = match lane_init {
+                    LaneInit::Never => (0, None),
+                    LaneInit::All => (n - 1, Some(init32)),
+                    LaneInit::One(l0) => (l0, Some(init32)),
+                };
+                // SAFETY: `resolve_lanes` validated all `n` lanes of `a`
+                // and `b` at their proven strides and the one element of
+                // `dst` (stride 0, writable); `0 <= from < n`; `M` is
+                // `Plain` only on an exclusive frame.
+                on_body!(body, M => with_term!(M, term.shape, coeff, |t| unsafe {
+                    reduce::<M>((from, n), ops, start, t);
+                }));
             }
         }
+        Some(())
     }
 
     /// The unique lane (if any) at which every reduce binding is zero.
@@ -888,27 +1166,9 @@ fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f64, Lanes, Lane
     let a = resolve_lanes(fr, &term.a, n, false)?;
     let b = match &term.b {
         Some(bv) => resolve_lanes(fr, bv, n, false)?,
-        // Unused by shapes without a second operand; alias `a` so the
-        // loop body stays branch-free.
+        // Never loaded by shapes without a second operand; alias `a` so
+        // the operand triple stays uniform.
         None => a,
     };
     Some((coeff, a, b))
-}
-
-/// Per-lane `f64` term value, preserving the source association and
-/// operand order exactly.
-#[inline]
-fn term_at(shape: TermShape, coeff: f64, a: Lanes, b: Lanes, l: i64) -> f64 {
-    // SAFETY: lane indices were bounds-checked by resolve_lanes.
-    unsafe {
-        match shape {
-            TermShape::AOnly => f64::from(a.load(l)),
-            TermShape::CoeffA => coeff * f64::from(a.load(l)),
-            TermShape::ACoeff => f64::from(a.load(l)) * coeff,
-            TermShape::AB => f64::from(a.load(l)) * f64::from(b.load(l)),
-            TermShape::CoeffAB => (coeff * f64::from(a.load(l))) * f64::from(b.load(l)),
-            TermShape::ACoeffB => (f64::from(a.load(l)) * coeff) * f64::from(b.load(l)),
-            TermShape::CoeffParenAB => coeff * (f64::from(a.load(l)) * f64::from(b.load(l))),
-        }
-    }
 }

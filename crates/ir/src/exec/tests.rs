@@ -548,3 +548,153 @@ fn frames_are_reused_across_runs() {
     }
     assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
 }
+
+/// A frame over `tensors` like the one `run_bound` builds (exclusive).
+fn frame_of(k: &CompiledKernel, tensors: &mut HashMap<String, TensorData>) -> Frame {
+    let mut bufs = vec![RawBuf::Absent; k.n_bufs as usize];
+    for (name, _, slot) in &k.buffers {
+        bufs[*slot as usize] = RawBuf::of(tensors.get_mut(name).expect("bound"));
+    }
+    Frame {
+        scalars: vec![0; k.n_slots as usize],
+        bufs,
+        locals: Vec::new(),
+        pool: None,
+        exclusive: true,
+    }
+}
+
+fn lane_spec(k: &CompiledKernel) -> &fuse::LaneSpec {
+    k.code
+        .instrs()
+        .iter()
+        .find_map(|ins| match ins {
+            bytecode::Instr::Super { spec, .. } => Some(&**spec),
+            _ => None,
+        })
+        .expect("kernel has a superinstruction")
+}
+
+/// The plain lane body is licensed by `Frame::exclusive` alone: the same
+/// superinstruction on a non-exclusive frame (what a fanned-out `Par`
+/// hands its threads) selects the relaxed-atomic body, and both write the
+/// same bits — with the init firing (`j == 0`) and without.
+#[test]
+fn non_exclusive_frame_selects_the_atomic_lane_body() {
+    let k = CompiledKernel::compile_with(&axpy_func(8), true).unwrap();
+    let spec = lane_spec(&k);
+    let j = k.slot_names.iter().position(|s| s == "j").expect("reduce loop slot");
+    let b: Vec<f32> = (0..8).map(|x| x as f32 - 2.5).collect();
+    let c: Vec<f32> = (0..8).map(|x| 0.3 * x as f32).collect();
+    for j_value in [0, 1] {
+        let run = |exclusive: bool| {
+            let mut t = HashMap::new();
+            t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
+            t.insert("B".to_string(), TensorData::from(b.clone()));
+            t.insert("C".to_string(), TensorData::from(c.clone()));
+            let mut fr = frame_of(&k, &mut t);
+            fr.exclusive = exclusive;
+            fr.scalars[j] = j_value;
+            let body = fuse::LaneBody::of(&fr);
+            spec.try_fast(&mut fr, 8).expect("in-bounds lanes take the fast path");
+            (body, t.remove("C").unwrap())
+        };
+        let (plain, c_plain) = run(true);
+        let (atomic, c_atomic) = run(false);
+        assert_eq!((plain, atomic), (fuse::LaneBody::Plain, fuse::LaneBody::Atomic));
+        assert_eq!(c_plain, c_atomic);
+        let expect: Vec<f32> = (0..8)
+            .map(|l| {
+                let cur = if j_value == 0 { 0.0 } else { f64::from(c[l]) };
+                (cur + 1.5 * f64::from(b[l])) as f32
+            })
+            .collect();
+        assert_eq!(c_plain.as_f32(), expect.as_slice());
+    }
+}
+
+/// `par i { for k { C[i, k] += A[i] * B[i, k] } }` run with the `Par`
+/// fanned out over two threads (non-exclusive frames, atomic lanes) and
+/// kept on the caller's thread (exclusive frame, plain lanes): the same
+/// bits, and the interpreter's.
+#[test]
+fn par_fan_out_and_single_thread_are_bit_identical() {
+    let (rows, n) = (5i64, 33i64);
+    let i = Var::i32("i");
+    let k = Var::i32("k");
+    let a = Buffer::global_f32("A", vec![Expr::i32(rows)]);
+    let b = Buffer::global_f32("B", vec![Expr::i32(rows), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let at = vec![Expr::var(&i), Expr::var(&k)];
+    let lanes = Stmt::for_serial(
+        k.clone(),
+        n,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: at.clone(),
+            value: c.load(at.clone()) + a.load(vec![Expr::var(&i)]) * b.load(at),
+        },
+    );
+    let body = Stmt::For {
+        var: i.clone(),
+        extent: Expr::i32(rows),
+        kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        body: Box::new(lanes),
+    };
+    let f = PrimFunc::new("rows_axpy", vec![], vec![a, b, c], body);
+    let kernel = CompiledKernel::compile_with(&f, true).unwrap();
+    assert!(kernel.is_parallel() && kernel.fused_ops() == 1);
+
+    let len = (rows * n) as usize;
+    let mut tensors = HashMap::new();
+    let ramp = |scale: f32| (0..len).map(|x| scale * (x as f32 - 40.0)).collect::<Vec<_>>();
+    tensors.insert("A".to_string(), TensorData::from(vec![0.5f32, -1.25, 3.0, 0.1, -7.5]));
+    tensors.insert("B".to_string(), TensorData::from(ramp(0.37)));
+    tensors.insert("C".to_string(), TensorData::from(ramp(-0.011)));
+    let mut interp = tensors.clone();
+    eval_func(&f, &HashMap::new(), &mut interp).unwrap();
+    for threads in [1, 2] {
+        let mut t = tensors.clone();
+        let mut fr = frame_of(&kernel, &mut t);
+        kernel.code.exec_on(&mut fr, Some(threads)).unwrap();
+        assert_eq!(t["C"], interp["C"], "threads = {threads}");
+    }
+}
+
+/// A coalesced `k_o × k_i` run whose last lanes leave `B`'s innermost
+/// dimension must not start: validation over the whole span fails before
+/// any write, the generic nest behind the superinstruction runs instead,
+/// and it reports the interpreter's error after the interpreter's prefix.
+#[test]
+fn coalesced_run_past_the_dimension_falls_back_to_the_generic_nest() {
+    let ko = Var::i32("ko");
+    let ki = Var::i32("ki");
+    let b = Buffer::global_f32("B", vec![Expr::i32(6)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    let lane = || Expr::var(&ko) * 4 + Expr::var(&ki);
+    let store = Stmt::BufferStore {
+        buffer: c.clone(),
+        indices: vec![lane()],
+        value: c.load(vec![lane()]) + Expr::f32(2.0) * b.load(vec![lane()]),
+    };
+    let body = Stmt::for_serial(ko.clone(), 2, Stmt::for_serial(ki.clone(), 4, store));
+    let f = PrimFunc::new("split_oob", vec![], vec![b, c], body);
+    let fused = CompiledKernel::compile_with(&f, true).unwrap();
+    assert_eq!(fused.fused_ops(), 1);
+    assert!(lane_spec(&fused).outer_slot.is_some(), "the 2 x 4 nest coalesces to 8 lanes");
+
+    let mut tensors = HashMap::new();
+    tensors.insert("B".to_string(), TensorData::from(vec![1.0f32; 6]));
+    tensors.insert("C".to_string(), TensorData::from(vec![0.5f32; 8]));
+    let mut t_interp = tensors.clone();
+    let interp = eval_func(&f, &HashMap::new(), &mut t_interp).unwrap_err().to_string();
+    assert!(interp.ends_with("index 6 out of bounds for dim of extent 6 in buffer `B`"));
+    let mut t_generic = tensors.clone();
+    let generic = CompiledKernel::compile_with(&f, false).unwrap();
+    let slow = generic.run(&HashMap::new(), &mut t_generic).unwrap_err();
+    let fast = fused.run(&HashMap::new(), &mut tensors).unwrap_err();
+    assert_eq!(fast, slow);
+    assert_eq!(Some(fast.message.as_str()), interp.strip_prefix("interpreter error: "));
+    assert_eq!(tensors["C"], t_interp["C"], "six lanes written, two untouched");
+    assert_eq!(tensors["C"].as_f32(), &[2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 0.5, 0.5]);
+}

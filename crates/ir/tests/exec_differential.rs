@@ -29,17 +29,25 @@
 //! every executor.
 //!
 //! A sixth family, `views`, pins the two *binding* modes of one compiled
-//! kernel against each other: the real CSR-SpMM, batched-SDDMM and
-//! fused-attention functions run once over whole concatenated tensors
-//! ([`CompiledKernel::run`]) and once over the same data cut into
-//! caller-owned segments ([`CompiledKernel::run_views`]: one segment,
-//! three, and mixed widths with a zero-width one, cut points not aligned
-//! to head boundaries) — bit-identical outputs, and identical error text
-//! on a short binding and on a store to a read-only view.
+//! kernel against each other and against the interpreter: the real
+//! CSR-SpMM, batched-SDDMM and fused-attention functions run once over
+//! whole concatenated tensors ([`CompiledKernel::run`]) and once over the
+//! same data cut into caller-owned segments
+//! ([`CompiledKernel::run_views`]: one segment, three, and mixed widths
+//! with a zero-width one, cut points not aligned to head boundaries) —
+//! bit-identical outputs, and identical error text on a short binding and
+//! on a store to a read-only view. Its `split_k` members run the default
+//! CSR schedule's `split(k, 32)` at widths 32 … 128 (lane-coalesced) and
+//! 48 (guarded tail, generic) through the same three bindings.
+//!
+//! A seventh, `lane_term`, crosses all seven term shapes with all four
+//! init kinds, NaN and ±Inf operands included, serially (plain lane
+//! bodies) and under a `blockIdx` loop (atomic ones once it fans out).
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use sparsetir_core::prelude::{lower, spmm_program};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
 use sparsetir_kernels::prelude::{csr_spmm_ir, fused_attention_ir};
@@ -939,23 +947,33 @@ fn views_fixture(seed: u64) -> (Csr, HashMap<String, TensorData>, SmallRng) {
     (a, t, rng)
 }
 
-/// Run `f` on both executor builds with `parts` bound whole (`run`) and
-/// segmented (`run_views`). Where both succeed every tensor must agree
-/// bit for bit; where either fails both must, with the same error text.
-/// Returns that text per executor build (`None` on success).
+/// Run `f` on the interpreter and on both executor builds with `parts`
+/// bound whole (`run`), and on both builds with them segmented
+/// (`run_views`). Where all succeed every tensor must agree bit for bit;
+/// where any fails all must, with the same error text — and `run` must
+/// leave the interpreter's written prefix. Returns that text per executor
+/// build (`None` on success).
 fn views_differential(
     f: &PrimFunc,
     structure: &HashMap<String, TensorData>,
     parts: &[Part],
 ) -> Vec<Option<String>> {
     let scalars = HashMap::new();
+    let mut bound = structure.clone();
+    for p in parts {
+        bound.insert(p.name.to_string(), TensorData::from(p.whole()));
+    }
+    let mut interp = bound.clone();
+    let ran_interp = eval_func(f, &scalars, &mut interp)
+        .map_err(|e| e.to_string().replacen("interpreter error", "executor error", 1));
     let run_both = |(fuse, label): (bool, &str)| {
         let kernel = CompiledKernel::compile_with(f, fuse).expect("compiles");
-        let mut whole = structure.clone();
-        for p in parts {
-            whole.insert(p.name.to_string(), TensorData::from(p.whole()));
-        }
+        let mut whole = bound.clone();
         let ran_whole = kernel.run(&scalars, &mut whole).map_err(|e| e.to_string());
+        assert_eq!(ran_interp, ran_whole, "[{label}] interpreter vs run outcome");
+        for (name, data) in &interp {
+            assert_bits_eq(name, data, &whole[name]).expect(label);
+        }
 
         let mut tensors = structure.clone();
         let mut segmented = parts.to_vec();
@@ -1082,6 +1100,210 @@ fn views_short_segment_and_read_only_store_fail_identically() {
             .run_views(&HashMap::new(), &mut views)
             .expect_err(label);
         assert_eq!(err.to_string(), "executor error: buffer `Bout` is bound to a read-only view");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Family 6b: the default CSR schedule's `split(k, 32)` across widths
+// ---------------------------------------------------------------------------
+
+/// The default CSR SpMM schedule at feature width `d` — `split(k, 32)` —
+/// without its thread bindings, so the kernel runs serially and the first
+/// error is deterministic.
+fn split_k_spmm(a: &Csr, d: usize) -> PrimFunc {
+    let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
+    let mut sch = Schedule::new(f);
+    sch.split("k", 32).unwrap();
+    sch.into_func()
+}
+
+/// Widths the split divides (one coalesced `k_o × 32` lane run per
+/// non-zero) and 48, where it leaves a guarded tail: an `if` in the lane
+/// body keeps the whole nest on generic dispatch. Every width must agree
+/// with the interpreter whole and through one, three and mixed-width
+/// column segments (cuts off the 32-lane boundaries, so coalesced runs
+/// cross segments mid-chunk), and fail identically on a `B` one segment
+/// short.
+#[test]
+fn views_split_k_spmm_bit_matches_at_every_width() {
+    let (a, structure, mut rng) = views_fixture(0x55);
+    for d in [32, 64, 96, 128, 48] {
+        let f = split_k_spmm(&a, d);
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        let divides = d % 32 == 0;
+        assert_eq!(fused.fused_ops(), usize::from(divides), "d = {d}");
+        assert_eq!(fused.disassemble().contains("coalesced"), divides, "d = {d}");
+        for cut in column_cuts(d) {
+            let parts = [
+                Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
+                Part::output("C", a.rows(), cut),
+            ];
+            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "d = {d}");
+        }
+
+        let cut = &column_cuts(d)[1];
+        let mut short = [
+            Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
+            Part::output("C", a.rows(), cut.clone()),
+        ];
+        short[0].segs.pop();
+        short[0].widths.pop();
+        let errs = views_differential(&f, &structure, &short);
+        let want = errs[0].clone().expect("a short binding must fail");
+        assert!(want.contains("out of bounds") && want.contains("`B`"), "d = {d}: {want}");
+        assert_eq!(errs, [Some(want.clone()), Some(want)], "d = {d}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Family 7: every term shape × every init kind through the lane bodies
+// ---------------------------------------------------------------------------
+
+/// The four init classifications of the fusion pass, as block shapes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Init {
+    /// No init statement.
+    None,
+    /// All-spatial block with an init: fires at every lane.
+    Always,
+    /// Reduce iter bound to an outer serial loop: fires on its first trip.
+    WhenReduceZero,
+    /// Reduce iter bound to the lane itself: fires at lane 0 (scalar
+    /// destinations only).
+    AtZeroLane,
+}
+
+/// Operand values that stress the widen–combine–narrow contract: NaN,
+/// both infinities, signed zero, a subnormal, and magnitudes whose
+/// products overflow `f32` on the narrowing store. The NaN is the one the
+/// hardware generates (`∞ − ∞`, computed at run time), so every NaN in
+/// flight has one bit pattern: which operand's payload survives when two
+/// *different* NaNs meet is up to instruction selection (`fadd`/`fmul`
+/// commute) and is not part of the bit-identity contract.
+fn specials() -> [f32; 8] {
+    let nan = std::hint::black_box(f32::INFINITY) - f32::INFINITY;
+    [nan, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-40, 3.0e38, -3.0e38, 0.0]
+}
+
+/// `for blk in 0..2 { [for j in 0..2] for k in 0..n { block { init;
+/// dst += term } } }` with `term` the `shape`-th of the seven
+/// association orders over `a = X[blk, k]`, `b = Y[blk, k]`,
+/// `c = W[blk]`; `dst` is `C[blk, k]` (axpy) or `S[blk]` (`scalar`: dot /
+/// gather). `par` binds `blk` to `blockIdx.x`.
+fn lane_term(
+    shape: usize,
+    init: Init,
+    scalar: bool,
+    par: bool,
+    n: i64,
+    seed: u64,
+) -> (PrimFunc, HashMap<String, TensorData>) {
+    let mut g = ProgGen::new(seed);
+    let blocks = 2i64;
+    let w = Buffer::global_f32("W", vec![Expr::i32(blocks)]);
+    let x = Buffer::global_f32("X", vec![Expr::i32(blocks), Expr::i32(n)]);
+    let y = Buffer::global_f32("Y", vec![Expr::i32(blocks), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(blocks), Expr::i32(n)]);
+    let s = Buffer::global_f32("S", vec![Expr::i32(blocks)]);
+    let (blk, j, k) = (Var::i32("blk"), Var::i32("j"), Var::i32("k"));
+    let (vb, vk, vr) = (Var::i32("vb"), Var::i32("vk"), Var::i32("vr"));
+    let lane = vec![Expr::var(&vb), Expr::var(&vk)];
+    let (av, bv, cv) = (x.load(lane.clone()), y.load(lane.clone()), w.load(vec![Expr::var(&vb)]));
+    let term = match shape {
+        0 => av,
+        1 => cv * av,
+        2 => av * cv,
+        3 => av * bv,
+        4 => (cv * av) * bv,
+        5 => (av * cv) * bv,
+        _ => cv * (av * bv),
+    };
+    let (dst, at) = if scalar { (&s, vec![Expr::var(&vb)]) } else { (&c, lane) };
+    let mut iter_vars = vec![
+        IterVar::spatial(vb.clone(), Expr::var(&blk)),
+        IterVar::spatial(vk.clone(), Expr::var(&k)),
+    ];
+    match init {
+        Init::None | Init::Always => {}
+        Init::WhenReduceZero => iter_vars.push(IterVar::reduce(vr.clone(), Expr::var(&j))),
+        Init::AtZeroLane => iter_vars.push(IterVar::reduce(vr.clone(), Expr::var(&k))),
+    }
+    let block = Stmt::Block(sparsetir_ir::stmt::Block {
+        name: "term".into(),
+        iter_vars,
+        reads: vec![],
+        writes: vec![],
+        init: (init != Init::None).then(|| {
+            Box::new(Stmt::BufferStore {
+                buffer: dst.clone(),
+                indices: at.clone(),
+                value: Expr::f32(f64::from(g.rng.gen_range(-1.0f32..1.0))),
+            })
+        }),
+        body: Box::new(Stmt::BufferStore {
+            buffer: dst.clone(),
+            indices: at.clone(),
+            value: dst.load(at) + term,
+        }),
+    });
+    let mut nest = Stmt::for_serial(k.clone(), n, block);
+    if init == Init::WhenReduceZero {
+        nest = Stmt::for_serial(j.clone(), 2, nest);
+    }
+    let kind = if par { ForKind::ThreadBinding(ThreadAxis::BlockIdxX) } else { ForKind::Serial };
+    let body = Stmt::For { var: blk, extent: Expr::i32(blocks), kind, body: Box::new(nest) };
+    let f = PrimFunc::new("lane_term", vec![], vec![w, x, y, c, s], body);
+
+    let specials = specials();
+    let mut values = |len: i64| {
+        let v = (0..len).map(|_| {
+            if g.rng.gen_bool(0.2) {
+                specials[g.rng.gen_range(0..specials.len())]
+            } else {
+                g.rng.gen_range(-2.0f32..2.0)
+            }
+        });
+        TensorData::F32(v.collect())
+    };
+    let mut tensors = HashMap::new();
+    for (name, len) in [("W", blocks), ("X", blocks * n), ("Y", blocks * n), ("C", blocks * n)] {
+        tensors.insert(name.to_string(), values(len));
+    }
+    tensors.insert("S".to_string(), values(blocks));
+    (f, tensors)
+}
+
+/// All seven term shapes × all four init kinds × {axpy, scalar}
+/// destinations, serially — an exclusive frame, so the plain lane bodies
+/// — and under a `blockIdx` loop, which runs the atomic ones whenever the
+/// loop fans out (`SPARSETIR_NUM_THREADS` ≥ 2; CI runs this suite at 1
+/// and at 2). Special values are drawn into every operand.
+#[test]
+fn every_term_shape_and_init_kind_bit_matches() {
+    let micro = |shape: usize, scalar: bool| match (scalar, shape) {
+        (false, _) => "AxpyLanes",
+        (true, 3) => "DotLanes",
+        (true, _) => "GatherScaleAccumulate",
+    };
+    for shape in 0..7 {
+        for init in [Init::None, Init::Always, Init::WhenReduceZero, Init::AtZeroLane] {
+            for scalar in [false, true] {
+                if init == Init::AtZeroLane && !scalar {
+                    continue; // a lane-strided reduce binding needs a scalar destination
+                }
+                for (par, n) in [(false, 33), (true, 33), (false, 1)] {
+                    let seed = 0xA000 + (shape * 64 + init as usize * 8 + usize::from(par)) as u64;
+                    let (f, tensors) = lane_term(shape, init, scalar, par, n, seed);
+                    let case =
+                        format!("shape {shape}, {init:?}, scalar={scalar}, par={par}, n={n}");
+                    let fused = CompiledKernel::compile_with(&f, true).expect("compiles");
+                    assert_eq!(fused.fused_kinds(), vec![micro(shape, scalar)], "{case}");
+                    assert_eq!(fused.is_parallel(), par, "{case}");
+                    differential(&f, &HashMap::new(), &tensors)
+                        .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
+                }
+            }
+        }
     }
 }
 

@@ -1,5 +1,5 @@
 //! Golden-file tests on the kernel disassembler: canonical kernels (CSR
-//! SpMM, hyb SpMM, batched SDDMM, fused attention) must disassemble to
+//! SpMM at d = 4 and d = 128, hyb SpMM, batched SDDMM, fused attention) must disassemble to
 //! byte-identical listings committed under `tests/golden/`. Any change to
 //! slot allocation, lowering, fusion matching or the instruction set
 //! shows up here as a readable diff.
@@ -66,6 +66,22 @@ fn csr_spmm_disassembly_is_stable() {
     let k = CompiledKernel::compile_with(&f, true).unwrap();
     assert!(k.fused_ops() > 0, "CSR SpMM inner loop fuses to a superinstruction");
     check_golden("csr_spmm", &f);
+}
+
+/// The default CSR schedule at d = 128: `split(k, 32)` leaves a 4 × 32
+/// nest per non-zero, which lane coalescing runs as one 128-lane
+/// superinstruction — one `Super` dispatch per non-zero, not four.
+#[test]
+fn csr_spmm_d128_coalesces_to_one_superinstruction_per_nonzero() {
+    let a = fixture_csr();
+    let f = csr_spmm_ir(&a, 128).expect("builds");
+    let k = CompiledKernel::compile_with(&f, true).unwrap();
+    assert_eq!(k.fused_ops(), 1);
+    let listing = k.disassemble();
+    let supers: Vec<&str> = listing.lines().filter(|l| l.contains("super.")).collect();
+    assert_eq!(supers.len(), 1, "{listing}");
+    assert!(supers[0].contains("super.axpy %3 in 0..128 (coalesced %2\u{d7}%3)"), "{}", supers[0]);
+    check_golden("csr_spmm_d128", &f);
 }
 
 #[test]
