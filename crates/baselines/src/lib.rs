@@ -2,8 +2,9 @@
 //!
 //! Vendor-library and framework baselines for every comparison in the
 //! paper's evaluation, re-implemented by their documented strategies as
-//! kernel plans on the shared GPU simulator (DESIGN.md §2 explains why
-//! strategy-level modelling preserves the figures' relative behaviour):
+//! kernel plans on the shared GPU simulator (the substitution the README
+//! intro names; strategy-level modelling keeps the figures' relative
+//! behaviour):
 //!
 //! * SpMM (Fig. 13): cuSPARSE, Sputnik, dgSPARSE/GE-SpMM, TACO,
 //! * SDDMM (Fig. 14): cuSPARSE, Sputnik, DGL/FeatGraph, dgSPARSE-csr/coo,

@@ -14,13 +14,13 @@ use sparsetir_kernels::prelude::*;
 use sparsetir_kernels::sparse_conv::ConvMaps;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
-use std::time::Instant;
 
-/// Interpreter vs slot-compiled executor on the lowered CSR SpMM kernel at
-/// the paper's default sizes (Table 1 graph, d ∈ {32, 128}). The compiled
+/// Interpreter vs compiled executor on the lowered CSR SpMM kernel at the
+/// paper's default sizes (Table 1 graph, d ∈ {32, 128}). The compiled
 /// numbers go through a pre-populated kernel cache, so they measure the
 /// amortized compile-once/run-many path; `compile_plus_run` measures the
-/// cold path.
+/// cold path. Informational: how far the executor is from the machine is
+/// `stbench`'s `native_ratio`.
 fn bench_executor(c: &mut Criterion) {
     let g = graph_by_name("cora").expect("registered").generate();
     let mut group = c.benchmark_group("executor");
@@ -29,7 +29,6 @@ fn bench_executor(c: &mut Criterion) {
         let f = csr_spmm_ir(&g, feat).expect("lowers");
         let runtime = Runtime::new();
         let kernel = runtime.compile(&f).expect("compiles");
-        let generic = runtime.compile_with(&f, false).expect("compiles");
         let mut rng = gen::rng(3);
         let x = gen::random_dense(g.cols(), feat, &mut rng);
         let mut bindings = Bindings::new();
@@ -39,9 +38,6 @@ fn bench_executor(c: &mut Criterion) {
         let no_scalars = HashMap::new();
         group.bench_with_input(BenchmarkId::new("interpreter", feat), &feat, |b, _| {
             b.iter(|| eval_func(&f, &no_scalars, &mut bindings).expect("interprets"))
-        });
-        group.bench_with_input(BenchmarkId::new("compiled_generic", feat), &feat, |b, _| {
-            b.iter(|| generic.run(&no_scalars, &mut bindings).expect("executes"))
         });
         group.bench_with_input(BenchmarkId::new("compiled_fused", feat), &feat, |b, _| {
             b.iter(|| kernel.run(&no_scalars, &mut bindings).expect("executes"))
@@ -54,57 +50,6 @@ fn bench_executor(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // Headline numbers on CSR SpMM (d=32): the *generic* slot executor
-    // must beat the interpreter by ≥ 5× (the original slot-compilation
-    // claim, asserted on the generic build so fusion cannot mask a
-    // generic-path regression), and the fused microkernel build must
-    // beat the generic executor by ≥ 2× (mirroring the perf-gate bar).
-    // Skipped in smoke mode (it times 7 full interpreter runs).
-    if std::env::var_os("SPARSETIR_BENCH_SMOKE").is_some() {
-        return;
-    }
-    let feat = 32;
-    let f = csr_spmm_ir(&g, feat).expect("lowers");
-    let rt = Runtime::new();
-    let generic = rt.compile_with(&f, false).expect("compiles");
-    let fused = rt.compile_with(&f, true).expect("compiles");
-    let mut rng = gen::rng(3);
-    let x = gen::random_dense(g.cols(), feat, &mut rng);
-    let mut bindings = Bindings::new();
-    bind_csr(&mut bindings, "A", "J", &g);
-    bind_dense(&mut bindings, "B", &x);
-    bind_zeros(&mut bindings, "C", g.rows() * feat);
-    let no_scalars = HashMap::new();
-    let median = |times: &mut Vec<f64>| {
-        times.sort_by(f64::total_cmp);
-        times[times.len() / 2]
-    };
-    let mut interp_times = Vec::new();
-    let mut generic_times = Vec::new();
-    let mut fused_times = Vec::new();
-    for _ in 0..7 {
-        let t0 = Instant::now();
-        eval_func(&f, &no_scalars, &mut bindings).expect("interprets");
-        interp_times.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        generic.run(&no_scalars, &mut bindings).expect("executes");
-        generic_times.push(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        fused.run(&no_scalars, &mut bindings).expect("executes");
-        fused_times.push(t0.elapsed().as_secs_f64());
-    }
-    let interp = median(&mut interp_times);
-    let tg = median(&mut generic_times);
-    let tf = median(&mut fused_times);
-    let speedup = interp / tg;
-    let fused_speedup = tg / tf;
-    println!("executor/speedup (csr spmm, cora, d=32): {speedup:.1}x generic vs interpreter (bar: >= 5x)");
-    println!("executor/fused_speedup (csr spmm, cora, d=32): {fused_speedup:.1}x fused vs generic (bar: >= 2x)");
-    if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-        assert!(speedup >= 5.0, "generic executor speedup {speedup:.1}x below the 5x bar");
-        assert!(fused_speedup >= 2.0, "fused speedup {fused_speedup:.1}x below the 2x bar");
-    }
 }
 
 fn bench_spmm(c: &mut Criterion) {

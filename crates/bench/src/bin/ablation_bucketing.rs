@@ -1,4 +1,4 @@
-//! Regenerates the bucketing on/off ablation (see DESIGN.md §5.6).
+//! Regenerates the bucketing on/off ablation (README §Autotuning: the bucket exponent is a tuned parameter).
 fn main() {
     print!("{}", sparsetir_bench::experiments::ablation_bucketing::run());
 }

@@ -18,9 +18,7 @@ fn main() {
         ("ablation_hfuse", e::ablation_hfuse::run),
         ("ablation_bucketing", e::ablation_bucketing::run),
         ("autotuning", e::autotuning::run),
-        ("executor_vectorization", e::executor_vectorization::run),
         ("serving_throughput", e::serving_throughput::run),
-        ("fused_attention", e::fused_attention::run),
         ("serving_slo", e::serving_slo::run),
         ("dynamic_graphs", e::dynamic_graphs::run),
     ] {

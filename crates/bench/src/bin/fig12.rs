@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig12 (see DESIGN.md §4).
+//! Regenerates the paper's fig12 (README §Crate map lists the `crates/bench` harnesses).
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig12::run());
 }

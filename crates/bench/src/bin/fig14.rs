@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig14 (see DESIGN.md §4).
+//! Regenerates the paper's fig14 (README §Crate map lists the `crates/bench` harnesses).
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig14::run());
 }

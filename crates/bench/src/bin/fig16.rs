@@ -1,4 +1,4 @@
-//! Regenerates the paper's fig16 (see DESIGN.md §4).
+//! Regenerates the paper's fig16 (README §Crate map lists the `crates/bench` harnesses).
 fn main() {
     print!("{}", sparsetir_bench::experiments::fig16::run());
 }

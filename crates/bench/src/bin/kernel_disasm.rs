@@ -7,8 +7,7 @@
 //! Uses the same deterministic fixture matrix as the golden-file tests
 //! (`crates/ir/tests/golden/`), so the output for the default `feat`
 //! matches the committed listings; pass a different `feat` to inspect how
-//! the shape changes lowering. The `SPARSETIR_NO_FUSE` knob applies:
-//! disabling fusion shows the stream without superinstructions.
+//! the shape changes lowering.
 
 use sparsetir_ir::prelude::*;
 use sparsetir_kernels::prelude::*;

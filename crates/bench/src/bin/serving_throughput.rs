@@ -1,7 +1,8 @@
 //! Runs the serving-throughput experiment (batched vs unbatched engine
-//! at 1/4/8 client threads) and writes `BENCH_results.json`.
-//! `SPARSETIR_BENCH_ASSERT=1` enforces the ≥ 2× batched-over-unbatched
-//! requests/sec bar at 8 clients.
+//! at 1/4/8 client threads; SpMM, SDDMM, fused attention) and writes
+//! `BENCH_results.json`. `SPARSETIR_BENCH_ASSERT=1` enforces the ≥ 2×
+//! batched-over-unbatched SpMM requests/sec bar and that every arm
+//! batched at 8 clients.
 
 use sparsetir_bench::{experiments, report};
 

@@ -1,4 +1,4 @@
-//! Regenerates the paper's table1 (see DESIGN.md §4).
+//! Regenerates the paper's table1 (README §Crate map lists the `crates/bench` harnesses).
 fn main() {
     print!("{}", sparsetir_bench::experiments::table1::run());
 }

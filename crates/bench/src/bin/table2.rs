@@ -1,4 +1,4 @@
-//! Regenerates the paper's table2 (see DESIGN.md §4).
+//! Regenerates the paper's table2 (README §Crate map lists the `crates/bench` harnesses).
 fn main() {
     print!("{}", sparsetir_bench::experiments::table2::run());
 }

@@ -1,8 +1,9 @@
 //! Machine-readable benchmark reporting: experiments record
-//! [`BenchRecord`]s into a process-wide collector, the harness binaries
-//! flush them to `BENCH_results.json`, and the CI perf-gate compares that
-//! file against a committed `BENCH_baseline.json` with a relative
-//! tolerance (±30% by default), failing on regression.
+//! [`BenchRecord`]s into a process-wide collector and the harness
+//! binaries flush them to `BENCH_results.json` (CI uploads it as an
+//! artifact). Nothing reads the file back to judge a regression: the
+//! perf-regression gate is `stbench` (`benchmark/`), and `perf_suite`
+//! asserts its behavioural bars in-process.
 //!
 //! The JSON schema (`"schema": 1`):
 //!
@@ -13,12 +14,12 @@
 //!   "smoke": true,
 //!   "records": [
 //!     {
-//!       "experiment": "executor_vectorization",
-//!       "name": "csr_spmm/cora/d32/fused",
+//!       "experiment": "serving_throughput",
+//!       "name": "spmm/c8/batched",
 //!       "value": 2781000.0,
 //!       "unit": "ns",
 //!       "better": "lower",
-//!       "config": "threads=1 reps=9"
+//!       "config": "n=1000 d=16 workers=1"
 //!     }
 //!   ]
 //! }
@@ -27,14 +28,9 @@
 //! `value` is the median of the timed repetitions for `"unit": "ns"`
 //! records, a dimensionless ratio for `"unit": "ratio"` records
 //! (speedups — machine-portable, unlike absolute nanoseconds), and a
-//! `[0, 1]` fraction for `"unit": "rate"` records (hit/success rates —
-//! portable but load-sensitive, so ratio-only gating treats them as
-//! advisory like `"ns"`). `better`
-//! gives the regression direction: a `lower`-is-better record regresses
-//! when `value` rises more than the tolerance above the baseline, a
-//! `higher`-is-better record when it falls more than the tolerance below.
+//! `[0, 1]` fraction for `"unit": "rate"` records (hit/success rates).
+//! `better` gives the direction a reader should want `value` to move.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
@@ -170,377 +166,8 @@ pub fn write_results(
     std::fs::write(path, render_results(records, smoke))
 }
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader (the subset the writer above emits)
-// ---------------------------------------------------------------------------
-
-/// Parsed JSON value (subset: objects, arrays, strings, numbers, bools).
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Object(Vec<(String, Json)>),
-    Array(Vec<Json>),
-    Str(String),
-    Num(f64),
-    Bool(bool),
-    Null,
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Object(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Self {
-        Parser { bytes: s.as_bytes(), pos: 0 }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json parse error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len() && self.bytes[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", c as char)))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek().ok_or_else(|| self.err("unexpected end"))? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.lit("true", Json::Bool(true)),
-            b'f' => self.lit("false", Json::Bool(false)),
-            b'n' => self.lit("null", Json::Null),
-            _ => self.number(),
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Object(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Object(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Array(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        // Accumulate raw bytes and decode once: unescaped content may be
-        // multi-byte UTF-8 (the writer only escapes quotes, backslashes
-        // and control characters).
-        let mut raw: Vec<u8> = Vec::new();
-        loop {
-            let c = *self.bytes.get(self.pos).ok_or_else(|| self.err("unterminated string"))?;
-            self.pos += 1;
-            match c {
-                b'"' => {
-                    return String::from_utf8(raw).map_err(|_| self.err("invalid UTF-8 in string"))
-                }
-                b'\\' => {
-                    let e =
-                        *self.bytes.get(self.pos).ok_or_else(|| self.err("truncated escape"))?;
-                    self.pos += 1;
-                    match e {
-                        b'"' => raw.push(b'"'),
-                        b'\\' => raw.push(b'\\'),
-                        b'/' => raw.push(b'/'),
-                        b'n' => raw.push(b'\n'),
-                        b't' => raw.push(b'\t'),
-                        b'r' => raw.push(b'\r'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            let mut buf = [0u8; 4];
-                            raw.extend_from_slice(
-                                char::from_u32(code)
-                                    .unwrap_or('\u{fffd}')
-                                    .encode_utf8(&mut buf)
-                                    .as_bytes(),
-                            );
-                        }
-                        _ => return Err(self.err("unsupported escape")),
-                    }
-                }
-                c => raw.push(c),
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("invalid number"))
-    }
-}
-
-fn parse_json(s: &str) -> Result<Json, String> {
-    let mut p = Parser::new(s);
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing content"));
-    }
-    Ok(v)
-}
-
-/// The schema version this module writes and reads.
+/// Schema version written to `BENCH_results.json`.
 pub const SCHEMA_VERSION: f64 = 1.0;
-
-/// Parse a `BENCH_results.json` document into its records.
-///
-/// # Errors
-/// Returns a description of the first malformed construct, including a
-/// missing or unknown `schema` version — the perf-gate must refuse to
-/// compare documents written under a different schema rather than
-/// silently misreading them.
-pub fn parse_results(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let doc = parse_json(text)?;
-    match doc.get("schema").and_then(Json::as_num) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => {
-            return Err(format!("unsupported schema version {v} (expected {SCHEMA_VERSION})"))
-        }
-        None => return Err("missing `schema` version".to_string()),
-    }
-    let records = doc
-        .get("records")
-        .and_then(|r| match r {
-            Json::Array(items) => Some(items),
-            _ => None,
-        })
-        .ok_or("missing `records` array")?;
-    let mut out = Vec::with_capacity(records.len());
-    for (i, r) in records.iter().enumerate() {
-        let field = |k: &str| -> Result<&str, String> {
-            r.get(k).and_then(Json::as_str).ok_or(format!("record {i}: missing `{k}`"))
-        };
-        let unit = match field("unit")? {
-            "ns" => "ns",
-            "ratio" => "ratio",
-            "rate" => "rate",
-            other => return Err(format!("record {i}: unknown unit `{other}`")),
-        };
-        let better = match field("better")? {
-            "lower" => "lower",
-            "higher" => "higher",
-            other => return Err(format!("record {i}: unknown direction `{other}`")),
-        };
-        out.push(BenchRecord {
-            experiment: field("experiment")?.to_string(),
-            name: field("name")?.to_string(),
-            value: r
-                .get("value")
-                .and_then(Json::as_num)
-                .ok_or(format!("record {i}: missing `value`"))?,
-            unit,
-            better,
-            config: field("config")?.to_string(),
-        });
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Baseline comparison (the perf-gate)
-// ---------------------------------------------------------------------------
-
-/// One metric that moved beyond the tolerance.
-#[derive(Debug, Clone)]
-pub struct Delta {
-    /// `experiment::name` key.
-    pub key: String,
-    /// The record's unit (`"ns"` — machine-specific — or `"ratio"` —
-    /// portable across hardware).
-    pub unit: &'static str,
-    /// Human-readable `old -> new (±%)` description.
-    pub detail: String,
-}
-
-/// Outcome of comparing results against a committed baseline.
-#[derive(Debug, Default)]
-pub struct Comparison {
-    /// Metrics that moved in the worse direction beyond the tolerance.
-    pub regressions: Vec<Delta>,
-    /// Metrics that moved in the better direction beyond the tolerance
-    /// (informational — a nudge to refresh the baseline).
-    pub improvements: Vec<Delta>,
-    /// Baseline metrics absent from the results (informational).
-    pub missing: Vec<String>,
-    /// Number of metrics present in both files.
-    pub compared: usize,
-}
-
-/// Compare `results` against `baseline` with relative `tolerance`
-/// (0.30 = ±30%). A `lower`-is-better metric regresses when
-/// `value > baseline · (1 + tolerance)`; a `higher`-is-better metric when
-/// `value < baseline · (1 − tolerance)`. The boundary itself is *inside*
-/// the tolerance — a ratio landing exactly on ±tolerance passes, with a
-/// tiny epsilon absorbing the floating-point rounding of the
-/// `value / baseline` division (without it, `130.0` against a `100.0`
-/// baseline at 0.30 tolerance computes `0.30000000000000004` and fails).
-/// Metrics only present in the results pass silently (new benches need a
-/// baseline refresh to be gated).
-#[must_use]
-pub fn compare(results: &[BenchRecord], baseline: &[BenchRecord], tolerance: f64) -> Comparison {
-    const BOUNDARY_EPS: f64 = 1e-9;
-    let by_key: HashMap<(&str, &str), &BenchRecord> =
-        results.iter().map(|r| ((r.experiment.as_str(), r.name.as_str()), r)).collect();
-    let mut cmp = Comparison::default();
-    for base in baseline {
-        let key = format!("{}::{}", base.experiment, base.name);
-        let Some(cur) = by_key.get(&(base.experiment.as_str(), base.name.as_str())) else {
-            cmp.missing.push(key);
-            continue;
-        };
-        cmp.compared += 1;
-        let describe = |rel: f64| Delta {
-            key: key.clone(),
-            unit: cur.unit,
-            detail: format!(
-                "{key}: {:.3} -> {:.3} {} ({:+.1}%)",
-                base.value,
-                cur.value,
-                cur.unit,
-                rel * 100.0
-            ),
-        };
-        if base.value <= 0.0 {
-            continue;
-        }
-        let rel = cur.value / base.value - 1.0;
-        let worse = match base.better {
-            "higher" => -rel,
-            _ => rel,
-        };
-        if worse > tolerance + BOUNDARY_EPS {
-            cmp.regressions.push(describe(rel));
-        } else if worse < -(tolerance + BOUNDARY_EPS) {
-            cmp.improvements.push(describe(rel));
-        }
-    }
-    cmp
-}
-
-/// Load, parse and compare two result files.
-///
-/// # Errors
-/// Returns a message when either file is unreadable or malformed.
-pub fn compare_files(
-    results: &Path,
-    baseline: &Path,
-    tolerance: f64,
-) -> Result<Comparison, String> {
-    let res = std::fs::read_to_string(results)
-        .map_err(|e| format!("cannot read {}: {e}", results.display()))?;
-    let base = std::fs::read_to_string(baseline)
-        .map_err(|e| format!("cannot read {}: {e}", baseline.display()))?;
-    Ok(compare(
-        &parse_results(&res).map_err(|e| format!("{}: {e}", results.display()))?,
-        &parse_results(&base).map_err(|e| format!("{}: {e}", baseline.display()))?,
-        tolerance,
-    ))
-}
 
 #[cfg(test)]
 mod tests {
@@ -553,56 +180,19 @@ mod tests {
             value,
             unit: if better == "higher" { "ratio" } else { "ns" },
             better,
-            // Quotes, backslash-free multi-byte UTF-8 and an escape all
-            // must survive the writer → parser round trip.
+            // Quotes and the newline must be escaped, multi-byte UTF-8
+            // written through.
             config: "cfg \"quoted\" ≥2× bar\nnext".to_string(),
         }
     }
 
     #[test]
-    fn results_round_trip_through_json() {
-        let records = vec![
-            rec("executor", "csr/d32/fused", 123456.0, "lower"),
-            rec("executor", "speedup", 7.5, "higher"),
-        ];
-        let text = render_results(&records, true);
-        let parsed = parse_results(&text).expect("parses");
-        assert_eq!(parsed, records);
-        assert!(text.contains("\"schema\": 1"));
+    fn results_render_schema_header_and_escaped_fields() {
+        let text = render_results(&[rec("serving", "spmm/c8/speedup", 7.5, "higher")], true);
+        assert!(text.contains("\"schema\": 1,"));
         assert!(text.contains("\"smoke\": true"));
-    }
-
-    #[test]
-    fn compare_flags_regressions_by_direction() {
-        let baseline = vec![
-            rec("e", "time", 100.0, "lower"),
-            rec("e", "speedup", 10.0, "higher"),
-            rec("e", "gone", 1.0, "lower"),
-        ];
-        let results = vec![
-            rec("e", "time", 140.0, "lower"),   // +40% → regression
-            rec("e", "speedup", 6.0, "higher"), // −40% → regression
-            rec("e", "new", 1.0, "lower"),      // not in baseline → ignored
-        ];
-        let cmp = compare(&results, &baseline, 0.30);
-        assert_eq!(cmp.compared, 2);
-        assert_eq!(cmp.regressions.len(), 2, "{:?}", cmp.regressions);
-        assert_eq!(cmp.missing, vec!["e::gone".to_string()]);
-        // Units ride along so the gate can treat machine-specific ns
-        // records as advisory on foreign hardware.
-        assert!(cmp.regressions.iter().any(|d| d.unit == "ns" && d.key == "e::time"));
-        assert!(cmp.regressions.iter().any(|d| d.unit == "ratio" && d.key == "e::speedup"));
-
-        // Within tolerance: clean.
-        let results = vec![rec("e", "time", 120.0, "lower"), rec("e", "speedup", 9.0, "higher")];
-        let cmp = compare(&results, &baseline, 0.30);
-        assert!(cmp.regressions.is_empty());
-
-        // Large improvement is reported as such, not as a regression.
-        let results = vec![rec("e", "time", 20.0, "lower"), rec("e", "speedup", 30.0, "higher")];
-        let cmp = compare(&results, &baseline, 0.30);
-        assert!(cmp.regressions.is_empty());
-        assert_eq!(cmp.improvements.len(), 2);
+        assert!(text.contains("\"name\": \"spmm/c8/speedup\", \"value\": 7.5, \"unit\": \"ratio\""));
+        assert!(text.contains(r#""config": "cfg \"quoted\" ≥2× bar\nnext""#), "{text}");
     }
 
     #[test]

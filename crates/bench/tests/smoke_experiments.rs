@@ -24,9 +24,7 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
         ("ablation_hfuse", e::ablation_hfuse::run),
         ("ablation_bucketing", e::ablation_bucketing::run),
         ("autotuning", e::autotuning::run),
-        ("executor_vectorization", e::executor_vectorization::run),
         ("serving_throughput", e::serving_throughput::run),
-        ("fused_attention", e::fused_attention::run),
         ("serving_slo", e::serving_slo::run),
         ("dynamic_graphs", e::dynamic_graphs::run),
     ] {
@@ -35,14 +33,9 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
         assert!(out.contains('|') || out.contains('-'), "{name} is not a table:\n{out}");
     }
 
-    // The run must have produced machine-readable records that round-trip
-    // through the BENCH JSON schema — what `all_experiments` writes to
-    // `BENCH_results.json` and the CI perf-gate consumes.
+    // The run must have produced the machine-readable records
+    // `all_experiments` writes to `BENCH_results.json`.
     let records = report::take_records();
-    assert!(
-        records.iter().any(|r| r.experiment == "executor_vectorization"),
-        "executor_vectorization must record bench results"
-    );
     assert!(
         records.iter().any(|r| r.experiment == "autotuning"),
         "autotuning must record measured times"
@@ -52,8 +45,10 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
         "serving_throughput must record requests/sec results"
     );
     assert!(
-        records.iter().any(|r| r.experiment == "fused_attention"),
-        "fused_attention must record fused-vs-pipeline results"
+        records
+            .iter()
+            .any(|r| r.experiment == "serving_throughput" && r.name == "fused_attention/c8/speedup"),
+        "serving_throughput must record its fused-attention arm"
     );
     assert!(
         records.iter().any(|r| r.experiment == "serving_slo" && r.name == "c8/hit_gain_capped"),
@@ -71,11 +66,8 @@ fn all_experiments_run_end_to_end_in_smoke_mode() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("BENCH_results.json");
     report::write_results(&path, &records, true).unwrap();
-    let parsed = report::parse_results(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(parsed, records, "BENCH JSON must round-trip");
-    // A results file compared against itself is always within tolerance.
-    let cmp = report::compare_files(&path, &path, 0.30).unwrap();
-    assert_eq!(cmp.compared, records.len());
-    assert!(cmp.regressions.is_empty());
+    let written = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(written, report::render_results(&records, true));
+    assert_eq!(written.matches("\"experiment\":").count(), records.len());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,7 +15,7 @@ use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
 use sparsetir_autotune::{SparsityFingerprint, TunableOp, TuneCache, TuneKey, TuneOutcome};
 use sparsetir_gpusim::prelude::GpuSpec;
-use sparsetir_ir::exec::{fusion_default, Runtime};
+use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp,
     SparseOp, SpmmConfig, SpmmOp,
@@ -349,14 +349,6 @@ pub struct EngineConfig {
     /// [`SubmitOpts::tune`](crate::SubmitOpts::tune) overrides this per
     /// request.
     pub tune: bool,
-    /// Cross-op fusion for the fused op paths: `Some(true)` compiles the
-    /// whole pipeline into one kernel, `Some(false)` forces the
-    /// multi-launch fallback, and `None` (the default) follows the
-    /// `SPARSETIR_NO_FUSE` environment kill switch via
-    /// [`fusion_default`]. The flag is baked into the engine's shared
-    /// [`Runtime`] at construction, so the two modes never share cached
-    /// kernels.
-    pub fuse: Option<bool>,
     /// Adaptive batch window: after draining a batch that still has
     /// rider room, a worker with an otherwise-empty queue waits up to
     /// this long for more compatible arrivals before firing — but only
@@ -381,7 +373,6 @@ impl Default for EngineConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_batch: 8,
             tune: false,
-            fuse: None,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }
@@ -566,7 +557,7 @@ impl Engine {
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
             config: config.clone(),
-            runtime: Arc::new(Runtime::with_fusion(config.fuse.unwrap_or_else(fusion_default))),
+            runtime: Arc::new(Runtime::new()),
             tune_cache: TuneCache::new(),
             tune_flight: Mutex::new(()),
             t0: Instant::now(),

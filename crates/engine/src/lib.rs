@@ -28,12 +28,10 @@
 //!   compatible arrivals when traffic predicts them, and fires
 //!   immediately under deadline pressure. `None` keeps the legacy
 //!   greedy drain.
-//! * **Cross-op fusion with a kill switch**: [`EngineConfig::fuse`]
-//!   selects whether fused ops compile their whole pipeline into one
-//!   kernel or fall back to the multi-launch path (`None` follows the
-//!   `SPARSETIR_NO_FUSE` environment variable). The flag is baked into
-//!   the engine's shared runtime, so toggling it recompiles rather than
-//!   serving stale cached kernels.
+//! * **Cross-op fusion is what the fused ops do**: `FusedAttention` and
+//!   `FusedSage` requests always compile their whole pipeline into one
+//!   kernel; the multi-launch forms exist only as test oracles in
+//!   `sparsetir-kernels`.
 //! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and one
 //!   [`TuneCache`](sparsetir_autotune::TuneCache)** per engine: every
 //!   worker compiles through the same striped kernel cache and reuses

@@ -13,7 +13,8 @@ use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig, SpmmOp,
+    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, SddmmOp, SparseOp, SpmmConfig,
+    SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 
@@ -61,11 +62,21 @@ fn random_pairs(a: &Csr, widths: &[usize], seed: u64) -> Vec<(Dense, Dense)> {
 }
 
 /// The sequential oracle: one request alone through the op layer on a
-/// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
-/// the fused ops).
-fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
-    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::Config::default())
-        .expect("sequential execution")
+/// fresh runtime.
+fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands) -> O::Output {
+    O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("sequential execution")
+}
+
+/// The three-launch pipeline oracle over one request's heads, on a fresh
+/// runtime.
+fn attention_pipeline(a: &Csr, heads: &[AttnHead]) -> Vec<Dense> {
+    let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
+    let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
+    let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
+    let mut outs: Vec<Dense> = heads.iter().map(|h| Dense::zeros(a.rows(), h.v.cols())).collect();
+    attention_pipeline_oracle(&Runtime::new(), a, &qs, &kts, &vs, &mut outs)
+        .expect("pipeline oracle");
+    outs
 }
 
 fn assert_bit_identical(got: &Dense, want: &Dense, tag: &str) -> Result<(), TestCaseError> {
@@ -104,7 +115,6 @@ fn test_engine() -> Engine {
         queue_depth: 16,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -127,7 +137,7 @@ proptest! {
                 .expect("batched execution");
         prop_assert_eq!(batched.len(), xs.len());
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
-            let want = solo::<SpmmOp>(&a, x, true);
+            let want = solo::<SpmmOp>(&a, x);
             assert_bit_identical(got, &want, &format!("request {i}"))?;
         }
     }
@@ -164,9 +174,9 @@ proptest! {
             .collect();
         for (i, ((x, w), (spmm, sage))) in xs.iter().zip(&ws).zip(tickets).enumerate() {
             let got = spmm.wait_dense().expect("engine answers");
-            assert_bit_identical(&got, &solo::<SpmmOp>(&a, x, true), &format!("request {i}"))?;
+            assert_bit_identical(&got, &solo::<SpmmOp>(&a, x), &format!("request {i}"))?;
             let got = sage.wait_dense().expect("engine answers");
-            let want = solo::<FusedSageOp>(&a, &(x.clone(), w.clone()), false);
+            let want = sage_pipeline_oracle(&Runtime::new(), &a, x, w).expect("pipeline oracle");
             assert_bit_identical(&got, &want, &format!("sage request {i}"))?;
         }
         let stats = engine.stats();
@@ -193,7 +203,7 @@ proptest! {
                 .expect("batched execution");
         prop_assert_eq!(batched.len(), reqs.len());
         for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {
-            let want = solo::<SddmmOp>(&a, req, true);
+            let want = solo::<SddmmOp>(&a, req);
             assert_bits_eq(got, &want, &format!("request {i}"))?;
         }
     }
@@ -219,7 +229,7 @@ proptest! {
             .collect();
         for (i, (req, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_edges().expect("engine answers");
-            let want = solo::<SddmmOp>(&a, req, true);
+            let want = solo::<SddmmOp>(&a, req);
             assert_bits_eq(&got, &want, &format!("request {i}"))?;
         }
         let stats = engine.stats();
@@ -255,7 +265,7 @@ proptest! {
             let got = t.wait_heads().expect("engine answers");
             prop_assert_eq!(got.len(), heads.len());
             for (h, (x, out)) in heads.iter().zip(&got).enumerate() {
-                let want = solo::<SpmmOp>(&a, x, true);
+                let want = solo::<SpmmOp>(&a, x);
                 assert_bit_identical(out, &want, &format!("request {i} head {h}"))?;
             }
         }
@@ -312,7 +322,6 @@ proptest! {
             queue_depth: 16,
             max_batch: 8,
             tune: false,
-            fuse: Some(true),
             batch_window: None,
             ..EngineConfig::default()
         });
@@ -327,7 +336,7 @@ proptest! {
             prop_assert_eq!(got.len(), heads.len());
             // Head by head, so the oracle is unbatched across heads too.
             for (h, (head, out)) in heads.iter().zip(&got).enumerate() {
-                let want = solo::<FusedAttentionOp>(&a, &vec![head.clone()], false);
+                let want = attention_pipeline(&a, std::slice::from_ref(head));
                 assert_bit_identical(out, &want[0], &format!("request {i} head {h}"))?;
             }
         }

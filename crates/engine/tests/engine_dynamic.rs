@@ -24,7 +24,6 @@ fn dynamic_engine(tune: bool) -> Engine {
         queue_depth: 32,
         max_batch: 8,
         tune,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })

@@ -7,7 +7,7 @@ use sparsetir_engine::{
 };
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmOp,
+    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, SddmmOp, SparseOp, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 use std::sync::Arc;
@@ -27,10 +27,21 @@ fn power_law_csr(n: usize, seed: u64) -> Csr {
 }
 
 /// The sequential oracle: one request alone through the op layer on a
-/// fresh runtime (`fuse = false` is the multi-launch pipeline oracle of
-/// the fused ops).
-fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands, fuse: bool) -> O::Output {
-    O::execute_on(&Runtime::with_fusion(fuse), a, req, &O::Config::default()).expect("executes")
+/// fresh runtime.
+fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands) -> O::Output {
+    O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("executes")
+}
+
+/// The three-launch pipeline oracle over one request's heads, on a fresh
+/// runtime.
+fn attention_pipeline(a: &Csr, heads: &[AttnHead]) -> Vec<Dense> {
+    let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
+    let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
+    let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
+    let mut outs: Vec<Dense> = heads.iter().map(|h| Dense::zeros(a.rows(), h.v.cols())).collect();
+    attention_pipeline_oracle(&Runtime::new(), a, &qs, &kts, &vs, &mut outs)
+        .expect("pipeline oracle");
+    outs
 }
 
 fn bit_eq(a: &Dense, b: &Dense) -> bool {
@@ -50,7 +61,7 @@ fn served_spmm_matches_direct_execution() {
         .serve(&adj, Submission::spmm(x.clone()))
         .and_then(OpOutput::into_dense)
         .expect("serves");
-    let direct = solo::<SpmmOp>(&a, &x, true);
+    let direct = solo::<SpmmOp>(&a, &x);
     assert!(bit_eq(&served, &direct), "served result must be bit-identical to direct execution");
     assert!(served.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     let stats = engine.stats();
@@ -70,7 +81,7 @@ fn served_sddmm_matches_direct_execution() {
         .serve(&adj, Submission::sddmm(x.clone(), y.clone()))
         .and_then(OpOutput::into_edges)
         .expect("serves");
-    let direct = solo::<SddmmOp>(&a, &(x, y), true);
+    let direct = solo::<SddmmOp>(&a, &(x, y));
     assert_eq!(served.len(), direct.len());
     for (s, d) in served.iter().zip(&direct) {
         assert_eq!(s.to_bits(), d.to_bits());
@@ -91,7 +102,6 @@ fn queued_requests_batch_and_stay_bit_identical() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -109,7 +119,7 @@ fn queued_requests_batch_and_stay_bit_identical() {
     plug.wait_dense().expect("plug completes");
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
-        let want = solo::<SpmmOp>(&small, x, true);
+        let want = solo::<SpmmOp>(&small, x);
         assert!(bit_eq(&got, &want));
     }
     let stats = engine.stats();
@@ -130,7 +140,6 @@ fn try_submit_saturates_on_a_full_queue() {
         queue_depth: 1,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -181,7 +190,6 @@ fn shutdown_drains_pending_requests() {
         queue_depth: 64,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -211,7 +219,6 @@ fn concurrent_clients_get_their_own_answers() {
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -260,7 +267,6 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
         queue_depth: 16,
         max_batch: 4,
         tune: true,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -352,7 +358,6 @@ fn repeated_requests_reuse_compiled_kernels() {
         queue_depth: 16,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -419,7 +424,6 @@ fn engine_survives_injected_worker_panic() {
         queue_depth: 16,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -460,7 +464,6 @@ fn concurrent_submits_survive_worker_panic() {
         queue_depth: 16,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -501,7 +504,6 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -522,7 +524,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     plug.wait_dense().expect("plug completes");
     for (req, t) in reqs.iter().zip(tickets) {
         let got = t.wait_edges().expect("completes");
-        let want = solo::<SddmmOp>(&small, req, true);
+        let want = solo::<SddmmOp>(&small, req);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
@@ -547,7 +549,6 @@ fn incompatible_requests_do_not_batch() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -567,7 +568,7 @@ fn incompatible_requests_do_not_batch() {
     let got2 = t2.wait_edges().expect("completes");
     let got3 = t3.wait_dense().expect("completes");
     for (got, req) in [(got1, &s1), (got2, &s2)] {
-        let want = solo::<SddmmOp>(&small, req, true);
+        let want = solo::<SddmmOp>(&small, req);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
@@ -595,7 +596,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
     let mut rng = gen::rng(151);
     let a = gen::random_csr(24, 20, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
+    let engine = Engine::new(EngineConfig::default());
 
     let head = random_head(&a, 4, 3, &mut rng);
     let got = engine
@@ -603,7 +604,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
         .and_then(OpOutput::into_heads)
         .expect("serves");
     assert_eq!(got.len(), 1);
-    let oracle = solo::<FusedAttentionOp>(&a, &vec![head], false);
+    let oracle = attention_pipeline(&a, &[head]);
     assert!(
         bit_eq(&got[0], &oracle[0]),
         "served fused attention must match the three-launch oracle"
@@ -615,53 +616,12 @@ fn served_fused_ops_match_their_pipeline_oracles() {
         .serve(&adj, Submission::fused_sage(x.clone(), w.clone()))
         .and_then(OpOutput::into_dense)
         .expect("serves");
-    let sage_oracle = solo::<FusedSageOp>(&a, &(x, w), false);
+    let sage_oracle = sage_pipeline_oracle(&Runtime::new(), &a, &x, &w).expect("pipeline oracle");
     assert!(bit_eq(&sage, &sage_oracle), "served fused sage must match the two-launch oracle");
 
     let stats = engine.stats();
     assert_eq!(stats.widths_of("fused_attention").map(|h| h.batches), Some(1));
     assert_eq!(stats.widths_of("fused_sage").map(|h| h.batches), Some(1));
-}
-
-/// Toggling [`EngineConfig::fuse`] must *recompile* through the fresh
-/// runtime rather than serve a stale cached kernel: the fused engine
-/// caches one cross-op kernel, the unfused engine caches the pipeline's
-/// three, and both answer bit-identically.
-#[test]
-fn engine_fuse_toggle_recompiles_instead_of_serving_stale_kernels() {
-    let mut rng = gen::rng(161);
-    let a = gen::random_csr(20, 18, 0.25, &mut rng);
-    let adj = Adjacency::new(a.clone());
-    let head = random_head(&a, 3, 2, &mut rng);
-
-    let fused = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
-    let unfused = Engine::new(EngineConfig { fuse: Some(false), ..EngineConfig::default() });
-    assert!(fused.runtime().fusion());
-    assert!(!unfused.runtime().fusion());
-
-    let yes = fused
-        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
-        .and_then(OpOutput::into_heads)
-        .expect("serves");
-    let no = unfused
-        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
-        .and_then(OpOutput::into_heads)
-        .expect("serves");
-    assert_eq!(fused.runtime().cached(), 1, "fused path is one cross-op kernel");
-    assert_eq!(unfused.runtime().cached(), 3, "unfused path is the three-launch pipeline");
-    assert!(bit_eq(&yes[0], &no[0]), "both modes must agree bit-for-bit");
-
-    // Re-serving hits each engine's cache: no recompilation either way.
-    fused
-        .serve(&adj, Submission::fused_attention(vec![head.clone()]))
-        .and_then(OpOutput::into_heads)
-        .expect("serves");
-    unfused
-        .serve(&adj, Submission::fused_attention(vec![head]))
-        .and_then(OpOutput::into_heads)
-        .expect("serves");
-    assert_eq!(fused.runtime().compilations(), 1);
-    assert_eq!(unfused.runtime().compilations(), 3);
 }
 
 /// Fused attention requests queued behind a busy worker fold into one
@@ -678,7 +638,6 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: Some(true),
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -704,7 +663,7 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     for (heads, t) in reqs.iter().zip(tickets) {
         let got = t.wait_heads().expect("completes");
         assert_eq!(got.len(), heads.len());
-        let want = solo::<FusedAttentionOp>(&small, heads, false);
+        let want = attention_pipeline(&small, heads);
         for (out, want) in got.iter().zip(&want) {
             assert!(bit_eq(out, want), "batched fused attention must match the oracle");
         }
@@ -717,4 +676,63 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     assert!((widths.mean_width() - 1.5).abs() < 1e-9);
     let spmm = stats.widths_of("spmm").expect("the plug was an spmm");
     assert_eq!((spmm.batches, spmm.max_width), (1, 1));
+}
+
+/// Zero-row and zero-nnz adjacencies are valid public constructions:
+/// every kernel entry point and every served op kind must answer them
+/// with an empty (or all-zero) result or a typed error — never a panic,
+/// an out-of-bounds pointer or a `worker_panics` tick.
+#[test]
+fn empty_adjacencies_are_answered_not_panicked_on() {
+    use sparsetir_kernels::prelude::{
+        fused_attention_views_on, fused_sage_execute_on, sddmm_execute_views_on,
+        spmm_execute_views_on, SpmmConfig,
+    };
+    let n = 6;
+    let zero_rows = Csr::new(0, n, vec![0], vec![], vec![]).expect("valid");
+    let zero_nnz = Csr::new(4, n, vec![0; 5], vec![], vec![]).expect("valid");
+    let mut rng = gen::rng(191);
+    for a in [zero_rows, zero_nnz] {
+        let (m, tag) = (a.rows(), format!("{}x{} nnz {}", a.rows(), a.cols(), a.nnz()));
+        let x = gen::random_dense(n, 3, &mut rng);
+        let (q, kt, v) = (Dense::zeros(m, 2), gen::random_dense(2, n, &mut rng), x.clone());
+        let w = gen::random_dense(3, 2, &mut rng);
+
+        // The four kernel entry points, directly.
+        let rt = Runtime::new();
+        let mut out = [Dense::zeros(m, 3)];
+        spmm_execute_views_on(&rt, &a, &[&x], &mut out, &SpmmConfig::default())
+            .unwrap_or_else(|e| panic!("{tag} spmm: {e}"));
+        assert!(out[0].data().iter().all(|&c| c == 0.0), "{tag}");
+        let mut edges = [Vec::new()];
+        sddmm_execute_views_on(&rt, &a, &[(q.clone(), kt.clone())], &mut edges)
+            .unwrap_or_else(|e| panic!("{tag} sddmm: {e}"));
+        let mut heads = [Dense::zeros(m, 3)];
+        fused_attention_views_on(&rt, &a, &[&q], &[&kt], &[&v], &mut heads)
+            .unwrap_or_else(|e| panic!("{tag} fused attention: {e}"));
+        assert!(heads[0].data().iter().all(|&c| c == 0.0), "{tag}");
+        let sage = fused_sage_execute_on(&rt, &a, &x, &w)
+            .unwrap_or_else(|e| panic!("{tag} fused sage: {e}"));
+        assert_eq!((sage.rows(), sage.cols()), (m, 2), "{tag}");
+        assert!(sage.data().iter().all(|&c| c == 0.0), "{tag}");
+
+        // The same requests, served.
+        let adj = Adjacency::new(a.clone());
+        let engine = Engine::new(EngineConfig::default());
+        let head = AttnHead { q: q.clone(), kt: kt.clone(), v };
+        let served = engine.serve(&adj, Submission::spmm(x.clone())).and_then(OpOutput::into_dense);
+        assert_eq!(served.map(|d| (d.rows(), d.cols())).expect(&tag), (m, 3));
+        let served = engine.serve(&adj, Submission::sddmm(q, kt)).and_then(OpOutput::into_edges);
+        assert_eq!(served.expect(&tag), Vec::<f32>::new());
+        for sub in [Submission::attention(vec![x.clone()]), Submission::fused_attention(vec![head])]
+        {
+            let served = engine.serve(&adj, sub).and_then(OpOutput::into_heads).expect(&tag);
+            assert_eq!((served.len(), served[0].rows(), served[0].cols()), (1, m, 3), "{tag}");
+        }
+        let served =
+            engine.serve(&adj, Submission::fused_sage(x, w)).and_then(OpOutput::into_dense);
+        assert_eq!(served.map(|d| (d.rows(), d.cols())).expect(&tag), (m, 2));
+        let stats = engine.stats();
+        assert_eq!((stats.worker_panics, stats.failed, stats.completed), (0, 0, 5), "{tag}");
+    }
 }

@@ -19,7 +19,6 @@ fn slo_config() -> EngineConfig {
         queue_depth: 16,
         max_batch: 4,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }
@@ -128,7 +127,6 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
         queue_depth: 2,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -178,7 +176,6 @@ fn equal_priority_submission_never_evicts() {
         queue_depth: 2,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -226,7 +223,6 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
         queue_depth: 4,
         max_batch: 1,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     }));

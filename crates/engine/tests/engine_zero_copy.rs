@@ -21,7 +21,6 @@ fn test_engine() -> Engine {
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -41,7 +40,6 @@ fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
         queue_depth: 32,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -148,7 +146,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         queue_depth: 16,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: None,
         ..EngineConfig::default()
     });

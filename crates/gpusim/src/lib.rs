@@ -1,7 +1,7 @@
 //! # sparsetir-gpusim
 //!
 //! Deterministic GPU performance simulator — the substitute for the
-//! paper's physical V100/RTX 3070 testbeds (see DESIGN.md §2). Kernels are
+//! paper's physical V100/RTX 3070 testbeds (see the README intro). Kernels are
 //! described as [`plan::KernelPlan`]s whose thread-block decomposition
 //! mirrors the IR schedule; the simulator models SM makespan, a two-level
 //! set-associative LRU cache hierarchy, DRAM/L2/L1 bandwidth rooflines,

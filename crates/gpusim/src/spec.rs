@@ -1,6 +1,6 @@
 //! GPU hardware specifications for the performance model.
 //!
-//! Substitution note (see DESIGN.md): the paper evaluates on real NVIDIA
+//! Substitution note (see the README intro): the paper evaluates on real NVIDIA
 //! V100 and RTX 3070 boards; this reproduction models them with published
 //! architectural parameters. Absolute times are estimates — the harness
 //! reports *relative* numbers (speedups vs a baseline simulated on the same

@@ -1,6 +1,6 @@
 //! Synthetic stand-ins for the homogeneous GNN graphs of Table 1.
 //!
-//! Substitution (DESIGN.md §2): the paper loads Cora/Citeseer/Pubmed (
+//! Substitution (README intro and §Crate map, `crates/graphs`): the paper loads Cora/Citeseer/Pubmed (
 //! Planetoid), PPI, ogbn-arxiv, ogbn-proteins and Reddit. Here each graph
 //! is generated with its published node count and average degree and a
 //! degree-distribution *family* matching its character (power-law citation

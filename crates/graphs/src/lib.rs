@@ -1,7 +1,7 @@
 //! # sparsetir-graphs
 //!
 //! Deterministic synthetic workload generators matching the paper's
-//! datasets (DESIGN.md §2 documents each substitution):
+//! datasets (each module documents its substitution; README §Crate map):
 //!
 //! * [`datasets`] — the homogeneous GNN graphs of Table 1,
 //! * [`hetero`] — the heterogeneous RDF graphs of Table 2,

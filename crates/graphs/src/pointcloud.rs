@@ -1,7 +1,7 @@
 //! Synthetic LiDAR-like point clouds and sparse-convolution kernel maps
 //! (§4.4.2).
 //!
-//! Substitution (DESIGN.MD §2): the paper benchmarks MinkowskiNet layers on
+//! Substitution (README intro and §Crate map, `crates/graphs`): the paper benchmarks MinkowskiNet layers on
 //! SemanticKITTI scans. Here a scan is synthesized as a ground plane plus
 //! scattered object clusters, voxelized, and turned into the per-offset
 //! in→out site maps (the "kernel map") exactly as MinkowskiNet/TorchSparse

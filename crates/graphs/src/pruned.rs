@@ -1,6 +1,6 @@
 //! Pruned-transformer weight generators (§4.3.2).
 //!
-//! Substitution (DESIGN.md §2): the paper extracts SpMM operators from two
+//! Substitution (README intro and §Crate map, `crates/graphs`): the paper extracts SpMM operators from two
 //! HuggingFace PruneBERT checkpoints. Here the weights are generated with
 //! the same *structure*: block pruning (block 32, many all-zero block rows
 //! — the DBSR motivation) and movement pruning (unstructured ~94% sparse).

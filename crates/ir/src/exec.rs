@@ -40,10 +40,10 @@
 //! lowers them to specialized microkernel instructions — `FillLanes`,
 //! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate` — that run tight
 //! per-lane loops instead of per-element instruction dispatch. Fusion is
-//! on by default (`SPARSETIR_NO_FUSE` disables it); the generic form is
-//! retained behind every fused op as the bit-exact fallback, and the
-//! kernel-cache key includes the fusion flag so toggling it never serves
-//! a stale compiled kernel.
+//! what [`CompiledKernel::compile`] (and so [`Runtime::compile`]) does;
+//! the generic form is retained behind every fused op as the bit-exact
+//! fallback, and [`CompiledKernel::compile_with`]`(_, false)` builds the
+//! all-generic bytecode as a test reference.
 //!
 //! Execution is a **flat bytecode executor** (the `bytecode` submodule):
 //! the statement tree is lowered once to a flat instruction stream with
@@ -1616,23 +1616,26 @@ impl fmt::Debug for CompiledKernel {
 }
 
 impl CompiledKernel {
-    /// Compile `func` into a slot-indexed program with the default fusion
-    /// setting ([`fusion_default`]).
+    /// Compile `func` into a slot-indexed program with the dense-lane
+    /// microkernel fusion pass on — the one build every library and
+    /// serving path runs.
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
     /// constructs that the interpreter would also reject.
     pub fn compile(func: &PrimFunc) -> Result<CompiledKernel, ExecError> {
-        Self::compile_with(func, fusion_default())
+        Self::compile_with(func, true)
     }
 
-    /// Compile `func`, explicitly enabling (`true`) or disabling
-    /// (`false`) the dense-lane microkernel fusion pass. The slot-compiled
-    /// statement tree is lowered to a flat instruction stream; with fusion
-    /// on, matching loops lower to superinstructions with the generic
-    /// loop right behind each one as the bit-exact fallback. With fusion
-    /// off the kernel runs entirely on generic dispatch — the baseline
-    /// the `executor_vectorization` bench compares against.
+    /// Compile `func` with the fusion pass on (`true`, what
+    /// [`CompiledKernel::compile`] does) or off (`false`). The
+    /// slot-compiled statement tree is lowered to a flat instruction
+    /// stream; with fusion on, matching loops lower to superinstructions
+    /// with the generic loop right behind each one as the bit-exact
+    /// fallback. With fusion off the kernel runs entirely on generic
+    /// dispatch: a **test reference** — the middle rung of the
+    /// interpreter / bytecode / bytecode+super differential — that no
+    /// library or serving call selects.
     ///
     /// # Errors
     /// Returns [`ExecError`] on references to unbound names or ill-typed
@@ -1812,13 +1815,6 @@ impl CompiledKernel {
     pub fn memory_plan(&self) -> &MemoryPlan {
         &self.plan
     }
-}
-
-/// Fusion default for [`CompiledKernel::compile`] and new [`Runtime`]s:
-/// on, unless the `SPARSETIR_NO_FUSE` environment variable is set.
-#[must_use]
-pub fn fusion_default() -> bool {
-    std::env::var_os("SPARSETIR_NO_FUSE").is_none()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! The compile-once/run-many kernel cache ([`Runtime`]) and the
 //! [`exec_func`] convenience over the process-wide instance.
 
-use super::{fusion_default, BufferPool, CompiledKernel, ExecError};
+use super::{BufferPool, CompiledKernel, ExecError};
 use crate::eval::TensorData;
 use crate::func::PrimFunc;
 use crate::printer::print_func;
@@ -26,47 +26,36 @@ const CACHE_SHARDS: usize = 16;
 /// fails identically forever.
 type CacheCell = Arc<OnceLock<Result<Arc<CompiledKernel>, ExecError>>>;
 
-/// Cache key: function fingerprint, fusion flag.
-type CacheKey = (u64, bool);
+/// Cache key: the function fingerprint ([`Runtime::fingerprint`]).
+type CacheKey = u64;
 
 /// Compile-once/run-many cache of [`CompiledKernel`]s keyed by function
-/// identity (name + printed IR) *and* the fusion flag, so toggling it
-/// never serves a stale compiled kernel. The map is striped across
+/// identity (name + printed IR). The map is striped across
 /// `CACHE_SHARDS` locks with per-key single-flight compilation (see
-/// `CacheCell`); [`Runtime::cached`] and [`Runtime::compilations`] remain
-/// exact across shards even when fused and generic compilations of one
-/// function coexist.
+/// `CacheCell`); [`Runtime::cached`] and [`Runtime::compilations`] are
+/// exact across shards.
 pub struct Runtime {
     shards: Vec<Mutex<HashMap<CacheKey, CacheCell>>>,
     compilations: AtomicUsize,
-    fuse: bool,
     /// Shared by every kernel compiled through this runtime.
     pool: Arc<BufferPool>,
 }
 
 impl Default for Runtime {
     fn default() -> Runtime {
-        Runtime::with_fusion(fusion_default())
+        Runtime {
+            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            compilations: AtomicUsize::new(0),
+            pool: Arc::new(BufferPool::new()),
+        }
     }
 }
 
 impl Runtime {
-    /// Empty runtime with the default fusion setting.
+    /// Empty runtime.
     #[must_use]
     pub fn new() -> Runtime {
         Runtime::default()
-    }
-
-    /// Empty runtime with an explicit fusion setting for
-    /// [`Runtime::compile`].
-    #[must_use]
-    pub fn with_fusion(fuse: bool) -> Runtime {
-        Runtime {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            compilations: AtomicUsize::new(0),
-            fuse,
-            pool: Arc::new(BufferPool::new()),
-        }
     }
 
     /// The size-classed scratch pool shared by every kernel this runtime
@@ -74,12 +63,6 @@ impl Runtime {
     #[must_use]
     pub fn pool(&self) -> &Arc<BufferPool> {
         &self.pool
-    }
-
-    /// This runtime's fusion setting.
-    #[must_use]
-    pub fn fusion(&self) -> bool {
-        self.fuse
     }
 
     /// The process-wide shared runtime (what [`exec_func`] uses).
@@ -98,39 +81,26 @@ impl Runtime {
         h.finish()
     }
 
-    /// Compile `func` under this runtime's fusion setting, or return the
-    /// cached kernel compiled earlier for an identical function.
+    /// Compile `func` ([`CompiledKernel::compile`]: lane fusion on), or
+    /// return the cached kernel compiled earlier for an identical
+    /// function. Concurrent callers racing on one function are
+    /// single-flighted: exactly one thread compiles, the rest block and
+    /// share the result; every actual compilation is counted by
+    /// [`Runtime::compilations`].
     ///
     /// # Errors
     /// Propagates [`CompiledKernel::compile`] errors.
     pub fn compile(&self, func: &PrimFunc) -> Result<Arc<CompiledKernel>, ExecError> {
-        self.compile_with(func, self.fuse)
-    }
-
-    /// Compile `func` with an explicit fusion flag. The cache key is
-    /// `(fingerprint, fuse)`, so both compilations of one function
-    /// coexist and every recompilation — including one after toggling
-    /// the flag — is counted by [`Runtime::compilations`] instead of
-    /// serving a stale kernel. Concurrent callers racing on one key are
-    /// single-flighted: exactly one thread compiles, the rest block and
-    /// share the result.
-    ///
-    /// # Errors
-    /// Propagates [`CompiledKernel::compile`] errors.
-    pub fn compile_with(
-        &self,
-        func: &PrimFunc,
-        fuse: bool,
-    ) -> Result<Arc<CompiledKernel>, ExecError> {
-        let key = (Self::fingerprint(func), fuse);
+        let key = Self::fingerprint(func);
         let cell: CacheCell = {
-            let mut shard = self.shards[self.shard_of(key)].lock().unwrap();
+            // The fingerprint is already a hash: its low bits pick the stripe.
+            let mut shard = self.shards[(key % CACHE_SHARDS as u64) as usize].lock().unwrap();
             Arc::clone(shard.entry(key).or_default())
         };
         // Outside the stripe lock: a slow compilation never blocks lookups
         // of other keys in the same stripe, only co-claimants of this key.
         cell.get_or_init(|| {
-            let mut kernel = CompiledKernel::compile_with(func, fuse)?;
+            let mut kernel = CompiledKernel::compile(func)?;
             // Kernels compiled through a runtime draw scratch from its
             // shared pool rather than a private one.
             kernel.pool = Arc::clone(&self.pool);
@@ -138,13 +108,6 @@ impl Runtime {
             Ok(Arc::new(kernel))
         })
         .clone()
-    }
-
-    fn shard_of(&self, key: CacheKey) -> usize {
-        // The fingerprint is already a hash; fold the fusion flag into
-        // the low (shard-selecting) bit so the two compilations of one
-        // function can land apart.
-        ((key.0 ^ u64::from(key.1)) % CACHE_SHARDS as u64) as usize
     }
 
     /// Number of cached kernels (successful compilations present in the

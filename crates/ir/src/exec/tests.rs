@@ -407,27 +407,6 @@ fn fusion_produces_axpy_and_matches_generic() {
     assert_eq!(tf["C"].as_f32(), expect.as_slice());
 }
 
-/// Toggling fusion must recompile (counted) and never serve the other
-/// flag's kernel from the cache — the cache key includes the flag.
-#[test]
-fn fusion_flag_is_part_of_the_cache_key() {
-    let rt = Runtime::with_fusion(true);
-    let f = axpy_func(8);
-    let generic = rt.compile_with(&f, false).unwrap();
-    assert_eq!(rt.compilations(), 1);
-    let fused = rt.compile_with(&f, true).unwrap();
-    assert_eq!(rt.compilations(), 2, "fused recompilation must be counted");
-    assert!(!Arc::ptr_eq(&generic, &fused));
-    assert_eq!(generic.fused_ops(), 0);
-    assert_eq!(fused.fused_ops(), 1);
-    // Both flags now hit their own cache entries.
-    assert!(Arc::ptr_eq(&generic, &rt.compile_with(&f, false).unwrap()));
-    assert!(Arc::ptr_eq(&fused, &rt.compile_with(&f, true).unwrap()));
-    assert!(Arc::ptr_eq(&fused, &rt.compile(&f).unwrap()), "runtime default is fused");
-    assert_eq!(rt.compilations(), 2);
-    assert_eq!(rt.cached(), 2);
-}
-
 /// A lane loop whose source walks a non-unit stride must stay on the
 /// generic tree (contiguity requirement) yet still execute correctly.
 #[test]
@@ -697,4 +676,40 @@ fn coalesced_run_past_the_dimension_falls_back_to_the_generic_nest() {
     assert_eq!(Some(fast.message.as_str()), interp.strip_prefix("interpreter error: "));
     assert_eq!(tensors["C"], t_interp["C"], "six lanes written, two untouched");
     assert_eq!(tensors["C"].as_f32(), &[2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 0.5, 0.5]);
+}
+
+/// Empty views are valid bindings, not dangling-pointer arithmetic: a
+/// zero-row `ColsView` (segments of `cols > 0` over empty slices — what a
+/// zero-row adjacency's SpMM output is), zero-width segments and empty
+/// `RowsView`s all construct, and every index a kernel then tries fails
+/// the bounds check on both executor builds instead of being dereferenced.
+#[test]
+fn empty_views_construct_and_reject_every_index() {
+    let (mut e0, mut e1): ([f32; 0], [f32; 0]) = ([], []);
+    let zero_rows = ColsView::write(0, vec![(&mut e0[..], 3), (&mut e1[..], 2)]).unwrap();
+    assert_eq!((zero_rows.rows(), zero_rows.width()), (0, 5));
+    let zero_rows = ColsView::read(0, &[(&[], 4)]).unwrap();
+    assert_eq!((zero_rows.rows(), zero_rows.width()), (0, 4));
+    let zero_cols = ColsView::read(5, &[(&[], 0), (&[], 0)]).unwrap();
+    assert_eq!((zero_cols.rows(), zero_cols.width()), (5, 0));
+    assert_eq!(ColsView::write(5, vec![(&mut e0[..], 0)]).unwrap().width(), 0);
+    assert_eq!(ColsView::write(0, vec![]).unwrap().width(), 0);
+    assert_eq!(RowsView::read(0, &[&[], &[]]).unwrap().n_segs(), 2);
+    assert_eq!(RowsView::write(0, vec![&mut e0[..]]).unwrap().n_segs(), 1);
+    assert_eq!(RowsView::write(3, vec![]).unwrap().n_segs(), 0);
+    // A non-empty slice is still not a zero-row segment.
+    assert!(ColsView::read(0, &[(&[1.0], 1)]).is_err());
+    assert!(ColsView::read(usize::MAX, &[(&[1.0], 2)]).is_err(), "rows * cols overflow");
+
+    let f = axpy_func(8);
+    for fuse in [true, false] {
+        let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+        let mut a = TensorData::from(vec![1.5f32]);
+        let mut views = ViewBindings::new();
+        views.bind_tensor("A", &mut a);
+        views.bind_cols("B", ColsView::read(0, &[(&[], 8)]).unwrap());
+        views.bind_cols("C", ColsView::write(0, vec![(&mut e0[..], 5), (&mut e1[..], 3)]).unwrap());
+        let err = kernel.run_views(&HashMap::new(), &mut views).unwrap_err().to_string();
+        assert!(err.contains("out of bounds"), "fuse={fuse}: {err}");
+    }
 }

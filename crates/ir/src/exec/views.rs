@@ -85,7 +85,7 @@ fn col_table(
 ) -> Result<Vec<ColSeg>, ExecError> {
     let mut table = Vec::new();
     for (i, (ptr, len, cols)) in segs.enumerate() {
-        if len != rows * cols {
+        if rows.checked_mul(cols) != Some(len) {
             return Err(ExecError::new(format!(
                 "segmented binding: segment {i} has {len} elements, expected {rows}x{cols}"
             )));
@@ -93,8 +93,15 @@ fn col_table(
         let stride = u32::try_from(cols)
             .map_err(|_| ExecError::new("segmented binding: segment width overflows u32"))?;
         for c in 0..cols {
-            // SAFETY: c < cols <= len elements behind ptr.
-            table.push(ColSeg { ptr: unsafe { ptr.add(c) }, stride, rem: stride - c as u32 });
+            // `wrapping_add` claims nothing about the allocation: with
+            // `rows == 0` the segment is empty (`len == 0`) and `ptr + c`
+            // would be out of bounds for `ptr::add`. Every dereference of
+            // `ColSeg::ptr` sits behind an `idx < rows * width` check
+            // (`seg_cols_ptr`, `fuse::resolve_lanes`), which a zero-row view
+            // never passes; for `rows > 0`, `c < cols <= len` keeps the
+            // pointer inside the segment.
+            debug_assert!(rows == 0 || c < len);
+            table.push(ColSeg { ptr: ptr.wrapping_add(c), stride, rem: stride - c as u32 });
         }
     }
     Ok(table)

@@ -30,7 +30,8 @@
 //!
 //! A sixth family, `views`, pins the two *binding* modes of one compiled
 //! kernel against each other and against the interpreter: the real
-//! CSR-SpMM, batched-SDDMM and fused-attention functions run once over
+//! CSR-SpMM, batched-SDDMM, fused-attention and fused-SAGE functions run
+//! once over
 //! whole concatenated tensors ([`CompiledKernel::run`]) and once over the
 //! same data cut into caller-owned segments
 //! ([`CompiledKernel::run_views`]: one segment, three, and mixed widths
@@ -50,10 +51,11 @@ use rand::{Rng, SeedableRng};
 use sparsetir_core::prelude::{lower, spmm_program};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
-use sparsetir_kernels::prelude::{csr_spmm_ir, fused_attention_ir};
+use sparsetir_kernels::prelude::{csr_spmm_ir, fused_attention_ir, fused_sage_ir, inverse_degrees};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use sparsetir_smat::prelude::{gen, Csr};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Bitwise comparison helpers
@@ -92,8 +94,9 @@ const EXECUTORS: [(bool, &str); 2] = [(false, "bytecode"), (true, "bytecode+supe
 
 /// Run the interpreter and both executor builds on the same program and
 /// initial tensors; demand bit-identical tensor maps afterwards. Each
-/// compiled path runs twice (cache hit + pooled frame) to catch state
-/// leaking between invocations.
+/// compiled path runs twice (the second on a pooled frame — and, for the
+/// fused build, on a [`Runtime`] cache hit) to catch state leaking
+/// between invocations.
 fn differential(
     f: &PrimFunc,
     scalars: &HashMap<String, i64>,
@@ -102,23 +105,32 @@ fn differential(
     let mut interp = tensors.clone();
     eval_func(f, scalars, &mut interp).map_err(|e| format!("interpreter failed: {e}"))?;
 
+    let rt = Runtime::new();
     for (fuse, label) in EXECUTORS {
-        let rt = Runtime::with_fusion(fuse);
-        let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
-        let mut compiled = tensors.clone();
-        kernel.run(scalars, &mut compiled).map_err(|e| format!("{label} executor failed: {e}"))?;
-        for (name, data) in &interp {
-            let got = compiled.get(name).ok_or_else(|| format!("`{name}` missing"))?;
-            assert_bits_eq(name, data, got).map_err(|e| format!("[{label}] {e}"))?;
+        // The all-generic build is the standalone test reference; the
+        // fused build is the one a runtime caches.
+        let generic = if fuse {
+            None
+        } else {
+            Some(Arc::new(CompiledKernel::compile_with(f, false).map_err(|e| e.to_string())?))
+        };
+        for run in ["", "#2"] {
+            let kernel = match &generic {
+                Some(k) => Arc::clone(k),
+                None => rt.compile(f).map_err(|e| format!("{label}{run} compile failed: {e}"))?,
+            };
+            let mut compiled = tensors.clone();
+            kernel
+                .run(scalars, &mut compiled)
+                .map_err(|e| format!("{label}{run} executor failed: {e}"))?;
+            for (name, data) in &interp {
+                let got = compiled.get(name).ok_or_else(|| format!("`{name}` missing"))?;
+                assert_bits_eq(name, data, got).map_err(|e| format!("[{label}{run}] {e}"))?;
+            }
         }
-
-        // Second run through the cache with a pooled frame.
-        let kernel2 = rt.compile(f).map_err(|e| format!("{label} recompile failed: {e}"))?;
-        let mut again = tensors.clone();
-        kernel2.run(scalars, &mut again).map_err(|e| format!("{label} second run failed: {e}"))?;
-        for (name, data) in &interp {
-            assert_bits_eq(name, data, &again[name]).map_err(|e| format!("[{label}#2] {e}"))?;
-        }
+    }
+    if rt.compilations() != 1 {
+        return Err(format!("second fused run recompiled ({} compilations)", rt.compilations()));
     }
     Ok(())
 }
@@ -142,8 +154,8 @@ fn differential_failure(
     let want = want.strip_prefix("interpreter error: ").unwrap_or(&want);
     let mut shared = String::new();
     for (fuse, label) in EXECUTORS {
-        let rt = Runtime::with_fusion(fuse);
-        let kernel = rt.compile(f).map_err(|e| format!("{label} compile failed: {e}"))?;
+        let kernel = CompiledKernel::compile_with(f, fuse)
+            .map_err(|e| format!("{label} compile failed: {e}"))?;
         let mut after = tensors.clone();
         let err = match kernel.run(scalars, &mut after) {
             Err(e) => e.to_string(),
@@ -1057,6 +1069,23 @@ fn views_fused_attention_bit_matches_whole_tensors() {
             Part::new("KT", None, vec![heads * k * a.cols() / kt_segs; kt_segs], &mut rng),
             Part::new("V", Some(a.cols()), v_cut.clone(), &mut rng),
             Part::output("Out", a.rows(), v_cut),
+        ];
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    }
+}
+
+#[test]
+fn views_fused_sage_bit_matches_whole_tensors() {
+    let (a, mut structure, mut rng) = views_fixture(0x56);
+    let (feat, hidden) = (5, 4);
+    let f = fused_sage_ir(&a, feat, hidden).unwrap();
+    structure.insert("Dinv".to_string(), TensorData::from(inverse_degrees(&a)));
+    structure.insert("Agg".to_string(), TensorData::zeros(DType::F32, a.rows() * feat));
+    for (x_cut, h_cut) in column_cuts(feat).into_iter().zip(column_cuts(hidden)) {
+        let parts = [
+            Part::new("X", Some(a.cols()), x_cut, &mut rng),
+            Part::new("W", Some(feat), h_cut.clone(), &mut rng),
+            Part::output("H1", a.rows(), h_cut),
         ];
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
     }

@@ -1,7 +1,9 @@
 //! Cross-op fused sparse attention: SDDMM → edge-softmax → SpMM compiled
 //! into **one** kernel (see [`sparsetir_core::fused`] for the Stage I
-//! programs), plus the three-launch pipeline that serves both as the
-//! `SPARSETIR_NO_FUSE` fallback and as the bit-identity oracle.
+//! programs). Fusion is not a mode: every library and serving call runs
+//! that one kernel. The three-launch pipeline survives only as
+//! [`attention_pipeline_oracle`], the bit-identity reference tests and
+//! examples compare the fused kernel against.
 //!
 //! The one executable entry point, [`fused_attention_views_on`], takes
 //! *per-head* operands and binds them as segments of the logical stacked
@@ -132,31 +134,48 @@ pub(crate) fn check_heads<'a>(
     Ok(())
 }
 
-/// Serve multi-head attention with every dense operand bound as a
-/// segmented view over per-head rider storage — the only executable
-/// fused-attention entry point, routing on the runtime's fusion flag:
-/// one fused kernel launch when fusion is on, the three-launch pipeline
-/// when `SPARSETIR_NO_FUSE` turned it off (bit-identical, see the module
-/// docs). Head `h` contributes `qs[h]` (`rows × k`) as columns
-/// `[h·k, (h+1)·k)` of the logical `Q`, `kts[h]` (`k × cols`) as the
-/// `h`-th row segment of the logical `KT`, `vs[h]` (`cols × vfeat`) as
-/// columns of the logical `V`, and the kernel writes head `h`'s
-/// aggregation directly into `outs[h]` (`rows × vfeat`, zero-filled).
-/// The softmax intermediates `S`/`M`/`P`/`Sum` come from the runtime's
-/// [`BufferPool`] instead of fresh allocations, and on the pipeline
-/// route they move between launches without copies.
-///
-/// # Errors
-/// Rejects zero heads, slices of different lengths and heads that do
-/// not fit the adjacency or mix `(k, vfeat)`; propagates lowering,
-/// view-validation (mis-sized outputs) and execution errors.
-pub fn fused_attention_views_on(
+/// The operands of one attention launch after validation: the head
+/// shape and every dense operand cut into the segments its view binds.
+struct Operands<'a> {
+    a: &'a Csr,
+    heads: usize,
+    k: usize,
+    vfeat: usize,
+    q_segs: Vec<(&'a [f32], usize)>,
+    kt_segs: Vec<&'a [f32]>,
+    v_segs: Vec<(&'a [f32], usize)>,
+}
+
+impl Operands<'_> {
+    fn bind_q_kt<'v>(&'v self, views: &mut ViewBindings<'v>) -> Result<(), ExecError> {
+        views.bind_cols("Q", ColsView::read(self.a.rows(), &self.q_segs)?);
+        views.bind_rows("KT", RowsView::read(self.k * self.a.cols(), &self.kt_segs)?);
+        Ok(())
+    }
+
+    fn bind_v_out<'v>(
+        &'v self,
+        views: &mut ViewBindings<'v>,
+        out: ColsView<'v>,
+    ) -> Result<(), ExecError> {
+        views.bind_cols("V", ColsView::read(self.a.cols(), &self.v_segs)?);
+        views.bind_cols("Out", out);
+        Ok(())
+    }
+}
+
+/// What the fused entry point and the pipeline oracle share: validate
+/// the heads, bind the adjacency and the pool-drawn softmax
+/// intermediates `S`/`M`/`P`/`Sum`, hand `launches` the operand segments
+/// and the writable `Out` view, and return the scratch to the pool.
+fn with_operands(
     rt: &Runtime,
     a: &Csr,
     qs: &[&Dense],
     kts: &[&Dense],
     vs: &[&Dense],
     outs: &mut [Dense],
+    launches: impl FnOnce(&Operands<'_>, &mut Bindings, ColsView<'_>) -> KernelResult<()>,
 ) -> KernelResult<()> {
     let heads = qs.len();
     if heads == 0 {
@@ -173,7 +192,15 @@ pub fn fused_attention_views_on(
     }
     check_heads(a, qs.iter().zip(kts).zip(vs).map(|((q, kt), v)| (*q, *kt, *v)))
         .map_err(|e| format!("fused attention: {e}"))?;
-    let (k, vfeat) = (qs[0].cols(), vs[0].cols());
+    let ops = Operands {
+        a,
+        heads,
+        k: qs[0].cols(),
+        vfeat: vs[0].cols(),
+        q_segs: qs.iter().map(|q| (q.data(), q.cols())).collect(),
+        kt_segs: kts.iter().map(|t| t.data()).collect(),
+        v_segs: vs.iter().map(|v| (v.data(), v.cols())).collect(),
+    };
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
     bind_csr(&mut b, "A", "J", a);
@@ -181,48 +208,13 @@ pub fn fused_attention_views_on(
     b.insert("M".to_string(), TensorData::from(pool.acquire_f32(a.rows() * heads)));
     b.insert("P".to_string(), TensorData::from(pool.acquire_f32(a.nnz() * heads)));
     b.insert("Sum".to_string(), TensorData::from(pool.acquire_f32(a.rows() * heads)));
-    let q_segs: Vec<(&[f32], usize)> = qs.iter().map(|q| (q.data(), q.cols())).collect();
-    let kt_segs: Vec<&[f32]> = kts.iter().map(|t| t.data()).collect();
-    let v_segs: Vec<(&[f32], usize)> = vs.iter().map(|v| (v.data(), v.cols())).collect();
-    let scalars = HashMap::new();
-    let result = (|| -> KernelResult<()> {
+    let result = (|| {
         let out_segs = outs.iter_mut().map(|o| {
             let w = o.cols();
             (o.data_mut(), w)
         });
         let out = ColsView::write(a.rows(), out_segs.collect())?;
-        if rt.fusion() {
-            // One fused launch: Q/KT/V/Out as views, scratch from the pool.
-            let f = fused_attention_ir(a, heads, k, vfeat)?;
-            let kernel = rt.compile(&f)?;
-            let mut views = ViewBindings::from_tensors(&mut b);
-            views.bind_cols("Q", ColsView::read(a.rows(), &q_segs)?);
-            views.bind_rows("KT", RowsView::read(k * a.cols(), &kt_segs)?);
-            views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
-            views.bind_cols("Out", out);
-            kernel.run_views(&scalars, &mut views)?;
-            return Ok(());
-        }
-        // Pipeline route: three launches sharing one binding map, so the
-        // intermediates (`S`, then `P`/`Sum`) stay in place between
-        // launches instead of round-tripping through fresh copies.
-        let score = rt.compile(&attention_score_ir(a, heads, k)?)?;
-        {
-            let mut views = ViewBindings::from_tensors(&mut b);
-            views.bind_cols("Q", ColsView::read(a.rows(), &q_segs)?);
-            views.bind_rows("KT", RowsView::read(k * a.cols(), &kt_segs)?);
-            score.run_views(&scalars, &mut views)?;
-        }
-        let softmax = rt.compile(&edge_softmax_ir(a, heads)?)?;
-        softmax.run_views(&scalars, &mut ViewBindings::from_tensors(&mut b))?;
-        let agg = rt.compile(&attention_aggregate_ir(a, heads, vfeat)?)?;
-        {
-            let mut views = ViewBindings::from_tensors(&mut b);
-            views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
-            views.bind_cols("Out", out);
-            agg.run_views(&scalars, &mut views)?;
-        }
-        Ok(())
+        launches(&ops, &mut b, out)
     })();
     for name in ["S", "M", "P", "Sum"] {
         if let Some(TensorData::F32(v)) = b.remove(name) {
@@ -230,6 +222,73 @@ pub fn fused_attention_views_on(
         }
     }
     result
+}
+
+/// Serve multi-head attention in **one fused kernel launch** with every
+/// dense operand bound as a segmented view over per-head rider storage —
+/// the only executable fused-attention entry point. Head `h` contributes
+/// `qs[h]` (`rows × k`) as columns `[h·k, (h+1)·k)` of the logical `Q`,
+/// `kts[h]` (`k × cols`) as the `h`-th row segment of the logical `KT`,
+/// `vs[h]` (`cols × vfeat`) as columns of the logical `V`, and the
+/// kernel writes head `h`'s aggregation directly into `outs[h]`
+/// (`rows × vfeat`, zero-filled). The softmax intermediates
+/// `S`/`M`/`P`/`Sum` come from the runtime's [`BufferPool`] instead of
+/// fresh allocations.
+///
+/// # Errors
+/// Rejects zero heads, slices of different lengths and heads that do
+/// not fit the adjacency or mix `(k, vfeat)`; propagates lowering,
+/// view-validation (mis-sized outputs) and execution errors.
+pub fn fused_attention_views_on(
+    rt: &Runtime,
+    a: &Csr,
+    qs: &[&Dense],
+    kts: &[&Dense],
+    vs: &[&Dense],
+    outs: &mut [Dense],
+) -> KernelResult<()> {
+    with_operands(rt, a, qs, kts, vs, outs, |ops, b, out| {
+        let kernel = rt.compile(&fused_attention_ir(a, ops.heads, ops.k, ops.vfeat)?)?;
+        let mut views = ViewBindings::from_tensors(b);
+        ops.bind_q_kt(&mut views)?;
+        ops.bind_v_out(&mut views, out)?;
+        Ok(kernel.run_views(&HashMap::new(), &mut views)?)
+    })
+}
+
+/// **Test reference, not a serving path:** the same attention as three
+/// launches (score SDDMM, edge-softmax, aggregation) over the operands
+/// [`fused_attention_views_on`] takes, bit-identical to it (see the
+/// module docs). The launches share one binding map, so the
+/// intermediates (`S`, then `P`/`Sum`) stay in place between them
+/// instead of round-tripping through fresh copies. Compiles three
+/// kernels on `rt` where the fused entry point compiles one.
+///
+/// # Errors
+/// As [`fused_attention_views_on`].
+pub fn attention_pipeline_oracle(
+    rt: &Runtime,
+    a: &Csr,
+    qs: &[&Dense],
+    kts: &[&Dense],
+    vs: &[&Dense],
+    outs: &mut [Dense],
+) -> KernelResult<()> {
+    with_operands(rt, a, qs, kts, vs, outs, |ops, b, out| {
+        let scalars = HashMap::new();
+        let score = rt.compile(&attention_score_ir(a, ops.heads, ops.k)?)?;
+        {
+            let mut views = ViewBindings::from_tensors(b);
+            ops.bind_q_kt(&mut views)?;
+            score.run_views(&scalars, &mut views)?;
+        }
+        let softmax = rt.compile(&edge_softmax_ir(a, ops.heads)?)?;
+        softmax.run_views(&scalars, &mut ViewBindings::from_tensors(b))?;
+        let agg = rt.compile(&attention_aggregate_ir(a, ops.heads, ops.vfeat)?)?;
+        let mut views = ViewBindings::from_tensors(b);
+        ops.bind_v_out(&mut views, out)?;
+        Ok(agg.run_views(&scalars, &mut views)?)
+    })
 }
 
 /// Pure-Rust reference: per-row masked softmax attention with f64
@@ -292,15 +351,28 @@ mod tests {
             .collect()
     }
 
-    /// One launch over `heads` into fresh zeroed outputs.
-    fn launch(rt: &Runtime, a: &Csr, heads: &[Head]) -> KernelResult<Vec<Dense>> {
+    type Entry =
+        fn(&Runtime, &Csr, &[&Dense], &[&Dense], &[&Dense], &mut [Dense]) -> KernelResult<()>;
+
+    /// `entry` over `heads` into fresh zeroed outputs.
+    fn launch_on(entry: Entry, rt: &Runtime, a: &Csr, heads: &[Head]) -> KernelResult<Vec<Dense>> {
         let qs: Vec<&Dense> = heads.iter().map(|h| &h.0).collect();
         let kts: Vec<&Dense> = heads.iter().map(|h| &h.1).collect();
         let vs: Vec<&Dense> = heads.iter().map(|h| &h.2).collect();
         let mut outs: Vec<Dense> =
             heads.iter().map(|h| Dense::zeros(a.rows(), h.2.cols())).collect();
-        fused_attention_views_on(rt, a, &qs, &kts, &vs, &mut outs)?;
+        entry(rt, a, &qs, &kts, &vs, &mut outs)?;
         Ok(outs)
+    }
+
+    /// One fused launch.
+    fn launch(rt: &Runtime, a: &Csr, heads: &[Head]) -> KernelResult<Vec<Dense>> {
+        launch_on(fused_attention_views_on, rt, a, heads)
+    }
+
+    /// The three-launch pipeline oracle.
+    fn pipeline(rt: &Runtime, a: &Csr, heads: &[Head]) -> KernelResult<Vec<Dense>> {
+        launch_on(attention_pipeline_oracle, rt, a, heads)
     }
 
     fn bit_eq(a: &[Dense], b: &[Dense]) -> bool {
@@ -323,7 +395,7 @@ mod tests {
         let mut rng = gen::rng(31);
         let a = gen::random_csr(12, 10, 0.3, &mut rng);
         let hs = heads(&a, 2, 4, 3, 32);
-        let got = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
+        let got = launch(&Runtime::new(), &a, &hs).unwrap();
         assert_matches_reference(&a, &hs, &got);
     }
 
@@ -342,8 +414,8 @@ mod tests {
         );
         assert!((0..a.rows()).any(|r| a.row_nnz(r) == 0), "want an empty row in the fixture");
         let hs = heads(&a, 3, 4, 5, 34);
-        let fused = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
-        let pipeline = launch(&Runtime::with_fusion(false), &a, &hs).unwrap();
+        let fused = launch(&Runtime::new(), &a, &hs).unwrap();
+        let pipeline = pipeline(&Runtime::new(), &a, &hs).unwrap();
         assert!(bit_eq(&fused, &pipeline));
         // Empty rows aggregate to zero.
         for r in 0..a.rows() {
@@ -374,30 +446,29 @@ mod tests {
         );
     }
 
-    /// `SPARSETIR_NO_FUSE` routing: a fusion-off runtime compiles the three
-    /// pipeline kernels, a fusion-on runtime compiles the one fused kernel,
-    /// and re-running either adds no compilations (no stale-kernel serving
-    /// across the toggle — the fusion flag is part of the cache key).
+    /// (Named for the switch the oracle function replaced.) The entry
+    /// point compiles the one fused kernel, the pipeline oracle its three
+    /// kernels, and re-running either adds no compilations.
     #[test]
     fn kill_switch_recompiles_instead_of_serving_stale_kernels() {
         let mut rng = gen::rng(36);
         let a = gen::random_csr(10, 10, 0.25, &mut rng);
         let hs = heads(&a, 2, 3, 3, 37);
 
-        let fused_rt = Runtime::with_fusion(true);
+        let fused_rt = Runtime::new();
         let fused = launch(&fused_rt, &a, &hs).unwrap();
         assert_eq!(fused_rt.cached(), 1, "fused path is one kernel");
 
-        let pipeline_rt = Runtime::with_fusion(false);
-        let pipeline = launch(&pipeline_rt, &a, &hs).unwrap();
-        assert_eq!(pipeline_rt.cached(), 3, "pipeline path is three kernels");
+        let pipeline_rt = Runtime::new();
+        let piped = pipeline(&pipeline_rt, &a, &hs).unwrap();
+        assert_eq!(pipeline_rt.cached(), 3, "pipeline oracle is three kernels");
 
-        assert!(bit_eq(&fused, &pipeline));
+        assert!(bit_eq(&fused, &piped));
 
-        // Serve again on both: compile-once/run-many, no recompiles.
+        // Run again on both: compile-once/run-many, no recompiles.
         let (c1, c2) = (fused_rt.compilations(), pipeline_rt.compilations());
         let _ = launch(&fused_rt, &a, &hs).unwrap();
-        let _ = launch(&pipeline_rt, &a, &hs).unwrap();
+        let _ = pipeline(&pipeline_rt, &a, &hs).unwrap();
         assert_eq!(fused_rt.compilations(), c1);
         assert_eq!(pipeline_rt.compilations(), c2);
     }
@@ -407,7 +478,7 @@ mod tests {
         let mut rng = gen::rng(38);
         let a = gen::random_csr(8, 8, 0.4, &mut rng);
         let hs = heads(&a, 1, 4, 1, 39);
-        let got = launch(&Runtime::with_fusion(true), &a, &hs).unwrap();
+        let got = launch(&Runtime::new(), &a, &hs).unwrap();
         assert_matches_reference(&a, &hs, &got);
     }
 

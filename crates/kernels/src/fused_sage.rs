@@ -12,8 +12,11 @@
 //! `AxpyLanes` feature loop. Empty rows have `Dinv = 0` and aggregate
 //! to zero.
 //!
-//! Fused vs two-launch pipeline is bit-identical (same pass bodies, same
-//! order, same executor rounding points); against a per-edge-weighted
+//! Every library and serving call runs that one kernel
+//! ([`fused_sage_execute_on`]); the two-launch pipeline survives only as
+//! [`sage_pipeline_oracle`], a test reference. Fused vs pipeline is
+//! bit-identical (same pass bodies, same order, same executor rounding
+//! points); against a per-edge-weighted
 //! reference like [`sparsetir_smat::csr::Csr::spmm`] on a `1/deg`-valued
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
@@ -72,60 +75,82 @@ pub(crate) fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> 
     Ok(())
 }
 
-/// Serve the fused SAGE layer step `H1 = (A_structural · X / deg) · W`
-/// through `rt` — the only executable fused-SAGE entry point, routing on
-/// the runtime's fusion flag: **one** kernel launch when fusion is on,
-/// the two-launch pipeline (gather kernel, then normalize+matmul kernel)
-/// when `SPARSETIR_NO_FUSE` turned it off. Both routes are bit-identical.
-/// `X`, `W` and the result bind as single-segment views over the
-/// caller's operands and the returned matrix (nothing is copied), the
-/// `Agg` intermediate comes from the runtime's [`BufferPool`] and, on
-/// the pipeline route, stays in place between the two launches.
-///
-/// # Errors
-/// Returns an error on operand-shape mismatches and propagates
-/// lowering/execution errors.
-pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
+/// What the fused entry point and the pipeline oracle share: validate
+/// the shapes, bind the adjacency, `Dinv` and the pool-drawn `Agg`
+/// intermediate, hand `launches` the bindings and the writable `H1` view
+/// over the returned matrix, and return `Agg` to the pool.
+fn with_operands(
+    rt: &Runtime,
+    a: &Csr,
+    x: &Dense,
+    w: &Dense,
+    launches: impl FnOnce(&mut Bindings, ColsView<'_>) -> KernelResult<()>,
+) -> KernelResult<Dense> {
     check_shapes(a, x, w).map_err(|e| format!("fused sage: {e}"))?;
-    let (feat, hidden) = (x.cols(), w.cols());
-    let mut out = Dense::zeros(a.rows(), hidden);
+    let mut out = Dense::zeros(a.rows(), w.cols());
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
     bind_csr(&mut b, "A", "J", a);
     b.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
-    b.insert("Agg".to_string(), TensorData::from(pool.acquire_f32(a.rows() * feat)));
-    let (x_seg, w_seg) = ([(x.data(), feat)], [(w.data(), hidden)]);
-    let scalars = HashMap::new();
-    let result = (|| -> KernelResult<()> {
-        let h1 = ColsView::write(a.rows(), vec![(out.data_mut(), hidden)])?;
-        if rt.fusion() {
-            let kernel = rt.compile(&fused_sage_ir(a, feat, hidden)?)?;
-            let mut views = ViewBindings::from_tensors(&mut b);
-            views.bind_cols("X", ColsView::read(a.cols(), &x_seg)?);
-            views.bind_cols("W", ColsView::read(feat, &w_seg)?);
-            views.bind_cols("H1", h1);
-            kernel.run_views(&scalars, &mut views)?;
-            return Ok(());
-        }
-        let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
-        sparse_fuse(&mut gather, "gather", &["I", "J"])?;
-        let gather = rt.compile(&lower(&gather)?)?;
-        {
-            let mut views = ViewBindings::from_tensors(&mut b);
-            views.bind_cols("X", ColsView::read(a.cols(), &x_seg)?);
-            gather.run_views(&scalars, &mut views)?;
-        }
-        let matmul = rt.compile(&lower(&sage_matmul_program(a.rows(), feat, hidden))?)?;
-        let mut views = ViewBindings::from_tensors(&mut b);
-        views.bind_cols("W", ColsView::read(feat, &w_seg)?);
-        views.bind_cols("H1", h1);
-        matmul.run_views(&scalars, &mut views)?;
-        Ok(())
+    b.insert("Agg".to_string(), TensorData::from(pool.acquire_f32(a.rows() * x.cols())));
+    let result = (|| {
+        let h1 = ColsView::write(a.rows(), vec![(out.data_mut(), w.cols())])?;
+        launches(&mut b, h1)
     })();
     if let Some(TensorData::F32(agg)) = b.remove("Agg") {
         pool.release_f32(agg);
     }
     result.map(|()| out)
+}
+
+/// Serve the fused SAGE layer step `H1 = (A_structural · X / deg) · W`
+/// through `rt` in **one** kernel launch — the only executable fused-SAGE
+/// entry point. `X`, `W` and the result bind as single-segment views
+/// over the caller's operands and the returned matrix (nothing is
+/// copied); the `Agg` intermediate comes from the runtime's
+/// [`BufferPool`].
+///
+/// # Errors
+/// Returns an error on operand-shape mismatches and propagates
+/// lowering/execution errors.
+pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
+    let (feat, hidden) = (x.cols(), w.cols());
+    with_operands(rt, a, x, w, |b, h1| {
+        let kernel = rt.compile(&fused_sage_ir(a, feat, hidden)?)?;
+        let mut views = ViewBindings::from_tensors(b);
+        views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
+        views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);
+        views.bind_cols("H1", h1);
+        Ok(kernel.run_views(&HashMap::new(), &mut views)?)
+    })
+}
+
+/// **Test reference, not a serving path:** the same layer step as two
+/// launches (gather kernel, then normalize+matmul kernel) over the
+/// operands [`fused_sage_execute_on`] takes, bit-identical to it. `Agg`
+/// stays in place between the two launches. Compiles two kernels on
+/// `rt` where the fused entry point compiles one.
+///
+/// # Errors
+/// As [`fused_sage_execute_on`].
+pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
+    let (feat, hidden) = (x.cols(), w.cols());
+    with_operands(rt, a, x, w, |b, h1| {
+        let scalars = HashMap::new();
+        let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
+        sparse_fuse(&mut gather, "gather", &["I", "J"])?;
+        let gather = rt.compile(&lower(&gather)?)?;
+        {
+            let mut views = ViewBindings::from_tensors(b);
+            views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
+            gather.run_views(&scalars, &mut views)?;
+        }
+        let matmul = rt.compile(&lower(&sage_matmul_program(a.rows(), feat, hidden))?)?;
+        let mut views = ViewBindings::from_tensors(b);
+        views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);
+        views.bind_cols("H1", h1);
+        Ok(matmul.run_views(&scalars, &mut views)?)
+    })
 }
 
 /// Pure-Rust f64 reference for relative-epsilon validation: mean-of-
@@ -179,8 +204,8 @@ mod tests {
         );
         let x = gen::random_dense(14, 6, &mut rng);
         let w = gen::random_dense(6, 4, &mut rng);
-        let fused = fused_sage_execute_on(&Runtime::with_fusion(true), &a, &x, &w).unwrap();
-        let pipeline = fused_sage_execute_on(&Runtime::with_fusion(false), &a, &x, &w).unwrap();
+        let fused = fused_sage_execute_on(&Runtime::new(), &a, &x, &w).unwrap();
+        let pipeline = sage_pipeline_oracle(&Runtime::new(), &a, &x, &w).unwrap();
         assert!(bit_eq(&fused, &pipeline), "fused vs pipeline must be bit-identical");
         let reference = fused_sage_reference(&a, &x, &w);
         assert!(fused.approx_eq(&reference, 1e-4), "max |Δ| = {}", fused.max_abs_diff(&reference));
@@ -191,19 +216,19 @@ mod tests {
         }
     }
 
+    /// (Named for the switch the oracle function replaced.)
     #[test]
     fn kill_switch_routes_to_the_pipeline() {
         let mut rng = gen::rng(51);
         let a = gen::random_csr(10, 10, 0.3, &mut rng);
         let x = gen::random_dense(10, 4, &mut rng);
         let w = gen::random_dense(4, 3, &mut rng);
-        let on = Runtime::with_fusion(true);
-        let off = Runtime::with_fusion(false);
-        let yes = fused_sage_execute_on(&on, &a, &x, &w).unwrap();
-        let no = fused_sage_execute_on(&off, &a, &x, &w).unwrap();
-        assert_eq!(on.cached(), 1, "fused path is one kernel");
-        assert_eq!(off.cached(), 2, "pipeline path is two kernels");
-        assert!(bit_eq(&yes, &no));
+        let (fused_rt, pipeline_rt) = (Runtime::new(), Runtime::new());
+        let fused = fused_sage_execute_on(&fused_rt, &a, &x, &w).unwrap();
+        let pipeline = sage_pipeline_oracle(&pipeline_rt, &a, &x, &w).unwrap();
+        assert_eq!(fused_rt.cached(), 1, "fused path is one kernel");
+        assert_eq!(pipeline_rt.cached(), 2, "pipeline oracle is two kernels");
+        assert!(bit_eq(&fused, &pipeline));
     }
 
     #[test]
@@ -220,18 +245,18 @@ mod tests {
     }
 
     /// Zero-width operands bind as zero-width views: no panic, a zero (or
-    /// empty) result on both routes.
+    /// empty) result from the fused kernel and the pipeline oracle.
     #[test]
     fn zero_width_operands_are_served() {
         let mut rng = gen::rng(54);
         let a = gen::random_csr(6, 6, 0.4, &mut rng);
-        for rt in [Runtime::with_fusion(true), Runtime::with_fusion(false)] {
-            let no_feat =
-                fused_sage_execute_on(&rt, &a, &Dense::zeros(6, 0), &Dense::zeros(0, 3)).unwrap();
+        let rt = Runtime::new();
+        for entry in [fused_sage_execute_on, sage_pipeline_oracle] {
+            let no_feat = entry(&rt, &a, &Dense::zeros(6, 0), &Dense::zeros(0, 3)).unwrap();
             assert_eq!((no_feat.rows(), no_feat.cols()), (6, 3));
             assert!(no_feat.data().iter().all(|&v| v == 0.0));
             let x = gen::random_dense(6, 2, &mut rng);
-            let no_hidden = fused_sage_execute_on(&rt, &a, &x, &Dense::zeros(2, 0)).unwrap();
+            let no_hidden = entry(&rt, &a, &x, &Dense::zeros(2, 0)).unwrap();
             assert_eq!((no_hidden.rows(), no_hidden.cols()), (6, 0));
         }
     }

@@ -23,6 +23,9 @@
 //! [`fused_attention::fused_attention_views_on`],
 //! [`fused_sage::fused_sage_execute_on`] — binding the caller's operands
 //! and outputs as views; `SparseOp::launch` is a thin adapter over it.
+//! The multi-launch forms of the two fused ops
+//! ([`fused_attention::attention_pipeline_oracle`],
+//! [`fused_sage::sage_pipeline_oracle`]) are test references only.
 
 #![warn(missing_docs)]
 
@@ -46,11 +49,12 @@ pub mod prelude {
     };
     pub use crate::common::{gemm_plan, SpmmCost, SpmmLayout, F16, F32};
     pub use crate::fused_attention::{
-        attention_aggregate_ir, attention_score_ir, edge_softmax_ir, fused_attention_ir,
-        fused_attention_reference, fused_attention_views_on,
+        attention_aggregate_ir, attention_pipeline_oracle, attention_score_ir, edge_softmax_ir,
+        fused_attention_ir, fused_attention_reference, fused_attention_views_on,
     };
     pub use crate::fused_sage::{
         fused_sage_execute_on, fused_sage_ir, fused_sage_reference, inverse_degrees,
+        sage_pipeline_oracle,
     };
     pub use crate::fusedmm::{fusedmm_execute, fusedmm_plan, fusedmm_reference, unfused_plans};
     pub use crate::op::{

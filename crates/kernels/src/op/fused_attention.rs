@@ -21,8 +21,9 @@ pub struct AttnHead {
 /// The whole sparse-attention pipeline (score SDDMM → edge-softmax →
 /// aggregation SpMM) as **one** [`SparseOp`] served by a single fused
 /// kernel launch ([`crate::fused_attention::fused_attention_views_on`];
-/// the `SPARSETIR_NO_FUSE` kill switch falls back to the bit-identical
-/// three-launch pipeline). A request is a list of [`AttnHead`]s sharing
+/// the bit-identical three-launch pipeline is the test oracle
+/// [`crate::fused_attention::attention_pipeline_oracle`], never a
+/// serving route). A request is a list of [`AttnHead`]s sharing
 /// one mask; requests batch when their per-head shapes `(k, vfeat)`
 /// agree — every head of every folded request rides the same widened
 /// launch, inside the same fused non-zero walk (the PR 5 multi-head

@@ -8,8 +8,9 @@ use sparsetir_smat::prelude::*;
 
 /// GraphSAGE's gather → degree-normalize → feature-matmul layer step as
 /// a [`SparseOp`] served by one fused kernel launch
-/// ([`crate::fused_sage::fused_sage_execute_on`]; `SPARSETIR_NO_FUSE` falls
-/// back to the bit-identical two-launch pipeline). A request is the
+/// ([`crate::fused_sage::fused_sage_execute_on`]; the bit-identical
+/// two-launch pipeline is the test oracle
+/// [`crate::fused_sage::sage_pipeline_oracle`]). A request is the
 /// `(features, weights)` pair of one layer; requests never batch (each
 /// already spans the whole graph).
 #[derive(Debug, Clone, Copy, Default)]

@@ -639,7 +639,7 @@ mod crosscheck_tests {
     use sparsetir_smat::gen;
     use std::collections::HashMap;
 
-    /// DESIGN.md §5.5: the simulator plan's block decomposition mirrors the
+    /// README §Crate map (`crates/kernels::op`): the simulator plan's block decomposition mirrors the
     /// IR schedule — assert the plan's total FLOPs equal the FLOPs the
     /// interpreter actually executes for the lowered kernel.
     #[test]

@@ -122,7 +122,7 @@ mod tests {
         let adj_csr = toy_graph(48, 9);
         let model = GraphSage::new(&adj_csr, 8, 6, 4, 11).unwrap();
         let adj = serving_adjacency(&model);
-        let engine = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
+        let engine = Engine::new(EngineConfig::default());
         let mut rng = gen::rng(19);
         let x = gen::random_dense(48, 8, &mut rng);
         let served = serve_sage_forward_fused(&engine, &model, &adj, &x).unwrap();
@@ -139,27 +139,30 @@ mod tests {
         assert_eq!(engine.runtime().cached(), 2);
     }
 
-    /// The `SPARSETIR_NO_FUSE`-equivalent engine flag routes fused
-    /// requests to the multi-launch pipeline and still answers
-    /// bit-identically to the fused engine.
+    /// (Named for the switch the oracle replaced.) Fused serving answers
+    /// bit-identically to the same two layers run through the two-launch
+    /// pipeline oracle, with one kernel per layer where the oracle
+    /// compiles two.
     #[test]
     fn fused_serving_kill_switch_stays_bit_identical() {
+        use sparsetir_kernels::prelude::sage_pipeline_oracle;
         let adj_csr = toy_graph(40, 29);
         let model = GraphSage::new(&adj_csr, 6, 5, 3, 31).unwrap();
         let adj = serving_adjacency(&model);
         let mut rng = gen::rng(37);
         let x = gen::random_dense(40, 6, &mut rng);
-        let fused = Engine::new(EngineConfig { fuse: Some(true), ..EngineConfig::default() });
-        let unfused = Engine::new(EngineConfig { fuse: Some(false), ..EngineConfig::default() });
-        let yes = serve_sage_forward_fused(&fused, &model, &adj, &x).unwrap();
-        let no = serve_sage_forward_fused(&unfused, &model, &adj, &x).unwrap();
+        let engine = Engine::new(EngineConfig::default());
+        let served = serve_sage_forward_fused(&engine, &model, &adj, &x).unwrap();
+        let rt = sparsetir_ir::exec::Runtime::new();
+        let h1 = sage_pipeline_oracle(&rt, &model.a_norm, &x, &model.w1).unwrap().relu();
+        let oracle = sage_pipeline_oracle(&rt, &model.a_norm, &h1, &model.w2).unwrap();
         assert_eq!(
-            yes.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            no.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            "fused and pipeline serving must agree bit-for-bit"
+            served.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            oracle.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "fused serving and the pipeline oracle must agree bit-for-bit"
         );
-        assert_eq!(fused.runtime().cached(), 2, "one fused kernel per layer");
-        assert_eq!(unfused.runtime().cached(), 4, "gather + matmul kernels per layer");
+        assert_eq!(engine.runtime().cached(), 2, "one fused kernel per layer");
+        assert_eq!(rt.cached(), 4, "gather + matmul kernels per layer");
     }
 
     /// Many clients serving inference over one shared model: every client
@@ -176,7 +179,6 @@ mod tests {
             queue_depth: 32,
             max_batch: 8,
             tune: false,
-            fuse: None,
             batch_window: None,
             ..EngineConfig::default()
         }));

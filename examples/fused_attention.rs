@@ -1,7 +1,8 @@
 //! Cross-op fusion walkthrough: compile the whole sparse attention
 //! pipeline — SDDMM scores, edge-softmax, SpMM aggregation — into **one**
 //! kernel sharing a single non-zero walk, check it bit-for-bit against
-//! the three-launch pipeline, then serve it batched through the engine.
+//! the three-launch pipeline oracle, then serve it batched through the
+//! engine.
 //!
 //! ```sh
 //! cargo run --release --example fused_attention
@@ -41,7 +42,7 @@ fn main() {
             v: gen::random_dense(n, vfeat, &mut rng),
         })
         .collect();
-    let fused_rt = Runtime::with_fusion(true);
+    let fused_rt = Runtime::new();
     let fused = FusedAttentionOp::execute_on(&fused_rt, &graph, &request, &()).expect("fused");
     println!(
         "fused:    {} kernel(s) compiled — score, row-max, exp-sum and aggregate passes share one \
@@ -49,11 +50,16 @@ fn main() {
         fused_rt.cached()
     );
 
-    // The same call on a fusion-off runtime is the three-launch pipeline
-    // (what `SPARSETIR_NO_FUSE` selects).
-    let pipeline_rt = Runtime::with_fusion(false);
-    let pipeline =
-        FusedAttentionOp::execute_on(&pipeline_rt, &graph, &request, &()).expect("pipeline");
+    // The same operands through the three-launch pipeline: a test
+    // reference (`attention_pipeline_oracle`), not something a serving or
+    // library call ever selects.
+    let pipeline_rt = Runtime::new();
+    let qs: Vec<&Dense> = request.iter().map(|h| &h.q).collect();
+    let kts: Vec<&Dense> = request.iter().map(|h| &h.kt).collect();
+    let vs: Vec<&Dense> = request.iter().map(|h| &h.v).collect();
+    let mut pipeline = vec![Dense::zeros(n, vfeat); heads];
+    attention_pipeline_oracle(&pipeline_rt, &graph, &qs, &kts, &vs, &mut pipeline)
+        .expect("pipeline");
     println!("pipeline: {} kernels compiled — SDDMM, edge-softmax, SpMM", pipeline_rt.cached());
 
     let bit_identical = fused
@@ -85,7 +91,6 @@ fn main() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: Some(true),
         batch_window: Some(std::time::Duration::from_micros(50)),
         ..EngineConfig::default()
     }));
@@ -130,9 +135,5 @@ fn main() {
             w.max_width
         );
     }
-    println!(
-        "  compiled kernels: {} (kill switch SPARSETIR_NO_FUSE or EngineConfig::fuse falls back \
-         to the three-launch pipeline)",
-        engine.runtime().cached()
-    );
+    println!("  compiled kernels: {}", engine.runtime().cached());
 }

@@ -34,7 +34,6 @@ fn main() {
         queue_depth: 64,
         max_batch: 8,
         tune: false,
-        fuse: None,
         batch_window: Some(std::time::Duration::from_micros(50)),
         ..EngineConfig::default()
     }));
@@ -125,9 +124,8 @@ fn main() {
 
     // --- Cross-op fused attention: SDDMM → softmax → SpMM, one kernel ---
     // A FusedAttention request carries (Q, Kᵀ, V) per head; the engine
-    // compiles the whole pipeline into a single kernel launch (toggle
-    // with EngineConfig::fuse / SPARSETIR_NO_FUSE) and same-shape
-    // concurrent requests widen into one fused launch.
+    // compiles the whole pipeline into a single kernel launch and
+    // same-shape concurrent requests widen into one fused launch.
     let (k, vfeat) = (8, 8);
     let fused_tickets: Vec<_> = (0..4)
         .map(|_| {

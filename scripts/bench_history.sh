@@ -1,0 +1,73 @@
+#!/usr/bin/env bash
+# Append this commit's stbench reading to the committed trajectory,
+# BENCH_history.jsonl, and print the delta table against the previous line.
+#
+#   scripts/bench_history.sh            run benchmark/run.sh, then append
+#   scripts/bench_history.sh --no-run   append from the benchmark/out/run.jsonl
+#                                       a run.sh already left behind
+#
+# One line per call: {"sha", "date", "host", "metrics"}, where metrics maps
+# each workload to the medians (over the seeds run; RUNS=<n> is passed on to
+# run.sh) of the five end-to-end metrics from its untraced runs and of
+# ir.ns_per_fma.* / engine.overhead_ms.* from its traced runs. HOST_NOTE=<text>
+# replaces the default host note (hostname + core count). Reads
+# benchmark/out/run.jsonl only; edits nothing under benchmark/.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+if [ "${1:-}" != "--no-run" ]; then
+    benchmark/run.sh
+fi
+
+sha="$(git rev-parse --short HEAD)"
+if ! git diff --quiet HEAD -- . ':!BENCH_history.jsonl'; then
+    sha="$sha-dirty"
+fi
+host="${HOST_NOTE:-$(hostname) ($(nproc) cores)}"
+
+python3 - "$sha" "$(date -u +%Y-%m-%d)" "$host" <<'PY'
+import json, statistics, sys
+
+sha, date, host = sys.argv[1:4]
+END_TO_END = ["setup_s", "native_ratio", "cold_ratio", "capacity_ratio", "peak_rss_mb"]
+LAYER_PREFIXES = ("ir.ns_per_fma.", "engine.overhead_ms.")
+HISTORY = "BENCH_history.jsonl"
+
+samples = {}  # workload -> metric -> [values over seeds]
+with open("benchmark/out/run.jsonl") as runs:
+    for line in runs:
+        run = json.loads(line)
+        for name, m in run["result"]["metrics"].items():
+            wanted = name in END_TO_END if run["trace"] == 0 else name.startswith(LAYER_PREFIXES)
+            if wanted:
+                samples.setdefault(run["workload"], {}).setdefault(name, []).append(m["value"])
+if not samples:
+    sys.exit("bench_history: benchmark/out/run.jsonl holds no runs")
+metrics = {
+    w: {name: round(statistics.median(vs), 4) for name, vs in sorted(ms.items())}
+    for w, ms in samples.items()
+}
+
+try:
+    with open(HISTORY) as history:
+        previous = [json.loads(line) for line in history if line.strip()][-1]
+except (FileNotFoundError, IndexError):
+    previous = None
+with open(HISTORY, "a") as history:
+    history.write(json.dumps({"sha": sha, "date": date, "host": host, "metrics": metrics}) + "\n")
+
+print(f"appended {sha} ({date}, {host}) to {HISTORY}")
+if previous is None:
+    sys.exit(0)
+print(f"delta against {previous['sha']} ({previous['date']}, {previous['host']}):")
+print(f"  {'workload':<22}{'metric':<36}{'previous':>10}{'now':>10}{'change':>9}")
+for w, ms in metrics.items():
+    for name, now in ms.items():
+        # Layer metrics of an op the workload never ran read 0 on both sides.
+        if name not in END_TO_END and now == 0:
+            continue
+        was = previous["metrics"].get(w, {}).get(name)
+        change = f"{(now / was - 1) * 100:+.1f}%" if was else "new"
+        was = "-" if was is None else f"{was:.4g}"
+        print(f"  {w:<22}{name:<36}{was:>10}{now:>10.4g}{change:>9}")
+PY
