@@ -153,7 +153,10 @@ pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
     if !r.from_cache {
         // In debug builds, verify the tuned operator actually computes
         // SpMM (compiled-executor path, amortized by the kernel cache).
-        debug_assert!(functional_check_spmm(a, feat), "tuned SpMM failed the functional check");
+        debug_assert!(
+            functional_check_spmm(a, feat, &r.config),
+            "tuned SpMM failed the functional check"
+        );
     }
     r
 }
@@ -245,39 +248,21 @@ pub fn tune_attention_block(
     )
 }
 
-/// Functional spot-check of the tuned operator through the slot-compiled
-/// kernel cache: the lowered IR compiles once per distinct function and
-/// is reused across trials and repeated tuning runs, so this costs one
-/// compilation plus one (parallel) execution instead of a fresh
-/// tree-walking interpretation per call.
+/// Functional spot-check of the operator `config` selects (the tuned
+/// winner's format decomposition and schedule, not the default CSR one)
+/// through the slot-compiled kernel cache: the lowered IR compiles once
+/// per distinct function and is reused across trials and repeated tuning
+/// runs, so this costs one compilation plus one (parallel) execution
+/// instead of a fresh tree-walking interpretation per call.
 #[must_use]
-pub fn functional_check_spmm(a: &Csr, feat: usize) -> bool {
+pub fn functional_check_spmm(a: &Csr, feat: usize, config: &SpmmConfig) -> bool {
     let mut rng = gen::rng(0xB0B);
     let x = gen::random_dense(a.cols(), feat, &mut rng);
-    let config = SpmmConfig::default();
     let rt = sparsetir_ir::exec::Runtime::global();
-    match (SpmmOp::execute_on(rt, a, &x, &config), a.spmm(&x)) {
+    match (SpmmOp::execute_on(rt, a, &x, config), a.spmm(&x)) {
         (Ok(got), Ok(want)) => got.approx_eq(&want, 1e-3),
         _ => false,
     }
-}
-
-/// Generic random search over an arbitrary space: draws `budget` samples
-/// via `sample` and keeps the one minimizing `evaluate`.
-pub fn random_search<C>(
-    budget: usize,
-    mut sample: impl FnMut(usize) -> C,
-    mut evaluate: impl FnMut(&C) -> f64,
-) -> Option<(C, f64)> {
-    let mut best: Option<(C, f64)> = None;
-    for i in 0..budget {
-        let cand = sample(i);
-        let score = evaluate(&cand);
-        if best.as_ref().is_none_or(|(_, b)| score < *b) {
-            best = Some((cand, score));
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -321,6 +306,27 @@ mod tests {
             "expected a composable format on a skewed graph, got {:?}",
             result.config
         );
+    }
+
+    #[test]
+    fn functional_check_runs_the_config_it_is_given() {
+        use sparsetir_ir::exec::Runtime;
+        let a = power_law(2500, 19);
+        let winner = tune_spmm(&GpuSpec::v100(), &a, 64).config;
+        assert!(winner.col_parts.is_some(), "the skewed graph tunes to hyb: {winner:?}");
+        // Feature width 24 is this test's alone, so both kernels below
+        // are first compiled here. The counter only grows, so tests
+        // sharing the global runtime cannot make the delta check fail.
+        assert!(functional_check_spmm(&a, 24, &SpmmConfig::default()));
+        let after_csr = Runtime::global().compilations();
+        assert!(functional_check_spmm(&a, 24, &winner), "hyb winner agrees with a.spmm(x)");
+        assert!(
+            Runtime::global().compilations() > after_csr,
+            "the winner's hyb kernel is not the default CSR one"
+        );
+        // A decomposition that cannot be built fails the check.
+        let broken = SpmmConfig { bucket_k: 64, ..winner };
+        assert!(!functional_check_spmm(&a, 24, &broken));
     }
 
     #[test]
@@ -451,21 +457,11 @@ mod tests {
         let a = power_law(300, 23);
         // First call compiles the lowered IR; the second must hit the
         // global kernel cache (same function fingerprint).
-        assert!(functional_check_spmm(&a, 16));
+        let config = SpmmConfig::default();
+        assert!(functional_check_spmm(&a, 16, &config));
         let before = sparsetir_ir::exec::Runtime::global().cached();
-        assert!(functional_check_spmm(&a, 16));
+        assert!(functional_check_spmm(&a, 16, &config));
         let after = sparsetir_ir::exec::Runtime::global().cached();
         assert_eq!(before, after, "second check must not recompile");
-    }
-
-    #[test]
-    fn random_search_minimizes() {
-        let best = random_search(64, |i| i as f64, |x| (x - 13.0).abs()).unwrap();
-        assert_eq!(best.0, 13.0);
-    }
-
-    #[test]
-    fn random_search_empty_budget_is_none() {
-        assert!(random_search(0, |i| i, |_| 0.0).is_none());
     }
 }

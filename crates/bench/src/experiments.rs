@@ -1,8 +1,10 @@
 //! One module per paper table/figure; each `run()` returns the rendered
-//! report (the same rows/series the paper plots). Experiments that time
-//! real executions additionally push [`crate::report::BenchRecord`]s into
-//! the process-wide collector, which the harness binaries flush to
-//! `BENCH_results.json` (see [`crate::report`]).
+//! report (the same rows/series the paper plots), and [`ALL`] is the one
+//! table of them the `experiments` binary and the smoke test iterate.
+//! Experiments that time real executions assert their behaviours
+//! in-process (served results vs references, `bytes_copied == 0`, and —
+//! under `SPARSETIR_BENCH_ASSERT` — their bars); the printed table is
+//! their only output.
 
 use crate::util::*;
 use sparsetir_autotune::{tune_sddmm, tune_spmm};
@@ -14,7 +16,7 @@ use sparsetir_nn::prelude::*;
 use sparsetir_smat::prelude::*;
 
 /// True when `SPARSETIR_SMOKE` is set: every sweep shrinks to a small
-/// representative subset so `all_experiments` executes end to end in
+/// representative subset so `experiments` executes end to end in
 /// seconds (used by CI and the smoke integration test). Full sweeps stay
 /// the default.
 #[must_use]
@@ -63,6 +65,29 @@ pub fn bench_hetero_graphs() -> Vec<HeteroSpec> {
     }
     graphs
 }
+
+/// Every experiment by name, in report order: what the `experiments`
+/// binary runs (all of it without arguments, the named ones otherwise).
+#[allow(clippy::type_complexity)] // a (name, run) pair; an alias would be a second public name
+pub const ALL: &[(&str, fn() -> String)] = &[
+    ("table1", table1::run),
+    ("fig12", fig12::run),
+    ("fig13", fig13::run),
+    ("fig14", fig14::run),
+    ("fig15", fig15::run),
+    ("fig16", fig16::run),
+    ("fig17", fig17::run),
+    ("fig19", fig19::run),
+    ("table2", table2::run),
+    ("fig20", fig20::run),
+    ("fig23", fig23::run),
+    ("ablation_hfuse", ablation_hfuse::run),
+    ("ablation_bucketing", ablation_bucketing::run),
+    ("autotuning", autotuning::run),
+    ("serving_throughput", serving_throughput::run),
+    ("serving_slo", serving_slo::run),
+    ("dynamic_graphs", dynamic_graphs::run),
+];
 
 /// Table 1: graph statistics + %padding under the tuned hyb format.
 pub mod table1 {
@@ -697,18 +722,6 @@ pub mod autotuning {
             let g = g.select_rows(&keep);
             let sim = tune_spmm(&spec, &g, feat);
             let measured = tune_spmm_measured(&spec, &g, feat, MeasureOpts::default());
-            for (metric, seconds) in
-                [("tuned", measured.seconds), ("untuned", measured.default_seconds)]
-            {
-                crate::report::record(crate::report::BenchRecord {
-                    experiment: "autotuning".to_string(),
-                    name: format!("spmm/{}/d{feat}/{metric}", gs.name),
-                    value: seconds * 1e9,
-                    unit: "ns",
-                    better: "lower",
-                    config: format!("row_cap={cap} smoke={}", smoke()),
-                });
-            }
             // The simulator's pick is always rank 1 of the pruning pass,
             // so its measured time is in the shortlist trials.
             let sim_pick_seconds = measured
@@ -842,7 +855,6 @@ pub mod ablation_bucketing {
 /// every op run the same (fused) kernels.
 pub mod serving_throughput {
     use super::*;
-    use crate::report::{self, BenchRecord};
     use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineStats, OpRequest, DEFAULT_DRIFT_THRESHOLD,
     };
@@ -861,22 +873,11 @@ pub mod serving_throughput {
     /// 0.94–1.00 (sddmm), ten of this arm set 0.94–1.00 for fused
     /// attention; the floor sits at roughly half the lowest reading — a
     /// count that says "batching happened", not a timing. The SDDMM and
-    /// fused-attention *speedups* are recorded but not gated: their win
+    /// fused-attention *speedups* are printed but not gated: their win
     /// is amortization of per-launch fixed costs only, 1.1–1.6× on this
     /// box and inside its wall-clock noise (the old ≥ 1.1× SDDMM bar
     /// read 1.08× in one of those ten parent runs).
     pub const BATCHING_RATE_FLOOR: f64 = 0.5;
-
-    fn push(name: &str, value: f64, unit: &'static str, better: &'static str, config: &str) {
-        report::record(BenchRecord {
-            experiment: "serving_throughput".to_string(),
-            name: name.to_string(),
-            value,
-            unit,
-            better,
-            config: config.to_string(),
-        });
-    }
 
     /// An `n × n` adjacency with heavy-tailed row lengths (most rows
     /// short, a few up to `n / 2`).
@@ -956,8 +957,8 @@ pub mod serving_throughput {
         (elapsed / total.max(1) as f64, stats)
     }
 
-    /// Sweep one op arm over 1/4/8 clients, record its ratio records, and
-    /// return `(table rows, speedup at 8 clients)`.
+    /// Sweep one op arm over 1/4/8 clients and return `(table rows,
+    /// speedup at 8 clients)`.
     ///
     /// # Panics
     /// Panics when a batched arm copied a byte, or — under
@@ -968,7 +969,6 @@ pub mod serving_throughput {
         adj: &Adjacency,
         op: &str,
         per_client: usize,
-        config: &str,
         mut make: impl FnMut() -> OpRequest,
     ) -> (Vec<Vec<String>>, f64) {
         let warm = make();
@@ -1000,17 +1000,6 @@ pub mod serving_throughput {
                     );
                 }
             }
-            let tag = format!("{op}/c{clients}");
-            push(&format!("{tag}/unbatched"), ns_unbatched, "ns", "lower", config);
-            push(&format!("{tag}/batched"), ns_batched, "ns", "lower", config);
-            if clients == 8 {
-                // Only the 8-client speedup carries signal: at 1 and 4
-                // clients the ratio hovers near 1.0 and is dominated by
-                // wall-clock noise, so recording it as a machine-portable
-                // "ratio" would only record noise. The ns records above
-                // still track the low-client arms.
-                push(&format!("{tag}/speedup"), speedup, "ratio", "higher", config);
-            }
             rows.push(vec![
                 op.to_string(),
                 clients.to_string(),
@@ -1024,7 +1013,7 @@ pub mod serving_throughput {
         (rows, speedup_at_8)
     }
 
-    /// Render the sweep (and record it).
+    /// Render the sweep.
     ///
     /// # Panics
     /// Panics when a served result disagrees with its reference (or
@@ -1069,13 +1058,10 @@ pub mod serving_throughput {
                 "served SDDMM must match the reference"
             );
         }
-        let config = format!(
-            "n={n} nnz={} d={feat} per_client={per_client} workers=1 smoke={}",
-            g.nnz(),
-            smoke()
-        );
+        let mut workloads =
+            format!("spmm: n={n} nnz={} d={feat} per_client={per_client} workers=1\n", g.nnz());
         let mut rng_spmm = gen::rng(0x5e41);
-        let (spmm_rows, spmm_at_8) = sweep_op(&adj, "spmm", per_client, &config, || {
+        let (spmm_rows, spmm_at_8) = sweep_op(&adj, "spmm", per_client, || {
             OpRequest::Spmm(gen::random_dense(n, feat, &mut rng_spmm))
         });
         // The SDDMM arm serves its own *small* adjacency: block-diagonal
@@ -1094,12 +1080,11 @@ pub mod serving_throughput {
         // so issue proportionally more per client — otherwise the timed
         // windows are a few tens of milliseconds and too noisy to gate.
         let sddmm_per_client = per_client * 4;
-        let sconfig = format!(
-            "n={sn} nnz={} d={sfeat} per_client={sddmm_per_client} workers=1 smoke={}",
-            sadj.csr().nnz(),
-            smoke()
-        );
-        let (sddmm_rows, _) = sweep_op(&sadj, "sddmm", sddmm_per_client, &sconfig, || {
+        workloads.push_str(&format!(
+            "sddmm: n={sn} nnz={} d={sfeat} per_client={sddmm_per_client} workers=1\n",
+            sadj.csr().nnz()
+        ));
+        let (sddmm_rows, _) = sweep_op(&sadj, "sddmm", sddmm_per_client, || {
             OpRequest::Sddmm((
                 gen::random_dense(sn, sfeat, &mut rng_sddmm),
                 gen::random_dense(sfeat, sn, &mut rng_sddmm),
@@ -1145,12 +1130,11 @@ pub mod serving_throughput {
                 "served fused attention must be bit-identical to the three-launch pipeline"
             );
         }
-        let aconfig = format!(
-            "n={an} nnz={} k={k} vfeat={vfeat} heads/req=1 per_client={per_client} workers=1 smoke={}",
-            ag.nnz(),
-            smoke()
-        );
-        let (attn_rows, _) = sweep_op(&aadj, "fused_attention", per_client, &aconfig, || {
+        workloads.push_str(&format!(
+            "fused_attention: n={an} nnz={} k={k} vfeat={vfeat} heads/req=1 per_client={per_client} workers=1\n",
+            ag.nnz()
+        ));
+        let (attn_rows, _) = sweep_op(&aadj, "fused_attention", per_client, || {
             OpRequest::FusedAttention(vec![make_head()])
         });
         if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
@@ -1168,7 +1152,7 @@ pub mod serving_throughput {
             ),
             &["op", "clients", "unbatched req/s", "batched req/s", "speedup", "max batch", "batched %"],
             &rows,
-        )
+        ) + &workloads
     }
 }
 
@@ -1185,7 +1169,6 @@ pub mod serving_throughput {
 /// buys and FIFO cannot.
 pub mod serving_slo {
     use super::*;
-    use crate::report::{self, BenchRecord};
     use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Priority, Submission,
         DEFAULT_DRIFT_THRESHOLD,
@@ -1199,24 +1182,13 @@ pub mod serving_slo {
     /// overload arm (median of 3 paired repetitions).
     pub const SLO_HIT_RATE_BAR: f64 = 1.3;
 
-    /// The recorded gain saturates here: the raw gain is `hits_slo /
+    /// The `capped gain` column saturates here: the raw gain is `hits_slo /
     /// hits_fifo` with a near-zero denominator under overload (FIFO
     /// misses almost every tight deadline), so its magnitude is noise
-    /// beyond a point. Capping keeps the record a stable `2.0` from run
+    /// beyond a point. Capping keeps the cell a stable `2.00x` from run
     /// to run while any real regression (SLO arm missing deadlines, or
     /// FIFO suddenly matching it) still lands below [`SLO_HIT_RATE_BAR`].
     pub const GAIN_CAP: f64 = 2.0;
-
-    fn push(name: &str, value: f64, unit: &'static str, better: &'static str, config: &str) {
-        report::record(BenchRecord {
-            experiment: "serving_slo".to_string(),
-            name: name.to_string(),
-            value,
-            unit,
-            better,
-            config: config.to_string(),
-        });
-    }
 
     /// Measure the median wall-clock of one Lo-class SpMM execution on a
     /// warmed single-worker engine — the unit every deadline in the
@@ -1231,16 +1203,9 @@ pub mod serving_slo {
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         });
-        engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration warmup");
-        let mut samples: Vec<Duration> = (0..5)
-            .map(|_| {
-                let t = Instant::now();
-                engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration request");
-                t.elapsed()
-            })
-            .collect();
-        samples.sort();
-        samples[2]
+        Duration::from_nanos(median_ns(5, || {
+            engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration request");
+        }) as u64)
     }
 
     struct ArmResult {
@@ -1329,7 +1294,7 @@ pub mod serving_slo {
         ArmResult { hi_hit_rate: hits as f64 / total, stats: engine.stats().delta_since(&warmed) }
     }
 
-    /// Render the sweep (and record it).
+    /// Render the sweep.
     ///
     /// # Panics
     /// Panics when a client hits an unexpected engine error, or — under
@@ -1372,12 +1337,11 @@ pub mod serving_slo {
         // execution (+ window).
         let hi_deadline = lo_exec * 2 + Duration::from_micros(100);
         let window = (lo_exec / 8).clamp(Duration::from_micros(20), Duration::from_micros(200));
-        let config = format!(
-            "n={n} d={feat} sn={sn} hi_per_client={hi_per_client} lo_exec={}us deadline={}us window={}us workers=1 smoke={}",
+        let workload = format!(
+            "lo spmm n={n} d={feat}, hi sddmm n={sn} hi_per_client={hi_per_client}, lo_exec={}us deadline={}us window={}us workers=1\n",
             lo_exec.as_micros(),
             hi_deadline.as_micros(),
-            window.as_micros(),
-            smoke()
+            window.as_micros()
         );
         let mut rows = Vec::new();
         let mut gain_at_8 = 0.0;
@@ -1418,35 +1382,20 @@ pub mod serving_slo {
                 .collect();
             reps.sort_by(|a, b| a.0.total_cmp(&b.0));
             let (gain, fifo, slo) = reps.swap_remove(1);
-            let tag = format!("c{clients}");
-            push(&format!("{tag}/fifo_hit_rate"), fifo.hi_hit_rate, "rate", "higher", &config);
-            push(&format!("{tag}/slo_hit_rate"), slo.hi_hit_rate, "rate", "higher", &config);
-            if clients == 8 {
-                gain_at_8 = gain;
-                push(
-                    &format!("{tag}/hit_gain_capped"),
-                    gain.min(GAIN_CAP),
-                    "ratio",
-                    "higher",
-                    &config,
-                );
-                let h = &slo.stats.latency;
-                push(&format!("{tag}/slo_p50"), h.p50() as f64, "ns", "lower", &config);
-                push(&format!("{tag}/slo_p95"), h.p95() as f64, "ns", "lower", &config);
-                push(&format!("{tag}/slo_p99"), h.p99() as f64, "ns", "lower", &config);
-            }
             rows.push(vec![
                 clients.to_string(),
                 format!("{lo_clients}+{hi_clients}"),
                 fmt_pct(fifo.hi_hit_rate * 100.0),
                 fmt_pct(slo.hi_hit_rate * 100.0),
                 fmt_speedup(gain),
+                fmt_speedup(gain.min(GAIN_CAP)),
                 format!("{}", slo.stats.latency.p50() / 1000),
                 format!("{}", slo.stats.latency.p95() / 1000),
                 format!("{}", slo.stats.latency.p99() / 1000),
                 format!("{}", slo.stats.rejected + slo.stats.expired),
             ]);
             if clients == 8 {
+                gain_at_8 = gain;
                 slo_at_8 = Some(slo);
             }
         }
@@ -1482,13 +1431,14 @@ pub mod serving_slo {
                 "fifo hit %",
                 "slo hit %",
                 "gain",
+                "capped gain",
                 "p50 us",
                 "p95 us",
                 "p99 us",
                 "shed+expired",
             ],
             &rows,
-        )
+        ) + &workload
     }
 }
 
@@ -1503,7 +1453,6 @@ pub mod serving_slo {
 /// adjacency current.
 pub mod dynamic_graphs {
     use super::*;
-    use crate::report::{self, BenchRecord};
     use sparsetir_engine::{Adjacency, Engine, EngineConfig, OpRequest, DEFAULT_DRIFT_THRESHOLD};
     use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
@@ -1512,17 +1461,6 @@ pub mod dynamic_graphs {
     /// rebuild-from-scratch, on the update path alone (query serving is
     /// identical machinery in both arms and is reported separately).
     pub const INCREMENTAL_SPEEDUP_BAR: f64 = 1.2;
-
-    fn push(name: &str, value: f64, unit: &'static str, better: &'static str, config: &str) {
-        report::record(BenchRecord {
-            experiment: "dynamic_graphs".to_string(),
-            name: name.to_string(),
-            value,
-            unit,
-            better,
-            config: config.to_string(),
-        });
-    }
 
     fn serving_engine() -> Engine {
         Engine::new(EngineConfig {
@@ -1591,7 +1529,7 @@ pub mod dynamic_graphs {
         stream
     }
 
-    /// Render the sweep (and record it).
+    /// Render the sweep.
     ///
     /// # Panics
     /// Panics when the incremental and rebuilt matrices diverge, when a
@@ -1701,16 +1639,6 @@ pub mod dynamic_graphs {
         let (reb_update, reb_query) = reb_reps[1];
         let per_batch = |ns: u128| ns as f64 / batches as f64;
         let speedup = per_batch(reb_update) / per_batch(inc_update).max(1.0);
-        let config = format!(
-            "n={n} nnz0={} batches={batches} ops={ops} queries={queries} d={feat} smoke={}",
-            g.nnz(),
-            smoke()
-        );
-        push("update/incremental", per_batch(inc_update), "ns", "lower", &config);
-        push("update/rebuild", per_batch(reb_update), "ns", "lower", &config);
-        push("update/speedup", speedup, "ratio", "higher", &config);
-        push("query/incremental", per_batch(inc_query), "ns", "lower", &config);
-        push("query/rebuild", per_batch(reb_query), "ns", "lower", &config);
         if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
             assert!(
                 speedup >= INCREMENTAL_SPEEDUP_BAR,
@@ -1742,6 +1670,6 @@ pub mod dynamic_graphs {
                 "rebuild query ms",
             ],
             &rows,
-        )
+        ) + &format!("n={n} nnz0={} queries/batch={queries} d={feat} workers=1\n", g.nnz())
     }
 }

@@ -1,5 +1,7 @@
-//! Table formatting and aggregation helpers shared by the experiment
-//! harnesses.
+//! Table formatting, aggregation and timing helpers shared by the
+//! experiment harnesses.
+
+use std::time::Instant;
 
 /// Geometric mean (0 when empty).
 #[must_use]
@@ -9,6 +11,30 @@ pub fn geomean(xs: &[f64]) -> f64 {
     }
     let log_sum: f64 = xs.iter().map(|x| x.max(1e-12).ln()).sum();
     (log_sum / xs.len() as f64).exp()
+}
+
+/// Median wall-clock nanoseconds of `reps` runs of `f` (after one
+/// untimed warmup run).
+pub fn median_ns(reps: usize, mut f: impl FnMut()) -> f64 {
+    f();
+    let mut times: Vec<f64> = (0..reps.max(1))
+        .map(|_| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_nanos() as f64
+        })
+        .collect();
+    median(&mut times)
+}
+
+/// Median of a sample vector (sorts in place).
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn median(samples: &mut [f64]) -> f64 {
+    assert!(!samples.is_empty(), "median of no samples");
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
 }
 
 /// Render an aligned text table.
@@ -82,6 +108,12 @@ mod tests {
         assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
         assert_eq!(geomean(&[]), 0.0);
+    }
+
+    #[test]
+    fn median_is_robust_to_reps() {
+        let v = median_ns(5, std::thread::yield_now);
+        assert!(v >= 0.0);
     }
 
     #[test]

@@ -33,7 +33,6 @@ pub mod attention;
 pub mod common;
 pub mod fused_attention;
 pub mod fused_sage;
-pub mod fusedmm;
 pub mod op;
 pub mod prune;
 pub mod rgms;
@@ -56,7 +55,6 @@ pub mod prelude {
         fused_sage_execute_on, fused_sage_ir, fused_sage_reference, inverse_degrees,
         sage_pipeline_oracle,
     };
-    pub use crate::fusedmm::{fusedmm_execute, fusedmm_plan, fusedmm_reference, unfused_plans};
     pub use crate::op::{
         AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpError, SddmmOp, SparseOp, SpmmOp,
     };

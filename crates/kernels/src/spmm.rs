@@ -542,6 +542,21 @@ mod tests {
     }
 
     #[test]
+    fn out_of_range_bucket_exponent_is_an_error_not_a_panic() {
+        let mut rng = gen::rng(54);
+        let a = gen::random_csr(8, 8, 0.3, &mut rng);
+        let x = gen::random_dense(8, 2, &mut rng);
+        let config =
+            SpmmConfig { col_parts: Some(1), bucket_k: 64, params: CsrSpmmParams::default() };
+        let err = run_views(&a, std::slice::from_ref(&x), &config).expect_err("k = 64");
+        assert!(err.to_string().contains("bucket exponent 64"), "{err}");
+        // The pricing path keeps its CSR fallback for a failed decomposition.
+        let plans = tuned_spmm_plans(&a, 2, &config, "fallback");
+        assert_eq!(plans.len(), 1);
+        assert_eq!(plans[0].name, "fallback");
+    }
+
+    #[test]
     fn prepared_spmm_is_idempotent_across_runs() {
         // The measured evaluator reuses one prepared kernel across warmup
         // and timed repeats; with the output reset, every run must agree.

@@ -99,34 +99,6 @@ impl SparsityFingerprint {
     }
 }
 
-/// A structural fingerprint paired with a monotonic version: the identity
-/// a dynamic adjacency carries through a stream of [`crate::delta::GraphDelta`]
-/// updates. The `structural` part is cache-key material (tune/kernel
-/// decisions transfer between equal structures); `version` orders the
-/// mutation history so stale-while-retune serving can tell which decision
-/// generation it is answering from.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct VersionedFingerprint {
-    /// The structural summary of the current matrix content.
-    pub structural: SparsityFingerprint,
-    /// Monotonic mutation counter: 0 at construction, +1 per applied delta.
-    pub version: u64,
-}
-
-impl VersionedFingerprint {
-    /// Version 0 of a matrix's fingerprint history.
-    #[must_use]
-    pub fn initial(a: &Csr) -> VersionedFingerprint {
-        VersionedFingerprint { structural: SparsityFingerprint::of(a), version: 0 }
-    }
-
-    /// The successor fingerprint after a mutation producing `a`.
-    #[must_use]
-    pub fn next(&self, a: &Csr) -> VersionedFingerprint {
-        VersionedFingerprint { structural: SparsityFingerprint::of(a), version: self.version + 1 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,15 +155,5 @@ mod tests {
         let fb = SparsityFingerprint::of(&b);
         assert!((fa.drift(&fb) - 0.5).abs() < 1e-12);
         assert!((fb.drift(&fa) - 0.5).abs() < 1e-12, "drift is symmetric");
-    }
-
-    #[test]
-    fn versioned_fingerprint_is_monotonic() {
-        let a = Csr::new(1, 1, vec![0, 1], vec![0], vec![1.0]).unwrap();
-        let v0 = VersionedFingerprint::initial(&a);
-        assert_eq!(v0.version, 0);
-        let v1 = v0.next(&a);
-        assert_eq!(v1.version, 1);
-        assert_eq!(v0.structural, v1.structural);
     }
 }

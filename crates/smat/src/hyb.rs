@@ -84,10 +84,18 @@ impl Hyb {
     /// Decompose `csr` into `hyb(c, k)`.
     ///
     /// # Errors
-    /// Fails when `c == 0`.
+    /// Fails when `c == 0`, or when `k >= 32`: a bucket row holds `u32`
+    /// column ids, so no row chunk can be `2^32` wide (and the shift and
+    /// the `k + 1` buckets per partition stay bounded).
     pub fn from_csr(csr: &Csr, c: usize, k: u32) -> Result<Hyb, SmatError> {
         if c == 0 {
             return Err(SmatError::new("hyb: column partition count must be positive"));
+        }
+        if k >= u32::BITS {
+            return Err(SmatError::new(format!(
+                "hyb: bucket exponent {k} is not a bucket width (must be below {})",
+                u32::BITS
+            )));
         }
         let parts = csr.column_partition(c);
         let width_cols = csr.cols().div_ceil(c);
@@ -564,6 +572,18 @@ mod tests {
         // Beyond f64's 53-bit mantissa the float path misrounds near
         // power-of-two boundaries; the bit-arithmetic path stays exact.
         assert_eq!(ceil_log2((1usize << 53) + 1), 54);
+    }
+
+    #[test]
+    fn bucket_exponent_is_bounded() {
+        let csr = skewed();
+        let widest = Hyb::from_csr(&csr, 1, 31).expect("2^31 is a bucket width");
+        assert_eq!(widest.partitions()[0].buckets.len(), 32);
+        assert_eq!(widest.to_dense(), csr.to_dense(), "wide buckets stay empty, not wrong");
+        for k in [32, 64, u32::MAX] {
+            let err = Hyb::from_csr(&csr, 1, k).expect_err("not a bucket width");
+            assert!(err.to_string().contains("bucket exponent"), "{err}");
+        }
     }
 
     #[test]

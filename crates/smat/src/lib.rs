@@ -51,7 +51,6 @@ pub mod hyb;
 pub mod io;
 pub mod linalg;
 pub mod srbcrs;
-pub mod view;
 
 pub use dense::SmatError;
 
@@ -66,7 +65,7 @@ pub mod prelude {
     pub use crate::dense::{Dense, SmatError};
     pub use crate::dia::Dia;
     pub use crate::ell::Ell;
-    pub use crate::fingerprint::{SparsityFingerprint, VersionedFingerprint};
+    pub use crate::fingerprint::SparsityFingerprint;
     pub use crate::gen;
     pub use crate::hyb::{
         bucket_for, ceil_log2, default_k, EllBucket, Hyb, HybDeltaReport, HybPartition,
@@ -74,5 +73,4 @@ pub mod prelude {
     pub use crate::io::{parse_matrix_market, to_matrix_market};
     pub use crate::linalg::{batched_sddmm, batched_spmm, rgms_reference};
     pub use crate::srbcrs::SrBcrs;
-    pub use crate::view::{DenseView, DenseViewMut};
 }

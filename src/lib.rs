@@ -39,7 +39,7 @@ pub use sparsetir_smat as smat;
 
 /// Everything the examples and integration tests need, in one import.
 pub mod prelude {
-    pub use sparsetir_autotune::{random_search, tune_spmm, SpmmConfig, TuneResult};
+    pub use sparsetir_autotune::{tune_spmm, SpmmConfig, TuneResult};
     pub use sparsetir_baselines::prelude::*;
     pub use sparsetir_core::prelude::*;
     pub use sparsetir_engine::{
