@@ -17,18 +17,24 @@
 //!   reduce-init gate (the interpreter's `init_needed` rule) in a single
 //!   dispatch, jumping over the lowered init when any reduce binding is
 //!   nonzero. Ungated blocks lower to a bare `Bind`/`BindSlot`/`BindAll`.
+//! * **Unit-trip loops are binds.** `for v in 0..1 { body }` lowers to
+//!   `v = 0` and the body: no loop record, no back edge.
 //! * **Fusion emits superinstructions.** Lowering consults the
 //!   [`fuse::build_fused`] analysis; a matching loop becomes one
 //!   [`Instr::Super`] carrying the [`LaneSpec`] microkernel, and the
 //!   generic loop is lowered immediately behind it as the bit-exact
 //!   fallback (taken when per-lane bounds validation fails, reproducing
-//!   the interpreter's errors).
+//!   the interpreter's errors). A loop whose whole body is such a lane
+//!   loop, and whose per-trip prologue [`fuse::build_nest`] can classify,
+//!   is headed by an [`Instr::Nest`] instead of a `LoopStart`: the row
+//!   nest runs the trips itself and hands the loop behind it — lowered
+//!   exactly as without the nest — whichever trip it cannot take.
 //!
 //! Semantics are bit-identical to the reference interpreter
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, LaneSpec};
+use super::fuse::{self, LaneSpec, NestSpec};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, num_threads, BoolExpr, CBlock, CStmt,
     ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, RawBuf, SendFrame,
@@ -92,6 +98,12 @@ pub(super) enum Instr {
     /// and jump to `done`, or fall through into the generic loop lowered
     /// right behind it (which ends at `done`).
     Super { spec: Box<LaneSpec>, done: u32 },
+    /// Head of a loop around a fused lane loop, in place of its
+    /// [`Instr::LoopStart`]: run the trips as a row nest and jump to `end`,
+    /// or — from the first trip the nest cannot take — enter the loop body
+    /// right behind this instruction at that trip, sharing the loop's
+    /// `LoopEnd` (at `end - 1`) as the back edge.
+    Nest { spec: Box<NestSpec>, end: u32 },
     /// Ill-typed statement that errors only if executed (matching the
     /// interpreter's lazy runtime errors).
     Fail(String),
@@ -152,6 +164,13 @@ impl Lower {
                         return;
                     }
                 }
+                if matches!(extent, IntExpr::Const(1)) {
+                    // One trip: the loop variable is 0 and the body runs
+                    // once (a constant extent cannot fail to evaluate).
+                    self.emit(Instr::Bind { slot: *slot, value: IntExpr::Const(0) });
+                    self.stmt(body);
+                    return;
+                }
                 // Loop-invariant code motion: bindings of a `for { block }`
                 // body that depend on nothing the loop writes evaluate to
                 // the same value every iteration — bind them once, above
@@ -175,6 +194,9 @@ impl Lower {
                 self.emit(Instr::LoopEnd);
                 let end = self.here();
                 self.patch(at, end);
+                if self.fuse {
+                    self.nest_head(at);
+                }
             }
             CStmt::ParFor { slot, extent, body } => {
                 let at = self.emit(Instr::Par { slot: *slot, extent: extent.clone(), end: 0 });
@@ -292,6 +314,35 @@ impl Lower {
             Instr::Bind { slot, value: value.clone() }
         };
         self.emit(ins);
+    }
+
+    /// Turn the loop just lowered at `at` into a row nest when its whole
+    /// body is one fused lane loop — `LoopStart; [v = const]*; Super ..
+    /// fallback; LoopEnd`, the constant binds being what unit-trip loops
+    /// in between lowered to — and [`fuse::build_nest`] can classify that
+    /// lane loop's prologue against the loop variable. Only the head
+    /// changes: the nest replaces the `LoopStart` and refers to the
+    /// `Super` behind it.
+    fn nest_head(&mut self, at: usize) {
+        let mut lanes_at = at + 1;
+        let mut pins = Vec::new();
+        while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[lanes_at] {
+            pins.push((*slot, *c));
+            lanes_at += 1;
+        }
+        let (Instr::LoopStart { slot, extent, end }, Instr::Super { spec: lanes, done }) =
+            (&self.instrs[at], &self.instrs[lanes_at])
+        else {
+            return;
+        };
+        // The superinstruction's fallback must run into the back edge.
+        if done + 1 != *end {
+            return;
+        }
+        let lanes_at = u32::try_from(lanes_at).expect("kernel exceeds u32 instructions");
+        if let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, lanes_at) {
+            self.instrs[at] = Instr::Nest { spec: Box::new(spec), end: *end };
+        }
     }
 
     /// Emit a superinstruction followed by its generic fallback (the
@@ -710,10 +761,39 @@ fn run_range(
                     ip += 1;
                 }
             }
+            Instr::Nest { spec, end: lend } => ip = run_nest(code, ip, spec, *lend, fr, st)?,
             Instr::Fail(msg) => return Err(ExecError::new(msg.clone())),
         }
     }
     Ok(())
+}
+
+/// Execute the row nest at `ip` (kept out of line: the dispatch loop's
+/// other arms should not pay for its state): returns the next `ip` —
+/// `end` when the nest took every trip, else the loop body right behind
+/// it, entered at the first trip the nest could not take.
+#[inline(never)]
+fn run_nest(
+    code: &[Instr],
+    ip: u32,
+    spec: &NestSpec,
+    end: u32,
+    fr: &mut Frame,
+    st: &mut State,
+) -> Result<u32, ExecError> {
+    let Instr::Super { spec: lanes, .. } = &code[spec.lanes_at as usize] else {
+        unreachable!("a nest's lane loop is a superinstruction")
+    };
+    let n = spec.extent.eval(fr)?;
+    let done = if n > 0 { spec.run(lanes, fr, n) } else { n };
+    if done == n {
+        return Ok(end);
+    }
+    // Trip `done` failed a precondition before writing: the generic loop
+    // takes over there, every earlier trip's writes being exactly its own.
+    fr.scalars[spec.slot as usize] = done;
+    st.loops.push(LoopFrame { slot: spec.slot, body: ip + 1, i: done, n });
+    Ok(ip + 1)
 }
 
 /// Dispatch iterations `0..n` of the body range `[body_start, body_end)`

@@ -9,7 +9,7 @@
 //! addresses.
 
 use super::bytecode::{Code, Instr};
-use super::fuse::{InitKind, LaneSpec, LaneView, Micro, TermShape, TermSpec};
+use super::fuse::{Drift, InitKind, LaneSpec, LaneView, Micro, NestSpec, TermShape, TermSpec};
 use super::{
     BoolExpr, CmpOp, CompiledKernel, CompiledTile, FloatExpr, FloatOp, IndexExpr, IntExpr, IntOp,
     ValueExpr,
@@ -49,12 +49,12 @@ pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
     }
     out.push('\n');
     for (at, ins) in code.instrs().iter().enumerate() {
-        let _ = writeln!(out, "{at:04}  {}", instr(ins));
+        let _ = writeln!(out, "{at:04}  {}", instr(ins, code.instrs()));
     }
     out
 }
 
-fn instr(ins: &Instr) -> String {
+fn instr(ins: &Instr, code: &[Instr]) -> String {
     match ins {
         Instr::LoopStart { slot, extent, end } => {
             format!("for        %{slot} in 0..{}, end={end:04}", int(extent))
@@ -110,8 +110,59 @@ fn instr(ins: &Instr) -> String {
             op.k
         ),
         Instr::Super { spec, done } => format!("{} -> {done:04}", superinstr(spec)),
+        Instr::Nest { spec, end } => nest(spec, &code[spec.lanes_at as usize], *end),
         Instr::Fail(msg) => format!("fail       {msg:?}"),
     }
+}
+
+/// One line per row nest: the outer slot and extent, then how each
+/// quantity of the lane prologue (the superinstruction `lanes`) moves with
+/// the trip — `row` (not at all), `+step` per trip, `gather*scale` through
+/// the nest's one index load.
+fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
+    let Instr::Super { spec: lanes, .. } = lanes else {
+        unreachable!("a nest's lane loop is a superinstruction")
+    };
+    let mnemonic = match &lanes.micro {
+        Micro::FillLanes { .. } => "nest.fill",
+        Micro::AxpyLanes { .. } => "nest.axpy",
+        Micro::DotLanes { .. } => "nest.dot ",
+        Micro::GatherScaleAccumulate { .. } => "nest.gsa ",
+    };
+    let moves = |step: i64, scale: i64| match (step, scale) {
+        (0, 0) => "row".to_string(),
+        (s, 0) => format!("{s:+}"),
+        (0, g) => format!("gather*{g}"),
+        (s, g) => format!("gather*{g}{s:+}"),
+    };
+    let drift = |d: &Option<Drift>| d.map_or_else(|| "row".to_string(), |d| moves(d.step, d.scale));
+    let mut out = format!(
+        "{mnemonic}  %{} in 0..{}, end={end:04}, lanes=%{}",
+        spec.slot,
+        int(&spec.extent),
+        lanes.lane_slot
+    );
+    if !spec.pins.is_empty() {
+        let pins: Vec<String> = spec.pins.iter().map(|(s, c)| format!("%{s}={c}")).collect();
+        let _ = write!(out, ", pin=[{}]", pins.join(", "));
+    }
+    if let Some(g) = &spec.gather {
+        let _ = write!(out, ", gather=@{}[{}]{:+}", g.buf, index_expr(&g.index), g.drift.step);
+    }
+    let _ = write!(out, ", dst={}", drift(&spec.views[0]));
+    if !matches!(lanes.micro, Micro::FillLanes { .. }) {
+        let _ = write!(out, " a={} b={}", drift(&spec.views[1]), drift(&spec.views[2]));
+        let _ = write!(out, " coeff={}", drift(&spec.coeff));
+    }
+    if !spec.reduce_moves.is_empty() {
+        let iters: Vec<String> = spec
+            .reduce_moves
+            .iter()
+            .map(|(slot, step, scale)| format!("%{slot} {}", moves(*step, *scale)))
+            .collect();
+        let _ = write!(out, ", reduce=[{}]", iters.join("; "));
+    }
+    out
 }
 
 fn superinstr(spec: &LaneSpec) -> String {

@@ -29,6 +29,30 @@
 //! as the unsplit loop would ([`coalesce`]), so the per-invocation
 //! prologue is paid once per non-zero, not once per `E_i` lanes.
 //!
+//! One loop further out, [`build_nest`] (the `nest` submodule) analyzes
+//! the loop *around* a fused lane loop — a CSR row's or ELL bucket's
+//! non-zeros — and yields a **row nest** that pays that prologue once per
+//! row, when relative to the outer loop variable `j` it proves:
+//!
+//! * the outer body is the lane loop and nothing else (unit-trip loops in
+//!   between only pin their variable to 0);
+//! * every iter binding, and the one index dimension of each lane view
+//!   and of the coefficient's load that moves at all, is **row-invariant**,
+//!   **affine** in `j` with a compile-time step, or **gathered** —
+//!   a constant times one `i32` load at an affine-in-`j` position (the
+//!   `indices[indptr[i] + j]` column) plus an affine part — with at most
+//!   one such load per nest, from a buffer the lanes do not write;
+//! * the lane count, every index extent, and the init / fill values are
+//!   row-invariant; the coefficient is row-invariant or one plain load.
+//!
+//! A nest runs trip 0 through the lane loop's own prologue, then walks the
+//! moving quantities: per non-zero one bounds-checked index load, one
+//! bounds-checked coefficient load, a base add and an interval check per
+//! moving view, and the same lane bodies. It is the head of its loop in
+//! place of `LoopStart`; the loop behind it is lowered as without it, and
+//! the nest hands it the first trip whose checks fail, before that trip
+//! writes anything.
+//!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
 //! body — what a split by a factor that does not divide the extent
 //! leaves), or alias-hazardous is left on generic dispatch. The generic
@@ -65,6 +89,10 @@ use super::{
     IntOp, RawBuf,
 };
 use std::collections::HashMap;
+
+mod nest;
+
+pub(super) use nest::{build_nest, Drift, NestSpec};
 
 // ---------------------------------------------------------------------------
 // Compile-time stride / invariance / aliasing analysis
@@ -137,40 +165,50 @@ fn int_stride(e: &IntExpr, env: &StrideEnv) -> Option<i64> {
     }
 }
 
+/// What the invariance walkers ask of an analysis environment: does this
+/// integer expression keep one value over the loop under analysis? The
+/// lane analysis answers with a zero lane stride; the row-nest analysis
+/// ([`nest`]) with a row-invariant form.
+trait Steady {
+    fn steady(&self, e: &IntExpr) -> bool;
+}
+
+impl Steady for StrideEnv {
+    fn steady(&self, e: &IntExpr) -> bool {
+        int_stride(e, self) == Some(0)
+    }
+}
+
 /// True when `e` provably evaluates to the same value at every lane.
-fn float_invariant(e: &FloatExpr, env: &StrideEnv) -> bool {
+fn float_invariant<E: Steady>(e: &FloatExpr, env: &E) -> bool {
     match e {
         FloatExpr::Const(_) => true,
         FloatExpr::Bin { lhs, rhs, .. } => float_invariant(lhs, env) && float_invariant(rhs, env),
         FloatExpr::Select { cond, then_, else_ } => {
             bool_invariant(cond, env) && float_invariant(then_, env) && float_invariant(else_, env)
         }
-        FloatExpr::FromInt(i) => int_stride(i, env) == Some(0),
+        FloatExpr::FromInt(i) => env.steady(i),
         FloatExpr::Load { index, .. } => index_invariant(index, env),
         FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => float_invariant(v, env),
     }
 }
 
 /// True when `e` provably evaluates to the same value at every lane.
-fn bool_invariant(e: &super::BoolExpr, env: &StrideEnv) -> bool {
+fn bool_invariant<E: Steady>(e: &super::BoolExpr, env: &E) -> bool {
     use super::BoolExpr;
     match e {
-        BoolExpr::CmpI { lhs, rhs, .. } => {
-            int_stride(lhs, env) == Some(0) && int_stride(rhs, env) == Some(0)
-        }
+        BoolExpr::CmpI { lhs, rhs, .. } => env.steady(lhs) && env.steady(rhs),
         BoolExpr::CmpF { lhs, rhs, .. } => float_invariant(lhs, env) && float_invariant(rhs, env),
         BoolExpr::And(l, r) | BoolExpr::Or(l, r) => {
             bool_invariant(l, env) && bool_invariant(r, env)
         }
-        BoolExpr::IntNonZero(i) => int_stride(i, env) == Some(0),
+        BoolExpr::IntNonZero(i) => env.steady(i),
         BoolExpr::FloatNonZero(f) => float_invariant(f, env),
     }
 }
 
-fn index_invariant(ix: &IndexExpr, env: &StrideEnv) -> bool {
-    ix.dims
-        .iter()
-        .all(|(idx, ext)| int_stride(idx, env) == Some(0) && int_stride(ext, env) == Some(0))
+fn index_invariant<E: Steady>(ix: &IndexExpr, env: &E) -> bool {
+    ix.dims.iter().all(|(idx, ext)| env.steady(idx) && env.steady(ext))
 }
 
 /// Lane stride of the flattened index: every extent and every dimension
@@ -254,6 +292,12 @@ pub(super) struct LaneView {
     pub stride: i64,
 }
 
+impl LaneView {
+    fn parts(&self) -> (u32, &IndexExpr, i64) {
+        (self.buf, &self.index, self.stride)
+    }
+}
+
 /// Association / operand-order shape of a recognized per-lane term.
 /// Preserved exactly so every `f64` rounding happens where generic
 /// dispatch has it.
@@ -334,18 +378,26 @@ impl Micro {
         }
     }
 
-    /// Every lane view the op touches (`dst`, then the term's operands)
-    /// and every lane-invariant value it evaluates once per invocation.
-    fn operands(&self) -> (Vec<&LaneView>, Option<&FloatExpr>) {
+    /// The lane views the op touches: `dst`, then the term's `a` and `b`.
+    fn views(&self) -> [Option<&LaneView>; 3] {
         match self {
-            Micro::FillLanes { dst, value } => (vec![dst], Some(value)),
+            Micro::FillLanes { dst, .. } => [Some(dst), None, None],
             Micro::AxpyLanes { dst, term }
             | Micro::DotLanes { dst, term }
             | Micro::GatherScaleAccumulate { dst, term } => {
-                let mut views = vec![dst, &term.a];
-                views.extend(&term.b);
-                (views, term.coeff.as_ref())
+                [Some(dst), Some(&term.a), term.b.as_ref()]
             }
+        }
+    }
+
+    /// The lane-invariant value the op evaluates once per invocation: the
+    /// fill value or the term's coefficient.
+    fn hoisted(&self) -> Option<&FloatExpr> {
+        match self {
+            Micro::FillLanes { value, .. } => Some(value),
+            Micro::AxpyLanes { term, .. }
+            | Micro::DotLanes { term, .. }
+            | Micro::GatherScaleAccumulate { term, .. } => term.coeff.as_ref(),
         }
     }
 }
@@ -441,9 +493,13 @@ fn coalesce(node: &CStmt) -> Option<LaneSpec> {
         }
         env.insert(it.slot, outer_stride);
     }
-    let (views, hoisted) = spec.micro.operands();
-    let lanes_line_up =
-        views.iter().all(|v| index_lane_stride(&v.index, &env) == ei.checked_mul(v.stride));
+    let hoisted = spec.micro.hoisted();
+    let lanes_line_up = spec
+        .micro
+        .views()
+        .into_iter()
+        .flatten()
+        .all(|v| index_lane_stride(&v.index, &env) == ei.checked_mul(v.stride));
     let init_value = match &spec.init {
         InitKind::None => None,
         InitKind::Always { value } | InitKind::WhenReduceZero { value } => Some(value),
@@ -780,6 +836,14 @@ enum Lanes {
 }
 
 impl Lanes {
+    /// The first lane's value, read the way generic dispatch reads it
+    /// (a coefficient load: never through the plain body).
+    fn first(self) -> f64 {
+        // SAFETY: every `Lanes` was resolved — each lane bounds-checked —
+        // for at least one lane, so lane 0's element is live.
+        f64::from(unsafe { elem_load_f32(self.piece(0).0, 0) })
+    }
+
     fn stride(self) -> i64 {
         match self {
             Lanes::Run { stride, .. } => stride,
@@ -833,25 +897,92 @@ unsafe fn pieces<const N: usize>(
     }
 }
 
+/// Where an index lands with every slot bound: the flat element, and the
+/// innermost dimension's index and extent.
+#[derive(Clone, Copy)]
+struct Place {
+    flat: i64,
+    last_i: i64,
+    last_d: i64,
+}
+
+/// One resolved operand and where it was found.
+type Found = (Lanes, Place);
+
+/// `(x / w, x % w)` for `x >= 0`, `w > 0` — through a 32-bit divide when
+/// both fit, which is several times cheaper than the 64-bit one.
+#[inline(always)]
+fn div_rem(x: i64, w: i64) -> (i64, i64) {
+    debug_assert!(x >= 0 && w > 0);
+    match (u32::try_from(x), u32::try_from(w)) {
+        (Ok(x), Ok(w)) => (i64::from(x / w), i64::from(x % w)),
+        _ => (x / w, x % w),
+    }
+}
+
+/// The lanes of an `n`-lane run at `stride` starting at element `flat` of
+/// a column-segmented binding `width` columns wide; `None` for a run the
+/// microkernels do not take (one crossing a logical row, a strided one).
+///
+/// # Safety
+/// `0 <= flat` and the run's last lane `flat + stride·(n − 1)` both lie
+/// inside the binding's `rows × width` elements, and `table` is its
+/// column table.
+#[inline(always)]
+unsafe fn cols_lanes(
+    table: *const ColSeg,
+    width: i64,
+    flat: i64,
+    n: i64,
+    stride: i64,
+) -> Option<Lanes> {
+    let (row, col0) = div_rem(flat, width);
+    // SAFETY: col0 < width entries in the table, each pointing at row 0
+    // of a `rows`-row column with row stride `e.stride`, and row < rows.
+    let e = &*table.add(col0 as usize);
+    let first = e.ptr.add(row as usize * e.stride as usize);
+    match stride {
+        // Lane-invariant: one element, shared by all lanes.
+        0 => Some(Lanes::Run { ptr: first, stride: 0 }),
+        // The run would cross a logical row: generic loop.
+        1 if col0 + n > width => None,
+        // The whole run stays inside one segment.
+        1 if n <= i64::from(e.rem) => Some(Lanes::Run { ptr: first, stride: 1 }),
+        1 => Some(Lanes::Cols { table, row: row as usize, col0: col0 as usize }),
+        _ => None,
+    }
+}
+
 /// Resolve `view` for `n` lanes, validating every lane's bounds without
 /// raising: `None` means "run the generic loop instead" (which reproduces
 /// the exact interpreter error, if any). `for_store` additionally
 /// requires the binding to be writable, so stores into read-only
 /// segmented views fall back to the generic loop's error path.
-fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option<Lanes> {
-    let (flat, last_i, last_d) = view.index.eval_with_last(fr).ok()?;
-    let span = view.stride.checked_mul(n - 1)?;
+///
+/// Inlined into the prologue: out of line, passing the view apart and
+/// returning the operand with its place through memory costs ≈ 8 ns per
+/// call, three or four times per superinstruction (measured on the
+/// per-non-zero SDDMM path).
+#[inline(always)]
+fn resolve_lanes(
+    fr: &Frame,
+    (buf, index, stride): (u32, &IndexExpr, i64),
+    n: i64,
+    for_store: bool,
+) -> Option<Found> {
+    let (flat, last_i, last_d) = index.eval_with_last(fr).ok()?;
+    let span = stride.checked_mul(n - 1)?;
     let last_end = last_i.checked_add(span)?;
     if last_end < 0 || last_end >= last_d {
         return None;
     }
     let flat_end = flat.checked_add(span)?;
     let within = |len: i64| flat >= 0 && flat < len && flat_end >= 0 && flat_end < len;
-    match fr.bufs[view.buf as usize] {
+    let lanes = match fr.bufs[buf as usize] {
         RawBuf::F32 { ptr, len } => {
             // SAFETY: 0 <= flat < len elements behind ptr.
             within(i64::try_from(len).ok()?)
-                .then(|| Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride: view.stride })
+                .then(|| Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride })
         }
         RawBuf::SegCols { table, width, rows, writable } => {
             if for_store && !writable {
@@ -861,24 +992,8 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
             if w == 0 || !within(w.checked_mul(i64::try_from(rows).ok()?)?) {
                 return None;
             }
-            let (row, col0) = ((flat / w) as usize, flat % w);
-            // SAFETY: col0 < width entries in the table, each pointing at
-            // row 0 of a `rows`-row column with row stride `e.stride`, and
-            // row < rows.
-            let (e, first) = unsafe {
-                let e = &*table.add(col0 as usize);
-                (e, e.ptr.add(row * e.stride as usize))
-            };
-            match view.stride {
-                // Lane-invariant: one element, shared by all lanes.
-                0 => Some(Lanes::Run { ptr: first, stride: 0 }),
-                // The run would cross a logical row: generic loop.
-                1 if col0 + n > w => None,
-                // The whole run stays inside one segment.
-                1 if n <= i64::from(e.rem) => Some(Lanes::Run { ptr: first, stride: 1 }),
-                1 => Some(Lanes::Cols { table, row, col0: col0 as usize }),
-                _ => None,
-            }
+            // SAFETY: 0 <= flat < rows * width, as is the run's last lane.
+            unsafe { cols_lanes(table, w, flat, n, stride) }
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
             if for_store && !writable {
@@ -888,7 +1003,7 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
             if sl == 0 || !within(sl.checked_mul(i64::try_from(n_segs).ok()?)?) {
                 return None;
             }
-            let (s, off) = (flat / sl, flat % sl);
+            let (s, off) = div_rem(flat, sl);
             let end_off = off.checked_add(span)?;
             if end_off < 0 || end_off >= sl {
                 // The run would cross a segment boundary: generic loop.
@@ -897,17 +1012,41 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
             // SAFETY: s < n_segs entries in the table; off < seg_len
             // elements behind each.
             let ptr = unsafe { (*segs.add(s as usize)).ptr.add(off as usize) };
-            Some(Lanes::Run { ptr, stride: view.stride })
+            Some(Lanes::Run { ptr, stride })
         }
         _ => None,
-    }
+    };
+    Some((lanes?, Place { flat, last_i, last_d }))
 }
 
 /// Which lanes the init value overwrites the accumulator at.
+#[derive(Clone, Copy)]
 enum LaneInit {
     Never,
     All,
     One(i64),
+}
+
+/// Everything one invocation of a lane body reads, resolved and
+/// bounds-checked: what [`LaneSpec::resolve`] hands [`LaneSpec::run`], and
+/// what a row nest ([`nest`]) patches from trip to trip.
+#[derive(Clone, Copy)]
+struct Resolved {
+    /// Lane count.
+    n: i64,
+    init: LaneInit,
+    /// The init value as the accumulating load reads it back: through the
+    /// `f32` store the generic init performs.
+    init32: f32,
+    /// The term's coefficient; for a fill, the value.
+    scalar: f64,
+    /// `dst`, `a`, `b` (a fill repeats `dst`; a term without a second
+    /// operand repeats `a`, which its shape never loads).
+    ops: [Lanes; 3],
+    /// Where each of `ops` — and a coefficient that is one plain load —
+    /// was found (what a row nest starts its walks from).
+    at: [Place; 3],
+    coeff_at: Option<Place>,
 }
 
 /// The per-lane `f64` term of `$shape` as a closure `$t(a, b)` over lane
@@ -1042,6 +1181,27 @@ impl LaneSpec {
     /// lane's bounds, then run the microkernel. `None` (no writes done
     /// yet) falls back to the generic loop.
     pub(super) fn try_fast(&self, fr: &mut Frame, n: i64) -> Option<()> {
+        let r = self.resolve_inline(fr, n)?;
+        // The plain body is licensed by the frame being thread-private.
+        let body = LaneBody::of(fr);
+        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
+        self.run_inline(body, &r)
+    }
+
+    /// The prologue of [`LaneSpec::try_fast`]: bind the iters at lane 0,
+    /// evaluate the init and the hoisted value, resolve every operand's
+    /// lanes. Writes nothing but scalar slots.
+    ///
+    /// [`LaneSpec::try_fast`] — once per non-zero wherever no row nest
+    /// applies — takes both halves inlined, so that path stays the one
+    /// function it was before the split (out of line it measured 5–10 %
+    /// slower per superinstruction); a nest calls this once per row.
+    fn resolve(&self, fr: &mut Frame, n: i64) -> Option<Resolved> {
+        self.resolve_inline(fr, n)
+    }
+
+    #[inline(always)]
+    fn resolve_inline(&self, fr: &mut Frame, n: i64) -> Option<Resolved> {
         fr.scalars[self.lane_slot as usize] = 0;
         if let Some(outer) = self.outer_slot {
             fr.scalars[outer as usize] = 0;
@@ -1050,44 +1210,80 @@ impl LaneSpec {
             let v = it.binding.eval(fr).ok()?;
             fr.scalars[it.slot as usize] = v;
         }
-        let (lane_init, init_v) = match &self.init {
-            InitKind::None => (LaneInit::Never, 0.0f64),
-            InitKind::Always { value } => (LaneInit::All, value.eval(fr).ok()?),
-            InitKind::WhenReduceZero { value } => {
+        let init_v = match &self.init {
+            InitKind::None => 0.0f64,
+            InitKind::Always { value }
+            | InitKind::WhenReduceZero { value }
+            | InitKind::AtZeroLane { value } => value.eval(fr).ok()?,
+        };
+        let ((scalar, coeff_at), [d, a, b]) = match &self.micro {
+            Micro::FillLanes { dst, value } => {
                 let v = value.eval(fr).ok()?;
+                ((v, None), [resolve_lanes(fr, dst.parts(), n, true)?; 3])
+            }
+            Micro::AxpyLanes { dst, term }
+            | Micro::DotLanes { dst, term }
+            | Micro::GatherScaleAccumulate { dst, term } => {
+                let (coeff, a, b) = resolve_term(fr, term, n)?;
+                (coeff, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
+            }
+        };
+        Some(Resolved {
+            n,
+            init: self.lane_init(fr, n),
+            // Init value round-trips through the f32 store the generic
+            // init performs before the accumulating load reads it back.
+            init32: init_v as f32,
+            scalar,
+            ops: [d.0, a.0, b.0],
+            at: [d.1, a.1, b.1],
+            coeff_at,
+        })
+    }
+
+    /// At which lanes the init fires, from the reduce iters' values at
+    /// lane 0 (already in their slots).
+    fn lane_init(&self, fr: &Frame, n: i64) -> LaneInit {
+        match &self.init {
+            InitKind::None => LaneInit::Never,
+            InitKind::Always { .. } => LaneInit::All,
+            InitKind::WhenReduceZero { .. } => {
                 let zero = self
                     .iters
                     .iter()
                     .filter(|it| it.is_reduce)
                     .all(|it| fr.scalars[it.slot as usize] == 0);
-                (if zero { LaneInit::All } else { LaneInit::Never }, v)
+                if zero {
+                    LaneInit::All
+                } else {
+                    LaneInit::Never
+                }
             }
-            InitKind::AtZeroLane { value } => {
-                let v = value.eval(fr).ok()?;
-                (self.zero_lane(fr, n), v)
-            }
-        };
-        // Init value round-trips through the f32 store the generic init
-        // performs before the accumulating load reads it back.
-        let init32 = init_v as f32;
-        // The plain body is licensed by the frame being thread-private.
-        let body = LaneBody::of(fr);
-        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
+            InitKind::AtZeroLane { .. } => self.zero_lane(fr, n),
+        }
+    }
 
+    /// Run the microkernel over lanes `r` resolved, on lane body `body`
+    /// (which must be `Plain` only for an [`Frame::exclusive`] frame).
+    /// `None` only before any write.
+    fn run(&self, body: LaneBody, r: &Resolved) -> Option<()> {
+        self.run_inline(body, r)
+    }
+
+    #[inline(always)]
+    fn run_inline(&self, body: LaneBody, r: &Resolved) -> Option<()> {
+        let (n, ops) = (r.n, r.ops);
         match &self.micro {
-            Micro::FillLanes { dst, value } => {
-                let v = value.eval(fr).ok()? as f32;
-                let d = resolve_lanes(fr, dst, n, true)?;
+            Micro::FillLanes { .. } => {
+                let v = r.scalar as f32;
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
                 // and its writability; `fuse_lane_loop` proved its stride
                 // is 1; `M` is `Plain` only on an exclusive frame.
-                on_body!(body, M => unsafe { fill::<M>(n, d, v) });
+                on_body!(body, M => unsafe { fill::<M>(n, ops[0], v) });
             }
-            Micro::AxpyLanes { dst, term } => {
-                let (coeff, a, b) = resolve_term(fr, term, n)?;
-                let ops = [resolve_lanes(fr, dst, n, true)?, a, b];
-                let base = match lane_init {
-                    LaneInit::All => Some(f64::from(init32)),
+            Micro::AxpyLanes { term, .. } => {
+                let base = match r.init {
+                    LaneInit::All => Some(f64::from(r.init32)),
                     LaneInit::Never => None,
                     LaneInit::One(_) => return None, // unreachable by construction
                 };
@@ -1095,26 +1291,24 @@ impl LaneSpec {
                 // operand (and `dst`'s writability) before the first write;
                 // `fuse_lane_loop` proved all three strides are 1; `M` is
                 // `Plain` only on an exclusive frame.
-                on_body!(body, M => with_term!(M, term.shape, coeff, |t| unsafe {
+                on_body!(body, M => with_term!(M, term.shape, r.scalar, |t| unsafe {
                     axpy::<M>(n, ops, base, t);
                 }));
             }
-            Micro::DotLanes { dst, term } | Micro::GatherScaleAccumulate { dst, term } => {
-                let (coeff, a, b) = resolve_term(fr, term, n)?;
-                let ops = [resolve_lanes(fr, dst, n, true)?, a, b];
+            Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
                 // Every lane at or after an init restarts from the init
                 // value, so only the lanes from the last init on reach the
                 // stored result.
-                let (from, start) = match lane_init {
+                let (from, start) = match r.init {
                     LaneInit::Never => (0, None),
-                    LaneInit::All => (n - 1, Some(init32)),
-                    LaneInit::One(l0) => (l0, Some(init32)),
+                    LaneInit::All => (n - 1, Some(r.init32)),
+                    LaneInit::One(l0) => (l0, Some(r.init32)),
                 };
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `a`
                 // and `b` at their proven strides and the one element of
                 // `dst` (stride 0, writable); `0 <= from < n`; `M` is
                 // `Plain` only on an exclusive frame.
-                on_body!(body, M => with_term!(M, term.shape, coeff, |t| unsafe {
+                on_body!(body, M => with_term!(M, term.shape, r.scalar, |t| unsafe {
                     reduce::<M>((from, n), ops, start, t);
                 }));
             }
@@ -1157,15 +1351,27 @@ impl LaneSpec {
     }
 }
 
-/// Evaluate the invariant coefficient and resolve the lane operands.
-fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f64, Lanes, Lanes)> {
+/// Evaluate the invariant coefficient and resolve the lane operands. A
+/// coefficient that is one plain load is resolved like a one-lane view —
+/// the same checks and the same element as evaluating the load — so a row
+/// nest can walk it from where it was found.
+#[inline(always)]
+fn resolve_term(
+    fr: &Frame,
+    term: &TermSpec,
+    n: i64,
+) -> Option<((f64, Option<Place>), Found, Found)> {
     let coeff = match &term.coeff {
-        Some(c) => c.eval(fr).ok()?,
-        None => 0.0,
+        Some(FloatExpr::Load { buf, index }) => {
+            let (lanes, at) = resolve_lanes(fr, (*buf, index, 0), 1, false)?;
+            (lanes.first(), Some(at))
+        }
+        Some(c) => (c.eval(fr).ok()?, None),
+        None => (0.0, None),
     };
-    let a = resolve_lanes(fr, &term.a, n, false)?;
+    let a = resolve_lanes(fr, term.a.parts(), n, false)?;
     let b = match &term.b {
-        Some(bv) => resolve_lanes(fr, bv, n, false)?,
+        Some(bv) => resolve_lanes(fr, bv.parts(), n, false)?,
         // Never loaded by shapes without a second operand; alias `a` so
         // the operand triple stays uniform.
         None => a,

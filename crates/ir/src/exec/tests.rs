@@ -678,6 +678,119 @@ fn coalesced_run_past_the_dimension_falls_back_to_the_generic_nest() {
     assert_eq!(tensors["C"].as_f32(), &[2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 0.5, 0.5]);
 }
 
+/// `par i { for j in 0..3 { for k { C[i, k] += W[i·3 + j] · X[Idx[i·3 + j], k] } } }`:
+/// an ELL-shaped kernel whose `j` loop is a row nest (gathered `X` row,
+/// walked coefficient, row-invariant `C` row), with its tensors.
+fn ell_func(rows: i64, n: i64) -> (PrimFunc, HashMap<String, TensorData>) {
+    let width = 3i64;
+    let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+    let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+    let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+    let x = Buffer::global_f32("X", vec![Expr::i32(4), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let at = vec![Expr::var(&i), Expr::var(&k)];
+    let pos = Expr::var(&i) * width + Expr::var(&j);
+    let lanes = Stmt::for_serial(
+        k.clone(),
+        n,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: at.clone(),
+            value: c.load(at)
+                + w.load(vec![pos.clone()]) * x.load(vec![idx.load(vec![pos]), Expr::var(&k)]),
+        },
+    );
+    let body = Stmt::For {
+        var: i.clone(),
+        extent: Expr::i32(rows),
+        kind: ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        body: Box::new(Stmt::for_serial(j.clone(), width, lanes)),
+    };
+    let f = PrimFunc::new("ell", vec![], vec![idx, w, x, c], body);
+    let ramp = |len: i64, by: f32| (0..len).map(|v| by * (v as f32 - 5.0)).collect::<Vec<_>>();
+    let mut t = HashMap::new();
+    t.insert(
+        "Idx".to_string(),
+        TensorData::from((0..rows * width).map(|p| (p * 7 % 4) as i32).collect::<Vec<_>>()),
+    );
+    t.insert("W".to_string(), TensorData::from(ramp(rows * width, 0.75)));
+    t.insert("X".to_string(), TensorData::from(ramp(4 * n, -0.031)));
+    t.insert("C".to_string(), TensorData::from(ramp(rows * n, 0.013)));
+    (f, t)
+}
+
+fn nest_spec(k: &CompiledKernel) -> &fuse::NestSpec {
+    k.code
+        .instrs()
+        .iter()
+        .find_map(|ins| match ins {
+            bytecode::Instr::Nest { spec, .. } => Some(&**spec),
+            _ => None,
+        })
+        .expect("kernel has a row nest")
+}
+
+/// A row nest under a `Par` kept on the caller's thread (exclusive frame,
+/// plain lanes) and fanned out over two (non-exclusive frames, atomic
+/// lanes) writes the same bits, and the interpreter's; run directly, the
+/// nest picks its lane body from the frame like a `Super` does.
+#[test]
+fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
+    let (f, tensors) = ell_func(5, 33);
+    let kernel = CompiledKernel::compile_with(&f, true).unwrap();
+    assert!(kernel.is_parallel() && kernel.fused_ops() == 1);
+    let nest = nest_spec(&kernel);
+    assert!(nest.gather.is_some() && nest.coeff.is_some());
+    assert_eq!(nest.views.map(|v| v.is_some()), [false, true, false], "only `X` moves");
+
+    let mut interp = tensors.clone();
+    eval_func(&f, &HashMap::new(), &mut interp).unwrap();
+    for threads in [1, 2] {
+        let mut t = tensors.clone();
+        let mut fr = frame_of(&kernel, &mut t);
+        kernel.code.exec_on(&mut fr, Some(threads)).unwrap();
+        assert_eq!(t["C"], interp["C"], "threads = {threads}");
+    }
+    // Row 0's nest alone, on both kinds of frame.
+    let row0 = |exclusive: bool| {
+        let mut t = tensors.clone();
+        let mut fr = frame_of(&kernel, &mut t);
+        fr.exclusive = exclusive;
+        assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 3, "all three trips taken");
+        t.remove("C").unwrap()
+    };
+    assert_eq!(row0(true), row0(false));
+    assert_eq!(row0(true).as_f32()[..33], interp["C"].as_f32()[..33]);
+}
+
+/// The nest's contract with the loop behind it: a trip it cannot take is
+/// reported *before* anything of that trip is written, every earlier trip
+/// stands, and the generic loop resuming there reproduces the
+/// interpreter's error and prefix.
+#[test]
+fn nest_reports_the_first_trip_it_cannot_take() {
+    let (f, mut tensors) = ell_func(2, 8);
+    let kernel = CompiledKernel::compile_with(&f, true).unwrap();
+    let nest = nest_spec(&kernel);
+    // Row 0, trip 1 gathers a row `X` does not have.
+    let TensorData::I32(idx) = tensors.get_mut("Idx").unwrap() else { unreachable!() };
+    idx[1] = 4;
+    let mut interp = tensors.clone();
+    let err = eval_func(&f, &HashMap::new(), &mut interp).unwrap_err().to_string();
+    assert!(err.ends_with("index 4 out of bounds for dim of extent 4 in buffer `X`"), "{err}");
+
+    let mut t = tensors.clone();
+    let mut fr = frame_of(&kernel, &mut t);
+    assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 1, "trip 0 taken, trip 1 handed back");
+    assert_eq!(t["C"], interp["C"], "exactly trip 0 of row 0 is written");
+
+    let mut t = tensors.clone();
+    let mut fr = frame_of(&kernel, &mut t);
+    let got = kernel.code.exec_on(&mut fr, Some(1)).unwrap_err();
+    assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
+    assert_eq!(t["C"], interp["C"]);
+}
+
 /// Empty views are valid bindings, not dangling-pointer arithmetic: a
 /// zero-row `ColsView` (segments of `cols > 0` over empty slices — what a
 /// zero-row adjacency's SpMM output is), zero-width segments and empty

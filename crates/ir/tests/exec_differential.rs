@@ -39,7 +39,12 @@
 //! bit-identical outputs, and identical error text on a short binding and
 //! on a store to a read-only view. Its `split_k` members run the default
 //! CSR schedule's `split(k, 32)` at widths 32 … 128 (lane-coalesced) and
-//! 48 (guarded tail, generic) through the same three bindings.
+//! 48 (guarded tail, generic) through the same three bindings. Its
+//! `row_nest` members pin the row-nest superinstruction: the served CSR /
+//! ELL / one-head SDDMM loops must compile to one, keep every output bit,
+//! and fail like the interpreter when a trip in the *middle* of a row does
+//! (a corrupted column index, a short `B`); one negative case per
+//! classification rule must stay on the per-non-zero `Super`.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, serially (plain lane
@@ -48,10 +53,13 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sparsetir_core::prelude::{lower, spmm_program};
+use sparsetir_core::prelude::{bind_dense, bind_zeros, lower, spmm_program};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
-use sparsetir_kernels::prelude::{csr_spmm_ir, fused_attention_ir, fused_sage_ir, inverse_degrees};
+use sparsetir_kernels::prelude::{
+    csr_spmm_ir, fused_attention_ir, fused_sage_ir, inverse_degrees, prepare_spmm_structure,
+    CsrSpmmParams, SpmmConfig,
+};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use sparsetir_smat::prelude::{gen, Csr};
 use std::collections::HashMap;
@@ -309,7 +317,10 @@ fn serial_nest(seed: u64) -> (PrimFunc, HashMap<String, TensorData>) {
             ForKind::Parallel,
         ];
         let kind = kinds[g.rng.gen_range(0..kinds.len())];
-        loops.push((Var::i32(format!("l{li}")), g.rng.gen_range(1i64..6), kind));
+        // A third of the loops are forced to one trip: those lower to a
+        // bind of the loop variable, not a loop.
+        let extent = if g.rng.gen_range(0..3) == 0 { 1 } else { g.rng.gen_range(1i64..6) };
+        loops.push((Var::i32(format!("l{li}")), extent, kind));
     }
     g.loop_vars = loops.iter().map(|(v, _, _)| v.clone()).collect();
 
@@ -950,12 +961,7 @@ fn views_fixture(seed: u64) -> (Csr, HashMap<String, TensorData>, SmallRng) {
     let mut rng = gen::rng(seed);
     let a = gen::random_csr_with_row_lengths(9, 7, |r| r.gen_range(0..4), &mut rng);
     assert!(a.nnz() > 0 && (0..a.rows()).any(|r| a.row_nnz(r) == 0), "fixture {seed:#x}");
-    let as_i32 =
-        |v: Vec<usize>| TensorData::from(v.into_iter().map(|x| x as i32).collect::<Vec<_>>());
-    let mut t = HashMap::new();
-    t.insert("J_indptr".to_string(), as_i32(a.indptr().to_vec()));
-    t.insert("J_indices".to_string(), as_i32(a.indices().iter().map(|&x| x as usize).collect()));
-    t.insert("A".to_string(), TensorData::from(a.values().to_vec()));
+    let t = csr_tensors(&a);
     (a, t, rng)
 }
 
@@ -1029,6 +1035,7 @@ fn sddmm_parts(
 fn views_csr_spmm_bit_matches_whole_tensors() {
     let (a, structure, mut rng) = views_fixture(0x51);
     let f = csr_spmm_ir(&a, 7).unwrap();
+    assert_eq!(nests(&f), ["nest.axpy"], "the row loop is one nest");
     for cut in column_cuts(7) {
         let parts = [
             Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
@@ -1036,19 +1043,43 @@ fn views_csr_spmm_bit_matches_whole_tensors() {
         ];
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
     }
+    // A `B` one segment short fails mid-kernel, inside a nest: same text
+    // and same written prefix as the interpreter, whole and segmented
+    // (on the serial schedule: a fanned-out `blockIdx` loop has no one
+    // prefix).
+    let f = serial_spmm(&a, 7);
+    assert_eq!(nests(&f), ["nest.axpy"]);
+    let cut = &column_cuts(7)[1];
+    let mut short = [
+        Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
+        Part::output("C", a.rows(), cut.clone()),
+    ];
+    short[0].segs.pop();
+    short[0].widths.pop();
+    let errs = views_differential(&f, &structure, &short);
+    let want = errs[0].clone().expect("a short binding must fail");
+    assert!(want.contains("out of bounds") && want.contains("`B`"), "{want}");
+    assert_eq!(errs, [Some(want.clone()), Some(want)]);
 }
 
 #[test]
 fn views_batched_sddmm_bit_matches_whole_tensors() {
     let (a, structure, mut rng) = views_fixture(0x52);
-    let (heads, k) = (3, 2);
-    let f = batched_sddmm_ir(&a, heads, k).unwrap();
-    let y_segs = [1, heads, heads * k];
-    for ((x_cut, y_segs), out_cut) in
-        column_cuts(heads * k).into_iter().zip(y_segs).zip(column_cuts(heads))
-    {
-        let parts = sddmm_parts(&a, (heads, k), (x_cut, y_segs, out_cut), &mut rng);
-        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    // Three heads: the head loop around the lane loop is the nest. One
+    // head — the served shape — makes the head loop a bind and the row's
+    // non-zero loop the nest, gathering `Y`'s column like the CSR SpMM.
+    for (heads, k, nest) in [(3, 2, "%2 in 0..3"), (1, 4, "pin=[%2=0], gather=@5")] {
+        let f = batched_sddmm_ir(&a, heads, k).unwrap();
+        let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+        assert_eq!(nests(&f), ["nest.gsa "], "{listing}");
+        assert!(listing.contains(nest), "heads = {heads}: {listing}");
+        let y_segs = [1, heads, heads * k];
+        for ((x_cut, y_segs), out_cut) in
+            column_cuts(heads * k).into_iter().zip(y_segs).zip(column_cuts(heads))
+        {
+            let parts = sddmm_parts(&a, (heads, k), (x_cut, y_segs, out_cut), &mut rng);
+            assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+        }
     }
 }
 
@@ -1146,6 +1177,16 @@ fn split_k_spmm(a: &Csr, d: usize) -> PrimFunc {
     sch.into_func()
 }
 
+/// [`csr_spmm_ir`] without its thread bindings — the split factor follows
+/// narrow widths, so the lane loop fuses at any `d` — for cases that need
+/// a deterministic first error and written prefix.
+fn serial_spmm(a: &Csr, d: usize) -> PrimFunc {
+    let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
+    let mut sch = Schedule::new(f);
+    sch.split("k", 32.min(d as i64)).unwrap();
+    sch.into_func()
+}
+
 /// Widths the split divides (one coalesced `k_o × 32` lane run per
 /// non-zero) and 48, where it leaves a guarded tail: an `if` in the lane
 /// body keeps the whole nest on generic dispatch. Every width must agree
@@ -1162,6 +1203,8 @@ fn views_split_k_spmm_bit_matches_at_every_width() {
         let divides = d % 32 == 0;
         assert_eq!(fused.fused_ops(), usize::from(divides), "d = {d}");
         assert_eq!(fused.disassemble().contains("coalesced"), divides, "d = {d}");
+        // A nest needs a fused lane loop under it: none at d = 48.
+        assert_eq!(nests(&f).len(), usize::from(divides), "d = {d}");
         for cut in column_cuts(d) {
             let parts = [
                 Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
@@ -1182,6 +1225,236 @@ fn views_split_k_spmm_bit_matches_at_every_width() {
         assert!(want.contains("out of bounds") && want.contains("`B`"), "d = {d}: {want}");
         assert_eq!(errs, [Some(want.clone()), Some(want)], "d = {d}");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Family 6c: row nests
+// ---------------------------------------------------------------------------
+
+/// Mnemonics of the row-nest heads in `f`'s fused listing, in order. The
+/// all-generic build must have none.
+fn nests(f: &PrimFunc) -> Vec<String> {
+    let generic = CompiledKernel::compile_with(f, false).unwrap().disassemble();
+    assert!(!generic.contains("nest."), "fusion off means no nests:\n{generic}");
+    let listing = CompiledKernel::compile_with(f, true).unwrap().disassemble();
+    let heads = listing.lines().filter_map(|l| l.split_once("  ").map(|(_, ins)| ins));
+    heads.filter(|ins| ins.starts_with("nest.")).map(|ins| ins[..9].to_string()).collect()
+}
+
+/// The structure tensors of `a` as `bind_csr(.., "A", "J", ..)` binds them.
+fn csr_tensors(a: &Csr) -> HashMap<String, TensorData> {
+    let as_i32 = |v: Vec<i32>| TensorData::from(v);
+    let mut t = HashMap::new();
+    t.insert("J_indptr".to_string(), as_i32(a.indptr().iter().map(|&x| x as i32).collect()));
+    t.insert("J_indices".to_string(), as_i32(a.indices().iter().map(|&x| x as i32).collect()));
+    t.insert("A".to_string(), TensorData::from(a.values().to_vec()));
+    t
+}
+
+/// `csr_tensors` plus a random `B` and a `C` pre-filled with `fill`.
+fn spmm_tensors(a: &Csr, d: usize, fill: f32, rng: &mut SmallRng) -> HashMap<String, TensorData> {
+    let mut t = csr_tensors(a);
+    let b = (0..a.cols() * d).map(|_| rng.gen_range(-1.0f32..1.0)).collect::<Vec<_>>();
+    t.insert("B".to_string(), TensorData::from(b));
+    t.insert("C".to_string(), TensorData::from(vec![fill; a.rows() * d]));
+    t
+}
+
+/// Row shapes the nest must not care about: empty rows, one-non-zero rows
+/// (a one-trip nest never builds its walks), long rows, a matrix with no
+/// rows and one with no non-zeros — on the serial schedule and on the
+/// `blockIdx`-bound default one.
+#[test]
+fn row_nest_handles_every_row_shape() {
+    let mut rng = gen::rng(0x61);
+    let lengths: [&[usize]; 4] = [&[0, 1, 0, 5, 1, 1, 0, 3], &[1], &[0, 0, 0], &[]];
+    for lens in lengths {
+        let mut next = lens.iter().copied();
+        let a = gen::random_csr_with_row_lengths(lens.len(), 6, |_| next.next().unwrap(), &mut rng);
+        for d in [1usize, 5, 32] {
+            for f in [serial_spmm(&a, d), csr_spmm_ir(&a, d).unwrap()] {
+                assert_eq!(nests(&f), ["nest.axpy"], "rows {lens:?}, d = {d}");
+                let tensors = spmm_tensors(&a, d, 0.0, &mut rng);
+                differential(&f, &HashMap::new(), &tensors)
+                    .unwrap_or_else(|m| panic!("rows {lens:?}, d = {d}: {m}"));
+            }
+        }
+    }
+}
+
+/// `when-reduce-zero` init inside a nest: trip 0 of every row overwrites
+/// whatever `C` held (here a non-zero fill, NaN included) with the init
+/// value, later trips accumulate onto it — and a row with no trips leaves
+/// the fill alone. Exactly the interpreter's bits.
+#[test]
+fn row_nest_init_overwrites_on_trip_zero_then_accumulates() {
+    let (a, _, mut rng) = views_fixture(0x62);
+    let f = split_k_spmm(&a, 32);
+    assert_eq!(nests(&f), ["nest.axpy"]);
+    for fill in [7.5f32, f32::NAN] {
+        let tensors = spmm_tensors(&a, 32, fill, &mut rng);
+        differential(&f, &HashMap::new(), &tensors).unwrap();
+        let mut after = tensors.clone();
+        CompiledKernel::compile(&f).unwrap().run(&HashMap::new(), &mut after).unwrap();
+        for r in 0..a.rows() {
+            let row = &after["C"].as_f32()[r * 32..(r + 1) * 32];
+            let untouched = row.iter().all(|c| c.to_bits() == fill.to_bits());
+            assert_eq!(untouched, a.row_nnz(r) == 0, "row {r} of fill {fill}");
+        }
+    }
+}
+
+/// Every non-empty bucket of a `hyb(c, k)` decomposition — width-1
+/// buckets included, whose one-trip column loop is a bind, not a nest —
+/// and the `C = 0` init nest in front of them bit-match the interpreter.
+#[test]
+fn row_nest_covers_ell_buckets_of_every_width() {
+    let mut rng = gen::rng(0x63);
+    let a = gen::random_csr_with_row_lengths(24, 20, |r| r.gen_range(0..9), &mut rng);
+    let config = SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() };
+    let d = 6;
+    let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
+    let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+    let widths = |w: &str| tensors.keys().filter(|k| k.ends_with(w) && k.starts_with("A_")).count();
+    let (narrow, wide) = (widths("_w1"), widths("_w2") + widths("_w4") + widths("_w8"));
+    assert!(narrow > 0 && wide > 0, "fixture has width-1 and wider buckets");
+    assert_eq!(nests(&f).iter().filter(|n| *n == "nest.axpy").count(), wide, "{listing}");
+    assert_eq!(nests(&f).iter().filter(|n| *n == "nest.fill").count(), 1, "{listing}");
+    bind_dense(&mut tensors, "B", &gen::random_dense(a.cols(), d, &mut rng));
+    bind_zeros(&mut tensors, "C", a.rows() * d);
+    differential(&f, &HashMap::new(), &tensors).unwrap();
+}
+
+/// A column index corrupted in the *middle* of a row — past `B`'s rows, or
+/// negative — stops the nest at that trip: the interpreter's error text,
+/// and `C` element for element what the interpreter left (earlier rows
+/// and the row's earlier trips written, nothing after).
+#[test]
+fn row_nest_corrupted_column_fails_identically_mid_row() {
+    let (a, _, mut rng) = views_fixture(0x64);
+    let row = (0..a.rows()).find(|&r| a.row_nnz(r) >= 3).expect("a row with a middle");
+    let at = a.indptr()[row] + 1;
+    for d in [4usize, 32] {
+        let f = serial_spmm(&a, d);
+        assert_eq!(nests(&f), ["nest.axpy"]);
+        for bad in [a.cols() as i32, -3] {
+            let mut tensors = spmm_tensors(&a, d, 0.25, &mut rng);
+            let TensorData::I32(cols) = tensors.get_mut("J_indices").unwrap() else {
+                unreachable!()
+            };
+            cols[at] = bad;
+            let msg = differential_failure(&f, &HashMap::new(), &tensors)
+                .unwrap_or_else(|m| panic!("d = {d}, column {bad}: {m}"));
+            assert!(msg.contains("out of bounds") && msg.contains("`B`"), "{msg}");
+        }
+        // A corrupted row pointer makes the *gather* itself leave
+        // `J_indices` mid-row.
+        let mut tensors = spmm_tensors(&a, d, 0.25, &mut rng);
+        let TensorData::I32(ptr) = tensors.get_mut("J_indptr").unwrap() else { unreachable!() };
+        ptr[a.rows()] += 2;
+        let msg = differential_failure(&f, &HashMap::new(), &tensors).unwrap();
+        assert!(msg.contains("out of bounds"), "{msg}");
+    }
+}
+
+/// `for i { for j in 0..3 { for k in 0..n { C[i, k] += W[i, j] · X[col, k] } } }`
+/// with the column `col` drawn per negative rule. Returns the function and
+/// its tensors.
+fn nest_candidate(
+    col: impl Fn(&Buffer, &Var, &Var) -> Expr,
+    second_statement: bool,
+) -> (PrimFunc, HashMap<String, TensorData>) {
+    let (rows, width, n) = (3i64, 3i64, 5i64);
+    let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+    let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+    let x = Buffer::global_f32("X", vec![Expr::i32(8), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let s = Buffer::global_f32("S", vec![Expr::i32(rows * width)]);
+    let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+    let at = vec![Expr::var(&i), Expr::var(&k)];
+    let pos = Expr::var(&i) * width + Expr::var(&j);
+    let lanes = Stmt::for_serial(
+        k.clone(),
+        n,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: at.clone(),
+            value: c.load(at)
+                + w.load(vec![pos.clone()]) * x.load(vec![col(&idx, &i, &j), Expr::var(&k)]),
+        },
+    );
+    let body = if second_statement {
+        lanes.then(Stmt::BufferStore {
+            buffer: s.clone(),
+            indices: vec![pos],
+            value: Expr::f32(1.0),
+        })
+    } else {
+        lanes
+    };
+    let f = PrimFunc::new(
+        "nest_candidate",
+        vec![],
+        vec![idx, w, x, c, s],
+        Stmt::for_serial(i.clone(), rows, Stmt::for_serial(j.clone(), width, body)),
+    );
+    let mut g = ProgGen::new(0x65);
+    let mut t = HashMap::new();
+    t.insert("Idx".to_string(), TensorData::I32(vec![0, 1, 2, 1, 0, 2, 2, 1, 0]));
+    for (name, len) in [("W", rows * width), ("X", 8 * n), ("C", rows * n), ("S", rows * width)] {
+        let v = (0..len).map(|_| g.rng.gen_range(-1.0f32..1.0)).collect();
+        t.insert(name.to_string(), TensorData::F32(v));
+    }
+    (f, t)
+}
+
+/// One negative case per classification rule: each keeps the per-non-zero
+/// `Super` it has today and gets no nest — and still bit-matches. The
+/// positive control (`Idx[i·3 + j]`, one gather) does get one.
+#[test]
+fn row_nest_classification_rules_each_have_a_negative_case() {
+    type Col = fn(&Buffer, &Var, &Var) -> Expr;
+    let gather: Col = |idx, i, j| idx.load(vec![Expr::var(i) * 3 + Expr::var(j)]);
+    // Neither affine nor one gather: the gathered column times the trip.
+    let product: Col = |idx, i, j| idx.load(vec![Expr::var(i) * 3 + Expr::var(j)]) * Expr::var(j);
+    // Two different gathers in one nest.
+    let two: Col =
+        |idx, i, j| idx.load(vec![Expr::var(i) * 3 + Expr::var(j)]) + idx.load(vec![Expr::var(j)]);
+    // The trip under a division.
+    let divided: Col = |_, _, j| Expr::var(j) / Expr::i32(2);
+    let cases: [(&str, Col, bool, usize); 5] = [
+        ("one gather", gather, false, 1),
+        ("gather × trip", product, false, 0),
+        ("two gathers", two, false, 0),
+        ("trip / 2", divided, false, 0),
+        ("second statement in the outer body", gather, true, 0),
+    ];
+    for (what, col, second, want) in cases {
+        let (f, tensors) = nest_candidate(col, second);
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        assert_eq!(fused.fused_kinds(), ["AxpyLanes"], "{what}: the lane loop still fuses");
+        assert_eq!(nests(&f).len(), want, "{what}:\n{}", fused.disassemble());
+        differential(&f, &HashMap::new(), &tensors).unwrap_or_else(|m| panic!("{what}: {m}"));
+    }
+}
+
+/// The third rule's other half: a gather *from the buffer the lanes
+/// write* (here through an integer cast, the only way IR typing lets a
+/// float buffer index anything) is no gather — as before this PR, such a
+/// loop does not even fuse.
+#[test]
+fn row_nest_never_gathers_through_the_written_buffer() {
+    let through_c: fn(&Buffer, &Var, &Var) -> Expr = |_, i, j| {
+        let c = Buffer::global_f32("C", vec![Expr::i32(3), Expr::i32(5)]);
+        c.load(vec![Expr::var(i), Expr::var(j)])
+            .cast(DType::I32)
+            .max(Expr::i32(0))
+            .min(Expr::i32(7))
+    };
+    let (f, tensors) = nest_candidate(through_c, false);
+    assert_eq!(CompiledKernel::compile_with(&f, true).unwrap().fused_ops(), 0);
+    assert!(nests(&f).is_empty());
+    differential(&f, &HashMap::new(), &tensors).unwrap();
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 //! Failure-injection tests: every user-facing error path of the IR crate
 //! must fail loudly with an actionable message — never silently compute
 //! garbage. (C-GOOD-ERR / C-VALIDATE.)
+//!
+//! The `row_nests` cases fail a CSR SpMM in the *middle* of a row, under
+//! its `blockIdx` loop: CI runs this file at `SPARSETIR_NUM_THREADS=1`
+//! and `=2`, so the row nest hands the failing trip to the generic loop
+//! from both the plain and the relaxed-atomic lane body.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -223,5 +228,113 @@ mod verifier {
         let mut t = HashMap::new();
         t.insert("C".to_string(), TensorData::from(vec![0.0f32; 4]));
         assert!(eval_func(&f, &HashMap::new(), &mut t).is_err());
+    }
+}
+
+mod row_nests {
+    use super::*;
+    use sparsetir_kernels::prelude::csr_spmm_ir;
+    use sparsetir_smat::prelude::Csr;
+
+    const ROWS: usize = 6;
+    const COLS: usize = 6;
+    /// Row lengths 2, 0, 1, 3, 0, 3: the last row is where every case
+    /// fails, so whichever thread owns it, every other row completes on
+    /// the interpreter and under any fan-out alike.
+    const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 9];
+    /// Column 5 is referenced by the last row's middle non-zero only.
+    const INDICES: [i32; 9] = [0, 3, 2, 1, 2, 4, 1, 5, 3];
+
+    /// The default (`blockIdx`-bound) CSR SpMM schedule at width `d`, its
+    /// row loop a nest, with hand-written structure tensors.
+    fn spmm(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
+        // Only the dimensions of `a` reach the IR.
+        let indptr = INDPTR.iter().map(|&p| p as usize).collect();
+        let sorted = vec![0, 3, 2, 1, 2, 4, 1, 3, 5];
+        let a = Csr::new(ROWS, COLS, indptr, sorted, vec![1.0; 9]).unwrap();
+        let f = csr_spmm_ir(&a, d).unwrap();
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        assert!(fused.is_parallel() && fused.disassemble().contains("nest.axpy"));
+        let ramp =
+            |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
+        let mut t = HashMap::new();
+        t.insert("J_indptr".to_string(), TensorData::from(INDPTR.to_vec()));
+        t.insert("J_indices".to_string(), TensorData::from(INDICES.to_vec()));
+        t.insert("A".to_string(), TensorData::from(ramp(9, 0.5)));
+        t.insert("B".to_string(), TensorData::from(ramp(COLS * d, 0.125)));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; ROWS * d]));
+        (f, t)
+    }
+
+    /// Interpreter, all-generic bytecode and the nest: one error text, and
+    /// `C` element for element the interpreter's — rows before the last
+    /// complete, the last row's first trip written (over the stale 9.0s),
+    /// nothing of its later trips.
+    fn fails_identically(f: &PrimFunc, tensors: &HashMap<String, TensorData>, says: &str) {
+        let mut want = tensors.clone();
+        let err = eval_func(f, &HashMap::new(), &mut want).unwrap_err().to_string();
+        let err = err.strip_prefix("interpreter error: ").expect("an interpreter error");
+        assert!(err.contains(says), "{err}");
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).unwrap_err().to_string();
+            assert_eq!(e.strip_prefix("executor error: "), Some(err), "fuse = {fuse}");
+            let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "fuse = {fuse}: C diverged\n{got:?}\n{want:?}");
+        }
+        let d = want["C"].as_f32().len() / ROWS;
+        let last = &want["C"].as_f32()[(ROWS - 1) * d..];
+        assert!(last.iter().all(|&c| c != 9.0), "the failing row's first trip landed: {last:?}");
+    }
+
+    #[test]
+    fn column_past_the_operand_in_the_middle_of_a_row() {
+        for d in [4, 64] {
+            let (f, mut t) = spmm(d);
+            let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
+            cols[7] = COLS as i32;
+            // `B` is declared flat: column 6 is element `6·d` of `6·d`.
+            let n = COLS * d;
+            let says = format!("index {n} out of bounds for dim of extent {n} in buffer `B`");
+            fails_identically(&f, &t, &says);
+        }
+    }
+
+    #[test]
+    fn negative_column_in_the_middle_of_a_row() {
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
+        cols[7] = -2;
+        fails_identically(&f, &t, "index -8 out of bounds for dim of extent 24 in buffer `B`");
+    }
+
+    #[test]
+    fn operand_bound_one_row_short() {
+        // `B` holds five of its six declared rows: the declared dimension
+        // admits column 5, the bound storage does not.
+        let (f, mut t) = spmm(4);
+        let TensorData::F32(b) = t.get_mut("B").unwrap() else { unreachable!() };
+        b.truncate(5 * 4);
+        fails_identically(&f, &t, "flat index 20 out of bounds (len 20) in buffer `B`");
+    }
+
+    #[test]
+    fn values_bound_short_of_the_last_row() {
+        // The coefficient walk leaves `A`'s storage at the same trip.
+        let (f, mut t) = spmm(4);
+        let TensorData::F32(a) = t.get_mut("A").unwrap() else { unreachable!() };
+        a.truncate(7);
+        fails_identically(&f, &t, "flat index 7 out of bounds (len 7) in buffer `A`");
+    }
+
+    #[test]
+    fn row_pointer_past_the_index_buffer() {
+        // The gather itself runs off `J_indices` two trips past the row.
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
+        ptr[ROWS] += 2;
+        fails_identically(&f, &t, "out of bounds");
     }
 }

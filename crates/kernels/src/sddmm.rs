@@ -261,10 +261,17 @@ pub fn sddmm_execute_views_on(
     Ok(())
 }
 
-/// IR-path *batched* (multi-head) fused SDDMM: one widened launch whose
-/// head axis sits inside the fused non-zero loop, so the per-non-zero
-/// coordinate walk (binary-searched row recovery, index loads) is shared
-/// by every head — the SDDMM analogue of column-stacking an SpMM batch.
+/// IR-path *batched* (multi-head) SDDMM: one widened launch whose head
+/// axis sits inside the non-zero loop, so the per-non-zero coordinate walk
+/// (index loads) is shared by every head — the SDDMM analogue of
+/// column-stacking an SpMM batch.
+///
+/// The iteration stays row-shaped (`for i { for j in row(i) { .. } }`):
+/// [`sddmm_ir`]'s `sparse_fuse(["I", "J"])` balances non-zeros across GPU
+/// threads (§3.2) at the price of a binary-searched row recovery per
+/// non-zero, which buys the row-iterating CPU executor nothing. Unfused,
+/// the `j` loop is the same row nest the CSR SpMM runs; the arithmetic per
+/// `(non-zero, head)` — and so every output bit — is the fused lowering's.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -273,8 +280,7 @@ pub fn batched_sddmm_ir(
     heads: usize,
     feat: usize,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    let mut program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
-    sparse_fuse(&mut program, "sddmm", &["I", "J"])?;
+    let program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
     let f = lower(&program)?;
     Ok(f)
 }
@@ -321,6 +327,69 @@ mod tests {
         let bad = (gen::random_dense(5, 3, &mut rng), good.1.clone());
         assert!(run(&[bad], &mut [vec![0.0; nnz]]).contains("incompatible"));
         assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
+    }
+
+    /// The parent's lowering of the batched SDDMM — `sparse_fuse(["I",
+    /// "J"])`, one loop over non-zeros with a binary-searched row — kept
+    /// here as the oracle for the row-shaped schedule the served path
+    /// now compiles.
+    fn fused_ij_sddmm_ir(a: &Csr, heads: usize, feat: usize) -> PrimFunc {
+        let mut program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
+        sparse_fuse(&mut program, "sddmm", &["I", "J"]).unwrap();
+        lower(&program).unwrap()
+    }
+
+    /// Dropping `sparse_fuse` from the served SDDMM is a change of loop
+    /// shape only: on a power-law graph (empty rows, one-non-zero rows, a
+    /// few long ones) every score of every head equals, bit for bit, what
+    /// the fused-`ij` lowering computes from the same stacked operands.
+    #[test]
+    fn served_sddmm_bit_matches_the_fused_ij_lowering() {
+        let mut rng = gen::rng(23);
+        let a = gen::random_csr_with_row_lengths(
+            60,
+            50,
+            |r| {
+                use rand::Rng;
+                let u: f64 = r.gen_range(0.0..1.0);
+                ((0.9 / (u + 0.03)) as usize).min(25)
+            },
+            &mut rng,
+        );
+        assert!(
+            (0..a.rows()).any(|r| a.row_nnz(r) == 0) && (0..a.rows()).any(|r| a.row_nnz(r) > 8)
+        );
+        let k = 5;
+        for heads in [1usize, 3] {
+            let reqs: Vec<(Dense, Dense)> =
+                (0..heads).map(|h| pair(&a, k, 30 + h as u64)).collect();
+            let mut outs = vec![vec![0.0f32; a.nnz()]; heads];
+            sddmm_execute_views_on(&Runtime::new(), &a, &reqs, &mut outs).unwrap();
+
+            // The oracle runs on whole tensors: `X` side by side, `Y` end
+            // to end, `Bout` head-minor.
+            let mut t = Bindings::new();
+            bind_csr(&mut t, "A", "J", &a);
+            let x: Vec<f32> = (0..a.rows())
+                .flat_map(|r| {
+                    reqs.iter().flat_map(move |(x, _)| x.data()[r * k..(r + 1) * k].to_vec())
+                })
+                .collect();
+            let y: Vec<f32> = reqs.iter().flat_map(|(_, y)| y.data().to_vec()).collect();
+            t.insert("X".to_string(), TensorData::from(x));
+            t.insert("Y".to_string(), TensorData::from(y));
+            bind_zeros(&mut t, "Bout", a.nnz() * heads);
+            let oracle = fused_ij_sddmm_ir(&a, heads, k);
+            let listing = CompiledKernel::compile(&oracle).unwrap().disassemble();
+            assert!(listing.contains("bsearch"), "the oracle is the fused-ij lowering");
+            exec_func(&oracle, &HashMap::new(), &mut t).unwrap();
+            for (h, out) in outs.iter().enumerate() {
+                for (e, got) in out.iter().enumerate() {
+                    let want = t["Bout"].as_f32()[e * heads + h];
+                    assert_eq!(got.to_bits(), want.to_bits(), "head {h} of {heads}, non-zero {e}");
+                }
+            }
+        }
     }
 
     /// The SDDMM feature loop — one contiguous operand, one

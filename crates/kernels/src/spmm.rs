@@ -707,6 +707,78 @@ mod crosscheck_tests {
         assert!(kinds.iter().filter(|k| **k == "AxpyLanes").count() >= 2, "{kinds:?}");
     }
 
+    /// How many `super.*` lane loops of `listing` do *not* sit directly
+    /// under a `nest.*` head (binds of unit-trip loops in between are
+    /// seen through, as the nest sees through them).
+    fn lane_loops_outside_a_nest(listing: &str) -> usize {
+        let ins: Vec<&str> =
+            listing.lines().filter_map(|l| l.split_once("  ").map(|(_, i)| i)).collect();
+        let under_nest = |at: usize| {
+            let head =
+                ins[..at].iter().rev().find(|i| !i.starts_with("bind") && !i.starts_with("mov"));
+            head.is_some_and(|i| i.starts_with("nest."))
+        };
+        (0..ins.len()).filter(|&at| ins[at].starts_with("super.") && !under_nest(at)).count()
+    }
+
+    /// What the served path compiles keeps its row nests: the CSR kernel
+    /// at the widened default schedule (narrow, served and wide widths),
+    /// every bucket of `hyb(c = 2, k = 3)` wider than one column (a
+    /// width-1 bucket's column loop is a unit-trip bind: one non-zero per
+    /// row leaves nothing to hoist) plus the `C = 0` init nest, and the
+    /// one-head batched SDDMM. A schedule change that silently drops back
+    /// to a prologue per non-zero fails here, not only in `stbench`.
+    #[test]
+    fn served_kernels_keep_their_row_nests() {
+        let mut rng = gen::rng(92);
+        let a = gen::random_csr_with_row_lengths(
+            64,
+            48,
+            |r| {
+                use rand::Rng;
+                r.gen_range(0..12)
+            },
+            &mut rng,
+        );
+        let listing = |f: &PrimFunc| Runtime::global().compile(f).unwrap().disassemble();
+        let nests = |l: &str, kind: &str| l.lines().filter(|i| i.contains(kind)).count();
+
+        for d in [4usize, 16, 128] {
+            // The widening `spmm_execute_views_on` applies.
+            let mut params = CsrSpmmParams::default();
+            params.vec_width = params.vec_width.max(d.div_ceil(8));
+            let l = listing(&csr_spmm_ir_with(&a, d, params).unwrap());
+            assert_eq!(
+                (nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)),
+                (1, 0),
+                "d = {d}\n{l}"
+            );
+            assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
+        }
+
+        let config =
+            SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() };
+        let (f, structure) = prepare_spmm_structure(&a, 16, &config).unwrap();
+        let buckets = |wide: bool| {
+            structure
+                .keys()
+                .filter(|k| k.starts_with("A_hyb_") && k.ends_with("_w1") != wide)
+                .count()
+        };
+        assert!(buckets(false) > 0 && buckets(true) > 0, "fixture has narrow and wide buckets");
+        let l = listing(&f);
+        assert_eq!(nests(&l, "nest.axpy"), buckets(true), "{l}");
+        assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
+        assert_eq!(lane_loops_outside_a_nest(&l), buckets(false), "only width-1 buckets\n{l}");
+
+        let l = listing(&crate::sddmm::batched_sddmm_ir(&a, 1, 8).unwrap());
+        assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+        assert!(
+            l.contains("gather=@") && !l.contains("bsearch"),
+            "row-shaped, no row recovery\n{l}"
+        );
+    }
+
     /// The compiled executor must agree bit-for-bit with the reference
     /// interpreter on the lowered, scheduled SpMM kernel.
     #[test]
