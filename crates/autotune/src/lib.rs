@@ -297,6 +297,17 @@ mod tests {
     }
 
     #[test]
+    fn narrow_matrices_still_tune_to_a_winner() {
+        // c ∈ {8, 16} cannot decompose a 4-column matrix: those arms are
+        // infeasible candidates, not a failed search.
+        let mut rng = gen::rng(23);
+        let a = gen::random_csr(64, 4, 0.5, &mut rng);
+        let result = tune_spmm(&GpuSpec::v100(), &a, 8);
+        assert!(result.config.col_parts.is_none_or(|c| c <= 4), "{:?}", result.config);
+        assert!(functional_check_spmm(&a, 8, &result.config));
+    }
+
+    #[test]
     fn tuning_picks_hyb_on_skewed_graphs() {
         let a = power_law(2500, 19);
         let spec = GpuSpec::v100();

@@ -927,7 +927,6 @@ pub mod serving_throughput {
             workers: 1,
             queue_depth: 256,
             max_batch: if batched { 16 } else { 1 },
-            tune: false,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
@@ -1199,7 +1198,6 @@ pub mod serving_slo {
             workers: 1,
             queue_depth: 16,
             max_batch: 8,
-            tune: false,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         });
@@ -1235,7 +1233,6 @@ pub mod serving_slo {
             workers: 1,
             queue_depth: 64,
             max_batch: 8,
-            tune: false,
             batch_window: if slo { Some(window) } else { None },
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
@@ -1467,7 +1464,6 @@ pub mod dynamic_graphs {
             workers: 1,
             queue_depth: 64,
             max_batch: 8,
-            tune: false,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         })

@@ -2,7 +2,6 @@
 //! to sparse iterations *before* lowering (Figure 6).
 
 use crate::stage1::SpProgram;
-use sparsetir_ir::prelude::IterKind;
 use std::fmt;
 
 /// Error raised by Stage I schedules.
@@ -164,22 +163,6 @@ pub fn sparse_fuse(
         }
     }
     it.fuse_groups = groups;
-    Ok(())
-}
-
-/// Mark all reduction axes of an iteration as spatial (used after rewrites
-/// that eliminate reductions). Exposed for completeness of the Stage I
-/// schedule set.
-///
-/// # Errors
-/// Fails when the iteration is missing.
-pub fn to_spatial(program: &mut SpProgram, iter_name: &str) -> Result<(), Stage1Error> {
-    let it = program
-        .iteration_mut(iter_name)
-        .ok_or_else(|| Stage1Error::new(format!("iteration `{iter_name}` not found")))?;
-    for k in &mut it.kinds {
-        *k = IterKind::Spatial;
-    }
     Ok(())
 }
 

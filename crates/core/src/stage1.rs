@@ -267,7 +267,6 @@ pub struct ProgramBuilder {
     name: String,
     axes: AxisStore,
     buffers: Vec<SpBuffer>,
-    extras: Vec<Buffer>,
     iterations: Vec<SpIter>,
 }
 
@@ -357,14 +356,6 @@ impl ProgramBuilder {
         &self.axes
     }
 
-    /// Register a plain `int32` auxiliary buffer (e.g. a row-id gather
-    /// array) and return it for use in index expressions.
-    pub fn extra_i32(&mut self, name: &str, len: usize) -> Buffer {
-        let b = Buffer::global_i32(name, vec![Expr::i32(len as i64)]);
-        self.extras.push(b.clone());
-        b
-    }
-
     /// `with sp_iter(axes, kinds, name) as vars:` — `kinds` is the paper's
     /// `"SRS"` string; `build` receives the iterator variables and returns
     /// `(init stores, body stores)`.
@@ -414,7 +405,7 @@ impl ProgramBuilder {
             name: self.name.into(),
             axes: self.axes,
             buffers: self.buffers,
-            extras: self.extras,
+            extras: Vec::new(),
             iterations: self.iterations,
         }
     }

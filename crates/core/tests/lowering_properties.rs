@@ -71,7 +71,7 @@ proptest! {
         k in 0u32..3,
         feat in 1usize..4,
     ) {
-        let hyb = Hyb::from_csr(&a, c, k).expect("valid params");
+        let hyb = Hyb::from_csr(&a, c.min(a.cols()), k).expect("0 < c <= cols");
         let program = spmm_program(a.rows(), a.cols(), a.nnz(), feat);
         let mut rules = Vec::new();
         let mut buckets = Vec::new();

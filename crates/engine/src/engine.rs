@@ -339,16 +339,6 @@ pub struct EngineConfig {
     /// batching (every request runs alone — the unbatched baseline the
     /// `serving_throughput` experiment compares against).
     pub max_batch: usize,
-    /// When true, the first batch for each `(adjacency, op)` pair of an
-    /// op with a [`TunableOp`] search (SpMM) runs that simulator-backed
-    /// search, and the winning configuration is cached in the engine's
-    /// [`TuneCache`] for every later batch on that pair. An op whose
-    /// launch reads no configuration has nothing to decide and is served
-    /// the same either way. When false, all requests use the op's default
-    /// configuration. A submission-level
-    /// [`SubmitOpts::tune`](crate::SubmitOpts::tune) overrides this per
-    /// request.
-    pub tune: bool,
     /// Adaptive batch window: after draining a batch that still has
     /// rider room, a worker with an otherwise-empty queue waits up to
     /// this long for more compatible arrivals before firing — but only
@@ -372,7 +362,6 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_batch: 8,
-            tune: false,
             batch_window: None,
             drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }
@@ -385,7 +374,7 @@ struct Job {
     enqueued: Instant,
     deadline: Option<Instant>,
     priority: Priority,
-    tune: Option<bool>,
+    tune: bool,
     /// Admission order, for stable FIFO among equal (priority, deadline)
     /// keys — default-option submissions order exactly like the pre-SLO
     /// queue.
@@ -1253,7 +1242,7 @@ fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
     let adj = batch[0].adj.clone();
     // The batch head decides the tuning mode for its riders (one launch,
     // one configuration).
-    let tune = batch[0].tune.unwrap_or(shared.config.tune);
+    let tune = batch[0].tune;
     shared.stats.record_batch(O::kind(), batch.len());
     let width = batch.len().max(1) as u64;
     let mut replies = Vec::with_capacity(batch.len());

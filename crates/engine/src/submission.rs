@@ -111,11 +111,17 @@ pub struct SubmitOpts {
     pub deadline: Option<Duration>,
     /// Priority class; [`Priority::Normal`] by default.
     pub priority: Priority,
-    /// Per-request override of
-    /// [`EngineConfig::tune`](crate::EngineConfig::tune); `None` follows
-    /// the engine-wide flag. The first request of a batch decides for
-    /// its riders (batched requests share one launch configuration).
-    pub tune: Option<bool>,
+    /// Whether this request's batch launches under a searched
+    /// configuration; `false` by default. When set, the first batch for
+    /// each `(adjacency, op)` pair of an op with a `TunableOp` search
+    /// (SpMM) runs that simulator-backed search, and the winning
+    /// configuration is cached in the engine's `TuneCache` (see
+    /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
+    /// tuned batch on that pair. An op whose launch reads no configuration
+    /// has nothing to decide and is served the same either way. The first
+    /// request of a batch decides for its riders (batched requests share
+    /// one launch configuration).
+    pub tune: bool,
 }
 
 /// One op request plus its serving options — what [`Engine::submit`]
@@ -134,7 +140,7 @@ pub struct SubmitOpts {
 /// ```
 ///
 /// A bare [`OpRequest`] converts `Into<Submission>` with default options
-/// (no deadline, [`Priority::Normal`], engine-wide tuning), so
+/// (no deadline, [`Priority::Normal`], untuned), so
 /// `engine.submit(&adj, req)` keeps compiling — the legacy behavior is
 /// the default-options corner of this surface.
 ///
@@ -198,17 +204,10 @@ impl Submission {
         self
     }
 
-    /// Override the engine-wide tuning flag for this request.
+    /// Ask for (or decline) a tuned launch; see [`SubmitOpts::tune`].
     #[must_use]
     pub fn tune(mut self, tune: bool) -> Submission {
-        self.opts.tune = Some(tune);
-        self
-    }
-
-    /// Replace the whole options block.
-    #[must_use]
-    pub fn with_opts(mut self, opts: SubmitOpts) -> Submission {
-        self.opts = opts;
+        self.opts.tune = tune;
         self
     }
 

@@ -114,7 +114,6 @@ fn test_engine() -> Engine {
         workers: 2,
         queue_depth: 16,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -321,7 +320,6 @@ proptest! {
             workers: 2,
             queue_depth: 16,
             max_batch: 8,
-            tune: false,
             batch_window: None,
             ..EngineConfig::default()
         });

@@ -18,12 +18,11 @@ use sparsetir_kernels::prelude::AttnHead;
 use sparsetir_smat::prelude::*;
 use std::collections::BTreeMap;
 
-fn dynamic_engine(tune: bool) -> Engine {
+fn dynamic_engine() -> Engine {
     Engine::new(EngineConfig {
         workers: 2,
         queue_depth: 32,
         max_batch: 8,
-        tune,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -174,7 +173,7 @@ proptest! {
     ) {
         let (base, stream) = case;
         let (rows, cols) = (base.rows(), base.cols());
-        let engine = dynamic_engine(false);
+        let engine = dynamic_engine();
         let mut inc = Adjacency::new(base.clone());
         for (step, _) in stream.iter().enumerate() {
             inc = engine.apply_delta(&inc, &stream[step]).expect("in-bounds delta");
@@ -209,11 +208,13 @@ fn below_threshold_delta_recompiles_nothing() {
         &Coo::from_entries(n, n, (0..n as u32).map(|i| (i, i, 1.0f32)).collect::<Vec<_>>())
             .expect("in-bounds"),
     );
-    let engine = dynamic_engine(true);
+    let engine = dynamic_engine();
     let adj0 = Adjacency::new(base);
     let x = gen::random_dense(n, 4, &mut rng);
 
-    engine.serve(&adj0, Submission::spmm(x.clone())).expect("warms kernel and tune cache");
+    engine
+        .serve(&adj0, Submission::spmm(x.clone()).tune(true))
+        .expect("warms kernel and tune cache");
     let compiled_before = engine.runtime().compilations();
     let misses_before = engine.tune_cache().misses();
     assert_eq!(misses_before, 1, "the warmup tuned once");
@@ -229,7 +230,7 @@ fn below_threshold_delta_recompiles_nothing() {
     assert_eq!(adj1.anchor(), adj0.anchor(), "below threshold keeps the tuning anchor");
 
     let served = engine
-        .serve(&adj1, Submission::spmm(x.clone()))
+        .serve(&adj1, Submission::spmm(x.clone()).tune(true))
         .expect("serves the successor")
         .into_dense()
         .expect("dense");
@@ -266,10 +267,12 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
         &Coo::from_entries(n, n, (0..n as u32).map(|i| (i, i, 1.0f32)).collect::<Vec<_>>())
             .expect("in-bounds"),
     );
-    let engine = dynamic_engine(true);
+    let engine = dynamic_engine();
     let adj0 = Adjacency::new(base);
     let x = gen::random_dense(n, 4, &mut rng);
-    engine.serve(&adj0, Submission::spmm(x.clone())).expect("warms kernel and tune cache");
+    engine
+        .serve(&adj0, Submission::spmm(x.clone()).tune(true))
+        .expect("warms kernel and tune cache");
     assert_eq!(engine.tune_cache().misses(), 1);
 
     // Add a second edge to every row: every row's degree doubles, the
@@ -287,7 +290,7 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
     // Serve immediately — the background retune may still be running;
     // the stale decision pre-seeded under the new anchor must answer.
     let served = engine
-        .serve(&adj1, Submission::spmm(x.clone()))
+        .serve(&adj1, Submission::spmm(x.clone()).tune(true))
         .expect("no serving gap while the retune is in flight")
         .into_dense()
         .expect("dense");
@@ -306,7 +309,7 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
 
     // After the swap, requests hit the *fresh* decision — still no miss.
     let again = engine
-        .serve(&adj1, Submission::spmm(x.clone()))
+        .serve(&adj1, Submission::spmm(x.clone()).tune(true))
         .expect("serves after the swap")
         .into_dense()
         .expect("dense");
@@ -323,7 +326,7 @@ fn above_threshold_deltas_with_nothing_tuned_complete_inline() {
     let n = 16u32;
     let diagonal: Vec<_> = (0..n).map(|i| (i, i, 1.0f32)).collect();
     let base = Csr::from_coo(&Coo::from_entries(16, 16, diagonal).expect("in-bounds"));
-    let engine = dynamic_engine(false);
+    let engine = dynamic_engine();
     let mut adj = Adjacency::new(base);
     for step in 0..32u64 {
         // Toggle a second edge on every row: every degree crosses a log2
@@ -356,7 +359,7 @@ fn above_threshold_deltas_with_nothing_tuned_complete_inline() {
 fn out_of_bounds_delta_is_a_shape_error() {
     let base =
         Csr::from_coo(&Coo::from_entries(4, 4, vec![(0u32, 0u32, 1.0f32)]).expect("in-bounds"));
-    let engine = dynamic_engine(false);
+    let engine = dynamic_engine();
     let adj = Adjacency::new(base);
     let mut delta = GraphDelta::new();
     delta.upsert(9, 0, 1.0);

@@ -101,7 +101,6 @@ fn queued_requests_batch_and_stay_bit_identical() {
         workers: 1,
         queue_depth: 64,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -139,7 +138,6 @@ fn try_submit_saturates_on_a_full_queue() {
         workers: 1,
         queue_depth: 1,
         max_batch: 1,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -189,7 +187,6 @@ fn shutdown_drains_pending_requests() {
         workers: 1,
         queue_depth: 64,
         max_batch: 4,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -218,7 +215,6 @@ fn concurrent_clients_get_their_own_answers() {
         workers: 2,
         queue_depth: 32,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -254,7 +250,7 @@ fn concurrent_clients_get_their_own_answers() {
     assert!(stats.queue_high_water >= 1);
 }
 
-/// `tune: true` routes the first request of each adjacency through the
+/// `.tune(true)` routes the first request of each adjacency through the
 /// simulator-backed search exactly once, caches the decision, and keeps
 /// serving correct results under the tuned (possibly hyb-decomposed)
 /// configuration.
@@ -266,7 +262,6 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
         workers: 1,
         queue_depth: 16,
         max_batch: 4,
-        tune: true,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -274,7 +269,7 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     for _ in 0..3 {
         let x = gen::random_dense(300, 8, &mut rng);
         let got = engine
-            .serve(&adj, Submission::spmm(x.clone()))
+            .serve(&adj, Submission::spmm(x.clone()).tune(true))
             .and_then(OpOutput::into_dense)
             .expect("serves");
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
@@ -357,7 +352,6 @@ fn repeated_requests_reuse_compiled_kernels() {
         workers: 1,
         queue_depth: 16,
         max_batch: 1,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -423,7 +417,6 @@ fn engine_survives_injected_worker_panic() {
         workers: 1,
         queue_depth: 16,
         max_batch: 4,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -463,7 +456,6 @@ fn concurrent_submits_survive_worker_panic() {
         workers: 2,
         queue_depth: 16,
         max_batch: 4,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     }));
@@ -503,7 +495,6 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         workers: 1,
         queue_depth: 64,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -548,7 +539,6 @@ fn incompatible_requests_do_not_batch() {
         workers: 1,
         queue_depth: 64,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -637,7 +627,6 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
         workers: 1,
         queue_depth: 64,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });

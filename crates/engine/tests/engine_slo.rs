@@ -18,7 +18,6 @@ fn slo_config() -> EngineConfig {
         workers: 1,
         queue_depth: 16,
         max_batch: 4,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     }
@@ -126,7 +125,6 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
         workers: 1,
         queue_depth: 2,
         max_batch: 1,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -175,7 +173,6 @@ fn equal_priority_submission_never_evicts() {
         workers: 1,
         queue_depth: 2,
         max_batch: 1,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -222,7 +219,6 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
         workers: 1,
         queue_depth: 4,
         max_batch: 1,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     }));

@@ -20,7 +20,6 @@ fn test_engine() -> Engine {
         workers: 2,
         queue_depth: 32,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     })
@@ -39,7 +38,6 @@ fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
         workers: 1,
         queue_depth: 32,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });
@@ -145,7 +143,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         workers: 1,
         queue_depth: 16,
         max_batch: 8,
-        tune: false,
         batch_window: None,
         ..EngineConfig::default()
     });

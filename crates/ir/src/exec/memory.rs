@@ -62,12 +62,6 @@ impl MemoryPlan {
     pub fn static_bytes(&self) -> usize {
         self.entries.iter().filter_map(|e| e.len).map(|l| l * 4).sum()
     }
-
-    /// Number of kernel-local scratch slots served from the pool.
-    #[must_use]
-    pub fn pooled_locals(&self) -> usize {
-        self.entries.iter().filter(|e| e.local).count()
-    }
 }
 
 fn const_shape_product(dims: &[Expr]) -> Option<usize> {

@@ -350,36 +350,6 @@ impl Stmt {
         }
     }
 
-    /// Visit every expression in the statement tree.
-    pub fn walk_exprs(&self, f: &mut impl FnMut(&Expr)) {
-        self.walk(&mut |s| match s {
-            Stmt::For { extent, .. } => f(extent),
-            Stmt::Block(b) => {
-                for iv in &b.iter_vars {
-                    f(&iv.binding);
-                }
-            }
-            Stmt::BufferStore { indices, value, .. } => {
-                for i in indices {
-                    f(i);
-                }
-                f(value);
-            }
-            Stmt::IfThenElse { cond, .. } => f(cond),
-            Stmt::Let { value, .. } => f(value),
-            Stmt::Evaluate(e) => f(e),
-            Stmt::MmaSync { c, a, b, .. } => {
-                f(&c.offset);
-                f(&c.row_stride);
-                f(&a.offset);
-                f(&a.row_stride);
-                f(&b.offset);
-                f(&b.row_stride);
-            }
-            Stmt::Seq(_) | Stmt::Allocate { .. } => {}
-        });
-    }
-
     /// Rewrite statements bottom-up with `f` applied after children.
     #[must_use]
     pub fn transform(&self, f: &impl Fn(Stmt) -> Stmt) -> Stmt {

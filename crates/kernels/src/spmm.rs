@@ -550,6 +550,11 @@ mod tests {
             SpmmConfig { col_parts: Some(1), bucket_k: 64, params: CsrSpmmParams::default() };
         let err = run_views(&a, std::slice::from_ref(&x), &config).expect_err("k = 64");
         assert!(err.to_string().contains("bucket exponent 64"), "{err}");
+        // So is a partition count past the last column (was a capacity
+        // overflow allocating `c` partition tables).
+        let wide = SpmmConfig { col_parts: Some(usize::MAX), ..SpmmConfig::default_csr() };
+        let err = run_views(&a, std::slice::from_ref(&x), &wide).expect_err("c = usize::MAX");
+        assert!(err.to_string().contains("column partitions"), "{err}");
         // The pricing path keeps its CSR fallback for a failed decomposition.
         let plans = tuned_spmm_plans(&a, 2, &config, "fallback");
         assert_eq!(plans.len(), 1);

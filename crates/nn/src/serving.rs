@@ -178,7 +178,6 @@ mod tests {
             workers: 1,
             queue_depth: 32,
             max_batch: 8,
-            tune: false,
             batch_window: None,
             ..EngineConfig::default()
         }));

@@ -1,27 +1,20 @@
-//! Incremental graph updates: batched edge inserts/deletes applied to
-//! already-built formats instead of rebuilding them from scratch.
+//! Incremental graph updates: batched edge inserts/deletes merged into an
+//! already-built CSR instead of rebuilding it from an edge list.
 //!
 //! Real serving traffic mutates adjacencies continuously, but every format
 //! constructor in this crate (`Csr::from_coo`, `Hyb::from_csr`,
-//! `column_partition`) assumes a frozen matrix. This module adds the delta
-//! layer of ROADMAP item 2, treating format mutation as a first-class
-//! operation (UniSparse's format-customization thesis):
+//! `column_partition`) assumes a frozen matrix. This module is the delta
+//! layer — one update path, the one `Engine::apply_delta` runs:
 //!
 //! * [`GraphDelta`] — a normalized batch of edge upserts and deletes;
 //! * [`Csr::apply_delta`] — a single-pass two-pointer merge producing the
-//!   updated matrix in `O(nnz + |delta|)`;
-//! * [`DynCsr`] — a slack-array CSR that patches rows **in place** while
-//!   they fit their capacity and re-packs with geometric headroom only on
-//!   overflow, so a sustained update stream pays `O(|touched rows| +
-//!   |delta|)` per batch amortized instead of `O(nnz)`;
-//! * [`crate::hyb::Hyb::apply_delta`] — in-place bucket rewrites that
-//!   re-bucket a row only when one of its chunks crosses a power-of-two
-//!   bucket boundary.
+//!   updated matrix in `O(nnz + |delta|)`.
 //!
-//! The correctness contract for every path is *exact structural equality*
-//! with rebuild-from-scratch: the differential suites assert the patched
-//! format is bit-identical (after canonicalization, for `Hyb`) to the one
-//! a fresh constructor produces from the updated matrix.
+//! Derived formats are not patched: a tuned launch re-buckets with
+//! `Hyb::from_csr` on the merged CSR. The correctness contract is *exact
+//! structural equality* with rebuild-from-scratch: the differential suite
+//! asserts the merged matrix is bit-identical to the one a fresh
+//! constructor produces from the updated edge set.
 
 use crate::csr::Csr;
 use crate::dense::SmatError;
@@ -196,231 +189,6 @@ fn merge_row(
     out_vals.extend_from_slice(&vals[e..]);
 }
 
-/// Outcome of one [`DynCsr::apply_delta`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DynDeltaReport {
-    /// Rows patched inside their existing slack capacity.
-    pub rows_in_place: usize,
-    /// Whether the batch overflowed some row's capacity and forced a full
-    /// re-pack (with fresh geometric headroom).
-    pub repacked: bool,
-}
-
-/// A CSR with per-row slack: each row owns a capacity segment of the
-/// `indices`/`values` arrays and only the first `row_len[r]` slots are
-/// live. Updates that keep a row within its capacity are patched in place
-/// (`O(row length)`); a row overflowing its segment triggers one full
-/// re-pack that re-provisions every row with `headroom ×` capacity —
-/// geometric slack, so a sustained insert stream re-packs only
-/// `O(log(growth))` times, amortizing to `O(1)` array moves per inserted
-/// edge.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DynCsr {
-    rows: usize,
-    cols: usize,
-    row_start: Vec<usize>,
-    row_cap: Vec<usize>,
-    row_len: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
-    nnz: usize,
-    repacks: u64,
-    headroom_num: usize,
-    headroom_den: usize,
-}
-
-impl DynCsr {
-    /// Build from a frozen CSR with 25% per-row headroom (minimum 2 spare
-    /// slots), the default slack for serving workloads.
-    #[must_use]
-    pub fn from_csr(a: &Csr) -> DynCsr {
-        DynCsr::with_headroom(a, 5, 4)
-    }
-
-    /// Build with headroom factor `num/den ≥ 1` (each row's capacity is
-    /// `max(len · num / den, len + 2)`).
-    #[must_use]
-    pub fn with_headroom(a: &Csr, num: usize, den: usize) -> DynCsr {
-        let mut d = DynCsr {
-            rows: a.rows(),
-            cols: a.cols(),
-            row_start: Vec::new(),
-            row_cap: Vec::new(),
-            row_len: Vec::new(),
-            indices: Vec::new(),
-            values: Vec::new(),
-            nnz: 0,
-            repacks: 0,
-            headroom_num: num.max(den.max(1)),
-            headroom_den: den.max(1),
-        };
-        d.pack_from(&(0..a.rows()).map(|r| a.row(r)).collect::<Vec<_>>());
-        d
-    }
-
-    fn cap_for(&self, len: usize) -> usize {
-        (len * self.headroom_num / self.headroom_den).max(len + 2)
-    }
-
-    /// Lay out the given rows with fresh headroom.
-    fn pack_from(&mut self, rows: &[(&[u32], &[f32])]) {
-        self.row_start.clear();
-        self.row_cap.clear();
-        self.row_len.clear();
-        self.indices.clear();
-        self.values.clear();
-        self.nnz = 0;
-        for &(cols, vals) in rows {
-            let cap = self.cap_for(cols.len());
-            self.row_start.push(self.indices.len());
-            self.row_cap.push(cap);
-            self.row_len.push(cols.len());
-            self.indices.extend_from_slice(cols);
-            self.values.extend_from_slice(vals);
-            self.indices.resize(self.indices.len() + (cap - cols.len()), 0);
-            self.values.resize(self.values.len() + (cap - cols.len()), 0.0);
-            self.nnz += cols.len();
-        }
-    }
-
-    /// Number of rows.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    #[must_use]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Live non-zero count.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.nnz
-    }
-
-    /// How many full re-packs the update history has paid.
-    #[must_use]
-    pub fn repacks(&self) -> u64 {
-        self.repacks
-    }
-
-    /// Total allocated slots (live + slack), for occupancy accounting.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// Live column indices and values of row `r`.
-    #[must_use]
-    pub fn row(&self, r: usize) -> (&[u32], &[f32]) {
-        let lo = self.row_start[r];
-        let hi = lo + self.row_len[r];
-        (&self.indices[lo..hi], &self.values[lo..hi])
-    }
-
-    /// Freeze back to a tight CSR (bit-identical to rebuilding from the
-    /// live edge set).
-    #[must_use]
-    pub fn to_csr(&self) -> Csr {
-        let mut indptr = Vec::with_capacity(self.rows + 1);
-        indptr.push(0usize);
-        let mut indices = Vec::with_capacity(self.nnz);
-        let mut values = Vec::with_capacity(self.nnz);
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            indices.extend_from_slice(cols);
-            values.extend_from_slice(vals);
-            indptr.push(indices.len());
-        }
-        Csr::from_parts(self.rows, self.cols, indptr, indices, values)
-    }
-
-    /// Apply a batch of edge updates. Rows whose merged length fits their
-    /// capacity are rewritten in place; the first overflow re-packs the
-    /// whole structure with fresh headroom (one amortized move, counted in
-    /// [`DynCsr::repacks`]).
-    ///
-    /// # Errors
-    /// Fails when an op is out of bounds for this matrix's shape.
-    pub fn apply_delta(&mut self, delta: &GraphDelta) -> Result<DynDeltaReport, SmatError> {
-        delta.validate(self.rows, self.cols)?;
-        let ops = delta.normalized_ops();
-        let mut rows_in_place = 0usize;
-        let mut scratch_cols: Vec<u32> = Vec::new();
-        let mut scratch_vals: Vec<f32> = Vec::new();
-        let mut op_i = 0usize;
-        let mut overflow_at: Option<usize> = None;
-        while op_i < ops.len() {
-            let r = ops[op_i].0 as usize;
-            scratch_cols.clear();
-            scratch_vals.clear();
-            let (cols, vals) = self.row(r);
-            // Merge into scratch; the borrow of self.row ends before the
-            // writeback below.
-            let (cols, vals) = (cols.to_vec(), vals.to_vec());
-            let mut local_i = op_i;
-            merge_row(
-                r as u32,
-                &cols,
-                &vals,
-                &ops,
-                &mut local_i,
-                &mut scratch_cols,
-                &mut scratch_vals,
-            );
-            if scratch_cols.len() <= self.row_cap[r] {
-                let lo = self.row_start[r];
-                self.indices[lo..lo + scratch_cols.len()].copy_from_slice(&scratch_cols);
-                self.values[lo..lo + scratch_vals.len()].copy_from_slice(&scratch_vals);
-                self.nnz = self.nnz + scratch_cols.len() - self.row_len[r];
-                self.row_len[r] = scratch_cols.len();
-                rows_in_place += 1;
-                op_i = local_i;
-            } else {
-                overflow_at = Some(op_i);
-                break;
-            }
-        }
-        let repacked = if let Some(from) = overflow_at {
-            // Remaining ops (including the overflowing row's) are applied
-            // through one tight merge, then everything is re-provisioned
-            // with fresh headroom.
-            let mut rest = GraphDelta::new();
-            for &(r, c, v) in &ops[from..] {
-                match v {
-                    Some(v) => rest.upsert(r, c, v),
-                    None => rest.delete(r, c),
-                };
-            }
-            let merged = self.to_csr().apply_delta(&rest)?;
-            let rows: Vec<(&[u32], &[f32])> = (0..merged.rows()).map(|r| merged.row(r)).collect();
-            let (num, den) = (self.headroom_num, self.headroom_den);
-            let mut fresh = DynCsr {
-                rows: self.rows,
-                cols: self.cols,
-                row_start: Vec::new(),
-                row_cap: Vec::new(),
-                row_len: Vec::new(),
-                indices: Vec::new(),
-                values: Vec::new(),
-                nnz: 0,
-                repacks: self.repacks + 1,
-                headroom_num: num,
-                headroom_den: den,
-            };
-            fresh.pack_from(&rows);
-            *self = fresh;
-            true
-        } else {
-            false
-        };
-        Ok(DynDeltaReport { rows_in_place, repacked })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,6 +246,15 @@ mod tests {
         assert_eq!(inc, rebuild(&base, &d));
         assert_eq!(inc.nnz(), 4);
         assert_eq!(inc.to_dense().get(2, 0), -3.0);
+        let mut d2 = GraphDelta::new();
+        d2.delete(0, 0) // row 0's last entry: the row is emptied
+            .delete(2, 1)
+            .upsert(2, 1, 5.0)
+            .upsert(2, 1, 6.0); // duplicate coordinate: the last op wins
+        let inc2 = inc.apply_delta(&d2).unwrap();
+        assert_eq!(inc2, rebuild(&inc, &d2));
+        assert!(inc2.row(0).0.is_empty());
+        assert_eq!(inc2.row(2), (&[0u32, 1][..], &[-3.0f32, 6.0][..]));
     }
 
     #[test]
@@ -495,63 +272,5 @@ mod tests {
     fn empty_delta_is_identity() {
         let base = sample();
         assert_eq!(base.apply_delta(&GraphDelta::new()).unwrap(), base);
-    }
-
-    #[test]
-    fn dyncsr_roundtrip_and_in_place_patch() {
-        let base = sample();
-        let mut dy = DynCsr::from_csr(&base);
-        assert_eq!(dy.to_csr(), base);
-        assert_eq!(dy.nnz(), base.nnz());
-        let mut d = GraphDelta::new();
-        d.upsert(0, 1, 5.0).delete(2, 1);
-        let report = dy.apply_delta(&d).unwrap();
-        assert!(!report.repacked, "2 spare slots per row must absorb a 1-insert");
-        assert_eq!(report.rows_in_place, 2);
-        assert_eq!(dy.to_csr(), rebuild(&base, &d));
-        assert_eq!(dy.repacks(), 0);
-    }
-
-    #[test]
-    fn dyncsr_repacks_on_overflow_with_fresh_headroom() {
-        let base = sample();
-        let mut dy = DynCsr::with_headroom(&base, 1, 1); // min slack: len + 2
-        let mut d = GraphDelta::new();
-        // Row 1 is empty (cap 2): three inserts must overflow it.
-        d.upsert(1, 0, 1.0).upsert(1, 1, 2.0).upsert(1, 2, 3.0);
-        let report = dy.apply_delta(&d).unwrap();
-        assert!(report.repacked);
-        assert_eq!(dy.repacks(), 1);
-        assert_eq!(dy.to_csr(), rebuild(&base, &d));
-        // After the re-pack the row has headroom again: one more insert
-        // into another row stays in place.
-        let mut d2 = GraphDelta::new();
-        d2.upsert(2, 2, 8.0);
-        let report2 = dy.apply_delta(&d2).unwrap();
-        assert!(!report2.repacked);
-        assert_eq!(dy.repacks(), 1);
-    }
-
-    #[test]
-    fn dyncsr_amortizes_sustained_inserts() {
-        // 64 rows, one insert per row per round: the repack count must grow
-        // logarithmically with the total growth, not linearly with rounds.
-        let base = Csr::new(64, 64, vec![0; 65], vec![], vec![]).unwrap();
-        let mut dy = DynCsr::from_csr(&base);
-        let mut oracle = base.clone();
-        for round in 0..32u32 {
-            let mut d = GraphDelta::new();
-            for r in 0..64u32 {
-                d.upsert(r, (round * 2 + r) % 64, round as f32 + 1.0);
-            }
-            dy.apply_delta(&d).unwrap();
-            oracle = oracle.apply_delta(&d).unwrap();
-        }
-        assert_eq!(dy.to_csr(), oracle);
-        assert!(
-            dy.repacks() <= 8,
-            "geometric headroom must amortize 32 rounds into few repacks, got {}",
-            dy.repacks()
-        );
     }
 }

@@ -90,12 +90,6 @@ impl Dense {
         &mut self.data
     }
 
-    /// Consume into the underlying storage.
-    #[must_use]
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element accessor.
     ///
     /// # Panics

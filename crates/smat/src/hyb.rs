@@ -5,9 +5,7 @@
 //! multiple ELL rows of width `2^k` mapped to the same output row.
 
 use crate::csr::Csr;
-use crate::delta::GraphDelta;
 use crate::dense::{Dense, SmatError};
-use std::collections::{HashMap, HashSet};
 
 /// One ELL bucket of a column partition: `row_ids.len()` rows of fixed
 /// `width`, each mapping back to an original matrix row (possibly shared by
@@ -84,12 +82,21 @@ impl Hyb {
     /// Decompose `csr` into `hyb(c, k)`.
     ///
     /// # Errors
-    /// Fails when `c == 0`, or when `k >= 32`: a bucket row holds `u32`
-    /// column ids, so no row chunk can be `2^32` wide (and the shift and
-    /// the `k + 1` buckets per partition stay bounded).
+    /// Fails when `c == 0` or `c > max(cols, 1)` — a partition past the last
+    /// column can only be empty, and the partition tables are allocated per
+    /// `c` — or when `k >= 32`: a bucket row holds `u32` column ids, so no
+    /// row chunk can be `2^32` wide (and the shift and the `k + 1` buckets
+    /// per partition stay bounded). All three are checked before anything is
+    /// allocated.
     pub fn from_csr(csr: &Csr, c: usize, k: u32) -> Result<Hyb, SmatError> {
         if c == 0 {
             return Err(SmatError::new("hyb: column partition count must be positive"));
+        }
+        if c > csr.cols().max(1) {
+            return Err(SmatError::new(format!(
+                "hyb: {c} column partitions for a matrix of {} columns (at most one per column)",
+                csr.cols()
+            )));
         }
         if k >= u32::BITS {
             return Err(SmatError::new(format!(
@@ -158,7 +165,7 @@ impl Hyb {
     /// `k = ⌈log2(nnz / rows)⌉` (≥ 0).
     ///
     /// # Errors
-    /// Fails when `c == 0`.
+    /// Fails when `c == 0` or `c > max(cols, 1)`.
     pub fn with_default_k(csr: &Csr, c: usize) -> Result<Hyb, SmatError> {
         Hyb::from_csr(csr, c, default_k(csr))
     }
@@ -267,249 +274,6 @@ impl Hyb {
         }
         Ok(y)
     }
-
-    /// Apply a batch of edge updates in place. `before` is the CSR this
-    /// decomposition was built from (or last updated to) and `after` is
-    /// `before.apply_delta(delta)`; only the delta's touched rows are
-    /// visited. A row's storage in a partition is rewritten **in place**
-    /// when its chunk-length sequence is unchanged — i.e. no chunk crossed
-    /// a power-of-two bucket boundary — and removed + re-bucketed only when
-    /// it did. The result canonicalizes identically to
-    /// `Hyb::from_csr(after, c, k)` (see [`Hyb::canonicalize`]).
-    ///
-    /// # Errors
-    /// Fails when the shapes of `before`/`after` disagree with this
-    /// decomposition, or when `before`'s non-zero count is not the one this
-    /// decomposition stores (a sign the caller passed the wrong snapshot).
-    pub fn apply_delta(
-        &mut self,
-        before: &Csr,
-        after: &Csr,
-        delta: &GraphDelta,
-    ) -> Result<HybDeltaReport, SmatError> {
-        if before.rows() != self.rows
-            || before.cols() != self.cols
-            || after.rows() != self.rows
-            || after.cols() != self.cols
-        {
-            return Err(SmatError::new("hyb apply_delta: shape mismatch"));
-        }
-        if before.nnz() != self.original_nnz {
-            return Err(SmatError::new(format!(
-                "hyb apply_delta: `before` has {} nnz but this decomposition was built from {}",
-                before.nnz(),
-                self.original_nnz
-            )));
-        }
-        let touched = delta.touched_rows();
-        let k = self.bucket_k;
-        let max_width = 1usize << k;
-        let mut row_rebucketed: HashSet<u32> = HashSet::new();
-        for part in &mut self.partitions {
-            let (lo, hi) = (part.col_lo, part.col_hi);
-            // Classify each touched row: unchanged chunk-length sequence →
-            // in-place rewrite; otherwise remove + re-bucket.
-            let mut in_place: Vec<(u32, &[u32], &[f32])> = Vec::new();
-            let mut rebucket: Vec<RebucketRow<'_>> = Vec::new();
-            for &r in &touched {
-                let (ocols, _) = slice_range(before.row(r as usize), lo, hi);
-                let (ncols, nvals) = slice_range(after.row(r as usize), lo, hi);
-                let old_lens = chunk_lens(ocols.len(), max_width);
-                let new_lens = chunk_lens(ncols.len(), max_width);
-                if old_lens == new_lens {
-                    if !ncols.is_empty() {
-                        in_place.push((r, ncols, nvals));
-                    }
-                } else {
-                    row_rebucketed.insert(r);
-                    rebucket.push((r, old_lens, ncols, nvals));
-                }
-            }
-            // Remove every chunk of the re-bucketed rows, one compaction
-            // pass per bucket.
-            if !rebucket.is_empty() {
-                let doomed: HashSet<u32> = rebucket.iter().map(|&(r, ..)| r).collect();
-                let mut real_loss = vec![0usize; part.buckets.len()];
-                for (_, old_lens, ..) in &rebucket {
-                    for &len in old_lens {
-                        real_loss[bucket_for(len, k) as usize] += len;
-                    }
-                }
-                for (b, bucket) in part.buckets.iter_mut().enumerate() {
-                    if real_loss[b] == 0 && !bucket.row_ids.iter().any(|r| doomed.contains(r)) {
-                        continue;
-                    }
-                    let width = bucket.width;
-                    let mut keep = 0usize;
-                    for i in 0..bucket.row_ids.len() {
-                        if doomed.contains(&bucket.row_ids[i]) {
-                            continue;
-                        }
-                        if keep != i {
-                            bucket.row_ids[keep] = bucket.row_ids[i];
-                            bucket
-                                .col_indices
-                                .copy_within(i * width..(i + 1) * width, keep * width);
-                            bucket.values.copy_within(i * width..(i + 1) * width, keep * width);
-                        }
-                        keep += 1;
-                    }
-                    bucket.row_ids.truncate(keep);
-                    bucket.col_indices.truncate(keep * width);
-                    bucket.values.truncate(keep * width);
-                    bucket.real -= real_loss[b];
-                }
-            }
-            // In-place rewrites: locate each surviving slot of the row in
-            // the chunk's bucket (slot order within a bucket is arbitrary —
-            // every slot is fully rewritten, so assignment among equal-
-            // bucket slots cannot change the canonical form).
-            if !in_place.is_empty() {
-                let wanted: HashSet<u32> = in_place.iter().map(|&(r, ..)| r).collect();
-                let mut slots: HashMap<(u32, usize), Vec<usize>> = HashMap::new();
-                for (b, bucket) in part.buckets.iter().enumerate() {
-                    for (i, &r) in bucket.row_ids.iter().enumerate() {
-                        if wanted.contains(&r) {
-                            slots.entry((r, b)).or_default().push(i);
-                        }
-                    }
-                }
-                for &(r, ncols, nvals) in &in_place {
-                    let mut start = 0usize;
-                    while start < ncols.len() {
-                        let chunk = (ncols.len() - start).min(max_width);
-                        let b = bucket_for(chunk, k) as usize;
-                        let pos = slots
-                            .get_mut(&(r, b))
-                            .and_then(Vec::pop)
-                            .expect("chunk-length sequences matched, so a slot exists");
-                        write_chunk(
-                            &mut part.buckets[b],
-                            pos,
-                            &ncols[start..start + chunk],
-                            &nvals[start..start + chunk],
-                        );
-                        start += chunk;
-                    }
-                }
-            }
-            // Append the re-bucketed rows' new chunks (the same assignment
-            // loop `from_csr` runs).
-            for &(r, _, ncols, nvals) in &rebucket {
-                let mut start = 0usize;
-                while start < ncols.len() {
-                    let chunk = (ncols.len() - start).min(max_width);
-                    push_chunk(
-                        &mut part.buckets[bucket_for(chunk, k) as usize],
-                        r,
-                        &ncols[start..start + chunk],
-                        &nvals[start..start + chunk],
-                    );
-                    start += chunk;
-                }
-            }
-        }
-        self.original_nnz = after.nnz();
-        let rows_rebucketed = row_rebucketed.len();
-        Ok(HybDeltaReport { rows_in_place: touched.len() - rows_rebucketed, rows_rebucketed })
-    }
-
-    /// Sort every bucket's rows by `(row id, first column)` — a total order
-    /// (chunks of one row within a partition cover disjoint ascending
-    /// column ranges). `from_csr` output is already canonical; after
-    /// [`Hyb::apply_delta`] this restores the constructor's order, so
-    /// `incremental.canonicalize() == from_scratch.canonicalize()` is an
-    /// exact structural equality, not an approximate one.
-    pub fn canonicalize(&mut self) -> &mut Hyb {
-        for part in &mut self.partitions {
-            for bucket in &mut part.buckets {
-                let width = bucket.width;
-                let n = bucket.row_ids.len();
-                let mut order: Vec<usize> = (0..n).collect();
-                order.sort_by_key(|&i| (bucket.row_ids[i], bucket.col_indices[i * width]));
-                if order.iter().enumerate().all(|(i, &o)| i == o) {
-                    continue;
-                }
-                let mut row_ids = Vec::with_capacity(n);
-                let mut col_indices = Vec::with_capacity(n * width);
-                let mut values = Vec::with_capacity(n * width);
-                for &i in &order {
-                    row_ids.push(bucket.row_ids[i]);
-                    col_indices.extend_from_slice(&bucket.col_indices[i * width..(i + 1) * width]);
-                    values.extend_from_slice(&bucket.values[i * width..(i + 1) * width]);
-                }
-                bucket.row_ids = row_ids;
-                bucket.col_indices = col_indices;
-                bucket.values = values;
-            }
-        }
-        self
-    }
-}
-
-/// `(row, old chunk lengths, new cols, new vals)` of a touched row whose
-/// chunk-length sequence changed — it must be removed and re-bucketed.
-type RebucketRow<'a> = (u32, Vec<usize>, &'a [u32], &'a [f32]);
-
-/// Outcome of one [`Hyb::apply_delta`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HybDeltaReport {
-    /// Touched rows whose storage was rewritten in place (no chunk crossed
-    /// a bucket boundary in any partition).
-    pub rows_in_place: usize,
-    /// Touched rows that were removed and re-bucketed in at least one
-    /// partition.
-    pub rows_rebucketed: usize,
-}
-
-/// The subslice of a sorted CSR row covering columns `[lo, hi)`.
-fn slice_range<'a>(row: (&'a [u32], &'a [f32]), lo: u32, hi: u32) -> (&'a [u32], &'a [f32]) {
-    let (cols, vals) = row;
-    let a = cols.partition_point(|&c| c < lo);
-    let b = cols.partition_point(|&c| c < hi);
-    (&cols[a..b], &vals[a..b])
-}
-
-/// Greedy chunk lengths of a row of `len` entries under max chunk `max_width`.
-fn chunk_lens(mut len: usize, max_width: usize) -> Vec<usize> {
-    let mut lens = Vec::new();
-    while len > 0 {
-        let chunk = len.min(max_width);
-        lens.push(chunk);
-        len -= chunk;
-    }
-    lens
-}
-
-/// Overwrite slot `pos` of `bucket` with a chunk (padding exactly as
-/// `from_csr` does: the last real column repeated, value `0.0`). The chunk
-/// length must match the slot's previous real length, so `real` is
-/// unchanged.
-fn write_chunk(bucket: &mut EllBucket, pos: usize, cols: &[u32], vals: &[f32]) {
-    let width = bucket.width;
-    let pad_col = *cols.last().expect("nonempty chunk");
-    for j in 0..width {
-        let (c, v) = if j < cols.len() { (cols[j], vals[j]) } else { (pad_col, 0.0) };
-        bucket.col_indices[pos * width + j] = c;
-        bucket.values[pos * width + j] = v;
-    }
-}
-
-/// Append a chunk of row `r` to `bucket` (the `from_csr` assignment step).
-fn push_chunk(bucket: &mut EllBucket, r: u32, cols: &[u32], vals: &[f32]) {
-    let width = bucket.width;
-    bucket.row_ids.push(r);
-    bucket.real += cols.len();
-    let pad_col = *cols.last().expect("nonempty chunk");
-    for j in 0..width {
-        if j < cols.len() {
-            bucket.col_indices.push(cols[j]);
-            bucket.values.push(vals[j]);
-        } else {
-            bucket.col_indices.push(pad_col);
-            bucket.values.push(0.0);
-        }
-    }
 }
 
 /// Exact `⌈log2(n)⌉` for positive `n` (0 for `n ≤ 1`), computed with bit
@@ -584,6 +348,22 @@ mod tests {
             let err = Hyb::from_csr(&csr, 1, k).expect_err("not a bucket width");
             assert!(err.to_string().contains("bucket exponent"), "{err}");
         }
+    }
+
+    #[test]
+    fn partition_count_is_bounded_by_columns() {
+        let csr = skewed();
+        let per_column = Hyb::from_csr(&csr, csr.cols(), 3).expect("one partition per column");
+        assert_eq!(per_column.partitions().len(), 16);
+        assert_eq!(per_column.to_dense(), csr.to_dense());
+        for c in [csr.cols() + 1, usize::MAX] {
+            let err = Hyb::from_csr(&csr, c, 3).expect_err("more partitions than columns");
+            assert!(err.to_string().contains("column partitions"), "{err}");
+        }
+        // No columns at all: the single (empty) partition is still valid.
+        let none = Csr::new(3, 0, vec![0; 4], vec![], vec![]).unwrap();
+        assert_eq!(Hyb::from_csr(&none, 1, 3).expect("c = 1").stored(), 0);
+        assert!(Hyb::from_csr(&none, 2, 3).is_err());
     }
 
     #[test]
@@ -670,63 +450,5 @@ mod tests {
     #[test]
     fn zero_partitions_rejected() {
         assert!(Hyb::from_csr(&skewed(), 0, 2).is_err());
-    }
-
-    #[test]
-    fn apply_delta_in_place_when_no_boundary_crossed() {
-        let before = skewed();
-        let mut hyb = Hyb::from_csr(&before, 2, 2).unwrap();
-        // Row 2 has cols {2, 7, 11}: replace col 7 with col 6 — same
-        // partition (width ⌈16/2⌉ = 8 → partition 0 is cols [0,8)), same
-        // chunk length, so no re-bucketing anywhere.
-        let mut d = GraphDelta::new();
-        d.delete(2, 7).upsert(2, 6, 9.0);
-        let after = before.apply_delta(&d).unwrap();
-        let report = hyb.apply_delta(&before, &after, &d).unwrap();
-        assert_eq!(report, HybDeltaReport { rows_in_place: 1, rows_rebucketed: 0 });
-        let mut rebuilt = Hyb::from_csr(&after, 2, 2).unwrap();
-        assert_eq!(hyb.canonicalize(), rebuilt.canonicalize());
-    }
-
-    #[test]
-    fn apply_delta_rebuckets_on_boundary_cross() {
-        let before = skewed();
-        let mut hyb = Hyb::from_csr(&before, 1, 2).unwrap();
-        // Row 1 has 1 nnz (bucket 0); inserting a second pushes it across
-        // the width-1/width-2 boundary.
-        let mut d = GraphDelta::new();
-        d.upsert(1, 3, 2.0);
-        let after = before.apply_delta(&d).unwrap();
-        let report = hyb.apply_delta(&before, &after, &d).unwrap();
-        assert_eq!(report, HybDeltaReport { rows_in_place: 0, rows_rebucketed: 1 });
-        let mut rebuilt = Hyb::from_csr(&after, 1, 2).unwrap();
-        assert_eq!(hyb.canonicalize(), rebuilt.canonicalize());
-        assert_eq!(hyb.original_nnz(), after.nnz());
-    }
-
-    #[test]
-    fn apply_delta_handles_emptied_and_filled_rows() {
-        let before = skewed();
-        let mut hyb = Hyb::from_csr(&before, 2, 1).unwrap();
-        let mut d = GraphDelta::new();
-        d.delete(1, 15); // row 1 becomes empty
-        d.upsert(3, 4, 1.5).upsert(3, 9, 2.5); // empty row 3 gains entries
-        let after = before.apply_delta(&d).unwrap();
-        hyb.apply_delta(&before, &after, &d).unwrap();
-        let mut rebuilt = Hyb::from_csr(&after, 2, 1).unwrap();
-        assert_eq!(hyb.canonicalize(), rebuilt.canonicalize());
-        assert_eq!(hyb.to_dense(), after.to_dense());
-    }
-
-    #[test]
-    fn apply_delta_rejects_stale_snapshot() {
-        let before = skewed();
-        let mut hyb = Hyb::from_csr(&before, 1, 2).unwrap();
-        let mut d = GraphDelta::new();
-        d.upsert(0, 14, 1.0);
-        let after = before.apply_delta(&d).unwrap();
-        // Passing `after` as the before-snapshot must be caught.
-        assert!(hyb.apply_delta(&after, &after, &d).is_err());
-        assert!(hyb.apply_delta(&before, &after, &d).is_ok());
     }
 }

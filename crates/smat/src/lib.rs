@@ -1,27 +1,26 @@
 //! # sparsetir-smat
 //!
-//! Sparse/dense matrix substrate for the SparseTIR reproduction. Implements
-//! every storage format the paper's §3.1 lists as expressible by SparseTIR
-//! axis composition, plus the formats its evaluation introduces:
+//! Sparse/dense matrix substrate for the SparseTIR reproduction: the
+//! storage formats something in the workspace lowers, serves or measures.
 //!
 //! | Format | Module | Paper use |
 //! |---|---|---|
 //! | Dense | [`dense`] | `X`, `Y`, `W` operands |
 //! | COO | [`coo`] | construction |
 //! | CSR | [`csr`] | baselines, GNN graphs |
-//! | CSC | [`csc`] | column-oriented kernels |
 //! | ELL | [`ell`] | `hyb` building block |
 //! | BSR | [`bsr`] | sparse attention, block pruning |
 //! | DBSR | [`bsr::Dbsr`] | block pruning with zero rows (§4.3.2) |
-//! | DIA | [`dia`] | format expressiveness |
-//! | CSF (3-mode) | [`csf`] | RGMS relational tensor (§4.4) |
-//! | Ragged | [`csf::Ragged`] | ragged tensors |
 //! | SR-BCRS(t, g) | [`srbcrs`] | unstructured pruning (§4.3.2) |
 //! | `hyb(c, k)` | [`hyb`] | composable SpMM format (§4.2.1, Fig. 11) |
 //!
 //! Each compressed format carries `to_dense`/`spmm` reference routines used
 //! as correctness oracles by the kernel crates, and conversion constructors
 //! implementing the "indices inference" the paper delegates to SciPy.
+//! Beside the formats: [`delta`] (`GraphDelta` + `Csr::apply_delta`, the one
+//! update path), [`fingerprint`] (sparsity fingerprints and their drift),
+//! [`gen`] (seeded generators) and [`linalg`] (batched / relational
+//! references).
 //!
 //! ```
 //! use sparsetir_smat::prelude::*;
@@ -38,17 +37,13 @@
 
 pub mod bsr;
 pub mod coo;
-pub mod csc;
-pub mod csf;
 pub mod csr;
 pub mod delta;
 pub mod dense;
-pub mod dia;
 pub mod ell;
 pub mod fingerprint;
 pub mod gen;
 pub mod hyb;
-pub mod io;
 pub mod linalg;
 pub mod srbcrs;
 
@@ -58,19 +53,13 @@ pub use dense::SmatError;
 pub mod prelude {
     pub use crate::bsr::{Bsr, Dbsr};
     pub use crate::coo::Coo;
-    pub use crate::csc::Csc;
-    pub use crate::csf::{Csf3, Ragged};
     pub use crate::csr::Csr;
-    pub use crate::delta::{DynCsr, DynDeltaReport, GraphDelta};
+    pub use crate::delta::GraphDelta;
     pub use crate::dense::{Dense, SmatError};
-    pub use crate::dia::Dia;
     pub use crate::ell::Ell;
     pub use crate::fingerprint::SparsityFingerprint;
     pub use crate::gen;
-    pub use crate::hyb::{
-        bucket_for, ceil_log2, default_k, EllBucket, Hyb, HybDeltaReport, HybPartition,
-    };
-    pub use crate::io::{parse_matrix_market, to_matrix_market};
+    pub use crate::hyb::{bucket_for, ceil_log2, default_k, EllBucket, Hyb, HybPartition};
     pub use crate::linalg::{batched_sddmm, batched_spmm, rgms_reference};
     pub use crate::srbcrs::SrBcrs;
 }

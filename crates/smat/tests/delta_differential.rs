@@ -1,10 +1,9 @@
 //! Differential suite for the incremental-update layer: for arbitrary
-//! streams of edge inserts/deletes, every incremental path —
-//! `Csr::apply_delta`, the slack-array `DynCsr`, and the in-place
-//! `Hyb::apply_delta` — must be **bit-identical** (exactly structurally
-//! equal, after canonicalization for `Hyb`) to rebuilding the format from
-//! scratch out of the updated edge set. This is the correctness contract
-//! that lets the serving engine patch adjacencies instead of rebuilding.
+//! streams of edge inserts/deletes, `Csr::apply_delta` — the one update
+//! path, the merge `Engine::apply_delta` runs — must be **bit-identical**
+//! (exactly structurally equal) to rebuilding the matrix from scratch out
+//! of the updated edge set. This is the correctness contract that lets the
+//! serving engine merge a delta into an adjacency instead of rebuilding it.
 
 use proptest::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -100,41 +99,5 @@ proptest! {
             inc = inc.apply_delta(d).expect("in-bounds delta");
         }
         prop_assert_eq!(inc, oracle_after(&base, &stream));
-    }
-
-    /// The slack-array CSR agrees with the tight merge (and hence the
-    /// rebuild oracle) across the same streams, whatever mix of in-place
-    /// patches and re-packs the stream provokes.
-    #[test]
-    fn dyncsr_matches_rebuild(case in base_and_stream(14, 40, 6)) {
-        let (base, stream) = case;
-        let mut dy = DynCsr::from_csr(&base);
-        for d in &stream {
-            dy.apply_delta(d).expect("in-bounds delta");
-        }
-        prop_assert_eq!(dy.to_csr(), oracle_after(&base, &stream));
-    }
-
-    /// Incremental hyb(c, k) == from-scratch hyb(c, k) as canonical
-    /// structures — same buckets, same padding, same `real` accounting —
-    /// after every batch of the stream, across the (c, k) grid.
-    #[test]
-    fn hyb_apply_delta_matches_from_scratch(
-        case in base_and_stream(12, 36, 4),
-        c in 1usize..4,
-        k in 0u32..4,
-    ) {
-        let (base, stream) = case;
-        let mut hyb = Hyb::from_csr(&base, c, k).expect("positive c");
-        let mut cur = base;
-        for d in &stream {
-            let next = cur.apply_delta(d).expect("in-bounds delta");
-            hyb.apply_delta(&cur, &next, d).expect("consistent snapshots");
-            let mut rebuilt = Hyb::from_csr(&next, c, k).expect("positive c");
-            let mut canonical = hyb.clone();
-            prop_assert_eq!(canonical.canonicalize(), rebuilt.canonicalize());
-            prop_assert_eq!(hyb.original_nnz(), next.nnz());
-            cur = next;
-        }
     }
 }

@@ -33,7 +33,6 @@ fn main() {
         workers: 1,
         queue_depth: 64,
         max_batch: 8,
-        tune: false,
         batch_window: Some(std::time::Duration::from_micros(50)),
         ..EngineConfig::default()
     }));

@@ -8,7 +8,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`ir`] | loop-level tensor IR: AST, schedules, interpreter, CUDA codegen (Stage II/III substrate) |
-//! | [`smat`] | sparse matrix formats: CSR/CSC, COO, BSR, DBSR, ELL, DIA, CSF, ragged, SR-BCRS, `hyb(c,k)` |
+//! | [`smat`] | sparse matrix formats: CSR, COO, BSR, DBSR, ELL, SR-BCRS, `hyb(c,k)`; the delta layer |
 //! | [`core`] | the paper's contribution: Stage I sparse IR, format decomposition, Stage I schedules, the two lowering passes, horizontal fusion |
 //! | [`gpusim`] | deterministic GPU performance simulator (V100/RTX 3070) — the substitution for physical GPUs |
 //! | [`kernels`] | SparseTIR-generated operators: SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv, each with a simulator `*_plan` builder; the served ones (SpMM, SDDMM, attention, fused attention, fused GraphSAGE step) also sit behind the executable `SparseOp` face |
