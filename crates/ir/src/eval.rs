@@ -158,6 +158,22 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// Element count of an `Allocate` of buffer `name` with the evaluated
+/// extents `dims` — one rule and one error text for the interpreter and
+/// the compiled executor: no extent negative, and the product a size a
+/// `Vec` of 4-byte elements can have.
+pub(crate) fn alloc_len(name: &str, dims: &[i64]) -> Result<usize, String> {
+    const MAX_ELEMS: i64 = isize::MAX as i64 / 4;
+    if let Some(d) = dims.iter().find(|d| **d < 0) {
+        return Err(format!("negative extent {d} in allocation of buffer `{name}`"));
+    }
+    dims.iter()
+        .try_fold(1i64, |len, d| len.checked_mul(*d))
+        .filter(|len| *len <= MAX_ELEMS)
+        .and_then(|len| usize::try_from(len).ok())
+        .ok_or_else(|| format!("allocation of buffer `{name}` overflows ({dims:?} elements)"))
+}
+
 struct Interp<'a, 'h> {
     env: HashMap<String, i64>,
     tensors: &'a mut HashMap<String, TensorData>,
@@ -438,15 +454,13 @@ impl<'a, 'h> Interp<'a, 'h> {
                 r
             }
             Stmt::Allocate { buffer, body } => {
-                let len: i64 = {
-                    let mut acc = 1i64;
-                    for d in &buffer.shape {
-                        acc *= self.eval(d)?.as_int()?;
-                    }
-                    acc
-                };
+                let mut dims = Vec::with_capacity(buffer.shape.len());
+                for d in &buffer.shape {
+                    dims.push(self.eval(d)?.as_int()?);
+                }
+                let len = alloc_len(&buffer.name, &dims).map_err(EvalError::new)?;
                 let name = buffer.name.to_string();
-                self.tensors.insert(name.clone(), TensorData::zeros(buffer.dtype, len as usize));
+                self.tensors.insert(name.clone(), TensorData::zeros(buffer.dtype, len));
                 self.locals.push(name.clone());
                 let r = self.exec(body);
                 self.tensors.remove(&name);

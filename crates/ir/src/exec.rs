@@ -99,6 +99,31 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// What a kernel's row nests did over its runs so far
+/// ([`CompiledKernel::nest_counts`]): whether the fast path is the one
+/// taken. `entries − repinned` are the entries that paid the full lane
+/// prologue: the first one per nest and thread of each launch, every entry
+/// of a nest that has no entry program, and any whose re-pin failed a
+/// check.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NestCounts {
+    /// Times a `nest.*` instruction was entered (once per row).
+    pub entries: u64,
+    /// Entries that ran their entry program and re-pinned the walk state
+    /// an earlier entry of the launch established.
+    pub repinned: u64,
+    /// Entries that handed a trip they could not take to the generic loop.
+    pub handovers: u64,
+}
+
+impl NestCounts {
+    fn add(&mut self, other: NestCounts) {
+        self.entries += other.entries;
+        self.repinned += other.repinned;
+        self.handovers += other.handovers;
+    }
+}
+
 fn oob(name: &str, idx: usize, len: usize) -> ExecError {
     ExecError::new(format!("flat index {idx} out of bounds (len {len}) in buffer `{name}`"))
 }
@@ -269,6 +294,7 @@ enum CStmt {
     },
     Alloc {
         buf: u32,
+        name: String,
         is_float: bool,
         len_dims: Vec<IntExpr>,
         body: Box<CStmt>,
@@ -1416,7 +1442,8 @@ impl Compiler {
                 let buf = self.fresh_buf(&buffer.name);
                 let body = Box::new(self.compile_stmt(body, false)?);
                 self.buf_scopes.pop();
-                CStmt::Alloc { buf, is_float: buffer.dtype.is_float(), len_dims, body }
+                let name = buffer.name.to_string();
+                CStmt::Alloc { buf, name, is_float: buffer.dtype.is_float(), len_dims, body }
             }
             Stmt::Evaluate(e) => CStmt::EvalV(self.compile_value(e)?),
             Stmt::MmaSync { c, a, b, m, n, k } => CStmt::Mma(Box::new(MmaOp {
@@ -1735,6 +1762,13 @@ impl CompiledKernel {
     #[must_use]
     pub fn disassemble(&self) -> String {
         disasm::render(self, &self.code)
+    }
+
+    /// What the kernel's row nests did, summed over every run so far
+    /// (read-only; a diagnostic, like [`CompiledKernel::fused_ops`]).
+    #[must_use]
+    pub fn nest_counts(&self) -> NestCounts {
+        self.code.nest_counts()
     }
 
     /// True when the outermost loop dispatches iterations across threads.

@@ -29,16 +29,25 @@
 //!   is headed by an [`Instr::Nest`] instead of a `LoopStart`: the row
 //!   nest runs the trips itself and hands the loop behind it — lowered
 //!   exactly as without the nest — whichever trip it cannot take.
+//! * **A nest is entered many times per launch, and keeps what cannot
+//!   change between entries.** The dispatch loop's [`State`] has one slot
+//!   per nest instruction: the first entry (per thread — each thread of a
+//!   fanned-out `Par` has its own `State`) pays the lane prologue and
+//!   establishes the launch-invariant walk state there; later entries run
+//!   the nest's entry program and re-pin it ([`run_nest`]). `Alloc` /
+//!   `Free` of a buffer the state names drops it. Entries, re-pins and
+//!   hand-overs are counted per launch and added to the [`Code`]'s totals
+//!   when `exec` returns ([`Code::nest_counts`]).
 //!
 //! Semantics are bit-identical to the reference interpreter
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, LaneSpec, NestSpec};
+use super::fuse::{self, LaneSpec, NestSpec, Trips};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, num_threads, BoolExpr, CBlock, CStmt,
-    ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, RawBuf, SendFrame,
-    ValueExpr,
+    ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf,
+    SendFrame, ValueExpr,
 };
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -86,8 +95,9 @@ pub(super) enum Instr {
     /// interpreter).
     StoreI { buf: u32, index: IndexExpr, value: IntExpr },
     /// Push a zeroed staging buffer into `bufs[buf]`, saving the shadowed
-    /// view for the matching [`Instr::Free`].
-    Alloc { buf: u32, is_float: bool, len_dims: Vec<IntExpr> },
+    /// view for the matching [`Instr::Free`]. `name` is for the error a
+    /// negative or overflowing extent raises.
+    Alloc { buf: u32, name: String, is_float: bool, len_dims: Vec<IntExpr> },
     /// Pop the staging buffer pushed by the matching [`Instr::Alloc`].
     Free { buf: u32 },
     /// Evaluate for effect (lazy runtime errors).
@@ -102,8 +112,9 @@ pub(super) enum Instr {
     /// [`Instr::LoopStart`]: run the trips as a row nest and jump to `end`,
     /// or — from the first trip the nest cannot take — enter the loop body
     /// right behind this instruction at that trip, sharing the loop's
-    /// `LoopEnd` (at `end - 1`) as the back edge.
-    Nest { spec: Box<NestSpec>, end: u32 },
+    /// `LoopEnd` (at `end - 1`) as the back edge. `id` numbers the nests
+    /// of a stream: the slot of this one's kept walk state in [`State`].
+    Nest { spec: Box<NestSpec>, id: u32, end: u32 },
     /// Ill-typed statement that errors only if executed (matching the
     /// interpreter's lazy runtime errors).
     Fail(String),
@@ -115,20 +126,23 @@ pub(super) enum Instr {
 pub(super) struct Code {
     instrs: Vec<Instr>,
     fused_ops: usize,
+    /// What the row nests counted, summed over every run.
+    nest_counts: Mutex<NestCounts>,
 }
 
 /// Lower a compiled statement tree to flat bytecode. When `fuse` is set,
 /// the fusion analysis runs over each candidate loop during lowering and
 /// emits superinstructions.
 pub(super) fn lower(body: &CStmt, fuse: bool) -> Code {
-    let mut lw = Lower { instrs: Vec::new(), fused_ops: 0, fuse };
+    let mut lw = Lower { instrs: Vec::new(), fused_ops: 0, nests: 0, fuse };
     lw.stmt(body);
-    Code { instrs: lw.instrs, fused_ops: lw.fused_ops }
+    Code { instrs: lw.instrs, fused_ops: lw.fused_ops, nest_counts: Default::default() }
 }
 
 struct Lower {
     instrs: Vec<Instr>,
     fused_ops: usize,
+    nests: u32,
     fuse: bool,
 }
 
@@ -251,9 +265,10 @@ impl Lower {
                 self.emit(Instr::Bind { slot: *slot, value: value.clone() });
                 self.stmt(body);
             }
-            CStmt::Alloc { buf, is_float, len_dims, body } => {
+            CStmt::Alloc { buf, name, is_float, len_dims, body } => {
                 self.emit(Instr::Alloc {
                     buf: *buf,
+                    name: name.clone(),
                     is_float: *is_float,
                     len_dims: len_dims.clone(),
                 });
@@ -341,7 +356,8 @@ impl Lower {
         }
         let lanes_at = u32::try_from(lanes_at).expect("kernel exceeds u32 instructions");
         if let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, lanes_at) {
-            self.instrs[at] = Instr::Nest { spec: Box::new(spec), end: *end };
+            self.instrs[at] = Instr::Nest { spec: Box::new(spec), id: self.nests, end: *end };
+            self.nests += 1;
         }
     }
 
@@ -571,19 +587,51 @@ struct LoopFrame {
     n: i64,
 }
 
+/// What a row nest keeps from one entry to the next within a launch, per
+/// thread.
+struct Kept<'c> {
+    /// The launch-invariant walk state; `None` when the nest's bindings
+    /// are of a kind its walks do not cover (every entry then takes the
+    /// first-entry path).
+    walks: Option<Trips>,
+    /// The buffers whose bindings that was decided on.
+    names: &'c [u32],
+}
+
 /// Mutable interpreter state threaded through [`run_range`] alongside the
-/// frame: the loop stack and the alloc shadow stack.
-struct State {
+/// frame: the loop stack, the alloc shadow stack, and what the row nests
+/// of the stream `'c` keep across their entries.
+struct State<'c> {
     loops: Vec<LoopFrame>,
     saved: Vec<RawBuf>,
     /// Most threads a `Par` may fan out to; `None` asks
     /// `SPARSETIR_NUM_THREADS` when one is reached.
     threads: Option<usize>,
+    /// By [`Instr::Nest`] `id`, grown on first use; `None` until the
+    /// nest's first entry establishes it.
+    kept: Vec<Option<Kept<'c>>>,
+    counts: NestCounts,
 }
 
-impl State {
-    fn new(threads: Option<usize>) -> State {
-        State { loops: Vec::new(), saved: Vec::new(), threads }
+impl<'c> State<'c> {
+    fn new(threads: Option<usize>) -> State<'c> {
+        State {
+            loops: Vec::new(),
+            saved: Vec::new(),
+            threads,
+            kept: Vec::new(),
+            counts: NestCounts::default(),
+        }
+    }
+
+    /// `buf` was re-bound (allocated or freed): spots taken of its old
+    /// binding are stale.
+    fn rebound(&mut self, buf: u32) {
+        for kept in &mut self.kept {
+            if kept.as_ref().is_some_and(|k| k.names.contains(&buf)) {
+                *kept = None;
+            }
+        }
     }
 }
 
@@ -614,6 +662,11 @@ impl Code {
         &self.instrs
     }
 
+    /// What the stream's row nests did, summed over every run so far.
+    pub(super) fn nest_counts(&self) -> NestCounts {
+        *self.nest_counts.lock().expect("no panic while counting")
+    }
+
     /// Execute the whole stream against `fr`.
     pub(super) fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
         self.exec_on(fr, None)
@@ -623,7 +676,10 @@ impl Code {
     /// the environment.
     pub(super) fn exec_on(&self, fr: &mut Frame, threads: Option<usize>) -> Result<(), ExecError> {
         let end = u32::try_from(self.instrs.len()).expect("kernel exceeds u32 instructions");
-        run_range(&self.instrs, 0, end, fr, &mut State::new(threads))
+        let mut st = State::new(threads);
+        let result = run_range(&self.instrs, 0, end, fr, &mut st);
+        self.nest_counts.lock().expect("no panic while counting").add(st.counts);
+        result
     }
 }
 
@@ -631,12 +687,12 @@ impl Code {
 /// partially-unwound `State` is discarded by the caller, so no cleanup
 /// pass is needed.
 #[allow(clippy::too_many_lines)]
-fn run_range(
-    code: &[Instr],
+fn run_range<'c>(
+    code: &'c [Instr],
     start: u32,
     end: u32,
     fr: &mut Frame,
-    st: &mut State,
+    st: &mut State<'c>,
 ) -> Result<(), ExecError> {
     let mut ip = start;
     while ip < end {
@@ -679,7 +735,7 @@ fn run_range(
                     ip += 1;
                     continue;
                 }
-                run_parallel(code, ip + 1, *lend - 1, fr, *slot, n, threads)?;
+                run_parallel(code, ip + 1, *lend - 1, fr, (*slot, n, threads), &mut st.counts)?;
                 ip = *lend;
             }
             Instr::Bind { slot, value } => {
@@ -725,21 +781,14 @@ fn run_range(
                 exec_store_i(fr, *buf, index, value)?;
                 ip += 1;
             }
-            Instr::Alloc { buf, is_float, len_dims } => {
-                let mut len: i64 = 1;
-                for d in len_dims {
-                    len *= d.eval(fr)?;
-                }
-                let mut data = super::alloc_local(fr, *is_float, len as usize);
-                let view = RawBuf::of(&mut data);
-                fr.locals.push(data);
-                st.saved.push(fr.bufs[*buf as usize]);
-                fr.bufs[*buf as usize] = view;
+            Instr::Alloc { buf, name, is_float, len_dims } => {
+                alloc(fr, st, (*buf, name), *is_float, len_dims)?;
                 ip += 1;
             }
             Instr::Free { buf } => {
                 fr.bufs[*buf as usize] = st.saved.pop().expect("alloc stack underflow");
                 super::free_local(fr);
+                st.rebound(*buf);
                 ip += 1;
             }
             Instr::EvalV(v) => {
@@ -761,10 +810,35 @@ fn run_range(
                     ip += 1;
                 }
             }
-            Instr::Nest { spec, end: lend } => ip = run_nest(code, ip, spec, *lend, fr, st)?,
+            Instr::Nest { spec, id, end: lend } => {
+                ip = run_nest(code, ip, (spec, *id), *lend, fr, st)?;
+            }
             Instr::Fail(msg) => return Err(ExecError::new(msg.clone())),
         }
     }
+    Ok(())
+}
+
+/// Execute an [`Instr::Alloc`] (once per launch or so: kept out of the
+/// dispatch loop): a zeroed staging buffer of the evaluated extents'
+/// product — an extent no buffer can have is an error, not an allocator
+/// panic — bound over whatever `buf` named before.
+#[inline(never)]
+fn alloc(
+    fr: &mut Frame,
+    st: &mut State,
+    (buf, name): (u32, &str),
+    is_float: bool,
+    len_dims: &[IntExpr],
+) -> Result<(), ExecError> {
+    let dims = len_dims.iter().map(|d| d.eval(fr)).collect::<Result<Vec<_>, _>>()?;
+    let len = crate::eval::alloc_len(name, &dims).map_err(ExecError::new)?;
+    let mut data = super::alloc_local(fr, is_float, len);
+    let view = RawBuf::of(&mut data);
+    fr.locals.push(data);
+    st.saved.push(fr.bufs[buf as usize]);
+    fr.bufs[buf as usize] = view;
+    st.rebound(buf);
     Ok(())
 }
 
@@ -772,25 +846,57 @@ fn run_range(
 /// other arms should not pay for its state): returns the next `ip` —
 /// `end` when the nest took every trip, else the loop body right behind
 /// it, entered at the first trip the nest could not take.
+///
+/// The first entry of a launch (per thread) runs the lane prologue through
+/// the tree evaluators and establishes the nest's launch-invariant walk
+/// state in `st`; every later one runs the nest's entry program and re-pins
+/// that state. An entry whose re-pin fails a check — before it wrote
+/// anything — and every entry of a nest without a program take the
+/// first-entry path.
 #[inline(never)]
-fn run_nest(
-    code: &[Instr],
+fn run_nest<'c>(
+    code: &'c [Instr],
     ip: u32,
-    spec: &NestSpec,
+    (spec, id): (&'c NestSpec, u32),
     end: u32,
     fr: &mut Frame,
-    st: &mut State,
+    st: &mut State<'c>,
 ) -> Result<u32, ExecError> {
     let Instr::Super { spec: lanes, .. } = &code[spec.lanes_at as usize] else {
         unreachable!("a nest's lane loop is a superinstruction")
     };
-    let n = spec.extent.eval(fr)?;
-    let done = if n > 0 { spec.run(lanes, fr, n) } else { n };
+    st.counts.entries += 1;
+    let mut repinned = None;
+    if let Some(prog) = &spec.entry {
+        let id = id as usize;
+        if st.kept.len() <= id {
+            st.kept.resize_with(id + 1, || None);
+        }
+        match &mut st.kept[id] {
+            Some(Kept { walks: Some(at), .. }) => repinned = spec.reenter(prog, lanes, fr, at),
+            Some(Kept { walks: None, .. }) => {}
+            fresh @ None => {
+                let walks = Trips::establish(spec, prog, lanes, fr);
+                *fresh = Some(Kept { walks, names: &prog.bufs });
+            }
+        }
+    }
+    let (done, n) = match repinned {
+        Some(taken) => {
+            st.counts.repinned += 1;
+            taken
+        }
+        None => {
+            let n = spec.extent.eval(fr)?;
+            (if n > 0 { spec.run(lanes, fr, n) } else { n }, n)
+        }
+    };
     if done == n {
         return Ok(end);
     }
     // Trip `done` failed a precondition before writing: the generic loop
     // takes over there, every earlier trip's writes being exactly its own.
+    st.counts.handovers += 1;
     fr.scalars[spec.slot as usize] = done;
     st.loops.push(LoopFrame { slot: spec.slot, body: ip + 1, i: done, n });
     Ok(ip + 1)
@@ -799,18 +905,18 @@ fn run_nest(
 /// Dispatch iterations `0..n` of the body range `[body_start, body_end)`
 /// across `threads` scoped threads: contiguous chunks, one cloned frame
 /// per thread (not `exclusive`: the threads share the bound buffers),
-/// first error wins.
+/// first error wins. Each thread keeps its own row-nest state; what its
+/// nests counted is added to `counts`.
 fn run_parallel(
     code: &[Instr],
     body_start: u32,
     body_end: u32,
     fr: &Frame,
-    slot: u32,
-    n: i64,
-    threads: usize,
+    (slot, n, threads): (u32, i64, usize),
+    counts: &mut NestCounts,
 ) -> Result<(), ExecError> {
     let chunk = (n as usize).div_ceil(threads);
-    let first_err: Mutex<Option<ExecError>> = Mutex::new(None);
+    let shared: Mutex<(Option<ExecError>, NestCounts)> = Mutex::new((None, *counts));
     std::thread::scope(|s| {
         for t in 0..threads {
             let lo = (t * chunk) as i64;
@@ -825,27 +931,27 @@ fn run_parallel(
                 pool: None,
                 exclusive: false,
             });
-            let first_err = &first_err;
+            let shared = &shared;
             s.spawn(move || {
                 // Move the whole wrapper (not just `tf.0`) so the `Send`
                 // impl on `SendFrame` applies.
                 let mut tf = tf;
                 let mut st = State::new(None);
+                let mut failed = None;
                 for i in lo..hi {
                     tf.0.scalars[slot as usize] = i;
                     if let Err(e) = run_range(code, body_start, body_end, &mut tf.0, &mut st) {
-                        let mut g = first_err.lock().unwrap();
-                        if g.is_none() {
-                            *g = Some(e);
-                        }
-                        return;
+                        failed = Some(e);
+                        break;
                     }
                 }
+                let mut g = shared.lock().expect("no thread panics holding the lock");
+                g.0 = g.0.take().or(failed);
+                g.1.add(st.counts);
             });
         }
     });
-    match first_err.into_inner().unwrap() {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
+    let (first_err, total) = shared.into_inner().expect("no thread panics holding the lock");
+    *counts = total;
+    first_err.map_or(Ok(()), Err)
 }

@@ -6,10 +6,14 @@
 //! fusion matching or slot allocation shows up as a readable diff.
 //! Scalar slots print as `%N`, buffer slots as `@N` (both resolvable via
 //! the tables), jump targets as zero-padded absolute instruction
-//! addresses.
+//! addresses. A row nest that has an entry program prints it on an
+//! unnumbered `entry:` line under its `nest.*` line.
 
 use super::bytecode::{Code, Instr};
-use super::fuse::{Drift, InitKind, LaneSpec, LaneView, Micro, NestSpec, TermShape, TermSpec};
+use super::fuse::{
+    Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, Micro, NestSpec, Reg,
+    TermShape, TermSpec,
+};
 use super::{
     BoolExpr, CmpOp, CompiledKernel, CompiledTile, FloatExpr, FloatOp, IndexExpr, IntExpr, IntOp,
     ValueExpr,
@@ -50,6 +54,11 @@ pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
     out.push('\n');
     for (at, ins) in code.instrs().iter().enumerate() {
         let _ = writeln!(out, "{at:04}  {}", instr(ins, code.instrs()));
+        if let Instr::Nest { spec, .. } = ins {
+            if let Some(prog) = &spec.entry {
+                let _ = writeln!(out, "      {}", entry(prog));
+            }
+        }
     }
     out
 }
@@ -93,7 +102,7 @@ fn instr(ins: &Instr, code: &[Instr]) -> String {
         Instr::StoreI { buf, index, value } => {
             format!("st.i32     @{buf}[{}] = {}", index_expr(index), int(value))
         }
-        Instr::Alloc { buf, is_float, len_dims } => {
+        Instr::Alloc { buf, is_float, len_dims, .. } => {
             let dims: Vec<String> = len_dims.iter().map(int).collect();
             let dtype = if *is_float { "f32" } else { "i32" };
             format!("alloc      @{buf} = {dtype}[{}]", dims.join(", "))
@@ -110,7 +119,7 @@ fn instr(ins: &Instr, code: &[Instr]) -> String {
             op.k
         ),
         Instr::Super { spec, done } => format!("{} -> {done:04}", superinstr(spec)),
-        Instr::Nest { spec, end } => nest(spec, &code[spec.lanes_at as usize], *end),
+        Instr::Nest { spec, end, .. } => nest(spec, &code[spec.lanes_at as usize], *end),
         Instr::Fail(msg) => format!("fail       {msg:?}"),
     }
 }
@@ -163,6 +172,60 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
         let _ = write!(out, ", reduce=[{}]", iters.join("; "));
     }
     out
+}
+
+/// The entry program of a row nest: its load registers (`$k`, in
+/// evaluation order; slot registers print as the slot), then every pin over
+/// them — the trip count, where the gather (and the register holding what
+/// it loads at trip 0) and each view start, the reduce iters.
+fn entry(prog: &EntryProgram) -> String {
+    let lin = |l: &Lin| {
+        let mut out = String::new();
+        for &(coef, reg) in &l.terms {
+            let name = match &prog.regs[usize::from(reg)] {
+                Reg::Slot(s) => format!("%{s}"),
+                Reg::Load { .. } => format!("${reg}"),
+            };
+            let sign = if coef < 0 {
+                "-"
+            } else if out.is_empty() {
+                ""
+            } else {
+                "+"
+            };
+            let by = if coef.abs() == 1 { String::new() } else { format!("{}*", coef.abs()) };
+            let _ = write!(out, "{sign}{by}{name}");
+        }
+        if out.is_empty() {
+            return l.konst.to_string();
+        }
+        if l.konst != 0 {
+            let _ = write!(out, "{:+}", l.konst);
+        }
+        out
+    };
+    let at = |p: &IndexPlan| {
+        let dims: Vec<String> = p.dims.iter().map(|(i, d)| format!("{}<{d}", lin(i))).collect();
+        format!("[{}]", dims.join(", "))
+    };
+    let loads = prog.regs.iter().enumerate().filter_map(|(k, reg)| match reg {
+        Reg::Load { buf, at: pos } => Some(format!("${k}=@{buf}{}", at(pos))),
+        Reg::Slot(_) => None,
+    });
+    let mut pins = vec![format!("extent={}", lin(&prog.extent))];
+    if let Some((pos, reg)) = &prog.gather {
+        pins.push(format!("gather=${reg}@{}", at(pos)));
+    }
+    let views = prog.views.iter().chain([&prog.coeff]).zip(["dst", "a", "b", "coeff"]);
+    pins.extend(views.filter_map(|(pos, name)| Some(format!("{name}@{}", at(pos.as_ref()?)))));
+    if !prog.reduce.is_empty() {
+        let iters: Vec<String> =
+            prog.reduce.iter().map(|(slot, v)| format!("%{slot}={}", lin(v))).collect();
+        pins.push(format!("reduce=[{}]", iters.join("; ")));
+    }
+    let loads: Vec<String> = loads.collect();
+    let sep = if loads.is_empty() { "" } else { "; " };
+    format!("entry: {}{sep}{}", loads.join(", "), pins.join(", "))
 }
 
 fn superinstr(spec: &LaneSpec) -> String {

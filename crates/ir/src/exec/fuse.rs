@@ -45,13 +45,18 @@
 //! * the lane count, every index extent, and the init / fill values are
 //!   row-invariant; the coefficient is row-invariant or one plain load.
 //!
-//! A nest runs trip 0 through the lane loop's own prologue, then walks the
-//! moving quantities: per non-zero one bounds-checked index load, one
-//! bounds-checked coefficient load, a base add and an interval check per
-//! moving view, and the same lane bodies. It is the head of its loop in
-//! place of `LoopStart`; the loop behind it is lowered as without it, and
-//! the nest hands it the first trip whose checks fail, before that trip
-//! writes anything.
+//! The first entry of a launch runs trip 0 through the lane loop's own
+//! prologue, then walks the moving quantities: per non-zero one
+//! bounds-checked index load, one bounds-checked coefficient load, a base
+//! add and an interval check per moving view, and the same lane bodies.
+//! Later entries do not repeat the prologue: what cannot change within a
+//! launch (where operands are bound, strides, spans, lane count) is kept
+//! from the first entry, and what varies with the enclosing loop variables
+//! is a compiled **entry program** — a few checked `i32` loads and linear
+//! combinations — that re-pins the walks (see the `nest` submodule). The
+//! nest is the head of its loop in place of `LoopStart`; the loop behind
+//! it is lowered as without it, and the nest hands it the first trip whose
+//! checks fail, before that trip writes anything.
 //!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
 //! body — what a split by a factor that does not divide the extent
@@ -92,7 +97,7 @@ use std::collections::HashMap;
 
 mod nest;
 
-pub(super) use nest::{build_nest, Drift, NestSpec};
+pub(super) use nest::{build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Reg, Trips};
 
 // ---------------------------------------------------------------------------
 // Compile-time stride / invariance / aliasing analysis
@@ -343,6 +348,18 @@ pub(super) enum InitKind {
     /// Some reduce binding strides with the lane: fires at the single
     /// lane where every reduce binding is zero (scalar reductions only).
     AtZeroLane { value: FloatExpr },
+}
+
+impl InitKind {
+    /// The init statement's value, when there is one.
+    fn value(&self) -> Option<&FloatExpr> {
+        match self {
+            InitKind::None => None,
+            InitKind::Always { value }
+            | InitKind::WhenReduceZero { value }
+            | InitKind::AtZeroLane { value } => Some(value),
+        }
+    }
 }
 
 /// Specialized dense-lane microkernel instructions. Each operates on
@@ -899,7 +916,7 @@ unsafe fn pieces<const N: usize>(
 
 /// Where an index lands with every slot bound: the flat element, and the
 /// innermost dimension's index and extent.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 struct Place {
     flat: i64,
     last_i: i64,

@@ -23,18 +23,41 @@
 //! coefficient (row-invariant, or one `f32` load at a moving index), the
 //! lane count, and the init / fill values (row-invariant).
 //!
-//! At run time trip 0 goes through the lane loop's own prologue; the
-//! moving quantities are then *walked*: per trip one bounds-checked load
-//! of the gathered index, one bounds-checked coefficient load, a base add
-//! and an interval check per moving view, and the unchanged lane bodies.
-//! Any precondition failing at trip `t` — before that trip's first write —
-//! returns `t`, and the generic loop behind the instruction (with the
-//! per-non-zero `Super` inside it) resumes at exactly that trip: errors,
-//! their order and the written prefix stay the interpreter's.
+//! At run time the **first entry** of a launch (per thread) goes through
+//! the lane loop's own prologue for trip 0 and pins every moving quantity
+//! there; the moving quantities are then *walked*: per trip one
+//! bounds-checked load of the gathered index, one bounds-checked
+//! coefficient load, a base add and an interval check per moving view, and
+//! the unchanged lane bodies. Any precondition failing at trip `t` — before
+//! that trip's first write — returns `t`, and the generic loop behind the
+//! instruction (with the per-non-zero `Super` inside it) resumes at exactly
+//! that trip: errors, their order and the written prefix stay the
+//! interpreter's.
+//!
+//! **Re-entry.** What an entry evaluates splits by when it can change.
+//! *Launch-invariant*: where each operand is bound (pointer, length,
+//! segment table, width), strides, spans, the lane count, the init and
+//! hoisted values — the first entry establishes these ([`Trips::establish`])
+//! and the executor keeps them per thread for the rest of the launch,
+//! dropping them when a buffer the nest names is allocated or freed.
+//! *Entry-varying*: the handful of integers that depend on enclosing loop
+//! variables — trip count, where the gather and each operand start, the
+//! reduce iters. [`plan_entry`] compiles those into an **entry program**
+//! ([`EntryProgram`]): a few registers — enclosing scalar slots and `i32`
+//! loads at positions linear in earlier registers (`indptr[r]`,
+//! `indptr[r + 1]`, a bucket's row id), each loaded and checked against its
+//! declared dimension and its bound storage **once** — and every pin a
+//! checked linear combination of them ([`Lin`]). A re-entered nest runs
+//! that program, re-pins the kept walks and takes trip 0 through the same
+//! `advance` as every later trip: no expression tree, no `resolve`. A nest
+//! whose prologue does not fit a program (a non-constant extent or lane
+//! count, an iter under a division, a hoisted value that is not a constant)
+//! has none and pays the first-entry path every time; a re-pin check that
+//! fails takes that path for the entry, before anything of it is written.
 
 use super::{
     cols_lanes, div_rem, float_invariant, index_loads, ColSeg, FloatExpr, Frame, IndexExpr,
-    IntExpr, IntOp, LaneBody, LaneSpec, Lanes, Micro, Place, RawBuf, Resolved, Steady,
+    IntExpr, IntOp, LaneBody, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf, Resolved, Steady,
 };
 use crate::exec::{elem_load_i32, RowSeg};
 
@@ -204,6 +227,9 @@ pub(in crate::exec) struct NestSpec {
     /// The coefficient when it is one `f32` load at a moving index;
     /// `None` when it is row-invariant or absent.
     pub coeff: Option<Drift>,
+    /// What a re-entry evaluates in place of the prologue's expression
+    /// trees; `None` when some entry-varying quantity does not fit one.
+    pub entry: Option<EntryProgram>,
 }
 
 /// Record the load a moving quantity gathers through; false when the nest
@@ -266,13 +292,7 @@ pub(in crate::exec) fn build_nest(
         | Micro::DotLanes { dst, term }
         | Micro::GatherScaleAccumulate { dst, term } => (dst, Some(term)),
     };
-    let init_is_row = match &lanes.init {
-        super::InitKind::None => true,
-        super::InitKind::Always { value }
-        | super::InitKind::WhenReduceZero { value }
-        | super::InitKind::AtZeroLane { value } => float_invariant(value, &env),
-    };
-    if !init_is_row {
+    if lanes.init.value().is_some_and(|value| !float_invariant(value, &env)) {
         return None;
     }
 
@@ -314,7 +334,7 @@ pub(in crate::exec) fn build_nest(
         }
         Some(_) => return None,
     };
-    Some(NestSpec {
+    let mut spec = NestSpec {
         slot,
         extent: extent.clone(),
         pins,
@@ -323,50 +343,341 @@ pub(in crate::exec) fn build_nest(
         reduce_moves,
         views,
         coeff,
-    })
+        entry: None,
+    };
+    spec.entry = plan_entry(&spec, lanes);
+    Some(spec)
+}
+
+// ---------------------------------------------------------------------------
+// Entry program (compile time)
+// ---------------------------------------------------------------------------
+
+/// Most registers an entry program may have (a fixed array at run time).
+const MAX_REGS: usize = 8;
+
+/// `konst + Σ coef · register`: a prologue quantity at trip 0, linear in
+/// the entry program's registers. Terms are sorted by register and carry no
+/// zero coefficient, so equal values have equal forms.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub(in crate::exec) struct Lin {
+    pub konst: i64,
+    pub terms: Vec<(i64, u8)>,
+}
+
+impl Lin {
+    /// `self + sign·other`.
+    fn plus(&self, other: &Lin, sign: i64) -> Option<Lin> {
+        let mut terms = self.terms.clone();
+        for &(coef, reg) in &other.terms {
+            let coef = sign.checked_mul(coef)?;
+            match terms.iter_mut().find(|(_, r)| *r == reg) {
+                Some((have, _)) => *have = have.checked_add(coef)?,
+                None => terms.push((coef, reg)),
+            }
+        }
+        terms.retain(|(coef, _)| *coef != 0);
+        terms.sort_by_key(|(_, reg)| *reg);
+        Some(Lin { konst: self.konst.checked_add(sign.checked_mul(other.konst)?)?, terms })
+    }
+
+    fn times(&self, c: i64) -> Option<Lin> {
+        if c == 0 {
+            return Some(Lin::default());
+        }
+        let terms = self.terms.iter().map(|&(coef, reg)| Some((coef.checked_mul(c)?, reg)));
+        Some(Lin { konst: self.konst.checked_mul(c)?, terms: terms.collect::<Option<_>>()? })
+    }
+
+    fn as_const(&self) -> Option<i64> {
+        self.terms.is_empty().then_some(self.konst)
+    }
+
+    /// The value over `regs`; `None` on overflow (the tree evaluators
+    /// decide what that means).
+    #[inline(always)]
+    fn eval(&self, regs: &[i64; MAX_REGS]) -> Option<i64> {
+        let mut v = self.konst;
+        for &(coef, reg) in &self.terms {
+            v = v.checked_add(coef.checked_mul(regs[usize::from(reg)])?)?;
+        }
+        Some(v)
+    }
+}
+
+/// An index at trip 0: every dimension's position a [`Lin`], every extent
+/// a constant.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(in crate::exec) struct IndexPlan {
+    pub dims: Vec<(Lin, i64)>,
+}
+
+/// Dimension `dim` of an index as a walk sees it: its extent, how many
+/// elements one step of it advances the flat index, and whether it is the
+/// innermost one (whose headroom a lane run's span eats into).
+#[derive(Clone, Copy)]
+struct Reach {
+    d: i64,
+    coef: i64,
+    innermost: bool,
+}
+
+impl IndexPlan {
+    fn reach(&self, dim: usize) -> Option<Reach> {
+        let coef = self.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))?;
+        Some(Reach { d: self.dims[dim].1, coef, innermost: dim + 1 == self.dims.len() })
+    }
+
+    /// The drift of an index that does not move with the trip, only from
+    /// entry to entry: pinned on its innermost dimension.
+    fn still(&self) -> Drift {
+        Drift { dim: self.dims.len() - 1, step: 0, scale: 0 }
+    }
+
+    /// Where the index lands over `regs`: the flat element and dimension
+    /// `moving`'s position. Every other dimension is checked against its
+    /// extent here — the innermost one with room for a run of `span`
+    /// further elements, as `resolve_lanes` demands; `moving` is left to
+    /// the walk's per-trip interval check (pass `usize::MAX` to check all).
+    #[inline(always)]
+    fn pin(&self, regs: &[i64; MAX_REGS], span: i64, moving: usize) -> Option<(i64, i64)> {
+        let last = self.dims.len().wrapping_sub(1);
+        let (mut flat, mut i0) = (0i64, 0i64);
+        for (k, (at, d)) in self.dims.iter().enumerate() {
+            let i = at.eval(regs)?;
+            if k == moving {
+                i0 = i;
+            } else {
+                let (lo, hi) = interval(*d, if k == last { span } else { 0 })?;
+                if i < lo || i > hi {
+                    return None;
+                }
+            }
+            flat = flat.checked_mul(*d)?.checked_add(i)?;
+        }
+        Some((flat, i0))
+    }
+}
+
+/// The positions of a dimension of extent `d` from which `span` further
+/// elements stay inside it.
+#[inline(always)]
+fn interval(d: i64, span: i64) -> Option<(i64, i64)> {
+    Some((0.max(span.checked_neg()?), (d - 1).min((d - 1).checked_sub(span)?)))
+}
+
+/// One register of an entry program.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(in crate::exec) enum Reg {
+    /// A scalar slot bound outside the nest (an enclosing loop variable).
+    Slot(u32),
+    /// One `i32` load at a position over earlier registers, checked
+    /// against the declared dimensions and the bound storage.
+    Load { buf: u32, at: IndexPlan },
+}
+
+/// What a re-entered nest evaluates in place of the lane prologue's
+/// expression trees: `regs` in order, then every pin as a [`Lin`] (or an
+/// [`IndexPlan`] of them) over those.
+#[derive(Debug, Clone)]
+pub(in crate::exec) struct EntryProgram {
+    pub regs: Vec<Reg>,
+    /// The nest's trip count, over the first `head` registers: an entry
+    /// that has no trips evaluates nothing else (past the last row's
+    /// non-zeros there may be nothing to load).
+    pub extent: Lin,
+    pub head: usize,
+    /// The lane count (a constant).
+    pub n: i64,
+    /// Where the gather starts, and the register holding its trip-0 value
+    /// (the load is one of `regs`: what it gathers is used at trip 0 too).
+    pub gather: Option<(IndexPlan, u8)>,
+    /// Where `dst`, `a`, `b` start; `Some` for every view the op has.
+    pub views: [Option<IndexPlan>; 3],
+    /// Where the coefficient is loaded from, when it is one plain load.
+    pub coeff: Option<IndexPlan>,
+    /// Every reduce iter's trip-0 value (the init decision reads them).
+    pub reduce: Vec<(u32, Lin)>,
+    /// Every buffer whose binding the kept state depends on.
+    pub bufs: Vec<u32>,
+}
+
+/// A value no slot and no load can change: evaluated once per launch.
+fn float_static(e: &FloatExpr) -> bool {
+    match e {
+        FloatExpr::Const(_) => true,
+        FloatExpr::Bin { lhs, rhs, .. } => float_static(lhs) && float_static(rhs),
+        FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => float_static(v),
+        _ => false,
+    }
+}
+
+/// Builds an entry program: scalar slot → its trip-0 [`Lin`] for the slots
+/// the nest binds, registers for everything from outside it.
+#[derive(Default)]
+struct Planner {
+    regs: Vec<Reg>,
+    env: Vec<(u32, Lin)>,
+}
+
+impl Planner {
+    /// The register holding `reg`, shared with an equal one already there —
+    /// so no position of a buffer is loaded twice.
+    fn reg(&mut self, reg: Reg) -> Option<u8> {
+        let at = self.regs.iter().position(|r| *r == reg).unwrap_or(self.regs.len());
+        if at == self.regs.len() {
+            if at == MAX_REGS {
+                return None;
+            }
+            self.regs.push(reg);
+        }
+        u8::try_from(at).ok()
+    }
+
+    /// `e` at trip 0, lane 0; `None` for anything but constants, slots,
+    /// loads, sums and constant multiples of those.
+    fn lin(&mut self, e: &IntExpr) -> Option<Lin> {
+        let of_reg = |reg| Lin { konst: 0, terms: vec![(1, reg)] };
+        match e {
+            IntExpr::Const(c) => Some(Lin { konst: *c, terms: Vec::new() }),
+            IntExpr::Slot(s) => match self.env.iter().find(|(slot, _)| slot == s) {
+                Some((_, bound)) => Some(bound.clone()),
+                None => self.reg(Reg::Slot(*s)).map(of_reg),
+            },
+            IntExpr::Bin { op, lhs, rhs } => {
+                let (l, r) = (self.lin(lhs)?, self.lin(rhs)?);
+                match (op, l.as_const(), r.as_const()) {
+                    (IntOp::Add, ..) => l.plus(&r, 1),
+                    (IntOp::Sub, ..) => l.plus(&r, -1),
+                    (IntOp::Mul, _, Some(c)) => l.times(c),
+                    (IntOp::Mul, Some(c), _) => r.times(c),
+                    _ => None,
+                }
+            }
+            IntExpr::Load { buf, index } => {
+                let at = self.index(index)?;
+                self.reg(Reg::Load { buf: *buf, at }).map(of_reg)
+            }
+            _ => None,
+        }
+    }
+
+    fn index(&mut self, ix: &IndexExpr) -> Option<IndexPlan> {
+        if ix.dims.is_empty() {
+            return None;
+        }
+        let dim = |(idx, ext): &(IntExpr, IntExpr)| match ext {
+            IntExpr::Const(d) => Some((self.lin(idx)?, *d)),
+            _ => None,
+        };
+        Some(IndexPlan { dims: ix.dims.iter().map(dim).collect::<Option<_>>()? })
+    }
+}
+
+/// The entry program of the nest `spec` around `lanes`, when every
+/// entry-varying quantity of the prologue fits one and everything else is
+/// a constant.
+fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
+    let IntExpr::Const(n) = lanes.extent else {
+        return None;
+    };
+    if n < 1 || lanes.init.value().is_some_and(|value| !float_static(value)) {
+        return None;
+    }
+
+    let mut p = Planner::default();
+    // The trip count is evaluated outside the nest's scope.
+    let extent = p.lin(&spec.extent)?;
+    let head = p.regs.len();
+    // Trip 0, lane 0.
+    let zeroed = [Some(spec.slot), Some(lanes.lane_slot), lanes.outer_slot];
+    p.env.extend(zeroed.into_iter().flatten().map(|s| (s, Lin::default())));
+    p.env.extend(spec.pins.iter().map(|&(s, c)| (s, Lin { konst: c, terms: Vec::new() })));
+    let mut reduce = Vec::new();
+    for it in &lanes.iters {
+        let at = p.lin(&it.binding)?;
+        if it.is_reduce {
+            reduce.push((it.slot, at.clone()));
+        }
+        p.env.push((it.slot, at));
+    }
+
+    let mut bufs = Vec::new();
+    let mut views = [None, None, None];
+    for (plan, view) in views.iter_mut().zip(lanes.micro.views()) {
+        if let Some(view) = view {
+            *plan = Some(p.index(&view.index)?);
+            bufs.push(view.buf);
+        }
+    }
+    let coeff = match lanes.micro.hoisted() {
+        // One plain load (a term's coefficient, a fill's value): pinned
+        // and walked like a one-lane view.
+        Some(FloatExpr::Load { buf, index }) => {
+            bufs.push(*buf);
+            Some(p.index(index)?)
+        }
+        // Anything else must not change from entry to entry.
+        Some(value) if !float_static(value) => return None,
+        _ => None,
+    };
+    let gather = match &spec.gather {
+        Some(g) => {
+            let at = p.index(&g.index)?;
+            bufs.push(g.buf);
+            Some((at.clone(), p.reg(Reg::Load { buf: g.buf, at })?))
+        }
+        None => None,
+    };
+    bufs.extend(p.regs.iter().filter_map(|reg| match reg {
+        Reg::Load { buf, .. } => Some(*buf),
+        Reg::Slot(_) => None,
+    }));
+    Some(EntryProgram { regs: p.regs, extent, head, n, gather, views, coeff, reduce, bufs })
 }
 
 // ---------------------------------------------------------------------------
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// One moving index, pinned at trip 0: where its moving dimension starts,
-/// the interval that dimension must stay in, and how the flat index
-/// follows it.
+/// One moving index: the interval its moving dimension must stay in and
+/// how the flat index follows it (fixed for the launch), and where that
+/// dimension and the flat index stand at trip 0 (pinned per entry).
 struct Walk {
     drift: Drift,
-    i0: i64,
     lo: i64,
     hi: i64,
-    flat0: i64,
     /// Elements the flat index advances per unit of the moving dimension.
     coef: i64,
+    i0: i64,
+    flat0: i64,
 }
 
 impl Walk {
-    /// Pin `index` at trip 0 (every slot already bound) — from where the
-    /// lane prologue found it when the innermost dimension is the one
-    /// that moves, else by evaluating it. A run of `span` further elements
-    /// along the innermost dimension must stay inside it, as
-    /// `resolve_lanes` demands.
-    fn enter(
+    /// A walk along `drift.dim`, which `reach` describes; a run of `span`
+    /// further elements along the innermost dimension must stay inside it,
+    /// as `resolve_lanes` demands. Not pinned yet.
+    fn new(drift: Drift, reach: Reach, span: i64) -> Option<Walk> {
+        let (lo, hi) = interval(reach.d, if reach.innermost { span } else { 0 })?;
+        Some(Walk { drift, lo, hi, coef: reach.coef, i0: 0, flat0: 0 })
+    }
+
+    /// What `index` is at trip 0 (every slot already bound) and how
+    /// `drift.dim` reaches through it — from where the lane prologue found
+    /// it when the innermost dimension is the one that moves, else by
+    /// evaluating it.
+    fn origin(
         fr: &Frame,
         index: &IndexExpr,
         drift: Drift,
-        span: i64,
         found: Option<Place>,
-    ) -> Option<Walk> {
+    ) -> Option<((i64, i64), Reach)> {
         let innermost = drift.dim + 1 == index.dims.len();
         let (flat0, i0, d, coef) = match found {
             Some(at) if innermost => (at.flat, at.last_i, at.last_d, 1),
             _ => index.eval_dim(fr, drift.dim).ok()?,
         };
-        let (lo, hi) = if innermost {
-            (0.max(span.checked_neg()?), (d - 1).min((d - 1).checked_sub(span)?))
-        } else {
-            (0, d - 1)
-        };
-        Some(Walk { drift, i0, lo, hi, flat0, coef })
+        Some(((flat0, i0), Reach { d, coef, innermost }))
     }
 
     /// How far the moving dimension is from trip 0 at trip `t`; `None`
@@ -384,7 +695,8 @@ impl Walk {
     }
 }
 
-/// The gather, pinned at trip 0.
+/// The nest's gather: where its `i32` storage is bound, the walk along it,
+/// and what it loaded at trip 0.
 struct GatherWalk {
     walk: Walk,
     ptr: *mut i32,
@@ -393,12 +705,19 @@ struct GatherWalk {
 }
 
 impl GatherWalk {
-    fn enter(fr: &Frame, g: &Gather) -> Option<GatherWalk> {
-        let walk = Walk::enter(fr, &g.index, g.drift, 0, None)?;
-        let RawBuf::I32 { ptr, len } = fr.bufs[g.buf as usize] else {
+    fn new(fr: &Frame, buf: u32, walk: Walk) -> Option<GatherWalk> {
+        let RawBuf::I32 { ptr, len } = fr.bufs[buf as usize] else {
             return None;
         };
-        let mut gw = GatherWalk { walk, ptr, len: i64::try_from(len).ok()?, g0: 0 };
+        Some(GatherWalk { walk, ptr, len: i64::try_from(len).ok()?, g0: 0 })
+    }
+
+    /// Pin the gather where the tree evaluators find it at trip 0, and
+    /// load what it gathers there.
+    fn enter(fr: &Frame, g: &Gather) -> Option<GatherWalk> {
+        let ((flat0, i0), reach) = Walk::origin(fr, &g.index, g.drift, None)?;
+        let mut gw = GatherWalk::new(fr, g.buf, Walk::new(g.drift, reach, 0)?)?;
+        (gw.walk.flat0, gw.walk.i0) = (flat0, i0);
         gw.g0 = gw.at(0)?;
         Some(gw)
     }
@@ -426,14 +745,16 @@ enum Spot {
         len: i64,
     },
     /// A column-segmented binding whose flat index moves by whole logical
-    /// rows: the column (and so the segment pieces) never change, and no
-    /// trip divides.
+    /// rows: the column (and so the segment pieces) never change within an
+    /// entry, and no trip divides. `row0`, `col0` and `whole` are pinned
+    /// per entry.
     ColsByRow {
         table: *const ColSeg,
+        width: i64,
         rows: i64,
-        row0: i64,
         row_step: i64,
         row_scale: i64,
+        row0: i64,
         col0: usize,
         /// The run fits the first column's segment (one contiguous piece).
         whole: bool,
@@ -456,28 +777,33 @@ enum Spot {
     },
 }
 
-/// One moving lane view, pinned at trip 0.
+/// One walked lane view.
 struct ViewWalk {
     walk: Walk,
     n: i64,
     stride: i64,
     span: i64,
+    /// The view moves with the trip; one that does not is pinned at trip 0
+    /// of an entry and left alone.
+    moves: bool,
     spot: Spot,
 }
 
 impl ViewWalk {
-    /// Pin a view `found` at trip 0 by the lane prologue. `None` for a
-    /// binding / movement combination the walk does not cover (the
-    /// per-non-zero path still does).
-    fn enter(
+    /// The half of a view's walk that holds for a whole launch: how `n`
+    /// lanes at `stride` land in what `buf` is bound to, walked along the
+    /// dimension `reach` describes. `None` for a binding / movement
+    /// combination the walk does not cover (the per-non-zero path still
+    /// does). Not pinned yet.
+    fn new(
         fr: &Frame,
-        (buf, index, stride): (u32, &IndexExpr, i64),
+        (buf, stride): (u32, i64),
         drift: Drift,
         (n, for_store): (i64, bool),
-        found: Place,
+        reach: Reach,
     ) -> Option<ViewWalk> {
         let span = stride.checked_mul(n - 1)?;
-        let walk = Walk::enter(fr, index, drift, span, Some(found))?;
+        let walk = Walk::new(drift, reach, span)?;
         let spot = match fr.bufs[buf as usize] {
             RawBuf::F32 { ptr, len } => Spot::Flat { ptr, len: i64::try_from(len).ok()? },
             RawBuf::SegCols { table, width, rows, writable } => {
@@ -493,18 +819,16 @@ impl ViewWalk {
                 };
                 let by = (walk.coef.checked_mul(drift.step)?, walk.coef.checked_mul(drift.scale)?);
                 match (rows_per(by.0), rows_per(by.1)) {
-                    (Some(row_step), Some(row_scale)) => {
-                        let (row0, col0) = div_rem(walk.flat0, w);
-                        if col0 + span >= w {
-                            return None;
-                        }
-                        debug_assert!((0..w).contains(&col0));
-                        // SAFETY: 0 <= col0 < width entries in the table
-                        // (`div_rem` of a non-negative flat index by it).
-                        let rem = unsafe { (*table.add(col0 as usize)).rem };
-                        let (col0, whole) = (col0 as usize, n <= i64::from(rem));
-                        Spot::ColsByRow { table, rows, row0, row_step, row_scale, col0, whole }
-                    }
+                    (Some(row_step), Some(row_scale)) => Spot::ColsByRow {
+                        table,
+                        width: w,
+                        rows,
+                        row_step,
+                        row_scale,
+                        row0: 0,
+                        col0: 0,
+                        whole: false,
+                    },
                     _ => Spot::Cols { table, width: w, total: w.checked_mul(rows)? },
                 }
             }
@@ -524,7 +848,44 @@ impl ViewWalk {
             }
             _ => return None,
         };
-        Some(ViewWalk { walk, n, stride, span, spot })
+        let moves = drift.step != 0 || drift.scale != 0;
+        Some(ViewWalk { walk, n, stride, span, moves, spot })
+    }
+
+    /// Pin the walk at trip 0: the flat element `flat0`, its moving
+    /// dimension at `i0` (interval-checked by the trips, not here).
+    #[inline(always)]
+    fn pin(&mut self, flat0: i64, i0: i64) -> Option<()> {
+        (self.walk.flat0, self.walk.i0) = (flat0, i0);
+        if let Spot::ColsByRow { table, width, row0, col0, whole, .. } = &mut self.spot {
+            if flat0 < 0 {
+                return None;
+            }
+            let (row, col) = div_rem(flat0, *width);
+            if col + self.span >= *width {
+                return None;
+            }
+            debug_assert!((0..*width).contains(&col));
+            // SAFETY: 0 <= col < width entries in the table (`div_rem` of
+            // a non-negative flat index by it).
+            let rem = unsafe { (*table.add(col as usize)).rem };
+            (*row0, *col0, *whole) = (row, col as usize, self.n <= i64::from(rem));
+        }
+        Some(())
+    }
+
+    /// Pin a view `found` at trip 0 by the lane prologue.
+    fn enter(
+        fr: &Frame,
+        (buf, index, stride): (u32, &IndexExpr, i64),
+        drift: Drift,
+        lanes: (i64, bool),
+        found: Place,
+    ) -> Option<ViewWalk> {
+        let ((flat0, i0), reach) = Walk::origin(fr, index, drift, Some(found))?;
+        let mut view = ViewWalk::new(fr, (buf, stride), drift, lanes, reach)?;
+        view.pin(flat0, i0)?;
+        Some(view)
     }
 
     /// The view's lanes at trip `t`, every lane checked against the
@@ -557,7 +918,7 @@ impl ViewWalk {
                 // binding's `rows × width` elements, checked above.
                 unsafe { cols_lanes(*table, *width, flat, self.n, stride) }
             }
-            Spot::ColsByRow { table, rows, row0, row_step, row_scale, col0, whole } => {
+            Spot::ColsByRow { table, rows, row_step, row_scale, row0, col0, whole, .. } => {
                 let row = row0
                     .checked_add(row_step.checked_mul(t)?)?
                     .checked_add(row_scale.checked_mul(dg)?)?;
@@ -568,8 +929,8 @@ impl ViewWalk {
                 if stride == 1 && !*whole {
                     return Some(Lanes::Cols { table: *table, row: row as usize, col0: *col0 });
                 }
-                // SAFETY: col0 < width entries in the table (checked on
-                // entry), each pointing at row 0 of a `rows`-row column
+                // SAFETY: col0 < width entries in the table (checked when
+                // pinned), each pointing at row 0 of a `rows`-row column
                 // with row stride `e.stride`, and 0 <= row < rows; the run
                 // (`n <= e.rem` lanes, or one element) stays in the segment.
                 let ptr = unsafe {
@@ -607,10 +968,12 @@ impl ViewWalk {
     }
 }
 
-/// Per-entry state of a nest past trip 0.
-struct Trips<'s> {
-    spec: &'s NestSpec,
-    lanes: &'s LaneSpec,
+/// A nest's walk state: the resolved lanes its body reads, and the walks
+/// that patch them from trip to trip. Built per entry on the first-entry
+/// path ([`Trips::enter`], from where the lane prologue found trip 0); or
+/// established once per launch and thread ([`Trips::establish`]), kept by
+/// the executor, and re-pinned by each later entry ([`Trips::repin`]).
+pub(in crate::exec) struct Trips {
     r: Resolved,
     gather: Option<GatherWalk>,
     views: [Option<ViewWalk>; 3],
@@ -621,14 +984,9 @@ struct Trips<'s> {
     b_repeats_a: bool,
 }
 
-impl<'s> Trips<'s> {
+impl Trips {
     /// Pin every moving quantity at trip 0, whose lanes `r` holds.
-    fn enter(
-        spec: &'s NestSpec,
-        lanes: &'s LaneSpec,
-        fr: &Frame,
-        r: Resolved,
-    ) -> Option<Trips<'s>> {
+    fn enter(spec: &NestSpec, lanes: &LaneSpec, fr: &Frame, r: Resolved) -> Option<Trips> {
         let gather = match &spec.gather {
             Some(g) => Some(GatherWalk::enter(fr, g)?),
             None => None,
@@ -653,34 +1011,170 @@ impl<'s> Trips<'s> {
             *v = fr.scalars[*slot as usize];
         }
         let b_repeats_a = of[1].is_some() && of[2].is_none();
-        Some(Trips { spec, lanes, r, gather, views, coeff, v0, b_repeats_a })
+        Some(Trips { r, gather, views, coeff, v0, b_repeats_a })
+    }
+
+    /// Everything of the nest's walk state that holds for a whole launch —
+    /// where each operand and the gather are bound, the intervals and
+    /// strides of their walks, the init and hoisted constants — with the
+    /// validation `resolve` and [`Trips::enter`] perform on it. Every view
+    /// the op has gets a walk (one that does not move with the trip still
+    /// moves from entry to entry). Nothing is pinned: [`Trips::repin`]
+    /// comes before any trip. `None` for a binding the walks do not cover.
+    pub(in crate::exec) fn establish(
+        spec: &NestSpec,
+        prog: &EntryProgram,
+        lanes: &LaneSpec,
+        fr: &Frame,
+    ) -> Option<Trips> {
+        let gather = match (&spec.gather, &prog.gather) {
+            (Some(g), Some((at, _))) => {
+                Some(GatherWalk::new(fr, g.buf, Walk::new(g.drift, at.reach(g.drift.dim)?, 0)?)?)
+            }
+            _ => None,
+        };
+        let walk = |(buf, stride), at: &IndexPlan, drift: Option<Drift>, run| {
+            let drift = drift.unwrap_or_else(|| at.still());
+            ViewWalk::new(fr, (buf, stride), drift, run, at.reach(drift.dim)?)
+        };
+        let of = lanes.micro.views();
+        let mut views = [None, None, None];
+        for k in 0..3 {
+            if let (Some(view), Some(at)) = (of[k], &prog.views[k]) {
+                views[k] =
+                    Some(walk((view.buf, view.stride), at, spec.views[k], (prog.n, k == 0))?);
+            }
+        }
+        let (coeff, scalar) = match (lanes.micro.hoisted(), &prog.coeff) {
+            (Some(FloatExpr::Load { buf, .. }), Some(at)) => {
+                (Some(walk((*buf, 0), at, spec.coeff, (1, false))?), 0.0)
+            }
+            // A constant (`plan_entry` admits nothing else).
+            (Some(value), _) => (None, value.eval(fr).ok()?),
+            (None, _) => (None, 0.0),
+        };
+        let init_v = match lanes.init.value() {
+            Some(value) => value.eval(fr).ok()?,
+            None => 0.0f64,
+        };
+        // Placeholders until trip 0 of an entry resolves every operand.
+        let unset = Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 };
+        let r = Resolved {
+            n: prog.n,
+            init: LaneInit::Never,
+            init32: init_v as f32,
+            scalar,
+            ops: [unset; 3],
+            at: [Place::default(); 3],
+            coeff_at: None,
+        };
+        let b_repeats_a = of[1].is_some() && of[2].is_none();
+        Some(Trips { r, gather, views, coeff, v0: [0; MAX_REDUCE_MOVES], b_repeats_a })
+    }
+
+    /// Pin the kept state at trip 0 of a new entry from the entry
+    /// program's registers: the reduce iters and the init decision, where
+    /// the gather and every view start. `None` — nothing written but
+    /// scalar slots the nest binds — when a position leaves a dimension
+    /// the trips do not re-check.
+    #[inline(always)]
+    fn repin(
+        &mut self,
+        spec: &NestSpec,
+        prog: &EntryProgram,
+        lanes: &LaneSpec,
+        fr: &mut Frame,
+        regs: &[i64; MAX_REGS],
+    ) -> Option<()> {
+        for (slot, at) in &prog.reduce {
+            fr.scalars[*slot as usize] = at.eval(regs)?;
+        }
+        for (v, (slot, ..)) in self.v0.iter_mut().zip(&spec.reduce_moves) {
+            *v = fr.scalars[*slot as usize];
+        }
+        self.r.init = lanes.lane_init(fr, self.r.n);
+        if let (Some(g), Some((at, reg))) = (&mut self.gather, &prog.gather) {
+            (g.walk.flat0, g.walk.i0) = at.pin(regs, 0, g.walk.drift.dim)?;
+            g.g0 = regs[usize::from(*reg)];
+        }
+        let views = self.views.iter_mut().zip(&prog.views).chain([(&mut self.coeff, &prog.coeff)]);
+        for (view, at) in views {
+            if let (Some(view), Some(at)) = (view, at) {
+                let (flat0, i0) = at.pin(regs, view.span, view.walk.drift.dim)?;
+                view.pin(flat0, i0)?;
+            }
+        }
+        Some(())
     }
 
     /// Move to trip `t`: `None` — nothing written — when any walked
-    /// quantity leaves its bounds there.
+    /// quantity leaves its bounds there. Trip 0 (of a re-pinned entry)
+    /// resolves every view from its pin; later trips only those that move.
     #[inline(always)]
-    fn advance(&mut self, fr: &mut Frame, t: i64) -> Option<()> {
+    fn advance(&mut self, spec: &NestSpec, lanes: &LaneSpec, fr: &mut Frame, t: i64) -> Option<()> {
         let dg = match &self.gather {
-            Some(g) => g.at(t)?,
-            None => 0,
+            // At trip 0 the entry program loaded (and checked) `g(0)`.
+            Some(g) if t > 0 => g.at(t)?,
+            _ => 0,
         };
-        if !self.spec.reduce_moves.is_empty() {
-            for (v0, (slot, step, scale)) in self.v0.iter().zip(&self.spec.reduce_moves) {
+        if !spec.reduce_moves.is_empty() {
+            for (v0, (slot, step, scale)) in self.v0.iter().zip(&spec.reduce_moves) {
                 let moved = step.checked_mul(t)?.checked_add(scale.checked_mul(dg)?)?;
                 fr.scalars[*slot as usize] = v0.checked_add(moved)?;
             }
-            self.r.init = self.lanes.lane_init(fr, self.r.n);
+            self.r.init = lanes.lane_init(fr, self.r.n);
         }
         for (k, view) in self.views.iter_mut().enumerate() {
             if let Some(view) = view {
-                self.r.ops[k] = view.at(t, dg)?;
+                if t == 0 || view.moves {
+                    self.r.ops[k] = view.at(t, dg)?;
+                }
             }
         }
-        if self.b_repeats_a {
+        if t == 0 && self.views[1].is_none() {
+            // A fill repeats `dst`.
+            self.r.ops[1] = self.r.ops[0];
+        }
+        if (t == 0 && self.views[2].is_none()) || self.b_repeats_a {
             self.r.ops[2] = self.r.ops[1];
         }
         if let Some(c) = &mut self.coeff {
-            self.r.scalar = c.at(t, dg)?.first();
+            if t == 0 || c.moves {
+                self.r.scalar = c.at(t, dg)?.first();
+            }
+        }
+        Some(())
+    }
+}
+
+impl EntryProgram {
+    /// Evaluate registers `which` in order (every earlier one already is):
+    /// each load checked against its declared dimensions and its bound
+    /// storage.
+    #[inline(always)]
+    fn load(
+        &self,
+        which: std::ops::Range<usize>,
+        fr: &Frame,
+        regs: &mut [i64; MAX_REGS],
+    ) -> Option<()> {
+        for (k, reg) in self.regs[which.clone()].iter().enumerate() {
+            regs[which.start + k] = match reg {
+                Reg::Slot(s) => fr.scalars[*s as usize],
+                Reg::Load { buf, at } => {
+                    let RawBuf::I32 { ptr, len } = fr.bufs[*buf as usize] else {
+                        return None;
+                    };
+                    let (flat, _) = at.pin(regs, 0, usize::MAX)?;
+                    if flat < 0 || flat >= i64::try_from(len).ok()? {
+                        return None;
+                    }
+                    debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
+                    // SAFETY: 0 <= flat < len elements behind `ptr`,
+                    // checked above; the binding outlives the run.
+                    i64::from(unsafe { elem_load_i32(ptr, flat as usize) })
+                }
+            };
         }
         Some(())
     }
@@ -724,10 +1218,41 @@ impl NestSpec {
         for t in 1..trips {
             // Every check of trip `t` happens inside `advance`, before the
             // body's first write.
-            if at.advance(fr, t).is_none() || lanes.run(body, &at.r).is_none() {
+            if at.advance(self, lanes, fr, t).is_none() || lanes.run(body, &at.r).is_none() {
                 return t;
             }
         }
         trips
+    }
+
+    /// Re-enter the nest on the walk state `at` a previous entry of this
+    /// launch established: run the entry program `prog`, re-pin, and take
+    /// every trip — trip 0 included — through `advance`. Returns `(done,
+    /// trips)` as [`NestSpec::run`] would; `None` — nothing written — when
+    /// the program or trip 0 fails a check: the caller takes the
+    /// first-entry path for this entry.
+    pub(in crate::exec) fn reenter(
+        &self,
+        prog: &EntryProgram,
+        lanes: &LaneSpec,
+        fr: &mut Frame,
+        at: &mut Trips,
+    ) -> Option<(i64, i64)> {
+        let mut regs = [0i64; MAX_REGS];
+        prog.load(0..prog.head, fr, &mut regs)?;
+        let trips = prog.extent.eval(&regs)?;
+        if trips <= 0 {
+            return Some((trips, trips));
+        }
+        prog.load(prog.head..prog.regs.len(), fr, &mut regs)?;
+        at.repin(self, prog, lanes, fr, &regs)?;
+        let body = LaneBody::of(fr);
+        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
+        for t in 0..trips {
+            if at.advance(self, lanes, fr, t).is_none() || lanes.run(body, &at.r).is_none() {
+                return (t > 0).then_some((t, trips));
+            }
+        }
+        Some((trips, trips))
     }
 }

@@ -77,7 +77,7 @@ fn const_shape_product(dims: &[Expr]) -> Option<usize> {
 
 fn collect_allocs(s: &CStmt, entries: &mut [PlanEntry]) {
     match s {
-        CStmt::Alloc { buf, is_float, len_dims, body } => {
+        CStmt::Alloc { buf, is_float, len_dims, body, .. } => {
             let e = &mut entries[*buf as usize];
             e.is_float = *is_float;
             e.local = true;

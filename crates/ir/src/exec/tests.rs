@@ -733,7 +733,9 @@ fn nest_spec(k: &CompiledKernel) -> &fuse::NestSpec {
 /// A row nest under a `Par` kept on the caller's thread (exclusive frame,
 /// plain lanes) and fanned out over two (non-exclusive frames, atomic
 /// lanes) writes the same bits, and the interpreter's; run directly, the
-/// nest picks its lane body from the frame like a `Super` does.
+/// nest picks its lane body from the frame like a `Super` does. Walk state
+/// is kept per thread: one thread establishes it once and re-pins four
+/// rows, two threads establish it once each.
 #[test]
 fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
     let (f, tensors) = ell_func(5, 33);
@@ -745,11 +747,18 @@ fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
 
     let mut interp = tensors.clone();
     eval_func(&f, &HashMap::new(), &mut interp).unwrap();
+    let mut before = kernel.nest_counts();
     for threads in [1, 2] {
         let mut t = tensors.clone();
         let mut fr = frame_of(&kernel, &mut t);
         kernel.code.exec_on(&mut fr, Some(threads)).unwrap();
         assert_eq!(t["C"], interp["C"], "threads = {threads}");
+        let after = kernel.nest_counts();
+        let (entries, repinned) =
+            (after.entries - before.entries, after.repinned - before.repinned);
+        assert_eq!((entries, repinned), (5, 5 - threads as u64), "threads = {threads}");
+        assert_eq!(after.handovers, 0);
+        before = after;
     }
     // Row 0's nest alone, on both kinds of frame.
     let row0 = |exclusive: bool| {
@@ -761,12 +770,32 @@ fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
     };
     assert_eq!(row0(true), row0(false));
     assert_eq!(row0(true).as_f32()[..33], interp["C"].as_f32()[..33]);
+    // Every row through the entry program, on one walk state kept from
+    // row to row, on both kinds of frame.
+    let prog = nest.entry.as_ref().expect("the ELL nest has an entry program");
+    let i = kernel.slot_names.iter().position(|s| s == "i").expect("row loop slot");
+    let reentered = |exclusive: bool| {
+        let mut t = tensors.clone();
+        let mut fr = frame_of(&kernel, &mut t);
+        fr.exclusive = exclusive;
+        let lanes = lane_spec(&kernel);
+        let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
+        for row in 0..5 {
+            fr.scalars[i] = row;
+            assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), Some((3, 3)), "row {row}");
+        }
+        t.remove("C").unwrap()
+    };
+    assert_eq!(reentered(true), interp["C"]);
+    assert_eq!(reentered(false), interp["C"]);
 }
 
 /// The nest's contract with the loop behind it: a trip it cannot take is
 /// reported *before* anything of that trip is written, every earlier trip
 /// stands, and the generic loop resuming there reproduces the
-/// interpreter's error and prefix.
+/// interpreter's error and prefix — on the first-entry path and on a
+/// re-entry alike; a re-entry that cannot take its *first* trip reports
+/// nothing taken and leaves the row to the first-entry path.
 #[test]
 fn nest_reports_the_first_trip_it_cannot_take() {
     let (f, mut tensors) = ell_func(2, 8);
@@ -789,6 +818,23 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     let got = kernel.code.exec_on(&mut fr, Some(1)).unwrap_err();
     assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
     assert_eq!(t["C"], interp["C"]);
+
+    // The same row re-entered: trip 1 handed back after trip 0's writes;
+    // with the bad column at trip 0 instead, nothing taken, nothing written.
+    let prog = nest.entry.as_ref().expect("the ELL nest has an entry program");
+    let lanes = lane_spec(&kernel);
+    let mut t = tensors.clone();
+    let mut fr = frame_of(&kernel, &mut t);
+    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
+    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), Some((1, 3)));
+    assert_eq!(t["C"], interp["C"]);
+    let TensorData::I32(idx) = tensors.get_mut("Idx").unwrap() else { unreachable!() };
+    idx.swap(0, 1);
+    let mut t = tensors.clone();
+    let mut fr = frame_of(&kernel, &mut t);
+    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
+    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), None);
+    assert_eq!(t["C"], tensors["C"], "nothing written");
 }
 
 /// Empty views are valid bindings, not dangling-pointer arithmetic: a

@@ -44,7 +44,13 @@
 //! ELL / one-head SDDMM loops must compile to one, keep every output bit,
 //! and fail like the interpreter when a trip in the *middle* of a row does
 //! (a corrupted column index, a short `B`); one negative case per
-//! classification rule must stay on the per-non-zero `Super`.
+//! classification rule must stay on the per-non-zero `Super`. Its
+//! `reentered` members run every row shape under each loop shape a served
+//! nest sits in (blocked rows with and without the tail guard, a plain
+//! row loop, `hyb` buckets), check through [`CompiledKernel::nest_counts`]
+//! that later entries re-pin kept state instead of paying the prologue —
+//! and that re-allocating a buffer the state names drops it — with one
+//! negative case per entry-program rule.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, serially (plain lane
@@ -57,8 +63,8 @@ use sparsetir_core::prelude::{bind_dense, bind_zeros, lower, spmm_program};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
 use sparsetir_kernels::prelude::{
-    csr_spmm_ir, fused_attention_ir, fused_sage_ir, inverse_degrees, prepare_spmm_structure,
-    CsrSpmmParams, SpmmConfig,
+    csr_spmm_ir, csr_spmm_ir_with, fused_attention_ir, fused_sage_ir, inverse_degrees,
+    prepare_spmm_structure, CsrSpmmParams, SpmmConfig,
 };
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use sparsetir_smat::prelude::{gen, Csr};
@@ -1455,6 +1461,266 @@ fn row_nest_never_gathers_through_the_written_buffer() {
     assert_eq!(CompiledKernel::compile_with(&f, true).unwrap().fused_ops(), 0);
     assert!(nests(&f).is_empty());
     differential(&f, &HashMap::new(), &tensors).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Family 6d: re-entered row nests
+// ---------------------------------------------------------------------------
+
+/// Most threads a `blockIdx` loop fans out to in this process.
+fn max_threads() -> u64 {
+    let env = std::env::var("SPARSETIR_NUM_THREADS").ok().and_then(|v| v.parse::<u64>().ok());
+    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
+    env.map_or_else(cores, |n| n.max(1))
+}
+
+/// How many row nests of `f`'s fused listing have an entry program.
+fn entry_programs(f: &PrimFunc) -> usize {
+    let listing = CompiledKernel::compile(f).unwrap().disassemble();
+    listing.lines().filter(|l| l.trim_start().starts_with("entry:")).count()
+}
+
+/// One launch of `f` on a fresh fused build: what its row nests counted.
+/// No entry may hand a trip to the generic loop.
+fn launch_counts(
+    f: &PrimFunc,
+    scalars: &HashMap<String, i64>,
+    tensors: &HashMap<String, TensorData>,
+) -> NestCounts {
+    let kernel = CompiledKernel::compile(f).unwrap();
+    assert_eq!(kernel.nest_counts(), NestCounts::default(), "nothing ran yet");
+    kernel.run(scalars, &mut tensors.clone()).unwrap();
+    let counts = kernel.nest_counts();
+    assert_eq!(counts.handovers, 0, "{counts:?}\n{}", kernel.disassemble());
+    counts
+}
+
+/// Every row shape — empty, one, two and many non-zeros, each of them
+/// first and last, plus a matrix without non-zeros and one without rows —
+/// under the three shapes of loop a served nest sits in: the default
+/// `par i_o { for i_i in 0..4 { [if r < rows] nest } }` (row counts the
+/// blocks divide, and ones that leave the guard), a plain `for i` (the
+/// serial SpMM and the one-head SDDMM), and `hyb` buckets whose row comes
+/// through a row-id buffer. Whole tensors and one, three and mixed-width
+/// column segments; fused vs all-generic vs interpreter, bit for bit. And
+/// the fast path is the one taken: all but the first entry per nest and
+/// thread re-pin.
+#[test]
+fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
+    let mut rng = gen::rng(0x66);
+    let shapes: [&[usize]; 6] = [
+        &[0, 1, 2, 9, 1, 0, 2, 9],
+        &[9, 2, 0, 1, 0, 2, 1],
+        &[1, 0, 9, 2, 0],
+        &[2, 9, 1, 0, 0, 1, 2, 9, 0, 1, 1, 2],
+        &[0, 0, 0],
+        &[],
+    ];
+    let (d, k) = (6usize, 4usize);
+    for lens in shapes {
+        let mut next = lens.iter().copied();
+        let a =
+            gen::random_csr_with_row_lengths(lens.len(), 10, |_| next.next().unwrap(), &mut rng);
+        let csr = csr_tensors(&a);
+        let split = csr_spmm_ir_with(&a, d, CsrSpmmParams::default()).unwrap();
+        let listing = CompiledKernel::compile(&split).unwrap().disassemble();
+        // Blocks are four rows (fewer when the matrix is shorter).
+        let guarded = lens.len() % lens.len().clamp(1, 4) != 0;
+        assert_eq!(listing.contains("br.false"), guarded, "rows {lens:?}\n{listing}");
+        let mut spmms =
+            vec![("par + split", split, csr.clone()), ("for i", serial_spmm(&a, d), csr)];
+        if a.nnz() > 0 {
+            let config =
+                SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() };
+            let (f, structure) = prepare_spmm_structure(&a, d, &config).unwrap();
+            spmms.push(("hyb buckets", f, structure));
+        }
+        for (what, f, structure) in spmms {
+            let n_nests = nests(&f).len();
+            assert!(n_nests >= 1, "rows {lens:?}, {what}");
+            assert_eq!(entry_programs(&f), n_nests, "rows {lens:?}, {what}: a program each");
+            for cut in column_cuts(d) {
+                let parts = [
+                    Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
+                    Part::output("C", a.rows(), cut),
+                ];
+                let ran = views_differential(&f, &structure, &parts);
+                assert_eq!(ran, [None, None], "rows {lens:?}, {what}");
+            }
+            let mut whole = structure.clone();
+            whole.insert("B".to_string(), TensorData::from(vec![0.5f32; a.cols() * d]));
+            whole.insert("C".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
+            let counts = launch_counts(&f, &HashMap::new(), &whole);
+            let first = counts.entries - counts.repinned;
+            assert!(first <= n_nests as u64 * max_threads(), "rows {lens:?}, {what}: {counts:?}");
+            if what == "for i" {
+                let rows = lens.len() as u64;
+                assert_eq!((counts.entries, first), (rows, rows.min(1)), "{lens:?}: {counts:?}");
+            }
+        }
+
+        let f = batched_sddmm_ir(&a, 1, k).unwrap();
+        assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.gsa ".to_string()], 1));
+        for (x_cut, out_cut) in column_cuts(k).into_iter().zip(column_cuts(1)) {
+            let parts = sddmm_parts(&a, (1, k), (x_cut, 1, out_cut), &mut rng);
+            let ran = views_differential(&f, &csr_tensors(&a), &parts);
+            assert_eq!(ran, [None, None], "rows {lens:?}, sddmm");
+        }
+    }
+}
+
+/// A local buffer allocated *inside* a loop around a nest is re-bound
+/// every iteration, so what the nest kept of its old binding must go:
+/// `for i { alloc T { T = 2·X[i]; for r in 0..2 { for j { C[i] += W[i, j] · T } } } }`
+/// enters the `j` nest twice per `i` — the first entry after each
+/// allocation re-establishes, the second re-pins — and bit-matches.
+#[test]
+fn reentered_nest_drops_spots_of_a_reallocated_local_buffer() {
+    let (rows, width, n) = (4i64, 3i64, 5i64);
+    let (i, r, j, k, k2) =
+        (Var::i32("i"), Var::i32("r"), Var::i32("j"), Var::i32("k"), Var::i32("k2"));
+    let t = Buffer::new("T", DType::F32, vec![Expr::i32(n)], Scope::Shared);
+    let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+    let x = Buffer::global_f32("X", vec![Expr::i32(rows), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let stage = Stmt::for_serial(
+        k2.clone(),
+        n,
+        Stmt::BufferStore {
+            buffer: t.clone(),
+            indices: vec![Expr::var(&k2)],
+            value: x.load(vec![Expr::var(&i), Expr::var(&k2)]) * 2.0f32,
+        },
+    );
+    let at = vec![Expr::var(&i), Expr::var(&k)];
+    let lanes = Stmt::for_serial(
+        k.clone(),
+        n,
+        Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: at.clone(),
+            value: c.load(at)
+                + w.load(vec![Expr::var(&i) * width + Expr::var(&j)]) * t.load(vec![Expr::var(&k)]),
+        },
+    );
+    let twice = Stmt::for_serial(r, 2, Stmt::for_serial(j, width, lanes));
+    let body = Stmt::Allocate { buffer: t, body: Box::new(stage.then(twice)) };
+    let f = PrimFunc::new("staged", vec![], vec![w, x, c], Stmt::for_serial(i, rows, body));
+    assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.axpy".to_string()], 1));
+
+    let mut g = ProgGen::new(0x67);
+    let mut tensors = HashMap::new();
+    for (name, len) in [("W", rows * width), ("X", rows * n), ("C", rows * n)] {
+        let v = (0..len).map(|_| g.rng.gen_range(-1.0f32..1.0)).collect();
+        tensors.insert(name.to_string(), TensorData::F32(v));
+    }
+    differential(&f, &HashMap::new(), &tensors).unwrap();
+    let counts = launch_counts(&f, &HashMap::new(), &tensors);
+    let (entries, repinned) = (2 * rows as u64, rows as u64);
+    assert_eq!((counts.entries, counts.repinned), (entries, repinned), "one re-pin per allocation");
+}
+
+/// What [`entry_candidate`] builds in place of the form that fits.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum EntryRule {
+    Fits,
+    /// The output row is `(i · 2) / 2`: row-invariant, but no sum of
+    /// constant multiples.
+    RowUnderDivision,
+    /// The coefficient is `W[i · 3] · 2`: row-invariant, but neither a
+    /// constant nor one plain load.
+    ComputedCoefficient,
+    /// The lane count is the parameter `n`.
+    ParamLaneCount,
+    /// `X`'s row extent is the parameter `m`.
+    ParamExtent,
+    /// The output row adds eight more enclosing loop variables: nine slot
+    /// registers, one more than a program holds.
+    NineRegisters,
+}
+
+/// `for i in 0..4 { for j in 0..3 { for k in 0..5 { C[row, k] += coeff · X[Idx[i·3 + j], k] } } }`
+/// with `row = i` and `coeff = W[i·3 + j]` unless `rule` says otherwise.
+fn entry_candidate(
+    rule: EntryRule,
+) -> (PrimFunc, HashMap<String, i64>, HashMap<String, TensorData>) {
+    let (rows, width, n, x_rows) = (4i64, 3i64, 5i64, 8i64);
+    let (nv, mv) = (Var::i32("n"), Var::i32("m"));
+    let lane_count = if rule == EntryRule::ParamLaneCount { Expr::var(&nv) } else { Expr::i32(n) };
+    let x_extent = if rule == EntryRule::ParamExtent { Expr::var(&mv) } else { Expr::i32(x_rows) };
+    let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+    let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+    let x = Buffer::global_f32("X", vec![x_extent, Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+    let outer: Vec<Var> = (0..8).map(|u| Var::i32(format!("u{u}"))).collect();
+    let pos = Expr::var(&i) * width + Expr::var(&j);
+    let row = match rule {
+        EntryRule::RowUnderDivision => Expr::var(&i) * 2 / Expr::i32(2),
+        EntryRule::NineRegisters => outer.iter().fold(Expr::var(&i), |r, u| r + Expr::var(u)),
+        _ => Expr::var(&i),
+    };
+    let coeff = match rule {
+        EntryRule::ComputedCoefficient => w.load(vec![Expr::var(&i) * width]) * 2.0f32,
+        _ => w.load(vec![pos.clone()]),
+    };
+    let at = vec![row, Expr::var(&k)];
+    let lanes = Stmt::For {
+        var: k.clone(),
+        extent: lane_count,
+        kind: ForKind::Serial,
+        body: Box::new(Stmt::BufferStore {
+            buffer: c.clone(),
+            indices: at.clone(),
+            value: c.load(at) + coeff * x.load(vec![idx.load(vec![pos]), Expr::var(&k)]),
+        }),
+    };
+    let mut body = Stmt::for_serial(i, rows, Stmt::for_serial(j, width, lanes));
+    if rule == EntryRule::NineRegisters {
+        body = outer.into_iter().fold(body, |b, u| Stmt::for_serial(u, 1, b));
+    }
+    let params = match rule {
+        EntryRule::ParamLaneCount => vec![nv],
+        EntryRule::ParamExtent => vec![mv],
+        _ => vec![],
+    };
+    let f = PrimFunc::new("entry_candidate", params, vec![idx, w, x, c], body);
+    let scalars = match rule {
+        EntryRule::ParamLaneCount => HashMap::from([("n".to_string(), n)]),
+        EntryRule::ParamExtent => HashMap::from([("m".to_string(), x_rows)]),
+        _ => HashMap::new(),
+    };
+    let mut g = ProgGen::new(0x68);
+    let mut t = HashMap::new();
+    let cols = (0..rows * width).map(|p| (p * 5 % x_rows) as i32).collect();
+    t.insert("Idx".to_string(), TensorData::I32(cols));
+    for (name, len) in [("W", rows * width), ("X", x_rows * n), ("C", rows * n)] {
+        let v = (0..len).map(|_| g.rng.gen_range(-1.0f32..1.0)).collect();
+        t.insert(name.to_string(), TensorData::F32(v));
+    }
+    (f, scalars, t)
+}
+
+/// One negative case per entry-program rule: each keeps the nest and the
+/// listing it had before nests kept state — no `entry:` line, so every
+/// entry pays the lane prologue — and still bit-matches. The positive
+/// control gets a program and re-pins every row after the first.
+#[test]
+fn entry_program_rules_each_have_a_negative_case() {
+    use EntryRule::{
+        ComputedCoefficient, Fits, NineRegisters, ParamExtent, ParamLaneCount, RowUnderDivision,
+    };
+    for rule in
+        [Fits, RowUnderDivision, ComputedCoefficient, ParamLaneCount, ParamExtent, NineRegisters]
+    {
+        let (f, scalars, tensors) = entry_candidate(rule);
+        assert_eq!(nests(&f), ["nest.axpy"], "{rule:?}: the nest itself stays");
+        assert_eq!(entry_programs(&f), usize::from(rule == Fits), "{rule:?}");
+        differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
+        let counts = launch_counts(&f, &scalars, &tensors);
+        let repinned = if rule == Fits { 3 } else { 0 };
+        assert_eq!((counts.entries, counts.repinned), (4, repinned), "{rule:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 //! must fail loudly with an actionable message — never silently compute
 //! garbage. (C-GOOD-ERR / C-VALIDATE.)
 //!
-//! The `row_nests` cases fail a CSR SpMM in the *middle* of a row, under
-//! its `blockIdx` loop: CI runs this file at `SPARSETIR_NUM_THREADS=1`
-//! and `=2`, so the row nest hands the failing trip to the generic loop
-//! from both the plain and the relaxed-atomic lane body.
+//! The `row_nests` cases fail a CSR SpMM in a row the nest *re-enters*
+//! (the last one; whichever thread owns it entered an earlier row first),
+//! at its first trip, in its middle and at its end, under its `blockIdx`
+//! loop: CI runs this file at `SPARSETIR_NUM_THREADS=1` and `=2`, so the
+//! row nest falls back to the lane prologue, or hands the failing trip to
+//! the generic loop, from both the plain and the relaxed-atomic lane body.
+//! The `allocation` cases are extents no buffer can have: a typed error
+//! with one text on all three executors, never an allocator panic.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -266,26 +270,37 @@ mod row_nests {
         (f, t)
     }
 
-    /// Interpreter, all-generic bytecode and the nest: one error text, and
-    /// `C` element for element the interpreter's — rows before the last
-    /// complete, the last row's first trip written (over the stale 9.0s),
-    /// nothing of its later trips.
-    fn fails_identically(f: &PrimFunc, tensors: &HashMap<String, TensorData>, says: &str) {
+    /// Interpreter, all-generic bytecode and the nest: one outcome — an
+    /// error whose text contains `says`, or success for `None` — and `C`
+    /// element for element the interpreter's, which is returned.
+    fn agrees(f: &PrimFunc, tensors: &HashMap<String, TensorData>, says: Option<&str>) -> Vec<f32> {
         let mut want = tensors.clone();
-        let err = eval_func(f, &HashMap::new(), &mut want).unwrap_err().to_string();
-        let err = err.strip_prefix("interpreter error: ").expect("an interpreter error");
-        assert!(err.contains(says), "{err}");
+        let err = eval_func(f, &HashMap::new(), &mut want).err().map(|e| e.to_string());
+        let err = err.as_deref().map(|e| e.strip_prefix("interpreter error: ").expect("prefix"));
+        match (err, says) {
+            (Some(err), Some(says)) => assert!(err.contains(says), "{err}"),
+            (None, None) => {}
+            other => panic!("interpreter outcome vs expectation: {other:?}"),
+        }
         for fuse in [false, true] {
             let mut got = tensors.clone();
             let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
-            let e = kernel.run(&HashMap::new(), &mut got).unwrap_err().to_string();
-            assert_eq!(e.strip_prefix("executor error: "), Some(err), "fuse = {fuse}");
+            let e = kernel.run(&HashMap::new(), &mut got).err().map(|e| e.to_string());
+            let e = e.as_deref().map(|e| e.strip_prefix("executor error: ").expect("prefix"));
+            assert_eq!(e, err, "fuse = {fuse}");
             let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
             let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
             assert!(same, "fuse = {fuse}: C diverged\n{got:?}\n{want:?}");
         }
-        let d = want["C"].as_f32().len() / ROWS;
-        let last = &want["C"].as_f32()[(ROWS - 1) * d..];
+        want["C"].as_f32().to_vec()
+    }
+
+    /// [`agrees`] on a failure past the last row's first trip: rows before
+    /// the last complete, the last row's first trip written (over the
+    /// stale 9.0s), nothing of its later trips.
+    fn fails_identically(f: &PrimFunc, tensors: &HashMap<String, TensorData>, says: &str) {
+        let c = agrees(f, tensors, Some(says));
+        let last = &c[(ROWS - 1) * (c.len() / ROWS)..];
         assert!(last.iter().all(|&c| c != 9.0), "the failing row's first trip landed: {last:?}");
     }
 
@@ -300,6 +315,43 @@ mod row_nests {
             let says = format!("index {n} out of bounds for dim of extent {n} in buffer `B`");
             fails_identically(&f, &t, &says);
         }
+    }
+
+    #[test]
+    fn column_past_the_operand_at_the_first_and_the_last_trip_of_a_row() {
+        // Trip 0: the re-pin itself fails, before the row writes anything
+        // (its stale 9.0s stay). Trip 2: the walk stops two trips in.
+        for (at, landed) in [(6, false), (8, true)] {
+            let (f, mut t) = spmm(4);
+            let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
+            cols[at] = COLS as i32;
+            let c =
+                agrees(&f, &t, Some("index 24 out of bounds for dim of extent 24 in buffer `B`"));
+            let last = &c[(ROWS - 1) * 4..];
+            assert_eq!(last.iter().all(|&c| c != 9.0), landed, "position {at}: {last:?}");
+        }
+    }
+
+    #[test]
+    fn non_monotone_row_pointer_is_an_empty_row() {
+        // `indptr[4] < indptr[3]`: row 3 has a negative trip count and is
+        // skipped, row 4 picks up positions 2..6 — no error anywhere.
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
+        ptr[4] = 2;
+        let c = agrees(&f, &t, None);
+        assert!(c[3 * 4..4 * 4].iter().all(|&c| c == 9.0), "row 3 untouched: {c:?}");
+        assert!(c[4 * 4..5 * 4].iter().all(|&c| c != 9.0), "row 4 written: {c:?}");
+    }
+
+    #[test]
+    fn output_bound_one_row_short() {
+        // `C` holds five of its six declared rows: the last row's very
+        // first store has nowhere to go.
+        let (f, mut t) = spmm(4);
+        let TensorData::F32(c) = t.get_mut("C").unwrap() else { unreachable!() };
+        c.truncate(5 * 4);
+        agrees(&f, &t, Some("flat index 20 out of bounds (len 20) in buffer `C`"));
     }
 
     #[test]
@@ -336,5 +388,56 @@ mod row_nests {
         let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
         ptr[ROWS] += 2;
         fails_identically(&f, &t, "out of bounds");
+    }
+}
+
+mod allocation {
+    use super::*;
+
+    /// `alloc tmp[extents] { out[0] = 5 }`.
+    fn staged(extents: &[i64]) -> PrimFunc {
+        let shape = extents.iter().map(|&d| Expr::i32(d)).collect();
+        let tmp = Buffer::new("tmp", DType::F32, shape, Scope::Shared);
+        let out = Buffer::global_f32("out", vec![Expr::i32(1)]);
+        let store = Stmt::BufferStore {
+            buffer: out.clone(),
+            indices: vec![Expr::i32(0)],
+            value: Expr::f32(5.0),
+        };
+        let body = Stmt::Allocate { buffer: tmp, body: Box::new(store) };
+        PrimFunc::new("staged", vec![], vec![out], body)
+    }
+
+    /// An extent no buffer can have is an error with one text on the
+    /// interpreter, the all-generic bytecode and the fused build — never
+    /// an allocator panic — raised before the body writes anything.
+    #[test]
+    fn impossible_extents_are_typed_errors_on_every_executor() {
+        let big = i64::from(i32::MAX);
+        let cases: [(&[i64], &str); 4] = [
+            (&[-1], "negative extent -1 in allocation of buffer `tmp`"),
+            (&[2, -3], "negative extent -3 in allocation of buffer `tmp`"),
+            (&[big, big], "allocation of buffer `tmp` overflows"),
+            (&[big, big, big], "allocation of buffer `tmp` overflows"),
+        ];
+        for (extents, says) in cases {
+            let f = staged(extents);
+            let fresh = || HashMap::from([("out".to_string(), TensorData::from(vec![3.0f32]))]);
+            let mut t = fresh();
+            let want = eval_func(&f, &HashMap::new(), &mut t).unwrap_err().to_string();
+            let want = want.strip_prefix("interpreter error: ").expect("an interpreter error");
+            assert!(want.contains(says), "{extents:?}: {want}");
+            assert_eq!(t["out"].as_f32(), &[3.0]);
+            for fuse in [false, true] {
+                let mut t = fresh();
+                let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+                let got = kernel.run(&HashMap::new(), &mut t).unwrap_err().to_string();
+                assert_eq!(got.strip_prefix("executor error: "), Some(want), "fuse = {fuse}");
+                assert_eq!(t["out"].as_f32(), &[3.0], "fuse = {fuse}");
+            }
+            let mut t = fresh();
+            let got = exec_func(&f, &HashMap::new(), &mut t).unwrap_err().to_string();
+            assert_eq!(got.strip_prefix("executor error: "), Some(want), "exec_func");
+        }
     }
 }

@@ -714,10 +714,14 @@ mod crosscheck_tests {
 
     /// How many `super.*` lane loops of `listing` do *not* sit directly
     /// under a `nest.*` head (binds of unit-trip loops in between are
-    /// seen through, as the nest sees through them).
+    /// seen through, as the nest sees through them; so is the nest's own
+    /// `entry:` line).
     fn lane_loops_outside_a_nest(listing: &str) -> usize {
-        let ins: Vec<&str> =
-            listing.lines().filter_map(|l| l.split_once("  ").map(|(_, i)| i)).collect();
+        let ins: Vec<&str> = listing
+            .lines()
+            .filter_map(|l| l.split_once("  ").map(|(_, i)| i.trim_start()))
+            .filter(|i| !i.starts_with("entry:"))
+            .collect();
         let under_nest = |at: usize| {
             let head =
                 ins[..at].iter().rev().find(|i| !i.starts_with("bind") && !i.starts_with("mov"));
@@ -726,62 +730,125 @@ mod crosscheck_tests {
         (0..ins.len()).filter(|&at| ins[at].starts_with("super.") && !under_nest(at)).count()
     }
 
-    /// What the served path compiles keeps its row nests: the CSR kernel
-    /// at the widened default schedule (narrow, served and wide widths),
-    /// every bucket of `hyb(c = 2, k = 3)` wider than one column (a
-    /// width-1 bucket's column loop is a unit-trip bind: one non-zero per
-    /// row leaves nothing to hoist) plus the `C = 0` init nest, and the
-    /// one-head batched SDDMM. A schedule change that silently drops back
-    /// to a prologue per non-zero fails here, not only in `stbench`.
+    /// Most threads a `blockIdx` loop fans out to here.
+    fn max_threads() -> u64 {
+        let env = std::env::var("SPARSETIR_NUM_THREADS").ok().and_then(|v| v.parse::<u64>().ok());
+        env.map_or_else(
+            || std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            |n| n.max(1),
+        )
+    }
+
+    /// Launch `f` once on a fresh compilation and check that its row nests
+    /// took the fast path: `entries` nest entries, none handing a trip to
+    /// the generic loop, and every entry a re-pin except the first one per
+    /// nest and thread (which pays the lane prologue and establishes the
+    /// kept walk state). Returns the listing.
+    fn launch_repins(f: &PrimFunc, tensors: &mut Bindings, entries: u64, what: &str) -> String {
+        let kernel = CompiledKernel::compile(f).unwrap();
+        let listing = kernel.disassemble();
+        let nests = listing.lines().filter(|l| l.contains("  nest.")).count() as u64;
+        let programs = listing.lines().filter(|l| l.trim_start().starts_with("entry:")).count();
+        assert_eq!(programs as u64, nests, "{what}: every nest has an entry program\n{listing}");
+        kernel.run(&HashMap::new(), tensors).unwrap();
+        let got = kernel.nest_counts();
+        assert_eq!((got.entries, got.handovers), (entries, 0), "{what}: {got:?}\n{listing}");
+        let first = got.entries - got.repinned;
+        assert!(
+            (1..=nests * max_threads()).contains(&first),
+            "{what}: {first} entries off the re-pin path, {nests} nests\n{listing}"
+        );
+        listing
+    }
+
+    /// What the served path compiles keeps its row nests — and a launch
+    /// re-enters them by re-pinning: the CSR kernel at the widened default
+    /// schedule (narrow, served and wide widths; row counts the 4-row
+    /// blocks divide and leave a guarded tail on), every bucket of
+    /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init
+    /// nest, and the one- and three-head batched SDDMM, each on a
+    /// power-law graph. A width-1 bucket stays as it is: its column loop is
+    /// a unit-trip bind, so the lane loop is a per-row `Super` under the
+    /// row loop — one non-zero per row leaves nothing to hoist, and its two
+    /// gathers (row id, column) do not fit one nest. A schedule change that
+    /// silently drops back to a prologue per non-zero, or a binding kind
+    /// the walks do not cover, fails here, not only in `stbench`.
     #[test]
     fn served_kernels_keep_their_row_nests() {
-        let mut rng = gen::rng(92);
-        let a = gen::random_csr_with_row_lengths(
-            64,
-            48,
-            |r| {
-                use rand::Rng;
-                r.gen_range(0..12)
-            },
-            &mut rng,
-        );
-        let listing = |f: &PrimFunc| Runtime::global().compile(f).unwrap().disassemble();
+        let power_law = |rows: usize| {
+            let mut rng = gen::rng(92 + rows as u64);
+            gen::random_csr_with_row_lengths(
+                rows,
+                48,
+                |r| {
+                    use rand::Rng;
+                    let u: f64 = r.gen_range(0.0..1.0);
+                    ((1.0 / (u + 0.05)) as usize).min(20)
+                },
+                &mut rng,
+            )
+        };
         let nests = |l: &str, kind: &str| l.lines().filter(|i| i.contains(kind)).count();
+        let mut rng = gen::rng(93);
+        let mut operands = |a: &Csr, d: usize, structure: &mut Bindings| {
+            bind_dense(structure, "B", &gen::random_dense(a.cols(), d, &mut rng));
+            bind_zeros(structure, "C", a.rows() * d);
+        };
 
-        for d in [4usize, 16, 128] {
-            // The widening `spmm_execute_views_on` applies.
-            let mut params = CsrSpmmParams::default();
-            params.vec_width = params.vec_width.max(d.div_ceil(8));
-            let l = listing(&csr_spmm_ir_with(&a, d, params).unwrap());
-            assert_eq!(
-                (nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)),
-                (1, 0),
-                "d = {d}\n{l}"
-            );
-            assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
+        for rows in [64usize, 61] {
+            let a = power_law(rows);
+            assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
+            for d in [4usize, 16, 128] {
+                // The widening `spmm_execute_views_on` applies.
+                let mut config = SpmmConfig::default_csr();
+                config.params.vec_width = config.params.vec_width.max(d.div_ceil(8));
+                let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
+                operands(&a, d, &mut tensors);
+                let what = format!("csr, {rows} rows, d = {d}");
+                let l = launch_repins(&f, &mut tensors, rows as u64, &what);
+                assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+                assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
+                assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
+            }
         }
 
+        let a = power_law(64);
         let config =
             SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() };
-        let (f, structure) = prepare_spmm_structure(&a, 16, &config).unwrap();
+        let (f, mut tensors) = prepare_spmm_structure(&a, 16, &config).unwrap();
         let buckets = |wide: bool| {
-            structure
-                .keys()
-                .filter(|k| k.starts_with("A_hyb_") && k.ends_with("_w1") != wide)
-                .count()
+            let names = tensors.keys().filter(|k| k.starts_with("A_hyb_"));
+            names.filter(|k| k.ends_with("_w1") != wide).cloned().collect::<Vec<_>>()
         };
-        assert!(buckets(false) > 0 && buckets(true) > 0, "fixture has narrow and wide buckets");
-        let l = listing(&f);
-        assert_eq!(nests(&l, "nest.axpy"), buckets(true), "{l}");
+        let (narrow, wide) = (buckets(false), buckets(true));
+        assert!(!narrow.is_empty() && !wide.is_empty(), "fixture has narrow and wide buckets");
+        // One entry per row of every wide bucket (`A_hyb_<tag>` holds
+        // `rows × width` values), and one of the init nest.
+        let width_of = |name: &str| name.rsplit_once("_w").unwrap().1.parse::<usize>().unwrap();
+        let bucket_rows = wide.iter().map(|b| tensors[b].as_f32().len() / width_of(b));
+        let entries = 1 + bucket_rows.sum::<usize>() as u64;
+        operands(&a, 16, &mut tensors);
+        let l = launch_repins(&f, &mut tensors, entries, "hyb(c = 2, k = 3)");
+        assert_eq!(nests(&l, "nest.axpy"), wide.len(), "{l}");
         assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
-        assert_eq!(lane_loops_outside_a_nest(&l), buckets(false), "only width-1 buckets\n{l}");
+        assert_eq!(lane_loops_outside_a_nest(&l), narrow.len(), "only width-1 buckets\n{l}");
 
-        let l = listing(&crate::sddmm::batched_sddmm_ir(&a, 1, 8).unwrap());
-        assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
-        assert!(
-            l.contains("gather=@") && !l.contains("bsearch"),
-            "row-shaped, no row recovery\n{l}"
-        );
+        for heads in [1usize, 3] {
+            let k = 8;
+            let f = crate::sddmm::batched_sddmm_ir(&a, heads, k).unwrap();
+            let mut tensors = Bindings::new();
+            bind_csr(&mut tensors, "A", "J", &a);
+            bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), heads * k, &mut rng));
+            bind_dense(&mut tensors, "Y", &gen::random_dense(heads * k, a.cols(), &mut rng));
+            bind_zeros(&mut tensors, "Bout", a.nnz() * heads);
+            // One head: the `j` loop is the nest, entered once per row.
+            // Three: the head loop under it is, entered once per non-zero.
+            let entries = if heads == 1 { a.rows() } else { a.nnz() } as u64;
+            let l = launch_repins(&f, &mut tensors, entries, &format!("sddmm, {heads} heads"));
+            assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+            assert!(!l.contains("bsearch"), "row-shaped, no row recovery\n{l}");
+            assert_eq!(l.contains("gather=@"), heads == 1, "{l}");
+        }
     }
 
     /// The compiled executor must agree bit-for-bit with the reference

@@ -10,9 +10,11 @@
 //! * the [`proptest!`] test macro with `#![proptest_config(..)]` support,
 //! * `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!`.
 //!
-//! There is **no shrinking**: a failing case reports its case number (the
-//! per-case RNG is derived deterministically from that number, so failures
-//! replay exactly).
+//! There is **no shrinking**: a failing case reports its case number —
+//! whether the body returned a `prop_assert*` failure or panicked (an
+//! `assert!`, an `unwrap`, a panic inside the code under test) — and the
+//! per-case RNG is derived deterministically from that number, so
+//! `PROPTEST_CASE=<n>` replays exactly that case and nothing else.
 
 /// Test-runner configuration and deterministic per-case RNG.
 pub mod test_runner {
@@ -84,6 +86,60 @@ pub mod test_runner {
     }
 
     impl std::error::Error for TestCaseError {}
+
+    /// The case numbers a property runs: `0..cases`, or exactly the one
+    /// the environment's `PROPTEST_CASE=<n>` names (to replay a reported
+    /// failure; anything that is not a number is ignored).
+    #[must_use]
+    pub fn cases(cases: u32) -> std::ops::Range<u64> {
+        cases_for(std::env::var("PROPTEST_CASE").ok().as_deref(), cases)
+    }
+
+    pub(crate) fn cases_for(selected: Option<&str>, cases: u32) -> std::ops::Range<u64> {
+        match selected.and_then(|n| n.trim().parse::<u64>().ok()) {
+            Some(n) => n..n.saturating_add(1),
+            None => 0..u64::from(cases),
+        }
+    }
+
+    thread_local! {
+        static PANICKED: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+    }
+
+    /// The last case on this thread whose body unwound under an armed
+    /// [`CaseGuard`].
+    #[cfg(test)]
+    pub(crate) fn panicked_case() -> Option<u64> {
+        PANICKED.with(std::cell::Cell::get)
+    }
+
+    /// Armed around one case's body: if the body panics, the unwind names
+    /// the case on standard error (a panic message cannot be amended).
+    #[derive(Debug)]
+    pub struct CaseGuard(u64);
+
+    impl CaseGuard {
+        /// Guard for case number `case`.
+        #[must_use]
+        pub fn arm(case: u64) -> Self {
+            CaseGuard(case)
+        }
+    }
+
+    impl Drop for CaseGuard {
+        fn drop(&mut self) {
+            if std::thread::panicking() {
+                use std::io::Write as _;
+                PANICKED.with(|c| c.set(Some(self.0)));
+                // A failed write must not panic inside a drop.
+                let _ = writeln!(
+                    std::io::stderr(),
+                    "proptest case #{0} panicked (replay with PROPTEST_CASE={0})",
+                    self.0
+                );
+            }
+        }
+    }
 }
 
 /// Value-generation strategies.
@@ -297,15 +353,20 @@ macro_rules! __proptest_tests {
             fn $name() {
                 let __config = $cfg;
                 let __strategies = ($($strat,)+);
-                for __case in 0..u64::from(__config.cases) {
+                for __case in $crate::test_runner::cases(__config.cases) {
+                    let __guard = $crate::test_runner::CaseGuard::arm(__case);
                     let mut __rng = $crate::test_runner::TestRng::for_case(__case);
                     let ($($arg,)+) =
                         $crate::strategy::Strategy::sample(&__strategies, &mut __rng);
+                    // A body without a `prop_assert*` has no early return.
+                    #[allow(clippy::redundant_closure_call)]
                     let __result: ::core::result::Result<(), $crate::test_runner::TestCaseError> =
                         (|| {
                             { $body };
                             ::core::result::Result::Ok(())
                         })();
+                    // The body did not unwind: the message below names the case.
+                    ::core::mem::drop(__guard);
                     if let ::core::result::Result::Err(e) = __result {
                         panic!("proptest case #{__case} failed: {e}");
                     }
@@ -407,6 +468,40 @@ mod tests {
             let (n, k) = pair;
             prop_assert!(k < n);
         }
+    }
+
+    /// What case 3 of `panics_on_one_value` draws.
+    fn drawn_by_case_three() -> u32 {
+        crate::test_runner::TestRng::for_case(3).gen_range(0u32..1000)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        // Not a `#[test]` itself: `a_panicking_body_names_its_case` runs it.
+        fn panics_on_one_value(x in 0u32..1000) {
+            assert_ne!(x, drawn_by_case_three());
+        }
+    }
+
+    /// A body that panics (not a `prop_assert*` failure) still names the
+    /// case it was running: the guard records it on unwind.
+    #[test]
+    fn a_panicking_body_names_its_case() {
+        assert!(std::panic::catch_unwind(panics_on_one_value).is_err());
+        assert_eq!(crate::test_runner::panicked_case(), Some(3));
+    }
+
+    /// `PROPTEST_CASE=<n>` runs exactly case `n` — even past the configured
+    /// count — and anything else runs them all.
+    #[test]
+    fn a_selected_case_runs_alone() {
+        use crate::test_runner::cases_for;
+        assert_eq!(cases_for(Some("7"), 64), 7..8);
+        assert_eq!(cases_for(Some(" 100 "), 64), 100..101);
+        assert_eq!(cases_for(None, 64), 0..64);
+        assert_eq!(cases_for(Some("seven"), 64), 0..64);
+        assert_eq!(cases_for(Some(""), 3), 0..3);
     }
 
     #[test]
