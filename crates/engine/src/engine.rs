@@ -582,14 +582,18 @@ impl Engine {
     }
 
     /// Snapshot the serving counters. Buffer-pool hit/miss counts come
-    /// from the shared runtime's size-classed scratch pool; every other
-    /// field comes from the engine's own atomics.
+    /// from the shared runtime's size-classed scratch pool and the kernel
+    /// lookup/hit counts from its keyed cache entry; every other field
+    /// comes from the engine's own atomics.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.shared.stats.snapshot();
-        let (hits, misses) = self.shared.runtime.pool().counters();
+        let runtime = &self.shared.runtime;
+        let (hits, misses) = runtime.pool().counters();
         stats.pool_hits = hits;
         stats.pool_misses = misses;
+        stats.kernel_lookups = runtime.keyed_lookups() as u64;
+        stats.kernel_hits = runtime.keyed_hits() as u64;
         stats
     }
 

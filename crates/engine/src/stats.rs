@@ -206,6 +206,8 @@ impl StatsInner {
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             pool_hits: 0,
             pool_misses: 0,
+            kernel_lookups: 0,
+            kernel_hits: 0,
             bytes_copied: self.bytes_copied.load(Ordering::Relaxed),
             deltas_applied: self.deltas_applied.load(Ordering::Relaxed),
             retunes_started: self.retunes_started.load(Ordering::Relaxed),
@@ -411,6 +413,13 @@ pub struct EngineStats {
     /// Scratch-buffer acquisitions that fell through to a fresh
     /// allocation (cold classes, or a drained size class).
     pub pool_misses: u64,
+    /// Served launches that asked the shared runtime for their kernel by
+    /// spec ([`Runtime::compile_keyed`](sparsetir_ir::exec::Runtime::compile_keyed)):
+    /// one per launch.
+    pub kernel_lookups: u64,
+    /// How many of [`EngineStats::kernel_lookups`] found the kernel compiled
+    /// — a warm launch, which builds no IR. The rest each compiled one.
+    pub kernel_hits: u64,
     /// Operand/result bytes memcpy'd by launch paths while serving — a
     /// "something copied" alarm: view assembly and move-out output
     /// extraction keep this at 0 for every served op.
@@ -514,6 +523,8 @@ impl EngineStats {
             worker_panics: self.worker_panics.saturating_sub(earlier.worker_panics),
             pool_hits: self.pool_hits.saturating_sub(earlier.pool_hits),
             pool_misses: self.pool_misses.saturating_sub(earlier.pool_misses),
+            kernel_lookups: self.kernel_lookups.saturating_sub(earlier.kernel_lookups),
+            kernel_hits: self.kernel_hits.saturating_sub(earlier.kernel_hits),
             bytes_copied: self.bytes_copied.saturating_sub(earlier.bytes_copied),
             deltas_applied: self.deltas_applied.saturating_sub(earlier.deltas_applied),
             retunes_started: self.retunes_started.saturating_sub(earlier.retunes_started),

@@ -353,6 +353,35 @@ fn above_threshold_deltas_with_nothing_tuned_complete_inline() {
     );
 }
 
+/// Kernels are keyed by shape: a delta that adds an edge changes `nnz`, so
+/// the successor's first request of each kind misses (and compiles), while
+/// the predecessor — still held, still servable — keeps hitting its own
+/// kernels, and so does the successor from its second request on.
+#[test]
+fn successor_misses_once_per_kind_and_the_predecessor_keeps_hitting() {
+    let mut rng = gen::rng(0x74);
+    let engine = dynamic_engine();
+    let adj0 = Adjacency::new(gen::random_csr(12, 12, 0.3, &mut rng));
+    let serve_both = |adj: &Adjacency| {
+        let mut rng = gen::rng(0x75);
+        let x = gen::random_dense(12, 4, &mut rng);
+        engine.serve(adj, Submission::spmm(x)).expect("serves spmm");
+        let (x, y) = (gen::random_dense(12, 3, &mut rng), gen::random_dense(3, 12, &mut rng));
+        engine.serve(adj, Submission::sddmm(x, y)).expect("serves sddmm");
+        let stats = engine.stats();
+        (stats.kernel_lookups, stats.kernel_hits, engine.runtime().compilations())
+    };
+    assert_eq!(serve_both(&adj0), (2, 0, 2));
+    let absent = (0..12u32).find(|c| !adj0.csr().row(0).0.contains(c)).expect("row 0 not full");
+    let mut delta = GraphDelta::new();
+    delta.upsert(0, absent, 1.0);
+    let adj1 = engine.apply_delta(&adj0, &delta).expect("in-bounds delta");
+    assert_eq!(adj1.csr().nnz(), adj0.csr().nnz() + 1);
+    assert_eq!(serve_both(&adj1), (4, 0, 4), "the successor's first request of each kind misses");
+    assert_eq!(serve_both(&adj0), (6, 2, 4), "the predecessor keeps hitting");
+    assert_eq!(serve_both(&adj1), (8, 4, 4), "and so does the successor now");
+}
+
 /// A delta addressing rows/columns outside the adjacency is refused with
 /// a typed shape error, and the adjacency is left untouched.
 #[test]

@@ -367,6 +367,41 @@ fn repeated_requests_reuse_compiled_kernels() {
     assert_eq!(engine.runtime().cached(), 1);
 }
 
+/// A warm request looks its kernel up by spec and builds nothing: three
+/// tenants (three shapes) × two kinds served 20× each, one launch per
+/// request, compile six kernels and hit on every launch after the six
+/// first ones — `kernel_hits / kernel_lookups` = 114 / 120.
+#[test]
+fn warm_requests_hit_the_kernel_cache() {
+    let engine = Engine::new(EngineConfig {
+        workers: 1,
+        queue_depth: 16,
+        max_batch: 1,
+        batch_window: None,
+        ..EngineConfig::default()
+    });
+    let tenants: Vec<Adjacency> =
+        [24usize, 32, 40].iter().map(|&n| Adjacency::new(power_law_csr(n, n as u64))).collect();
+    let mut rng = gen::rng(92);
+    for _ in 0..20 {
+        for adj in &tenants {
+            let n = adj.csr().rows();
+            let x = gen::random_dense(n, 4, &mut rng);
+            engine.serve(adj, Submission::spmm(x)).expect("serves spmm");
+            let (x, y) = (gen::random_dense(n, 3, &mut rng), gen::random_dense(3, n, &mut rng));
+            engine.serve(adj, Submission::sddmm(x, y)).expect("serves sddmm");
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.kernel_lookups, stats.kernel_hits), (120, 114), "{stats:?}");
+    assert!(stats.kernel_hits as f64 / stats.kernel_lookups as f64 >= 0.9);
+    assert_eq!(engine.runtime().compilations(), 6, "one kernel per (tenant, kind)");
+    let warm = engine.stats();
+    engine.serve(&tenants[0], Submission::spmm(Dense::zeros(24, 4))).expect("serves");
+    let delta = engine.stats().delta_since(&warm);
+    assert_eq!((delta.kernel_lookups, delta.kernel_hits), (1, 1), "deltas carry both counters");
+}
+
 /// The generic submit path serves every op through one ticket shape:
 /// submit an [`OpRequest`], get an [`OpOutput`], convert with the typed
 /// accessors.

@@ -31,12 +31,11 @@
 //! is never evaluated there); for non-empty rows the partition sum is
 //! ≥ 1 by max-shifting, so the folded `P/Sum` coefficient is safe.
 
+use crate::spec::{KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
-
-type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
 
 /// Lower the whole attention pipeline to one `PrimFunc`: four passes
 /// (score / rowmax / expsum / agg), each `sparse_fuse`d on `(I, J)` so
@@ -51,11 +50,7 @@ pub fn fused_attention_ir(
     feat: usize,
     vfeat: usize,
 ) -> KernelResult<PrimFunc> {
-    let mut program = fused_attention_program(a.rows(), a.cols(), a.nnz(), heads, feat, vfeat);
-    for pass in ["score", "rowmax", "expsum", "agg"] {
-        sparse_fuse(&mut program, pass, &["I", "J"])?;
-    }
-    Ok(lower(&program)?)
+    KernelSpec::FusedAttention { a: a.into(), heads, k: feat, vfeat }.build()
 }
 
 /// Pipeline launch 1 of 3: the score SDDMM alone (same pass body as the
@@ -248,7 +243,8 @@ pub fn fused_attention_views_on(
     outs: &mut [Dense],
 ) -> KernelResult<()> {
     with_operands(rt, a, qs, kts, vs, outs, |ops, b, out| {
-        let kernel = rt.compile(&fused_attention_ir(a, ops.heads, ops.k, ops.vfeat)?)?;
+        let (heads, k, vfeat) = (ops.heads, ops.k, ops.vfeat);
+        let kernel = KernelSpec::FusedAttention { a: a.into(), heads, k, vfeat }.compile_on(rt)?;
         let mut views = ViewBindings::from_tensors(b);
         ops.bind_q_kt(&mut views)?;
         ops.bind_v_out(&mut views, out)?;

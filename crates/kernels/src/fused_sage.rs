@@ -21,12 +21,11 @@
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
 
+use crate::spec::{KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
-
-type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
 
 /// Per-row inverse degrees of `a` (`0` for empty rows), the `Dinv`
 /// operand of the fused SAGE kernel.
@@ -50,9 +49,7 @@ pub fn inverse_degrees(a: &Csr) -> Vec<f32> {
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn fused_sage_ir(a: &Csr, feat: usize, hidden: usize) -> KernelResult<PrimFunc> {
-    let mut program = fused_sage_program(a.rows(), a.cols(), a.nnz(), feat, hidden);
-    sparse_fuse(&mut program, "gather", &["I", "J"])?;
-    Ok(lower(&program)?)
+    KernelSpec::FusedSage { a: a.into(), feat, hidden }.build()
 }
 
 /// The fused-SAGE request-shape rule — the one check behind both
@@ -116,7 +113,7 @@ fn with_operands(
 pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
     let (feat, hidden) = (x.cols(), w.cols());
     with_operands(rt, a, x, w, |b, h1| {
-        let kernel = rt.compile(&fused_sage_ir(a, feat, hidden)?)?;
+        let kernel = KernelSpec::FusedSage { a: a.into(), feat, hidden }.compile_on(rt)?;
         let mut views = ViewBindings::from_tensors(b);
         views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
         views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);

@@ -38,6 +38,7 @@ pub mod prune;
 pub mod rgms;
 pub mod sddmm;
 pub mod sparse_conv;
+mod spec;
 pub mod spmm;
 
 /// Common imports.

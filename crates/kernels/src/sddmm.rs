@@ -3,6 +3,7 @@
 //! `rfactor` two-stage reduction expressed as Stage II schedules.
 
 use crate::common::{SpmmLayout, F32};
+use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_ir::prelude::*;
@@ -242,8 +243,7 @@ pub fn sddmm_execute_views_on(
             .into());
         }
     }
-    let f = batched_sddmm_ir(a, heads, k)?;
-    let kernel = rt.compile(&f)?;
+    let kernel = KernelSpec::BatchedSddmm { a: a.into(), heads, k }.compile_on(rt)?;
     let mut structure = Bindings::new();
     bind_csr(&mut structure, "A", "J", a);
     let x_segs: Vec<(&[f32], usize)> = reqs.iter().map(|(x, _)| (x.data(), x.cols())).collect();
@@ -280,9 +280,7 @@ pub fn batched_sddmm_ir(
     heads: usize,
     feat: usize,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    let program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
-    let f = lower(&program)?;
-    Ok(f)
+    KernelSpec::BatchedSddmm { a: a.into(), heads, k: feat }.build()
 }
 
 #[cfg(test)]

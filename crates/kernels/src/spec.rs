@@ -1,0 +1,364 @@
+//! What generates each served Stage III function, as a value: the
+//! compile-cache key of the four served entry points.
+//!
+//! Format decomposition, lowering and scheduling are compile-time work
+//! (§3, Stages I–III), and every `*_ir` builder reads only the adjacency's
+//! `rows / cols / nnz`, the request shape and its schedule parameters. A
+//! [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
+//! with no `Csr` in scope — so the function cannot depend on anything the
+//! spec leaves out — and [`KernelSpec::compile_on`] hands the spec itself
+//! to [`Runtime::compile_keyed`] as the key: a warm launch hashes a few
+//! words and builds, prints and hashes no IR. The kernels bake shapes,
+//! never structure: two graphs of equal shape share one kernel.
+
+use crate::spmm::CsrSpmmParams;
+use sparsetir_core::prelude::*;
+use sparsetir_ir::prelude::*;
+use sparsetir_smat::prelude::*;
+use std::sync::Arc;
+
+pub(crate) type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
+
+/// All a Stage I program reads of an adjacency.
+#[derive(Debug, Clone, Copy, Hash, PartialEq, Eq)]
+pub(crate) struct CsrShape {
+    pub rows: usize,
+    pub cols: usize,
+    pub nnz: usize,
+}
+
+impl From<&Csr> for CsrShape {
+    fn from(a: &Csr) -> CsrShape {
+        CsrShape { rows: a.rows(), cols: a.cols(), nnz: a.nnz() }
+    }
+}
+
+/// One served kernel, described by what its function is generated from.
+/// Equal specs build equal functions and — the other half of being a cache
+/// key — different specs different ones: a field holds what the builder
+/// uses (the clamped split factor, not the `vec_width` it came from), so
+/// no two keys file the same kernel twice.
+#[derive(Debug, Clone, Hash, PartialEq, Eq)]
+pub(crate) enum KernelSpec {
+    /// The scheduled CSR SpMM at feature width `feat`: rows split
+    /// `rows_per_block` per `blockIdx.x`, the feature loop by `k_factor` for
+    /// `threadIdx.x`.
+    CsrSpmm { a: CsrShape, feat: usize, rows_per_block: usize, k_factor: usize },
+    /// The `hyb(c, k)` SpMM: one `bucket_ell` rewrite per non-empty bucket,
+    /// listed as `(partition, width, bucket rows)` in partition-then-width
+    /// order.
+    HybSpmm { a: CsrShape, feat: usize, buckets: Vec<(usize, usize, usize)> },
+    /// The row-shaped multi-head SDDMM at inner width `k`.
+    BatchedSddmm { a: CsrShape, heads: usize, k: usize },
+    /// SDDMM → edge-softmax → SpMM in one function.
+    FusedAttention { a: CsrShape, heads: usize, k: usize, vfeat: usize },
+    /// Gather → normalize → matmul in one function.
+    FusedSage { a: CsrShape, feat: usize, hidden: usize },
+}
+
+/// The name stem one hyb bucket's rewrite rule and bindings share.
+pub(crate) fn bucket_tag(partition: usize, width: usize) -> String {
+    format!("p{partition}_w{width}")
+}
+
+impl KernelSpec {
+    /// The CSR SpMM `params` schedules on `a`: the split factors are
+    /// clamped to the loops they split here, so parameters that schedule
+    /// the same loop nest are one spec.
+    pub(crate) fn csr_spmm(a: &Csr, feat: usize, params: CsrSpmmParams) -> KernelSpec {
+        KernelSpec::CsrSpmm {
+            a: a.into(),
+            feat,
+            rows_per_block: params.rows_per_block.clamp(1, a.rows().max(1)),
+            k_factor: (params.vec_width.max(1) * 8).clamp(1, feat.max(1)),
+        }
+    }
+
+    /// Build, lower and schedule the Stage III function (the Figure 3 →
+    /// Figure 9/10 pipeline; for hyb through the `decompose_format` bucket
+    /// rewrites of Figure 11).
+    ///
+    /// # Errors
+    /// Propagates decomposition, lowering and scheduling errors.
+    pub(crate) fn build(&self) -> KernelResult<PrimFunc> {
+        match *self {
+            KernelSpec::CsrSpmm { a, feat, rows_per_block, k_factor } => {
+                let f = lower(&spmm_program(a.rows, a.cols, a.nnz, feat))?;
+                let mut sch = Schedule::new(f);
+                let (io, _ii) = sch.split("i", rows_per_block as i64)?;
+                sch.bind(&io, ThreadAxis::BlockIdxX)?;
+                let (_, ki) = sch.split("k", k_factor as i64)?;
+                sch.bind(&ki, ThreadAxis::ThreadIdxX)?;
+                Ok(sch.into_func())
+            }
+            KernelSpec::HybSpmm { a, feat, ref buckets } => {
+                let program = spmm_program(a.rows, a.cols, a.nnz, feat);
+                let rule = |&(partition, width, len): &(usize, usize, usize)| {
+                    let tag = bucket_tag(partition, width);
+                    FormatRewriteRule::bucket_ell("A", &tag, width, len, a.cols)
+                };
+                let rules: Vec<_> = buckets.iter().map(rule).collect();
+                Ok(lower(&decompose_format(&program, &rules)?.strip_copies())?)
+            }
+            KernelSpec::BatchedSddmm { a, heads, k } => {
+                Ok(lower(&batched_sddmm_program(a.rows, a.cols, a.nnz, heads, k))?)
+            }
+            KernelSpec::FusedAttention { a, heads, k, vfeat } => {
+                let mut program = fused_attention_program(a.rows, a.cols, a.nnz, heads, k, vfeat);
+                for pass in ["score", "rowmax", "expsum", "agg"] {
+                    sparse_fuse(&mut program, pass, &["I", "J"])?;
+                }
+                Ok(lower(&program)?)
+            }
+            KernelSpec::FusedSage { a, feat, hidden } => {
+                let mut program = fused_sage_program(a.rows, a.cols, a.nnz, feat, hidden);
+                sparse_fuse(&mut program, "gather", &["I", "J"])?;
+                Ok(lower(&program)?)
+            }
+        }
+    }
+
+    /// The kernel of this spec on `rt`, compiled on first sight: the step
+    /// between validation and binding in every served launch.
+    ///
+    /// # Errors
+    /// [`KernelSpec::build`]'s, with its text, and compile errors.
+    pub(crate) fn compile_on(&self, rt: &Runtime) -> KernelResult<Arc<CompiledKernel>> {
+        rt.compile_keyed(self, || self.build())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fused_attention::fused_attention_views_on;
+    use crate::fused_sage::fused_sage_execute_on;
+    use crate::sddmm::sddmm_execute_views_on;
+    use crate::spmm::{prepare_spmm, spmm_execute_views_on, spmm_spec, SpmmConfig};
+    use sparsetir_smat::gen;
+    use std::collections::HashMap;
+
+    /// `rows × cols` with row `r` holding `len(r)` non-zeros at seeded
+    /// random columns: equal `len`, different seeds — equal shape, different
+    /// edges.
+    fn graph(rows: usize, cols: usize, len: impl Fn(usize) -> usize, seed: u64) -> Csr {
+        let mut row = 0;
+        let next = |_: &mut _| {
+            row += 1;
+            len(row - 1)
+        };
+        gen::random_csr_with_row_lengths(rows, cols, next, &mut gen::rng(seed))
+    }
+
+    /// Heavy-tailed row lengths with empty rows in between.
+    fn power_law(r: usize) -> usize {
+        [0, 1, 1, 2, 1, 3, 9, 1, 0, 2, 17, 1][r % 12]
+    }
+
+    fn hyb(c: usize, k: u32) -> SpmmConfig {
+        SpmmConfig { col_parts: Some(c), bucket_k: k, ..SpmmConfig::default_csr() }
+    }
+
+    fn csr(rows_per_block: usize, vec_width: usize) -> SpmmConfig {
+        let mut config = SpmmConfig::default_csr();
+        config.params.rows_per_block = rows_per_block;
+        config.params.vec_width = vec_width;
+        config
+    }
+
+    /// A spec is a complete key and a minimal one: over graphs × configs ×
+    /// request shapes, two specs are equal exactly when the functions they
+    /// build print equal — a field `build` reads but the key lacks would
+    /// serve one caller another's kernel, a field that does not reach the
+    /// text would compile one kernel twice.
+    #[test]
+    fn equal_specs_build_equal_functions_and_only_they() {
+        let graphs = [
+            graph(36, 30, power_law, 1),
+            graph(36, 30, power_law, 2), // the first one's shape, other edges
+            graph(0, 5, |_| 0, 3),
+            graph(7, 9, |_| 0, 4),
+            // Row lengths 1 and 4 only: `hyb(_, 3)` leaves widths 2 and 8 empty.
+            graph(12, 16, |r| [1, 4][r % 2], 5),
+        ];
+        let mut specs = Vec::new();
+        for a in &graphs {
+            for feat in [1usize, 4, 16, 48] {
+                let configs = [1usize, 4, 7]
+                    .into_iter()
+                    .flat_map(|rpb| [1usize, 2, 4].map(|vw| csr(rpb, vw)))
+                    .chain([hyb(1, 0), hyb(1, 3), hyb(2, 0), hyb(2, 3)]);
+                specs.extend(configs.map(|config| spmm_spec(a, feat, &config).unwrap().0));
+            }
+            for (heads, k, vfeat) in [(1usize, 8usize, 8usize), (3, 8, 8), (1, 4, 8), (1, 8, 5)] {
+                specs.push(KernelSpec::BatchedSddmm { a: a.into(), heads, k });
+                specs.push(KernelSpec::FusedAttention { a: a.into(), heads, k, vfeat });
+                specs.push(KernelSpec::FusedSage { a: a.into(), feat: k, hidden: vfeat });
+            }
+        }
+        let texts: Vec<String> = specs
+            .iter()
+            .map(|spec| match spec.build() {
+                Ok(f) => format!("{}\n{}", f.name, print_func(&f)),
+                Err(e) => panic!("{spec:?} does not build: {e}"),
+            })
+            .collect();
+        let (mut by_spec, mut by_text) = (HashMap::new(), HashMap::new());
+        for (spec, text) in specs.iter().zip(&texts) {
+            let first = by_spec.entry(spec).or_insert(text);
+            assert_eq!(*first, text, "incomplete key: {spec:?} builds two functions");
+            let first = by_text.entry(text).or_insert(spec);
+            assert_eq!(*first, spec, "cache split: two specs build\n{text}");
+        }
+        // The grid does exercise both directions: specs repeat (parameters
+        // clamping to one schedule, the two same-shaped graphs) and differ.
+        assert!((100..specs.len()).contains(&by_spec.len()), "{} specs", by_spec.len());
+        let an_empty_bucket = |s: &&KernelSpec| {
+            matches!(s, KernelSpec::HybSpmm { buckets, .. }
+            if buckets.iter().map(|b| b.1).eq([1, 4]))
+        };
+        assert!(specs.iter().any(|s| an_empty_bucket(&s)), "fixture: widths 2 and 8 empty");
+    }
+
+    /// Lookups, hits and compilations of `rt` so far.
+    fn counts(rt: &Runtime) -> [usize; 3] {
+        [rt.keyed_lookups(), rt.keyed_hits(), rt.compilations()]
+    }
+
+    /// After its first launch every served entry point finds its kernel by
+    /// spec: ten more launches are ten lookups, ten hits and no
+    /// compilation (that a hit also runs no `build` is release-only and
+    /// checked in `ir`'s `runtime_concurrency`).
+    #[test]
+    fn warm_launches_build_nothing() {
+        let a = graph(36, 30, power_law, 6);
+        let mut rng = gen::rng(7);
+        let x = gen::random_dense(30, 16, &mut rng);
+        let pair = (gen::random_dense(36, 8, &mut rng), gen::random_dense(8, 30, &mut rng));
+        let v = gen::random_dense(30, 8, &mut rng);
+        let (sx, sw) = (gen::random_dense(30, 6, &mut rng), gen::random_dense(6, 4, &mut rng));
+        type Launch<'a> = Box<dyn Fn(&Runtime) + 'a>;
+        let spmm = |config: SpmmConfig| -> Launch<'_> {
+            let (a, x) = (&a, &x);
+            Box::new(move |rt| {
+                let mut outs = [Dense::zeros(36, 16)];
+                spmm_execute_views_on(rt, a, &[x], &mut outs, &config).unwrap();
+            })
+        };
+        let launches: [(&str, Launch<'_>); 5] = [
+            ("csr spmm", spmm(SpmmConfig::default_csr())),
+            ("hyb spmm", spmm(hyb(2, 3))),
+            (
+                "sddmm",
+                Box::new(|rt| {
+                    let mut outs = [vec![0.0f32; a.nnz()]];
+                    sddmm_execute_views_on(rt, &a, std::slice::from_ref(&pair), &mut outs).unwrap();
+                }),
+            ),
+            (
+                "fused attention",
+                Box::new(|rt| {
+                    let mut outs = [Dense::zeros(36, 8)];
+                    fused_attention_views_on(rt, &a, &[&pair.0], &[&pair.1], &[&v], &mut outs)
+                        .unwrap();
+                }),
+            ),
+            (
+                "fused sage",
+                Box::new(|rt| {
+                    fused_sage_execute_on(rt, &a, &sx, &sw).unwrap();
+                }),
+            ),
+        ];
+        for (what, launch) in &launches {
+            let rt = Runtime::new();
+            launch(&rt);
+            assert_eq!(counts(&rt), [1, 0, 1], "{what}: the cold launch");
+            (0..10).for_each(|_| launch(&rt));
+            assert_eq!(counts(&rt), [11, 10, 1], "{what}: ten warm launches");
+            assert_eq!(rt.cached(), 1, "{what}");
+        }
+    }
+
+    /// `a · x` through the interpreter on whole tensors, at the schedule
+    /// the served launch widens `config` to.
+    fn interpreted_spmm(a: &Csr, x: &Dense, config: &SpmmConfig) -> Dense {
+        let mut p = prepare_spmm(a, x, &config.widened(x.cols())).unwrap();
+        eval_func(&p.func, &HashMap::new(), &mut p.bindings).unwrap();
+        read_dense(&p.bindings, "C", a.rows(), x.cols())
+    }
+
+    /// The one-head SDDMM through the interpreter on whole tensors.
+    fn interpreted_sddmm(a: &Csr, x: &Dense, y: &Dense) -> Vec<f32> {
+        let f = KernelSpec::BatchedSddmm { a: a.into(), heads: 1, k: x.cols() }.build().unwrap();
+        let mut t = Bindings::new();
+        bind_csr(&mut t, "A", "J", a);
+        bind_dense(&mut t, "X", x);
+        bind_dense(&mut t, "Y", y);
+        bind_zeros(&mut t, "Bout", a.nnz());
+        eval_func(&f, &HashMap::new(), &mut t).unwrap();
+        t["Bout"].as_f32().to_vec()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// A kernel bakes shapes, never structure: graphs of equal `rows / cols
+    /// / nnz` and different edges — two seeds, and a delta that moves one
+    /// edge — are served by one compiled kernel per op, each to its own
+    /// answer, bit-equal to the interpreter's; a delta that changes `nnz`
+    /// is a new spec and compiles once more. The hyb arm keys on the bucket
+    /// list too, so there equal shapes share a kernel only when they bucket
+    /// alike.
+    #[test]
+    fn graphs_of_one_shape_share_a_kernel_and_keep_their_answers() {
+        let first = graph(36, 30, power_law, 8);
+        let second = graph(36, 30, power_law, 9);
+        let (row, old) = (6u32, first.row(6).0[0]);
+        let new = (0..30u32).find(|c| !first.row(6).0.contains(c)).unwrap();
+        let mut delta = GraphDelta::new();
+        delta.delete(row, old).upsert(row, new, 0.5);
+        let moved = first.apply_delta(&delta).unwrap();
+        delta.upsert(0, 0, 0.25); // row 0 is empty: one more non-zero
+        let grown = first.apply_delta(&delta).unwrap();
+        assert!(first.nnz() == second.nnz() && first.nnz() == moved.nnz());
+        assert!(first != second && first != moved && grown.nnz() == first.nnz() + 1);
+
+        let mut rng = gen::rng(10);
+        let x = gen::random_dense(30, 16, &mut rng);
+        let (sx, sy) = (gen::random_dense(36, 8, &mut rng), gen::random_dense(8, 30, &mut rng));
+        let rt = Runtime::new();
+        let serve = |a: &Csr, config: &SpmmConfig| {
+            let mut outs = [Dense::zeros(36, 16)];
+            spmm_execute_views_on(&rt, a, &[&x], &mut outs, config).unwrap();
+            let [out] = outs;
+            assert_eq!(bits(out.data()), bits(interpreted_spmm(a, &x, config).data()));
+            out
+        };
+        let serve_sddmm = |a: &Csr| {
+            let mut outs = [vec![0.0f32; a.nnz()]];
+            sddmm_execute_views_on(&rt, a, &[(sx.clone(), sy.clone())], &mut outs).unwrap();
+            assert_eq!(bits(&outs[0]), bits(&interpreted_sddmm(a, &sx, &sy)));
+        };
+        let config = SpmmConfig::default_csr();
+        let answers = [&first, &second, &moved].map(|a| serve(a, &config));
+        assert_eq!(rt.compilations(), 1, "three structures, one shape, one SpMM kernel");
+        assert!(answers[0] != answers[1] && answers[0] != answers[2], "each its own answer");
+        [&first, &second, &moved].iter().for_each(|a| serve_sddmm(a));
+        assert_eq!(rt.compilations(), 2, "and one SDDMM kernel");
+        serve(&grown, &config);
+        serve_sddmm(&grown);
+        assert_eq!(rt.compilations(), 4, "one more non-zero: one more kernel per op");
+
+        let before = rt.compilations();
+        let bucketings: std::collections::HashSet<KernelSpec> = [&first, &second, &moved]
+            .map(|a| {
+                serve(a, &hyb(2, 2));
+                spmm_spec(a, 16, &hyb(2, 2)).unwrap().0
+            })
+            .into_iter()
+            .collect();
+        assert_eq!(rt.compilations() - before, bucketings.len(), "one kernel per bucket list");
+    }
+}

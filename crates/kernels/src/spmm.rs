@@ -4,6 +4,7 @@
 //! used for functional validation and CUDA emission.
 
 use crate::common::{SpmmCost, SpmmLayout, F32};
+use crate::spec::{bucket_tag, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_ir::prelude::*;
@@ -68,6 +69,17 @@ impl SpmmConfig {
             Some(c) => format!("hyb(c={c},k={})", self.bucket_k),
         };
         format!("{fmt}/rpb{}/vw{}", self.params.rows_per_block, self.params.vec_width)
+    }
+
+    /// `self` as [`spmm_execute_views_on`] schedules a stacked width of
+    /// `feat`: the vector split widened to span it — otherwise the feature
+    /// loop re-chunks into `vec_width·8`-lane pieces and the per-non-zero
+    /// overhead is paid once per chunk, exactly the cost batching exists to
+    /// amortize.
+    pub(crate) fn widened(&self, feat: usize) -> SpmmConfig {
+        let mut wide = *self;
+        wide.params.vec_width = self.params.vec_width.max(feat.div_ceil(8));
+        wide
     }
 }
 
@@ -243,16 +255,7 @@ pub fn csr_spmm_ir_with(
     feat: usize,
     params: CsrSpmmParams,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    let program = spmm_program(a.rows(), a.cols(), a.nnz(), feat);
-    let f = lower(&program)?;
-    let mut sch = Schedule::new(f);
-    let rpb = params.rows_per_block.clamp(1, a.rows().max(1)) as i64;
-    let (io, _ii) = sch.split("i", rpb)?;
-    sch.bind(&io, ThreadAxis::BlockIdxX)?;
-    let kf = (params.vec_width.max(1) * 8).clamp(1, feat.max(1)) as i64;
-    let (_, ki) = sch.split("k", kf)?;
-    sch.bind(&ki, ThreadAxis::ThreadIdxX)?;
-    Ok(sch.into_func())
+    KernelSpec::csr_spmm(a, feat, params).build()
 }
 
 /// A lowered SpMM ready for repeated compiled execution: the Stage III
@@ -275,6 +278,36 @@ impl PreparedSpmm {
     }
 }
 
+/// What `config` compiles to on `a` at feature width `feat`, with the
+/// *structure* operands bound (CSR index buffers, `A` values, hyb
+/// buckets). The hyb arm decomposes here — its spec lists the buckets
+/// `Hyb::from_csr` found, and their arrays are what it binds.
+pub(crate) fn spmm_spec(
+    a: &Csr,
+    feat: usize,
+    config: &SpmmConfig,
+) -> Result<(KernelSpec, Bindings), Box<dyn std::error::Error>> {
+    let mut bindings = Bindings::new();
+    let spec = match config.col_parts {
+        None => KernelSpec::csr_spmm(a, feat, config.params),
+        Some(c) => {
+            let hyb = Hyb::from_csr(a, c, config.bucket_k)?;
+            let mut buckets = Vec::new();
+            for (pi, part) in hyb.partitions().iter().enumerate() {
+                for bucket in part.buckets.iter().filter(|b| !b.is_empty()) {
+                    let tag = bucket_tag(pi, bucket.width);
+                    let (name, prefix) = (format!("A_hyb_{tag}"), format!("hyb_{tag}"));
+                    bind_bucket(&mut bindings, &name, &prefix, bucket);
+                    buckets.push((pi, bucket.width, bucket.len()));
+                }
+            }
+            KernelSpec::HybSpmm { a: a.into(), feat, buckets }
+        }
+    };
+    bind_csr(&mut bindings, "A", "J", a);
+    Ok((spec, bindings))
+}
+
 /// Lower `config` into the Stage III SpMM function at feature width
 /// `feat`, binding only the *structure* operands (CSR index buffers, `A`
 /// values, hyb buckets). The operand `B` and output `C` stay unbound so
@@ -289,40 +322,8 @@ pub fn prepare_spmm_structure(
     feat: usize,
     config: &SpmmConfig,
 ) -> Result<(PrimFunc, Bindings), Box<dyn std::error::Error>> {
-    let mut bindings = Bindings::new();
-    let func = match config.col_parts {
-        None => csr_spmm_ir_with(a, feat, config.params)?,
-        Some(c) => {
-            let hyb = Hyb::from_csr(a, c, config.bucket_k)?;
-            let program = spmm_program(a.rows(), a.cols(), a.nnz(), feat);
-            let mut rules = Vec::new();
-            for (pi, part) in hyb.partitions().iter().enumerate() {
-                for bucket in &part.buckets {
-                    if bucket.is_empty() {
-                        continue;
-                    }
-                    let tag = format!("p{pi}_w{}", bucket.width);
-                    rules.push(FormatRewriteRule::bucket_ell(
-                        "A",
-                        &tag,
-                        bucket.width,
-                        bucket.len(),
-                        a.cols(),
-                    ));
-                    bind_bucket(
-                        &mut bindings,
-                        &format!("A_hyb_{tag}"),
-                        &format!("hyb_{tag}"),
-                        bucket,
-                    );
-                }
-            }
-            let decomposed = decompose_format(&program, &rules)?.strip_copies();
-            lower(&decomposed)?
-        }
-    };
-    bind_csr(&mut bindings, "A", "J", a);
-    Ok((func, bindings))
+    let (spec, bindings) = spmm_spec(a, feat, config)?;
+    Ok((spec.build()?, bindings))
 }
 
 /// Lower `config` into an executable kernel for `a · x`: the scheduled CSR
@@ -390,14 +391,8 @@ pub fn spmm_execute_views_on(
     if feat == 0 {
         return Ok(());
     }
-    // Widen the schedule's vector split to span the whole stacked width —
-    // otherwise the feature loop re-chunks into `vec_width·8`-lane pieces
-    // and the per-non-zero overhead is paid once per chunk, exactly the
-    // cost batching exists to amortize.
-    let mut wide = *config;
-    wide.params.vec_width = config.params.vec_width.max(feat.div_ceil(8));
-    let (func, mut structure) = prepare_spmm_structure(a, feat, &wide)?;
-    let kernel = rt.compile(&func)?;
+    let (spec, mut structure) = spmm_spec(a, feat, &config.widened(feat))?;
+    let kernel = spec.compile_on(rt)?;
     let b_segs: Vec<(&[f32], usize)> =
         xs.iter().filter(|x| x.cols() > 0).map(|x| (x.data(), x.cols())).collect();
     let c_segs: Vec<(&mut [f32], usize)> = outs
@@ -799,9 +794,7 @@ mod crosscheck_tests {
             let a = power_law(rows);
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
             for d in [4usize, 16, 128] {
-                // The widening `spmm_execute_views_on` applies.
-                let mut config = SpmmConfig::default_csr();
-                config.params.vec_width = config.params.vec_width.max(d.div_ceil(8));
+                let config = SpmmConfig::default_csr().widened(d);
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
                 operands(&a, d, &mut tensors);
                 let what = format!("csr, {rows} rows, d = {d}");

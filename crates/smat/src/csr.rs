@@ -319,6 +319,9 @@ impl Csr {
     /// Split columns into `parts` contiguous partitions of equal width
     /// (the last absorbs the remainder). Column indices stay global.
     /// This is the column-partition step of `hyb(c, k)` (paper Fig. 11).
+    /// `parts` is clamped to `1..=max(cols, 1)` — a partition past the last
+    /// column could only be empty, and a table is allocated per partition —
+    /// so the result may hold fewer matrices than asked for.
     ///
     /// Single pass over the matrix: each entry is bucketed directly into
     /// its partition (`O(nnz + rows·parts)`), rather than rescanning the
@@ -326,7 +329,7 @@ impl Csr {
     /// every hyb tuning trial pays.
     #[must_use]
     pub fn column_partition(&self, parts: usize) -> Vec<Csr> {
-        let parts = parts.max(1);
+        let parts = parts.clamp(1, self.cols.max(1));
         let width = self.cols.div_ceil(parts).max(1);
         let mut indptrs = vec![vec![0usize; self.rows + 1]; parts];
         let mut indices: Vec<Vec<u32>> = vec![Vec::new(); parts];
@@ -472,6 +475,25 @@ mod tests {
         assert_eq!(parts[0].row(0).0, &[0]);
         assert_eq!(parts[0].row(1).0, &[1]);
         assert_eq!(parts[2].row(1).0, &[] as &[u32]);
+    }
+
+    /// Any partition count is answered, never allocated for: at most one
+    /// partition per column comes back, and they concatenate to the input.
+    #[test]
+    fn column_partition_clamps_the_partition_count() {
+        let no_cols = Csr::new(3, 0, vec![0; 4], vec![], vec![]).unwrap();
+        let one_col = Csr::new(3, 1, vec![0, 1, 1, 2], vec![0, 0], vec![1.0, 2.0]).unwrap();
+        for m in [no_cols, one_col, sample()] {
+            for parts in [0, 1, m.cols(), m.cols() + 1, usize::MAX] {
+                let sub = m.column_partition(parts);
+                assert_eq!(sub.len(), parts.clamp(1, m.cols().max(1)), "{parts} of {}", m.cols());
+                for r in 0..m.rows() {
+                    let cols: Vec<u32> = sub.iter().flat_map(|p| p.row(r).0.to_vec()).collect();
+                    let vals: Vec<f32> = sub.iter().flat_map(|p| p.row(r).1.to_vec()).collect();
+                    assert_eq!((&cols[..], &vals[..]), m.row(r), "row {r}, {parts} parts");
+                }
+            }
+        }
     }
 
     #[test]

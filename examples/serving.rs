@@ -89,6 +89,10 @@ fn main() {
         engine.runtime().compilations(),
         stats.completed
     );
+    println!(
+        "  kernel lookups: {} by spec, {} found compiled (a warm launch builds no IR)",
+        stats.kernel_lookups, stats.kernel_hits
+    );
 
     // --- The generic op path: SDDMM and attention ride the same queue ---
     // Every op submits through one generic path (Submission → Ticket →
