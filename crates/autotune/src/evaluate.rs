@@ -7,6 +7,7 @@ use crate::engine::Evaluator;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_kernels::prelude::*;
+use sparsetir_plans::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -19,18 +19,19 @@
 //!   assumes.
 //!
 //! The typed tuners below (`tune_spmm`, `tune_sddmm`,
-//! `tune_attention_block`) each pair a [`SearchSpace`] with its
-//! simulator [`Evaluator`] and cache the winner through the one
-//! [`tune_cached`] helper. An op whose *executable* kernel reads the
-//! decision additionally implements [`TunableOp`] — the face the serving
-//! engine tunes through (SpMM today).
+//! `tune_attention_block`) each search a space priced by
+//! `sparsetir-plans` and cache the winner by fingerprint. One op's
+//! *executable* kernel reads such a decision — SpMM's — and
+//! [`sim_spmm_config`] is the search the serving engine runs for it: this
+//! crate, not the engine, names the simulated device. (GPU-only schedule
+//! spaces — SDDMM's, the attention block size, the RGMS bucket exponent —
+//! change no executable kernel and are priced for the paper figures only.)
 
 #![warn(missing_docs)]
 
 pub mod cache;
 pub mod engine;
 pub mod evaluate;
-pub mod op;
 pub mod space;
 
 pub use cache::{SparsityFingerprint, TuneCache, TuneKey};
@@ -38,7 +39,6 @@ pub use engine::{tune, Evaluator, ListSpace, SearchSpace, Trial, TuneOutcome};
 pub use evaluate::{
     AttentionSimEvaluator, MeasureOpts, SddmmSimEvaluator, SpmmMeasuredEvaluator, SpmmSimEvaluator,
 };
-pub use op::TunableOp;
 pub use space::{col_part_candidates, schedule_candidates, AttentionSpace, SddmmSpace, SpmmSpace};
 // The configuration types the searches range over live with the kernels
 // that consume them; re-exported here so tuner callers need one import.
@@ -46,6 +46,7 @@ pub use sparsetir_kernels::spmm::SpmmConfig;
 
 use sparsetir_gpusim::prelude::*;
 use sparsetir_kernels::prelude::*;
+use sparsetir_plans::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::sync::OnceLock;
 
@@ -137,17 +138,24 @@ fn tune_key(
     }
 }
 
+/// The simulator search over SpMM's joint format × schedule space at
+/// feature width `feat` — the one body behind [`tune_spmm`],
+/// [`tune_spmm_measured`]'s pruning pass and [`sim_spmm_config`]. `None`
+/// when no candidate is feasible.
+fn search_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> Option<TuneOutcome<SpmmConfig>> {
+    tune(&SpmmSpace::joint(a), &SpmmSimEvaluator::new(spec, a, feat.max(1)))
+}
+
 /// Grid-search the joint format × schedule space for SpMM on `a` at
-/// feature width `feat` under the simulator ([`SpmmOp`]'s
-/// [`TunableOp::search`]), returning the fastest configuration. Cached by
-/// sparsity fingerprint, so a repeated tune of the same matrix is a
-/// [`TuneCache`] hit.
+/// feature width `feat` under the simulator, returning the fastest
+/// configuration. Cached by sparsity fingerprint, so a repeated tune of
+/// the same matrix is a [`TuneCache`] hit.
 #[must_use]
 pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
     let r = tune_cached(
         spmm_sim_cache(),
         tune_key("spmm", "gpusim", spec, a, vec![feat]),
-        || SpmmOp::search(spec, a, &[feat]),
+        || search_spmm(spec, a, feat),
         |config| tuned_spmm_time(spec, a, feat, config),
     );
     if !r.from_cache {
@@ -159,6 +167,33 @@ pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
         );
     }
     r
+}
+
+/// The SpMM configuration a tuned *served* launch on `a` runs under: the
+/// winner of [`tune_spmm`]'s search on the V100 model at feature width
+/// `feat`, or the untuned default when no candidate is feasible. Uncached
+/// — the serving engine files the decision in its own [`TuneCache`] under
+/// [`sim_spmm_key`]. A GPU cost model scheduling a CPU executor is
+/// ROADMAP 5(b)'s to replace; until then the device is named here, once,
+/// and nowhere in the engine.
+#[must_use]
+pub fn sim_spmm_config(a: &Csr, feat: usize) -> SpmmConfig {
+    search_spmm(&GpuSpec::v100(), a, feat).map_or_else(SpmmConfig::default, |o| o.best.candidate)
+}
+
+/// Where a [`sim_spmm_config`] decision taken under the tuning anchor
+/// `anchor` is cached: one key per adjacency, whatever the request width
+/// (the search runs at the triggering request's width and the winner is
+/// reused for all — the §2 amortization trade).
+#[must_use]
+pub fn sim_spmm_key(anchor: &SparsityFingerprint) -> TuneKey {
+    TuneKey {
+        workload: SpmmOp::kind(),
+        backend: "gpusim",
+        device: GpuSpec::v100().device_id(),
+        extra: vec![],
+        fingerprint: anchor.clone(),
+    }
 }
 
 /// Two-phase measured tuning for SpMM: the simulator prunes the joint
@@ -181,8 +216,7 @@ pub fn tune_spmm_measured(
         tune_key("spmm", "measured", spec, a, vec![feat, opts.warmup, opts.repeat, opts.shortlist]);
     let (mut result, hit) = spmm_measured_cache().get_or_insert_with(key, || {
         // Phase 1: simulator pruning over the full joint space.
-        let sim = tune(&SpmmSpace::joint(a), &SpmmSimEvaluator::new(spec, a, feat))
-            .expect("non-empty SpMM search space");
+        let sim = search_spmm(spec, a, feat).expect("non-empty SpMM search space");
         let mut ranked = sim.trials.clone();
         ranked.sort_by(|x, y| x.score.total_cmp(&y.score));
         let mut shortlist: Vec<SpmmConfig> =
@@ -340,6 +374,21 @@ mod tests {
         assert!(!functional_check_spmm(&a, 24, &broken));
     }
 
+    /// What the serving engine launches under is [`tune_spmm`]'s V100
+    /// decision (`engine_serving::the_engines_decision_is_the_tuners` is
+    /// the other half), and the default when nothing is feasible cannot
+    /// happen on a matrix with a column.
+    #[test]
+    fn sim_spmm_config_is_the_tuners_decision() {
+        let a = power_law(700, 37);
+        let tuned = tune_spmm(&GpuSpec::v100(), &a, 8).config;
+        assert_eq!(sim_spmm_config(&a, 8), tuned);
+        assert!(tuned.col_parts.is_some(), "skewed: not the default by accident");
+        let key = sim_spmm_key(&SparsityFingerprint::of(&a));
+        assert_eq!((key.workload, key.backend, key.device), ("spmm", "gpusim", "V100"));
+        assert!(key.extra.is_empty(), "one decision per adjacency, whatever the width");
+    }
+
     #[test]
     fn sim_tuning_caches_by_fingerprint() {
         let a = power_law(400, 27);
@@ -416,15 +465,51 @@ mod tests {
     }
 
     #[test]
-    fn sddmm_tuning_matches_kernel_grid() {
+    fn op_tuning_caches_per_kind_and_shape() {
+        let mut rng = gen::rng(61);
+        let a = gen::random_csr(200, 200, 0.05, &mut rng);
+        let spec = GpuSpec::v100();
+        let r1 = tune_sddmm(&spec, &a, 32);
+        assert!(!r1.from_cache);
+        assert_eq!(r1.trials, sddmm_param_candidates().len());
+        let r2 = tune_sddmm(&spec, &a, 32);
+        assert!(r2.from_cache, "second tune of the same shape must hit");
+        assert_eq!(r1.config, r2.config);
+        // Same matrix, different op kind: a distinct decision.
+        assert!(!tune_spmm(&spec, &a, 32).from_cache);
+        // Same op, different shape: a distinct decision.
+        assert!(!tune_sddmm(&spec, &a, 64).from_cache);
+    }
+
+    #[test]
+    fn attention_tuning_picks_a_searched_block() {
+        let mut coo = Coo::new(128, 128);
+        for i in 0..128usize {
+            let lo = i.saturating_sub(8);
+            let hi = (i + 8).min(127);
+            for j in lo..=hi {
+                coo.push(i as u32, j as u32, 1.0);
+            }
+        }
+        let mask = Csr::from_coo(&coo);
+        let spec = GpuSpec::v100();
+        let r = tune_attention_block(&spec, &mask, 32, 4);
+        assert!([16usize, 32, 64].contains(&r.config));
+        assert_eq!(r.trials, 3);
+    }
+
+    /// Figure 14's headline: the SDDMM schedule space contains
+    /// dgSPARSE's fixed point (and the untuned default), so the tuned
+    /// schedule is no slower than either.
+    #[test]
+    fn tuned_sddmm_beats_the_fixed_schedules() {
         let a = power_law(600, 33);
         let spec = GpuSpec::v100();
         let r = tune_sddmm(&spec, &a, 64);
         assert_eq!(r.trials, sddmm_param_candidates().len());
-        // The engine-picked schedule matches the kernels-crate grid search.
-        let grid = tuned_sddmm_time(&spec, &a, 64);
-        assert!((r.report.time_ms - grid.time_ms).abs() < 1e-12);
-        assert!(tune_sddmm(&spec, &a, 64).from_cache);
+        let time = |plan: &KernelPlan| simulate_kernel(&spec, plan).time_ms;
+        assert!(r.report.time_ms <= time(&sddmm::dgsparse_csr_plan(&a, 64)));
+        assert!(r.report.time_ms <= time(&sddmm_plan(&a, 64, SddmmParams::default(), "default")));
     }
 
     #[test]

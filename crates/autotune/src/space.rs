@@ -4,6 +4,7 @@
 
 use crate::engine::SearchSpace;
 use sparsetir_kernels::prelude::*;
+use sparsetir_plans::prelude::{sddmm_param_candidates, SddmmParams};
 use sparsetir_smat::prelude::*;
 
 /// The paper's column-partition candidates (§4.2.1: "we search for the

@@ -8,11 +8,11 @@
 
 use crate::util::*;
 use sparsetir_autotune::{tune_sddmm, tune_spmm};
-use sparsetir_baselines::prelude::*;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_graphs::prelude::*;
 use sparsetir_kernels::prelude::*;
 use sparsetir_nn::prelude::*;
+use sparsetir_plans::prelude::*;
 use sparsetir_smat::prelude::*;
 
 /// True when `SPARSETIR_SMOKE` is set: every sweep shrinks to a small
@@ -620,7 +620,7 @@ pub mod fig20 {
 /// Figure 23: sparse convolution vs TorchSparse.
 pub mod fig23 {
     use super::*;
-    use sparsetir_kernels::sparse_conv::ConvMaps;
+    use sparsetir_plans::sparse_conv::ConvMaps;
 
     /// Render both GPUs.
     #[must_use]

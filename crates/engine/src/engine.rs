@@ -13,8 +13,7 @@
 
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
-use sparsetir_autotune::{SparsityFingerprint, TunableOp, TuneCache, TuneKey, TuneOutcome};
-use sparsetir_gpusim::prelude::GpuSpec;
+use sparsetir_autotune::{sim_spmm_config, sim_spmm_key, SparsityFingerprint, TuneCache, TuneKey};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp,
@@ -414,7 +413,7 @@ struct Shared {
     /// waiting for riders is pointless).
     last_arrival_ns: AtomicU64,
     /// Every tune decision taken under an anchor fingerprint, with the
-    /// search that took it — the worklist a background retune replays
+    /// width it was searched at — the worklist a background retune replays
     /// when [`Engine::apply_delta`] re-anchors past the drift threshold.
     retune_registry: Mutex<HashMap<SparsityFingerprint, Vec<RetuneRecord>>>,
     /// In-flight background retune threads; joined by
@@ -423,23 +422,13 @@ struct Shared {
     stats: StatsInner,
 }
 
-/// The signature of [`TunableOp::search`] for the ops the engine tunes.
-type Search = fn(&GpuSpec, &Csr, &[usize]) -> Option<TuneOutcome<SpmmConfig>>;
-
 /// One tune decision to replay on re-anchor: the cache key it lives
-/// under, plus the op's search and the request shape it ran at (only the
-/// matrix varies).
+/// under and the feature width its search ran at (only the matrix
+/// varies).
 #[derive(Clone)]
 struct RetuneRecord {
     key: TuneKey,
-    search: Search,
-    shape: Vec<usize>,
-}
-
-/// Run `search` on `csr` at `shape` and return the winner (the untuned
-/// default when no candidate is feasible).
-fn search_config(search: Search, csr: &Csr, shape: &[usize]) -> SpmmConfig {
-    search(&GpuSpec::v100(), csr, shape).map_or_else(SpmmConfig::default, |o| o.best.candidate)
+    feat: usize,
 }
 
 impl Shared {
@@ -574,8 +563,8 @@ impl Engine {
         &self.shared.runtime
     }
 
-    /// The engine's per-(adjacency, op) tuning cache. Only ops with a
-    /// [`TunableOp`] search ever consult it.
+    /// The engine's per-(adjacency, op) tuning cache. Only an op whose
+    /// launch reads a searched configuration (SpMM) ever consults it.
     #[must_use]
     pub fn tune_cache(&self) -> &TuneCache<SpmmConfig> {
         &self.shared.tune_cache
@@ -722,8 +711,7 @@ impl Engine {
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     for rec in work {
-                        let fresh = search_config(rec.search, &csr, &rec.shape);
-                        shared.tune_cache.insert(rec.key, fresh);
+                        shared.tune_cache.insert(rec.key, sim_spmm_config(&csr, rec.feat));
                     }
                 }));
                 if result.is_err() {
@@ -941,9 +929,10 @@ trait Served: SparseOp<Adj = Csr> {
     fn wrap(out: Self::Output) -> OpOutput;
 
     /// The configuration a tuned batch headed by `head` launches under.
-    /// Only an op with a [`TunableOp`] search has a decision to take (it
-    /// overrides this with [`tuned_config`]); every other op launches
-    /// under its default and never touches the tune cache.
+    /// Only an op whose launch reads a searched configuration has a
+    /// decision to take (SpMM overrides this with [`tuned_spmm_config`]);
+    /// every other op launches under its default and never touches the
+    /// tune cache.
     fn tuned(_shared: &Shared, _adj: &Adjacency, _head: &Self::Operands) -> Self::Config {
         Self::Config::default()
     }
@@ -962,7 +951,7 @@ impl Served for SpmmOp {
     }
 
     fn tuned(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
-        tuned_config::<SpmmOp>(shared, adj, &[head.cols()])
+        tuned_spmm_config(shared, adj, head.cols())
     }
 }
 
@@ -1191,28 +1180,19 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     }
 }
 
-/// The tuned configuration for one `(adjacency, op)` pair: the
-/// engine-owned [`TuneCache`] memoizes the op's simulator-backed
-/// [`TunableOp::search`] per sparsity fingerprint, so only the first
-/// batch on a new pair pays it. The decision is keyed on the adjacency
-/// and op kind alone — request shapes vary per batch, so the search runs
-/// at the triggering request's `shape` and the winner is reused for all
-/// shapes (the §2 amortization trade).
-fn tuned_config<O>(shared: &Shared, adj: &Adjacency, shape: &[usize]) -> SpmmConfig
-where
-    O: TunableOp<Adj = Csr, Config = SpmmConfig>,
-{
+/// The tuned SpMM configuration for one adjacency: the engine-owned
+/// [`TuneCache`] memoizes `autotune`'s simulator-backed search
+/// ([`sim_spmm_config`]) per sparsity fingerprint, so only the first
+/// batch on a new adjacency pays it. The decision is keyed on the
+/// adjacency alone — request widths vary per batch, so the search runs at
+/// the triggering request's `feat` and the winner is reused for all
+/// widths (the §2 amortization trade).
+fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, feat: usize) -> SpmmConfig {
     // Keyed on the *anchor*, not the matrix's own fingerprint: a
     // below-threshold `apply_delta` successor shares its predecessor's
     // anchor, so its batches hit the predecessor's cached decision —
     // stale-while-retune serving in the hit path.
-    let key = TuneKey {
-        workload: O::kind(),
-        backend: "gpusim",
-        device: GpuSpec::v100().device_id(),
-        extra: vec![],
-        fingerprint: (*adj.anchor).clone(),
-    };
+    let key = sim_spmm_key(&adj.anchor);
     // Double-checked single flight: serve hits without the guard, and
     // take it only on a miss — TuneCache computes outside its own lock,
     // so concurrent first batches of one adjacency would otherwise each
@@ -1222,9 +1202,8 @@ where
         return config;
     }
     let _flight = lock(&shared.tune_flight);
-    let (config, hit) = shared
-        .tune_cache
-        .get_or_insert_with(key.clone(), || search_config(O::search, adj.csr(), shape));
+    let (config, hit) =
+        shared.tune_cache.get_or_insert_with(key.clone(), || sim_spmm_config(adj.csr(), feat));
     if !hit {
         // First decision under this anchor: remember how to redo it, so a
         // future re-anchor can replay the search against the updated
@@ -1232,7 +1211,7 @@ where
         let mut reg = lock(&shared.retune_registry);
         let entry = reg.entry(key.fingerprint.clone()).or_default();
         if !entry.iter().any(|r| r.key == key) {
-            entry.push(RetuneRecord { key, search: O::search, shape: shape.to_vec() });
+            entry.push(RetuneRecord { key, feat });
         }
     }
     config

@@ -35,8 +35,9 @@
 //! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and one
 //!   [`TuneCache`](sparsetir_autotune::TuneCache)** per engine: every
 //!   worker compiles through the same striped kernel cache and reuses
-//!   the same per-`(adjacency, op)` tuning decisions. Only an op with a
-//!   [`TunableOp`](sparsetir_autotune::TunableOp) search (SpMM) has a
+//!   the same per-`(adjacency, op)` tuning decisions. Only an op whose
+//!   launch reads a searched configuration (SpMM, through
+//!   [`sim_spmm_config`](sparsetir_autotune::sim_spmm_config)) has a
 //!   decision to cache; a tuned submission of any other kind is served
 //!   exactly like an untuned one.
 //! * **Batching by adjacency fingerprint**: concurrent requests that

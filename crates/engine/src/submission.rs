@@ -113,8 +113,8 @@ pub struct SubmitOpts {
     pub priority: Priority,
     /// Whether this request's batch launches under a searched
     /// configuration; `false` by default. When set, the first batch for
-    /// each `(adjacency, op)` pair of an op with a `TunableOp` search
-    /// (SpMM) runs that simulator-backed search, and the winning
+    /// each `(adjacency, op)` pair of an op whose launch reads one
+    /// (SpMM) runs `autotune`'s simulator-backed search, and the winning
     /// configuration is cached in the engine's `TuneCache` (see
     /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
     /// tuned batch on that pair. An op whose launch reads no configuration

@@ -279,8 +279,39 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     assert!(engine.tune_cache().hits() >= 1);
 }
 
+/// The engine's decision is the tuner's: one `.tune(true)` SpMM files,
+/// under exactly the key the engine has always used (`spmm` / the
+/// simulator backend / V100 / the adjacency's own fingerprint), the
+/// configuration `autotune::sim_spmm_config` returns for that matrix at
+/// the request's width — which `autotune`'s own
+/// `sim_spmm_config_is_the_tuners_decision` pins to
+/// `tune_spmm(&GpuSpec::v100(), ..).config`. (Two links rather than one:
+/// naming `GpuSpec` here would need the `gpusim` edge this crate's
+/// manifest no longer has.)
+#[test]
+fn the_engines_decision_is_the_tuners() {
+    use sparsetir_autotune::{sim_spmm_config, sim_spmm_key, SparsityFingerprint, TuneKey};
+    let a = power_law_csr(300, 83);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(84);
+    let x = gen::random_dense(300, 8, &mut rng);
+    engine.serve(&adj, Submission::spmm(x).tune(true)).expect("serves tuned spmm");
+    let key = TuneKey {
+        workload: "spmm",
+        backend: "gpusim",
+        device: "V100",
+        extra: vec![],
+        fingerprint: SparsityFingerprint::of(&a),
+    };
+    assert_eq!(sim_spmm_key(&key.fingerprint), key, "same key as ever");
+    let cached = engine.tune_cache().peek(&key).expect("the decision is filed under that key");
+    assert_eq!(cached, sim_spmm_config(&a, 8));
+    assert!(cached.col_parts.is_some(), "a skewed graph: the decision is not the default");
+}
+
 /// The engine tunes only what a launch reads. SDDMM, attention, fused
-/// attention and fused SAGE have no `TunableOp` search, so a
+/// attention and fused SAGE launch under no searched configuration, so a
 /// `.tune(true)` submission of theirs never touches the tune cache and
 /// answers exactly like the untuned one; SpMM takes one decision per
 /// anchor, and a re-anchor replays that one decision and nothing else.

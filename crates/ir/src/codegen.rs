@@ -5,7 +5,7 @@
 //! reproduction's substitution rules — no GPU available) the generated
 //! source is a *demonstration artifact*: it is asserted against golden
 //! snapshots in tests and shipped for inspection, while execution happens in
-//! the interpreter and performance in `sparsetir-gpusim`.
+//! the interpreter and performance in the GPU simulator crate.
 
 use crate::expr::{BinOp, Expr, Intrinsic};
 use crate::func::PrimFunc;

@@ -6,7 +6,7 @@ use std::fmt;
 ///
 /// `F16` values are *stored* as `f32` by the interpreter; the tag exists so
 /// that the performance model can account for half-precision memory traffic
-/// and tensor-core eligibility (see `sparsetir-gpusim`).
+/// and tensor-core eligibility (the GPU simulator crate's).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DType {
     /// 32-bit signed integer (index arithmetic, indptr/indices arrays).

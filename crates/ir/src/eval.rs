@@ -3,7 +3,7 @@
 //! The interpreter establishes *functional* semantics: every kernel in this
 //! workspace is validated by interpreting its lowered Stage III IR against
 //! the dense/sparse reference routines in `sparsetir-smat`. Performance is
-//! modeled separately by `sparsetir-gpusim`; the interpreter executes
+//! modeled separately by the GPU simulator crate; the interpreter executes
 //! thread-bound loops sequentially (a valid serialization, since blocks
 //! carry spatial/reduction semantics).
 

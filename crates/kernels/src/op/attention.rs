@@ -12,7 +12,7 @@ use sparsetir_smat::prelude::*;
 /// (the head axis and the request axis batch identically). Execution runs
 /// the stacked SpMM path through the compiled executor, so the
 /// configuration is SpMM's; the tensor-core BSR kernel of §4.3.1 is
-/// priced by [`crate::attention::batched_bsr_spmm_plan`].
+/// priced by `sparsetir_plans::attention::batched_bsr_spmm_plan`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AttentionOp;
 

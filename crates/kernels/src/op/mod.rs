@@ -5,8 +5,9 @@
 //! composability thesis applied to our own plumbing: one prepare →
 //! schedule → compile → execute path, many operators, instead of each
 //! kernel re-implementing the pipeline. GPU pricing is not part of the
-//! face: the simulator plans are the free `*_plan` builders beside each
-//! kernel, driven by the typed tuners in `sparsetir-autotune`.
+//! face, nor of this crate: the simulator plans are the free `*_plan`
+//! builders of `sparsetir-plans`, driven by the typed tuners in
+//! `sparsetir-autotune`.
 //!
 //! A [`SparseOp`] bundles:
 //! * an **op descriptor** — kind tag, adjacency type, request operands

@@ -12,7 +12,7 @@ use sparsetir_smat::prelude::*;
 /// rider. The executable kernel is the fused nnz-parallel schedule with
 /// no knob of its own (the compiled CPU executor derives its microkernel
 /// from the fused loop), so `Config` is `()`; the GPU schedule space is
-/// [`crate::sddmm::SddmmParams`], priced by [`crate::sddmm::sddmm_plan`].
+/// `sparsetir_plans::sddmm::SddmmParams`, priced by `sddmm_plan` there.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SddmmOp;
 

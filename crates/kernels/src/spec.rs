@@ -70,7 +70,7 @@ impl KernelSpec {
             a: a.into(),
             feat,
             rows_per_block: params.rows_per_block.clamp(1, a.rows().max(1)),
-            k_factor: (params.vec_width.max(1) * 8).clamp(1, feat.max(1)),
+            k_factor: params.vec_width.max(1).saturating_mul(8).clamp(1, feat.max(1)),
         }
     }
 

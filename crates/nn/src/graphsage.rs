@@ -6,9 +6,9 @@
 //! and elementwise kernels.
 
 use sparsetir_autotune::tune_spmm;
-use sparsetir_baselines::prelude::*;
 use sparsetir_gpusim::prelude::*;
 use sparsetir_kernels::prelude::*;
+use sparsetir_plans::prelude::*;
 use sparsetir_smat::prelude::*;
 
 /// A two-layer GraphSAGE model (mean aggregator).

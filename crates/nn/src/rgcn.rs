@@ -5,9 +5,8 @@
 //! footprints.
 
 use sparsetir_autotune::{tune, tune_cached, Evaluator, ListSpace, TuneCache, TuneKey, TuneResult};
-use sparsetir_baselines::prelude::rgcn as baseline_rgcn;
 use sparsetir_gpusim::prelude::*;
-use sparsetir_kernels::prelude::*;
+use sparsetir_plans::prelude::{rgcn as baseline_rgcn, *};
 use sparsetir_smat::prelude::*;
 use std::sync::OnceLock;
 
@@ -36,7 +35,7 @@ impl RgcnLayer {
     /// # Errors
     /// Propagates shape mismatches.
     pub fn infer(&self, x: &Dense) -> Result<Dense, SmatError> {
-        Ok(rgms_execute(&self.workload, x, &self.weights)?.relu())
+        Ok(rgms_reference(&self.workload.relations, x, &self.weights)?.relu())
     }
 }
 

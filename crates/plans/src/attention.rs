@@ -225,14 +225,6 @@ pub fn batched_csr_sddmm_plan(a: &Csr, feat: usize, heads: usize, name: &str) ->
     plan
 }
 
-/// Reference computation for batched attention SpMM (oracle).
-///
-/// # Errors
-/// Propagates shape mismatches.
-pub fn batched_spmm_reference(a: &Csr, x: &[Dense]) -> Result<Vec<Dense>, SmatError> {
-    batched_spmm(a, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,7 +274,7 @@ mod tests {
         let mut rng = gen::rng(31);
         let mask = band_mask(32, 8);
         let xs: Vec<Dense> = (0..3).map(|_| gen::random_dense(32, 8, &mut rng)).collect();
-        let ys = batched_spmm_reference(&mask, &xs).unwrap();
+        let ys = batched_spmm(&mask, &xs).unwrap();
         for (x, y) in xs.iter().zip(&ys) {
             assert!(y.approx_eq(&mask.spmm(x).unwrap(), 1e-5));
         }

@@ -2,8 +2,10 @@
 //! of a pruned weight matrix, and the dense matmul building block used by
 //! the two-stage RGMS baselines.
 
+use crate::common::{gemm_plan, F16, F32};
+use crate::spmm::csr_spmm_plan;
 use sparsetir_gpusim::prelude::*;
-use sparsetir_kernels::prelude::*;
+use sparsetir_kernels::prelude::CsrSpmmParams;
 
 /// cuBLAS efficiency on large fp16 tensor-core GEMMs.
 pub const CUBLAS_TC_EFFICIENCY: f64 = 0.90;
@@ -40,6 +42,7 @@ pub fn cusparse_csrmm_fp16_plan(w: &sparsetir_smat::csr::Csr, feat: usize) -> Ke
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prune::{dbsr_weight_spmm_plan, PRUNE_TC_EFFICIENCY};
     use sparsetir_smat::prelude::*;
 
     #[test]

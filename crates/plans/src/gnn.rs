@@ -2,8 +2,10 @@
 //! modelled by their documented execution strategies over the shared
 //! simulator.
 
+use crate::rgms::{rgms_two_stage_plans, RgmsWorkload};
+use crate::spmm::csr_spmm_plan;
 use sparsetir_gpusim::prelude::*;
-use sparsetir_kernels::prelude::*;
+use sparsetir_kernels::prelude::CsrSpmmParams;
 use sparsetir_smat::prelude::*;
 
 /// DGL's SpMM backend for homogeneous graphs: a GE-SpMM-class kernel but
@@ -64,6 +66,8 @@ pub mod rgcn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rgms::rgms_hyb_plan;
+    use crate::spmm::hyb_spmm_time;
     use rand::Rng;
     use sparsetir_smat::gen;
 

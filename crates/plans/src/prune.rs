@@ -144,14 +144,6 @@ pub fn srbcrs_weight_spmm_plan(s: &SrBcrs, feat: usize, efficiency: f64, name: &
     plan
 }
 
-/// Functional reference: `Y = W · X` through the format's own SpMM.
-///
-/// # Errors
-/// Propagates shape mismatches.
-pub fn weight_spmm_reference(w: &Csr, x: &Dense) -> Result<Dense, SmatError> {
-    w.spmm(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -241,14 +241,6 @@ pub fn two_stage_footprint_bytes(w: &RgmsWorkload) -> u64 {
     fused_footprint_bytes(w, false) + (w.relations.len() * w.nodes() * w.dout) as u64 * 4
 }
 
-/// Functional reference.
-///
-/// # Errors
-/// Propagates shape mismatches.
-pub fn rgms_execute(w: &RgmsWorkload, x: &Dense, weights: &[Dense]) -> Result<Dense, SmatError> {
-    rgms_reference(&w.relations, x, weights)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -309,7 +301,7 @@ mod tests {
         let mut rng = gen::rng(54);
         let x = gen::random_dense(40, w.din, &mut rng);
         let ws: Vec<Dense> = (0..3).map(|_| gen::random_dense(w.din, w.dout, &mut rng)).collect();
-        let y = rgms_execute(&w, &x, &ws).unwrap();
+        let y = rgms_reference(&w.relations, &x, &ws).unwrap();
         let mut expect = Dense::zeros(40, w.dout);
         for (rel, wt) in w.relations.iter().zip(&ws) {
             let t = x.matmul(wt).unwrap();

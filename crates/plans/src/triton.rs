@@ -2,8 +2,9 @@
 //! on tensor cores with a fixed 64×64 tile configuration and generic (less
 //! workload-tuned) schedules.
 
+use crate::attention::{batched_bsr_sddmm_plan, batched_bsr_spmm_plan};
+use crate::prune::bsr_weight_spmm_plan;
 use sparsetir_gpusim::prelude::*;
-use sparsetir_kernels::prelude::*;
 use sparsetir_smat::prelude::*;
 
 /// Triton's tensor-core efficiency on its block-sparse templates: solid,
@@ -43,6 +44,7 @@ pub fn triton_bsrmm_plan(w: &Bsr, feat: usize) -> KernelPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attention::SPARSETIR_BSR_EFFICIENCY;
     use sparsetir_smat::gen;
 
     fn band_mask(n: usize, band: usize) -> Csr {

@@ -22,7 +22,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = gen::rng(11);
     let xs: Vec<Dense> =
         (0..3).map(|_| gen::random_dense(cfg.seq_len, cfg.feat, &mut rng)).collect();
-    let ys = batched_spmm_reference(&band, &xs)?;
+    let ys = batched_spmm(&band, &xs)?;
     for (x, y) in xs.iter().zip(&ys) {
         assert!(y.approx_eq(&band.spmm(x)?, 1e-4));
     }

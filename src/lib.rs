@@ -11,12 +11,12 @@
 //! | [`smat`] | sparse matrix formats: CSR, COO, BSR, DBSR, ELL, SR-BCRS, `hyb(c,k)`; the delta layer |
 //! | [`core`] | the paper's contribution: Stage I sparse IR, format decomposition, Stage I schedules, the two lowering passes, horizontal fusion |
 //! | [`gpusim`] | deterministic GPU performance simulator (V100/RTX 3070) — the substitution for physical GPUs |
-//! | [`kernels`] | SparseTIR-generated operators: SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv, each with a simulator `*_plan` builder; the served ones (SpMM, SDDMM, attention, fused attention, fused GraphSAGE step) also sit behind the executable `SparseOp` face |
-//! | [`baselines`] | cuSPARSE/cuBLAS/Sputnik/dgSPARSE/TACO/Triton/DGL/PyG/Graphiler/TorchSparse-like baselines |
+//! | [`kernels`] | the SparseTIR-generated operators that compile and launch — SpMM, SDDMM, attention, fused attention, the fused GraphSAGE step — behind the executable `SparseOp` face; nothing under it knows the simulator |
+//! | [`plans`] | every `KernelPlan` builder, priced on `gpusim`: SparseTIR's schedules (SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv) and the cuSPARSE/cuBLAS/Sputnik/dgSPARSE/TACO/Triton/DGL/PyG/Graphiler/TorchSparse-like baselines |
 //! | [`graphs`] | synthetic workload generators for every dataset in the evaluation |
 //! | [`nn`] | end-to-end GraphSAGE training and RGCN inference |
-//! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners, plus `TunableOp` for ops whose executable kernel reads the decision |
-//! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path batching SpMM / SDDMM / attention / fused attention (and serving the fused GraphSAGE step) over the kernel cache, with SLO admission, incremental graph updates, and tuning for the ops that have a `TunableOp` search (SpMM) |
+//! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners over `plans`, the measured evaluator, and `sim_spmm_config`, the search the engine serves SpMM under |
+//! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path batching SpMM / SDDMM / attention / fused attention (and serving the fused GraphSAGE step) over the kernel cache, with SLO admission, incremental graph updates, and per-submission tuning for the op whose launch reads a searched configuration (SpMM) |
 //!
 //! See `README.md` for the system inventory ("The three-stage IR",
 //! "Crate map") and for how to run and gate the paper's experiments
@@ -27,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub use sparsetir_autotune as autotune;
-pub use sparsetir_baselines as baselines;
 pub use sparsetir_core as core;
 pub use sparsetir_engine as engine;
 pub use sparsetir_gpusim as gpusim;
@@ -35,12 +34,12 @@ pub use sparsetir_graphs as graphs;
 pub use sparsetir_ir as ir;
 pub use sparsetir_kernels as kernels;
 pub use sparsetir_nn as nn;
+pub use sparsetir_plans as plans;
 pub use sparsetir_smat as smat;
 
 /// Everything the examples and integration tests need, in one import.
 pub mod prelude {
     pub use sparsetir_autotune::{tune_spmm, SpmmConfig, TuneResult};
-    pub use sparsetir_baselines::prelude::*;
     pub use sparsetir_core::prelude::*;
     pub use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineError, EngineStats, LatencyHistogram, OpBatchWidth,
@@ -52,5 +51,6 @@ pub mod prelude {
     pub use sparsetir_ir::prelude::*;
     pub use sparsetir_kernels::prelude::*;
     pub use sparsetir_nn::prelude::*;
+    pub use sparsetir_plans::prelude::*;
     pub use sparsetir_smat::prelude::*;
 }
