@@ -87,7 +87,10 @@ pub const ALL: &[(&str, fn() -> String)] = &[
     ("serving_throughput", serving_throughput::run),
     ("serving_slo", serving_slo::run),
     ("dynamic_graphs", dynamic_graphs::run),
+    ("launch_probe", launch_probe::run),
 ];
+
+pub mod launch_probe;
 
 /// Table 1: graph statistics + %padding under the tuned hyb format.
 pub mod table1 {
@@ -861,20 +864,6 @@ pub mod serving_throughput {
     use std::sync::Arc;
     use std::time::Instant;
 
-    /// Acceptance floor: batched SpMM requests/sec over unbatched at 8
-    /// client threads sharing one adjacency. The ratio measures how much
-    /// per-launch fixed cost a shared launch amortises, so it *falls*
-    /// whenever a launch gets cheaper: ≈ 3× at PR 15, 2.2–2.7× at PR 18,
-    /// 1.85–1.99× after PR 20 (under the 2.0 it was then held to), and
-    /// since PR 21 took the IR build out of a warm launch ten smoke runs on
-    /// the 2-core box read 1.53 / 1.55 / 1.61 / 1.64 / 1.66 / 1.69 / 1.69 /
-    /// 1.71 / 1.76 / 1.78× — unbatched 1 579–2 063 req/s, batched
-    /// 2 592–3 382 req/s (the table prints both rates). Set like
-    /// [`BATCHING_RATE_FLOOR`]: ≈ 80 % of the lowest reading, i.e. "a
-    /// shared launch is still clearly cheaper than eight", not a speed
-    /// target — `stbench` judges speed.
-    pub const BATCHED_SPEEDUP_BAR: f64 = 1.2;
-
     /// Floor on [`EngineStats::batching_rate`] at 8 clients for every
     /// batched arm (armed by `SPARSETIR_BENCH_ASSERT`): with one worker
     /// and eight blocking clients, requests queue behind every launch,
@@ -882,16 +871,32 @@ pub mod serving_throughput {
     /// PR 15 commit on the 2-core box read 0.92–0.98 (spmm) and
     /// 0.94–1.00 (sddmm), ten of this arm set 0.94–1.00 for fused
     /// attention; the floor sits at roughly half the lowest reading — a
-    /// count that says "batching happened", not a timing. The SDDMM and
-    /// fused-attention *speedups* are printed but not gated: their win
-    /// is amortization of per-launch fixed costs only, 1.1–1.6× on this
-    /// box and inside its wall-clock noise (the old ≥ 1.1× SDDMM bar
-    /// read 1.08× in one of those ten parent runs).
+    /// count that says "batching happened", not a timing.
+    ///
+    /// No arm's *speedup* is gated; all three are printed. The SDDMM and
+    /// fused-attention ones never were: their win is amortization of
+    /// per-launch fixed costs only, 1.1–1.6× on this box and inside its
+    /// wall-clock noise. The SpMM one was held to a speed-up bar until
+    /// PR 24, and that ratio measures how much per-launch fixed cost
+    /// a shared launch amortises — so it *fell* every time a launch got
+    /// cheaper: ≈ 3× at PR 15, 2.2–2.7× at PR 18, 1.85–1.99× after PR 20,
+    /// 1.53–1.78× after PR 21 (bar 2.0, then 1.2 = 80 % of the lowest of
+    /// ten). PR 24 cut the per-non-zero cost of the unbatched launch by
+    /// more than the batched one's (at launch level on this graph eight
+    /// single launches over one batch of eight went 2.34 → 1.78), and ten
+    /// smoke runs of that tree read 1.17 / 1.46 / 1.48 / 1.52 / 1.54 /
+    /// 1.58 / 1.58 / 1.70 / 1.89 / 2.06× — unbatched 310–2 187 req/s,
+    /// batched 586–3 408 on a box other tenants were loading. By the rule
+    /// the bar was set with, 80 % of the lowest is 0.94: under 1.1, where a
+    /// bar can no longer tell "a shared launch is clearly cheaper than
+    /// eight" from noise. So the SpMM arm is gated like the other two, on what
+    /// cannot drift with launch cost: it batched (`max_batch ≥ 2`, this
+    /// floor) and copied nothing. `stbench` judges speed.
     pub const BATCHING_RATE_FLOOR: f64 = 0.5;
 
     /// An `n × n` adjacency with heavy-tailed row lengths (most rows
     /// short, a few up to `n / 2`).
-    fn power_law(n: usize, rng: &mut rand::rngs::SmallRng) -> Csr {
+    pub(super) fn power_law(n: usize, rng: &mut rand::rngs::SmallRng) -> Csr {
         gen::random_csr_with_row_lengths(
             n,
             n,
@@ -966,8 +971,7 @@ pub mod serving_throughput {
         (elapsed / total.max(1) as f64, stats)
     }
 
-    /// Sweep one op arm over 1/4/8 clients and return `(table rows,
-    /// speedup at 8 clients)`.
+    /// Sweep one op arm over 1/4/8 clients and return its table rows.
     ///
     /// # Panics
     /// Panics when a batched arm copied a byte, or — under
@@ -979,10 +983,9 @@ pub mod serving_throughput {
         op: &str,
         per_client: usize,
         mut make: impl FnMut() -> OpRequest,
-    ) -> (Vec<Vec<String>>, f64) {
+    ) -> Vec<Vec<String>> {
         let warm = make();
         let mut rows = Vec::new();
-        let mut speedup_at_8 = 0.0;
         for &clients in &[1usize, 4, 8] {
             let payloads: Vec<Vec<OpRequest>> =
                 (0..clients).map(|_| (0..per_client).map(|_| make()).collect()).collect();
@@ -997,17 +1000,14 @@ pub mod serving_throughput {
                 stats.bytes_copied
             );
             let speedup = ns_unbatched / ns_batched;
-            if clients == 8 {
-                speedup_at_8 = speedup;
-                if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-                    assert!(
-                        stats.max_batch >= 2 && stats.batching_rate() >= BATCHING_RATE_FLOOR,
-                        "batched {op} arm did not batch at 8 clients: max batch {}, rate {:.2} \
-                         (floor {BATCHING_RATE_FLOOR})",
-                        stats.max_batch,
-                        stats.batching_rate()
-                    );
-                }
+            if clients == 8 && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
+                assert!(
+                    stats.max_batch >= 2 && stats.batching_rate() >= BATCHING_RATE_FLOOR,
+                    "batched {op} arm did not batch at 8 clients: max batch {}, rate {:.2} \
+                     (floor {BATCHING_RATE_FLOOR})",
+                    stats.max_batch,
+                    stats.batching_rate()
+                );
             }
             rows.push(vec![
                 op.to_string(),
@@ -1019,7 +1019,7 @@ pub mod serving_throughput {
                 fmt_pct(stats.batching_rate() * 100.0),
             ]);
         }
-        (rows, speedup_at_8)
+        rows
     }
 
     /// Render the sweep.
@@ -1027,9 +1027,8 @@ pub mod serving_throughput {
     /// # Panics
     /// Panics when a served result disagrees with its reference (or
     /// served fused attention with the three-launch pipeline oracle, bit
-    /// for bit), or — under `SPARSETIR_BENCH_ASSERT=1` — when batched
-    /// SpMM at 8 clients misses [`BATCHED_SPEEDUP_BAR`] over unbatched
-    /// or an arm did not batch (see [`BATCHING_RATE_FLOOR`]).
+    /// for bit), or — under `SPARSETIR_BENCH_ASSERT=1` — when an arm did
+    /// not batch at 8 clients (see [`BATCHING_RATE_FLOOR`]).
     #[must_use]
     pub fn run() -> String {
         // Full mode serves a mid-size graph: big enough that kernel work
@@ -1070,7 +1069,7 @@ pub mod serving_throughput {
         let mut workloads =
             format!("spmm: n={n} nnz={} d={feat} per_client={per_client} workers=1\n", g.nnz());
         let mut rng_spmm = gen::rng(0x5e41);
-        let (spmm_rows, spmm_at_8) = sweep_op(&adj, "spmm", per_client, || {
+        let spmm_rows = sweep_op(&adj, "spmm", per_client, || {
             OpRequest::Spmm(gen::random_dense(n, feat, &mut rng_spmm))
         });
         // The SDDMM arm serves its own *small* adjacency: block-diagonal
@@ -1093,7 +1092,7 @@ pub mod serving_throughput {
             "sddmm: n={sn} nnz={} d={sfeat} per_client={sddmm_per_client} workers=1\n",
             sadj.csr().nnz()
         ));
-        let (sddmm_rows, _) = sweep_op(&sadj, "sddmm", sddmm_per_client, || {
+        let sddmm_rows = sweep_op(&sadj, "sddmm", sddmm_per_client, || {
             OpRequest::Sddmm((
                 gen::random_dense(sn, sfeat, &mut rng_sddmm),
                 gen::random_dense(sfeat, sn, &mut rng_sddmm),
@@ -1143,21 +1142,15 @@ pub mod serving_throughput {
             "fused_attention: n={an} nnz={} k={k} vfeat={vfeat} heads/req=1 per_client={per_client} workers=1\n",
             ag.nnz()
         ));
-        let (attn_rows, _) = sweep_op(&aadj, "fused_attention", per_client, || {
+        let attn_rows = sweep_op(&aadj, "fused_attention", per_client, || {
             OpRequest::FusedAttention(vec![make_head()])
         });
-        if std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-            assert!(
-                spmm_at_8 >= BATCHED_SPEEDUP_BAR,
-                "batched SpMM serving {spmm_at_8:.2}x below the {BATCHED_SPEEDUP_BAR}x bar at 8 clients"
-            );
-        }
         let mut rows = spmm_rows;
         rows.extend(sddmm_rows);
         rows.extend(attn_rows);
         render_table(
             &format!(
-                "Serving throughput: batched vs unbatched engine (shared adjacency, spmm d={feat}; at 8 clients: spmm ≥ {BATCHED_SPEEDUP_BAR}x, every arm batches)"
+                "Serving throughput: batched vs unbatched engine (shared adjacency, spmm d={feat}; at 8 clients every arm batches, speedups not gated)"
             ),
             &["op", "clients", "unbatched req/s", "batched req/s", "speedup", "max batch", "batched %"],
             &rows,

@@ -1,0 +1,393 @@
+//! `launch_probe`: where the microseconds of a warm served launch go.
+//!
+//! On a tenant-shaped graph (`stbench`'s `serve_multitenant` mix: power-law,
+//! n = 440, ≈ 3 300 non-zeros) it times, per served kernel, the **whole
+//! launch** (the view-bound entry point on a warm runtime), the **run** alone
+//! (`CompiledKernel::run_views` on views bound once), a **floor** — a
+//! hand-specialised row loop in this file that keeps every check the
+//! executor makes (both `indptr` loads, the index load, the gathered column
+//! against the declared dimension and the bound length, the coefficient
+//! load, every lane run) and the executor's exact arithmetic (f64 term, f32
+//! round-trip per lane), asserted bit-identical to the served output — and
+//! the **native** f32 loop `stbench` uses as its yardstick. Arms alternate
+//! in short bursts and report minima, so the box's clock states cancel.
+//! A sweep over row and non-zero counts then fits the SpMM run to
+//! `c + entries × a + nnz × b`.
+//!
+//! Smoke mode asserts the bit-identities and keeps the bursts short;
+//! timings are printed, never gated (`stbench` judges speed). Quoted
+//! readings are taken the way `stbench` runs — `SPARSETIR_NUM_THREADS=1
+//! taskset -c 1` — or the CSR arm's `blockIdx` loop fans out and every
+//! launch pays two thread spawns (≈ 15 µs here).
+
+use super::*;
+use sparsetir_ir::prelude::{ColsView, RowsView, Runtime, TensorData, ViewBindings};
+use sparsetir_kernels::sddmm::batched_sddmm_ir;
+use std::collections::HashMap;
+use std::time::Instant;
+
+/// `stbench`'s tenant graph shape, `n` rows over `cols` columns: the
+/// Table 1 power-law degree curve at the `n` stratified quantiles (so the
+/// non-zero count is a function of the shape alone), rows shuffled, columns
+/// uniform. The sweep varies `n` under a fixed operand footprint.
+fn rows_graph(n: usize, cols: usize, mean_deg: f64, seed: u64) -> Csr {
+    use rand::Rng;
+    let mut rng = gen::rng(seed);
+    let eps = 0.015f64;
+    let alpha = mean_deg / ((1.0 + eps).ln() - eps.ln());
+    let mut degrees: Vec<usize> = (0..n)
+        .map(|r| {
+            ((alpha / ((r as f64 + 0.5) / n as f64 + eps)) as usize).clamp(1, (cols / 2).max(1))
+        })
+        .collect();
+    for i in (1..n).rev() {
+        degrees.swap(i, rng.gen_range(0..i + 1));
+    }
+    let mut next = degrees.into_iter();
+    gen::random_csr_with_row_lengths(n, cols, |_| next.next().unwrap_or(1), &mut rng)
+}
+
+/// Minimum nanoseconds per call of each arm over `rounds` alternations of
+/// `reps`-call bursts (one untimed call each first).
+fn minima(rounds: usize, reps: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; arms.len()];
+    arms.iter_mut().for_each(|arm| arm());
+    for _ in 0..rounds {
+        for (arm, best) in arms.iter_mut().zip(&mut best) {
+            let t0 = Instant::now();
+            (0..reps).for_each(|_| arm());
+            *best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
+        }
+    }
+    best
+}
+
+/// The CSR structure as the kernels bind it (`i32` slabs).
+struct Slabs {
+    indptr: Vec<i32>,
+    indices: Vec<i32>,
+    values: Vec<f32>,
+}
+
+impl Slabs {
+    fn of(a: &Csr) -> Slabs {
+        Slabs {
+            indptr: a.indptr().iter().map(|&p| p as i32).collect(),
+            indices: a.indices().iter().map(|&c| c as i32).collect(),
+            values: a.values().to_vec(),
+        }
+    }
+
+    /// Row `i`'s positions, both `indptr` loads checked.
+    fn row(&self, i: usize) -> Option<std::ops::Range<usize>> {
+        let (lo, hi) = (*self.indptr.get(i)?, *self.indptr.get(i + 1)?);
+        Some(usize::try_from(lo).ok()?..usize::try_from(hi).ok()?)
+    }
+
+    /// Position `p`'s column — checked against the declared dimension
+    /// `cols` — and coefficient, both loads checked.
+    fn at(&self, p: usize, cols: usize) -> Option<(usize, f64)> {
+        let col = usize::try_from(*self.indices.get(p)?).ok().filter(|c| *c < cols)?;
+        Some((col, f64::from(*self.values.get(p)?)))
+    }
+}
+
+/// The SpMM floor: `c = a · b` row by row with every check and the
+/// executor's arithmetic — the first non-zero of a row adds onto the init
+/// value, each lane is `f32(f64(c) + a_ij · f64(b))`.
+fn spmm_floor(s: &Slabs, (rows, cols, d): (usize, usize, usize), b: &[f32], c: &mut [f32]) -> bool {
+    let mut walk = || {
+        for i in 0..rows {
+            let crow = c.get_mut(i * d..(i + 1) * d)?;
+            let row = s.row(i)?;
+            for p in row.clone() {
+                let (col, v) = s.at(p, cols)?;
+                let brow = b.get(col * d..(col + 1) * d)?;
+                if p == row.start {
+                    for (c, &b) in crow.iter_mut().zip(brow) {
+                        *c = (0.0 + v * f64::from(b)) as f32;
+                    }
+                } else {
+                    for (c, &b) in crow.iter_mut().zip(brow) {
+                        *c = (f64::from(*c) + v * f64::from(b)) as f32;
+                    }
+                }
+            }
+        }
+        Some(())
+    };
+    walk().is_some()
+}
+
+/// `stbench`'s native SpMM: plain f32, unchecked beyond slice indexing.
+fn spmm_native(a: &Csr, d: usize, b: &[f32], c: &mut [f32]) {
+    for (r, crow) in c.chunks_exact_mut(d).enumerate() {
+        crow.fill(0.0);
+        for e in a.indptr()[r]..a.indptr()[r + 1] {
+            let v = a.values()[e];
+            let brow = &b[a.indices()[e] as usize * d..][..d];
+            for (o, &x) in crow.iter_mut().zip(brow) {
+                *o += v * x;
+            }
+        }
+    }
+}
+
+/// The SDDMM floor: `out[e] = a_e · (x_i · y_:j)` with every check and the
+/// executor's arithmetic — the accumulator narrows to `f32` every lane,
+/// each term is `(a_e · f64(x)) · f64(y)`.
+fn sddmm_floor(
+    s: &Slabs,
+    (rows, cols, k): (usize, usize, usize),
+    (x, y): (&[f32], &[f32]),
+    out: &mut [f32],
+) -> bool {
+    let mut walk = || {
+        for i in 0..rows {
+            let xrow = x.get(i * k..(i + 1) * k)?;
+            for p in s.row(i)? {
+                let (col, v) = s.at(p, cols)?;
+                // The column walk's last lane, against the bound length.
+                y.get(col + (k - 1) * cols)?;
+                let mut acc = 0.0f32;
+                for (l, &xv) in xrow.iter().enumerate() {
+                    acc = (f64::from(acc) + (v * f64::from(xv)) * f64::from(y[col + l * cols]))
+                        as f32;
+                }
+                *out.get_mut(p)? = acc;
+            }
+        }
+        Some(())
+    };
+    walk().is_some()
+}
+
+/// `stbench`'s native SDDMM: `y` transposed into `yt` first, then one f32
+/// dot product per non-zero.
+fn sddmm_native(a: &Csr, k: usize, (x, y): (&[f32], &[f32]), yt: &mut Vec<f32>, out: &mut [f32]) {
+    yt.clear();
+    yt.resize(a.cols() * k, 0.0);
+    for (l, row) in y.chunks_exact(a.cols()).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            yt[j * k + l] = v;
+        }
+    }
+    for r in 0..a.rows() {
+        let xrow = &x[r * k..][..k];
+        for e in a.indptr()[r]..a.indptr()[r + 1] {
+            let yrow = &yt[a.indices()[e] as usize * k..][..k];
+            out[e] = a.values()[e] * xrow.iter().zip(yrow).map(|(&p, &q)| p * q).sum::<f32>();
+        }
+    }
+}
+
+fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
+    assert_eq!(got.len(), want.len(), "{what}: length");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        assert_eq!(g.to_bits(), w.to_bits(), "{what}: element {i}: served {g} vs floor {w}");
+    }
+}
+
+/// `[whole launch, run_views alone]` minima of a served SpMM over `xs` at
+/// `config` (one request, or a batch), after checking every request's
+/// output against the floor (bit for bit on the CSR schedule).
+fn spmm_arms(
+    a: &Csr,
+    xs: &[Dense],
+    config: &SpmmConfig,
+    (rounds, reps): (usize, usize),
+) -> [f64; 2] {
+    let rt = Runtime::new();
+    let slabs = Slabs::of(a);
+    let refs: Vec<&Dense> = xs.iter().collect();
+    let mut outs: Vec<Dense> = xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
+    spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM");
+    for (x, out) in xs.iter().zip(&outs) {
+        let mut want = vec![0.0f32; out.data().len()];
+        assert!(spmm_floor(&slabs, (a.rows(), a.cols(), x.cols()), x.data(), &mut want));
+        if config.col_parts.is_none() {
+            assert_bits(&format!("spmm {}", config.label()), out.data(), &want);
+        } else {
+            // `hyb` adds a row's non-zeros bucket by bucket: the floor's
+            // sum in another order.
+            let close = |(g, w): (&f32, &f32)| (g - w).abs() <= 1e-4 * (1.0 + w.abs());
+            assert!(out.data().iter().zip(&want).all(close), "spmm {}", config.label());
+        }
+    }
+
+    let feat: usize = xs.iter().map(Dense::cols).sum();
+    // The schedule the entry point compiles: the vector split widened to
+    // span the stacked width.
+    let mut wide = *config;
+    wide.params.vec_width = wide.params.vec_width.max(feat.div_ceil(8));
+    let (func, mut structure) = prepare_spmm_structure(a, feat, &wide).expect("lowers");
+    let kernel = rt.compile(&func).expect("compiles");
+    let mut run_outs = outs.clone();
+    let b_segs: Vec<(&[f32], usize)> = xs.iter().map(|x| (x.data(), x.cols())).collect();
+    let c_segs = run_outs.iter_mut().map(|o| (o.cols(), o.data_mut())).map(|(w, o)| (o, w));
+    let mut views = ViewBindings::from_tensors(&mut structure);
+    views.bind_cols("B", ColsView::read(a.cols(), &b_segs).expect("B"));
+    views.bind_cols("C", ColsView::write(a.rows(), c_segs.collect()).expect("C"));
+    let scalars = HashMap::new();
+    let got = minima(
+        rounds,
+        reps,
+        &mut [
+            &mut || spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM"),
+            &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+        ],
+    );
+    [got[0], got[1]]
+}
+
+/// The launch-level table on one graph, and the sweep's fit.
+///
+/// # Panics
+/// Panics when a served output is not bit-identical to its floor loop.
+#[must_use]
+#[allow(clippy::too_many_lines)] // one table, arm after arm
+pub fn run() -> String {
+    let burst = if smoke() { (3, 4) } else { (200, 10) };
+    let (d, k) = (16usize, 8usize);
+    let a = rows_graph(440, 440, 8.0, 0x7e);
+    let slabs = Slabs::of(&a);
+    let mut rng = gen::rng(0x7f);
+    let us = |ns: f64| format!("{:.1}", ns / 1e3);
+    let mut rows = Vec::new();
+
+    // SpMM, d = 16: CSR, hyb(1, 3), and a batch of eight.
+    let x = gen::random_dense(a.cols(), d, &mut rng);
+    let shape = (a.rows(), a.cols(), d);
+    let (mut c_floor, mut c_native) = (vec![0.0f32; a.rows() * d], vec![0.0f32; a.rows() * d]);
+    let fixed = minima(
+        burst.0,
+        burst.1,
+        &mut [&mut || assert!(spmm_floor(&slabs, shape, x.data(), &mut c_floor)), &mut || {
+            spmm_native(&a, d, x.data(), &mut c_native)
+        }],
+    );
+    let csr = SpmmConfig::default_csr();
+    let hyb = SpmmConfig { col_parts: Some(1), bucket_k: 3, params: CsrSpmmParams::default() };
+    let one = std::slice::from_ref(&x);
+    let eight: Vec<Dense> = (0..8).map(|_| gen::random_dense(a.cols(), d, &mut rng)).collect();
+    for (name, xs, config) in [
+        ("spmm d=16 csr", one, &csr),
+        ("spmm d=16 hyb(1,3)", one, &hyb),
+        ("spmm d=16 csr, batch of 8", &eight[..], &csr),
+    ] {
+        let [whole, run] = spmm_arms(&a, xs, config, burst);
+        let per = xs.len() as f64;
+        rows.push(vec![name.into(), us(whole), us(run), us(fixed[0] * per), us(fixed[1] * per)]);
+    }
+
+    // SDDMM, one head, k = 8.
+    {
+        let rt = Runtime::new();
+        let req =
+            (gen::random_dense(a.rows(), k, &mut rng), gen::random_dense(k, a.cols(), &mut rng));
+        let ops = (req.0.data(), req.1.data());
+        let mut outs = vec![vec![0.0f32; a.nnz()]];
+        sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut outs).expect("served");
+        let (mut want, mut native, mut yt) = (vec![0.0f32; a.nnz()], vec![0.0f32; a.nnz()], vec![]);
+        assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want));
+        assert_bits("sddmm k=8", &outs[0], &want);
+
+        let func = batched_sddmm_ir(&a, 1, k).expect("lowers");
+        let kernel = rt.compile(&func).expect("compiles");
+        let mut structure: HashMap<String, TensorData> = HashMap::new();
+        sparsetir_core::prelude::bind_csr(&mut structure, "A", "J", &a);
+        let mut run_out = vec![0.0f32; a.nnz()];
+        let mut views = ViewBindings::from_tensors(&mut structure);
+        views.bind_cols("X", ColsView::read(a.rows(), &[(ops.0, k)]).expect("X"));
+        views.bind_rows("Y", RowsView::read(k * a.cols(), &[ops.1]).expect("Y"));
+        views
+            .bind_cols("Bout", ColsView::write(a.nnz(), vec![(&mut run_out[..], 1)]).expect("out"));
+        let scalars = HashMap::new();
+        let got = minima(
+            burst.0,
+            burst.1,
+            &mut [
+                &mut || {
+                    sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut outs)
+                        .expect("served");
+                },
+                &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+                &mut || assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want)),
+                &mut || sddmm_native(&a, k, ops, &mut yt, &mut native),
+            ],
+        );
+        rows.push(
+            std::iter::once("sddmm k=8".to_string()).chain(got.iter().map(|&t| us(t))).collect(),
+        );
+    }
+
+    // The batch `serving_throughput` gates on, on its graph.
+    {
+        let g = serving_throughput::power_law(1000, &mut gen::rng(0xE6));
+        let xs: Vec<Dense> = (0..8).map(|_| gen::random_dense(g.cols(), d, &mut rng)).collect();
+        let [single, _] = spmm_arms(&g, &xs[..1], &csr, burst);
+        let [whole, run] = spmm_arms(&g, &xs, &csr, burst);
+        let name =
+            format!("serving_throughput graph, batch of 8 (8 × single = {})", us(8.0 * single));
+        rows.push(vec![name, us(whole), us(run), "-".into(), "-".into()]);
+    }
+
+    // Row-count / non-zero-count sweep of the CSR run: least squares for
+    // `run = c + entries × a + nnz × b`.
+    let sweep: &[(usize, f64)] = if smoke() {
+        &[(110, 8.0), (220, 4.0), (220, 8.0)]
+    } else {
+        &[(220, 8.0), (440, 4.0), (440, 8.0), (440, 16.0), (880, 8.0), (1760, 2.0), (1760, 8.0)]
+    };
+    let points: Vec<[f64; 4]> = sweep
+        .iter()
+        .map(|&(n, deg)| {
+            let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
+            let x = gen::random_dense(g.cols(), d, &mut rng);
+            let [_, run] = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
+            [1.0, g.rows() as f64, g.nnz() as f64, run]
+        })
+        .collect();
+    let [c, per_entry, per_nnz] = least_squares(&points);
+    let mut out = render_table(
+        &format!(
+            "launch_probe: warm launches on the tenant graph (n = {}, nnz = {}), minima in µs",
+            a.rows(),
+            a.nnz()
+        ),
+        &["arm", "whole launch", "run_views", "floor", "native f32"],
+        &rows,
+    );
+    let sweep: Vec<String> =
+        points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
+    out.push_str(&format!(
+        "spmm d=16 csr run_views by rows/nnz, µs: {}\n  = {c:.0} ns + entries × {per_entry:.1} ns + \
+         nnz × {per_nnz:.1} ns (least squares)\n",
+        sweep.join(", ")
+    ));
+    out
+}
+
+/// The `[c, a, b]` minimising `Σ (c·p[0] + a·p[1] + b·p[2] − p[3])²`
+/// (normal equations, Gaussian elimination).
+fn least_squares(points: &[[f64; 4]]) -> [f64; 3] {
+    let mut m = [[0.0f64; 4]; 3];
+    for p in points {
+        for r in 0..3 {
+            for c in 0..4 {
+                m[r][c] += p[r] * p[c];
+            }
+        }
+    }
+    for i in 0..3 {
+        let pivot = (i..3).max_by(|&p, &q| m[p][i].abs().total_cmp(&m[q][i].abs())).unwrap_or(i);
+        m.swap(i, pivot);
+        for r in 0..3 {
+            if r != i && m[i][i] != 0.0 {
+                let f = m[r][i] / m[i][i];
+                (0..4).for_each(|c| m[r][c] -= f * m[i][c]);
+            }
+        }
+    }
+    [0, 1, 2].map(|i| if m[i][i] == 0.0 { 0.0 } else { m[i][3] / m[i][i] })
+}

@@ -8,10 +8,11 @@
 use sparsetir_bench::experiments::{self as e, ALL};
 use std::process::Command;
 
-/// The experiments that serve real requests through the engine (the
-/// wall-clock ones); everything else in `ALL` prices plans on the GPU
-/// simulator.
-const SERVED: [&str; 4] = ["autotuning", "serving_throughput", "serving_slo", "dynamic_graphs"];
+/// The experiments that run real kernels — requests through the engine,
+/// or launches under a stopwatch (the wall-clock ones); everything else in
+/// `ALL` prices plans on the GPU simulator.
+const SERVED: [&str; 5] =
+    ["autotuning", "serving_throughput", "serving_slo", "dynamic_graphs", "launch_probe"];
 
 /// Run the named experiment in smoke mode and check it rendered a table.
 fn run_smoke(name: &str) -> String {
@@ -87,6 +88,22 @@ fn slo_dynamic_graphs_and_autotuning_run_end_to_end_in_smoke_mode() {
     assert!(timed >= 1, "autotuning must print sim-pick, tuned and untuned times:\n{out}");
 }
 
+#[test]
+fn launch_probe_runs_end_to_end_in_smoke_mode() {
+    // Running it is the assertion that counts: every served output is
+    // checked bit for bit against the probe's own fully-checked loop.
+    let out = run_smoke("launch_probe");
+    // arm | whole launch | run_views | floor | native f32
+    let rows = rows(&out);
+    for arm in ["spmm d=16 csr", "spmm d=16 hyb(1,3)", "sddmm k=8"] {
+        let row = rows.iter().find(|r| r.join(" ").starts_with(arm));
+        let row = row.unwrap_or_else(|| panic!("no `{arm}` arm:\n{out}"));
+        let cells = &row[row.len() - 4..];
+        assert!(cells.iter().all(|c| c.parse::<f64>().is_ok_and(|us| us > 0.0)), "{arm}:\n{out}");
+    }
+    assert!(out.contains("entries ×") && out.contains("nnz ×"), "the sweep's fit:\n{out}");
+}
+
 fn experiments_bin(args: &[&str]) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_experiments"))
         .args(args)
@@ -100,7 +117,7 @@ fn binary_lists_rejects_and_runs_by_name() {
     let listed = experiments_bin(&["--list"]);
     assert!(listed.status.success());
     let names: Vec<&str> = ALL.iter().map(|(n, _)| *n).collect();
-    assert_eq!(names.len(), 17);
+    assert_eq!(names.len(), 18);
     assert_eq!(String::from_utf8_lossy(&listed.stdout).lines().collect::<Vec<_>>(), names);
 
     let unknown = experiments_bin(&["table1", "fig99"]);

@@ -114,6 +114,16 @@ pub struct NestCounts {
     pub repinned: u64,
     /// Entries that handed a trip they could not take to the generic loop.
     pub handovers: u64,
+    /// Trips the nests took themselves (a CSR row's non-zeros): every
+    /// trip of every entry but those handed over.
+    pub trips: u64,
+    /// Of `trips`, those a re-pinned entry ran in its monomorphised trip
+    /// loop — a cursor add per operand — rather than re-deriving every
+    /// operand per trip. `trips − stepped` are the trips of entries that
+    /// paid the lane prologue, plus whatever the menu of trip loops does
+    /// not cover (a binding walked column by column, a row-segmented one
+    /// changing segment mid-entry) or a range test of an entry turned away.
+    pub stepped: u64,
 }
 
 impl NestCounts {
@@ -121,6 +131,8 @@ impl NestCounts {
         self.entries += other.entries;
         self.repinned += other.repinned;
         self.handovers += other.handovers;
+        self.trips += other.trips;
+        self.stepped += other.stepped;
     }
 }
 
@@ -418,23 +430,33 @@ fn read_only(name: &str) -> ExecError {
     ExecError::new(format!("buffer `{name}` is bound to a read-only view"))
 }
 
-/// SAFETY contract for the helpers below: `idx` has been bounds-checked
-/// against the view's `len`, and the view is valid for the whole run.
+/// One element of a bound `f32` buffer, read through a relaxed atomic.
+///
+/// # Safety
+/// SAFETY contract, shared by the four helpers here: `idx` has been
+/// bounds-checked against the view's `len`, and the view is valid for the
+/// whole run.
 #[inline]
 unsafe fn elem_load_f32(ptr: *mut f32, idx: usize) -> f32 {
     f32::from_bits((*ptr.add(idx).cast::<AtomicU32>()).load(Ordering::Relaxed))
 }
 
+/// # Safety
+/// SAFETY: as [`elem_load_f32`], and the view is writable.
 #[inline]
 unsafe fn elem_store_f32(ptr: *mut f32, idx: usize, v: f32) {
     (*ptr.add(idx).cast::<AtomicU32>()).store(v.to_bits(), Ordering::Relaxed);
 }
 
+/// # Safety
+/// SAFETY: as [`elem_load_f32`], over a bound `i32` buffer.
 #[inline]
 unsafe fn elem_load_i32(ptr: *mut i32, idx: usize) -> i32 {
     (*ptr.add(idx).cast::<AtomicI32>()).load(Ordering::Relaxed)
 }
 
+/// # Safety
+/// SAFETY: as [`elem_load_i32`], and the view is writable.
 #[inline]
 unsafe fn elem_store_i32(ptr: *mut i32, idx: usize, v: i32) {
     (*ptr.add(idx).cast::<AtomicI32>()).store(v, Ordering::Relaxed);
@@ -866,6 +888,7 @@ fn exec_accum_f(
             }
             // SAFETY: flat < rows * width and the view is valid for the run.
             let p = unsafe { seg_cols_ptr(table, width, flat) };
+            // SAFETY: `p` is that element's address.
             let cur = f64::from(unsafe { elem_load_f32(p, 0) });
             let v = cur + rest.eval(fr)?;
             if !writable {
@@ -882,6 +905,7 @@ fn exec_accum_f(
             }
             // SAFETY: flat < n_segs * seg_len and the view is valid for the run.
             let p = unsafe { seg_rows_ptr(segs, seg_len, flat) };
+            // SAFETY: `p` is that element's address.
             let cur = f64::from(unsafe { elem_load_f32(p, 0) });
             let v = cur + rest.eval(fr)?;
             if !writable {

@@ -43,7 +43,7 @@
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, LaneSpec, NestSpec, Trips};
+use super::fuse::{self, LaneSpec, NestSpec, Stepped, Taken, Trips};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, num_threads, BoolExpr, CBlock, CStmt,
     ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf,
@@ -610,6 +610,8 @@ struct State<'c> {
     /// By [`Instr::Nest`] `id`, grown on first use; `None` until the
     /// nest's first entry establishes it.
     kept: Vec<Option<Kept<'c>>>,
+    /// What a re-pinned entry hands its stepped trip loop.
+    step: Stepped,
     counts: NestCounts,
 }
 
@@ -620,6 +622,7 @@ impl<'c> State<'c> {
             saved: Vec::new(),
             threads,
             kept: Vec::new(),
+            step: Stepped::scratch(),
             counts: NestCounts::default(),
         }
     }
@@ -873,7 +876,9 @@ fn run_nest<'c>(
             st.kept.resize_with(id + 1, || None);
         }
         match &mut st.kept[id] {
-            Some(Kept { walks: Some(at), .. }) => repinned = spec.reenter(prog, lanes, fr, at),
+            Some(Kept { walks: Some(at), .. }) => {
+                repinned = spec.reenter(prog, lanes, fr, at, &mut st.step);
+            }
             Some(Kept { walks: None, .. }) => {}
             fresh @ None => {
                 let walks = Trips::establish(spec, prog, lanes, fr);
@@ -882,15 +887,17 @@ fn run_nest<'c>(
         }
     }
     let (done, n) = match repinned {
-        Some(taken) => {
+        Some(Taken { done, trips, stepped }) => {
             st.counts.repinned += 1;
-            taken
+            st.counts.stepped += stepped as u64;
+            (done, trips)
         }
         None => {
             let n = spec.extent.eval(fr)?;
             (if n > 0 { spec.run(lanes, fr, n) } else { n }, n)
         }
     };
+    st.counts.trips += done.max(0) as u64;
     if done == n {
         return Ok(end);
     }

@@ -53,7 +53,11 @@
 //! launch (where operands are bound, strides, spans, lane count) is kept
 //! from the first entry, and what varies with the enclosing loop variables
 //! is a compiled **entry program** — a few checked `i32` loads and linear
-//! combinations — that re-pins the walks (see the `nest` submodule). The
+//! combinations — that re-pins the walks, and hands the entry's trips to
+//! one monomorphised **trip loop** picked from a fixed menu when the walk
+//! state was established ([`trip_loops`]): a cursor add per operand per
+//! trip, the affine walks range-tested per entry, the gathered column per
+//! trip (see the `nest` submodule). The
 //! nest is the head of its loop in place of `LoopStart`; the loop behind
 //! it is lowered as without it, and the nest hands it the first trip whose
 //! checks fail, before that trip writes anything.
@@ -97,7 +101,9 @@ use std::collections::HashMap;
 
 mod nest;
 
-pub(super) use nest::{build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Reg, Trips};
+pub(super) use nest::{
+    build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Reg, Stepped, Taken, Trips,
+};
 
 // ---------------------------------------------------------------------------
 // Compile-time stride / invariance / aliasing analysis
@@ -1044,6 +1050,53 @@ enum LaneInit {
     One(i64),
 }
 
+/// What an [`axpy`] adds each lane's term to under the init decision
+/// `$init`: the init value where the init fires at every lane, the lane's
+/// own element (`None`) where at none; `$one` for an init at one lane,
+/// which no contiguous accumulation has. A macro, not a function, so that
+/// [`LaneSpec::run_inline`] — inlined into `try_fast`, whose instructions
+/// are the per-`Super` path's and stay what they were — and the row nest's
+/// trip loops ([`LaneInit::base`]) expand one text.
+macro_rules! axpy_base {
+    ($init:expr, $init32:expr, $one:expr) => {
+        match $init {
+            LaneInit::All => Some(f64::from($init32)),
+            LaneInit::Never => None,
+            LaneInit::One(_) => $one, // unreachable by construction
+        }
+    };
+}
+
+/// Where a [`reduce`] over `$n` lanes starts and from what under the init
+/// decision `$init`: every lane at or after an init restarts from the init
+/// value, so only the lanes from the last init on reach the stored result.
+/// A macro for the reason [`axpy_base!`] is one.
+macro_rules! reduce_start {
+    ($init:expr, $n:expr, $init32:expr) => {
+        match $init {
+            LaneInit::Never => (0, None),
+            LaneInit::All => ($n - 1, Some($init32)),
+            LaneInit::One(l0) => (l0, Some($init32)),
+        }
+    };
+}
+
+/// What the row nest's trip loops ([`trip_loops`]) make of an init
+/// decision, once per entry.
+impl LaneInit {
+    /// [`axpy_base!`]; `None` for an init at one lane.
+    #[inline(always)]
+    fn base(self, init32: f32) -> Option<Option<f64>> {
+        Some(axpy_base!(self, init32, return None))
+    }
+
+    /// [`reduce_start!`].
+    #[inline(always)]
+    fn restart(self, n: i64, init32: f32) -> (i64, Option<f32>) {
+        reduce_start!(self, n, init32)
+    }
+}
+
 /// Everything one invocation of a lane body reads, resolved and
 /// bounds-checked: what [`LaneSpec::resolve`] hands [`LaneSpec::run`], and
 /// what a row nest ([`nest`]) patches from trip to trip.
@@ -1066,48 +1119,91 @@ struct Resolved {
     coeff_at: Option<Place>,
 }
 
-/// The per-lane `f64` term of `$shape` as a closure `$t(a, b)` over lane
-/// element pointers, loading through `$M` and combining in the source
-/// association and operand order exactly; `$body` is expanded once per
-/// shape, so each gets its own monomorphised lane loop with the shape
-/// `match` outside it.
+/// A [`TermShape`] as a type: the per-lane `f64` term over lane element
+/// pointers, loading through `M` and combining in the source association
+/// and operand order exactly. The one place the seven formulas are written:
+/// the per-invocation lane bodies reach it through `with_term!` (the
+/// coefficient captured), the row nest's trip loops name the type itself
+/// (the coefficient changes from trip to trip).
+trait Term {
+    /// # Safety
+    /// `a` — and `b`, for the shapes that load it — are lane pointers
+    /// `resolve_lanes` validated, under `M`'s sharing rule.
+    unsafe fn of<M: Mem>(c: f64, a: *const f32, b: *const f32) -> f64;
+}
+
+macro_rules! term_shape {
+    ($name:ident, |$c:pat_param, $a:ident, $b:pat_param, $ld:ident| $e:expr) => {
+        struct $name;
+        impl Term for $name {
+            #[inline(always)]
+            unsafe fn of<M: Mem>($c: f64, $a: *const f32, $b: *const f32) -> f64 {
+                // SAFETY: the caller's contract, handed on to `M::load`.
+                let $ld = |p: *const f32| f64::from(unsafe { M::load(p) });
+                $e
+            }
+        }
+    };
+}
+
+term_shape!(AOnly, |_, a, _, ld| ld(a));
+term_shape!(CoeffA, |c, a, _, ld| c * ld(a));
+term_shape!(ACoeff, |c, a, _, ld| ld(a) * c);
+term_shape!(AB, |_, a, b, ld| ld(a) * ld(b));
+term_shape!(CoeffAB, |c, a, b, ld| (c * ld(a)) * ld(b));
+term_shape!(ACoeffB, |c, a, b, ld| (ld(a) * c) * ld(b));
+term_shape!(CoeffParenAB, |c, a, b, ld| c * (ld(a) * ld(b)));
+
+/// Expand `$run` once per [`TermShape`] with `$T` naming its [`Term`], and
+/// pick the expansion `$shape` selects — so each shape gets its own
+/// monomorphised loop with the shape `match` outside it.
+macro_rules! on_shape {
+    ($shape:expr, $T:ident => $run:expr) => {
+        match $shape {
+            TermShape::AOnly => {
+                type $T = AOnly;
+                $run
+            }
+            TermShape::CoeffA => {
+                type $T = CoeffA;
+                $run
+            }
+            TermShape::ACoeff => {
+                type $T = ACoeff;
+                $run
+            }
+            TermShape::AB => {
+                type $T = AB;
+                $run
+            }
+            TermShape::CoeffAB => {
+                type $T = CoeffAB;
+                $run
+            }
+            TermShape::ACoeffB => {
+                type $T = ACoeffB;
+                $run
+            }
+            TermShape::CoeffParenAB => {
+                type $T = CoeffParenAB;
+                $run
+            }
+        }
+    };
+}
+
+/// The per-lane `f64` term of `$shape` at coefficient `$coeff` as a closure
+/// `$t(a, b)` over lane element pointers; `$body` is expanded once per
+/// shape (`on_shape!`).
 macro_rules! with_term {
     ($M:ident, $shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
         let c: f64 = $coeff;
-        // SAFETY (caller): `$t` is only applied to lane pointers that
-        // `resolve_lanes` validated, under `$M`'s sharing rule.
-        let ld = |p: *const f32| f64::from(unsafe { $M::load(p) });
-        type P = *const f32;
-        match $shape {
-            TermShape::AOnly => {
-                let $t = move |a: P, _: P| ld(a);
-                $body
-            }
-            TermShape::CoeffA => {
-                let $t = move |a: P, _: P| c * ld(a);
-                $body
-            }
-            TermShape::ACoeff => {
-                let $t = move |a: P, _: P| ld(a) * c;
-                $body
-            }
-            TermShape::AB => {
-                let $t = move |a: P, b: P| ld(a) * ld(b);
-                $body
-            }
-            TermShape::CoeffAB => {
-                let $t = move |a: P, b: P| (c * ld(a)) * ld(b);
-                $body
-            }
-            TermShape::ACoeffB => {
-                let $t = move |a: P, b: P| (ld(a) * c) * ld(b);
-                $body
-            }
-            TermShape::CoeffParenAB => {
-                let $t = move |a: P, b: P| c * (ld(a) * ld(b));
-                $body
-            }
-        }
+        on_shape!($shape, T => {
+            // SAFETY (caller): `$t` is only applied to lane pointers that
+            // `resolve_lanes` validated, under `$M`'s sharing rule.
+            let $t = move |a: *const f32, b: *const f32| unsafe { T::of::<$M>(c, a, b) };
+            $body
+        })
     }};
 }
 
@@ -1191,6 +1287,91 @@ unsafe fn reduce<M: Mem>(
         }
     });
     M::store(pd, acc);
+}
+
+/// A row nest's trip loop: take the trips of the entry `w` was made for,
+/// the init firing as `first` says at trip 0 and as `rest` says at every
+/// later one; returns the first trip not taken (the trip count, or the one
+/// whose gathered value left the entry's reach — nothing of it written).
+///
+/// # Safety
+/// As [`Stepped::walk`]; and the loop is one [`trip_loops`] picked for the
+/// lane op whose operands `w` holds, on the frame it holds them for.
+type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
+
+/// The menu of trip loops: one out-of-line monomorphised loop per lane
+/// body, lane op and term shape — and per kind of operand: every one a
+/// single run (`[0]`; what whole tensors and one-segment views give), or
+/// some cut into column segments (`[1]`, a batch). Everything a trip does
+/// not change is matched here, once per launch and thread when a nest's
+/// walk state is established, instead of once per non-zero. Inside, a trip
+/// is [`Stepped::walk`]'s cursor adds and the same lane body the
+/// per-invocation path runs.
+///
+/// The `[1]` loops take all-run operands too, so `[0]` is a second copy
+/// kept for what it measures: with only `[1]` installed, `launch_probe`'s
+/// tenant graph (every operand a run; aligned builds, one pinned CPU, three
+/// alternations) reads SpMM d = 16 88.0 → 105.4 µs and SDDMM k = 8
+/// 113.0 → 138.6, the sweep's per-non-zero term 13.7 → 19.0 ns — a
+/// `Lanes` match per operand per trip and the lane bodies' piece loop
+/// around 8–16 lanes of arithmetic. The batch of eight is the same either
+/// way (361 µs).
+fn trip_loops(lanes: &LaneSpec, body: LaneBody) -> [TripLoop; 2] {
+    match &lanes.micro {
+        Micro::FillLanes { .. } => {
+            on_body!(body, M => [fill_trips::<M, false>, fill_trips::<M, true>])
+        }
+        Micro::AxpyLanes { term, .. } => on_body!(body, M => on_shape!(term.shape, T => {
+            [axpy_trips::<M, T, false>, axpy_trips::<M, T, true>]
+        })),
+        Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
+            on_body!(body, M => on_shape!(term.shape, T => {
+                [reduce_trips::<M, T, false>, reduce_trips::<M, T, true>]
+            }))
+        }
+    }
+}
+
+/// [`fill`] per trip.
+#[inline(never)]
+unsafe fn fill_trips<M: Mem, const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
+    // SAFETY: each trip's `dst` lanes are what `resolve_lanes` would hand
+    // `fill` there (`Stepped::walk`).
+    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill::<M>(w.n, d, v as f32) })
+}
+
+/// [`axpy`] per trip.
+#[inline(never)]
+unsafe fn axpy_trips<M: Mem, T: Term, const SEG: bool>(
+    w: &Stepped,
+    first: LaneInit,
+    rest: LaneInit,
+) -> i64 {
+    let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
+        return 0;
+    };
+    // SAFETY: each trip's operands are what `resolve_lanes` would hand
+    // `axpy` there (`Stepped::walk`).
+    w.walk::<SEG>(|t, ops, c| unsafe {
+        let base = if t == 0 { first } else { rest };
+        axpy::<M>(w.n, ops, base, |a, b| T::of::<M>(c, a, b));
+    })
+}
+
+/// [`reduce`] per trip.
+#[inline(never)]
+unsafe fn reduce_trips<M: Mem, T: Term, const SEG: bool>(
+    w: &Stepped,
+    first: LaneInit,
+    rest: LaneInit,
+) -> i64 {
+    let (first, rest) = (first.restart(w.n, w.init32), rest.restart(w.n, w.init32));
+    // SAFETY: each trip's operands are what `resolve_lanes` would hand
+    // `reduce` there (`Stepped::walk`); `0 <= from < n`.
+    w.walk::<SEG>(|t, ops, c| unsafe {
+        let (from, start) = if t == 0 { first } else { rest };
+        reduce::<M>((from, w.n), ops, start, |a, b| T::of::<M>(c, a, b));
+    })
 }
 
 impl LaneSpec {
@@ -1299,11 +1480,7 @@ impl LaneSpec {
                 on_body!(body, M => unsafe { fill::<M>(n, ops[0], v) });
             }
             Micro::AxpyLanes { term, .. } => {
-                let base = match r.init {
-                    LaneInit::All => Some(f64::from(r.init32)),
-                    LaneInit::Never => None,
-                    LaneInit::One(_) => return None, // unreachable by construction
-                };
+                let base = axpy_base!(r.init, r.init32, return None);
                 // SAFETY: `resolve_lanes` validated all `n` lanes of every
                 // operand (and `dst`'s writability) before the first write;
                 // `fuse_lane_loop` proved all three strides are 1; `M` is
@@ -1313,14 +1490,7 @@ impl LaneSpec {
                 }));
             }
             Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
-                // Every lane at or after an init restarts from the init
-                // value, so only the lanes from the last init on reach the
-                // stored result.
-                let (from, start) = match r.init {
-                    LaneInit::Never => (0, None),
-                    LaneInit::All => (n - 1, Some(r.init32)),
-                    LaneInit::One(l0) => (l0, Some(r.init32)),
-                };
+                let (from, start) = reduce_start!(r.init, n, r.init32);
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `a`
                 // and `b` at their proven strides and the one element of
                 // `dst` (stride 0, writable); `0 <= from < n`; `M` is

@@ -54,10 +54,36 @@
 //! count, an iter under a division, a hoisted value that is not a constant)
 //! has none and pays the first-entry path every time; a re-pin check that
 //! fails takes that path for the entry, before anything of it is written.
+//!
+//! **Stepped trips.** `advance` re-derives per trip what is fixed for the
+//! whole launch: checked `step·t + scale·dg` products, an interval check
+//! and a [`Spot`] match per moving view, then the lane op / body / term
+//! shape dispatch. So the first re-pinned entry's walk state also picks
+//! **one monomorphised trip loop** from a fixed menu ([`super::trip_loops`]:
+//! lane body × lane op × term shape × "every operand one run" or not), and
+//! a re-pinned entry hands it its trips as [`Cursor`]s ([`Trips::stepped`]):
+//! each operand its lanes at trip 0 plus how far a trip and a unit of the
+//! gathered value carry them — a pointer add for a [`Lanes::Run`], a row
+//! add for a [`Lanes::Cols`]. What `advance` checks per trip is checked per
+//! entry: an affine walk at its first and last trip (both ends inside the
+//! dimension, the storage and one segment means every trip between is),
+//! while the gathered value keeps a per-trip test against the entry's
+//! *reach* — the interval of values at which every gather-moved operand
+//! passes its checks: each operand's own, solved from its own dimension and
+//! binding and kept while its pin repeats ([`Within`]), then intersected.
+//! The menu does not
+//! cover a binding walked column by column ([`Spot::Cols`]), an operand
+//! moving with the trip *and* the gather, more than one moving reduce iter
+//! (or one that is not zero at trip 0 under an init that goes by it); and an
+//! entry whose range test fails, or a trip whose gathered value leaves the
+//! reach, is not an error yet. All of those go trip by trip through
+//! `advance`, which hands the generic loop whatever it cannot take — so
+//! error text, error order and written prefix stay the interpreter's.
 
 use super::{
-    cols_lanes, div_rem, float_invariant, index_loads, ColSeg, FloatExpr, Frame, IndexExpr,
-    IntExpr, IntOp, LaneBody, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf, Resolved, Steady,
+    cols_lanes, div_rem, float_invariant, index_loads, trip_loops, ColSeg, FloatExpr, Frame,
+    IndexExpr, InitKind, IntExpr, IntOp, LaneBody, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf,
+    Resolved, Steady, TripLoop,
 };
 use crate::exec::{elem_load_i32, RowSeg};
 
@@ -722,14 +748,18 @@ impl GatherWalk {
         Some(gw)
     }
 
-    /// `g(t) − g(0)`: one load, checked against the declared dimension and
-    /// the bound storage.
+    /// Where trip `t` loads from, checked against the declared dimension
+    /// and the bound storage.
+    #[inline(always)]
+    fn flat(&self, t: i64) -> Option<i64> {
+        let flat = self.walk.flat(self.walk.offset(t, 0)?)?;
+        (0..self.len).contains(&flat).then_some(flat)
+    }
+
+    /// `g(t) − g(0)`: one checked load.
     #[inline(always)]
     fn at(&self, t: i64) -> Option<i64> {
-        let flat = self.walk.flat(self.walk.offset(t, 0)?)?;
-        if flat < 0 || flat >= self.len {
-            return None;
-        }
+        let flat = self.flat(t)?;
         debug_assert!((0..self.len).contains(&flat));
         // SAFETY: 0 <= flat < len elements behind `ptr`, checked above; the
         // binding outlives the run.
@@ -777,15 +807,45 @@ enum Spot {
     },
 }
 
+/// The gathered values at which one gather-moved view stays inside its
+/// declared dimension and its bound storage, kept with what they were
+/// solved from: which view (its scale, interval, stride and binding are
+/// fixed while the nest's [`Trips`] live) and the entry-varying quantities
+/// `key`. A CSR row's `d·col` starts over at 0 every entry, so the
+/// divisions happen once per launch, not once per entry — worth ≈ 25 ns an
+/// entry (`launch_probe`, tenant graph of 440 rows: SpMM d = 16 88.0 →
+/// 100.5 µs, SDDMM k = 8 113.5 → 123.7, `hyb(1, 3)`'s run 111 → 126 with
+/// the memo off). One per nest (the kept state has no room for one per
+/// view, see `exec::tests`): where a gather moves two operands each takes
+/// the memo from the other and every entry solves both — correct, just not
+/// kept; no served kernel has two.
+struct Within {
+    key: [i64; 3],
+    /// `dst`, `a`, `b`, the coefficient: 0–3.
+    view: u8,
+    /// A gathered value is an `i32`.
+    lo: i32,
+    hi: i32,
+}
+
+impl Within {
+    /// Nothing solved yet (no view is number 4).
+    const UNSOLVED: Within = Within { key: [0; 3], view: 4, lo: 1, hi: 0 };
+}
+
+/// The integers `g` with `lo <= base + k·g <= hi`, as an interval (empty
+/// when its ends cross); `k != 0`.
+fn solve(k: i128, base: i128, (lo, hi): (i128, i128)) -> (i128, i128) {
+    // Mirror a negative slope onto a positive one.
+    let (k, lo, hi) = if k < 0 { (-k, base - hi, base - lo) } else { (k, lo - base, hi - base) };
+    (-(-lo).div_euclid(k), hi.div_euclid(k))
+}
+
 /// One walked lane view.
 struct ViewWalk {
     walk: Walk,
     n: i64,
     stride: i64,
-    span: i64,
-    /// The view moves with the trip; one that does not is pinned at trip 0
-    /// of an entry and left alone.
-    moves: bool,
     spot: Spot,
 }
 
@@ -811,6 +871,10 @@ impl ViewWalk {
                 if (for_store && !writable) || w == 0 || !(0..=1).contains(&stride) {
                     return None;
                 }
+                debug_assert!(width >= 1);
+                // SAFETY: the table has `width >= 1` entries.
+                let first = unsafe { *table };
+                let one_segment = i64::from(first.rem) == w && i64::from(first.stride) == w;
                 // Whole logical rows per step?
                 let rows_per = |by: i64| match by {
                     0 => Some(0),
@@ -819,6 +883,9 @@ impl ViewWalk {
                 };
                 let by = (walk.coef.checked_mul(drift.step)?, walk.coef.checked_mul(drift.scale)?);
                 match (rows_per(by.0), rows_per(by.1)) {
+                    // One segment as wide as the binding: a row-major
+                    // allocation like any whole tensor.
+                    _ if one_segment => Spot::Flat { ptr: first.ptr, len: w.checked_mul(rows)? },
                     (Some(row_step), Some(row_scale)) => Spot::ColsByRow {
                         table,
                         width: w,
@@ -837,19 +904,38 @@ impl ViewWalk {
                 if (for_store && !writable) || sl == 0 {
                     return None;
                 }
-                Spot::Rows {
-                    segs,
-                    seg_len: sl,
-                    total: sl.checked_mul(i64::try_from(n_segs).ok()?)?,
-                    // An empty cache: the first trip looks its segment up.
-                    seg_lo: 0,
-                    seg_ptr: std::ptr::null_mut(),
+                if n_segs == 1 {
+                    // One segment is one allocation.
+                    // SAFETY: the table has `n_segs` entries.
+                    Spot::Flat { ptr: unsafe { (*segs).ptr }, len: sl }
+                } else {
+                    Spot::Rows {
+                        segs,
+                        seg_len: sl,
+                        total: sl.checked_mul(i64::try_from(n_segs).ok()?)?,
+                        // An empty cache: the first trip looks its segment up.
+                        seg_lo: 0,
+                        seg_ptr: std::ptr::null_mut(),
+                    }
                 }
             }
             _ => return None,
         };
-        let moves = drift.step != 0 || drift.scale != 0;
-        Some(ViewWalk { walk, n, stride, span, moves, spot })
+        Some(ViewWalk { walk, n, stride, spot })
+    }
+
+    /// How far a run's last lane is from its first (`new` checked the
+    /// product).
+    #[inline(always)]
+    fn span(&self) -> i64 {
+        self.stride * (self.n - 1)
+    }
+
+    /// The view moves with the trip; one that does not is pinned at trip 0
+    /// of an entry and left alone.
+    #[inline(always)]
+    fn moves(&self) -> bool {
+        self.walk.drift.step != 0 || self.walk.drift.scale != 0
     }
 
     /// Pin the walk at trip 0: the flat element `flat0`, its moving
@@ -857,12 +943,13 @@ impl ViewWalk {
     #[inline(always)]
     fn pin(&mut self, flat0: i64, i0: i64) -> Option<()> {
         (self.walk.flat0, self.walk.i0) = (flat0, i0);
+        let span = self.span();
         if let Spot::ColsByRow { table, width, row0, col0, whole, .. } = &mut self.spot {
             if flat0 < 0 {
                 return None;
             }
             let (row, col) = div_rem(flat0, *width);
-            if col + self.span >= *width {
+            if col + span >= *width {
                 return None;
             }
             debug_assert!((0..*width).contains(&col));
@@ -894,7 +981,7 @@ impl ViewWalk {
     #[inline(always)]
     fn at(&mut self, t: i64, dg: i64) -> Option<Lanes> {
         let off = self.walk.offset(t, dg)?;
-        let (stride, span) = (self.stride, self.span);
+        let (stride, span) = (self.stride, self.span());
         match &mut self.spot {
             Spot::Flat { ptr, len } => {
                 let flat = self.walk.flat(off)?;
@@ -968,6 +1055,109 @@ impl ViewWalk {
     }
 }
 
+impl ViewWalk {
+    /// The segment a row-segmented walk last landed in (0 for the other
+    /// bindings, which have one).
+    fn segment(&self) -> i64 {
+        match self.spot {
+            Spot::Rows { seg_lo, .. } => seg_lo,
+            _ => 0,
+        }
+    }
+
+    /// The gathered values at which this view — pinned, its moving
+    /// dimension `scale·(g − g0)` from there — passes every check
+    /// [`ViewWalk::at`] makes, staying in the segment it is pinned in.
+    /// `None` when the pin is too far out for `i64`. Trip 0 has passed
+    /// `at`, so `g0` is one of them: narrowing the ends to `i32` loses no
+    /// gathered value and cannot make an empty reach look inhabited.
+    #[inline(always)]
+    fn reach(&self, g0: i64, view: u8, within: &mut Within) -> Option<(i64, i64)> {
+        let (w, scale) = (&self.walk, self.walk.drift.scale);
+        let at0 = w.i0.checked_sub(scale.checked_mul(g0)?)?;
+        // What the binding bounds — a flat element or a logical row — as
+        // `base + k·g`, and the interval it must stay in.
+        let span = self.span();
+        let room = |len: i64| (0.max(-span), (len - 1).min(len - 1 - span));
+        let by = w.coef.checked_mul(scale)?;
+        let flat = || w.flat0.checked_sub(by.checked_mul(g0)?);
+        let (k, base, (lo, hi), seg) = match self.spot {
+            Spot::Flat { len, .. } => (by, flat()?, room(len), 0),
+            Spot::Rows { seg_len, seg_lo, .. } => {
+                let (lo, hi) = room(seg_len);
+                (by, flat()?, (seg_lo + lo, seg_lo + hi), seg_lo)
+            }
+            Spot::ColsByRow { rows, row_scale, row0, .. } => {
+                (row_scale, row0.checked_sub(row_scale.checked_mul(g0)?)?, (0, rows - 1), 0)
+            }
+            Spot::Cols { .. } => return None,
+        };
+        let key = [at0, base, seg];
+        if (within.view, within.key) != (view, key) {
+            let wide = |(lo, hi): (i64, i64)| (i128::from(lo), i128::from(hi));
+            let a = solve(scale.into(), at0.into(), wide((w.lo, w.hi)));
+            let b = solve(k.into(), base.into(), wide((lo, hi)));
+            let clamp = |g: i128| g.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+            *within = Within { key, view, lo: clamp(a.0.max(b.0)), hi: clamp(a.1.min(b.1)) };
+        }
+        debug_assert!((i64::from(within.lo)..=within.hi.into()).contains(&g0));
+        Some((within.lo.into(), within.hi.into()))
+    }
+
+    /// This view, pinned, over an entry of `trips` trips as a [`Cursor`]:
+    /// its lanes at trip 0 with every check [`ViewWalk::at`] makes; an
+    /// affine walk tested once more, at the entry's last trip — both ends
+    /// inside the dimension, the storage and one segment means every trip
+    /// between is; a gathered one narrowing `reach`, the gathered values
+    /// the trips may meet. `None` when a test fails, or the view moves in
+    /// a way a cursor does not follow.
+    #[inline(always)]
+    fn cursor(
+        &mut self,
+        trips: i64,
+        g0: i64,
+        reach: &mut (i64, i64),
+        (view, within): (u8, &mut Within),
+    ) -> Option<Cursor> {
+        let first = self.at(0, 0)?;
+        if !self.moves() || trips == 1 {
+            // Nowhere to go from trip 0.
+            return Some(Cursor::new(first, 0, 0));
+        }
+        let Drift { step, scale, .. } = self.walk.drift;
+        // What one unit of the flat index — or, by whole rows, of the
+        // logical row — carries the cursor: elements of a run, rows of a
+        // run cut into column segments.
+        let (by, unit) = match (&self.spot, first) {
+            (Spot::Flat { .. } | Spot::Rows { .. }, _) => {
+                ((self.walk.coef.checked_mul(step)?, self.walk.coef.checked_mul(scale)?), 1)
+            }
+            (&Spot::ColsByRow { row_step, row_scale, .. }, Lanes::Cols { .. }) => {
+                ((row_step, row_scale), 1)
+            }
+            (&Spot::ColsByRow { table, col0, row_step, row_scale, .. }, Lanes::Run { .. }) => {
+                // SAFETY: `pin` checked col0 < width entries in the table.
+                ((row_step, row_scale), i64::from(unsafe { (*table.add(col0)).stride }))
+            }
+            (Spot::Cols { .. }, _) => return None,
+        };
+        if scale == 0 {
+            let segment = self.segment();
+            self.at(trips - 1, 0)?;
+            if self.segment() != segment {
+                return None;
+            }
+        } else if step == 0 {
+            let (lo, hi) = self.reach(g0, view, within)?;
+            *reach = (reach.0.max(lo), reach.1.min(hi));
+        } else {
+            return None;
+        }
+        let (step, gstep) = (by.0.checked_mul(unit)?, by.1.checked_mul(unit)?);
+        Some(Cursor::new(first, isize::try_from(step).ok()?, isize::try_from(gstep).ok()?))
+    }
+}
+
 /// A nest's walk state: the resolved lanes its body reads, and the walks
 /// that patch them from trip to trip. Built per entry on the first-entry
 /// path ([`Trips::enter`], from where the lane prologue found trip 0); or
@@ -982,6 +1172,14 @@ pub(in crate::exec) struct Trips {
     v0: [i64; MAX_REDUCE_MOVES],
     /// The term has no second operand: `ops[2]` repeats `ops[1]`.
     b_repeats_a: bool,
+    /// The trip loop a re-pinned entry runs in place of `advance` + the
+    /// lane body per trip; `None` on the first-entry path, and when the
+    /// menu does not cover how this nest's operands are bound and move.
+    stepper: Option<[TripLoop; 2]>,
+    /// How far one trip moves along the gather's index slab, in elements.
+    gather_step: isize,
+    /// The reach of the gather-moved view an entry solved last.
+    within: Within,
 }
 
 impl Trips {
@@ -1011,7 +1209,8 @@ impl Trips {
             *v = fr.scalars[*slot as usize];
         }
         let b_repeats_a = of[1].is_some() && of[2].is_none();
-        Some(Trips { r, gather, views, coeff, v0, b_repeats_a })
+        let (stepper, within) = (None, Within::UNSOLVED);
+        Some(Trips { r, gather, views, coeff, v0, b_repeats_a, stepper, gather_step: 0, within })
     }
 
     /// Everything of the nest's walk state that holds for a whole launch —
@@ -1069,7 +1268,28 @@ impl Trips {
             coeff_at: None,
         };
         let b_repeats_a = of[1].is_some() && of[2].is_none();
-        Some(Trips { r, gather, views, coeff, v0: [0; MAX_REDUCE_MOVES], b_repeats_a })
+        let mut at = Trips {
+            r,
+            gather,
+            views,
+            coeff,
+            v0: [0; MAX_REDUCE_MOVES],
+            b_repeats_a,
+            stepper: None,
+            gather_step: 0,
+            within: Within::UNSOLVED,
+        };
+        let along =
+            |g: &GatherWalk| isize::try_from(g.walk.coef.checked_mul(g.walk.drift.step)?).ok();
+        if let (true, Some(gather_step)) =
+            (at.steps(spec, lanes), at.gather.as_ref().map_or(Some(0), along))
+        {
+            // Chosen here, once per launch and thread: a frame keeps its
+            // lane body, a nest its op and term shape.
+            at.stepper = Some(trip_loops(lanes, LaneBody::of(fr)));
+            at.gather_step = gather_step;
+        }
+        Some(at)
     }
 
     /// Pin the kept state at trip 0 of a new entry from the entry
@@ -1100,7 +1320,7 @@ impl Trips {
         let views = self.views.iter_mut().zip(&prog.views).chain([(&mut self.coeff, &prog.coeff)]);
         for (view, at) in views {
             if let (Some(view), Some(at)) = (view, at) {
-                let (flat0, i0) = at.pin(regs, view.span, view.walk.drift.dim)?;
+                let (flat0, i0) = at.pin(regs, view.span(), view.walk.drift.dim)?;
                 view.pin(flat0, i0)?;
             }
         }
@@ -1126,7 +1346,7 @@ impl Trips {
         }
         for (k, view) in self.views.iter_mut().enumerate() {
             if let Some(view) = view {
-                if t == 0 || view.moves {
+                if t == 0 || view.moves() {
                     self.r.ops[k] = view.at(t, dg)?;
                 }
             }
@@ -1139,9 +1359,260 @@ impl Trips {
             self.r.ops[2] = self.r.ops[1];
         }
         if let Some(c) = &mut self.coeff {
-            if t == 0 || c.moves {
+            if t == 0 || c.moves() {
                 self.r.scalar = c.at(t, dg)?.first();
             }
+        }
+        Some(())
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The stepped trip loop
+// ---------------------------------------------------------------------------
+
+/// One operand over the trips of an entry: its lanes at trip 0, and how far
+/// they move per trip and per unit the gathered value is away from trip 0's
+/// — elements of a [`Lanes::Run`], logical rows of a [`Lanes::Cols`].
+#[derive(Clone, Copy)]
+struct Cursor {
+    at: Lanes,
+    step: isize,
+    gstep: isize,
+    /// The moves the entry's range tests cover, restated at every trip.
+    #[cfg(debug_assertions)]
+    room: (isize, isize),
+}
+
+impl Cursor {
+    fn new(at: Lanes, step: isize, gstep: isize) -> Cursor {
+        Cursor {
+            at,
+            step,
+            gstep,
+            #[cfg(debug_assertions)]
+            room: (0, 0),
+        }
+    }
+
+    /// Debug builds: note how far the cursor may move over `trips` trips
+    /// whose gathered values stay `reach` away from trip 0's.
+    #[cfg(debug_assertions)]
+    fn covers(&mut self, trips: i64, reach: (i64, i64)) {
+        let ends = |by: isize, (lo, hi): (i64, i64)| {
+            let (a, b) = (by.saturating_mul(lo as isize), by.saturating_mul(hi as isize));
+            (a.min(b).min(0), a.max(b).max(0))
+        };
+        let (t, g) = (ends(self.step, (0, trips - 1)), ends(self.gstep, reach));
+        self.room = (t.0.saturating_add(g.0), t.1.saturating_add(g.1));
+    }
+
+    /// The operand's lanes at trip `t`, where the gather loaded `dg` more
+    /// than at trip 0. With `SEG` off the cursor is known to be a
+    /// [`Lanes::Run`], and so is what comes back — the lane bodies then
+    /// compile to their single-piece form.
+    ///
+    /// # Safety
+    /// `t` is a trip of the entry the cursor was made for
+    /// ([`ViewWalk::cursor`]) and `dg` comes from a gathered value inside
+    /// the reach it narrowed: those tests put every lane at `(t, dg)`
+    /// inside the bound storage. Without `SEG`, the cursor is a run.
+    #[inline(always)]
+    unsafe fn lanes<const SEG: bool>(&self, t: i64, dg: i64) -> Lanes {
+        let by = self.step * t as isize + self.gstep * dg as isize;
+        #[cfg(debug_assertions)]
+        assert!(
+            self.room.0 <= by && by <= self.room.1,
+            "trip {t}, gather {dg:+}: a move of {by} outside the entry's tested {:?}",
+            self.room
+        );
+        match self.at {
+            // SAFETY: the entry's range tests cover this move (the
+            // caller's contract, asserted above in debug builds).
+            Lanes::Run { ptr, stride } => Lanes::Run { ptr: ptr.offset(by), stride },
+            Lanes::Cols { table, row, col0 } if SEG => {
+                Lanes::Cols { table, row: row.wrapping_add_signed(by), col0 }
+            }
+            // SAFETY: without `SEG` the cursor is a run (the caller's
+            // contract; `Stepped::all_runs` decides which loop runs).
+            Lanes::Cols { .. } => {
+                debug_assert!(false, "a segmented cursor in the loop for runs");
+                std::hint::unreachable_unchecked()
+            }
+        }
+    }
+
+    fn is_run(&self) -> bool {
+        matches!(self.at, Lanes::Run { .. })
+    }
+}
+
+/// Everything the trips of one entry read, as a monomorphised trip loop
+/// ([`TripLoop`]) takes it: filled in per entry by [`Trips::stepped`] once
+/// every range test that does not depend on a gathered value has passed.
+/// One per launch and thread, shared by its nests: it is an entry's
+/// scratch, not something a nest keeps.
+pub(in crate::exec) struct Stepped {
+    /// Lane count.
+    pub(super) n: i64,
+    pub(super) init32: f32,
+    /// How many trips the entry has.
+    trips: i64,
+    ops: [Cursor; 3],
+    /// The coefficient, when it is walked (`walked`); else it is `scalar`
+    /// at every trip (as is a fill's value).
+    coeff: Cursor,
+    walked: bool,
+    scalar: f64,
+    /// The index slab from trip 0's position on, how far a trip moves along
+    /// it, what it held at trip 0, and the gathered values every
+    /// gather-moved operand stays in bounds at. Null without a gather.
+    gather: *mut i32,
+    gather_step: isize,
+    g0: i64,
+    reach: (i64, i64),
+}
+
+impl Stepped {
+    /// Scratch for one launch and thread: every entry that steps fills it
+    /// in ([`Trips::stepped`]) before a trip loop reads it.
+    pub(in crate::exec) fn scratch() -> Stepped {
+        let nowhere = Cursor::new(Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, 0, 0);
+        Stepped {
+            n: 0,
+            init32: 0.0,
+            trips: 0,
+            ops: [nowhere; 3],
+            coeff: nowhere,
+            walked: false,
+            scalar: 0.0,
+            gather: std::ptr::null_mut(),
+            gather_step: 0,
+            g0: 0,
+            reach: (0, 0),
+        }
+    }
+
+    /// Every operand is one run: the entry takes the loop compiled for
+    /// that (`SEG` off).
+    fn all_runs(&self) -> bool {
+        self.ops.iter().all(Cursor::is_run)
+    }
+
+    /// Take the entry's trips: per trip one load of the gathered value and
+    /// its test against the entry's reach, a pointer (or row) add per
+    /// operand, one coefficient load, and `body` — a lane body over the
+    /// trip, its operands and its coefficient. Returns the first trip not
+    /// taken: the trip count, or the one whose gathered value left the
+    /// reach, before anything of it is written.
+    ///
+    /// # Safety
+    /// This is the entry `self` was made for, nothing was re-bound since,
+    /// and `SEG` is on unless [`Stepped::all_runs`].
+    #[inline(always)]
+    pub(super) unsafe fn walk<const SEG: bool>(
+        &self,
+        mut body: impl FnMut(i64, [Lanes; 3], f64),
+    ) -> i64 {
+        for t in 0..self.trips {
+            let dg = if self.gather.is_null() {
+                0
+            } else {
+                // SAFETY: the entry tested the gather's position at its
+                // first and last trip against the declared dimension and
+                // the bound storage; it is affine between.
+                let at = self.gather.offset(self.gather_step * t as isize);
+                let g = i64::from(elem_load_i32(at, 0));
+                if g < self.reach.0 || g > self.reach.1 {
+                    return t;
+                }
+                g - self.g0
+            };
+            // SAFETY: `t` is a trip of the entry and the gathered value is
+            // inside the reach, checked right above.
+            let at = [0, 1, 2].map(|k| self.ops[k].lanes::<SEG>(t, dg));
+            let c = if self.walked {
+                // A coefficient is one element: always a run.
+                self.coeff.lanes::<false>(t, dg).first()
+            } else {
+                self.scalar
+            };
+            body(t, at, c);
+        }
+        self.trips
+    }
+}
+
+impl Trips {
+    /// Does the menu of trip loops cover this nest as it is bound? Every
+    /// operand on a binding a cursor follows (not [`Spot::Cols`]), moving
+    /// with the trip or with the gather but not both; at most one reduce
+    /// iter moving, affinely, and no init decided lane by lane from it.
+    fn steps(&self, spec: &NestSpec, lanes: &LaneSpec) -> bool {
+        let follows = |view: &ViewWalk| {
+            let Drift { step, scale, .. } = view.walk.drift;
+            !matches!(view.spot, Spot::Cols { .. }) && (step == 0 || scale == 0)
+        };
+        let init_by_lane = matches!(lanes.init, InitKind::AtZeroLane { .. });
+        self.views.iter().chain([&self.coeff]).flatten().all(follows)
+            && match spec.reduce_moves[..] {
+                [] => true,
+                [(_, _, scale)] => scale == 0 && !init_by_lane,
+                _ => false,
+            }
+    }
+
+    /// The entry's trips as cursors, from the pins [`Trips::repin`] set:
+    /// every operand resolved at trip 0 as [`Trips::advance`] would, one
+    /// range test per affine walk at the entry's last trip (both ends in
+    /// range means every trip between is), and the gathered values the
+    /// gather-moved operands can take. `None` — nothing changed but the
+    /// walks' caches — when a test fails: `advance` takes the entry trip by
+    /// trip and finds out where.
+    #[inline(always)]
+    fn stepped(
+        &mut self,
+        spec: &NestSpec,
+        lanes: &LaneSpec,
+        trips: i64,
+        w: &mut Stepped,
+    ) -> Option<()> {
+        let last = trips - 1;
+        let g0 = self.gather.as_ref().map_or(0, |g| g.g0);
+        let mut reach = (i64::from(i32::MIN), i64::from(i32::MAX));
+        for k in 0..3 {
+            w.ops[k] = match &mut self.views[k] {
+                Some(view) => view.cursor(trips, g0, &mut reach, (k as u8, &mut self.within))?,
+                // A fill repeats `dst`, a term without `b` repeats `a`.
+                None => w.ops[k.saturating_sub(1)],
+            };
+        }
+        if let Some(c) = &mut self.coeff {
+            w.coeff = c.cursor(trips, g0, &mut reach, (3, &mut self.within))?;
+        }
+        if let Some(g) = &self.gather {
+            let (first, _) = (g.flat(0)?, g.flat(last)?);
+            debug_assert!((0..g.len).contains(&first));
+            // SAFETY: 0 <= first < len elements behind `ptr`.
+            w.gather = unsafe { g.ptr.add(first as usize) };
+            (w.g0, w.reach) = (g0, reach);
+        } else {
+            w.gather = std::ptr::null_mut();
+        }
+        if let [(_, step, _)] = spec.reduce_moves[..] {
+            // The init fires where every reduce iter is zero: for a moving
+            // one that is trip 0 or — not on this path — a later one.
+            let zero_later = matches!(lanes.init, InitKind::WhenReduceZero { .. });
+            self.v0[0].checked_add(step.checked_mul(last)?)?;
+            if zero_later && self.v0[0] != 0 {
+                return None;
+            }
+        }
+        (w.n, w.init32, w.scalar, w.trips) = (self.r.n, self.r.init32, self.r.scalar, trips);
+        (w.walked, w.gather_step) = (self.coeff.is_some(), self.gather_step);
+        #[cfg(debug_assertions)]
+        for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
+            cursor.covers(trips, (reach.0.saturating_sub(g0), reach.1.saturating_sub(g0)));
         }
         Some(())
     }
@@ -1226,33 +1697,122 @@ impl NestSpec {
     }
 
     /// Re-enter the nest on the walk state `at` a previous entry of this
-    /// launch established: run the entry program `prog`, re-pin, and take
-    /// every trip — trip 0 included — through `advance`. Returns `(done,
-    /// trips)` as [`NestSpec::run`] would; `None` — nothing written — when
-    /// the program or trip 0 fails a check: the caller takes the
-    /// first-entry path for this entry.
+    /// launch established: run the entry program `prog`, re-pin, and hand
+    /// the trips to the nest's stepped loop (through the scratch `w`);
+    /// whatever that does not take — all of them when the nest has none or
+    /// a range test of the entry failed, the rest from the trip whose
+    /// gathered value left the reach — goes through `advance` trip by
+    /// trip. Returns how many trips completed, as [`NestSpec::run`] would;
+    /// `None` — nothing written — when the program or trip 0 fails a check:
+    /// the caller takes the first-entry path for this entry.
     pub(in crate::exec) fn reenter(
         &self,
         prog: &EntryProgram,
         lanes: &LaneSpec,
         fr: &mut Frame,
         at: &mut Trips,
-    ) -> Option<(i64, i64)> {
+        w: &mut Stepped,
+    ) -> Option<Taken> {
         let mut regs = [0i64; MAX_REGS];
         prog.load(0..prog.head, fr, &mut regs)?;
         let trips = prog.extent.eval(&regs)?;
         if trips <= 0 {
-            return Some((trips, trips));
+            return Some(Taken { done: trips, trips, stepped: 0 });
         }
         prog.load(prog.head..prog.regs.len(), fr, &mut regs)?;
         at.repin(self, prog, lanes, fr, &regs)?;
-        let body = LaneBody::of(fr);
-        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
-        for t in 0..trips {
-            if at.advance(self, lanes, fr, t).is_none() || lanes.run(body, &at.r).is_none() {
-                return (t > 0).then_some((t, trips));
+        let mut stepped = 0;
+        if let Some(loops) = at.stepper.filter(|_| at.stepped(self, lanes, trips, w).is_some()) {
+            // A moving reduce iter is zero at trip 0 only
+            // (`Trips::stepped`): where the init goes by it, it fires at no
+            // later trip.
+            let moved = !self.reduce_moves.is_empty()
+                && matches!(lanes.init, InitKind::WhenReduceZero { .. });
+            let rest = if moved { LaneInit::Never } else { at.r.init };
+            // SAFETY: `w` was made for this entry just now, the loops are
+            // those of this nest's lane op on this frame, and the one for
+            // runs only is taken when every operand is one.
+            stepped = unsafe { loops[usize::from(!w.all_runs())](w, at.r.init, rest) };
+            if let ([(slot, step, _)], true) = (&self.reduce_moves[..], stepped > 0) {
+                // Where `advance` leaves it at the last trip taken.
+                fr.scalars[*slot as usize] = at.v0[0] + step * (stepped - 1);
+            }
+            if stepped == trips {
+                return Some(Taken { done: trips, trips, stepped });
             }
         }
-        Some((trips, trips))
+        self.trip_by_trip(lanes, fr, at, (stepped, trips))
+    }
+
+    /// The trips of a re-pinned entry from `stepped` on — all of them when
+    /// the nest has no stepped loop or a range test of the entry turned it
+    /// away — through `advance` one by one: trip 0 resolves every operand,
+    /// the later ones those that move, and every check of a trip happens
+    /// before the body's first write. Out of line: a served launch comes
+    /// here for the nests the menu of trip loops does not cover, and the
+    /// re-entry path stays small for those it does.
+    #[inline(never)]
+    fn trip_by_trip(
+        &self,
+        lanes: &LaneSpec,
+        fr: &mut Frame,
+        at: &mut Trips,
+        (stepped, trips): (i64, i64),
+    ) -> Option<Taken> {
+        let body = LaneBody::of(fr);
+        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
+        let mut t = 0;
+        while t < trips {
+            let taken = t < stepped;
+            if at.advance(self, lanes, fr, t).is_none()
+                || (!taken && lanes.run(body, &at.r).is_none())
+            {
+                let done = t.max(stepped);
+                return (done > 0).then_some(Taken { done, trips, stepped });
+            }
+            t = (t + 1).max(stepped);
+        }
+        Some(Taken { done: trips, trips, stepped })
+    }
+}
+
+/// What a re-pinned entry did: `done` of its `trips` trips completed (the
+/// generic loop resumes at trip `done` when fewer), the first `stepped` of
+/// them in the nest's monomorphised trip loop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::exec) struct Taken {
+    pub done: i64,
+    pub trips: i64,
+    pub stepped: i64,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::solve;
+
+    /// `solve` against brute force over small slopes, bases and bounds of
+    /// both signs, and at the ends of `i64` where `i64` arithmetic would
+    /// wrap.
+    #[test]
+    fn solve_is_the_exact_preimage_of_an_interval() {
+        for k in [-7i128, -2, -1, 1, 3, 16] {
+            for base in [-9i128, 0, 5] {
+                for (lo, hi) in [(0i128, 23), (-4, 4), (6, 5), (0, 0)] {
+                    let (from, to) = solve(k, base, (lo, hi));
+                    for g in -40i128..40 {
+                        let inside = (lo..=hi).contains(&(base + k * g));
+                        assert_eq!(
+                            (from..=to).contains(&g),
+                            inside,
+                            "{k}·{g} + {base} in {lo}..={hi}"
+                        );
+                    }
+                }
+            }
+        }
+        let (min, max) = (i128::from(i64::MIN), i128::from(i64::MAX));
+        assert_eq!(solve(1, min, (0, max)), (-min, max - min));
+        assert_eq!(solve(-1, max, (0, 9)), (max - 9, max));
+        assert_eq!(solve(max, min, (min, max)), (0, 2));
     }
 }

@@ -782,7 +782,12 @@ fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
         let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
         for row in 0..5 {
             fr.scalars[i] = row;
-            assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), Some((3, 3)), "row {row}");
+            let all = fuse::Taken { done: 3, trips: 3, stepped: 3 };
+            assert_eq!(
+                nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
+                Some(all),
+                "row {row}"
+            );
         }
         t.remove("C").unwrap()
     };
@@ -826,14 +831,18 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
     let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
-    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), Some((1, 3)));
+    let one = fuse::Taken { done: 1, trips: 3, stepped: 1 };
+    assert_eq!(
+        nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
+        Some(one)
+    );
     assert_eq!(t["C"], interp["C"]);
     let TensorData::I32(idx) = tensors.get_mut("Idx").unwrap() else { unreachable!() };
     idx.swap(0, 1);
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
     let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
-    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept), None);
+    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()), None);
     assert_eq!(t["C"], tensors["C"], "nothing written");
 }
 
@@ -871,4 +880,25 @@ fn empty_views_construct_and_reject_every_index() {
         let err = kernel.run_views(&HashMap::new(), &mut views).unwrap_err().to_string();
         assert!(err.contains("out of bounds"), "fuse={fuse}: {err}");
     }
+}
+
+/// The kept walk state of a launch's nests is one `Vec` per launch and
+/// thread, an element 16 bytes more than `Trips`, and glibc serves requests
+/// of up to 1 032 bytes — a one-nest kernel's `Vec` with `Trips` at 1 016 —
+/// from its per-thread cache; a larger block is carved from, and on the
+/// launch's last free merged back into, the arena's top chunk. `stbench`'s
+/// `kernel_wide` re-binds two 10 MB operands per pass and so sits at
+/// glibc's trim threshold: one step past the cache (measured on a boxed
+/// `Trips` padded to 1 032 and 1 040 bytes) every pass trimmed the heap
+/// top and page-faulted it back — `cold_ratio` 0.067 → 0.113, `peak_rss_mb`
+/// 218.4 → 210.6, warm kernel speed equal. Boxing each nest's state does
+/// not buy room (the cache holds seven blocks a size and a tuned hyb
+/// launch has more nests: `serve_shared_dynamic` `capacity_ratio` + 7 %).
+/// What an entry needs only while it runs (`fuse::Stepped`) is therefore
+/// scratch of the dispatch loop, not kept state.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+#[test]
+fn kept_walk_state_fits_the_allocators_thread_cache() {
+    let kept = std::mem::size_of::<fuse::Trips>();
+    assert!(kept + 16 <= 1032, "{kept} bytes: run a `kernel_wide` pair before raising this");
 }

@@ -50,7 +50,13 @@
 //! row loop, `hyb` buckets), check through [`CompiledKernel::nest_counts`]
 //! that later entries re-pin kept state instead of paying the prologue —
 //! and that re-allocating a buffer the state names drops it — with one
-//! negative case per entry-program rule.
+//! negative case per entry-program rule. Its `stepped` members run the
+//! monomorphised trip loop a re-pinned entry takes: lane counts around the
+//! vector widths × batches of unequal segments × one and three heads on a
+//! graph with empty rows, one-non-zero rows and one row of `n / 2`, every
+//! output also checked against an independent `f64` oracle; every term
+//! shape × init kind under a re-entered nest; and what the menu of trip
+//! loops leaves to `advance`, each case by name.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, serially (plain lane
@@ -70,6 +76,9 @@ use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use sparsetir_smat::prelude::{gen, Csr};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+#[path = "../../kernels/tests/oracle/mod.rs"]
+mod oracle;
 
 // ---------------------------------------------------------------------------
 // Bitwise comparison helpers
@@ -1720,6 +1729,329 @@ fn entry_program_rules_each_have_a_negative_case() {
         let counts = launch_counts(&f, &scalars, &tensors);
         let repinned = if rule == Fits { 3 } else { 0 };
         assert_eq!((counts.entries, counts.repinned), (4, repinned), "{rule:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Family 6e: the stepped trip loop
+// ---------------------------------------------------------------------------
+
+/// 24 × 24 with rows of 0, 1 and `n / 2` non-zeros among short ones — the
+/// first row long, so every thread's first entry (which pays the lane
+/// prologue) is not the only one with trips.
+fn stepped_fixture() -> Csr {
+    let lens = [12usize, 0, 1, 0, 1, 3, 2, 5, 1, 0, 7, 1, 2, 0, 4, 1, 9, 1, 0, 2, 3, 1, 6, 1];
+    let mut next = lens.iter().copied();
+    gen::random_csr_with_row_lengths(lens.len(), 24, |_| next.next().unwrap(), &mut gen::rng(0x69))
+}
+
+/// One view launch of `f` on a fresh fused build with `parts` bound
+/// segmented: what its row nests counted, and the parts as it left them.
+fn view_launch(
+    f: &PrimFunc,
+    structure: &HashMap<String, TensorData>,
+    parts: &[Part],
+) -> (NestCounts, Vec<Part>) {
+    let kernel = CompiledKernel::compile(f).unwrap();
+    let (mut tensors, mut parts) = (structure.clone(), parts.to_vec());
+    let mut views = ViewBindings::from_tensors(&mut tensors);
+    parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
+    kernel.run_views(&HashMap::new(), &mut views).unwrap();
+    (kernel.nest_counts(), parts)
+}
+
+/// The stepped loop took every trip of every re-pinned entry: no
+/// hand-over, `trips` trips in all, and none outside the stepped loop but
+/// those of the entries that paid the prologue (at most `longest` each).
+fn assert_stepped(counts: NestCounts, trips: u64, longest: u64, what: &str) {
+    assert_eq!((counts.handovers, counts.trips), (0, trips), "{what}: {counts:?}");
+    let first = counts.entries - counts.repinned;
+    assert!(first >= 1 && counts.stepped > 0, "{what}: {counts:?}");
+    assert!(counts.trips - counts.stepped <= first * longest, "{what}: {counts:?}");
+}
+
+/// The served CSR SpMM — the default schedule, its vector split widened
+/// over the stacked width as `spmm_execute_views_on` does — at lane counts
+/// around the vector widths, for one request and for batches of three and
+/// eight with unequal widths (so the batch binds `B` and `C` as several
+/// column segments and a lane run crosses them): interpreter ≡ generic ≡
+/// fused, whole and segmented, bit for bit; every request's output within
+/// the `f64` oracle's bound; and every trip of a re-pinned entry stepped.
+#[test]
+fn stepped_spmm_bit_matches_at_every_width_and_batch() {
+    let (a, mut rng) = (stepped_fixture(), gen::rng(0x6a));
+    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
+    for d in [1usize, 3, 4, 16, 17, 48] {
+        for batch in [1usize, 3, 8] {
+            let widths: Vec<usize> = (0..batch).map(|i| d + i % 3).collect();
+            let feat: usize = widths.iter().sum();
+            let mut config = SpmmConfig::default_csr();
+            config.params.vec_width = config.params.vec_width.max(feat.div_ceil(8));
+            let (f, structure) = prepare_spmm_structure(&a, feat, &config).unwrap();
+            let what = format!("d = {d}, batch of {batch}");
+            assert_eq!(
+                (nests(&f), entry_programs(&f)),
+                (vec!["nest.axpy".to_string()], 1),
+                "{what}"
+            );
+            let parts = [
+                Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
+                Part::output("C", a.rows(), widths.clone()),
+            ];
+            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
+            let (counts, after) = view_launch(&f, &structure, &parts);
+            assert_stepped(counts, a.nnz() as u64, longest, &what);
+            for (i, &w) in widths.iter().enumerate() {
+                oracle::spmm_f64(&a, &after[0].segs[i], w)
+                    .check(&after[1].segs[i])
+                    .unwrap_or_else(|e| panic!("{what}, request {i}: {e}"));
+            }
+        }
+    }
+}
+
+/// The served SDDMM at one head — the row's non-zero loop is the nest, its
+/// operands a one-segment `X`, `Y` and `Bout`, every trip stepped — and at
+/// three, where the head loop is: `X` walked column by column and `Y`
+/// changing row segment every trip are what the menu leaves to `advance`,
+/// so nothing is stepped and nothing is handed over either. Both against
+/// the interpreter bit for bit and the `f64` oracle per head.
+#[test]
+fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
+    let (a, mut rng) = (stepped_fixture(), gen::rng(0x6b));
+    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
+    for k in [1usize, 3, 4, 16, 17, 48] {
+        for heads in [1usize, 3] {
+            let f = batched_sddmm_ir(&a, heads, k).unwrap();
+            let what = format!("k = {k}, {heads} heads");
+            let cuts = (vec![k; heads], heads, vec![1; heads]);
+            let parts = sddmm_parts(&a, (heads, k), cuts, &mut rng);
+            assert_eq!(views_differential(&f, &csr_tensors(&a), &parts), [None, None], "{what}");
+            let (counts, after) = view_launch(&f, &csr_tensors(&a), &parts);
+            if heads == 1 {
+                assert_stepped(counts, a.nnz() as u64, longest, &what);
+            } else {
+                let trips = (a.nnz() * heads) as u64;
+                assert_eq!(
+                    (counts.handovers, counts.trips, counts.stepped),
+                    (0, trips, 0),
+                    "{what}"
+                );
+            }
+            for h in 0..heads {
+                oracle::sddmm_f64(&a, &after[0].segs[h], &after[1].segs[h], k)
+                    .check(&after[2].segs[h])
+                    .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
+            }
+        }
+    }
+}
+
+/// `for i in 0..5 { for j in 0..4 { for k in 0..n { block { init;
+/// dst += term } } } }` with `term` the `shape`-th association order over
+/// `a = X[Idx[i·4 + j], k]` (gathered), `b = Y[i, k]` (row-invariant) and
+/// `c = W[i·4 + j]` (walked); `dst` is `C[i, k]`, or `S[i·4 + j]` for a
+/// scalar destination (which then moves with the trip). The `j` loop is a
+/// nest entered once per `i`: all but the first entry re-pin and step.
+fn stepped_term(
+    shape: usize,
+    init: Init,
+    scalar: bool,
+    par: bool,
+    n: i64,
+) -> (PrimFunc, HashMap<String, TensorData>) {
+    let (rows, width, x_rows) = (5i64, 4i64, 7i64);
+    let mut g =
+        ProgGen::new(0xB000 + (shape * 16 + init as usize * 2 + usize::from(scalar)) as u64);
+    let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+    let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+    let x = Buffer::global_f32("X", vec![Expr::i32(x_rows), Expr::i32(n)]);
+    let y = Buffer::global_f32("Y", vec![Expr::i32(rows), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let s = Buffer::global_f32("S", vec![Expr::i32(rows * width)]);
+    let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+    let (vi, vp, vk, vr) = (Var::i32("vi"), Var::i32("vp"), Var::i32("vk"), Var::i32("vr"));
+    let pos = Expr::var(&i) * width + Expr::var(&j);
+    let av = x.load(vec![idx.load(vec![Expr::var(&vp)]), Expr::var(&vk)]);
+    let bv = y.load(vec![Expr::var(&vi), Expr::var(&vk)]);
+    let cv = w.load(vec![Expr::var(&vp)]);
+    let term = match shape {
+        0 => av,
+        1 => cv * av,
+        2 => av * cv,
+        3 => av * bv,
+        4 => (cv * av) * bv,
+        5 => (av * cv) * bv,
+        _ => cv * (av * bv),
+    };
+    let (dst, at) = if scalar {
+        (&s, vec![Expr::var(&vp)])
+    } else {
+        (&c, vec![Expr::var(&vi), Expr::var(&vk)])
+    };
+    let mut iter_vars = vec![
+        IterVar::spatial(vi.clone(), Expr::var(&i)),
+        IterVar::spatial(vp.clone(), pos),
+        IterVar::spatial(vk.clone(), Expr::var(&k)),
+    ];
+    match init {
+        Init::None | Init::Always => {}
+        Init::WhenReduceZero => iter_vars.push(IterVar::reduce(vr.clone(), Expr::var(&j))),
+        Init::AtZeroLane => iter_vars.push(IterVar::reduce(vr.clone(), Expr::var(&k))),
+    }
+    let block = Stmt::Block(sparsetir_ir::stmt::Block {
+        name: "term".into(),
+        iter_vars,
+        reads: vec![],
+        writes: vec![],
+        init: (init != Init::None).then(|| {
+            Box::new(Stmt::BufferStore {
+                buffer: dst.clone(),
+                indices: at.clone(),
+                value: Expr::f32(f64::from(g.rng.gen_range(-1.0f32..1.0))),
+            })
+        }),
+        body: Box::new(Stmt::BufferStore {
+            buffer: dst.clone(),
+            indices: at.clone(),
+            value: dst.load(at) + term,
+        }),
+    });
+    let nest = Stmt::for_serial(j, width, Stmt::for_serial(k, n, block));
+    let kind = if par { ForKind::ThreadBinding(ThreadAxis::BlockIdxX) } else { ForKind::Serial };
+    let body = Stmt::For { var: i, extent: Expr::i32(rows), kind, body: Box::new(nest) };
+    let f = PrimFunc::new("stepped_term", vec![], vec![idx, w, x, y, c, s], body);
+
+    let specials = specials();
+    let mut values = |len: i64| {
+        let v = (0..len).map(|_| {
+            if g.rng.gen_bool(0.15) {
+                specials[g.rng.gen_range(0..specials.len())]
+            } else {
+                g.rng.gen_range(-2.0f32..2.0)
+            }
+        });
+        TensorData::F32(v.collect())
+    };
+    let mut tensors = HashMap::new();
+    let sizes = [("W", rows * width), ("X", x_rows * n), ("Y", rows * n), ("C", rows * n)];
+    for (name, len) in sizes.into_iter().chain([("S", rows * width)]) {
+        tensors.insert(name.to_string(), values(len));
+    }
+    let cols = (0..rows * width).map(|p| (p * 3 % x_rows) as i32).collect();
+    tensors.insert("Idx".to_string(), TensorData::I32(cols));
+    (f, tensors)
+}
+
+/// Every loop of the menu: seven term shapes × four init kinds × {axpy,
+/// scalar} destinations under a nest that is re-entered, serially (plain
+/// lane bodies) and under a `blockIdx` loop (atomic ones once it fans
+/// out), special values drawn into every operand. Bit for bit the
+/// interpreter's, and the stepped loop is the one that ran.
+#[test]
+fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
+    for shape in 0..7 {
+        for init in [Init::None, Init::Always, Init::WhenReduceZero, Init::AtZeroLane] {
+            for scalar in [false, true] {
+                if init == Init::AtZeroLane && !scalar {
+                    continue; // a lane-strided reduce binding needs a scalar destination
+                }
+                for (par, n) in [(false, 19), (true, 19), (false, 1)] {
+                    let (f, tensors) = stepped_term(shape, init, scalar, par, n);
+                    let case =
+                        format!("shape {shape}, {init:?}, scalar={scalar}, par={par}, n={n}");
+                    assert_eq!(nests(&f).len(), 1, "{case}\n{}", print_func(&f));
+                    assert_eq!(entry_programs(&f), 1, "{case}");
+                    differential(&f, &HashMap::new(), &tensors)
+                        .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
+                    let counts = launch_counts(&f, &HashMap::new(), &tensors);
+                    let first = counts.entries - counts.repinned;
+                    assert_eq!((counts.entries, counts.trips), (5, 20), "{case}: {counts:?}");
+                    assert_eq!(counts.stepped, counts.trips - 4 * first, "{case}: {counts:?}");
+                }
+            }
+        }
+    }
+}
+
+/// What the menu leaves to `advance`, one case each — still bit-identical,
+/// still no hand-over, and `stepped` says which path ran:
+///
+/// * an operand moving with the trip *and* with the gather
+///   (`X[Idx[p] + j, k]`);
+/// * two reduce iters moving with the trip;
+/// * a moving reduce iter that is not zero at trip 0 under a
+///   `when-reduce-zero` init (`vr = j + 1`: the init never fires).
+#[test]
+fn stepped_menu_leaves_the_rest_to_advance() {
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Off {
+        Covered,
+        TripAndGather,
+        TwoMovingReduces,
+        ReduceOffZero,
+    }
+    for off in [Off::Covered, Off::TripAndGather, Off::TwoMovingReduces, Off::ReduceOffZero] {
+        let (rows, width, n, x_rows) = (5i64, 3i64, 6i64, 9i64);
+        let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+        let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
+        let x = Buffer::global_f32("X", vec![Expr::i32(x_rows), Expr::i32(n)]);
+        let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+        let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+        let (vi, vp, vk) = (Var::i32("vi"), Var::i32("vp"), Var::i32("vk"));
+        let (vr, vr2) = (Var::i32("vr"), Var::i32("vr2"));
+        let pos = Expr::var(&i) * width + Expr::var(&j);
+        let mut col = idx.load(vec![Expr::var(&vp)]);
+        if off == Off::TripAndGather {
+            col = col + Expr::var(&vr);
+        }
+        let at = vec![Expr::var(&vi), Expr::var(&vk)];
+        let start = if off == Off::ReduceOffZero { Expr::var(&j) + 1 } else { Expr::var(&j) };
+        let mut iter_vars = vec![
+            IterVar::spatial(vi.clone(), Expr::var(&i)),
+            IterVar::spatial(vp.clone(), pos),
+            IterVar::spatial(vk.clone(), Expr::var(&k)),
+            IterVar::reduce(vr.clone(), start),
+        ];
+        if off == Off::TwoMovingReduces {
+            iter_vars.push(IterVar::reduce(vr2, Expr::var(&j) * 2));
+        }
+        let block = Stmt::Block(sparsetir_ir::stmt::Block {
+            name: "acc".into(),
+            iter_vars,
+            reads: vec![],
+            writes: vec![],
+            init: Some(Box::new(Stmt::BufferStore {
+                buffer: c.clone(),
+                indices: at.clone(),
+                value: Expr::f32(0.5),
+            })),
+            body: Box::new(Stmt::BufferStore {
+                buffer: c.clone(),
+                indices: at.clone(),
+                value: c.load(at)
+                    + w.load(vec![Expr::var(&vp)]) * x.load(vec![col, Expr::var(&vk)]),
+            }),
+        });
+        let nest = Stmt::for_serial(j, width, Stmt::for_serial(k, n, block));
+        let f =
+            PrimFunc::new("off_menu", vec![], vec![idx, w, x, c], Stmt::for_serial(i, rows, nest));
+        assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.axpy".to_string()], 1), "{off:?}");
+
+        let mut g = ProgGen::new(0x6c);
+        let mut tensors = HashMap::new();
+        let cols = (0..rows * width).map(|p| (p * 2 % (x_rows - 3)) as i32).collect();
+        tensors.insert("Idx".to_string(), TensorData::I32(cols));
+        for (name, len) in [("W", rows * width), ("X", x_rows * n), ("C", rows * n)] {
+            let v = (0..len).map(|_| g.rng.gen_range(-1.0f32..1.0)).collect();
+            tensors.insert(name.to_string(), TensorData::F32(v));
+        }
+        differential(&f, &HashMap::new(), &tensors).unwrap_or_else(|m| panic!("{off:?}: {m}"));
+        let counts = launch_counts(&f, &HashMap::new(), &tensors);
+        let (entries, trips) = (rows as u64, (rows * width) as u64);
+        assert_eq!((counts.entries, counts.repinned, counts.trips), (entries, entries - 1, trips));
+        let stepped = if off == Off::Covered { trips - width as u64 } else { 0 };
+        assert_eq!(counts.stepped, stepped, "{off:?}: {counts:?}");
     }
 }
 

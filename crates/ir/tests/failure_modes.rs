@@ -8,6 +8,14 @@
 //! loop: CI runs this file at `SPARSETIR_NUM_THREADS=1` and `=2`, so the
 //! row nest falls back to the lane prologue, or hands the failing trip to
 //! the generic loop, from both the plain and the relaxed-atomic lane body.
+//! The `stepped` cases do the same to a *long* re-entered row — twelve
+//! trips, so the failing trip is one the monomorphised trip loop would have
+//! taken: a column out of range at its first, a middle and its last trip
+//! (the per-trip test against the entry's reach), a coefficient slab one
+//! element short and a row pointer that claims 2³¹ trips (the entry's
+//! hoisted range test fails: the entry goes trip by trip instead, never to
+//! an early error), a negative position, and a column inside one of two
+//! operands the gather moves and past the other (each has its own reach).
 //! The `allocation` cases are extents no buffer can have: a typed error
 //! with one text on all three executors, never an allocator panic.
 
@@ -388,6 +396,304 @@ mod row_nests {
         let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
         ptr[ROWS] += 2;
         fails_identically(&f, &t, "out of bounds");
+    }
+}
+
+mod stepped {
+    use super::*;
+    use sparsetir_kernels::prelude::csr_spmm_ir;
+    use sparsetir_smat::prelude::Csr;
+
+    const ROWS: usize = 6;
+    const COLS: usize = 16;
+    const NNZ: usize = 18;
+    /// Row lengths 2, 0, 1, 3, 0, 12: every case fails in the long last
+    /// row (or the empty one before it), which its thread re-enters.
+    const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
+    /// Where the last row starts, and how many trips it has.
+    const LAST: usize = 6;
+    const TRIPS: usize = 12;
+
+    /// The default (`blockIdx`-bound) CSR SpMM at width `d` with
+    /// hand-written structure tensors; `C` holds stale 9.0s.
+    fn spmm(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
+        let indices: Vec<u32> = [0, 3, 2, 1, 2, 4]
+            .into_iter()
+            .chain((0..TRIPS as u32).map(|t| (t * 5 + 1) % 16))
+            .collect();
+        let sorted = |lo: usize, hi: usize| {
+            let mut row = indices[lo..hi].to_vec();
+            row.sort_unstable();
+            row
+        };
+        // Only the dimensions of `a` reach the IR.
+        let by_row: Vec<u32> =
+            INDPTR.windows(2).flat_map(|w| sorted(w[0] as usize, w[1] as usize)).collect();
+        let indptr = INDPTR.iter().map(|&p| p as usize).collect();
+        let a = Csr::new(ROWS, COLS, indptr, by_row, vec![1.0; NNZ]).unwrap();
+        let f = csr_spmm_ir(&a, d).unwrap();
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        assert!(fused.is_parallel() && fused.disassemble().contains("nest.axpy"));
+        let ramp =
+            |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
+        let mut t = HashMap::new();
+        t.insert("J_indptr".to_string(), TensorData::from(INDPTR.to_vec()));
+        let indices: Vec<i32> = indices.iter().map(|&c| c as i32).collect();
+        t.insert("J_indices".to_string(), TensorData::from(indices));
+        t.insert("A".to_string(), TensorData::from(ramp(NNZ, 0.5)));
+        t.insert("B".to_string(), TensorData::from(ramp(COLS * d, 0.125)));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; ROWS * d]));
+        (f, t)
+    }
+
+    /// Interpreter, all-generic bytecode, the nest, and `exec_func`: one
+    /// error, whose text is `says`, and `C` element for element the
+    /// interpreter's — which is returned.
+    fn fails_like_the_interpreter(
+        f: &PrimFunc,
+        tensors: &HashMap<String, TensorData>,
+        says: &str,
+    ) -> Vec<f32> {
+        let mut want = tensors.clone();
+        let err = eval_func(f, &HashMap::new(), &mut want).expect_err("fails").to_string();
+        let err = err.strip_prefix("interpreter error: ").expect("prefix");
+        assert_eq!(err, says);
+        let same = |got: &HashMap<String, TensorData>, who: &str| {
+            let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{who}: C diverged\n{got:?}\n{want:?}");
+        };
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).expect_err("fails").to_string();
+            assert_eq!(e.strip_prefix("executor error: "), Some(err), "fuse = {fuse}");
+            same(&got, if fuse { "fused" } else { "generic" });
+            if fuse {
+                assert_eq!(kernel.nest_counts().handovers, 1, "the failing trip is handed over");
+            }
+        }
+        let mut got = tensors.clone();
+        let e = exec_func(f, &HashMap::new(), &mut got).expect_err("fails").to_string();
+        assert_eq!(e.strip_prefix("executor error: "), Some(err), "exec_func");
+        same(&got, "exec_func");
+        want["C"].as_f32().to_vec()
+    }
+
+    /// The last row of `c` after `landed` of its trips: written over the
+    /// stale 9.0s exactly when any trip landed.
+    fn assert_landed(c: &[f32], landed: usize) {
+        let last = &c[(ROWS - 1) * (c.len() / ROWS)..];
+        assert_eq!(last.iter().all(|&c| c != 9.0), landed > 0, "{landed} trips landed: {last:?}");
+    }
+
+    #[test]
+    fn column_past_the_operand_at_the_first_a_middle_and_the_last_trip_of_a_long_row() {
+        for d in [4usize, 16] {
+            for trip in [0, TRIPS / 2, TRIPS - 1] {
+                for (bad, index) in [(COLS as i32, COLS * d), (i32::MAX, i32::MAX as usize * d)] {
+                    let (f, mut t) = spmm(d);
+                    let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else {
+                        unreachable!()
+                    };
+                    cols[LAST + trip] = bad;
+                    let n = COLS * d;
+                    let says =
+                        format!("index {index} out of bounds for dim of extent {n} in buffer `B`");
+                    assert_landed(&fails_like_the_interpreter(&f, &t, &says), trip);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn negative_column_in_the_middle_of_a_long_row() {
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
+        cols[LAST + 5] = i32::MIN;
+        let index = i64::from(i32::MIN) * 4;
+        let says = format!("index {index} out of bounds for dim of extent 64 in buffer `B`");
+        assert_landed(&fails_like_the_interpreter(&f, &t, &says), 5);
+    }
+
+    #[test]
+    fn coefficient_slab_one_element_shorter_than_the_row_pointers_claim() {
+        // The entry's range test over the coefficient walk fails: the row
+        // goes trip by trip, eleven land, the twelfth raises.
+        let (f, mut t) = spmm(4);
+        let TensorData::F32(a) = t.get_mut("A").unwrap() else { unreachable!() };
+        a.truncate(NNZ - 1);
+        let says = format!("flat index {} out of bounds (len {}) in buffer `A`", NNZ - 1, NNZ - 1);
+        assert_landed(&fails_like_the_interpreter(&f, &t, &says), TRIPS - 1);
+    }
+
+    #[test]
+    fn operand_bound_short_of_a_column_the_long_row_reaches() {
+        // `B` holds 15 of its 16 declared rows; the long row's trip 3
+        // gathers column 0, its trip 6 column 15 — the declared dimension
+        // admits it, the bound storage does not.
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(cols) = t.get("J_indices").unwrap() else { unreachable!() };
+        let trip = cols[LAST..].iter().position(|&c| c == 15).expect("column 15 is in the row");
+        let TensorData::F32(b) = t.get_mut("B").unwrap() else { unreachable!() };
+        b.truncate(15 * 4);
+        let c = fails_like_the_interpreter(
+            &f,
+            &t,
+            "flat index 60 out of bounds (len 60) in buffer `B`",
+        );
+        assert_landed(&c, trip);
+    }
+
+    #[test]
+    fn row_pointer_claiming_two_to_the_thirty_one_trips() {
+        // The empty row before the last now runs from position 6 to
+        // `i32::MAX − 1`: its last position is tested at the entry in
+        // arithmetic that cannot wrap, fails there, and the row goes trip
+        // by trip through the twelve positions that exist.
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
+        (ptr[ROWS - 1], ptr[ROWS]) = (i32::MAX - 1, i32::MAX);
+        let says =
+            format!("index {NNZ} out of bounds for dim of extent {NNZ} in buffer `J_indices`");
+        let c = fails_like_the_interpreter(&f, &t, &says);
+        assert!(c[4 * 4..5 * 4].iter().all(|&c| c != 9.0), "row 4 took twelve trips: {c:?}");
+        assert!(c[5 * 4..].iter().all(|&c| c == 9.0), "row 5 never ran: {c:?}");
+    }
+
+    #[test]
+    fn negative_position() {
+        // `indptr[5] = −1`: the row before the last has a negative trip
+        // count and is skipped; the last starts at position −1.
+        let (f, mut t) = spmm(4);
+        let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
+        ptr[ROWS - 1] = -1;
+        let says = format!("index -1 out of bounds for dim of extent {NNZ} in buffer `J_indices`");
+        // The re-pin fails before the row writes anything: no hand-over,
+        // the first-entry path raises.
+        let mut want = t.clone();
+        let err = eval_func(&f, &HashMap::new(), &mut want).expect_err("fails").to_string();
+        assert_eq!(err.strip_prefix("interpreter error: "), Some(says.as_str()));
+        for fuse in [false, true] {
+            let mut got = t.clone();
+            let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).expect_err("fails").to_string();
+            assert_eq!(e.strip_prefix("executor error: "), Some(says.as_str()), "fuse = {fuse}");
+            assert_eq!(got["C"], want["C"], "fuse = {fuse}");
+        }
+        assert_landed(want["C"].as_f32(), 0);
+    }
+
+    /// Which of the operands one gather moves is the short one.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Short {
+        /// The coefficient `W[Idx[p]]`, by its declared dimension.
+        CoeffDeclared,
+        /// The coefficient, by what it is bound to.
+        CoeffBound,
+        /// The operand `X[Idx[p], k]`, by its declared dimension.
+        Operand,
+        /// The destination `C[Idx[p], k]` of the scatter form.
+        Dst,
+    }
+
+    /// `C[i, k] += W[Idx[p]] · X[Idx[p], k]` under a `blockIdx` loop (or,
+    /// scattering, `C[Idx[p], k] += W[p] · X[Idx[p], k]` under a serial
+    /// one) over five rows of four positions: two operands moved by the one gather, nine long but
+    /// for the `short` one, which is four. Every column is under four save
+    /// the last row's trip 2, which is 6 — inside one operand, past the
+    /// other.
+    fn gathered_twice(short: Short) -> (PrimFunc, HashMap<String, TensorData>) {
+        let (rows, width, n) = (5i64, 4i64, 3i64);
+        let long_or = |this: Short| if short == this { 4 } else { 9i64 };
+        let x_rows = long_or(Short::Operand);
+        // `W` goes by column, or — scattering — by position.
+        let (w_len, c_rows) = match short {
+            Short::Dst => (rows * width, 4),
+            _ => (long_or(Short::CoeffDeclared), 9),
+        };
+        let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
+        let w = Buffer::global_f32("W", vec![Expr::i32(w_len)]);
+        let x = Buffer::global_f32("X", vec![Expr::i32(x_rows), Expr::i32(n)]);
+        let c = Buffer::global_f32("C", vec![Expr::i32(c_rows), Expr::i32(n)]);
+        let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+        let (vi, vp, vk) = (Var::i32("vi"), Var::i32("vp"), Var::i32("vk"));
+        let col = || idx.load(vec![Expr::var(&vp)]);
+        let (at, coeff) = if short == Short::Dst {
+            (vec![col(), Expr::var(&vk)], w.load(vec![Expr::var(&vp)]))
+        } else {
+            (vec![Expr::var(&vi), Expr::var(&vk)], w.load(vec![col()]))
+        };
+        let block = Stmt::Block(sparsetir_ir::stmt::Block {
+            name: "acc".into(),
+            iter_vars: vec![
+                IterVar::spatial(vi.clone(), Expr::var(&i)),
+                IterVar::spatial(vp.clone(), Expr::var(&i) * width + Expr::var(&j)),
+                IterVar::spatial(vk.clone(), Expr::var(&k)),
+            ],
+            reads: vec![],
+            writes: vec![],
+            init: None,
+            body: Box::new(Stmt::BufferStore {
+                buffer: c.clone(),
+                indices: at.clone(),
+                value: c.load(at) + coeff * x.load(vec![col(), Expr::var(&vk)]),
+            }),
+        });
+        let nest = Stmt::for_serial(j, width, Stmt::for_serial(k, n, block));
+        // Rows that scatter share rows of `C`: those run serially.
+        let kind = match short {
+            Short::Dst => ForKind::Serial,
+            _ => ForKind::ThreadBinding(ThreadAxis::BlockIdxX),
+        };
+        let body = Stmt::For { var: i, extent: Expr::i32(rows), kind, body: Box::new(nest) };
+        let f = PrimFunc::new("gathered_twice", vec![], vec![idx, w, x, c], body);
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        assert!(fused.disassemble().contains("nest.axpy"), "{}", fused.disassemble());
+
+        let ramp = |len: i64, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
+        let mut cols: Vec<i32> = (0..rows * width).map(|p| (p * 3 % 4) as i32).collect();
+        cols[(4 * width + 2) as usize] = 6;
+        let w_bound = if short == Short::CoeffBound { 5 } else { w_len };
+        let mut t = HashMap::new();
+        t.insert("Idx".to_string(), TensorData::from(cols));
+        t.insert("W".to_string(), TensorData::from(ramp(w_bound, 0.5)));
+        t.insert("X".to_string(), TensorData::from(ramp(x_rows * n, 0.125)));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; (c_rows * n) as usize]));
+        (f, t)
+    }
+
+    #[test]
+    fn operands_one_gather_moves_each_keep_their_own_reach() {
+        // The reach of the gathered column is solved per operand: a column
+        // the long operand admits and the short one does not stops the row
+        // there, two trips in, whichever of them an entry solves first.
+        let cases = [
+            (Short::CoeffDeclared, "index 6 out of bounds for dim of extent 4 in buffer `W`"),
+            (Short::CoeffBound, "flat index 6 out of bounds (len 5) in buffer `W`"),
+            (Short::Operand, "index 6 out of bounds for dim of extent 4 in buffer `X`"),
+            (Short::Dst, "index 6 out of bounds for dim of extent 4 in buffer `C`"),
+        ];
+        for (short, says) in cases {
+            let (f, mut t) = gathered_twice(short);
+            let c = fails_like_the_interpreter(&f, &t, says);
+            // With that column back inside both, the stepped loop takes
+            // the rows — each operand's reach solved every entry, the two
+            // sharing the nest's memo — to the interpreter's bits.
+            let TensorData::I32(cols) = t.get_mut("Idx").unwrap() else { unreachable!() };
+            cols[4 * 4 + 2] = 2;
+            let mut want = t.clone();
+            eval_func(&f, &HashMap::new(), &mut want).unwrap();
+            let kernel = CompiledKernel::compile_with(&f, true).unwrap();
+            kernel.run(&HashMap::new(), &mut t).unwrap();
+            assert_eq!(t["C"], want["C"], "{short:?}");
+            let counts = kernel.nest_counts();
+            assert!(counts.handovers == 0 && counts.stepped >= 4 * 3, "{short:?}: {counts:?}");
+            if short != Short::Dst {
+                let last = &c[4 * 3..5 * 3];
+                assert!(last.iter().all(|&c| c != 9.0), "{short:?}: two trips landed: {last:?}");
+            }
+        }
     }
 }
 

@@ -481,40 +481,73 @@ mod crosscheck_tests {
         )
     }
 
-    /// Launch `f` once on a fresh compilation and check that its row nests
-    /// took the fast path: `entries` nest entries, none handing a trip to
-    /// the generic loop, and every entry a re-pin except the first one per
-    /// nest and thread (which pays the lane prologue and establishes the
-    /// kept walk state). Returns the listing.
-    fn launch_repins(f: &PrimFunc, tensors: &mut Bindings, entries: u64, what: &str) -> String {
-        let kernel = CompiledKernel::compile(f).unwrap();
+    /// What one launch of a kernel must have counted: `entries` nest
+    /// entries taking `trips` trips between them, of which at most
+    /// `prologue_trips` per entry that paid the lane prologue — plus
+    /// `once`, the trips of nests entered once per launch — were not
+    /// stepped.
+    struct Expect {
+        entries: u64,
+        trips: u64,
+        prologue_trips: u64,
+        once: u64,
+    }
+
+    /// Check a fresh compilation `kernel` of the function behind `listing`
+    /// after one launch: its row nests took the fast path. `entries` nest
+    /// entries, none handing a trip to the generic loop; every entry a
+    /// re-pin except the first one per nest and thread (which pays the lane
+    /// prologue and establishes the kept walk state); and every trip of a
+    /// re-pinned entry taken by the nest's monomorphised trip loop.
+    fn assert_fast_path(kernel: &CompiledKernel, want: &Expect, what: &str) -> String {
         let listing = kernel.disassemble();
         let nests = listing.lines().filter(|l| l.contains("  nest.")).count() as u64;
         let programs = listing.lines().filter(|l| l.trim_start().starts_with("entry:")).count();
         assert_eq!(programs as u64, nests, "{what}: every nest has an entry program\n{listing}");
-        kernel.run(&HashMap::new(), tensors).unwrap();
         let got = kernel.nest_counts();
-        assert_eq!((got.entries, got.handovers), (entries, 0), "{what}: {got:?}\n{listing}");
+        assert_eq!(
+            (got.entries, got.handovers, got.trips),
+            (want.entries, 0, want.trips),
+            "{what}: {got:?}\n{listing}"
+        );
         let first = got.entries - got.repinned;
         assert!(
             (1..=nests * max_threads()).contains(&first),
             "{what}: {first} entries off the re-pin path, {nests} nests\n{listing}"
         );
+        let unstepped = got.trips - got.stepped;
+        assert!(
+            got.stepped > 0 && unstepped <= want.once + first * want.prologue_trips,
+            "{what}: {unstepped} trips outside the stepped loop, {first} entries paid the \
+             prologue\n{got:?}\n{listing}"
+        );
         listing
     }
 
+    /// [`assert_fast_path`] after launching `f` on whole tensors.
+    fn launch_repins(f: &PrimFunc, tensors: &mut Bindings, want: &Expect, what: &str) -> String {
+        let kernel = CompiledKernel::compile(f).unwrap();
+        kernel.run(&HashMap::new(), tensors).unwrap();
+        assert_fast_path(&kernel, want, what)
+    }
+
     /// What the served path compiles keeps its row nests — and a launch
-    /// re-enters them by re-pinning: the CSR kernel at the widened default
-    /// schedule (narrow, served and wide widths; row counts the 4-row
-    /// blocks divide and leave a guarded tail on), every bucket of
+    /// re-enters them by re-pinning and takes their trips in the stepped
+    /// loop: the CSR kernel at the widened default schedule (narrow, served
+    /// and wide widths; row counts the 4-row blocks divide and leave a
+    /// guarded tail on; whole tensors, and `B` / `C` bound as the views of
+    /// one request and of a batch of eight), every bucket of
     /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init
     /// nest, and the one- and three-head batched SDDMM, each on a
     /// power-law graph. A width-1 bucket stays as it is: its column loop is
     /// a unit-trip bind, so the lane loop is a per-row `Super` under the
     /// row loop — one non-zero per row leaves nothing to hoist, and its two
-    /// gathers (row id, column) do not fit one nest. A schedule change that
-    /// silently drops back to a prologue per non-zero, or a binding kind
-    /// the walks do not cover, fails here, not only in `stbench`.
+    /// gathers (row id, column) do not fit one nest. The three-head SDDMM's
+    /// head loop re-pins but steps nothing: `X` is walked column by column
+    /// and `Y` changes row segment every trip, which the menu of trip loops
+    /// leaves to the per-trip walk. A schedule change that silently drops
+    /// back to a prologue per non-zero, or a binding kind the walks do not
+    /// cover, fails here, not only in `stbench`.
     #[test]
     fn served_kernels_keep_their_row_nests() {
         let power_law = |rows: usize| {
@@ -531,6 +564,7 @@ mod crosscheck_tests {
             )
         };
         let nests = |l: &str, kind: &str| l.lines().filter(|i| i.contains(kind)).count();
+        let longest = |a: &Csr| (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
         let mut rng = gen::rng(93);
         let mut operands = |a: &Csr, d: usize, structure: &mut Bindings| {
             bind_dense(structure, "B", &gen::random_dense(a.cols(), d, &mut rng));
@@ -540,15 +574,39 @@ mod crosscheck_tests {
         for rows in [64usize, 61] {
             let a = power_law(rows);
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
+            let want = Expect {
+                entries: rows as u64,
+                trips: a.nnz() as u64,
+                prologue_trips: longest(&a),
+                once: 0,
+            };
             for d in [4usize, 16, 128] {
                 let config = SpmmConfig::default_csr().widened(d);
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
                 operands(&a, d, &mut tensors);
                 let what = format!("csr, {rows} rows, d = {d}");
-                let l = launch_repins(&f, &mut tensors, rows as u64, &what);
+                let l = launch_repins(&f, &mut tensors, &want, &what);
                 assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
                 assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
                 assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
+            }
+            // As served: `B` and `C` the views of one request, and of eight.
+            for batch in [1usize, 8] {
+                let (d, rt) = (16, Runtime::new());
+                let xs: Vec<Dense> =
+                    (0..batch).map(|_| gen::random_dense(a.cols(), d, &mut gen::rng(94))).collect();
+                let refs: Vec<&Dense> = xs.iter().collect();
+                let mut outs = vec![Dense::zeros(rows, d); batch];
+                let config = SpmmConfig::default_csr();
+                spmm_execute_views_on(&rt, &a, &refs, &mut outs, &config).unwrap();
+                let (spec, _) = spmm_spec(&a, batch * d, &config.widened(batch * d)).unwrap();
+                let kernel = spec.compile_on(&rt).unwrap();
+                assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
+                assert_fast_path(
+                    &kernel,
+                    &want,
+                    &format!("csr views, {rows} rows, batch of {batch}"),
+                );
             }
         }
 
@@ -563,28 +621,59 @@ mod crosscheck_tests {
         let (narrow, wide) = (buckets(false), buckets(true));
         assert!(!narrow.is_empty() && !wide.is_empty(), "fixture has narrow and wide buckets");
         // One entry per row of every wide bucket (`A_hyb_<tag>` holds
-        // `rows × width` values), and one of the init nest.
+        // `rows × width` values, each a trip), and one of the init nest
+        // (a trip per row of `C`).
         let width_of = |name: &str| name.rsplit_once("_w").unwrap().1.parse::<usize>().unwrap();
-        let bucket_rows = wide.iter().map(|b| tensors[b].as_f32().len() / width_of(b));
-        let entries = 1 + bucket_rows.sum::<usize>() as u64;
+        let slots = |b: &String| tensors[b].as_f32().len();
+        let want = Expect {
+            entries: 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64,
+            trips: (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64,
+            prologue_trips: wide.iter().map(|b| width_of(b)).max().unwrap() as u64,
+            once: a.rows() as u64,
+        };
         operands(&a, 16, &mut tensors);
-        let l = launch_repins(&f, &mut tensors, entries, "hyb(c = 2, k = 3)");
+        let l = launch_repins(&f, &mut tensors, &want, "hyb(c = 2, k = 3)");
         assert_eq!(nests(&l, "nest.axpy"), wide.len(), "{l}");
         assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
         assert_eq!(lane_loops_outside_a_nest(&l), narrow.len(), "only width-1 buckets\n{l}");
 
         for heads in [1usize, 3] {
             let k = 8;
-            let f = crate::sddmm::batched_sddmm_ir(&a, heads, k).unwrap();
-            let mut tensors = Bindings::new();
-            bind_csr(&mut tensors, "A", "J", &a);
-            bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), heads * k, &mut rng));
-            bind_dense(&mut tensors, "Y", &gen::random_dense(heads * k, a.cols(), &mut rng));
-            bind_zeros(&mut tensors, "Bout", a.nnz() * heads);
-            // One head: the `j` loop is the nest, entered once per row.
-            // Three: the head loop under it is, entered once per non-zero.
-            let entries = if heads == 1 { a.rows() } else { a.nnz() } as u64;
-            let l = launch_repins(&f, &mut tensors, entries, &format!("sddmm, {heads} heads"));
+            let rt = Runtime::new();
+            let reqs: Vec<(Dense, Dense)> = (0..heads)
+                .map(|_| {
+                    (
+                        gen::random_dense(a.rows(), k, &mut rng),
+                        gen::random_dense(k, a.cols(), &mut rng),
+                    )
+                })
+                .collect();
+            let mut outs = vec![vec![0.0f32; a.nnz()]; heads];
+            crate::sddmm::sddmm_execute_views_on(&rt, &a, &reqs, &mut outs).unwrap();
+            let kernel =
+                KernelSpec::BatchedSddmm { a: (&a).into(), heads, k }.compile_on(&rt).unwrap();
+            assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
+            let what = format!("sddmm, {heads} heads");
+            let l = if heads == 1 {
+                // The `j` loop is the nest, entered once per row.
+                let want = Expect {
+                    entries: a.rows() as u64,
+                    trips: a.nnz() as u64,
+                    prologue_trips: longest(&a),
+                    once: 0,
+                };
+                assert_fast_path(&kernel, &want, &what)
+            } else {
+                // The head loop under it is, entered once per non-zero.
+                let got = kernel.nest_counts();
+                let (entries, trips) = (a.nnz() as u64, (a.nnz() * heads) as u64);
+                assert_eq!(
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
+                    (entries, entries - 1, 0, trips, 0),
+                    "{what}"
+                );
+                kernel.disassemble()
+            };
             assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
             assert!(!l.contains("bsearch"), "row-shaped, no row recovery\n{l}");
             assert_eq!(l.contains("gather=@"), heads == 1, "{l}");

@@ -1,0 +1,85 @@
+//! The served row kernels against an independent `f64` reference with a
+//! stated bound (ROADMAP 7(b)): `spmm_execute_views_on` for one request and
+//! for batches of unequal widths, `sddmm_execute_views_on` for one head and
+//! three, over lane counts around the vector widths, on a graph with empty
+//! rows, one-non-zero rows and one row of `n / 2`. Bit-identity between our
+//! own paths is `exec_differential`'s business; this proves the answer.
+
+mod oracle;
+
+use sparsetir_ir::exec::Runtime;
+use sparsetir_kernels::prelude::*;
+use sparsetir_smat::prelude::*;
+
+/// 24 × 24: rows of 0, 1 and `n / 2` non-zeros among short ones.
+fn graph() -> Csr {
+    let lens = [0usize, 1, 12, 0, 1, 3, 2, 5, 1, 0, 7, 1, 2, 0, 4, 1, 9, 1, 0, 2, 3, 1, 6, 1];
+    let mut next = lens.iter().copied();
+    gen::random_csr_with_row_lengths(lens.len(), 24, |_| next.next().unwrap(), &mut gen::rng(0x0a))
+}
+
+#[test]
+fn the_oracle_agrees_with_smat() {
+    let (a, mut rng) = (graph(), gen::rng(0x0b));
+    let x = gen::random_dense(a.cols(), 5, &mut rng);
+    oracle::spmm_f64(&a, x.data(), 5).check(a.spmm(&x).unwrap().data()).unwrap();
+    let (p, q) =
+        (gen::random_dense(a.rows(), 5, &mut rng), gen::random_dense(5, a.cols(), &mut rng));
+    oracle::sddmm_f64(&a, p.data(), q.data(), 5).check(a.sddmm(&p, &q).unwrap().values()).unwrap();
+    // And it can say no: one element a percent off.
+    let mut wrong = a.spmm(&x).unwrap().data().to_vec();
+    let at = wrong.iter().position(|v| v.abs() > 0.5).expect("a sizeable element");
+    wrong[at] *= 1.01;
+    let err = oracle::spmm_f64(&a, x.data(), 5).check(&wrong).unwrap_err();
+    assert!(err.starts_with(&format!("element {at}:")), "{err}");
+}
+
+#[test]
+fn served_spmm_is_right_at_every_width_and_batch() {
+    let (a, mut rng) = (graph(), gen::rng(0x0c));
+    for d in [1usize, 3, 4, 16, 17, 48] {
+        for batch in [1usize, 3, 8] {
+            // Unequal widths around `d`.
+            let xs: Vec<Dense> =
+                (0..batch).map(|i| gen::random_dense(a.cols(), d + i % 3, &mut rng)).collect();
+            for config in [
+                SpmmConfig::default_csr(),
+                SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() },
+            ] {
+                let refs: Vec<&Dense> = xs.iter().collect();
+                let mut outs: Vec<Dense> =
+                    xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
+                spmm_execute_views_on(&Runtime::new(), &a, &refs, &mut outs, &config).unwrap();
+                for (i, (x, out)) in xs.iter().zip(&outs).enumerate() {
+                    oracle::spmm_f64(&a, x.data(), x.cols()).check(out.data()).unwrap_or_else(
+                        |e| panic!("{}, d = {d}, request {i} of {batch}: {e}", config.label()),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn served_sddmm_is_right_at_every_width_and_head_count() {
+    let (a, mut rng) = (graph(), gen::rng(0x0d));
+    for k in [1usize, 3, 4, 16, 17, 48] {
+        for heads in [1usize, 3] {
+            let reqs: Vec<(Dense, Dense)> = (0..heads)
+                .map(|_| {
+                    (
+                        gen::random_dense(a.rows(), k, &mut rng),
+                        gen::random_dense(k, a.cols(), &mut rng),
+                    )
+                })
+                .collect();
+            let mut outs = vec![vec![0.0f32; a.nnz()]; heads];
+            sddmm_execute_views_on(&Runtime::new(), &a, &reqs, &mut outs).unwrap();
+            for (h, ((x, y), out)) in reqs.iter().zip(&outs).enumerate() {
+                oracle::sddmm_f64(&a, x.data(), y.data(), k)
+                    .check(out)
+                    .unwrap_or_else(|e| panic!("k = {k}, head {h} of {heads}: {e}"));
+            }
+        }
+    }
+}
