@@ -5,14 +5,18 @@
 //! launch, instead of one launch per operator.
 //!
 //! The composability thesis applied *across* operator boundaries: every
-//! pass iterates the same sparse `(I, J)` space, so after `sparse_fuse`
-//! each pass walks the non-zero range with the same binary-searched row
-//! recovery the batched SDDMM kernel uses, and the per-row reductions
-//! (softmax max/sum, aggregation) reset at each row's segment start via
-//! the reduce-position init predicate (`local == 0`).
+//! pass iterates the same sparse `(I, J)` space, and the per-row
+//! reductions (softmax max/sum, aggregation) reset at each row's segment
+//! start via the reduce-position init predicate (`j_pos == 0`). That holds
+//! under either Stage I schedule of the space: the CPU compiles the
+//! programs as written — row by row, `for i { for j in row(i) }`, each
+//! pass a row walk — while `sparse_fuse` on `(I, J)`, the GPU's
+//! load-balancing schedule (§3.2), makes each pass one loop over the
+//! non-zeros with a binary-searched row (the pipeline oracles keep that
+//! one).
 //!
-//! Pass structure of the attention pipeline (head axis `H` *inside* the
-//! fused non-zero loop — the multi-head batching contract of the widened
+//! Pass structure of the attention pipeline (head axis `H` *inside* each
+//! row's non-zero loop — the multi-head batching contract of the widened
 //! SDDMM launch):
 //!
 //! 1. `score`  — `S[i,j,h] += A[i,j] · Q[i,h,k] · KT[h,k,j]` (the batched
@@ -331,7 +335,7 @@ fn add_sage_matmul_pass(
 }
 
 /// GraphSAGE's gather → normalize → matmul layer step as **one**
-/// program: the neighbor gather (fused non-zero walk) and the
+/// program: the neighbor gather (a walk of each row's neighbours) and the
 /// degree-normalized feature transform (`(A·X / deg) · W`), two passes,
 /// one kernel. `Dinv` is the per-row inverse degree (`0` for empty
 /// rows, whose aggregation stays zero); `Agg` (`m × feat`) is

@@ -484,8 +484,8 @@ pub fn sddmm_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
 ///
 /// This is the widened-launch form a serving engine folds same-adjacency
 /// SDDMM requests into: the head axis `H` sits *inside* the sparse
-/// `(I, J)` pair, so after `sparse_fuse` on `(I, J)` the per-non-zero
-/// coordinate walk (binary-searched row recovery, index loads) is paid
+/// `(I, J)` pair, so the per-non-zero coordinate walk (index loads, and
+/// under `sparse_fuse` on `(I, J)` the binary-searched row) is paid
 /// once and shared by every head — the SDDMM analogue of column-stacking
 /// an SpMM batch. With `heads = 1` the loop body degenerates to exactly
 /// [`sddmm_program`]'s, so per-head results are bit-identical to

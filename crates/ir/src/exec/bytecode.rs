@@ -35,7 +35,9 @@
 //!   fanned-out `Par` has its own `State`) pays the lane prologue and
 //!   establishes the launch-invariant walk state there; later entries run
 //!   the nest's entry program and re-pin it ([`run_nest`]). `Alloc` /
-//!   `Free` of a buffer the state names drops it. Entries, re-pins and
+//!   `Free` of a buffer the state names drops it. The slots are one slab
+//!   per thread ([`WALKS`]), handed back empty after every launch: a warm
+//!   launch allocates no walk state, a kernel keeps none. Entries, re-pins and
 //!   hand-overs are counted per launch and added to the [`Code`]'s totals
 //!   when `exec` returns ([`Code::nest_counts`]).
 //!
@@ -49,6 +51,7 @@ use super::{
     ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf,
     SendFrame, ValueExpr,
 };
+use std::cell::Cell;
 use std::collections::HashSet;
 use std::sync::Mutex;
 
@@ -589,39 +592,67 @@ struct LoopFrame {
 
 /// What a row nest keeps from one entry to the next within a launch, per
 /// thread.
-struct Kept<'c> {
+struct Kept {
     /// The launch-invariant walk state; `None` when the nest's bindings
     /// are of a kind its walks do not cover (every entry then takes the
     /// first-entry path).
     walks: Option<Trips>,
-    /// The buffers whose bindings that was decided on.
-    names: &'c [u32],
+    /// Where the nest's instruction is (whose entry program names the
+    /// buffers this was decided on).
+    at: u32,
+}
+
+thread_local! {
+    /// The kept walk state of the nests of a launch on this thread, by
+    /// [`Instr::Nest`] `id`: a launch takes it ([`State::new`]), [`run_nest`]
+    /// grows it on first use, and the launch hands it back empty, capacity
+    /// kept ([`State`]'s `Drop`), every nest unestablished for the next
+    /// launch of any kernel — so a warm launch allocates no walk state, and
+    /// a kernel keeps none between launches.
+    static WALKS: Cell<Vec<Option<Kept>>> = const { Cell::new(Vec::new()) };
+}
+
+/// Nests [`WALKS`] has room for from a thread's first launch on.
+const RESERVED_NESTS: usize = 64;
+
+/// Length, capacity and address of this thread's walk-state slab (the
+/// pool's tests).
+#[cfg(test)]
+pub(super) fn walk_slab() -> (usize, usize, usize) {
+    let slab = WALKS.take();
+    let seen = (slab.len(), slab.capacity(), slab.as_ptr() as usize);
+    WALKS.set(slab);
+    seen
 }
 
 /// Mutable interpreter state threaded through [`run_range`] alongside the
 /// frame: the loop stack, the alloc shadow stack, and what the row nests
 /// of the stream `'c` keep across their entries.
 struct State<'c> {
+    code: &'c [Instr],
     loops: Vec<LoopFrame>,
     saved: Vec<RawBuf>,
     /// Most threads a `Par` may fan out to; `None` asks
     /// `SPARSETIR_NUM_THREADS` when one is reached.
     threads: Option<usize>,
-    /// By [`Instr::Nest`] `id`, grown on first use; `None` until the
-    /// nest's first entry establishes it.
-    kept: Vec<Option<Kept<'c>>>,
+    /// This thread's [`WALKS`] for the launch; `None` until the nest's
+    /// first entry establishes it.
+    kept: Vec<Option<Kept>>,
     /// What a re-pinned entry hands its stepped trip loop.
     step: Stepped,
     counts: NestCounts,
 }
 
 impl<'c> State<'c> {
-    fn new(threads: Option<usize>) -> State<'c> {
+    fn new(code: &'c [Instr], threads: Option<usize>) -> State<'c> {
+        let kept = WALKS.take();
+        debug_assert!(kept.is_empty(), "a launch starts with every nest unestablished");
         State {
+            code,
             loops: Vec::new(),
             saved: Vec::new(),
             threads,
-            kept: Vec::new(),
+            kept,
             step: Stepped::scratch(),
             counts: NestCounts::default(),
         }
@@ -630,11 +661,25 @@ impl<'c> State<'c> {
     /// `buf` was re-bound (allocated or freed): spots taken of its old
     /// binding are stale.
     fn rebound(&mut self, buf: u32) {
+        let code = self.code;
+        let names = |at: u32| match &code[at as usize] {
+            Instr::Nest { spec, .. } => spec.entry.as_ref().map_or(&[][..], |p| &p.bufs),
+            _ => unreachable!("kept state belongs to a nest"),
+        };
         for kept in &mut self.kept {
-            if kept.as_ref().is_some_and(|k| k.names.contains(&buf)) {
+            if kept.as_ref().is_some_and(|k| names(k.at).contains(&buf)) {
                 *kept = None;
             }
         }
+    }
+}
+
+impl Drop for State<'_> {
+    fn drop(&mut self) {
+        let mut kept = std::mem::take(&mut self.kept);
+        kept.clear();
+        // Gone only while the thread itself is torn down.
+        let _ = WALKS.try_with(|slot| slot.set(kept));
     }
 }
 
@@ -679,7 +724,17 @@ impl Code {
     /// the environment.
     pub(super) fn exec_on(&self, fr: &mut Frame, threads: Option<usize>) -> Result<(), ExecError> {
         let end = u32::try_from(self.instrs.len()).expect("kernel exceeds u32 instructions");
-        let mut st = State::new(threads);
+        let mut st = State::new(&self.instrs, threads);
+        if st.kept.capacity() == 0 {
+            // Reserved once per launching thread, for more nests than a
+            // served kernel has (`hyb(c, k)`: one per non-empty bucket, plus
+            // the init), so the slab stays where the thread's first launch
+            // put it. Grown launch by launch it ended up where glibc trims
+            // the heap top: `stbench kernel_wide` `cold_ratio` 0.061 →
+            // 0.096–0.103, `peak_rss_mb` 218.5 → 210.6, page faults every
+            // pass. (A fanned-out `Par`'s short-lived workers grow theirs.)
+            st.kept.reserve_exact(RESERVED_NESTS);
+        }
         let result = run_range(&self.instrs, 0, end, fr, &mut st);
         self.nest_counts.lock().expect("no panic while counting").add(st.counts);
         result
@@ -881,8 +936,7 @@ fn run_nest<'c>(
             }
             Some(Kept { walks: None, .. }) => {}
             fresh @ None => {
-                let walks = Trips::establish(spec, prog, lanes, fr);
-                *fresh = Some(Kept { walks, names: &prog.bufs });
+                *fresh = Some(Kept { walks: Trips::establish(spec, prog, lanes, fr), at: ip });
             }
         }
     }
@@ -943,7 +997,7 @@ fn run_parallel(
                 // Move the whole wrapper (not just `tf.0`) so the `Send`
                 // impl on `SendFrame` applies.
                 let mut tf = tf;
-                let mut st = State::new(None);
+                let mut st = State::new(code, None);
                 let mut failed = None;
                 for i in lo..hi {
                     tf.0.scalars[slot as usize] = i;

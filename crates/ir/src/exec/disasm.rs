@@ -11,7 +11,7 @@
 
 use super::bytecode::{Code, Instr};
 use super::fuse::{
-    Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, Micro, NestSpec, Reg,
+    Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, Micro, NestSpec, Ratio, Reg,
     TermShape, TermSpec,
 };
 use super::{
@@ -56,7 +56,7 @@ pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
         let _ = writeln!(out, "{at:04}  {}", instr(ins, code.instrs()));
         if let Instr::Nest { spec, .. } = ins {
             if let Some(prog) = &spec.entry {
-                let _ = writeln!(out, "      {}", entry(prog));
+                let _ = writeln!(out, "      {}", entry(prog, spec.ratio));
             }
         }
     }
@@ -161,7 +161,7 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
     let _ = write!(out, ", dst={}", drift(&spec.views[0]));
     if !matches!(lanes.micro, Micro::FillLanes { .. }) {
         let _ = write!(out, " a={} b={}", drift(&spec.views[1]), drift(&spec.views[2]));
-        let _ = write!(out, " coeff={}", drift(&spec.coeff));
+        let _ = write!(out, " coeff={}", ratio(spec.ratio, drift(&spec.coeff), "row"));
     }
     if !spec.reduce_moves.is_empty() {
         let iters: Vec<String> = spec
@@ -178,7 +178,7 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
 /// evaluation order; slot registers print as the slot), then every pin over
 /// them — the trip count, where the gather (and the register holding what
 /// it loads at trip 0) and each view start, the reduce iters.
-fn entry(prog: &EntryProgram) -> String {
+fn entry(prog: &EntryProgram, ratio_of: Option<Ratio>) -> String {
     let lin = |l: &Lin| {
         let mut out = String::new();
         for &(coef, reg) in &l.terms {
@@ -216,8 +216,13 @@ fn entry(prog: &EntryProgram) -> String {
     if let Some((pos, reg)) = &prog.gather {
         pins.push(format!("gather=${reg}@{}", at(pos)));
     }
-    let views = prog.views.iter().chain([&prog.coeff]).zip(["dst", "a", "b", "coeff"]);
+    let views = prog.views.iter().zip(["dst", "a", "b"]);
     pins.extend(views.filter_map(|(pos, name)| Some(format!("{name}@{}", at(pos.as_ref()?)))));
+    if let Some(pos) = &prog.coeff {
+        let factor =
+            prog.factor.as_ref().map_or("const".to_string(), |(buf, f)| format!("@{buf}{}", at(f)));
+        pins.push(format!("coeff@{}", ratio(ratio_of, at(pos), &factor)));
+    }
     if !prog.reduce.is_empty() {
         let iters: Vec<String> =
             prog.reduce.iter().map(|(slot, v)| format!("%{slot}={}", lin(v))).collect();
@@ -226,6 +231,16 @@ fn entry(prog: &EntryProgram) -> String {
     let loads: Vec<String> = loads.collect();
     let sep = if loads.is_empty() { "" } else { "; " };
     format!("entry: {}{sep}{}", loads.join(", "), pins.join(", "))
+}
+
+/// A walked coefficient's `load` as the trips combine it with a
+/// [`Ratio`]'s `factor`, in the source's operand order.
+fn ratio(r: Option<Ratio>, load: String, factor: &str) -> String {
+    match r {
+        None => load,
+        Some(r) if r.load_first => format!("{load}{}{factor}", float_op(r.op)),
+        Some(r) => format!("{factor}{}{load}", float_op(r.op)),
+    }
 }
 
 fn superinstr(spec: &LaneSpec) -> String {

@@ -43,7 +43,9 @@
 //!   `indices[indptr[i] + j]` column) plus an affine part — with at most
 //!   one such load per nest, from a buffer the lanes do not write;
 //! * the lane count, every index extent, and the init / fill values are
-//!   row-invariant; the coefficient is row-invariant or one plain load.
+//!   row-invariant; the coefficient is row-invariant, one plain load, or
+//!   one such load `*` or `/` a row-invariant factor (a ratio: attention's
+//!   `P[pos] / Sum[i]`, divided per trip in the source's order).
 //!
 //! The first entry of a launch runs trip 0 through the lane loop's own
 //! prologue, then walks the moving quantities: per non-zero one
@@ -102,7 +104,7 @@ use std::collections::HashMap;
 mod nest;
 
 pub(super) use nest::{
-    build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Reg, Stepped, Taken, Trips,
+    build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Ratio, Reg, Stepped, Taken, Trips,
 };
 
 // ---------------------------------------------------------------------------

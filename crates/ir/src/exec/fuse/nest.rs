@@ -20,8 +20,9 @@
 //!
 //! The quantities are each iter binding, the flat index of the three lane
 //! views (at most one dimension of each may move, extents never), the
-//! coefficient (row-invariant, or one `f32` load at a moving index), the
-//! lane count, and the init / fill values (row-invariant).
+//! coefficient (row-invariant, one `f32` load at a moving index, or such a
+//! load `*` or `/` a row-invariant factor — a [`Ratio`]), the lane count,
+//! and the init / fill values (row-invariant).
 //!
 //! At run time the **first entry** of a launch (per thread) goes through
 //! the lane loop's own prologue for trip 0 and pins every moving quantity
@@ -46,14 +47,16 @@
 //! ([`EntryProgram`]): a few registers — enclosing scalar slots and `i32`
 //! loads at positions linear in earlier registers (`indptr[r]`,
 //! `indptr[r + 1]`, a bucket's row id), each loaded and checked against its
-//! declared dimension and its bound storage **once** — and every pin a
-//! checked linear combination of them ([`Lin`]). A re-entered nest runs
+//! declared dimension and its bound storage **once** — every pin a
+//! checked linear combination of them ([`Lin`]), and a ratio's factor one
+//! checked `f32` load at such a position (or a constant). A re-entered nest runs
 //! that program, re-pins the kept walks and takes trip 0 through the same
 //! `advance` as every later trip: no expression tree, no `resolve`. A nest
 //! whose prologue does not fit a program (a non-constant extent or lane
-//! count, an iter under a division, a hoisted value that is not a constant)
-//! has none and pays the first-entry path every time; a re-pin check that
-//! fails takes that path for the entry, before anything of it is written.
+//! count, an iter under a division, a hoisted value that is not a constant,
+//! a load, or a load over a loaded or constant factor) has none and pays
+//! the first-entry path every time; a re-pin check that fails takes that
+//! path for the entry, before anything of it is written.
 //!
 //! **Stepped trips.** `advance` re-derives per trip what is fixed for the
 //! whole launch: checked `step·t + scale·dg` products, an interval check
@@ -85,7 +88,7 @@ use super::{
     IndexExpr, InitKind, IntExpr, IntOp, LaneBody, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf,
     Resolved, Steady, TripLoop,
 };
-use crate::exec::{elem_load_i32, RowSeg};
+use crate::exec::{elem_load_f32, elem_load_i32, FloatOp, RowSeg};
 
 // ---------------------------------------------------------------------------
 // Compile-time classification
@@ -250,9 +253,12 @@ pub(in crate::exec) struct NestSpec {
     pub reduce_moves: Vec<(u32, i64, i64)>,
     /// How `dst`, `a`, `b` move; `None` is row-invariant (or absent).
     pub views: [Option<Drift>; 3],
-    /// The coefficient when it is one `f32` load at a moving index;
-    /// `None` when it is row-invariant or absent.
+    /// How the coefficient's walked `f32` load moves when it moves; `None`
+    /// when the coefficient is row-invariant or absent.
     pub coeff: Option<Drift>,
+    /// The walked load is one operand of a [`Ratio`], not the coefficient
+    /// itself.
+    pub ratio: Option<Ratio>,
     /// What a re-entry evaluates in place of the prologue's expression
     /// trees; `None` when some entry-varying quantity does not fit one.
     pub entry: Option<EntryProgram>,
@@ -329,21 +335,28 @@ pub(in crate::exec) fn build_nest(
         })
     };
     let mut views = [drift_of(&dst.index)?, None, None];
-    let mut coeff = None;
+    let (mut coeff, mut ratio) = (None, None);
     if let Some(term) = term {
         views[1] = drift_of(&term.a.index)?;
         if let Some(b) = &term.b {
             views[2] = drift_of(&b.index)?;
         }
-        coeff = match &term.coeff {
-            Some(c) if !float_invariant(c, &env) => {
-                let FloatExpr::Load { index, .. } = c else {
-                    return None;
-                };
-                Some(drift_of(index)??)
-            }
-            _ => None,
-        };
+        if let Some(c) = term.coeff.as_ref().filter(|c| !float_invariant(c, &env)) {
+            ratio = match c {
+                FloatExpr::Bin { op: op @ (FloatOp::Mul | FloatOp::Div), lhs, rhs } => {
+                    // Whichever side moves is the load; the other one must
+                    // hold for the entry.
+                    let load_first = float_invariant(rhs, &env);
+                    if !load_first && !float_invariant(lhs, &env) {
+                        return None;
+                    }
+                    Some(Ratio { op: *op, load_first })
+                }
+                _ => None,
+            };
+            let (_, index, _) = walked(c, ratio)?;
+            coeff = Some(drift_of(index)??);
+        }
     }
 
     let gather = match atom {
@@ -369,10 +382,54 @@ pub(in crate::exec) fn build_nest(
         reduce_moves,
         views,
         coeff,
+        ratio,
         entry: None,
     };
     spec.entry = plan_entry(&spec, lanes);
     Some(spec)
+}
+
+/// A walked coefficient that is more than its load: one moving `f32` load
+/// combined by `*` or `/` with a factor that holds for the whole entry (an
+/// `f32` load at an entry-linear position, or a constant) — attention's
+/// softmax normalization `P[pos] / Sum[i]`, SAGE's degree scaling
+/// `Agg[i, k] · Dinv[i]`. A trip computes `f64(load) ⊘ f64(factor)` in the
+/// source's operand order, as the lane prologue does: never through a
+/// reciprocal, so the bits stay the interpreter's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::exec) struct Ratio {
+    /// `Mul` or `Div`.
+    pub op: FloatOp,
+    /// The load is the left operand.
+    pub load_first: bool,
+}
+
+impl Ratio {
+    /// The coefficient at a trip whose load read `load`.
+    #[inline(always)]
+    fn of(self, load: f64, factor: f64) -> f64 {
+        let (l, r) = if self.load_first { (load, factor) } else { (factor, load) };
+        match self.op {
+            FloatOp::Div => l / r,
+            _ => l * r,
+        }
+    }
+}
+
+/// The coefficient `c`'s walked load — `c` itself, or the load side of
+/// `ratio` — as `(buffer, index)`, and the factor beside it; `None` when
+/// there is no such load (a constant).
+fn walked(c: &FloatExpr, ratio: Option<Ratio>) -> Option<(u32, &IndexExpr, Option<&FloatExpr>)> {
+    let (load, factor) = match (ratio, c) {
+        (None, _) => (c, None),
+        (Some(r), FloatExpr::Bin { lhs, rhs, .. }) if r.load_first => (&**lhs, Some(&**rhs)),
+        (Some(_), FloatExpr::Bin { lhs, rhs, .. }) => (&**rhs, Some(&**lhs)),
+        _ => return None,
+    };
+    let FloatExpr::Load { buf, index } = load else {
+        return None;
+    };
+    Some((*buf, index, factor))
 }
 
 // ---------------------------------------------------------------------------
@@ -520,8 +577,11 @@ pub(in crate::exec) struct EntryProgram {
     pub gather: Option<(IndexPlan, u8)>,
     /// Where `dst`, `a`, `b` start; `Some` for every view the op has.
     pub views: [Option<IndexPlan>; 3],
-    /// Where the coefficient is loaded from, when it is one plain load.
+    /// Where the coefficient's walked load reads from, when it has one.
     pub coeff: Option<IndexPlan>,
+    /// Where a [`Ratio`]'s factor is loaded from, when it is a load: one
+    /// `f32`, checked like the registers.
+    pub factor: Option<(u32, IndexPlan)>,
     /// Every reduce iter's trip-0 value (the init decision reads them).
     pub reduce: Vec<(u32, Lin)>,
     /// Every buffer whose binding the kept state depends on.
@@ -636,17 +696,28 @@ fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
             bufs.push(view.buf);
         }
     }
-    let coeff = match lanes.micro.hoisted() {
-        // One plain load (a term's coefficient, a fill's value): pinned
-        // and walked like a one-lane view.
-        Some(FloatExpr::Load { buf, index }) => {
-            bufs.push(*buf);
-            Some(p.index(index)?)
+    let (mut coeff, mut factor) = (None, None);
+    if let Some(value) = lanes.micro.hoisted() {
+        match walked(value, spec.ratio) {
+            // One plain load (a term's coefficient, a fill's value), or a
+            // ratio's: pinned and walked like a one-lane view.
+            Some((buf, index, by)) => {
+                bufs.push(buf);
+                coeff = Some(p.index(index)?);
+                match by {
+                    Some(FloatExpr::Load { buf, index }) => {
+                        bufs.push(*buf);
+                        factor = Some((*buf, p.index(index)?));
+                    }
+                    Some(by) if !float_static(by) => return None,
+                    _ => {}
+                }
+            }
+            // Anything else must not change from entry to entry.
+            None if !float_static(value) => return None,
+            None => {}
         }
-        // Anything else must not change from entry to entry.
-        Some(value) if !float_static(value) => return None,
-        _ => None,
-    };
+    }
     let gather = match &spec.gather {
         Some(g) => {
             let at = p.index(&g.index)?;
@@ -659,7 +730,7 @@ fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
         Reg::Load { buf, .. } => Some(*buf),
         Reg::Slot(_) => None,
     }));
-    Some(EntryProgram { regs: p.regs, extent, head, n, gather, views, coeff, reduce, bufs })
+    Some(EntryProgram { regs: p.regs, extent, head, n, gather, views, coeff, factor, reduce, bufs })
 }
 
 // ---------------------------------------------------------------------------
@@ -815,10 +886,9 @@ enum Spot {
 /// divisions happen once per launch, not once per entry — worth ≈ 25 ns an
 /// entry (`launch_probe`, tenant graph of 440 rows: SpMM d = 16 88.0 →
 /// 100.5 µs, SDDMM k = 8 113.5 → 123.7, `hyb(1, 3)`'s run 111 → 126 with
-/// the memo off). One per nest (the kept state has no room for one per
-/// view, see `exec::tests`): where a gather moves two operands each takes
-/// the memo from the other and every entry solves both — correct, just not
-/// kept; no served kernel has two.
+/// the memo off). One per nest: where a gather moves two operands each
+/// takes the memo from the other and every entry solves both — correct,
+/// just not kept; no served kernel has two.
 struct Within {
     key: [i64; 3],
     /// `dst`, `a`, `b`, the coefficient: 0–3.
@@ -961,15 +1031,16 @@ impl ViewWalk {
         Some(())
     }
 
-    /// Pin a view `found` at trip 0 by the lane prologue.
+    /// Pin a view at trip 0, `found` there by the lane prologue (or else
+    /// evaluated).
     fn enter(
         fr: &Frame,
         (buf, index, stride): (u32, &IndexExpr, i64),
         drift: Drift,
         lanes: (i64, bool),
-        found: Place,
+        found: Option<Place>,
     ) -> Option<ViewWalk> {
-        let ((flat0, i0), reach) = Walk::origin(fr, index, drift, Some(found))?;
+        let ((flat0, i0), reach) = Walk::origin(fr, index, drift, found)?;
         let mut view = ViewWalk::new(fr, (buf, stride), drift, lanes, reach)?;
         view.pin(flat0, i0)?;
         Some(view)
@@ -1168,6 +1239,8 @@ pub(in crate::exec) struct Trips {
     gather: Option<GatherWalk>,
     views: [Option<ViewWalk>; 3],
     coeff: Option<ViewWalk>,
+    /// The entry's value of a [`Ratio`]'s factor.
+    factor: f64,
     /// Trip-0 values of `spec.reduce_moves`.
     v0: [i64; MAX_REDUCE_MOVES],
     /// The term has no second operand: `ops[2]` repeats `ops[1]`.
@@ -1193,15 +1266,23 @@ impl Trips {
         let mut views = [None, None, None];
         for k in 0..3 {
             if let (Some(view), Some(drift)) = (of[k], spec.views[k]) {
-                views[k] = Some(ViewWalk::enter(fr, view.parts(), drift, (r.n, k == 0), r.at[k])?);
+                let found = Some(r.at[k]);
+                views[k] = Some(ViewWalk::enter(fr, view.parts(), drift, (r.n, k == 0), found)?);
             }
         }
-        let coeff = match (spec.coeff, lanes.micro.hoisted(), r.coeff_at) {
-            (Some(drift), Some(FloatExpr::Load { buf, index }), Some(found)) => {
-                Some(ViewWalk::enter(fr, (*buf, index, 0), drift, (1, false), found)?)
+        let walked = lanes.micro.hoisted().and_then(|c| walked(c, spec.ratio));
+        let (coeff, factor) = match (spec.coeff, walked) {
+            (Some(drift), Some((buf, index, by))) => {
+                // Row-invariant: what the lane prologue evaluated at trip 0.
+                let factor = match by {
+                    Some(by) => by.eval(fr).ok()?,
+                    None => 0.0,
+                };
+                let at = (buf, index, 0);
+                (Some(ViewWalk::enter(fr, at, drift, (1, false), r.coeff_at)?), factor)
             }
-            (None, ..) => None,
-            // `classify` only lets a plain load move.
+            (None, _) => (None, 0.0),
+            // `build_nest` only lets a walked load move.
             _ => return None,
         };
         let mut v0 = [0; MAX_REDUCE_MOVES];
@@ -1209,8 +1290,18 @@ impl Trips {
             *v = fr.scalars[*slot as usize];
         }
         let b_repeats_a = of[1].is_some() && of[2].is_none();
-        let (stepper, within) = (None, Within::UNSOLVED);
-        Some(Trips { r, gather, views, coeff, v0, b_repeats_a, stepper, gather_step: 0, within })
+        Some(Trips {
+            r,
+            gather,
+            views,
+            coeff,
+            factor,
+            v0,
+            b_repeats_a,
+            stepper: None,
+            gather_step: 0,
+            within: Within::UNSOLVED,
+        })
     }
 
     /// Everything of the nest's walk state that holds for a whole launch —
@@ -1244,13 +1335,21 @@ impl Trips {
                     Some(walk((view.buf, view.stride), at, spec.views[k], (prog.n, k == 0))?);
             }
         }
-        let (coeff, scalar) = match (lanes.micro.hoisted(), &prog.coeff) {
-            (Some(FloatExpr::Load { buf, .. }), Some(at)) => {
-                (Some(walk((*buf, 0), at, spec.coeff, (1, false))?), 0.0)
-            }
-            // A constant (`plan_entry` admits nothing else).
-            (Some(value), _) => (None, value.eval(fr).ok()?),
-            (None, _) => (None, 0.0),
+        let (coeff, scalar, factor) = match lanes.micro.hoisted() {
+            Some(value) => match (walked(value, spec.ratio), &prog.coeff) {
+                (Some((buf, _, by)), Some(at)) => {
+                    // A constant factor is evaluated here, a loaded one by
+                    // every entry.
+                    let factor = match by.filter(|_| prog.factor.is_none()) {
+                        Some(by) => by.eval(fr).ok()?,
+                        None => 0.0,
+                    };
+                    (Some(walk((buf, 0), at, spec.coeff, (1, false))?), 0.0, factor)
+                }
+                // A constant (`plan_entry` admits nothing else).
+                _ => (None, value.eval(fr).ok()?, 0.0),
+            },
+            None => (None, 0.0, 0.0),
         };
         let init_v = match lanes.init.value() {
             Some(value) => value.eval(fr).ok()?,
@@ -1273,6 +1372,7 @@ impl Trips {
             gather,
             views,
             coeff,
+            factor,
             v0: [0; MAX_REDUCE_MOVES],
             b_repeats_a,
             stepper: None,
@@ -1324,6 +1424,19 @@ impl Trips {
                 view.pin(flat0, i0)?;
             }
         }
+        if let Some((buf, at)) = &prog.factor {
+            let RawBuf::F32 { ptr, len } = fr.bufs[*buf as usize] else {
+                return None;
+            };
+            let (flat, _) = at.pin(regs, 0, usize::MAX)?;
+            if flat < 0 || flat >= i64::try_from(len).ok()? {
+                return None;
+            }
+            debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
+            // SAFETY: 0 <= flat < len elements behind `ptr`, checked above;
+            // the binding outlives the run.
+            self.factor = f64::from(unsafe { elem_load_f32(ptr, flat as usize) });
+        }
         Some(())
     }
 
@@ -1360,7 +1473,8 @@ impl Trips {
         }
         if let Some(c) = &mut self.coeff {
             if t == 0 || c.moves() {
-                self.r.scalar = c.at(t, dg)?.first();
+                let load = c.at(t, dg)?.first();
+                self.r.scalar = spec.ratio.map_or(load, |r| r.of(load, self.factor));
             }
         }
         Some(())
@@ -1459,10 +1573,14 @@ pub(in crate::exec) struct Stepped {
     /// How many trips the entry has.
     trips: i64,
     ops: [Cursor; 3],
-    /// The coefficient, when it is walked (`walked`); else it is `scalar`
-    /// at every trip (as is a fill's value).
+    /// The coefficient's load, when it is walked (`walked`) — the
+    /// coefficient itself, or with `ratio` its load side, `factor` the
+    /// other; else the coefficient is `scalar` at every trip (as is a
+    /// fill's value).
     coeff: Cursor,
     walked: bool,
+    ratio: Option<Ratio>,
+    factor: f64,
     scalar: f64,
     /// The index slab from trip 0's position on, how far a trip moves along
     /// it, what it held at trip 0, and the gathered values every
@@ -1485,6 +1603,8 @@ impl Stepped {
             ops: [nowhere; 3],
             coeff: nowhere,
             walked: false,
+            ratio: None,
+            factor: 0.0,
             scalar: 0.0,
             gather: std::ptr::null_mut(),
             gather_step: 0,
@@ -1533,7 +1653,8 @@ impl Stepped {
             let at = [0, 1, 2].map(|k| self.ops[k].lanes::<SEG>(t, dg));
             let c = if self.walked {
                 // A coefficient is one element: always a run.
-                self.coeff.lanes::<false>(t, dg).first()
+                let load = self.coeff.lanes::<false>(t, dg).first();
+                self.ratio.map_or(load, |r| r.of(load, self.factor))
             } else {
                 self.scalar
             };
@@ -1609,7 +1730,8 @@ impl Trips {
             }
         }
         (w.n, w.init32, w.scalar, w.trips) = (self.r.n, self.r.init32, self.r.scalar, trips);
-        (w.walked, w.gather_step) = (self.coeff.is_some(), self.gather_step);
+        (w.walked, w.ratio, w.factor) = (self.coeff.is_some(), spec.ratio, self.factor);
+        w.gather_step = self.gather_step;
         #[cfg(debug_assertions)]
         for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
             cursor.covers(trips, (reach.0.saturating_sub(g0), reach.1.saturating_sub(g0)));

@@ -19,6 +19,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// same lock.
 const CACHE_SHARDS: usize = 16;
 
+/// Most entries one stripe keeps (so a runtime keeps at most
+/// `CACHE_SHARDS × SHARD_CAPACITY` = 512 kernels): a new key past it
+/// evicts the stripe's least recently used settled entry. A served kernel
+/// bakes its adjacency's shape, so every update that changes `nnz` makes
+/// the old shape's kernels dead weight; without a bound they pile up with
+/// the requests served (≈ 30 KB a kernel, `stbench serve_shared_dynamic`:
+/// ≈ 226 compilations per 1 000 requests). A working set — 48 tenants × 2
+/// ops in `serve_multitenant` — stays far below it.
+const SHARD_CAPACITY: usize = 32;
+
 /// A cache key of any hashable type, held whole and compared whole: what
 /// lets one map file the text fingerprints of [`Runtime::compile`] beside
 /// the callers' own keys of [`Runtime::compile_keyed`]. The key's type is
@@ -85,15 +95,25 @@ struct Entry {
 /// its key, so a failing entry fails identically forever.
 type CacheCell = Arc<OnceLock<Entry>>;
 
+/// One lock's share of the cache: every key's cell with the tick of its
+/// last lookup, and the stripe's lookup clock — what "least recently used"
+/// orders by.
+#[derive(Default)]
+struct Stripe {
+    cells: HashMap<Box<dyn Key>, (CacheCell, u64)>,
+    tick: u64,
+}
+
 /// Compile-once/run-many cache of [`CompiledKernel`]s keyed by function
 /// identity — name + printed IR ([`Runtime::compile`]) or the caller's
 /// description of what generates the function
 /// ([`Runtime::compile_keyed`]). The map is striped across `CACHE_SHARDS`
-/// locks with per-key single-flight compilation (see `CacheCell`);
-/// [`Runtime::cached`] and [`Runtime::compilations`] are exact across
-/// shards and count both kinds of entry.
+/// locks with per-key single-flight compilation (see `CacheCell`), and
+/// bounded: each stripe keeps its `SHARD_CAPACITY` most recently used
+/// entries. [`Runtime::cached`] and [`Runtime::compilations`] are exact
+/// across shards and count both kinds of entry.
 pub struct Runtime {
-    shards: Vec<Mutex<HashMap<Box<dyn Key>, CacheCell>>>,
+    shards: Vec<Mutex<Stripe>>,
     compilations: AtomicUsize,
     keyed_lookups: AtomicUsize,
     keyed_hits: AtomicUsize,
@@ -104,7 +124,7 @@ pub struct Runtime {
 impl Default for Runtime {
     fn default() -> Runtime {
         Runtime {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
             compilations: AtomicUsize::new(0),
             keyed_lookups: AtomicUsize::new(0),
             keyed_hits: AtomicUsize::new(0),
@@ -143,18 +163,34 @@ impl Runtime {
         h.finish()
     }
 
-    /// The cell `key` is filed under, inserted empty on first sight. The
+    /// The cell `key` is filed under, inserted empty on first sight — in a
+    /// full stripe in place of its least recently used settled entry. The
     /// key is cloned only then: a lookup that finds it allocates nothing.
+    /// An evicted kernel still held by a caller (a launch in flight) lives
+    /// on in its `Arc`; its key compiles afresh when it is next looked up.
     fn cell<K: Key + Clone>(&self, key: &K) -> CacheCell {
         let erased: &dyn Key = key;
         let mut h = DefaultHasher::new();
         erased.hash(&mut h);
         let stripe = &self.shards[(h.finish() % CACHE_SHARDS as u64) as usize];
-        let mut shard = stripe.lock().expect("nothing panics under a stripe lock");
-        if let Some(cell) = shard.get(erased) {
+        let mut stripe = stripe.lock().expect("nothing panics under a stripe lock");
+        stripe.tick += 1;
+        let (tick, cells) = (stripe.tick, &mut stripe.cells);
+        if let Some((cell, used)) = cells.get_mut(erased) {
+            *used = tick;
             return Arc::clone(cell);
         }
-        Arc::clone(shard.entry(Box::new(key.clone())).or_default())
+        if cells.len() >= SHARD_CAPACITY {
+            // In-flight cells are never the victim: their claimants are
+            // still compiling into them.
+            let settled = cells.values().filter(|(cell, _)| cell.get().is_some());
+            if let Some(oldest) = settled.map(|(_, used)| *used).min() {
+                cells.retain(|_, (_, used)| *used != oldest);
+            }
+        }
+        let (cell, _) =
+            cells.entry(Box::new(key.clone())).or_insert_with(|| (CacheCell::default(), tick));
+        Arc::clone(cell)
     }
 
     /// One counted compilation. Kernels compiled through a runtime draw
@@ -257,12 +293,13 @@ impl Runtime {
     /// shards.
     #[must_use]
     pub fn cached(&self) -> usize {
-        let settled = |cell: &CacheCell| cell.get().is_some_and(|entry| entry.kernel.is_ok());
+        let settled = |(cell, _): &(CacheCell, u64)| cell.get().is_some_and(|e| e.kernel.is_ok());
         self.shards
             .iter()
             .map(|s| {
                 s.lock()
                     .expect("nothing panics under a stripe lock")
+                    .cells
                     .values()
                     .filter(|c| settled(c))
                     .count()

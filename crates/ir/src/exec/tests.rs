@@ -882,23 +882,42 @@ fn empty_views_construct_and_reject_every_index() {
     }
 }
 
-/// The kept walk state of a launch's nests is one `Vec` per launch and
-/// thread, an element 16 bytes more than `Trips`, and glibc serves requests
-/// of up to 1 032 bytes — a one-nest kernel's `Vec` with `Trips` at 1 016 —
-/// from its per-thread cache; a larger block is carved from, and on the
-/// launch's last free merged back into, the arena's top chunk. `stbench`'s
-/// `kernel_wide` re-binds two 10 MB operands per pass and so sits at
-/// glibc's trim threshold: one step past the cache (measured on a boxed
-/// `Trips` padded to 1 032 and 1 040 bytes) every pass trimmed the heap
-/// top and page-faulted it back — `cold_ratio` 0.067 → 0.113, `peak_rss_mb`
-/// 218.4 → 210.6, warm kernel speed equal. Boxing each nest's state does
-/// not buy room (the cache holds seven blocks a size and a tuned hyb
-/// launch has more nests: `serve_shared_dynamic` `capacity_ratio` + 7 %).
-/// What an entry needs only while it runs (`fuse::Stepped`) is therefore
-/// scratch of the dispatch loop, not kept state.
-#[cfg(all(target_os = "linux", target_env = "gnu"))]
+/// A launch allocates no walk state and a kernel keeps none: the kept
+/// state of a launch's nests is one slab per thread, handed back empty —
+/// every nest unestablished for the next launch — with its capacity, so
+/// every warm launch on the thread, of this kernel or another, reuses the
+/// slab the first one grew. (Allocating it per launch put the launch at the
+/// mercy of glibc's per-thread cache: one size class past it, a pass of
+/// `stbench kernel_wide` trimmed and page-faulted the heap top, `cold_ratio`
+/// 0.067 → 0.113. Pooling it per kernel cost ≈ 1 KB a nest for as long as
+/// the kernel is cached.)
 #[test]
-fn kept_walk_state_fits_the_allocators_thread_cache() {
-    let kept = std::mem::size_of::<fuse::Trips>();
-    assert!(kept + 16 <= 1032, "{kept} bytes: run a `kernel_wide` pair before raising this");
+fn walk_state_is_one_slab_per_thread() {
+    // The ELL kernel with its row loop serial — one frame per launch under
+    // any `SPARSETIR_NUM_THREADS` — at two widths: two kernels.
+    let kernels: Vec<_> = [33, 8]
+        .map(|n| {
+            let (mut f, tensors) = ell_func(5, n);
+            let Stmt::For { kind, .. } = &mut f.body else { unreachable!("the row loop") };
+            *kind = ForKind::Serial;
+            let mut interp = tensors.clone();
+            eval_func(&f, &HashMap::new(), &mut interp).unwrap();
+            (CompiledKernel::compile(&f).unwrap(), tensors, interp)
+        })
+        .into();
+    let mut slab = None;
+    for launch in 0..3 {
+        for (kernel, tensors, interp) in &kernels {
+            let mut t = tensors.clone();
+            kernel.run(&HashMap::new(), &mut t).unwrap();
+            assert_eq!(t["C"], interp["C"], "launch {launch}");
+            let (len, capacity, at) = bytecode::walk_slab();
+            assert!(len == 0 && capacity >= 1, "handed back empty, capacity kept");
+            assert_eq!(*slab.get_or_insert(at), at, "launch {launch} reused the first one's slab");
+        }
+    }
+    for (kernel, ..) in &kernels {
+        let counts = kernel.nest_counts();
+        assert_eq!((counts.entries, counts.repinned), (15, 12), "each launch establishes anew");
+    }
 }

@@ -65,7 +65,9 @@
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use sparsetir_core::prelude::{bind_dense, bind_zeros, lower, spmm_program};
+use sparsetir_core::prelude::{
+    attention_aggregate_program, bind_dense, bind_zeros, lower, spmm_program,
+};
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
 use sparsetir_kernels::prelude::{
@@ -1646,6 +1648,14 @@ enum EntryRule {
     /// The output row adds eight more enclosing loop variables: nine slot
     /// registers, one more than a program holds.
     NineRegisters,
+    /// The coefficient is `W[i·3 + j] / W[i·3]`: a walked load over a
+    /// factor loaded once per entry.
+    Ratio,
+    /// The coefficient is `W[i·3 + j] / (W[i·3] · 2)`: the factor holds
+    /// for the entry but is neither a load nor a constant.
+    ComputedFactor,
+    /// The coefficient is `W[i·3 + j] / W[i·3 + j]`: both sides move.
+    MovingFactor,
 }
 
 /// `for i in 0..4 { for j in 0..3 { for k in 0..5 { C[row, k] += coeff · X[Idx[i·3 + j], k] } } }`
@@ -1669,8 +1679,12 @@ fn entry_candidate(
         EntryRule::NineRegisters => outer.iter().fold(Expr::var(&i), |r, u| r + Expr::var(u)),
         _ => Expr::var(&i),
     };
+    let first = || w.load(vec![Expr::var(&i) * width]);
     let coeff = match rule {
-        EntryRule::ComputedCoefficient => w.load(vec![Expr::var(&i) * width]) * 2.0f32,
+        EntryRule::ComputedCoefficient => first() * 2.0f32,
+        EntryRule::Ratio => w.load(vec![pos.clone()]) / first(),
+        EntryRule::ComputedFactor => w.load(vec![pos.clone()]) / (first() * 2.0f32),
+        EntryRule::MovingFactor => w.load(vec![pos.clone()]) / w.load(vec![pos.clone()]),
         _ => w.load(vec![pos.clone()]),
     };
     let at = vec![row, Expr::var(&k)];
@@ -1729,6 +1743,95 @@ fn entry_program_rules_each_have_a_negative_case() {
         let counts = launch_counts(&f, &scalars, &tensors);
         let repinned = if rule == Fits { 3 } else { 0 };
         assert_eq!((counts.entries, counts.repinned), (4, repinned), "{rule:?}");
+    }
+}
+
+/// A coefficient that is one walked load `*` or `/` a factor: a nest when
+/// the factor holds for the entry (not when it moves with the trip too), an
+/// entry program when the factor is one load (or a constant) — loaded once
+/// per entry, every trip dividing in the source's order — and none when it
+/// is computed. Each bit-matches.
+#[test]
+fn ratio_coefficients_walk_when_their_factor_holds_for_the_entry() {
+    use EntryRule::{ComputedFactor, MovingFactor, Ratio};
+    for (rule, nest, programs, repinned) in
+        [(Ratio, true, 1, 3), (ComputedFactor, true, 0, 0), (MovingFactor, false, 0, 0)]
+    {
+        let (f, scalars, tensors) = entry_candidate(rule);
+        let want: &[&str] = if nest { &["nest.axpy"] } else { &[] };
+        assert_eq!(nests(&f), want, "{rule:?}");
+        assert_eq!(entry_programs(&f), programs, "{rule:?}");
+        if rule == Ratio {
+            let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+            assert!(
+                listing.contains("coeff=+1/row") && listing.contains("/@1[3*%0<12]"),
+                "{listing}"
+            );
+        }
+        differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
+        let counts = launch_counts(&f, &scalars, &tensors);
+        let entries = if nest { 4 } else { 0 };
+        assert_eq!((counts.entries, counts.repinned), (entries, repinned), "{rule:?}");
+    }
+}
+
+/// Attention's one-head aggregation on the stepped fixture: structure, `P`
+/// and `Sum` whole, `V` and `Out` cut into segments.
+fn ratio_aggregate(
+    a: &Csr,
+    d: usize,
+    rng: &mut SmallRng,
+) -> (PrimFunc, HashMap<String, TensorData>, [Part; 2]) {
+    let f = lower(&attention_aggregate_program(a.rows(), a.cols(), a.nnz(), 1, d)).unwrap();
+    let mut structure = csr_tensors(a);
+    let positive = |len: usize, rng: &mut SmallRng| {
+        TensorData::F32((0..len).map(|_| rng.gen_range(0.125f32..1.0)).collect())
+    };
+    structure.insert("P".to_string(), positive(a.nnz(), rng));
+    structure.insert("Sum".to_string(), positive(a.rows(), rng));
+    // Mixed widths around a zero-width segment.
+    let [.., cut] = column_cuts(d);
+    let parts =
+        [Part::new("V", Some(a.cols()), cut.clone(), rng), Part::output("Out", a.rows(), cut)];
+    (f, structure, parts)
+}
+
+/// The ratio's failure modes and IEEE corners on every binding, whole and
+/// segmented, against the interpreter: a factor of ±0, NaN or ±inf in the
+/// first-entry row and in re-pinned ones — bits; `Sum` one row short of
+/// what an entry loads — the entry falls back and fails with the
+/// interpreter's text and prefix; `P` ending mid-row — the same, trips in.
+#[test]
+fn ratio_factor_corners_and_short_bindings_match_on_every_binding() {
+    let (a, mut rng) = (stepped_fixture(), gen::rng(0x6c));
+    let longest = a.row_nnz(0);
+    for d in [1usize, 4, 17] {
+        let (f, structure, parts) = ratio_aggregate(&a, d, &mut rng);
+        assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.axpy".to_string()], 1));
+        for special in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            let mut t = structure.clone();
+            let TensorData::F32(sum) = t.get_mut("Sum").unwrap() else { unreachable!() };
+            // The first row (first entry) and two re-pinned ones.
+            for row in [0, 7, a.rows() - 2] {
+                sum[row] = special;
+            }
+            assert_eq!(views_differential(&f, &t, &parts), [None, None], "d = {d}, {special}");
+        }
+        let short = |name: &str, len: usize| {
+            let mut t = structure.clone();
+            let TensorData::F32(v) = t.get_mut(name).unwrap() else { unreachable!() };
+            v.truncate(len);
+            let errs = views_differential(&f, &t, &parts);
+            let want = errs[0].clone().unwrap_or_else(|| panic!("`{name}` short must fail"));
+            assert!(want.contains(&format!("out of bounds (len {len}) in buffer `{name}`")));
+            assert_eq!(errs, [Some(want.clone()), Some(want)], "d = {d}");
+        };
+        // Row 16 has nine non-zeros; `P` ends four trips in.
+        let row = (0..a.rows()).find(|&r| a.row_nnz(r) == 9).unwrap();
+        short("Sum", row);
+        short("P", a.indptr()[row] + 4);
+        let (counts, _) = view_launch(&f, &structure, &parts);
+        assert_stepped(counts, a.nnz() as u64, longest as u64, &format!("d = {d}"));
     }
 }
 
@@ -1843,6 +1946,77 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
                     .check(&after[2].segs[h])
                     .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
             }
+        }
+    }
+}
+
+/// The served fused attention and fused SAGE at lane counts around the
+/// vector widths, on the stepped fixture, operands cut one segment per head
+/// as their entry points bind them: interpreter ≡ generic ≡ fused, whole
+/// and segmented, bit for bit; every head's output within the `f64`
+/// oracle's bound. One-head attention walks two nests — the score and the
+/// ratio-weighted aggregation — SAGE two — the gather and the
+/// `Agg · Dinv`-weighted transform — every trip of a re-pinned entry
+/// stepped; three-head attention's one nest is the score's head loop, trip
+/// by trip as the three-head SDDMM's.
+#[test]
+fn stepped_attention_and_sage_bit_match_at_every_width() {
+    let (a, mut rng) = (stepped_fixture(), gen::rng(0x6d));
+    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
+    let (rows, nnz) = (a.rows(), a.nnz());
+    for d in [1usize, 3, 4, 16, 17, 48] {
+        for heads in [1usize, 3] {
+            let f = fused_attention_ir(&a, heads, d, d).unwrap();
+            let what = format!("attention, d = {d}, {heads} heads");
+            let mut structure = csr_tensors(&a);
+            for (name, len) in [("S", nnz), ("M", rows), ("P", nnz), ("Sum", rows)] {
+                structure.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
+            }
+            let parts = [
+                Part::new("Q", Some(rows), vec![d; heads], &mut rng),
+                Part::new("KT", None, vec![d * a.cols(); heads], &mut rng),
+                Part::new("V", Some(a.cols()), vec![d; heads], &mut rng),
+                Part::output("Out", rows, vec![d; heads]),
+            ];
+            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
+            let (counts, after) = view_launch(&f, &structure, &parts);
+            if heads == 1 {
+                assert_stepped(counts, 2 * nnz as u64, longest, &what);
+            } else {
+                let trips = (nnz * heads) as u64;
+                assert_eq!(
+                    (counts.handovers, counts.trips, counts.stepped),
+                    (0, trips, 0),
+                    "{what}"
+                );
+            }
+            for h in 0..heads {
+                let [q, kt, v, out] = [0, 1, 2, 3].map(|p| &after[p].segs[h]);
+                oracle::attention_f64(&a, q, kt, v, d, d)
+                    .check(out)
+                    .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
+            }
+        }
+        for (feat, hidden) in [(d, 3), (3, d)] {
+            let f = fused_sage_ir(&a, feat, hidden).unwrap();
+            let what = format!("sage, feat = {feat}, hidden = {hidden}");
+            let mut structure = csr_tensors(&a);
+            structure.insert("Dinv".to_string(), TensorData::from(inverse_degrees(&a)));
+            structure.insert("Agg".to_string(), TensorData::zeros(DType::F32, rows * feat));
+            let parts = [
+                Part::new("X", Some(a.cols()), vec![feat], &mut rng),
+                Part::new("W", Some(feat), vec![hidden], &mut rng),
+                Part::output("H1", rows, vec![hidden]),
+            ];
+            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
+            let (counts, after) = view_launch(&f, &structure, &parts);
+            // One input is a unit-trip bind: the transform has no nest.
+            let trips = (nnz + if feat > 1 { rows * feat } else { 0 }) as u64;
+            assert_stepped(counts, trips, longest.max(feat as u64), &what);
+            let [x, w, h1] = [0, 1, 2].map(|p| &after[p].segs[0]);
+            oracle::sage_f64(&a, x, w, feat, hidden)
+                .check(h1)
+                .unwrap_or_else(|e| panic!("{what}: {e}"));
         }
     }
 }

@@ -16,6 +16,10 @@
 //! hoisted range test fails: the entry goes trip by trip instead, never to
 //! an early error), a negative position, and a column inside one of two
 //! operands the gather moves and past the other (each has its own reach).
+//! The `ratio` cases do it to a nest whose coefficient is attention's
+//! softmax ratio `P[pos] / Sum[i]`: the factor's load past its binding at an
+//! entry, the walked load one element short mid-row, and a factor of ±0,
+//! NaN or ±inf (no error: the bits of IEEE division in the source's order).
 //! The `allocation` cases are extents no buffer can have: a typed error
 //! with one text on all three executors, never an allocator panic.
 
@@ -692,6 +696,142 @@ mod stepped {
             if short != Short::Dst {
                 let last = &c[4 * 3..5 * 3];
                 assert!(last.iter().all(|&c| c != 9.0), "{short:?}: two trips landed: {last:?}");
+            }
+        }
+    }
+}
+
+mod ratio {
+    use super::*;
+    use sparsetir_core::prelude::{attention_aggregate_program, lower};
+
+    const ROWS: usize = 6;
+    const COLS: usize = 16;
+    const NNZ: usize = 18;
+    /// Row lengths 2, 0, 1, 3, 0, 12: every case lands in the long last
+    /// row, which its thread re-enters.
+    const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
+    const LAST: usize = 6;
+    const TRIPS: usize = 12;
+
+    /// Attention's one-head aggregation `Out[i, c] += (P[pos] / Sum[i]) ·
+    /// V[col, c]` at width `d`, its row loop bound to `blockIdx` (so under
+    /// `SPARSETIR_NUM_THREADS=2` it fans out onto the atomic lane body) and
+    /// its non-zero loop a row nest walking the ratio; `Out` holds stale
+    /// 9.0s.
+    fn aggregate(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
+        let f = lower(&attention_aggregate_program(ROWS, COLS, NNZ, 1, d)).unwrap();
+        let mut sch = Schedule::new(f);
+        sch.bind("i", ThreadAxis::BlockIdxX).unwrap();
+        let f = sch.into_func();
+        let fused = CompiledKernel::compile_with(&f, true).unwrap();
+        let listing = fused.disassemble();
+        assert!(fused.is_parallel() && listing.contains("coeff=+1/row"), "{listing}");
+        let ramp =
+            |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
+        let cols: Vec<i32> = (0..NNZ as i32).map(|p| (p * 5 + 1) % COLS as i32).collect();
+        let mut t = HashMap::new();
+        t.insert("J_indptr".to_string(), TensorData::from(INDPTR.to_vec()));
+        t.insert("J_indices".to_string(), TensorData::from(cols));
+        // `P[7]` — the last row's second trip — is 0.
+        t.insert("P".to_string(), TensorData::from(ramp(NNZ, 0.25)));
+        t.insert("Sum".to_string(), TensorData::from(ramp(ROWS, 1.5)));
+        t.insert("V".to_string(), TensorData::from(ramp(COLS * d, 0.125)));
+        t.insert("Out".to_string(), TensorData::from(vec![9.0f32; ROWS * d]));
+        (f, t)
+    }
+
+    /// Interpreter, all-generic bytecode, the nest and `exec_func`: one
+    /// outcome — the error `says`, or success — and `Out` bit for bit the
+    /// interpreter's, which is returned; `handovers` trips handed to the
+    /// generic loop.
+    fn agrees(
+        f: &PrimFunc,
+        tensors: &HashMap<String, TensorData>,
+        says: Option<&str>,
+        handovers: u64,
+    ) -> Vec<f32> {
+        let mut want = tensors.clone();
+        let err = eval_func(f, &HashMap::new(), &mut want).err().map(|e| e.to_string());
+        let err = err.as_deref().map(|e| e.strip_prefix("interpreter error: ").expect("prefix"));
+        assert_eq!(err, says);
+        let same = |got: &HashMap<String, TensorData>, who: &str| {
+            let (got, want) = (got["Out"].as_f32(), want["Out"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{who}: Out diverged\n{got:?}\n{want:?}");
+        };
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).err().map(|e| e.to_string());
+            let e = e.as_deref().map(|e| e.strip_prefix("executor error: ").expect("prefix"));
+            assert_eq!(e, err, "fuse = {fuse}");
+            same(&got, if fuse { "fused" } else { "generic" });
+            if fuse {
+                let counts = kernel.nest_counts();
+                assert_eq!(counts.handovers, handovers, "{counts:?}");
+                assert!(counts.stepped > 0, "a re-pinned entry walked the ratio: {counts:?}");
+            }
+        }
+        let mut got = tensors.clone();
+        let e = exec_func(f, &HashMap::new(), &mut got).err().map(|e| e.to_string());
+        assert_eq!(e.as_deref().map(|e| e.strip_prefix("executor error: ").unwrap()), err);
+        same(&got, "exec_func");
+        want["Out"].as_f32().to_vec()
+    }
+
+    /// The last row of `out` (width `d`).
+    fn last_row(out: &[f32], d: usize) -> &[f32] {
+        &out[(ROWS - 1) * d..]
+    }
+
+    #[test]
+    fn factor_indexed_past_its_binding_at_an_entry() {
+        // `Sum` holds five of its six declared rows: the last row's entry
+        // program cannot load its factor, the entry takes the first-entry
+        // path, the prologue fails, and the generic loop raises at trip 0 —
+        // after the init has zeroed the first lane, as the interpreter's.
+        for d in [4usize, 16] {
+            let (f, mut t) = aggregate(d);
+            let TensorData::F32(sum) = t.get_mut("Sum").unwrap() else { unreachable!() };
+            sum.truncate(ROWS - 1);
+            let says = "flat index 5 out of bounds (len 5) in buffer `Sum`";
+            let out = agrees(&f, &t, Some(says), 1);
+            let row = last_row(&out, d);
+            assert!(row[0] == 0.0 && row[1..].iter().all(|&v| v == 9.0), "d = {d}: {row:?}");
+        }
+    }
+
+    #[test]
+    fn walked_load_one_element_short_in_the_middle_of_a_long_row() {
+        // `P` ends half way through the last row: the entry's range test on
+        // the ratio's walk fails, the row goes trip by trip, six land and
+        // the seventh raises.
+        for d in [4usize, 16] {
+            let (f, mut t) = aggregate(d);
+            let TensorData::F32(p) = t.get_mut("P").unwrap() else { unreachable!() };
+            let len = LAST + TRIPS / 2;
+            p.truncate(len);
+            let says = format!("flat index {len} out of bounds (len {len}) in buffer `P`");
+            let out = agrees(&f, &t, Some(&says), 1);
+            assert!(last_row(&out, d).iter().all(|&v| v != 9.0), "d = {d}: six trips landed");
+        }
+    }
+
+    #[test]
+    fn factor_of_zero_nan_and_infinity() {
+        // No error: IEEE division, trip by trip in the source's order, to
+        // the interpreter's bits — `P / 0` is ±inf or (at `P[7] = 0`) NaN,
+        // `P / ±inf` a signed zero. On the first row (the first-entry path)
+        // and the last (a re-pinned entry).
+        for factor in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+            for row in [0, ROWS - 1] {
+                let (f, mut t) = aggregate(4);
+                let TensorData::F32(sum) = t.get_mut("Sum").unwrap() else { unreachable!() };
+                sum[row] = factor;
+                let out = agrees(&f, &t, None, 0);
+                let written = &out[row * 4..(row + 1) * 4];
+                assert!(written.iter().all(|&v| v != 9.0), "{factor}, row {row}: {written:?}");
             }
         }
     }

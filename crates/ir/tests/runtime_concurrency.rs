@@ -350,3 +350,30 @@ fn text_and_spec_keyed_entries_coexist() {
     rt.compile_keyed::<_, String, KeyedError>(&(16i64, 5i64), || key.build()).expect("compiles");
     assert_eq!(rt.compilations(), 3);
 }
+
+/// The map is bounded: past 512 entries (32 per stripe) a new key evicts
+/// its stripe's least recently used kernel. Over 2 000 distinct functions
+/// every stripe fills, each function compiles once, and 512 kernels stay;
+/// one looked up after every compilation is never the victim; one compiled
+/// first and never looked up again is, yet the caller still holding it
+/// runs it as before — and its function compiles afresh on its next
+/// lookup.
+#[test]
+fn the_kernel_map_keeps_its_most_recently_used_kernels() {
+    const COLD: i64 = 2000;
+    let rt = Runtime::new();
+    let (held_func, hot_func) = (iota_func(8, 2, "held"), iota_func(8, 1, "hot"));
+    let held = rt.compile(&held_func).unwrap();
+    let hot = rt.compile(&hot_func).unwrap();
+    for scale in 0..COLD {
+        rt.compile(&iota_func(8, scale + 3, "cold")).unwrap();
+        assert!(Arc::ptr_eq(&rt.compile(&hot_func).unwrap(), &hot), "the hot kernel stays");
+    }
+    assert_eq!(rt.compilations(), COLD as usize + 2, "each function compiled once");
+    assert_eq!(rt.cached(), 512, "every stripe full, none past it");
+    let expect: Vec<u32> = (0..8).map(|i| ((i * 2) as f32).to_bits()).collect();
+    assert_eq!(run_kernel(&held, 8), expect, "an evicted kernel still runs for its holder");
+    let again = rt.compile(&held_func).unwrap();
+    assert!(!Arc::ptr_eq(&again, &held), "evicted: compiled afresh");
+    assert_eq!((rt.compilations(), run_kernel(&again, 8)), (COLD as usize + 3, expect));
+}

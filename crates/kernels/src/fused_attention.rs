@@ -21,7 +21,12 @@
 //! over the same `(non-zero, head)` points, under the same executor
 //! semantics (f64 arithmetic, f32 stores, `exp` evaluated as one
 //! `FloatExpr::Exp` in both paths) — so fused output is **bit-identical**
-//! to the pipeline, `exp` path included. The pure-Rust
+//! to the pipeline, `exp` path included. The loop shapes differ on
+//! purpose: the fused kernel walks rows (the CPU schedule: the one-head
+//! score and aggregation passes run as row nests), the pipeline keeps the
+//! GPU schedule, `sparse_fuse` on `(I, J)` — one loop over the non-zeros,
+//! each recovering its row by binary search — so the comparison spans two
+//! schedules of one Stage I program. The pure-Rust
 //! [`fused_attention_reference`] accumulates in f64 without intermediate
 //! f32 rounding, so kernels are validated against it with a relative
 //! epsilon (documented at the call sites) rather than bit equality.
@@ -38,9 +43,8 @@ use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
 
 /// Lower the whole attention pipeline to one `PrimFunc`: four passes
-/// (score / rowmax / expsum / agg), each `sparse_fuse`d on `(I, J)` so
-/// every pass walks the non-zero range with binary-searched row
-/// recovery — one compiled kernel, one launch.
+/// (score / rowmax / expsum / agg), each walking the adjacency row by
+/// row — one compiled kernel, one launch.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -54,7 +58,8 @@ pub fn fused_attention_ir(
 }
 
 /// Pipeline launch 1 of 3: the score SDDMM alone (same pass body as the
-/// fused kernel's first pass).
+/// fused kernel's first pass), under the GPU schedule like the other two:
+/// `sparse_fuse`d on `(I, J)`.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.

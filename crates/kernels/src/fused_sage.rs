@@ -3,20 +3,23 @@
 //! same fusion shape as [`crate::fused_attention`], applied to the GNN
 //! inference path (see [`sparsetir_core::fused::fused_sage_program`]).
 //!
-//! The gather pass walks the adjacency's non-zero range once with the
-//! fused binary-searched row recovery, accumulating `Agg[i] = Σ_{j∈N(i)}
-//! X[j]` (the mean aggregator ignores edge values — it is purely
-//! structural, so any CSR with the right pattern drives it); the matmul
-//! pass then computes `H1 = (Agg · diag(Dinv)) · W` with the per-row
-//! inverse degree folded in as a lane-invariant coefficient of the
-//! `AxpyLanes` feature loop. Empty rows have `Dinv = 0` and aggregate
-//! to zero.
+//! The gather pass walks each row's neighbours, accumulating `Agg[i] =
+//! Σ_{j∈N(i)} X[j]` (the mean aggregator ignores edge values — it is
+//! purely structural, so any CSR with the right pattern drives it); the
+//! matmul pass then computes `H1 = (Agg · diag(Dinv)) · W` with the
+//! per-row inverse degree folded in as a lane-invariant coefficient of the
+//! `AxpyLanes` feature loop. Both are row nests: the gather over a row's
+//! neighbours, the matmul over its `feat` inputs, walking `Agg[i, k] ·
+//! Dinv[i]` with the factor loaded once per row. Empty rows have `Dinv =
+//! 0` and aggregate to zero.
 //!
 //! Every library and serving call runs that one kernel
 //! ([`fused_sage_execute_on`]); the two-launch pipeline survives only as
-//! [`sage_pipeline_oracle`], a test reference. Fused vs pipeline is
-//! bit-identical (same pass bodies, same order, same executor rounding
-//! points); against a per-edge-weighted
+//! [`sage_pipeline_oracle`], a test reference whose gather keeps the GPU
+//! schedule (`sparse_fuse` on `(I, J)`, a binary-searched row per
+//! non-zero). Fused vs pipeline is bit-identical across the two loop
+//! shapes (same pass bodies, same order, same executor rounding points);
+//! against a per-edge-weighted
 //! reference like [`sparsetir_smat::csr::Csr::spmm`] on a `1/deg`-valued
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
@@ -44,7 +47,7 @@ pub fn inverse_degrees(a: &Csr) -> Vec<f32> {
 }
 
 /// Lower the gather → normalize → matmul step to one `PrimFunc` (two
-/// passes, one kernel; the gather pass `sparse_fuse`d on `(I, J)`).
+/// passes, one kernel, each walking rows).
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -134,9 +137,7 @@ pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Kern
     let (feat, hidden) = (x.cols(), w.cols());
     with_operands(rt, a, x, w, |b, h1| {
         let scalars = HashMap::new();
-        let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
-        sparse_fuse(&mut gather, "gather", &["I", "J"])?;
-        let gather = rt.compile(&lower(&gather)?)?;
+        let gather = rt.compile(&sage_gather_ir(a, feat)?)?;
         {
             let mut views = ViewBindings::from_tensors(b);
             views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
@@ -148,6 +149,19 @@ pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Kern
         views.bind_cols("H1", h1);
         Ok(matmul.run_views(&scalars, &mut views)?)
     })
+}
+
+/// The pipeline oracle's gather launch: the gather pass alone, lowered with
+/// the GPU schedule — `sparse_fuse` on `(I, J)`, one loop over the
+/// non-zeros with a binary-searched row each — so the oracle checks the
+/// served row-shaped kernel across loop shapes.
+///
+/// # Errors
+/// Propagates lowering/scheduling errors.
+pub(crate) fn sage_gather_ir(a: &Csr, feat: usize) -> KernelResult<PrimFunc> {
+    let mut gather = sage_gather_program(a.rows(), a.cols(), a.nnz(), feat);
+    sparse_fuse(&mut gather, "gather", &["I", "J"])?;
+    Ok(lower(&gather)?)
 }
 
 /// Pure-Rust f64 reference for relative-epsilon validation: mean-of-

@@ -26,9 +26,10 @@ pub struct AttnHead {
 /// serving route). A request is a list of [`AttnHead`]s sharing
 /// one mask; requests batch when their per-head shapes `(k, vfeat)`
 /// agree — every head of every folded request rides the same widened
-/// launch, inside the same fused non-zero walk (the PR 5 multi-head
-/// batching contract), and each `(non-zero, head)` pair keeps exactly
-/// its unbatched reduction order, so batching is bit-identical.
+/// launch, inside the same walk of each row's non-zeros (the multi-head
+/// batching contract of the SDDMM), and each `(non-zero, head)` pair
+/// keeps exactly its unbatched reduction order, so batching is
+/// bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusedAttentionOp;
 

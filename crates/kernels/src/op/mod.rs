@@ -34,11 +34,11 @@
 //!   Splitting the (spatial) feature axis differently never changes an
 //!   output column's reduction order, so results are bit-identical to
 //!   unbatched execution.
-//! * **Head axis inside the fused non-zero loop** (SDDMM, fused
+//! * **Head axis inside each row's non-zero loop** (SDDMM, fused
 //!   attention): `n` riders over one adjacency are the `n` heads of the
-//!   batched fused kernel ([`crate::sddmm::batched_sddmm_ir`]) — the
-//!   per-non-zero coordinate walk (binary-searched row recovery, index
-//!   loads) is shared by every rider, and each `(non-zero, head)` pair
+//!   batched kernel ([`crate::sddmm::batched_sddmm_ir`]) — the
+//!   per-non-zero coordinate walk (index loads) is shared by every
+//!   rider, and each `(non-zero, head)` pair
 //!   keeps exactly its unbatched feature-reduction order. This amortizes
 //!   the per-launch fixed costs (program build, lowering, IR
 //!   fingerprinting, dispatch) and the shared coordinate walk.

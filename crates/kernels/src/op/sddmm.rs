@@ -7,11 +7,12 @@ use sparsetir_smat::prelude::*;
 
 /// SDDMM (`A ⊙ (X · Y)` sampled at the non-zeros) as a [`SparseOp`]:
 /// requests batch when their inner (reduction) widths agree, folding
-/// into one widened launch whose head axis sits *inside* the fused
+/// into one widened launch whose head axis sits *inside* each row's
 /// non-zero loop — the per-non-zero coordinate walk is shared by every
-/// rider. The executable kernel is the fused nnz-parallel schedule with
-/// no knob of its own (the compiled CPU executor derives its microkernel
-/// from the fused loop), so `Config` is `()`; the GPU schedule space is
+/// rider. The executable kernel is the row-shaped schedule with no knob
+/// of its own (the compiled CPU executor derives its row nest and
+/// microkernel from the loops), so `Config` is `()`; the GPU schedule
+/// space — the nnz-parallel `sparse_fuse` one among them — is
 /// `sparsetir_plans::sddmm::SddmmParams`, priced by `sddmm_plan` there.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SddmmOp;

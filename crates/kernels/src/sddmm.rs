@@ -1,6 +1,9 @@
-//! SparseTIR SDDMM kernels (§4.2.2): the non-zero-parallel lowering of
-//! the Stage I `sparse_fuse` schedule ([`sddmm_ir`]) and the row-shaped
-//! multi-head kernel the served path launches.
+//! SparseTIR SDDMM kernels (§4.2.2) as the CPU compiles them: the
+//! row-shaped multi-head kernel the served path launches
+//! ([`batched_sddmm_ir`]), and [`sddmm_ir`], its one-head case. The
+//! paper's non-zero-parallel schedule — `sparse_fuse` on `(I, J)`, the
+//! GPU's load balancing — is priced by `sparsetir_plans` and kept here
+//! only as a test oracle.
 
 use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
@@ -8,15 +11,14 @@ use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
 
-/// IR-path fused SDDMM for functional validation.
+/// The one-head SDDMM (`X`, `Y`, `Bout` flat, as [`batched_sddmm_ir`]
+/// lays them out at one head): the kernel the served path compiles for a
+/// single request.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn sddmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    let mut program = sddmm_program(a.rows(), a.cols(), a.nnz(), feat);
-    sparse_fuse(&mut program, "sddmm", &["I", "J"])?;
-    let f = lower(&program)?;
-    Ok(f)
+    batched_sddmm_ir(a, 1, feat)
 }
 
 /// The SDDMM request-shape rule — the one check behind both
@@ -102,7 +104,7 @@ pub fn sddmm_execute_views_on(
 /// column-stacking an SpMM batch.
 ///
 /// The iteration stays row-shaped (`for i { for j in row(i) { .. } }`):
-/// [`sddmm_ir`]'s `sparse_fuse(["I", "J"])` balances non-zeros across GPU
+/// the paper's `sparse_fuse(["I", "J"])` balances non-zeros across GPU
 /// threads (§3.2) at the price of a binary-searched row recovery per
 /// non-zero, which buys the row-iterating CPU executor nothing. Unfused,
 /// the `j` loop is the same row nest the CSR SpMM runs; the arithmetic per
@@ -116,6 +118,16 @@ pub fn batched_sddmm_ir(
     feat: usize,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
     KernelSpec::BatchedSddmm { a: a.into(), heads, k: feat }.build()
+}
+
+/// The batched SDDMM under the GPU schedule — `sparse_fuse(["I", "J"])`,
+/// one loop over the non-zeros with a binary-searched row each (§3.2) — kept
+/// as the oracle for the row-shaped schedule the CPU compiles.
+#[cfg(test)]
+pub(crate) fn fused_ij_sddmm_ir(a: &Csr, heads: usize, feat: usize) -> PrimFunc {
+    let mut program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
+    sparse_fuse(&mut program, "sddmm", &["I", "J"]).unwrap();
+    lower(&program).unwrap()
 }
 
 #[cfg(test)]
@@ -160,16 +172,6 @@ mod tests {
         let bad = (gen::random_dense(5, 3, &mut rng), good.1.clone());
         assert!(run(&[bad], &mut [vec![0.0; nnz]]).contains("incompatible"));
         assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
-    }
-
-    /// The parent's lowering of the batched SDDMM — `sparse_fuse(["I",
-    /// "J"])`, one loop over non-zeros with a binary-searched row — kept
-    /// here as the oracle for the row-shaped schedule the served path
-    /// now compiles.
-    fn fused_ij_sddmm_ir(a: &Csr, heads: usize, feat: usize) -> PrimFunc {
-        let mut program = batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat);
-        sparse_fuse(&mut program, "sddmm", &["I", "J"]).unwrap();
-        lower(&program).unwrap()
     }
 
     /// Dropping `sparse_fuse` from the served SDDMM is a change of loop

@@ -104,16 +104,10 @@ impl KernelSpec {
                 Ok(lower(&batched_sddmm_program(a.rows, a.cols, a.nnz, heads, k))?)
             }
             KernelSpec::FusedAttention { a, heads, k, vfeat } => {
-                let mut program = fused_attention_program(a.rows, a.cols, a.nnz, heads, k, vfeat);
-                for pass in ["score", "rowmax", "expsum", "agg"] {
-                    sparse_fuse(&mut program, pass, &["I", "J"])?;
-                }
-                Ok(lower(&program)?)
+                Ok(lower(&fused_attention_program(a.rows, a.cols, a.nnz, heads, k, vfeat))?)
             }
             KernelSpec::FusedSage { a, feat, hidden } => {
-                let mut program = fused_sage_program(a.rows, a.cols, a.nnz, feat, hidden);
-                sparse_fuse(&mut program, "gather", &["I", "J"])?;
-                Ok(lower(&program)?)
+                Ok(lower(&fused_sage_program(a.rows, a.cols, a.nnz, feat, hidden))?)
             }
         }
     }
@@ -218,6 +212,46 @@ mod tests {
             if buckets.iter().map(|b| b.1).eq([1, 4]))
         };
         assert!(specs.iter().any(|s| an_empty_bucket(&s)), "fixture: widths 2 and 8 empty");
+    }
+
+    /// One Stage I program, two schedules: what the CPU compiles walks rows
+    /// — no kernel a spec builds, nor `sddmm_ir` (the benchmark's SDDMM
+    /// arm), recovers a row by binary search — while the pipeline oracles
+    /// and the SDDMM oracle keep the GPU's `sparse_fuse(["I", "J"])` and
+    /// search a row per non-zero. The served-vs-oracle bit checks compare
+    /// across loop shapes, not one shape with itself.
+    #[test]
+    fn cpu_kernels_walk_rows_and_the_oracles_search_them() {
+        let a = graph(36, 30, power_law, 11);
+        let listing = |f: &PrimFunc| CompiledKernel::compile(f).unwrap().disassemble();
+        let sp = CsrShape::from(&a);
+        let specs = [
+            KernelSpec::csr_spmm(&a, 16, CsrSpmmParams::default()),
+            spmm_spec(&a, 16, &hyb(2, 3)).unwrap().0,
+            KernelSpec::BatchedSddmm { a: sp, heads: 3, k: 8 },
+            KernelSpec::FusedAttention { a: sp, heads: 1, k: 8, vfeat: 4 },
+            KernelSpec::FusedAttention { a: sp, heads: 3, k: 8, vfeat: 4 },
+            KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 },
+        ];
+        for spec in &specs {
+            let l = listing(&spec.build().unwrap());
+            assert!(!l.contains("bsearch"), "{spec:?}\n{l}");
+        }
+        let l = listing(&crate::sddmm::sddmm_ir(&a, 8).unwrap());
+        assert!(!l.contains("bsearch"), "sddmm_ir\n{l}");
+
+        use crate::fused_attention::{attention_aggregate_ir, attention_score_ir, edge_softmax_ir};
+        let oracles = [
+            ("sddmm", crate::sddmm::fused_ij_sddmm_ir(&a, 3, 8)),
+            ("attention score", attention_score_ir(&a, 3, 8).unwrap()),
+            ("edge softmax", edge_softmax_ir(&a, 3).unwrap()),
+            ("attention aggregate", attention_aggregate_ir(&a, 3, 4).unwrap()),
+            ("sage gather", crate::fused_sage::sage_gather_ir(&a, 8).unwrap()),
+        ];
+        for (what, f) in &oracles {
+            let l = listing(f);
+            assert!(l.contains("bsearch"), "the {what} oracle searches rows\n{l}");
+        }
     }
 
     /// Lookups, hits and compilations of `rt` so far.

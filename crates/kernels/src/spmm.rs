@@ -678,6 +678,88 @@ mod crosscheck_tests {
             assert!(!l.contains("bsearch"), "row-shaped, no row recovery\n{l}");
             assert_eq!(l.contains("gather=@"), heads == 1, "{l}");
         }
+
+        // `sddmm_ir` — the benchmark's SDDMM arm — is the one-head served
+        // kernel, on whole tensors.
+        let k = 8;
+        let mut tensors = Bindings::new();
+        bind_csr(&mut tensors, "A", "J", &a);
+        bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), k, &mut rng));
+        bind_dense(&mut tensors, "Y", &gen::random_dense(k, a.cols(), &mut rng));
+        bind_zeros(&mut tensors, "Bout", a.nnz());
+        let want = Expect {
+            entries: a.rows() as u64,
+            trips: a.nnz() as u64,
+            prologue_trips: longest(&a),
+            once: 0,
+        };
+        let f = crate::sddmm::sddmm_ir(&a, k).unwrap();
+        let l = launch_repins(&f, &mut tensors, &want, "sddmm_ir");
+        assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+
+        // Fused attention, one head: the score pass is the SDDMM's nest and
+        // the aggregation — its coefficient the softmax ratio `P[pos] /
+        // Sum[i]` — a second one, each entered once per row. Three heads:
+        // the score nest is the head loop (entered per non-zero, walked
+        // trip by trip as the three-head SDDMM's), and the aggregation is
+        // no nest at all — both halves of its ratio move with the head.
+        let (d, row0) = (8, a.row_nnz(0) as u64);
+        for heads in [1usize, 3] {
+            let rt = Runtime::new();
+            let dense = |rows, cols, rng: &mut _| gen::random_dense(rows, cols, rng);
+            let qs: Vec<Dense> = (0..heads).map(|_| dense(a.rows(), d, &mut rng)).collect();
+            let kts: Vec<Dense> = (0..heads).map(|_| dense(d, a.cols(), &mut rng)).collect();
+            let vs: Vec<Dense> = (0..heads).map(|_| dense(a.cols(), d, &mut rng)).collect();
+            let mut outs = vec![Dense::zeros(a.rows(), d); heads];
+            let (q, kt, v): (Vec<&Dense>, Vec<&Dense>, Vec<&Dense>) =
+                (qs.iter().collect(), kts.iter().collect(), vs.iter().collect());
+            crate::fused_attention::fused_attention_views_on(&rt, &a, &q, &kt, &v, &mut outs)
+                .unwrap();
+            let spec = KernelSpec::FusedAttention { a: (&a).into(), heads, k: d, vfeat: d };
+            let kernel = spec.compile_on(&rt).unwrap();
+            assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
+            let (l, got) = (kernel.disassemble(), kernel.nest_counts());
+            let (rows, nnz) = (a.rows() as u64, a.nnz() as u64);
+            if heads == 1 {
+                assert_eq!((nests(&l, "nest.gsa"), nests(&l, "nest.axpy")), (1, 1), "{l}");
+                assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
+                assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
+                assert_eq!(
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
+                    (2 * rows, 2 * rows - 2, 0, 2 * nnz, 2 * (nnz - row0)),
+                    "attention, one head: every trip but row 0's stepped\n{l}"
+                );
+            } else {
+                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (1, 1), "{l}");
+                assert_eq!(lane_loops_outside_a_nest(&l), 1, "the aggregation\n{l}");
+                let trips = nnz * heads as u64;
+                assert_eq!(
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
+                    (nnz, nnz - 1, 0, trips, 0),
+                    "attention, {heads} heads\n{l}"
+                );
+            }
+        }
+
+        // Fused SAGE: the gather is a row nest over each row's neighbours,
+        // the transform one over its `feat` inputs (coefficient `Agg[i, k]
+        // · Dinv[i]`), each entered once per row.
+        let (feat, hidden) = (6, 16);
+        let rt = Runtime::new();
+        let x = gen::random_dense(a.cols(), feat, &mut rng);
+        let w = gen::random_dense(feat, hidden, &mut rng);
+        crate::fused_sage::fused_sage_execute_on(&rt, &a, &x, &w).unwrap();
+        let kernel =
+            KernelSpec::FusedSage { a: (&a).into(), feat, hidden }.compile_on(&rt).unwrap();
+        let (l, got) = (kernel.disassemble(), kernel.nest_counts());
+        assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (2, 0), "{l}");
+        assert!(l.contains("coeff=+1*row"), "the walked product\n{l}");
+        let (rows, trips) = (a.rows() as u64, (a.nnz() + a.rows() * feat) as u64);
+        assert_eq!(
+            (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
+            (2 * rows, 2 * rows - 2, 0, trips, trips - row0 - feat as u64),
+            "sage: every trip but row 0's stepped\n{l}"
+        );
     }
 
     /// The compiled executor must agree bit-for-bit with the reference

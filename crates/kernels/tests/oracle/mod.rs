@@ -1,5 +1,6 @@
-//! Independent `f64` references for the two served row kernels, with the
-//! bound an `f32` answer must meet — `stbench`'s rule, for `cargo test`.
+//! Independent `f64` references for the served kernels — SpMM, SDDMM, fused
+//! attention and fused SAGE — with the bound an `f32` answer must meet —
+//! `stbench`'s rule, for `cargo test`.
 //!
 //! Plain loops over [`Csr::indptr`] / [`Csr::indices`] / [`Csr::values`]:
 //! nothing here calls an `smat` kernel, the interpreter or the executor, so
@@ -74,6 +75,62 @@ pub fn sddmm_f64(a: &Csr, x: &[f32], y: &[f32], k: usize) -> Oracle {
             let (v, col) = (f64::from(a.values()[e]), a.indices()[e] as usize);
             for l in 0..k {
                 out.add(e, v * f64::from(x[r * k + l]) * f64::from(y[l * a.cols() + col]));
+            }
+        }
+    }
+    out
+}
+
+/// One head of softmax attention over `a`'s rows: `q` row-major
+/// `a.rows() × k`, `kt` row-major `k × a.cols()`, `v` row-major
+/// `a.cols() × vfeat`; row-major `a.rows() × vfeat`. A row's weights are
+/// `exp(s_e − max s) / Σ exp(·)` over its scores `s_e = a_e · (q_i · kt_:j)`,
+/// all in `f64`; the terms are `weight_e · v_jc`. An empty row is zero.
+pub fn attention_f64(a: &Csr, q: &[f32], kt: &[f32], v: &[f32], k: usize, vfeat: usize) -> Oracle {
+    let (m, n) = (a.rows(), a.cols());
+    assert_eq!((q.len(), kt.len(), v.len()), (m * k, k * n, n * vfeat), "operand shapes");
+    let mut out = Oracle::zeros(m * vfeat);
+    for r in 0..m {
+        let row = a.indptr()[r]..a.indptr()[r + 1];
+        let scores: Vec<f64> = row
+            .clone()
+            .map(|e| {
+                let col = a.indices()[e] as usize;
+                let dot: f64 =
+                    (0..k).map(|l| f64::from(q[r * k + l]) * f64::from(kt[l * n + col])).sum();
+                f64::from(a.values()[e]) * dot
+            })
+            .collect();
+        let max = scores.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let total: f64 = scores.iter().map(|s| (s - max).exp()).sum();
+        for (e, s) in row.zip(&scores) {
+            let (weight, col) = ((s - max).exp() / total, a.indices()[e] as usize);
+            for c in 0..vfeat {
+                out.add(r * vfeat + c, weight * f64::from(v[col * vfeat + c]));
+            }
+        }
+    }
+    out
+}
+
+/// GraphSAGE's mean-aggregate-then-transform step `(mean_{j ∈ N(i)} x_j) · w`
+/// over `a`'s structure (its values unused): `x` row-major `a.cols() × feat`,
+/// `w` row-major `feat × hidden`; row-major `a.rows() × hidden`. The terms
+/// are `x_jk · w_ko / deg(i)`, one per neighbour and `k`; an empty row is
+/// zero.
+pub fn sage_f64(a: &Csr, x: &[f32], w: &[f32], feat: usize, hidden: usize) -> Oracle {
+    assert_eq!((x.len(), w.len()), (a.cols() * feat, feat * hidden), "operand shapes");
+    let mut out = Oracle::zeros(a.rows() * hidden);
+    for r in 0..a.rows() {
+        let row = a.indptr()[r]..a.indptr()[r + 1];
+        let deg = row.len() as f64;
+        for e in row {
+            let col = a.indices()[e] as usize;
+            for l in 0..feat {
+                let xl = f64::from(x[col * feat + l]) / deg;
+                for o in 0..hidden {
+                    out.add(r * hidden + o, xl * f64::from(w[l * hidden + o]));
+                }
             }
         }
     }

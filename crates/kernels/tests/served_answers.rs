@@ -1,9 +1,11 @@
-//! The served row kernels against an independent `f64` reference with a
-//! stated bound (ROADMAP 7(b)): `spmm_execute_views_on` for one request and
-//! for batches of unequal widths, `sddmm_execute_views_on` for one head and
-//! three, over lane counts around the vector widths, on a graph with empty
-//! rows, one-non-zero rows and one row of `n / 2`. Bit-identity between our
-//! own paths is `exec_differential`'s business; this proves the answer.
+//! The served kernels against an independent `f64` reference with a stated
+//! bound (ROADMAP 7(b)): `spmm_execute_views_on` for one request and for
+//! batches of unequal widths, `sddmm_execute_views_on` and
+//! `fused_attention_views_on` for one head and three, `fused_sage_execute_on`
+//! with either operand narrow, over lane counts around the vector widths, on
+//! a graph with empty rows, one-non-zero rows and one row of `n / 2`.
+//! Bit-identity between our own paths is `exec_differential`'s business;
+//! this proves the answer.
 
 mod oracle;
 
@@ -80,6 +82,83 @@ fn served_sddmm_is_right_at_every_width_and_head_count() {
                     .check(out)
                     .unwrap_or_else(|e| panic!("k = {k}, head {h} of {heads}: {e}"));
             }
+        }
+    }
+}
+
+/// The attention and SAGE oracles against the library's own `f64`
+/// references, written apart from them (per head and per layer step), and
+/// able to say no.
+#[test]
+fn the_fused_oracles_agree_with_the_library_references() {
+    let (a, mut rng) = (graph(), gen::rng(0x10));
+    let (q, kt) =
+        (gen::random_dense(a.rows(), 5, &mut rng), gen::random_dense(5, a.cols(), &mut rng));
+    let v = gen::random_dense(a.cols(), 3, &mut rng);
+    let attention = fused_attention_reference(&a, &q, &kt, &v, 1);
+    let check = oracle::attention_f64(&a, q.data(), kt.data(), v.data(), 5, 3);
+    check.check(attention.data()).unwrap();
+    let mut wrong = attention.data().to_vec();
+    let at = wrong.iter().position(|v| v.abs() > 0.1).expect("a sizeable element");
+    wrong[at] *= 1.01;
+    assert!(check.check(&wrong).unwrap_err().starts_with(&format!("element {at}:")));
+    let (x, w) = (gen::random_dense(a.cols(), 4, &mut rng), gen::random_dense(4, 3, &mut rng));
+    let sage = fused_sage_reference(&a, &x, &w);
+    oracle::sage_f64(&a, x.data(), w.data(), 4, 3).check(sage.data()).unwrap();
+}
+
+const WIDTHS: [usize; 6] = [1, 3, 4, 16, 17, 48];
+
+fn refs(ds: &[Dense]) -> Vec<&Dense> {
+    ds.iter().collect()
+}
+
+#[test]
+fn served_attention_is_right_at_every_width_and_head_count() {
+    let (a, mut rng) = (graph(), gen::rng(0x0e));
+    for d in WIDTHS {
+        for heads in [1usize, 3] {
+            // Score width `d`, value width `d` and — so both lane loops
+            // meet every width with either shape — 3.
+            for vfeat in [d, 3] {
+                let dense = |rows, cols, rng: &mut _| gen::random_dense(rows, cols, rng);
+                let qs: Vec<Dense> = (0..heads).map(|_| dense(a.rows(), d, &mut rng)).collect();
+                let kts: Vec<Dense> = (0..heads).map(|_| dense(d, a.cols(), &mut rng)).collect();
+                let vs: Vec<Dense> = (0..heads).map(|_| dense(a.cols(), vfeat, &mut rng)).collect();
+                let mut outs = vec![Dense::zeros(a.rows(), vfeat); heads];
+                fused_attention_views_on(
+                    &Runtime::new(),
+                    &a,
+                    &refs(&qs),
+                    &refs(&kts),
+                    &refs(&vs),
+                    &mut outs,
+                )
+                .unwrap();
+                for (h, out) in outs.iter().enumerate() {
+                    let (q, kt, v) = (qs[h].data(), kts[h].data(), vs[h].data());
+                    oracle::attention_f64(&a, q, kt, v, d, vfeat).check(out.data()).unwrap_or_else(
+                        |e| panic!("k = {d}, vfeat = {vfeat}, head {h} of {heads}: {e}"),
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn served_sage_is_right_at_every_width() {
+    let (a, mut rng) = (graph(), gen::rng(0x0f));
+    for d in WIDTHS {
+        // The gather's lanes `d` wide and the transform's, each beside a
+        // narrow other.
+        for (feat, hidden) in [(d, 3), (3, d)] {
+            let x = gen::random_dense(a.cols(), feat, &mut rng);
+            let w = gen::random_dense(feat, hidden, &mut rng);
+            let out = fused_sage_execute_on(&Runtime::new(), &a, &x, &w).unwrap();
+            oracle::sage_f64(&a, x.data(), w.data(), feat, hidden)
+                .check(out.data())
+                .unwrap_or_else(|e| panic!("feat = {feat}, hidden = {hidden}: {e}"));
         }
     }
 }
