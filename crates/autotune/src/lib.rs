@@ -521,8 +521,8 @@ mod tests {
                 (0..40).collect()
             }
         }
-        struct Par;
-        impl Evaluator<i64> for Par {
+        struct Parallel;
+        impl Evaluator<i64> for Parallel {
             fn evaluate(&self, c: &i64) -> Option<f64> {
                 if *c % 7 == 3 {
                     None // infeasible candidates are skipped
@@ -531,17 +531,17 @@ mod tests {
                 }
             }
         }
-        struct Ser;
-        impl Evaluator<i64> for Ser {
+        struct Serial;
+        impl Evaluator<i64> for Serial {
             fn evaluate(&self, c: &i64) -> Option<f64> {
-                Par.evaluate(c)
+                Parallel.evaluate(c)
             }
             fn parallel(&self) -> bool {
                 false
             }
         }
-        let p = tune(&Range, &Par).unwrap();
-        let s = tune(&Range, &Ser).unwrap();
+        let p = tune(&Range, &Parallel).unwrap();
+        let s = tune(&Range, &Serial).unwrap();
         assert_eq!(p.best.candidate, 18);
         assert_eq!(s.best.candidate, 18);
         assert_eq!(p.trials.len(), s.trials.len());

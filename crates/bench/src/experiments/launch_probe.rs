@@ -16,9 +16,8 @@
 //!
 //! Smoke mode asserts the bit-identities and keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
-//! readings are taken the way `stbench` runs — `SPARSETIR_NUM_THREADS=1
-//! taskset -c 1` — or the CSR arm's `blockIdx` loop fans out and every
-//! launch pays two thread spawns (≈ 15 µs here).
+//! readings are taken the way `stbench` runs, pinned to one CPU
+//! (`taskset -c 1`).
 
 use super::*;
 use sparsetir_ir::prelude::{ColsView, RowsView, Runtime, TensorData, ViewBindings};

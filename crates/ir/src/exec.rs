@@ -9,18 +9,19 @@
 //! from execution:
 //!
 //! 1. **Compile** ([`Runtime::compile`]): walk a [`PrimFunc`] once, resolve
-//!    every [`Var`] and buffer name to a dense integer slot, statically
-//!    type every expression (variables are always integers, buffer loads
-//!    are typed by the buffer's dtype), fold constants, and lower the body
-//!    into a typed statement tree and from there into flat bytecode, with
-//!    no string lookups and no per-step allocation.
+//!    every [`Var`](crate::expr::Var) and buffer name to a dense integer
+//!    slot, statically type every expression (variables are always
+//!    integers, buffer loads are typed by the buffer's dtype), fold
+//!    constants, and lower the body into a typed statement tree and from
+//!    there into flat bytecode, with no string lookups and no per-step
+//!    allocation.
 //! 2. **Execute** ([`CompiledKernel::run`]): bind scalar parameters and
 //!    tensor storage into a flat frame (a `Vec<i64>` of scalar slots and a
-//!    table of raw buffer views) and run the instruction stream. Outermost
-//!    loops bound to `blockIdx.*` dispatch their iterations across OS
-//!    threads — blocks are spatial by construction in SparseTIR's model
-//!    (§3.3), and a conservative taint analysis double-checks that every
-//!    write is indexed by the block variable before parallelizing.
+//!    table of raw buffer views) and run the instruction stream on the
+//!    caller's thread. A loop bound to `blockIdx.*` is a serial loop here,
+//!    as in the interpreter: the binding is a GPU schedule (§3.3), which
+//!    Stage III lets the CPU lower sequentially, and a server parallelises
+//!    across requests, not inside one launch.
 //!
 //! Compiled kernels are cached by function identity in a [`Runtime`]
 //! (compile once, run many), so repeated validation/autotuning of the same
@@ -59,13 +60,12 @@
 
 use crate::buffer::Buffer;
 use crate::eval::TensorData;
-use crate::expr::{BinOp, Expr, Intrinsic, Var};
+use crate::expr::{BinOp, Expr, Intrinsic};
 use crate::func::PrimFunc;
-use crate::stmt::{ForKind, IterKind, Stmt, TensorTile};
-use std::collections::{HashMap, HashSet};
+use crate::stmt::{IterKind, Stmt, TensorTile};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicI32, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 mod bytecode;
@@ -102,7 +102,7 @@ impl std::error::Error for ExecError {}
 /// What a kernel's row nests did over its runs so far
 /// ([`CompiledKernel::nest_counts`]): whether the fast path is the one
 /// taken. `entries − repinned` are the entries that paid the full lane
-/// prologue: the first one per nest and thread of each launch, every entry
+/// prologue: the first one per nest of each launch, every entry
 /// of a nest that has no entry program, and any whose re-pin failed a
 /// check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -275,13 +275,6 @@ enum CStmt {
         extent: IntExpr,
         body: Box<CStmt>,
     },
-    /// Outermost `blockIdx.*` loop whose body passed the parallel-safety
-    /// analysis: iterations dispatch across OS threads.
-    ParFor {
-        slot: u32,
-        extent: IntExpr,
-        body: Box<CStmt>,
-    },
     Block(CBlock),
     StoreF {
         buf: u32,
@@ -346,14 +339,8 @@ struct CBlock {
 /// Raw view of one bound buffer. Pointers stay valid for the duration of a
 /// `run` call: function-level views point into the caller's `TensorData`
 /// map (not structurally mutated during execution) and local views point
-/// into the frame's allocation arena.
-///
-/// Element accesses go through relaxed atomics (free on x86/ARM for
-/// aligned 32-bit values): even if IR violates the blockIdx spatial
-/// contract and two ParFor iterations touch the same element, the result
-/// is a well-defined value race, never undefined behavior. The one
-/// exception is the fused lane microkernels on a thread-private frame
-/// ([`Frame::exclusive`]), which use plain loads and stores.
+/// into the frame's allocation arena. Element accesses are plain reads and
+/// writes ([`elem_load`], [`elem_store`]).
 #[derive(Debug, Clone, Copy)]
 enum RawBuf {
     F32 {
@@ -430,36 +417,26 @@ fn read_only(name: &str) -> ExecError {
     ExecError::new(format!("buffer `{name}` is bound to a read-only view"))
 }
 
-/// One element of a bound `f32` buffer, read through a relaxed atomic.
+/// One element of a bound buffer, read in place.
 ///
 /// # Safety
-/// SAFETY contract, shared by the four helpers here: `idx` has been
-/// bounds-checked against the view's `len`, and the view is valid for the
-/// whole run.
+/// SAFETY contract of every element access of a launch, the lane bodies'
+/// included: `idx` has been bounds-checked against the view's length, the
+/// view is valid for the whole run, and the launch's frame is the only
+/// accessor of its bindings — a launch runs on the caller's thread, and a
+/// writable element is reachable through exactly one binding (the `views`
+/// module's rule, which the `&mut` borrows of [`ViewBindings`] and of
+/// [`CompiledKernel::run`]'s tensor map enforce).
 #[inline]
-unsafe fn elem_load_f32(ptr: *mut f32, idx: usize) -> f32 {
-    f32::from_bits((*ptr.add(idx).cast::<AtomicU32>()).load(Ordering::Relaxed))
+unsafe fn elem_load<T: Copy>(ptr: *const T, idx: usize) -> T {
+    ptr.add(idx).read()
 }
 
 /// # Safety
-/// SAFETY: as [`elem_load_f32`], and the view is writable.
+/// SAFETY: as [`elem_load`], and the view is writable.
 #[inline]
-unsafe fn elem_store_f32(ptr: *mut f32, idx: usize, v: f32) {
-    (*ptr.add(idx).cast::<AtomicU32>()).store(v.to_bits(), Ordering::Relaxed);
-}
-
-/// # Safety
-/// SAFETY: as [`elem_load_f32`], over a bound `i32` buffer.
-#[inline]
-unsafe fn elem_load_i32(ptr: *mut i32, idx: usize) -> i32 {
-    (*ptr.add(idx).cast::<AtomicI32>()).load(Ordering::Relaxed)
-}
-
-/// # Safety
-/// SAFETY: as [`elem_load_i32`], and the view is writable.
-#[inline]
-unsafe fn elem_store_i32(ptr: *mut i32, idx: usize, v: i32) {
-    (*ptr.add(idx).cast::<AtomicI32>()).store(v, Ordering::Relaxed);
+unsafe fn elem_store<T>(ptr: *mut T, idx: usize, v: T) {
+    ptr.add(idx).write(v);
 }
 
 struct Frame {
@@ -468,16 +445,8 @@ struct Frame {
     /// Arena owning `Allocate`d staging buffers; `RawBuf` views point at
     /// the arena entries' heap storage, which is stable across pushes.
     locals: Vec<TensorData>,
-    /// Size-classed pool serving `Allocate` scratch; `None` in `ParFor`
-    /// sub-frames (they fall back to plain heap allocation).
-    pool: Option<Arc<BufferPool>>,
-    /// No other thread touches the bound buffers while this frame runs:
-    /// true for the frame a `run` call builds (its bindings are exclusive
-    /// borrows, or shared borrows it only reads), false for the per-thread
-    /// frames of a `Par` that fanned out — `parallel_safe` is a filter,
-    /// not an injectivity proof, so those may share elements. Licenses the
-    /// plain (non-atomic) lane bodies in `fuse`.
-    exclusive: bool,
+    /// Size-classed pool serving `Allocate` scratch.
+    pool: Arc<BufferPool>,
 }
 
 impl Frame {
@@ -489,7 +458,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < len and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load_f32(ptr, idx) }))
+                Ok(f64::from(unsafe { elem_load(ptr, idx) }))
             }
             RawBuf::SegCols { table, width, rows, .. } => {
                 let len = rows * width;
@@ -497,7 +466,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < rows * width and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load_f32(seg_cols_ptr(table, width, idx), 0) }))
+                Ok(f64::from(unsafe { elem_load(seg_cols_ptr(table, width, idx), 0) }))
             }
             RawBuf::SegRows { segs, n_segs, seg_len, .. } => {
                 let len = n_segs * seg_len;
@@ -505,7 +474,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < n_segs * seg_len and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load_f32(seg_rows_ptr(segs, seg_len, idx), 0) }))
+                Ok(f64::from(unsafe { elem_load(seg_rows_ptr(segs, seg_len, idx), 0) }))
             }
             RawBuf::I32 { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds i32 data, float load expected")))
@@ -522,7 +491,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < len and the view is valid for the run.
-                Ok(i64::from(unsafe { elem_load_i32(ptr, idx) }))
+                Ok(i64::from(unsafe { elem_load(ptr, idx) }))
             }
             RawBuf::F32 { .. } | RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds f32 data, int load expected")))
@@ -644,19 +613,11 @@ impl IntExpr {
                                 "binary_search range {lo}..{hi} out of bounds (len {len}) in buffer `{name}`"
                             )));
                         }
-                        // partition_point over atomic element reads (no
-                        // slice over potentially shared memory).
-                        let (mut l, mut h) = (lo, hi);
-                        while l < h {
-                            let mid = l + (h - l) / 2;
-                            // SAFETY: lo <= mid < hi <= len.
-                            if unsafe { elem_load_i32(ptr, mid) } < x {
-                                l = mid + 1;
-                            } else {
-                                h = mid;
-                            }
-                        }
-                        Ok((l - lo) as i64)
+                        // SAFETY: lo <= hi <= len elements behind `ptr`,
+                        // valid for the run, and nothing writes the binding
+                        // while the slice lives (`elem_load`'s contract).
+                        let seg = unsafe { std::slice::from_raw_parts(ptr.add(lo), hi - lo) };
+                        Ok(seg.partition_point(|&v| v < x) as i64)
                     }
                     RawBuf::F32 { .. } | RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
                         Err(ExecError::new(format!("binary_search over non-i32 buffer `{name}`")))
@@ -757,52 +718,24 @@ impl ValueExpr {
     }
 }
 
-/// Wrapper sending per-thread frames into scoped threads. The raw buffer
-/// views alias the same storage across threads; such frames are never
-/// `exclusive`, so all their element accesses are relaxed atomics and even
-/// contract-violating IR cannot cause undefined behavior — only a
-/// deterministic-per-schedule value race. Deterministic,
-/// interpreter-identical results are guaranteed for loops that honour the
-/// blockIdx spatial contract (checked conservatively by `parallel_safe`).
-struct SendFrame(Frame);
-// SAFETY: the raw pointers target allocations that outlive the scoped
-// threads, and every dereference on a non-`exclusive` frame goes through
-// relaxed atomics (see `elem_load_*`/`elem_store_*`), so cross-thread
-// access is well-defined. `run_parallel`, the only constructor, clears
-// `exclusive`.
-unsafe impl Send for SendFrame {}
-
-fn num_threads() -> usize {
-    if let Ok(v) = std::env::var("SPARSETIR_NUM_THREADS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Acquire one kernel-local scratch buffer, from the frame's pool when
-/// present (zeroed either way).
+/// Acquire one zeroed kernel-local scratch buffer from the frame's pool.
 #[inline]
 fn alloc_local(fr: &Frame, is_float: bool, len: usize) -> TensorData {
-    match (&fr.pool, is_float) {
-        (Some(p), true) => TensorData::F32(p.acquire_f32(len)),
-        (Some(p), false) => TensorData::I32(p.acquire_i32(len)),
-        (None, true) => TensorData::F32(vec![0.0; len]),
-        (None, false) => TensorData::I32(vec![0; len]),
+    if is_float {
+        TensorData::F32(fr.pool.acquire_f32(len))
+    } else {
+        TensorData::I32(fr.pool.acquire_i32(len))
     }
 }
 
 /// Pop the innermost local scratch buffer, returning its storage to the
-/// frame's pool when present.
+/// frame's pool.
 #[inline]
 fn free_local(fr: &mut Frame) {
-    let Some(data) = fr.locals.pop() else { return };
-    if let Some(p) = &fr.pool {
-        match data {
-            TensorData::F32(v) => p.release_f32(v),
-            TensorData::I32(v) => p.release_i32(v),
-        }
+    match fr.locals.pop() {
+        Some(TensorData::F32(v)) => fr.pool.release_f32(v),
+        Some(TensorData::I32(v)) => fr.pool.release_i32(v),
+        None => {}
     }
 }
 
@@ -824,7 +757,7 @@ fn exec_store_f(
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len.
-            unsafe { elem_store_f32(ptr, flat, v as f32) };
+            unsafe { elem_store(ptr, flat, v as f32) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -836,7 +769,7 @@ fn exec_store_f(
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < rows * width.
-            unsafe { elem_store_f32(seg_cols_ptr(table, width, flat), 0, v as f32) };
+            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f32) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -848,7 +781,7 @@ fn exec_store_f(
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store_f32(seg_rows_ptr(segs, seg_len, flat), 0, v as f32) };
+            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f32) };
             Ok(())
         }
         RawBuf::I32 { .. } => Err(ExecError::new(format!("expected int, got float {v}"))),
@@ -875,10 +808,10 @@ fn exec_accum_f(
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len and the view is valid for the run.
-            let cur = f64::from(unsafe { elem_load_f32(ptr, flat) });
+            let cur = f64::from(unsafe { elem_load(ptr, flat) });
             let v = cur + rest.eval(fr)?;
             // SAFETY: flat < len, checked above.
-            unsafe { elem_store_f32(ptr, flat, v as f32) };
+            unsafe { elem_store(ptr, flat, v as f32) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -889,13 +822,13 @@ fn exec_accum_f(
             // SAFETY: flat < rows * width and the view is valid for the run.
             let p = unsafe { seg_cols_ptr(table, width, flat) };
             // SAFETY: `p` is that element's address.
-            let cur = f64::from(unsafe { elem_load_f32(p, 0) });
+            let cur = f64::from(unsafe { elem_load(p, 0) });
             let v = cur + rest.eval(fr)?;
             if !writable {
                 return Err(read_only(&index.name));
             }
             // SAFETY: same element, checked above.
-            unsafe { elem_store_f32(p, 0, v as f32) };
+            unsafe { elem_store(p, 0, v as f32) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -906,13 +839,13 @@ fn exec_accum_f(
             // SAFETY: flat < n_segs * seg_len and the view is valid for the run.
             let p = unsafe { seg_rows_ptr(segs, seg_len, flat) };
             // SAFETY: `p` is that element's address.
-            let cur = f64::from(unsafe { elem_load_f32(p, 0) });
+            let cur = f64::from(unsafe { elem_load(p, 0) });
             let v = cur + rest.eval(fr)?;
             if !writable {
                 return Err(read_only(&index.name));
             }
             // SAFETY: same element, checked above.
-            unsafe { elem_store_f32(p, 0, v as f32) };
+            unsafe { elem_store(p, 0, v as f32) };
             Ok(())
         }
         // The generic form fails inside the load, with the load's wording.
@@ -936,7 +869,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len.
-            unsafe { elem_store_i32(ptr, flat, v as i32) };
+            unsafe { elem_store(ptr, flat, v as i32) };
             Ok(())
         }
         RawBuf::F32 { ptr, len } => {
@@ -944,7 +877,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len.
-            unsafe { elem_store_f32(ptr, flat, v as f64 as f32) };
+            unsafe { elem_store(ptr, flat, v as f64 as f32) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -956,7 +889,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < rows * width.
-            unsafe { elem_store_f32(seg_cols_ptr(table, width, flat), 0, v as f64 as f32) };
+            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f64 as f32) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -968,7 +901,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store_f32(seg_rows_ptr(segs, seg_len, flat), 0, v as f64 as f32) };
+            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f64 as f32) };
             Ok(())
         }
         RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", index.name))),
@@ -1003,7 +936,7 @@ fn exec_mma(
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < len.
-                Ok(unsafe { elem_load_f32(ptr, idx) })
+                Ok(unsafe { elem_load(ptr, idx) })
             }
             RawBuf::I32 { .. } => Err(ExecError::new("mma_sync operand must be float")),
             RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
@@ -1032,12 +965,9 @@ fn exec_mma(
                     if idx >= len {
                         return Err(oob(&c.name, idx, len));
                     }
-                    // SAFETY: idx < len. Load-modify-store, not an atomic
-                    // RMW: accumulation order within one iteration is
-                    // serial, and other iterations touch disjoint tiles
-                    // under the spatial contract.
+                    // SAFETY: idx < len.
                     unsafe {
-                        elem_store_f32(ptr, idx, elem_load_f32(ptr, idx) + acc[mi * n + ni]);
+                        elem_store(ptr, idx, elem_load(ptr, idx) + acc[mi * n + ni]);
                     }
                 }
             }
@@ -1372,24 +1302,17 @@ impl Compiler {
         })
     }
 
-    /// `outermost` is true only until the first loop/block boundary is
-    /// crossed: only outermost blockIdx loops parallelize.
-    fn compile_stmt(&mut self, s: &Stmt, outermost: bool) -> Result<CStmt, ExecError> {
+    /// Every loop compiles to a serial [`CStmt::For`], whatever its
+    /// `ForKind`: the interpreter ignores thread bindings too.
+    fn compile_stmt(&mut self, s: &Stmt) -> Result<CStmt, ExecError> {
         Ok(match s {
-            Stmt::For { var, extent, kind, body } => {
+            Stmt::For { var, extent, body, .. } => {
                 let extent = self.compile_int(extent)?;
                 self.var_scopes.push(HashMap::new());
                 let slot = self.fresh_slot(&var.name);
-                let cbody = self.compile_stmt(body, false)?;
+                let body = Box::new(self.compile_stmt(body)?);
                 self.var_scopes.pop();
-                let parallel = outermost
-                    && matches!(kind, ForKind::ThreadBinding(axis) if axis.is_block())
-                    && parallel_safe(body, var);
-                if parallel {
-                    CStmt::ParFor { slot, extent, body: Box::new(cbody) }
-                } else {
-                    CStmt::For { slot, extent, body: Box::new(cbody) }
-                }
+                CStmt::For { slot, extent, body }
             }
             Stmt::Block(b) => {
                 // Bindings are evaluated sequentially in the outer scope,
@@ -1404,10 +1327,10 @@ impl Compiler {
                 }
                 let all_spatial = b.iter_vars.iter().all(|iv| iv.kind == IterKind::Spatial);
                 let init = match &b.init {
-                    Some(init) => Some(Box::new(self.compile_stmt(init, false)?)),
+                    Some(init) => Some(Box::new(self.compile_stmt(init)?)),
                     None => None,
                 };
-                let body = Box::new(self.compile_stmt(&b.body, false)?);
+                let body = Box::new(self.compile_stmt(&b.body)?);
                 self.var_scopes.pop();
                 CStmt::Block(CBlock { iters, all_spatial, init, body })
             }
@@ -1430,15 +1353,15 @@ impl Compiler {
             Stmt::Seq(stmts) => {
                 let mut out = Vec::with_capacity(stmts.len());
                 for st in stmts {
-                    out.push(self.compile_stmt(st, outermost)?);
+                    out.push(self.compile_stmt(st)?);
                 }
                 CStmt::Seq(out)
             }
             Stmt::IfThenElse { cond, then_branch, else_branch } => CStmt::If {
                 cond: self.compile_bool(cond)?,
-                then_: Box::new(self.compile_stmt(then_branch, false)?),
+                then_: Box::new(self.compile_stmt(then_branch)?),
                 else_: match else_branch {
-                    Some(e) => Some(Box::new(self.compile_stmt(e, false)?)),
+                    Some(e) => Some(Box::new(self.compile_stmt(e)?)),
                     None => None,
                 },
             },
@@ -1451,7 +1374,7 @@ impl Compiler {
                     let value = self.compile_int(value)?;
                     self.var_scopes.push(HashMap::new());
                     let slot = self.fresh_slot(&var.name);
-                    let body = Box::new(self.compile_stmt(body, false)?);
+                    let body = Box::new(self.compile_stmt(body)?);
                     self.var_scopes.pop();
                     CStmt::Let { slot, value, body }
                 }
@@ -1464,7 +1387,7 @@ impl Compiler {
                     .collect::<Result<Vec<_>, _>>()?;
                 self.buf_scopes.push(HashMap::new());
                 let buf = self.fresh_buf(&buffer.name);
-                let body = Box::new(self.compile_stmt(body, false)?);
+                let body = Box::new(self.compile_stmt(body)?);
                 self.buf_scopes.pop();
                 let name = buffer.name.to_string();
                 CStmt::Alloc { buf, name, is_float: buffer.dtype.is_float(), len_dims, body }
@@ -1518,141 +1441,6 @@ fn fold_int(op: IntOp, lhs: IntExpr, rhs: IntExpr) -> IntExpr {
         }
     }
     IntExpr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel-safety analysis
-// ---------------------------------------------------------------------------
-
-fn expr_mentions(e: &Expr, tainted: &HashSet<Rc<str>>) -> bool {
-    let mut found = false;
-    let mut stack = vec![e];
-    while let Some(e) = stack.pop() {
-        match e {
-            Expr::Var(v) => {
-                if tainted.contains(&v.name) {
-                    found = true;
-                    break;
-                }
-            }
-            Expr::Int { .. } | Expr::Float { .. } => {}
-            Expr::Binary { lhs, rhs, .. } => {
-                stack.push(lhs);
-                stack.push(rhs);
-            }
-            Expr::Select { cond, then, otherwise } => {
-                stack.push(cond);
-                stack.push(then);
-                stack.push(otherwise);
-            }
-            Expr::Cast { value, .. } => stack.push(value),
-            Expr::BufferLoad { indices, .. } => stack.extend(indices.iter()),
-            Expr::Call { args, .. } => stack.extend(args.iter()),
-        }
-    }
-    found
-}
-
-/// Heuristic filter deciding whether a `blockIdx`-bound loop may dispatch
-/// across threads: every write inside `body` must be indexed by the
-/// candidate parallel loop variable `var` (directly or through `let` /
-/// block-iter bindings derived from it), and no reduction may iterate
-/// over it. This filters obviously-colliding loops on top of the IR-level
-/// contract that `blockIdx`-bound loops are spatial; it does **not** prove
-/// injectivity (e.g. `C[i % 2]` passes), so IR that lies about the spatial
-/// contract can still race — yielding nondeterministic *values* but never
-/// undefined behavior, since every element access of a fanned-out frame is
-/// a relaxed atomic (such frames are not [`Frame::exclusive`]).
-/// Failing the filter falls back to serial execution.
-fn parallel_safe(body: &Stmt, var: &Var) -> bool {
-    let mut tainted: HashSet<Rc<str>> = HashSet::new();
-    tainted.insert(var.name.clone());
-    let mut locals: HashSet<Rc<str>> = HashSet::new();
-    check_parallel(body, &mut tainted, &mut locals)
-}
-
-fn check_parallel(s: &Stmt, tainted: &mut HashSet<Rc<str>>, locals: &mut HashSet<Rc<str>>) -> bool {
-    match s {
-        Stmt::For { var, body, .. } => {
-            // The loop var shadows any tainted binding of the same name.
-            let was = tainted.remove(&var.name);
-            let ok = check_parallel(body, tainted, locals);
-            if was {
-                tainted.insert(var.name.clone());
-            }
-            ok
-        }
-        Stmt::Block(b) => {
-            let mut added = Vec::new();
-            let mut shadowed = Vec::new();
-            for iv in &b.iter_vars {
-                let derives = expr_mentions(&iv.binding, tainted);
-                if derives && iv.kind == IterKind::Reduce {
-                    // A reduction over the parallel dimension would merge
-                    // writes across iterations: not parallel-safe.
-                    for name in added {
-                        tainted.remove::<Rc<str>>(&name);
-                    }
-                    for name in shadowed {
-                        tainted.insert(name);
-                    }
-                    return false;
-                }
-                if derives {
-                    if tainted.insert(iv.var.name.clone()) {
-                        added.push(iv.var.name.clone());
-                    }
-                } else if tainted.remove(&iv.var.name) {
-                    shadowed.push(iv.var.name.clone());
-                }
-            }
-            let ok = b.init.as_ref().is_none_or(|init| check_parallel(init, tainted, locals))
-                && check_parallel(&b.body, tainted, locals);
-            for name in added {
-                tainted.remove::<Rc<str>>(&name);
-            }
-            for name in shadowed {
-                tainted.insert(name);
-            }
-            ok
-        }
-        Stmt::BufferStore { buffer, indices, .. } => {
-            locals.contains(&buffer.name) || indices.iter().any(|i| expr_mentions(i, tainted))
-        }
-        Stmt::Seq(stmts) => stmts.iter().all(|st| check_parallel(st, tainted, locals)),
-        Stmt::IfThenElse { then_branch, else_branch, .. } => {
-            check_parallel(then_branch, tainted, locals)
-                && else_branch.as_ref().is_none_or(|e| check_parallel(e, tainted, locals))
-        }
-        Stmt::Let { var, value, body } => {
-            let derives = expr_mentions(value, tainted);
-            let (added, shadowed) = if derives {
-                (tainted.insert(var.name.clone()), false)
-            } else {
-                (false, tainted.remove(&var.name))
-            };
-            let ok = check_parallel(body, tainted, locals);
-            if added {
-                tainted.remove(&var.name);
-            }
-            if shadowed {
-                tainted.insert(var.name.clone());
-            }
-            ok
-        }
-        Stmt::Allocate { buffer, body } => {
-            let added = locals.insert(buffer.name.clone());
-            let ok = check_parallel(body, tainted, locals);
-            if added {
-                locals.remove(&buffer.name);
-            }
-            ok
-        }
-        Stmt::Evaluate(_) => true,
-        Stmt::MmaSync { c, .. } => {
-            locals.contains(&c.buffer.name) || expr_mentions(&c.offset, tainted)
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1733,7 +1521,7 @@ impl CompiledKernel {
             let slot = c.fresh_buf(&b.name);
             buffers.push((b.name.to_string(), b.dtype.is_float(), slot));
         }
-        let tree = c.compile_stmt(&func.body, true)?;
+        let tree = c.compile_stmt(&func.body)?;
         let plan = MemoryPlan::of(func, &buffers, &c.buf_names, &tree);
         Ok(CompiledKernel {
             name: func.name.to_string(),
@@ -1793,12 +1581,6 @@ impl CompiledKernel {
     #[must_use]
     pub fn nest_counts(&self) -> NestCounts {
         self.code.nest_counts()
-    }
-
-    /// True when the outermost loop dispatches iterations across threads.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.code.is_parallel()
     }
 
     /// Execute against named scalar parameters and tensor storage, exactly
@@ -1884,13 +1666,7 @@ impl CompiledKernel {
     }
 
     fn exec_frame(&self, scalars: Vec<i64>, bufs: Vec<RawBuf>) -> Result<(), ExecError> {
-        let mut frame = Frame {
-            scalars,
-            bufs,
-            locals: Vec::new(),
-            pool: Some(Arc::clone(&self.pool)),
-            exclusive: true,
-        };
+        let mut frame = Frame { scalars, bufs, locals: Vec::new(), pool: Arc::clone(&self.pool) };
         let result = self.code.exec(&mut frame);
         self.frame_pool.lock().unwrap().push(frame.scalars);
         result

@@ -31,15 +31,17 @@
 //!   exactly as without the nest — whichever trip it cannot take.
 //! * **A nest is entered many times per launch, and keeps what cannot
 //!   change between entries.** The dispatch loop's [`State`] has one slot
-//!   per nest instruction: the first entry (per thread — each thread of a
-//!   fanned-out `Par` has its own `State`) pays the lane prologue and
-//!   establishes the launch-invariant walk state there; later entries run
-//!   the nest's entry program and re-pin it ([`run_nest`]). `Alloc` /
+//!   per nest instruction: a launch's first entry pays the lane prologue
+//!   and establishes the launch-invariant walk state there; later entries
+//!   run the nest's entry program and re-pin it ([`run_nest`]). `Alloc` /
 //!   `Free` of a buffer the state names drops it. The slots are one slab
-//!   per thread ([`WALKS`]), handed back empty after every launch: a warm
-//!   launch allocates no walk state, a kernel keeps none. Entries, re-pins and
-//!   hand-overs are counted per launch and added to the [`Code`]'s totals
-//!   when `exec` returns ([`Code::nest_counts`]).
+//!   per launching thread ([`WALKS`]), handed back empty after every
+//!   launch: a warm launch allocates no walk state, a kernel keeps none.
+//!   Entries, re-pins and hand-overs are counted per launch and added to
+//!   the [`Code`]'s totals when `exec` returns ([`Code::nest_counts`]).
+//!
+//! A launch is one pass of this loop on the caller's thread: a
+//! `blockIdx`-bound loop is a `LoopStart` like any other.
 //!
 //! Semantics are bit-identical to the reference interpreter
 //! ([`crate::eval`]); the differential suite drives interpreter /
@@ -47,9 +49,8 @@
 
 use super::fuse::{self, LaneSpec, NestSpec, Stepped, Taken, Trips};
 use super::{
-    exec_accum_f, exec_mma, exec_store_f, exec_store_i, num_threads, BoolExpr, CBlock, CStmt,
-    ExecError, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf,
-    SendFrame, ValueExpr,
+    exec_accum_f, exec_mma, exec_store_f, exec_store_i, BoolExpr, CBlock, CStmt, ExecError,
+    FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf, ValueExpr,
 };
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -63,11 +64,6 @@ pub(super) enum Instr {
     /// loop record and fall through to the body, else jump to `end`
     /// (the instruction after the matching [`Instr::LoopEnd`]).
     LoopStart { slot: u32, extent: IntExpr, end: u32 },
-    /// Outermost `blockIdx.*` loop that passed the parallel-safety
-    /// analysis: iterations of the body range `[addr+1, end-1)` dispatch
-    /// across OS threads. With one thread it degenerates to
-    /// [`Instr::LoopStart`], sharing its `LoopEnd` as the back edge.
-    Par { slot: u32, extent: IntExpr, end: u32 },
     /// Back edge: advance the innermost loop record; jump to its body
     /// address or pop it and fall through.
     LoopEnd,
@@ -162,7 +158,6 @@ impl Lower {
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.instrs[at] {
             Instr::LoopStart { end, .. }
-            | Instr::Par { end, .. }
             | Instr::BlockHead { init_end: end, .. }
             | Instr::Branch { else_: end, .. }
             | Instr::Jump { target: end }
@@ -214,13 +209,6 @@ impl Lower {
                 if self.fuse {
                     self.nest_head(at);
                 }
-            }
-            CStmt::ParFor { slot, extent, body } => {
-                let at = self.emit(Instr::Par { slot: *slot, extent: extent.clone(), end: 0 });
-                self.stmt(body);
-                self.emit(Instr::LoopEnd);
-                let end = self.here();
-                self.patch(at, end);
             }
             CStmt::Block(b) => self.block(&b.iters, b),
             CStmt::StoreF { buf, index, value } => {
@@ -483,7 +471,7 @@ struct WriteInfo {
 
 fn scan_writes(s: &CStmt, w: &mut WriteInfo) {
     match s {
-        CStmt::For { slot, body, .. } | CStmt::ParFor { slot, body, .. } => {
+        CStmt::For { slot, body, .. } => {
             w.slots.insert(*slot);
             scan_writes(body, w);
         }
@@ -590,8 +578,7 @@ struct LoopFrame {
     n: i64,
 }
 
-/// What a row nest keeps from one entry to the next within a launch, per
-/// thread.
+/// What a row nest keeps from one entry to the next within a launch.
 struct Kept {
     /// The launch-invariant walk state; `None` when the nest's bindings
     /// are of a kind its walks do not cover (every entry then takes the
@@ -612,7 +599,9 @@ thread_local! {
     static WALKS: Cell<Vec<Option<Kept>>> = const { Cell::new(Vec::new()) };
 }
 
-/// Nests [`WALKS`] has room for from a thread's first launch on.
+/// Nests [`WALKS`] has room for from a thread's first launch: more than a
+/// served kernel has (`hyb(c, k)`: one per non-empty bucket, plus the
+/// init), so the slab stays where that launch put it.
 const RESERVED_NESTS: usize = 64;
 
 /// Length, capacity and address of this thread's walk-state slab (the
@@ -625,16 +614,13 @@ pub(super) fn walk_slab() -> (usize, usize, usize) {
     seen
 }
 
-/// Mutable interpreter state threaded through [`run_range`] alongside the
+/// Mutable interpreter state threaded through [`dispatch`] alongside the
 /// frame: the loop stack, the alloc shadow stack, and what the row nests
 /// of the stream `'c` keep across their entries.
 struct State<'c> {
     code: &'c [Instr],
     loops: Vec<LoopFrame>,
     saved: Vec<RawBuf>,
-    /// Most threads a `Par` may fan out to; `None` asks
-    /// `SPARSETIR_NUM_THREADS` when one is reached.
-    threads: Option<usize>,
     /// This thread's [`WALKS`] for the launch; `None` until the nest's
     /// first entry establishes it.
     kept: Vec<Option<Kept>>,
@@ -644,14 +630,13 @@ struct State<'c> {
 }
 
 impl<'c> State<'c> {
-    fn new(code: &'c [Instr], threads: Option<usize>) -> State<'c> {
+    fn new(code: &'c [Instr]) -> State<'c> {
         let kept = WALKS.take();
         debug_assert!(kept.is_empty(), "a launch starts with every nest unestablished");
         State {
             code,
             loops: Vec::new(),
             saved: Vec::new(),
-            threads,
             kept,
             step: Stepped::scratch(),
             counts: NestCounts::default(),
@@ -700,11 +685,6 @@ impl Code {
             .collect()
     }
 
-    /// True when the stream contains a thread-dispatching loop.
-    pub(super) fn is_parallel(&self) -> bool {
-        self.instrs.iter().any(|i| matches!(i, Instr::Par { .. }))
-    }
-
     /// Iterate the instruction stream (disassembly).
     pub(super) fn instrs(&self) -> &[Instr] {
         &self.instrs
@@ -715,44 +695,31 @@ impl Code {
         *self.nest_counts.lock().expect("no panic while counting")
     }
 
-    /// Execute the whole stream against `fr`.
+    /// Execute the whole stream against `fr`, on this thread.
     pub(super) fn exec(&self, fr: &mut Frame) -> Result<(), ExecError> {
-        self.exec_on(fr, None)
-    }
-
-    /// [`Code::exec`] with the `Par` thread cap given instead of read from
-    /// the environment.
-    pub(super) fn exec_on(&self, fr: &mut Frame, threads: Option<usize>) -> Result<(), ExecError> {
-        let end = u32::try_from(self.instrs.len()).expect("kernel exceeds u32 instructions");
-        let mut st = State::new(&self.instrs, threads);
+        let mut st = State::new(&self.instrs);
         if st.kept.capacity() == 0 {
-            // Reserved once per launching thread, for more nests than a
-            // served kernel has (`hyb(c, k)`: one per non-empty bucket, plus
-            // the init), so the slab stays where the thread's first launch
-            // put it. Grown launch by launch it ended up where glibc trims
-            // the heap top: `stbench kernel_wide` `cold_ratio` 0.061 →
-            // 0.096–0.103, `peak_rss_mb` 218.5 → 210.6, page faults every
-            // pass. (A fanned-out `Par`'s short-lived workers grow theirs.)
+            // Reserved once per launching thread ([`RESERVED_NESTS`]).
+            // Grown launch by launch it ended up where glibc trims the heap
+            // top: `stbench kernel_wide` `cold_ratio` 0.061 → 0.096–0.103,
+            // `peak_rss_mb` 218.5 → 210.6, page faults every pass.
             st.kept.reserve_exact(RESERVED_NESTS);
         }
-        let result = run_range(&self.instrs, 0, end, fr, &mut st);
+        let result = dispatch(&self.instrs, fr, &mut st);
         self.nest_counts.lock().expect("no panic while counting").add(st.counts);
         result
     }
 }
 
-/// The dispatch loop: execute instructions `[start, end)`. On error the
+/// The dispatch loop: execute the stream `code`. On error the
 /// partially-unwound `State` is discarded by the caller, so no cleanup
-/// pass is needed.
-#[allow(clippy::too_many_lines)]
-fn run_range<'c>(
-    code: &'c [Instr],
-    start: u32,
-    end: u32,
-    fr: &mut Frame,
-    st: &mut State<'c>,
-) -> Result<(), ExecError> {
-    let mut ip = start;
+/// pass is needed. Out of line: inlined into [`Code::exec`], its one
+/// caller, `stbench serve_shared_dynamic` (scalar attention passes) read
+/// ≈ 5 % slower.
+#[inline(never)]
+fn dispatch<'c>(code: &'c [Instr], fr: &mut Frame, st: &mut State<'c>) -> Result<(), ExecError> {
+    let end = u32::try_from(code.len()).expect("kernel exceeds u32 instructions");
+    let mut ip = 0;
     while ip < end {
         // Indexing is in-bounds by construction: every jump target the
         // lowering pass emits lies within the stream.
@@ -777,24 +744,6 @@ fn run_range<'c>(
                     st.loops.pop();
                     ip += 1;
                 }
-            }
-            Instr::Par { slot, extent, end: lend } => {
-                let n = extent.eval(fr)?;
-                if n <= 0 {
-                    ip = *lend;
-                    continue;
-                }
-                let threads = st.threads.unwrap_or_else(num_threads).min(n as usize);
-                if threads < 2 {
-                    // Serial degenerate case: exactly a LoopStart, reusing
-                    // the shared LoopEnd at `lend - 1` as the back edge.
-                    fr.scalars[*slot as usize] = 0;
-                    st.loops.push(LoopFrame { slot: *slot, body: ip + 1, i: 0, n });
-                    ip += 1;
-                    continue;
-                }
-                run_parallel(code, ip + 1, *lend - 1, fr, (*slot, n, threads), &mut st.counts)?;
-                ip = *lend;
             }
             Instr::Bind { slot, value } => {
                 fr.scalars[*slot as usize] = value.eval(fr)?;
@@ -905,7 +854,7 @@ fn alloc(
 /// `end` when the nest took every trip, else the loop body right behind
 /// it, entered at the first trip the nest could not take.
 ///
-/// The first entry of a launch (per thread) runs the lane prologue through
+/// The first entry of a launch runs the lane prologue through
 /// the tree evaluators and establishes the nest's launch-invariant walk
 /// state in `st`; every later one runs the nest's entry program and re-pins
 /// that state. An entry whose re-pin fails a check — before it wrote
@@ -961,58 +910,4 @@ fn run_nest<'c>(
     fr.scalars[spec.slot as usize] = done;
     st.loops.push(LoopFrame { slot: spec.slot, body: ip + 1, i: done, n });
     Ok(ip + 1)
-}
-
-/// Dispatch iterations `0..n` of the body range `[body_start, body_end)`
-/// across `threads` scoped threads: contiguous chunks, one cloned frame
-/// per thread (not `exclusive`: the threads share the bound buffers),
-/// first error wins. Each thread keeps its own row-nest state; what its
-/// nests counted is added to `counts`.
-fn run_parallel(
-    code: &[Instr],
-    body_start: u32,
-    body_end: u32,
-    fr: &Frame,
-    (slot, n, threads): (u32, i64, usize),
-    counts: &mut NestCounts,
-) -> Result<(), ExecError> {
-    let chunk = (n as usize).div_ceil(threads);
-    let shared: Mutex<(Option<ExecError>, NestCounts)> = Mutex::new((None, *counts));
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let lo = (t * chunk) as i64;
-            let hi = n.min(((t + 1) * chunk) as i64);
-            if lo >= hi {
-                break;
-            }
-            let tf = SendFrame(Frame {
-                scalars: fr.scalars.clone(),
-                bufs: fr.bufs.clone(),
-                locals: Vec::new(),
-                pool: None,
-                exclusive: false,
-            });
-            let shared = &shared;
-            s.spawn(move || {
-                // Move the whole wrapper (not just `tf.0`) so the `Send`
-                // impl on `SendFrame` applies.
-                let mut tf = tf;
-                let mut st = State::new(code, None);
-                let mut failed = None;
-                for i in lo..hi {
-                    tf.0.scalars[slot as usize] = i;
-                    if let Err(e) = run_range(code, body_start, body_end, &mut tf.0, &mut st) {
-                        failed = Some(e);
-                        break;
-                    }
-                }
-                let mut g = shared.lock().expect("no thread panics holding the lock");
-                g.0 = g.0.take().or(failed);
-                g.1.add(st.counts);
-            });
-        }
-    });
-    let (first_err, total) = shared.into_inner().expect("no thread panics holding the lock");
-    *counts = total;
-    first_err.map_or(Ok(()), Err)
 }

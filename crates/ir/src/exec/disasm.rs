@@ -68,9 +68,6 @@ fn instr(ins: &Instr, code: &[Instr]) -> String {
         Instr::LoopStart { slot, extent, end } => {
             format!("for        %{slot} in 0..{}, end={end:04}", int(extent))
         }
-        Instr::Par { slot, extent, end } => {
-            format!("par        %{slot} in 0..{}, end={end:04}", int(extent))
-        }
         Instr::LoopEnd => "end".to_string(),
         Instr::Bind { slot, value } => format!("bind       %{slot} = {}", int(value)),
         Instr::BindSlot { slot, src } => format!("mov        %{slot} = %{src}"),

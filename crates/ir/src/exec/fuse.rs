@@ -21,8 +21,7 @@
 //!   shapes ([`Micro`]): `FillLanes`, `AxpyLanes`, `DotLanes`,
 //!   `GatherScaleAccumulate`; and
 //! * nothing re-evaluated inside the loop **reads the written buffer** —
-//!   a slot-level aliasing analysis mirroring the name-level taint check
-//!   that gates `blockIdx` parallelization in the parent module.
+//!   a slot-level aliasing analysis.
 //!
 //! A `k_o × k_i` nest that `Schedule::split` made of such a loop is
 //! **coalesced** back into one lane run when both loops walk the operands
@@ -83,22 +82,16 @@
 //! NaNs meet — `fadd`/`fmul` commute at instruction selection — so a NaN
 //! lane is NaN everywhere, its sign and payload are not pinned.)
 //!
-//! **Memory rule: plain on thread-private frames, atomic otherwise.** On
-//! an [`Frame::exclusive`] frame — the one a `run` call builds; no other
-//! thread touches its buffers — lanes are plain raw-pointer loads and
-//! stores ([`Plain`]), one monomorphised loop per [`TermShape`]. The
-//! per-thread frames of a `Par` that fanned out keep the relaxed-atomic
-//! helpers of generic dispatch ([`Atomic`]): `parallel_safe` is a filter,
-//! not an injectivity proof, so contract-violating IR may make them share
-//! elements, and that must stay a value race, never undefined behavior.
-//! Either way a run is resolved into per-segment contiguous pieces first
-//! ([`pieces`]), so a lane run crossing a column-segment boundary of a
-//! batched binding costs one extra piece, not a table chase per lane.
+//! **Memory rule: plain raw-pointer loads and stores**, one monomorphised
+//! loop per [`TermShape`], under the contract generic dispatch's element
+//! accesses rest on ([`super::elem_load`]): a launch runs on one thread
+//! and is the only accessor of its bindings. Raw pointers, never `&mut`
+//! slices, so operands that alias one another stay defined. A run is
+//! resolved into per-segment contiguous pieces first ([`pieces`]), so a
+//! lane run crossing a column-segment boundary of a batched binding costs
+//! one extra piece, not a table chase per lane.
 
-use super::{
-    elem_load_f32, elem_store_f32, CStmt, ColSeg, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr,
-    IntOp, RawBuf,
-};
+use super::{CStmt, ColSeg, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, RawBuf};
 use std::collections::HashMap;
 
 mod nest;
@@ -790,65 +783,6 @@ fn match_term(e: &FloatExpr, env: &StrideEnv) -> Option<TermSpec> {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// How a lane body touches an element.
-trait Mem {
-    /// # Safety
-    /// `p` points at a live, aligned `f32` inside a bound buffer, and
-    /// the implementation's own sharing rule holds.
-    unsafe fn load(p: *const f32) -> f32;
-    /// # Safety
-    /// As [`Mem::load`], and the buffer is writable.
-    unsafe fn store(p: *mut f32, v: f32);
-}
-
-/// Plain loads and stores: only on an [`Frame::exclusive`] frame, where no
-/// other thread touches the bound buffers. Raw-pointer accesses, never
-/// `&mut` slices, so operands that alias on the same thread stay defined.
-struct Plain;
-
-/// The relaxed-atomic helpers generic dispatch uses: for the per-thread
-/// frames of a fanned-out `Par`, which may share elements.
-struct Atomic;
-
-impl Mem for Plain {
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> f32 {
-        p.read()
-    }
-    #[inline(always)]
-    unsafe fn store(p: *mut f32, v: f32) {
-        p.write(v);
-    }
-}
-
-impl Mem for Atomic {
-    #[inline(always)]
-    unsafe fn load(p: *const f32) -> f32 {
-        elem_load_f32(p.cast_mut(), 0)
-    }
-    #[inline(always)]
-    unsafe fn store(p: *mut f32, v: f32) {
-        elem_store_f32(p, 0, v);
-    }
-}
-
-/// Which [`Mem`] the lane bodies of a frame run on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) enum LaneBody {
-    Plain,
-    Atomic,
-}
-
-impl LaneBody {
-    pub(super) fn of(fr: &Frame) -> LaneBody {
-        if fr.exclusive {
-            LaneBody::Plain
-        } else {
-            LaneBody::Atomic
-        }
-    }
-}
-
 /// Resolved lane range of one buffer: every lane's element has been
 /// bounds-checked against both the declared shape and the bound storage.
 #[derive(Clone, Copy)]
@@ -861,12 +795,11 @@ enum Lanes {
 }
 
 impl Lanes {
-    /// The first lane's value, read the way generic dispatch reads it
-    /// (a coefficient load: never through the plain body).
+    /// The first lane's value.
     fn first(self) -> f64 {
         // SAFETY: every `Lanes` was resolved — each lane bounds-checked —
         // for at least one lane, so lane 0's element is live.
-        f64::from(unsafe { elem_load_f32(self.piece(0).0, 0) })
+        f64::from(unsafe { self.piece(0).0.read() })
     }
 
     fn stride(self) -> i64 {
@@ -1122,16 +1055,16 @@ struct Resolved {
 }
 
 /// A [`TermShape`] as a type: the per-lane `f64` term over lane element
-/// pointers, loading through `M` and combining in the source association
-/// and operand order exactly. The one place the seven formulas are written:
+/// pointers, combining in the source association and operand order
+/// exactly. The one place the seven formulas are written:
 /// the per-invocation lane bodies reach it through `with_term!` (the
 /// coefficient captured), the row nest's trip loops name the type itself
 /// (the coefficient changes from trip to trip).
 trait Term {
     /// # Safety
     /// `a` — and `b`, for the shapes that load it — are lane pointers
-    /// `resolve_lanes` validated, under `M`'s sharing rule.
-    unsafe fn of<M: Mem>(c: f64, a: *const f32, b: *const f32) -> f64;
+    /// `resolve_lanes` validated.
+    unsafe fn of(c: f64, a: *const f32, b: *const f32) -> f64;
 }
 
 macro_rules! term_shape {
@@ -1139,9 +1072,9 @@ macro_rules! term_shape {
         struct $name;
         impl Term for $name {
             #[inline(always)]
-            unsafe fn of<M: Mem>($c: f64, $a: *const f32, $b: *const f32) -> f64 {
-                // SAFETY: the caller's contract, handed on to `M::load`.
-                let $ld = |p: *const f32| f64::from(unsafe { M::load(p) });
+            unsafe fn of($c: f64, $a: *const f32, $b: *const f32) -> f64 {
+                // SAFETY: the caller's contract, for each pointer read.
+                let $ld = |p: *const f32| f64::from(unsafe { p.read() });
                 $e
             }
         }
@@ -1198,42 +1131,25 @@ macro_rules! on_shape {
 /// `$t(a, b)` over lane element pointers; `$body` is expanded once per
 /// shape (`on_shape!`).
 macro_rules! with_term {
-    ($M:ident, $shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
+    ($shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
         let c: f64 = $coeff;
         on_shape!($shape, T => {
             // SAFETY (caller): `$t` is only applied to lane pointers that
-            // `resolve_lanes` validated, under `$M`'s sharing rule.
-            let $t = move |a: *const f32, b: *const f32| unsafe { T::of::<$M>(c, a, b) };
+            // `resolve_lanes` validated.
+            let $t = move |a: *const f32, b: *const f32| unsafe { T::of(c, a, b) };
             $body
         })
     }};
 }
 
-/// Expand `$run` once per lane body with `$M` naming its [`Mem`], and
-/// pick the expansion `$body` selects.
-macro_rules! on_body {
-    ($body:expr, $M:ident => $run:expr) => {
-        match $body {
-            LaneBody::Plain => {
-                type $M = Plain;
-                $run
-            }
-            LaneBody::Atomic => {
-                type $M = Atomic;
-                $run
-            }
-        }
-    };
-}
-
 /// `dst[l] = v` over unit-stride lanes.
 ///
 /// # Safety
-/// `d` was resolved for a store over `n` lanes; `M`'s sharing rule holds.
-unsafe fn fill<M: Mem>(n: i64, d: Lanes, v: f32) {
+/// `d` was resolved for a store over `n` lanes.
+unsafe fn fill(n: i64, d: Lanes, v: f32) {
     pieces(0, n, [d], |len, [pd]| {
         for l in 0..len {
-            M::store(pd.add(l), v);
+            pd.add(l).write(v);
         }
     });
 }
@@ -1243,8 +1159,8 @@ unsafe fn fill<M: Mem>(n: i64, d: Lanes, v: f32) {
 ///
 /// # Safety
 /// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
-/// unit stride; `M`'s sharing rule holds.
-unsafe fn axpy<M: Mem>(
+/// unit stride.
+unsafe fn axpy(
     n: i64,
     [d, a, b]: [Lanes; 3],
     base: Option<f64>,
@@ -1254,13 +1170,13 @@ unsafe fn axpy<M: Mem>(
     pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
         Some(base) => {
             for l in 0..len {
-                M::store(pd.add(l), (base + t(pa.add(l), pb.add(l))) as f32);
+                pd.add(l).write((base + t(pa.add(l), pb.add(l))) as f32);
             }
         }
         None => {
             for l in 0..len {
-                let cur = f64::from(M::load(pd.add(l)));
-                M::store(pd.add(l), (cur + t(pa.add(l), pb.add(l))) as f32);
+                let cur = f64::from(pd.add(l).read());
+                pd.add(l).write((cur + t(pa.add(l), pb.add(l))) as f32);
             }
         }
     });
@@ -1271,9 +1187,8 @@ unsafe fn axpy<M: Mem>(
 /// per-lane `f32` round-trip of the generic store/load pair is kept.
 ///
 /// # Safety
-/// `d` (for a store, stride 0), `a` and `b` were resolved over `n` lanes;
-/// `M`'s sharing rule holds.
-unsafe fn reduce<M: Mem>(
+/// `d` (for a store, stride 0), `a` and `b` were resolved over `n` lanes.
+unsafe fn reduce(
     (from, n): (i64, i64),
     [d, a, b]: [Lanes; 3],
     start: Option<f32>,
@@ -1281,14 +1196,14 @@ unsafe fn reduce<M: Mem>(
 ) {
     debug_assert!(d.stride() == 0 && (0..n).contains(&from));
     let (pd, _) = d.piece(0);
-    let mut acc = start.unwrap_or_else(|| M::load(pd));
+    let mut acc = start.unwrap_or_else(|| pd.read());
     let (sa, sb) = (a.stride() as isize, b.stride() as isize);
     pieces(from, n, [a, b], |len, [pa, pb]| {
         for l in 0..len as isize {
             acc = (f64::from(acc) + t(pa.offset(l * sa), pb.offset(l * sb))) as f32;
         }
     });
-    M::store(pd, acc);
+    pd.write(acc);
 }
 
 /// A row nest's trip loop: take the trips of the entry `w` was made for,
@@ -1301,12 +1216,12 @@ unsafe fn reduce<M: Mem>(
 /// lane op whose operands `w` holds, on the frame it holds them for.
 type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
 
-/// The menu of trip loops: one out-of-line monomorphised loop per lane
-/// body, lane op and term shape — and per kind of operand: every one a
-/// single run (`[0]`; what whole tensors and one-segment views give), or
-/// some cut into column segments (`[1]`, a batch). Everything a trip does
-/// not change is matched here, once per launch and thread when a nest's
-/// walk state is established, instead of once per non-zero. Inside, a trip
+/// The menu of trip loops: one out-of-line monomorphised loop per lane op
+/// and term shape — and per kind of operand: every one a single run
+/// (`[0]`; what whole tensors and one-segment views give), or some cut
+/// into column segments (`[1]`, a batch). Everything a trip does not
+/// change is matched here, once per launch when a nest's walk state is
+/// established, instead of once per non-zero. Inside, a trip
 /// is [`Stepped::walk`]'s cursor adds and the same lane body the
 /// per-invocation path runs.
 ///
@@ -1318,33 +1233,29 @@ type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
 /// `Lanes` match per operand per trip and the lane bodies' piece loop
 /// around 8–16 lanes of arithmetic. The batch of eight is the same either
 /// way (361 µs).
-fn trip_loops(lanes: &LaneSpec, body: LaneBody) -> [TripLoop; 2] {
+fn trip_loops(lanes: &LaneSpec) -> [TripLoop; 2] {
     match &lanes.micro {
-        Micro::FillLanes { .. } => {
-            on_body!(body, M => [fill_trips::<M, false>, fill_trips::<M, true>])
+        Micro::FillLanes { .. } => [fill_trips::<false>, fill_trips::<true>],
+        Micro::AxpyLanes { term, .. } => {
+            on_shape!(term.shape, T => [axpy_trips::<T, false>, axpy_trips::<T, true>])
         }
-        Micro::AxpyLanes { term, .. } => on_body!(body, M => on_shape!(term.shape, T => {
-            [axpy_trips::<M, T, false>, axpy_trips::<M, T, true>]
-        })),
         Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
-            on_body!(body, M => on_shape!(term.shape, T => {
-                [reduce_trips::<M, T, false>, reduce_trips::<M, T, true>]
-            }))
+            on_shape!(term.shape, T => [reduce_trips::<T, false>, reduce_trips::<T, true>])
         }
     }
 }
 
 /// [`fill`] per trip.
 #[inline(never)]
-unsafe fn fill_trips<M: Mem, const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
+unsafe fn fill_trips<const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
     // SAFETY: each trip's `dst` lanes are what `resolve_lanes` would hand
     // `fill` there (`Stepped::walk`).
-    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill::<M>(w.n, d, v as f32) })
+    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill(w.n, d, v as f32) })
 }
 
 /// [`axpy`] per trip.
 #[inline(never)]
-unsafe fn axpy_trips<M: Mem, T: Term, const SEG: bool>(
+unsafe fn axpy_trips<T: Term, const SEG: bool>(
     w: &Stepped,
     first: LaneInit,
     rest: LaneInit,
@@ -1356,13 +1267,13 @@ unsafe fn axpy_trips<M: Mem, T: Term, const SEG: bool>(
     // `axpy` there (`Stepped::walk`).
     w.walk::<SEG>(|t, ops, c| unsafe {
         let base = if t == 0 { first } else { rest };
-        axpy::<M>(w.n, ops, base, |a, b| T::of::<M>(c, a, b));
+        axpy(w.n, ops, base, |a, b| T::of(c, a, b));
     })
 }
 
 /// [`reduce`] per trip.
 #[inline(never)]
-unsafe fn reduce_trips<M: Mem, T: Term, const SEG: bool>(
+unsafe fn reduce_trips<T: Term, const SEG: bool>(
     w: &Stepped,
     first: LaneInit,
     rest: LaneInit,
@@ -1372,7 +1283,7 @@ unsafe fn reduce_trips<M: Mem, T: Term, const SEG: bool>(
     // `reduce` there (`Stepped::walk`); `0 <= from < n`.
     w.walk::<SEG>(|t, ops, c| unsafe {
         let (from, start) = if t == 0 { first } else { rest };
-        reduce::<M>((from, w.n), ops, start, |a, b| T::of::<M>(c, a, b));
+        reduce((from, w.n), ops, start, |a, b| T::of(c, a, b));
     })
 }
 
@@ -1382,10 +1293,7 @@ impl LaneSpec {
     /// yet) falls back to the generic loop.
     pub(super) fn try_fast(&self, fr: &mut Frame, n: i64) -> Option<()> {
         let r = self.resolve_inline(fr, n)?;
-        // The plain body is licensed by the frame being thread-private.
-        let body = LaneBody::of(fr);
-        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
-        self.run_inline(body, &r)
+        self.run_inline(&r)
     }
 
     /// The prologue of [`LaneSpec::try_fast`]: bind the iters at lane 0,
@@ -1463,43 +1371,36 @@ impl LaneSpec {
         }
     }
 
-    /// Run the microkernel over lanes `r` resolved, on lane body `body`
-    /// (which must be `Plain` only for an [`Frame::exclusive`] frame).
-    /// `None` only before any write.
-    fn run(&self, body: LaneBody, r: &Resolved) -> Option<()> {
-        self.run_inline(body, r)
+    /// Run the microkernel over lanes `r` resolved. `None` only before any
+    /// write.
+    fn run(&self, r: &Resolved) -> Option<()> {
+        self.run_inline(r)
     }
 
     #[inline(always)]
-    fn run_inline(&self, body: LaneBody, r: &Resolved) -> Option<()> {
+    fn run_inline(&self, r: &Resolved) -> Option<()> {
         let (n, ops) = (r.n, r.ops);
         match &self.micro {
             Micro::FillLanes { .. } => {
                 let v = r.scalar as f32;
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
                 // and its writability; `fuse_lane_loop` proved its stride
-                // is 1; `M` is `Plain` only on an exclusive frame.
-                on_body!(body, M => unsafe { fill::<M>(n, ops[0], v) });
+                // is 1.
+                unsafe { fill(n, ops[0], v) };
             }
             Micro::AxpyLanes { term, .. } => {
                 let base = axpy_base!(r.init, r.init32, return None);
                 // SAFETY: `resolve_lanes` validated all `n` lanes of every
                 // operand (and `dst`'s writability) before the first write;
-                // `fuse_lane_loop` proved all three strides are 1; `M` is
-                // `Plain` only on an exclusive frame.
-                on_body!(body, M => with_term!(M, term.shape, r.scalar, |t| unsafe {
-                    axpy::<M>(n, ops, base, t);
-                }));
+                // `fuse_lane_loop` proved all three strides are 1.
+                with_term!(term.shape, r.scalar, |t| unsafe { axpy(n, ops, base, t) });
             }
             Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
                 let (from, start) = reduce_start!(r.init, n, r.init32);
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `a`
                 // and `b` at their proven strides and the one element of
-                // `dst` (stride 0, writable); `0 <= from < n`; `M` is
-                // `Plain` only on an exclusive frame.
-                on_body!(body, M => with_term!(M, term.shape, r.scalar, |t| unsafe {
-                    reduce::<M>((from, n), ops, start, t);
-                }));
+                // `dst` (stride 0, writable); `0 <= from < n`.
+                with_term!(term.shape, r.scalar, |t| unsafe { reduce((from, n), ops, start, t) });
             }
         }
         Some(())

@@ -24,7 +24,7 @@
 //! load `*` or `/` a row-invariant factor — a [`Ratio`]), the lane count,
 //! and the init / fill values (row-invariant).
 //!
-//! At run time the **first entry** of a launch (per thread) goes through
+//! At run time the **first entry** of a launch goes through
 //! the lane loop's own prologue for trip 0 and pins every moving quantity
 //! there; the moving quantities are then *walked*: per trip one
 //! bounds-checked load of the gathered index, one bounds-checked
@@ -39,7 +39,7 @@
 //! *Launch-invariant*: where each operand is bound (pointer, length,
 //! segment table, width), strides, spans, the lane count, the init and
 //! hoisted values — the first entry establishes these ([`Trips::establish`])
-//! and the executor keeps them per thread for the rest of the launch,
+//! and the executor keeps them for the rest of the launch,
 //! dropping them when a buffer the nest names is allocated or freed.
 //! *Entry-varying*: the handful of integers that depend on enclosing loop
 //! variables — trip count, where the gather and each operand start, the
@@ -63,7 +63,7 @@
 //! and a [`Spot`] match per moving view, then the lane op / body / term
 //! shape dispatch. So the first re-pinned entry's walk state also picks
 //! **one monomorphised trip loop** from a fixed menu ([`super::trip_loops`]:
-//! lane body × lane op × term shape × "every operand one run" or not), and
+//! lane op × term shape × "every operand one run" or not), and
 //! a re-pinned entry hands it its trips as [`Cursor`]s ([`Trips::stepped`]):
 //! each operand its lanes at trip 0 plus how far a trip and a unit of the
 //! gathered value carry them — a pointer add for a [`Lanes::Run`], a row
@@ -85,10 +85,10 @@
 
 use super::{
     cols_lanes, div_rem, float_invariant, index_loads, trip_loops, ColSeg, FloatExpr, Frame,
-    IndexExpr, InitKind, IntExpr, IntOp, LaneBody, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf,
-    Resolved, Steady, TripLoop,
+    IndexExpr, InitKind, IntExpr, IntOp, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf, Resolved,
+    Steady, TripLoop,
 };
-use crate::exec::{elem_load_f32, elem_load_i32, FloatOp, RowSeg};
+use crate::exec::{elem_load, FloatOp, RowSeg};
 
 // ---------------------------------------------------------------------------
 // Compile-time classification
@@ -834,7 +834,7 @@ impl GatherWalk {
         debug_assert!((0..self.len).contains(&flat));
         // SAFETY: 0 <= flat < len elements behind `ptr`, checked above; the
         // binding outlives the run.
-        Some(i64::from(unsafe { elem_load_i32(self.ptr, flat as usize) }) - self.g0)
+        Some(i64::from(unsafe { elem_load(self.ptr, flat as usize) }) - self.g0)
     }
 }
 
@@ -1232,7 +1232,7 @@ impl ViewWalk {
 /// A nest's walk state: the resolved lanes its body reads, and the walks
 /// that patch them from trip to trip. Built per entry on the first-entry
 /// path ([`Trips::enter`], from where the lane prologue found trip 0); or
-/// established once per launch and thread ([`Trips::establish`]), kept by
+/// established once per launch ([`Trips::establish`]), kept by
 /// the executor, and re-pinned by each later entry ([`Trips::repin`]).
 pub(in crate::exec) struct Trips {
     r: Resolved,
@@ -1384,9 +1384,9 @@ impl Trips {
         if let (true, Some(gather_step)) =
             (at.steps(spec, lanes), at.gather.as_ref().map_or(Some(0), along))
         {
-            // Chosen here, once per launch and thread: a frame keeps its
-            // lane body, a nest its op and term shape.
-            at.stepper = Some(trip_loops(lanes, LaneBody::of(fr)));
+            // Chosen here, once per launch: a nest keeps its op and term
+            // shape.
+            at.stepper = Some(trip_loops(lanes));
             at.gather_step = gather_step;
         }
         Some(at)
@@ -1435,7 +1435,7 @@ impl Trips {
             debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
             // SAFETY: 0 <= flat < len elements behind `ptr`, checked above;
             // the binding outlives the run.
-            self.factor = f64::from(unsafe { elem_load_f32(ptr, flat as usize) });
+            self.factor = f64::from(unsafe { elem_load(ptr, flat as usize) });
         }
         Some(())
     }
@@ -1564,7 +1564,7 @@ impl Cursor {
 /// Everything the trips of one entry read, as a monomorphised trip loop
 /// ([`TripLoop`]) takes it: filled in per entry by [`Trips::stepped`] once
 /// every range test that does not depend on a gathered value has passed.
-/// One per launch and thread, shared by its nests: it is an entry's
+/// One per launch, shared by its nests: it is an entry's
 /// scratch, not something a nest keeps.
 pub(in crate::exec) struct Stepped {
     /// Lane count.
@@ -1592,7 +1592,7 @@ pub(in crate::exec) struct Stepped {
 }
 
 impl Stepped {
-    /// Scratch for one launch and thread: every entry that steps fills it
+    /// Scratch for one launch: every entry that steps fills it
     /// in ([`Trips::stepped`]) before a trip loop reads it.
     pub(in crate::exec) fn scratch() -> Stepped {
         let nowhere = Cursor::new(Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, 0, 0);
@@ -1642,7 +1642,7 @@ impl Stepped {
                 // first and last trip against the declared dimension and
                 // the bound storage; it is affine between.
                 let at = self.gather.offset(self.gather_step * t as isize);
-                let g = i64::from(elem_load_i32(at, 0));
+                let g = i64::from(elem_load(at, 0));
                 if g < self.reach.0 || g > self.reach.1 {
                     return t;
                 }
@@ -1765,7 +1765,7 @@ impl EntryProgram {
                     debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
                     // SAFETY: 0 <= flat < len elements behind `ptr`,
                     // checked above; the binding outlives the run.
-                    i64::from(unsafe { elem_load_i32(ptr, flat as usize) })
+                    i64::from(unsafe { elem_load(ptr, flat as usize) })
                 }
             };
         }
@@ -1796,10 +1796,7 @@ impl NestSpec {
         let Some(r) = lanes.resolve(fr, n) else {
             return 0;
         };
-        // The plain body is licensed by the frame being thread-private.
-        let body = LaneBody::of(fr);
-        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
-        if lanes.run(body, &r).is_none() {
+        if lanes.run(&r).is_none() {
             return 0;
         }
         if trips == 1 {
@@ -1811,7 +1808,7 @@ impl NestSpec {
         for t in 1..trips {
             // Every check of trip `t` happens inside `advance`, before the
             // body's first write.
-            if at.advance(self, lanes, fr, t).is_none() || lanes.run(body, &at.r).is_none() {
+            if at.advance(self, lanes, fr, t).is_none() || lanes.run(&at.r).is_none() {
                 return t;
             }
         }
@@ -1881,14 +1878,10 @@ impl NestSpec {
         at: &mut Trips,
         (stepped, trips): (i64, i64),
     ) -> Option<Taken> {
-        let body = LaneBody::of(fr);
-        debug_assert_eq!(body == LaneBody::Plain, fr.exclusive);
         let mut t = 0;
         while t < trips {
             let taken = t < stepped;
-            if at.advance(self, lanes, fr, t).is_none()
-                || (!taken && lanes.run(body, &at.r).is_none())
-            {
+            if at.advance(self, lanes, fr, t).is_none() || (!taken && lanes.run(&at.r).is_none()) {
                 let done = t.max(stepped);
                 return (done > 0).then_some(Taken { done, trips, stepped });
             }

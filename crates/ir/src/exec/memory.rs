@@ -94,7 +94,7 @@ fn collect_allocs(s: &CStmt, entries: &mut [PlanEntry]) {
             }
             collect_allocs(body, entries);
         }
-        CStmt::For { body, .. } | CStmt::ParFor { body, .. } | CStmt::Let { body, .. } => {
+        CStmt::For { body, .. } | CStmt::Let { body, .. } => {
             collect_allocs(body, entries);
         }
         CStmt::Block(b) => {

@@ -2,8 +2,8 @@ use super::*;
 use crate::buffer::{Buffer, Scope};
 use crate::dtype::DType;
 use crate::eval::{eval_func, scalar_map};
-use crate::expr::Expr;
-use crate::stmt::{Block, IterVar, ThreadAxis};
+use crate::expr::{Expr, Var};
+use crate::stmt::{Block, ForKind, IterVar, ThreadAxis};
 
 fn run_both(
     f: &PrimFunc,
@@ -80,8 +80,8 @@ fn reduction_block_matches_interpreter() {
 }
 
 #[test]
-fn block_bound_loop_parallelizes_and_matches() {
-    // C[i] = i over a blockIdx.x-bound loop: parallel-dispatch path.
+fn block_bound_loop_runs_serially_and_matches() {
+    // C[i] = i over a blockIdx.x-bound loop: an ordinary loop.
     let i = Var::i32("i");
     let c = Buffer::global_f32("C", vec![Expr::i32(1024)]);
     let body = Stmt::For {
@@ -96,7 +96,7 @@ fn block_bound_loop_parallelizes_and_matches() {
     };
     let f = PrimFunc::new("iota", vec![], vec![c], body);
     let k = CompiledKernel::compile(&f).unwrap();
-    assert!(k.is_parallel(), "outermost blockIdx loop should parallelize");
+    assert!(k.disassemble().contains("0000  for        %0 in 0..1024"), "{}", k.disassemble());
     let mut tensors = HashMap::new();
     tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1024));
     k.run(&HashMap::new(), &mut tensors).unwrap();
@@ -106,7 +106,7 @@ fn block_bound_loop_parallelizes_and_matches() {
 
 #[test]
 fn unsafe_block_write_falls_back_to_serial() {
-    // C[0] += 1 under a blockIdx loop: collides, must stay serial.
+    // C[0] += 1 under a blockIdx loop: every iteration writes one element.
     let i = Var::i32("i");
     let c = Buffer::global_f32("C", vec![Expr::i32(1)]);
     let body = Stmt::For {
@@ -121,7 +121,6 @@ fn unsafe_block_write_falls_back_to_serial() {
     };
     let f = PrimFunc::new("collide", vec![], vec![c], body);
     let k = CompiledKernel::compile(&f).unwrap();
-    assert!(!k.is_parallel(), "colliding writes must not parallelize");
     let mut tensors = HashMap::new();
     tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
     k.run(&HashMap::new(), &mut tensors).unwrap();
@@ -157,7 +156,6 @@ fn reduction_over_block_var_falls_back_to_serial() {
     };
     let f = PrimFunc::new("redblk", vec![], vec![c], body);
     let k = CompiledKernel::compile(&f).unwrap();
-    assert!(!k.is_parallel());
     let mut t = HashMap::new();
     t.insert("C".to_string(), TensorData::zeros(DType::F32, 1));
     let mut t2 = t.clone();
@@ -528,7 +526,7 @@ fn frames_are_reused_across_runs() {
     assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
 }
 
-/// A frame over `tensors` like the one `run_bound` builds (exclusive).
+/// A frame over `tensors` like the one `run_bound` builds.
 fn frame_of(k: &CompiledKernel, tensors: &mut HashMap<String, TensorData>) -> Frame {
     let mut bufs = vec![RawBuf::Absent; k.n_bufs as usize];
     for (name, _, slot) in &k.buffers {
@@ -538,8 +536,7 @@ fn frame_of(k: &CompiledKernel, tensors: &mut HashMap<String, TensorData>) -> Fr
         scalars: vec![0; k.n_slots as usize],
         bufs,
         locals: Vec::new(),
-        pool: None,
-        exclusive: true,
+        pool: Arc::clone(&k.pool),
     }
 }
 
@@ -554,50 +551,11 @@ fn lane_spec(k: &CompiledKernel) -> &fuse::LaneSpec {
         .expect("kernel has a superinstruction")
 }
 
-/// The plain lane body is licensed by `Frame::exclusive` alone: the same
-/// superinstruction on a non-exclusive frame (what a fanned-out `Par`
-/// hands its threads) selects the relaxed-atomic body, and both write the
-/// same bits — with the init firing (`j == 0`) and without.
+/// `for i: blockIdx.x { for k { C[i, k] += A[i] * B[i, k] } }`: the block
+/// loop is a loop like any other — around one lane loop, a row nest — and
+/// writes the interpreter's bits.
 #[test]
-fn non_exclusive_frame_selects_the_atomic_lane_body() {
-    let k = CompiledKernel::compile_with(&axpy_func(8), true).unwrap();
-    let spec = lane_spec(&k);
-    let j = k.slot_names.iter().position(|s| s == "j").expect("reduce loop slot");
-    let b: Vec<f32> = (0..8).map(|x| x as f32 - 2.5).collect();
-    let c: Vec<f32> = (0..8).map(|x| 0.3 * x as f32).collect();
-    for j_value in [0, 1] {
-        let run = |exclusive: bool| {
-            let mut t = HashMap::new();
-            t.insert("A".to_string(), TensorData::from(vec![1.5f32]));
-            t.insert("B".to_string(), TensorData::from(b.clone()));
-            t.insert("C".to_string(), TensorData::from(c.clone()));
-            let mut fr = frame_of(&k, &mut t);
-            fr.exclusive = exclusive;
-            fr.scalars[j] = j_value;
-            let body = fuse::LaneBody::of(&fr);
-            spec.try_fast(&mut fr, 8).expect("in-bounds lanes take the fast path");
-            (body, t.remove("C").unwrap())
-        };
-        let (plain, c_plain) = run(true);
-        let (atomic, c_atomic) = run(false);
-        assert_eq!((plain, atomic), (fuse::LaneBody::Plain, fuse::LaneBody::Atomic));
-        assert_eq!(c_plain, c_atomic);
-        let expect: Vec<f32> = (0..8)
-            .map(|l| {
-                let cur = if j_value == 0 { 0.0 } else { f64::from(c[l]) };
-                (cur + 1.5 * f64::from(b[l])) as f32
-            })
-            .collect();
-        assert_eq!(c_plain.as_f32(), expect.as_slice());
-    }
-}
-
-/// `par i { for k { C[i, k] += A[i] * B[i, k] } }` run with the `Par`
-/// fanned out over two threads (non-exclusive frames, atomic lanes) and
-/// kept on the caller's thread (exclusive frame, plain lanes): the same
-/// bits, and the interpreter's.
-#[test]
-fn par_fan_out_and_single_thread_are_bit_identical() {
+fn block_bound_lane_loop_bit_matches_the_interpreter() {
     let (rows, n) = (5i64, 33i64);
     let i = Var::i32("i");
     let k = Var::i32("k");
@@ -622,7 +580,11 @@ fn par_fan_out_and_single_thread_are_bit_identical() {
     };
     let f = PrimFunc::new("rows_axpy", vec![], vec![a, b, c], body);
     let kernel = CompiledKernel::compile_with(&f, true).unwrap();
-    assert!(kernel.is_parallel() && kernel.fused_ops() == 1);
+    let listing = kernel.disassemble();
+    assert!(
+        kernel.fused_ops() == 1 && listing.contains("0000  nest.axpy  %0 in 0..5"),
+        "{listing}"
+    );
 
     let len = (rows * n) as usize;
     let mut tensors = HashMap::new();
@@ -632,12 +594,9 @@ fn par_fan_out_and_single_thread_are_bit_identical() {
     tensors.insert("C".to_string(), TensorData::from(ramp(-0.011)));
     let mut interp = tensors.clone();
     eval_func(&f, &HashMap::new(), &mut interp).unwrap();
-    for threads in [1, 2] {
-        let mut t = tensors.clone();
-        let mut fr = frame_of(&kernel, &mut t);
-        kernel.code.exec_on(&mut fr, Some(threads)).unwrap();
-        assert_eq!(t["C"], interp["C"], "threads = {threads}");
-    }
+    let mut t = tensors;
+    kernel.run(&HashMap::new(), &mut t).unwrap();
+    assert_eq!(t["C"], interp["C"]);
 }
 
 /// A coalesced `k_o × k_i` run whose last lanes leave `B`'s innermost
@@ -678,7 +637,7 @@ fn coalesced_run_past_the_dimension_falls_back_to_the_generic_nest() {
     assert_eq!(tensors["C"].as_f32(), &[2.5, 2.5, 2.5, 2.5, 2.5, 2.5, 0.5, 0.5]);
 }
 
-/// `par i { for j in 0..3 { for k { C[i, k] += W[i·3 + j] · X[Idx[i·3 + j], k] } } }`:
+/// `for i: blockIdx.x { for j in 0..3 { for k { C[i, k] += W[i·3 + j] · X[Idx[i·3 + j], k] } } }`:
 /// an ELL-shaped kernel whose `j` loop is a row nest (gathered `X` row,
 /// walked coefficient, row-invariant `C` row), with its tensors.
 fn ell_func(rows: i64, n: i64) -> (PrimFunc, HashMap<String, TensorData>) {
@@ -730,69 +689,53 @@ fn nest_spec(k: &CompiledKernel) -> &fuse::NestSpec {
         .expect("kernel has a row nest")
 }
 
-/// A row nest under a `Par` kept on the caller's thread (exclusive frame,
-/// plain lanes) and fanned out over two (non-exclusive frames, atomic
-/// lanes) writes the same bits, and the interpreter's; run directly, the
-/// nest picks its lane body from the frame like a `Super` does. Walk state
-/// is kept per thread: one thread establishes it once and re-pins four
-/// rows, two threads establish it once each.
+/// A row nest under a `blockIdx` loop writes the interpreter's bits: run
+/// by the launch, which establishes its walk state once and re-pins four
+/// rows; run directly for row 0; and re-entered row by row on one kept
+/// walk state.
 #[test]
-fn nest_under_par_is_bit_identical_on_one_and_two_threads() {
+fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     let (f, tensors) = ell_func(5, 33);
     let kernel = CompiledKernel::compile_with(&f, true).unwrap();
-    assert!(kernel.is_parallel() && kernel.fused_ops() == 1);
+    let listing = kernel.disassemble();
+    assert!(
+        kernel.fused_ops() == 1 && listing.contains("0000  for        %0 in 0..5"),
+        "{listing}"
+    );
     let nest = nest_spec(&kernel);
     assert!(nest.gather.is_some() && nest.coeff.is_some());
     assert_eq!(nest.views.map(|v| v.is_some()), [false, true, false], "only `X` moves");
 
     let mut interp = tensors.clone();
     eval_func(&f, &HashMap::new(), &mut interp).unwrap();
-    let mut before = kernel.nest_counts();
-    for threads in [1, 2] {
-        let mut t = tensors.clone();
-        let mut fr = frame_of(&kernel, &mut t);
-        kernel.code.exec_on(&mut fr, Some(threads)).unwrap();
-        assert_eq!(t["C"], interp["C"], "threads = {threads}");
-        let after = kernel.nest_counts();
-        let (entries, repinned) =
-            (after.entries - before.entries, after.repinned - before.repinned);
-        assert_eq!((entries, repinned), (5, 5 - threads as u64), "threads = {threads}");
-        assert_eq!(after.handovers, 0);
-        before = after;
-    }
-    // Row 0's nest alone, on both kinds of frame.
-    let row0 = |exclusive: bool| {
-        let mut t = tensors.clone();
-        let mut fr = frame_of(&kernel, &mut t);
-        fr.exclusive = exclusive;
-        assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 3, "all three trips taken");
-        t.remove("C").unwrap()
-    };
-    assert_eq!(row0(true), row0(false));
-    assert_eq!(row0(true).as_f32()[..33], interp["C"].as_f32()[..33]);
+    let mut t = tensors.clone();
+    kernel.run(&HashMap::new(), &mut t).unwrap();
+    assert_eq!(t["C"], interp["C"]);
+    let counts = kernel.nest_counts();
+    assert_eq!((counts.entries, counts.repinned, counts.handovers), (5, 4, 0));
+    // Row 0's nest alone.
+    let mut t = tensors.clone();
+    let mut fr = frame_of(&kernel, &mut t);
+    assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 3, "all three trips taken");
+    assert_eq!(t["C"].as_f32()[..33], interp["C"].as_f32()[..33]);
     // Every row through the entry program, on one walk state kept from
-    // row to row, on both kinds of frame.
+    // row to row.
     let prog = nest.entry.as_ref().expect("the ELL nest has an entry program");
     let i = kernel.slot_names.iter().position(|s| s == "i").expect("row loop slot");
-    let reentered = |exclusive: bool| {
-        let mut t = tensors.clone();
-        let mut fr = frame_of(&kernel, &mut t);
-        fr.exclusive = exclusive;
-        let lanes = lane_spec(&kernel);
-        let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
-        for row in 0..5 {
-            fr.scalars[i] = row;
-            let all = fuse::Taken { done: 3, trips: 3, stepped: 3 };
-            assert_eq!(
-                nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
-                Some(all),
-                "row {row}"
-            );
-        }
-        t.remove("C").unwrap()
-    };
-    assert_eq!(reentered(true), interp["C"]);
-    assert_eq!(reentered(false), interp["C"]);
+    let mut t = tensors;
+    let mut fr = frame_of(&kernel, &mut t);
+    let lanes = lane_spec(&kernel);
+    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
+    for row in 0..5 {
+        fr.scalars[i] = row;
+        let all = fuse::Taken { done: 3, trips: 3, stepped: 3 };
+        assert_eq!(
+            nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
+            Some(all),
+            "row {row}"
+        );
+    }
+    assert_eq!(t["C"], interp["C"]);
 }
 
 /// The nest's contract with the loop behind it: a trip it cannot take is
@@ -820,7 +763,7 @@ fn nest_reports_the_first_trip_it_cannot_take() {
 
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
-    let got = kernel.code.exec_on(&mut fr, Some(1)).unwrap_err();
+    let got = kernel.code.exec(&mut fr).unwrap_err();
     assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
     assert_eq!(t["C"], interp["C"]);
 
@@ -893,13 +836,10 @@ fn empty_views_construct_and_reject_every_index() {
 /// the kernel is cached.)
 #[test]
 fn walk_state_is_one_slab_per_thread() {
-    // The ELL kernel with its row loop serial — one frame per launch under
-    // any `SPARSETIR_NUM_THREADS` — at two widths: two kernels.
+    // The ELL kernel at two widths: two kernels.
     let kernels: Vec<_> = [33, 8]
         .map(|n| {
-            let (mut f, tensors) = ell_func(5, n);
-            let Stmt::For { kind, .. } = &mut f.body else { unreachable!("the row loop") };
-            *kind = ForKind::Serial;
+            let (f, tensors) = ell_func(5, n);
             let mut interp = tensors.clone();
             eval_func(&f, &HashMap::new(), &mut interp).unwrap();
             (CompiledKernel::compile(&f).unwrap(), tensors, interp)

@@ -1,6 +1,62 @@
 //! Segmented view bindings: caller-owned storage bound into a kernel's
 //! buffer slots without copying (the zero-copy batch entry,
 //! [`CompiledKernel::run_views`]).
+//!
+//! **The aliasing rule.** A writable element is reachable through exactly
+//! one binding of a launch. The executor's element accesses — generic
+//! dispatch and the fused lane bodies alike — are plain raw-pointer reads
+//! and writes on the caller's thread, and this rule is what makes them
+//! sound: a launch's frame is the only accessor of what it writes. The
+//! borrows enforce it. [`ColsView::write`] and [`RowsView::write`] take
+//! `&mut` slices for the view's lifetime, [`BoundArg::Tensor`] a `&mut`
+//! tensor, and a read-only view's `&` slices keep them from being written
+//! elsewhere meanwhile. A slice cannot go into two writable views, or into
+//! a writable view while a read-only one holds it:
+//!
+//! ```compile_fail,E0499
+//! use sparsetir_ir::exec::ColsView;
+//! let mut c = vec![0.0f32; 8];
+//! let a = ColsView::write(2, vec![(&mut c[..], 4)]).unwrap();
+//! let b = ColsView::write(2, vec![(&mut c[..], 4)]).unwrap();
+//! drop((a, b));
+//! ```
+//!
+//! ```compile_fail,E0502
+//! use sparsetir_ir::exec::ColsView;
+//! let mut c = vec![0.0f32; 8];
+//! let r = ColsView::read(2, &[(&c[..], 4)]).unwrap();
+//! let w = ColsView::write(2, vec![(&mut c[..], 4)]).unwrap();
+//! drop((r, w));
+//! ```
+//!
+//! ```compile_fail,E0499
+//! use sparsetir_ir::exec::RowsView;
+//! let mut c = vec![0.0f32; 8];
+//! let a = RowsView::write(8, vec![&mut c[..]]).unwrap();
+//! let b = RowsView::write(8, vec![&mut c[..]]).unwrap();
+//! drop((a, b));
+//! ```
+//!
+//! ```compile_fail,E0502
+//! use sparsetir_ir::exec::RowsView;
+//! let mut c = vec![0.0f32; 8];
+//! let r = RowsView::read(8, &[&c[..]]).unwrap();
+//! let w = RowsView::write(8, vec![&mut c[..]]).unwrap();
+//! drop((r, w));
+//! ```
+//!
+//! Disjoint slices of one buffer bind side by side, and any number of
+//! read-only views may share one:
+//!
+//! ```
+//! use sparsetir_ir::exec::{ColsView, RowsView};
+//! let mut c = vec![0.0f32; 8];
+//! let (lo, hi) = c.split_at_mut(4);
+//! let w = RowsView::write(4, vec![lo, hi]).unwrap();
+//! let b = vec![1.0f32; 8];
+//! let (r1, r2) = (ColsView::read(2, &[(&b[..], 4)]), RowsView::read(8, &[&b[..]]));
+//! assert_eq!((w.n_segs(), r1.unwrap().width(), r2.unwrap().n_segs()), (2, 4, 1));
+//! ```
 
 #[cfg(doc)]
 use super::CompiledKernel;

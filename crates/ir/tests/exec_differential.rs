@@ -59,8 +59,8 @@
 //! loops leaves to `advance`, each case by name.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
-//! init kinds, NaN and ±Inf operands included, serially (plain lane
-//! bodies) and under a `blockIdx` loop (atomic ones once it fans out).
+//! init kinds, NaN and ±Inf operands included, under a serial loop and
+//! under a `blockIdx` loop, which lowers exactly as the serial one.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -1061,9 +1061,7 @@ fn views_csr_spmm_bit_matches_whole_tensors() {
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
     }
     // A `B` one segment short fails mid-kernel, inside a nest: same text
-    // and same written prefix as the interpreter, whole and segmented
-    // (on the serial schedule: a fanned-out `blockIdx` loop has no one
-    // prefix).
+    // and same written prefix as the interpreter, whole and segmented.
     let f = serial_spmm(&a, 7);
     assert_eq!(nests(&f), ["nest.axpy"]);
     let cut = &column_cuts(7)[1];
@@ -1139,8 +1137,8 @@ fn views_fused_sage_bit_matches_whole_tensors() {
     }
 }
 
-/// Failure paths on the batched-SDDMM function (it runs serially, so the
-/// first error is deterministic): a binding one segment short of what the
+/// Failure paths on the batched-SDDMM function: a binding one segment
+/// short of what the
 /// kernel indexes fails with the same text whether it is a short whole
 /// tensor or a short view — `views_differential` demands that — and a
 /// store through a read-only view is refused by name, on every executor
@@ -1150,7 +1148,6 @@ fn views_short_segment_and_read_only_store_fail_identically() {
     let (a, structure, mut rng) = views_fixture(0x54);
     let (heads, k) = (3, 2);
     let f = batched_sddmm_ir(&a, heads, k).unwrap();
-    assert!(!CompiledKernel::compile_with(&f, true).unwrap().is_parallel());
     let full = (vec![heads * k], heads, vec![heads]);
     // `X` misses its last column segment; `Y` its last row segment.
     let short_x = sddmm_parts(&a, (heads, k), (vec![2, 2], 1, vec![heads]), &mut rng);
@@ -1185,8 +1182,7 @@ fn views_short_segment_and_read_only_store_fail_identically() {
 // ---------------------------------------------------------------------------
 
 /// The default CSR SpMM schedule at feature width `d` — `split(k, 32)` —
-/// without its thread bindings, so the kernel runs serially and the first
-/// error is deterministic.
+/// without its thread bindings.
 fn split_k_spmm(a: &Csr, d: usize) -> PrimFunc {
     let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
     let mut sch = Schedule::new(f);
@@ -1195,8 +1191,7 @@ fn split_k_spmm(a: &Csr, d: usize) -> PrimFunc {
 }
 
 /// [`csr_spmm_ir`] without its thread bindings — the split factor follows
-/// narrow widths, so the lane loop fuses at any `d` — for cases that need
-/// a deterministic first error and written prefix.
+/// narrow widths, so the lane loop fuses at any `d`.
 fn serial_spmm(a: &Csr, d: usize) -> PrimFunc {
     let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
     let mut sch = Schedule::new(f);
@@ -1478,13 +1473,6 @@ fn row_nest_never_gathers_through_the_written_buffer() {
 // Family 6d: re-entered row nests
 // ---------------------------------------------------------------------------
 
-/// Most threads a `blockIdx` loop fans out to in this process.
-fn max_threads() -> u64 {
-    let env = std::env::var("SPARSETIR_NUM_THREADS").ok().and_then(|v| v.parse::<u64>().ok());
-    let cores = || std::thread::available_parallelism().map_or(1, |n| n.get() as u64);
-    env.map_or_else(cores, |n| n.max(1))
-}
-
 /// How many row nests of `f`'s fused listing have an entry program.
 fn entry_programs(f: &PrimFunc) -> usize {
     let listing = CompiledKernel::compile(f).unwrap().disassemble();
@@ -1509,13 +1497,13 @@ fn launch_counts(
 /// Every row shape — empty, one, two and many non-zeros, each of them
 /// first and last, plus a matrix without non-zeros and one without rows —
 /// under the three shapes of loop a served nest sits in: the default
-/// `par i_o { for i_i in 0..4 { [if r < rows] nest } }` (row counts the
-/// blocks divide, and ones that leave the guard), a plain `for i` (the
-/// serial SpMM and the one-head SDDMM), and `hyb` buckets whose row comes
-/// through a row-id buffer. Whole tensors and one, three and mixed-width
-/// column segments; fused vs all-generic vs interpreter, bit for bit. And
-/// the fast path is the one taken: all but the first entry per nest and
-/// thread re-pin.
+/// `for i_o: blockIdx.x { for i_i in 0..4 { [if r < rows] nest } }` (row
+/// counts the blocks divide, and ones that leave the guard), a plain
+/// `for i` (the serial SpMM and the one-head SDDMM), and `hyb` buckets
+/// whose row comes through a row-id buffer. Whole tensors and one, three
+/// and mixed-width column segments; fused vs all-generic vs interpreter,
+/// bit for bit. And the fast path is the one taken: all but the first
+/// entry of each nest re-pin.
 #[test]
 fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
     let mut rng = gen::rng(0x66);
@@ -1539,7 +1527,7 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
         let guarded = lens.len() % lens.len().clamp(1, 4) != 0;
         assert_eq!(listing.contains("br.false"), guarded, "rows {lens:?}\n{listing}");
         let mut spmms =
-            vec![("par + split", split, csr.clone()), ("for i", serial_spmm(&a, d), csr)];
+            vec![("blockIdx + split", split, csr.clone()), ("for i", serial_spmm(&a, d), csr)];
         if a.nnz() > 0 {
             let config =
                 SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() };
@@ -1563,7 +1551,9 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
             whole.insert("C".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
             let counts = launch_counts(&f, &HashMap::new(), &whole);
             let first = counts.entries - counts.repinned;
-            assert!(first <= n_nests as u64 * max_threads(), "rows {lens:?}, {what}: {counts:?}");
+            // Every nest is entered once there is a row.
+            let entered = if lens.is_empty() { 0 } else { n_nests as u64 };
+            assert_eq!(first, entered, "rows {lens:?}, {what}: {counts:?}");
             if what == "for i" {
                 let rows = lens.len() as u64;
                 assert_eq!((counts.entries, first), (rows, rows.min(1)), "{lens:?}: {counts:?}");
@@ -1840,7 +1830,7 @@ fn ratio_factor_corners_and_short_bindings_match_on_every_binding() {
 // ---------------------------------------------------------------------------
 
 /// 24 × 24 with rows of 0, 1 and `n / 2` non-zeros among short ones — the
-/// first row long, so every thread's first entry (which pays the lane
+/// first row long, so the launch's first entry (which pays the lane
 /// prologue) is not the only one with trips.
 fn stepped_fixture() -> Csr {
     let lens = [12usize, 0, 1, 0, 1, 3, 2, 5, 1, 0, 7, 1, 2, 0, 4, 1, 9, 1, 0, 2, 3, 1, 6, 1];
@@ -2118,10 +2108,10 @@ fn stepped_term(
 }
 
 /// Every loop of the menu: seven term shapes × four init kinds × {axpy,
-/// scalar} destinations under a nest that is re-entered, serially (plain
-/// lane bodies) and under a `blockIdx` loop (atomic ones once it fans
-/// out), special values drawn into every operand. Bit for bit the
-/// interpreter's, and the stepped loop is the one that ran.
+/// scalar} destinations under a nest that is re-entered, under a serial
+/// and under a `blockIdx` loop, special values drawn into every operand.
+/// Bit for bit the interpreter's, and the stepped loop is the one that
+/// ran.
 #[test]
 fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
     for shape in 0..7 {
@@ -2139,9 +2129,9 @@ fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
                     differential(&f, &HashMap::new(), &tensors)
                         .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
                     let counts = launch_counts(&f, &HashMap::new(), &tensors);
-                    let first = counts.entries - counts.repinned;
+                    let first = (counts.entries - counts.repinned, counts.stepped);
                     assert_eq!((counts.entries, counts.trips), (5, 20), "{case}: {counts:?}");
-                    assert_eq!(counts.stepped, counts.trips - 4 * first, "{case}: {counts:?}");
+                    assert_eq!(first, (1, 16), "{case}: {counts:?}");
                 }
             }
         }
@@ -2259,6 +2249,16 @@ fn specials() -> [f32; 8] {
     [nan, f32::INFINITY, f32::NEG_INFINITY, -0.0, 1.0e-40, 3.0e38, -3.0e38, 0.0]
 }
 
+/// `f` with its outermost loop serial: what a `blockIdx` binding of it
+/// lowers to on the CPU.
+fn serial_of(f: &PrimFunc) -> PrimFunc {
+    let mut f = f.clone();
+    if let Stmt::For { kind, .. } = &mut f.body {
+        *kind = ForKind::Serial;
+    }
+    f
+}
+
 /// `for blk in 0..2 { [for j in 0..2] for k in 0..n { block { init;
 /// dst += term } } }` with `term` the `shape`-th of the seven
 /// association orders over `a = X[blk, k]`, `b = Y[blk, k]`,
@@ -2348,10 +2348,9 @@ fn lane_term(
 }
 
 /// All seven term shapes × all four init kinds × {axpy, scalar}
-/// destinations, serially — an exclusive frame, so the plain lane bodies
-/// — and under a `blockIdx` loop, which runs the atomic ones whenever the
-/// loop fans out (`SPARSETIR_NUM_THREADS` ≥ 2; CI runs this suite at 1
-/// and at 2). Special values are drawn into every operand.
+/// destinations, under a serial loop and under a `blockIdx` loop, whose
+/// listing is the serial one's. Special values are drawn into every
+/// operand.
 #[test]
 fn every_term_shape_and_init_kind_bit_matches() {
     let micro = |shape: usize, scalar: bool| match (scalar, shape) {
@@ -2372,7 +2371,8 @@ fn every_term_shape_and_init_kind_bit_matches() {
                         format!("shape {shape}, {init:?}, scalar={scalar}, par={par}, n={n}");
                     let fused = CompiledKernel::compile_with(&f, true).expect("compiles");
                     assert_eq!(fused.fused_kinds(), vec![micro(shape, scalar)], "{case}");
-                    assert_eq!(fused.is_parallel(), par, "{case}");
+                    let serial = CompiledKernel::compile_with(&serial_of(&f), true).unwrap();
+                    assert_eq!(fused.disassemble(), serial.disassemble(), "{case}");
                     differential(&f, &HashMap::new(), &tensors)
                         .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
                 }

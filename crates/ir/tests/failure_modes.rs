@@ -3,11 +3,10 @@
 //! garbage. (C-GOOD-ERR / C-VALIDATE.)
 //!
 //! The `row_nests` cases fail a CSR SpMM in a row the nest *re-enters*
-//! (the last one; whichever thread owns it entered an earlier row first),
-//! at its first trip, in its middle and at its end, under its `blockIdx`
-//! loop: CI runs this file at `SPARSETIR_NUM_THREADS=1` and `=2`, so the
-//! row nest falls back to the lane prologue, or hands the failing trip to
-//! the generic loop, from both the plain and the relaxed-atomic lane body.
+//! (the last one; the launch entered an earlier row first), at its first
+//! trip, in its middle and at its end, under its `blockIdx` loop: the row
+//! nest falls back to the lane prologue, or hands the failing trip to the
+//! generic loop.
 //! The `stepped` cases do the same to a *long* re-entered row — twelve
 //! trips, so the failing trip is one the monomorphised trip loop would have
 //! taken: a column out of range at its first, a middle and its last trip
@@ -255,8 +254,7 @@ mod row_nests {
     const ROWS: usize = 6;
     const COLS: usize = 6;
     /// Row lengths 2, 0, 1, 3, 0, 3: the last row is where every case
-    /// fails, so whichever thread owns it, every other row completes on
-    /// the interpreter and under any fan-out alike.
+    /// fails, so every other row completes first.
     const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 9];
     /// Column 5 is referenced by the last row's middle non-zero only.
     const INDICES: [i32; 9] = [0, 3, 2, 1, 2, 4, 1, 5, 3];
@@ -270,7 +268,8 @@ mod row_nests {
         let a = Csr::new(ROWS, COLS, indptr, sorted, vec![1.0; 9]).unwrap();
         let f = csr_spmm_ir(&a, d).unwrap();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        assert!(fused.is_parallel() && fused.disassemble().contains("nest.axpy"));
+        let listing = fused.disassemble();
+        assert!(listing.contains("\n0000  for ") && listing.contains("nest.axpy"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let mut t = HashMap::new();
@@ -412,7 +411,7 @@ mod stepped {
     const COLS: usize = 16;
     const NNZ: usize = 18;
     /// Row lengths 2, 0, 1, 3, 0, 12: every case fails in the long last
-    /// row (or the empty one before it), which its thread re-enters.
+    /// row (or the empty one before it), which the launch re-enters.
     const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
     /// Where the last row starts, and how many trips it has.
     const LAST: usize = 6;
@@ -437,7 +436,8 @@ mod stepped {
         let a = Csr::new(ROWS, COLS, indptr, by_row, vec![1.0; NNZ]).unwrap();
         let f = csr_spmm_ir(&a, d).unwrap();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
-        assert!(fused.is_parallel() && fused.disassemble().contains("nest.axpy"));
+        let listing = fused.disassemble();
+        assert!(listing.contains("\n0000  for ") && listing.contains("nest.axpy"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let mut t = HashMap::new();
@@ -709,16 +709,15 @@ mod ratio {
     const COLS: usize = 16;
     const NNZ: usize = 18;
     /// Row lengths 2, 0, 1, 3, 0, 12: every case lands in the long last
-    /// row, which its thread re-enters.
+    /// row, which the launch re-enters.
     const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
     const LAST: usize = 6;
     const TRIPS: usize = 12;
 
     /// Attention's one-head aggregation `Out[i, c] += (P[pos] / Sum[i]) ·
-    /// V[col, c]` at width `d`, its row loop bound to `blockIdx` (so under
-    /// `SPARSETIR_NUM_THREADS=2` it fans out onto the atomic lane body) and
-    /// its non-zero loop a row nest walking the ratio; `Out` holds stale
-    /// 9.0s.
+    /// V[col, c]` at width `d`, its row loop bound to `blockIdx` (a `for`
+    /// like any other) and its non-zero loop a row nest walking the ratio;
+    /// `Out` holds stale 9.0s.
     fn aggregate(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
         let f = lower(&attention_aggregate_program(ROWS, COLS, NNZ, 1, d)).unwrap();
         let mut sch = Schedule::new(f);
@@ -726,7 +725,7 @@ mod ratio {
         let f = sch.into_func();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
-        assert!(fused.is_parallel() && listing.contains("coeff=+1/row"), "{listing}");
+        assert!(listing.contains("\n0000  for ") && listing.contains("coeff=+1/row"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let cols: Vec<i32> = (0..NNZ as i32).map(|p| (p * 5 + 1) % COLS as i32).collect();

@@ -472,15 +472,6 @@ mod crosscheck_tests {
         (0..ins.len()).filter(|&at| ins[at].starts_with("super.") && !under_nest(at)).count()
     }
 
-    /// Most threads a `blockIdx` loop fans out to here.
-    fn max_threads() -> u64 {
-        let env = std::env::var("SPARSETIR_NUM_THREADS").ok().and_then(|v| v.parse::<u64>().ok());
-        env.map_or_else(
-            || std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
-            |n| n.max(1),
-        )
-    }
-
     /// What one launch of a kernel must have counted: `entries` nest
     /// entries taking `trips` trips between them, of which at most
     /// `prologue_trips` per entry that paid the lane prologue — plus
@@ -496,8 +487,8 @@ mod crosscheck_tests {
     /// Check a fresh compilation `kernel` of the function behind `listing`
     /// after one launch: its row nests took the fast path. `entries` nest
     /// entries, none handing a trip to the generic loop; every entry a
-    /// re-pin except the first one per nest and thread (which pays the lane
-    /// prologue and establishes the kept walk state); and every trip of a
+    /// re-pin except exactly the first one of each nest (which pays the
+    /// lane prologue and establishes the kept walk state); and every trip of a
     /// re-pinned entry taken by the nest's monomorphised trip loop.
     fn assert_fast_path(kernel: &CompiledKernel, want: &Expect, what: &str) -> String {
         let listing = kernel.disassemble();
@@ -511,10 +502,7 @@ mod crosscheck_tests {
             "{what}: {got:?}\n{listing}"
         );
         let first = got.entries - got.repinned;
-        assert!(
-            (1..=nests * max_threads()).contains(&first),
-            "{what}: {first} entries off the re-pin path, {nests} nests\n{listing}"
-        );
+        assert_eq!(first, nests, "{what}: entries off the re-pin path, one per nest\n{listing}");
         let unstepped = got.trips - got.stepped;
         assert!(
             got.stepped > 0 && unstepped <= want.once + first * want.prologue_trips,

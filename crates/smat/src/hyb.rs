@@ -61,7 +61,7 @@ impl EllBucket {
 pub struct HybPartition {
     /// First column (inclusive) covered by this partition.
     pub col_lo: u32,
-    /// Last column (exclusive).
+    /// One past the last column covered.
     pub col_hi: u32,
     /// Buckets indexed by exponent: `buckets[i]` has width `2^i`.
     pub buckets: Vec<EllBucket>,
