@@ -44,7 +44,7 @@
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
 //!   folded into one widened kernel launch that binds each rider's
 //!   operands and output buffer in place as segmented views — column
-//!   segments for SpMM/attention, a head axis inside the fused non-zero
+//!   segments for SpMM/attention, a head axis inside each row's non-zero
 //!   loop for SDDMM/fused attention — so nothing is stacked or split
 //!   back ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
 //!   costs (lowering, IR fingerprinting, dispatch) are paid once per

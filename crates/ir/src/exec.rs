@@ -101,27 +101,26 @@ impl std::error::Error for ExecError {}
 
 /// What a kernel's row nests did over its runs so far
 /// ([`CompiledKernel::nest_counts`]): whether the fast path is the one
-/// taken. `entries − repinned` are the entries that paid the full lane
-/// prologue: the first one per nest of each launch, every entry
-/// of a nest that has no entry program, and any whose re-pin failed a
-/// check.
+/// taken. Every entry runs its nest's entry program; `entries − repinned`
+/// are those handed to the generic loop at trip 0 instead — the walk state
+/// could not be established, or the program or the re-pin failed a check
+/// — plus any such entry that had no trips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NestCounts {
     /// Times a `nest.*` instruction was entered (once per row).
     pub entries: u64,
     /// Entries that ran their entry program and re-pinned the walk state
-    /// an earlier entry of the launch established.
+    /// the launch established.
     pub repinned: u64,
     /// Entries that handed a trip they could not take to the generic loop.
     pub handovers: u64,
     /// Trips the nests took themselves (a CSR row's non-zeros): every
     /// trip of every entry but those handed over.
     pub trips: u64,
-    /// Of `trips`, those a re-pinned entry ran in its monomorphised trip
-    /// loop — a cursor add per operand — rather than re-deriving every
-    /// operand per trip. `trips − stepped` are the trips of entries that
-    /// paid the lane prologue, plus whatever the menu of trip loops does
-    /// not cover (a binding walked column by column, a row-segmented one
+    /// Of `trips`, those an entry ran in its monomorphised trip loop — a
+    /// cursor add per operand — rather than re-deriving every operand per
+    /// trip. `trips − stepped` are what the menu of trip loops does not
+    /// cover (a binding walked column by column, a row-segmented one
     /// changing segment mid-entry) or a range test of an entry turned away.
     pub stepped: u64,
 }
@@ -512,10 +511,6 @@ impl IndexExpr {
     /// dimension's index and extent (the fused lane kernels stride the
     /// innermost dimension and need its headroom to bounds-check every
     /// lane up front).
-    ///
-    /// Kept as its own loop rather than `eval_dim(last)`: every load of the
-    /// generic path runs it, and the wider variant measured ≈ 5 % slower
-    /// per non-zero there.
     fn eval_with_last(&self, fr: &Frame) -> Result<(i64, i64, i64), ExecError> {
         let mut flat: i64 = 0;
         let mut last = (0i64, 1i64);
@@ -532,32 +527,6 @@ impl IndexExpr {
             last = (i, d);
         }
         Ok((flat, last.0, last.1))
-    }
-
-    /// [`IndexExpr::eval`], also returning dimension `dim`'s index and
-    /// extent and how many elements one step of it advances the flat
-    /// index (the product of the extents behind it) — what a row nest
-    /// needs to walk that dimension without re-evaluating the others.
-    fn eval_dim(&self, fr: &Frame, dim: usize) -> Result<(i64, i64, i64, i64), ExecError> {
-        let mut flat: i64 = 0;
-        let (mut at, mut coef) = ((0i64, 1i64), 1i64);
-        for (k, (idx, ext)) in self.dims.iter().enumerate() {
-            let d = ext.eval(fr)?;
-            let i = idx.eval(fr)?;
-            if i < 0 || i >= d {
-                return Err(ExecError::new(format!(
-                    "index {i} out of bounds for dim of extent {d} in buffer `{}`",
-                    self.name
-                )));
-            }
-            flat = flat * d + i;
-            if k == dim {
-                at = (i, d);
-            } else if k > dim {
-                coef = coef.wrapping_mul(d);
-            }
-        }
-        Ok((flat, at.0, at.1, coef))
     }
 }
 

@@ -25,15 +25,17 @@
 //!   generic loop is lowered immediately behind it as the bit-exact
 //!   fallback (taken when per-lane bounds validation fails, reproducing
 //!   the interpreter's errors). A loop whose whole body is such a lane
-//!   loop, and whose per-trip prologue [`fuse::build_nest`] can classify,
-//!   is headed by an [`Instr::Nest`] instead of a `LoopStart`: the row
-//!   nest runs the trips itself and hands the loop behind it — lowered
-//!   exactly as without the nest — whichever trip it cannot take.
-//! * **A nest is entered many times per launch, and keeps what cannot
-//!   change between entries.** The dispatch loop's [`State`] has one slot
-//!   per nest instruction: a launch's first entry pays the lane prologue
-//!   and establishes the launch-invariant walk state there; later entries
-//!   run the nest's entry program and re-pin it ([`run_nest`]). `Alloc` /
+//!   loop, and whose per-trip prologue [`fuse::build_nest`] can classify
+//!   and compile into an entry program, is headed by an [`Instr::Nest`]
+//!   instead of a `LoopStart`: the row nest runs the trips itself and
+//!   hands the loop behind it — lowered exactly as without the nest —
+//!   whichever trip it cannot take.
+//! * **A nest is entered many times per launch, one way, and keeps what
+//!   cannot change between entries.** The dispatch loop's [`State`] has
+//!   one slot per nest instruction: a launch's first entry establishes the
+//!   launch-invariant walk state there, and every entry, that one
+//!   included, runs the nest's entry program and re-pins it
+//!   ([`run_nest`]). `Alloc` /
 //!   `Free` of a buffer the state names drops it. The slots are one slab
 //!   per launching thread ([`WALKS`]), handed back empty after every
 //!   launch: a warm launch allocates no walk state, a kernel keeps none.
@@ -326,9 +328,9 @@ impl Lower {
     /// body is one fused lane loop — `LoopStart; [v = const]*; Super ..
     /// fallback; LoopEnd`, the constant binds being what unit-trip loops
     /// in between lowered to — and [`fuse::build_nest`] can classify that
-    /// lane loop's prologue against the loop variable. Only the head
-    /// changes: the nest replaces the `LoopStart` and refers to the
-    /// `Super` behind it.
+    /// lane loop's prologue against the loop variable and compile it into
+    /// an entry program. Only the head changes: the nest replaces the
+    /// `LoopStart` and refers to the `Super` behind it.
     fn nest_head(&mut self, at: usize) {
         let mut lanes_at = at + 1;
         let mut pins = Vec::new();
@@ -581,8 +583,8 @@ struct LoopFrame {
 /// What a row nest keeps from one entry to the next within a launch.
 struct Kept {
     /// The launch-invariant walk state; `None` when the nest's bindings
-    /// are of a kind its walks do not cover (every entry then takes the
-    /// first-entry path).
+    /// are of a kind its walks do not cover (every entry then hands trip 0
+    /// to the generic loop).
     walks: Option<Trips>,
     /// Where the nest's instruction is (whose entry program names the
     /// buffers this was decided on).
@@ -624,7 +626,7 @@ struct State<'c> {
     /// This thread's [`WALKS`] for the launch; `None` until the nest's
     /// first entry establishes it.
     kept: Vec<Option<Kept>>,
-    /// What a re-pinned entry hands its stepped trip loop.
+    /// What an entry hands its stepped trip loop.
     step: Stepped,
     counts: NestCounts,
 }
@@ -648,7 +650,7 @@ impl<'c> State<'c> {
     fn rebound(&mut self, buf: u32) {
         let code = self.code;
         let names = |at: u32| match &code[at as usize] {
-            Instr::Nest { spec, .. } => spec.entry.as_ref().map_or(&[][..], |p| &p.bufs),
+            Instr::Nest { spec, .. } => &spec.entry.bufs,
             _ => unreachable!("kept state belongs to a nest"),
         };
         for kept in &mut self.kept {
@@ -854,12 +856,11 @@ fn alloc(
 /// `end` when the nest took every trip, else the loop body right behind
 /// it, entered at the first trip the nest could not take.
 ///
-/// The first entry of a launch runs the lane prologue through
-/// the tree evaluators and establishes the nest's launch-invariant walk
-/// state in `st`; every later one runs the nest's entry program and re-pins
-/// that state. An entry whose re-pin fails a check — before it wrote
-/// anything — and every entry of a nest without a program take the
-/// first-entry path.
+/// A launch's first entry establishes the nest's launch-invariant walk
+/// state in `st`; every entry, that one included, runs the nest's entry
+/// program and re-pins that state. An entry whose walk state could not be
+/// established, or whose program or re-pin fails a check — before it wrote
+/// anything — hands trip 0 to the generic loop.
 #[inline(never)]
 fn run_nest<'c>(
     code: &'c [Instr],
@@ -873,31 +874,27 @@ fn run_nest<'c>(
         unreachable!("a nest's lane loop is a superinstruction")
     };
     st.counts.entries += 1;
-    let mut repinned = None;
-    if let Some(prog) = &spec.entry {
-        let id = id as usize;
-        if st.kept.len() <= id {
-            st.kept.resize_with(id + 1, || None);
-        }
-        match &mut st.kept[id] {
-            Some(Kept { walks: Some(at), .. }) => {
-                repinned = spec.reenter(prog, lanes, fr, at, &mut st.step);
-            }
-            Some(Kept { walks: None, .. }) => {}
-            fresh @ None => {
-                *fresh = Some(Kept { walks: Trips::establish(spec, prog, lanes, fr), at: ip });
-            }
-        }
+    let id = id as usize;
+    if st.kept.len() <= id {
+        st.kept.resize_with(id + 1, || None);
     }
-    let (done, n) = match repinned {
+    let kept = st.kept[id].get_or_insert_with(|| Kept {
+        walks: Trips::establish(spec, &spec.entry, lanes, fr),
+        at: ip,
+    });
+    let taken =
+        kept.walks.as_mut().and_then(|at| spec.reenter(&spec.entry, lanes, fr, at, &mut st.step));
+    let (done, n) = match taken {
         Some(Taken { done, trips, stepped }) => {
             st.counts.repinned += 1;
             st.counts.stepped += stepped as u64;
             (done, trips)
         }
         None => {
+            // Trip 0 is the generic loop's, which evaluates the extent as
+            // its `LoopStart` would: an empty entry is done.
             let n = spec.extent.eval(fr)?;
-            (if n > 0 { spec.run(lanes, fr, n) } else { n }, n)
+            (n.min(0), n)
         }
     };
     st.counts.trips += done.max(0) as u64;

@@ -6,8 +6,8 @@
 //! fusion matching or slot allocation shows up as a readable diff.
 //! Scalar slots print as `%N`, buffer slots as `@N` (both resolvable via
 //! the tables), jump targets as zero-padded absolute instruction
-//! addresses. A row nest that has an entry program prints it on an
-//! unnumbered `entry:` line under its `nest.*` line.
+//! addresses. A row nest prints its entry program on an unnumbered
+//! `entry:` line under its `nest.*` line.
 
 use super::bytecode::{Code, Instr};
 use super::fuse::{
@@ -55,9 +55,7 @@ pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
     for (at, ins) in code.instrs().iter().enumerate() {
         let _ = writeln!(out, "{at:04}  {}", instr(ins, code.instrs()));
         if let Instr::Nest { spec, .. } = ins {
-            if let Some(prog) = &spec.entry {
-                let _ = writeln!(out, "      {}", entry(prog, spec.ratio));
-            }
+            let _ = writeln!(out, "      {}", entry(&spec.entry, spec.ratio));
         }
     }
     out

@@ -30,8 +30,8 @@
 //!
 //! One loop further out, [`build_nest`] (the `nest` submodule) analyzes
 //! the loop *around* a fused lane loop — a CSR row's or ELL bucket's
-//! non-zeros — and yields a **row nest** that pays that prologue once per
-//! row, when relative to the outer loop variable `j` it proves:
+//! non-zeros — and yields a **row nest** that pays no prologue at all,
+//! when relative to the outer loop variable `j` it proves:
 //!
 //! * the outer body is the lane loop and nothing else (unit-trip loops in
 //!   between only pin their variable to 0);
@@ -46,22 +46,22 @@
 //!   one such load `*` or `/` a row-invariant factor (a ratio: attention's
 //!   `P[pos] / Sum[i]`, divided per trip in the source's order).
 //!
-//! The first entry of a launch runs trip 0 through the lane loop's own
-//! prologue, then walks the moving quantities: per non-zero one
+//! No entry of a nest runs the lane loop's prologue: what cannot change
+//! within a launch (where operands are bound, strides, spans, lane count)
+//! is established once per launch, and what varies with the enclosing
+//! loop variables is a compiled **entry program** — a few checked `i32`
+//! loads and linear combinations, without which a loop is no nest — that
+//! pins the walks at trip 0 of every entry, the first included, and hands
+//! the entry's trips to one monomorphised **trip loop** picked from a
+//! fixed menu when the walk state was established ([`trip_loops`]): a
+//! cursor add per operand per trip, the affine walks range-tested per
+//! entry, the gathered column per trip (see the `nest` submodule). What
+//! the menu does not cover is walked trip by trip: per non-zero one
 //! bounds-checked index load, one bounds-checked coefficient load, a base
 //! add and an interval check per moving view, and the same lane bodies.
-//! Later entries do not repeat the prologue: what cannot change within a
-//! launch (where operands are bound, strides, spans, lane count) is kept
-//! from the first entry, and what varies with the enclosing loop variables
-//! is a compiled **entry program** — a few checked `i32` loads and linear
-//! combinations — that re-pins the walks, and hands the entry's trips to
-//! one monomorphised **trip loop** picked from a fixed menu when the walk
-//! state was established ([`trip_loops`]): a cursor add per operand per
-//! trip, the affine walks range-tested per entry, the gathered column per
-//! trip (see the `nest` submodule). The
-//! nest is the head of its loop in place of `LoopStart`; the loop behind
-//! it is lowered as without it, and the nest hands it the first trip whose
-//! checks fail, before that trip writes anything.
+//! The nest is the head of its loop in place of `LoopStart`; the loop
+//! behind it is lowered as without it, and the nest hands it the first
+//! trip whose checks fail, before that trip writes anything.
 //!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
 //! body — what a split by a factor that does not divide the extent
@@ -855,18 +855,6 @@ unsafe fn pieces<const N: usize>(
     }
 }
 
-/// Where an index lands with every slot bound: the flat element, and the
-/// innermost dimension's index and extent.
-#[derive(Clone, Copy, Default)]
-struct Place {
-    flat: i64,
-    last_i: i64,
-    last_d: i64,
-}
-
-/// One resolved operand and where it was found.
-type Found = (Lanes, Place);
-
 /// `(x / w, x % w)` for `x >= 0`, `w > 0` — through a 32-bit divide when
 /// both fit, which is several times cheaper than the 64-bit one.
 #[inline(always)]
@@ -927,7 +915,7 @@ fn resolve_lanes(
     (buf, index, stride): (u32, &IndexExpr, i64),
     n: i64,
     for_store: bool,
-) -> Option<Found> {
+) -> Option<Lanes> {
     let (flat, last_i, last_d) = index.eval_with_last(fr).ok()?;
     let span = stride.checked_mul(n - 1)?;
     let last_end = last_i.checked_add(span)?;
@@ -936,7 +924,7 @@ fn resolve_lanes(
     }
     let flat_end = flat.checked_add(span)?;
     let within = |len: i64| flat >= 0 && flat < len && flat_end >= 0 && flat_end < len;
-    let lanes = match fr.bufs[buf as usize] {
+    match fr.bufs[buf as usize] {
         RawBuf::F32 { ptr, len } => {
             // SAFETY: 0 <= flat < len elements behind ptr.
             within(i64::try_from(len).ok()?)
@@ -973,8 +961,7 @@ fn resolve_lanes(
             Some(Lanes::Run { ptr, stride })
         }
         _ => None,
-    };
-    Some((lanes?, Place { flat, last_i, last_d }))
+    }
 }
 
 /// Which lanes the init value overwrites the accumulator at.
@@ -1033,8 +1020,8 @@ impl LaneInit {
 }
 
 /// Everything one invocation of a lane body reads, resolved and
-/// bounds-checked: what [`LaneSpec::resolve`] hands [`LaneSpec::run`], and
-/// what a row nest ([`nest`]) patches from trip to trip.
+/// bounds-checked: what the lane prologue hands the lane body, and what a
+/// row nest ([`nest`]) patches from trip to trip.
 #[derive(Clone, Copy)]
 struct Resolved {
     /// Lane count.
@@ -1048,10 +1035,6 @@ struct Resolved {
     /// `dst`, `a`, `b` (a fill repeats `dst`; a term without a second
     /// operand repeats `a`, which its shape never loads).
     ops: [Lanes; 3],
-    /// Where each of `ops` — and a coefficient that is one plain load —
-    /// was found (what a row nest starts its walks from).
-    at: [Place; 3],
-    coeff_at: Option<Place>,
 }
 
 /// A [`TermShape`] as a type: the per-lane `f64` term over lane element
@@ -1298,16 +1281,10 @@ impl LaneSpec {
 
     /// The prologue of [`LaneSpec::try_fast`]: bind the iters at lane 0,
     /// evaluate the init and the hoisted value, resolve every operand's
-    /// lanes. Writes nothing but scalar slots.
-    ///
-    /// [`LaneSpec::try_fast`] — once per non-zero wherever no row nest
-    /// applies — takes both halves inlined, so that path stays the one
-    /// function it was before the split (out of line it measured 5–10 %
-    /// slower per superinstruction); a nest calls this once per row.
-    fn resolve(&self, fr: &mut Frame, n: i64) -> Option<Resolved> {
-        self.resolve_inline(fr, n)
-    }
-
+    /// lanes. Writes nothing but scalar slots. Inlined, as the lane body
+    /// is: [`LaneSpec::try_fast`] runs once per non-zero wherever no row
+    /// nest applies, and out of line either half measured 5–10 % slower
+    /// per superinstruction.
     #[inline(always)]
     fn resolve_inline(&self, fr: &mut Frame, n: i64) -> Option<Resolved> {
         fr.scalars[self.lane_slot as usize] = 0;
@@ -1324,10 +1301,10 @@ impl LaneSpec {
             | InitKind::WhenReduceZero { value }
             | InitKind::AtZeroLane { value } => value.eval(fr).ok()?,
         };
-        let ((scalar, coeff_at), [d, a, b]) = match &self.micro {
+        let (scalar, [d, a, b]) = match &self.micro {
             Micro::FillLanes { dst, value } => {
                 let v = value.eval(fr).ok()?;
-                ((v, None), [resolve_lanes(fr, dst.parts(), n, true)?; 3])
+                (v, [resolve_lanes(fr, dst.parts(), n, true)?; 3])
             }
             Micro::AxpyLanes { dst, term }
             | Micro::DotLanes { dst, term }
@@ -1343,9 +1320,7 @@ impl LaneSpec {
             // init performs before the accumulating load reads it back.
             init32: init_v as f32,
             scalar,
-            ops: [d.0, a.0, b.0],
-            at: [d.1, a.1, b.1],
-            coeff_at,
+            ops: [d, a, b],
         })
     }
 
@@ -1441,23 +1416,12 @@ impl LaneSpec {
     }
 }
 
-/// Evaluate the invariant coefficient and resolve the lane operands. A
-/// coefficient that is one plain load is resolved like a one-lane view —
-/// the same checks and the same element as evaluating the load — so a row
-/// nest can walk it from where it was found.
+/// Evaluate the invariant coefficient and resolve the lane operands.
 #[inline(always)]
-fn resolve_term(
-    fr: &Frame,
-    term: &TermSpec,
-    n: i64,
-) -> Option<((f64, Option<Place>), Found, Found)> {
+fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f64, Lanes, Lanes)> {
     let coeff = match &term.coeff {
-        Some(FloatExpr::Load { buf, index }) => {
-            let (lanes, at) = resolve_lanes(fr, (*buf, index, 0), 1, false)?;
-            (lanes.first(), Some(at))
-        }
-        Some(c) => (c.eval(fr).ok()?, None),
-        None => (0.0, None),
+        Some(c) => c.eval(fr).ok()?,
+        None => 0.0,
     };
     let a = resolve_lanes(fr, term.a.parts(), n, false)?;
     let b = match &term.b {

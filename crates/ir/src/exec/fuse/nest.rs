@@ -24,47 +24,47 @@
 //! load `*` or `/` a row-invariant factor — a [`Ratio`]), the lane count,
 //! and the init / fill values (row-invariant).
 //!
-//! At run time the **first entry** of a launch goes through
-//! the lane loop's own prologue for trip 0 and pins every moving quantity
-//! there; the moving quantities are then *walked*: per trip one
-//! bounds-checked load of the gathered index, one bounds-checked
-//! coefficient load, a base add and an interval check per moving view, and
-//! the unchanged lane bodies. Any precondition failing at trip `t` — before
-//! that trip's first write — returns `t`, and the generic loop behind the
-//! instruction (with the per-non-zero `Super` inside it) resumes at exactly
-//! that trip: errors, their order and the written prefix stay the
-//! interpreter's.
-//!
-//! **Re-entry.** What an entry evaluates splits by when it can change.
+//! **One way in.** What an entry evaluates splits by when it can change.
 //! *Launch-invariant*: where each operand is bound (pointer, length,
 //! segment table, width), strides, spans, the lane count, the init and
-//! hoisted values — the first entry establishes these ([`Trips::establish`])
-//! and the executor keeps them for the rest of the launch,
-//! dropping them when a buffer the nest names is allocated or freed.
-//! *Entry-varying*: the handful of integers that depend on enclosing loop
-//! variables — trip count, where the gather and each operand start, the
-//! reduce iters. [`plan_entry`] compiles those into an **entry program**
-//! ([`EntryProgram`]): a few registers — enclosing scalar slots and `i32`
-//! loads at positions linear in earlier registers (`indptr[r]`,
+//! hoisted values — a launch's first entry establishes these
+//! ([`Trips::establish`]) and the executor keeps them for the rest of the
+//! launch, dropping them when a buffer the nest names is allocated or
+//! freed. *Entry-varying*: the handful of integers that depend on enclosing
+//! loop variables — trip count, where the gather and each operand start,
+//! the reduce iters. [`plan_entry`] compiles those into an **entry
+//! program** ([`EntryProgram`]): a few registers — enclosing scalar slots
+//! and `i32` loads at positions linear in earlier registers (`indptr[r]`,
 //! `indptr[r + 1]`, a bucket's row id), each loaded and checked against its
-//! declared dimension and its bound storage **once** — every pin a
-//! checked linear combination of them ([`Lin`]), and a ratio's factor one
-//! checked `f32` load at such a position (or a constant). A re-entered nest runs
-//! that program, re-pins the kept walks and takes trip 0 through the same
-//! `advance` as every later trip: no expression tree, no `resolve`. A nest
+//! declared dimension and its bound storage **once** — every pin a checked
+//! linear combination of them ([`Lin`]), and a ratio's factor one checked
+//! `f32` load at such a position (or a constant). Every entry, the first
+//! included, runs that program and re-pins the kept walks
+//! ([`NestSpec::reenter`]): no expression tree, no lane prologue. A loop
 //! whose prologue does not fit a program (a non-constant extent or lane
 //! count, an iter under a division, a hoisted value that is not a constant,
-//! a load, or a load over a loaded or constant factor) has none and pays
-//! the first-entry path every time; a re-pin check that fails takes that
-//! path for the entry, before anything of it is written.
+//! a load, or a load over a loaded or constant factor) is no nest: it stays
+//! a loop around its per-non-zero `Super`. An entry whose walk state cannot
+//! be established, or whose program or re-pin fails a check, hands trip 0
+//! to the generic loop behind the instruction before anything of it is
+//! written.
+//!
+//! **Walked trips.** The moving quantities are *walked* from their trip-0
+//! pins: per trip one bounds-checked load of the gathered index, one
+//! bounds-checked coefficient load, a base add and an interval check per
+//! moving view ([`Trips::advance`]), and the unchanged lane bodies. Any
+//! precondition failing at trip `t` — before that trip's first write —
+//! returns `t`, and the generic loop behind the instruction (with the
+//! per-non-zero `Super` inside it) resumes at exactly that trip: errors,
+//! their order and the written prefix stay the interpreter's.
 //!
 //! **Stepped trips.** `advance` re-derives per trip what is fixed for the
 //! whole launch: checked `step·t + scale·dg` products, an interval check
 //! and a [`Spot`] match per moving view, then the lane op / body / term
-//! shape dispatch. So the first re-pinned entry's walk state also picks
+//! shape dispatch. So the walk state also picks, once per launch,
 //! **one monomorphised trip loop** from a fixed menu ([`super::trip_loops`]:
 //! lane op × term shape × "every operand one run" or not), and
-//! a re-pinned entry hands it its trips as [`Cursor`]s ([`Trips::stepped`]):
+//! each entry hands it its trips as [`Cursor`]s ([`Trips::stepped`]):
 //! each operand its lanes at trip 0 plus how far a trip and a unit of the
 //! gathered value carry them — a pointer add for a [`Lanes::Run`], a row
 //! add for a [`Lanes::Cols`]. What `advance` checks per trip is checked per
@@ -85,7 +85,7 @@
 
 use super::{
     cols_lanes, div_rem, float_invariant, index_loads, trip_loops, ColSeg, FloatExpr, Frame,
-    IndexExpr, InitKind, IntExpr, IntOp, LaneInit, LaneSpec, Lanes, Micro, Place, RawBuf, Resolved,
+    IndexExpr, InitKind, IntExpr, IntOp, LaneInit, LaneSpec, Lanes, Micro, RawBuf, Resolved,
     Steady, TripLoop,
 };
 use crate::exec::{elem_load, FloatOp, RowSeg};
@@ -259,9 +259,9 @@ pub(in crate::exec) struct NestSpec {
     /// The walked load is one operand of a [`Ratio`], not the coefficient
     /// itself.
     pub ratio: Option<Ratio>,
-    /// What a re-entry evaluates in place of the prologue's expression
-    /// trees; `None` when some entry-varying quantity does not fit one.
-    pub entry: Option<EntryProgram>,
+    /// What every entry evaluates in place of the prologue's expression
+    /// trees.
+    pub entry: EntryProgram,
 }
 
 /// Record the load a moving quantity gathers through; false when the nest
@@ -279,9 +279,10 @@ fn note<'a>(atom: &mut Option<&'a IntExpr>, seen: Option<&'a IntExpr>) -> bool {
 
 /// Classify the lane loop `lanes` against the loop variable `slot` of the
 /// loop whose whole body it is (behind the constant binds `pins`); `Some`
-/// when that loop is a row nest. The bytecode lowering then replaces the
-/// loop's `LoopStart` with the nest, leaving body and back edge as they
-/// are.
+/// when that loop is a row nest — every prologue quantity classifies and
+/// the entry-varying ones fit an entry program. The bytecode lowering then
+/// replaces the loop's `LoopStart` with the nest, leaving body and back
+/// edge as they are.
 pub(in crate::exec) fn build_nest(
     lanes: &LaneSpec,
     (slot, extent): (u32, &IntExpr),
@@ -373,7 +374,8 @@ pub(in crate::exec) fn build_nest(
         }
         Some(_) => return None,
     };
-    let mut spec = NestSpec {
+    let entry = plan_entry((slot, extent), &pins, gather.as_ref(), ratio, lanes)?;
+    Some(NestSpec {
         slot,
         extent: extent.clone(),
         pins,
@@ -383,10 +385,8 @@ pub(in crate::exec) fn build_nest(
         views,
         coeff,
         ratio,
-        entry: None,
-    };
-    spec.entry = plan_entry(&spec, lanes);
-    Some(spec)
+        entry,
+    })
 }
 
 /// A walked coefficient that is more than its load: one moving `f32` load
@@ -559,7 +559,7 @@ pub(in crate::exec) enum Reg {
     Load { buf: u32, at: IndexPlan },
 }
 
-/// What a re-entered nest evaluates in place of the lane prologue's
+/// What every entry of a nest evaluates in place of the lane prologue's
 /// expression trees: `regs` in order, then every pin as a [`Lin`] (or an
 /// [`IndexPlan`] of them) over those.
 #[derive(Debug, Clone)]
@@ -660,10 +660,16 @@ impl Planner {
     }
 }
 
-/// The entry program of the nest `spec` around `lanes`, when every
-/// entry-varying quantity of the prologue fits one and everything else is
-/// a constant.
-fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
+/// The entry program of the nest over `slot` in `0..extent` around
+/// `lanes`, when every entry-varying quantity of the prologue fits one and
+/// everything else is a constant.
+fn plan_entry(
+    (slot, extent): (u32, &IntExpr),
+    pins: &[(u32, i64)],
+    gather: Option<&Gather>,
+    ratio: Option<Ratio>,
+    lanes: &LaneSpec,
+) -> Option<EntryProgram> {
     let IntExpr::Const(n) = lanes.extent else {
         return None;
     };
@@ -673,12 +679,12 @@ fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
 
     let mut p = Planner::default();
     // The trip count is evaluated outside the nest's scope.
-    let extent = p.lin(&spec.extent)?;
+    let extent = p.lin(extent)?;
     let head = p.regs.len();
     // Trip 0, lane 0.
-    let zeroed = [Some(spec.slot), Some(lanes.lane_slot), lanes.outer_slot];
+    let zeroed = [Some(slot), Some(lanes.lane_slot), lanes.outer_slot];
     p.env.extend(zeroed.into_iter().flatten().map(|s| (s, Lin::default())));
-    p.env.extend(spec.pins.iter().map(|&(s, c)| (s, Lin { konst: c, terms: Vec::new() })));
+    p.env.extend(pins.iter().map(|&(s, c)| (s, Lin { konst: c, terms: Vec::new() })));
     let mut reduce = Vec::new();
     for it in &lanes.iters {
         let at = p.lin(&it.binding)?;
@@ -698,7 +704,7 @@ fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
     }
     let (mut coeff, mut factor) = (None, None);
     if let Some(value) = lanes.micro.hoisted() {
-        match walked(value, spec.ratio) {
+        match walked(value, ratio) {
             // One plain load (a term's coefficient, a fill's value), or a
             // ratio's: pinned and walked like a one-lane view.
             Some((buf, index, by)) => {
@@ -718,7 +724,7 @@ fn plan_entry(spec: &NestSpec, lanes: &LaneSpec) -> Option<EntryProgram> {
             None => {}
         }
     }
-    let gather = match &spec.gather {
+    let gather = match gather {
         Some(g) => {
             let at = p.index(&g.index)?;
             bufs.push(g.buf);
@@ -759,24 +765,6 @@ impl Walk {
         Some(Walk { drift, lo, hi, coef: reach.coef, i0: 0, flat0: 0 })
     }
 
-    /// What `index` is at trip 0 (every slot already bound) and how
-    /// `drift.dim` reaches through it — from where the lane prologue found
-    /// it when the innermost dimension is the one that moves, else by
-    /// evaluating it.
-    fn origin(
-        fr: &Frame,
-        index: &IndexExpr,
-        drift: Drift,
-        found: Option<Place>,
-    ) -> Option<((i64, i64), Reach)> {
-        let innermost = drift.dim + 1 == index.dims.len();
-        let (flat0, i0, d, coef) = match found {
-            Some(at) if innermost => (at.flat, at.last_i, at.last_d, 1),
-            _ => index.eval_dim(fr, drift.dim).ok()?,
-        };
-        Some(((flat0, i0), Reach { d, coef, innermost }))
-    }
-
     /// How far the moving dimension is from trip 0 at trip `t`; `None`
     /// when that leaves the dimension (the generic loop raises the error).
     #[inline(always)]
@@ -807,16 +795,6 @@ impl GatherWalk {
             return None;
         };
         Some(GatherWalk { walk, ptr, len: i64::try_from(len).ok()?, g0: 0 })
-    }
-
-    /// Pin the gather where the tree evaluators find it at trip 0, and
-    /// load what it gathers there.
-    fn enter(fr: &Frame, g: &Gather) -> Option<GatherWalk> {
-        let ((flat0, i0), reach) = Walk::origin(fr, &g.index, g.drift, None)?;
-        let mut gw = GatherWalk::new(fr, g.buf, Walk::new(g.drift, reach, 0)?)?;
-        (gw.walk.flat0, gw.walk.i0) = (flat0, i0);
-        gw.g0 = gw.at(0)?;
-        Some(gw)
     }
 
     /// Where trip `t` loads from, checked against the declared dimension
@@ -1031,21 +1009,6 @@ impl ViewWalk {
         Some(())
     }
 
-    /// Pin a view at trip 0, `found` there by the lane prologue (or else
-    /// evaluated).
-    fn enter(
-        fr: &Frame,
-        (buf, index, stride): (u32, &IndexExpr, i64),
-        drift: Drift,
-        lanes: (i64, bool),
-        found: Option<Place>,
-    ) -> Option<ViewWalk> {
-        let ((flat0, i0), reach) = Walk::origin(fr, index, drift, found)?;
-        let mut view = ViewWalk::new(fr, (buf, stride), drift, lanes, reach)?;
-        view.pin(flat0, i0)?;
-        Some(view)
-    }
-
     /// The view's lanes at trip `t`, every lane checked against the
     /// declared dimension and the bound storage — what `resolve_lanes`
     /// would return with the outer slot at `t`.
@@ -1230,10 +1193,9 @@ impl ViewWalk {
 }
 
 /// A nest's walk state: the resolved lanes its body reads, and the walks
-/// that patch them from trip to trip. Built per entry on the first-entry
-/// path ([`Trips::enter`], from where the lane prologue found trip 0); or
-/// established once per launch ([`Trips::establish`]), kept by
-/// the executor, and re-pinned by each later entry ([`Trips::repin`]).
+/// that patch them from trip to trip. Established once per launch
+/// ([`Trips::establish`]), kept by the executor, and re-pinned by every
+/// entry ([`Trips::repin`]).
 pub(in crate::exec) struct Trips {
     r: Resolved,
     gather: Option<GatherWalk>,
@@ -1245,9 +1207,9 @@ pub(in crate::exec) struct Trips {
     v0: [i64; MAX_REDUCE_MOVES],
     /// The term has no second operand: `ops[2]` repeats `ops[1]`.
     b_repeats_a: bool,
-    /// The trip loop a re-pinned entry runs in place of `advance` + the
-    /// lane body per trip; `None` on the first-entry path, and when the
-    /// menu does not cover how this nest's operands are bound and move.
+    /// The trip loop an entry runs in place of `advance` + the lane body
+    /// per trip; `None` when the menu does not cover how this nest's
+    /// operands are bound and move.
     stepper: Option<[TripLoop; 2]>,
     /// How far one trip moves along the gather's index slab, in elements.
     gather_step: isize,
@@ -1256,58 +1218,10 @@ pub(in crate::exec) struct Trips {
 }
 
 impl Trips {
-    /// Pin every moving quantity at trip 0, whose lanes `r` holds.
-    fn enter(spec: &NestSpec, lanes: &LaneSpec, fr: &Frame, r: Resolved) -> Option<Trips> {
-        let gather = match &spec.gather {
-            Some(g) => Some(GatherWalk::enter(fr, g)?),
-            None => None,
-        };
-        let of = lanes.micro.views();
-        let mut views = [None, None, None];
-        for k in 0..3 {
-            if let (Some(view), Some(drift)) = (of[k], spec.views[k]) {
-                let found = Some(r.at[k]);
-                views[k] = Some(ViewWalk::enter(fr, view.parts(), drift, (r.n, k == 0), found)?);
-            }
-        }
-        let walked = lanes.micro.hoisted().and_then(|c| walked(c, spec.ratio));
-        let (coeff, factor) = match (spec.coeff, walked) {
-            (Some(drift), Some((buf, index, by))) => {
-                // Row-invariant: what the lane prologue evaluated at trip 0.
-                let factor = match by {
-                    Some(by) => by.eval(fr).ok()?,
-                    None => 0.0,
-                };
-                let at = (buf, index, 0);
-                (Some(ViewWalk::enter(fr, at, drift, (1, false), r.coeff_at)?), factor)
-            }
-            (None, _) => (None, 0.0),
-            // `build_nest` only lets a walked load move.
-            _ => return None,
-        };
-        let mut v0 = [0; MAX_REDUCE_MOVES];
-        for (v, (slot, ..)) in v0.iter_mut().zip(&spec.reduce_moves) {
-            *v = fr.scalars[*slot as usize];
-        }
-        let b_repeats_a = of[1].is_some() && of[2].is_none();
-        Some(Trips {
-            r,
-            gather,
-            views,
-            coeff,
-            factor,
-            v0,
-            b_repeats_a,
-            stepper: None,
-            gather_step: 0,
-            within: Within::UNSOLVED,
-        })
-    }
-
     /// Everything of the nest's walk state that holds for a whole launch —
     /// where each operand and the gather are bound, the intervals and
     /// strides of their walks, the init and hoisted constants — with the
-    /// validation `resolve` and [`Trips::enter`] perform on it. Every view
+    /// validation the lane prologue performs on it. Every view
     /// the op has gets a walk (one that does not move with the trip still
     /// moves from entry to entry). Nothing is pinned: [`Trips::repin`]
     /// comes before any trip. `None` for a binding the walks do not cover.
@@ -1363,8 +1277,6 @@ impl Trips {
             init32: init_v as f32,
             scalar,
             ops: [unset; 3],
-            at: [Place::default(); 3],
-            coeff_at: None,
         };
         let b_repeats_a = of[1].is_some() && of[2].is_none();
         let mut at = Trips {
@@ -1441,8 +1353,8 @@ impl Trips {
     }
 
     /// Move to trip `t`: `None` — nothing written — when any walked
-    /// quantity leaves its bounds there. Trip 0 (of a re-pinned entry)
-    /// resolves every view from its pin; later trips only those that move.
+    /// quantity leaves its bounds there. Trip 0 resolves every view from
+    /// its pin; later trips only those that move.
     #[inline(always)]
     fn advance(&mut self, spec: &NestSpec, lanes: &LaneSpec, fr: &mut Frame, t: i64) -> Option<()> {
         let dg = match &self.gather {
@@ -1774,56 +1686,17 @@ impl EntryProgram {
 }
 
 impl NestSpec {
-    /// Run trips `0..trips` of the nest around the lane loop `lanes`;
-    /// returns how many completed. Fewer than `trips` means trip `done`
-    /// met a failed precondition before writing anything: the caller
-    /// resumes the generic loop there, with every earlier trip's writes
-    /// exactly the generic loop's.
-    pub(in crate::exec) fn run(&self, lanes: &LaneSpec, fr: &mut Frame, trips: i64) -> i64 {
-        fr.scalars[self.slot as usize] = 0;
-        for (slot, value) in &self.pins {
-            fr.scalars[*slot as usize] = *value;
-        }
-        let Ok(n) = lanes.extent.eval(fr) else {
-            return 0;
-        };
-        if n <= 0 {
-            // Row-invariant and empty: every trip's lane loop is a no-op.
-            return trips;
-        }
-        // Trip 0 is the lane loop's own prologue, through the tree
-        // evaluators; it validates everything row-invariant for the nest.
-        let Some(r) = lanes.resolve(fr, n) else {
-            return 0;
-        };
-        if lanes.run(&r).is_none() {
-            return 0;
-        }
-        if trips == 1 {
-            return 1;
-        }
-        let Some(mut at) = Trips::enter(self, lanes, fr, r) else {
-            return 1;
-        };
-        for t in 1..trips {
-            // Every check of trip `t` happens inside `advance`, before the
-            // body's first write.
-            if at.advance(self, lanes, fr, t).is_none() || lanes.run(&at.r).is_none() {
-                return t;
-            }
-        }
-        trips
-    }
-
-    /// Re-enter the nest on the walk state `at` a previous entry of this
-    /// launch established: run the entry program `prog`, re-pin, and hand
-    /// the trips to the nest's stepped loop (through the scratch `w`);
-    /// whatever that does not take — all of them when the nest has none or
-    /// a range test of the entry failed, the rest from the trip whose
-    /// gathered value left the reach — goes through `advance` trip by
-    /// trip. Returns how many trips completed, as [`NestSpec::run`] would;
-    /// `None` — nothing written — when the program or trip 0 fails a check:
-    /// the caller takes the first-entry path for this entry.
+    /// Enter the nest on the walk state `at` this launch established: run
+    /// the entry program `prog`, re-pin, and hand the trips to the nest's
+    /// stepped loop (through the scratch `w`); whatever that does not take
+    /// — all of them when the nest has none or a range test of the entry
+    /// failed, the rest from the trip whose gathered value left the reach —
+    /// goes through `advance` trip by trip. Returns how many trips
+    /// completed: fewer than the entry's trips means trip `done` met a
+    /// failed precondition before writing anything, and the caller resumes
+    /// the generic loop there, every earlier trip's writes being exactly
+    /// the generic loop's. `None` — nothing written — when the program or
+    /// trip 0 fails a check: the caller hands trip 0 to the generic loop.
     pub(in crate::exec) fn reenter(
         &self,
         prog: &EntryProgram,
@@ -1863,13 +1736,13 @@ impl NestSpec {
         self.trip_by_trip(lanes, fr, at, (stepped, trips))
     }
 
-    /// The trips of a re-pinned entry from `stepped` on — all of them when
+    /// The trips of an entry from `stepped` on — all of them when
     /// the nest has no stepped loop or a range test of the entry turned it
     /// away — through `advance` one by one: trip 0 resolves every operand,
     /// the later ones those that move, and every check of a trip happens
     /// before the body's first write. Out of line: a served launch comes
     /// here for the nests the menu of trip loops does not cover, and the
-    /// re-entry path stays small for those it does.
+    /// entry path stays small for those it does.
     #[inline(never)]
     fn trip_by_trip(
         &self,
@@ -1891,7 +1764,7 @@ impl NestSpec {
     }
 }
 
-/// What a re-pinned entry did: `done` of its `trips` trips completed (the
+/// What an entry did: `done` of its `trips` trips completed (the
 /// generic loop resumes at trip `done` when fewer), the first `stepped` of
 /// them in the nest's monomorphised trip loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -690,9 +690,9 @@ fn nest_spec(k: &CompiledKernel) -> &fuse::NestSpec {
 }
 
 /// A row nest under a `blockIdx` loop writes the interpreter's bits: run
-/// by the launch, which establishes its walk state once and re-pins four
-/// rows; run directly for row 0; and re-entered row by row on one kept
-/// walk state.
+/// by the launch, which establishes its walk state once and enters all
+/// five rows through the entry program, the first one included; and
+/// entered row by row on one kept walk state.
 #[test]
 fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     let (f, tensors) = ell_func(5, 33);
@@ -712,15 +712,10 @@ fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     kernel.run(&HashMap::new(), &mut t).unwrap();
     assert_eq!(t["C"], interp["C"]);
     let counts = kernel.nest_counts();
-    assert_eq!((counts.entries, counts.repinned, counts.handovers), (5, 4, 0));
-    // Row 0's nest alone.
-    let mut t = tensors.clone();
-    let mut fr = frame_of(&kernel, &mut t);
-    assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 3, "all three trips taken");
-    assert_eq!(t["C"].as_f32()[..33], interp["C"].as_f32()[..33]);
+    assert_eq!((counts.entries, counts.repinned, counts.handovers), (5, 5, 0));
     // Every row through the entry program, on one walk state kept from
     // row to row.
-    let prog = nest.entry.as_ref().expect("the ELL nest has an entry program");
+    let prog = &nest.entry;
     let i = kernel.slot_names.iter().position(|s| s == "i").expect("row loop slot");
     let mut t = tensors;
     let mut fr = frame_of(&kernel, &mut t);
@@ -741,9 +736,8 @@ fn nest_under_a_block_loop_bit_matches_the_interpreter() {
 /// The nest's contract with the loop behind it: a trip it cannot take is
 /// reported *before* anything of that trip is written, every earlier trip
 /// stands, and the generic loop resuming there reproduces the
-/// interpreter's error and prefix — on the first-entry path and on a
-/// re-entry alike; a re-entry that cannot take its *first* trip reports
-/// nothing taken and leaves the row to the first-entry path.
+/// interpreter's error and prefix; an entry that cannot take its *first*
+/// trip reports nothing taken and leaves the row to the generic loop.
 #[test]
 fn nest_reports_the_first_trip_it_cannot_take() {
     let (f, mut tensors) = ell_func(2, 8);
@@ -758,18 +752,15 @@ fn nest_reports_the_first_trip_it_cannot_take() {
 
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
-    assert_eq!(nest.run(lane_spec(&kernel), &mut fr, 3), 1, "trip 0 taken, trip 1 handed back");
-    assert_eq!(t["C"], interp["C"], "exactly trip 0 of row 0 is written");
-
-    let mut t = tensors.clone();
-    let mut fr = frame_of(&kernel, &mut t);
     let got = kernel.code.exec(&mut fr).unwrap_err();
     assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
-    assert_eq!(t["C"], interp["C"]);
+    assert_eq!(t["C"], interp["C"], "exactly trip 0 of row 0 is written");
+    assert_eq!((kernel.nest_counts().repinned, kernel.nest_counts().handovers), (1, 1));
 
-    // The same row re-entered: trip 1 handed back after trip 0's writes;
-    // with the bad column at trip 0 instead, nothing taken, nothing written.
-    let prog = nest.entry.as_ref().expect("the ELL nest has an entry program");
+    // The same row entered directly: trip 1 handed back after trip 0's
+    // writes; with the bad column at trip 0 instead, nothing taken, nothing
+    // written — and a launch hands trip 0 to the generic loop.
+    let prog = &nest.entry;
     let lanes = lane_spec(&kernel);
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
@@ -787,6 +778,15 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
     assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()), None);
     assert_eq!(t["C"], tensors["C"], "nothing written");
+    let mut interp = tensors.clone();
+    let err = eval_func(&f, &HashMap::new(), &mut interp).unwrap_err().to_string();
+    let kernel = CompiledKernel::compile_with(&f, true).unwrap();
+    let mut t = tensors.clone();
+    let got = kernel.run(&HashMap::new(), &mut t).unwrap_err();
+    assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
+    assert_eq!(t["C"], interp["C"]);
+    let counts = kernel.nest_counts();
+    assert_eq!((counts.entries, counts.repinned, counts.handovers), (1, 0, 1));
 }
 
 /// Empty views are valid bindings, not dangling-pointer arithmetic: a
@@ -858,6 +858,6 @@ fn walk_state_is_one_slab_per_thread() {
     }
     for (kernel, ..) in &kernels {
         let counts = kernel.nest_counts();
-        assert_eq!((counts.entries, counts.repinned), (15, 12), "each launch establishes anew");
+        assert_eq!((counts.entries, counts.repinned), (15, 15), "each launch establishes anew");
     }
 }

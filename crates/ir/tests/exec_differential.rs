@@ -48,10 +48,11 @@
 //! `reentered` members run every row shape under each loop shape a served
 //! nest sits in (blocked rows with and without the tail guard, a plain
 //! row loop, `hyb` buckets), check through [`CompiledKernel::nest_counts`]
-//! that later entries re-pin kept state instead of paying the prologue —
-//! and that re-allocating a buffer the state names drops it — with one
-//! negative case per entry-program rule. Its `stepped` members run the
-//! monomorphised trip loop a re-pinned entry takes: lane counts around the
+//! that every entry, the launch's first included, runs its entry program
+//! and re-pins kept state — and bit-match where re-allocating a buffer the
+//! state names drops it — with one negative case per entry-program rule,
+//! each no nest. Its `stepped` members run the monomorphised trip loop an
+//! entry takes: lane counts around the
 //! vector widths × batches of unequal segments × one and three heads on a
 //! graph with empty rows, one-non-zero rows and one row of `n / 2`, every
 //! output also checked against an independent `f64` oracle; every term
@@ -1502,8 +1503,8 @@ fn launch_counts(
 /// `for i` (the serial SpMM and the one-head SDDMM), and `hyb` buckets
 /// whose row comes through a row-id buffer. Whole tensors and one, three
 /// and mixed-width column segments; fused vs all-generic vs interpreter,
-/// bit for bit. And the fast path is the one taken: all but the first
-/// entry of each nest re-pin.
+/// bit for bit. And the fast path is the one taken: every entry of each
+/// nest, the first included, runs its program and re-pins.
 #[test]
 fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
     let mut rng = gen::rng(0x66);
@@ -1550,13 +1551,12 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
             whole.insert("B".to_string(), TensorData::from(vec![0.5f32; a.cols() * d]));
             whole.insert("C".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
             let counts = launch_counts(&f, &HashMap::new(), &whole);
-            let first = counts.entries - counts.repinned;
+            assert_eq!(counts.repinned, counts.entries, "rows {lens:?}, {what}: {counts:?}");
             // Every nest is entered once there is a row.
             let entered = if lens.is_empty() { 0 } else { n_nests as u64 };
-            assert_eq!(first, entered, "rows {lens:?}, {what}: {counts:?}");
+            assert!(counts.entries >= entered, "rows {lens:?}, {what}: {counts:?}");
             if what == "for i" {
-                let rows = lens.len() as u64;
-                assert_eq!((counts.entries, first), (rows, rows.min(1)), "{lens:?}: {counts:?}");
+                assert_eq!(counts.entries, lens.len() as u64, "{lens:?}: {counts:?}");
             }
         }
 
@@ -1574,7 +1574,8 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
 /// every iteration, so what the nest kept of its old binding must go:
 /// `for i { alloc T { T = 2·X[i]; for r in 0..2 { for j { C[i] += W[i, j] · T } } } }`
 /// enters the `j` nest twice per `i` — the first entry after each
-/// allocation re-establishes, the second re-pins — and bit-matches.
+/// allocation re-establishes the walk state, and both re-pin it — and
+/// bit-matches.
 #[test]
 fn reentered_nest_drops_spots_of_a_reallocated_local_buffer() {
     let (rows, width, n) = (4i64, 3i64, 5i64);
@@ -1617,8 +1618,8 @@ fn reentered_nest_drops_spots_of_a_reallocated_local_buffer() {
     }
     differential(&f, &HashMap::new(), &tensors).unwrap();
     let counts = launch_counts(&f, &HashMap::new(), &tensors);
-    let (entries, repinned) = (2 * rows as u64, rows as u64);
-    assert_eq!((counts.entries, counts.repinned), (entries, repinned), "one re-pin per allocation");
+    let entries = 2 * rows as u64;
+    assert_eq!((counts.entries, counts.repinned), (entries, entries), "every entry re-pins");
 }
 
 /// What [`entry_candidate`] builds in place of the form that fits.
@@ -1714,10 +1715,9 @@ fn entry_candidate(
     (f, scalars, t)
 }
 
-/// One negative case per entry-program rule: each keeps the nest and the
-/// listing it had before nests kept state — no `entry:` line, so every
-/// entry pays the lane prologue — and still bit-matches. The positive
-/// control gets a program and re-pins every row after the first.
+/// One negative case per entry-program rule: each is no nest — the loop
+/// stays a `for` around its per-non-zero `Super` — and still bit-matches.
+/// The positive control is a nest with a program, and every row re-pins.
 #[test]
 fn entry_program_rules_each_have_a_negative_case() {
     use EntryRule::{
@@ -1727,30 +1727,31 @@ fn entry_program_rules_each_have_a_negative_case() {
         [Fits, RowUnderDivision, ComputedCoefficient, ParamLaneCount, ParamExtent, NineRegisters]
     {
         let (f, scalars, tensors) = entry_candidate(rule);
-        assert_eq!(nests(&f), ["nest.axpy"], "{rule:?}: the nest itself stays");
+        let want: &[&str] = if rule == Fits { &["nest.axpy"] } else { &[] };
+        assert_eq!(nests(&f), want, "{rule:?}: a nest only with a program");
         assert_eq!(entry_programs(&f), usize::from(rule == Fits), "{rule:?}");
+        assert_eq!(CompiledKernel::compile(&f).unwrap().fused_kinds(), ["AxpyLanes"], "{rule:?}");
         differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let counts = launch_counts(&f, &scalars, &tensors);
-        let repinned = if rule == Fits { 3 } else { 0 };
-        assert_eq!((counts.entries, counts.repinned), (4, repinned), "{rule:?}");
+        let entries = if rule == Fits { 4 } else { 0 };
+        assert_eq!((counts.entries, counts.repinned), (entries, entries), "{rule:?}");
     }
 }
 
 /// A coefficient that is one walked load `*` or `/` a factor: a nest when
-/// the factor holds for the entry (not when it moves with the trip too), an
-/// entry program when the factor is one load (or a constant) — loaded once
-/// per entry, every trip dividing in the source's order — and none when it
-/// is computed. Each bit-matches.
+/// the factor holds for the entry and is one load (or a constant) — loaded
+/// once per entry by the entry program, every trip dividing in the source's
+/// order — and no nest when the factor is computed or moves with the trip
+/// too. Each bit-matches.
 #[test]
 fn ratio_coefficients_walk_when_their_factor_holds_for_the_entry() {
     use EntryRule::{ComputedFactor, MovingFactor, Ratio};
-    for (rule, nest, programs, repinned) in
-        [(Ratio, true, 1, 3), (ComputedFactor, true, 0, 0), (MovingFactor, false, 0, 0)]
-    {
+    for rule in [Ratio, ComputedFactor, MovingFactor] {
         let (f, scalars, tensors) = entry_candidate(rule);
+        let nest = rule == Ratio;
         let want: &[&str] = if nest { &["nest.axpy"] } else { &[] };
         assert_eq!(nests(&f), want, "{rule:?}");
-        assert_eq!(entry_programs(&f), programs, "{rule:?}");
+        assert_eq!(entry_programs(&f), usize::from(nest), "{rule:?}");
         if rule == Ratio {
             let listing = CompiledKernel::compile(&f).unwrap().disassemble();
             assert!(
@@ -1761,7 +1762,7 @@ fn ratio_coefficients_walk_when_their_factor_holds_for_the_entry() {
         differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let counts = launch_counts(&f, &scalars, &tensors);
         let entries = if nest { 4 } else { 0 };
-        assert_eq!((counts.entries, counts.repinned), (entries, repinned), "{rule:?}");
+        assert_eq!((counts.entries, counts.repinned), (entries, entries), "{rule:?}");
     }
 }
 
@@ -1788,20 +1789,19 @@ fn ratio_aggregate(
 
 /// The ratio's failure modes and IEEE corners on every binding, whole and
 /// segmented, against the interpreter: a factor of ±0, NaN or ±inf in the
-/// first-entry row and in re-pinned ones — bits; `Sum` one row short of
+/// launch's first row and in later ones — bits; `Sum` one row short of
 /// what an entry loads — the entry falls back and fails with the
 /// interpreter's text and prefix; `P` ending mid-row — the same, trips in.
 #[test]
 fn ratio_factor_corners_and_short_bindings_match_on_every_binding() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6c));
-    let longest = a.row_nnz(0);
     for d in [1usize, 4, 17] {
         let (f, structure, parts) = ratio_aggregate(&a, d, &mut rng);
         assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.axpy".to_string()], 1));
         for special in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             let mut t = structure.clone();
             let TensorData::F32(sum) = t.get_mut("Sum").unwrap() else { unreachable!() };
-            // The first row (first entry) and two re-pinned ones.
+            // The first row (the launch's first entry) and two later ones.
             for row in [0, 7, a.rows() - 2] {
                 sum[row] = special;
             }
@@ -1821,7 +1821,7 @@ fn ratio_factor_corners_and_short_bindings_match_on_every_binding() {
         short("Sum", row);
         short("P", a.indptr()[row] + 4);
         let (counts, _) = view_launch(&f, &structure, &parts);
-        assert_stepped(counts, a.nnz() as u64, longest as u64, &format!("d = {d}"));
+        assert_stepped(counts, a.nnz() as u64, &format!("d = {d}"));
     }
 }
 
@@ -1830,8 +1830,8 @@ fn ratio_factor_corners_and_short_bindings_match_on_every_binding() {
 // ---------------------------------------------------------------------------
 
 /// 24 × 24 with rows of 0, 1 and `n / 2` non-zeros among short ones — the
-/// first row long, so the launch's first entry (which pays the lane
-/// prologue) is not the only one with trips.
+/// first row long, so the launch's first entry, which establishes the walk
+/// state before it steps, is the longest.
 fn stepped_fixture() -> Csr {
     let lens = [12usize, 0, 1, 0, 1, 3, 2, 5, 1, 0, 7, 1, 2, 0, 4, 1, 9, 1, 0, 2, 3, 1, 6, 1];
     let mut next = lens.iter().copied();
@@ -1853,14 +1853,14 @@ fn view_launch(
     (kernel.nest_counts(), parts)
 }
 
-/// The stepped loop took every trip of every re-pinned entry: no
-/// hand-over, `trips` trips in all, and none outside the stepped loop but
-/// those of the entries that paid the prologue (at most `longest` each).
-fn assert_stepped(counts: NestCounts, trips: u64, longest: u64, what: &str) {
-    assert_eq!((counts.handovers, counts.trips), (0, trips), "{what}: {counts:?}");
-    let first = counts.entries - counts.repinned;
-    assert!(first >= 1 && counts.stepped > 0, "{what}: {counts:?}");
-    assert!(counts.trips - counts.stepped <= first * longest, "{what}: {counts:?}");
+/// The stepped loop took every trip of every entry: each entry re-pinned,
+/// none handed over, and `trips` trips in all, every one stepped.
+fn assert_stepped(counts: NestCounts, trips: u64, what: &str) {
+    assert_eq!(
+        (counts.repinned, counts.handovers, counts.trips, counts.stepped),
+        (counts.entries, 0, trips, trips),
+        "{what}: {counts:?}"
+    );
 }
 
 /// The served CSR SpMM — the default schedule, its vector split widened
@@ -1869,11 +1869,10 @@ fn assert_stepped(counts: NestCounts, trips: u64, longest: u64, what: &str) {
 /// eight with unequal widths (so the batch binds `B` and `C` as several
 /// column segments and a lane run crosses them): interpreter ≡ generic ≡
 /// fused, whole and segmented, bit for bit; every request's output within
-/// the `f64` oracle's bound; and every trip of a re-pinned entry stepped.
+/// the `f64` oracle's bound; and every trip stepped.
 #[test]
 fn stepped_spmm_bit_matches_at_every_width_and_batch() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6a));
-    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
     for d in [1usize, 3, 4, 16, 17, 48] {
         for batch in [1usize, 3, 8] {
             let widths: Vec<usize> = (0..batch).map(|i| d + i % 3).collect();
@@ -1893,7 +1892,7 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
-            assert_stepped(counts, a.nnz() as u64, longest, &what);
+            assert_stepped(counts, a.nnz() as u64, &what);
             for (i, &w) in widths.iter().enumerate() {
                 oracle::spmm_f64(&a, &after[0].segs[i], w)
                     .check(&after[1].segs[i])
@@ -1912,7 +1911,6 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
 #[test]
 fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6b));
-    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
     for k in [1usize, 3, 4, 16, 17, 48] {
         for heads in [1usize, 3] {
             let f = batched_sddmm_ir(&a, heads, k).unwrap();
@@ -1922,12 +1920,12 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
             assert_eq!(views_differential(&f, &csr_tensors(&a), &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &csr_tensors(&a), &parts);
             if heads == 1 {
-                assert_stepped(counts, a.nnz() as u64, longest, &what);
+                assert_stepped(counts, a.nnz() as u64, &what);
             } else {
                 let trips = (a.nnz() * heads) as u64;
                 assert_eq!(
-                    (counts.handovers, counts.trips, counts.stepped),
-                    (0, trips, 0),
+                    (counts.repinned, counts.handovers, counts.trips, counts.stepped),
+                    (counts.entries, 0, trips, 0),
                     "{what}"
                 );
             }
@@ -1946,13 +1944,12 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
 /// and segmented, bit for bit; every head's output within the `f64`
 /// oracle's bound. One-head attention walks two nests — the score and the
 /// ratio-weighted aggregation — SAGE two — the gather and the
-/// `Agg · Dinv`-weighted transform — every trip of a re-pinned entry
-/// stepped; three-head attention's one nest is the score's head loop, trip
-/// by trip as the three-head SDDMM's.
+/// `Agg · Dinv`-weighted transform — every trip stepped; three-head
+/// attention's one nest is the score's head loop, trip by trip as the
+/// three-head SDDMM's.
 #[test]
 fn stepped_attention_and_sage_bit_match_at_every_width() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6d));
-    let longest = (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
     let (rows, nnz) = (a.rows(), a.nnz());
     for d in [1usize, 3, 4, 16, 17, 48] {
         for heads in [1usize, 3] {
@@ -1971,12 +1968,12 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
             if heads == 1 {
-                assert_stepped(counts, 2 * nnz as u64, longest, &what);
+                assert_stepped(counts, 2 * nnz as u64, &what);
             } else {
                 let trips = (nnz * heads) as u64;
                 assert_eq!(
-                    (counts.handovers, counts.trips, counts.stepped),
-                    (0, trips, 0),
+                    (counts.repinned, counts.handovers, counts.trips, counts.stepped),
+                    (counts.entries, 0, trips, 0),
                     "{what}"
                 );
             }
@@ -2002,7 +1999,7 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             let (counts, after) = view_launch(&f, &structure, &parts);
             // One input is a unit-trip bind: the transform has no nest.
             let trips = (nnz + if feat > 1 { rows * feat } else { 0 }) as u64;
-            assert_stepped(counts, trips, longest.max(feat as u64), &what);
+            assert_stepped(counts, trips, &what);
             let [x, w, h1] = [0, 1, 2].map(|p| &after[p].segs[0]);
             oracle::sage_f64(&a, x, w, feat, hidden)
                 .check(h1)
@@ -2016,7 +2013,7 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
 /// `a = X[Idx[i·4 + j], k]` (gathered), `b = Y[i, k]` (row-invariant) and
 /// `c = W[i·4 + j]` (walked); `dst` is `C[i, k]`, or `S[i·4 + j]` for a
 /// scalar destination (which then moves with the trip). The `j` loop is a
-/// nest entered once per `i`: all but the first entry re-pin and step.
+/// nest entered once per `i`: every entry re-pins and steps.
 fn stepped_term(
     shape: usize,
     init: Init,
@@ -2129,9 +2126,11 @@ fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
                     differential(&f, &HashMap::new(), &tensors)
                         .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
                     let counts = launch_counts(&f, &HashMap::new(), &tensors);
-                    let first = (counts.entries - counts.repinned, counts.stepped);
-                    assert_eq!((counts.entries, counts.trips), (5, 20), "{case}: {counts:?}");
-                    assert_eq!(first, (1, 16), "{case}: {counts:?}");
+                    assert_eq!(
+                        (counts.entries, counts.repinned, counts.trips, counts.stepped),
+                        (5, 5, 20, 20),
+                        "{case}: {counts:?}"
+                    );
                 }
             }
         }
@@ -2213,8 +2212,8 @@ fn stepped_menu_leaves_the_rest_to_advance() {
         differential(&f, &HashMap::new(), &tensors).unwrap_or_else(|m| panic!("{off:?}: {m}"));
         let counts = launch_counts(&f, &HashMap::new(), &tensors);
         let (entries, trips) = (rows as u64, (rows * width) as u64);
-        assert_eq!((counts.entries, counts.repinned, counts.trips), (entries, entries - 1, trips));
-        let stepped = if off == Off::Covered { trips - width as u64 } else { 0 };
+        assert_eq!((counts.entries, counts.repinned, counts.trips), (entries, entries, trips));
+        let stepped = if off == Off::Covered { trips } else { 0 };
         assert_eq!(counts.stepped, stepped, "{off:?}: {counts:?}");
     }
 }

@@ -5,12 +5,12 @@
 //! The `row_nests` cases fail a CSR SpMM in a row the nest *re-enters*
 //! (the last one; the launch entered an earlier row first), at its first
 //! trip, in its middle and at its end, under its `blockIdx` loop: the row
-//! nest falls back to the lane prologue, or hands the failing trip to the
-//! generic loop.
-//! The `stepped` cases do the same to a *long* re-entered row — twelve
-//! trips, so the failing trip is one the monomorphised trip loop would have
-//! taken: a column out of range at its first, a middle and its last trip
-//! (the per-trip test against the entry's reach), a coefficient slab one
+//! nest hands the failing trip — trip 0 included — to the generic loop.
+//! The `stepped` cases do the same to a *long* row — twelve trips, so the
+//! failing trip is one the monomorphised trip loop would have taken: a
+//! column out of range at its first, a middle and its last trip (the
+//! per-trip test against the entry's reach), in a row the launch re-enters
+//! and in one that is the launch's first entry of the nest; a coefficient slab one
 //! element short and a row pointer that claims 2³¹ trips (the entry's
 //! hoisted range test fails: the entry goes trip by trip instead, never to
 //! an early error), a negative position, and a column inside one of two
@@ -416,14 +416,20 @@ mod stepped {
     /// Where the last row starts, and how many trips it has.
     const LAST: usize = 6;
     const TRIPS: usize = 12;
+    /// Row lengths 12, 0, 1, 3, 0, 2: the long row is the first the launch
+    /// enters the nest for.
+    const LONG_FIRST: [i32; ROWS + 1] = [0, 12, 12, 13, 16, 16, 18];
 
     /// The default (`blockIdx`-bound) CSR SpMM at width `d` with
-    /// hand-written structure tensors; `C` holds stale 9.0s.
-    fn spmm(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
-        let indices: Vec<u32> = [0, 3, 2, 1, 2, 4]
-            .into_iter()
-            .chain((0..TRIPS as u32).map(|t| (t * 5 + 1) % 16))
-            .collect();
+    /// hand-written structure tensors, the long row last (`INDPTR`) or
+    /// first (`LONG_FIRST`); `C` holds stale 9.0s.
+    fn spmm(d: usize, long_first: bool) -> (PrimFunc, HashMap<String, TensorData>) {
+        let (short, long) = ([0u32, 3, 2, 1, 2, 4], (0..TRIPS as u32).map(|t| (t * 5 + 1) % 16));
+        let (indptr, indices): ([i32; ROWS + 1], Vec<u32>) = if long_first {
+            (LONG_FIRST, long.chain(short).collect())
+        } else {
+            (INDPTR, short.into_iter().chain(long).collect())
+        };
         let sorted = |lo: usize, hi: usize| {
             let mut row = indices[lo..hi].to_vec();
             row.sort_unstable();
@@ -431,9 +437,9 @@ mod stepped {
         };
         // Only the dimensions of `a` reach the IR.
         let by_row: Vec<u32> =
-            INDPTR.windows(2).flat_map(|w| sorted(w[0] as usize, w[1] as usize)).collect();
-        let indptr = INDPTR.iter().map(|&p| p as usize).collect();
-        let a = Csr::new(ROWS, COLS, indptr, by_row, vec![1.0; NNZ]).unwrap();
+            indptr.windows(2).flat_map(|w| sorted(w[0] as usize, w[1] as usize)).collect();
+        let ptr = indptr.iter().map(|&p| p as usize).collect();
+        let a = Csr::new(ROWS, COLS, ptr, by_row, vec![1.0; NNZ]).unwrap();
         let f = csr_spmm_ir(&a, d).unwrap();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
@@ -441,7 +447,7 @@ mod stepped {
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let mut t = HashMap::new();
-        t.insert("J_indptr".to_string(), TensorData::from(INDPTR.to_vec()));
+        t.insert("J_indptr".to_string(), TensorData::from(indptr.to_vec()));
         let indices: Vec<i32> = indices.iter().map(|&c| c as i32).collect();
         t.insert("J_indices".to_string(), TensorData::from(indices));
         t.insert("A".to_string(), TensorData::from(ramp(NNZ, 0.5)));
@@ -484,27 +490,34 @@ mod stepped {
         want["C"].as_f32().to_vec()
     }
 
-    /// The last row of `c` after `landed` of its trips: written over the
+    /// Row `row` of `c` after `landed` of its trips: written over the
     /// stale 9.0s exactly when any trip landed.
-    fn assert_landed(c: &[f32], landed: usize) {
-        let last = &c[(ROWS - 1) * (c.len() / ROWS)..];
-        assert_eq!(last.iter().all(|&c| c != 9.0), landed > 0, "{landed} trips landed: {last:?}");
+    fn assert_landed(c: &[f32], row: usize, landed: usize) {
+        let width = c.len() / ROWS;
+        let got = &c[row * width..(row + 1) * width];
+        assert_eq!(got.iter().all(|&c| c != 9.0), landed > 0, "{landed} trips landed: {got:?}");
     }
 
     #[test]
     fn column_past_the_operand_at_the_first_a_middle_and_the_last_trip_of_a_long_row() {
-        for d in [4usize, 16] {
-            for trip in [0, TRIPS / 2, TRIPS - 1] {
-                for (bad, index) in [(COLS as i32, COLS * d), (i32::MAX, i32::MAX as usize * d)] {
-                    let (f, mut t) = spmm(d);
-                    let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else {
-                        unreachable!()
-                    };
-                    cols[LAST + trip] = bad;
-                    let n = COLS * d;
-                    let says =
-                        format!("index {index} out of bounds for dim of extent {n} in buffer `B`");
-                    assert_landed(&fails_like_the_interpreter(&f, &t, &says), trip);
+        // The long row re-entered last, and entered first: the launch's
+        // first entry fails at trip 0 / 6 / 11 as a later one does.
+        for (long_first, start, row) in [(false, LAST, ROWS - 1), (true, 0, 0)] {
+            for d in [4usize, 16] {
+                for trip in [0, TRIPS / 2, TRIPS - 1] {
+                    for (bad, index) in [(COLS as i32, COLS * d), (i32::MAX, i32::MAX as usize * d)]
+                    {
+                        let (f, mut t) = spmm(d, long_first);
+                        let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else {
+                            unreachable!()
+                        };
+                        cols[start + trip] = bad;
+                        let n = COLS * d;
+                        let says = format!(
+                            "index {index} out of bounds for dim of extent {n} in buffer `B`"
+                        );
+                        assert_landed(&fails_like_the_interpreter(&f, &t, &says), row, trip);
+                    }
                 }
             }
         }
@@ -512,23 +525,23 @@ mod stepped {
 
     #[test]
     fn negative_column_in_the_middle_of_a_long_row() {
-        let (f, mut t) = spmm(4);
+        let (f, mut t) = spmm(4, false);
         let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
         cols[LAST + 5] = i32::MIN;
         let index = i64::from(i32::MIN) * 4;
         let says = format!("index {index} out of bounds for dim of extent 64 in buffer `B`");
-        assert_landed(&fails_like_the_interpreter(&f, &t, &says), 5);
+        assert_landed(&fails_like_the_interpreter(&f, &t, &says), ROWS - 1, 5);
     }
 
     #[test]
     fn coefficient_slab_one_element_shorter_than_the_row_pointers_claim() {
         // The entry's range test over the coefficient walk fails: the row
         // goes trip by trip, eleven land, the twelfth raises.
-        let (f, mut t) = spmm(4);
+        let (f, mut t) = spmm(4, false);
         let TensorData::F32(a) = t.get_mut("A").unwrap() else { unreachable!() };
         a.truncate(NNZ - 1);
         let says = format!("flat index {} out of bounds (len {}) in buffer `A`", NNZ - 1, NNZ - 1);
-        assert_landed(&fails_like_the_interpreter(&f, &t, &says), TRIPS - 1);
+        assert_landed(&fails_like_the_interpreter(&f, &t, &says), ROWS - 1, TRIPS - 1);
     }
 
     #[test]
@@ -536,7 +549,7 @@ mod stepped {
         // `B` holds 15 of its 16 declared rows; the long row's trip 3
         // gathers column 0, its trip 6 column 15 — the declared dimension
         // admits it, the bound storage does not.
-        let (f, mut t) = spmm(4);
+        let (f, mut t) = spmm(4, false);
         let TensorData::I32(cols) = t.get("J_indices").unwrap() else { unreachable!() };
         let trip = cols[LAST..].iter().position(|&c| c == 15).expect("column 15 is in the row");
         let TensorData::F32(b) = t.get_mut("B").unwrap() else { unreachable!() };
@@ -546,7 +559,7 @@ mod stepped {
             &t,
             "flat index 60 out of bounds (len 60) in buffer `B`",
         );
-        assert_landed(&c, trip);
+        assert_landed(&c, ROWS - 1, trip);
     }
 
     #[test]
@@ -555,7 +568,7 @@ mod stepped {
         // `i32::MAX − 1`: its last position is tested at the entry in
         // arithmetic that cannot wrap, fails there, and the row goes trip
         // by trip through the twelve positions that exist.
-        let (f, mut t) = spmm(4);
+        let (f, mut t) = spmm(4, false);
         let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
         (ptr[ROWS - 1], ptr[ROWS]) = (i32::MAX - 1, i32::MAX);
         let says =
@@ -569,12 +582,12 @@ mod stepped {
     fn negative_position() {
         // `indptr[5] = −1`: the row before the last has a negative trip
         // count and is skipped; the last starts at position −1.
-        let (f, mut t) = spmm(4);
+        let (f, mut t) = spmm(4, false);
         let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
         ptr[ROWS - 1] = -1;
         let says = format!("index -1 out of bounds for dim of extent {NNZ} in buffer `J_indices`");
-        // The re-pin fails before the row writes anything: no hand-over,
-        // the first-entry path raises.
+        // The entry program fails before the row writes anything: the entry
+        // hands trip 0 to the generic loop, which raises.
         let mut want = t.clone();
         let err = eval_func(&f, &HashMap::new(), &mut want).expect_err("fails").to_string();
         assert_eq!(err.strip_prefix("interpreter error: "), Some(says.as_str()));
@@ -584,8 +597,9 @@ mod stepped {
             let e = kernel.run(&HashMap::new(), &mut got).expect_err("fails").to_string();
             assert_eq!(e.strip_prefix("executor error: "), Some(says.as_str()), "fuse = {fuse}");
             assert_eq!(got["C"], want["C"], "fuse = {fuse}");
+            assert_eq!(kernel.nest_counts().handovers, u64::from(fuse), "trip 0 handed over");
         }
-        assert_landed(want["C"].as_f32(), 0);
+        assert_landed(want["C"].as_f32(), ROWS - 1, 0);
     }
 
     /// Which of the operands one gather moves is the short one.
@@ -769,7 +783,7 @@ mod ratio {
             if fuse {
                 let counts = kernel.nest_counts();
                 assert_eq!(counts.handovers, handovers, "{counts:?}");
-                assert!(counts.stepped > 0, "a re-pinned entry walked the ratio: {counts:?}");
+                assert!(counts.stepped > 0, "the stepped loop walked the ratio: {counts:?}");
             }
         }
         let mut got = tensors.clone();
@@ -787,9 +801,9 @@ mod ratio {
     #[test]
     fn factor_indexed_past_its_binding_at_an_entry() {
         // `Sum` holds five of its six declared rows: the last row's entry
-        // program cannot load its factor, the entry takes the first-entry
-        // path, the prologue fails, and the generic loop raises at trip 0 —
-        // after the init has zeroed the first lane, as the interpreter's.
+        // program cannot load its factor, the entry hands trip 0 to the
+        // generic loop, and that raises — after the init has zeroed the
+        // first lane, as the interpreter's.
         for d in [4usize, 16] {
             let (f, mut t) = aggregate(d);
             let TensorData::F32(sum) = t.get_mut("Sum").unwrap() else { unreachable!() };
@@ -821,8 +835,8 @@ mod ratio {
     fn factor_of_zero_nan_and_infinity() {
         // No error: IEEE division, trip by trip in the source's order, to
         // the interpreter's bits — `P / 0` is ±inf or (at `P[7] = 0`) NaN,
-        // `P / ±inf` a signed zero. On the first row (the first-entry path)
-        // and the last (a re-pinned entry).
+        // `P / ±inf` a signed zero. On the first row (the launch's first
+        // entry) and the last.
         for factor in [0.0f32, -0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
             for row in [0, ROWS - 1] {
                 let (f, mut t) = aggregate(4);

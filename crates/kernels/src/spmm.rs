@@ -473,41 +473,27 @@ mod crosscheck_tests {
     }
 
     /// What one launch of a kernel must have counted: `entries` nest
-    /// entries taking `trips` trips between them, of which at most
-    /// `prologue_trips` per entry that paid the lane prologue — plus
-    /// `once`, the trips of nests entered once per launch — were not
-    /// stepped.
+    /// entries taking `trips` trips between them.
     struct Expect {
         entries: u64,
         trips: u64,
-        prologue_trips: u64,
-        once: u64,
     }
 
     /// Check a fresh compilation `kernel` of the function behind `listing`
     /// after one launch: its row nests took the fast path. `entries` nest
-    /// entries, none handing a trip to the generic loop; every entry a
-    /// re-pin except exactly the first one of each nest (which pays the
-    /// lane prologue and establishes the kept walk state); and every trip of a
-    /// re-pinned entry taken by the nest's monomorphised trip loop.
+    /// entries, every one — a launch's first included — running its entry
+    /// program and re-pinning, none handing a trip to the generic loop;
+    /// and every trip taken by the nest's monomorphised trip loop.
     fn assert_fast_path(kernel: &CompiledKernel, want: &Expect, what: &str) -> String {
         let listing = kernel.disassemble();
-        let nests = listing.lines().filter(|l| l.contains("  nest.")).count() as u64;
+        let nests = listing.lines().filter(|l| l.contains("  nest.")).count();
         let programs = listing.lines().filter(|l| l.trim_start().starts_with("entry:")).count();
-        assert_eq!(programs as u64, nests, "{what}: every nest has an entry program\n{listing}");
+        assert_eq!(programs, nests, "{what}: every nest has an entry program\n{listing}");
         let got = kernel.nest_counts();
         assert_eq!(
-            (got.entries, got.handovers, got.trips),
-            (want.entries, 0, want.trips),
+            (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
+            (want.entries, want.entries, 0, want.trips, want.trips),
             "{what}: {got:?}\n{listing}"
-        );
-        let first = got.entries - got.repinned;
-        assert_eq!(first, nests, "{what}: entries off the re-pin path, one per nest\n{listing}");
-        let unstepped = got.trips - got.stepped;
-        assert!(
-            got.stepped > 0 && unstepped <= want.once + first * want.prologue_trips,
-            "{what}: {unstepped} trips outside the stepped loop, {first} entries paid the \
-             prologue\n{got:?}\n{listing}"
         );
         listing
     }
@@ -520,8 +506,9 @@ mod crosscheck_tests {
     }
 
     /// What the served path compiles keeps its row nests — and a launch
-    /// re-enters them by re-pinning and takes their trips in the stepped
-    /// loop: the CSR kernel at the widened default schedule (narrow, served
+    /// enters every row of them, the first included, by running the entry
+    /// program and re-pinning, and takes their trips in the stepped loop:
+    /// the CSR kernel at the widened default schedule (narrow, served
     /// and wide widths; row counts the 4-row blocks divide and leave a
     /// guarded tail on; whole tensors, and `B` / `C` bound as the views of
     /// one request and of a batch of eight), every bucket of
@@ -552,7 +539,6 @@ mod crosscheck_tests {
             )
         };
         let nests = |l: &str, kind: &str| l.lines().filter(|i| i.contains(kind)).count();
-        let longest = |a: &Csr| (0..a.rows()).map(|r| a.row_nnz(r)).max().unwrap() as u64;
         let mut rng = gen::rng(93);
         let mut operands = |a: &Csr, d: usize, structure: &mut Bindings| {
             bind_dense(structure, "B", &gen::random_dense(a.cols(), d, &mut rng));
@@ -562,12 +548,7 @@ mod crosscheck_tests {
         for rows in [64usize, 61] {
             let a = power_law(rows);
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
-            let want = Expect {
-                entries: rows as u64,
-                trips: a.nnz() as u64,
-                prologue_trips: longest(&a),
-                once: 0,
-            };
+            let want = Expect { entries: rows as u64, trips: a.nnz() as u64 };
             for d in [4usize, 16, 128] {
                 let config = SpmmConfig::default_csr().widened(d);
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
@@ -616,8 +597,6 @@ mod crosscheck_tests {
         let want = Expect {
             entries: 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64,
             trips: (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64,
-            prologue_trips: wide.iter().map(|b| width_of(b)).max().unwrap() as u64,
-            once: a.rows() as u64,
         };
         operands(&a, 16, &mut tensors);
         let l = launch_repins(&f, &mut tensors, &want, "hyb(c = 2, k = 3)");
@@ -644,12 +623,7 @@ mod crosscheck_tests {
             let what = format!("sddmm, {heads} heads");
             let l = if heads == 1 {
                 // The `j` loop is the nest, entered once per row.
-                let want = Expect {
-                    entries: a.rows() as u64,
-                    trips: a.nnz() as u64,
-                    prologue_trips: longest(&a),
-                    once: 0,
-                };
+                let want = Expect { entries: a.rows() as u64, trips: a.nnz() as u64 };
                 assert_fast_path(&kernel, &want, &what)
             } else {
                 // The head loop under it is, entered once per non-zero.
@@ -657,7 +631,7 @@ mod crosscheck_tests {
                 let (entries, trips) = (a.nnz() as u64, (a.nnz() * heads) as u64);
                 assert_eq!(
                     (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (entries, entries - 1, 0, trips, 0),
+                    (entries, entries, 0, trips, 0),
                     "{what}"
                 );
                 kernel.disassemble()
@@ -675,12 +649,7 @@ mod crosscheck_tests {
         bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), k, &mut rng));
         bind_dense(&mut tensors, "Y", &gen::random_dense(k, a.cols(), &mut rng));
         bind_zeros(&mut tensors, "Bout", a.nnz());
-        let want = Expect {
-            entries: a.rows() as u64,
-            trips: a.nnz() as u64,
-            prologue_trips: longest(&a),
-            once: 0,
-        };
+        let want = Expect { entries: a.rows() as u64, trips: a.nnz() as u64 };
         let f = crate::sddmm::sddmm_ir(&a, k).unwrap();
         let l = launch_repins(&f, &mut tensors, &want, "sddmm_ir");
         assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
@@ -691,7 +660,7 @@ mod crosscheck_tests {
         // the score nest is the head loop (entered per non-zero, walked
         // trip by trip as the three-head SDDMM's), and the aggregation is
         // no nest at all — both halves of its ratio move with the head.
-        let (d, row0) = (8, a.row_nnz(0) as u64);
+        let d = 8;
         for heads in [1usize, 3] {
             let rt = Runtime::new();
             let dense = |rows, cols, rng: &mut _| gen::random_dense(rows, cols, rng);
@@ -714,8 +683,8 @@ mod crosscheck_tests {
                 assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
                 assert_eq!(
                     (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (2 * rows, 2 * rows - 2, 0, 2 * nnz, 2 * (nnz - row0)),
-                    "attention, one head: every trip but row 0's stepped\n{l}"
+                    (2 * rows, 2 * rows, 0, 2 * nnz, 2 * nnz),
+                    "attention, one head: every trip stepped\n{l}"
                 );
             } else {
                 assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (1, 1), "{l}");
@@ -723,7 +692,7 @@ mod crosscheck_tests {
                 let trips = nnz * heads as u64;
                 assert_eq!(
                     (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (nnz, nnz - 1, 0, trips, 0),
+                    (nnz, nnz, 0, trips, 0),
                     "attention, {heads} heads\n{l}"
                 );
             }
@@ -745,8 +714,8 @@ mod crosscheck_tests {
         let (rows, trips) = (a.rows() as u64, (a.nnz() + a.rows() * feat) as u64);
         assert_eq!(
             (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-            (2 * rows, 2 * rows - 2, 0, trips, trips - row0 - feat as u64),
-            "sage: every trip but row 0's stepped\n{l}"
+            (2 * rows, 2 * rows, 0, trips, trips),
+            "sage: every trip stepped\n{l}"
         );
     }
 

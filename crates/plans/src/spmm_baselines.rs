@@ -145,9 +145,10 @@ pub mod sddmm {
     /// (§4.2.2: "not optimized for highly sparse matrices").
     #[must_use]
     pub fn cusparse_plan(a: &Csr, feat: usize) -> KernelPlan {
-        // Processes 32×32 output tiles where any non-zero exists.
+        // Processes 32×32 output tiles where any non-zero exists, in
+        // tile-row-major order: the plan is a pure function of the matrix.
         let tile = 32usize;
-        let mut touched = std::collections::HashSet::new();
+        let mut touched = std::collections::BTreeSet::new();
         for r in 0..a.rows() {
             for &c in a.row(r).0 {
                 touched.insert((r / tile, c as usize / tile));
@@ -267,5 +268,21 @@ mod tests {
         assert!(dgsp < dgl, "dgsparse {dgsp} vs dgl {dgl}");
         assert!(cus > dgl * 2.0, "cusparse {cus} vs dgl {dgl}");
         assert!(taco > stir, "taco {taco} vs sparsetir {stir}");
+    }
+
+    /// Two builds of one matrix emit the same blocks, one per touched tile,
+    /// in ascending `(tile_row, tile_col)` order — which the tile's `X` and
+    /// `Yt` read addresses spell out.
+    #[test]
+    fn cusparse_sddmm_blocks_are_deterministic_and_tile_row_major() {
+        let a = power_law(700, 83);
+        let tiles = |plan: &KernelPlan| {
+            let tile = |b: &BlockWork| (b.reads[0].addr, b.reads[1].addr);
+            plan.blocks.iter().map(tile).collect::<Vec<_>>()
+        };
+        let (first, second) = (sddmm::cusparse_plan(&a, 16), sddmm::cusparse_plan(&a, 16));
+        assert_eq!(format!("{:?}", first.blocks), format!("{:?}", second.blocks));
+        let order = tiles(&first);
+        assert!(order.len() > 1 && order.windows(2).all(|w| w[0] < w[1]), "{order:?}");
     }
 }

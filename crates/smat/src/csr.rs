@@ -31,11 +31,13 @@ impl Csr {
         indices: Vec<u32>,
         values: Vec<f32>,
     ) -> Result<Csr, SmatError> {
-        if indptr.len() != rows + 1 {
+        let Some(ptrs) = rows.checked_add(1) else {
+            return Err(SmatError::new(format!("{rows} rows overflow the indptr length")));
+        };
+        if indptr.len() != ptrs {
             return Err(SmatError::new(format!(
-                "indptr length {} != rows + 1 = {}",
-                indptr.len(),
-                rows + 1
+                "indptr length {} != rows + 1 = {ptrs}",
+                indptr.len()
             )));
         }
         if indptr.first() != Some(&0) {
@@ -392,6 +394,8 @@ mod tests {
         assert!(Csr::new(2, 2, vec![0, 1], vec![0], vec![1.0]).is_err());
         assert!(Csr::new(2, 2, vec![1, 1, 1], vec![], vec![]).is_err());
         assert!(Csr::new(2, 2, vec![0, 2, 1], vec![0, 1], vec![1.0, 1.0]).is_err());
+        // `rows + 1` overflows: an error, not a panic.
+        assert!(Csr::new(usize::MAX, 2, vec![0], vec![], vec![]).is_err());
     }
 
     #[test]

@@ -58,7 +58,10 @@ impl Dense {
     /// # Errors
     /// Fails when `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Result<Dense, SmatError> {
-        if data.len() != rows * cols {
+        let Some(len) = rows.checked_mul(cols) else {
+            return Err(SmatError::new(format!("dense shape {rows}x{cols} overflows usize")));
+        };
+        if data.len() != len {
             return Err(SmatError::new(format!(
                 "dense data length {} does not match {rows}x{cols}",
                 data.len()
@@ -233,6 +236,10 @@ mod tests {
     #[test]
     fn from_vec_validates_length() {
         assert!(Dense::from_vec(2, 2, vec![0.0; 3]).is_err());
+        // A shape whose element count overflows is an error, not a
+        // wrapped count an empty buffer matches.
+        let err = Dense::from_vec(usize::MAX, 2, vec![]).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
