@@ -1435,11 +1435,15 @@ fn row_nest_classification_rules_each_have_a_negative_case() {
         |idx, i, j| idx.load(vec![Expr::var(i) * 3 + Expr::var(j)]) + idx.load(vec![Expr::var(j)]);
     // The trip under a division.
     let divided: Col = |_, _, j| Expr::var(j) / Expr::i32(2);
-    let cases: [(&str, Col, bool, usize); 5] = [
+    // A load at the gathered position: moving, and no affine walk.
+    let regathered: Col =
+        |idx, i, j| idx.load(vec![idx.load(vec![Expr::var(i) * 3 + Expr::var(j)])]);
+    let cases: [(&str, Col, bool, usize); 6] = [
         ("one gather", gather, false, 1),
         ("gather × trip", product, false, 0),
         ("two gathers", two, false, 0),
         ("trip / 2", divided, false, 0),
+        ("a load at the gathered position", regathered, false, 0),
         ("second statement in the outer body", gather, true, 0),
     ];
     for (what, col, second, want) in cases {
@@ -1647,6 +1651,10 @@ enum EntryRule {
     ComputedFactor,
     /// The coefficient is `W[i·3 + j] / W[i·3 + j]`: both sides move.
     MovingFactor,
+    /// The output row is `i + j·u`, `u` the variable of a unit-trip loop
+    /// between `j` and the lanes: pinned to 0, but the trip times a
+    /// variable, not a constant.
+    TripTimesPin,
 }
 
 /// `for i in 0..4 { for j in 0..3 { for k in 0..5 { C[row, k] += coeff · X[Idx[i·3 + j], k] } } }`
@@ -1662,12 +1670,13 @@ fn entry_candidate(
     let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
     let x = Buffer::global_f32("X", vec![x_extent, Expr::i32(n)]);
     let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
-    let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+    let (i, j, k, pin) = (Var::i32("i"), Var::i32("j"), Var::i32("k"), Var::i32("p"));
     let outer: Vec<Var> = (0..8).map(|u| Var::i32(format!("u{u}"))).collect();
     let pos = Expr::var(&i) * width + Expr::var(&j);
     let row = match rule {
         EntryRule::RowUnderDivision => Expr::var(&i) * 2 / Expr::i32(2),
         EntryRule::NineRegisters => outer.iter().fold(Expr::var(&i), |r, u| r + Expr::var(u)),
+        EntryRule::TripTimesPin => Expr::var(&i) + Expr::var(&j) * Expr::var(&pin),
         _ => Expr::var(&i),
     };
     let first = || w.load(vec![Expr::var(&i) * width]);
@@ -1689,6 +1698,8 @@ fn entry_candidate(
             value: c.load(at) + coeff * x.load(vec![idx.load(vec![pos]), Expr::var(&k)]),
         }),
     };
+    let lanes =
+        if rule == EntryRule::TripTimesPin { Stmt::for_serial(pin, 1, lanes) } else { lanes };
     let mut body = Stmt::for_serial(i, rows, Stmt::for_serial(j, width, lanes));
     if rule == EntryRule::NineRegisters {
         body = outer.into_iter().fold(body, |b, u| Stmt::for_serial(u, 1, b));
@@ -1722,10 +1733,17 @@ fn entry_candidate(
 fn entry_program_rules_each_have_a_negative_case() {
     use EntryRule::{
         ComputedCoefficient, Fits, NineRegisters, ParamExtent, ParamLaneCount, RowUnderDivision,
+        TripTimesPin,
     };
-    for rule in
-        [Fits, RowUnderDivision, ComputedCoefficient, ParamLaneCount, ParamExtent, NineRegisters]
-    {
+    for rule in [
+        Fits,
+        RowUnderDivision,
+        ComputedCoefficient,
+        ParamLaneCount,
+        ParamExtent,
+        NineRegisters,
+        TripTimesPin,
+    ] {
         let (f, scalars, tensors) = entry_candidate(rule);
         let want: &[&str] = if rule == Fits { &["nest.axpy"] } else { &[] };
         assert_eq!(nests(&f), want, "{rule:?}: a nest only with a program");

@@ -1,5 +1,6 @@
 //! Golden-file tests on the kernel disassembler: canonical kernels (CSR
-//! SpMM at d = 4 and d = 128, hyb SpMM, batched SDDMM, fused attention) must disassemble to
+//! SpMM at d = 4 and d = 128, hyb SpMM, batched SDDMM, fused attention at
+//! two heads and one, fused SAGE) must disassemble to
 //! byte-identical listings committed under `tests/golden/`. Any change to
 //! slot allocation, lowering, fusion matching or the instruction set
 //! shows up here as a readable diff.
@@ -122,4 +123,23 @@ fn fused_attention_disassembly_is_stable() {
     let a = fixture_csr();
     let f = fused_attention_ir(&a, 2, 4, 3).expect("builds");
     check_golden("fused_attention", &f);
+}
+
+/// One head, as attention is served: the score pass is a `nest.gsa` that
+/// gathers the column, the aggregation a `nest.axpy` whose coefficient is
+/// the ratio `P[pos] / Sum[i]` (`coeff=+1/row`).
+#[test]
+fn one_head_fused_attention_disassembly_is_stable() {
+    let a = fixture_csr();
+    let f = fused_attention_ir(&a, 1, 4, 3).expect("builds");
+    check_golden("fused_attention_one_head", &f);
+}
+
+/// Fused SAGE: two `nest.axpy`, the transform's coefficient the walked
+/// product `Agg[i, k] · Dinv[i]` (`coeff=+1*row`).
+#[test]
+fn fused_sage_disassembly_is_stable() {
+    let a = fixture_csr();
+    let f = fused_sage_ir(&a, 4, 3).expect("builds");
+    check_golden("fused_sage", &f);
 }
