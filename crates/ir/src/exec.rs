@@ -63,7 +63,7 @@ use crate::eval::TensorData;
 use crate::expr::{BinOp, Expr, Intrinsic};
 use crate::func::PrimFunc;
 use crate::stmt::{IterKind, Stmt, TensorTile};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
@@ -248,6 +248,98 @@ enum BoolExpr {
 struct IndexExpr {
     name: String,
     dims: Vec<(IntExpr, IntExpr)>,
+}
+
+/// What a compiled expression reads — slots, and buffers through a load,
+/// an index or a binary search — and whether evaluating it can error.
+#[derive(Default)]
+struct ExprInfo {
+    slots: HashSet<u32>,
+    bufs: HashSet<u32>,
+    fallible: bool,
+}
+
+fn scan_int(e: &IntExpr, info: &mut ExprInfo) {
+    match e {
+        IntExpr::Const(_) => {}
+        IntExpr::Slot(s) => {
+            info.slots.insert(*s);
+        }
+        IntExpr::Bin { op, lhs, rhs } => {
+            info.fallible |= matches!(op, IntOp::Div | IntOp::Rem);
+            scan_int(lhs, info);
+            scan_int(rhs, info);
+        }
+        IntExpr::Select { cond, then_, else_ } => {
+            scan_bool(cond, info);
+            scan_int(then_, info);
+            scan_int(else_, info);
+        }
+        IntExpr::CastViaF64(v) => scan_float(v, info),
+        IntExpr::BoolToInt(b) => scan_bool(b, info),
+        IntExpr::Load { buf, index } => {
+            info.fallible = true;
+            info.bufs.insert(*buf);
+            scan_index(index, info);
+        }
+        IntExpr::BinarySearch { buf, lo, hi, x, .. } => {
+            info.fallible = true;
+            info.bufs.insert(*buf);
+            scan_int(lo, info);
+            scan_int(hi, info);
+            scan_int(x, info);
+        }
+    }
+}
+
+fn scan_float(e: &FloatExpr, info: &mut ExprInfo) {
+    match e {
+        FloatExpr::Const(_) => {}
+        FloatExpr::Bin { lhs, rhs, .. } => {
+            // Float div/rem follow IEEE (inf/NaN), never error.
+            scan_float(lhs, info);
+            scan_float(rhs, info);
+        }
+        FloatExpr::Select { cond, then_, else_ } => {
+            scan_bool(cond, info);
+            scan_float(then_, info);
+            scan_float(else_, info);
+        }
+        FloatExpr::FromInt(v) => scan_int(v, info),
+        FloatExpr::Load { buf, index } => {
+            info.fallible = true;
+            info.bufs.insert(*buf);
+            scan_index(index, info);
+        }
+        FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => scan_float(v, info),
+    }
+}
+
+fn scan_bool(e: &BoolExpr, info: &mut ExprInfo) {
+    match e {
+        BoolExpr::CmpI { lhs, rhs, .. } => {
+            scan_int(lhs, info);
+            scan_int(rhs, info);
+        }
+        BoolExpr::CmpF { lhs, rhs, .. } => {
+            scan_float(lhs, info);
+            scan_float(rhs, info);
+        }
+        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
+            scan_bool(a, info);
+            scan_bool(b, info);
+        }
+        BoolExpr::IntNonZero(v) => scan_int(v, info),
+        BoolExpr::FloatNonZero(v) => scan_float(v, info),
+    }
+}
+
+fn scan_index(ix: &IndexExpr, info: &mut ExprInfo) {
+    info.fallible = true; // per-dimension bounds checks
+    for (i, extent) in &ix.dims {
+        scan_int(i, info);
+        scan_int(extent, info);
+    }
 }
 
 #[derive(Debug, Clone)]

@@ -25,8 +25,9 @@
 //!   generic loop is lowered immediately behind it as the bit-exact
 //!   fallback (taken when per-lane bounds validation fails, reproducing
 //!   the interpreter's errors). A loop whose whole body is such a lane
-//!   loop, and whose per-trip prologue [`fuse::build_nest`] can classify
-//!   and compile into an entry program, is headed by an [`Instr::Nest`]
+//!   loop, and whose per-trip prologue [`fuse::build_nest`] can plan in
+//!   one walk (how each quantity moves, and an entry program), is headed
+//!   by an [`Instr::Nest`]
 //!   instead of a `LoopStart`: the row nest runs the trips itself and
 //!   hands the loop behind it — lowered exactly as without the nest —
 //!   whichever trip it cannot take.
@@ -51,8 +52,9 @@
 
 use super::fuse::{self, LaneSpec, NestSpec, Stepped, Taken, Trips};
 use super::{
-    exec_accum_f, exec_mma, exec_store_f, exec_store_i, BoolExpr, CBlock, CStmt, ExecError,
-    FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, MmaOp, NestCounts, RawBuf, ValueExpr,
+    exec_accum_f, exec_mma, exec_store_f, exec_store_i, scan_int, BoolExpr, CBlock, CStmt,
+    ExecError, ExprInfo, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, MmaOp, NestCounts, RawBuf,
+    ValueExpr,
 };
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -327,9 +329,9 @@ impl Lower {
     /// Turn the loop just lowered at `at` into a row nest when its whole
     /// body is one fused lane loop — `LoopStart; [v = const]*; Super ..
     /// fallback; LoopEnd`, the constant binds being what unit-trip loops
-    /// in between lowered to — and [`fuse::build_nest`] can classify that
-    /// lane loop's prologue against the loop variable and compile it into
-    /// an entry program. Only the head changes: the nest replaces the
+    /// in between lowered to — and [`fuse::build_nest`] can plan that lane
+    /// loop's prologue against the loop variable: how each quantity moves,
+    /// and its entry program. Only the head changes: the nest replaces the
     /// `LoopStart` and refers to the `Super` behind it.
     fn nest_head(&mut self, at: usize) {
         let mut lanes_at = at + 1;
@@ -371,97 +373,6 @@ impl Lower {
 // ---------------------------------------------------------------------------
 // Loop-invariant code motion (lowering-time analysis)
 // ---------------------------------------------------------------------------
-
-/// What a compiled expression reads, and whether evaluating it can error.
-#[derive(Default)]
-struct ExprInfo {
-    slots: HashSet<u32>,
-    bufs: HashSet<u32>,
-    fallible: bool,
-}
-
-fn scan_int(e: &IntExpr, info: &mut ExprInfo) {
-    match e {
-        IntExpr::Const(_) => {}
-        IntExpr::Slot(s) => {
-            info.slots.insert(*s);
-        }
-        IntExpr::Bin { op, lhs, rhs } => {
-            info.fallible |= matches!(op, IntOp::Div | IntOp::Rem);
-            scan_int(lhs, info);
-            scan_int(rhs, info);
-        }
-        IntExpr::Select { cond, then_, else_ } => {
-            scan_bool(cond, info);
-            scan_int(then_, info);
-            scan_int(else_, info);
-        }
-        IntExpr::CastViaF64(v) => scan_float(v, info),
-        IntExpr::BoolToInt(b) => scan_bool(b, info),
-        IntExpr::Load { buf, index } => {
-            info.fallible = true;
-            info.bufs.insert(*buf);
-            scan_index(index, info);
-        }
-        IntExpr::BinarySearch { buf, lo, hi, x, .. } => {
-            info.fallible = true;
-            info.bufs.insert(*buf);
-            scan_int(lo, info);
-            scan_int(hi, info);
-            scan_int(x, info);
-        }
-    }
-}
-
-fn scan_float(e: &FloatExpr, info: &mut ExprInfo) {
-    match e {
-        FloatExpr::Const(_) => {}
-        FloatExpr::Bin { lhs, rhs, .. } => {
-            // Float div/rem follow IEEE (inf/NaN), never error.
-            scan_float(lhs, info);
-            scan_float(rhs, info);
-        }
-        FloatExpr::Select { cond, then_, else_ } => {
-            scan_bool(cond, info);
-            scan_float(then_, info);
-            scan_float(else_, info);
-        }
-        FloatExpr::FromInt(v) => scan_int(v, info),
-        FloatExpr::Load { buf, index } => {
-            info.fallible = true;
-            info.bufs.insert(*buf);
-            scan_index(index, info);
-        }
-        FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => scan_float(v, info),
-    }
-}
-
-fn scan_bool(e: &BoolExpr, info: &mut ExprInfo) {
-    match e {
-        BoolExpr::CmpI { lhs, rhs, .. } => {
-            scan_int(lhs, info);
-            scan_int(rhs, info);
-        }
-        BoolExpr::CmpF { lhs, rhs, .. } => {
-            scan_float(lhs, info);
-            scan_float(rhs, info);
-        }
-        BoolExpr::And(a, b) | BoolExpr::Or(a, b) => {
-            scan_bool(a, info);
-            scan_bool(b, info);
-        }
-        BoolExpr::IntNonZero(v) => scan_int(v, info),
-        BoolExpr::FloatNonZero(v) => scan_float(v, info),
-    }
-}
-
-fn scan_index(ix: &IndexExpr, info: &mut ExprInfo) {
-    info.fallible = true; // per-dimension bounds checks
-    for (i, extent) in &ix.dims {
-        scan_int(i, info);
-        scan_int(extent, info);
-    }
-}
 
 /// What a statement subtree writes. `unknown` poisons the analysis.
 #[derive(Default)]

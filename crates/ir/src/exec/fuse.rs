@@ -28,31 +28,33 @@
 //! as the unsplit loop would ([`coalesce`]), so the per-invocation
 //! prologue is paid once per non-zero, not once per `E_i` lanes.
 //!
-//! One loop further out, [`build_nest`] (the `nest` submodule) analyzes
-//! the loop *around* a fused lane loop — a CSR row's or ELL bucket's
-//! non-zeros — and yields a **row nest** that pays no prologue at all,
-//! when relative to the outer loop variable `j` it proves:
-//!
-//! * the outer body is the lane loop and nothing else (unit-trip loops in
-//!   between only pin their variable to 0);
-//! * every iter binding, and the one index dimension of each lane view
-//!   and of the coefficient's load that moves at all, is **row-invariant**,
-//!   **affine** in `j` with a compile-time step, or **gathered** —
-//!   a constant times one `i32` load at an affine-in-`j` position (the
-//!   `indices[indptr[i] + j]` column) plus an affine part — with at most
-//!   one such load per nest, from a buffer the lanes do not write;
-//! * the lane count, every index extent, and the init / fill values are
-//!   row-invariant; the coefficient is row-invariant, one plain load, or
-//!   one such load `*` or `/` a row-invariant factor (a ratio: attention's
-//!   `P[pos] / Sum[i]`, divided per trip in the source's order).
+//! One loop further out, [`build_nest`] (the `nest` submodule) plans the
+//! loop *around* a fused lane loop — a CSR row's or ELL bucket's
+//! non-zeros — as a **row nest** that pays no prologue at all. The outer
+//! body must be the lane loop and nothing else (unit-trip loops in between
+//! only pin their variable to 0). One walk over the lane prologue then
+//! takes every integer quantity — the trip count, each iter binding, each
+//! index dimension of the lane views and of the coefficient's load — apart
+//! into its value at trip 0, a sum of constant multiples of a few
+//! registers (enclosing loop variables and checked `i32` loads such as
+//! `indptr[i]`), and how it moves with the outer variable `j`: a
+//! compile-time step per trip plus a constant times the nest's one
+//! **gather**, the `i32` load at a position walking with `j` (the
+//! `indices[indptr[i] + j]` column, from a buffer the lanes do not write).
+//! The lane count and every index extent are constants; the coefficient
+//! is a constant, one plain load, or one such load `*` or `/` a factor
+//! fixed for the entry (a ratio: attention's `P[pos] / Sum[i]`, divided
+//! per trip in the source's order). Anything else — a division, a
+//! selection, a moving value times a variable, a load at a gathered
+//! position — leaves the loop a loop.
 //!
 //! No entry of a nest runs the lane loop's prologue: what cannot change
 //! within a launch (where operands are bound, strides, spans, lane count)
-//! is established once per launch, and what varies with the enclosing
-//! loop variables is a compiled **entry program** — a few checked `i32`
-//! loads and linear combinations, without which a loop is no nest — that
-//! pins the walks at trip 0 of every entry, the first included, and hands
-//! the entry's trips to one monomorphised **trip loop** picked from a
+//! is established once per launch, and the trip-0 values the walk produced
+//! are the nest's **entry program** — its registers, loaded and checked
+//! once per entry, and linear combinations of them — that pins the walks
+//! at trip 0 of every entry, the first included, and hands the entry's
+//! trips to one monomorphised **trip loop** picked from a
 //! fixed menu when the walk state was established ([`trip_loops`]): a
 //! cursor add per operand per trip, the affine walks range-tested per
 //! entry, the gathered column per trip (see the `nest` submodule). What
@@ -91,7 +93,10 @@
 //! lane run crossing a column-segment boundary of a batched binding costs
 //! one extra piece, not a table chase per lane.
 
-use super::{CStmt, ColSeg, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, IntOp, RawBuf};
+use super::{
+    scan_float, scan_index, scan_int, CStmt, ColSeg, ExprInfo, FloatExpr, FloatOp, Frame,
+    IndexExpr, IntExpr, IntOp, RawBuf,
+};
 use std::collections::HashMap;
 
 mod nest;
@@ -171,50 +176,41 @@ fn int_stride(e: &IntExpr, env: &StrideEnv) -> Option<i64> {
     }
 }
 
-/// What the invariance walkers ask of an analysis environment: does this
-/// integer expression keep one value over the loop under analysis? The
-/// lane analysis answers with a zero lane stride; the row-nest analysis
-/// ([`nest`]) with a row-invariant form.
-trait Steady {
-    fn steady(&self, e: &IntExpr) -> bool;
-}
-
-impl Steady for StrideEnv {
-    fn steady(&self, e: &IntExpr) -> bool {
-        int_stride(e, self) == Some(0)
-    }
+/// True when `e` is affine in the lane with a zero stride.
+fn int_invariant(e: &IntExpr, env: &StrideEnv) -> bool {
+    int_stride(e, env) == Some(0)
 }
 
 /// True when `e` provably evaluates to the same value at every lane.
-fn float_invariant<E: Steady>(e: &FloatExpr, env: &E) -> bool {
+fn float_invariant(e: &FloatExpr, env: &StrideEnv) -> bool {
     match e {
         FloatExpr::Const(_) => true,
         FloatExpr::Bin { lhs, rhs, .. } => float_invariant(lhs, env) && float_invariant(rhs, env),
         FloatExpr::Select { cond, then_, else_ } => {
             bool_invariant(cond, env) && float_invariant(then_, env) && float_invariant(else_, env)
         }
-        FloatExpr::FromInt(i) => env.steady(i),
+        FloatExpr::FromInt(i) => int_invariant(i, env),
         FloatExpr::Load { index, .. } => index_invariant(index, env),
         FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => float_invariant(v, env),
     }
 }
 
 /// True when `e` provably evaluates to the same value at every lane.
-fn bool_invariant<E: Steady>(e: &super::BoolExpr, env: &E) -> bool {
+fn bool_invariant(e: &super::BoolExpr, env: &StrideEnv) -> bool {
     use super::BoolExpr;
     match e {
-        BoolExpr::CmpI { lhs, rhs, .. } => env.steady(lhs) && env.steady(rhs),
+        BoolExpr::CmpI { lhs, rhs, .. } => int_invariant(lhs, env) && int_invariant(rhs, env),
         BoolExpr::CmpF { lhs, rhs, .. } => float_invariant(lhs, env) && float_invariant(rhs, env),
         BoolExpr::And(l, r) | BoolExpr::Or(l, r) => {
             bool_invariant(l, env) && bool_invariant(r, env)
         }
-        BoolExpr::IntNonZero(i) => env.steady(i),
+        BoolExpr::IntNonZero(i) => int_invariant(i, env),
         BoolExpr::FloatNonZero(f) => float_invariant(f, env),
     }
 }
 
-fn index_invariant<E: Steady>(ix: &IndexExpr, env: &E) -> bool {
-    ix.dims.iter().all(|(idx, ext)| env.steady(idx) && env.steady(ext))
+fn index_invariant(ix: &IndexExpr, env: &StrideEnv) -> bool {
+    ix.dims.iter().all(|(idx, ext)| int_invariant(idx, env) && int_invariant(ext, env))
 }
 
 /// Lane stride of the flattened index: every extent and every dimension
@@ -234,53 +230,6 @@ fn index_lane_stride(ix: &IndexExpr, env: &StrideEnv) -> Option<i64> {
         return None;
     }
     int_stride(&last.0, env)
-}
-
-/// Does `e` load (directly or transitively) from buffer slot `buf`?
-/// Anything re-evaluated per lane that reads the fused store's target
-/// buffer defeats invariance hoisting, so such loops are never fused.
-fn int_loads(e: &IntExpr, buf: u32) -> bool {
-    match e {
-        IntExpr::Const(_) | IntExpr::Slot(_) => false,
-        IntExpr::Bin { lhs, rhs, .. } => int_loads(lhs, buf) || int_loads(rhs, buf),
-        IntExpr::Select { cond, then_, else_ } => {
-            bool_loads(cond, buf) || int_loads(then_, buf) || int_loads(else_, buf)
-        }
-        IntExpr::CastViaF64(f) => float_loads(f, buf),
-        IntExpr::BoolToInt(b) => bool_loads(b, buf),
-        IntExpr::Load { buf: b, index } => *b == buf || index_loads(index, buf),
-        IntExpr::BinarySearch { buf: b, lo, hi, x, .. } => {
-            *b == buf || int_loads(lo, buf) || int_loads(hi, buf) || int_loads(x, buf)
-        }
-    }
-}
-
-fn float_loads(e: &FloatExpr, buf: u32) -> bool {
-    match e {
-        FloatExpr::Const(_) => false,
-        FloatExpr::Bin { lhs, rhs, .. } => float_loads(lhs, buf) || float_loads(rhs, buf),
-        FloatExpr::Select { cond, then_, else_ } => {
-            bool_loads(cond, buf) || float_loads(then_, buf) || float_loads(else_, buf)
-        }
-        FloatExpr::FromInt(i) => int_loads(i, buf),
-        FloatExpr::Load { buf: b, index } => *b == buf || index_loads(index, buf),
-        FloatExpr::Exp(v) | FloatExpr::Sqrt(v) | FloatExpr::Relu(v) => float_loads(v, buf),
-    }
-}
-
-fn bool_loads(e: &super::BoolExpr, buf: u32) -> bool {
-    use super::BoolExpr;
-    match e {
-        BoolExpr::CmpI { lhs, rhs, .. } => int_loads(lhs, buf) || int_loads(rhs, buf),
-        BoolExpr::CmpF { lhs, rhs, .. } => float_loads(lhs, buf) || float_loads(rhs, buf),
-        BoolExpr::And(l, r) | BoolExpr::Or(l, r) => bool_loads(l, buf) || bool_loads(r, buf),
-        BoolExpr::IntNonZero(i) => int_loads(i, buf),
-        BoolExpr::FloatNonZero(f) => float_loads(f, buf),
-    }
-}
-
-fn index_loads(ix: &IndexExpr, buf: u32) -> bool {
-    ix.dims.iter().any(|(idx, ext)| int_loads(idx, buf) || int_loads(ext, buf))
 }
 
 // ---------------------------------------------------------------------------
@@ -554,14 +503,6 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
     let CStmt::StoreF { buf: dst_buf, index: dst_index, value } = store else {
         return None;
     };
-    let spec = |iters, init, micro| LaneSpec {
-        lane_slot: *lane,
-        outer_slot: None,
-        extent: extent.clone(),
-        iters,
-        init,
-        micro,
-    };
 
     // Stride environment: lane → 1, then each block iter in binding order.
     let mut env = StrideEnv::new();
@@ -606,24 +547,30 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         }
     };
 
-    // Aliasing: nothing re-evaluated per lane may read the written buffer.
-    let clean = |spec: Option<&TermSpec>| -> bool {
-        let mut ok =
-            !index_loads(dst_index, dst) && iters.iter().all(|it| !int_loads(&it.binding, dst));
-        if let InitKind::Always { value }
-        | InitKind::WhenReduceZero { value }
-        | InitKind::AtZeroLane { value } = &init
-        {
-            ok = ok && !float_loads(value, dst);
+    // Aliasing: nothing re-evaluated per lane — iter bindings, the init
+    // and fill values, the coefficient, the operands and every index — may
+    // read the written buffer.
+    let fused = |micro: Micro| {
+        let mut reads = ExprInfo::default();
+        scan_index(dst_index, &mut reads);
+        for it in &iters {
+            scan_int(&it.binding, &mut reads);
         }
-        if let Some(t) = spec {
-            ok = ok
-                && t.a.buf != dst
-                && !index_loads(&t.a.index, dst)
-                && t.b.as_ref().is_none_or(|b| b.buf != dst && !index_loads(&b.index, dst))
-                && t.coeff.as_ref().is_none_or(|c| !float_loads(c, dst));
+        for value in init.value().into_iter().chain(micro.hoisted()) {
+            scan_float(value, &mut reads);
         }
-        ok
+        for operand in micro.views().into_iter().skip(1).flatten() {
+            reads.bufs.insert(operand.buf);
+            scan_index(&operand.index, &mut reads);
+        }
+        (!reads.bufs.contains(&dst)).then(|| LaneSpec {
+            lane_slot: *lane,
+            outer_slot: None,
+            extent: extent.clone(),
+            iters,
+            init,
+            micro,
+        })
     };
 
     // Shape 1: contiguous fill — invariant value, no init, no reduce
@@ -632,19 +579,10 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         if init_src.is_some() || reduce_strided {
             return None;
         }
-        let micro = Micro::FillLanes {
+        return fused(Micro::FillLanes {
             dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
             value: value.clone(),
-        };
-        if !clean(None) {
-            return None;
-        }
-        if let Micro::FillLanes { value, .. } = &micro {
-            if float_loads(value, dst) {
-                return None;
-            }
-        }
-        return Some(spec(iters, init, micro));
+        });
     }
 
     // Accumulating store: value = Load(dst, dst_index) + term.
@@ -665,21 +603,14 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         if reduce_strided || term.a.stride != 1 || term.b.as_ref().is_some_and(|b| b.stride != 1) {
             return None;
         }
-        if !clean(Some(&term)) {
-            return None;
-        }
-        let micro = Micro::AxpyLanes {
+        return fused(Micro::AxpyLanes {
             dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
             term,
-        };
-        return Some(spec(iters, init, micro));
+        });
     }
 
     if dst_stride == 0 {
         // Scalar reduction into one element.
-        if !clean(Some(&term)) {
-            return None;
-        }
         let dstv = LaneView { buf: dst, index: dst_index.clone(), stride: 0 };
         let contiguous_dot = term.shape == TermShape::AB
             && term.a.stride == 1
@@ -689,7 +620,7 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         } else {
             Micro::GatherScaleAccumulate { dst: dstv, term }
         };
-        return Some(spec(iters, init, micro));
+        return fused(micro);
     }
 
     None

@@ -4,49 +4,53 @@
 //! init and coefficient evaluation, three index evaluations through
 //! expression trees — once per invocation, i.e. once per non-zero of a CSR
 //! or ELL row, for quantities that are mostly constant for the whole row.
-//! [`build_nest`] analyzes `for j in 0..extent { lane loop }` — the
-//! lowering finds such loops in the stream it just emitted, a `Super` and
-//! its fallback being the whole loop body behind nothing but constant
-//! binds (what unit-trip loops in between lower to) — and yields a
-//! [`NestSpec`] when, relative to `j`, every prologue quantity of the lane
-//! loop classifies at compile time as one of
+//! [`build_nest`] plans `for j in 0..extent { lane loop }` — the lowering
+//! finds such loops in the stream it just emitted, a `Super` and its
+//! fallback being the whole loop body behind nothing but constant binds
+//! (what unit-trip loops in between lower to) — in **one walk** over the
+//! prologue: the trip count, each iter binding, the flat index of the three
+//! lane views, the coefficient (or fill value) and the init value.
 //!
-//! * **row-invariant** — mentions nothing that moves with `j`;
-//! * **affine** in `j` — `value(j) = value(0) + step·j`, `step` a
-//!   compile-time constant;
-//! * **gathered** — `scale ×` one `i32` load at an affine-in-`j` position
-//!   of a buffer the nest does not write (the `indices[indptr[i] + j]`
-//!   column), plus an affine part. A nest has at most one such load.
+//! **One walk, two answers.** [`Planner::lin`] takes each integer quantity
+//! apart once, into
 //!
-//! The quantities are each iter binding, the flat index of the three lane
-//! views (at most one dimension of each may move, extents never), the
-//! coefficient (row-invariant, one `f32` load at a moving index, or such a
-//! load `*` or `/` a row-invariant factor — a [`Ratio`]), the lane count,
-//! and the init / fill values (row-invariant).
+//! * its value at trip 0 of an entry, a [`Lin`]: a constant plus constant
+//!   multiples of the entry program's registers — enclosing scalar slots,
+//!   and `i32` loads at positions linear in earlier registers (`indptr[r]`,
+//!   `indptr[r + 1]`, a bucket's row id); and
+//! * how it moves with `j`, a [`Move`]: `value(j) = value(0) + step·j +
+//!   scale·(g(j) − g(0))`, `step` and `scale` compile-time constants, `g`
+//!   the nest's **gather** — one `i32` load at a position that walks by a
+//!   constant step (the `indices[indptr[i] + j]` column), from a buffer the
+//!   nest does not write.
 //!
-//! **One way in.** What an entry evaluates splits by when it can change.
+//! Anything else is no nest: a division, remainder, `min` / `max`,
+//! selection, cast or binary search; a moving value times anything but a
+//! literal constant; a load at a position that reads the gather, or a
+//! second, different gather; a non-constant lane count or index extent; a
+//! second moving dimension in one index; more than [`MAX_REGS`] registers.
+//! The coefficient is a constant, one `f32` load at such a position, or a
+//! moving such load `*` or `/` a factor that holds for the entry — one
+//! still load or a constant (a [`Ratio`]); the fill value is a constant or
+//! one still load; the init value is a constant. Such a loop stays a loop
+//! around its per-non-zero `Super`.
+//!
+//! **One way in.** What an entry needs splits by when it can change.
 //! *Launch-invariant*: where each operand is bound (pointer, length,
 //! segment table, width), strides, spans, the lane count, the init and
 //! hoisted values — a launch's first entry establishes these
 //! ([`Trips::establish`]) and the executor keeps them for the rest of the
 //! launch, dropping them when a buffer the nest names is allocated or
-//! freed. *Entry-varying*: the handful of integers that depend on enclosing
-//! loop variables — trip count, where the gather and each operand start,
-//! the reduce iters. [`plan_entry`] compiles those into an **entry
-//! program** ([`EntryProgram`]): a few registers — enclosing scalar slots
-//! and `i32` loads at positions linear in earlier registers (`indptr[r]`,
-//! `indptr[r + 1]`, a bucket's row id), each loaded and checked against its
-//! declared dimension and its bound storage **once** — every pin a checked
-//! linear combination of them ([`Lin`]), and a ratio's factor one checked
-//! `f32` load at such a position (or a constant). Every entry, the first
-//! included, runs that program and re-pins the kept walks
-//! ([`NestSpec::reenter`]): no expression tree, no lane prologue. A loop
-//! whose prologue does not fit a program (a non-constant extent or lane
-//! count, an iter under a division, a hoisted value that is not a constant,
-//! a load, or a load over a loaded or constant factor) is no nest: it stays
-//! a loop around its per-non-zero `Super`. An entry whose walk state cannot
-//! be established, or whose program or re-pin fails a check, hands trip 0
-//! to the generic loop behind the instruction before anything of it is
+//! freed. *Entry-varying*: the trip-0 values the walk produced — trip
+//! count, where the gather and each operand start, the reduce iters, a
+//! ratio's factor — which make the nest's **entry program**
+//! ([`EntryProgram`]): its registers, each loaded and checked against its
+//! declared dimension and its bound storage **once**, then every pin a
+//! checked linear combination of them. Every entry, the first included,
+//! runs that program and re-pins the kept walks ([`NestSpec::reenter`]): no
+//! expression tree, no lane prologue. An entry whose walk state cannot be
+//! established, or whose program or re-pin fails a check, hands trip 0 to
+//! the generic loop behind the instruction before anything of it is
 //! written.
 //!
 //! **Walked trips.** The moving quantities are *walked* from their trip-0
@@ -84,14 +88,13 @@
 //! error text, error order and written prefix stay the interpreter's.
 
 use super::{
-    cols_lanes, div_rem, float_invariant, index_loads, trip_loops, ColSeg, FloatExpr, Frame,
-    IndexExpr, InitKind, IntExpr, IntOp, LaneInit, LaneSpec, Lanes, Micro, RawBuf, Resolved,
-    Steady, TripLoop,
+    cols_lanes, div_rem, trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp,
+    LaneInit, LaneSpec, Lanes, Micro, RawBuf, Resolved, TripLoop,
 };
-use crate::exec::{elem_load, FloatOp, RowSeg};
+use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp, RowSeg};
 
 // ---------------------------------------------------------------------------
-// Compile-time classification
+// Compile time: one walk plans the nest
 // ---------------------------------------------------------------------------
 
 /// How one index dimension moves with the trip `t`:
@@ -104,123 +107,34 @@ pub(in crate::exec) struct Drift {
     pub scale: i64,
 }
 
-/// Value of an integer expression relative to the outer slot:
-/// `v(t) = v(0) + step·t + scale·(g(t) − g(0))` with `g` the load `atom`.
-/// An `atom` under a zero `scale` still matters: the load must succeed at
-/// every trip for the expression to evaluate.
-#[derive(Clone, Copy, PartialEq)]
-struct Form<'a> {
+/// How a quantity moves with the trip `t`:
+/// `v(t) = v(0) + step·t + scale·(g(t) − g(0))`, `g` the nest's gather. One
+/// that reads the gather moves even under a zero `scale`: the load must
+/// succeed at every trip for it to evaluate.
+#[derive(Clone, Copy, PartialEq, Eq, Default)]
+struct Move {
     step: i64,
     scale: i64,
-    atom: Option<&'a IntExpr>,
+    gathers: bool,
 }
 
-const ROW: Form<'static> = Form { step: 0, scale: 0, atom: None };
-
-impl<'a> Form<'a> {
-    fn is_row(&self) -> bool {
-        *self == ROW
+impl Move {
+    fn still(self) -> bool {
+        self == Move::default()
     }
 
-    /// `self + sign·other`; `None` when they gather through different loads.
-    fn plus(self, other: Form<'a>, sign: i64) -> Option<Form<'a>> {
-        let atom = match (self.atom, other.atom) {
-            (a, None) | (None, a) => a,
-            (Some(p), Some(q)) if p == q => Some(p),
-            _ => return None,
-        };
-        Some(Form {
+    /// `self + sign·other`.
+    fn plus(self, other: Move, sign: i64) -> Option<Move> {
+        Some(Move {
             step: self.step.checked_add(sign.checked_mul(other.step)?)?,
             scale: self.scale.checked_add(sign.checked_mul(other.scale)?)?,
-            atom,
+            gathers: self.gathers || other.gathers,
         })
     }
 
-    fn times(self, c: i64) -> Option<Form<'a>> {
-        Some(Form { step: self.step.checked_mul(c)?, scale: self.scale.checked_mul(c)?, ..self })
+    fn times(self, c: i64) -> Option<Move> {
+        Some(Move { step: self.step.checked_mul(c)?, scale: self.scale.checked_mul(c)?, ..self })
     }
-}
-
-/// Scalar slot → form, for the handful of slots a nest binds (a linear
-/// scan beats hashing at this size). Absent slots are row-invariant: loop
-/// variables and parameters outside the nest, and the lane slot and pins
-/// the nest holds constant.
-#[derive(Default)]
-struct FormEnv<'a>(Vec<(u32, Form<'a>)>);
-
-impl<'a> FormEnv<'a> {
-    fn get(&self, slot: u32) -> Form<'a> {
-        self.0.iter().find(|(s, _)| *s == slot).map_or(ROW, |(_, f)| *f)
-    }
-}
-
-impl Steady for FormEnv<'_> {
-    fn steady(&self, e: &IntExpr) -> bool {
-        int_form(e, self).is_some_and(|f| f.is_row())
-    }
-}
-
-/// Classify `e`, or `None` when it is none of row-invariant / affine /
-/// gathered (the outer slot under a division or selection, a product of
-/// two moving values, a load at a gathered position, …).
-fn int_form<'a>(e: &'a IntExpr, env: &FormEnv<'a>) -> Option<Form<'a>> {
-    let row_if = |ok: bool| ok.then_some(ROW);
-    match e {
-        IntExpr::Const(_) => Some(ROW),
-        IntExpr::Slot(s) => Some(env.get(*s)),
-        IntExpr::Bin { op, lhs, rhs } => {
-            let (l, r) = (int_form(lhs, env)?, int_form(rhs, env)?);
-            match (op, &**lhs, &**rhs) {
-                (IntOp::Add, ..) => l.plus(r, 1),
-                (IntOp::Sub, ..) => l.plus(r, -1),
-                (IntOp::Mul, _, IntExpr::Const(c)) => l.times(*c),
-                (IntOp::Mul, IntExpr::Const(c), _) => r.times(*c),
-                _ => row_if(l.is_row() && r.is_row()),
-            }
-        }
-        IntExpr::Select { cond, then_, else_ } => {
-            row_if(super::bool_invariant(cond, env) && env.steady(then_) && env.steady(else_))
-        }
-        IntExpr::CastViaF64(f) => row_if(float_invariant(f, env)),
-        IntExpr::BoolToInt(b) => row_if(super::bool_invariant(b, env)),
-        IntExpr::Load { index, .. } => match index_drift(index, env)? {
-            None => Some(ROW),
-            // One load at an affine position: the gather.
-            Some(m) if m.drift.scale == 0 && m.atom.is_none() => {
-                Some(Form { step: 0, scale: 1, atom: Some(e) })
-            }
-            Some(_) => None,
-        },
-        IntExpr::BinarySearch { lo, hi, x, .. } => {
-            row_if(env.steady(lo) && env.steady(hi) && env.steady(x))
-        }
-    }
-}
-
-/// The one moving dimension of an index, and the load it gathers through.
-struct Moving<'a> {
-    drift: Drift,
-    atom: Option<&'a IntExpr>,
-}
-
-/// `Some(None)` for a row-invariant index, `Some(Some(_))` when exactly
-/// one dimension's index moves (every extent row-invariant), else `None`.
-fn index_drift<'a>(ix: &'a IndexExpr, env: &FormEnv<'a>) -> Option<Option<Moving<'a>>> {
-    let mut moving = None;
-    for (dim, (idx, ext)) in ix.dims.iter().enumerate() {
-        if !env.steady(ext) {
-            return None;
-        }
-        let f = int_form(idx, env)?;
-        if !f.is_row() {
-            if moving.is_some() {
-                return None;
-            }
-            moving =
-                Some(Moving { drift: Drift { dim, step: f.step, scale: f.scale }, atom: f.atom });
-        }
-    }
-    Some(moving)
 }
 
 /// The nest's gather: an `i32` load whose index walks one dimension by a
@@ -236,9 +150,9 @@ pub(in crate::exec) struct Gather {
 /// values live in a fixed array of the per-entry state).
 const MAX_REDUCE_MOVES: usize = 4;
 
-/// A row nest: `for slot in 0..extent { [pins] lanes }` with the
-/// classification of everything the lane prologue evaluates. The lane
-/// loop itself is the `Super` at `lanes_at` in the same stream.
+/// A row nest: `for slot in 0..extent { [pins] lanes }` with how everything
+/// the lane prologue evaluates moves, and its entry program. The lane loop
+/// itself is the `Super` at `lanes_at` in the same stream.
 #[derive(Debug, Clone)]
 pub(in crate::exec) struct NestSpec {
     pub slot: u32,
@@ -264,117 +178,129 @@ pub(in crate::exec) struct NestSpec {
     pub entry: EntryProgram,
 }
 
-/// Record the load a moving quantity gathers through; false when the nest
-/// already gathers through a different one.
-fn note<'a>(atom: &mut Option<&'a IntExpr>, seen: Option<&'a IntExpr>) -> bool {
-    match (*atom, seen) {
-        (_, None) => true,
-        (None, Some(_)) => {
-            *atom = seen;
-            true
-        }
-        (Some(p), Some(q)) => p == q,
-    }
-}
-
-/// Classify the lane loop `lanes` against the loop variable `slot` of the
-/// loop whose whole body it is (behind the constant binds `pins`); `Some`
-/// when that loop is a row nest — every prologue quantity classifies and
-/// the entry-varying ones fit an entry program. The bytecode lowering then
-/// replaces the loop's `LoopStart` with the nest, leaving body and back
-/// edge as they are.
+/// Plan the lane loop `lanes` against the loop variable `slot` of the loop
+/// whose whole body it is (behind the constant binds `pins`), in one walk
+/// over its prologue: `Some` when that loop is a row nest — every quantity
+/// has a trip-0 value over an entry program's registers and moves in a way
+/// the walks follow. The bytecode lowering then replaces the loop's
+/// `LoopStart` with the nest, leaving body and back edge as they are.
 pub(in crate::exec) fn build_nest(
     lanes: &LaneSpec,
     (slot, extent): (u32, &IntExpr),
     pins: Vec<(u32, i64)>,
     lanes_at: u32,
 ) -> Option<NestSpec> {
-    let mut env = FormEnv::default();
-    env.0.push((slot, Form { step: 1, scale: 0, atom: None }));
-    // Every load at a moving position must be the one gather: it is the
-    // only moving thing whose evaluation can fail, and the nest re-checks
-    // exactly one such load per trip.
-    let mut atom: Option<&IntExpr> = None;
-
-    if !env.steady(&lanes.extent) {
+    let IntExpr::Const(n) = lanes.extent else {
+        return None;
+    };
+    if n < 1 || lanes.init.value().is_some_and(|value| !float_static(value)) {
         return None;
     }
-    let mut reduce_moves = Vec::new();
+    let mut p = Planner::default();
+    // The trip count is evaluated outside the nest's scope.
+    let (extent_at, _) = p.lin(extent)?;
+    let head = p.regs.len();
+    // Trip 0, lane 0; the trip moves by one.
+    let still = |at| (at, Move::default());
+    p.env.push((slot, (Lin::default(), Move { step: 1, ..Move::default() })));
+    let zeroed = [Some(lanes.lane_slot), lanes.outer_slot].into_iter().flatten();
+    p.env.extend(zeroed.map(|s| (s, still(Lin::default()))));
+    p.env.extend(pins.iter().map(|&(s, c)| (s, still(Lin { konst: c, terms: Vec::new() }))));
+
+    let (mut reduce, mut reduce_moves) = (Vec::new(), Vec::new());
     for it in &lanes.iters {
-        let f = int_form(&it.binding, &env)?;
-        if !note(&mut atom, f.atom) {
-            return None;
+        let (at, moves) = p.lin(&it.binding)?;
+        if it.is_reduce {
+            reduce.push((it.slot, at.clone()));
+            if !moves.still() {
+                reduce_moves.push((it.slot, moves.step, moves.scale));
+            }
         }
-        if it.is_reduce && !f.is_row() {
-            reduce_moves.push((it.slot, f.step, f.scale));
-        }
-        env.0.push((it.slot, f));
+        p.env.push((it.slot, (at, moves)));
     }
     if reduce_moves.len() > MAX_REDUCE_MOVES {
         return None;
     }
 
-    let (dst, term) = match &lanes.micro {
-        Micro::FillLanes { dst, value } => {
-            if !float_invariant(value, &env) {
-                return None;
-            }
-            (dst, None)
+    let mut bufs = Vec::new();
+    let (mut views, mut entry_views) = ([None; 3], [None, None, None]);
+    for (k, view) in lanes.micro.views().into_iter().enumerate() {
+        if let Some(view) = view {
+            let (at, drift, _) = p.index(&view.index)?;
+            (views[k], entry_views[k]) = (drift, Some(at));
+            bufs.push(view.buf);
         }
-        Micro::AxpyLanes { dst, term }
-        | Micro::DotLanes { dst, term }
-        | Micro::GatherScaleAccumulate { dst, term } => (dst, Some(term)),
-    };
-    if lanes.init.value().is_some_and(|value| !float_invariant(value, &env)) {
-        return None;
     }
 
-    let mut drift_of = |index| -> Option<Option<Drift>> {
-        Some(match index_drift(index, &env)? {
-            None => None,
-            Some(m) => note(&mut atom, m.atom).then_some(Some(m.drift))?,
-        })
-    };
-    let mut views = [drift_of(&dst.index)?, None, None];
-    let (mut coeff, mut ratio) = (None, None);
-    if let Some(term) = term {
-        views[1] = drift_of(&term.a.index)?;
-        if let Some(b) = &term.b {
-            views[2] = drift_of(&b.index)?;
+    let fill = matches!(lanes.micro, Micro::FillLanes { .. });
+    let (mut coeff, mut entry_coeff, mut ratio, mut factor) = (None, None, None, None);
+    match lanes.micro.hoisted() {
+        // Evaluated once per launch.
+        Some(value) if float_static(value) => {}
+        // One plain load (a term's coefficient, a fill's value), pinned and
+        // walked like a one-lane view; a fill's must not move.
+        Some(FloatExpr::Load { buf, index }) => {
+            let (at, drift, _) = p.index(index)?;
+            if fill && drift.is_some() {
+                return None;
+            }
+            (coeff, entry_coeff) = (drift, Some(at));
+            bufs.push(*buf);
         }
-        if let Some(c) = term.coeff.as_ref().filter(|c| !float_invariant(c, &env)) {
-            ratio = match c {
-                FloatExpr::Bin { op: op @ (FloatOp::Mul | FloatOp::Div), lhs, rhs } => {
-                    // Whichever side moves is the load; the other one must
-                    // hold for the entry.
-                    let load_first = float_invariant(rhs, &env);
-                    if !load_first && !float_invariant(lhs, &env) {
-                        return None;
-                    }
-                    Some(Ratio { op: *op, load_first })
+        // A moving load over a factor that holds for the entry, in either
+        // operand order: whichever side moves is the load.
+        Some(FloatExpr::Bin { op: op @ (FloatOp::Mul | FloatOp::Div), lhs, rhs }) if !fill => {
+            let mut left = p.clone();
+            let (load_first, (load, at, drift, by)) = match left.ratio(lhs, rhs) {
+                Some(planned) => {
+                    p = left;
+                    (true, planned)
                 }
-                _ => None,
+                None => (false, p.ratio(rhs, lhs)?),
             };
-            let (_, index, _) = walked(c, ratio)?;
-            coeff = Some(drift_of(index)??);
-        }
-    }
-
-    let gather = match atom {
-        None => None,
-        Some(IntExpr::Load { buf, index }) => {
-            // `int_form` only makes an atom of a load with a moving index.
-            let drift = index_drift(index, &env)??.drift;
-            // Gathering through the buffer the lanes write would read the
-            // nest's own stores.
-            if *buf == dst.buf || index_loads(index, dst.buf) {
-                return None;
+            (coeff, entry_coeff, ratio) =
+                (Some(drift), Some(at), Some(Ratio { op: *op, load_first }));
+            bufs.push(load);
+            if let Some((buf, at)) = by {
+                bufs.push(buf);
+                factor = Some((buf, at));
             }
-            Some(Gather { buf: *buf, index: index.clone(), drift })
         }
         Some(_) => return None,
+        None => {}
+    }
+
+    let dst = lanes.micro.views()[0]?.buf;
+    let (gather, entry_gather) = match p.gather.take() {
+        Some((buf, index, drift, at, reg)) => {
+            // Gathering through the buffer the lanes write would read the
+            // nest's own stores.
+            let mut reads = ExprInfo::default();
+            scan_index(index, &mut reads);
+            if buf == dst || reads.bufs.contains(&dst) {
+                return None;
+            }
+            bufs.push(buf);
+            (Some(Gather { buf, index: index.clone(), drift }), Some((at, reg)))
+        }
+        None => (None, None),
     };
-    let entry = plan_entry((slot, extent), &pins, gather.as_ref(), ratio, lanes)?;
+    bufs.extend(p.regs.iter().filter_map(|reg| match reg {
+        Reg::Load { buf, .. } => Some(*buf),
+        Reg::Slot(_) => None,
+    }));
+    let entry = EntryProgram {
+        regs: p.regs,
+        extent: extent_at,
+        head,
+        n,
+        gather: entry_gather,
+        views: entry_views,
+        coeff: entry_coeff,
+        factor,
+        reduce,
+        bufs,
+    };
     Some(NestSpec {
         slot,
         extent: extent.clone(),
@@ -598,15 +524,25 @@ fn float_static(e: &FloatExpr) -> bool {
     }
 }
 
-/// Builds an entry program: scalar slot → its trip-0 [`Lin`] for the slots
-/// the nest binds, registers for everything from outside it.
-#[derive(Default)]
-struct Planner {
+/// What one entry sees of a ratio's walked load: its buffer, where it
+/// starts and how it moves, and the factor's buffer and position when the
+/// factor is a load.
+type RatioPlan = (u32, IndexPlan, Drift, Option<(u32, IndexPlan)>);
+
+/// The walk behind [`build_nest`]: scalar slot → trip-0 [`Lin`] and
+/// [`Move`] for the slots the nest binds (a linear scan beats hashing at
+/// this size), registers for everything from outside it, and the nest's
+/// gather once a quantity reads it.
+#[derive(Default, Clone)]
+struct Planner<'a> {
     regs: Vec<Reg>,
-    env: Vec<(u32, Lin)>,
+    env: Vec<(u32, (Lin, Move))>,
+    /// The gather's buffer and index, how that index moves, where it starts
+    /// and the register holding what it loads at trip 0.
+    gather: Option<(u32, &'a IndexExpr, Drift, IndexPlan, u8)>,
 }
 
-impl Planner {
+impl<'a> Planner<'a> {
     /// The register holding `reg`, shared with an equal one already there —
     /// so no position of a buffer is loaded twice.
     fn reg(&mut self, reg: Reg) -> Option<u8> {
@@ -620,123 +556,99 @@ impl Planner {
         u8::try_from(at).ok()
     }
 
-    /// `e` at trip 0, lane 0; `None` for anything but constants, slots,
-    /// loads, sums and constant multiples of those.
-    fn lin(&mut self, e: &IntExpr) -> Option<Lin> {
-        let of_reg = |reg| Lin { konst: 0, terms: vec![(1, reg)] };
+    /// `e` at trip 0, lane 0, over the registers, and how it moves with the
+    /// trip; `None` for anything but constants, slots, sums, constant
+    /// multiples, and `i32` loads — at a still position (a register) or at
+    /// the gather's.
+    fn lin(&mut self, e: &'a IntExpr) -> Option<(Lin, Move)> {
+        let of_reg = |reg| (Lin { konst: 0, terms: vec![(1, reg)] }, Move::default());
         match e {
-            IntExpr::Const(c) => Some(Lin { konst: *c, terms: Vec::new() }),
+            IntExpr::Const(c) => Some((Lin { konst: *c, terms: Vec::new() }, Move::default())),
             IntExpr::Slot(s) => match self.env.iter().find(|(slot, _)| slot == s) {
                 Some((_, bound)) => Some(bound.clone()),
                 None => self.reg(Reg::Slot(*s)).map(of_reg),
             },
             IntExpr::Bin { op, lhs, rhs } => {
-                let (l, r) = (self.lin(lhs)?, self.lin(rhs)?);
-                match (op, l.as_const(), r.as_const()) {
-                    (IntOp::Add, ..) => l.plus(&r, 1),
-                    (IntOp::Sub, ..) => l.plus(&r, -1),
-                    (IntOp::Mul, _, Some(c)) => l.times(c),
-                    (IntOp::Mul, Some(c), _) => r.times(c),
+                let ((l, lm), (r, rm)) = (self.lin(lhs)?, self.lin(rhs)?);
+                match (op, &**lhs, &**rhs) {
+                    (IntOp::Add, ..) => Some((l.plus(&r, 1)?, lm.plus(rm, 1)?)),
+                    (IntOp::Sub, ..) => Some((l.plus(&r, -1)?, lm.plus(rm, -1)?)),
+                    (IntOp::Mul, _, IntExpr::Const(c)) => Some((l.times(*c)?, lm.times(*c)?)),
+                    (IntOp::Mul, IntExpr::Const(c), _) => Some((r.times(*c)?, rm.times(*c)?)),
+                    // Only a literal constant scales a moving value.
+                    (IntOp::Mul, ..) if lm.still() && rm.still() => {
+                        match (l.as_const(), r.as_const()) {
+                            (_, Some(c)) => Some((l.times(c)?, lm)),
+                            (Some(c), _) => Some((r.times(c)?, rm)),
+                            _ => None,
+                        }
+                    }
                     _ => None,
                 }
             }
-            IntExpr::Load { buf, index } => {
-                let at = self.index(index)?;
-                self.reg(Reg::Load { buf: *buf, at }).map(of_reg)
-            }
+            IntExpr::Load { buf, index } => match self.index(index)? {
+                (at, None, _) => self.reg(Reg::Load { buf: *buf, at }).map(of_reg),
+                // A position walking by a constant step: the gather, the one
+                // moving thing whose evaluation can fail (the nest re-checks
+                // exactly one such load per trip).
+                (at, Some(drift), false) => {
+                    let reg = self.reg(Reg::Load { buf: *buf, at: at.clone() })?;
+                    match &self.gather {
+                        Some((b, ix, ..)) if (*b, *ix) != (*buf, index) => return None,
+                        Some(_) => {}
+                        None => self.gather = Some((*buf, index, drift, at, reg)),
+                    }
+                    Some((of_reg(reg).0, Move { step: 0, scale: 1, gathers: true }))
+                }
+                // A position that reads the gather.
+                (_, Some(_), true) => None,
+            },
             _ => None,
         }
     }
 
-    fn index(&mut self, ix: &IndexExpr) -> Option<IndexPlan> {
+    /// An index at trip 0, how its one moving dimension moves, and whether
+    /// that reads the gather; `None` when an extent is not a constant or
+    /// more than one dimension moves.
+    fn index(&mut self, ix: &'a IndexExpr) -> Option<(IndexPlan, Option<Drift>, bool)> {
         if ix.dims.is_empty() {
             return None;
         }
-        let dim = |(idx, ext): &(IntExpr, IntExpr)| match ext {
-            IntExpr::Const(d) => Some((self.lin(idx)?, *d)),
-            _ => None,
-        };
-        Some(IndexPlan { dims: ix.dims.iter().map(dim).collect::<Option<_>>()? })
-    }
-}
-
-/// The entry program of the nest over `slot` in `0..extent` around
-/// `lanes`, when every entry-varying quantity of the prologue fits one and
-/// everything else is a constant.
-fn plan_entry(
-    (slot, extent): (u32, &IntExpr),
-    pins: &[(u32, i64)],
-    gather: Option<&Gather>,
-    ratio: Option<Ratio>,
-    lanes: &LaneSpec,
-) -> Option<EntryProgram> {
-    let IntExpr::Const(n) = lanes.extent else {
-        return None;
-    };
-    if n < 1 || lanes.init.value().is_some_and(|value| !float_static(value)) {
-        return None;
-    }
-
-    let mut p = Planner::default();
-    // The trip count is evaluated outside the nest's scope.
-    let extent = p.lin(extent)?;
-    let head = p.regs.len();
-    // Trip 0, lane 0.
-    let zeroed = [Some(slot), Some(lanes.lane_slot), lanes.outer_slot];
-    p.env.extend(zeroed.into_iter().flatten().map(|s| (s, Lin::default())));
-    p.env.extend(pins.iter().map(|&(s, c)| (s, Lin { konst: c, terms: Vec::new() })));
-    let mut reduce = Vec::new();
-    for it in &lanes.iters {
-        let at = p.lin(&it.binding)?;
-        if it.is_reduce {
-            reduce.push((it.slot, at.clone()));
-        }
-        p.env.push((it.slot, at));
-    }
-
-    let mut bufs = Vec::new();
-    let mut views = [None, None, None];
-    for (plan, view) in views.iter_mut().zip(lanes.micro.views()) {
-        if let Some(view) = view {
-            *plan = Some(p.index(&view.index)?);
-            bufs.push(view.buf);
-        }
-    }
-    let (mut coeff, mut factor) = (None, None);
-    if let Some(value) = lanes.micro.hoisted() {
-        match walked(value, ratio) {
-            // One plain load (a term's coefficient, a fill's value), or a
-            // ratio's: pinned and walked like a one-lane view.
-            Some((buf, index, by)) => {
-                bufs.push(buf);
-                coeff = Some(p.index(index)?);
-                match by {
-                    Some(FloatExpr::Load { buf, index }) => {
-                        bufs.push(*buf);
-                        factor = Some((*buf, p.index(index)?));
-                    }
-                    Some(by) if !float_static(by) => return None,
-                    _ => {}
+        let (mut dims, mut moving, mut gathers) = (Vec::with_capacity(ix.dims.len()), None, false);
+        for (dim, (idx, ext)) in ix.dims.iter().enumerate() {
+            let IntExpr::Const(d) = ext else {
+                return None;
+            };
+            let (at, m) = self.lin(idx)?;
+            if !m.still() {
+                if moving.replace(Drift { dim, step: m.step, scale: m.scale }).is_some() {
+                    return None;
                 }
+                gathers = m.gathers;
             }
-            // Anything else must not change from entry to entry.
-            None if !float_static(value) => return None,
-            None => {}
+            dims.push((at, *d));
         }
+        Some((IndexPlan { dims }, moving, gathers))
     }
-    let gather = match gather {
-        Some(g) => {
-            let at = p.index(&g.index)?;
-            bufs.push(g.buf);
-            Some((at.clone(), p.reg(Reg::Load { buf: g.buf, at })?))
-        }
-        None => None,
-    };
-    bufs.extend(p.regs.iter().filter_map(|reg| match reg {
-        Reg::Load { buf, .. } => Some(*buf),
-        Reg::Slot(_) => None,
-    }));
-    Some(EntryProgram { regs: p.regs, extent, head, n, gather, views, coeff, factor, reduce, bufs })
+
+    /// A ratio with `load` the walked side: one `f32` load that moves, and
+    /// a `factor` that holds for the entry — one still `f32` load, or a
+    /// constant.
+    fn ratio(&mut self, load: &'a FloatExpr, factor: &'a FloatExpr) -> Option<RatioPlan> {
+        let FloatExpr::Load { buf, index } = load else {
+            return None;
+        };
+        let (at, drift, _) = self.index(index)?;
+        let by = match factor {
+            FloatExpr::Load { buf, index } => match self.index(index)? {
+                (at, None, _) => Some((*buf, at)),
+                _ => return None,
+            },
+            _ if float_static(factor) => None,
+            _ => return None,
+        };
+        Some((*buf, at, drift?, by))
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1260,7 +1172,7 @@ impl Trips {
                     };
                     (Some(walk((buf, 0), at, spec.coeff, (1, false))?), 0.0, factor)
                 }
-                // A constant (`plan_entry` admits nothing else).
+                // A constant (`build_nest` admits nothing else).
                 _ => (None, value.eval(fr).ok()?, 0.0),
             },
             None => (None, 0.0, 0.0),

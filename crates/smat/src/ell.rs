@@ -11,6 +11,8 @@ pub struct Ell {
     rows: usize,
     cols: usize,
     width: usize,
+    /// Stored entries that are real non-zeros (explicit zeros included).
+    nnz: usize,
     col_indices: Vec<u32>,
     values: Vec<f32>,
 }
@@ -19,11 +21,15 @@ impl Ell {
     /// Convert from CSR.
     ///
     /// # Errors
-    /// Fails when any row has more than `width` non-zeros.
+    /// Fails when any row has more than `width` non-zeros, or when
+    /// `rows × width` overflows `usize`.
     pub fn from_csr(csr: &Csr, width: usize) -> Result<Ell, SmatError> {
         let rows = csr.rows();
-        let mut col_indices = vec![0u32; rows * width];
-        let mut values = vec![0.0f32; rows * width];
+        let stored = rows.checked_mul(width).ok_or_else(|| {
+            SmatError::new(format!("ELL storage of {rows} rows × width {width} overflows usize"))
+        })?;
+        let mut col_indices = vec![0u32; stored];
+        let mut values = vec![0.0f32; stored];
         for r in 0..rows {
             let (cols, vals) = csr.row(r);
             if cols.len() > width {
@@ -43,7 +49,7 @@ impl Ell {
                 col_indices[r * width + j] = pad_col;
             }
         }
-        Ok(Ell { rows, cols: csr.cols(), width, col_indices, values })
+        Ok(Ell { rows, cols: csr.cols(), width, nnz: csr.nnz(), col_indices, values })
     }
 
     /// Number of rows.
@@ -82,10 +88,11 @@ impl Ell {
         self.rows * self.width
     }
 
-    /// Count of padded zero entries.
+    /// Count of padded entries: stored ones that are no non-zero of the
+    /// source matrix (an explicitly stored zero is real, not padding).
     #[must_use]
     pub fn padding(&self) -> usize {
-        self.values.iter().filter(|&&v| v == 0.0).count()
+        self.stored() - self.nnz
     }
 
     /// Dense reconstruction.
@@ -160,6 +167,21 @@ mod tests {
         // 6 stored, 4 real non-zeros → 2 padded.
         assert_eq!(ell.stored(), 6);
         assert_eq!(ell.padding(), 2);
+    }
+
+    #[test]
+    fn padding_is_structural_not_value_based() {
+        // Row 0 stores an explicit zero: a real entry, not padding.
+        let csr =
+            Csr::new(2, 4, vec![0, 3, 4], vec![0, 1, 2, 0], vec![1.0, 0.0, 2.0, 3.0]).unwrap();
+        let ell = Ell::from_csr(&csr, 3).unwrap();
+        assert_eq!((ell.stored(), ell.padding()), (6, 2));
+    }
+
+    #[test]
+    fn storage_that_overflows_is_an_error_not_a_panic() {
+        let err = Ell::from_csr(&sample(), usize::MAX / 2 + 1).unwrap_err();
+        assert!(err.to_string().contains("overflows"), "{err}");
     }
 
     #[test]
