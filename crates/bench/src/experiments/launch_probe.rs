@@ -12,7 +12,10 @@
 //! the **native** f32 loop `stbench` uses as its yardstick. Arms alternate
 //! in short bursts and report minima, so the box's clock states cancel.
 //! A sweep over row and non-zero counts then fits the SpMM run to
-//! `c + entries × a + nnz × b`.
+//! `c + entries × a + nnz × b`. A per-pass table takes fused attention
+//! apart: at one head and `stbench kernel_narrow`'s d = 4, the fused run
+//! beside each of its five passes compiled alone from its Stage I program
+//! (score, rowmax, exp, psum, agg), in nanoseconds per non-zero.
 //!
 //! Smoke mode asserts the bit-identities and keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
@@ -364,7 +367,90 @@ pub fn run() -> String {
          nnz × {per_nnz:.1} ns (least squares)\n",
         sweep.join(", ")
     ));
+    out.push_str(&attention_passes(&a, 4, burst, &mut rng));
     out
+}
+
+/// Fused attention at one head and `d = feat = vfeat` on `a`, taken apart
+/// by pass: the whole fused kernel's run and each pass of it compiled
+/// alone from its Stage I program (`attention_pass_program`), all on whole
+/// tensors, as minima per non-zero. Before timing, the fused entry point's
+/// output is checked bit for bit against the three-launch pipeline oracle,
+/// and the passes run one after another against the fused kernel.
+///
+/// # Panics
+/// Panics when an output differs in a bit.
+fn attention_passes(
+    a: &Csr,
+    d: usize,
+    (rounds, reps): (usize, usize),
+    rng: &mut rand::rngs::SmallRng,
+) -> String {
+    use sparsetir_core::prelude::{attention_pass_program, bind_csr, lower, ATTENTION_PASSES};
+    let (q, kt, v) = (
+        gen::random_dense(a.rows(), d, rng),
+        gen::random_dense(d, a.cols(), rng),
+        gen::random_dense(a.cols(), d, rng),
+    );
+    let rt = Runtime::new();
+    let (qs, kts, vs) = ([&q], [&kt], [&v]);
+    let mut served = vec![Dense::zeros(a.rows(), d)];
+    fused_attention_views_on(&rt, a, &qs, &kts, &vs, &mut served).expect("served attention");
+    let mut oracle = vec![Dense::zeros(a.rows(), d)];
+    attention_pipeline_oracle(&rt, a, &qs, &kts, &vs, &mut oracle).expect("pipeline oracle");
+    assert_bits("attention d=4 vs the pipeline oracle", served[0].data(), oracle[0].data());
+
+    let mut tensors: HashMap<String, TensorData> = HashMap::new();
+    bind_csr(&mut tensors, "A", "J", a);
+    for (name, m) in [("Q", &q), ("KT", &kt), ("V", &v)] {
+        tensors.insert(name.to_string(), TensorData::from(m.data().to_vec()));
+    }
+    for (name, len) in [("S", a.nnz()), ("M", a.rows()), ("P", a.nnz()), ("Sum", a.rows())] {
+        tensors.insert(name.to_string(), TensorData::from(vec![0.0f32; len]));
+    }
+    tensors.insert("Out".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
+    let shape = ((a.rows(), a.cols(), a.nnz()), (1, d, d));
+    let passes: Vec<_> = ATTENTION_PASSES
+        .iter()
+        .map(|pass| {
+            let program = attention_pass_program(pass, shape.0, shape.1).expect("a known pass");
+            rt.compile(&lower(&program).expect("lowers")).expect("compiles")
+        })
+        .collect();
+    let scalars = HashMap::new();
+    let mut pieces = tensors.clone();
+    for kernel in &passes {
+        kernel.run(&scalars, &mut pieces).expect("runs");
+    }
+    assert_bits("attention d=4, pass by pass", pieces["Out"].as_f32(), served[0].data());
+
+    let fused = rt.compile(&fused_attention_ir(a, 1, d, d).expect("lowers")).expect("compiles");
+    // The passes share the tensors the passes before each left.
+    let (mut whole, apart) = (tensors, std::cell::RefCell::new(pieces));
+    let mut arms: Vec<Box<dyn FnMut() + '_>> =
+        vec![Box::new(|| fused.run(&scalars, &mut whole).expect("runs"))];
+    for kernel in &passes {
+        let (scalars, apart) = (&scalars, &apart);
+        arms.push(Box::new(move || kernel.run(scalars, &mut apart.borrow_mut()).expect("runs")));
+    }
+    let mut refs: Vec<&mut dyn FnMut()> = arms.iter_mut().map(|arm| &mut **arm as _).collect();
+    // A fused run is five passes' work: longer bursts than the launch
+    // table's, so an arm's first, cold call weighs less.
+    let got = minima(rounds, reps * 5, &mut refs);
+    let per_nnz = |ns: f64| format!("{:.0}", ns / a.nnz() as f64);
+    let mut row = vec![format!("d={d}, 1 head")];
+    row.extend(got.iter().map(|&ns| per_nnz(ns)));
+    row.push(per_nnz(got[1..].iter().sum()));
+    let headers = ["arm", "fused run", "score", "rowmax", "exp", "psum", "agg", "Σ passes"];
+    render_table(
+        &format!(
+            "launch_probe: fused attention by pass (n = {}, nnz = {}), run minima in ns per non-zero",
+            a.rows(),
+            a.nnz()
+        ),
+        &headers,
+        &[row],
+    )
 }
 
 /// The `[c, a, b]` minimising `Σ (c·p[0] + a·p[1] + b·p[2] − p[3])²`

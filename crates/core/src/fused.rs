@@ -17,18 +17,27 @@
 //!
 //! Pass structure of the attention pipeline (head axis `H` *inside* each
 //! row's non-zero loop — the multi-head batching contract of the widened
-//! SDDMM launch):
+//! SDDMM launch). Every pass is a walk of each row's non-zeros whose body
+//! is one store — one lane op of the executor, the head loop its lanes:
 //!
 //! 1. `score`  — `S[i,j,h] += A[i,j] · Q[i,h,k] · KT[h,k,j]` (the batched
 //!    SDDMM body; its `K` loop hits the `GatherScaleAccumulate`
 //!    microkernel);
 //! 2. `rowmax` — `M[i,h] = max(M[i,h], S[i,j,h])`, reset to `-f32::MAX`
-//!    at each row segment start;
-//! 3. `expsum` — `P[i,j,h] = exp(S[i,j,h] − M[i,h])`;
-//!    `Sum[i,h] += P[i,j,h]`, reset to `0` at each segment start;
-//! 4. `agg`    — `Out[i,h,c] += (P[i,j,h] / Sum[i,h]) · V[j,h,c]`: the
+//!    at each row segment start (a running-maximum accumulate);
+//! 3. `exp`    — `P[i,j,h] = exp(S[i,j,h] − M[i,h])`, all spatial (a map
+//!    that overwrites `P`);
+//! 4. `psum`   — `Sum[i,h] += P[i,j,h]`, reset to `0` at each segment
+//!    start (an AXPY of one lane per head);
+//! 5. `agg`    — `Out[i,h,c] += (P[i,j,h] / Sum[i,h]) · V[j,h,c]`: the
 //!    normalization rides as a lane-invariant coefficient of the
 //!    aggregation AXPY, so the `C` loop hits the `AxpyLanes` microkernel.
+//!
+//! `exp` and `psum` were one pass with two stores per point; split, each
+//! `(non-zero, head)` point still runs the same operations in the same
+//! order — `Sum` reads `P` back through its `f32` store either way — so
+//! the split changes no output bit, and each half is a shape the
+//! executor runs as a row nest.
 //!
 //! Rows with no non-zeros never execute any pass body, so their outputs
 //! stay at the zero binding (the documented empty-row semantics: an
@@ -114,45 +123,47 @@ fn add_rowmax_pass(b: &mut ProgramBuilder, s: &SpBuffer, mx: &SpBuffer) {
     });
 }
 
-/// Pass 3: exponentiate the max-shifted scores and accumulate the
-/// per-row partition sum, in one walk of the non-zero range (two stores
-/// per `(non-zero, head)` point).
-fn add_expsum_pass(
-    b: &mut ProgramBuilder,
-    s: &SpBuffer,
-    mx: &SpBuffer,
-    p: &SpBuffer,
-    sum: &SpBuffer,
-) {
+/// Pass 3: exponentiate the max-shifted scores, `P = exp(S − M)` — all
+/// spatial, one store per `(non-zero, head)` point.
+fn add_exp_pass(b: &mut ProgramBuilder, s: &SpBuffer, mx: &SpBuffer, p: &SpBuffer) {
     let axes = b.axes().clone();
-    let (s, mx, p, sum) = (s.clone(), mx.clone(), p.clone(), sum.clone());
-    b.sp_iter("expsum", &["I", "J", "H"], "SRS", |vars| {
+    let (s, mx, p) = (s.clone(), mx.clone(), p.clone());
+    b.sp_iter("exp", &["I", "J", "H"], "SSS", |vars| {
+        let (i, j, h) = (&vars[0], &vars[1], &vars[2]);
+        let shifted = s.load(&axes, vec![Expr::var(i), Expr::var(j), Expr::var(h)])
+            - mx.load(&axes, vec![Expr::var(i), Expr::var(h)]);
+        let body = vec![SpStore {
+            buffer: p.name.clone(),
+            indices: vec![Expr::var(i), Expr::var(j), Expr::var(h)],
+            value: Expr::Call { intrin: Intrinsic::Exp, args: vec![shifted] },
+        }];
+        (Vec::new(), body)
+    });
+}
+
+/// Pass 4: the per-row partition sum `Sum += P`, reset to `0` at each row
+/// segment start. `P` is read back through the `f32` store pass 3 made.
+fn add_psum_pass(b: &mut ProgramBuilder, p: &SpBuffer, sum: &SpBuffer) {
+    let axes = b.axes().clone();
+    let (p, sum) = (p.clone(), sum.clone());
+    b.sp_iter("psum", &["I", "J", "H"], "SRS", |vars| {
         let (i, j, h) = (&vars[0], &vars[1], &vars[2]);
         let init = vec![SpStore {
             buffer: sum.name.clone(),
             indices: vec![Expr::var(i), Expr::var(h)],
             value: Expr::f32(0.0),
         }];
-        let shifted = s.load(&axes, vec![Expr::var(i), Expr::var(j), Expr::var(h)])
-            - mx.load(&axes, vec![Expr::var(i), Expr::var(h)]);
-        let body = vec![
-            SpStore {
-                buffer: p.name.clone(),
-                indices: vec![Expr::var(i), Expr::var(j), Expr::var(h)],
-                value: Expr::Call { intrin: Intrinsic::Exp, args: vec![shifted] },
-            },
-            SpStore {
-                buffer: sum.name.clone(),
-                indices: vec![Expr::var(i), Expr::var(h)],
-                value: sum.load(&axes, vec![Expr::var(i), Expr::var(h)])
-                    + p.load(&axes, vec![Expr::var(i), Expr::var(j), Expr::var(h)]),
-            },
-        ];
+        let body = vec![SpStore {
+            buffer: sum.name.clone(),
+            indices: vec![Expr::var(i), Expr::var(h)],
+            value: sum.load(&axes, vec![Expr::var(i), Expr::var(h)])
+                + p.load(&axes, vec![Expr::var(i), Expr::var(j), Expr::var(h)]),
+        }];
         (init, body)
     });
 }
 
-/// Pass 4: the aggregation AXPY with the softmax normalization folded in
+/// Pass 5: the aggregation AXPY with the softmax normalization folded in
 /// as a lane-invariant coefficient (`Out += (P / Sum) · V` over the
 /// value-feature lanes).
 fn add_aggregate_pass(
@@ -184,8 +195,8 @@ fn add_aggregate_pass(
 }
 
 /// The whole multi-head sparse-attention pipeline as **one** program:
-/// score SDDMM, edge-softmax (two passes over each row's segment of the
-/// non-zero range) and the aggregation AXPY — four passes, one kernel.
+/// score SDDMM, edge-softmax (three passes over each row's segment of the
+/// non-zero range) and the aggregation AXPY — five passes, one kernel.
 ///
 /// Operand layouts (row-major coordinate space): `Q` is `(m, heads,
 /// feat)` — head `h` owns `feat` consecutive columns of an
@@ -203,7 +214,35 @@ pub fn fused_attention_program(
     feat: usize,
     vfeat: usize,
 ) -> SpProgram {
-    let mut b = ProgramBuilder::new("fused_attention");
+    attention_program("fused_attention", (m, n, nnz), (heads, feat, vfeat), &ATTENTION_PASSES)
+        .expect("every attention pass is known")
+}
+
+/// The passes of [`fused_attention_program`], in order.
+pub const ATTENTION_PASSES: [&str; 5] = ["score", "rowmax", "exp", "psum", "agg"];
+
+/// One pass of [`fused_attention_program`] alone (one of
+/// [`ATTENTION_PASSES`]), over the same axes and buffers: run after the
+/// passes before it, it does exactly what it does inside the fused kernel.
+/// A per-pass cost probe compiles these. `None` for an unknown pass.
+#[must_use]
+pub fn attention_pass_program(
+    pass: &str,
+    (m, n, nnz): (usize, usize, usize),
+    (heads, feat, vfeat): (usize, usize, usize),
+) -> Option<SpProgram> {
+    attention_program(&format!("attn_{pass}"), (m, n, nnz), (heads, feat, vfeat), &[pass])
+}
+
+/// The attention axes and buffers with `passes` (names of
+/// [`ATTENTION_PASSES`], in order) added; `None` for an unknown name.
+fn attention_program(
+    name: &str,
+    (m, n, nnz): (usize, usize, usize),
+    (heads, feat, vfeat): (usize, usize, usize),
+    passes: &[&str],
+) -> Option<SpProgram> {
+    let mut b = ProgramBuilder::new(name);
     attention_axes(&mut b, m, n, nnz, heads, feat, vfeat);
     let a = b.sparse_buffer("A", &["I", "J"], DType::F32);
     let q = b.sparse_buffer("Q", &["I_", "H", "K"], DType::F32);
@@ -214,11 +253,17 @@ pub fn fused_attention_program(
     let p = b.sparse_buffer("P", &["I", "J", "H"], DType::F32);
     let sum = b.sparse_buffer("Sum", &["I", "H"], DType::F32);
     let out = b.sparse_buffer("Out", &["I", "H", "C"], DType::F32);
-    add_score_pass(&mut b, &a, &q, &kt, &s);
-    add_rowmax_pass(&mut b, &s, &mx);
-    add_expsum_pass(&mut b, &s, &mx, &p, &sum);
-    add_aggregate_pass(&mut b, &p, &sum, &v, &out);
-    b.finish()
+    for pass in passes {
+        match *pass {
+            "score" => add_score_pass(&mut b, &a, &q, &kt, &s),
+            "rowmax" => add_rowmax_pass(&mut b, &s, &mx),
+            "exp" => add_exp_pass(&mut b, &s, &mx, &p),
+            "psum" => add_psum_pass(&mut b, &p, &sum),
+            "agg" => add_aggregate_pass(&mut b, &p, &sum, &v, &out),
+            _ => return None,
+        }
+    }
+    Some(b.finish())
 }
 
 /// Pipeline launch 1 of 3: the score pass alone (exactly the batched
@@ -243,7 +288,7 @@ pub fn attention_score_program(
 }
 
 /// Pipeline launch 2 of 3: edge-softmax over the per-non-zero scores —
-/// the `rowmax` and `expsum` passes (the normalization itself rides the
+/// the `rowmax`, `exp` and `psum` passes (the normalization itself rides the
 /// aggregation launch as its coefficient, identically to the fused
 /// kernel). Inputs: `S`; outputs: `P` and `Sum` (`M` is scratch).
 #[must_use]
@@ -255,7 +300,8 @@ pub fn edge_softmax_program(m: usize, n: usize, nnz: usize, heads: usize) -> SpP
     let p = b.sparse_buffer("P", &["I", "J", "H"], DType::F32);
     let sum = b.sparse_buffer("Sum", &["I", "H"], DType::F32);
     add_rowmax_pass(&mut b, &s, &mx);
-    add_expsum_pass(&mut b, &s, &mx, &p, &sum);
+    add_exp_pass(&mut b, &s, &mx, &p);
+    add_psum_pass(&mut b, &p, &sum);
     b.finish()
 }
 
@@ -392,14 +438,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fused_attention_program_has_all_four_passes() {
+    fn fused_attention_program_has_all_five_passes() {
         let p = fused_attention_program(4, 4, 6, 2, 3, 3);
         let s = p.script();
-        for pass in ["score", "rowmax", "expsum", "agg"] {
+        for pass in ["score", "rowmax", "exp", "psum", "agg"] {
             assert!(s.contains(pass), "missing pass `{pass}` in:\n{s}");
         }
         assert!(s.contains("sp_iter([I, J, H, K], \"SSSR\", \"score\")"), "{s}");
         assert!(s.contains("sp_iter([I, J, H], \"SRS\", \"rowmax\")"), "{s}");
+        assert!(s.contains("sp_iter([I, J, H], \"SSS\", \"exp\")"), "{s}");
+        assert!(s.contains("sp_iter([I, J, H], \"SRS\", \"psum\")"), "{s}");
         assert!(s.contains("sp_iter([I, J, H, C], \"SRSS\", \"agg\")"), "{s}");
     }
 
@@ -407,8 +455,21 @@ mod tests {
     fn pipeline_programs_cover_the_same_passes() {
         assert!(attention_score_program(4, 4, 6, 2, 3).script().contains("score"));
         let softmax = edge_softmax_program(4, 4, 6, 2).script();
-        assert!(softmax.contains("rowmax") && softmax.contains("expsum"), "{softmax}");
+        for pass in ["rowmax", "\"exp\"", "psum"] {
+            assert!(softmax.contains(pass), "{softmax}");
+        }
         assert!(attention_aggregate_program(4, 4, 6, 2, 3).script().contains("agg"));
+    }
+
+    #[test]
+    fn each_attention_pass_stands_alone() {
+        for pass in ATTENTION_PASSES {
+            let s = attention_pass_program(pass, (4, 4, 6), (2, 3, 3)).unwrap().script();
+            let others = ATTENTION_PASSES.iter().filter(|&&o| o != pass);
+            assert!(s.contains(&format!("\"{pass}\")")), "{s}");
+            assert!(others.into_iter().all(|o| !s.contains(&format!("\"{o}\")"))), "{s}");
+        }
+        assert!(attention_pass_program("expsum", (4, 4, 6), (2, 3, 3)).is_none());
     }
 
     #[test]

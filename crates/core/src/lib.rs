@@ -45,8 +45,9 @@ pub mod prelude {
     };
     pub use crate::flatten::{aux_buffer_names, flat_size, flatten_access, lower, lower_to_stage3};
     pub use crate::fused::{
-        attention_aggregate_program, attention_score_program, edge_softmax_program,
-        fused_attention_program, fused_sage_program, sage_gather_program, sage_matmul_program,
+        attention_aggregate_program, attention_pass_program, attention_score_program,
+        edge_softmax_program, fused_attention_program, fused_sage_program, sage_gather_program,
+        sage_matmul_program, ATTENTION_PASSES,
     };
     pub use crate::hfuse::horizontal_fuse;
     pub use crate::lower::{lower_to_stage2, BufferDomain, LowerError, Stage2Func};

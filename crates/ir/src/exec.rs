@@ -39,7 +39,8 @@
 //! submodule) recognizes innermost loops over contiguous dense axes (the
 //! feature dimension of SpMM/SDDMM, ELL bucket lanes) at compile time and
 //! lowers them to specialized microkernel instructions — `FillLanes`,
-//! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate` — that run tight
+//! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`, `MaxLanes`,
+//! `ExpDiffLanes` — that run tight
 //! per-lane loops instead of per-element instruction dispatch. Fusion is
 //! what [`CompiledKernel::compile`] (and so [`Runtime::compile`]) does;
 //! the generic form is retained behind every fused op as the bit-exact
@@ -1614,7 +1615,8 @@ impl CompiledKernel {
     }
 
     /// Number of dense-lane microkernel instructions (`FillLanes`,
-    /// `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`) the fusion pass
+    /// `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`, `MaxLanes`,
+    /// `ExpDiffLanes`) the fusion pass
     /// produced. Zero when compiled with fusion disabled or when no
     /// innermost loop matched a contiguous dense-lane pattern.
     #[must_use]

@@ -132,6 +132,8 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
         Micro::AxpyLanes { .. } => "nest.axpy",
         Micro::DotLanes { .. } => "nest.dot ",
         Micro::GatherScaleAccumulate { .. } => "nest.gsa ",
+        Micro::MaxLanes { .. } => "nest.max ",
+        Micro::ExpDiffLanes { .. } => "nest.exp ",
     };
     let moves = |step: i64, scale: i64| match (step, scale) {
         (0, 0) => "row".to_string(),
@@ -252,6 +254,13 @@ fn superinstr(spec: &LaneSpec) -> String {
         Micro::GatherScaleAccumulate { dst, term } => {
             ("super.gsa ", format!("dst={} term={}", lane_view(dst), term_spec(term)))
         }
+        Micro::MaxLanes { dst, a } => {
+            ("super.max ", format!("dst={} val=fmax(dst, {})", lane_view(dst), lane_view(a)))
+        }
+        Micro::ExpDiffLanes { dst, a, b } => (
+            "super.exp ",
+            format!("dst={} val=exp(({} - {}))", lane_view(dst), lane_view(a), lane_view(b)),
+        ),
     };
     let iters: Vec<String> = spec
         .iters

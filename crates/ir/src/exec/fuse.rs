@@ -17,9 +17,10 @@
 //!   (`base + stride·lane`) with a compile-time-constant stride;
 //! * the store target walks a **contiguous** flat axis (lane stride 1),
 //!   or is lane-invariant for scalar reductions;
-//! * the value expression is one of the four recognized microkernel
+//! * the value expression is one of the six recognized microkernel
 //!   shapes ([`Micro`]): `FillLanes`, `AxpyLanes`, `DotLanes`,
-//!   `GatherScaleAccumulate`; and
+//!   `GatherScaleAccumulate`, `MaxLanes` (a running maximum) and
+//!   `ExpDiffLanes` (`exp(a − b)`, overwriting); and
 //! * nothing re-evaluated inside the loop **reads the written buffer** —
 //!   a slot-level aliasing analysis.
 //!
@@ -332,6 +333,13 @@ pub(super) enum Micro {
     /// `Bout[e] += (a_e · X[i, 0..d]) · Y[0..d, j]` where `Y`'s column
     /// walk strides by the number of columns.
     GatherScaleAccumulate { dst: LaneView, term: TermSpec },
+    /// `dst[l] = f32(f64(dst[l]).max(f64(a[l])))` over contiguous lanes —
+    /// a running maximum, attention's `rowmax` `M[i, h] = max(M[i, h],
+    /// S[pos, h])`.
+    MaxLanes { dst: LaneView, a: LaneView },
+    /// `dst[l] = f32((f64(a[l]) − f64(b[l])).exp())` over contiguous lanes
+    /// — a map that overwrites `dst`, attention's `P = exp(S − M)`.
+    ExpDiffLanes { dst: LaneView, a: LaneView, b: LaneView },
 }
 
 impl Micro {
@@ -342,6 +350,8 @@ impl Micro {
             Micro::AxpyLanes { .. } => "AxpyLanes",
             Micro::DotLanes { .. } => "DotLanes",
             Micro::GatherScaleAccumulate { .. } => "GatherScaleAccumulate",
+            Micro::MaxLanes { .. } => "MaxLanes",
+            Micro::ExpDiffLanes { .. } => "ExpDiffLanes",
         }
     }
 
@@ -354,6 +364,8 @@ impl Micro {
             | Micro::GatherScaleAccumulate { dst, term } => {
                 [Some(dst), Some(&term.a), term.b.as_ref()]
             }
+            Micro::MaxLanes { dst, a } => [Some(dst), Some(a), None],
+            Micro::ExpDiffLanes { dst, a, b } => [Some(dst), Some(a), Some(b)],
         }
     }
 
@@ -365,6 +377,7 @@ impl Micro {
             Micro::AxpyLanes { term, .. }
             | Micro::DotLanes { term, .. }
             | Micro::GatherScaleAccumulate { term, .. } => term.coeff.as_ref(),
+            Micro::MaxLanes { .. } | Micro::ExpDiffLanes { .. } => None,
         }
     }
 }
@@ -585,8 +598,23 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         });
     }
 
-    // Accumulating store: value = Load(dst, dst_index) + term.
-    let FloatExpr::Bin { op: FloatOp::Add, lhs, rhs } = value else {
+    // A map overwriting `dst`: `exp(a − b)` over contiguous lanes, with
+    // nothing to init.
+    if let FloatExpr::Exp(arg) = value {
+        let FloatExpr::Bin { op: FloatOp::Sub, lhs, rhs } = &**arg else {
+            return None;
+        };
+        let (a, b) = (lane_load(lhs, &env)?, lane_load(rhs, &env)?);
+        if dst_stride != 1 || init_src.is_some() || a.stride != 1 || b.stride != 1 {
+            return None;
+        }
+        let dst = LaneView { buf: dst, index: dst_index.clone(), stride: 1 };
+        return fused(Micro::ExpDiffLanes { dst, a, b });
+    }
+
+    // Accumulating store: value = Load(dst, dst_index) + term, or the
+    // running maximum fmax(Load(dst, dst_index), a).
+    let FloatExpr::Bin { op: op @ (FloatOp::Add | FloatOp::Max), lhs, rhs } = value else {
         return None;
     };
     let FloatExpr::Load { buf: acc_buf, index: acc_index } = &**lhs else {
@@ -594,6 +622,18 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
     };
     if *acc_buf != dst || acc_index != dst_index {
         return None;
+    }
+    if *op == FloatOp::Max {
+        // Contiguous destination and operand, init not toggling mid-loop,
+        // as for AxpyLanes.
+        let a = lane_load(rhs, &env)?;
+        if dst_stride != 1 || reduce_strided || a.stride != 1 {
+            return None;
+        }
+        return fused(Micro::MaxLanes {
+            dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
+            a,
+        });
     }
     let term = match_term(rhs, &env)?;
 
@@ -903,10 +943,11 @@ enum LaneInit {
     One(i64),
 }
 
-/// What an [`axpy`] adds each lane's term to under the init decision
-/// `$init`: the init value where the init fires at every lane, the lane's
-/// own element (`None`) where at none; `$one` for an init at one lane,
-/// which no contiguous accumulation has. A macro, not a function, so that
+/// What an [`axpy`] adds each lane's term to — or a [`max`] compares each
+/// lane's operand with — under the init decision `$init`: the init value
+/// where the init fires at every lane, the lane's own element (`None`)
+/// where at none; `$one` for an init at one lane, which no contiguous
+/// accumulation has. A macro, not a function, so that
 /// [`LaneSpec::run_inline`] — inlined into `try_fast`, whose instructions
 /// are the per-`Super` path's and stay what they were — and the row nest's
 /// trip loops ([`LaneInit::base`]) expand one text.
@@ -1068,30 +1109,72 @@ unsafe fn fill(n: i64, d: Lanes, v: f32) {
     });
 }
 
-/// `dst[l] = f32(cur + t(l))` over unit-stride lanes, `cur` being `base`
-/// when the init fires at every lane and `f64(dst[l])` when at none.
+/// `dst[l] = f32(f(cur, a + l, b + l))` over unit-stride lanes, `cur`
+/// being `base` when the init fires at every lane and `f64(dst[l])` when
+/// at none: the loop of both accumulates that write a whole run, [`axpy`]
+/// and [`max`].
 ///
 /// # Safety
 /// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
 /// unit stride.
-unsafe fn axpy(
+#[inline(always)]
+unsafe fn accumulate(
     n: i64,
     [d, a, b]: [Lanes; 3],
     base: Option<f64>,
-    t: impl Fn(*const f32, *const f32) -> f64,
+    f: impl Fn(f64, *const f32, *const f32) -> f64,
 ) {
     debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
     pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
         Some(base) => {
             for l in 0..len {
-                pd.add(l).write((base + t(pa.add(l), pb.add(l))) as f32);
+                pd.add(l).write(f(base, pa.add(l), pb.add(l)) as f32);
             }
         }
         None => {
             for l in 0..len {
                 let cur = f64::from(pd.add(l).read());
-                pd.add(l).write((cur + t(pa.add(l), pb.add(l))) as f32);
+                pd.add(l).write(f(cur, pa.add(l), pb.add(l)) as f32);
             }
+        }
+    });
+}
+
+/// `dst[l] = f32(cur + t(l))` ([`accumulate`]).
+///
+/// # Safety
+/// As [`accumulate`].
+unsafe fn axpy(
+    n: i64,
+    ops: [Lanes; 3],
+    base: Option<f64>,
+    t: impl Fn(*const f32, *const f32) -> f64,
+) {
+    accumulate(n, ops, base, |cur, a, b| cur + t(a, b));
+}
+
+/// `dst[l] = f32(cur.max(f64(a[l])))` ([`accumulate`]): `f64::max`, in
+/// the source's operand order, as `FloatExpr::eval` computes `fmax`.
+///
+/// # Safety
+/// As [`accumulate`].
+unsafe fn max(n: i64, ops: [Lanes; 3], base: Option<f64>) {
+    // SAFETY: the caller's contract: `a` is a validated lane pointer.
+    accumulate(n, ops, base, |cur, a, _| cur.max(f64::from(unsafe { a.read() })));
+}
+
+/// `dst[l] = f32((f64(a[l]) − f64(b[l])).exp())` over unit-stride lanes:
+/// `f64::exp`, as `FloatExpr::eval` computes `exp`.
+///
+/// # Safety
+/// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
+/// unit stride.
+unsafe fn exp_diff(n: i64, [d, a, b]: [Lanes; 3]) {
+    debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
+    pieces(0, n, [d, a, b], |len, [pd, pa, pb]| {
+        for l in 0..len {
+            let v = f64::from(pa.add(l).read()) - f64::from(pb.add(l).read());
+            pd.add(l).write(v.exp() as f32);
         }
     });
 }
@@ -1156,6 +1239,8 @@ fn trip_loops(lanes: &LaneSpec) -> [TripLoop; 2] {
         Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
             on_shape!(term.shape, T => [reduce_trips::<T, false>, reduce_trips::<T, true>])
         }
+        Micro::MaxLanes { .. } => [max_trips::<false>, max_trips::<true>],
+        Micro::ExpDiffLanes { .. } => [exp_diff_trips::<false>, exp_diff_trips::<true>],
     }
 }
 
@@ -1183,6 +1268,25 @@ unsafe fn axpy_trips<T: Term, const SEG: bool>(
         let base = if t == 0 { first } else { rest };
         axpy(w.n, ops, base, |a, b| T::of(c, a, b));
     })
+}
+
+/// [`max`] per trip.
+#[inline(never)]
+unsafe fn max_trips<const SEG: bool>(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
+    let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
+        return 0;
+    };
+    // SAFETY: each trip's operands are what `resolve_lanes` would hand
+    // `max` there (`Stepped::walk`).
+    w.walk::<SEG>(|t, ops, _| unsafe { max(w.n, ops, if t == 0 { first } else { rest }) })
+}
+
+/// [`exp_diff`] per trip.
+#[inline(never)]
+unsafe fn exp_diff_trips<const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
+    // SAFETY: each trip's operands are what `resolve_lanes` would hand
+    // `exp_diff` there (`Stepped::walk`).
+    w.walk::<SEG>(|_, ops, _| unsafe { exp_diff(w.n, ops) })
 }
 
 /// [`reduce`] per trip.
@@ -1242,6 +1346,15 @@ impl LaneSpec {
             | Micro::GatherScaleAccumulate { dst, term } => {
                 let (coeff, a, b) = resolve_term(fr, term, n)?;
                 (coeff, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
+            }
+            Micro::MaxLanes { dst, a } => {
+                let a = resolve_lanes(fr, a.parts(), n, false)?;
+                (0.0, [resolve_lanes(fr, dst.parts(), n, true)?, a, a])
+            }
+            Micro::ExpDiffLanes { dst, a, b } => {
+                let a = resolve_lanes(fr, a.parts(), n, false)?;
+                let b = resolve_lanes(fr, b.parts(), n, false)?;
+                (0.0, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
             }
         };
         Some(Resolved {
@@ -1307,6 +1420,19 @@ impl LaneSpec {
                 // and `b` at their proven strides and the one element of
                 // `dst` (stride 0, writable); `0 <= from < n`.
                 with_term!(term.shape, r.scalar, |t| unsafe { reduce((from, n), ops, start, t) });
+            }
+            Micro::MaxLanes { .. } => {
+                let base = axpy_base!(r.init, r.init32, return None);
+                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
+                // (writable) and `a` before the first write; `fuse_lane_loop`
+                // proved both strides are 1.
+                unsafe { max(n, ops, base) };
+            }
+            Micro::ExpDiffLanes { .. } => {
+                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
+                // (writable), `a` and `b` before the first write;
+                // `fuse_lane_loop` proved all three strides are 1.
+                unsafe { exp_diff(n, ops) };
             }
         }
         Some(())

@@ -74,7 +74,8 @@
 //! add for a [`Lanes::Cols`]. What `advance` checks per trip is checked per
 //! entry: an affine walk at its first and last trip (both ends inside the
 //! dimension, the storage and one segment means every trip between is),
-//! while the gathered value keeps a per-trip test against the entry's
+//! while the gathered value keeps a per-trip test (and load: none when no
+//! operand moves with it) against the entry's
 //! *reach* — the interval of values at which every gather-moved operand
 //! passes its checks: each operand's own, solved from its own dimension and
 //! binding and kept while its pin repeats ([`Within`]), then intersected.
@@ -1535,14 +1536,20 @@ impl Trips {
         if let Some(c) = &mut self.coeff {
             w.coeff = c.cursor(trips, g0, &mut reach, (3, &mut self.within))?;
         }
+        w.gather = std::ptr::null_mut();
         if let Some(g) = &self.gather {
             let (first, _) = (g.flat(0)?, g.flat(last)?);
             debug_assert!((0..g.len).contains(&first));
-            // SAFETY: 0 <= first < len elements behind `ptr`.
-            w.gather = unsafe { g.ptr.add(first as usize) };
-            (w.g0, w.reach) = (g0, reach);
-        } else {
-            w.gather = std::ptr::null_mut();
+            // A gather no operand moves with needs no per-trip load: its
+            // positions are in range (tested just now), and the value the
+            // prologue binds from each is read by nothing the trips do
+            // (the softmax passes' column iter).
+            let walked = self.coeff.is_some().then_some(&w.coeff);
+            if w.ops.iter().chain(walked).any(|c| c.gstep != 0) {
+                // SAFETY: 0 <= first < len elements behind `ptr`.
+                w.gather = unsafe { g.ptr.add(first as usize) };
+                (w.g0, w.reach) = (g0, reach);
+            }
         }
         if let [(_, step, _)] = spec.reduce_moves[..] {
             // The init fires where every reduce iter is zero: for a moving

@@ -57,7 +57,10 @@
 //! graph with empty rows, one-non-zero rows and one row of `n / 2`, every
 //! output also checked against an independent `f64` oracle; every term
 //! shape × init kind under a re-entered nest; and what the menu of trip
-//! loops leaves to `advance`, each case by name.
+//! loops leaves to `advance`, each case by name. Its `softmax` member runs
+//! attention's running-maximum and `exp(a − b)` lane ops at one and three
+//! heads, NaN / ±inf / ±`f32::MAX` operands included, and a column out of
+//! reach mid-row handed to the generic loop at the right trip.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, under a serial loop and
@@ -67,7 +70,8 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use sparsetir_core::prelude::{
-    attention_aggregate_program, bind_dense, bind_zeros, lower, spmm_program,
+    attention_aggregate_program, attention_pass_program, bind_dense, bind_zeros, lower,
+    spmm_program, ProgramBuilder, SpStore,
 };
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
@@ -1960,11 +1964,12 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
 /// vector widths, on the stepped fixture, operands cut one segment per head
 /// as their entry points bind them: interpreter ≡ generic ≡ fused, whole
 /// and segmented, bit for bit; every head's output within the `f64`
-/// oracle's bound. One-head attention walks two nests — the score and the
-/// ratio-weighted aggregation — SAGE two — the gather and the
-/// `Agg · Dinv`-weighted transform — every trip stepped; three-head
-/// attention's one nest is the score's head loop, trip by trip as the
-/// three-head SDDMM's.
+/// oracle's bound. One-head attention walks five nests — the score, the
+/// three softmax passes and the ratio-weighted aggregation — SAGE two — the
+/// gather and the `Agg · Dinv`-weighted transform — every trip stepped;
+/// three-head attention's softmax passes are nests entered once per row,
+/// every trip stepped, and its score nest the head loop, trip by trip as
+/// the three-head SDDMM's.
 #[test]
 fn stepped_attention_and_sage_bit_match_at_every_width() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6d));
@@ -1986,14 +1991,15 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
             if heads == 1 {
-                assert_stepped(counts, 2 * nnz as u64, &what);
+                assert_stepped(counts, 5 * nnz as u64, &what);
             } else {
-                let trips = (nnz * heads) as u64;
+                let (softmax, score) = (3 * nnz as u64, (nnz * heads) as u64);
                 assert_eq!(
-                    (counts.repinned, counts.handovers, counts.trips, counts.stepped),
-                    (counts.entries, 0, trips, 0),
+                    (counts.entries, counts.repinned, counts.handovers),
+                    ((nnz + 3 * rows) as u64, counts.entries, 0),
                     "{what}"
                 );
+                assert_eq!((counts.trips, counts.stepped), (softmax + score, softmax), "{what}");
             }
             for h in 0..heads {
                 let [q, kt, v, out] = [0, 1, 2, 3].map(|p| &after[p].segs[h]);
@@ -2233,6 +2239,145 @@ fn stepped_menu_leaves_the_rest_to_advance() {
         assert_eq!((counts.entries, counts.repinned, counts.trips), (entries, entries, trips));
         let stepped = if off == Off::Covered { trips } else { 0 };
         assert_eq!(counts.stepped, stepped, "{off:?}: {counts:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Family 6f: attention's softmax lane ops
+// ---------------------------------------------------------------------------
+
+/// A softmax pass over `heads` heads on `a`, one of:
+///
+/// * attention's own `rowmax` (`M[i, h] = max(M[i, h], S[i, j, h])`,
+///   `-f32::MAX` at each row's start) or `exp` (`P[i, j, h] = exp(S[i, j, h]
+///   − M[i, h])`), as `attention_pass_program` builds them;
+/// * `gathered`: the same lane op with its moving operand read through the
+///   row's column index, `X[j, h]` over the columns — so a column out of
+///   `X`'s reach fails mid-row — and for `rowmax` without the init, so the
+///   maximum starts from whatever `M` held (NaN included).
+fn softmax_pass(a: &Csr, op: &str, heads: usize, gathered: bool) -> PrimFunc {
+    let (m, n, nnz) = (a.rows(), a.cols(), a.nnz());
+    if !gathered {
+        return lower(&attention_pass_program(op, (m, n, nnz), (heads, 1, 1)).unwrap()).unwrap();
+    }
+    let mut b = ProgramBuilder::new("softmax_gathered");
+    b.dense_fixed("I", m);
+    b.sparse_variable("J", "I", n, nnz, "J_indptr", "J_indices");
+    b.dense_fixed("H", heads);
+    b.dense_fixed("J_d", n);
+    let x = b.sparse_buffer("X", &["J_d", "H"], DType::F32);
+    let mx = b.sparse_buffer("M", &["I", "H"], DType::F32);
+    let p = b.sparse_buffer("P", &["I", "J", "H"], DType::F32);
+    let axes = b.axes().clone();
+    let kinds = if op == "rowmax" { "SRS" } else { "SSS" };
+    b.sp_iter(op, &["I", "J", "H"], kinds, |vars| {
+        let (i, j, h) = (Expr::var(&vars[0]), Expr::var(&vars[1]), Expr::var(&vars[2]));
+        let xv = x.load(&axes, vec![j.clone(), h.clone()]);
+        let mv = mx.load(&axes, vec![i.clone(), h.clone()]);
+        let body = if op == "rowmax" {
+            SpStore { buffer: mx.name.clone(), indices: vec![i, h], value: mv.max(xv) }
+        } else {
+            let value = Expr::Call { intrin: Intrinsic::Exp, args: vec![xv - mv] };
+            SpStore { buffer: p.name.clone(), indices: vec![i, j, h], value }
+        };
+        (Vec::new(), vec![body])
+    });
+    lower(&b.finish()).unwrap()
+}
+
+/// The tensors of a [`softmax_pass`]: the structure of `a`, and `S`, `X`,
+/// `M`, `P` drawn with a quarter of special values — NaN, ±inf, ±`f32::MAX`,
+/// ±0 and a subnormal — so `f64::max`'s NaN rule and `exp` at the ends of
+/// the range are part of every comparison.
+fn softmax_tensors(a: &Csr, heads: usize, rng: &mut SmallRng) -> HashMap<String, TensorData> {
+    let specials = specials();
+    let special = [specials[0], f32::MAX, -f32::MAX, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+    let mut values = |len: usize| {
+        let v = (0..len * heads).map(|_| {
+            if rng.gen_bool(0.25) {
+                special[rng.gen_range(0..special.len())]
+            } else {
+                rng.gen_range(-4.0f32..4.0)
+            }
+        });
+        TensorData::F32(v.collect())
+    };
+    let mut t = csr_tensors(a);
+    for (name, len) in [("S", a.nnz()), ("X", a.cols()), ("M", a.rows()), ("P", a.nnz())] {
+        t.insert(name.to_string(), values(len));
+    }
+    // What the rest of the attention program declares (at feat = vfeat = 1).
+    for (name, len) in [("Q", a.rows()), ("KT", a.cols()), ("V", a.cols())] {
+        t.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
+    }
+    for name in ["Sum", "Out"] {
+        t.insert(name.to_string(), TensorData::zeros(DType::F32, a.rows() * heads));
+    }
+    t
+}
+
+/// The softmax's two new lane ops, a running maximum (`nest.max`) and an
+/// `exp(a − b)` map (`nest.exp`), at one head and three, attention's own
+/// passes and the gathered variants, on a graph with empty rows: bit for
+/// bit the interpreter's (and the all-generic build's) with specials in
+/// every operand, one nest entered once per row, every trip stepped. Then
+/// a column out of `X`'s reach in the middle of a row: the nest hands that
+/// trip to the generic loop — once, having taken exactly the trips before
+/// it — which fails with the interpreter's text, leaving its prefix; and,
+/// for attention's own passes, whose trips bind the column without reading
+/// through it, a last row running past `J_indices`.
+#[test]
+fn softmax_lane_ops_bit_match_and_hand_over_mid_row() {
+    let (a, mut rng) = (stepped_fixture(), gen::rng(0x6e));
+    let row = (0..a.rows()).find(|&r| a.row_nnz(r) >= 3 && r > 0).expect("a row with a middle");
+    let at = a.indptr()[row] + 1;
+    for (op, kind) in [("rowmax", "nest.max "), ("exp", "nest.exp ")] {
+        for heads in [1usize, 3] {
+            for gathered in [false, true] {
+                let f = softmax_pass(&a, op, heads, gathered);
+                let what = format!("{op}, {heads} heads, gathered = {gathered}");
+                assert_eq!((nests(&f), entry_programs(&f)), (vec![kind.to_string()], 1), "{what}");
+                for _ in 0..4 {
+                    let tensors = softmax_tensors(&a, heads, &mut rng);
+                    differential(&f, &HashMap::new(), &tensors)
+                        .unwrap_or_else(|m| panic!("{what}: {m}"));
+                    let counts = launch_counts(&f, &HashMap::new(), &tensors);
+                    assert_stepped(counts, a.nnz() as u64, &what);
+                }
+                if !gathered {
+                    // Attention's own passes read no operand through the
+                    // column: a trip loads it only to bind it. A row pointer
+                    // past the end makes that load leave `J_indices` mid-row.
+                    let mut tensors = softmax_tensors(&a, heads, &mut rng);
+                    let TensorData::I32(ptr) = tensors.get_mut("J_indptr").unwrap() else {
+                        unreachable!()
+                    };
+                    ptr[a.rows()] += 2;
+                    let msg = differential_failure(&f, &HashMap::new(), &tensors)
+                        .unwrap_or_else(|m| panic!("{what}, long last row: {m}"));
+                    assert!(msg.contains("out of bounds"), "{msg}");
+                    continue;
+                }
+                for bad in [a.cols() as i32, -3] {
+                    let mut tensors = softmax_tensors(&a, heads, &mut rng);
+                    let TensorData::I32(cols) = tensors.get_mut("J_indices").unwrap() else {
+                        unreachable!()
+                    };
+                    cols[at] = bad;
+                    let msg = differential_failure(&f, &HashMap::new(), &tensors)
+                        .unwrap_or_else(|m| panic!("{what}, column {bad}: {m}"));
+                    assert!(msg.contains("out of bounds") && msg.contains("`X`"), "{msg}");
+                    let kernel = CompiledKernel::compile(&f).unwrap();
+                    kernel.run(&HashMap::new(), &mut tensors).unwrap_err();
+                    let counts = kernel.nest_counts();
+                    assert_eq!(
+                        (counts.entries, counts.handovers, counts.trips),
+                        (row as u64 + 1, 1, at as u64),
+                        "{what}, column {bad}: {counts:?}"
+                    );
+                }
+            }
+        }
     }
 }
 

@@ -20,16 +20,22 @@
 //! bodies* (built by the same Stage I pass builders) in the same order
 //! over the same `(non-zero, head)` points, under the same executor
 //! semantics (f64 arithmetic, f32 stores, `exp` evaluated as one
-//! `FloatExpr::Exp` in both paths) — so fused output is **bit-identical**
-//! to the pipeline, `exp` path included. The loop shapes differ on
-//! purpose: the fused kernel walks rows (the CPU schedule: the one-head
-//! score and aggregation passes run as row nests), the pipeline keeps the
+//! `f64::exp` in both paths) — so fused output is **bit-identical** to
+//! the pipeline, `exp` path included. The loop shapes differ on purpose:
+//! the fused kernel walks rows (the CPU schedule), the pipeline keeps the
 //! GPU schedule, `sparse_fuse` on `(I, J)` — one loop over the non-zeros,
 //! each recovering its row by binary search — so the comparison spans two
-//! schedules of one Stage I program. The pure-Rust
-//! [`fused_attention_reference`] accumulates in f64 without intermediate
-//! f32 rounding, so kernels are validated against it with a relative
-//! epsilon (documented at the call sites) rather than bit equality.
+//! schedules of one Stage I program. At one head all five passes of the
+//! fused kernel run as row nests: the score a gather-scale-accumulate,
+//! `rowmax` a running-maximum accumulate, `exp` an `exp(S − M)` map,
+//! `psum` and the aggregation AXPYs (see `sparsetir_core::fused` for the
+//! pass structure). At more heads the three softmax passes stay nests
+//! (the head loop is their lanes); the score nest is the head loop and
+//! the aggregation a per-`(non-zero, head)` superinstruction. The
+//! pure-Rust [`fused_attention_reference`] accumulates in f64 without
+//! intermediate f32 rounding, so kernels are validated against it with a
+//! relative epsilon (documented at the call sites) rather than bit
+//! equality.
 //!
 //! Rows with no non-zeros aggregate to zero (no pass body executes for
 //! them, so the output keeps its zero binding and the softmax division
@@ -42,8 +48,8 @@ use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
 
-/// Lower the whole attention pipeline to one `PrimFunc`: four passes
-/// (score / rowmax / expsum / agg), each walking the adjacency row by
+/// Lower the whole attention pipeline to one `PrimFunc`: five passes
+/// (score / rowmax / exp / psum / agg), each walking the adjacency row by
 /// row — one compiled kernel, one launch.
 ///
 /// # Errors
@@ -69,15 +75,16 @@ pub fn attention_score_ir(a: &Csr, heads: usize, feat: usize) -> KernelResult<Pr
     Ok(lower(&program)?)
 }
 
-/// Pipeline launch 2 of 3: edge-softmax (rowmax + expsum passes) over
-/// per-non-zero scores.
+/// Pipeline launch 2 of 3: edge-softmax (rowmax, exp and psum passes)
+/// over per-non-zero scores.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn edge_softmax_ir(a: &Csr, heads: usize) -> KernelResult<PrimFunc> {
     let mut program = edge_softmax_program(a.rows(), a.cols(), a.nnz(), heads);
-    sparse_fuse(&mut program, "rowmax", &["I", "J"])?;
-    sparse_fuse(&mut program, "expsum", &["I", "J"])?;
+    for pass in ["rowmax", "exp", "psum"] {
+        sparse_fuse(&mut program, pass, &["I", "J"])?;
+    }
     Ok(lower(&program)?)
 }
 

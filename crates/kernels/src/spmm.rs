@@ -514,7 +514,9 @@ mod crosscheck_tests {
     /// one request and of a batch of eight), every bucket of
     /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init
     /// nest, and the one- and three-head batched SDDMM, each on a
-    /// power-law graph. A width-1 bucket stays as it is: its column loop is
+    /// power-law graph, fused attention at one head (five nests) and three
+    /// (the softmax passes' three), and fused SAGE. A width-1 bucket stays
+    /// as it is: its column loop is
     /// a unit-trip bind, so the lane loop is a per-row `Super` under the
     /// row loop — one non-zero per row leaves nothing to hoist, and its two
     /// gathers (row id, column) do not fit one nest. The three-head SDDMM's
@@ -654,12 +656,15 @@ mod crosscheck_tests {
         let l = launch_repins(&f, &mut tensors, &want, "sddmm_ir");
         assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
 
-        // Fused attention, one head: the score pass is the SDDMM's nest and
-        // the aggregation — its coefficient the softmax ratio `P[pos] /
-        // Sum[i]` — a second one, each entered once per row. Three heads:
-        // the score nest is the head loop (entered per non-zero, walked
-        // trip by trip as the three-head SDDMM's), and the aggregation is
-        // no nest at all — both halves of its ratio move with the head.
+        // Fused attention, one head: all five passes are nests entered once
+        // per row — the score the SDDMM's, the softmax's running maximum,
+        // `exp(S − M)` map and partition sum, and the aggregation, whose
+        // coefficient is the ratio `P[pos] / Sum[i]`. Three heads: the
+        // softmax passes are still nests entered once per row (the head
+        // loop their lanes), the score nest is the head loop (entered per
+        // non-zero, walked trip by trip as the three-head SDDMM's), and the
+        // aggregation is no nest at all — both halves of its ratio move
+        // with the head.
         let d = 8;
         for heads in [1usize, 3] {
             let rt = Runtime::new();
@@ -677,22 +682,28 @@ mod crosscheck_tests {
             assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
             let (l, got) = (kernel.disassemble(), kernel.nest_counts());
             let (rows, nnz) = (a.rows() as u64, a.nnz() as u64);
+            let softmax = ["nest.max", "nest.exp", "nest.axpy"].map(|kind| nests(&l, kind));
             if heads == 1 {
-                assert_eq!((nests(&l, "nest.gsa"), nests(&l, "nest.axpy")), (1, 1), "{l}");
+                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (5, 1), "{l}");
+                assert_eq!(softmax, [1, 1, 2], "the partition sum and the aggregation\n{l}");
                 assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
                 assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
                 assert_eq!(
                     (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (2 * rows, 2 * rows, 0, 2 * nnz, 2 * nnz),
+                    (5 * rows, 5 * rows, 0, 5 * nnz, 5 * nnz),
                     "attention, one head: every trip stepped\n{l}"
                 );
             } else {
-                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (1, 1), "{l}");
+                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (4, 1), "{l}");
+                assert_eq!(softmax, [1, 1, 1], "the softmax passes\n{l}");
                 assert_eq!(lane_loops_outside_a_nest(&l), 1, "the aggregation\n{l}");
-                let trips = nnz * heads as u64;
+                let heads = heads as u64;
+                // Per non-zero, the score's head loop; per row, each
+                // softmax pass, every trip of which steps.
+                let (entries, trips) = (nnz + 3 * rows, nnz * heads + 3 * nnz);
                 assert_eq!(
                     (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (nnz, nnz, 0, trips, 0),
+                    (entries, entries, 0, trips, 3 * nnz),
                     "attention, {heads} heads\n{l}"
                 );
             }

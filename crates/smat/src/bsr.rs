@@ -22,11 +22,16 @@ impl Bsr {
     /// non-zero (zero-padding block interiors).
     ///
     /// # Errors
-    /// Fails when `block` is zero.
+    /// Fails when `block` is zero or does not fit a `u32` (the column
+    /// indices' type), and when the blocks' storage would overflow `usize`
+    /// or cannot be reserved.
     pub fn from_csr(csr: &Csr, block: usize) -> Result<Bsr, SmatError> {
         if block == 0 {
             return Err(SmatError::new("block size must be positive"));
         }
+        let Ok(block32) = u32::try_from(block) else {
+            return Err(SmatError::new(format!("block size {block} does not fit u32")));
+        };
         let rows = csr.rows();
         let cols = csr.cols();
         let block_rows = rows.div_ceil(block);
@@ -39,7 +44,7 @@ impl Bsr {
             let mut present: Vec<u32> = Vec::new();
             for r in br * block..((br + 1) * block).min(rows) {
                 for &c in csr.row(r).0 {
-                    let bc = c / block as u32;
+                    let bc = c / block32;
                     if !present.contains(&bc) {
                         present.push(bc);
                     }
@@ -47,11 +52,20 @@ impl Bsr {
             }
             present.sort_unstable();
             let base = values.len();
-            values.resize(base + present.len() * block * block, 0.0);
+            let len = present
+                .len()
+                .checked_mul(block)
+                .and_then(|n| n.checked_mul(block))
+                .and_then(|n| n.checked_add(base))
+                .ok_or_else(|| SmatError::new(format!("{block}x{block} blocks overflow usize")))?;
+            values.try_reserve_exact(len - base).map_err(|e| {
+                SmatError::new(format!("{block}x{block} blocks: {} values: {e}", len - base))
+            })?;
+            values.resize(len, 0.0);
             for r in br * block..((br + 1) * block).min(rows) {
                 let (rcols, rvals) = csr.row(r);
                 for (&c, &v) in rcols.iter().zip(rvals) {
-                    let bc = c / block as u32;
+                    let bc = c / block32;
                     let slot = present.binary_search(&bc).expect("block present");
                     let ri = r - br * block;
                     let ci = c as usize - bc as usize * block;
@@ -380,5 +394,32 @@ mod tests {
     #[test]
     fn zero_block_size_errors() {
         assert!(Bsr::from_csr(&blocky(), 0).is_err());
+    }
+
+    /// A block that does not fit the `u32` column type is an error: `1 << 32`
+    /// used to truncate to 0 and divide by it, `(1 << 32) + 1` to 1 and
+    /// compute block columns as `c / 1`.
+    #[test]
+    fn block_sizes_past_u32_are_errors() {
+        let small = Csr::from_coo(&Coo::from_entries(3, 3, vec![(1, 2, 1.0)]).unwrap());
+        for block in [1usize << 32, (1 << 32) + 1, usize::MAX] {
+            let err = Bsr::from_csr(&small, block).expect_err("block past u32");
+            assert!(err.to_string().contains("does not fit u32"), "{err}");
+        }
+    }
+
+    /// Storage of `present × block × block` values is counted with checked
+    /// arithmetic and reserved fallibly: two block columns of ≈ 3.5e9 wide
+    /// blocks overflow `usize`, one of `2^31` wide blocks is `2^62` values —
+    /// more than any allocation may hold. Both are errors, not panics.
+    #[test]
+    fn block_storage_past_usize_is_an_error() {
+        let wide =
+            Csr::new(1, 1 << 32, vec![0, 2], vec![0, 3_600_000_000], vec![1.0, 2.0]).unwrap();
+        let err = Bsr::from_csr(&wide, 3_500_000_000).expect_err("overflows");
+        assert!(err.to_string().contains("overflow usize"), "{err}");
+        let small = Csr::from_coo(&Coo::from_entries(3, 3, vec![(1, 2, 1.0)]).unwrap());
+        let err = Bsr::from_csr(&small, 1 << 31).expect_err("no allocation that large");
+        assert!(err.to_string().contains("values"), "{err}");
     }
 }

@@ -11,16 +11,25 @@
 # run.sh) of the five end-to-end metrics from its untraced runs and of
 # ir.ns_per_fma.* / engine.overhead_ms.* from its traced runs. HOST_NOTE=<text>
 # replaces the default host note (hostname + core count). Reads
-# benchmark/out/run.jsonl only; edits nothing under benchmark/.
+# benchmark/out/run.jsonl only; edits nothing under benchmark/ (the
+# benchmark/Cargo.lock run.sh's cargo call rewrites is restored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" != "--no-run" ]; then
+    # An unlocked cargo call on benchmark/Cargo.toml rewrites a lock whose
+    # recorded dependency edges have gone stale: keep the committed one and
+    # put it back however run.sh ends.
+    lock_copy="$(mktemp)"
+    cp benchmark/Cargo.lock "$lock_copy"
+    trap 'cp "$lock_copy" benchmark/Cargo.lock; rm -f "$lock_copy"' EXIT
     benchmark/run.sh
+    cp "$lock_copy" benchmark/Cargo.lock
 fi
 
 sha="$(git rev-parse --short HEAD)"
-if ! git diff --quiet HEAD -- . ':!BENCH_history.jsonl'; then
+# The lock run.sh may have rewritten is no change to the tree measured.
+if ! git diff --quiet HEAD -- . ':!BENCH_history.jsonl' ':!benchmark/Cargo.lock'; then
     sha="$sha-dirty"
 fi
 host="${HOST_NOTE:-$(hostname) ($(nproc) cores)}"
