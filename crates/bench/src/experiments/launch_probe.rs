@@ -398,7 +398,8 @@ fn attention_passes(
     fused_attention_views_on(&rt, a, &qs, &kts, &vs, &mut served).expect("served attention");
     let mut oracle = vec![Dense::zeros(a.rows(), d)];
     attention_pipeline_oracle(&rt, a, &qs, &kts, &vs, &mut oracle).expect("pipeline oracle");
-    assert_bits("attention d=4 vs the pipeline oracle", served[0].data(), oracle[0].data());
+    let what = format!("attention d={d}");
+    assert_bits(&format!("{what} vs the pipeline oracle"), served[0].data(), oracle[0].data());
 
     let mut tensors: HashMap<String, TensorData> = HashMap::new();
     bind_csr(&mut tensors, "A", "J", a);
@@ -422,7 +423,7 @@ fn attention_passes(
     for kernel in &passes {
         kernel.run(&scalars, &mut pieces).expect("runs");
     }
-    assert_bits("attention d=4, pass by pass", pieces["Out"].as_f32(), served[0].data());
+    assert_bits(&format!("{what}, pass by pass"), pieces["Out"].as_f32(), served[0].data());
 
     let fused = rt.compile(&fused_attention_ir(a, 1, d, d).expect("lowers")).expect("compiles");
     // The passes share the tensors the passes before each left.
