@@ -7,8 +7,8 @@
 //! hand-specialised row loop in this file that keeps every check the
 //! executor makes (both `indptr` loads, the index load, the gathered column
 //! against the declared dimension and the bound length, the coefficient
-//! load, every lane run) and the executor's exact arithmetic (f64 term, f32
-//! round-trip per lane), asserted bit-identical to the served output — and
+//! load, every lane run) and the executor's exact arithmetic (`f32`, in the
+//! source's association), asserted bit-identical to the served output — and
 //! the **native** f32 loop `stbench` uses as its yardstick. Arms alternate
 //! in short bursts and report minima, so the box's clock states cancel.
 //! A sweep over row and non-zero counts then fits the SpMM run to
@@ -88,15 +88,15 @@ impl Slabs {
 
     /// Position `p`'s column — checked against the declared dimension
     /// `cols` — and coefficient, both loads checked.
-    fn at(&self, p: usize, cols: usize) -> Option<(usize, f64)> {
+    fn at(&self, p: usize, cols: usize) -> Option<(usize, f32)> {
         let col = usize::try_from(*self.indices.get(p)?).ok().filter(|c| *c < cols)?;
-        Some((col, f64::from(*self.values.get(p)?)))
+        Some((col, *self.values.get(p)?))
     }
 }
 
 /// The SpMM floor: `c = a · b` row by row with every check and the
 /// executor's arithmetic — the first non-zero of a row adds onto the init
-/// value, each lane is `f32(f64(c) + a_ij · f64(b))`.
+/// value, each lane is `c + a_ij · b` in `f32`.
 fn spmm_floor(s: &Slabs, (rows, cols, d): (usize, usize, usize), b: &[f32], c: &mut [f32]) -> bool {
     let mut walk = || {
         for i in 0..rows {
@@ -107,11 +107,11 @@ fn spmm_floor(s: &Slabs, (rows, cols, d): (usize, usize, usize), b: &[f32], c: &
                 let brow = b.get(col * d..(col + 1) * d)?;
                 if p == row.start {
                     for (c, &b) in crow.iter_mut().zip(brow) {
-                        *c = (0.0 + v * f64::from(b)) as f32;
+                        *c = 0.0 + v * b;
                     }
                 } else {
                     for (c, &b) in crow.iter_mut().zip(brow) {
-                        *c = (f64::from(*c) + v * f64::from(b)) as f32;
+                        *c += v * b;
                     }
                 }
             }
@@ -136,8 +136,8 @@ fn spmm_native(a: &Csr, d: usize, b: &[f32], c: &mut [f32]) {
 }
 
 /// The SDDMM floor: `out[e] = a_e · (x_i · y_:j)` with every check and the
-/// executor's arithmetic — the accumulator narrows to `f32` every lane,
-/// each term is `(a_e · f64(x)) · f64(y)`.
+/// executor's arithmetic — one `f32` add into the accumulator per lane,
+/// each term is `(a_e · x) · y`.
 fn sddmm_floor(
     s: &Slabs,
     (rows, cols, k): (usize, usize, usize),
@@ -153,8 +153,7 @@ fn sddmm_floor(
                 y.get(col + (k - 1) * cols)?;
                 let mut acc = 0.0f32;
                 for (l, &xv) in xrow.iter().enumerate() {
-                    acc = (f64::from(acc) + (v * f64::from(xv)) * f64::from(y[col + l * cols]))
-                        as f32;
+                    acc += (v * xv) * y[col + l * cols];
                 }
                 *out.get_mut(p)? = acc;
             }

@@ -101,13 +101,14 @@ pub enum OpKind {
     Store,
 }
 
-/// Scalar runtime value.
+/// Scalar runtime value. Floats are `f32`, the one float dtype the IR
+/// computes in (`F16` buffers are stored as `f32` too).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     /// Integer value.
     Int(i64),
     /// Floating value.
-    Float(f64),
+    Float(f32),
     /// Boolean value.
     Bool(bool),
 }
@@ -121,11 +122,21 @@ impl Value {
         }
     }
 
-    fn as_float(self) -> f64 {
+    fn as_float(self) -> f32 {
         match self {
-            Value::Int(v) => v as f64,
+            Value::Int(v) => v as f32,
             Value::Float(v) => v,
-            Value::Bool(b) => f64::from(u8::from(b)),
+            Value::Bool(b) => f32::from(u8::from(b)),
+        }
+    }
+
+    /// Cast to an integer dtype: an int or bool operand exactly, a float
+    /// operand truncated toward zero (saturating, NaN → 0).
+    fn as_cast_int(self) -> i64 {
+        match self {
+            Value::Int(v) => v,
+            Value::Bool(b) => i64::from(b),
+            Value::Float(v) => v as i64,
         }
     }
 
@@ -191,7 +202,8 @@ impl<'a, 'h> Interp<'a, 'h> {
     fn eval(&self, e: &Expr) -> Result<Value, EvalError> {
         match e {
             Expr::Int { value, .. } => Ok(Value::Int(*value)),
-            Expr::Float { value, .. } => Ok(Value::Float(*value)),
+            // The literal rounds to `f32` once, here.
+            Expr::Float { value, .. } => Ok(Value::Float(*value as f32)),
             Expr::Var(v) => self
                 .env
                 .get(&*v.name.to_string())
@@ -215,7 +227,7 @@ impl<'a, 'h> Interp<'a, 'h> {
                 Ok(if dtype.is_float() {
                     Value::Float(v.as_float())
                 } else {
-                    Value::Int(v.as_float() as i64)
+                    Value::Int(v.as_cast_int())
                 })
             }
             Expr::BufferLoad { buffer, indices } => {
@@ -228,7 +240,7 @@ impl<'a, 'h> Interp<'a, 'h> {
                 match data {
                     TensorData::F32(v) => v
                         .get(flat)
-                        .map(|x| Value::Float(f64::from(*x)))
+                        .map(|x| Value::Float(*x))
                         .ok_or_else(|| oob(&buffer.name, flat, v.len())),
                     TensorData::I32(v) => v
                         .get(flat)
@@ -373,8 +385,7 @@ impl<'a, 'h> Interp<'a, 'h> {
         match data {
             TensorData::F32(v) => {
                 let len = v.len();
-                *v.get_mut(flat).ok_or_else(|| oob(&buffer.name, flat, len))? =
-                    value.as_float() as f32;
+                *v.get_mut(flat).ok_or_else(|| oob(&buffer.name, flat, len))? = value.as_float();
             }
             TensorData::I32(v) => {
                 let len = v.len();

@@ -30,10 +30,11 @@
 //! asserts bit-identical results between the two on random lowered
 //! programs.
 //!
-//! Arithmetic is replicated exactly: floats compute in `f64` and store as
-//! `f32`, integer division is euclidean with explicit divide-by-zero
-//! errors, casts to integer round-trip through `f64`, and per-dimension
-//! bounds checks fire with the interpreter's error wording.
+//! Arithmetic is replicated exactly: floats compute in `f32`, the dtype
+//! the IR declares, integer division is euclidean with explicit
+//! divide-by-zero errors, a cast to integer is exact for an integer operand
+//! and truncates a float one, and per-dimension bounds checks fire with the
+//! interpreter's error wording.
 //!
 //! On top of the generic program, a **dense-lane fusion pass** (the `fuse`
 //! submodule) recognizes innermost loops over contiguous dense axes (the
@@ -191,9 +192,10 @@ enum IntExpr {
         then_: Box<IntExpr>,
         else_: Box<IntExpr>,
     },
-    /// Cast to an integer dtype: the interpreter routes every such cast
-    /// through `f64` (`as_float() as i64`), replicated here exactly.
-    CastViaF64(Box<FloatExpr>),
+    /// Cast of a float operand to an integer dtype: truncation toward zero
+    /// (`f32 as i64`). An integer operand casts exactly and compiles to
+    /// itself.
+    Trunc(Box<FloatExpr>),
     BoolToInt(Box<BoolExpr>),
     Load {
         buf: u32,
@@ -208,10 +210,10 @@ enum IntExpr {
     },
 }
 
-/// Float-typed compiled expression (computes in `f64` like the interpreter).
+/// Float-typed compiled expression (computes in `f32` like the interpreter).
 #[derive(Debug, Clone, PartialEq)]
 enum FloatExpr {
-    Const(f64),
+    Const(f32),
     Bin { op: FloatOp, lhs: Box<FloatExpr>, rhs: Box<FloatExpr> },
     Select { cond: Box<BoolExpr>, then_: Box<FloatExpr>, else_: Box<FloatExpr> },
     FromInt(Box<IntExpr>),
@@ -276,7 +278,7 @@ fn scan_int(e: &IntExpr, info: &mut ExprInfo) {
             scan_int(then_, info);
             scan_int(else_, info);
         }
-        IntExpr::CastViaF64(v) => scan_float(v, info),
+        IntExpr::Trunc(v) => scan_float(v, info),
         IntExpr::BoolToInt(b) => scan_bool(b, info),
         IntExpr::Load { buf, index } => {
             info.fallible = true;
@@ -543,14 +545,14 @@ struct Frame {
 
 impl Frame {
     #[inline]
-    fn load_f(&self, buf: u32, idx: usize, name: &str) -> Result<f64, ExecError> {
+    fn load_f(&self, buf: u32, idx: usize, name: &str) -> Result<f32, ExecError> {
         match self.bufs[buf as usize] {
             RawBuf::F32 { ptr, len } => {
                 if idx >= len {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < len and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load(ptr, idx) }))
+                Ok(unsafe { elem_load(ptr, idx) })
             }
             RawBuf::SegCols { table, width, rows, .. } => {
                 let len = rows * width;
@@ -558,7 +560,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < rows * width and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load(seg_cols_ptr(table, width, idx), 0) }))
+                Ok(unsafe { elem_load(seg_cols_ptr(table, width, idx), 0) })
             }
             RawBuf::SegRows { segs, n_segs, seg_len, .. } => {
                 let len = n_segs * seg_len;
@@ -566,7 +568,7 @@ impl Frame {
                     return Err(oob(name, idx, len));
                 }
                 // SAFETY: idx < n_segs * seg_len and the view is valid for the run.
-                Ok(f64::from(unsafe { elem_load(seg_rows_ptr(segs, seg_len, idx), 0) }))
+                Ok(unsafe { elem_load(seg_rows_ptr(segs, seg_len, idx), 0) })
             }
             RawBuf::I32 { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds i32 data, float load expected")))
@@ -658,7 +660,7 @@ impl IntExpr {
                     else_.eval(fr)
                 }
             }
-            IntExpr::CastViaF64(v) => Ok(v.eval(fr)? as i64),
+            IntExpr::Trunc(v) => Ok(v.eval(fr)? as i64),
             IntExpr::BoolToInt(b) => Ok(i64::from(b.eval(fr)?)),
             IntExpr::Load { buf, index } => {
                 let flat = index.eval(fr)?;
@@ -692,7 +694,7 @@ impl IntExpr {
 }
 
 impl FloatExpr {
-    fn eval(&self, fr: &Frame) -> Result<f64, ExecError> {
+    fn eval(&self, fr: &Frame) -> Result<f32, ExecError> {
         match self {
             FloatExpr::Const(v) => Ok(*v),
             FloatExpr::Bin { op, lhs, rhs } => {
@@ -715,7 +717,7 @@ impl FloatExpr {
                     else_.eval(fr)
                 }
             }
-            FloatExpr::FromInt(v) => Ok(v.eval(fr)? as f64),
+            FloatExpr::FromInt(v) => Ok(v.eval(fr)? as f32),
             FloatExpr::Load { buf, index } => {
                 let flat = index.eval(fr)?;
                 fr.load_f(*buf, flat, &index.name)
@@ -819,7 +821,7 @@ fn exec_store_f(
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len.
-            unsafe { elem_store(ptr, flat, v as f32) };
+            unsafe { elem_store(ptr, flat, v) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -831,7 +833,7 @@ fn exec_store_f(
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < rows * width.
-            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f32) };
+            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -843,7 +845,7 @@ fn exec_store_f(
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f32) };
+            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v) };
             Ok(())
         }
         RawBuf::I32 { .. } => Err(ExecError::new(format!("expected int, got float {v}"))),
@@ -870,10 +872,10 @@ fn exec_accum_f(
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len and the view is valid for the run.
-            let cur = f64::from(unsafe { elem_load(ptr, flat) });
+            let cur = unsafe { elem_load(ptr, flat) };
             let v = cur + rest.eval(fr)?;
             // SAFETY: flat < len, checked above.
-            unsafe { elem_store(ptr, flat, v as f32) };
+            unsafe { elem_store(ptr, flat, v) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -884,13 +886,13 @@ fn exec_accum_f(
             // SAFETY: flat < rows * width and the view is valid for the run.
             let p = unsafe { seg_cols_ptr(table, width, flat) };
             // SAFETY: `p` is that element's address.
-            let cur = f64::from(unsafe { elem_load(p, 0) });
+            let cur = unsafe { elem_load(p, 0) };
             let v = cur + rest.eval(fr)?;
             if !writable {
                 return Err(read_only(&index.name));
             }
             // SAFETY: same element, checked above.
-            unsafe { elem_store(p, 0, v as f32) };
+            unsafe { elem_store(p, 0, v) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -901,13 +903,13 @@ fn exec_accum_f(
             // SAFETY: flat < n_segs * seg_len and the view is valid for the run.
             let p = unsafe { seg_rows_ptr(segs, seg_len, flat) };
             // SAFETY: `p` is that element's address.
-            let cur = f64::from(unsafe { elem_load(p, 0) });
+            let cur = unsafe { elem_load(p, 0) };
             let v = cur + rest.eval(fr)?;
             if !writable {
                 return Err(read_only(&index.name));
             }
             // SAFETY: same element, checked above.
-            unsafe { elem_store(p, 0, v as f32) };
+            unsafe { elem_store(p, 0, v) };
             Ok(())
         }
         // The generic form fails inside the load, with the load's wording.
@@ -920,7 +922,7 @@ fn exec_accum_f(
 }
 
 /// `BufferStore` of an int value; int-into-float follows the interpreter
-/// (`as_float() as f32`).
+/// (`v as f32`, one rounding).
 #[inline]
 fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Result<(), ExecError> {
     let v = value.eval(fr)?;
@@ -939,7 +941,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(oob(&index.name, flat, len));
             }
             // SAFETY: flat < len.
-            unsafe { elem_store(ptr, flat, v as f64 as f32) };
+            unsafe { elem_store(ptr, flat, v as f32) };
             Ok(())
         }
         RawBuf::SegCols { table, width, rows, writable } => {
@@ -951,7 +953,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < rows * width.
-            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f64 as f32) };
+            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f32) };
             Ok(())
         }
         RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
@@ -963,7 +965,7 @@ fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Res
                 return Err(read_only(&index.name));
             }
             // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f64 as f32) };
+            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f32) };
             Ok(())
         }
         RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", index.name))),
@@ -1190,11 +1192,12 @@ impl Compiler {
                 then_: Box::new(self.compile_int(then)?),
                 else_: Box::new(self.compile_int(otherwise)?),
             },
-            Expr::Cast { value, .. } => {
-                // Integer cast routes through f64, exactly like the
-                // interpreter's `as_float() as i64`.
-                IntExpr::CastViaF64(Box::new(self.compile_float(value)?))
-            }
+            // A float operand truncates; an integer one casts exactly, with
+            // no float in between (the interpreter's `as_cast_int`).
+            Expr::Cast { value, .. } => match kind_of(value) {
+                Kind::Float => IntExpr::Trunc(Box::new(self.compile_float(value)?)),
+                Kind::Int | Kind::Bool => self.compile_int(value)?,
+            },
             Expr::BufferLoad { buffer, indices } => IntExpr::Load {
                 buf: self.lookup_buf(&buffer.name)?,
                 index: self.compile_index(buffer, indices)?,
@@ -1229,7 +1232,8 @@ impl Compiler {
 
     fn compile_float_raw(&self, e: &Expr) -> Result<FloatExpr, ExecError> {
         Ok(match e {
-            Expr::Float { value, .. } => FloatExpr::Const(*value),
+            // The literal rounds to `f32` once, as the interpreter's does.
+            Expr::Float { value, .. } => FloatExpr::Const(*value as f32),
             Expr::Binary { op, lhs, rhs } => {
                 let fop = match op {
                     BinOp::Add => FloatOp::Add,
@@ -1252,10 +1256,9 @@ impl Compiler {
                 then_: Box::new(self.compile_float(then)?),
                 else_: Box::new(self.compile_float(otherwise)?),
             },
-            Expr::Cast { value, .. } => FloatExpr::FromInt(Box::new(IntExpr::CastViaF64(
-                Box::new(self.compile_float(value)?),
-            )))
-            .simplify_cast(),
+            // A cast to float is the identity on a float operand and one
+            // rounding of an integer one: `compile_float` already gives both.
+            Expr::Cast { value, .. } => self.compile_float(value)?,
             Expr::BufferLoad { buffer, indices } => FloatExpr::Load {
                 buf: self.lookup_buf(&buffer.name)?,
                 index: self.compile_index(buffer, indices)?,
@@ -1464,22 +1467,6 @@ impl Compiler {
                 k: *k,
             })),
         })
-    }
-}
-
-impl FloatExpr {
-    /// `FromInt(CastViaF64(x))` where x is already float is produced by the
-    /// float-cast path; collapse the no-op pair `float -> i64 -> f64` is
-    /// NOT valid (truncation), but `Cast{F32}(float_expr)` should stay the
-    /// identity the interpreter gives it (`Value::Float(v.as_float())`).
-    fn simplify_cast(self) -> FloatExpr {
-        match self {
-            FloatExpr::FromInt(inner) => match *inner {
-                IntExpr::CastViaF64(f) => *f,
-                other => FloatExpr::FromInt(Box::new(other)),
-            },
-            other => other,
-        }
     }
 }
 

@@ -382,7 +382,7 @@ fn int(e: &IntExpr) -> String {
         IntExpr::Select { cond, then_, else_ } => {
             format!("sel({}, {}, {})", boolean(cond), int(then_), int(else_))
         }
-        IntExpr::CastViaF64(f) => format!("i64({})", float(f)),
+        IntExpr::Trunc(f) => format!("i64({})", float(f)),
         IntExpr::BoolToInt(b) => format!("int({})", boolean(b)),
         IntExpr::Load { buf, index } => format!("@{buf}[{}]", index_expr(index)),
         IntExpr::BinarySearch { buf, lo, hi, x, .. } => {
@@ -393,7 +393,8 @@ fn int(e: &IntExpr) -> String {
 
 fn float(e: &FloatExpr) -> String {
     match e {
-        FloatExpr::Const(v) => format!("{v:?}"),
+        // Through `f64`, which is exact: the digits name the `f32` bits.
+        FloatExpr::Const(v) => format!("{:?}", f64::from(*v)),
         FloatExpr::Bin { op, lhs, rhs } => match op {
             FloatOp::Min | FloatOp::Max => {
                 format!("f{}({}, {})", float_op(*op), float(lhs), float(rhs))
@@ -403,7 +404,7 @@ fn float(e: &FloatExpr) -> String {
         FloatExpr::Select { cond, then_, else_ } => {
             format!("sel({}, {}, {})", boolean(cond), float(then_), float(else_))
         }
-        FloatExpr::FromInt(i) => format!("f64({})", int(i)),
+        FloatExpr::FromInt(i) => format!("f32({})", int(i)),
         FloatExpr::Load { buf, index } => format!("@{buf}[{}]", index_expr(index)),
         FloatExpr::Exp(v) => format!("exp({})", float(v)),
         FloatExpr::Sqrt(v) => format!("sqrt({})", float(v)),

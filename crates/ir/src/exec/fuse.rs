@@ -75,10 +75,10 @@
 //! error messages and error ordering stay interpreter-identical.
 //!
 //! **Numerics contract: bit-identity to the interpreter.** Lanes load
-//! `f32`, widen to `f64`, combine in the source expression's exact
-//! association and operand order, and store back through an `f32` cast
-//! per element — including the per-iteration `f32` round-trip of
-//! memory-accumulating reductions. No FMA contraction, no reassociation,
+//! `f32`, compute in `f32` — the dtype the IR declares — in the source
+//! expression's exact association and operand order, and store every
+//! element, the running value of memory-accumulating reductions included,
+//! as the generic store would. No FMA contraction, no reassociation,
 //! no `target_feature` fork: the lane bodies are ordinary scalar Rust the
 //! compiler may unroll and vectorize lane-wise, nothing more. (The one
 //! thing Rust leaves open is which payload survives when two *different*
@@ -167,7 +167,7 @@ fn int_stride(e: &IntExpr, env: &StrideEnv) -> Option<i64> {
                 None
             }
         }
-        IntExpr::CastViaF64(f) => float_invariant(f, env).then_some(0),
+        IntExpr::Trunc(f) => float_invariant(f, env).then_some(0),
         IntExpr::BoolToInt(b) => bool_invariant(b, env).then_some(0),
         IntExpr::Load { index, .. } => index_invariant(index, env).then_some(0),
         IntExpr::BinarySearch { lo, hi, x, .. } => {
@@ -255,7 +255,7 @@ impl LaneView {
 }
 
 /// Association / operand-order shape of a recognized per-lane term.
-/// Preserved exactly so every `f64` rounding happens where generic
+/// Preserved exactly so every `f32` rounding happens where generic
 /// dispatch has it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum TermShape {
@@ -275,7 +275,7 @@ pub(super) enum TermShape {
     CoeffParenAB,
 }
 
-/// The per-lane `f64` term `t(l)` added into an accumulator: up to two
+/// The per-lane `f32` term `t(l)` added into an accumulator: up to two
 /// lane-striding loads plus an optional lane-invariant coefficient,
 /// combined in one of [`TermShape`]'s association orders.
 #[derive(Debug, Clone)]
@@ -321,10 +321,10 @@ pub(super) enum Micro {
     /// `dst[l] = v` for `l ∈ 0..n` — contiguous fill with a
     /// lane-invariant value (format-init loops, `C = 0` epilogues).
     FillLanes { dst: LaneView, value: FloatExpr },
-    /// `dst[l] = f32(f64(dst[l]) + t(l))` over contiguous `dst`/`a`
+    /// `dst[l] = dst[l] + t(l)` over contiguous `dst`/`a`
     /// lanes — the SpMM/ELL inner loop `C[i, 0..d] += a_ij · B[j, 0..d]`.
     AxpyLanes { dst: LaneView, term: TermSpec },
-    /// `acc = f32(f64(acc) + a[l]·b[l])` into one lane-invariant
+    /// `acc = acc + a[l]·b[l]` into one lane-invariant
     /// element, both operands contiguous — dot-product reductions over
     /// the feature dimension.
     DotLanes { dst: LaneView, term: TermSpec },
@@ -333,11 +333,11 @@ pub(super) enum Micro {
     /// `Bout[e] += (a_e · X[i, 0..d]) · Y[0..d, j]` where `Y`'s column
     /// walk strides by the number of columns.
     GatherScaleAccumulate { dst: LaneView, term: TermSpec },
-    /// `dst[l] = f32(f64(dst[l]).max(f64(a[l])))` over contiguous lanes —
+    /// `dst[l] = dst[l].max(a[l])` over contiguous lanes —
     /// a running maximum, attention's `rowmax` `M[i, h] = max(M[i, h],
     /// S[pos, h])`.
     MaxLanes { dst: LaneView, a: LaneView },
-    /// `dst[l] = f32((f64(a[l]) − f64(b[l])).exp())` over contiguous lanes
+    /// `dst[l] = (a[l] − b[l]).exp()` over contiguous lanes
     /// — a map that overwrites `dst`, attention's `P = exp(S − M)`.
     ExpDiffLanes { dst: LaneView, a: LaneView, b: LaneView },
 }
@@ -767,10 +767,10 @@ enum Lanes {
 
 impl Lanes {
     /// The first lane's value.
-    fn first(self) -> f64 {
+    fn first(self) -> f32 {
         // SAFETY: every `Lanes` was resolved — each lane bounds-checked —
         // for at least one lane, so lane 0's element is live.
-        f64::from(unsafe { self.piece(0).0.read() })
+        unsafe { self.piece(0).0.read() }
     }
 
     fn stride(self) -> i64 {
@@ -954,7 +954,7 @@ enum LaneInit {
 macro_rules! axpy_base {
     ($init:expr, $init32:expr, $one:expr) => {
         match $init {
-            LaneInit::All => Some(f64::from($init32)),
+            LaneInit::All => Some($init32),
             LaneInit::Never => None,
             LaneInit::One(_) => $one, // unreachable by construction
         }
@@ -980,7 +980,7 @@ macro_rules! reduce_start {
 impl LaneInit {
     /// [`axpy_base!`]; `None` for an init at one lane.
     #[inline(always)]
-    fn base(self, init32: f32) -> Option<Option<f64>> {
+    fn base(self, init32: f32) -> Option<Option<f32>> {
         Some(axpy_base!(self, init32, return None))
     }
 
@@ -999,17 +999,16 @@ struct Resolved {
     /// Lane count.
     n: i64,
     init: LaneInit,
-    /// The init value as the accumulating load reads it back: through the
-    /// `f32` store the generic init performs.
+    /// The init value.
     init32: f32,
     /// The term's coefficient; for a fill, the value.
-    scalar: f64,
+    scalar: f32,
     /// `dst`, `a`, `b` (a fill repeats `dst`; a term without a second
     /// operand repeats `a`, which its shape never loads).
     ops: [Lanes; 3],
 }
 
-/// A [`TermShape`] as a type: the per-lane `f64` term over lane element
+/// A [`TermShape`] as a type: the per-lane `f32` term over lane element
 /// pointers, combining in the source association and operand order
 /// exactly. The one place the seven formulas are written:
 /// the per-invocation lane bodies reach it through `with_term!` (the
@@ -1019,7 +1018,7 @@ trait Term {
     /// # Safety
     /// `a` — and `b`, for the shapes that load it — are lane pointers
     /// `resolve_lanes` validated.
-    unsafe fn of(c: f64, a: *const f32, b: *const f32) -> f64;
+    unsafe fn of(c: f32, a: *const f32, b: *const f32) -> f32;
 }
 
 macro_rules! term_shape {
@@ -1027,9 +1026,9 @@ macro_rules! term_shape {
         struct $name;
         impl Term for $name {
             #[inline(always)]
-            unsafe fn of($c: f64, $a: *const f32, $b: *const f32) -> f64 {
+            unsafe fn of($c: f32, $a: *const f32, $b: *const f32) -> f32 {
                 // SAFETY: the caller's contract, for each pointer read.
-                let $ld = |p: *const f32| f64::from(unsafe { p.read() });
+                let $ld = |p: *const f32| unsafe { p.read() };
                 $e
             }
         }
@@ -1082,12 +1081,12 @@ macro_rules! on_shape {
     };
 }
 
-/// The per-lane `f64` term of `$shape` at coefficient `$coeff` as a closure
+/// The per-lane `f32` term of `$shape` at coefficient `$coeff` as a closure
 /// `$t(a, b)` over lane element pointers; `$body` is expanded once per
 /// shape (`on_shape!`).
 macro_rules! with_term {
     ($shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
-        let c: f64 = $coeff;
+        let c: f32 = $coeff;
         on_shape!($shape, T => {
             // SAFETY (caller): `$t` is only applied to lane pointers that
             // `resolve_lanes` validated.
@@ -1109,9 +1108,8 @@ unsafe fn fill(n: i64, d: Lanes, v: f32) {
     });
 }
 
-/// `dst[l] = f32(f(cur, a + l, b + l))` over unit-stride lanes, `cur`
-/// being `base` when the init fires at every lane and `f64(dst[l])` when
-/// at none: the loop of both accumulates that write a whole run, [`axpy`]
+/// `dst[l] = f(cur, a + l, b + l)` over unit-stride lanes, `cur` being
+/// `base` when the init fires at every lane and `dst[l]` when at none: the loop of both accumulates that write a whole run, [`axpy`]
 /// and [`max`].
 ///
 /// # Safety
@@ -1121,50 +1119,49 @@ unsafe fn fill(n: i64, d: Lanes, v: f32) {
 unsafe fn accumulate(
     n: i64,
     [d, a, b]: [Lanes; 3],
-    base: Option<f64>,
-    f: impl Fn(f64, *const f32, *const f32) -> f64,
+    base: Option<f32>,
+    f: impl Fn(f32, *const f32, *const f32) -> f32,
 ) {
     debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
     pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
         Some(base) => {
             for l in 0..len {
-                pd.add(l).write(f(base, pa.add(l), pb.add(l)) as f32);
+                pd.add(l).write(f(base, pa.add(l), pb.add(l)));
             }
         }
         None => {
             for l in 0..len {
-                let cur = f64::from(pd.add(l).read());
-                pd.add(l).write(f(cur, pa.add(l), pb.add(l)) as f32);
+                pd.add(l).write(f(pd.add(l).read(), pa.add(l), pb.add(l)));
             }
         }
     });
 }
 
-/// `dst[l] = f32(cur + t(l))` ([`accumulate`]).
+/// `dst[l] = cur + t(l)` ([`accumulate`]).
 ///
 /// # Safety
 /// As [`accumulate`].
 unsafe fn axpy(
     n: i64,
     ops: [Lanes; 3],
-    base: Option<f64>,
-    t: impl Fn(*const f32, *const f32) -> f64,
+    base: Option<f32>,
+    t: impl Fn(*const f32, *const f32) -> f32,
 ) {
     accumulate(n, ops, base, |cur, a, b| cur + t(a, b));
 }
 
-/// `dst[l] = f32(cur.max(f64(a[l])))` ([`accumulate`]): `f64::max`, in
-/// the source's operand order, as `FloatExpr::eval` computes `fmax`.
+/// `dst[l] = cur.max(a[l])` ([`accumulate`]): `f32::max`, in the
+/// source's operand order, as `FloatExpr::eval` computes `fmax`.
 ///
 /// # Safety
 /// As [`accumulate`].
-unsafe fn max(n: i64, ops: [Lanes; 3], base: Option<f64>) {
+unsafe fn max(n: i64, ops: [Lanes; 3], base: Option<f32>) {
     // SAFETY: the caller's contract: `a` is a validated lane pointer.
-    accumulate(n, ops, base, |cur, a, _| cur.max(f64::from(unsafe { a.read() })));
+    accumulate(n, ops, base, |cur, a, _| cur.max(unsafe { a.read() }));
 }
 
-/// `dst[l] = f32((f64(a[l]) − f64(b[l])).exp())` over unit-stride lanes:
-/// `f64::exp`, as `FloatExpr::eval` computes `exp`.
+/// `dst[l] = (a[l] − b[l]).exp()` over unit-stride lanes: `f32::exp`, as
+/// `FloatExpr::eval` computes `exp`.
 ///
 /// # Safety
 /// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
@@ -1173,15 +1170,14 @@ unsafe fn exp_diff(n: i64, [d, a, b]: [Lanes; 3]) {
     debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
     pieces(0, n, [d, a, b], |len, [pd, pa, pb]| {
         for l in 0..len {
-            let v = f64::from(pa.add(l).read()) - f64::from(pb.add(l).read());
-            pd.add(l).write(v.exp() as f32);
+            pd.add(l).write((pa.add(l).read() - pb.add(l).read()).exp());
         }
     });
 }
 
-/// `acc = f32(f64(acc) + t(l))` over lanes `from..n` into the one element
-/// `d`, starting from `start` (or the element's current value): the
-/// per-lane `f32` round-trip of the generic store/load pair is kept.
+/// `acc = acc + t(l)` over lanes `from..n` into the one element `d`,
+/// starting from `start` (or the element's current value): one `f32` add
+/// per lane, in lane order, as the generic store/load pair has it.
 ///
 /// # Safety
 /// `d` (for a store, stride 0), `a` and `b` were resolved over `n` lanes.
@@ -1189,7 +1185,7 @@ unsafe fn reduce(
     (from, n): (i64, i64),
     [d, a, b]: [Lanes; 3],
     start: Option<f32>,
-    t: impl Fn(*const f32, *const f32) -> f64,
+    t: impl Fn(*const f32, *const f32) -> f32,
 ) {
     debug_assert!(d.stride() == 0 && (0..n).contains(&from));
     let (pd, _) = d.piece(0);
@@ -1197,7 +1193,7 @@ unsafe fn reduce(
     let (sa, sb) = (a.stride() as isize, b.stride() as isize);
     pieces(from, n, [a, b], |len, [pa, pb]| {
         for l in 0..len as isize {
-            acc = (f64::from(acc) + t(pa.offset(l * sa), pb.offset(l * sb))) as f32;
+            acc += t(pa.offset(l * sa), pb.offset(l * sb));
         }
     });
     pd.write(acc);
@@ -1249,7 +1245,7 @@ fn trip_loops(lanes: &LaneSpec) -> [TripLoop; 2] {
 unsafe fn fill_trips<const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
     // SAFETY: each trip's `dst` lanes are what `resolve_lanes` would hand
     // `fill` there (`Stepped::walk`).
-    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill(w.n, d, v as f32) })
+    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill(w.n, d, v) })
 }
 
 /// [`axpy`] per trip.
@@ -1331,7 +1327,7 @@ impl LaneSpec {
             fr.scalars[it.slot as usize] = v;
         }
         let init_v = match &self.init {
-            InitKind::None => 0.0f64,
+            InitKind::None => 0.0,
             InitKind::Always { value }
             | InitKind::WhenReduceZero { value }
             | InitKind::AtZeroLane { value } => value.eval(fr).ok()?,
@@ -1357,15 +1353,7 @@ impl LaneSpec {
                 (0.0, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
             }
         };
-        Some(Resolved {
-            n,
-            init: self.lane_init(fr, n),
-            // Init value round-trips through the f32 store the generic
-            // init performs before the accumulating load reads it back.
-            init32: init_v as f32,
-            scalar,
-            ops: [d, a, b],
-        })
+        Some(Resolved { n, init: self.lane_init(fr, n), init32: init_v, scalar, ops: [d, a, b] })
     }
 
     /// At which lanes the init fires, from the reduce iters' values at
@@ -1401,11 +1389,10 @@ impl LaneSpec {
         let (n, ops) = (r.n, r.ops);
         match &self.micro {
             Micro::FillLanes { .. } => {
-                let v = r.scalar as f32;
                 // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
                 // and its writability; `fuse_lane_loop` proved its stride
                 // is 1.
-                unsafe { fill(n, ops[0], v) };
+                unsafe { fill(n, ops[0], r.scalar) };
             }
             Micro::AxpyLanes { term, .. } => {
                 let base = axpy_base!(r.init, r.init32, return None);
@@ -1475,7 +1462,7 @@ impl LaneSpec {
 
 /// Evaluate the invariant coefficient and resolve the lane operands.
 #[inline(always)]
-fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f64, Lanes, Lanes)> {
+fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f32, Lanes, Lanes)> {
     let coeff = match &term.coeff {
         Some(c) => c.eval(fr).ok()?,
         None => 0.0,

@@ -320,7 +320,7 @@ pub(in crate::exec) fn build_nest(
 /// combined by `*` or `/` with a factor that holds for the whole entry (an
 /// `f32` load at an entry-linear position, or a constant) — attention's
 /// softmax normalization `P[pos] / Sum[i]`, SAGE's degree scaling
-/// `Agg[i, k] · Dinv[i]`. A trip computes `f64(load) ⊘ f64(factor)` in the
+/// `Agg[i, k] · Dinv[i]`. A trip computes `load ⊘ factor` in `f32`, in the
 /// source's operand order, as the lane prologue does: never through a
 /// reciprocal, so the bits stay the interpreter's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,7 +334,7 @@ pub(in crate::exec) struct Ratio {
 impl Ratio {
     /// The coefficient at a trip whose load read `load`.
     #[inline(always)]
-    fn of(self, load: f64, factor: f64) -> f64 {
+    fn of(self, load: f32, factor: f32) -> f32 {
         let (l, r) = if self.load_first { (load, factor) } else { (factor, load) };
         match self.op {
             FloatOp::Div => l / r,
@@ -1115,7 +1115,7 @@ pub(in crate::exec) struct Trips {
     views: [Option<ViewWalk>; 3],
     coeff: Option<ViewWalk>,
     /// The entry's value of a [`Ratio`]'s factor.
-    factor: f64,
+    factor: f32,
     /// Trip-0 values of `spec.reduce_moves`.
     v0: [i64; MAX_REDUCE_MOVES],
     /// The term has no second operand: `ops[2]` repeats `ops[1]`.
@@ -1180,17 +1180,12 @@ impl Trips {
         };
         let init_v = match lanes.init.value() {
             Some(value) => value.eval(fr).ok()?,
-            None => 0.0f64,
+            None => 0.0,
         };
         // Placeholders until trip 0 of an entry resolves every operand.
         let unset = Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 };
-        let r = Resolved {
-            n: prog.n,
-            init: LaneInit::Never,
-            init32: init_v as f32,
-            scalar,
-            ops: [unset; 3],
-        };
+        let r =
+            Resolved { n: prog.n, init: LaneInit::Never, init32: init_v, scalar, ops: [unset; 3] };
         let b_repeats_a = of[1].is_some() && of[2].is_none();
         let mut at = Trips {
             r,
@@ -1260,7 +1255,7 @@ impl Trips {
             debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
             // SAFETY: 0 <= flat < len elements behind `ptr`, checked above;
             // the binding outlives the run.
-            self.factor = f64::from(unsafe { elem_load(ptr, flat as usize) });
+            self.factor = unsafe { elem_load(ptr, flat as usize) };
         }
         Some(())
     }
@@ -1405,8 +1400,8 @@ pub(in crate::exec) struct Stepped {
     coeff: Cursor,
     walked: bool,
     ratio: Option<Ratio>,
-    factor: f64,
-    scalar: f64,
+    factor: f32,
+    scalar: f32,
     /// The index slab from trip 0's position on, how far a trip moves along
     /// it, what it held at trip 0, and the gathered values every
     /// gather-moved operand stays in bounds at. Null without a gather.
@@ -1457,7 +1452,7 @@ impl Stepped {
     #[inline(always)]
     pub(super) unsafe fn walk<const SEG: bool>(
         &self,
-        mut body: impl FnMut(i64, [Lanes; 3], f64),
+        mut body: impl FnMut(i64, [Lanes; 3], f32),
     ) -> i64 {
         for t in 0..self.trips {
             let dg = if self.gather.is_null() {

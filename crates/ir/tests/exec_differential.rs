@@ -36,8 +36,9 @@
 //! same data cut into caller-owned segments
 //! ([`CompiledKernel::run_views`]: one segment, three, and mixed widths
 //! with a zero-width one, cut points not aligned to head boundaries) —
-//! bit-identical outputs, and identical error text on a short binding and
-//! on a store to a read-only view. Its `split_k` members run the default
+//! bit-identical outputs, each also within the independent `f64` oracle's
+//! bound, and identical error text on a short binding and on a store to a
+//! read-only view. Its `split_k` members run the default
 //! CSR schedule's `split(k, 32)` at widths 32 … 128 (lane-coalesced) and
 //! 48 (guarded tail, generic) through the same three bindings. Its
 //! `row_nest` members pin the row-nest superinstruction: the served CSR /
@@ -280,7 +281,7 @@ impl ProgGen {
     }
 
     /// Clamped integer view of a float expression (`cast` then min/max),
-    /// bounding the interpreter's cast-through-f64 to a safe range.
+    /// bounding the truncated float to a safe range.
     fn clamped_int_of_float(&mut self, a: &Buffer, alen: i64, b: &Buffer, blen: i64) -> Expr {
         self.float_expr(a, alen, b, blen, 1)
             .cast(DType::I32)
@@ -894,6 +895,57 @@ fn division_by_zero_fails_identically_on_every_executor() {
     assert!(msg.contains("division by zero"), "got `{msg}`");
 }
 
+/// A cast to an integer dtype is exact for an integer operand — nothing
+/// passes through `f32`, whose 24-bit significand would round 16 777 217
+/// and 2^40 + 1 — and truncates a float operand toward zero (negatives,
+/// fractions and ±0 alike), on the interpreter and every executor.
+#[test]
+fn int_casts_are_exact_and_float_casts_truncate_on_every_executor() {
+    let k = Var::i32("k");
+    let a = Buffer::global_f32("A", vec![Expr::i32(8)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(8)]);
+    let d = Buffer::global_i32("D", vec![Expr::i32(8)]);
+    let e = Buffer::global_i32("E", vec![Expr::i32(2)]);
+    let big = 1i64 << 40;
+    let at = || vec![Expr::var(&k)];
+    let store = |buffer: &Buffer, indices: Vec<Expr>, value: Expr| Stmt::BufferStore {
+        buffer: buffer.clone(),
+        indices,
+        value,
+    };
+    let ints = store(
+        &e,
+        vec![Expr::i32(0)],
+        (Expr::i32(16_777_216) + Expr::var(&k) + Expr::i32(1)).cast(DType::I64),
+    )
+    .then(store(
+        &e,
+        vec![Expr::i32(1)],
+        (Expr::i32(big) + Expr::var(&k) + Expr::i32(1)).cast(DType::I64) - Expr::i32(big),
+    ));
+    let floats = store(&d, at(), a.load(at()).cast(DType::I32)).then(store(
+        &c,
+        at(),
+        a.load(at()).cast(DType::I32).cast(DType::F32),
+    ));
+    let body = Stmt::for_serial(k.clone(), 1, ints).then(Stmt::for_serial(k.clone(), 8, floats));
+    let f = PrimFunc::new("casts", vec![], vec![a, c, d, e], body);
+    let xs = vec![-2.75f32, -0.5, -0.0, 0.0, 0.999_999_9, 3.5, -16_777_216.0, 1.0e9];
+    let mut tensors = HashMap::new();
+    tensors.insert("A".to_string(), TensorData::F32(xs));
+    tensors.insert("C".to_string(), TensorData::F32(vec![9.0; 8]));
+    tensors.insert("D".to_string(), TensorData::I32(vec![9; 8]));
+    tensors.insert("E".to_string(), TensorData::I32(vec![9; 2]));
+    differential(&f, &HashMap::new(), &tensors).unwrap();
+    eval_func(&f, &HashMap::new(), &mut tensors).unwrap();
+    assert_eq!(tensors["E"].as_i32(), [16_777_217, 1]);
+    let truncated = [-2, 0, 0, 0, 0, 3, -16_777_216, 1_000_000_000];
+    assert_eq!(tensors["D"].as_i32(), truncated);
+    // Truncation lands on +0 for every operand in (-1, 1), -0 included.
+    let back: Vec<u32> = tensors["C"].as_f32().iter().map(|v| v.to_bits()).collect();
+    assert_eq!(back, truncated.map(|t| (t as f32).to_bits()));
+}
+
 /// A missing tensor binding errors identically before any execution.
 #[test]
 fn missing_binding_fails_identically_on_every_executor() {
@@ -1038,6 +1090,27 @@ fn views_differential(
     EXECUTORS.map(run_both).to_vec()
 }
 
+/// The tensors the interpreter leaves after running `f` on `parts` bound
+/// whole — what [`views_differential`] proved every executor build and
+/// every cut equal to, bit for bit — for a check against the `f64` oracle.
+fn interpreted(
+    f: &PrimFunc,
+    structure: &HashMap<String, TensorData>,
+    parts: &[Part],
+) -> HashMap<String, TensorData> {
+    let mut tensors = structure.clone();
+    for p in parts {
+        tensors.insert(p.name.to_string(), TensorData::from(p.whole()));
+    }
+    eval_func(f, &HashMap::new(), &mut tensors).expect("the interpreter runs");
+    tensors
+}
+
+/// Head `h`'s `w` columns of a row-major tensor `heads × w` columns wide.
+fn head_cols(t: &[f32], heads: usize, w: usize, h: usize) -> Vec<f32> {
+    t.chunks_exact(heads * w).flat_map(|row| &row[h * w..(h + 1) * w]).copied().collect()
+}
+
 /// The batched-SDDMM operands of `heads` heads at inner width `k`, with
 /// `X`/`Bout` cut by `x_cut`/`out_cut` and `Y` in `y_segs` row segments.
 fn sddmm_parts(
@@ -1064,6 +1137,8 @@ fn views_csr_spmm_bit_matches_whole_tensors() {
             Part::output("C", a.rows(), cut),
         ];
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+        let t = interpreted(&f, &structure, &parts);
+        oracle::spmm_f64(&a, t["B"].as_f32(), 7).check(t["C"].as_f32()).unwrap();
     }
     // A `B` one segment short fails mid-kernel, inside a nest: same text
     // and same written prefix as the interpreter, whole and segmented.
@@ -1099,6 +1174,14 @@ fn views_batched_sddmm_bit_matches_whole_tensors() {
         {
             let parts = sddmm_parts(&a, (heads, k), (x_cut, y_segs, out_cut), &mut rng);
             assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+            let t = interpreted(&f, &structure, &parts);
+            let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
+            for h in 0..heads {
+                let y = &y[h * k * a.cols()..(h + 1) * k * a.cols()];
+                oracle::sddmm_f64(&a, &head_cols(x, heads, k, h), y, k)
+                    .check(&head_cols(out, heads, 1, h))
+                    .unwrap_or_else(|e| panic!("{heads} heads, head {h}: {e}"));
+            }
         }
     }
 }
@@ -1122,6 +1205,15 @@ fn views_fused_attention_bit_matches_whole_tensors() {
             Part::output("Out", a.rows(), v_cut),
         ];
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+        let t = interpreted(&f, &structure, &parts);
+        let [q, kt, v, out] = ["Q", "KT", "V", "Out"].map(|n| t[n].as_f32());
+        for h in 0..heads {
+            let kt = &kt[h * k * a.cols()..(h + 1) * k * a.cols()];
+            let (q, v) = (head_cols(q, heads, k, h), head_cols(v, heads, vfeat, h));
+            oracle::attention_f64(&a, &q, kt, &v, k, vfeat)
+                .check(&head_cols(out, heads, vfeat, h))
+                .unwrap_or_else(|e| panic!("head {h}: {e}"));
+        }
     }
 }
 
@@ -1139,6 +1231,9 @@ fn views_fused_sage_bit_matches_whole_tensors() {
             Part::output("H1", a.rows(), h_cut),
         ];
         assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+        let t = interpreted(&f, &structure, &parts);
+        let [x, w, h1] = ["X", "W", "H1"].map(|n| t[n].as_f32());
+        oracle::sage_f64(&a, x, w, feat, hidden).check(h1).unwrap();
     }
 }
 
@@ -1228,6 +1323,10 @@ fn views_split_k_spmm_bit_matches_at_every_width() {
                 Part::output("C", a.rows(), cut),
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "d = {d}");
+            let t = interpreted(&f, &structure, &parts);
+            oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                .check(t["C"].as_f32())
+                .unwrap_or_else(|e| panic!("d = {d}: {e}"));
         }
 
         let cut = &column_cuts(d)[1];
@@ -2287,7 +2386,7 @@ fn softmax_pass(a: &Csr, op: &str, heads: usize, gathered: bool) -> PrimFunc {
 
 /// The tensors of a [`softmax_pass`]: the structure of `a`, and `S`, `X`,
 /// `M`, `P` drawn with a quarter of special values — NaN, ±inf, ±`f32::MAX`,
-/// ±0 and a subnormal — so `f64::max`'s NaN rule and `exp` at the ends of
+/// ±0 and a subnormal — so `f32::max`'s NaN rule and `exp` at the ends of
 /// the range are part of every comparison.
 fn softmax_tensors(a: &Csr, heads: usize, rng: &mut SmallRng) -> HashMap<String, TensorData> {
     let specials = specials();

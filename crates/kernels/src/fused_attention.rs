@@ -19,8 +19,8 @@
 //! The fused kernel and the three-launch pipeline run *identical pass
 //! bodies* (built by the same Stage I pass builders) in the same order
 //! over the same `(non-zero, head)` points, under the same executor
-//! semantics (f64 arithmetic, f32 stores, `exp` evaluated as one
-//! `f64::exp` in both paths) — so fused output is **bit-identical** to
+//! semantics (`f32` arithmetic, `exp` evaluated as one `f32::exp` in both
+//! paths) — so fused output is **bit-identical** to
 //! the pipeline, `exp` path included. The loop shapes differ on purpose:
 //! the fused kernel walks rows (the CPU schedule), the pipeline keeps the
 //! GPU schedule, `sparse_fuse` on `(I, J)` — one loop over the non-zeros,

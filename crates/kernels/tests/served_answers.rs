@@ -62,6 +62,55 @@ fn served_spmm_is_right_at_every_width_and_batch() {
     }
 }
 
+/// `a · x` as a plain `f32` loop in the order `stbench`'s native SpMM sums:
+/// each output row starts at `0.0`, and its non-zeros add `v · x` in
+/// position order, one rounding per multiply and per add.
+fn spmm_f32_in_native_order(a: &Csr, x: &[f32], d: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; a.rows() * d];
+    for (r, orow) in out.chunks_exact_mut(d).enumerate() {
+        for e in a.indptr()[r]..a.indptr()[r + 1] {
+            let v = a.values()[e];
+            let xrow = &x[a.indices()[e] as usize * d..][..d];
+            for (o, &xv) in orow.iter_mut().zip(xrow) {
+                *o += v * xv;
+            }
+        }
+    }
+    out
+}
+
+/// The IR computes in the `f32` it declares, so served CSR SpMM is the
+/// yardstick's own loop, bit for bit — single requests and batches alike.
+#[test]
+fn served_csr_spmm_is_the_native_f32_loop_bit_for_bit() {
+    let (a, mut rng) = (graph(), gen::rng(0x0e));
+    for d in [1usize, 3, 4, 16, 17, 48, 128] {
+        for batch in [1usize, 3] {
+            let xs: Vec<Dense> =
+                (0..batch).map(|_| gen::random_dense(a.cols(), d, &mut rng)).collect();
+            let mut outs: Vec<Dense> = xs.iter().map(|_| Dense::zeros(a.rows(), d)).collect();
+            spmm_execute_views_on(
+                &Runtime::new(),
+                &a,
+                &refs(&xs),
+                &mut outs,
+                &SpmmConfig::default_csr(),
+            )
+            .unwrap();
+            for (i, (x, out)) in xs.iter().zip(&outs).enumerate() {
+                let want = spmm_f32_in_native_order(&a, x.data(), d);
+                for (k, (g, w)) in out.data().iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "d = {d}, request {i} of {batch}: element {k} is {g}, the f32 loop gives {w}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn served_sddmm_is_right_at_every_width_and_head_count() {
     let (a, mut rng) = (graph(), gen::rng(0x0d));

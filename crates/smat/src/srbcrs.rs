@@ -28,7 +28,9 @@ impl SrBcrs {
     /// Convert from CSR.
     ///
     /// # Errors
-    /// Fails when `t == 0` or `g == 0`.
+    /// Fails when `t == 0` or `g == 0`, and when a tile row's padded
+    /// storage — `groups × g` tile columns, `× t` values — would overflow
+    /// `usize` or cannot be reserved.
     pub fn from_csr(csr: &Csr, t: usize, g: usize) -> Result<SrBcrs, SmatError> {
         if t == 0 || g == 0 {
             return Err(SmatError::new("sr-bcrs: t and g must be positive"));
@@ -49,7 +51,15 @@ impl SrBcrs {
             }
             let ntiles = present.len();
             let ngroups = ntiles.div_ceil(g);
-            let padded = ngroups * g;
+            let overflow = || SmatError::new(format!("sr-bcrs({t}, {g}): tiles overflow usize"));
+            let padded = ngroups.checked_mul(g).ok_or_else(overflow)?;
+            let nvals = padded.checked_mul(t).ok_or_else(overflow)?;
+            tile_cols.try_reserve_exact(padded).map_err(|e| {
+                SmatError::new(format!("sr-bcrs({t}, {g}): {padded} tile columns: {e}"))
+            })?;
+            values
+                .try_reserve_exact(nvals)
+                .map_err(|e| SmatError::new(format!("sr-bcrs({t}, {g}): {nvals} values: {e}")))?;
             let cols_vec: Vec<u32> = present.into_iter().collect();
             for slot in 0..padded {
                 let col = cols_vec.get(slot).copied().unwrap_or(0);
@@ -259,5 +269,33 @@ mod tests {
         let csr = sample();
         assert!(SrBcrs::from_csr(&csr, 0, 2).is_err());
         assert!(SrBcrs::from_csr(&csr, 2, 0).is_err());
+    }
+
+    fn three_by_three() -> Csr {
+        Csr::from_coo(&Coo::from_entries(3, 3, vec![(0, 0, 1.0), (1, 2, 2.0)]).unwrap())
+    }
+
+    /// A group of `2^40` tiles pads a tile row to `2^40` tile columns: more
+    /// than any allocation may hold, so the reservation fails before a
+    /// tile is written, where the fill used to abort the process.
+    #[test]
+    fn a_huge_group_is_an_error() {
+        let err = SrBcrs::from_csr(&three_by_three(), 1, 1 << 40).expect_err("too large");
+        assert!(err.to_string().contains("tile columns"), "{err}");
+    }
+
+    /// `usize::MAX` rows per tile times two tiles overflows `usize`.
+    #[test]
+    fn a_huge_tile_height_is_an_error() {
+        let err = SrBcrs::from_csr(&three_by_three(), usize::MAX, 1).expect_err("overflows");
+        assert!(err.to_string().contains("overflow usize"), "{err}");
+    }
+
+    /// One group of `usize::MAX` tiles is `usize::MAX` tile columns: past
+    /// what a `Vec` may reserve.
+    #[test]
+    fn a_group_of_usize_max_is_an_error() {
+        let err = SrBcrs::from_csr(&three_by_three(), 1, usize::MAX).expect_err("too large");
+        assert!(err.to_string().contains("tile columns"), "{err}");
     }
 }
