@@ -1109,8 +1109,8 @@ unsafe fn fill(n: i64, d: Lanes, v: f32) {
 }
 
 /// `dst[l] = f(cur, a + l, b + l)` over unit-stride lanes, `cur` being
-/// `base` when the init fires at every lane and `dst[l]` when at none: the loop of both accumulates that write a whole run, [`axpy`]
-/// and [`max`].
+/// `base` when the init fires at every lane and `dst[l]` when at none: the
+/// loop of both accumulates that write a whole run, [`axpy`] and [`max`].
 ///
 /// # Safety
 /// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
