@@ -39,10 +39,12 @@
 //! On top of the generic program, a **dense-lane fusion pass** (the `fuse`
 //! submodule) recognizes innermost loops over contiguous dense axes (the
 //! feature dimension of SpMM/SDDMM, ELL bucket lanes) at compile time and
-//! lowers them to specialized microkernel instructions — `FillLanes`,
-//! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`, `MaxLanes`,
-//! `ExpDiffLanes` — that run tight
-//! per-lane loops instead of per-element instruction dispatch. Fusion is
+//! lowers each to one lane op `dst[l] = combine(dst[l], value(l))` —
+//! `combine` a store, an add or a maximum, `value` a hoisted constant, a
+//! term or `exp(a − b)` — in one of six instances, `FillLanes`,
+//! `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`, `MaxLanes` and
+//! `ExpDiffLanes`, that runs a tight per-lane loop instead of per-element
+//! instruction dispatch. Fusion is
 //! what [`CompiledKernel::compile`] (and so [`Runtime::compile`]) does;
 //! the generic form is retained behind every fused op as the bit-exact
 //! fallback, and [`CompiledKernel::compile_with`]`(_, false)` builds the
@@ -1601,17 +1603,17 @@ impl CompiledKernel {
         self.n_slots as usize
     }
 
-    /// Number of dense-lane microkernel instructions (`FillLanes`,
-    /// `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate`, `MaxLanes`,
-    /// `ExpDiffLanes`) the fusion pass
-    /// produced. Zero when compiled with fusion disabled or when no
+    /// Number of dense-lane microkernel instructions the fusion pass
+    /// produced: lane ops `dst[l] = combine(dst[l], value(l))`, each one of
+    /// the six instances `FillLanes`, `AxpyLanes`, `DotLanes`,
+    /// `GatherScaleAccumulate`, `MaxLanes`, `ExpDiffLanes`. Zero when compiled with fusion disabled or when no
     /// innermost loop matched a contiguous dense-lane pattern.
     #[must_use]
     pub fn fused_ops(&self) -> usize {
         self.code.fused_ops()
     }
 
-    /// Names of the fused microkernel instructions, in program order
+    /// The instance name of each fused lane op, in program order
     /// (diagnostics; e.g. `["FillLanes", "AxpyLanes"]` for the hyb SpMM).
     #[must_use]
     pub fn fused_kinds(&self) -> Vec<&'static str> {

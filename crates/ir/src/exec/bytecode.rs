@@ -592,7 +592,7 @@ impl Code {
         self.instrs
             .iter()
             .filter_map(|ins| match ins {
-                Instr::Super { spec, .. } => Some(spec.micro.name()),
+                Instr::Super { spec, .. } => Some(spec.op.kind().0),
                 _ => None,
             })
             .collect()

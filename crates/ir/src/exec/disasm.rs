@@ -11,8 +11,8 @@
 
 use super::bytecode::{Code, Instr};
 use super::fuse::{
-    Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, Micro, NestSpec, Ratio, Reg,
-    TermShape, TermSpec,
+    Combine, Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, NestSpec, Ratio,
+    Reg, TermShape, TermSpec, Value,
 };
 use super::{
     BoolExpr, CmpOp, CompiledKernel, CompiledTile, FloatExpr, FloatOp, IndexExpr, IntExpr, IntOp,
@@ -127,14 +127,7 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
     let Instr::Super { spec: lanes, .. } = lanes else {
         unreachable!("a nest's lane loop is a superinstruction")
     };
-    let mnemonic = match &lanes.micro {
-        Micro::FillLanes { .. } => "nest.fill",
-        Micro::AxpyLanes { .. } => "nest.axpy",
-        Micro::DotLanes { .. } => "nest.dot ",
-        Micro::GatherScaleAccumulate { .. } => "nest.gsa ",
-        Micro::MaxLanes { .. } => "nest.max ",
-        Micro::ExpDiffLanes { .. } => "nest.exp ",
-    };
+    let mnemonic = format!("nest.{:<4}", lanes.op.kind().1);
     let moves = |step: i64, scale: i64| match (step, scale) {
         (0, 0) => "row".to_string(),
         (s, 0) => format!("{s:+}"),
@@ -156,7 +149,7 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
         let _ = write!(out, ", gather=@{}[{}]{:+}", g.buf, index_expr(&g.index), g.drift.step);
     }
     let _ = write!(out, ", dst={}", drift(&spec.views[0]));
-    if !matches!(lanes.micro, Micro::FillLanes { .. }) {
+    if !matches!(lanes.op.value, Value::Hoisted(_)) {
         let _ = write!(out, " a={} b={}", drift(&spec.views[1]), drift(&spec.views[2]));
         let _ = write!(out, " coeff={}", ratio(spec.ratio, drift(&spec.coeff), "row"));
     }
@@ -241,26 +234,12 @@ fn ratio(r: Option<Ratio>, load: String, factor: &str) -> String {
 }
 
 fn superinstr(spec: &LaneSpec) -> String {
-    let (mnemonic, detail) = match &spec.micro {
-        Micro::FillLanes { dst, value } => {
-            ("super.fill", format!("dst={} val={}", lane_view(dst), float(value)))
-        }
-        Micro::AxpyLanes { dst, term } => {
-            ("super.axpy", format!("dst={} term={}", lane_view(dst), term_spec(term)))
-        }
-        Micro::DotLanes { dst, term } => {
-            ("super.dot ", format!("dst={} term={}", lane_view(dst), term_spec(term)))
-        }
-        Micro::GatherScaleAccumulate { dst, term } => {
-            ("super.gsa ", format!("dst={} term={}", lane_view(dst), term_spec(term)))
-        }
-        Micro::MaxLanes { dst, a } => {
-            ("super.max ", format!("dst={} val=fmax(dst, {})", lane_view(dst), lane_view(a)))
-        }
-        Micro::ExpDiffLanes { dst, a, b } => (
-            "super.exp ",
-            format!("dst={} val=exp(({} - {}))", lane_view(dst), lane_view(a), lane_view(b)),
-        ),
+    let op = &spec.op;
+    let value = match &op.value {
+        Value::Hoisted(value) => format!("val={}", float(value)),
+        Value::Term(t) if op.combine == Combine::Max => format!("val=fmax(dst, {})", term_spec(t)),
+        Value::Term(t) => format!("term={}", term_spec(t)),
+        Value::ExpDiff(a, b) => format!("val=exp(({} - {}))", lane_view(a), lane_view(b)),
     };
     let iters: Vec<String> = spec
         .iters
@@ -281,9 +260,11 @@ fn superinstr(spec: &LaneSpec) -> String {
         .outer_slot
         .map_or_else(String::new, |o| format!(" (coalesced %{o}\u{d7}%{})", spec.lane_slot));
     format!(
-        "{mnemonic} %{} in 0..{}{coalesced}, {detail}, init={}, iters=[{}]",
+        "super.{:<4} %{} in 0..{}{coalesced}, dst={} {value}, init={}, iters=[{}]",
+        op.kind().1,
         spec.lane_slot,
         int(&spec.extent),
+        lane_view(&op.dst),
         init_kind(&spec.init),
         iters.join("; ")
     )

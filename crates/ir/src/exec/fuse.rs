@@ -17,10 +17,11 @@
 //!   (`base + stride·lane`) with a compile-time-constant stride;
 //! * the store target walks a **contiguous** flat axis (lane stride 1),
 //!   or is lane-invariant for scalar reductions;
-//! * the value expression is one of the six recognized microkernel
-//!   shapes ([`Micro`]): `FillLanes`, `AxpyLanes`, `DotLanes`,
-//!   `GatherScaleAccumulate`, `MaxLanes` (a running maximum) and
-//!   `ExpDiffLanes` (`exp(a − b)`, overwriting); and
+//! * the store is one lane op ([`LaneOp`]) `dst[l] = combine(dst[l],
+//!   value(l))` — `combine` a store, an add or a maximum, `value` a hoisted
+//!   constant, a term or `exp(a − b)` — in one of the six instances it is
+//!   named for: `FillLanes`, `AxpyLanes`, `DotLanes`,
+//!   `GatherScaleAccumulate`, `MaxLanes` and `ExpDiffLanes`; and
 //! * nothing re-evaluated inside the loop **reads the written buffer** —
 //!   a slot-level aliasing analysis.
 //!
@@ -85,8 +86,9 @@
 //! NaNs meet — `fadd`/`fmul` commute at instruction selection — so a NaN
 //! lane is NaN everywhere, its sign and payload are not pinned.)
 //!
-//! **Memory rule: plain raw-pointer loads and stores**, one monomorphised
-//! loop per [`TermShape`], under the contract generic dispatch's element
+//! **Memory rule: plain raw-pointer loads and stores**, one generic lane
+//! body ([`lanes`], [`reduce`]) monomorphised per instance and
+//! [`TermShape`], under the contract generic dispatch's element
 //! accesses rest on ([`super::elem_load`]): a launch runs on one thread
 //! and is the only accessor of its bindings. Raw pointers, never `&mut`
 //! slices, so operands that alias one another stay defined. A run is
@@ -248,12 +250,6 @@ pub(super) struct LaneView {
     pub stride: i64,
 }
 
-impl LaneView {
-    fn parts(&self) -> (u32, &IndexExpr, i64) {
-        (self.buf, &self.index, self.stride)
-    }
-}
-
 /// Association / operand-order shape of a recognized per-lane term.
 /// Preserved exactly so every `f32` rounding happens where generic
 /// dispatch has it.
@@ -275,9 +271,9 @@ pub(super) enum TermShape {
     CoeffParenAB,
 }
 
-/// The per-lane `f32` term `t(l)` added into an accumulator: up to two
-/// lane-striding loads plus an optional lane-invariant coefficient,
-/// combined in one of [`TermShape`]'s association orders.
+/// The per-lane `f32` term `t(l)` a lane op adds or takes the maximum
+/// with: up to two lane-striding loads plus an optional lane-invariant
+/// coefficient, combined in one of [`TermShape`]'s association orders.
 #[derive(Debug, Clone)]
 pub(super) struct TermSpec {
     pub shape: TermShape,
@@ -313,71 +309,90 @@ impl InitKind {
     }
 }
 
-/// Specialized dense-lane microkernel instructions. Each operates on
-/// `f32` element ranges resolved once per invocation, replacing the
-/// per-lane instruction dispatch of the generic executor.
-#[derive(Debug, Clone)]
-pub(super) enum Micro {
-    /// `dst[l] = v` for `l ∈ 0..n` — contiguous fill with a
-    /// lane-invariant value (format-init loops, `C = 0` epilogues).
-    FillLanes { dst: LaneView, value: FloatExpr },
-    /// `dst[l] = dst[l] + t(l)` over contiguous `dst`/`a`
-    /// lanes — the SpMM/ELL inner loop `C[i, 0..d] += a_ij · B[j, 0..d]`.
-    AxpyLanes { dst: LaneView, term: TermSpec },
-    /// `acc = acc + a[l]·b[l]` into one lane-invariant
-    /// element, both operands contiguous — dot-product reductions over
-    /// the feature dimension.
-    DotLanes { dst: LaneView, term: TermSpec },
-    /// [`Micro::DotLanes`] generalized with an invariant scale and/or a
-    /// constant-strided (gathered) operand — the SDDMM inner loop
-    /// `Bout[e] += (a_e · X[i, 0..d]) · Y[0..d, j]` where `Y`'s column
-    /// walk strides by the number of columns.
-    GatherScaleAccumulate { dst: LaneView, term: TermSpec },
-    /// `dst[l] = dst[l].max(a[l])` over contiguous lanes —
-    /// a running maximum, attention's `rowmax` `M[i, h] = max(M[i, h],
-    /// S[pos, h])`.
-    MaxLanes { dst: LaneView, a: LaneView },
-    /// `dst[l] = (a[l] − b[l]).exp()` over contiguous lanes
-    /// — a map that overwrites `dst`, attention's `P = exp(S − M)`.
-    ExpDiffLanes { dst: LaneView, a: LaneView, b: LaneView },
+/// How a lane op folds its value into `dst`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) enum Combine {
+    /// `dst[l] = v(l)`.
+    Store,
+    /// `dst[l] = dst[l] + v(l)`; into a stride-0 `dst`, the register
+    /// reduction `acc = acc + v(l)` over the lanes.
+    Add,
+    /// `dst[l] = dst[l].max(v(l))`: `f32::max`, in the source's operand
+    /// order, as `FloatExpr::eval` computes `fmax`.
+    Max,
 }
 
-impl Micro {
-    /// Instruction name (diagnostics / bench tables).
-    pub(super) fn name(&self) -> &'static str {
-        match self {
-            Micro::FillLanes { .. } => "FillLanes",
-            Micro::AxpyLanes { .. } => "AxpyLanes",
-            Micro::DotLanes { .. } => "DotLanes",
-            Micro::GatherScaleAccumulate { .. } => "GatherScaleAccumulate",
-            Micro::MaxLanes { .. } => "MaxLanes",
-            Micro::ExpDiffLanes { .. } => "ExpDiffLanes",
+/// What a lane op computes per lane.
+#[derive(Debug, Clone)]
+pub(super) enum Value {
+    /// A lane-invariant value, evaluated once per invocation.
+    Hoisted(FloatExpr),
+    /// A term [`TermSpec`]; `max`'s operand is the `AOnly` one.
+    Term(TermSpec),
+    /// `(a[l] − b[l]).exp()`: `f32::exp`, as `FloatExpr::eval` computes
+    /// `exp`.
+    ExpDiff(LaneView, LaneView),
+}
+
+/// A dense-lane microkernel, `dst[l] = combine(dst[l], value(l))` over
+/// `f32` element ranges resolved once per invocation, in place of the
+/// generic executor's per-lane instruction dispatch. [`fuse_lane_loop`]
+/// accepts six instances, named by [`LaneOp::kind`]:
+///
+/// * `FillLanes` — store a hoisted value into a contiguous `dst`
+///   (format-init loops, `C = 0` epilogues);
+/// * `AxpyLanes` — add a term into a contiguous `dst`, the SpMM/ELL inner
+///   loop `C[i, 0..d] += a_ij · B[j, 0..d]`;
+/// * `DotLanes` — add `a[l]·b[l]`, both contiguous, into one element;
+/// * `GatherScaleAccumulate` — add any other term into one element, the
+///   SDDMM inner loop `Bout[e] += (a_e · X[i, 0..d]) · Y[0..d, j]` whose
+///   `Y` column walk strides by the number of columns;
+/// * `MaxLanes` — the running maximum of `a[l]` in a contiguous `dst`,
+///   attention's `rowmax` `M[i, h] = max(M[i, h], S[pos, h])`;
+/// * `ExpDiffLanes` — store `exp(a[l] − b[l])` into a contiguous `dst`,
+///   attention's `P = exp(S − M)`.
+#[derive(Debug, Clone)]
+pub(super) struct LaneOp {
+    pub dst: LaneView,
+    pub combine: Combine,
+    pub value: Value,
+}
+
+impl LaneOp {
+    /// The instance's name (diagnostics, `fused_kinds()`) and its listing
+    /// mnemonic (`super.*`, `nest.*`).
+    pub(super) fn kind(&self) -> (&'static str, &'static str) {
+        let dot = |t: &TermSpec| {
+            t.shape == TermShape::AB
+                && t.a.stride == 1
+                && t.b.as_ref().is_some_and(|b| b.stride == 1)
+        };
+        match (self.combine, &self.value) {
+            (Combine::Store, Value::Hoisted(_)) => ("FillLanes", "fill"),
+            (Combine::Store, _) => ("ExpDiffLanes", "exp"),
+            (Combine::Max, _) => ("MaxLanes", "max"),
+            (Combine::Add, _) if self.dst.stride != 0 => ("AxpyLanes", "axpy"),
+            (Combine::Add, Value::Term(t)) if dot(t) => ("DotLanes", "dot"),
+            (Combine::Add, _) => ("GatherScaleAccumulate", "gsa"),
         }
     }
 
-    /// The lane views the op touches: `dst`, then the term's `a` and `b`.
+    /// The lane views the op touches: `dst`, then the value's `a` and `b`.
     fn views(&self) -> [Option<&LaneView>; 3] {
-        match self {
-            Micro::FillLanes { dst, .. } => [Some(dst), None, None],
-            Micro::AxpyLanes { dst, term }
-            | Micro::DotLanes { dst, term }
-            | Micro::GatherScaleAccumulate { dst, term } => {
-                [Some(dst), Some(&term.a), term.b.as_ref()]
-            }
-            Micro::MaxLanes { dst, a } => [Some(dst), Some(a), None],
-            Micro::ExpDiffLanes { dst, a, b } => [Some(dst), Some(a), Some(b)],
+        match &self.value {
+            Value::Hoisted(_) => [Some(&self.dst), None, None],
+            Value::Term(t) => [Some(&self.dst), Some(&t.a), t.b.as_ref()],
+            Value::ExpDiff(a, b) => [Some(&self.dst), Some(a), Some(b)],
         }
     }
 
     /// The lane-invariant value the op evaluates once per invocation: the
-    /// fill value or the term's coefficient.
+    /// hoisted value or the term's coefficient.
     fn hoisted(&self) -> Option<&FloatExpr> {
-        match self {
-            Micro::FillLanes { value, .. } => Some(value),
-            Micro::AxpyLanes { term, .. }
-            | Micro::DotLanes { term, .. }
-            | Micro::GatherScaleAccumulate { term, .. } => term.coeff.as_ref(),
-            Micro::MaxLanes { .. } | Micro::ExpDiffLanes { .. } => None,
+        match &self.value {
+            Value::Hoisted(value) => Some(value),
+            Value::Term(t) => t.coeff.as_ref(),
+            Value::ExpDiff(..) => None,
         }
     }
 }
@@ -392,8 +407,8 @@ pub(super) struct FusedIter {
 }
 
 /// A fused lane loop: everything the microkernel fast path needs (lane
-/// slot, extent, proven iter strides, init classification, the [`Micro`]
-/// op). The bytecode lowering embeds it in a `Super` instruction whose
+/// slot, extent, proven iter strides, init classification, the
+/// [`LaneOp`]). The bytecode lowering embeds it in a `Super` instruction whose
 /// fallback is the generic loop lowered right after it in the flat
 /// stream.
 #[derive(Debug, Clone)]
@@ -405,7 +420,7 @@ pub(super) struct LaneSpec {
     pub extent: IntExpr,
     pub iters: Vec<FusedIter>,
     pub init: InitKind,
-    pub micro: Micro,
+    pub op: LaneOp,
 }
 
 // ---------------------------------------------------------------------------
@@ -473,9 +488,9 @@ fn coalesce(node: &CStmt) -> Option<LaneSpec> {
         }
         env.insert(it.slot, outer_stride);
     }
-    let hoisted = spec.micro.hoisted();
+    let hoisted = spec.op.hoisted();
     let lanes_line_up = spec
-        .micro
+        .op
         .views()
         .into_iter()
         .flatten()
@@ -560,110 +575,72 @@ fn fuse_lane_loop(node: &CStmt) -> Option<LaneSpec> {
         }
     };
 
+    // The store is `combine(Load(dst), value)` or a bare `value`; the
+    // value a hoisted constant, `exp(a − b)` or a term.
+    let is_dst = |e: &FloatExpr| {
+        let FloatExpr::Load { buf, index } = e else { return false };
+        *buf == dst && index == dst_index
+    };
+    let (combine, value) = match value {
+        FloatExpr::Bin { op: op @ (FloatOp::Add | FloatOp::Max), lhs, rhs } if is_dst(lhs) => {
+            (if *op == FloatOp::Add { Combine::Add } else { Combine::Max }, &**rhs)
+        }
+        value => (Combine::Store, value),
+    };
+    let value = match value {
+        v if float_invariant(v, &env) => Value::Hoisted(v.clone()),
+        FloatExpr::Exp(arg) => {
+            let FloatExpr::Bin { op: FloatOp::Sub, lhs, rhs } = &**arg else {
+                return None;
+            };
+            Value::ExpDiff(lane_load(lhs, &env)?, lane_load(rhs, &env)?)
+        }
+        v => Value::Term(match_term(v, &env)?),
+    };
+    let op = LaneOp {
+        dst: LaneView { buf: dst, index: dst_index.clone(), stride: dst_stride },
+        combine,
+        value,
+    };
+
+    // The six instances: the register reduction, with any operand strides
+    // and any init; else a contiguous run whose init does not toggle
+    // mid-loop — a store, of a hoisted value or `exp(a − b)`, with none.
+    let contiguous = op.views().into_iter().flatten().all(|v| v.stride == 1);
+    let accepted = match (op.combine, &op.value) {
+        (Combine::Add, Value::Term(_)) if dst_stride == 0 => true,
+        _ if !contiguous => false,
+        (Combine::Store, Value::ExpDiff(..)) => init_src.is_none(),
+        _ if reduce_strided => false,
+        (Combine::Store, Value::Hoisted(_)) => init_src.is_none(),
+        (Combine::Max, Value::Term(t)) => t.shape == TermShape::AOnly,
+        (Combine::Add, Value::Term(_)) => true,
+        _ => false,
+    };
+
     // Aliasing: nothing re-evaluated per lane — iter bindings, the init
-    // and fill values, the coefficient, the operands and every index — may
-    // read the written buffer.
-    let fused = |micro: Micro| {
-        let mut reads = ExprInfo::default();
-        scan_index(dst_index, &mut reads);
-        for it in &iters {
-            scan_int(&it.binding, &mut reads);
-        }
-        for value in init.value().into_iter().chain(micro.hoisted()) {
-            scan_float(value, &mut reads);
-        }
-        for operand in micro.views().into_iter().skip(1).flatten() {
-            reads.bufs.insert(operand.buf);
-            scan_index(&operand.index, &mut reads);
-        }
-        (!reads.bufs.contains(&dst)).then(|| LaneSpec {
-            lane_slot: *lane,
-            outer_slot: None,
-            extent: extent.clone(),
-            iters,
-            init,
-            micro,
-        })
-    };
-
-    // Shape 1: contiguous fill — invariant value, no init, no reduce
-    // toggling (the store *is* the only effect).
-    if dst_stride == 1 && float_invariant(value, &env) {
-        if init_src.is_some() || reduce_strided {
-            return None;
-        }
-        return fused(Micro::FillLanes {
-            dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
-            value: value.clone(),
-        });
+    // and hoisted values, the operands and every index — may read the
+    // written buffer.
+    let mut reads = ExprInfo::default();
+    scan_index(dst_index, &mut reads);
+    for it in &iters {
+        scan_int(&it.binding, &mut reads);
     }
-
-    // A map overwriting `dst`: `exp(a − b)` over contiguous lanes, with
-    // nothing to init.
-    if let FloatExpr::Exp(arg) = value {
-        let FloatExpr::Bin { op: FloatOp::Sub, lhs, rhs } = &**arg else {
-            return None;
-        };
-        let (a, b) = (lane_load(lhs, &env)?, lane_load(rhs, &env)?);
-        if dst_stride != 1 || init_src.is_some() || a.stride != 1 || b.stride != 1 {
-            return None;
-        }
-        let dst = LaneView { buf: dst, index: dst_index.clone(), stride: 1 };
-        return fused(Micro::ExpDiffLanes { dst, a, b });
+    for value in init.value().into_iter().chain(op.hoisted()) {
+        scan_float(value, &mut reads);
     }
-
-    // Accumulating store: value = Load(dst, dst_index) + term, or the
-    // running maximum fmax(Load(dst, dst_index), a).
-    let FloatExpr::Bin { op: op @ (FloatOp::Add | FloatOp::Max), lhs, rhs } = value else {
-        return None;
-    };
-    let FloatExpr::Load { buf: acc_buf, index: acc_index } = &**lhs else {
-        return None;
-    };
-    if *acc_buf != dst || acc_index != dst_index {
-        return None;
+    for operand in op.views().into_iter().skip(1).flatten() {
+        reads.bufs.insert(operand.buf);
+        scan_index(&operand.index, &mut reads);
     }
-    if *op == FloatOp::Max {
-        // Contiguous destination and operand, init not toggling mid-loop,
-        // as for AxpyLanes.
-        let a = lane_load(rhs, &env)?;
-        if dst_stride != 1 || reduce_strided || a.stride != 1 {
-            return None;
-        }
-        return fused(Micro::MaxLanes {
-            dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
-            a,
-        });
-    }
-    let term = match_term(rhs, &env)?;
-
-    if dst_stride == 1 {
-        // AxpyLanes: contiguous destination and operands, init must not
-        // toggle mid-loop.
-        if reduce_strided || term.a.stride != 1 || term.b.as_ref().is_some_and(|b| b.stride != 1) {
-            return None;
-        }
-        return fused(Micro::AxpyLanes {
-            dst: LaneView { buf: dst, index: dst_index.clone(), stride: 1 },
-            term,
-        });
-    }
-
-    if dst_stride == 0 {
-        // Scalar reduction into one element.
-        let dstv = LaneView { buf: dst, index: dst_index.clone(), stride: 0 };
-        let contiguous_dot = term.shape == TermShape::AB
-            && term.a.stride == 1
-            && term.b.as_ref().is_some_and(|b| b.stride == 1);
-        let micro = if contiguous_dot {
-            Micro::DotLanes { dst: dstv, term }
-        } else {
-            Micro::GatherScaleAccumulate { dst: dstv, term }
-        };
-        return fused(micro);
-    }
-
-    None
+    (accepted && !reads.bufs.contains(&dst)).then(|| LaneSpec {
+        lane_slot: *lane,
+        outer_slot: None,
+        extent: extent.clone(),
+        iters,
+        init,
+        op,
+    })
 }
 
 enum Class {
@@ -694,60 +671,38 @@ fn lane_load(e: &FloatExpr, env: &StrideEnv) -> Option<LaneView> {
 }
 
 fn match_term(e: &FloatExpr, env: &StrideEnv) -> Option<TermSpec> {
+    use Class::{Inv, Lane, Other};
     if let Some(a) = lane_load(e, env) {
         return Some(TermSpec { shape: TermShape::AOnly, coeff: None, a, b: None });
     }
-    let FloatExpr::Bin { op: FloatOp::Mul, lhs, rhs } = e else {
-        return None;
-    };
-    match (classify(lhs, env), classify(rhs, env)) {
-        (Class::Inv, Class::Lane(a)) => {
-            Some(TermSpec { shape: TermShape::CoeffA, coeff: Some((**lhs).clone()), a, b: None })
-        }
-        (Class::Lane(a), Class::Inv) => {
-            Some(TermSpec { shape: TermShape::ACoeff, coeff: Some((**rhs).clone()), a, b: None })
-        }
-        (Class::Lane(a), Class::Lane(b)) => {
-            Some(TermSpec { shape: TermShape::AB, coeff: None, a, b: Some(b) })
-        }
-        (Class::Other, Class::Lane(b)) => {
-            // (x * y) * b — recognize (coeff * a) * b and (a * coeff) * b.
-            let FloatExpr::Bin { op: FloatOp::Mul, lhs: ll, rhs: lr } = &**lhs else {
-                return None;
-            };
-            match (classify(ll, env), classify(lr, env)) {
-                (Class::Inv, Class::Lane(a)) => Some(TermSpec {
-                    shape: TermShape::CoeffAB,
-                    coeff: Some((**ll).clone()),
-                    a,
-                    b: Some(b),
-                }),
-                (Class::Lane(a), Class::Inv) => Some(TermSpec {
-                    shape: TermShape::ACoeffB,
-                    coeff: Some((**lr).clone()),
-                    a,
-                    b: Some(b),
-                }),
-                _ => None,
-            }
-        }
-        (Class::Inv, Class::Other) => {
-            // coeff * (a * b)
-            let FloatExpr::Bin { op: FloatOp::Mul, lhs: rl, rhs: rr } = &**rhs else {
-                return None;
-            };
-            match (classify(rl, env), classify(rr, env)) {
-                (Class::Lane(a), Class::Lane(b)) => Some(TermSpec {
-                    shape: TermShape::CoeffParenAB,
-                    coeff: Some((**lhs).clone()),
-                    a,
-                    b: Some(b),
-                }),
-                _ => None,
-            }
-        }
-        _ => None,
+    // A product's factors, classified, and the factors themselves.
+    fn factors<'e>(
+        e: &'e FloatExpr,
+        env: &StrideEnv,
+    ) -> Option<(Class, Class, &'e FloatExpr, &'e FloatExpr)> {
+        let FloatExpr::Bin { op: FloatOp::Mul, lhs, rhs } = e else {
+            return None;
+        };
+        Some((classify(lhs, env), classify(rhs, env), lhs, rhs))
     }
+    let (shape, coeff, a, b) = match factors(e, env)? {
+        (Inv, Lane(a), c, _) => (TermShape::CoeffA, Some(c), a, None),
+        (Lane(a), Inv, _, c) => (TermShape::ACoeff, Some(c), a, None),
+        (Lane(a), Lane(b), ..) => (TermShape::AB, None, a, Some(b)),
+        // (coeff * a) * b and (a * coeff) * b.
+        (Other, Lane(b), x, _) => match factors(x, env)? {
+            (Inv, Lane(a), c, _) => (TermShape::CoeffAB, Some(c), a, Some(b)),
+            (Lane(a), Inv, _, c) => (TermShape::ACoeffB, Some(c), a, Some(b)),
+            _ => return None,
+        },
+        // coeff * (a * b).
+        (Inv, Other, c, y) => match factors(y, env)? {
+            (Lane(a), Lane(b), ..) => (TermShape::CoeffParenAB, Some(c), a, Some(b)),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    Some(TermSpec { shape, coeff: coeff.cloned(), a, b })
 }
 
 // ---------------------------------------------------------------------------
@@ -881,12 +836,8 @@ unsafe fn cols_lanes(
 /// call, three or four times per superinstruction (measured on the
 /// per-non-zero SDDMM path).
 #[inline(always)]
-fn resolve_lanes(
-    fr: &Frame,
-    (buf, index, stride): (u32, &IndexExpr, i64),
-    n: i64,
-    for_store: bool,
-) -> Option<Lanes> {
+fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option<Lanes> {
+    let LaneView { buf, ref index, stride } = *view;
     let (flat, last_i, last_d) = index.eval_with_last(fr).ok()?;
     let span = stride.checked_mul(n - 1)?;
     let last_end = last_i.checked_add(span)?;
@@ -943,51 +894,30 @@ enum LaneInit {
     One(i64),
 }
 
-/// What an [`axpy`] adds each lane's term to — or a [`max`] compares each
-/// lane's operand with — under the init decision `$init`: the init value
-/// where the init fires at every lane, the lane's own element (`None`)
-/// where at none; `$one` for an init at one lane, which no contiguous
-/// accumulation has. A macro, not a function, so that
-/// [`LaneSpec::run_inline`] — inlined into `try_fast`, whose instructions
-/// are the per-`Super` path's and stay what they were — and the row nest's
-/// trip loops ([`LaneInit::base`]) expand one text.
-macro_rules! axpy_base {
-    ($init:expr, $init32:expr, $one:expr) => {
-        match $init {
-            LaneInit::All => Some($init32),
-            LaneInit::Never => None,
-            LaneInit::One(_) => $one, // unreachable by construction
-        }
-    };
-}
-
-/// Where a [`reduce`] over `$n` lanes starts and from what under the init
-/// decision `$init`: every lane at or after an init restarts from the init
-/// value, so only the lanes from the last init on reach the stored result.
-/// A macro for the reason [`axpy_base!`] is one.
-macro_rules! reduce_start {
-    ($init:expr, $n:expr, $init32:expr) => {
-        match $init {
-            LaneInit::Never => (0, None),
-            LaneInit::All => ($n - 1, Some($init32)),
-            LaneInit::One(l0) => (l0, Some($init32)),
-        }
-    };
-}
-
-/// What the row nest's trip loops ([`trip_loops`]) make of an init
-/// decision, once per entry.
 impl LaneInit {
-    /// [`axpy_base!`]; `None` for an init at one lane.
+    /// What a [`lanes`] body combines each lane's value with: the init
+    /// value where the init fires at every lane, the lane's own element
+    /// (`None`) where at none; `None` for an init at one lane, which no
+    /// contiguous lane op has.
     #[inline(always)]
     fn base(self, init32: f32) -> Option<Option<f32>> {
-        Some(axpy_base!(self, init32, return None))
+        match self {
+            LaneInit::All => Some(Some(init32)),
+            LaneInit::Never => Some(None),
+            LaneInit::One(_) => None,
+        }
     }
 
-    /// [`reduce_start!`].
+    /// Where a [`reduce`] over `n` lanes starts and from what: every lane
+    /// at or after an init restarts from the init value, so only the lanes
+    /// from the last init on reach the stored result.
     #[inline(always)]
     fn restart(self, n: i64, init32: f32) -> (i64, Option<f32>) {
-        reduce_start!(self, n, init32)
+        match self {
+            LaneInit::Never => (0, None),
+            LaneInit::All => (n - 1, Some(init32)),
+            LaneInit::One(l0) => (l0, Some(init32)),
+        }
     }
 }
 
@@ -1001,30 +931,50 @@ struct Resolved {
     init: LaneInit,
     /// The init value.
     init32: f32,
-    /// The term's coefficient; for a fill, the value.
+    /// The hoisted value: a fill's value, a term's coefficient.
     scalar: f32,
-    /// `dst`, `a`, `b` (a fill repeats `dst`; a term without a second
-    /// operand repeats `a`, which its shape never loads).
+    /// `dst`, `a`, `b` (a fill repeats `dst`; a value without a second
+    /// operand repeats `a`, which it never loads).
     ops: [Lanes; 3],
 }
 
-/// A [`TermShape`] as a type: the per-lane `f32` term over lane element
-/// pointers, combining in the source association and operand order
-/// exactly. The one place the seven formulas are written:
-/// the per-invocation lane bodies reach it through `with_term!` (the
-/// coefficient captured), the row nest's trip loops name the type itself
-/// (the coefficient changes from trip to trip).
-trait Term {
+/// A [`Combine`] as a type.
+trait CombineFn {
+    fn of(cur: f32, v: f32) -> f32;
+}
+
+macro_rules! combine_fn {
+    ($name:ident, |$cur:pat_param, $v:ident| $e:expr) => {
+        struct $name;
+        impl CombineFn for $name {
+            #[inline(always)]
+            fn of($cur: f32, $v: f32) -> f32 {
+                $e
+            }
+        }
+    };
+}
+
+combine_fn!(Store, |_, v| v);
+combine_fn!(Add, |cur, v| cur + v);
+combine_fn!(Max, |cur, v| cur.max(v));
+
+/// A [`Value`] as a type: the lane's `f32` value over lane element
+/// pointers and the hoisted scalar `c`, in the source association and
+/// operand order exactly — [`TermShape`]'s seven formulas, the hoisted
+/// value and `exp(a − b)`, each written once here for the lane bodies and
+/// the row nest's trip loops alike.
+trait ValueFn {
     /// # Safety
-    /// `a` — and `b`, for the shapes that load it — are lane pointers
+    /// `a` — and `b`, for the values that load it — are lane pointers
     /// `resolve_lanes` validated.
     unsafe fn of(c: f32, a: *const f32, b: *const f32) -> f32;
 }
 
-macro_rules! term_shape {
-    ($name:ident, |$c:pat_param, $a:ident, $b:pat_param, $ld:ident| $e:expr) => {
+macro_rules! value_fn {
+    ($name:ident, |$c:pat_param, $a:pat_param, $b:pat_param, $ld:ident| $e:expr) => {
         struct $name;
-        impl Term for $name {
+        impl ValueFn for $name {
             #[inline(always)]
             unsafe fn of($c: f32, $a: *const f32, $b: *const f32) -> f32 {
                 // SAFETY: the caller's contract, for each pointer read.
@@ -1035,157 +985,101 @@ macro_rules! term_shape {
     };
 }
 
-term_shape!(AOnly, |_, a, _, ld| ld(a));
-term_shape!(CoeffA, |c, a, _, ld| c * ld(a));
-term_shape!(ACoeff, |c, a, _, ld| ld(a) * c);
-term_shape!(AB, |_, a, b, ld| ld(a) * ld(b));
-term_shape!(CoeffAB, |c, a, b, ld| (c * ld(a)) * ld(b));
-term_shape!(ACoeffB, |c, a, b, ld| (ld(a) * c) * ld(b));
-term_shape!(CoeffParenAB, |c, a, b, ld| c * (ld(a) * ld(b)));
+value_fn!(Hoisted, |c, _, _, _ld| c);
+value_fn!(ExpDiff, |_, a, b, ld| (ld(a) - ld(b)).exp());
+value_fn!(AOnly, |_, a, _, ld| ld(a));
+value_fn!(CoeffA, |c, a, _, ld| c * ld(a));
+value_fn!(ACoeff, |c, a, _, ld| ld(a) * c);
+value_fn!(AB, |_, a, b, ld| ld(a) * ld(b));
+value_fn!(CoeffAB, |c, a, b, ld| (c * ld(a)) * ld(b));
+value_fn!(ACoeffB, |c, a, b, ld| (ld(a) * c) * ld(b));
+value_fn!(CoeffParenAB, |c, a, b, ld| c * (ld(a) * ld(b)));
 
-/// Expand `$run` once per [`TermShape`] with `$T` naming its [`Term`], and
-/// pick the expansion `$shape` selects — so each shape gets its own
-/// monomorphised loop with the shape `match` outside it.
+/// Expand `$run` once per [`TermShape`] with `$T` naming its [`ValueFn`],
+/// and pick the expansion `$shape` selects.
 macro_rules! on_shape {
     ($shape:expr, $T:ident => $run:expr) => {
+        on_shape!($shape, $T => $run; AOnly CoeffA ACoeff AB CoeffAB ACoeffB CoeffParenAB)
+    };
+    ($shape:expr, $T:ident => $run:expr; $($name:ident)*) => {
         match $shape {
-            TermShape::AOnly => {
-                type $T = AOnly;
+            $(TermShape::$name => {
+                type $T = $name;
                 $run
-            }
-            TermShape::CoeffA => {
-                type $T = CoeffA;
-                $run
-            }
-            TermShape::ACoeff => {
-                type $T = ACoeff;
-                $run
-            }
-            TermShape::AB => {
-                type $T = AB;
-                $run
-            }
-            TermShape::CoeffAB => {
-                type $T = CoeffAB;
-                $run
-            }
-            TermShape::ACoeffB => {
-                type $T = ACoeffB;
-                $run
-            }
-            TermShape::CoeffParenAB => {
-                type $T = CoeffParenAB;
-                $run
-            }
+            })*
         }
     };
 }
 
-/// The per-lane `f32` term of `$shape` at coefficient `$coeff` as a closure
-/// `$t(a, b)` over lane element pointers; `$body` is expanded once per
-/// shape (`on_shape!`).
-macro_rules! with_term {
-    ($shape:expr, $coeff:expr, |$t:ident| $body:expr) => {{
-        let c: f32 = $coeff;
-        on_shape!($shape, T => {
-            // SAFETY (caller): `$t` is only applied to lane pointers that
-            // `resolve_lanes` validated.
-            let $t = move |a: *const f32, b: *const f32| unsafe { T::of(c, a, b) };
-            $body
-        })
+/// Expand `$lanes` with `$C` and `$V` naming the types of the lane op
+/// `$op`'s combine and value — `$reduce` with `$V` for the register
+/// reduction — for the six instances [`fuse_lane_loop`] accepts and no
+/// other pair, and pick the expansion `$op` is: one monomorphised body per
+/// instance and term shape, with the `match` outside it.
+macro_rules! on_op {
+    (@ $C:ident = $c:ty, $V:ident = $v:ty => $lanes:expr) => {{
+        type $C = $c;
+        type $V = $v;
+        $lanes
+    }};
+    ($op:expr, <$C:ident, $V:ident> => $lanes:expr, <$R:ident> => $reduce:expr) => {{
+        let op: &LaneOp = $op;
+        match (op.combine, &op.value) {
+            (Combine::Store, Value::Hoisted(_)) => on_op!(@ $C = Store, $V = Hoisted => $lanes),
+            (Combine::Store, Value::ExpDiff(..)) => on_op!(@ $C = Store, $V = ExpDiff => $lanes),
+            (Combine::Max, _) => on_op!(@ $C = Max, $V = AOnly => $lanes),
+            (Combine::Add, Value::Term(t)) if op.dst.stride == 0 => {
+                on_shape!(t.shape, $R => $reduce)
+            }
+            (Combine::Add, Value::Term(t)) => {
+                type $C = Add;
+                on_shape!(t.shape, $V => $lanes)
+            }
+            _ => unreachable!("`fuse_lane_loop` accepts no other lane op"),
+        }
     }};
 }
 
-/// `dst[l] = v` over unit-stride lanes.
-///
-/// # Safety
-/// `d` was resolved for a store over `n` lanes.
-unsafe fn fill(n: i64, d: Lanes, v: f32) {
-    pieces(0, n, [d], |len, [pd]| {
-        for l in 0..len {
-            pd.add(l).write(v);
-        }
-    });
-}
-
-/// `dst[l] = f(cur, a + l, b + l)` over unit-stride lanes, `cur` being
-/// `base` when the init fires at every lane and `dst[l]` when at none: the
-/// loop of both accumulates that write a whole run, [`axpy`] and [`max`].
+/// `dst[l] = C(cur, V(c, a + l, b + l))` over unit-stride lanes, `cur`
+/// being `base` when the init fires at every lane and `dst[l]` when at
+/// none: the body of every lane op but the register reduction.
 ///
 /// # Safety
 /// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
 /// unit stride.
-#[inline(always)]
-unsafe fn accumulate(
+unsafe fn lanes<C: CombineFn, V: ValueFn>(
     n: i64,
     [d, a, b]: [Lanes; 3],
     base: Option<f32>,
-    f: impl Fn(f32, *const f32, *const f32) -> f32,
+    c: f32,
 ) {
     debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
     pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
         Some(base) => {
             for l in 0..len {
-                pd.add(l).write(f(base, pa.add(l), pb.add(l)));
+                pd.add(l).write(C::of(base, V::of(c, pa.add(l), pb.add(l))));
             }
         }
         None => {
             for l in 0..len {
-                pd.add(l).write(f(pd.add(l).read(), pa.add(l), pb.add(l)));
+                pd.add(l).write(C::of(pd.add(l).read(), V::of(c, pa.add(l), pb.add(l))));
             }
         }
     });
 }
 
-/// `dst[l] = cur + t(l)` ([`accumulate`]).
-///
-/// # Safety
-/// As [`accumulate`].
-unsafe fn axpy(
-    n: i64,
-    ops: [Lanes; 3],
-    base: Option<f32>,
-    t: impl Fn(*const f32, *const f32) -> f32,
-) {
-    accumulate(n, ops, base, |cur, a, b| cur + t(a, b));
-}
-
-/// `dst[l] = cur.max(a[l])` ([`accumulate`]): `f32::max`, in the
-/// source's operand order, as `FloatExpr::eval` computes `fmax`.
-///
-/// # Safety
-/// As [`accumulate`].
-unsafe fn max(n: i64, ops: [Lanes; 3], base: Option<f32>) {
-    // SAFETY: the caller's contract: `a` is a validated lane pointer.
-    accumulate(n, ops, base, |cur, a, _| cur.max(unsafe { a.read() }));
-}
-
-/// `dst[l] = (a[l] − b[l]).exp()` over unit-stride lanes: `f32::exp`, as
-/// `FloatExpr::eval` computes `exp`.
-///
-/// # Safety
-/// `d` (for a store), `a` and `b` were resolved over `n` lanes, all with
-/// unit stride.
-unsafe fn exp_diff(n: i64, [d, a, b]: [Lanes; 3]) {
-    debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
-    pieces(0, n, [d, a, b], |len, [pd, pa, pb]| {
-        for l in 0..len {
-            pd.add(l).write((pa.add(l).read() - pb.add(l).read()).exp());
-        }
-    });
-}
-
-/// `acc = acc + t(l)` over lanes `from..n` into the one element `d`,
-/// starting from `start` (or the element's current value): one `f32` add
-/// per lane, in lane order, as the generic store/load pair has it.
+/// `acc = acc + V(c, a_l, b_l)` over lanes `from..n` into the one element
+/// `d`, starting from `start` (or the element's current value): one `f32`
+/// add per lane, in lane order, as the generic store/load pair has it.
 ///
 /// # Safety
 /// `d` (for a store, stride 0), `a` and `b` were resolved over `n` lanes.
-unsafe fn reduce(
+#[inline(always)]
+unsafe fn reduce<V: ValueFn>(
     (from, n): (i64, i64),
     [d, a, b]: [Lanes; 3],
     start: Option<f32>,
-    t: impl Fn(*const f32, *const f32) -> f32,
+    c: f32,
 ) {
     debug_assert!(d.stride() == 0 && (0..n).contains(&from));
     let (pd, _) = d.piece(0);
@@ -1193,7 +1087,7 @@ unsafe fn reduce(
     let (sa, sb) = (a.stride() as isize, b.stride() as isize);
     pieces(from, n, [a, b], |len, [pa, pb]| {
         for l in 0..len as isize {
-            acc += t(pa.offset(l * sa), pb.offset(l * sb));
+            acc = Add::of(acc, V::of(c, pa.offset(l * sa), pb.offset(l * sb)));
         }
     });
     pd.write(acc);
@@ -1210,8 +1104,8 @@ unsafe fn reduce(
 type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
 
 /// The menu of trip loops: one out-of-line monomorphised loop per lane op
-/// and term shape — and per kind of operand: every one a single run
-/// (`[0]`; what whole tensors and one-segment views give), or some cut
+/// instance and term shape — and per kind of operand: every one a single
+/// run (`[0]`; what whole tensors and one-segment views give), or some cut
 /// into column segments (`[1]`, a batch). Everything a trip does not
 /// change is matched here, once per launch when a nest's walk state is
 /// established, instead of once per non-zero. Inside, a trip
@@ -1226,31 +1120,15 @@ type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
 /// `Lanes` match per operand per trip and the lane bodies' piece loop
 /// around 8–16 lanes of arithmetic. The batch of eight is the same either
 /// way (361 µs).
-fn trip_loops(lanes: &LaneSpec) -> [TripLoop; 2] {
-    match &lanes.micro {
-        Micro::FillLanes { .. } => [fill_trips::<false>, fill_trips::<true>],
-        Micro::AxpyLanes { term, .. } => {
-            on_shape!(term.shape, T => [axpy_trips::<T, false>, axpy_trips::<T, true>])
-        }
-        Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
-            on_shape!(term.shape, T => [reduce_trips::<T, false>, reduce_trips::<T, true>])
-        }
-        Micro::MaxLanes { .. } => [max_trips::<false>, max_trips::<true>],
-        Micro::ExpDiffLanes { .. } => [exp_diff_trips::<false>, exp_diff_trips::<true>],
-    }
+fn trip_loops(spec: &LaneSpec) -> [TripLoop; 2] {
+    on_op!(&spec.op,
+        <C, V> => [lanes_trips::<C, V, false>, lanes_trips::<C, V, true>],
+        <V> => [reduce_trips::<V, false>, reduce_trips::<V, true>])
 }
 
-/// [`fill`] per trip.
+/// [`lanes`] per trip.
 #[inline(never)]
-unsafe fn fill_trips<const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
-    // SAFETY: each trip's `dst` lanes are what `resolve_lanes` would hand
-    // `fill` there (`Stepped::walk`).
-    w.walk::<SEG>(|_, [d, ..], v| unsafe { fill(w.n, d, v) })
-}
-
-/// [`axpy`] per trip.
-#[inline(never)]
-unsafe fn axpy_trips<T: Term, const SEG: bool>(
+unsafe fn lanes_trips<C: CombineFn, V: ValueFn, const SEG: bool>(
     w: &Stepped,
     first: LaneInit,
     rest: LaneInit,
@@ -1259,35 +1137,15 @@ unsafe fn axpy_trips<T: Term, const SEG: bool>(
         return 0;
     };
     // SAFETY: each trip's operands are what `resolve_lanes` would hand
-    // `axpy` there (`Stepped::walk`).
+    // `lanes` there (`Stepped::walk`).
     w.walk::<SEG>(|t, ops, c| unsafe {
-        let base = if t == 0 { first } else { rest };
-        axpy(w.n, ops, base, |a, b| T::of(c, a, b));
+        lanes::<C, V>(w.n, ops, if t == 0 { first } else { rest }, c);
     })
-}
-
-/// [`max`] per trip.
-#[inline(never)]
-unsafe fn max_trips<const SEG: bool>(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
-    let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
-        return 0;
-    };
-    // SAFETY: each trip's operands are what `resolve_lanes` would hand
-    // `max` there (`Stepped::walk`).
-    w.walk::<SEG>(|t, ops, _| unsafe { max(w.n, ops, if t == 0 { first } else { rest }) })
-}
-
-/// [`exp_diff`] per trip.
-#[inline(never)]
-unsafe fn exp_diff_trips<const SEG: bool>(w: &Stepped, _: LaneInit, _: LaneInit) -> i64 {
-    // SAFETY: each trip's operands are what `resolve_lanes` would hand
-    // `exp_diff` there (`Stepped::walk`).
-    w.walk::<SEG>(|_, ops, _| unsafe { exp_diff(w.n, ops) })
 }
 
 /// [`reduce`] per trip.
 #[inline(never)]
-unsafe fn reduce_trips<T: Term, const SEG: bool>(
+unsafe fn reduce_trips<V: ValueFn, const SEG: bool>(
     w: &Stepped,
     first: LaneInit,
     rest: LaneInit,
@@ -1297,7 +1155,7 @@ unsafe fn reduce_trips<T: Term, const SEG: bool>(
     // `reduce` there (`Stepped::walk`); `0 <= from < n`.
     w.walk::<SEG>(|t, ops, c| unsafe {
         let (from, start) = if t == 0 { first } else { rest };
-        reduce((from, w.n), ops, start, |a, b| T::of(c, a, b));
+        reduce::<V>((from, w.n), ops, start, c);
     })
 }
 
@@ -1326,56 +1184,13 @@ impl LaneSpec {
             let v = it.binding.eval(fr).ok()?;
             fr.scalars[it.slot as usize] = v;
         }
-        let init_v = match &self.init {
-            InitKind::None => 0.0,
-            InitKind::Always { value }
-            | InitKind::WhenReduceZero { value }
-            | InitKind::AtZeroLane { value } => value.eval(fr).ok()?,
-        };
-        let (scalar, [d, a, b]) = match &self.micro {
-            Micro::FillLanes { dst, value } => {
-                let v = value.eval(fr).ok()?;
-                (v, [resolve_lanes(fr, dst.parts(), n, true)?; 3])
-            }
-            Micro::AxpyLanes { dst, term }
-            | Micro::DotLanes { dst, term }
-            | Micro::GatherScaleAccumulate { dst, term } => {
-                let (coeff, a, b) = resolve_term(fr, term, n)?;
-                (coeff, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
-            }
-            Micro::MaxLanes { dst, a } => {
-                let a = resolve_lanes(fr, a.parts(), n, false)?;
-                (0.0, [resolve_lanes(fr, dst.parts(), n, true)?, a, a])
-            }
-            Micro::ExpDiffLanes { dst, a, b } => {
-                let a = resolve_lanes(fr, a.parts(), n, false)?;
-                let b = resolve_lanes(fr, b.parts(), n, false)?;
-                (0.0, [resolve_lanes(fr, dst.parts(), n, true)?, a, b])
-            }
-        };
-        Some(Resolved { n, init: self.lane_init(fr, n), init32: init_v, scalar, ops: [d, a, b] })
-    }
-
-    /// At which lanes the init fires, from the reduce iters' values at
-    /// lane 0 (already in their slots).
-    fn lane_init(&self, fr: &Frame, n: i64) -> LaneInit {
-        match &self.init {
-            InitKind::None => LaneInit::Never,
-            InitKind::Always { .. } => LaneInit::All,
-            InitKind::WhenReduceZero { .. } => {
-                let zero = self
-                    .iters
-                    .iter()
-                    .filter(|it| it.is_reduce)
-                    .all(|it| fr.scalars[it.slot as usize] == 0);
-                if zero {
-                    LaneInit::All
-                } else {
-                    LaneInit::Never
-                }
-            }
-            InitKind::AtZeroLane { .. } => self.zero_lane(fr, n),
-        }
+        let eval = |value: Option<&FloatExpr>| value.map_or(Some(0.0), |v| v.eval(fr).ok());
+        let (init32, scalar) = (eval(self.init.value())?, eval(self.op.hoisted())?);
+        let [_, a, b] = self.op.views();
+        let d = resolve_lanes(fr, &self.op.dst, n, true)?;
+        let a = a.map_or(Some(d), |a| resolve_lanes(fr, a, n, false))?;
+        let b = b.map_or(Some(a), |b| resolve_lanes(fr, b, n, false))?;
+        Some(Resolved { n, init: self.lane_init(fr, n), init32, scalar, ops: [d, a, b] })
     }
 
     /// Run the microkernel over lanes `r` resolved. `None` only before any
@@ -1386,47 +1201,28 @@ impl LaneSpec {
 
     #[inline(always)]
     fn run_inline(&self, r: &Resolved) -> Option<()> {
-        let (n, ops) = (r.n, r.ops);
-        match &self.micro {
-            Micro::FillLanes { .. } => {
-                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
-                // and its writability; `fuse_lane_loop` proved its stride
-                // is 1.
-                unsafe { fill(n, ops[0], r.scalar) };
-            }
-            Micro::AxpyLanes { term, .. } => {
-                let base = axpy_base!(r.init, r.init32, return None);
-                // SAFETY: `resolve_lanes` validated all `n` lanes of every
-                // operand (and `dst`'s writability) before the first write;
-                // `fuse_lane_loop` proved all three strides are 1.
-                with_term!(term.shape, r.scalar, |t| unsafe { axpy(n, ops, base, t) });
-            }
-            Micro::DotLanes { term, .. } | Micro::GatherScaleAccumulate { term, .. } => {
-                let (from, start) = reduce_start!(r.init, n, r.init32);
-                // SAFETY: `resolve_lanes` validated all `n` lanes of `a`
-                // and `b` at their proven strides and the one element of
-                // `dst` (stride 0, writable); `0 <= from < n`.
-                with_term!(term.shape, r.scalar, |t| unsafe { reduce((from, n), ops, start, t) });
-            }
-            Micro::MaxLanes { .. } => {
-                let base = axpy_base!(r.init, r.init32, return None);
-                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
-                // (writable) and `a` before the first write; `fuse_lane_loop`
-                // proved both strides are 1.
-                unsafe { max(n, ops, base) };
-            }
-            Micro::ExpDiffLanes { .. } => {
-                // SAFETY: `resolve_lanes` validated all `n` lanes of `dst`
-                // (writable), `a` and `b` before the first write;
-                // `fuse_lane_loop` proved all three strides are 1.
-                unsafe { exp_diff(n, ops) };
-            }
-        }
+        let (n, ops, c) = (r.n, r.ops, r.scalar);
+        // SAFETY: `resolve_lanes` validated all `n` lanes of every operand
+        // at its proven stride (and `dst`'s writability) before the first
+        // write; `fuse_lane_loop` proved every stride of a contiguous op is
+        // 1 and the reduction's `dst` stride 0; `0 <= from < n`.
+        on_op!(&self.op,
+        <C, V> => unsafe { lanes::<C, V>(n, ops, r.init.base(r.init32)?, c) },
+        <V> => {
+            let (from, start) = r.init.restart(n, r.init32);
+            unsafe { reduce::<V>((from, n), ops, start, c) }
+        });
         Some(())
     }
 
-    /// The unique lane (if any) at which every reduce binding is zero.
-    fn zero_lane(&self, fr: &Frame, n: i64) -> LaneInit {
+    /// At which lanes the init fires, from the reduce iters' values at
+    /// lane 0 (already in their slots): where every reduce binding is zero
+    /// — every lane or none when each is lane-invariant (an all-spatial
+    /// block has none), else the one lane, if any.
+    fn lane_init(&self, fr: &Frame, n: i64) -> LaneInit {
+        if self.init.value().is_none() {
+            return LaneInit::Never;
+        }
         let mut lane: Option<i64> = None;
         for it in self.iters.iter().filter(|it| it.is_reduce) {
             let v0 = fr.scalars[it.slot as usize];
@@ -1451,28 +1247,6 @@ impl LaneSpec {
                 }
             }
         }
-        match lane {
-            Some(l) => LaneInit::One(l),
-            // All reduce bindings are lane-invariant zeros: that case is
-            // classified WhenReduceZero at compile time, but guard anyway.
-            None => LaneInit::All,
-        }
+        lane.map_or(LaneInit::All, LaneInit::One)
     }
-}
-
-/// Evaluate the invariant coefficient and resolve the lane operands.
-#[inline(always)]
-fn resolve_term(fr: &Frame, term: &TermSpec, n: i64) -> Option<(f32, Lanes, Lanes)> {
-    let coeff = match &term.coeff {
-        Some(c) => c.eval(fr).ok()?,
-        None => 0.0,
-    };
-    let a = resolve_lanes(fr, term.a.parts(), n, false)?;
-    let b = match &term.b {
-        Some(bv) => resolve_lanes(fr, bv.parts(), n, false)?,
-        // Never loaded by shapes without a second operand; alias `a` so
-        // the operand triple stays uniform.
-        None => a,
-    };
-    Some((coeff, a, b))
 }

@@ -90,7 +90,7 @@
 
 use super::{
     cols_lanes, div_rem, trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp,
-    LaneInit, LaneSpec, Lanes, Micro, RawBuf, Resolved, TripLoop,
+    LaneInit, LaneSpec, Lanes, RawBuf, Resolved, TripLoop, Value,
 };
 use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp, RowSeg};
 
@@ -225,7 +225,7 @@ pub(in crate::exec) fn build_nest(
 
     let mut bufs = Vec::new();
     let (mut views, mut entry_views) = ([None; 3], [None, None, None]);
-    for (k, view) in lanes.micro.views().into_iter().enumerate() {
+    for (k, view) in lanes.op.views().into_iter().enumerate() {
         if let Some(view) = view {
             let (at, drift, _) = p.index(&view.index)?;
             (views[k], entry_views[k]) = (drift, Some(at));
@@ -233,9 +233,10 @@ pub(in crate::exec) fn build_nest(
         }
     }
 
-    let fill = matches!(lanes.micro, Micro::FillLanes { .. });
+    // A hoisted value that is the lane's value itself, not a coefficient.
+    let fill = matches!(lanes.op.value, Value::Hoisted(_));
     let (mut coeff, mut entry_coeff, mut ratio, mut factor) = (None, None, None, None);
-    match lanes.micro.hoisted() {
+    match lanes.op.hoisted() {
         // Evaluated once per launch.
         Some(value) if float_static(value) => {}
         // One plain load (a term's coefficient, a fill's value), pinned and
@@ -271,7 +272,7 @@ pub(in crate::exec) fn build_nest(
         None => {}
     }
 
-    let dst = lanes.micro.views()[0]?.buf;
+    let dst = lanes.op.dst.buf;
     let (gather, entry_gather) = match p.gather.take() {
         Some((buf, index, drift, at, reg)) => {
             // Gathering through the buffer the lanes write would read the
@@ -1154,7 +1155,7 @@ impl Trips {
             let drift = drift.unwrap_or_else(|| at.still());
             ViewWalk::new(fr, (buf, stride), drift, run, at.reach(drift.dim)?)
         };
-        let of = lanes.micro.views();
+        let of = lanes.op.views();
         let mut views = [None, None, None];
         for k in 0..3 {
             if let (Some(view), Some(at)) = (of[k], &prog.views[k]) {
@@ -1162,7 +1163,7 @@ impl Trips {
                     Some(walk((view.buf, view.stride), at, spec.views[k], (prog.n, k == 0))?);
             }
         }
-        let (coeff, scalar, factor) = match lanes.micro.hoisted() {
+        let (coeff, scalar, factor) = match lanes.op.hoisted() {
             Some(value) => match (walked(value, spec.ratio), &prog.coeff) {
                 (Some((buf, _, by)), Some(at)) => {
                     // A constant factor is evaluated here, a loaded one by

@@ -18,8 +18,12 @@
 //!   compositions applied by the real `Schedule` machinery;
 //! * `lane_kernel` — axpy/dot-shaped lane loops with random lane counts
 //!   (including 1/2/3/32/33), strides, init seeding and aliasing, aimed
-//!   squarely at the fused `FillLanes`/`AxpyLanes`/`DotLanes`/
-//!   `GatherScaleAccumulate` microkernels and their fallback boundary.
+//!   squarely at the fused lane op (`dst[l] = combine(dst[l], value(l))`)
+//!   and its fallback boundary. The lane op has six instances:
+//!   `FillLanes`, `AxpyLanes`, `DotLanes`, `GatherScaleAccumulate` (these
+//!   four here and in `lane_term`), `MaxLanes` and `ExpDiffLanes` (in the
+//!   `softmax` member); the pairs one step outside them each have a named
+//!   case that must stay generic.
 //!
 //! Every case runs three ways — interpreter, bytecode, bytecode+super —
 //! and each compiled kernel also runs twice (through the cache) to check
@@ -42,16 +46,18 @@
 //! CSR schedule's `split(k, 32)` at widths 32 … 128 (lane-coalesced) and
 //! 48 (guarded tail, generic) through the same three bindings. Its
 //! `row_nest` members pin the row-nest superinstruction: the served CSR /
-//! ELL / one-head SDDMM loops must compile to one, keep every output bit,
-//! and fail like the interpreter when a trip in the *middle* of a row does
+//! ELL / one-head SDDMM loops must compile to one, keep every output bit
+//! (every row shape and every ELL bucket width also within the `f64`
+//! oracle's bound), and fail like the interpreter when a trip in the *middle* of a row does
 //! (a corrupted column index, a short `B`); one negative case per
 //! classification rule must stay on the per-non-zero `Super`. Its
 //! `reentered` members run every row shape under each loop shape a served
 //! nest sits in (blocked rows with and without the tail guard, a plain
 //! row loop, `hyb` buckets), check through [`CompiledKernel::nest_counts`]
 //! that every entry, the launch's first included, runs its entry program
-//! and re-pins kept state — and bit-match where re-allocating a buffer the
-//! state names drops it — with one negative case per entry-program rule,
+//! and re-pins kept state — and bit-match, the SpMM, `hyb` and SDDMM arms
+//! also within the `f64` oracle's bound, and where re-allocating a buffer
+//! the state names drops it — with one negative case per entry-program rule,
 //! each no nest. Its `stepped` members run the monomorphised trip loop an
 //! entry takes: lane counts around the
 //! vector widths × batches of unequal segments × one and three heads on a
@@ -811,6 +817,69 @@ fn aliased_buffers_fall_back_to_generic() {
     differential(&f, &HashMap::new(), &tensors).unwrap();
 }
 
+/// Lane loops one step outside the six fused lane ops, each over `k` in
+/// `0..33` with `a = X[k]`, `b = Y[k]`, `c = W[0]` and `dst` either `C[k]`
+/// or the one element `S[0]`: a bare term store, a running maximum of a
+/// scaled operand, an accumulated `exp`, a running minimum, `exp(a − b)`
+/// under an init or into one element, and a running maximum whose reduce
+/// binding strides with the lane. None fuses; all bit-match the
+/// interpreter on generic dispatch.
+#[test]
+fn lane_bodies_outside_the_six_lane_ops_stay_generic() {
+    let n = 33i64;
+    let [w, s] = ["W", "S"].map(|name| Buffer::global_f32(name, vec![Expr::i32(1)]));
+    let [x, y, c] = ["X", "Y", "C"].map(|name| Buffer::global_f32(name, vec![Expr::i32(n)]));
+    let (k, vk, vr) = (Var::i32("k"), Var::i32("vk"), Var::i32("vr"));
+    fn exp(e: Expr) -> Expr {
+        Expr::Call { intrin: Intrinsic::Exp, args: vec![e] }
+    }
+    let (lane, one) = (vec![Expr::var(&vk)], vec![Expr::i32(0)]);
+    // (case, value of (dst, a, b, c), into `S[0]`, init, reduce binding on
+    // the lane)
+    type Value = fn(Expr, Expr, Expr, Expr) -> Expr;
+    let cases: [(&str, Value, bool, bool, bool); 7] = [
+        ("dst = c·a", |_, a, _, c| c * a, false, false, false),
+        ("max(dst, c·a)", |d, a, _, c| d.max(c * a), false, false, false),
+        ("dst + exp(a − b)", |d, a, b, _| d + exp(a - b), false, false, false),
+        ("min(dst, a)", |d, a, _, _| d.min(a), false, false, false),
+        ("exp(a − b) with an init", |_, a, b, _| exp(a - b), false, true, false),
+        ("exp(a − b) into one element", |_, a, b, _| exp(a - b), true, false, false),
+        ("max under a lane-strided reduce", |d, a, _, _| d.max(a), false, true, true),
+    ];
+    let mut rng = gen::rng(0x6f);
+    for (case, value, scalar, init, reduce) in cases {
+        let (dst, at) = if scalar { (&s, &one) } else { (&c, &lane) };
+        let mut iter_vars = vec![IterVar::spatial(vk.clone(), Expr::var(&k))];
+        if reduce {
+            iter_vars.push(IterVar::reduce(vr.clone(), Expr::var(&k)));
+        }
+        let store = |value| Stmt::BufferStore { buffer: dst.clone(), indices: at.to_vec(), value };
+        let block = Stmt::Block(sparsetir_ir::stmt::Block {
+            name: "boundary".into(),
+            iter_vars,
+            reads: vec![],
+            writes: vec![],
+            init: init.then(|| Box::new(store(Expr::f32(0.5)))),
+            body: Box::new(store(value(
+                dst.load(at.to_vec()),
+                x.load(lane.clone()),
+                y.load(lane.clone()),
+                w.load(one.clone()),
+            ))),
+        });
+        let bufs = vec![w.clone(), x.clone(), y.clone(), c.clone(), s.clone()];
+        let f = PrimFunc::new("boundary", vec![], bufs, Stmt::for_serial(k.clone(), n, block));
+        let mut tensors = HashMap::new();
+        for (name, len) in [("W", 1), ("X", n), ("Y", n), ("C", n), ("S", 1)] {
+            let v = (0..len).map(|_| rng.gen_range(-2.0f32..2.0)).collect::<Vec<_>>();
+            tensors.insert(name.to_string(), TensorData::F32(v));
+        }
+        let fused = CompiledKernel::compile_with(&f, true).expect("compiles");
+        assert!(fused.fused_kinds().is_empty(), "{case}:\n{}", fused.disassemble());
+        differential(&f, &HashMap::new(), &tensors).unwrap_or_else(|m| panic!("{case}: {m}"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Failure-path identity: runtime errors must match on every executor
 // ---------------------------------------------------------------------------
@@ -1393,6 +1462,10 @@ fn row_nest_handles_every_row_shape() {
                 let tensors = spmm_tensors(&a, d, 0.0, &mut rng);
                 differential(&f, &HashMap::new(), &tensors)
                     .unwrap_or_else(|m| panic!("rows {lens:?}, d = {d}: {m}"));
+                let t = interpreted(&f, &tensors, &[]);
+                oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                    .check(t["C"].as_f32())
+                    .unwrap_or_else(|m| panic!("rows {lens:?}, d = {d}: {m}"));
             }
         }
     }
@@ -1439,6 +1512,8 @@ fn row_nest_covers_ell_buckets_of_every_width() {
     bind_dense(&mut tensors, "B", &gen::random_dense(a.cols(), d, &mut rng));
     bind_zeros(&mut tensors, "C", a.rows() * d);
     differential(&f, &HashMap::new(), &tensors).unwrap();
+    let t = interpreted(&f, &tensors, &[]);
+    oracle::spmm_f64(&a, t["B"].as_f32(), d).check(t["C"].as_f32()).unwrap();
 }
 
 /// A column index corrupted in the *middle* of a row — past `B`'s rows, or
@@ -1653,6 +1728,10 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
                 ];
                 let ran = views_differential(&f, &structure, &parts);
                 assert_eq!(ran, [None, None], "rows {lens:?}, {what}");
+                let t = interpreted(&f, &structure, &parts);
+                oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                    .check(t["C"].as_f32())
+                    .unwrap_or_else(|m| panic!("rows {lens:?}, {what}: {m}"));
             }
             let mut whole = structure.clone();
             whole.insert("B".to_string(), TensorData::from(vec![0.5f32; a.cols() * d]));
@@ -1673,6 +1752,11 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
             let parts = sddmm_parts(&a, (1, k), (x_cut, 1, out_cut), &mut rng);
             let ran = views_differential(&f, &csr_tensors(&a), &parts);
             assert_eq!(ran, [None, None], "rows {lens:?}, sddmm");
+            let t = interpreted(&f, &csr_tensors(&a), &parts);
+            let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
+            oracle::sddmm_f64(&a, x, y, k)
+                .check(out)
+                .unwrap_or_else(|m| panic!("rows {lens:?}, sddmm: {m}"));
         }
     }
 }
