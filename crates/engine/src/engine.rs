@@ -1,8 +1,7 @@
 //! The serving engine: a bounded multi-producer request queue drained by
 //! a worker pool that folds fingerprint-compatible requests of *any*
-//! batchable [`SparseOp`] — SpMM, SDDMM, multi-head attention, fused
-//! attention — into single widened kernel launches through one generic
-//! request path.
+//! batchable [`SparseOp`] — SpMM, SDDMM, fused attention — into single
+//! widened kernel launches through one generic request path.
 //!
 //! Since the SLO redesign the queue is priority-then-deadline ordered,
 //! admission sheds infeasible or expired work with typed
@@ -16,8 +15,8 @@ use crate::submission::{Priority, RejectReason, Submission};
 use sparsetir_autotune::{sim_spmm_config, sim_spmm_key, SparsityFingerprint, TuneCache, TuneKey};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    bytes_copied_on_thread, AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp,
-    SparseOp, SpmmConfig, SpmmOp,
+    bytes_copied_on_thread, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig,
+    SpmmOp,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
 use std::collections::hash_map::DefaultHasher;
@@ -190,8 +189,6 @@ pub enum OpRequest {
     Spmm(Dense),
     /// SDDMM `A ⊙ (X · Y)`: the dense operand pair.
     Sddmm((Dense, Dense)),
-    /// Multi-head attention aggregation: one feature operand per head.
-    Attention(Vec<Dense>),
     /// Cross-op fused attention pipeline (SDDMM → edge-softmax → SpMM in
     /// one kernel): one `(Q, Kᵀ, V)` triple per head.
     FusedAttention(Vec<AttnHead>),
@@ -202,14 +199,13 @@ pub enum OpRequest {
 
 impl OpRequest {
     /// The op kind tag this request routes to (`"spmm"`, `"sddmm"`,
-    /// `"attention"`, `"fused_attention"`, `"fused_sage"`) — useful for
-    /// logging and metrics.
+    /// `"fused_attention"`, `"fused_sage"`) — useful for logging and
+    /// metrics.
     #[must_use]
     pub fn kind(&self) -> &'static str {
         match self {
             OpRequest::Spmm(_) => SpmmOp::kind(),
             OpRequest::Sddmm(_) => SddmmOp::kind(),
-            OpRequest::Attention(_) => AttentionOp::kind(),
             OpRequest::FusedAttention(_) => FusedAttentionOp::kind(),
             OpRequest::FusedSage(_) => FusedSageOp::kind(),
         }
@@ -220,7 +216,6 @@ impl OpRequest {
         match self {
             OpRequest::Spmm(x) => SpmmOp::validate(adj.csr(), x),
             OpRequest::Sddmm(pair) => SddmmOp::validate(adj.csr(), pair),
-            OpRequest::Attention(heads) => AttentionOp::validate(adj.csr(), heads),
             OpRequest::FusedAttention(heads) => FusedAttentionOp::validate(adj.csr(), heads),
             OpRequest::FusedSage(pair) => FusedSageOp::validate(adj.csr(), pair),
         }
@@ -233,7 +228,6 @@ impl OpRequest {
         match (self, other) {
             (OpRequest::Spmm(a), OpRequest::Spmm(b)) => SpmmOp::can_batch(a, b),
             (OpRequest::Sddmm(a), OpRequest::Sddmm(b)) => SddmmOp::can_batch(a, b),
-            (OpRequest::Attention(a), OpRequest::Attention(b)) => AttentionOp::can_batch(a, b),
             (OpRequest::FusedAttention(a), OpRequest::FusedAttention(b)) => {
                 FusedAttentionOp::can_batch(a, b)
             }
@@ -248,11 +242,11 @@ impl OpRequest {
 /// result.
 #[derive(Debug, Clone)]
 pub enum OpOutput {
-    /// A dense matrix (SpMM).
+    /// A dense matrix (SpMM, fused GraphSAGE).
     Dense(Dense),
     /// Per-non-zero edge values (SDDMM).
     Edges(Vec<f32>),
-    /// One dense matrix per head (attention).
+    /// One dense matrix per head (fused attention).
     Heads(Vec<Dense>),
 }
 
@@ -271,7 +265,7 @@ impl OpOutput {
         match variant {
             "Dense" => "spmm|fused_sage",
             "Edges" => "sddmm",
-            _ => "attention|fused_attention",
+            _ => "fused_attention",
         }
     }
 
@@ -310,7 +304,7 @@ impl OpOutput {
         }
     }
 
-    /// The per-head attention result.
+    /// The per-head fused-attention result.
     ///
     /// # Errors
     /// [`EngineError::Output`] when this output belongs to a different
@@ -480,7 +474,7 @@ impl Ticket {
         self.wait()?.into_edges()
     }
 
-    /// Wait and unwrap a per-head (attention) result.
+    /// Wait and unwrap a per-head (fused attention) result.
     ///
     /// # Errors
     /// Like [`Ticket::wait`], plus [`EngineError::Output`] on an op
@@ -924,7 +918,7 @@ impl Drop for Engine {
 /// the unified [`OpOutput`]. Everything else — batching, execution —
 /// comes from the generic [`SparseOp`] contract, so adding a served op is
 /// one enum variant plus one impl of this glue.
-trait Served: SparseOp<Adj = Csr> {
+trait Served: SparseOp {
     fn extract(req: OpRequest) -> Self::Operands;
     fn wrap(out: Self::Output) -> OpOutput;
 
@@ -965,19 +959,6 @@ impl Served for SddmmOp {
 
     fn wrap(out: Vec<f32>) -> OpOutput {
         OpOutput::Edges(out)
-    }
-}
-
-impl Served for AttentionOp {
-    fn extract(req: OpRequest) -> Vec<Dense> {
-        match req {
-            OpRequest::Attention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<Dense>) -> OpOutput {
-        OpOutput::Heads(out)
     }
 }
 
@@ -1174,7 +1155,6 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     match &batch[0].req {
         OpRequest::Spmm(_) => serve_as::<SpmmOp>(shared, batch),
         OpRequest::Sddmm(_) => serve_as::<SddmmOp>(shared, batch),
-        OpRequest::Attention(_) => serve_as::<AttentionOp>(shared, batch),
         OpRequest::FusedAttention(_) => serve_as::<FusedAttentionOp>(shared, batch),
         OpRequest::FusedSage(_) => serve_as::<FusedSageOp>(shared, batch),
     }

@@ -11,11 +11,12 @@
 //! * **One generic submission path for every op**: a [`Submission`]
 //!   wraps the [`OpRequest`] enum over the kernel crate's
 //!   [`SparseOp`](sparsetir_kernels::op::SparseOp) layer — SpMM, SDDMM,
-//!   multi-head attention, the cross-op fused attention pipeline and the
-//!   fused GraphSAGE layer step all submit, batch and answer
-//!   through the same machinery ([`Engine::submit`] → [`Ticket`] →
-//!   [`OpOutput`]). Built via `Submission::spmm(feat).deadline(d)
-//!   .priority(Priority::Hi)`-style constructors.
+//!   the cross-op fused attention pipeline and the fused GraphSAGE layer
+//!   step all submit, batch and answer through the same machinery
+//!   ([`Engine::submit`] → [`Ticket`] → [`OpOutput`]). Built via
+//!   `Submission::spmm(feat).deadline(d).priority(Priority::Hi)`-style
+//!   constructors. A multi-head aggregation is one SpMM submission per
+//!   head: they fold into one widened launch like any other SpMM riders.
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -44,9 +45,9 @@
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
 //!   folded into one widened kernel launch that binds each rider's
 //!   operands and output buffer in place as segmented views — column
-//!   segments for SpMM/attention, a head axis inside each row's non-zero
-//!   loop for SDDMM/fused attention — so nothing is stacked or split
-//!   back ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
+//!   segments for SpMM, a head axis inside each row's non-zero loop for
+//!   SDDMM/fused attention — so nothing is stacked or split back
+//!   ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
 //!   costs (lowering, IR fingerprinting, dispatch) are paid once per
 //!   batch. Results are bit-identical to unbatched execution.
 //! * **Bounded queue with backpressure**: blocking submits wait while

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// per-kind width histogram is a fixed array of atomics (no locks on the
 /// serving path); an unknown kind tag falls through to the global
 /// counters only.
-const OP_KINDS: [&str; 5] = ["spmm", "sddmm", "attention", "fused_attention", "fused_sage"];
+const OP_KINDS: [&str; 4] = ["spmm", "sddmm", "fused_attention", "fused_sage"];
 
 /// Power-of-two latency buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` ns, which covers the full `u64` nanosecond range.

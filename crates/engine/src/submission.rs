@@ -1,8 +1,7 @@
 //! The options-carrying submission surface: one request type per served
 //! op plus the SLO envelope it travels in — deadline, priority class and
-//! per-request tuning override. `Submission` is the v0.2 public face of
-//! [`Engine::submit`](crate::Engine::submit); the old per-op wrapper
-//! methods are thin deprecated shims over these constructors.
+//! per-request tuning override. `Submission` is the one public face of
+//! [`Engine::submit`](crate::Engine::submit).
 
 use crate::engine::OpRequest;
 use sparsetir_kernels::prelude::AttnHead;
@@ -19,7 +18,8 @@ use std::time::Duration;
 pub enum Priority {
     /// Best-effort background work: first to be shed under load.
     Lo,
-    /// The default class — what every legacy wrapper submits.
+    /// The default class — what a submission without `.priority(..)`
+    /// (or a bare [`OpRequest`] converted `Into<Submission>`) gets.
     #[default]
     Normal,
     /// Latency-sensitive work: served ahead of every other class and
@@ -168,13 +168,6 @@ impl Submission {
     #[must_use]
     pub fn sddmm(x: Dense, y: Dense) -> Submission {
         Submission::new(OpRequest::Sddmm((x, y)))
-    }
-
-    /// A multi-head attention aggregation request (one feature operand
-    /// per head).
-    #[must_use]
-    pub fn attention(heads: Vec<Dense>) -> Submission {
-        Submission::new(OpRequest::Attention(heads))
     }
 
     /// A cross-op fused attention pipeline request (one `(Q, Kᵀ, V)`

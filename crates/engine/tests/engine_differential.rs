@@ -1,13 +1,24 @@
 //! Property-based differential tests: for random CSR matrices and random
 //! request sets — widths 0, 1, and mixed — the batched engine output of
-//! *every served op* (SpMM, SDDMM, multi-head attention, fused attention,
-//! fused SAGE) must be bit-identical to a sequential loop of the op's
-//! single-request `SparseOp::execute_on` calls on a fresh runtime —
-//! sequential execution is the batching oracle. This
-//! is the serving-path analogue of the executor's
-//! interpreter-differential suite: batching must be a pure performance
-//! transformation, and it must copy nothing (`bytes_copied == 0` on
-//! every engine, across widths 0/1/mixed, empty rows and 0-head riders).
+//! *every served op* (SpMM, SDDMM, fused attention, fused SAGE) must be
+//! bit-identical to a sequential loop of the op's single-request
+//! `SparseOp::execute_on` calls on a fresh runtime — sequential execution
+//! is the batching oracle. This is the serving-path analogue of the
+//! executor's interpreter-differential suite: batching must be a pure
+//! performance transformation, and it must copy nothing
+//! (`bytes_copied == 0` on every engine, across widths 0/1/mixed, empty
+//! rows and 0-head riders).
+//!
+//! Bit-identity between our own paths cannot catch a mistake they share,
+//! so every answer is also checked against the independent `f64` oracle
+//! of `crates/kernels/tests/oracle`, element by element within
+//! `|got − ref| ≤ 1e-4 · (1 + Σ|terms|)`, where the terms are:
+//! * SpMM (`spmm_f64`): `a_ij · x_jc`, one per non-zero of the row;
+//! * SDDMM (`sddmm_f64`): `a_ij · x_il · y_lj`, one per reduction step;
+//! * fused attention (`attention_f64`): `weight_e · v_jc` over the row,
+//!   with the softmax weights computed in `f64`;
+//! * fused SAGE (`sage_f64`): `x_jl · w_lo / deg(i)`, one per neighbour
+//!   and reduction step.
 
 use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
@@ -17,6 +28,9 @@ use sparsetir_kernels::prelude::{
     SpmmOp,
 };
 use sparsetir_smat::prelude::*;
+
+#[path = "../../kernels/tests/oracle/mod.rs"]
+mod oracle;
 
 /// Strategy: a small random sparse matrix (dims 1..=max_dim, bounded nnz).
 fn sparse_matrix(max_dim: usize, max_nnz: usize) -> impl Strategy<Value = Csr> {
@@ -39,12 +53,6 @@ fn request_widths() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(prop_oneof![Just(0usize), Just(1usize), 2usize..8], 1..7)
 }
 
-/// Strategy: per-request head counts for attention (0-head requests are
-/// legal and must split back to empty results).
-fn head_counts() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(prop_oneof![Just(0usize), Just(1usize), 2usize..4], 1..5)
-}
-
 fn random_feats(a: &Csr, widths: &[usize], seed: u64) -> Vec<Dense> {
     let mut rng = gen::rng(seed);
     widths.iter().map(|&w| gen::random_dense(a.cols(), w, &mut rng)).collect()
@@ -63,7 +71,7 @@ fn random_pairs(a: &Csr, widths: &[usize], seed: u64) -> Vec<(Dense, Dense)> {
 
 /// The sequential oracle: one request alone through the op layer on a
 /// fresh runtime.
-fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands) -> O::Output {
+fn solo<O: SparseOp>(a: &Csr, req: &O::Operands) -> O::Output {
     O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("sequential execution")
 }
 
@@ -109,6 +117,11 @@ fn assert_bits_eq(got: &[f32], want: &[f32], tag: &str) -> Result<(), TestCaseEr
     Ok(())
 }
 
+/// An `f32` answer against its `f64` oracle, as a proptest failure.
+fn assert_oracle(want: &oracle::Oracle, got: &[f32], tag: &str) -> Result<(), TestCaseError> {
+    want.check(got).map_err(|e| TestCaseError::fail(format!("{tag} vs f64 oracle: {e}")))
+}
+
 fn test_engine() -> Engine {
     Engine::new(EngineConfig {
         workers: 2,
@@ -138,6 +151,8 @@ proptest! {
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
             let want = solo::<SpmmOp>(&a, x);
             assert_bit_identical(got, &want, &format!("request {i}"))?;
+            let f64_ref = oracle::spmm_f64(&a, x.data(), x.cols());
+            assert_oracle(&f64_ref, got.data(), &format!("request {i}"))?;
         }
     }
 
@@ -174,9 +189,13 @@ proptest! {
         for (i, ((x, w), (spmm, sage))) in xs.iter().zip(&ws).zip(tickets).enumerate() {
             let got = spmm.wait_dense().expect("engine answers");
             assert_bit_identical(&got, &solo::<SpmmOp>(&a, x), &format!("request {i}"))?;
+            let f64_ref = oracle::spmm_f64(&a, x.data(), x.cols());
+            assert_oracle(&f64_ref, got.data(), &format!("request {i}"))?;
             let got = sage.wait_dense().expect("engine answers");
             let want = sage_pipeline_oracle(&Runtime::new(), &a, x, w).expect("pipeline oracle");
             assert_bit_identical(&got, &want, &format!("sage request {i}"))?;
+            let f64_ref = oracle::sage_f64(&a, x.data(), w.data(), x.cols(), w.cols());
+            assert_oracle(&f64_ref, got.data(), &format!("sage request {i}"))?;
         }
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, 2 * xs.len() as u64);
@@ -204,6 +223,9 @@ proptest! {
         for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {
             let want = solo::<SddmmOp>(&a, req);
             assert_bits_eq(got, &want, &format!("request {i}"))?;
+            let (x, y) = req;
+            let f64_ref = oracle::sddmm_f64(&a, x.data(), y.data(), k);
+            assert_oracle(&f64_ref, got, &format!("request {i}"))?;
         }
     }
 
@@ -230,43 +252,9 @@ proptest! {
             let got = t.wait_edges().expect("engine answers");
             let want = solo::<SddmmOp>(&a, req);
             assert_bits_eq(&got, &want, &format!("request {i}"))?;
-        }
-        let stats = engine.stats();
-        prop_assert_eq!(stats.completed, reqs.len() as u64);
-        prop_assert_eq!(stats.failed, 0);
-        prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
-    }
-
-    /// The full engine multi-head attention path: per-request head lists
-    /// (including 0-head requests) batch column-wise across requests, and
-    /// every head's answer must be bit-identical to a sequential
-    /// single-request SpMM loop over the heads.
-    #[test]
-    fn engine_attention_output_matches_sequential_loop(
-        a in sparse_matrix(12, 36),
-        heads_per_req in head_counts(),
-        seed in 0u64..1 << 32,
-    ) {
-        let mut rng = gen::rng(seed);
-        let reqs: Vec<Vec<Dense>> = heads_per_req
-            .iter()
-            .map(|&h| (0..h).map(|_| gen::random_dense(a.cols(), 1 + (h % 4), &mut rng)).collect())
-            .collect();
-        let adj = Adjacency::new(a.clone());
-        let engine = test_engine();
-        let tickets: Vec<_> = reqs
-            .iter()
-            .map(|heads| {
-                engine.submit(&adj, Submission::attention(heads.clone())).expect("submits")
-            })
-            .collect();
-        for (i, (heads, t)) in reqs.iter().zip(tickets).enumerate() {
-            let got = t.wait_heads().expect("engine answers");
-            prop_assert_eq!(got.len(), heads.len());
-            for (h, (x, out)) in heads.iter().zip(&got).enumerate() {
-                let want = solo::<SpmmOp>(&a, x);
-                assert_bit_identical(out, &want, &format!("request {i} head {h}"))?;
-            }
+            let (x, y) = req;
+            let f64_ref = oracle::sddmm_f64(&a, x.data(), y.data(), x.cols());
+            assert_oracle(&f64_ref, &got, &format!("request {i}"))?;
         }
         let stats = engine.stats();
         prop_assert_eq!(stats.completed, reqs.len() as u64);
@@ -335,7 +323,11 @@ proptest! {
             // Head by head, so the oracle is unbatched across heads too.
             for (h, (head, out)) in heads.iter().zip(&got).enumerate() {
                 let want = attention_pipeline(&a, std::slice::from_ref(head));
-                assert_bit_identical(out, &want[0], &format!("request {i} head {h}"))?;
+                let tag = format!("request {i} head {h}");
+                assert_bit_identical(out, &want[0], &tag)?;
+                let (q, kt, v) = (head.q.data(), head.kt.data(), head.v.data());
+                let f64_ref = oracle::attention_f64(&a, q, kt, v, head.q.cols(), head.v.cols());
+                assert_oracle(&f64_ref, out.data(), &tag)?;
             }
         }
         let stats = engine.stats();

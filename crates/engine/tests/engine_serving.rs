@@ -7,7 +7,8 @@ use sparsetir_engine::{
 };
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, SddmmOp, SparseOp, SpmmOp,
+    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, FusedAttentionOp, FusedSageOp,
+    SddmmOp, SparseOp, SpmmOp,
 };
 use sparsetir_smat::prelude::*;
 use std::sync::Arc;
@@ -28,7 +29,7 @@ fn power_law_csr(n: usize, seed: u64) -> Csr {
 
 /// The sequential oracle: one request alone through the op layer on a
 /// fresh runtime.
-fn solo<O: SparseOp<Adj = Csr>>(a: &Csr, req: &O::Operands) -> O::Output {
+fn solo<O: SparseOp>(a: &Csr, req: &O::Operands) -> O::Output {
     O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("executes")
 }
 
@@ -310,8 +311,8 @@ fn the_engines_decision_is_the_tuners() {
     assert!(cached.col_parts.is_some(), "a skewed graph: the decision is not the default");
 }
 
-/// The engine tunes only what a launch reads. SDDMM, attention, fused
-/// attention and fused SAGE launch under no searched configuration, so a
+/// The engine tunes only what a launch reads. SDDMM, fused attention and
+/// fused SAGE launch under no searched configuration, so a
 /// `.tune(true)` submission of theirs never touches the tune cache and
 /// answers exactly like the untuned one; SpMM takes one decision per
 /// anchor, and a re-anchor replays that one decision and nothing else.
@@ -333,7 +334,6 @@ fn tuned_submissions_search_only_ops_whose_launch_reads_a_config() {
     let mut rng = gen::rng(111);
     let subs = [
         Submission::sddmm(gen::random_dense(16, 3, &mut rng), gen::random_dense(3, 16, &mut rng)),
-        Submission::attention((0..2).map(|_| gen::random_dense(16, 2, &mut rng)).collect()),
         Submission::fused_attention(vec![random_head(&a, 4, 3, &mut rng)]),
         Submission::fused_sage(
             gen::random_dense(16, 5, &mut rng),
@@ -456,13 +456,23 @@ fn generic_submit_path_serves_every_op() {
     let edges = sddmm.into_edges().unwrap();
     assert_eq!(edges.len(), a.nnz());
 
-    let heads: Vec<Dense> = (0..3).map(|_| gen::random_dense(16, 2, &mut rng)).collect();
-    let attn = engine.serve(&adj, OpRequest::Attention(heads.clone())).expect("attention serves");
+    let heads: Vec<AttnHead> = (0..3).map(|_| random_head(&a, 4, 2, &mut rng)).collect();
+    let attn =
+        engine.serve(&adj, OpRequest::FusedAttention(heads.clone())).expect("attention serves");
+    // A per-head output asked for as one dense matrix names its op.
+    let err = attn.clone().into_dense().expect_err("heads are not one dense matrix");
+    assert!(matches!(&err, EngineError::Output(m) if m.contains("fused_attention")), "{err}");
     let outs = attn.into_heads().unwrap();
+    let want = FusedAttentionOp::reference(&a, &heads).unwrap();
     assert_eq!(outs.len(), heads.len());
-    for (h, out) in heads.iter().zip(&outs) {
-        assert!(out.approx_eq(&a.spmm(h).unwrap(), 1e-4));
+    for (out, w) in outs.iter().zip(&want) {
+        assert!(out.approx_eq(w, 1e-4), "max |Δ| = {}", out.max_abs_diff(w));
     }
+
+    let (sx, w) = (gen::random_dense(16, 5, &mut rng), gen::random_dense(5, 3, &mut rng));
+    let sage = engine.serve(&adj, OpRequest::FusedSage((sx.clone(), w.clone())));
+    let want = FusedSageOp::reference(&a, &(sx, w)).unwrap();
+    assert!(sage.expect("fused sage serves").into_dense().unwrap().approx_eq(&want, 1e-4));
 
     // An op-mismatched accessor is a typed error, not a panic.
     let again = engine.serve(&adj, OpRequest::Spmm(x)).expect("serves");
@@ -779,15 +789,15 @@ fn empty_adjacencies_are_answered_not_panicked_on() {
         assert_eq!(served.map(|d| (d.rows(), d.cols())).expect(&tag), (m, 3));
         let served = engine.serve(&adj, Submission::sddmm(q, kt)).and_then(OpOutput::into_edges);
         assert_eq!(served.expect(&tag), Vec::<f32>::new());
-        for sub in [Submission::attention(vec![x.clone()]), Submission::fused_attention(vec![head])]
-        {
-            let served = engine.serve(&adj, sub).and_then(OpOutput::into_heads).expect(&tag);
-            assert_eq!((served.len(), served[0].rows(), served[0].cols()), (1, m, 3), "{tag}");
-        }
+        let served = engine
+            .serve(&adj, Submission::fused_attention(vec![head]))
+            .and_then(OpOutput::into_heads)
+            .expect(&tag);
+        assert_eq!((served.len(), served[0].rows(), served[0].cols()), (1, m, 3), "{tag}");
         let served =
             engine.serve(&adj, Submission::fused_sage(x, w)).and_then(OpOutput::into_dense);
         assert_eq!(served.map(|d| (d.rows(), d.cols())).expect(&tag), (m, 2));
         let stats = engine.stats();
-        assert_eq!((stats.worker_panics, stats.failed, stats.completed), (0, 0, 5), "{tag}");
+        assert_eq!((stats.worker_panics, stats.failed, stats.completed), (0, 0, 4), "{tag}");
     }
 }

@@ -1,8 +1,8 @@
 //! # sparsetir-kernels
 //!
 //! The SparseTIR-generated operators that compile and launch: SpMM
-//! (§4.2.1), SDDMM (§4.2.2), multi-head attention as a stacked SpMM
-//! (§4.3.1), and the cross-op fused attention and GraphSAGE steps.
+//! (§4.2.1), SDDMM (§4.2.2), and the cross-op fused attention (§4.3.1)
+//! and GraphSAGE steps.
 //!
 //! Each kernel is one thing here — an **IR path**: Stage I program →
 //! lowering → schedules → a Stage III function that compiles and launches
@@ -44,7 +44,7 @@ pub mod prelude {
         sage_pipeline_oracle,
     };
     pub use crate::op::{
-        AttentionOp, AttnHead, FusedAttentionOp, FusedSageOp, OpError, SddmmOp, SparseOp, SpmmOp,
+        AttnHead, FusedAttentionOp, FusedSageOp, OpError, SddmmOp, SparseOp, SpmmOp,
     };
     pub use crate::sddmm::{sddmm_execute_views_on, sddmm_ir};
     pub use crate::spmm::{

@@ -1,7 +1,7 @@
 //! [`FusedAttentionOp`]: cross-op fused attention (SDDMM → edge-softmax
 //! → SpMM, one kernel) behind the [`SparseOp`] face.
 
-use super::{regroup, OpError, SparseOp};
+use super::{OpError, SparseOp};
 use crate::fused_attention::{check_heads, fused_attention_reference, fused_attention_views_on};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
@@ -41,7 +41,6 @@ fn attn_head_shape(req: &[AttnHead]) -> Option<(usize, usize)> {
 }
 
 impl SparseOp for FusedAttentionOp {
-    type Adj = Csr;
     type Operands = Vec<AttnHead>;
     type Output = Vec<Dense>;
     type Config = ();
@@ -79,7 +78,9 @@ impl SparseOp for FusedAttentionOp {
             let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
             fused_attention_views_on(rt, adj, &qs, &kts, &vs, &mut outs)?;
         }
-        Ok(regroup(outs, reqs))
+        // Hand the flat per-head outputs back per request, in order.
+        let mut outs = outs.into_iter();
+        Ok(reqs.iter().map(|req| outs.by_ref().take(req.len()).collect()).collect())
     }
 
     fn reference(adj: &Csr, req: &Vec<AttnHead>) -> Result<Vec<Dense>, OpError> {

@@ -17,7 +17,6 @@ use sparsetir_smat::prelude::*;
 pub struct FusedSageOp;
 
 impl SparseOp for FusedSageOp {
-    type Adj = Csr;
     type Operands = (Dense, Dense);
     type Output = Dense;
     type Config = ();

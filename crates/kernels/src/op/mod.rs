@@ -1,7 +1,7 @@
 //! The generic sparse-operator layer: every *served* kernel in this
-//! crate — SpMM, SDDMM, multi-head attention, fused attention, the fused
-//! GraphSAGE step — presents one uniform executable face ([`SparseOp`])
-//! so the serving stack above it can be op-agnostic. This is the
+//! crate — SpMM, SDDMM, fused attention, the fused GraphSAGE step —
+//! presents one uniform executable face ([`SparseOp`]) so the serving
+//! stack above it can be op-agnostic. This is the
 //! composability thesis applied to our own plumbing: one prepare →
 //! schedule → compile → execute path, many operators, instead of each
 //! kernel re-implementing the pipeline. GPU pricing is not part of the
@@ -10,10 +10,10 @@
 //! `sparsetir-autotune`.
 //!
 //! A [`SparseOp`] bundles:
-//! * an **op descriptor** — kind tag, adjacency type, request operands
-//!   and a [`SparseOp::Config`] holding exactly what
+//! * an **op descriptor** — kind tag, request operands and a
+//!   [`SparseOp::Config`] holding exactly what
 //!   [`launch`](SparseOp::launch) reads (`()` for an op whose kernel has
-//!   no knob);
+//!   no knob), all served against one CSR adjacency;
 //! * a **batching contract** — [`can_batch`](SparseOp::can_batch) plus
 //!   one [`launch`](SparseOp::launch), so a serving engine can fold
 //!   requests sharing an adjacency fingerprint into one widened kernel
@@ -28,8 +28,8 @@
 //! segments of the logical tensors its IR is written against
 //! (`ColsView`/`RowsView` from `sparsetir-ir`) — a batch of one is the
 //! same launch with one segment. Two widenings cover all batched ops:
-//! * **Column segments** (SpMM, attention): rider `i`'s feature operand
-//!   is columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
+//! * **Column segments** (SpMM): rider `i`'s feature operand is
+//!   columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
 //!   `Σ wᵢ`, and the schedule's vector split is widened to span it.
 //!   Splitting the (spatial) feature axis differently never changes an
 //!   output column's reduction order, so results are bit-identical to
@@ -50,7 +50,6 @@
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
-mod attention;
 mod fused_attention;
 mod fused_sage;
 mod sddmm;
@@ -58,7 +57,6 @@ mod spmm;
 #[cfg(test)]
 mod tests;
 
-pub use attention::AttentionOp;
 pub use fused_attention::{AttnHead, FusedAttentionOp};
 pub use fused_sage::FusedSageOp;
 pub use sddmm::SddmmOp;
@@ -71,13 +69,10 @@ pub type OpError = Box<dyn std::error::Error>;
 /// A sparse operator behind the uniform batch/execute face.
 ///
 /// Implementations are zero-sized tag types ([`SpmmOp`], [`SddmmOp`],
-/// [`AttentionOp`], [`FusedAttentionOp`], [`FusedSageOp`]); all state
-/// lives in the adjacency, the per-request
-/// [`Operands`](SparseOp::Operands) and the
+/// [`FusedAttentionOp`], [`FusedSageOp`]); all state lives in the CSR
+/// adjacency, the per-request [`Operands`](SparseOp::Operands) and the
 /// [`Config`](SparseOp::Config).
 pub trait SparseOp {
-    /// The sparse structure requests are served against.
-    type Adj;
     /// Dense operands of one request.
     type Operands: Send + 'static;
     /// Per-request result.
@@ -96,7 +91,7 @@ pub trait SparseOp {
     ///
     /// # Errors
     /// A human-readable description of the first mismatch.
-    fn validate(adj: &Self::Adj, req: &Self::Operands) -> Result<(), String>;
+    fn validate(adj: &Csr, req: &Self::Operands) -> Result<(), String>;
 
     /// Batching contract: true when two validated requests may share one
     /// widened launch. Callers must already have matched the adjacency
@@ -117,7 +112,7 @@ pub trait SparseOp {
     /// Propagates lowering/compilation/execution errors.
     fn launch(
         rt: &Runtime,
-        adj: &Self::Adj,
+        adj: &Csr,
         reqs: &[Self::Operands],
         config: &Self::Config,
     ) -> Result<Vec<Self::Output>, OpError>;
@@ -127,7 +122,7 @@ pub trait SparseOp {
     ///
     /// # Errors
     /// Propagates shape mismatches.
-    fn reference(adj: &Self::Adj, req: &Self::Operands) -> Result<Self::Output, OpError>;
+    fn reference(adj: &Csr, req: &Self::Operands) -> Result<Self::Output, OpError>;
 
     /// Execute a batch of requests as one widened kernel launch (the
     /// serving engine's primitive): validate, check the batching
@@ -140,7 +135,7 @@ pub trait SparseOp {
     /// propagates lowering/compilation/execution errors.
     fn execute_batch_on(
         rt: &Runtime,
-        adj: &Self::Adj,
+        adj: &Csr,
         reqs: &[Self::Operands],
         config: &Self::Config,
     ) -> Result<Vec<Self::Output>, OpError> {
@@ -168,18 +163,11 @@ pub trait SparseOp {
     /// Like [`execute_batch_on`](SparseOp::execute_batch_on).
     fn execute_on(
         rt: &Runtime,
-        adj: &Self::Adj,
+        adj: &Csr,
         req: &Self::Operands,
         config: &Self::Config,
     ) -> Result<Self::Output, OpError> {
         let mut outs = Self::execute_batch_on(rt, adj, std::slice::from_ref(req), config)?;
         Ok(outs.pop().expect("one output per request"))
     }
-}
-
-/// Hand a flat per-head output list back per request, preserving order
-/// (the inverse of flattening multi-head requests into one launch).
-fn regroup<T>(flat: Vec<Dense>, reqs: &[Vec<T>]) -> Vec<Vec<Dense>> {
-    let mut heads = flat.into_iter();
-    reqs.iter().map(|req| heads.by_ref().take(req.len()).collect()).collect()
 }

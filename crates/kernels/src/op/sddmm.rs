@@ -18,7 +18,6 @@ use sparsetir_smat::prelude::*;
 pub struct SddmmOp;
 
 impl SparseOp for SddmmOp {
-    type Adj = Csr;
     type Operands = (Dense, Dense);
     type Output = Vec<f32>;
     type Config = ();

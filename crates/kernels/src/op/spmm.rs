@@ -11,7 +11,6 @@ use sparsetir_smat::prelude::*;
 pub struct SpmmOp;
 
 impl SparseOp for SpmmOp {
-    type Adj = Csr;
     type Operands = Dense;
     type Output = Dense;
     type Config = SpmmConfig;

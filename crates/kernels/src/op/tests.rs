@@ -74,40 +74,6 @@ fn sddmm_op_refuses_mixed_inner_widths() {
 }
 
 #[test]
-fn attention_op_stacks_heads_across_requests() {
-    let mut rng = gen::rng(74);
-    let a = gen::random_csr(16, 16, 0.2, &mut rng);
-    let reqs: Vec<Vec<Dense>> = vec![
-        (0..3).map(|_| gen::random_dense(16, 4, &mut rng)).collect(),
-        vec![],
-        (0..2).map(|_| gen::random_dense(16, 2, &mut rng)).collect(),
-    ];
-    let rt = rt();
-    // The configuration is what the launch reads: the same requests under
-    // the CSR default and under a hyb decomposition compile distinct
-    // kernels, and both stack, match the reference and stay bit-identical
-    // to unbatched execution.
-    let mut compiled = rt.compilations();
-    for config in [SpmmConfig::default(), hyb_arm()] {
-        let batched = AttentionOp::execute_batch_on(&rt, &a, &reqs, &config).unwrap();
-        assert!(rt.compilations() > compiled, "{} compiled nothing new", config.label());
-        compiled = rt.compilations();
-        assert_eq!(batched.len(), 3);
-        assert_eq!(batched[1].len(), 0);
-        for (req, got) in reqs.iter().zip(&batched) {
-            let want = AttentionOp::reference(&a, req).unwrap();
-            for (g, w) in got.iter().zip(&want) {
-                assert!(g.approx_eq(w, 1e-4));
-            }
-            let solo = AttentionOp::execute_on(&rt, &a, req, &config).unwrap();
-            for (g, s) in got.iter().zip(&solo) {
-                assert!(bit_eq(g.data(), s.data()));
-            }
-        }
-    }
-}
-
-#[test]
 fn op_validation_reports_request_index() {
     let mut rng = gen::rng(75);
     let a = gen::random_csr(8, 8, 0.3, &mut rng);

@@ -94,13 +94,14 @@ fn main() {
         stats.kernel_lookups, stats.kernel_hits
     );
 
-    // --- The generic op path: SDDMM and attention ride the same queue ---
+    // --- The generic op path: SDDMM and per-head SpMM share the queue ---
     // Every op submits through one generic path (Submission → Ticket →
     // OpOutput); same-adjacency SDDMM requests with equal inner widths
-    // fold into one widened multi-head launch, attention heads join the
-    // SpMM column stack. Deadlines bound queueing: a request the engine
-    // cannot answer in time is shed with a typed rejection instead of
-    // silently running late.
+    // fold into one widened multi-head launch, and a multi-head
+    // aggregation is one SpMM ticket per head, joining the SpMM column
+    // stack. Deadlines bound queueing: a request the engine cannot answer
+    // in time is shed with a typed rejection instead of silently running
+    // late.
     let mut rng = gen::rng(77);
     let sddmm_tickets: Vec<_> = (0..4)
         .map(|_| {
@@ -114,15 +115,22 @@ fn main() {
         let edges = t.wait_edges().expect("sddmm served");
         assert_eq!(edges.len(), graph.nnz());
     }
-    let heads: Vec<Dense> = (0..4).map(|_| gen::random_dense(n, 8, &mut rng)).collect();
-    let outs = engine
-        .serve(&adj, Submission::attention(heads).priority(Priority::Hi))
-        .and_then(OpOutput::into_heads)
-        .expect("attention served");
+    let spmm_launches = |stats: EngineStats| stats.widths_of("spmm").map_or(0, |w| w.batches);
+    let before = spmm_launches(engine.stats());
+    let head_tickets: Vec<_> = (0..4)
+        .map(|_| {
+            let x = gen::random_dense(n, 8, &mut rng);
+            engine.submit(&adj, Submission::spmm(x).priority(Priority::Hi)).expect("submits")
+        })
+        .collect();
+    for t in head_tickets {
+        let out = t.wait_dense().expect("head served");
+        assert_eq!((out.rows(), out.cols()), (n, 8));
+    }
+    let launches = spmm_launches(engine.stats()) - before;
     println!(
-        "generic op path: {} SDDMM requests (per-edge outputs) + one {}-head attention request",
-        4,
-        outs.len()
+        "generic op path: 4 SDDMM requests (per-edge outputs) + 4 per-head SpMM requests \
+         in {launches} SpMM launch(es)"
     );
 
     // --- Cross-op fused attention: SDDMM → softmax → SpMM, one kernel ---
