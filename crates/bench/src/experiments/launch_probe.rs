@@ -11,8 +11,11 @@
 //! source's association), asserted bit-identical to the served output — and
 //! the **native** f32 loop `stbench` uses as its yardstick. Arms alternate
 //! in short bursts and report minima, so the box's clock states cancel.
-//! A sweep over row and non-zero counts then fits the SpMM run to
-//! `c + entries × a + nnz × b`. A per-pass table takes fused attention
+//! Each arm also says how many of its nest entries a row block took
+//! (`blocked / entries` of `CompiledKernel::nest_counts`). A sweep over
+//! row and non-zero counts then fits the SpMM run at d = 16 and the SDDMM
+//! run at k = 8, each to its own `c + entries × a + nnz × b`. A per-pass
+//! table takes fused attention
 //! apart: at one head and `stbench kernel_narrow`'s d = 4, the fused run
 //! beside each of its five passes compiled alone from its Stage I program
 //! (score, rowmax, exp, psum, agg), in nanoseconds per non-zero.
@@ -189,15 +192,22 @@ fn assert_bits(what: &str, got: &[f32], want: &[f32]) {
     }
 }
 
+/// `blocked / entries` of what a kernel's row nests counted.
+fn blocked(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
+    let counts = kernel.nest_counts();
+    format!("{}/{}", counts.blocked, counts.entries)
+}
+
 /// `[whole launch, run_views alone]` minima of a served SpMM over `xs` at
 /// `config` (one request, or a batch), after checking every request's
-/// output against the floor (bit for bit on the CSR schedule).
+/// output against the floor (bit for bit on the CSR schedule), and the
+/// run's `blocked / entries`.
 fn spmm_arms(
     a: &Csr,
     xs: &[Dense],
     config: &SpmmConfig,
     (rounds, reps): (usize, usize),
-) -> [f64; 2] {
+) -> ([f64; 2], String) {
     let rt = Runtime::new();
     let slabs = Slabs::of(a);
     let refs: Vec<&Dense> = xs.iter().collect();
@@ -238,7 +248,52 @@ fn spmm_arms(
             &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
         ],
     );
-    [got[0], got[1]]
+    ([got[0], got[1]], blocked(&kernel))
+}
+
+/// The served one-head SDDMM at inner width `k` on `a`, its output checked
+/// bit for bit against the floor: `[whole launch, run_views alone, floor,
+/// native]` minima, and the run's `blocked / entries`.
+fn sddmm_arms(
+    a: &Csr,
+    k: usize,
+    (rounds, reps): (usize, usize),
+    rng: &mut rand::rngs::SmallRng,
+) -> ([f64; 4], String) {
+    let rt = Runtime::new();
+    let slabs = Slabs::of(a);
+    let req = (gen::random_dense(a.rows(), k, rng), gen::random_dense(k, a.cols(), rng));
+    let ops = (req.0.data(), req.1.data());
+    let mut outs = vec![vec![0.0f32; a.nnz()]];
+    sddmm_execute_views_on(&rt, a, std::slice::from_ref(&req), &mut outs).expect("served");
+    let (mut want, mut native, mut yt) = (vec![0.0f32; a.nnz()], vec![0.0f32; a.nnz()], vec![]);
+    assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want));
+    assert_bits(&format!("sddmm k={k}"), &outs[0], &want);
+
+    let func = batched_sddmm_ir(a, 1, k).expect("lowers");
+    let kernel = rt.compile(&func).expect("compiles");
+    let mut structure: HashMap<String, TensorData> = HashMap::new();
+    sparsetir_core::prelude::bind_csr(&mut structure, "A", "J", a);
+    let mut run_out = vec![0.0f32; a.nnz()];
+    let mut views = ViewBindings::from_tensors(&mut structure);
+    views.bind_cols("X", ColsView::read(a.rows(), &[(ops.0, k)]).expect("X"));
+    views.bind_rows("Y", RowsView::read(k * a.cols(), &[ops.1]).expect("Y"));
+    views.bind_cols("Bout", ColsView::write(a.nnz(), vec![(&mut run_out[..], 1)]).expect("out"));
+    let scalars = HashMap::new();
+    let got = minima(
+        rounds,
+        reps,
+        &mut [
+            &mut || {
+                sddmm_execute_views_on(&rt, a, std::slice::from_ref(&req), &mut outs)
+                    .expect("served");
+            },
+            &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+            &mut || assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want)),
+            &mut || sddmm_native(a, k, ops, &mut yt, &mut native),
+        ],
+    );
+    ([got[0], got[1], got[2], got[3]], blocked(&kernel))
 }
 
 /// The launch-level table on one graph, and the sweep's fit.
@@ -276,96 +331,63 @@ pub fn run() -> String {
         ("spmm d=16 hyb(1,3)", one, &hyb),
         ("spmm d=16 csr, batch of 8", &eight[..], &csr),
     ] {
-        let [whole, run] = spmm_arms(&a, xs, config, burst);
+        let ([whole, run], blocks) = spmm_arms(&a, xs, config, burst);
         let per = xs.len() as f64;
-        rows.push(vec![name.into(), us(whole), us(run), us(fixed[0] * per), us(fixed[1] * per)]);
+        let floors = [us(fixed[0] * per), us(fixed[1] * per)];
+        rows.push([name.into(), blocks, us(whole), us(run)].into_iter().chain(floors).collect());
     }
 
     // SDDMM, one head, k = 8.
-    {
-        let rt = Runtime::new();
-        let req =
-            (gen::random_dense(a.rows(), k, &mut rng), gen::random_dense(k, a.cols(), &mut rng));
-        let ops = (req.0.data(), req.1.data());
-        let mut outs = vec![vec![0.0f32; a.nnz()]];
-        sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut outs).expect("served");
-        let (mut want, mut native, mut yt) = (vec![0.0f32; a.nnz()], vec![0.0f32; a.nnz()], vec![]);
-        assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want));
-        assert_bits("sddmm k=8", &outs[0], &want);
-
-        let func = batched_sddmm_ir(&a, 1, k).expect("lowers");
-        let kernel = rt.compile(&func).expect("compiles");
-        let mut structure: HashMap<String, TensorData> = HashMap::new();
-        sparsetir_core::prelude::bind_csr(&mut structure, "A", "J", &a);
-        let mut run_out = vec![0.0f32; a.nnz()];
-        let mut views = ViewBindings::from_tensors(&mut structure);
-        views.bind_cols("X", ColsView::read(a.rows(), &[(ops.0, k)]).expect("X"));
-        views.bind_rows("Y", RowsView::read(k * a.cols(), &[ops.1]).expect("Y"));
-        views
-            .bind_cols("Bout", ColsView::write(a.nnz(), vec![(&mut run_out[..], 1)]).expect("out"));
-        let scalars = HashMap::new();
-        let got = minima(
-            burst.0,
-            burst.1,
-            &mut [
-                &mut || {
-                    sddmm_execute_views_on(&rt, &a, std::slice::from_ref(&req), &mut outs)
-                        .expect("served");
-                },
-                &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
-                &mut || assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want)),
-                &mut || sddmm_native(&a, k, ops, &mut yt, &mut native),
-            ],
-        );
-        rows.push(
-            std::iter::once("sddmm k=8".to_string()).chain(got.iter().map(|&t| us(t))).collect(),
-        );
-    }
+    let (got, blocks) = sddmm_arms(&a, k, burst, &mut rng);
+    let name = format!("sddmm k={k}");
+    rows.push([name, blocks].into_iter().chain(got.map(us)).collect());
 
     // The batch `serving_throughput` gates on, on its graph.
     {
         let g = serving_throughput::power_law(1000, &mut gen::rng(0xE6));
         let xs: Vec<Dense> = (0..8).map(|_| gen::random_dense(g.cols(), d, &mut rng)).collect();
-        let [single, _] = spmm_arms(&g, &xs[..1], &csr, burst);
-        let [whole, run] = spmm_arms(&g, &xs, &csr, burst);
+        let ([single, _], _) = spmm_arms(&g, &xs[..1], &csr, burst);
+        let ([whole, run], blocks) = spmm_arms(&g, &xs, &csr, burst);
         let name =
             format!("serving_throughput graph, batch of 8 (8 × single = {})", us(8.0 * single));
-        rows.push(vec![name, us(whole), us(run), "-".into(), "-".into()]);
+        rows.push(vec![name, blocks, us(whole), us(run), "-".into(), "-".into()]);
     }
 
-    // Row-count / non-zero-count sweep of the CSR run: least squares for
-    // `run = c + entries × a + nnz × b`.
+    // Row-count / non-zero-count sweeps of the CSR SpMM and the SDDMM
+    // runs: least squares for `run = c + entries × a + nnz × b`, each.
     let sweep: &[(usize, f64)] = if smoke() {
         &[(110, 8.0), (220, 4.0), (220, 8.0)]
     } else {
         &[(220, 8.0), (440, 4.0), (440, 8.0), (440, 16.0), (880, 8.0), (1760, 2.0), (1760, 8.0)]
     };
-    let points: Vec<[f64; 4]> = sweep
-        .iter()
-        .map(|&(n, deg)| {
-            let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
-            let x = gen::random_dense(g.cols(), d, &mut rng);
-            let [_, run] = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
-            [1.0, g.rows() as f64, g.nnz() as f64, run]
-        })
-        .collect();
-    let [c, per_entry, per_nnz] = least_squares(&points);
+    let (mut spmm_points, mut sddmm_points) = (Vec::new(), Vec::new());
+    for &(n, deg) in sweep {
+        let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
+        let x = gen::random_dense(g.cols(), d, &mut rng);
+        let ([_, run], _) = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
+        spmm_points.push([1.0, g.rows() as f64, g.nnz() as f64, run]);
+        let ([_, run, ..], _) = sddmm_arms(&g, k, burst, &mut rng);
+        sddmm_points.push([1.0, g.rows() as f64, g.nnz() as f64, run]);
+    }
     let mut out = render_table(
         &format!(
             "launch_probe: warm launches on the tenant graph (n = {}, nnz = {}), minima in µs",
             a.rows(),
             a.nnz()
         ),
-        &["arm", "whole launch", "run_views", "floor", "native f32"],
+        &["arm", "blocked/entries", "whole launch", "run_views", "floor", "native f32"],
         &rows,
     );
-    let sweep: Vec<String> =
-        points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
-    out.push_str(&format!(
-        "spmm d=16 csr run_views by rows/nnz, µs: {}\n  = {c:.0} ns + entries × {per_entry:.1} ns + \
-         nnz × {per_nnz:.1} ns (least squares)\n",
-        sweep.join(", ")
-    ));
+    for (name, points) in [("spmm d=16 csr", &spmm_points), ("sddmm k=8", &sddmm_points)] {
+        let [c, per_entry, per_nnz] = least_squares(points);
+        let sweep: Vec<String> =
+            points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
+        out.push_str(&format!(
+            "{name} run_views by rows/nnz, µs: {}\n  = {c:.0} ns + entries × {per_entry:.1} ns + \
+             nnz × {per_nnz:.1} ns (least squares)\n",
+            sweep.join(", ")
+        ));
+    }
     out.push_str(&attention_passes(&a, 4, burst, &mut rng));
     out
 }
@@ -437,11 +459,23 @@ fn attention_passes(
     // A fused run is five passes' work: longer bursts than the launch
     // table's, so an arm's first, cold call weighs less.
     let got = minima(rounds, reps * 5, &mut refs);
+    drop(refs);
+    drop(arms);
     let per_nnz = |ns: f64| format!("{:.0}", ns / a.nnz() as f64);
-    let mut row = vec![format!("d={d}, 1 head")];
+    let mut row = vec![format!("d={d}, 1 head"), blocked(&fused)];
     row.extend(got.iter().map(|&ns| per_nnz(ns)));
     row.push(per_nnz(got[1..].iter().sum()));
-    let headers = ["arm", "fused run", "score", "rowmax", "exp", "psum", "agg", "Σ passes"];
+    let headers = [
+        "arm",
+        "fused blocked/entries",
+        "fused run",
+        "score",
+        "rowmax",
+        "exp",
+        "psum",
+        "agg",
+        "Σ passes",
+    ];
     render_table(
         &format!(
             "launch_probe: fused attention by pass (n = {}, nnz = {}), run minima in ns per non-zero",

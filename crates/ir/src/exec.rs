@@ -105,13 +105,16 @@ impl std::error::Error for ExecError {}
 
 /// What a kernel's row nests did over its runs so far
 /// ([`CompiledKernel::nest_counts`]): whether the fast path is the one
-/// taken. Every entry runs its nest's entry program; `entries − repinned`
-/// are those handed to the generic loop at trip 0 instead — the walk state
-/// could not be established, or the program or the re-pin failed a check
-/// — plus any such entry that had no trips.
+/// taken. Every entry runs its nest's entry program — or, in a row block,
+/// the block's per-row tests; `entries − repinned` are those handed to the
+/// generic loop at trip 0 instead — the walk state could not be
+/// established, or the program or the re-pin failed a check — plus any
+/// such entry that had no trips.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NestCounts {
-    /// Times a `nest.*` instruction was entered (once per row).
+    /// Times a nest was entered: once per execution of the loop it heads
+    /// — once per row for a CSR row's non-zeros, once per non-zero for the
+    /// head loop of a multi-head SDDMM.
     pub entries: u64,
     /// Entries that ran their entry program and re-pinned the walk state
     /// the launch established.
@@ -127,6 +130,12 @@ pub struct NestCounts {
     /// cover (a binding walked column by column, a row-segmented one
     /// changing segment mid-entry) or a range test of an entry turned away.
     pub stepped: u64,
+    /// Of `entries`, the rows a row block took itself — its registers
+    /// loaded and tested against the intervals the launch solved, no
+    /// bytecode dispatch, entry program or re-pin — rather than entering
+    /// the nest one row at a time. On a served CSR kernel expect
+    /// `blocked == entries`.
+    pub blocked: u64,
 }
 
 impl NestCounts {
@@ -136,6 +145,7 @@ impl NestCounts {
         self.handovers += other.handovers;
         self.trips += other.trips;
         self.stepped += other.stepped;
+        self.blocked += other.blocked;
     }
 }
 

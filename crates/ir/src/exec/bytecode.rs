@@ -31,6 +31,15 @@
 //!   instead of a `LoopStart`: the row nest runs the trips itself and
 //!   hands the loop behind it — lowered exactly as without the nest —
 //!   whichever trip it cannot take.
+//! * **A row loop over a nest is a block, not jump-encoded.** A loop whose
+//!   whole body is one nest (behind constant binds and a tail guard), or a
+//!   `blockIdx` loop over a constant number of such rows, is headed by an
+//!   [`Instr::Rows`]: [`fuse::build_rows`] plans every register of the
+//!   nest's entry program against the row, and the block runs the rows in
+//!   Rust ([`run_rows`]) — per row its loads, one compare pair per loaded
+//!   register against an interval the launch solved, the cursors' first
+//!   lanes and the nest's trip loop. The row it cannot take enters the
+//!   loop body behind it, and through the nest from there.
 //! * **A nest is entered many times per launch, one way, and keeps what
 //!   cannot change between entries.** The dispatch loop's [`State`] has
 //!   one slot per nest instruction: a launch's first entry establishes the
@@ -40,8 +49,10 @@
 //!   `Free` of a buffer the state names drops it. The slots are one slab
 //!   per launching thread ([`WALKS`]), handed back empty after every
 //!   launch: a warm launch allocates no walk state, a kernel keeps none.
-//!   Entries, re-pins and hand-overs are counted per launch and added to
-//!   the [`Code`]'s totals when `exec` returns ([`Code::nest_counts`]).
+//!   A row block keeps what its launch solved in the same slot, beside
+//!   its nest's walk state. Entries, re-pins, hand-overs and the rows a
+//!   block took are counted per launch and added to the [`Code`]'s totals
+//!   when `exec` returns ([`Code::nest_counts`]).
 //!
 //! A launch is one pass of this loop on the caller's thread: a
 //! `blockIdx`-bound loop is a `LoopStart` like any other.
@@ -50,7 +61,7 @@
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, LaneSpec, NestSpec, Stepped, Taken, Trips};
+use super::fuse::{self, Exit, LaneSpec, NestSpec, RowPlan, Solve, Split, Stepped, Taken, Trips};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, scan_int, BoolExpr, CBlock, CStmt,
     ExecError, ExprInfo, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, MmaOp, NestCounts, RawBuf,
@@ -118,6 +129,13 @@ pub(super) enum Instr {
     /// `LoopEnd` (at `end - 1`) as the back edge. `id` numbers the nests
     /// of a stream: the slot of this one's kept walk state in [`State`].
     Nest { spec: Box<NestSpec>, id: u32, end: u32 },
+    /// Head of a row loop whose whole body is one [`Instr::Nest`], in place
+    /// of its [`Instr::LoopStart`]: run the rows as a block against the
+    /// nest's walk state and jump to `end`, or — from the first row the
+    /// block cannot take — enter the loop body right behind this
+    /// instruction at that row, sharing the loop's `LoopEnd` (at
+    /// `end - 1`) as the back edge.
+    Rows { spec: Box<RowPlan>, end: u32 },
     /// Ill-typed statement that errors only if executed (matching the
     /// interpreter's lazy runtime errors).
     Fail(String),
@@ -212,6 +230,7 @@ impl Lower {
                 self.patch(at, end);
                 if self.fuse {
                     self.nest_head(at);
+                    self.row_block(at);
                 }
             }
             CStmt::Block(b) => self.block(&b.iters, b),
@@ -356,6 +375,88 @@ impl Lower {
         }
     }
 
+    /// Turn the loop just lowered at `at` into a row block when its whole
+    /// body is one row nest — `LoopStart; [br.false guard -> back edge];
+    /// [v = const]*; Nest ..; LoopEnd` — or one such loop of a constant
+    /// number of rows, itself a row block (the `blockIdx` split: `LoopStart;
+    /// [v = const]*; Rows ..; LoopEnd`), and [`fuse::build_rows`] can plan
+    /// the nest's entry program against the rows. Only the head changes:
+    /// the block replaces the `LoopStart`, and the body behind it is the way
+    /// in for every row the block does not take.
+    fn row_block(&mut self, at: usize) {
+        let Instr::LoopStart { slot, extent, end } = &self.instrs[at] else { return };
+        let (slot, end) = (*slot, *end as usize);
+        let binds = |mut k: usize, pins: &mut Vec<(usize, u32, i64)>| {
+            while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[k] {
+                pins.push((k, *slot, *c));
+                k += 1;
+            }
+            k
+        };
+        let mut pins = Vec::new();
+        let mut body = binds(at + 1, &mut pins);
+        // The back edge of the loop over the rows themselves.
+        let mut back = end - 1;
+        let split = match &self.instrs[body] {
+            Instr::Rows { spec, end: inner } if *inner as usize == end - 1 => {
+                let (None, IntExpr::Const(per @ 1..)) = (spec.split, &spec.extent) else { return };
+                let split = Split { slot: spec.slot, per: *per, at: body as u32 };
+                (back, body) = (end - 2, body + 1);
+                Some(split)
+            }
+            _ => None,
+        };
+        let guard = match &self.instrs[body] {
+            Instr::Branch { cond: super::BoolExpr::CmpI { op, lhs, rhs }, else_ }
+                if *else_ as usize == back =>
+            {
+                body += 1;
+                Some((*op, &**lhs, &**rhs))
+            }
+            _ => None,
+        };
+        let body = binds(body, &mut pins);
+        let Instr::Nest { spec, end: nest_end, .. } = &self.instrs[body] else { return };
+        if *nest_end as usize != back {
+            return;
+        }
+        let Instr::Super { spec: lanes, .. } = &self.instrs[spec.lanes_at as usize] else {
+            unreachable!("a nest's lane loop is a superinstruction")
+        };
+        // Slots the loop body writes other than by its constant binds: what
+        // a block reads of any other is fixed for the block.
+        let mut written: HashSet<u32> = [slot, spec.slot].into_iter().collect();
+        let pinned_at: HashSet<usize> = pins.iter().map(|(k, ..)| *k).collect();
+        let body_instrs = (at + 1..end).filter(|k| !pinned_at.contains(k));
+        for ins in body_instrs.map(|k| &self.instrs[k]) {
+            match ins {
+                Instr::LoopStart { slot, .. }
+                | Instr::Bind { slot, .. }
+                | Instr::BindSlot { slot, .. } => {
+                    written.insert(*slot);
+                }
+                Instr::Rows { spec, .. } => {
+                    written.insert(spec.slot);
+                }
+                Instr::BindAll { iters } => written.extend(iters.iter().map(|(s, _)| *s)),
+                Instr::BlockHead { iters, .. } => written.extend(iters.iter().map(|(s, ..)| *s)),
+                Instr::Super { spec, .. } => {
+                    written.insert(spec.lane_slot);
+                    written.extend(spec.outer_slot);
+                    written.extend(spec.iters.iter().map(|it| it.slot));
+                }
+                _ => {}
+            }
+        }
+        let outer = |s: u32| !written.contains(&s);
+        let pins = pins.into_iter().map(|(_, slot, c)| (slot, c)).collect();
+        let nest_at = u32::try_from(body).expect("kernel exceeds u32 instructions");
+        let rows = (slot, extent, split);
+        if let Some(plan) = fuse::build_rows((spec, lanes), rows, pins, guard, outer, nest_at) {
+            self.instrs[at] = Instr::Rows { spec: Box::new(plan), end: end as u32 };
+        }
+    }
+
     /// Emit a superinstruction followed by its generic fallback (the
     /// original loop, lowered with fusion suppressed so the fallback
     /// never re-matches itself).
@@ -493,9 +594,10 @@ struct LoopFrame {
 
 /// What a row nest keeps from one entry to the next within a launch.
 struct Kept {
-    /// The launch-invariant walk state; `None` when the nest's bindings
-    /// are of a kind its walks do not cover (every entry then hands trip 0
-    /// to the generic loop).
+    /// The launch-invariant walk state — with what the launch solved for a
+    /// row block around the nest; `None` when the nest's bindings are of a
+    /// kind its walks do not cover (every entry then hands trip 0 to the
+    /// generic loop).
     walks: Option<Trips>,
     /// Where the nest's instruction is (whose entry program names the
     /// buffers this was decided on).
@@ -733,6 +835,9 @@ fn dispatch<'c>(code: &'c [Instr], fr: &mut Frame, st: &mut State<'c>) -> Result
             Instr::Nest { spec, id, end: lend } => {
                 ip = run_nest(code, ip, (spec, *id), *lend, fr, st)?;
             }
+            Instr::Rows { spec, end: lend } => {
+                ip = run_rows(code, ip, spec, *lend, fr, st)?;
+            }
             Instr::Fail(msg) => return Err(ExecError::new(msg.clone())),
         }
     }
@@ -781,18 +886,9 @@ fn run_nest<'c>(
     fr: &mut Frame,
     st: &mut State<'c>,
 ) -> Result<u32, ExecError> {
-    let Instr::Super { spec: lanes, .. } = &code[spec.lanes_at as usize] else {
-        unreachable!("a nest's lane loop is a superinstruction")
-    };
+    let lanes = lanes_of(code, spec);
     st.counts.entries += 1;
-    let id = id as usize;
-    if st.kept.len() <= id {
-        st.kept.resize_with(id + 1, || None);
-    }
-    let kept = st.kept[id].get_or_insert_with(|| Kept {
-        walks: Trips::establish(spec, &spec.entry, lanes, fr),
-        at: ip,
-    });
+    let kept = kept(&mut st.kept, (spec, id), ip, lanes, fr);
     let taken =
         kept.walks.as_mut().and_then(|at| spec.reenter(&spec.entry, lanes, fr, at, &mut st.step));
     let (done, n) = match taken {
@@ -818,4 +914,102 @@ fn run_nest<'c>(
     fr.scalars[spec.slot as usize] = done;
     st.loops.push(LoopFrame { slot: spec.slot, body: ip + 1, i: done, n });
     Ok(ip + 1)
+}
+
+/// The superinstruction a nest's trips run.
+fn lanes_of<'c>(code: &'c [Instr], spec: &NestSpec) -> &'c LaneSpec {
+    let Instr::Super { spec: lanes, .. } = &code[spec.lanes_at as usize] else {
+        unreachable!("a nest's lane loop is a superinstruction")
+    };
+    lanes
+}
+
+/// The walk state the nest `id` at `ip` keeps in this launch, established
+/// by its first entry.
+fn kept<'s>(
+    kept: &'s mut Vec<Option<Kept>>,
+    (spec, id): (&NestSpec, u32),
+    ip: u32,
+    lanes: &LaneSpec,
+    fr: &Frame,
+) -> &'s mut Kept {
+    let id = id as usize;
+    if kept.len() <= id {
+        kept.resize_with(id + 1, || None);
+    }
+    kept[id].get_or_insert_with(|| Kept {
+        walks: Trips::establish(spec, &spec.entry, lanes, fr),
+        at: ip,
+    })
+}
+
+/// Execute the row block at `ip` (out of line, like [`run_nest`]):
+/// returns the next `ip` — `end` when the block took every row, else the
+/// loop body right behind it, entered as the loop would at the first row
+/// the block could not take (or at the trip its nest hands over).
+#[inline(never)]
+fn run_rows<'c>(
+    code: &'c [Instr],
+    ip: u32,
+    plan: &'c RowPlan,
+    end: u32,
+    fr: &mut Frame,
+    st: &mut State<'c>,
+) -> Result<u32, ExecError> {
+    let n = plan.extent.eval(fr)?;
+    if n <= 0 {
+        return Ok(end);
+    }
+    // How many rows, over every block of a split loop.
+    let rows = plan.split.map_or(Some(n), |s| n.checked_mul(s.per));
+    let Instr::Nest { spec, id, .. } = &code[plan.nest_at as usize] else {
+        unreachable!("a row block heads a nest")
+    };
+    let lanes = lanes_of(code, spec);
+    let kept = kept(&mut st.kept, (spec, *id), plan.nest_at, lanes, fr);
+    let exit = match (kept.walks.as_mut(), rows) {
+        (Some(at), Some(rows)) => {
+            if matches!(at.rows, Solve::Unsolved) {
+                at.rows = plan.solve(spec, lanes, at, fr).map_or(Solve::Unfit, Solve::Ready);
+            }
+            let solved = at.rows;
+            plan.run(spec, lanes, (at, &solved), fr, &mut st.step, rows, &mut st.counts)
+        }
+        _ => Exit::Plain,
+    };
+    let (row, nest) = match exit {
+        Exit::Done => {
+            // Where the loops' back edges leave their variables.
+            fr.scalars[plan.slot as usize] = n - 1;
+            if let Some(s) = plan.split {
+                fr.scalars[s.slot as usize] = s.per - 1;
+            }
+            return Ok(end);
+        }
+        Exit::Plain => {
+            // As the loop's `LoopStart` would.
+            fr.scalars[plan.slot as usize] = 0;
+            st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: 0, n });
+            return Ok(ip + 1);
+        }
+        Exit::Enter { row } => (row, None),
+        Exit::Handover { row, done, trips } => (row, Some((done, trips))),
+    };
+    // Inside the loop over the rows — and its block, when split — at `row`.
+    let (block, row, body) = match plan.split {
+        Some(s) => (row / s.per, Some((s, row % s.per)), s.at + 1),
+        None => (row, None, ip + 1),
+    };
+    fr.scalars[plan.slot as usize] = block;
+    st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: block, n });
+    if let Some((s, row)) = row {
+        fr.scalars[s.slot as usize] = row;
+        st.loops.push(LoopFrame { slot: s.slot, body, i: row, n: s.per });
+    }
+    let Some((done, trips)) = nest else { return Ok(body) };
+    // The row's trip `done` failed a precondition before writing: the
+    // generic loop behind the nest takes over there.
+    fr.scalars[spec.slot as usize] = done;
+    st.loops.push(LoopFrame { slot: spec.slot, body: plan.nest_at + 1, i: done, n: trips });
+    Ok(plan.nest_at + 1)
 }

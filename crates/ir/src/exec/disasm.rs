@@ -12,7 +12,7 @@
 use super::bytecode::{Code, Instr};
 use super::fuse::{
     Combine, Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, NestSpec, Ratio,
-    Reg, TermShape, TermSpec, Value,
+    Reg, RowPlan, TermShape, TermSpec, Value,
 };
 use super::{
     BoolExpr, CmpOp, CompiledKernel, CompiledTile, FloatExpr, FloatOp, IndexExpr, IntExpr, IntOp,
@@ -115,6 +115,7 @@ fn instr(ins: &Instr, code: &[Instr]) -> String {
         ),
         Instr::Super { spec, done } => format!("{} -> {done:04}", superinstr(spec)),
         Instr::Nest { spec, end, .. } => nest(spec, &code[spec.lanes_at as usize], *end),
+        Instr::Rows { spec, end } => rows(spec, *end),
         Instr::Fail(msg) => format!("fail       {msg:?}"),
     }
 }
@@ -161,6 +162,17 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
             .collect();
         let _ = write!(out, ", reduce=[{}]", iters.join("; "));
     }
+    out
+}
+
+/// One line per row block: the loop's slot and extent — with the loop of
+/// `per` rows it splits into blocks — and the nest the rows enter.
+fn rows(spec: &RowPlan, end: u32) -> String {
+    let mut out = format!("rows       %{} in 0..{}", spec.slot, int(&spec.extent));
+    if let Some(s) = spec.split {
+        let _ = write!(out, " × %{} in 0..{}", s.slot, s.per);
+    }
+    let _ = write!(out, ", end={end:04}, nest={:04}", spec.nest_at);
     out
 }
 

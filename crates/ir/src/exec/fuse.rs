@@ -105,7 +105,8 @@ use std::collections::HashMap;
 mod nest;
 
 pub(super) use nest::{
-    build_nest, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Ratio, Reg, Stepped, Taken, Trips,
+    build_nest, build_rows, Drift, EntryProgram, Exit, IndexPlan, Lin, NestSpec, Ratio, Reg,
+    RowPlan, Solve, Split, Stepped, Taken, Trips,
 };
 
 // ---------------------------------------------------------------------------

@@ -51,7 +51,11 @@
 //! expression tree, no lane prologue. An entry whose walk state cannot be
 //! established, or whose program or re-pin fails a check, hands trip 0 to
 //! the generic loop behind the instruction before anything of it is
-//! written.
+//! written. The row loop *around* a nest is the one exception to "every
+//! entry runs its program": a row block ([`block`]) takes the rows itself
+//! — the registers loaded row by row, each against an interval the launch
+//! solved from these same checks — and enters a row through
+//! [`NestSpec::reenter`] only when that row fails one.
 //!
 //! **Walked trips.** The moving quantities are *walked* from their trip-0
 //! pins: per trip one bounds-checked load of the gathered index, one
@@ -78,7 +82,7 @@
 //! operand moves with it) against the entry's
 //! *reach* — the interval of values at which every gather-moved operand
 //! passes its checks: each operand's own, solved from its own dimension and
-//! binding and kept while its pin repeats ([`Within`]), then intersected.
+//! binding, then intersected.
 //! The menu does not
 //! cover a binding walked column by column ([`Spot::Cols`]), an operand
 //! moving with the trip *and* the gather, more than one moving reduce iter
@@ -87,6 +91,10 @@
 //! reach, is not an error yet. All of those go trip by trip through
 //! `advance`, which hands the generic loop whatever it cannot take — so
 //! error text, error order and written prefix stay the interpreter's.
+
+mod block;
+
+pub(in crate::exec) use block::{build_rows, Exit, RowPlan, Solve, Split};
 
 use super::{
     cols_lanes, div_rem, trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp,
@@ -770,31 +778,6 @@ enum Spot {
     },
 }
 
-/// The gathered values at which one gather-moved view stays inside its
-/// declared dimension and its bound storage, kept with what they were
-/// solved from: which view (its scale, interval, stride and binding are
-/// fixed while the nest's [`Trips`] live) and the entry-varying quantities
-/// `key`. A CSR row's `d·col` starts over at 0 every entry, so the
-/// divisions happen once per launch, not once per entry — worth ≈ 25 ns an
-/// entry (`launch_probe`, tenant graph of 440 rows: SpMM d = 16 88.0 →
-/// 100.5 µs, SDDMM k = 8 113.5 → 123.7, `hyb(1, 3)`'s run 111 → 126 with
-/// the memo off). One per nest: where a gather moves two operands each
-/// takes the memo from the other and every entry solves both — correct,
-/// just not kept; no served kernel has two.
-struct Within {
-    key: [i64; 3],
-    /// `dst`, `a`, `b`, the coefficient: 0–3.
-    view: u8,
-    /// A gathered value is an `i32`.
-    lo: i32,
-    hi: i32,
-}
-
-impl Within {
-    /// Nothing solved yet (no view is number 4).
-    const UNSOLVED: Within = Within { key: [0; 3], view: 4, lo: 1, hi: 0 };
-}
-
 /// The integers `g` with `lo <= base + k·g <= hi`, as an interval (empty
 /// when its ends cross); `k != 0`.
 fn solve(k: i128, base: i128, (lo, hi): (i128, i128)) -> (i128, i128) {
@@ -1018,9 +1001,11 @@ impl ViewWalk {
     /// [`ViewWalk::at`] makes, staying in the segment it is pinned in.
     /// `None` when the pin is too far out for `i64`. Trip 0 has passed
     /// `at`, so `g0` is one of them: narrowing the ends to `i32` loses no
-    /// gathered value and cannot make an empty reach look inhabited.
+    /// gathered value and cannot make an empty reach look inhabited. (A
+    /// row block solves this once per launch; a nest entered row by row,
+    /// once per entry.)
     #[inline(always)]
-    fn reach(&self, g0: i64, view: u8, within: &mut Within) -> Option<(i64, i64)> {
+    fn reach(&self, g0: i64) -> Option<(i64, i64)> {
         let (w, scale) = (&self.walk, self.walk.drift.scale);
         let at0 = w.i0.checked_sub(scale.checked_mul(g0)?)?;
         // What the binding bounds — a flat element or a logical row — as
@@ -1029,27 +1014,24 @@ impl ViewWalk {
         let room = |len: i64| (0.max(-span), (len - 1).min(len - 1 - span));
         let by = w.coef.checked_mul(scale)?;
         let flat = || w.flat0.checked_sub(by.checked_mul(g0)?);
-        let (k, base, (lo, hi), seg) = match self.spot {
-            Spot::Flat { len, .. } => (by, flat()?, room(len), 0),
+        let (k, base, (lo, hi)) = match self.spot {
+            Spot::Flat { len, .. } => (by, flat()?, room(len)),
             Spot::Rows { seg_len, seg_lo, .. } => {
                 let (lo, hi) = room(seg_len);
-                (by, flat()?, (seg_lo + lo, seg_lo + hi), seg_lo)
+                (by, flat()?, (seg_lo + lo, seg_lo + hi))
             }
             Spot::ColsByRow { rows, row_scale, row0, .. } => {
-                (row_scale, row0.checked_sub(row_scale.checked_mul(g0)?)?, (0, rows - 1), 0)
+                (row_scale, row0.checked_sub(row_scale.checked_mul(g0)?)?, (0, rows - 1))
             }
             Spot::Cols { .. } => return None,
         };
-        let key = [at0, base, seg];
-        if (within.view, within.key) != (view, key) {
-            let wide = |(lo, hi): (i64, i64)| (i128::from(lo), i128::from(hi));
-            let a = solve(scale.into(), at0.into(), wide((w.lo, w.hi)));
-            let b = solve(k.into(), base.into(), wide((lo, hi)));
-            let clamp = |g: i128| g.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
-            *within = Within { key, view, lo: clamp(a.0.max(b.0)), hi: clamp(a.1.min(b.1)) };
-        }
-        debug_assert!((i64::from(within.lo)..=within.hi.into()).contains(&g0));
-        Some((within.lo.into(), within.hi.into()))
+        let wide = |(lo, hi): (i64, i64)| (i128::from(lo), i128::from(hi));
+        let a = solve(scale.into(), at0.into(), wide((w.lo, w.hi)));
+        let b = solve(k.into(), base.into(), wide((lo, hi)));
+        let clamp = |g: i128| i64::from(g.clamp(i32::MIN.into(), i32::MAX.into()) as i32);
+        let (lo, hi) = (clamp(a.0.max(b.0)), clamp(a.1.min(b.1)));
+        debug_assert!((lo..=hi).contains(&g0));
+        Some((lo, hi))
     }
 
     /// This view, pinned, over an entry of `trips` trips as a [`Cursor`]:
@@ -1060,13 +1042,7 @@ impl ViewWalk {
     /// the trips may meet. `None` when a test fails, or the view moves in
     /// a way a cursor does not follow.
     #[inline(always)]
-    fn cursor(
-        &mut self,
-        trips: i64,
-        g0: i64,
-        reach: &mut (i64, i64),
-        (view, within): (u8, &mut Within),
-    ) -> Option<Cursor> {
+    fn cursor(&mut self, trips: i64, g0: i64, reach: &mut (i64, i64)) -> Option<Cursor> {
         let first = self.at(0, 0)?;
         if !self.moves() || trips == 1 {
             // Nowhere to go from trip 0.
@@ -1096,7 +1072,7 @@ impl ViewWalk {
                 return None;
             }
         } else if step == 0 {
-            let (lo, hi) = self.reach(g0, view, within)?;
+            let (lo, hi) = self.reach(g0)?;
             *reach = (reach.0.max(lo), reach.1.min(hi));
         } else {
             return None;
@@ -1127,8 +1103,8 @@ pub(in crate::exec) struct Trips {
     stepper: Option<[TripLoop; 2]>,
     /// How far one trip moves along the gather's index slab, in elements.
     gather_step: isize,
-    /// The reach of the gather-moved view an entry solved last.
-    within: Within,
+    /// What this launch solved for the row block around the nest, if any.
+    pub(in crate::exec) rows: Solve,
 }
 
 impl Trips {
@@ -1198,7 +1174,7 @@ impl Trips {
             b_repeats_a,
             stepper: None,
             gather_step: 0,
-            within: Within::UNSOLVED,
+            rows: Solve::Unsolved,
         };
         let along =
             |g: &GatherWalk| isize::try_from(g.walk.coef.checked_mul(g.walk.drift.step)?).ok();
@@ -1219,7 +1195,7 @@ impl Trips {
     /// scalar slots the nest binds — when a position leaves a dimension
     /// the trips do not re-check.
     #[inline(always)]
-    fn repin(
+    pub(in crate::exec) fn repin(
         &mut self,
         spec: &NestSpec,
         prog: &EntryProgram,
@@ -1524,13 +1500,13 @@ impl Trips {
         let mut reach = (i64::from(i32::MIN), i64::from(i32::MAX));
         for k in 0..3 {
             w.ops[k] = match &mut self.views[k] {
-                Some(view) => view.cursor(trips, g0, &mut reach, (k as u8, &mut self.within))?,
+                Some(view) => view.cursor(trips, g0, &mut reach)?,
                 // A fill repeats `dst`, a term without `b` repeats `a`.
                 None => w.ops[k.saturating_sub(1)],
             };
         }
         if let Some(c) = &mut self.coeff {
-            w.coeff = c.cursor(trips, g0, &mut reach, (3, &mut self.within))?;
+            w.coeff = c.cursor(trips, g0, &mut reach)?;
         }
         w.gather = std::ptr::null_mut();
         if let Some(g) = &self.gather {
@@ -1640,13 +1616,27 @@ impl NestSpec {
             // those of this nest's lane op on this frame, and the one for
             // runs only is taken when every operand is one.
             stepped = unsafe { loops[usize::from(!w.all_runs())](w, at.r.init, rest) };
-            if let ([(slot, step, _)], true) = (&self.reduce_moves[..], stepped > 0) {
-                // Where `advance` leaves it at the last trip taken.
-                fr.scalars[*slot as usize] = at.v0[0] + step * (stepped - 1);
-            }
-            if stepped == trips {
-                return Some(Taken { done: trips, trips, stepped });
-            }
+        }
+        self.finish(lanes, fr, at, (stepped, trips))
+    }
+
+    /// The rest of an entry whose first `stepped` trips its trip loop took,
+    /// the walk state pinned at its trip 0: those trips' reduce iter left
+    /// where `advance` leaves it, and every trip from `stepped` on through
+    /// [`NestSpec::trip_by_trip`].
+    pub(in crate::exec) fn finish(
+        &self,
+        lanes: &LaneSpec,
+        fr: &mut Frame,
+        at: &mut Trips,
+        (stepped, trips): (i64, i64),
+    ) -> Option<Taken> {
+        if let ([(slot, step, _)], true) = (&self.reduce_moves[..], stepped > 0) {
+            // Where `advance` leaves it at the last trip taken.
+            fr.scalars[*slot as usize] = at.v0[0] + step * (stepped - 1);
+        }
+        if stepped == trips {
+            return Some(Taken { done: trips, trips, stepped });
         }
         self.trip_by_trip(lanes, fr, at, (stepped, trips))
     }

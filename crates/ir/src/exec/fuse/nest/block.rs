@@ -1,0 +1,944 @@
+//! Row blocks: the row loop around a nest, run in Rust.
+//!
+//! The paper lowers a compressed axis to `for j in indptr[i]..indptr[i+1]`
+//! (§3.3), and the row loop around it — `for i { nest }` — still paid a full
+//! nest entry per row: the loop's dispatch, the entry program's expression
+//! walk over [`Lin`]s, [`Trips::repin`] and every cursor's range tests in
+//! [`Trips::stepped`]. Consecutive rows of that loop share a bound, and what
+//! a row's entry tests is known before the launch: every register of the
+//! nest's [`EntryProgram`] is the row, a slot the row loop does not write,
+//! an `i32` load at a position affine in the row (`indptr[i]`,
+//! `indptr[i + 1]`, a bucket's row id) or at a constant plus a multiple of
+//! one earlier load (the gather's trip-0 column), and every pin is a
+//! constant plus at most one of them.
+//!
+//! [`build_rows`] plans such a loop at compile time ([`RowPlan`]): where
+//! each register comes from — a load of `indptr[i]` that the previous row
+//! made as `indptr[i + 1]` **rolls** over instead of loading again — and
+//! every test an entry makes, as `lo <= konst + coef·v <= hi` over one
+//! variable `v` ([`Form`]). At launch, [`Trips`]' walks being established,
+//! the tests over a loaded register are **solved** once into an interval
+//! of its values ([`solve`]); a test over the row is affine in it, so a
+//! block checks it at its first and last row only. A row of the block then
+//! loads its registers, compares each against its interval, computes every
+//! cursor's first lane as `base + k·v`, and calls the trip loop the nest
+//! established — no bytecode dispatch, entry program or re-pin.
+//!
+//! A block or row that fails any test is not an error here: the block
+//! hands the loop, at that row, to the instructions lowered behind it — the
+//! nest, entered through [`NestSpec::reenter`] as without the block — so
+//! error text, error order and written prefix stay the interpreter's. A
+//! loop that does not fit the plan, or whose bindings do not fit it in a
+//! launch, runs as a plain loop over its nest.
+
+use super::{
+    interval, solve, Cursor, Drift, IndexPlan, Lin, NestSpec, Planner, Reg, Spot, Stepped, Trips,
+    MAX_REGS,
+};
+use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes};
+use crate::exec::{elem_load, CmpOp, Frame, IntExpr, NestCounts, RawBuf};
+
+// ---------------------------------------------------------------------------
+// Compile time
+// ---------------------------------------------------------------------------
+
+/// What a [`Form`] varies with inside one entry of a block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::exec) enum Var {
+    /// Nothing: fixed for the block.
+    Fixed,
+    /// The row.
+    Row,
+    /// A loaded register of the entry program.
+    Reg(u8),
+}
+
+/// `base + coef·v` over one [`Var`] `v`, `base` a [`Lin`] over registers
+/// fixed for a block ([`Source::Outer`]) — none when `v` is a loaded
+/// register, whose tests are solved once per launch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(in crate::exec) struct Form {
+    pub base: Lin,
+    pub coef: i64,
+    pub var: Var,
+}
+
+impl Form {
+    /// `lin` over the registers `sources` says, when it has at most one
+    /// varying term: the row `t = per·b + r` when the loop is split into
+    /// blocks of `per` rows (`b` the [`Source::Block`], `r` the
+    /// [`Source::Row`] register), else `t = r`.
+    fn of(lin: &Lin, sources: &[Source], per: Option<i64>) -> Option<Form> {
+        let mut form =
+            Form { base: Lin { konst: lin.konst, terms: Vec::new() }, coef: 0, var: Var::Fixed };
+        let (mut r, mut b) = (0, 0);
+        for &(coef, reg) in &lin.terms {
+            match sources[usize::from(reg)] {
+                Source::Outer(_) => form.base.terms.push((coef, reg)),
+                Source::Row => r = coef,
+                Source::Block => b = coef,
+                _ if form.var == Var::Fixed => (form.coef, form.var) = (coef, Var::Reg(reg)),
+                _ => return None,
+            }
+        }
+        // `c·r + c·per·b` is `c·t`; anything else is not affine in `t`.
+        if b != per.map_or(Some(0), |per| per.checked_mul(r))? {
+            return None;
+        }
+        if r != 0 {
+            if form.var != Var::Fixed {
+                return None;
+            }
+            (form.coef, form.var) = (r, Var::Row);
+        }
+        // A loaded register's tests are solved before any block is entered.
+        if matches!(form.var, Var::Reg(_)) && !form.base.terms.is_empty() {
+            return None;
+        }
+        Some(form)
+    }
+}
+
+/// Where a register of the nest's entry program comes from in a block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(in crate::exec) enum Source {
+    /// The row loop's variable.
+    Row,
+    /// The variable of the loop that splits the rows into blocks
+    /// ([`Split`]).
+    Block,
+    /// A scalar slot the row loop does not write (an enclosing loop's
+    /// variable, a constant bind in front of the nest): read once a block.
+    Outer(u32),
+    /// An `i32` load at a position affine in the row. `rolls` names the
+    /// head register that loaded this position one row earlier
+    /// (`indptr[i]` is the previous row's `indptr[i + 1]`): every row of a
+    /// block but its first takes that value instead of loading.
+    Load { buf: u32, at: Form, rolls: Option<u8> },
+    /// An `i32` load at a constant plus a multiple of an earlier loaded
+    /// register (the gather's value at trip 0); its position is tested as
+    /// that register's interval.
+    Gathered { buf: u32, at: Form },
+}
+
+/// Where a test's interval comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::exec) enum Bound {
+    /// A declared dimension: known at compile time.
+    Dim(i64, i64),
+    /// The storage an operand ([`GATHER`] … [`FACTOR`]) is bound to.
+    Storage(u8),
+    /// The `i32` storage register `.0` loads from.
+    Len(u8),
+}
+
+/// The operands of an entry, by their index in a block's tables.
+const GATHER: usize = 0;
+const COEFF: usize = 4;
+const FACTOR: usize = 5;
+const OPERANDS: usize = 6;
+
+/// One test a row's entry makes: `form` inside `bound`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(in crate::exec) struct Probe {
+    pub form: Form,
+    pub bound: Bound,
+}
+
+/// One side of a tail guard: `konst + coef·t + Σ c·slot`, the slots fixed
+/// for a block — as `(konst, coef, [(c, slot)])`.
+type Side = (i64, i64, Vec<(i64, u32)>);
+
+/// The tail guard of a row loop whose rows do not fill its last block:
+/// `lhs op rhs`, each side affine in the row over slots fixed for a block.
+#[derive(Debug, Clone)]
+pub(in crate::exec) struct Guard {
+    op: CmpOp,
+    sides: [Side; 2],
+}
+
+/// A row loop split into blocks of `per` rows by the loop around it — the
+/// `blockIdx` schedule: `for b { for r in 0..per { .. } }` walks the rows
+/// `t = per·b + r` — whose inner loop heads at `at`, over `slot`.
+#[derive(Debug, Clone, Copy)]
+pub(in crate::exec) struct Split {
+    pub slot: u32,
+    pub per: i64,
+    pub at: u32,
+}
+
+/// A row loop whose whole body is one row nest, planned as a block:
+/// `for slot in 0..extent { [if guard] [pins] nest }`, or that loop split
+/// into blocks: `for slot in 0..extent { [pins] for split.slot in
+/// 0..split.per { [if guard] [pins] nest } }`.
+#[derive(Debug, Clone)]
+pub(in crate::exec) struct RowPlan {
+    pub slot: u32,
+    pub extent: IntExpr,
+    pub split: Option<Split>,
+    /// Constant binds in front of the nest.
+    pub pins: Vec<(u32, i64)>,
+    pub guard: Option<Guard>,
+    /// Stream address of the nest.
+    pub nest_at: u32,
+    /// Per register of the nest's entry program.
+    pub sources: Vec<Source>,
+    /// Where each operand starts at trip 0 — the gather, `dst`, `a`, `b`,
+    /// the coefficient's walked load, a ratio's loaded factor.
+    pub aims: [Option<Form>; OPERANDS],
+    /// Every test of an entry with trips. One over the row is made at a
+    /// block's first and last row (and covers its head loads); one over a
+    /// loaded register is part of that register's interval.
+    pub probes: Vec<Probe>,
+}
+
+impl IndexPlan {
+    /// The flat element, as a [`Lin`]; `None` on overflow.
+    fn flat(&self) -> Option<Lin> {
+        self.dims.iter().try_fold(Lin::default(), |flat, (at, d)| flat.times(*d)?.plus(at, 1))
+    }
+}
+
+/// Plan the row loop `for slot in 0..extent` whose body is the nest `spec`
+/// at `nest_at`, behind the constant binds `pins` and the tail guard
+/// `guard` (`lhs op rhs`); `outer(s)` says whether the loop's body leaves
+/// slot `s` alone. `None` when a register, pin or test does not fit a
+/// block: the loop stays a loop.
+pub(in crate::exec) fn build_rows(
+    (spec, lanes): (&NestSpec, &LaneSpec),
+    (slot, extent, split): (u32, &IntExpr, Option<Split>),
+    pins: Vec<(u32, i64)>,
+    guard: Option<(CmpOp, &IntExpr, &IntExpr)>,
+    outer: impl Fn(u32) -> bool,
+    nest_at: u32,
+) -> Option<RowPlan> {
+    let prog = &spec.entry;
+    // The row's own slot, and the block's when split.
+    let (row, block) = match split {
+        Some(s) => (s.slot, Some(slot)),
+        None => (slot, None),
+    };
+    let per = split.map(|s| s.per);
+    let mut sources: Vec<Source> = Vec::with_capacity(prog.regs.len());
+    for (k, reg) in prog.regs.iter().enumerate() {
+        let source = match reg {
+            Reg::Slot(s) if *s == row => Source::Row,
+            Reg::Slot(s) if Some(*s) == block => Source::Block,
+            Reg::Slot(s) if outer(*s) => Source::Outer(*s),
+            Reg::Slot(_) => return None,
+            Reg::Load { buf, at } => {
+                let at = Form::of(&at.flat()?, &sources, per)?;
+                match at.var {
+                    // Not loaded for an entry without trips.
+                    Var::Reg(_) if k < prog.head => return None,
+                    Var::Reg(_) => Source::Gathered { buf: *buf, at },
+                    _ => Source::Load { buf: *buf, at, rolls: None },
+                }
+            }
+        };
+        sources.push(source);
+    }
+    // `indptr[i]` rolls over from the previous row's `indptr[i + 1]`: the
+    // same buffer at the position one row further on, loaded by every row.
+    // No chains: a register rolls over from one that loads.
+    for b in 0..prog.head {
+        let Source::Load { buf, at, rolls: None } = &sources[b] else { continue };
+        if at.var != Var::Row || at.coef == 0 || rolled_from(&sources, b) {
+            continue;
+        }
+        let ahead = Lin { konst: at.base.konst.checked_add(at.coef)?, ..at.base.clone() };
+        let from = (0..prog.head).find(|&a| {
+            matches!(&sources[a], Source::Load { buf: other, at: o, rolls: None }
+                if other == buf && a != b && o.var == Var::Row && o.coef == at.coef
+                    && o.base == ahead)
+        });
+        if let (Some(a), Source::Load { rolls, .. }) = (from, &mut sources[b]) {
+            *rolls = u8::try_from(a).ok();
+        }
+    }
+    // A block takes the init decision of its first entry for every row.
+    if prog.reduce.iter().any(|(_, at)| at.as_const().is_none()) {
+        return None;
+    }
+
+    let guard = match guard {
+        Some((op, lhs, rhs)) => Some(plan_guard(op, [lhs, rhs], (row, block, per), &outer)?),
+        None => None,
+    };
+    let mut p = Probes { sources: &sources, per, extent: &prog.extent, probes: Vec::new() };
+    for (k, source) in sources.iter().enumerate() {
+        if let (Source::Load { .. } | Source::Gathered { .. }, Reg::Load { at, .. }) =
+            (source, &prog.regs[k])
+        {
+            p.index(at, 0, None, Bound::Len(u8::try_from(k).ok()?))?;
+        }
+    }
+    let mut aims: [Option<Form>; OPERANDS] = Default::default();
+    if let (Some(g), Some((at, _))) = (&spec.gather, &prog.gather) {
+        p.index(at, 0, Some(g.drift), Bound::Storage(GATHER as u8))?;
+        aims[GATHER] = Some(Form::of(&at.flat()?, &sources, per)?);
+    }
+    let lanes_views = spec.views.iter().zip(&prog.views).enumerate();
+    for (k, (drift, at)) in lanes_views {
+        if let Some(at) = at {
+            let stride = lanes.op.views()[k].map_or(0, |v| v.stride);
+            let span = stride.checked_mul(prog.n - 1)?;
+            let drift = drift.unwrap_or_else(|| at.still());
+            p.index(at, span, Some(drift), Bound::Storage(1 + k as u8))?;
+            aims[1 + k] = Some(Form::of(&at.flat()?, &sources, per)?);
+        }
+    }
+    if let Some(at) = &prog.coeff {
+        let drift = spec.coeff.unwrap_or_else(|| at.still());
+        p.index(at, 0, Some(drift), Bound::Storage(COEFF as u8))?;
+        aims[COEFF] = Some(Form::of(&at.flat()?, &sources, per)?);
+    }
+    if let Some((_, at)) = &prog.factor {
+        p.index(at, 0, None, Bound::Storage(FACTOR as u8))?;
+        aims[FACTOR] = Some(Form::of(&at.flat()?, &sources, per)?);
+    }
+    let probes = p.probes;
+    Some(RowPlan {
+        slot,
+        extent: extent.clone(),
+        split,
+        pins,
+        guard,
+        nest_at,
+        sources,
+        aims,
+        probes,
+    })
+}
+
+/// Some register rolls over from register `a`.
+fn rolled_from(sources: &[Source], a: usize) -> bool {
+    sources.iter().any(|s| matches!(s, Source::Load { rolls: Some(r), .. } if usize::from(*r) == a))
+}
+
+/// The tail guard `lhs op rhs`, each side over the row `t` — `row`, or
+/// `per·block + row` — and fixed slots.
+fn plan_guard(
+    op: CmpOp,
+    sides: [&IntExpr; 2],
+    (row, block, per): (u32, Option<u32>, Option<i64>),
+    outer: &impl Fn(u32) -> bool,
+) -> Option<Guard> {
+    if matches!(op, CmpOp::Eq | CmpOp::Ne) {
+        return None;
+    }
+    let side = |e: &IntExpr| {
+        let mut p = Planner::default();
+        let (lin, _) = p.lin(e)?;
+        let (mut r, mut b, mut fixed) = (0, 0, Vec::new());
+        for (coef, reg) in lin.terms {
+            match p.regs[usize::from(reg)] {
+                Reg::Slot(s) if s == row => r = coef,
+                Reg::Slot(s) if Some(s) == block => b = coef,
+                Reg::Slot(s) if outer(s) => fixed.push((coef, s)),
+                _ => return None,
+            }
+        }
+        (b == per.map_or(Some(0), |per| per.checked_mul(r))?).then_some((lin.konst, r, fixed))
+    };
+    Some(Guard { op, sides: [side(sides[0])?, side(sides[1])?] })
+}
+
+/// The tests of an entry with trips, gathered.
+struct Probes<'a> {
+    sources: &'a [Source],
+    /// Rows per block of a split loop.
+    per: Option<i64>,
+    /// The nest's trip count at an entry.
+    extent: &'a Lin,
+    probes: Vec<Probe>,
+}
+
+impl Probes<'_> {
+    fn probe(&mut self, lin: &Lin, bound: Bound) -> Option<()> {
+        self.probes.push(Probe { form: Form::of(lin, self.sources, self.per)?, bound });
+        Some(())
+    }
+
+    /// The tests of a position `at` whose run is `span` elements long,
+    /// bound as `storage` says: every dimension at trip 0 (the innermost
+    /// with room for the run), and — when `walk` moves it with the trip —
+    /// the moving dimension and the flat element at the entry's last trip
+    /// too. A walk with the gathered value is tested through the gather's
+    /// register, whose interval then is the entry's reach.
+    fn index(
+        &mut self,
+        at: &IndexPlan,
+        span: i64,
+        walk: Option<Drift>,
+        storage: Bound,
+    ) -> Option<()> {
+        // The dimension the walk moves along with the trip, and its step.
+        let last = walk.filter(|d| d.step != 0).map(|d| (d.dim, d.step));
+        let innermost = at.dims.len() - 1;
+        for (k, (lin, d)) in at.dims.iter().enumerate() {
+            let (lo, hi) = interval(*d, if k == innermost { span } else { 0 })?;
+            self.probe(lin, Bound::Dim(lo, hi))?;
+            if let Some((_, step)) = last.filter(|(dim, _)| *dim == k) {
+                self.probe(&self.at_last(lin, step)?, Bound::Dim(lo, hi))?;
+            }
+        }
+        let flat = at.flat()?;
+        self.probe(&flat, storage)?;
+        if let Some((dim, step)) = last {
+            let coef = at.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))?;
+            self.probe(&self.at_last(&flat, coef.checked_mul(step)?)?, storage)?;
+        }
+        Some(())
+    }
+
+    /// `lin` at the entry's last trip, moving `by` a trip.
+    fn at_last(&self, lin: &Lin, by: i64) -> Option<Lin> {
+        let trips = self.extent.plus(&Lin { konst: 1, terms: Vec::new() }, -1)?;
+        lin.plus(&trips.times(by)?, 1)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Launch time
+// ---------------------------------------------------------------------------
+
+/// What a launch solved for a block: each loaded register's interval,
+/// and the init decision every row shares.
+#[derive(Clone, Copy)]
+pub(in crate::exec) enum Solve {
+    /// Not yet: the nest's walk state was established by an entry outside
+    /// the block.
+    Unsolved,
+    /// The bindings do not fit a block in this launch: a plain loop.
+    Unfit,
+    Ready(Solved),
+}
+
+/// Each loaded register's interval, and the init decision every row
+/// shares: at trip 0 (`first`) and at every later trip (`rest`).
+#[derive(Clone, Copy)]
+pub(in crate::exec) struct Solved {
+    regs: [(i32, i32); MAX_REGS],
+    first: LaneInit,
+    rest: LaneInit,
+}
+
+/// How a block ended ([`RowPlan::run`]).
+pub(in crate::exec) enum Exit {
+    /// Every row is done.
+    Done,
+    /// The block could not be entered: the loop runs as a loop.
+    Plain,
+    /// Row `row` (and every later one) goes through the loop body behind
+    /// the block, entered there.
+    Enter { row: i64 },
+    /// Row `row`'s nest took its first `done` of `trips` trips and hands
+    /// the rest to the generic loop behind it.
+    Handover { row: i64, done: i64, trips: i64 },
+}
+
+/// Where an operand's run starts over one entry, less its [`Var`]'s part:
+/// lanes `at` at `v = 0`, moving `per` elements (or, for column
+/// segments, rows) per unit of `v`.
+#[derive(Clone, Copy)]
+struct Aim {
+    at: Lanes,
+    per: isize,
+    var: Var,
+}
+
+impl Aim {
+    /// The lanes at `v`. Only called once the tests passed: the result is
+    /// inside the bound storage.
+    #[inline(always)]
+    fn lanes(&self, v: i64) -> Lanes {
+        let by = self.per.wrapping_mul(v as isize);
+        match self.at {
+            Lanes::Run { ptr, stride } => Lanes::Run { ptr: ptr.wrapping_offset(by), stride },
+            Lanes::Cols { table, row, col0 } => {
+                Lanes::Cols { table, row: row.wrapping_add_signed(by), col0 }
+            }
+        }
+    }
+}
+
+/// An `i32` or `f32` element at `base + per·v`.
+#[derive(Clone, Copy)]
+struct Elem<T> {
+    base: *mut T,
+    per: isize,
+    var: Var,
+}
+
+impl<T: Copy> Elem<T> {
+    /// `base` at the block's fixed registers `regs`, of the storage at
+    /// `ptr`; `None` when a term overflows.
+    fn of(ptr: *mut T, form: &Form, regs: &[i64; MAX_REGS]) -> Option<Elem<T>> {
+        let base = ptr.wrapping_offset(isize::try_from(form.base.eval(regs)?).ok()?);
+        Some(Elem { base, per: isize::try_from(form.coef).ok()?, var: form.var })
+    }
+
+    #[inline(always)]
+    fn at(&self, v: i64) -> *mut T {
+        self.base.wrapping_offset(self.per.wrapping_mul(v as isize))
+    }
+
+    /// # Safety
+    /// The tests of the element's position at `v` passed.
+    #[inline(always)]
+    unsafe fn load(&self, v: i64) -> T {
+        elem_load(self.at(v), 0)
+    }
+}
+
+/// `v`'s value at row `row` over `regs`.
+#[inline(always)]
+fn value(var: Var, row: i64, regs: &[i64; MAX_REGS]) -> i64 {
+    match var {
+        Var::Fixed => 0,
+        Var::Row => row,
+        Var::Reg(r) => regs[usize::from(r)],
+    }
+}
+
+/// An `i32` buffer's storage: its pointer and element count.
+fn ints(fr: &Frame, buf: u32) -> Option<(*mut i32, i64)> {
+    match fr.bufs[buf as usize] {
+        RawBuf::I32 { ptr, len } => Some((ptr, i64::try_from(len).ok()?)),
+        _ => None,
+    }
+}
+
+impl RowPlan {
+    /// The positions operand `op` may start at in the storage it is bound
+    /// to in this launch; `None` for a binding a block does not cover.
+    fn storage(
+        &self,
+        op: usize,
+        at: &Trips,
+        fr: &Frame,
+        factor: Option<u32>,
+    ) -> Option<(i64, i64)> {
+        let view = match op {
+            GATHER => return at.gather.as_ref().map(|g| (0, g.len - 1)),
+            FACTOR => match fr.bufs[factor? as usize] {
+                RawBuf::F32 { len, .. } => return Some((0, i64::try_from(len).ok()? - 1)),
+                _ => return None,
+            },
+            COEFF => at.coeff.as_ref()?,
+            k => at.views[k - 1].as_ref()?,
+        };
+        let span = view.span();
+        match view.spot {
+            Spot::Flat { len, .. } => Some((0.max(-span), (len - 1).min(len - 1 - span))),
+            Spot::ColsByRow { width, rows, .. } => Some((0, rows.checked_mul(width)? - 1)),
+            Spot::Cols { .. } | Spot::Rows { .. } => None,
+        }
+    }
+
+    fn bound(
+        &self,
+        bound: Bound,
+        at: &Trips,
+        fr: &Frame,
+        factor: Option<u32>,
+    ) -> Option<(i64, i64)> {
+        match bound {
+            Bound::Dim(lo, hi) => Some((lo, hi)),
+            Bound::Storage(op) => self.storage(usize::from(op), at, fr, factor),
+            Bound::Len(reg) => match &self.sources[usize::from(reg)] {
+                Source::Load { buf, .. } | Source::Gathered { buf, .. } => {
+                    ints(fr, *buf).map(|(_, len)| (0, len - 1))
+                }
+                _ => None,
+            },
+        }
+    }
+
+    /// Solve the tests over each loaded register into one interval of its
+    /// values, once per launch, on the walk state `at` the launch
+    /// established; take the init decision every row shares. `None` when
+    /// the bindings do not fit a block in this launch. What it solves is
+    /// the nest's, whichever block over it asks first (a split loop's, or
+    /// the per-block one behind it).
+    pub(in crate::exec) fn solve(
+        &self,
+        spec: &NestSpec,
+        lanes: &LaneSpec,
+        at: &Trips,
+        fr: &mut Frame,
+    ) -> Option<Solved> {
+        at.stepper?;
+        let factor = spec.entry.factor.as_ref().map(|(buf, _)| *buf);
+        for op in 0..OPERANDS {
+            if self.aims[op].is_some() {
+                self.storage(op, at, fr, factor)?;
+            }
+        }
+        let mut regs = [(i128::from(i32::MIN), i128::from(i32::MAX)); MAX_REGS];
+        for probe in &self.probes {
+            let Var::Reg(r) = probe.form.var else { continue };
+            let (lo, hi) = self.bound(probe.bound, at, fr, factor)?;
+            let konst = i128::from(probe.form.base.konst);
+            let (from, to) = if probe.form.coef == 0 {
+                if (lo..=hi).contains(&probe.form.base.konst) {
+                    continue;
+                }
+                (1, 0)
+            } else {
+                solve(probe.form.coef.into(), konst, (lo.into(), hi.into()))
+            };
+            let reg = &mut regs[usize::from(r)];
+            *reg = (reg.0.max(from), reg.1.min(to));
+        }
+        // A column-segmented operand stays in its column: whole rows per
+        // unit of what moves it.
+        for op in 1..=COEFF {
+            let view = if op == COEFF { at.coeff.as_ref() } else { at.views[op - 1].as_ref() };
+            if let (Some(form), Some(Spot::ColsByRow { width, .. })) =
+                (&self.aims[op], view.map(|v| &v.spot))
+            {
+                if form.coef % width != 0 {
+                    return None;
+                }
+            }
+        }
+        // The reduce iters and the init decision are the same every entry.
+        for (slot, v) in &spec.entry.reduce {
+            fr.scalars[*slot as usize] = v.as_const()?;
+        }
+        let first = lanes.lane_init(fr, at.r.n);
+        let moved = !spec.reduce_moves.is_empty();
+        let zero_later = matches!(lanes.init, InitKind::WhenReduceZero { .. });
+        if let [(slot, step, _)] = spec.reduce_moves[..] {
+            // What `Trips::stepped` turns away at every entry.
+            if (zero_later && fr.scalars[slot as usize] != 0) || step.abs() > 1 << 20 {
+                return None;
+            }
+        }
+        let rest = if moved && zero_later { LaneInit::Never } else { first };
+        let clamp = |g: i128| g.clamp(i32::MIN.into(), i32::MAX.into()) as i32;
+        let regs = regs.map(|(lo, hi)| (clamp(lo), clamp(hi)));
+        Some(Solved { regs, first, rest })
+    }
+}
+
+/// A block's per-entry state: the fixed registers, every operand's aim and
+/// how the loads are had.
+struct Entry {
+    regs: [i64; MAX_REGS],
+    views: [Option<Aim>; 4],
+    gather: Option<Elem<i32>>,
+    factor: Option<Elem<f32>>,
+    loads: [Option<Elem<i32>>; MAX_REGS],
+}
+
+impl RowPlan {
+    /// The rows `from..=to` of `0..rows` the tail guard lets in; `None`
+    /// when no row is, or a side overflows.
+    fn guarded(&self, fr: &Frame, rows: i64) -> Option<(i64, i64)> {
+        let Some(guard) = &self.guard else { return Some((0, rows - 1)) };
+        let side = |(konst, row, fixed): &Side| {
+            let at0 = fixed.iter().try_fold(*konst, |v, &(coef, slot)| {
+                v.checked_add(coef.checked_mul(fr.scalars[slot as usize])?)
+            })?;
+            // Affine: no overflow at either end means none between.
+            at0.checked_add(row.checked_mul(rows - 1)?)?;
+            Some((at0, *row))
+        };
+        let (l, r) = (side(&guard.sides[0])?, side(&guard.sides[1])?);
+        let lets_in = |i: i64| {
+            let (a, b) = (l.0 + l.1 * i, r.0 + r.1 * i);
+            match guard.op {
+                CmpOp::Lt => a < b,
+                CmpOp::Le => a <= b,
+                CmpOp::Gt => a > b,
+                CmpOp::Ge => a >= b,
+                CmpOp::Eq | CmpOp::Ne => unreachable!("`plan_guard` takes no (in)equality"),
+            }
+        };
+        // Affine sides: the rows let in are one run.
+        let from = (0..rows).find(|&i| lets_in(i))?;
+        let to = (from..rows).rev().find(|&i| lets_in(i))?;
+        Some((from, to))
+    }
+
+    /// Enter the block: the rows, their registers' sources and the
+    /// operands' aims; the tests over the row at its first and last row.
+    #[allow(clippy::too_many_lines)]
+    fn enter(
+        &self,
+        spec: &NestSpec,
+        at: &Trips,
+        fr: &Frame,
+        w: &mut Stepped,
+        (from, to): (i64, i64),
+    ) -> Option<Entry> {
+        let mut e = Entry {
+            regs: [0; MAX_REGS],
+            views: [None; 4],
+            gather: None,
+            factor: None,
+            loads: [None; MAX_REGS],
+        };
+        for (k, source) in self.sources.iter().enumerate() {
+            if let Source::Outer(s) = source {
+                e.regs[k] = fr.scalars[*s as usize];
+            }
+        }
+        let factor = spec.entry.factor.as_ref().map(|(buf, _)| *buf);
+        for probe in self.probes.iter().filter(|p| !matches!(p.form.var, Var::Reg(_))) {
+            let (lo, hi) = self.bound(probe.bound, at, fr, factor)?;
+            let base = probe.form.base.eval(&e.regs)?;
+            let ends = if probe.form.var == Var::Row { [from, to] } else { [0, 0] };
+            for i in ends {
+                let v = base.checked_add(probe.form.coef.checked_mul(i)?)?;
+                if v < lo || v > hi {
+                    return None;
+                }
+            }
+        }
+        for (k, source) in self.sources.iter().enumerate() {
+            if let Source::Load { buf, at: form, .. } | Source::Gathered { buf, at: form } = source
+            {
+                e.loads[k] = Some(Elem::of(ints(fr, *buf)?.0, form, &e.regs)?);
+            }
+        }
+        if let (Some(form), Some(g)) = (&self.aims[GATHER], &at.gather) {
+            e.gather = Some(Elem::of(g.ptr, form, &e.regs)?);
+        }
+        if let (Some(form), Some(buf)) = (&self.aims[FACTOR], factor) {
+            let RawBuf::F32 { ptr, .. } = fr.bufs[buf as usize] else { return None };
+            e.factor = Some(Elem::of(ptr, form, &e.regs)?);
+        }
+        for k in 0..4 {
+            let view = if k == 3 { at.coeff.as_ref() } else { at.views[k].as_ref() };
+            let (Some(form), Some(view)) = (&self.aims[1 + k], view) else { continue };
+            let base = form.base.eval(&e.regs)?;
+            let per = isize::try_from(form.coef).ok()?;
+            let Drift { step, scale, .. } = view.walk.drift;
+            let (aim, unit, by) = match view.spot {
+                Spot::Flat { ptr, .. } => {
+                    let at = Lanes::Run {
+                        ptr: ptr.wrapping_offset(isize::try_from(base).ok()?),
+                        stride: view.stride,
+                    };
+                    let by =
+                        (view.walk.coef.checked_mul(step)?, view.walk.coef.checked_mul(scale)?);
+                    (Aim { at, per, var: form.var }, 1, by)
+                }
+                Spot::ColsByRow { table, width, row_step, row_scale, .. } => {
+                    let (row0, col) = (base.div_euclid(width), base.rem_euclid(width));
+                    if col + view.span() >= width {
+                        return None;
+                    }
+                    let rows_per = isize::try_from(form.coef / width).ok()?;
+                    // SAFETY: 0 <= col < width entries in the table.
+                    let e = unsafe { &*table.add(col as usize) };
+                    let whole = view.n <= i64::from(e.rem);
+                    if view.stride == 1 && !whole {
+                        let at = Lanes::Cols { table, row: row0 as usize, col0: col as usize };
+                        (Aim { at, per: rows_per, var: form.var }, 1, (row_step, row_scale))
+                    } else {
+                        let unit = i64::from(e.stride);
+                        let ptr =
+                            e.ptr.wrapping_offset(isize::try_from(row0.checked_mul(unit)?).ok()?);
+                        let at = Lanes::Run { ptr, stride: view.stride };
+                        let per = rows_per.checked_mul(isize::try_from(unit).ok()?)?;
+                        (Aim { at, per, var: form.var }, unit, (row_step, row_scale))
+                    }
+                }
+                Spot::Cols { .. } | Spot::Rows { .. } => return None,
+            };
+            let (step, gstep) = if view.moves() {
+                (by.0.checked_mul(unit)?, by.1.checked_mul(unit)?)
+            } else {
+                (0, 0)
+            };
+            let cursor =
+                Cursor::new(aim.at, isize::try_from(step).ok()?, isize::try_from(gstep).ok()?);
+            if k == 3 {
+                w.coeff = cursor;
+            } else {
+                w.ops[k] = cursor;
+            }
+            e.views[k] = Some(aim);
+        }
+        // A fill repeats `dst`, a term without `b` repeats `a`.
+        for k in 1..3 {
+            if e.views[k].is_none() {
+                (e.views[k], w.ops[k]) = (e.views[k - 1], w.ops[k - 1]);
+            }
+        }
+        (w.n, w.init32, w.scalar) = (at.r.n, at.r.init32, at.r.scalar);
+        (w.walked, w.ratio, w.factor) = (at.coeff.is_some(), spec.ratio, at.factor);
+        w.gather_step = at.gather_step;
+        Some(e)
+    }
+
+    /// Run rows `0..rows` of the loop — the slot, the constant binds and the
+    /// guard are this function's to set — on the nest `spec` whose walk
+    /// state `at` this launch established and `solve` solved, handing its
+    /// trip loops the scratch `w`. Whatever the block does not take is the
+    /// loop body's, from the row [`Exit`] names: nothing of that row is
+    /// written.
+    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    pub(in crate::exec) fn run(
+        &self,
+        spec: &NestSpec,
+        lanes: &LaneSpec,
+        (at, solved): (&mut Trips, &Solve),
+        fr: &mut Frame,
+        w: &mut Stepped,
+        rows: i64,
+        counts: &mut NestCounts,
+    ) -> Exit {
+        let Solve::Ready(Solved { regs: within, first, rest }) = *solved else {
+            return Exit::Plain;
+        };
+        let Some(loops) = at.stepper else { return Exit::Plain };
+        for &(slot, c) in &self.pins {
+            fr.scalars[slot as usize] = c;
+        }
+        // No row gets past the guard, or a block's test fails: the loop
+        // body takes every row.
+        let Some((from, to)) = self.guarded(fr, rows) else { return Exit::Plain };
+        let Some(mut e) = self.enter(spec, at, fr, w, (from, to)) else { return Exit::Plain };
+        // The row's own slot and, in a split loop, its block's.
+        let per = self.split.map_or(i64::MAX, |s| s.per);
+        let (mut b, mut r) = (from / per, from % per);
+        let loop_of = usize::from(!w.all_runs());
+        // The gather's register and its interval — the entry's reach — when
+        // an operand moves with it: a trip then loads and tests the column.
+        let walks = w.ops.iter().chain(w.walked.then_some(&w.coeff)).any(|c| c.gstep != 0);
+        let reach = spec.entry.gather.as_ref().filter(|_| walks).map(|&(_, g)| {
+            let (lo, hi) = within[usize::from(g)];
+            (usize::from(g), (i64::from(lo), i64::from(hi)))
+        });
+        let head = spec.entry.head;
+        let mut tally = NestCounts::default();
+        let mut exit = Exit::Done;
+        for i in from..=to {
+            if i > from {
+                r += 1;
+                if r == per {
+                    (b, r) = (b + 1, 0);
+                }
+            }
+            let regs = &mut e.regs;
+            if i > from {
+                // What the previous row loaded, before this row loads over it.
+                for (k, source) in self.sources.iter().enumerate().take(head) {
+                    if let Source::Load { rolls: Some(a), .. } = source {
+                        regs[k] = regs[usize::from(*a)];
+                    }
+                }
+            }
+            for (k, source) in self.sources.iter().enumerate().take(head) {
+                regs[k] = match source {
+                    Source::Row => r,
+                    Source::Block => b,
+                    Source::Load { rolls: Some(_), .. } if i > from => continue,
+                    Source::Load { .. } => {
+                        let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
+                        // SAFETY: the block's tests over the row put every
+                        // row's head load inside its storage.
+                        i64::from(unsafe { load.load(value(load.var, i, regs)) })
+                    }
+                    _ => continue,
+                };
+            }
+            let Some(trips) = spec.entry.extent.eval(regs) else {
+                exit = Exit::Enter { row: i };
+                break;
+            };
+            if trips <= 0 {
+                tally.entries += 1;
+                tally.repinned += 1;
+                tally.blocked += 1;
+                continue;
+            }
+            let mut fits = true;
+            for (k, source) in self.sources.iter().enumerate() {
+                match source {
+                    Source::Row if k >= head => regs[k] = r,
+                    Source::Block if k >= head => regs[k] = b,
+                    Source::Row | Source::Block | Source::Outer(_) => continue,
+                    Source::Load { .. } | Source::Gathered { .. } if k >= head => {
+                        let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
+                        // SAFETY: a load after the head is tested as the
+                        // register its position reads (tested just before),
+                        // or over the row at the block's ends.
+                        regs[k] = i64::from(unsafe { load.load(value(load.var, i, regs)) });
+                    }
+                    Source::Load { .. } | Source::Gathered { .. } => {}
+                }
+                let (lo, hi) = within[k];
+                fits &= i64::from(lo) <= regs[k] && regs[k] <= i64::from(hi);
+                if !fits {
+                    break;
+                }
+            }
+            if !fits {
+                exit = Exit::Enter { row: i };
+                break;
+            }
+            w.trips = trips;
+            for k in 0..3 {
+                if let Some(aim) = &e.views[k] {
+                    w.ops[k].at = aim.lanes(value(aim.var, i, regs));
+                }
+            }
+            if let Some(aim) = &e.views[3] {
+                w.coeff.at = aim.lanes(value(aim.var, i, regs));
+            }
+            w.gather = std::ptr::null_mut();
+            if let (Some(g), Some((reg, reach))) = (&e.gather, reach) {
+                (w.gather, w.g0, w.reach) = (g.at(value(g.var, i, regs)), regs[reg], reach);
+            }
+            if let Some(f) = &e.factor {
+                // SAFETY: the factor's position passed its tests.
+                w.factor = unsafe { f.load(value(f.var, i, regs)) };
+            }
+            #[cfg(debug_assertions)]
+            {
+                let (lo, hi) = w.reach;
+                let g0 = w.g0;
+                for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
+                    cursor.covers(trips, (lo.saturating_sub(g0), hi.saturating_sub(g0)));
+                }
+            }
+            // SAFETY: `w` holds this row's entry, every position it reads
+            // tested against the storage it is bound to; the loop for runs
+            // only is taken when every operand is one.
+            let stepped = unsafe { loops[loop_of](w, first, rest) };
+            tally.entries += 1;
+            tally.repinned += 1;
+            tally.blocked += 1;
+            tally.stepped += stepped as u64;
+            if stepped == trips {
+                tally.trips += trips as u64;
+                continue;
+            }
+            // A gathered value left the reach mid-row: the rest of the row
+            // trip by trip, from the pins of this entry.
+            let factor = w.factor;
+            let repinned = at.repin(spec, &spec.entry, lanes, fr, regs);
+            debug_assert!(repinned.is_some(), "the block tested what a re-pin does");
+            at.factor = factor;
+            let done = match repinned.and_then(|()| spec.finish(lanes, fr, at, (stepped, trips))) {
+                Some(taken) => taken.done,
+                None => stepped,
+            };
+            tally.trips += done.max(0) as u64;
+            if done < trips {
+                tally.handovers += 1;
+                exit = Exit::Handover { row: i, done, trips };
+                break;
+            }
+        }
+        counts.add(tally);
+        exit
+    }
+}

@@ -699,7 +699,7 @@ fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     let kernel = CompiledKernel::compile_with(&f, true).unwrap();
     let listing = kernel.disassemble();
     assert!(
-        kernel.fused_ops() == 1 && listing.contains("0000  for        %0 in 0..5"),
+        kernel.fused_ops() == 1 && listing.contains("0000  rows       %0 in 0..5"),
         "{listing}"
     );
     let nest = nest_spec(&kernel);

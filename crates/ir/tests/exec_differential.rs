@@ -2769,3 +2769,170 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Family 6f: row blocks
+// ---------------------------------------------------------------------------
+
+/// The served CSR SpMM at width `d` — the default schedule, its rows split
+/// into `blockIdx` blocks of four (a tail guard when they do not divide
+/// the rows), the vector split widened as `spmm_execute_views_on` widens it
+/// — with the structure tensors it binds.
+fn served_spmm(a: &Csr, d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
+    let mut config = SpmmConfig::default_csr();
+    config.params.vec_width = config.params.vec_width.max(d.div_ceil(8));
+    prepare_spmm_structure(a, d, &config).unwrap()
+}
+
+/// Interpreter ≡ generic ≡ fused on `f` over `tensors`, whichever way it
+/// ends: on success every tensor bit for bit; on failure the error text
+/// and the written prefix. Returns the error text, if any.
+fn agree(f: &PrimFunc, tensors: &HashMap<String, TensorData>) -> Option<String> {
+    let fails = eval_func(f, &HashMap::new(), &mut tensors.clone()).is_err();
+    if fails {
+        Some(differential_failure(f, &HashMap::new(), tensors).unwrap())
+    } else {
+        differential(f, &HashMap::new(), tensors).unwrap();
+        None
+    }
+}
+
+/// What one run of a fresh fused build of `f` over `tensors` counted.
+fn block_counts(f: &PrimFunc, tensors: &HashMap<String, TensorData>) -> NestCounts {
+    let kernel = CompiledKernel::compile(f).unwrap();
+    kernel.run(&HashMap::new(), &mut tensors.clone()).expect("runs");
+    kernel.nest_counts()
+}
+
+/// Row shapes at a block's edges — empty and one-non-zero rows first and
+/// last in a block of four and in the guarded tail, every row empty, every
+/// row one non-zero, `M = 0` and `M = 1` — on the served (split) schedule
+/// and the one-level row loop, SpMM and one-head SDDMM: bit for bit against
+/// the interpreter, within the `f64` oracle's bound, and every row of a
+/// launch taken by its block (one row is no loop, so no block).
+#[test]
+fn row_blocks_bit_match_at_every_row_shape() {
+    let mut rng = gen::rng(0x71);
+    let lengths: [&[usize]; 7] = [
+        &[0, 3, 2, 0, 1, 4, 4, 1, 0, 1],
+        &[1, 0, 0, 1, 0, 5, 0],
+        &[0, 0, 0, 0, 0],
+        &[1, 1, 1, 1, 1, 1],
+        &[3],
+        &[0],
+        &[],
+    ];
+    for lens in lengths {
+        let mut next = lens.iter().copied();
+        let a = gen::random_csr_with_row_lengths(lens.len(), 6, |_| next.next().unwrap(), &mut rng);
+        let rows = a.rows() as u64;
+        for d in [1usize, 4, 17] {
+            let what = format!("rows {lens:?}, d = {d}");
+            let (served, structure) = served_spmm(&a, d);
+            // One row is no loop (a bind, on either schedule): no block.
+            let blocked = if rows == 1 { 0 } else { rows };
+            for f in [served, csr_spmm_ir(&a, d).unwrap()] {
+                let mut tensors = spmm_tensors(&a, d, 0.0, &mut rng);
+                tensors.extend(structure.clone());
+                assert_eq!(agree(&f, &tensors), None, "{what}");
+                let t = interpreted(&f, &tensors, &[]);
+                oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                    .check(t["C"].as_f32())
+                    .unwrap_or_else(|m| panic!("{what}: {m}"));
+                let counts = block_counts(&f, &tensors);
+                assert_eq!(
+                    (counts.entries, counts.blocked, counts.handovers),
+                    (rows, blocked, 0),
+                    "{what}: {counts:?}"
+                );
+            }
+            let f = batched_sddmm_ir(&a, 1, d).unwrap();
+            let mut tensors = csr_tensors(&a);
+            bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), d, &mut rng));
+            bind_dense(&mut tensors, "Y", &gen::random_dense(d, a.cols(), &mut rng));
+            bind_zeros(&mut tensors, "Bout", a.nnz());
+            assert_eq!(agree(&f, &tensors), None, "sddmm, {what}");
+            let t = interpreted(&f, &tensors, &[]);
+            oracle::sddmm_f64(&a, t["X"].as_f32(), t["Y"].as_f32(), d)
+                .check(t["Bout"].as_f32())
+                .unwrap_or_else(|m| panic!("sddmm, {what}: {m}"));
+            let counts = block_counts(&f, &tensors);
+            assert_eq!((counts.entries, counts.blocked), (rows, blocked), "sddmm, {what}");
+        }
+    }
+}
+
+/// A row pointer that decreases in the middle of a block (an empty row,
+/// then a row starting further back), runs past `len(indices)`, or goes
+/// negative, and a gathered column that leaves `B` in the middle of a
+/// block, at its first row and in the guarded tail: one outcome on every
+/// executor — the interpreter's error text and written prefix, or its
+/// bits. The block hands every such row to the nest as a plain loop would.
+#[test]
+fn row_blocks_hand_bad_structure_to_the_nest() {
+    let mut rng = gen::rng(0x72);
+    let lens = [2usize, 3, 0, 4, 1, 2, 3, 1, 2];
+    let mut next = lens.iter().copied();
+    let a = gen::random_csr_with_row_lengths(lens.len(), 8, |_| next.next().unwrap(), &mut rng);
+    let nnz = a.nnz() as i32;
+    let (cols, start) = (a.cols() as i32, |r: usize| a.indptr()[r]);
+    type Bad = (&'static str, &'static str, usize, i32);
+    let cases: [(Bad, Option<&str>); 8] = [
+        (("decreasing mid-block", "J_indptr", 2, 1), None),
+        (("decreasing at the tail", "J_indptr", 8, 14), None),
+        (("past the indices mid-block", "J_indptr", 2, nnz + 3), Some("out of bounds")),
+        (("past the indices at the end", "J_indptr", 9, nnz + 1), Some("out of bounds")),
+        (("negative mid-block", "J_indptr", 1, -2), Some("out of bounds")),
+        (("column past B mid-block", "J_indices", start(2) + 1, cols), Some("`B`")),
+        (("negative column at a block's first row", "J_indices", start(4), -1), Some("`B`")),
+        (("column past B in the tail", "J_indices", start(8), cols + 5), Some("`B`")),
+    ];
+    for d in [1usize, 4, 16] {
+        let (served, structure) = served_spmm(&a, d);
+        for f in [served, csr_spmm_ir(&a, d).unwrap()] {
+            for ((what, buf, at, value), says) in cases {
+                let mut tensors = spmm_tensors(&a, d, 9.0, &mut rng);
+                tensors.extend(structure.clone());
+                let TensorData::I32(slab) = tensors.get_mut(buf).unwrap() else { unreachable!() };
+                slab[at] = value;
+                let what = format!("{what}, d = {d}");
+                match (agree(&f, &tensors), says) {
+                    (Some(msg), Some(says)) => assert!(msg.contains(says), "{what}: {msg}"),
+                    (None, None) => {}
+                    other => panic!("{what}: {other:?}"),
+                }
+            }
+        }
+    }
+}
+
+/// A batch of eight bound as views: `C` and `B` cut into eight column
+/// segments of unequal widths (a lane run crossing them; every row in a
+/// block), and `B` cut into eight row segments two and a half of its rows
+/// long, so rows cross a segment (no block: the nest walks them). Both
+/// against the interpreter and each other bit for bit.
+#[test]
+fn row_blocks_bit_match_on_segmented_batches() {
+    let mut rng = gen::rng(0x73);
+    let lens = [5usize, 0, 1, 3, 2, 0, 6, 1, 1, 4, 0, 2, 7];
+    let mut next = lens.iter().copied();
+    let a = gen::random_csr_with_row_lengths(lens.len(), 20, |_| next.next().unwrap(), &mut rng);
+    let widths: Vec<usize> = (0..8).map(|i| 2 + i / 2 % 2).collect();
+    let feat: usize = widths.iter().sum();
+    let (f, structure) = served_spmm(&a, feat);
+    let cols = [
+        Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
+        Part::output("C", a.rows(), widths.clone()),
+    ];
+    assert_eq!(views_differential(&f, &structure, &cols), [None, None]);
+    let (counts, _) = view_launch(&f, &structure, &cols);
+    let rows = a.rows() as u64;
+    assert_eq!((counts.entries, counts.blocked), (rows, rows), "{counts:?}");
+    assert_stepped(counts, a.nnz() as u64, "column segments");
+
+    let seg = a.cols() * feat / 8;
+    assert_ne!(seg % feat, 0, "rows of `B` cross its segments");
+    let rows_cut =
+        [Part::new("B", None, vec![seg; 8], &mut rng), Part::output("C", a.rows(), vec![feat])];
+    assert_eq!(views_differential(&f, &structure, &rows_cut), [None, None]);
+}

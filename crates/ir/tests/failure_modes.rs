@@ -21,6 +21,12 @@
 //! NaN or ±inf (no error: the bits of IEEE division in the source's order).
 //! The `allocation` cases are extents no buffer can have: a typed error
 //! with one text on all three executors, never an allocator panic.
+//! The `row_blocks` cases break the structure under the served schedule,
+//! whose rows run as one row block over `blockIdx` blocks of four: a row
+//! pointer that decreases, runs past the indices or goes negative in the
+//! middle of a block, and a column past the operand in the guarded tail.
+//! The row that fails a block's test goes to the nest as a loop would take
+//! it: the same error text and written prefix.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -269,7 +275,7 @@ mod row_nests {
         let f = csr_spmm_ir(&a, d).unwrap();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
-        assert!(listing.contains("\n0000  for ") && listing.contains("nest.axpy"), "{listing}");
+        assert!(listing.contains("\n0000  rows ") && listing.contains("nest.axpy"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let mut t = HashMap::new();
@@ -443,7 +449,7 @@ mod stepped {
         let f = csr_spmm_ir(&a, d).unwrap();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
-        assert!(listing.contains("\n0000  for ") && listing.contains("nest.axpy"), "{listing}");
+        assert!(listing.contains("\n0000  rows ") && listing.contains("nest.axpy"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let mut t = HashMap::new();
@@ -739,7 +745,7 @@ mod ratio {
         let f = sch.into_func();
         let fused = CompiledKernel::compile_with(&f, true).unwrap();
         let listing = fused.disassemble();
-        assert!(listing.contains("\n0000  for ") && listing.contains("coeff=+1/row"), "{listing}");
+        assert!(listing.contains("\n0000  rows ") && listing.contains("coeff=+1/row"), "{listing}");
         let ramp =
             |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 7.0)).collect::<Vec<_>>();
         let cols: Vec<i32> = (0..NNZ as i32).map(|p| (p * 5 + 1) % COLS as i32).collect();
@@ -898,5 +904,94 @@ mod allocation {
             let got = exec_func(&f, &HashMap::new(), &mut t).unwrap_err().to_string();
             assert_eq!(got.strip_prefix("executor error: "), Some(want), "exec_func");
         }
+    }
+}
+
+mod row_blocks {
+    use super::*;
+    use sparsetir_kernels::prelude::{prepare_spmm_structure, SpmmConfig};
+    use sparsetir_smat::prelude::Csr;
+
+    const ROWS: usize = 6;
+    const COLS: usize = 6;
+    /// Row lengths 2, 0, 1, 3, 0, 3: a block of four rows, and a tail of two
+    /// behind the guard.
+    const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 9];
+    const INDICES: [i32; 9] = [0, 3, 2, 1, 2, 4, 1, 5, 3];
+
+    /// The served CSR SpMM at width 4 with hand-written structure tensors
+    /// (`slab[at] = value` in the one named) and a `C` of stale 9.0s.
+    fn spmm(slab: &str, at: usize, value: i32) -> (PrimFunc, HashMap<String, TensorData>) {
+        let indptr = INDPTR.iter().map(|&p| p as usize).collect();
+        let sorted = vec![0, 3, 2, 1, 2, 4, 1, 3, 5];
+        let a = Csr::new(ROWS, COLS, indptr, sorted, vec![1.0; 9]).unwrap();
+        let (f, _) = prepare_spmm_structure(&a, 4, &SpmmConfig::default_csr()).unwrap();
+        let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+        assert!(listing.contains("\n0000  rows ") && listing.contains(" × %"), "{listing}");
+        let mut t = HashMap::new();
+        t.insert("J_indptr".to_string(), TensorData::from(INDPTR.to_vec()));
+        t.insert("J_indices".to_string(), TensorData::from(INDICES.to_vec()));
+        t.insert("A".to_string(), TensorData::from(vec![0.5f32; 9]));
+        let b = (0..COLS * 4).map(|x| x as f32 * 0.25 - 2.0).collect::<Vec<_>>();
+        t.insert("B".to_string(), TensorData::from(b));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; ROWS * 4]));
+        let TensorData::I32(s) = t.get_mut(slab).unwrap() else { unreachable!() };
+        s[at] = value;
+        (f, t)
+    }
+
+    /// Interpreter, all-generic bytecode and the block: one outcome — an
+    /// error containing `says`, or success for `None` — and `C` bit for bit
+    /// the interpreter's, which is returned.
+    fn agrees(slab: &str, at: usize, value: i32, says: Option<&str>) -> Vec<f32> {
+        let (f, tensors) = spmm(slab, at, value);
+        let mut want = tensors.clone();
+        let err = eval_func(&f, &HashMap::new(), &mut want).err().map(|e| e.to_string());
+        let err = err.as_deref().map(|e| e.strip_prefix("interpreter error: ").expect("prefix"));
+        match (err, says) {
+            (Some(err), Some(says)) => assert!(err.contains(says), "{err}"),
+            (None, None) => {}
+            other => panic!("interpreter outcome vs expectation: {other:?}"),
+        }
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).err().map(|e| e.to_string());
+            let e = e.as_deref().map(|e| e.strip_prefix("executor error: ").expect("prefix"));
+            assert_eq!(e, err, "fuse = {fuse}");
+            let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "fuse = {fuse}: C diverged\n{got:?}\n{want:?}");
+        }
+        want["C"].as_f32().to_vec()
+    }
+
+    #[test]
+    fn row_pointer_decreasing_mid_block_is_an_empty_row() {
+        // Row 1 runs 2..1 (no trips), row 2 1..3 — no error anywhere.
+        let c = agrees("J_indptr", 2, 1, None);
+        assert!(c[4..8].iter().all(|&c| c == 9.0), "row 1 untouched: {c:?}");
+        assert!(c[8..12].iter().all(|&c| c != 9.0), "row 2 written: {c:?}");
+    }
+
+    #[test]
+    fn row_pointer_past_the_indices_mid_block() {
+        // Row 2 claims positions 2..12 of nine: the gather leaves the
+        // indices after row 2's seventh trip, rows 0 and 1 written before.
+        let c = agrees("J_indptr", 3, 12, Some("out of bounds"));
+        assert!(c[..4].iter().all(|&c| c != 9.0), "row 0 written: {c:?}");
+    }
+
+    #[test]
+    fn negative_row_pointer_mid_block() {
+        // Row 1 runs -2..2: its very first gather is out of bounds.
+        agrees("J_indptr", 1, -2, Some("index -2 out of bounds"));
+    }
+
+    #[test]
+    fn column_past_the_operand_in_the_guarded_tail() {
+        // Row 5's second trip (position 7) reaches column 6 of six.
+        let c = agrees("J_indices", 7, COLS as i32, Some("out of bounds"));
+        assert!(c[5 * 4..].iter().all(|&c| c != 9.0), "row 5's first trip landed: {c:?}");
     }
 }

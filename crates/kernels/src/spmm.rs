@@ -473,10 +473,19 @@ mod crosscheck_tests {
     }
 
     /// What one launch of a kernel must have counted: `entries` nest
-    /// entries taking `trips` trips between them.
+    /// entries taking `trips` trips between them, `blocked` of the entries
+    /// taken by a row block.
     struct Expect {
         entries: u64,
         trips: u64,
+        blocked: u64,
+    }
+
+    impl Expect {
+        /// A CSR row loop: every entry a row of a row block.
+        fn rows(entries: u64, trips: u64) -> Expect {
+            Expect { entries, trips, blocked: entries }
+        }
     }
 
     /// Check a fresh compilation `kernel` of the function behind `listing`
@@ -491,8 +500,8 @@ mod crosscheck_tests {
         assert_eq!(programs, nests, "{what}: every nest has an entry program\n{listing}");
         let got = kernel.nest_counts();
         assert_eq!(
-            (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-            (want.entries, want.entries, 0, want.trips, want.trips),
+            (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
+            (want.entries, want.entries, 0, want.trips, want.trips, want.blocked),
             "{what}: {got:?}\n{listing}"
         );
         listing
@@ -550,7 +559,7 @@ mod crosscheck_tests {
         for rows in [64usize, 61] {
             let a = power_law(rows);
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
-            let want = Expect { entries: rows as u64, trips: a.nnz() as u64 };
+            let want = Expect::rows(rows as u64, a.nnz() as u64);
             for d in [4usize, 16, 128] {
                 let config = SpmmConfig::default_csr().widened(d);
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
@@ -596,9 +605,12 @@ mod crosscheck_tests {
         // (a trip per row of `C`).
         let width_of = |name: &str| name.rsplit_once("_w").unwrap().1.parse::<usize>().unwrap();
         let slots = |b: &String| tensors[b].as_f32().len();
+        let entries = 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64;
         let want = Expect {
-            entries: 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64,
+            entries,
             trips: (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64,
+            // Every bucket's rows in a block; the init nest has no row loop.
+            blocked: entries - 1,
         };
         operands(&a, 16, &mut tensors);
         let l = launch_repins(&f, &mut tensors, &want, "hyb(c = 2, k = 3)");
@@ -625,15 +637,17 @@ mod crosscheck_tests {
             let what = format!("sddmm, {heads} heads");
             let l = if heads == 1 {
                 // The `j` loop is the nest, entered once per row.
-                let want = Expect { entries: a.rows() as u64, trips: a.nnz() as u64 };
+                let want = Expect::rows(a.rows() as u64, a.nnz() as u64);
                 assert_fast_path(&kernel, &want, &what)
             } else {
-                // The head loop under it is, entered once per non-zero.
+                // The head loop under it is, entered once per non-zero; its
+                // entries are no block's: they load at the row and the
+                // non-zero at once, and step nothing.
                 let got = kernel.nest_counts();
                 let (entries, trips) = (a.nnz() as u64, (a.nnz() * heads) as u64);
                 assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (entries, entries, 0, trips, 0),
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
+                    (entries, entries, 0, trips, 0, 0),
                     "{what}"
                 );
                 kernel.disassemble()
@@ -651,7 +665,7 @@ mod crosscheck_tests {
         bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), k, &mut rng));
         bind_dense(&mut tensors, "Y", &gen::random_dense(k, a.cols(), &mut rng));
         bind_zeros(&mut tensors, "Bout", a.nnz());
-        let want = Expect { entries: a.rows() as u64, trips: a.nnz() as u64 };
+        let want = Expect::rows(a.rows() as u64, a.nnz() as u64);
         let f = crate::sddmm::sddmm_ir(&a, k).unwrap();
         let l = launch_repins(&f, &mut tensors, &want, "sddmm_ir");
         assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
@@ -689,9 +703,9 @@ mod crosscheck_tests {
                 assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
                 assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
                 assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (5 * rows, 5 * rows, 0, 5 * nnz, 5 * nnz),
-                    "attention, one head: every trip stepped\n{l}"
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
+                    (5 * rows, 5 * rows, 0, 5 * nnz, 5 * nnz, 5 * rows),
+                    "attention, one head: every trip stepped, every row in a block\n{l}"
                 );
             } else {
                 assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (4, 1), "{l}");
@@ -700,10 +714,12 @@ mod crosscheck_tests {
                 let heads = heads as u64;
                 // Per non-zero, the score's head loop; per row, each
                 // softmax pass, every trip of which steps.
+                // The softmax passes' rows in blocks, the score's head loop
+                // in none (as the three-head SDDMM's).
                 let (entries, trips) = (nnz + 3 * rows, nnz * heads + 3 * nnz);
                 assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-                    (entries, entries, 0, trips, 3 * nnz),
+                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
+                    (entries, entries, 0, trips, 3 * nnz, 3 * rows),
                     "attention, {heads} heads\n{l}"
                 );
             }
@@ -724,9 +740,9 @@ mod crosscheck_tests {
         assert!(l.contains("coeff=+1*row"), "the walked product\n{l}");
         let (rows, trips) = (a.rows() as u64, (a.nnz() + a.rows() * feat) as u64);
         assert_eq!(
-            (got.entries, got.repinned, got.handovers, got.trips, got.stepped),
-            (2 * rows, 2 * rows, 0, trips, trips),
-            "sage: every trip stepped\n{l}"
+            (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
+            (2 * rows, 2 * rows, 0, trips, trips, 2 * rows),
+            "sage: every trip stepped, every row in a block\n{l}"
         );
     }
 
