@@ -18,7 +18,11 @@
 //! table takes fused attention
 //! apart: at one head and `stbench kernel_narrow`'s d = 4, the fused run
 //! beside each of its five passes compiled alone from its Stage I program
-//! (score, rowmax, exp, psum, agg), in nanoseconds per non-zero.
+//! (score, rowmax, exp, psum, agg), in nanoseconds per non-zero. A rider
+//! table prices a batch: SDDMM at k = 8 and fused attention at d = 4 for 1,
+//! 2, 4 and 8 riders through their entry points, in nanoseconds per
+//! (non-zero, rider) — a batch runs the one-head kernel once per rider, so
+//! a rider should cost what a solo launch does.
 //!
 //! Smoke mode asserts the bit-identities and keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
@@ -389,7 +393,90 @@ pub fn run() -> String {
         ));
     }
     out.push_str(&attention_passes(&a, 4, burst, &mut rng));
+    out.push_str(&rider_costs(&a, burst, &mut rng));
     out
+}
+
+/// Rider counts of the rider table.
+const RIDERS: [usize; 4] = [1, 2, 4, 8];
+
+/// A batch's cost per rider: SDDMM at k = 8 and fused attention at d = 4
+/// (one head a rider), each at [`RIDERS`] riders through its served entry
+/// point on a warm runtime of its own — so an arm's `blocked / entries` is
+/// its runtime's ([`Runtime::nest_counts`]) — as minima in ns per
+/// (non-zero, rider) and against the one-rider arm. The arms' riders are
+/// the first `n` of one pool of eight, and every rider's output is checked
+/// bit for bit against the eight-rider batch's.
+///
+/// # Panics
+/// Panics when a rider's output differs in a bit between batch sizes.
+fn rider_costs(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
+    let (k, d, most) = (8usize, 4usize, RIDERS[RIDERS.len() - 1]);
+    let pairs: Vec<(Dense, Dense)> = (0..most)
+        .map(|_| (gen::random_dense(a.rows(), k, rng), gen::random_dense(k, a.cols(), rng)))
+        .collect();
+    let heads: Vec<[Dense; 3]> = (0..most)
+        .map(|_| {
+            let q = gen::random_dense(a.rows(), d, rng);
+            [q, gen::random_dense(d, a.cols(), rng), gen::random_dense(a.cols(), d, rng)]
+        })
+        .collect();
+    let operand = |p: usize| -> Vec<&Dense> { heads.iter().map(|h| &h[p]).collect() };
+    let (qs, kts, vs) = (operand(0), operand(1), operand(2));
+    let rts: Vec<Runtime> = (0..2 * RIDERS.len()).map(|_| Runtime::new()).collect();
+    let mut edge_outs: Vec<Vec<Vec<f32>>> =
+        RIDERS.iter().map(|&n| vec![vec![0.0f32; a.nnz()]; n]).collect();
+    let mut head_outs: Vec<Vec<Dense>> =
+        RIDERS.iter().map(|&n| vec![Dense::zeros(a.rows(), d); n]).collect();
+    let mut arms: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+    for ((&n, outs), rt) in RIDERS.iter().zip(&mut edge_outs).zip(&rts) {
+        let reqs = &pairs[..n];
+        arms.push(Box::new(move || sddmm_execute_views_on(rt, a, reqs, outs).expect("served")));
+    }
+    for ((&n, outs), rt) in RIDERS.iter().zip(&mut head_outs).zip(&rts[RIDERS.len()..]) {
+        let (q, kt, v) = (&qs[..n], &kts[..n], &vs[..n]);
+        arms.push(Box::new(move || {
+            fused_attention_views_on(rt, a, q, kt, v, outs).expect("served attention");
+        }));
+    }
+    let mut refs: Vec<&mut dyn FnMut()> = arms.iter_mut().map(|arm| &mut **arm as _).collect();
+    let got = minima(rounds, reps, &mut refs);
+    drop(refs);
+    drop(arms);
+    for (n, outs) in RIDERS.iter().zip(&edge_outs) {
+        for (r, out) in outs.iter().enumerate() {
+            assert_bits(&format!("sddmm rider {r} of {n}"), out, &edge_outs[RIDERS.len() - 1][r]);
+        }
+    }
+    for (n, outs) in RIDERS.iter().zip(&head_outs) {
+        for (r, out) in outs.iter().enumerate() {
+            let want = head_outs[RIDERS.len() - 1][r].data();
+            assert_bits(&format!("attention rider {r} of {n}"), out.data(), want);
+        }
+    }
+    let mut rows = Vec::new();
+    for (op, at) in [(format!("sddmm k={k}"), 0), (format!("attention d={d}"), RIDERS.len())] {
+        let per_rider = |i: usize| got[at + i] / (a.nnz() * RIDERS[i]) as f64;
+        for (i, &n) in RIDERS.iter().enumerate() {
+            let counts = rts[at + i].nest_counts();
+            rows.push(vec![
+                op.clone(),
+                n.to_string(),
+                format!("{}/{}", counts.blocked, counts.entries),
+                format!("{:.1}", per_rider(i)),
+                format!("{:.2}", per_rider(i) / per_rider(0)),
+            ]);
+        }
+    }
+    render_table(
+        &format!(
+            "launch_probe: a batch's riders (n = {}, nnz = {}), whole-launch minima",
+            a.rows(),
+            a.nnz()
+        ),
+        &["arm", "riders", "blocked/entries", "ns per (non-zero, rider)", "× one rider"],
+        &rows,
+    )
 }
 
 /// Fused attention at one head and `d = feat = vfeat` on `a`, taken apart

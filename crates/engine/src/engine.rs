@@ -1,7 +1,9 @@
 //! The serving engine: a bounded multi-producer request queue drained by
 //! a worker pool that folds fingerprint-compatible requests of *any*
 //! batchable [`SparseOp`] — SpMM, SDDMM, fused attention — into single
-//! widened kernel launches through one generic request path.
+//! kernel launches through one generic request path (SpMM riders widen
+//! one kernel run; SDDMM and attention riders each run the one-head
+//! kernel, the launch's fixed costs shared).
 //!
 //! Since the SLO redesign the queue is priority-then-deadline ordered,
 //! admission sheds infeasible or expired work with typed
@@ -498,7 +500,7 @@ pub struct WorkerStall<'a> {
 /// served [`SparseOp`] from any number of client threads through one
 /// generic submit path, and batches concurrent requests that share an
 /// [`Adjacency`] fingerprint (and satisfy the op's batching contract)
-/// into single widened kernel launches.
+/// into single kernel launches.
 ///
 /// Submissions carry optional SLO envelopes — a deadline and a
 /// [`Priority`] class. The queue serves higher priorities first and
@@ -1198,7 +1200,7 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, feat: usize) -> SpmmConfi
 }
 
 /// Serve one kind-matched batch through the op's generic contract:
-/// config lookup → widened `execute_batch_on` → per-request replies. A
+/// config lookup → one `execute_batch_on` launch → per-request replies. A
 /// panicking kernel answers every rider with [`EngineError::Exec`]
 /// instead of killing the worker.
 fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {

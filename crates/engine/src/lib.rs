@@ -43,13 +43,14 @@
 //!   exactly like an untuned one.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
-//!   folded into one widened kernel launch that binds each rider's
-//!   operands and output buffer in place as segmented views — column
-//!   segments for SpMM, a head axis inside each row's non-zero loop for
-//!   SDDMM/fused attention — so nothing is stacked or split back
-//!   ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
-//!   costs (lowering, IR fingerprinting, dispatch) are paid once per
-//!   batch. Results are bit-identical to unbatched execution.
+//!   folded into one kernel launch that binds each rider's operands and
+//!   output buffer in place as views — column segments of one widened
+//!   kernel run for SpMM, one run of the one-head kernel per rider for
+//!   SDDMM/fused attention (a rider costs what a solo launch does) — so
+//!   nothing is stacked or split back ([`EngineStats::bytes_copied`] stays
+//!   0). The fixed per-request costs (kernel lookup, structure binding,
+//!   dispatch) are paid once per batch. Results are bit-identical to
+//!   unbatched execution.
 //! * **Bounded queue with backpressure**: blocking submits wait while
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with

@@ -204,8 +204,8 @@ proptest! {
         prop_assert_eq!(stats.widths_of("fused_sage").map(|w| w.max_width), Some(1));
     }
 
-    /// The pure SDDMM batching primitive: one widened launch (riders are
-    /// the heads of the batched fused kernel) vs a sequential loop of
+    /// The pure SDDMM batching primitive: one launch (the one-head kernel
+    /// run once per rider) vs a sequential loop of
     /// single-request launches. All requests share one inner width here
     /// (the batching contract); widths 0 and 1 are included.
     #[test]
@@ -230,7 +230,7 @@ proptest! {
     }
 
     /// The full engine SDDMM path with *mixed* inner widths: compatible
-    /// requests share a widened launch, incompatible ones dispatch alone,
+    /// requests share a launch, incompatible ones dispatch alone,
     /// and every answer must still be bit-identical to the sequential
     /// loop.
     #[test]

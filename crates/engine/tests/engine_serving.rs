@@ -559,8 +559,9 @@ fn concurrent_submits_survive_worker_panic() {
     assert_eq!(stats.worker_panics, 1);
 }
 
-/// SDDMM requests queued behind a busy worker must fold into one
-/// block-diagonal batch — and stay bit-identical to unbatched execution.
+/// SDDMM requests queued behind a busy worker must fold into one batch —
+/// one launch, the one-head kernel run once per rider — and stay
+/// bit-identical to unbatched execution.
 #[test]
 fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let big = power_law_csr(1500, 131);
@@ -691,7 +692,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
 }
 
 /// Fused attention requests queued behind a busy worker fold into one
-/// widened launch — but only compatible `(k, vfeat)` shapes share it —
+/// launch — but only compatible `(k, vfeat)` shapes share it —
 /// and the per-op-kind width histogram records exactly that.
 #[test]
 fn queued_fused_attention_batches_and_the_width_histogram_records_it() {

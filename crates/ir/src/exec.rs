@@ -105,43 +105,33 @@ impl std::error::Error for ExecError {}
 
 /// What a kernel's row nests did over its runs so far
 /// ([`CompiledKernel::nest_counts`]): whether the fast path is the one
-/// taken. Every entry runs its nest's entry program — or, in a row block,
-/// the block's per-row tests; `entries − repinned` are those handed to the
-/// generic loop at trip 0 instead — the walk state could not be
-/// established, or the program or the re-pin failed a check — plus any
-/// such entry that had no trips.
+/// taken. A nest's entries are taken by a block — a row loop's, or the
+/// nest's own block of one entry — or handed to the generic loop, at trip
+/// 0 (the walk state could not be established, a test of the block or the
+/// row failed) or at the trip whose gathered value left the block's reach.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NestCounts {
     /// Times a nest was entered: once per execution of the loop it heads
-    /// — once per row for a CSR row's non-zeros, once per non-zero for the
-    /// head loop of a multi-head SDDMM.
+    /// — once per row for a CSR row's non-zeros.
     pub entries: u64,
-    /// Entries that ran their entry program and re-pinned the walk state
-    /// the launch established.
-    pub repinned: u64,
-    /// Entries that handed a trip they could not take to the generic loop.
+    /// Entries that handed a trip to the generic loop: `entries − blocked`
+    /// at trip 0, the rest mid-row (`trips − stepped` trips between them).
     pub handovers: u64,
-    /// Trips the nests took themselves (a CSR row's non-zeros): every
-    /// trip of every entry but those handed over.
+    /// Trips of the entries a block took (a CSR row's non-zeros).
     pub trips: u64,
-    /// Of `trips`, those an entry ran in its monomorphised trip loop — a
-    /// cursor add per operand — rather than re-deriving every operand per
-    /// trip. `trips − stepped` are what the menu of trip loops does not
-    /// cover (a binding walked column by column, a row-segmented one
-    /// changing segment mid-entry) or a range test of an entry turned away.
+    /// Of `trips`, those the nest's monomorphised trip loop ran — a cursor
+    /// add per operand — before the generic loop took the rest of a row.
     pub stepped: u64,
-    /// Of `entries`, the rows a row block took itself — its registers
-    /// loaded and tested against the intervals the launch solved, no
-    /// bytecode dispatch, entry program or re-pin — rather than entering
-    /// the nest one row at a time. On a served CSR kernel expect
-    /// `blocked == entries`.
+    /// Of `entries`, those a block took itself — its registers loaded and
+    /// tested against the intervals the launch solved, no bytecode
+    /// dispatch or expression tree. On a served kernel expect
+    /// `blocked == entries`, `stepped == trips` and no hand-over.
     pub blocked: u64,
 }
 
 impl NestCounts {
     fn add(&mut self, other: NestCounts) {
         self.entries += other.entries;
-        self.repinned += other.repinned;
         self.handovers += other.handovers;
         self.trips += other.trips;
         self.stepped += other.stepped;

@@ -26,33 +26,32 @@
 //!   fallback (taken when per-lane bounds validation fails, reproducing
 //!   the interpreter's errors). A loop whose whole body is such a lane
 //!   loop, and whose per-trip prologue [`fuse::build_nest`] can plan in
-//!   one walk (how each quantity moves, and an entry program), is headed
-//!   by an [`Instr::Nest`]
-//!   instead of a `LoopStart`: the row nest runs the trips itself and
-//!   hands the loop behind it — lowered exactly as without the nest —
-//!   whichever trip it cannot take.
+//!   one walk (how each quantity moves, and an entry program) as a block
+//!   of one entry ([`fuse::build_block`]), is headed by an [`Instr::Nest`]
+//!   instead of a `LoopStart`: the nest runs the trips itself
+//!   ([`run_entry`]) and hands the loop behind it — lowered exactly as
+//!   without the nest — whichever trip it cannot take.
 //! * **A row loop over a nest is a block, not jump-encoded.** A loop whose
 //!   whole body is one nest (behind constant binds and a tail guard), or a
 //!   `blockIdx` loop over a constant number of such rows, is headed by an
-//!   [`Instr::Rows`]: [`fuse::build_rows`] plans every register of the
+//!   [`Instr::Rows`]: [`fuse::build_block`] plans every register of the
 //!   nest's entry program against the row, and the block runs the rows in
 //!   Rust ([`run_rows`]) — per row its loads, one compare pair per loaded
 //!   register against an interval the launch solved, the cursors' first
-//!   lanes and the nest's trip loop. The row it cannot take enters the
-//!   loop body behind it, and through the nest from there.
-//! * **A nest is entered many times per launch, one way, and keeps what
-//!   cannot change between entries.** The dispatch loop's [`State`] has
-//!   one slot per nest instruction: a launch's first entry establishes the
-//!   launch-invariant walk state there, and every entry, that one
-//!   included, runs the nest's entry program and re-pins it
-//!   ([`run_nest`]). `Alloc` /
-//!   `Free` of a buffer the state names drops it. The slots are one slab
-//!   per launching thread ([`WALKS`]), handed back empty after every
-//!   launch: a warm launch allocates no walk state, a kernel keeps none.
-//!   A row block keeps what its launch solved in the same slot, beside
-//!   its nest's walk state. Entries, re-pins, hand-overs and the rows a
-//!   block took are counted per launch and added to the [`Code`]'s totals
-//!   when `exec` returns ([`Code::nest_counts`]).
+//!   lanes and the nest's trip loop. The row and trip it cannot take go
+//!   to the generic loop behind the nest, the later rows through the loop
+//!   body. So a loop runs one of two ways: as a block, or as the generic
+//!   loop.
+//! * **A nest keeps, within a launch, what cannot change between
+//!   entries.** The dispatch loop's [`State`] has one slot per nest
+//!   instruction: the launch's first block over the nest establishes the
+//!   launch-invariant walk state there and solves its tests once.
+//!   `Alloc` / `Free` of a buffer the state names drops it. The slots are
+//!   one slab per launching thread ([`WALKS`]), handed back empty after
+//!   every launch: a warm launch allocates no walk state, a kernel keeps
+//!   none. Entries, hand-overs and the entries and trips a block took are
+//!   counted per launch and added to the [`Code`]'s totals when `exec`
+//!   returns ([`Code::nest_counts`]).
 //!
 //! A launch is one pass of this loop on the caller's thread: a
 //! `blockIdx`-bound loop is a `LoopStart` like any other.
@@ -61,7 +60,7 @@
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, Exit, LaneSpec, NestSpec, RowPlan, Solve, Split, Stepped, Taken, Trips};
+use super::fuse::{self, Block, Exit, LaneSpec, NestSpec, RowPlan, Solve, Split, Stepped, Trips};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, scan_int, BoolExpr, CBlock, CStmt,
     ExecError, ExprInfo, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, MmaOp, NestCounts, RawBuf,
@@ -123,18 +122,20 @@ pub(super) enum Instr {
     /// right behind it (which ends at `done`).
     Super { spec: Box<LaneSpec>, done: u32 },
     /// Head of a loop around a fused lane loop, in place of its
-    /// [`Instr::LoopStart`]: run the trips as a row nest and jump to `end`,
-    /// or — from the first trip the nest cannot take — enter the loop body
-    /// right behind this instruction at that trip, sharing the loop's
-    /// `LoopEnd` (at `end - 1`) as the back edge. `id` numbers the nests
-    /// of a stream: the slot of this one's kept walk state in [`State`].
-    Nest { spec: Box<NestSpec>, id: u32, end: u32 },
+    /// [`Instr::LoopStart`]: run the trips as a block of one entry and jump
+    /// to `end`, or — from the first trip the block cannot take — enter
+    /// the loop body right behind this instruction at that trip, sharing
+    /// the loop's `LoopEnd` (at `end - 1`) as the back edge. `id` numbers
+    /// the nests of a stream: the slot of this one's kept walk state in
+    /// [`State`].
+    Nest { spec: Box<NestSpec>, block: Box<Block>, id: u32, end: u32 },
     /// Head of a row loop whose whole body is one [`Instr::Nest`], in place
     /// of its [`Instr::LoopStart`]: run the rows as a block against the
     /// nest's walk state and jump to `end`, or — from the first row the
     /// block cannot take — enter the loop body right behind this
     /// instruction at that row, sharing the loop's `LoopEnd` (at
-    /// `end - 1`) as the back edge.
+    /// `end - 1`) as the back edge, and the nest's generic loop at the trip
+    /// the block stopped at.
     Rows { spec: Box<RowPlan>, end: u32 },
     /// Ill-typed statement that errors only if executed (matching the
     /// interpreter's lazy runtime errors).
@@ -349,8 +350,9 @@ impl Lower {
     /// body is one fused lane loop — `LoopStart; [v = const]*; Super ..
     /// fallback; LoopEnd`, the constant binds being what unit-trip loops
     /// in between lowered to — and [`fuse::build_nest`] can plan that lane
-    /// loop's prologue against the loop variable: how each quantity moves,
-    /// and its entry program. Only the head changes: the nest replaces the
+    /// loop's prologue against the loop variable (how each quantity moves,
+    /// and its entry program) and [`fuse::build_block`] the nest's one
+    /// entry as a block. Only the head changes: the nest replaces the
     /// `LoopStart` and refers to the `Super` behind it.
     fn nest_head(&mut self, at: usize) {
         let mut lanes_at = at + 1;
@@ -369,17 +371,22 @@ impl Lower {
             return;
         }
         let lanes_at = u32::try_from(lanes_at).expect("kernel exceeds u32 instructions");
-        if let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, lanes_at) {
-            self.instrs[at] = Instr::Nest { spec: Box::new(spec), id: self.nests, end: *end };
-            self.nests += 1;
-        }
+        let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, lanes_at) else { return };
+        // Outside any row loop, every slot the entry program reads is fixed.
+        let Some(block) = fuse::build_block((&spec, lanes), None, Vec::new(), None, |_| true)
+        else {
+            return;
+        };
+        let (spec, block) = (Box::new(spec), Box::new(block));
+        self.instrs[at] = Instr::Nest { spec, block, id: self.nests, end: *end };
+        self.nests += 1;
     }
 
     /// Turn the loop just lowered at `at` into a row block when its whole
     /// body is one row nest — `LoopStart; [br.false guard -> back edge];
     /// [v = const]*; Nest ..; LoopEnd` — or one such loop of a constant
     /// number of rows, itself a row block (the `blockIdx` split: `LoopStart;
-    /// [v = const]*; Rows ..; LoopEnd`), and [`fuse::build_rows`] can plan
+    /// [v = const]*; Rows ..; LoopEnd`), and [`fuse::build_block`] can plan
     /// the nest's entry program against the rows. Only the head changes:
     /// the block replaces the `LoopStart`, and the body behind it is the way
     /// in for every row the block does not take.
@@ -451,8 +458,10 @@ impl Lower {
         let outer = |s: u32| !written.contains(&s);
         let pins = pins.into_iter().map(|(_, slot, c)| (slot, c)).collect();
         let nest_at = u32::try_from(body).expect("kernel exceeds u32 instructions");
-        let rows = (slot, extent, split);
-        if let Some(plan) = fuse::build_rows((spec, lanes), rows, pins, guard, outer, nest_at) {
+        if let Some(block) =
+            fuse::build_block((spec, lanes), Some((slot, split)), pins, guard, outer)
+        {
+            let plan = RowPlan { slot, extent: extent.clone(), split, nest_at, block };
             self.instrs[at] = Instr::Rows { spec: Box::new(plan), end: end as u32 };
         }
     }
@@ -594,10 +603,10 @@ struct LoopFrame {
 
 /// What a row nest keeps from one entry to the next within a launch.
 struct Kept {
-    /// The launch-invariant walk state — with what the launch solved for a
-    /// row block around the nest; `None` when the nest's bindings are of a
-    /// kind its walks do not cover (every entry then hands trip 0 to the
-    /// generic loop).
+    /// The launch-invariant walk state — with what the launch solved for
+    /// the blocks over the nest; `None` when the nest's bindings are of a
+    /// kind the blocks do not cover (every entry then goes to the generic
+    /// loop).
     walks: Option<Trips>,
     /// Where the nest's instruction is (whose entry program names the
     /// buffers this was decided on).
@@ -606,7 +615,7 @@ struct Kept {
 
 thread_local! {
     /// The kept walk state of the nests of a launch on this thread, by
-    /// [`Instr::Nest`] `id`: a launch takes it ([`State::new`]), [`run_nest`]
+    /// [`Instr::Nest`] `id`: a launch takes it ([`State::new`]), [`run_block`]
     /// grows it on first use, and the launch hands it back empty, capacity
     /// kept ([`State`]'s `Drop`), every nest unestablished for the next
     /// launch of any kernel — so a warm launch allocates no walk state, and
@@ -636,10 +645,10 @@ struct State<'c> {
     code: &'c [Instr],
     loops: Vec<LoopFrame>,
     saved: Vec<RawBuf>,
-    /// This thread's [`WALKS`] for the launch; `None` until the nest's
-    /// first entry establishes it.
+    /// This thread's [`WALKS`] for the launch; `None` until the first
+    /// block over the nest establishes it.
     kept: Vec<Option<Kept>>,
-    /// What an entry hands its stepped trip loop.
+    /// What a block hands the nest's trip loop per entry.
     step: Stepped,
     counts: NestCounts,
 }
@@ -832,8 +841,8 @@ fn dispatch<'c>(code: &'c [Instr], fr: &mut Frame, st: &mut State<'c>) -> Result
                     ip += 1;
                 }
             }
-            Instr::Nest { spec, id, end: lend } => {
-                ip = run_nest(code, ip, (spec, *id), *lend, fr, st)?;
+            Instr::Nest { block, end: lend, .. } => {
+                ip = run_entry(code, ip, block, *lend, fr, st)?;
             }
             Instr::Rows { spec, end: lend } => {
                 ip = run_rows(code, ip, spec, *lend, fr, st)?;
@@ -867,86 +876,95 @@ fn alloc(
     Ok(())
 }
 
-/// Execute the row nest at `ip` (kept out of line: the dispatch loop's
-/// other arms should not pay for its state): returns the next `ip` —
-/// `end` when the nest took every trip, else the loop body right behind
-/// it, entered at the first trip the nest could not take.
-///
-/// A launch's first entry establishes the nest's launch-invariant walk
-/// state in `st`; every entry, that one included, runs the nest's entry
-/// program and re-pins that state. An entry whose walk state could not be
-/// established, or whose program or re-pin fails a check — before it wrote
-/// anything — hands trip 0 to the generic loop.
+/// Execute the nest at `ip` as a block of one entry (kept out of line:
+/// the dispatch loop's other arms should not pay for its state): returns
+/// the next `ip` — `end` when the block took every trip, else the generic
+/// loop right behind the nest, entered at the first trip the block could
+/// not take.
 #[inline(never)]
-fn run_nest<'c>(
+fn run_entry<'c>(
     code: &'c [Instr],
     ip: u32,
-    (spec, id): (&'c NestSpec, u32),
+    block: &'c Block,
     end: u32,
     fr: &mut Frame,
     st: &mut State<'c>,
 ) -> Result<u32, ExecError> {
-    let lanes = lanes_of(code, spec);
-    st.counts.entries += 1;
-    let kept = kept(&mut st.kept, (spec, id), ip, lanes, fr);
-    let taken =
-        kept.walks.as_mut().and_then(|at| spec.reenter(&spec.entry, lanes, fr, at, &mut st.step));
-    let (done, n) = match taken {
-        Some(Taken { done, trips, stepped }) => {
-            st.counts.repinned += 1;
-            st.counts.stepped += stepped as u64;
-            (done, trips)
+    let (done, trips) = match run_block(code, ip, block, 1, fr, st) {
+        Exit::Done => return Ok(end),
+        Exit::Plain => {
+            st.counts.entries += 1;
+            st.counts.handovers += 1;
+            (0, None)
         }
-        None => {
-            // Trip 0 is the generic loop's, which evaluates the extent as
-            // its `LoopStart` would: an empty entry is done.
-            let n = spec.extent.eval(fr)?;
-            (n.min(0), n)
-        }
+        Exit::Handover { done, trips, .. } => (done, trips),
     };
-    st.counts.trips += done.max(0) as u64;
-    if done == n {
-        return Ok(end);
-    }
-    // Trip `done` failed a precondition before writing: the generic loop
-    // takes over there, every earlier trip's writes being exactly its own.
-    st.counts.handovers += 1;
-    fr.scalars[spec.slot as usize] = done;
-    st.loops.push(LoopFrame { slot: spec.slot, body: ip + 1, i: done, n });
-    Ok(ip + 1)
+    generic(code, ip, done, trips, fr, st)
 }
 
-/// The superinstruction a nest's trips run.
-fn lanes_of<'c>(code: &'c [Instr], spec: &NestSpec) -> &'c LaneSpec {
+/// Run rows `0..rows` of `block` on the nest at `nest_at`, against the walk
+/// state this launch keeps for the nest — established, and its tests
+/// solved, by the first block over the nest to run.
+fn run_block<'c>(
+    code: &'c [Instr],
+    nest_at: u32,
+    block: &'c Block,
+    rows: i64,
+    fr: &mut Frame,
+    st: &mut State<'c>,
+) -> Exit {
+    let Instr::Nest { spec, id, .. } = &code[nest_at as usize] else {
+        unreachable!("a block runs a nest")
+    };
     let Instr::Super { spec: lanes, .. } = &code[spec.lanes_at as usize] else {
         unreachable!("a nest's lane loop is a superinstruction")
     };
-    lanes
-}
-
-/// The walk state the nest `id` at `ip` keeps in this launch, established
-/// by its first entry.
-fn kept<'s>(
-    kept: &'s mut Vec<Option<Kept>>,
-    (spec, id): (&NestSpec, u32),
-    ip: u32,
-    lanes: &LaneSpec,
-    fr: &Frame,
-) -> &'s mut Kept {
-    let id = id as usize;
-    if kept.len() <= id {
-        kept.resize_with(id + 1, || None);
+    let id = *id as usize;
+    if st.kept.len() <= id {
+        st.kept.resize_with(id + 1, || None);
     }
-    kept[id].get_or_insert_with(|| Kept {
+    let kept = st.kept[id].get_or_insert_with(|| Kept {
         walks: Trips::establish(spec, &spec.entry, lanes, fr),
-        at: ip,
-    })
+        at: nest_at,
+    });
+    let Some(at) = kept.walks.as_mut() else { return Exit::Plain };
+    if matches!(at.rows, Solve::Unsolved) {
+        at.rows = block.solve(spec, lanes, at, fr).map_or(Solve::Unfit, Solve::Ready);
+    }
+    block.run(spec, at, fr, &mut st.step, rows, &mut st.counts)
 }
 
-/// Execute the row block at `ip` (out of line, like [`run_nest`]):
+/// Enter the generic loop behind the nest at `nest_at` at trip `done` of
+/// `trips` — when the trip count is not known, evaluating it as the loop's
+/// `LoopStart` would — every earlier trip's writes being exactly its own.
+fn generic(
+    code: &[Instr],
+    nest_at: u32,
+    done: i64,
+    trips: Option<i64>,
+    fr: &mut Frame,
+    st: &mut State,
+) -> Result<u32, ExecError> {
+    let Instr::Nest { spec, end, .. } = &code[nest_at as usize] else {
+        unreachable!("a block runs a nest")
+    };
+    let n = match trips {
+        Some(n) => n,
+        None => spec.extent.eval(fr)?,
+    };
+    if done >= n {
+        return Ok(*end);
+    }
+    fr.scalars[spec.slot as usize] = done;
+    st.loops.push(LoopFrame { slot: spec.slot, body: nest_at + 1, i: done, n });
+    Ok(nest_at + 1)
+}
+
+/// Execute the row block at `ip` (out of line, like [`run_entry`]):
 /// returns the next `ip` — `end` when the block took every row, else the
 /// loop body right behind it, entered as the loop would at the first row
-/// the block could not take (or at the trip its nest hands over).
+/// the block could not take (or, with no way into a block, at row 0), and
+/// inside it the nest's generic loop at the trip the block stopped at.
 #[inline(never)]
 fn run_rows<'c>(
     code: &'c [Instr],
@@ -961,23 +979,11 @@ fn run_rows<'c>(
         return Ok(end);
     }
     // How many rows, over every block of a split loop.
-    let rows = plan.split.map_or(Some(n), |s| n.checked_mul(s.per));
-    let Instr::Nest { spec, id, .. } = &code[plan.nest_at as usize] else {
-        unreachable!("a row block heads a nest")
+    let exit = match plan.split.map_or(Some(n), |s| n.checked_mul(s.per)) {
+        Some(rows) => run_block(code, plan.nest_at, &plan.block, rows, fr, st),
+        None => Exit::Plain,
     };
-    let lanes = lanes_of(code, spec);
-    let kept = kept(&mut st.kept, (spec, *id), plan.nest_at, lanes, fr);
-    let exit = match (kept.walks.as_mut(), rows) {
-        (Some(at), Some(rows)) => {
-            if matches!(at.rows, Solve::Unsolved) {
-                at.rows = plan.solve(spec, lanes, at, fr).map_or(Solve::Unfit, Solve::Ready);
-            }
-            let solved = at.rows;
-            plan.run(spec, lanes, (at, &solved), fr, &mut st.step, rows, &mut st.counts)
-        }
-        _ => Exit::Plain,
-    };
-    let (row, nest) = match exit {
+    let (row, done, trips) = match exit {
         Exit::Done => {
             // Where the loops' back edges leave their variables.
             fr.scalars[plan.slot as usize] = n - 1;
@@ -992,24 +998,18 @@ fn run_rows<'c>(
             st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: 0, n });
             return Ok(ip + 1);
         }
-        Exit::Enter { row } => (row, None),
-        Exit::Handover { row, done, trips } => (row, Some((done, trips))),
+        Exit::Handover { row, done, trips } => (row, done, trips),
     };
     // Inside the loop over the rows — and its block, when split — at `row`.
-    let (block, row, body) = match plan.split {
-        Some(s) => (row / s.per, Some((s, row % s.per)), s.at + 1),
-        None => (row, None, ip + 1),
+    let (b, row) = match plan.split {
+        Some(s) => (row / s.per, Some((s, row % s.per))),
+        None => (row, None),
     };
-    fr.scalars[plan.slot as usize] = block;
-    st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: block, n });
+    fr.scalars[plan.slot as usize] = b;
+    st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: b, n });
     if let Some((s, row)) = row {
         fr.scalars[s.slot as usize] = row;
-        st.loops.push(LoopFrame { slot: s.slot, body, i: row, n: s.per });
+        st.loops.push(LoopFrame { slot: s.slot, body: s.at + 1, i: row, n: s.per });
     }
-    let Some((done, trips)) = nest else { return Ok(body) };
-    // The row's trip `done` failed a precondition before writing: the
-    // generic loop behind the nest takes over there.
-    fr.scalars[spec.slot as usize] = done;
-    st.loops.push(LoopFrame { slot: spec.slot, body: plan.nest_at + 1, i: done, n: trips });
-    Ok(plan.nest_at + 1)
+    generic(code, plan.nest_at, done, trips, fr, st)
 }

@@ -53,19 +53,18 @@
 //! No entry of a nest runs the lane loop's prologue: what cannot change
 //! within a launch (where operands are bound, strides, spans, lane count)
 //! is established once per launch, and the trip-0 values the walk produced
-//! are the nest's **entry program** — its registers, loaded and checked
-//! once per entry, and linear combinations of them — that pins the walks
-//! at trip 0 of every entry, the first included, and hands the entry's
-//! trips to one monomorphised **trip loop** picked from a
-//! fixed menu when the walk state was established ([`trip_loops`]): a
-//! cursor add per operand per trip, the affine walks range-tested per
-//! entry, the gathered column per trip (see the `nest` submodule). What
-//! the menu does not cover is walked trip by trip: per non-zero one
-//! bounds-checked index load, one bounds-checked coefficient load, a base
-//! add and an interval check per moving view, and the same lane bodies.
-//! The nest is the head of its loop in place of `LoopStart`; the loop
-//! behind it is lowered as without it, and the nest hands it the first
-//! trip whose checks fail, before that trip writes anything.
+//! are the nest's **entry program** — its registers and linear
+//! combinations of them. A **block** runs the entries — the rows of the
+//! loop around the nest, or the nest's one entry — loading each register,
+//! testing it against an interval solved once per launch, and handing the
+//! entry's trips to one monomorphised **trip loop** picked from a fixed
+//! menu when the walk state was established ([`trip_loops`]): a cursor add
+//! per operand per trip, the affine walks range-tested per entry, the
+//! gathered column per trip (see the `nest` submodule). The nest is the
+//! head of its loop in place of `LoopStart`; the loop behind it is lowered
+//! as without it, and the block hands it the first trip it cannot take —
+//! an entry the menu does not cover at trip 0 — before that trip writes
+//! anything.
 //!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
 //! body — what a split by a factor that does not divide the extent
@@ -105,8 +104,8 @@ use std::collections::HashMap;
 mod nest;
 
 pub(super) use nest::{
-    build_nest, build_rows, Drift, EntryProgram, Exit, IndexPlan, Lin, NestSpec, Ratio, Reg,
-    RowPlan, Solve, Split, Stepped, Taken, Trips,
+    build_block, build_nest, Block, Drift, EntryProgram, Exit, IndexPlan, Lin, NestSpec, Ratio,
+    Reg, RowPlan, Solve, Split, Stepped, Trips,
 };
 
 // ---------------------------------------------------------------------------
@@ -923,8 +922,7 @@ impl LaneInit {
 }
 
 /// Everything one invocation of a lane body reads, resolved and
-/// bounds-checked: what the lane prologue hands the lane body, and what a
-/// row nest ([`nest`]) patches from trip to trip.
+/// bounds-checked: what the lane prologue hands the lane body.
 #[derive(Clone, Copy)]
 struct Resolved {
     /// Lane count.
@@ -1196,10 +1194,6 @@ impl LaneSpec {
 
     /// Run the microkernel over lanes `r` resolved. `None` only before any
     /// write.
-    fn run(&self, r: &Resolved) -> Option<()> {
-        self.run_inline(r)
-    }
-
     #[inline(always)]
     fn run_inline(&self, r: &Resolved) -> Option<()> {
         let (n, ops, c) = (r.n, r.ops, r.scalar);

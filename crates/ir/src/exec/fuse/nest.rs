@@ -35,72 +35,55 @@
 //! one still load; the init value is a constant. Such a loop stays a loop
 //! around its per-non-zero `Super`.
 //!
-//! **One way in.** What an entry needs splits by when it can change.
-//! *Launch-invariant*: where each operand is bound (pointer, length,
-//! segment table, width), strides, spans, the lane count, the init and
-//! hoisted values — a launch's first entry establishes these
-//! ([`Trips::establish`]) and the executor keeps them for the rest of the
-//! launch, dropping them when a buffer the nest names is allocated or
-//! freed. *Entry-varying*: the trip-0 values the walk produced — trip
-//! count, where the gather and each operand start, the reduce iters, a
-//! ratio's factor — which make the nest's **entry program**
-//! ([`EntryProgram`]): its registers, each loaded and checked against its
-//! declared dimension and its bound storage **once**, then every pin a
-//! checked linear combination of them. Every entry, the first included,
-//! runs that program and re-pins the kept walks ([`NestSpec::reenter`]): no
-//! expression tree, no lane prologue. An entry whose walk state cannot be
-//! established, or whose program or re-pin fails a check, hands trip 0 to
-//! the generic loop behind the instruction before anything of it is
-//! written. The row loop *around* a nest is the one exception to "every
-//! entry runs its program": a row block ([`block`]) takes the rows itself
-//! — the registers loaded row by row, each against an interval the launch
-//! solved from these same checks — and enters a row through
-//! [`NestSpec::reenter`] only when that row fails one.
+//! **One way in: a block.** What an entry needs splits by when it can
+//! change. *Launch-invariant*: where each operand is bound (pointer,
+//! length, segment table, width), strides, spans, the lane count, the init
+//! and hoisted values, and the trip loop they call for — the first block
+//! over the nest in a launch establishes these ([`Trips::establish`]) and
+//! the executor keeps them for the rest of the launch, dropping them when
+//! a buffer the nest names is allocated or freed. *Entry-varying*: the
+//! trip-0 values the walk produced — trip count, where the gather and each
+//! operand start, the reduce iters, a ratio's factor — which make the
+//! nest's **entry program** ([`EntryProgram`]): registers, and every pin a
+//! linear combination of them. A block ([`block`]) runs the entries: the
+//! rows of the row loop around the nest, or — for a nest outside any row
+//! loop — its one entry. It loads each register, tests it against an
+//! interval the launch solved from the checks its loads and pins need, and
+//! hands the entry's trips to the trip loop. An entry whose walk state
+//! cannot be established, or that fails a test, goes to the generic loop
+//! behind the instruction at trip 0, before anything of it is written; a
+//! nest whose one entry does not fit a block is no nest.
 //!
-//! **Walked trips.** The moving quantities are *walked* from their trip-0
-//! pins: per trip one bounds-checked load of the gathered index, one
-//! bounds-checked coefficient load, a base add and an interval check per
-//! moving view ([`Trips::advance`]), and the unchanged lane bodies. Any
-//! precondition failing at trip `t` — before that trip's first write —
-//! returns `t`, and the generic loop behind the instruction (with the
-//! per-non-zero `Super` inside it) resumes at exactly that trip: errors,
-//! their order and the written prefix stay the interpreter's.
-//!
-//! **Stepped trips.** `advance` re-derives per trip what is fixed for the
-//! whole launch: checked `step·t + scale·dg` products, an interval check
-//! and a [`Spot`] match per moving view, then the lane op / body / term
-//! shape dispatch. So the walk state also picks, once per launch,
-//! **one monomorphised trip loop** from a fixed menu ([`super::trip_loops`]:
-//! lane op × term shape × "every operand one run" or not), and
-//! each entry hands it its trips as [`Cursor`]s ([`Trips::stepped`]):
-//! each operand its lanes at trip 0 plus how far a trip and a unit of the
-//! gathered value carry them — a pointer add for a [`Lanes::Run`], a row
-//! add for a [`Lanes::Cols`]. What `advance` checks per trip is checked per
-//! entry: an affine walk at its first and last trip (both ends inside the
-//! dimension, the storage and one segment means every trip between is),
-//! while the gathered value keeps a per-trip test (and load: none when no
-//! operand moves with it) against the entry's
-//! *reach* — the interval of values at which every gather-moved operand
-//! passes its checks: each operand's own, solved from its own dimension and
-//! binding, then intersected.
-//! The menu does not
-//! cover a binding walked column by column ([`Spot::Cols`]), an operand
-//! moving with the trip *and* the gather, more than one moving reduce iter
-//! (or one that is not zero at trip 0 under an init that goes by it); and an
-//! entry whose range test fails, or a trip whose gathered value leaves the
-//! reach, is not an error yet. All of those go trip by trip through
-//! `advance`, which hands the generic loop whatever it cannot take — so
-//! error text, error order and written prefix stay the interpreter's.
+//! **Stepped trips.** The trip loop is **one monomorphised loop** from a
+//! fixed menu ([`super::trip_loops`]: lane op × term shape × "every operand
+//! one run" or not), picked once per launch, and a block hands it each
+//! entry as [`Cursor`]s: each operand its lanes at trip 0 plus how far a
+//! trip and a unit of the gathered value carry them — a pointer add for a
+//! [`Lanes::Run`], a row add for a [`Lanes::Cols`]. An affine walk is tested
+//! per entry, at its first and last trip (both ends inside the dimension,
+//! the storage and one segment means every trip between is), while the
+//! gathered value keeps a per-trip test (and load: none when no operand
+//! moves with it) against the entry's *reach* — the interval of values at
+//! which every gather-moved operand passes its checks, solved once per
+//! launch. A trip whose gathered value leaves the reach is not an error
+//! yet: the generic loop behind the instruction, with the per-non-zero
+//! `Super` inside it, resumes at exactly that trip, so error text, error
+//! order and written prefix stay the interpreter's. The menu does not
+//! cover an operand moving with the trip *and* the gather, more than one
+//! moving reduce iter (or one that is not zero at trip 0 under an init
+//! that goes by it), nor a binding a cursor does not follow (a batch's
+//! row segments, a column segment walked across columns): such a nest's
+//! entries all go to the generic loop.
 
 mod block;
 
-pub(in crate::exec) use block::{build_rows, Exit, RowPlan, Solve, Split};
+pub(in crate::exec) use block::{build_block, Block, Exit, RowPlan, Solve, Split};
 
 use super::{
-    cols_lanes, div_rem, trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp,
-    LaneInit, LaneSpec, Lanes, RawBuf, Resolved, TripLoop, Value,
+    trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes,
+    RawBuf, TripLoop, Value,
 };
-use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp, RowSeg};
+use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp};
 
 // ---------------------------------------------------------------------------
 // Compile time: one walk plans the nest
@@ -154,10 +137,6 @@ pub(in crate::exec) struct Gather {
     pub index: IndexExpr,
     pub drift: Drift,
 }
-
-/// Most reduce iters a nest may have moving with the trip (their trip-0
-/// values live in a fixed array of the per-entry state).
-const MAX_REDUCE_MOVES: usize = 4;
 
 /// A row nest: `for slot in 0..extent { [pins] lanes }` with how everything
 /// the lane prologue evaluates moves, and its entry program. The lane loop
@@ -226,9 +205,6 @@ pub(in crate::exec) fn build_nest(
             }
         }
         p.env.push((it.slot, (at, moves)));
-    }
-    if reduce_moves.len() > MAX_REDUCE_MOVES {
-        return None;
     }
 
     let mut bufs = Vec::new();
@@ -431,50 +407,17 @@ pub(in crate::exec) struct IndexPlan {
     pub dims: Vec<(Lin, i64)>,
 }
 
-/// Dimension `dim` of an index as a walk sees it: its extent, how many
-/// elements one step of it advances the flat index, and whether it is the
-/// innermost one (whose headroom a lane run's span eats into).
-#[derive(Clone, Copy)]
-struct Reach {
-    d: i64,
-    coef: i64,
-    innermost: bool,
-}
-
 impl IndexPlan {
-    fn reach(&self, dim: usize) -> Option<Reach> {
-        let coef = self.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))?;
-        Some(Reach { d: self.dims[dim].1, coef, innermost: dim + 1 == self.dims.len() })
+    /// How many elements one step of dimension `dim` advances the flat
+    /// index.
+    fn coef(&self, dim: usize) -> Option<i64> {
+        self.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))
     }
 
     /// The drift of an index that does not move with the trip, only from
     /// entry to entry: pinned on its innermost dimension.
     fn still(&self) -> Drift {
         Drift { dim: self.dims.len() - 1, step: 0, scale: 0 }
-    }
-
-    /// Where the index lands over `regs`: the flat element and dimension
-    /// `moving`'s position. Every other dimension is checked against its
-    /// extent here — the innermost one with room for a run of `span`
-    /// further elements, as `resolve_lanes` demands; `moving` is left to
-    /// the walk's per-trip interval check (pass `usize::MAX` to check all).
-    #[inline(always)]
-    fn pin(&self, regs: &[i64; MAX_REGS], span: i64, moving: usize) -> Option<(i64, i64)> {
-        let last = self.dims.len().wrapping_sub(1);
-        let (mut flat, mut i0) = (0i64, 0i64);
-        for (k, (at, d)) in self.dims.iter().enumerate() {
-            let i = at.eval(regs)?;
-            if k == moving {
-                i0 = i;
-            } else {
-                let (lo, hi) = interval(*d, if k == last { span } else { 0 })?;
-                if i < lo || i > hi {
-                    return None;
-                }
-            }
-            flat = flat.checked_mul(*d)?.checked_add(i)?;
-        }
-        Some((flat, i0))
     }
 }
 
@@ -665,117 +608,23 @@ impl<'a> Planner<'a> {
 // Runtime
 // ---------------------------------------------------------------------------
 
-/// One moving index: the interval its moving dimension must stay in and
-/// how the flat index follows it (fixed for the launch), and where that
-/// dimension and the flat index stand at trip 0 (pinned per entry).
-struct Walk {
-    drift: Drift,
-    lo: i64,
-    hi: i64,
-    /// Elements the flat index advances per unit of the moving dimension.
-    coef: i64,
-    i0: i64,
-    flat0: i64,
-}
-
-impl Walk {
-    /// A walk along `drift.dim`, which `reach` describes; a run of `span`
-    /// further elements along the innermost dimension must stay inside it,
-    /// as `resolve_lanes` demands. Not pinned yet.
-    fn new(drift: Drift, reach: Reach, span: i64) -> Option<Walk> {
-        let (lo, hi) = interval(reach.d, if reach.innermost { span } else { 0 })?;
-        Some(Walk { drift, lo, hi, coef: reach.coef, i0: 0, flat0: 0 })
-    }
-
-    /// How far the moving dimension is from trip 0 at trip `t`; `None`
-    /// when that leaves the dimension (the generic loop raises the error).
-    #[inline(always)]
-    fn offset(&self, t: i64, dg: i64) -> Option<i64> {
-        let off = self.drift.step.checked_mul(t)?.checked_add(self.drift.scale.checked_mul(dg)?)?;
-        let i = self.i0.checked_add(off)?;
-        (self.lo <= i && i <= self.hi).then_some(off)
-    }
-
-    #[inline(always)]
-    fn flat(&self, off: i64) -> Option<i64> {
-        self.flat0.checked_add(self.coef.checked_mul(off)?)
-    }
-}
-
-/// The nest's gather: where its `i32` storage is bound, the walk along it,
-/// and what it loaded at trip 0.
+/// The nest's gather as a launch binds it: its `i32` storage, and how far
+/// one trip moves along it, in elements.
 struct GatherWalk {
-    walk: Walk,
     ptr: *mut i32,
     len: i64,
-    g0: i64,
+    step: isize,
 }
 
-impl GatherWalk {
-    fn new(fr: &Frame, buf: u32, walk: Walk) -> Option<GatherWalk> {
-        let RawBuf::I32 { ptr, len } = fr.bufs[buf as usize] else {
-            return None;
-        };
-        Some(GatherWalk { walk, ptr, len: i64::try_from(len).ok()?, g0: 0 })
-    }
-
-    /// Where trip `t` loads from, checked against the declared dimension
-    /// and the bound storage.
-    #[inline(always)]
-    fn flat(&self, t: i64) -> Option<i64> {
-        let flat = self.walk.flat(self.walk.offset(t, 0)?)?;
-        (0..self.len).contains(&flat).then_some(flat)
-    }
-
-    /// `g(t) − g(0)`: one checked load.
-    #[inline(always)]
-    fn at(&self, t: i64) -> Option<i64> {
-        let flat = self.flat(t)?;
-        debug_assert!((0..self.len).contains(&flat));
-        // SAFETY: 0 <= flat < len elements behind `ptr`, checked above; the
-        // binding outlives the run.
-        Some(i64::from(unsafe { elem_load(self.ptr, flat as usize) }) - self.g0)
-    }
-}
-
-/// Where a moving view's run lands in its bound storage, per kind of
-/// binding.
+/// Where a walked view's run lands in its bound storage, per kind of
+/// binding a block covers.
 enum Spot {
-    Flat {
-        ptr: *mut f32,
-        len: i64,
-    },
+    /// One allocation: a whole tensor, or a view of one segment.
+    Flat { ptr: *mut f32, len: i64 },
     /// A column-segmented binding whose flat index moves by whole logical
-    /// rows: the column (and so the segment pieces) never change within an
-    /// entry, and no trip divides. `row0`, `col0` and `whole` are pinned
-    /// per entry.
-    ColsByRow {
-        table: *const ColSeg,
-        width: i64,
-        rows: i64,
-        row_step: i64,
-        row_scale: i64,
-        row0: i64,
-        col0: usize,
-        /// The run fits the first column's segment (one contiguous piece).
-        whole: bool,
-    },
-    /// A column-segmented binding walked along its rows (head after head
-    /// of a batch): every trip looks its column up.
-    Cols {
-        table: *const ColSeg,
-        width: i64,
-        total: i64,
-    },
-    /// A row-segmented binding; `seg_lo`/`seg_ptr` cache the segment the
-    /// last trip landed in, so staying inside it costs no division.
-    Rows {
-        segs: *const RowSeg,
-        seg_len: i64,
-        total: i64,
-        seg_lo: i64,
-        seg_ptr: *mut f32,
-    },
+    /// rows, per trip and per unit of the gathered value: a run keeps its
+    /// column — and so its segment pieces — for a whole entry.
+    ColsByRow { table: *const ColSeg, width: i64, rows: i64, row_step: i64, row_scale: i64 },
 }
 
 /// The integers `g` with `lo <= base + k·g <= hi`, as an interval (empty
@@ -786,29 +635,29 @@ fn solve(k: i128, base: i128, (lo, hi): (i128, i128)) -> (i128, i128) {
     (-(-lo).div_euclid(k), hi.div_euclid(k))
 }
 
-/// One walked lane view.
+/// One walked lane view as a launch binds it: how its moving dimension
+/// moves (`drift`) and how many elements of the flat index one unit of that
+/// dimension is (`coef`), its run of `n` lanes at `stride`, and where the
+/// run lands.
 struct ViewWalk {
-    walk: Walk,
+    drift: Drift,
+    coef: i64,
     n: i64,
     stride: i64,
     spot: Spot,
 }
 
 impl ViewWalk {
-    /// The half of a view's walk that holds for a whole launch: how `n`
-    /// lanes at `stride` land in what `buf` is bound to, walked along the
-    /// dimension `reach` describes. `None` for a binding / movement
-    /// combination the walk does not cover (the per-non-zero path still
-    /// does). Not pinned yet.
+    /// How `n` lanes at `stride` land in what `buf` is bound to, walked as
+    /// `drift` says. `None` for a binding / movement combination a block
+    /// does not cover (the per-non-zero path still does).
     fn new(
         fr: &Frame,
         (buf, stride): (u32, i64),
-        drift: Drift,
+        (drift, coef): (Drift, i64),
         (n, for_store): (i64, bool),
-        reach: Reach,
     ) -> Option<ViewWalk> {
-        let span = stride.checked_mul(n - 1)?;
-        let walk = Walk::new(drift, reach, span)?;
+        stride.checked_mul(n - 1)?;
         let spot = match fr.bufs[buf as usize] {
             RawBuf::F32 { ptr, len } => Spot::Flat { ptr, len: i64::try_from(len).ok()? },
             RawBuf::SegCols { table, width, rows, writable } => {
@@ -826,47 +675,28 @@ impl ViewWalk {
                     by if by == w => Some(1),
                     by => (by % w == 0).then(|| by / w),
                 };
-                let by = (walk.coef.checked_mul(drift.step)?, walk.coef.checked_mul(drift.scale)?);
+                let by = (coef.checked_mul(drift.step)?, coef.checked_mul(drift.scale)?);
                 match (rows_per(by.0), rows_per(by.1)) {
                     // One segment as wide as the binding: a row-major
                     // allocation like any whole tensor.
                     _ if one_segment => Spot::Flat { ptr: first.ptr, len: w.checked_mul(rows)? },
-                    (Some(row_step), Some(row_scale)) => Spot::ColsByRow {
-                        table,
-                        width: w,
-                        rows,
-                        row_step,
-                        row_scale,
-                        row0: 0,
-                        col0: 0,
-                        whole: false,
-                    },
-                    _ => Spot::Cols { table, width: w, total: w.checked_mul(rows)? },
+                    (Some(row_step), Some(row_scale)) => {
+                        Spot::ColsByRow { table, width: w, rows, row_step, row_scale }
+                    }
+                    _ => return None,
                 }
             }
             RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-                let sl = i64::try_from(seg_len).ok()?;
-                if (for_store && !writable) || sl == 0 {
+                if (for_store && !writable) || seg_len == 0 || n_segs != 1 {
                     return None;
                 }
-                if n_segs == 1 {
-                    // One segment is one allocation.
-                    // SAFETY: the table has `n_segs` entries.
-                    Spot::Flat { ptr: unsafe { (*segs).ptr }, len: sl }
-                } else {
-                    Spot::Rows {
-                        segs,
-                        seg_len: sl,
-                        total: sl.checked_mul(i64::try_from(n_segs).ok()?)?,
-                        // An empty cache: the first trip looks its segment up.
-                        seg_lo: 0,
-                        seg_ptr: std::ptr::null_mut(),
-                    }
-                }
+                // One segment is one allocation.
+                // SAFETY: the table has `n_segs` entries.
+                Spot::Flat { ptr: unsafe { (*segs).ptr }, len: i64::try_from(seg_len).ok()? }
             }
             _ => return None,
         };
-        Some(ViewWalk { walk, n, stride, spot })
+        Some(ViewWalk { drift, coef, n, stride, spot })
     }
 
     /// How far a run's last lane is from its first (`new` checked the
@@ -876,245 +706,45 @@ impl ViewWalk {
         self.stride * (self.n - 1)
     }
 
-    /// The view moves with the trip; one that does not is pinned at trip 0
-    /// of an entry and left alone.
+    /// The view moves with the trip; one that does not stays where an
+    /// entry puts it.
     #[inline(always)]
     fn moves(&self) -> bool {
-        self.walk.drift.step != 0 || self.walk.drift.scale != 0
-    }
-
-    /// Pin the walk at trip 0: the flat element `flat0`, its moving
-    /// dimension at `i0` (interval-checked by the trips, not here).
-    #[inline(always)]
-    fn pin(&mut self, flat0: i64, i0: i64) -> Option<()> {
-        (self.walk.flat0, self.walk.i0) = (flat0, i0);
-        let span = self.span();
-        if let Spot::ColsByRow { table, width, row0, col0, whole, .. } = &mut self.spot {
-            if flat0 < 0 {
-                return None;
-            }
-            let (row, col) = div_rem(flat0, *width);
-            if col + span >= *width {
-                return None;
-            }
-            debug_assert!((0..*width).contains(&col));
-            // SAFETY: 0 <= col < width entries in the table (`div_rem` of
-            // a non-negative flat index by it).
-            let rem = unsafe { (*table.add(col as usize)).rem };
-            (*row0, *col0, *whole) = (row, col as usize, self.n <= i64::from(rem));
-        }
-        Some(())
-    }
-
-    /// The view's lanes at trip `t`, every lane checked against the
-    /// declared dimension and the bound storage — what `resolve_lanes`
-    /// would return with the outer slot at `t`.
-    #[inline(always)]
-    fn at(&mut self, t: i64, dg: i64) -> Option<Lanes> {
-        let off = self.walk.offset(t, dg)?;
-        let (stride, span) = (self.stride, self.span());
-        match &mut self.spot {
-            Spot::Flat { ptr, len } => {
-                let flat = self.walk.flat(off)?;
-                let end = flat.checked_add(span)?;
-                if flat < 0 || flat >= *len || end < 0 || end >= *len {
-                    return None;
-                }
-                debug_assert!((0..*len).contains(&flat) && (0..*len).contains(&end));
-                // SAFETY: 0 <= flat < len elements behind `ptr`, and the
-                // run's last lane `flat + span` is in range too.
-                Some(Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride })
-            }
-            Spot::Cols { table, width, total } => {
-                let flat = self.walk.flat(off)?;
-                let end = flat.checked_add(span)?;
-                if flat < 0 || flat >= *total || end < 0 || end >= *total {
-                    return None;
-                }
-                debug_assert!((0..*total).contains(&flat) && (0..*total).contains(&end));
-                // SAFETY: the run's first and last lane lie inside the
-                // binding's `rows × width` elements, checked above.
-                unsafe { cols_lanes(*table, *width, flat, self.n, stride) }
-            }
-            Spot::ColsByRow { table, rows, row_step, row_scale, row0, col0, whole, .. } => {
-                let row = row0
-                    .checked_add(row_step.checked_mul(t)?)?
-                    .checked_add(row_scale.checked_mul(dg)?)?;
-                if row < 0 || row >= *rows {
-                    return None;
-                }
-                debug_assert!((0..*rows).contains(&row) && (stride == 0 || stride == 1));
-                if stride == 1 && !*whole {
-                    return Some(Lanes::Cols { table: *table, row: row as usize, col0: *col0 });
-                }
-                // SAFETY: col0 < width entries in the table (checked when
-                // pinned), each pointing at row 0 of a `rows`-row column
-                // with row stride `e.stride`, and 0 <= row < rows; the run
-                // (`n <= e.rem` lanes, or one element) stays in the segment.
-                let ptr = unsafe {
-                    let e = &*table.add(*col0);
-                    e.ptr.add(row as usize * e.stride as usize)
-                };
-                Some(Lanes::Run { ptr, stride })
-            }
-            Spot::Rows { segs, seg_len, total, seg_lo, seg_ptr } => {
-                let flat = self.walk.flat(off)?;
-                let end = flat.checked_add(span)?;
-                if flat < 0 || flat >= *total || end < 0 || end >= *total {
-                    return None;
-                }
-                if seg_ptr.is_null() || flat < *seg_lo || flat - *seg_lo >= *seg_len {
-                    let (s, at) = div_rem(flat, *seg_len);
-                    *seg_lo = flat - at;
-                    debug_assert!(s * *seg_len < *total);
-                    // SAFETY: 0 <= flat < n_segs * seg_len (checked above),
-                    // so s < n_segs entries in the table.
-                    *seg_ptr = unsafe { (*segs.add(s as usize)).ptr };
-                }
-                let at = flat - *seg_lo;
-                let end_at = at + span;
-                if end_at < 0 || end_at >= *seg_len {
-                    // The run would cross a segment boundary: generic loop.
-                    return None;
-                }
-                debug_assert!((0..*seg_len).contains(&at) && (0..*seg_len).contains(&end_at));
-                // SAFETY: 0 <= at < seg_len elements behind the segment,
-                // and so is the run's last lane `at + span`.
-                Some(Lanes::Run { ptr: unsafe { seg_ptr.add(at as usize) }, stride })
-            }
-        }
+        self.drift.step != 0 || self.drift.scale != 0
     }
 }
 
-impl ViewWalk {
-    /// The segment a row-segmented walk last landed in (0 for the other
-    /// bindings, which have one).
-    fn segment(&self) -> i64 {
-        match self.spot {
-            Spot::Rows { seg_lo, .. } => seg_lo,
-            _ => 0,
-        }
-    }
-
-    /// The gathered values at which this view — pinned, its moving
-    /// dimension `scale·(g − g0)` from there — passes every check
-    /// [`ViewWalk::at`] makes, staying in the segment it is pinned in.
-    /// `None` when the pin is too far out for `i64`. Trip 0 has passed
-    /// `at`, so `g0` is one of them: narrowing the ends to `i32` loses no
-    /// gathered value and cannot make an empty reach look inhabited. (A
-    /// row block solves this once per launch; a nest entered row by row,
-    /// once per entry.)
-    #[inline(always)]
-    fn reach(&self, g0: i64) -> Option<(i64, i64)> {
-        let (w, scale) = (&self.walk, self.walk.drift.scale);
-        let at0 = w.i0.checked_sub(scale.checked_mul(g0)?)?;
-        // What the binding bounds — a flat element or a logical row — as
-        // `base + k·g`, and the interval it must stay in.
-        let span = self.span();
-        let room = |len: i64| (0.max(-span), (len - 1).min(len - 1 - span));
-        let by = w.coef.checked_mul(scale)?;
-        let flat = || w.flat0.checked_sub(by.checked_mul(g0)?);
-        let (k, base, (lo, hi)) = match self.spot {
-            Spot::Flat { len, .. } => (by, flat()?, room(len)),
-            Spot::Rows { seg_len, seg_lo, .. } => {
-                let (lo, hi) = room(seg_len);
-                (by, flat()?, (seg_lo + lo, seg_lo + hi))
-            }
-            Spot::ColsByRow { rows, row_scale, row0, .. } => {
-                (row_scale, row0.checked_sub(row_scale.checked_mul(g0)?)?, (0, rows - 1))
-            }
-            Spot::Cols { .. } => return None,
-        };
-        let wide = |(lo, hi): (i64, i64)| (i128::from(lo), i128::from(hi));
-        let a = solve(scale.into(), at0.into(), wide((w.lo, w.hi)));
-        let b = solve(k.into(), base.into(), wide((lo, hi)));
-        let clamp = |g: i128| i64::from(g.clamp(i32::MIN.into(), i32::MAX.into()) as i32);
-        let (lo, hi) = (clamp(a.0.max(b.0)), clamp(a.1.min(b.1)));
-        debug_assert!((lo..=hi).contains(&g0));
-        Some((lo, hi))
-    }
-
-    /// This view, pinned, over an entry of `trips` trips as a [`Cursor`]:
-    /// its lanes at trip 0 with every check [`ViewWalk::at`] makes; an
-    /// affine walk tested once more, at the entry's last trip — both ends
-    /// inside the dimension, the storage and one segment means every trip
-    /// between is; a gathered one narrowing `reach`, the gathered values
-    /// the trips may meet. `None` when a test fails, or the view moves in
-    /// a way a cursor does not follow.
-    #[inline(always)]
-    fn cursor(&mut self, trips: i64, g0: i64, reach: &mut (i64, i64)) -> Option<Cursor> {
-        let first = self.at(0, 0)?;
-        if !self.moves() || trips == 1 {
-            // Nowhere to go from trip 0.
-            return Some(Cursor::new(first, 0, 0));
-        }
-        let Drift { step, scale, .. } = self.walk.drift;
-        // What one unit of the flat index — or, by whole rows, of the
-        // logical row — carries the cursor: elements of a run, rows of a
-        // run cut into column segments.
-        let (by, unit) = match (&self.spot, first) {
-            (Spot::Flat { .. } | Spot::Rows { .. }, _) => {
-                ((self.walk.coef.checked_mul(step)?, self.walk.coef.checked_mul(scale)?), 1)
-            }
-            (&Spot::ColsByRow { row_step, row_scale, .. }, Lanes::Cols { .. }) => {
-                ((row_step, row_scale), 1)
-            }
-            (&Spot::ColsByRow { table, col0, row_step, row_scale, .. }, Lanes::Run { .. }) => {
-                // SAFETY: `pin` checked col0 < width entries in the table.
-                ((row_step, row_scale), i64::from(unsafe { (*table.add(col0)).stride }))
-            }
-            (Spot::Cols { .. }, _) => return None,
-        };
-        if scale == 0 {
-            let segment = self.segment();
-            self.at(trips - 1, 0)?;
-            if self.segment() != segment {
-                return None;
-            }
-        } else if step == 0 {
-            let (lo, hi) = self.reach(g0)?;
-            *reach = (reach.0.max(lo), reach.1.min(hi));
-        } else {
-            return None;
-        }
-        let (step, gstep) = (by.0.checked_mul(unit)?, by.1.checked_mul(unit)?);
-        Some(Cursor::new(first, isize::try_from(step).ok()?, isize::try_from(gstep).ok()?))
-    }
-}
-
-/// A nest's walk state: the resolved lanes its body reads, and the walks
-/// that patch them from trip to trip. Established once per launch
-/// ([`Trips::establish`]), kept by the executor, and re-pinned by every
-/// entry ([`Trips::repin`]).
+/// A nest's walk state: how each operand and the gather are bound, the lane
+/// count, the init and hoisted constants, and the trip loop picked for
+/// them. Established once per launch ([`Trips::establish`]) and kept by the
+/// executor, with what the launch solved for the blocks over the nest.
 pub(in crate::exec) struct Trips {
-    r: Resolved,
+    n: i64,
+    /// The init value.
+    init32: f32,
+    /// The hoisted value: a fill's value, a constant coefficient.
+    scalar: f32,
     gather: Option<GatherWalk>,
     views: [Option<ViewWalk>; 3],
     coeff: Option<ViewWalk>,
-    /// The entry's value of a [`Ratio`]'s factor.
+    /// A [`Ratio`]'s factor when it is a constant.
     factor: f32,
-    /// Trip-0 values of `spec.reduce_moves`.
-    v0: [i64; MAX_REDUCE_MOVES],
-    /// The term has no second operand: `ops[2]` repeats `ops[1]`.
-    b_repeats_a: bool,
-    /// The trip loop an entry runs in place of `advance` + the lane body
-    /// per trip; `None` when the menu does not cover how this nest's
-    /// operands are bound and move.
-    stepper: Option<[TripLoop; 2]>,
-    /// How far one trip moves along the gather's index slab, in elements.
-    gather_step: isize,
-    /// What this launch solved for the row block around the nest, if any.
+    /// The nest's trip loops: for every operand a run, and for some cut
+    /// into column segments.
+    stepper: [TripLoop; 2],
+    /// What this launch solved for the blocks over the nest.
     pub(in crate::exec) rows: Solve,
 }
 
 impl Trips {
     /// Everything of the nest's walk state that holds for a whole launch —
-    /// where each operand and the gather are bound, the intervals and
-    /// strides of their walks, the init and hoisted constants — with the
-    /// validation the lane prologue performs on it. Every view
-    /// the op has gets a walk (one that does not move with the trip still
-    /// moves from entry to entry). Nothing is pinned: [`Trips::repin`]
-    /// comes before any trip. `None` for a binding the walks do not cover.
+    /// where each operand and the gather are bound, the strides of their
+    /// walks, the init and hoisted constants — with the validation the lane
+    /// prologue performs on it, and the trip loop (chosen here, once per
+    /// launch: a nest keeps its op and term shape). Every view the op has
+    /// gets a walk (one that does not move with the trip still moves from
+    /// entry to entry). `None` for a binding or a movement the blocks do
+    /// not cover: every entry then goes to the generic loop.
     pub(in crate::exec) fn establish(
         spec: &NestSpec,
         prog: &EntryProgram,
@@ -1123,13 +753,18 @@ impl Trips {
     ) -> Option<Trips> {
         let gather = match (&spec.gather, &prog.gather) {
             (Some(g), Some((at, _))) => {
-                Some(GatherWalk::new(fr, g.buf, Walk::new(g.drift, at.reach(g.drift.dim)?, 0)?)?)
+                let RawBuf::I32 { ptr, len } = fr.bufs[g.buf as usize] else {
+                    return None;
+                };
+                let step = at.coef(g.drift.dim)?.checked_mul(g.drift.step)?;
+                let len = i64::try_from(len).ok()?;
+                Some(GatherWalk { ptr, len, step: isize::try_from(step).ok()? })
             }
             _ => None,
         };
         let walk = |(buf, stride), at: &IndexPlan, drift: Option<Drift>, run| {
             let drift = drift.unwrap_or_else(|| at.still());
-            ViewWalk::new(fr, (buf, stride), drift, run, at.reach(drift.dim)?)
+            ViewWalk::new(fr, (buf, stride), (drift, at.coef(drift.dim)?), run)
         };
         let of = lanes.op.views();
         let mut views = [None, None, None];
@@ -1155,126 +790,37 @@ impl Trips {
             },
             None => (None, 0.0, 0.0),
         };
-        let init_v = match lanes.init.value() {
+        let init32 = match lanes.init.value() {
             Some(value) => value.eval(fr).ok()?,
             None => 0.0,
         };
-        // Placeholders until trip 0 of an entry resolves every operand.
-        let unset = Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 };
-        let r =
-            Resolved { n: prog.n, init: LaneInit::Never, init32: init_v, scalar, ops: [unset; 3] };
-        let b_repeats_a = of[1].is_some() && of[2].is_none();
-        let mut at = Trips {
-            r,
+        let at = Trips {
+            n: prog.n,
+            init32,
+            scalar,
             gather,
             views,
             coeff,
             factor,
-            v0: [0; MAX_REDUCE_MOVES],
-            b_repeats_a,
-            stepper: None,
-            gather_step: 0,
+            stepper: trip_loops(lanes),
             rows: Solve::Unsolved,
         };
-        let along =
-            |g: &GatherWalk| isize::try_from(g.walk.coef.checked_mul(g.walk.drift.step)?).ok();
-        if let (true, Some(gather_step)) =
-            (at.steps(spec, lanes), at.gather.as_ref().map_or(Some(0), along))
-        {
-            // Chosen here, once per launch: a nest keeps its op and term
-            // shape.
-            at.stepper = Some(trip_loops(lanes));
-            at.gather_step = gather_step;
-        }
-        Some(at)
+        at.steps(spec, lanes).then_some(at)
     }
 
-    /// Pin the kept state at trip 0 of a new entry from the entry
-    /// program's registers: the reduce iters and the init decision, where
-    /// the gather and every view start. `None` — nothing written but
-    /// scalar slots the nest binds — when a position leaves a dimension
-    /// the trips do not re-check.
-    #[inline(always)]
-    pub(in crate::exec) fn repin(
-        &mut self,
-        spec: &NestSpec,
-        prog: &EntryProgram,
-        lanes: &LaneSpec,
-        fr: &mut Frame,
-        regs: &[i64; MAX_REGS],
-    ) -> Option<()> {
-        for (slot, at) in &prog.reduce {
-            fr.scalars[*slot as usize] = at.eval(regs)?;
-        }
-        for (v, (slot, ..)) in self.v0.iter_mut().zip(&spec.reduce_moves) {
-            *v = fr.scalars[*slot as usize];
-        }
-        self.r.init = lanes.lane_init(fr, self.r.n);
-        if let (Some(g), Some((at, reg))) = (&mut self.gather, &prog.gather) {
-            (g.walk.flat0, g.walk.i0) = at.pin(regs, 0, g.walk.drift.dim)?;
-            g.g0 = regs[usize::from(*reg)];
-        }
-        let views = self.views.iter_mut().zip(&prog.views).chain([(&mut self.coeff, &prog.coeff)]);
-        for (view, at) in views {
-            if let (Some(view), Some(at)) = (view, at) {
-                let (flat0, i0) = at.pin(regs, view.span(), view.walk.drift.dim)?;
-                view.pin(flat0, i0)?;
+    /// Does the menu of trip loops cover this nest as it is bound? Every
+    /// operand moving with the trip or with the gather but not both; at
+    /// most one reduce iter moving, affinely, and no init decided lane by
+    /// lane from it.
+    fn steps(&self, spec: &NestSpec, lanes: &LaneSpec) -> bool {
+        let follows = |view: &ViewWalk| view.drift.step == 0 || view.drift.scale == 0;
+        let init_by_lane = matches!(lanes.init, InitKind::AtZeroLane { .. });
+        self.views.iter().chain([&self.coeff]).flatten().all(follows)
+            && match spec.reduce_moves[..] {
+                [] => true,
+                [(_, _, scale)] => scale == 0 && !init_by_lane,
+                _ => false,
             }
-        }
-        if let Some((buf, at)) = &prog.factor {
-            let RawBuf::F32 { ptr, len } = fr.bufs[*buf as usize] else {
-                return None;
-            };
-            let (flat, _) = at.pin(regs, 0, usize::MAX)?;
-            if flat < 0 || flat >= i64::try_from(len).ok()? {
-                return None;
-            }
-            debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
-            // SAFETY: 0 <= flat < len elements behind `ptr`, checked above;
-            // the binding outlives the run.
-            self.factor = unsafe { elem_load(ptr, flat as usize) };
-        }
-        Some(())
-    }
-
-    /// Move to trip `t`: `None` — nothing written — when any walked
-    /// quantity leaves its bounds there. Trip 0 resolves every view from
-    /// its pin; later trips only those that move.
-    #[inline(always)]
-    fn advance(&mut self, spec: &NestSpec, lanes: &LaneSpec, fr: &mut Frame, t: i64) -> Option<()> {
-        let dg = match &self.gather {
-            // At trip 0 the entry program loaded (and checked) `g(0)`.
-            Some(g) if t > 0 => g.at(t)?,
-            _ => 0,
-        };
-        if !spec.reduce_moves.is_empty() {
-            for (v0, (slot, step, scale)) in self.v0.iter().zip(&spec.reduce_moves) {
-                let moved = step.checked_mul(t)?.checked_add(scale.checked_mul(dg)?)?;
-                fr.scalars[*slot as usize] = v0.checked_add(moved)?;
-            }
-            self.r.init = lanes.lane_init(fr, self.r.n);
-        }
-        for (k, view) in self.views.iter_mut().enumerate() {
-            if let Some(view) = view {
-                if t == 0 || view.moves() {
-                    self.r.ops[k] = view.at(t, dg)?;
-                }
-            }
-        }
-        if t == 0 && self.views[1].is_none() {
-            // A fill repeats `dst`.
-            self.r.ops[1] = self.r.ops[0];
-        }
-        if (t == 0 && self.views[2].is_none()) || self.b_repeats_a {
-            self.r.ops[2] = self.r.ops[1];
-        }
-        if let Some(c) = &mut self.coeff {
-            if t == 0 || c.moves() {
-                let load = c.at(t, dg)?.first();
-                self.r.scalar = spec.ratio.map_or(load, |r| r.of(load, self.factor));
-            }
-        }
-        Some(())
     }
 }
 
@@ -1324,10 +870,10 @@ impl Cursor {
     /// compile to their single-piece form.
     ///
     /// # Safety
-    /// `t` is a trip of the entry the cursor was made for
-    /// ([`ViewWalk::cursor`]) and `dg` comes from a gathered value inside
-    /// the reach it narrowed: those tests put every lane at `(t, dg)`
-    /// inside the bound storage. Without `SEG`, the cursor is a run.
+    /// `t` is a trip of the entry the cursor was aimed for and `dg` comes
+    /// from a gathered value inside the reach the block solved: those tests
+    /// put every lane at `(t, dg)` inside the bound storage. Without `SEG`,
+    /// the cursor is a run.
     #[inline(always)]
     unsafe fn lanes<const SEG: bool>(&self, t: i64, dg: i64) -> Lanes {
         let by = self.step * t as isize + self.gstep * dg as isize;
@@ -1359,10 +905,9 @@ impl Cursor {
 }
 
 /// Everything the trips of one entry read, as a monomorphised trip loop
-/// ([`TripLoop`]) takes it: filled in per entry by [`Trips::stepped`] once
-/// every range test that does not depend on a gathered value has passed.
-/// One per launch, shared by its nests: it is an entry's
-/// scratch, not something a nest keeps.
+/// ([`TripLoop`]) takes it: filled in by a block ([`block`]) for each entry
+/// once every test of the entry has passed. One per launch, shared by its
+/// nests: it is an entry's scratch, not something a nest keeps.
 pub(in crate::exec) struct Stepped {
     /// Lane count.
     pub(super) n: i64,
@@ -1381,7 +926,8 @@ pub(in crate::exec) struct Stepped {
     scalar: f32,
     /// The index slab from trip 0's position on, how far a trip moves along
     /// it, what it held at trip 0, and the gathered values every
-    /// gather-moved operand stays in bounds at. Null without a gather.
+    /// gather-moved operand stays in bounds at. Null when no operand moves
+    /// with a gather.
     gather: *mut i32,
     gather_step: isize,
     g0: i64,
@@ -1389,8 +935,8 @@ pub(in crate::exec) struct Stepped {
 }
 
 impl Stepped {
-    /// Scratch for one launch: every entry that steps fills it
-    /// in ([`Trips::stepped`]) before a trip loop reads it.
+    /// Scratch for one launch: every entry a block takes fills it in before
+    /// a trip loop reads it.
     pub(in crate::exec) fn scratch() -> Stepped {
         let nowhere = Cursor::new(Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, 0, 0);
         Stepped {
@@ -1424,8 +970,8 @@ impl Stepped {
     /// reach, before anything of it is written.
     ///
     /// # Safety
-    /// This is the entry `self` was made for, nothing was re-bound since,
-    /// and `SEG` is on unless [`Stepped::all_runs`].
+    /// This is the entry `self` was filled in for, nothing was re-bound
+    /// since, and `SEG` is on unless [`Stepped::all_runs`].
     #[inline(always)]
     pub(super) unsafe fn walk<const SEG: bool>(
         &self,
@@ -1435,9 +981,9 @@ impl Stepped {
             let dg = if self.gather.is_null() {
                 0
             } else {
-                // SAFETY: the entry tested the gather's position at its
-                // first and last trip against the declared dimension and
-                // the bound storage; it is affine between.
+                // SAFETY: the block tested the gather's position at the
+                // entry's first and last trip against the declared
+                // dimension and the bound storage; it is affine between.
                 let at = self.gather.offset(self.gather_step * t as isize);
                 let g = i64::from(elem_load(at, 0));
                 if g < self.reach.0 || g > self.reach.1 {
@@ -1459,224 +1005,6 @@ impl Stepped {
         }
         self.trips
     }
-}
-
-impl Trips {
-    /// Does the menu of trip loops cover this nest as it is bound? Every
-    /// operand on a binding a cursor follows (not [`Spot::Cols`]), moving
-    /// with the trip or with the gather but not both; at most one reduce
-    /// iter moving, affinely, and no init decided lane by lane from it.
-    fn steps(&self, spec: &NestSpec, lanes: &LaneSpec) -> bool {
-        let follows = |view: &ViewWalk| {
-            let Drift { step, scale, .. } = view.walk.drift;
-            !matches!(view.spot, Spot::Cols { .. }) && (step == 0 || scale == 0)
-        };
-        let init_by_lane = matches!(lanes.init, InitKind::AtZeroLane { .. });
-        self.views.iter().chain([&self.coeff]).flatten().all(follows)
-            && match spec.reduce_moves[..] {
-                [] => true,
-                [(_, _, scale)] => scale == 0 && !init_by_lane,
-                _ => false,
-            }
-    }
-
-    /// The entry's trips as cursors, from the pins [`Trips::repin`] set:
-    /// every operand resolved at trip 0 as [`Trips::advance`] would, one
-    /// range test per affine walk at the entry's last trip (both ends in
-    /// range means every trip between is), and the gathered values the
-    /// gather-moved operands can take. `None` — nothing changed but the
-    /// walks' caches — when a test fails: `advance` takes the entry trip by
-    /// trip and finds out where.
-    #[inline(always)]
-    fn stepped(
-        &mut self,
-        spec: &NestSpec,
-        lanes: &LaneSpec,
-        trips: i64,
-        w: &mut Stepped,
-    ) -> Option<()> {
-        let last = trips - 1;
-        let g0 = self.gather.as_ref().map_or(0, |g| g.g0);
-        let mut reach = (i64::from(i32::MIN), i64::from(i32::MAX));
-        for k in 0..3 {
-            w.ops[k] = match &mut self.views[k] {
-                Some(view) => view.cursor(trips, g0, &mut reach)?,
-                // A fill repeats `dst`, a term without `b` repeats `a`.
-                None => w.ops[k.saturating_sub(1)],
-            };
-        }
-        if let Some(c) = &mut self.coeff {
-            w.coeff = c.cursor(trips, g0, &mut reach)?;
-        }
-        w.gather = std::ptr::null_mut();
-        if let Some(g) = &self.gather {
-            let (first, _) = (g.flat(0)?, g.flat(last)?);
-            debug_assert!((0..g.len).contains(&first));
-            // A gather no operand moves with needs no per-trip load: its
-            // positions are in range (tested just now), and the value the
-            // prologue binds from each is read by nothing the trips do
-            // (the softmax passes' column iter).
-            let walked = self.coeff.is_some().then_some(&w.coeff);
-            if w.ops.iter().chain(walked).any(|c| c.gstep != 0) {
-                // SAFETY: 0 <= first < len elements behind `ptr`.
-                w.gather = unsafe { g.ptr.add(first as usize) };
-                (w.g0, w.reach) = (g0, reach);
-            }
-        }
-        if let [(_, step, _)] = spec.reduce_moves[..] {
-            // The init fires where every reduce iter is zero: for a moving
-            // one that is trip 0 or — not on this path — a later one.
-            let zero_later = matches!(lanes.init, InitKind::WhenReduceZero { .. });
-            self.v0[0].checked_add(step.checked_mul(last)?)?;
-            if zero_later && self.v0[0] != 0 {
-                return None;
-            }
-        }
-        (w.n, w.init32, w.scalar, w.trips) = (self.r.n, self.r.init32, self.r.scalar, trips);
-        (w.walked, w.ratio, w.factor) = (self.coeff.is_some(), spec.ratio, self.factor);
-        w.gather_step = self.gather_step;
-        #[cfg(debug_assertions)]
-        for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
-            cursor.covers(trips, (reach.0.saturating_sub(g0), reach.1.saturating_sub(g0)));
-        }
-        Some(())
-    }
-}
-
-impl EntryProgram {
-    /// Evaluate registers `which` in order (every earlier one already is):
-    /// each load checked against its declared dimensions and its bound
-    /// storage.
-    #[inline(always)]
-    fn load(
-        &self,
-        which: std::ops::Range<usize>,
-        fr: &Frame,
-        regs: &mut [i64; MAX_REGS],
-    ) -> Option<()> {
-        for (k, reg) in self.regs[which.clone()].iter().enumerate() {
-            regs[which.start + k] = match reg {
-                Reg::Slot(s) => fr.scalars[*s as usize],
-                Reg::Load { buf, at } => {
-                    let RawBuf::I32 { ptr, len } = fr.bufs[*buf as usize] else {
-                        return None;
-                    };
-                    let (flat, _) = at.pin(regs, 0, usize::MAX)?;
-                    if flat < 0 || flat >= i64::try_from(len).ok()? {
-                        return None;
-                    }
-                    debug_assert!(usize::try_from(flat).is_ok_and(|f| f < len));
-                    // SAFETY: 0 <= flat < len elements behind `ptr`,
-                    // checked above; the binding outlives the run.
-                    i64::from(unsafe { elem_load(ptr, flat as usize) })
-                }
-            };
-        }
-        Some(())
-    }
-}
-
-impl NestSpec {
-    /// Enter the nest on the walk state `at` this launch established: run
-    /// the entry program `prog`, re-pin, and hand the trips to the nest's
-    /// stepped loop (through the scratch `w`); whatever that does not take
-    /// — all of them when the nest has none or a range test of the entry
-    /// failed, the rest from the trip whose gathered value left the reach —
-    /// goes through `advance` trip by trip. Returns how many trips
-    /// completed: fewer than the entry's trips means trip `done` met a
-    /// failed precondition before writing anything, and the caller resumes
-    /// the generic loop there, every earlier trip's writes being exactly
-    /// the generic loop's. `None` — nothing written — when the program or
-    /// trip 0 fails a check: the caller hands trip 0 to the generic loop.
-    pub(in crate::exec) fn reenter(
-        &self,
-        prog: &EntryProgram,
-        lanes: &LaneSpec,
-        fr: &mut Frame,
-        at: &mut Trips,
-        w: &mut Stepped,
-    ) -> Option<Taken> {
-        let mut regs = [0i64; MAX_REGS];
-        prog.load(0..prog.head, fr, &mut regs)?;
-        let trips = prog.extent.eval(&regs)?;
-        if trips <= 0 {
-            return Some(Taken { done: trips, trips, stepped: 0 });
-        }
-        prog.load(prog.head..prog.regs.len(), fr, &mut regs)?;
-        at.repin(self, prog, lanes, fr, &regs)?;
-        let mut stepped = 0;
-        if let Some(loops) = at.stepper.filter(|_| at.stepped(self, lanes, trips, w).is_some()) {
-            // A moving reduce iter is zero at trip 0 only
-            // (`Trips::stepped`): where the init goes by it, it fires at no
-            // later trip.
-            let moved = !self.reduce_moves.is_empty()
-                && matches!(lanes.init, InitKind::WhenReduceZero { .. });
-            let rest = if moved { LaneInit::Never } else { at.r.init };
-            // SAFETY: `w` was made for this entry just now, the loops are
-            // those of this nest's lane op on this frame, and the one for
-            // runs only is taken when every operand is one.
-            stepped = unsafe { loops[usize::from(!w.all_runs())](w, at.r.init, rest) };
-        }
-        self.finish(lanes, fr, at, (stepped, trips))
-    }
-
-    /// The rest of an entry whose first `stepped` trips its trip loop took,
-    /// the walk state pinned at its trip 0: those trips' reduce iter left
-    /// where `advance` leaves it, and every trip from `stepped` on through
-    /// [`NestSpec::trip_by_trip`].
-    pub(in crate::exec) fn finish(
-        &self,
-        lanes: &LaneSpec,
-        fr: &mut Frame,
-        at: &mut Trips,
-        (stepped, trips): (i64, i64),
-    ) -> Option<Taken> {
-        if let ([(slot, step, _)], true) = (&self.reduce_moves[..], stepped > 0) {
-            // Where `advance` leaves it at the last trip taken.
-            fr.scalars[*slot as usize] = at.v0[0] + step * (stepped - 1);
-        }
-        if stepped == trips {
-            return Some(Taken { done: trips, trips, stepped });
-        }
-        self.trip_by_trip(lanes, fr, at, (stepped, trips))
-    }
-
-    /// The trips of an entry from `stepped` on — all of them when
-    /// the nest has no stepped loop or a range test of the entry turned it
-    /// away — through `advance` one by one: trip 0 resolves every operand,
-    /// the later ones those that move, and every check of a trip happens
-    /// before the body's first write. Out of line: a served launch comes
-    /// here for the nests the menu of trip loops does not cover, and the
-    /// entry path stays small for those it does.
-    #[inline(never)]
-    fn trip_by_trip(
-        &self,
-        lanes: &LaneSpec,
-        fr: &mut Frame,
-        at: &mut Trips,
-        (stepped, trips): (i64, i64),
-    ) -> Option<Taken> {
-        let mut t = 0;
-        while t < trips {
-            let taken = t < stepped;
-            if at.advance(self, lanes, fr, t).is_none() || (!taken && lanes.run(&at.r).is_none()) {
-                let done = t.max(stepped);
-                return (done > 0).then_some(Taken { done, trips, stepped });
-            }
-            t = (t + 1).max(stepped);
-        }
-        Some(Taken { done: trips, trips, stepped })
-    }
-}
-
-/// What an entry did: `done` of its `trips` trips completed (the
-/// generic loop resumes at trip `done` when fewer), the first `stepped` of
-/// them in the nest's monomorphised trip loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(in crate::exec) struct Taken {
-    pub done: i64,
-    pub trips: i64,
-    pub stepped: i64,
 }
 
 #[cfg(test)]

@@ -1,35 +1,34 @@
-//! Row blocks: the row loop around a nest, run in Rust.
+//! Row blocks: the row loop around a nest, run in Rust — and a nest outside
+//! any row loop, run as a block of one entry.
 //!
 //! The paper lowers a compressed axis to `for j in indptr[i]..indptr[i+1]`
-//! (§3.3), and the row loop around it — `for i { nest }` — still paid a full
-//! nest entry per row: the loop's dispatch, the entry program's expression
-//! walk over [`Lin`]s, [`Trips::repin`] and every cursor's range tests in
-//! [`Trips::stepped`]. Consecutive rows of that loop share a bound, and what
-//! a row's entry tests is known before the launch: every register of the
-//! nest's [`EntryProgram`] is the row, a slot the row loop does not write,
-//! an `i32` load at a position affine in the row (`indptr[i]`,
+//! (§3.3). Consecutive rows of the loop around it share a bound, and what a
+//! row's entry tests is known before the launch: every register of the
+//! nest's [`EntryProgram`](super::EntryProgram) is the row, a slot the row
+//! loop does not write, an `i32` load at a position affine in the row (`indptr[i]`,
 //! `indptr[i + 1]`, a bucket's row id) or at a constant plus a multiple of
 //! one earlier load (the gather's trip-0 column), and every pin is a
 //! constant plus at most one of them.
 //!
-//! [`build_rows`] plans such a loop at compile time ([`RowPlan`]): where
-//! each register comes from — a load of `indptr[i]` that the previous row
-//! made as `indptr[i + 1]` **rolls** over instead of loading again — and
-//! every test an entry makes, as `lo <= konst + coef·v <= hi` over one
-//! variable `v` ([`Form`]). At launch, [`Trips`]' walks being established,
-//! the tests over a loaded register are **solved** once into an interval
-//! of its values ([`solve`]); a test over the row is affine in it, so a
-//! block checks it at its first and last row only. A row of the block then
-//! loads its registers, compares each against its interval, computes every
+//! [`build_block`] plans such a loop at compile time ([`Block`], inside a
+//! [`RowPlan`]): where each register comes from — a load of `indptr[i]`
+//! that the previous row made as `indptr[i + 1]` **rolls** over instead of
+//! loading again — and every test an entry makes, as `lo <= konst + coef·v
+//! <= hi` over one variable `v` ([`Form`]). A nest that heads no row loop's
+//! body is planned the same way, as a block of one entry whose every slot
+//! register is fixed. At launch, [`Trips`]' walks being established, the
+//! tests over a loaded register are **solved** once into an interval of its
+//! values ([`solve`]); a test over the row is affine in it, so a block
+//! checks it at its first and last row only. A row of the block then loads
+//! its registers, compares each against its interval, computes every
 //! cursor's first lane as `base + k·v`, and calls the trip loop the nest
-//! established — no bytecode dispatch, entry program or re-pin.
+//! established — no bytecode dispatch, no expression tree.
 //!
-//! A block or row that fails any test is not an error here: the block
-//! hands the loop, at that row, to the instructions lowered behind it — the
-//! nest, entered through [`NestSpec::reenter`] as without the block — so
-//! error text, error order and written prefix stay the interpreter's. A
-//! loop that does not fit the plan, or whose bindings do not fit it in a
-//! launch, runs as a plain loop over its nest.
+//! A block, row or trip that fails any test is not an error here: the
+//! block hands the loop, at that row and trip, to the generic loop lowered
+//! behind the nest ([`Exit`]) — so error text, error order and written
+//! prefix stay the interpreter's. A loop that does not fit the plan is no
+//! block; a nest whose one entry does not fit it is no nest.
 
 use super::{
     interval, solve, Cursor, Drift, IndexPlan, Lin, NestSpec, Planner, Reg, Spot, Stepped, Trips,
@@ -176,20 +175,29 @@ pub(in crate::exec) struct RowPlan {
     pub slot: u32,
     pub extent: IntExpr,
     pub split: Option<Split>,
-    /// Constant binds in front of the nest.
-    pub pins: Vec<(u32, i64)>,
-    pub guard: Option<Guard>,
     /// Stream address of the nest.
     pub nest_at: u32,
+    pub block: Block,
+}
+
+/// What a block of entries of one nest loads and tests: the rows of a
+/// [`RowPlan`], or the one entry of a nest outside any row loop.
+#[derive(Debug, Clone)]
+pub(in crate::exec) struct Block {
+    /// Rows per block of a split loop.
+    per: Option<i64>,
+    /// Constant binds in front of the nest.
+    pins: Vec<(u32, i64)>,
+    guard: Option<Guard>,
     /// Per register of the nest's entry program.
-    pub sources: Vec<Source>,
+    sources: Vec<Source>,
     /// Where each operand starts at trip 0 — the gather, `dst`, `a`, `b`,
     /// the coefficient's walked load, a ratio's loaded factor.
-    pub aims: [Option<Form>; OPERANDS],
+    aims: [Option<Form>; OPERANDS],
     /// Every test of an entry with trips. One over the row is made at a
     /// block's first and last row (and covers its head loads); one over a
     /// loaded register is part of that register's interval.
-    pub probes: Vec<Probe>,
+    probes: Vec<Probe>,
 }
 
 impl IndexPlan {
@@ -199,30 +207,30 @@ impl IndexPlan {
     }
 }
 
-/// Plan the row loop `for slot in 0..extent` whose body is the nest `spec`
-/// at `nest_at`, behind the constant binds `pins` and the tail guard
-/// `guard` (`lhs op rhs`); `outer(s)` says whether the loop's body leaves
-/// slot `s` alone. `None` when a register, pin or test does not fit a
-/// block: the loop stays a loop.
-pub(in crate::exec) fn build_rows(
+/// Plan the block over the nest `spec` that the row loop `for slot in
+/// 0..extent` (split as `split` says) makes of its body — behind the
+/// constant binds `pins` and the tail guard `guard` (`lhs op rhs`), `outer(s)`
+/// saying whether the loop's body leaves slot `s` alone — or, with no row
+/// loop, the block of the nest's one entry. `None` when a register, pin or
+/// test does not fit a block: the loop stays a loop.
+pub(in crate::exec) fn build_block(
     (spec, lanes): (&NestSpec, &LaneSpec),
-    (slot, extent, split): (u32, &IntExpr, Option<Split>),
+    row_loop: Option<(u32, Option<Split>)>,
     pins: Vec<(u32, i64)>,
     guard: Option<(CmpOp, &IntExpr, &IntExpr)>,
     outer: impl Fn(u32) -> bool,
-    nest_at: u32,
-) -> Option<RowPlan> {
+) -> Option<Block> {
     let prog = &spec.entry;
     // The row's own slot, and the block's when split.
-    let (row, block) = match split {
-        Some(s) => (s.slot, Some(slot)),
-        None => (slot, None),
+    let (row, block, per) = match row_loop {
+        Some((slot, Some(s))) => (Some(s.slot), Some(slot), Some(s.per)),
+        Some((slot, None)) => (Some(slot), None, None),
+        None => (None, None, None),
     };
-    let per = split.map(|s| s.per);
     let mut sources: Vec<Source> = Vec::with_capacity(prog.regs.len());
     for (k, reg) in prog.regs.iter().enumerate() {
         let source = match reg {
-            Reg::Slot(s) if *s == row => Source::Row,
+            Reg::Slot(s) if Some(*s) == row => Source::Row,
             Reg::Slot(s) if Some(*s) == block => Source::Block,
             Reg::Slot(s) if outer(*s) => Source::Outer(*s),
             Reg::Slot(_) => return None,
@@ -262,7 +270,7 @@ pub(in crate::exec) fn build_rows(
     }
 
     let guard = match guard {
-        Some((op, lhs, rhs)) => Some(plan_guard(op, [lhs, rhs], (row, block, per), &outer)?),
+        Some((op, lhs, rhs)) => Some(plan_guard(op, [lhs, rhs], (row?, block, per), &outer)?),
         None => None,
     };
     let mut p = Probes { sources: &sources, per, extent: &prog.extent, probes: Vec::new() };
@@ -298,17 +306,7 @@ pub(in crate::exec) fn build_rows(
         aims[FACTOR] = Some(Form::of(&at.flat()?, &sources, per)?);
     }
     let probes = p.probes;
-    Some(RowPlan {
-        slot,
-        extent: extent.clone(),
-        split,
-        pins,
-        guard,
-        nest_at,
-        sources,
-        aims,
-        probes,
-    })
+    Some(Block { per, pins, guard, sources, aims, probes })
 }
 
 /// Some register rolls over from register `a`.
@@ -403,14 +401,15 @@ impl Probes<'_> {
 // Launch time
 // ---------------------------------------------------------------------------
 
-/// What a launch solved for a block: each loaded register's interval,
-/// and the init decision every row shares.
+/// What a launch solved for the blocks over a nest: each loaded register's
+/// interval, and the init decision every row shares. A pure function of the
+/// nest and its bindings — every block over the nest plans the same tests
+/// over its loaded registers — so whichever block asks first solves it.
 #[derive(Clone, Copy)]
 pub(in crate::exec) enum Solve {
-    /// Not yet: the nest's walk state was established by an entry outside
-    /// the block.
+    /// Not yet.
     Unsolved,
-    /// The bindings do not fit a block in this launch: a plain loop.
+    /// The bindings do not fit a block in this launch.
     Unfit,
     Ready(Solved),
 }
@@ -424,18 +423,18 @@ pub(in crate::exec) struct Solved {
     rest: LaneInit,
 }
 
-/// How a block ended ([`RowPlan::run`]).
+/// How a block ended ([`Block::run`]).
 pub(in crate::exec) enum Exit {
     /// Every row is done.
     Done,
-    /// The block could not be entered: the loop runs as a loop.
+    /// The block could not be entered: the loop runs as a loop, the nest
+    /// of a block of one entry as its generic loop.
     Plain,
-    /// Row `row` (and every later one) goes through the loop body behind
-    /// the block, entered there.
-    Enter { row: i64 },
-    /// Row `row`'s nest took its first `done` of `trips` trips and hands
-    /// the rest to the generic loop behind it.
-    Handover { row: i64, done: i64, trips: i64 },
+    /// Row `row`'s trips from `done` on — of `trips`, when a block got as
+    /// far as counting them — go to the generic loop behind the nest, and
+    /// every later row through the loop body: nothing of trip `done` is
+    /// written.
+    Handover { row: i64, done: i64, trips: Option<i64> },
 }
 
 /// Where an operand's run starts over one entry, less its [`Var`]'s part:
@@ -510,9 +509,9 @@ fn ints(fr: &Frame, buf: u32) -> Option<(*mut i32, i64)> {
     }
 }
 
-impl RowPlan {
+impl Block {
     /// The positions operand `op` may start at in the storage it is bound
-    /// to in this launch; `None` for a binding a block does not cover.
+    /// to in this launch.
     fn storage(
         &self,
         op: usize,
@@ -533,7 +532,6 @@ impl RowPlan {
         match view.spot {
             Spot::Flat { len, .. } => Some((0.max(-span), (len - 1).min(len - 1 - span))),
             Spot::ColsByRow { width, rows, .. } => Some((0, rows.checked_mul(width)? - 1)),
-            Spot::Cols { .. } | Spot::Rows { .. } => None,
         }
     }
 
@@ -559,9 +557,7 @@ impl RowPlan {
     /// Solve the tests over each loaded register into one interval of its
     /// values, once per launch, on the walk state `at` the launch
     /// established; take the init decision every row shares. `None` when
-    /// the bindings do not fit a block in this launch. What it solves is
-    /// the nest's, whichever block over it asks first (a split loop's, or
-    /// the per-block one behind it).
+    /// the bindings do not fit a block in this launch.
     pub(in crate::exec) fn solve(
         &self,
         spec: &NestSpec,
@@ -569,7 +565,6 @@ impl RowPlan {
         at: &Trips,
         fr: &mut Frame,
     ) -> Option<Solved> {
-        at.stepper?;
         let factor = spec.entry.factor.as_ref().map(|(buf, _)| *buf);
         for op in 0..OPERANDS {
             if self.aims[op].is_some() {
@@ -592,27 +587,16 @@ impl RowPlan {
             let reg = &mut regs[usize::from(r)];
             *reg = (reg.0.max(from), reg.1.min(to));
         }
-        // A column-segmented operand stays in its column: whole rows per
-        // unit of what moves it.
-        for op in 1..=COEFF {
-            let view = if op == COEFF { at.coeff.as_ref() } else { at.views[op - 1].as_ref() };
-            if let (Some(form), Some(Spot::ColsByRow { width, .. })) =
-                (&self.aims[op], view.map(|v| &v.spot))
-            {
-                if form.coef % width != 0 {
-                    return None;
-                }
-            }
-        }
         // The reduce iters and the init decision are the same every entry.
         for (slot, v) in &spec.entry.reduce {
             fr.scalars[*slot as usize] = v.as_const()?;
         }
-        let first = lanes.lane_init(fr, at.r.n);
+        let first = lanes.lane_init(fr, at.n);
         let moved = !spec.reduce_moves.is_empty();
         let zero_later = matches!(lanes.init, InitKind::WhenReduceZero { .. });
         if let [(slot, step, _)] = spec.reduce_moves[..] {
-            // What `Trips::stepped` turns away at every entry.
+            // A moving reduce iter that is not zero at trip 0 under an init
+            // that goes by it, or one that could overflow over a row.
             if (zero_later && fr.scalars[slot as usize] != 0) || step.abs() > 1 << 20 {
                 return None;
             }
@@ -634,7 +618,7 @@ struct Entry {
     loads: [Option<Elem<i32>>; MAX_REGS],
 }
 
-impl RowPlan {
+impl Block {
     /// The rows `from..=to` of `0..rows` the tail guard lets in; `None`
     /// when no row is, or a side overflows.
     fn guarded(&self, fr: &Frame, rows: i64) -> Option<(i64, i64)> {
@@ -664,10 +648,10 @@ impl RowPlan {
         Some((from, to))
     }
 
-    /// Enter the block: the rows, their registers' sources and the
+    /// Begin the block: the rows, their registers' sources and the
     /// operands' aims; the tests over the row at its first and last row.
     #[allow(clippy::too_many_lines)]
-    fn enter(
+    fn begin(
         &self,
         spec: &NestSpec,
         at: &Trips,
@@ -717,20 +701,21 @@ impl RowPlan {
             let (Some(form), Some(view)) = (&self.aims[1 + k], view) else { continue };
             let base = form.base.eval(&e.regs)?;
             let per = isize::try_from(form.coef).ok()?;
-            let Drift { step, scale, .. } = view.walk.drift;
+            let Drift { step, scale, .. } = view.drift;
             let (aim, unit, by) = match view.spot {
                 Spot::Flat { ptr, .. } => {
                     let at = Lanes::Run {
                         ptr: ptr.wrapping_offset(isize::try_from(base).ok()?),
                         stride: view.stride,
                     };
-                    let by =
-                        (view.walk.coef.checked_mul(step)?, view.walk.coef.checked_mul(scale)?);
+                    let by = (view.coef.checked_mul(step)?, view.coef.checked_mul(scale)?);
                     (Aim { at, per, var: form.var }, 1, by)
                 }
                 Spot::ColsByRow { table, width, row_step, row_scale, .. } => {
                     let (row0, col) = (base.div_euclid(width), base.rem_euclid(width));
-                    if col + view.span() >= width {
+                    // The run stays in its column: inside the logical row,
+                    // whole rows per unit of what moves it.
+                    if col + view.span() >= width || form.coef % width != 0 {
                         return None;
                     }
                     let rows_per = isize::try_from(form.coef / width).ok()?;
@@ -749,7 +734,6 @@ impl RowPlan {
                         (Aim { at, per, var: form.var }, unit, (row_step, row_scale))
                     }
                 }
-                Spot::Cols { .. } | Spot::Rows { .. } => return None,
             };
             let (step, gstep) = if view.moves() {
                 (by.0.checked_mul(unit)?, by.1.checked_mul(unit)?)
@@ -771,42 +755,40 @@ impl RowPlan {
                 (e.views[k], w.ops[k]) = (e.views[k - 1], w.ops[k - 1]);
             }
         }
-        (w.n, w.init32, w.scalar) = (at.r.n, at.r.init32, at.r.scalar);
+        (w.n, w.init32, w.scalar) = (at.n, at.init32, at.scalar);
         (w.walked, w.ratio, w.factor) = (at.coeff.is_some(), spec.ratio, at.factor);
-        w.gather_step = at.gather_step;
+        w.gather_step = at.gather.as_ref().map_or(0, |g| g.step);
         Some(e)
     }
 
     /// Run rows `0..rows` of the loop — the slot, the constant binds and the
     /// guard are this function's to set — on the nest `spec` whose walk
-    /// state `at` this launch established and `solve` solved, handing its
-    /// trip loops the scratch `w`. Whatever the block does not take is the
-    /// loop body's, from the row [`Exit`] names: nothing of that row is
-    /// written.
-    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    /// state `at` this launch established and solved, handing its trip
+    /// loops the scratch `w`. Whatever the block does not take is the
+    /// generic loop's, from the row and trip [`Exit`] names: nothing of that
+    /// trip is written.
+    #[allow(clippy::too_many_lines)]
     pub(in crate::exec) fn run(
         &self,
         spec: &NestSpec,
-        lanes: &LaneSpec,
-        (at, solved): (&mut Trips, &Solve),
+        at: &Trips,
         fr: &mut Frame,
         w: &mut Stepped,
         rows: i64,
         counts: &mut NestCounts,
     ) -> Exit {
-        let Solve::Ready(Solved { regs: within, first, rest }) = *solved else {
+        let Solve::Ready(Solved { regs: within, first, rest }) = at.rows else {
             return Exit::Plain;
         };
-        let Some(loops) = at.stepper else { return Exit::Plain };
         for &(slot, c) in &self.pins {
             fr.scalars[slot as usize] = c;
         }
         // No row gets past the guard, or a block's test fails: the loop
         // body takes every row.
         let Some((from, to)) = self.guarded(fr, rows) else { return Exit::Plain };
-        let Some(mut e) = self.enter(spec, at, fr, w, (from, to)) else { return Exit::Plain };
+        let Some(mut e) = self.begin(spec, at, fr, w, (from, to)) else { return Exit::Plain };
         // The row's own slot and, in a split loop, its block's.
-        let per = self.split.map_or(i64::MAX, |s| s.per);
+        let per = self.per.unwrap_or(i64::MAX);
         let (mut b, mut r) = (from / per, from % per);
         let loop_of = usize::from(!w.all_runs());
         // The gather's register and its interval — the entry's reach — when
@@ -849,18 +831,17 @@ impl RowPlan {
                     _ => continue,
                 };
             }
-            let Some(trips) = spec.entry.extent.eval(regs) else {
-                exit = Exit::Enter { row: i };
-                break;
-            };
-            if trips <= 0 {
-                tally.entries += 1;
-                tally.repinned += 1;
+            tally.entries += 1;
+            let trips = spec.entry.extent.eval(regs);
+            if trips.is_some_and(|trips| trips <= 0) {
                 tally.blocked += 1;
                 continue;
             }
-            let mut fits = true;
+            let mut fits = trips.is_some();
             for (k, source) in self.sources.iter().enumerate() {
+                if !fits {
+                    break;
+                }
                 match source {
                     Source::Row if k >= head => regs[k] = r,
                     Source::Block if k >= head => regs[k] = b,
@@ -875,15 +856,14 @@ impl RowPlan {
                     Source::Load { .. } | Source::Gathered { .. } => {}
                 }
                 let (lo, hi) = within[k];
-                fits &= i64::from(lo) <= regs[k] && regs[k] <= i64::from(hi);
-                if !fits {
-                    break;
-                }
+                fits = i64::from(lo) <= regs[k] && regs[k] <= i64::from(hi);
             }
-            if !fits {
-                exit = Exit::Enter { row: i };
+            let (true, Some(trips)) = (fits, trips) else {
+                // The row's trip 0 is the generic loop's.
+                tally.handovers += 1;
+                exit = Exit::Handover { row: i, done: 0, trips: None };
                 break;
-            }
+            };
             w.trips = trips;
             for k in 0..3 {
                 if let Some(aim) = &e.views[k] {
@@ -912,29 +892,15 @@ impl RowPlan {
             // SAFETY: `w` holds this row's entry, every position it reads
             // tested against the storage it is bound to; the loop for runs
             // only is taken when every operand is one.
-            let stepped = unsafe { loops[loop_of](w, first, rest) };
-            tally.entries += 1;
-            tally.repinned += 1;
+            let stepped = unsafe { at.stepper[loop_of](w, first, rest) };
             tally.blocked += 1;
+            tally.trips += trips as u64;
             tally.stepped += stepped as u64;
-            if stepped == trips {
-                tally.trips += trips as u64;
-                continue;
-            }
-            // A gathered value left the reach mid-row: the rest of the row
-            // trip by trip, from the pins of this entry.
-            let factor = w.factor;
-            let repinned = at.repin(spec, &spec.entry, lanes, fr, regs);
-            debug_assert!(repinned.is_some(), "the block tested what a re-pin does");
-            at.factor = factor;
-            let done = match repinned.and_then(|()| spec.finish(lanes, fr, at, (stepped, trips))) {
-                Some(taken) => taken.done,
-                None => stepped,
-            };
-            tally.trips += done.max(0) as u64;
-            if done < trips {
+            if stepped < trips {
+                // A gathered value left the reach mid-row: the rest of the
+                // row is the generic loop's.
                 tally.handovers += 1;
-                exit = Exit::Handover { row: i, done, trips };
+                exit = Exit::Handover { row: i, done: stepped, trips: Some(trips) };
                 break;
             }
         }

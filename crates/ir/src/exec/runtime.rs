@@ -1,7 +1,7 @@
 //! The compile-once/run-many kernel cache ([`Runtime`]) and the
 //! [`exec_func`] convenience over the process-wide instance.
 
-use super::{BufferPool, CompiledKernel, ExecError};
+use super::{BufferPool, CompiledKernel, ExecError, NestCounts};
 use crate::eval::TensorData;
 use crate::func::PrimFunc;
 use crate::printer::print_func;
@@ -305,6 +305,24 @@ impl Runtime {
                     .count()
             })
             .sum()
+    }
+
+    /// What the row nests of every cached kernel did over their runs,
+    /// summed ([`CompiledKernel::nest_counts`] over the map): how the
+    /// launches of an entry point that compiles through a key of its own
+    /// ran, read from outside it.
+    #[must_use]
+    pub fn nest_counts(&self) -> NestCounts {
+        let mut sum = NestCounts::default();
+        for stripe in &self.shards {
+            let stripe = stripe.lock().expect("nothing panics under a stripe lock");
+            for (cell, _) in stripe.cells.values() {
+                if let Some(Entry { kernel: Ok(kernel), .. }) = cell.get() {
+                    sum.add(kernel.nest_counts());
+                }
+            }
+        }
+        sum
     }
 
     /// Monotonic count of actual compilations performed (cache misses).

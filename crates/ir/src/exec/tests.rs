@@ -678,21 +678,44 @@ fn ell_func(rows: i64, n: i64) -> (PrimFunc, HashMap<String, TensorData>) {
     (f, t)
 }
 
-fn nest_spec(k: &CompiledKernel) -> &fuse::NestSpec {
+/// The kernel's first row nest and the block of its one entry.
+fn nest_spec(k: &CompiledKernel) -> (&fuse::NestSpec, &fuse::Block) {
     k.code
         .instrs()
         .iter()
         .find_map(|ins| match ins {
-            bytecode::Instr::Nest { spec, .. } => Some(&**spec),
+            bytecode::Instr::Nest { spec, block, .. } => Some((&**spec, &**block)),
             _ => None,
         })
         .expect("kernel has a row nest")
 }
 
+/// `block`'s one entry on the frame `fr` as the bindings stand: the walk
+/// state established and solved afresh, what the block did and counted.
+fn one_entry(
+    k: &CompiledKernel,
+    fr: &mut Frame,
+    kept: Option<&mut fuse::Trips>,
+) -> (fuse::Exit, NestCounts) {
+    let (nest, block) = nest_spec(k);
+    let lanes = lane_spec(k);
+    let mut fresh = None;
+    let at = match kept {
+        Some(at) => at,
+        None => fresh.insert(fuse::Trips::establish(nest, &nest.entry, lanes, fr).expect("flat")),
+    };
+    if matches!(at.rows, fuse::Solve::Unsolved) {
+        at.rows = fuse::Solve::Ready(block.solve(nest, lanes, at, fr).expect("solved"));
+    }
+    let mut counts = NestCounts::default();
+    let exit = block.run(nest, at, fr, &mut fuse::Stepped::scratch(), 1, &mut counts);
+    (exit, counts)
+}
+
 /// A row nest under a `blockIdx` loop writes the interpreter's bits: run
-/// by the launch, which establishes its walk state once and enters all
-/// five rows through the entry program, the first one included; and
-/// entered row by row on one kept walk state.
+/// by the launch, whose row block takes all five rows, the first one
+/// included; and entered row by row as the nest's own block of one entry,
+/// on one kept walk state.
 #[test]
 fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     let (f, tensors) = ell_func(5, 33);
@@ -702,7 +725,7 @@ fn nest_under_a_block_loop_bit_matches_the_interpreter() {
         kernel.fused_ops() == 1 && listing.contains("0000  rows       %0 in 0..5"),
         "{listing}"
     );
-    let nest = nest_spec(&kernel);
+    let (nest, _) = nest_spec(&kernel);
     assert!(nest.gather.is_some() && nest.coeff.is_some());
     assert_eq!(nest.views.map(|v| v.is_some()), [false, true, false], "only `X` moves");
 
@@ -712,37 +735,33 @@ fn nest_under_a_block_loop_bit_matches_the_interpreter() {
     kernel.run(&HashMap::new(), &mut t).unwrap();
     assert_eq!(t["C"], interp["C"]);
     let counts = kernel.nest_counts();
-    assert_eq!((counts.entries, counts.repinned, counts.handovers), (5, 5, 0));
-    // Every row through the entry program, on one walk state kept from
-    // row to row.
-    let prog = &nest.entry;
+    assert_eq!((counts.entries, counts.blocked, counts.handovers), (5, 5, 0));
+    // Every row through the nest's block of one entry, on one walk state
+    // kept from row to row.
     let i = kernel.slot_names.iter().position(|s| s == "i").expect("row loop slot");
     let mut t = tensors;
     let mut fr = frame_of(&kernel, &mut t);
+    let (nest, _) = nest_spec(&kernel);
     let lanes = lane_spec(&kernel);
-    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
+    let mut kept = fuse::Trips::establish(nest, &nest.entry, lanes, &fr).expect("flat bindings");
     for row in 0..5 {
         fr.scalars[i] = row;
-        let all = fuse::Taken { done: 3, trips: 3, stepped: 3 };
-        assert_eq!(
-            nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
-            Some(all),
-            "row {row}"
-        );
+        let (exit, counts) = one_entry(&kernel, &mut fr, Some(&mut kept));
+        assert!(matches!(exit, fuse::Exit::Done), "row {row}");
+        assert_eq!((counts.entries, counts.blocked, counts.stepped), (1, 1, 3), "row {row}");
     }
     assert_eq!(t["C"], interp["C"]);
 }
 
-/// The nest's contract with the loop behind it: a trip it cannot take is
-/// reported *before* anything of that trip is written, every earlier trip
-/// stands, and the generic loop resuming there reproduces the
-/// interpreter's error and prefix; an entry that cannot take its *first*
-/// trip reports nothing taken and leaves the row to the generic loop.
+/// The block's contract with the loop behind its nest: a trip it cannot
+/// take is handed over *before* anything of that trip is written, every
+/// earlier trip stands, and the generic loop resuming there reproduces
+/// the interpreter's error and prefix; an entry that cannot take its
+/// *first* trip hands the row over whole, nothing written.
 #[test]
 fn nest_reports_the_first_trip_it_cannot_take() {
     let (f, mut tensors) = ell_func(2, 8);
     let kernel = CompiledKernel::compile_with(&f, true).unwrap();
-    let nest = nest_spec(&kernel);
     // Row 0, trip 1 gathers a row `X` does not have.
     let TensorData::I32(idx) = tensors.get_mut("Idx").unwrap() else { unreachable!() };
     idx[1] = 4;
@@ -755,28 +774,25 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     let got = kernel.code.exec(&mut fr).unwrap_err();
     assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
     assert_eq!(t["C"], interp["C"], "exactly trip 0 of row 0 is written");
-    assert_eq!((kernel.nest_counts().repinned, kernel.nest_counts().handovers), (1, 1));
+    let counts = kernel.nest_counts();
+    assert_eq!((counts.blocked, counts.handovers, counts.trips, counts.stepped), (1, 1, 3, 1));
 
     // The same row entered directly: trip 1 handed back after trip 0's
-    // writes; with the bad column at trip 0 instead, nothing taken, nothing
-    // written — and a launch hands trip 0 to the generic loop.
-    let prog = &nest.entry;
-    let lanes = lane_spec(&kernel);
+    // writes; with the bad column at trip 0 instead, the row handed back
+    // whole, nothing written — and a launch hands trip 0 to the generic
+    // loop.
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
-    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
-    let one = fuse::Taken { done: 1, trips: 3, stepped: 1 };
-    assert_eq!(
-        nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()),
-        Some(one)
-    );
+    let (exit, _) = one_entry(&kernel, &mut fr, None);
+    assert!(matches!(exit, fuse::Exit::Handover { row: 0, done: 1, trips: Some(3) }));
     assert_eq!(t["C"], interp["C"]);
     let TensorData::I32(idx) = tensors.get_mut("Idx").unwrap() else { unreachable!() };
     idx.swap(0, 1);
     let mut t = tensors.clone();
     let mut fr = frame_of(&kernel, &mut t);
-    let mut kept = fuse::Trips::establish(nest, prog, lanes, &fr).expect("flat bindings");
-    assert_eq!(nest.reenter(prog, lanes, &mut fr, &mut kept, &mut fuse::Stepped::scratch()), None);
+    let (exit, counts) = one_entry(&kernel, &mut fr, None);
+    assert!(matches!(exit, fuse::Exit::Handover { row: 0, done: 0, trips: None }));
+    assert_eq!((counts.entries, counts.blocked, counts.handovers), (1, 0, 1));
     assert_eq!(t["C"], tensors["C"], "nothing written");
     let mut interp = tensors.clone();
     let err = eval_func(&f, &HashMap::new(), &mut interp).unwrap_err().to_string();
@@ -786,7 +802,7 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     assert_eq!(Some(got.message.as_str()), err.strip_prefix("interpreter error: "));
     assert_eq!(t["C"], interp["C"]);
     let counts = kernel.nest_counts();
-    assert_eq!((counts.entries, counts.repinned, counts.handovers), (1, 0, 1));
+    assert_eq!((counts.entries, counts.blocked, counts.handovers), (1, 0, 1));
 }
 
 /// Empty views are valid bindings, not dangling-pointer arithmetic: a
@@ -858,6 +874,6 @@ fn walk_state_is_one_slab_per_thread() {
     }
     for (kernel, ..) in &kernels {
         let counts = kernel.nest_counts();
-        assert_eq!((counts.entries, counts.repinned), (15, 15), "each launch establishes anew");
+        assert_eq!((counts.entries, counts.blocked), (15, 15), "each launch establishes anew");
     }
 }

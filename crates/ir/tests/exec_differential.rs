@@ -53,21 +53,23 @@
 //! classification rule must stay on the per-non-zero `Super`. Its
 //! `reentered` members run every row shape under each loop shape a served
 //! nest sits in (blocked rows with and without the tail guard, a plain
-//! row loop, `hyb` buckets), check through [`CompiledKernel::nest_counts`]
-//! that every entry, the launch's first included, runs its entry program
-//! and re-pins kept state — and bit-match, the SpMM, `hyb` and SDDMM arms
-//! also within the `f64` oracle's bound, and where re-allocating a buffer
-//! the state names drops it — with one negative case per entry-program rule,
-//! each no nest. Its `stepped` members run the monomorphised trip loop an
-//! entry takes: lane counts around the
-//! vector widths × batches of unequal segments × one and three heads on a
-//! graph with empty rows, one-non-zero rows and one row of `n / 2`, every
-//! output also checked against an independent `f64` oracle; every term
-//! shape × init kind under a re-entered nest; and what the menu of trip
-//! loops leaves to `advance`, each case by name. Its `softmax` member runs
+//! row loop, `hyb` buckets and the init nest outside any row loop), check
+//! through [`CompiledKernel::nest_counts`] that a block takes every entry,
+//! the launch's first included — and bit-match, the SpMM, `hyb` and SDDMM
+//! arms also within the `f64` oracle's bound, and where re-allocating a
+//! buffer the state names drops it — with one negative case per
+//! entry-program rule, each no nest, and the ratio coefficients within the
+//! `f64` oracle's bound too. Its `stepped` members run the monomorphised
+//! trip loop a block hands each entry: lane counts around the vector widths
+//! × batches of unequal segments × one and three heads on a graph with
+//! empty rows, one-non-zero rows and one row of `n / 2`, every output also
+//! checked against an independent `f64` oracle; every term shape × init
+//! kind under a nest entered once per row; and what the menu of trip loops
+//! leaves to the generic loop, each case by name. Its `softmax` member runs
 //! attention's running-maximum and `exp(a − b)` lane ops at one and three
-//! heads, NaN / ±inf / ±`f32::MAX` operands included, and a column out of
-//! reach mid-row handed to the generic loop at the right trip.
+//! heads, NaN / ±inf / ±`f32::MAX` operands included (finite ones also
+//! against an `f64` oracle), and a column out of reach mid-row handed to
+//! the generic loop at the right trip.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, under a serial loop and
@@ -1229,14 +1231,17 @@ fn views_csr_spmm_bit_matches_whole_tensors() {
 #[test]
 fn views_batched_sddmm_bit_matches_whole_tensors() {
     let (a, structure, mut rng) = views_fixture(0x52);
-    // Three heads: the head loop around the lane loop is the nest. One
-    // head — the served shape — makes the head loop a bind and the row's
-    // non-zero loop the nest, gathering `Y`'s column like the CSR SpMM.
-    for (heads, k, nest) in [(3, 2, "%2 in 0..3"), (1, 4, "pin=[%2=0], gather=@5")] {
+    // Three heads: the head loop around the lane loop is no nest (the
+    // output's position mixes the row's loaded start and the non-zero's
+    // slot, which a block does not take). One head — the served shape —
+    // makes the head loop a bind and the row's non-zero loop the nest,
+    // gathering `Y`'s column like the CSR SpMM.
+    for (heads, k, nest) in [(3, 2, None), (1, 4, Some("pin=[%2=0], gather=@5"))] {
         let f = batched_sddmm_ir(&a, heads, k).unwrap();
         let listing = CompiledKernel::compile(&f).unwrap().disassemble();
-        assert_eq!(nests(&f), ["nest.gsa "], "{listing}");
-        assert!(listing.contains(nest), "heads = {heads}: {listing}");
+        let want: &[&str] = if nest.is_some() { &["nest.gsa "] } else { &[] };
+        assert_eq!(nests(&f), want, "{listing}");
+        assert!(nest.is_none_or(|nest| listing.contains(nest)), "heads = {heads}: {listing}");
         let y_segs = [1, heads, heads * k];
         for ((x_cut, y_segs), out_cut) in
             column_cuts(heads * k).into_iter().zip(y_segs).zip(column_cuts(heads))
@@ -1653,7 +1658,7 @@ fn row_nest_never_gathers_through_the_written_buffer() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 6d: re-entered row nests
+// Family 6d: row nests entered row by row
 // ---------------------------------------------------------------------------
 
 /// How many row nests of `f`'s fused listing have an entry program.
@@ -1685,8 +1690,9 @@ fn launch_counts(
 /// `for i` (the serial SpMM and the one-head SDDMM), and `hyb` buckets
 /// whose row comes through a row-id buffer. Whole tensors and one, three
 /// and mixed-width column segments; fused vs all-generic vs interpreter,
-/// bit for bit. And the fast path is the one taken: every entry of each
-/// nest, the first included, runs its program and re-pins.
+/// bit for bit. And the fast path is the one taken: a block takes every
+/// entry of each nest, the first included — `hyb`'s init nest, outside any
+/// row loop, as a block of one entry.
 #[test]
 fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
     let mut rng = gen::rng(0x66);
@@ -1737,7 +1743,7 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
             whole.insert("B".to_string(), TensorData::from(vec![0.5f32; a.cols() * d]));
             whole.insert("C".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
             let counts = launch_counts(&f, &HashMap::new(), &whole);
-            assert_eq!(counts.repinned, counts.entries, "rows {lens:?}, {what}: {counts:?}");
+            assert_eq!(counts.blocked, counts.entries, "rows {lens:?}, {what}: {counts:?}");
             // Every nest is entered once there is a row.
             let entered = if lens.is_empty() { 0 } else { n_nests as u64 };
             assert!(counts.entries >= entered, "rows {lens:?}, {what}: {counts:?}");
@@ -1764,9 +1770,9 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
 /// A local buffer allocated *inside* a loop around a nest is re-bound
 /// every iteration, so what the nest kept of its old binding must go:
 /// `for i { alloc T { T = 2·X[i]; for r in 0..2 { for j { C[i] += W[i, j] · T } } } }`
-/// enters the `j` nest twice per `i` — the first entry after each
-/// allocation re-establishes the walk state, and both re-pin it — and
-/// bit-matches.
+/// enters the `j` nest twice per `i` — the block over the `r` loop
+/// re-establishes the walk state after each allocation and takes both
+/// entries — and bit-matches.
 #[test]
 fn reentered_nest_drops_spots_of_a_reallocated_local_buffer() {
     let (rows, width, n) = (4i64, 3i64, 5i64);
@@ -1810,7 +1816,7 @@ fn reentered_nest_drops_spots_of_a_reallocated_local_buffer() {
     differential(&f, &HashMap::new(), &tensors).unwrap();
     let counts = launch_counts(&f, &HashMap::new(), &tensors);
     let entries = 2 * rows as u64;
-    assert_eq!((counts.entries, counts.repinned), (entries, entries), "every entry re-pins");
+    assert_eq!((counts.entries, counts.blocked), (entries, entries), "every entry blocked");
 }
 
 /// What [`entry_candidate`] builds in place of the form that fits.
@@ -1915,7 +1921,8 @@ fn entry_candidate(
 
 /// One negative case per entry-program rule: each is no nest — the loop
 /// stays a `for` around its per-non-zero `Super` — and still bit-matches.
-/// The positive control is a nest with a program, and every row re-pins.
+/// The positive control is a nest with a program, and a block takes every
+/// row.
 #[test]
 fn entry_program_rules_each_have_a_negative_case() {
     use EntryRule::{
@@ -1939,20 +1946,27 @@ fn entry_program_rules_each_have_a_negative_case() {
         differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let counts = launch_counts(&f, &scalars, &tensors);
         let entries = if rule == Fits { 4 } else { 0 };
-        assert_eq!((counts.entries, counts.repinned), (entries, entries), "{rule:?}");
+        assert_eq!((counts.entries, counts.blocked), (entries, entries), "{rule:?}");
     }
 }
 
 /// A coefficient that is one walked load `*` or `/` a factor: a nest when
 /// the factor holds for the entry and is one load (or a constant) — loaded
-/// once per entry by the entry program, every trip dividing in the source's
-/// order — and no nest when the factor is computed or moves with the trip
-/// too. Each bit-matches.
+/// once per entry by the block, every trip dividing in the source's order
+/// — and no nest when the factor is computed or moves with the trip too.
+/// Each bit-matches, and each is within the `f64` oracle's bound (the
+/// operands are finite; `ratio_factor_corners_and_short_bindings_match_on_every_binding`
+/// holds the ±0, NaN and ±inf factors to bits alone).
 #[test]
 fn ratio_coefficients_walk_when_their_factor_holds_for_the_entry() {
     use EntryRule::{ComputedFactor, MovingFactor, Ratio};
     for rule in [Ratio, ComputedFactor, MovingFactor] {
         let (f, scalars, tensors) = entry_candidate(rule);
+        let mut t = tensors.clone();
+        eval_func(&f, &scalars, &mut t).unwrap();
+        ratio_f64(rule, &tensors)
+            .check(t["C"].as_f32())
+            .unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let nest = rule == Ratio;
         let want: &[&str] = if nest { &["nest.axpy"] } else { &[] };
         assert_eq!(nests(&f), want, "{rule:?}");
@@ -1967,8 +1981,38 @@ fn ratio_coefficients_walk_when_their_factor_holds_for_the_entry() {
         differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let counts = launch_counts(&f, &scalars, &tensors);
         let entries = if nest { 4 } else { 0 };
-        assert_eq!((counts.entries, counts.repinned), (entries, entries), "{rule:?}");
+        assert_eq!((counts.entries, counts.blocked), (entries, entries), "{rule:?}");
     }
+}
+
+/// The `f64` answer of an [`entry_candidate`] with a ratio coefficient:
+/// `C[i, k] + Σ_j coeff(i, j) · X[Idx[i·3 + j], k]`, the terms `C`'s start
+/// and each product.
+fn ratio_f64(rule: EntryRule, t: &HashMap<String, TensorData>) -> oracle::Oracle {
+    let (width, n) = (3usize, 5usize);
+    let [w, x, c] = ["W", "X", "C"].map(|name| t[name].as_f32());
+    let TensorData::I32(idx) = &t["Idx"] else { unreachable!() };
+    let mut out = oracle::Oracle {
+        val: c.iter().map(|&v| f64::from(v)).collect(),
+        mag: c.iter().map(|&v| f64::from(v).abs()).collect(),
+    };
+    for i in 0..c.len() / n {
+        for j in 0..width {
+            let (p, first) = (i * width + j, f64::from(w[i * width]));
+            let coeff = match rule {
+                EntryRule::Ratio => f64::from(w[p]) / first,
+                EntryRule::ComputedFactor => f64::from(w[p]) / (first * 2.0),
+                EntryRule::MovingFactor => f64::from(w[p]) / f64::from(w[p]),
+                other => unreachable!("{other:?} has no ratio"),
+            };
+            for k in 0..n {
+                let term = coeff * f64::from(x[idx[p] as usize * n + k]);
+                out.val[i * n + k] += term;
+                out.mag[i * n + k] += term.abs();
+            }
+        }
+    }
+    out
 }
 
 /// Attention's one-head aggregation on the stepped fixture: structure, `P`
@@ -2058,11 +2102,11 @@ fn view_launch(
     (kernel.nest_counts(), parts)
 }
 
-/// The stepped loop took every trip of every entry: each entry re-pinned,
-/// none handed over, and `trips` trips in all, every one stepped.
+/// The stepped loop took every trip of every entry: a block took each
+/// entry, none handed over, and `trips` trips in all, every one stepped.
 fn assert_stepped(counts: NestCounts, trips: u64, what: &str) {
     assert_eq!(
-        (counts.repinned, counts.handovers, counts.trips, counts.stepped),
+        (counts.blocked, counts.handovers, counts.trips, counts.stepped),
         (counts.entries, 0, trips, trips),
         "{what}: {counts:?}"
     );
@@ -2108,10 +2152,10 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
 }
 
 /// The served SDDMM at one head — the row's non-zero loop is the nest, its
-/// operands a one-segment `X`, `Y` and `Bout`, every trip stepped — and at
-/// three, where the head loop is: `X` walked column by column and `Y`
-/// changing row segment every trip are what the menu leaves to `advance`,
-/// so nothing is stepped and nothing is handed over either. Both against
+/// operands a one-segment `X`, `Y` and `Bout`, every trip stepped — and the
+/// three-head program, whose head loop is no nest (its output position
+/// mixes the row's loaded start and the non-zero's slot, which a block does
+/// not take): every `(non-zero, head)` a superinstruction. Both against
 /// the interpreter bit for bit and the `f64` oracle per head.
 #[test]
 fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
@@ -2127,12 +2171,8 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
             if heads == 1 {
                 assert_stepped(counts, a.nnz() as u64, &what);
             } else {
-                let trips = (a.nnz() * heads) as u64;
-                assert_eq!(
-                    (counts.repinned, counts.handovers, counts.trips, counts.stepped),
-                    (counts.entries, 0, trips, 0),
-                    "{what}"
-                );
+                assert!(nests(&f).is_empty(), "{what}");
+                assert_eq!(counts, NestCounts::default(), "{what}");
             }
             for h in 0..heads {
                 oracle::sddmm_f64(&a, &after[0].segs[h], &after[1].segs[h], k)
@@ -2150,9 +2190,9 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
 /// oracle's bound. One-head attention walks five nests — the score, the
 /// three softmax passes and the ratio-weighted aggregation — SAGE two — the
 /// gather and the `Agg · Dinv`-weighted transform — every trip stepped;
-/// three-head attention's softmax passes are nests entered once per row,
-/// every trip stepped, and its score nest the head loop, trip by trip as
-/// the three-head SDDMM's.
+/// the three-head program's softmax passes are nests entered once per row,
+/// every trip stepped, its score and aggregation no nests (as the
+/// three-head SDDMM's head loop).
 #[test]
 fn stepped_attention_and_sage_bit_match_at_every_width() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6d));
@@ -2173,17 +2213,10 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
-            if heads == 1 {
-                assert_stepped(counts, 5 * nnz as u64, &what);
-            } else {
-                let (softmax, score) = (3 * nnz as u64, (nnz * heads) as u64);
-                assert_eq!(
-                    (counts.entries, counts.repinned, counts.handovers),
-                    ((nnz + 3 * rows) as u64, counts.entries, 0),
-                    "{what}"
-                );
-                assert_eq!((counts.trips, counts.stepped), (softmax + score, softmax), "{what}");
-            }
+            let passes = if heads == 1 { 5 } else { 3 };
+            assert_eq!(nests(&f).len(), passes, "{what}");
+            assert_eq!(counts.entries, (passes * rows) as u64, "{what}");
+            assert_stepped(counts, (passes * nnz) as u64, &what);
             for h in 0..heads {
                 let [q, kt, v, out] = [0, 1, 2, 3].map(|p| &after[p].segs[h]);
                 oracle::attention_f64(&a, q, kt, v, d, d)
@@ -2220,7 +2253,7 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
 /// `a = X[Idx[i·4 + j], k]` (gathered), `b = Y[i, k]` (row-invariant) and
 /// `c = W[i·4 + j]` (walked); `dst` is `C[i, k]`, or `S[i·4 + j]` for a
 /// scalar destination (which then moves with the trip). The `j` loop is a
-/// nest entered once per `i`: every entry re-pins and steps.
+/// nest entered once per `i`: a block takes every entry and steps it.
 fn stepped_term(
     shape: usize,
     init: Init,
@@ -2312,7 +2345,7 @@ fn stepped_term(
 }
 
 /// Every loop of the menu: seven term shapes × four init kinds × {axpy,
-/// scalar} destinations under a nest that is re-entered, under a serial
+/// scalar} destinations under a nest entered once per row, under a serial
 /// and under a `blockIdx` loop, special values drawn into every operand.
 /// Bit for bit the interpreter's, and the stepped loop is the one that
 /// ran.
@@ -2334,7 +2367,7 @@ fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
                         .unwrap_or_else(|m| panic!("{case}: {m}\n{}", print_func(&f)));
                     let counts = launch_counts(&f, &HashMap::new(), &tensors);
                     assert_eq!(
-                        (counts.entries, counts.repinned, counts.trips, counts.stepped),
+                        (counts.entries, counts.blocked, counts.trips, counts.stepped),
                         (5, 5, 20, 20),
                         "{case}: {counts:?}"
                     );
@@ -2344,8 +2377,10 @@ fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
     }
 }
 
-/// What the menu leaves to `advance`, one case each — still bit-identical,
-/// still no hand-over, and `stepped` says which path ran:
+/// What the menu of trip loops leaves to the generic loop, one case each —
+/// still a nest, still bit-identical, and the counts say which path ran:
+/// every row of the covered case in a block, every trip stepped; every
+/// row of the others handed to the generic loop at trip 0:
 ///
 /// * an operand moving with the trip *and* with the gather
 ///   (`X[Idx[p] + j, k]`);
@@ -2353,7 +2388,7 @@ fn stepped_loop_bit_matches_for_every_term_shape_and_init_kind() {
 /// * a moving reduce iter that is not zero at trip 0 under a
 ///   `when-reduce-zero` init (`vr = j + 1`: the init never fires).
 #[test]
-fn stepped_menu_leaves_the_rest_to_advance() {
+fn stepped_menu_leaves_the_rest_to_the_generic_loop() {
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Off {
         Covered,
@@ -2417,11 +2452,16 @@ fn stepped_menu_leaves_the_rest_to_advance() {
             tensors.insert(name.to_string(), TensorData::F32(v));
         }
         differential(&f, &HashMap::new(), &tensors).unwrap_or_else(|m| panic!("{off:?}: {m}"));
-        let counts = launch_counts(&f, &HashMap::new(), &tensors);
-        let (entries, trips) = (rows as u64, (rows * width) as u64);
-        assert_eq!((counts.entries, counts.repinned, counts.trips), (entries, entries, trips));
-        let stepped = if off == Off::Covered { trips } else { 0 };
-        assert_eq!(counts.stepped, stepped, "{off:?}: {counts:?}");
+        let kernel = CompiledKernel::compile(&f).unwrap();
+        kernel.run(&HashMap::new(), &mut tensors.clone()).unwrap();
+        let counts = kernel.nest_counts();
+        let (rows, trips) = (rows as u64, (rows * width) as u64);
+        let want = if off == Off::Covered { (rows, 0, trips, trips) } else { (0, rows, 0, 0) };
+        assert_eq!(
+            (counts.entries, (counts.blocked, counts.handovers, counts.trips, counts.stepped)),
+            (rows, want),
+            "{off:?}"
+        );
     }
 }
 
@@ -2469,15 +2509,20 @@ fn softmax_pass(a: &Csr, op: &str, heads: usize, gathered: bool) -> PrimFunc {
 }
 
 /// The tensors of a [`softmax_pass`]: the structure of `a`, and `S`, `X`,
-/// `M`, `P` drawn with a quarter of special values — NaN, ±inf, ±`f32::MAX`,
-/// ±0 and a subnormal — so `f32::max`'s NaN rule and `exp` at the ends of
-/// the range are part of every comparison.
-fn softmax_tensors(a: &Csr, heads: usize, rng: &mut SmallRng) -> HashMap<String, TensorData> {
+/// `M`, `P` drawn with a share `special_rate` of special values — NaN,
+/// ±inf, ±`f32::MAX`, ±0 and a subnormal — so `f32::max`'s NaN rule and
+/// `exp` at the ends of the range are part of the comparisons.
+fn softmax_tensors(
+    a: &Csr,
+    heads: usize,
+    special_rate: f64,
+    rng: &mut SmallRng,
+) -> HashMap<String, TensorData> {
     let specials = specials();
     let special = [specials[0], f32::MAX, -f32::MAX, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
     let mut values = |len: usize| {
         let v = (0..len * heads).map(|_| {
-            if rng.gen_bool(0.25) {
+            if rng.gen_bool(special_rate) {
                 special[rng.gen_range(0..special.len())]
             } else {
                 rng.gen_range(-4.0f32..4.0)
@@ -2499,15 +2544,59 @@ fn softmax_tensors(a: &Csr, heads: usize, rng: &mut SmallRng) -> HashMap<String,
     t
 }
 
+/// The `f64` answer of a [`softmax_pass`] over `t`: the running maximum
+/// `M[i, h]` over the row's `S[pos, h]` (or gathered `X[j, h]`), from
+/// `-f32::MAX` at each non-empty row's start (or, gathered, from `M`'s
+/// own value; an empty row keeps it), or the map `P[pos, h] = exp(S[pos, h] − M[i, h])` (`X[j, h]`
+/// gathered). Its terms are the operands, so the bound scales with them.
+fn softmax_f64(
+    a: &Csr,
+    (op, heads, gathered): (&str, usize, bool),
+    t: &HashMap<String, TensorData>,
+) -> oracle::Oracle {
+    let [s, x, m] = ["S", "X", "M"].map(|name| t[name].as_f32());
+    let src = |pos: usize, h: usize| {
+        if gathered {
+            f64::from(x[a.indices()[pos] as usize * heads + h])
+        } else {
+            f64::from(s[pos * heads + h])
+        }
+    };
+    let (len, start) = if op == "rowmax" { (a.rows(), m) } else { (a.nnz(), t["P"].as_f32()) };
+    let mut out = oracle::Oracle {
+        val: start[..len * heads].iter().map(|&v| f64::from(v)).collect(),
+        mag: vec![0.0; len * heads],
+    };
+    for i in 0..a.rows() {
+        for h in 0..heads {
+            let row = a.indptr()[i]..a.indptr()[i + 1];
+            if op == "rowmax" && !row.is_empty() {
+                let at = i * heads + h;
+                let from = if gathered { out.val[at] } else { f64::from(f32::MIN) };
+                out.val[at] = row.clone().map(|pos| src(pos, h)).fold(from, f64::max);
+                out.mag[at] = out.val[at].abs();
+            } else if op == "exp" {
+                for pos in row {
+                    let at = pos * heads + h;
+                    out.val[at] = (src(pos, h) - f64::from(m[i * heads + h])).exp();
+                    out.mag[at] = out.val[at];
+                }
+            }
+        }
+    }
+    out
+}
+
 /// The softmax's two new lane ops, a running maximum (`nest.max`) and an
 /// `exp(a − b)` map (`nest.exp`), at one head and three, attention's own
 /// passes and the gathered variants, on a graph with empty rows: bit for
 /// bit the interpreter's (and the all-generic build's) with specials in
-/// every operand, one nest entered once per row, every trip stepped. Then
-/// a column out of `X`'s reach in the middle of a row: the nest hands that
-/// trip to the generic loop — once, having taken exactly the trips before
-/// it — which fails with the interpreter's text, leaving its prefix; and,
-/// for attention's own passes, whose trips bind the column without reading
+/// every operand and, with finite operands, within the `f64` oracle's
+/// bound; one nest entered once per row, every trip stepped. Then a column
+/// out of `X`'s reach in the middle of a row: the block hands that trip to
+/// the generic loop — once, having stepped exactly the trips before it —
+/// which fails with the interpreter's text, leaving its prefix; and, for
+/// attention's own passes, whose trips bind the column without reading
 /// through it, a last row running past `J_indices`.
 #[test]
 fn softmax_lane_ops_bit_match_and_hand_over_mid_row() {
@@ -2520,18 +2609,28 @@ fn softmax_lane_ops_bit_match_and_hand_over_mid_row() {
                 let f = softmax_pass(&a, op, heads, gathered);
                 let what = format!("{op}, {heads} heads, gathered = {gathered}");
                 assert_eq!((nests(&f), entry_programs(&f)), (vec![kind.to_string()], 1), "{what}");
-                for _ in 0..4 {
-                    let tensors = softmax_tensors(&a, heads, &mut rng);
+                // Four draws with specials, bits only; one finite, bits and
+                // the `f64` oracle.
+                for special_rate in [0.25, 0.25, 0.25, 0.25, 0.0] {
+                    let tensors = softmax_tensors(&a, heads, special_rate, &mut rng);
                     differential(&f, &HashMap::new(), &tensors)
                         .unwrap_or_else(|m| panic!("{what}: {m}"));
                     let counts = launch_counts(&f, &HashMap::new(), &tensors);
                     assert_stepped(counts, a.nnz() as u64, &what);
+                    if special_rate == 0.0 {
+                        let mut t = tensors.clone();
+                        eval_func(&f, &HashMap::new(), &mut t).unwrap();
+                        let out = if op == "rowmax" { "M" } else { "P" };
+                        softmax_f64(&a, (op, heads, gathered), &tensors)
+                            .check(t[out].as_f32())
+                            .unwrap_or_else(|m| panic!("{what}, finite: {m}"));
+                    }
                 }
                 if !gathered {
                     // Attention's own passes read no operand through the
                     // column: a trip loads it only to bind it. A row pointer
                     // past the end makes that load leave `J_indices` mid-row.
-                    let mut tensors = softmax_tensors(&a, heads, &mut rng);
+                    let mut tensors = softmax_tensors(&a, heads, 0.25, &mut rng);
                     let TensorData::I32(ptr) = tensors.get_mut("J_indptr").unwrap() else {
                         unreachable!()
                     };
@@ -2542,7 +2641,7 @@ fn softmax_lane_ops_bit_match_and_hand_over_mid_row() {
                     continue;
                 }
                 for bad in [a.cols() as i32, -3] {
-                    let mut tensors = softmax_tensors(&a, heads, &mut rng);
+                    let mut tensors = softmax_tensors(&a, heads, 0.25, &mut rng);
                     let TensorData::I32(cols) = tensors.get_mut("J_indices").unwrap() else {
                         unreachable!()
                     };
@@ -2553,11 +2652,13 @@ fn softmax_lane_ops_bit_match_and_hand_over_mid_row() {
                     let kernel = CompiledKernel::compile(&f).unwrap();
                     kernel.run(&HashMap::new(), &mut tensors).unwrap_err();
                     let counts = kernel.nest_counts();
+                    let trips = a.indptr()[row + 1] as u64;
                     assert_eq!(
-                        (counts.entries, counts.handovers, counts.trips),
-                        (row as u64 + 1, 1, at as u64),
+                        (counts.entries, counts.blocked, counts.handovers),
+                        (row as u64 + 1, row as u64 + 1, 1),
                         "{what}, column {bad}: {counts:?}"
                     );
+                    assert_eq!((counts.trips, counts.stepped), (trips, at as u64), "{what}");
                 }
             }
         }
@@ -2809,7 +2910,8 @@ fn block_counts(f: &PrimFunc, tensors: &HashMap<String, TensorData>) -> NestCoun
 /// row one non-zero, `M = 0` and `M = 1` — on the served (split) schedule
 /// and the one-level row loop, SpMM and one-head SDDMM: bit for bit against
 /// the interpreter, within the `f64` oracle's bound, and every row of a
-/// launch taken by its block (one row is no loop, so no block).
+/// launch taken by a block (one row is no loop: the nest's own block of one
+/// entry takes it).
 #[test]
 fn row_blocks_bit_match_at_every_row_shape() {
     let mut rng = gen::rng(0x71);
@@ -2829,8 +2931,7 @@ fn row_blocks_bit_match_at_every_row_shape() {
         for d in [1usize, 4, 17] {
             let what = format!("rows {lens:?}, d = {d}");
             let (served, structure) = served_spmm(&a, d);
-            // One row is no loop (a bind, on either schedule): no block.
-            let blocked = if rows == 1 { 0 } else { rows };
+            let blocked = rows;
             for f in [served, csr_spmm_ir(&a, d).unwrap()] {
                 let mut tensors = spmm_tensors(&a, d, 0.0, &mut rng);
                 tensors.extend(structure.clone());
@@ -2867,7 +2968,8 @@ fn row_blocks_bit_match_at_every_row_shape() {
 /// negative, and a gathered column that leaves `B` in the middle of a
 /// block, at its first row and in the guarded tail: one outcome on every
 /// executor — the interpreter's error text and written prefix, or its
-/// bits. The block hands every such row to the nest as a plain loop would.
+/// bits. The block hands every such row to the generic loop behind the
+/// nest, at the trip it cannot take.
 #[test]
 fn row_blocks_hand_bad_structure_to_the_nest() {
     let mut rng = gen::rng(0x72);
@@ -2909,8 +3011,8 @@ fn row_blocks_hand_bad_structure_to_the_nest() {
 /// A batch of eight bound as views: `C` and `B` cut into eight column
 /// segments of unequal widths (a lane run crossing them; every row in a
 /// block), and `B` cut into eight row segments two and a half of its rows
-/// long, so rows cross a segment (no block: the nest walks them). Both
-/// against the interpreter and each other bit for bit.
+/// long, so rows cross a segment (no block: the generic loop takes them).
+/// Both against the interpreter and each other bit for bit.
 #[test]
 fn row_blocks_bit_match_on_segmented_batches() {
     let mut rng = gen::rng(0x73);

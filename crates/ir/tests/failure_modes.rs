@@ -2,19 +2,19 @@
 //! must fail loudly with an actionable message — never silently compute
 //! garbage. (C-GOOD-ERR / C-VALIDATE.)
 //!
-//! The `row_nests` cases fail a CSR SpMM in a row the nest *re-enters*
-//! (the last one; the launch entered an earlier row first), at its first
-//! trip, in its middle and at its end, under its `blockIdx` loop: the row
-//! nest hands the failing trip — trip 0 included — to the generic loop.
+//! The `row_nests` cases fail a CSR SpMM in a row the block enters after
+//! others (the last one), at its first trip, in its middle and at its end,
+//! under its `blockIdx` loop: the block hands the failing trip — trip 0
+//! included — to the generic loop behind the nest.
 //! The `stepped` cases do the same to a *long* row — twelve trips, so the
 //! failing trip is one the monomorphised trip loop would have taken: a
 //! column out of range at its first, a middle and its last trip (the
-//! per-trip test against the entry's reach), in a row the launch re-enters
-//! and in one that is the launch's first entry of the nest; a coefficient slab one
-//! element short and a row pointer that claims 2³¹ trips (the entry's
-//! hoisted range test fails: the entry goes trip by trip instead, never to
-//! an early error), a negative position, and a column inside one of two
-//! operands the gather moves and past the other (each has its own reach).
+//! per-trip test against the entry's reach), in the launch's last row and
+//! in its first; a coefficient slab one element short and a row pointer
+//! that claims 2³¹ trips (the row's test fails: the row goes to the
+//! generic loop at trip 0, never to an early error), a negative position,
+//! and a column inside one of two operands the gather moves and past the
+//! other (each has its own reach).
 //! The `ratio` cases do it to a nest whose coefficient is attention's
 //! softmax ratio `P[pos] / Sum[i]`: the factor's load past its binding at an
 //! entry, the walked load one element short mid-row, and a factor of ±0,
@@ -25,8 +25,8 @@
 //! whose rows run as one row block over `blockIdx` blocks of four: a row
 //! pointer that decreases, runs past the indices or goes negative in the
 //! middle of a block, and a column past the operand in the guarded tail.
-//! The row that fails a block's test goes to the nest as a loop would take
-//! it: the same error text and written prefix.
+//! The row that fails a block's test goes to the generic loop behind the
+//! nest: the same error text and written prefix.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -336,8 +336,9 @@ mod row_nests {
 
     #[test]
     fn column_past_the_operand_at_the_first_and_the_last_trip_of_a_row() {
-        // Trip 0: the re-pin itself fails, before the row writes anything
-        // (its stale 9.0s stay). Trip 2: the walk stops two trips in.
+        // Trip 0: the row's test of its gathered column fails, before the
+        // row writes anything (its stale 9.0s stay). Trip 2: the trip loop
+        // stops two trips in.
         for (at, landed) in [(6, false), (8, true)] {
             let (f, mut t) = spmm(4);
             let TensorData::I32(cols) = t.get_mut("J_indices").unwrap() else { unreachable!() };
@@ -417,7 +418,7 @@ mod stepped {
     const COLS: usize = 16;
     const NNZ: usize = 18;
     /// Row lengths 2, 0, 1, 3, 0, 12: every case fails in the long last
-    /// row (or the empty one before it), which the launch re-enters.
+    /// row (or the empty one before it), which the block enters last.
     const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
     /// Where the last row starts, and how many trips it has.
     const LAST: usize = 6;
@@ -506,7 +507,7 @@ mod stepped {
 
     #[test]
     fn column_past_the_operand_at_the_first_a_middle_and_the_last_trip_of_a_long_row() {
-        // The long row re-entered last, and entered first: the launch's
+        // The long row entered last, and entered first: the launch's
         // first entry fails at trip 0 / 6 / 11 as a later one does.
         for (long_first, start, row) in [(false, LAST, ROWS - 1), (true, 0, 0)] {
             for d in [4usize, 16] {
@@ -541,8 +542,8 @@ mod stepped {
 
     #[test]
     fn coefficient_slab_one_element_shorter_than_the_row_pointers_claim() {
-        // The entry's range test over the coefficient walk fails: the row
-        // goes trip by trip, eleven land, the twelfth raises.
+        // The row's test over the coefficient walk fails: the row goes to
+        // the generic loop at trip 0, eleven trips land, the twelfth raises.
         let (f, mut t) = spmm(4, false);
         let TensorData::F32(a) = t.get_mut("A").unwrap() else { unreachable!() };
         a.truncate(NNZ - 1);
@@ -592,8 +593,8 @@ mod stepped {
         let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
         ptr[ROWS - 1] = -1;
         let says = format!("index -1 out of bounds for dim of extent {NNZ} in buffer `J_indices`");
-        // The entry program fails before the row writes anything: the entry
-        // hands trip 0 to the generic loop, which raises.
+        // The row's test fails before it writes anything: the block hands
+        // trip 0 to the generic loop, which raises.
         let mut want = t.clone();
         let err = eval_func(&f, &HashMap::new(), &mut want).expect_err("fails").to_string();
         assert_eq!(err.strip_prefix("interpreter error: "), Some(says.as_str()));
@@ -729,7 +730,7 @@ mod ratio {
     const COLS: usize = 16;
     const NNZ: usize = 18;
     /// Row lengths 2, 0, 1, 3, 0, 12: every case lands in the long last
-    /// row, which the launch re-enters.
+    /// row, which the block enters last.
     const INDPTR: [i32; ROWS + 1] = [0, 2, 2, 3, 6, 6, 18];
     const LAST: usize = 6;
     const TRIPS: usize = 12;
@@ -823,9 +824,9 @@ mod ratio {
 
     #[test]
     fn walked_load_one_element_short_in_the_middle_of_a_long_row() {
-        // `P` ends half way through the last row: the entry's range test on
-        // the ratio's walk fails, the row goes trip by trip, six land and
-        // the seventh raises.
+        // `P` ends half way through the last row: the row's test on the
+        // ratio's walk fails, the row goes to the generic loop at trip 0,
+        // six trips land and the seventh raises.
         for d in [4usize, 16] {
             let (f, mut t) = aggregate(d);
             let TensorData::F32(p) = t.get_mut("P").unwrap() else { unreachable!() };
@@ -839,7 +840,7 @@ mod ratio {
 
     #[test]
     fn factor_of_zero_nan_and_infinity() {
-        // No error: IEEE division, trip by trip in the source's order, to
+        // No error: IEEE division, trip after trip in the source's order, to
         // the interpreter's bits — `P / 0` is ±inf or (at `P[7] = 0`) NaN,
         // `P / ±inf` a signed zero. On the first row (the launch's first
         // entry) and the last.

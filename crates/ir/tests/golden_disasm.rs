@@ -8,7 +8,8 @@
 //! * Re-bless after an intentional codegen change with
 //!   `SPARSETIR_BLESS=1 cargo test -p sparsetir-ir --test golden_disasm`.
 //! * On mismatch the produced listing is written next to the golden file
-//!   as `<name>.disasm.actual` (CI uploads these as artifacts).
+//!   as `<name>.disasm.actual` (CI uploads these as artifacts); a match or
+//!   a bless removes it again.
 //!
 //! The kernels are built from a hand-constructed deterministic matrix —
 //! no RNG — so the listings are stable across runs and platforms.
@@ -37,15 +38,23 @@ fn check_golden(name: &str, func: &PrimFunc) {
     let listing = CompiledKernel::compile_with(func, true).expect("compiles").disassemble();
 
     let path = golden_path(name);
+    let actual = path.with_extension("disasm.actual");
+    // A listing an earlier mismatch left beside the golden is stale once the
+    // golden is blessed or matched again.
+    let drop_stale = || {
+        if actual.exists() {
+            std::fs::remove_file(&actual).expect("remove stale actual listing");
+        }
+    };
     if std::env::var_os("SPARSETIR_BLESS").is_some() {
         std::fs::write(&path, &listing).expect("write golden file");
+        drop_stale();
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!("missing golden file {} ({e}); regenerate with SPARSETIR_BLESS=1", path.display())
     });
     if want != listing {
-        let actual = path.with_extension("disasm.actual");
         std::fs::write(&actual, &listing).expect("write actual listing");
         let diff_at = want.lines().zip(listing.lines()).position(|(a, b)| a != b).map_or_else(
             || "listing lengths differ".to_string(),
@@ -58,6 +67,7 @@ fn check_golden(name: &str, func: &PrimFunc) {
             actual.display()
         );
     }
+    drop_stale();
 }
 
 #[test]

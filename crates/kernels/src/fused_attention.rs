@@ -6,13 +6,16 @@
 //! examples compare the fused kernel against.
 //!
 //! The one executable entry point, [`fused_attention_views_on`], takes
-//! *per-head* operands and binds them as segments of the logical stacked
-//! tensors the IR is written against: `Q` is `m × heads·feat` with head
-//! `h` owning `feat` consecutive columns, `KT` is `heads·feat × n` with
-//! the heads' key transposes stacked row-wise, `V` is `n × heads·vfeat`
-//! column-stacked, and the output is `m × heads·vfeat` column-stacked.
-//! Flattening requests into heads and regrouping the outputs lives in
-//! `FusedAttentionOp`.
+//! *per-head* operands and runs the one-head kernel once per head, each
+//! head's `Q` (`m × feat`), `KT` (`feat × n`), `V` (`n × vfeat`) and output
+//! (`m × vfeat`) bound as one-segment views over its own storage. The
+//! multi-head program ([`fused_attention_ir`] at `heads > 1`) is written
+//! against the logical stacked tensors — `Q` `m × heads·feat` with head
+//! `h` owning `feat` consecutive columns, `KT` `heads·feat × n` with the
+//! heads' key transposes stacked row-wise, `V` `n × heads·vfeat` and the
+//! output `m × heads·vfeat` column-stacked — and is what the pipeline
+//! oracle and the tests bind. Flattening requests into heads and
+//! regrouping the outputs lives in `FusedAttentionOp`.
 //!
 //! ## Numerical contract
 //!
@@ -29,9 +32,9 @@
 //! fused kernel run as row nests: the score a gather-scale-accumulate,
 //! `rowmax` a running-maximum accumulate, `exp` an `exp(S − M)` map,
 //! `psum` and the aggregation AXPYs (see `sparsetir_core::fused` for the
-//! pass structure). At more heads the three softmax passes stay nests
-//! (the head loop is their lanes); the score nest is the head loop and
-//! the aggregation a per-`(non-zero, head)` superinstruction. The
+//! pass structure). In the multi-head program the three softmax passes
+//! stay nests (the head loop is their lanes); the score and the
+//! aggregation are per-`(non-zero, head)` superinstructions. The
 //! pure-Rust [`fused_attention_reference`] accumulates in f64 without
 //! intermediate f32 rounding, so kernels are validated against it with a
 //! relative epsilon (documented at the call sites) rather than bit
@@ -47,10 +50,12 @@ use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Lower the whole attention pipeline to one `PrimFunc`: five passes
 /// (score / rowmax / exp / psum / agg), each walking the adjacency row by
-/// row — one compiled kernel, one launch.
+/// row — one compiled kernel, one launch. At one head it is the kernel
+/// [`fused_attention_views_on`] runs per head.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -60,7 +65,7 @@ pub fn fused_attention_ir(
     feat: usize,
     vfeat: usize,
 ) -> KernelResult<PrimFunc> {
-    KernelSpec::FusedAttention { a: a.into(), heads, k: feat, vfeat }.build()
+    Ok(lower(&fused_attention_program(a.rows(), a.cols(), a.nnz(), heads, feat, vfeat))?)
 }
 
 /// Pipeline launch 1 of 3: the score SDDMM alone (same pass body as the
@@ -145,7 +150,6 @@ pub(crate) fn check_heads<'a>(
 /// shape and every dense operand cut into the segments its view binds.
 struct Operands<'a> {
     a: &'a Csr,
-    heads: usize,
     k: usize,
     vfeat: usize,
     q_segs: Vec<(&'a [f32], usize)>,
@@ -154,18 +158,16 @@ struct Operands<'a> {
 }
 
 impl Operands<'_> {
-    fn bind_q_kt<'v>(&'v self, views: &mut ViewBindings<'v>) -> Result<(), ExecError> {
-        views.bind_cols("Q", ColsView::read(self.a.rows(), &self.q_segs)?);
-        views.bind_rows("KT", RowsView::read(self.k * self.a.cols(), &self.kt_segs)?);
-        Ok(())
-    }
-
-    fn bind_v_out<'v>(
+    /// Bind heads `hs` of `Q`, `KT` and `V`, and `out` for their output.
+    fn bind<'v>(
         &'v self,
         views: &mut ViewBindings<'v>,
+        hs: Range<usize>,
         out: ColsView<'v>,
     ) -> Result<(), ExecError> {
-        views.bind_cols("V", ColsView::read(self.a.cols(), &self.v_segs)?);
+        views.bind_cols("Q", ColsView::read(self.a.rows(), &self.q_segs[hs.clone()])?);
+        views.bind_rows("KT", RowsView::read(self.k * self.a.cols(), &self.kt_segs[hs.clone()])?);
+        views.bind_cols("V", ColsView::read(self.a.cols(), &self.v_segs[hs])?);
         views.bind_cols("Out", out);
         Ok(())
     }
@@ -173,16 +175,16 @@ impl Operands<'_> {
 
 /// What the fused entry point and the pipeline oracle share: validate
 /// the heads, bind the adjacency and the pool-drawn softmax
-/// intermediates `S`/`M`/`P`/`Sum`, hand `launches` the operand segments
-/// and the writable `Out` view, and return the scratch to the pool.
+/// intermediates `S`/`M`/`P`/`Sum` for `scratch_heads` heads at once, hand
+/// `launches` the operand segments and the outputs, and return the scratch
+/// to the pool.
 fn with_operands(
     rt: &Runtime,
     a: &Csr,
-    qs: &[&Dense],
-    kts: &[&Dense],
-    vs: &[&Dense],
+    (qs, kts, vs): (&[&Dense], &[&Dense], &[&Dense]),
     outs: &mut [Dense],
-    launches: impl FnOnce(&Operands<'_>, &mut Bindings, ColsView<'_>) -> KernelResult<()>,
+    scratch_heads: usize,
+    launches: impl FnOnce(&Operands<'_>, &mut Bindings, &mut [Dense]) -> KernelResult<()>,
 ) -> KernelResult<()> {
     let heads = qs.len();
     if heads == 0 {
@@ -201,7 +203,6 @@ fn with_operands(
         .map_err(|e| format!("fused attention: {e}"))?;
     let ops = Operands {
         a,
-        heads,
         k: qs[0].cols(),
         vfeat: vs[0].cols(),
         q_segs: qs.iter().map(|q| (q.data(), q.cols())).collect(),
@@ -211,18 +212,12 @@ fn with_operands(
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
     bind_csr(&mut b, "A", "J", a);
-    b.insert("S".to_string(), TensorData::from(pool.acquire_f32(a.nnz() * heads)));
-    b.insert("M".to_string(), TensorData::from(pool.acquire_f32(a.rows() * heads)));
-    b.insert("P".to_string(), TensorData::from(pool.acquire_f32(a.nnz() * heads)));
-    b.insert("Sum".to_string(), TensorData::from(pool.acquire_f32(a.rows() * heads)));
-    let result = (|| {
-        let out_segs = outs.iter_mut().map(|o| {
-            let w = o.cols();
-            (o.data_mut(), w)
-        });
-        let out = ColsView::write(a.rows(), out_segs.collect())?;
-        launches(&ops, &mut b, out)
-    })();
+    let (nnz, rows) = (a.nnz() * scratch_heads, a.rows() * scratch_heads);
+    b.insert("S".to_string(), TensorData::from(pool.acquire_f32(nnz)));
+    b.insert("M".to_string(), TensorData::from(pool.acquire_f32(rows)));
+    b.insert("P".to_string(), TensorData::from(pool.acquire_f32(nnz)));
+    b.insert("Sum".to_string(), TensorData::from(pool.acquire_f32(rows)));
+    let result = launches(&ops, &mut b, outs);
     for name in ["S", "M", "P", "Sum"] {
         if let Some(TensorData::F32(v)) = b.remove(name) {
             pool.release_f32(v);
@@ -231,16 +226,25 @@ fn with_operands(
     result
 }
 
-/// Serve multi-head attention in **one fused kernel launch** with every
-/// dense operand bound as a segmented view over per-head rider storage —
-/// the only executable fused-attention entry point. Head `h` contributes
-/// `qs[h]` (`rows × k`) as columns `[h·k, (h+1)·k)` of the logical `Q`,
-/// `kts[h]` (`k × cols`) as the `h`-th row segment of the logical `KT`,
-/// `vs[h]` (`cols × vfeat`) as columns of the logical `V`, and the
-/// kernel writes head `h`'s aggregation directly into `outs[h]`
-/// (`rows × vfeat`, zero-filled). The softmax intermediates
-/// `S`/`M`/`P`/`Sum` come from the runtime's [`BufferPool`] instead of
-/// fresh allocations.
+/// `outs` side by side as one writable view, a segment each.
+fn out_view(rows: usize, outs: &mut [Dense]) -> Result<ColsView<'_>, ExecError> {
+    let segs = outs.iter_mut().map(|o| {
+        let w = o.cols();
+        (o.data_mut(), w)
+    });
+    ColsView::write(rows, segs.collect())
+}
+
+/// Serve multi-head attention — the only executable fused-attention entry
+/// point: the one-head fused kernel is compiled and the adjacency bound
+/// once, then the kernel runs once per head on that head's `qs[h]`
+/// (`rows × k`), `kts[h]` (`k × cols`) and `vs[h]` (`cols × vfeat`), bound
+/// as one-segment views over the rider's own storage, and writes the
+/// head's aggregation directly into `outs[h]` (`rows × vfeat`,
+/// zero-filled). The softmax intermediates `S`/`M`/`P`/`Sum` come from the
+/// runtime's [`BufferPool`] instead of fresh allocations, one head's worth,
+/// which every head's launch overwrites before it reads. A head's launch
+/// is the one it would make alone, so results are bit-identical to it.
 ///
 /// # Errors
 /// Rejects zero heads, slices of different lengths and heads that do
@@ -254,23 +258,26 @@ pub fn fused_attention_views_on(
     vs: &[&Dense],
     outs: &mut [Dense],
 ) -> KernelResult<()> {
-    with_operands(rt, a, qs, kts, vs, outs, |ops, b, out| {
-        let (heads, k, vfeat) = (ops.heads, ops.k, ops.vfeat);
-        let kernel = KernelSpec::FusedAttention { a: a.into(), heads, k, vfeat }.compile_on(rt)?;
+    with_operands(rt, a, (qs, kts, vs), outs, 1, |ops, b, outs| {
+        let spec = KernelSpec::FusedAttention { a: a.into(), k: ops.k, vfeat: ops.vfeat };
+        let kernel = spec.compile_on(rt)?;
         let mut views = ViewBindings::from_tensors(b);
-        ops.bind_q_kt(&mut views)?;
-        ops.bind_v_out(&mut views, out)?;
-        Ok(kernel.run_views(&HashMap::new(), &mut views)?)
+        for (h, out) in outs.iter_mut().enumerate() {
+            ops.bind(&mut views, h..h + 1, out_view(a.rows(), std::slice::from_mut(out))?)?;
+            kernel.run_views(&HashMap::new(), &mut views)?;
+        }
+        Ok(())
     })
 }
 
 /// **Test reference, not a serving path:** the same attention as three
-/// launches (score SDDMM, edge-softmax, aggregation) over the operands
-/// [`fused_attention_views_on`] takes, bit-identical to it (see the
-/// module docs). The launches share one binding map, so the
-/// intermediates (`S`, then `P`/`Sum`) stay in place between them
-/// instead of round-tripping through fresh copies. Compiles three
-/// kernels on `rt` where the fused entry point compiles one.
+/// launches (score SDDMM, edge-softmax, aggregation) of the multi-head
+/// programs over the operands [`fused_attention_views_on`] takes, stacked
+/// as segments of the logical tensors, bit-identical to it (see the module
+/// docs). The launches share one binding map, so the intermediates (`S`,
+/// then `P`/`Sum`) stay in place between them instead of round-tripping
+/// through fresh copies. Compiles three kernels on `rt` where the fused
+/// entry point compiles one.
 ///
 /// # Errors
 /// As [`fused_attention_views_on`].
@@ -282,20 +289,19 @@ pub fn attention_pipeline_oracle(
     vs: &[&Dense],
     outs: &mut [Dense],
 ) -> KernelResult<()> {
-    with_operands(rt, a, qs, kts, vs, outs, |ops, b, out| {
+    let heads = qs.len();
+    with_operands(rt, a, (qs, kts, vs), outs, heads, |ops, b, outs| {
         let scalars = HashMap::new();
-        let score = rt.compile(&attention_score_ir(a, ops.heads, ops.k)?)?;
-        {
-            let mut views = ViewBindings::from_tensors(b);
-            ops.bind_q_kt(&mut views)?;
-            score.run_views(&scalars, &mut views)?;
-        }
-        let softmax = rt.compile(&edge_softmax_ir(a, ops.heads)?)?;
-        softmax.run_views(&scalars, &mut ViewBindings::from_tensors(b))?;
-        let agg = rt.compile(&attention_aggregate_ir(a, ops.heads, ops.vfeat)?)?;
         let mut views = ViewBindings::from_tensors(b);
-        ops.bind_v_out(&mut views, out)?;
-        Ok(agg.run_views(&scalars, &mut views)?)
+        ops.bind(&mut views, 0..heads, out_view(a.rows(), outs)?)?;
+        for f in [
+            attention_score_ir(a, heads, ops.k)?,
+            edge_softmax_ir(a, heads)?,
+            attention_aggregate_ir(a, heads, ops.vfeat)?,
+        ] {
+            rt.compile(&f)?.run_views(&scalars, &mut views)?;
+        }
+        Ok(())
     })
 }
 

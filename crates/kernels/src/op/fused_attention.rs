@@ -19,23 +19,21 @@ pub struct AttnHead {
 }
 
 /// The whole sparse-attention pipeline (score SDDMM → edge-softmax →
-/// aggregation SpMM) as **one** [`SparseOp`] served by a single fused
-/// kernel launch ([`crate::fused_attention::fused_attention_views_on`];
-/// the bit-identical three-launch pipeline is the test oracle
+/// aggregation SpMM) as **one** [`SparseOp`] served by one fused kernel
+/// ([`crate::fused_attention::fused_attention_views_on`]; the
+/// bit-identical three-launch pipeline is the test oracle
 /// [`crate::fused_attention::attention_pipeline_oracle`], never a
 /// serving route). A request is a list of [`AttnHead`]s sharing
 /// one mask; requests batch when their per-head shapes `(k, vfeat)`
-/// agree — every head of every folded request rides the same widened
-/// launch, inside the same walk of each row's non-zeros (the multi-head
-/// batching contract of the SDDMM), and each `(non-zero, head)` pair
-/// keeps exactly its unbatched reduction order, so batching is
+/// agree — every head of every folded request is one run of the one-head
+/// kernel in the same launch, the run it would make alone, so batching is
 /// bit-identical.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FusedAttentionOp;
 
 /// Per-head `(k, vfeat)` shape of a request, `None` when it has no heads
 /// (0-head requests are compatible with anything — they contribute
-/// nothing to a stacked launch).
+/// nothing to a launch).
 fn attn_head_shape(req: &[AttnHead]) -> Option<(usize, usize)> {
     req.first().map(|h| (h.q.cols(), h.v.cols()))
 }
@@ -54,7 +52,7 @@ impl SparseOp for FusedAttentionOp {
     }
 
     fn can_batch(lhs: &Vec<AttnHead>, rhs: &Vec<AttnHead>) -> bool {
-        // One widened launch needs a single rectangular (k, vfeat); 0-head
+        // One launch runs one kernel, compiled at one (k, vfeat); 0-head
         // requests ride along with anything.
         match (attn_head_shape(lhs), attn_head_shape(rhs)) {
             (Some(l), Some(r)) => l == r,

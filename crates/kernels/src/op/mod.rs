@@ -16,32 +16,34 @@
 //!   no knob), all served against one CSR adjacency;
 //! * a **batching contract** — [`can_batch`](SparseOp::can_batch) plus
 //!   one [`launch`](SparseOp::launch), so a serving engine can fold
-//!   requests sharing an adjacency fingerprint into one widened kernel
-//!   launch **without copying operands**. Sequential per-request
-//!   execution is the bit-identity oracle;
+//!   requests sharing an adjacency fingerprint into one launch **without
+//!   copying operands**. Sequential per-request execution is the
+//!   bit-identity oracle;
 //! * a **reference hook** ([`reference`](SparseOp::reference)) for
 //!   differential testing of every execution path against the smat
 //!   oracles.
 //!
 //! A `launch` allocates one zeroed output per rider and hands riders and
 //! outputs to the op's single kernel entry point, which binds them as
-//! segments of the logical tensors its IR is written against
-//! (`ColsView`/`RowsView` from `sparsetir-ir`) — a batch of one is the
-//! same launch with one segment. Two widenings cover all batched ops:
+//! segments of the tensors its IR is written against (`ColsView`/`RowsView`
+//! from `sparsetir-ir`) — a batch of one is the same launch with one
+//! segment. Two batch shapes cover all batched ops:
 //! * **Column segments** (SpMM): rider `i`'s feature operand is
 //!   columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
-//!   `Σ wᵢ`, and the schedule's vector split is widened to span it.
-//!   Splitting the (spatial) feature axis differently never changes an
-//!   output column's reduction order, so results are bit-identical to
-//!   unbatched execution.
-//! * **Head axis inside each row's non-zero loop** (SDDMM, fused
-//!   attention): `n` riders over one adjacency are the `n` heads of the
-//!   batched kernel ([`crate::sddmm::batched_sddmm_ir`]) — the
-//!   per-non-zero coordinate walk (index loads) is shared by every
-//!   rider, and each `(non-zero, head)` pair
-//!   keeps exactly its unbatched feature-reduction order. This amortizes
-//!   the per-launch fixed costs (program build, lowering, IR
-//!   fingerprinting, dispatch) and the shared coordinate walk.
+//!   `Σ wᵢ`, and the schedule's vector split is widened to span it — one
+//!   widened kernel run. Splitting the (spatial) feature axis differently
+//!   never changes an output column's reduction order, so results are
+//!   bit-identical to unbatched execution.
+//! * **One head per run** (SDDMM, fused attention): the entry point
+//!   compiles the one-head kernel and binds the adjacency once, then runs
+//!   the kernel once per rider (attention: per head) on that rider's own
+//!   one-segment views — exactly the launch the rider would make alone, so
+//!   a rider costs what a solo launch does and its bits are its own. A
+//!   batch shares the per-launch fixed costs (kernel lookup, structure
+//!   binding, scratch); the multi-head program with the head axis inside
+//!   each row's non-zero loop ([`crate::sddmm::batched_sddmm_ir`]) stays a
+//!   test and oracle builder: its head loop walks no row, and a rider cost
+//!   1.6–4× a solo launch there.
 //!
 //! The `bytes_copied` thread counter (`sparsetir-core`) tallies any
 //! dense bytes copied into or out of a whole-tensor binding; every
@@ -94,11 +96,11 @@ pub trait SparseOp {
     fn validate(adj: &Csr, req: &Self::Operands) -> Result<(), String>;
 
     /// Batching contract: true when two validated requests may share one
-    /// widened launch. Callers must already have matched the adjacency
+    /// launch. Callers must already have matched the adjacency
     /// fingerprints; this only checks request-shape compatibility.
     fn can_batch(lhs: &Self::Operands, rhs: &Self::Operands) -> bool;
 
-    /// Run `reqs` as one widened launch through `rt`'s kernel cache and
+    /// Run `reqs` as one launch through `rt`'s kernel cache and
     /// return one output per request, in order — the zero-copy batching
     /// primitive: every dense rider operand binds as a segmented view
     /// over the request's own storage and results are written in place
@@ -124,7 +126,7 @@ pub trait SparseOp {
     /// Propagates shape mismatches.
     fn reference(adj: &Csr, req: &Self::Operands) -> Result<Self::Output, OpError>;
 
-    /// Execute a batch of requests as one widened kernel launch (the
+    /// Execute a batch of requests as one kernel launch (the
     /// serving engine's primitive): validate, check the batching
     /// contract, [`launch`](SparseOp::launch). Results are bit-identical
     /// to executing each request alone.

@@ -6,10 +6,9 @@ use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
 /// SDDMM (`A ⊙ (X · Y)` sampled at the non-zeros) as a [`SparseOp`]:
-/// requests batch when their inner (reduction) widths agree, folding
-/// into one widened launch whose head axis sits *inside* each row's
-/// non-zero loop — the per-non-zero coordinate walk is shared by every
-/// rider. The executable kernel is the row-shaped schedule with no knob
+/// requests batch when their inner (reduction) widths agree, folding into
+/// one launch that runs the one-head kernel once per rider, the adjacency
+/// bound once. The executable kernel is the row-shaped schedule with no knob
 /// of its own (the compiled CPU executor derives its row nest and
 /// microkernel from the loops), so `Config` is `()`; the GPU schedule
 /// space — the nnz-parallel `sparse_fuse` one among them — is
@@ -31,10 +30,8 @@ impl SparseOp for SddmmOp {
     }
 
     fn can_batch(lhs: &(Dense, Dense), rhs: &(Dense, Dense)) -> bool {
-        // The widened launch has one head axis over a rectangular X/Y
-        // pair, so only equal inner (reduction) widths share it — the
-        // reduction order of every stored non-zero must stay exactly the
-        // unbatched one for bit-identical results.
+        // One launch runs one kernel, compiled at one inner (reduction)
+        // width, once per rider.
         lhs.0.cols() == rhs.0.cols()
     }
 

@@ -1,9 +1,10 @@
 //! SparseTIR SDDMM kernels (§4.2.2) as the CPU compiles them: the
-//! row-shaped multi-head kernel the served path launches
-//! ([`batched_sddmm_ir`]), and [`sddmm_ir`], its one-head case. The
-//! paper's non-zero-parallel schedule — `sparse_fuse` on `(I, J)`, the
-//! GPU's load balancing — is priced by `sparsetir_plans` and kept here
-//! only as a test oracle.
+//! row-shaped one-head kernel the served path launches ([`sddmm_ir`]),
+//! once per rider of a batch, and [`batched_sddmm_ir`], its multi-head
+//! Stage I program, kept as a test and oracle builder. The paper's
+//! non-zero-parallel schedule — `sparse_fuse` on `(I, J)`, the GPU's load
+//! balancing — is priced by `sparsetir_plans` and kept here only as a test
+//! oracle.
 
 use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
@@ -12,13 +13,13 @@ use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
 
 /// The one-head SDDMM (`X`, `Y`, `Bout` flat, as [`batched_sddmm_ir`]
-/// lays them out at one head): the kernel the served path compiles for a
-/// single request.
+/// lays them out at one head): the kernel the served path runs for every
+/// rider.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn sddmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    batched_sddmm_ir(a, 1, feat)
+    KernelSpec::Sddmm { a: a.into(), k: feat }.build()
 }
 
 /// The SDDMM request-shape rule — the one check behind both
@@ -41,16 +42,15 @@ pub(crate) fn check_shapes(a: &Csr, x: &Dense, y: &Dense) -> Result<(), String> 
     Ok(())
 }
 
-/// Execute one multi-head SDDMM launch with `X`, `Y` and `Bout` bound as
-/// segmented views over the per-request operands and outputs — the only
-/// executable SDDMM entry point, for one request or a batch. Request `h`
-/// contributes its `m × k` operand as columns `[h·k, (h+1)·k)` of the
-/// logical `X`, its `k × n` operand as the `h`-th row-segment of the
-/// logical `Y`, and the kernel writes head `h`'s per-non-zero scores
-/// directly into `outs[h]` (which must hold `a.nnz()` elements,
-/// zero-filled). All requests must share the inner width `k`. Results
-/// are bit-identical to running each request alone: every
-/// `(non-zero, head)` pair keeps exactly its unbatched reduction order.
+/// Execute a batch of SDDMM requests — the only executable SDDMM entry
+/// point, for one request or many: the one-head kernel is compiled and the
+/// adjacency bound once, then the kernel runs once per request on its own
+/// operands, bound as one-segment views over the request's storage, and
+/// writes its per-non-zero scores directly into `outs[h]` (which must hold
+/// `a.nnz()` elements, zero-filled). All requests must share the inner
+/// width `k`. Each request's launch is the one it would make alone, so
+/// results are bit-identical to running it alone, and a rider costs what a
+/// solo launch does.
 ///
 /// # Errors
 /// Rejects an empty batch, `reqs`/`outs` of different lengths, operands
@@ -62,13 +62,12 @@ pub fn sddmm_execute_views_on(
     reqs: &[(Dense, Dense)],
     outs: &mut [Vec<f32>],
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let heads = reqs.len();
     let Some((first, _)) = reqs.first() else {
         return Err("sddmm: empty batch".into());
     };
     let k = first.cols();
-    if heads != outs.len() {
-        return Err(format!("sddmm: {heads} requests for {} outputs", outs.len()).into());
+    if reqs.len() != outs.len() {
+        return Err(format!("sddmm: {} requests for {} outputs", reqs.len(), outs.len()).into());
     }
     for (i, (x, y)) in reqs.iter().enumerate() {
         check_shapes(a, x, y).map_err(|e| format!("sddmm request {i}: {e}"))?;
@@ -80,35 +79,32 @@ pub fn sddmm_execute_views_on(
             .into());
         }
     }
-    let kernel = KernelSpec::BatchedSddmm { a: a.into(), heads, k }.compile_on(rt)?;
+    let kernel = KernelSpec::Sddmm { a: a.into(), k }.compile_on(rt)?;
     let mut structure = Bindings::new();
     bind_csr(&mut structure, "A", "J", a);
-    let x_segs: Vec<(&[f32], usize)> = reqs.iter().map(|(x, _)| (x.data(), x.cols())).collect();
-    let y_segs: Vec<&[f32]> = reqs.iter().map(|(_, y)| y.data()).collect();
-    let out_segs: Vec<(&mut [f32], usize)> =
-        outs.iter_mut().map(|o| (o.as_mut_slice(), 1)).collect();
-    let x = ColsView::read(a.rows(), &x_segs)?;
-    let y = RowsView::read(k * a.cols(), &y_segs)?;
-    let bout = ColsView::write(a.nnz(), out_segs)?;
     let mut views = ViewBindings::from_tensors(&mut structure);
-    views.bind_cols("X", x);
-    views.bind_rows("Y", y);
-    views.bind_cols("Bout", bout);
-    kernel.run_views(&HashMap::new(), &mut views)?;
+    for ((x, y), out) in reqs.iter().zip(outs.iter_mut()) {
+        views.bind_cols("X", ColsView::read(a.rows(), &[(x.data(), k)])?);
+        views.bind_rows("Y", RowsView::read(k * a.cols(), &[y.data()])?);
+        views.bind_cols("Bout", ColsView::write(a.nnz(), vec![(out.as_mut_slice(), 1)])?);
+        kernel.run_views(&HashMap::new(), &mut views)?;
+    }
     Ok(())
 }
 
-/// IR-path *batched* (multi-head) SDDMM: one widened launch whose head
-/// axis sits inside the non-zero loop, so the per-non-zero coordinate walk
-/// (index loads) is shared by every head — the SDDMM analogue of
-/// column-stacking an SpMM batch.
+/// The multi-head SDDMM as one function, its head axis inside the
+/// non-zero loop: a test and oracle builder (the served path runs the
+/// one-head kernel once per rider). Its head loop is no row nest: the
+/// output's position mixes the row's loaded start and the non-zero's slot,
+/// which a block does not take, so each `(non-zero, head)` pays the lane
+/// prologue.
 ///
 /// The iteration stays row-shaped (`for i { for j in row(i) { .. } }`):
 /// the paper's `sparse_fuse(["I", "J"])` balances non-zeros across GPU
 /// threads (§3.2) at the price of a binary-searched row recovery per
-/// non-zero, which buys the row-iterating CPU executor nothing. Unfused,
-/// the `j` loop is the same row nest the CSR SpMM runs; the arithmetic per
-/// `(non-zero, head)` — and so every output bit — is the fused lowering's.
+/// non-zero, which buys the row-iterating CPU executor nothing; the
+/// arithmetic per `(non-zero, head)` — and so every output bit — is the
+/// fused lowering's and the one-head kernel's.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -117,7 +113,7 @@ pub fn batched_sddmm_ir(
     heads: usize,
     feat: usize,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    KernelSpec::BatchedSddmm { a: a.into(), heads, k: feat }.build()
+    Ok(lower(&batched_sddmm_program(a.rows(), a.cols(), a.nnz(), heads, feat))?)
 }
 
 /// The batched SDDMM under the GPU schedule — `sparse_fuse(["I", "J"])`,

@@ -48,10 +48,10 @@ pub(crate) enum KernelSpec {
     /// listed as `(partition, width, bucket rows)` in partition-then-width
     /// order.
     HybSpmm { a: CsrShape, feat: usize, buckets: Vec<(usize, usize, usize)> },
-    /// The row-shaped multi-head SDDMM at inner width `k`.
-    BatchedSddmm { a: CsrShape, heads: usize, k: usize },
-    /// SDDMM → edge-softmax → SpMM in one function.
-    FusedAttention { a: CsrShape, heads: usize, k: usize, vfeat: usize },
+    /// The row-shaped one-head SDDMM at inner width `k`.
+    Sddmm { a: CsrShape, k: usize },
+    /// One head of SDDMM → edge-softmax → SpMM in one function.
+    FusedAttention { a: CsrShape, k: usize, vfeat: usize },
     /// Gather → normalize → matmul in one function.
     FusedSage { a: CsrShape, feat: usize, hidden: usize },
 }
@@ -100,11 +100,11 @@ impl KernelSpec {
                 let rules: Vec<_> = buckets.iter().map(rule).collect();
                 Ok(lower(&decompose_format(&program, &rules)?.strip_copies())?)
             }
-            KernelSpec::BatchedSddmm { a, heads, k } => {
-                Ok(lower(&batched_sddmm_program(a.rows, a.cols, a.nnz, heads, k))?)
+            KernelSpec::Sddmm { a, k } => {
+                Ok(lower(&batched_sddmm_program(a.rows, a.cols, a.nnz, 1, k))?)
             }
-            KernelSpec::FusedAttention { a, heads, k, vfeat } => {
-                Ok(lower(&fused_attention_program(a.rows, a.cols, a.nnz, heads, k, vfeat))?)
+            KernelSpec::FusedAttention { a, k, vfeat } => {
+                Ok(lower(&fused_attention_program(a.rows, a.cols, a.nnz, 1, k, vfeat))?)
             }
             KernelSpec::FusedSage { a, feat, hidden } => {
                 Ok(lower(&fused_sage_program(a.rows, a.cols, a.nnz, feat, hidden))?)
@@ -184,9 +184,9 @@ mod tests {
                     .chain([hyb(1, 0), hyb(1, 3), hyb(2, 0), hyb(2, 3)]);
                 specs.extend(configs.map(|config| spmm_spec(a, feat, &config).unwrap().0));
             }
-            for (heads, k, vfeat) in [(1usize, 8usize, 8usize), (3, 8, 8), (1, 4, 8), (1, 8, 5)] {
-                specs.push(KernelSpec::BatchedSddmm { a: a.into(), heads, k });
-                specs.push(KernelSpec::FusedAttention { a: a.into(), heads, k, vfeat });
+            for (k, vfeat) in [(8usize, 8usize), (4, 8), (8, 5)] {
+                specs.push(KernelSpec::Sddmm { a: a.into(), k });
+                specs.push(KernelSpec::FusedAttention { a: a.into(), k, vfeat });
                 specs.push(KernelSpec::FusedSage { a: a.into(), feat: k, hidden: vfeat });
             }
         }
@@ -228,9 +228,8 @@ mod tests {
         let specs = [
             KernelSpec::csr_spmm(&a, 16, CsrSpmmParams::default()),
             spmm_spec(&a, 16, &hyb(2, 3)).unwrap().0,
-            KernelSpec::BatchedSddmm { a: sp, heads: 3, k: 8 },
-            KernelSpec::FusedAttention { a: sp, heads: 1, k: 8, vfeat: 4 },
-            KernelSpec::FusedAttention { a: sp, heads: 3, k: 8, vfeat: 4 },
+            KernelSpec::Sddmm { a: sp, k: 8 },
+            KernelSpec::FusedAttention { a: sp, k: 8, vfeat: 4 },
             KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 },
         ];
         for spec in &specs {
@@ -324,7 +323,7 @@ mod tests {
 
     /// The one-head SDDMM through the interpreter on whole tensors.
     fn interpreted_sddmm(a: &Csr, x: &Dense, y: &Dense) -> Vec<f32> {
-        let f = KernelSpec::BatchedSddmm { a: a.into(), heads: 1, k: x.cols() }.build().unwrap();
+        let f = KernelSpec::Sddmm { a: a.into(), k: x.cols() }.build().unwrap();
         let mut t = Bindings::new();
         bind_csr(&mut t, "A", "J", a);
         bind_dense(&mut t, "X", x);

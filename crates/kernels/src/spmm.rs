@@ -472,68 +472,59 @@ mod crosscheck_tests {
         (0..ins.len()).filter(|&at| ins[at].starts_with("super.") && !under_nest(at)).count()
     }
 
-    /// What one launch of a kernel must have counted: `entries` nest
-    /// entries taking `trips` trips between them, `blocked` of the entries
-    /// taken by a row block.
-    struct Expect {
-        entries: u64,
-        trips: u64,
-        blocked: u64,
-    }
-
-    impl Expect {
-        /// A CSR row loop: every entry a row of a row block.
-        fn rows(entries: u64, trips: u64) -> Expect {
-            Expect { entries, trips, blocked: entries }
-        }
-    }
-
     /// Check a fresh compilation `kernel` of the function behind `listing`
-    /// after one launch: its row nests took the fast path. `entries` nest
-    /// entries, every one — a launch's first included — running its entry
-    /// program and re-pinning, none handing a trip to the generic loop;
-    /// and every trip taken by the nest's monomorphised trip loop.
-    fn assert_fast_path(kernel: &CompiledKernel, want: &Expect, what: &str) -> String {
+    /// after its launches: its row nests took the fast path. `entries` nest
+    /// entries taking `trips` trips between them, every entry — a nest
+    /// outside any row loop too — taken by a row block, every trip by the
+    /// block's trip loop, none handed to the generic loop.
+    fn assert_fast_path(
+        kernel: &CompiledKernel,
+        (entries, trips): (u64, u64),
+        what: &str,
+    ) -> String {
         let listing = kernel.disassemble();
         let nests = listing.lines().filter(|l| l.contains("  nest.")).count();
         let programs = listing.lines().filter(|l| l.trim_start().starts_with("entry:")).count();
         assert_eq!(programs, nests, "{what}: every nest has an entry program\n{listing}");
         let got = kernel.nest_counts();
         assert_eq!(
-            (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
-            (want.entries, want.entries, 0, want.trips, want.trips, want.blocked),
+            (got.entries, got.blocked, got.handovers, got.trips, got.stepped),
+            (entries, entries, 0, trips, trips),
             "{what}: {got:?}\n{listing}"
         );
         listing
     }
 
     /// [`assert_fast_path`] after launching `f` on whole tensors.
-    fn launch_repins(f: &PrimFunc, tensors: &mut Bindings, want: &Expect, what: &str) -> String {
+    fn launch_blocked(
+        f: &PrimFunc,
+        tensors: &mut Bindings,
+        want: (u64, u64),
+        what: &str,
+    ) -> String {
         let kernel = CompiledKernel::compile(f).unwrap();
         kernel.run(&HashMap::new(), tensors).unwrap();
         assert_fast_path(&kernel, want, what)
     }
 
-    /// What the served path compiles keeps its row nests — and a launch
-    /// enters every row of them, the first included, by running the entry
-    /// program and re-pinning, and takes their trips in the stepped loop:
-    /// the CSR kernel at the widened default schedule (narrow, served
-    /// and wide widths; row counts the 4-row blocks divide and leave a
-    /// guarded tail on; whole tensors, and `B` / `C` bound as the views of
-    /// one request and of a batch of eight), every bucket of
-    /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init
-    /// nest, and the one- and three-head batched SDDMM, each on a
-    /// power-law graph, fused attention at one head (five nests) and three
-    /// (the softmax passes' three), and fused SAGE. A width-1 bucket stays
-    /// as it is: its column loop is
-    /// a unit-trip bind, so the lane loop is a per-row `Super` under the
-    /// row loop — one non-zero per row leaves nothing to hoist, and its two
-    /// gathers (row id, column) do not fit one nest. The three-head SDDMM's
-    /// head loop re-pins but steps nothing: `X` is walked column by column
-    /// and `Y` changes row segment every trip, which the menu of trip loops
-    /// leaves to the per-trip walk. A schedule change that silently drops
-    /// back to a prologue per non-zero, or a binding kind the walks do not
-    /// cover, fails here, not only in `stbench`.
+    /// What the served path compiles keeps its row nests, and a launch
+    /// takes every entry of them in a row block and every trip in the
+    /// block's trip loop: the CSR kernel at the widened default schedule
+    /// (narrow, served and wide widths; row counts the 4-row blocks divide
+    /// and leave a guarded tail on; whole tensors, and `B` / `C` bound as
+    /// the views of one request and of a batch of eight), every bucket of
+    /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init nest
+    /// (a nest outside any row loop: a block of one entry), the SDDMM for
+    /// one rider and a batch of three, each on a power-law graph, fused
+    /// attention for one head (five nests) and three, and fused SAGE. The
+    /// batches run the one-head kernel once per rider, so they count what
+    /// that many solo launches would. A width-1 bucket stays as it is: its
+    /// column loop is a unit-trip bind, so the lane loop is a per-row
+    /// `Super` under the row loop — one non-zero per row leaves nothing to
+    /// hoist, and its two gathers (row id, column) do not fit one nest. A
+    /// schedule change that silently drops back to a prologue per non-zero,
+    /// or a binding kind a block does not cover, fails here, not only in
+    /// `stbench`.
     #[test]
     fn served_kernels_keep_their_row_nests() {
         let power_law = |rows: usize| {
@@ -559,13 +550,13 @@ mod crosscheck_tests {
         for rows in [64usize, 61] {
             let a = power_law(rows);
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
-            let want = Expect::rows(rows as u64, a.nnz() as u64);
+            let want = (rows as u64, a.nnz() as u64);
             for d in [4usize, 16, 128] {
                 let config = SpmmConfig::default_csr().widened(d);
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
                 operands(&a, d, &mut tensors);
                 let what = format!("csr, {rows} rows, d = {d}");
-                let l = launch_repins(&f, &mut tensors, &want, &what);
+                let l = launch_blocked(&f, &mut tensors, want, &what);
                 assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
                 assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
                 assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
@@ -582,11 +573,8 @@ mod crosscheck_tests {
                 let (spec, _) = spmm_spec(&a, batch * d, &config.widened(batch * d)).unwrap();
                 let kernel = spec.compile_on(&rt).unwrap();
                 assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
-                assert_fast_path(
-                    &kernel,
-                    &want,
-                    &format!("csr views, {rows} rows, batch of {batch}"),
-                );
+                let what = format!("csr views, {rows} rows, batch of {batch}");
+                assert_fast_path(&kernel, want, &what);
             }
         }
 
@@ -606,22 +594,18 @@ mod crosscheck_tests {
         let width_of = |name: &str| name.rsplit_once("_w").unwrap().1.parse::<usize>().unwrap();
         let slots = |b: &String| tensors[b].as_f32().len();
         let entries = 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64;
-        let want = Expect {
-            entries,
-            trips: (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64,
-            // Every bucket's rows in a block; the init nest has no row loop.
-            blocked: entries - 1,
-        };
+        let trips = (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64;
         operands(&a, 16, &mut tensors);
-        let l = launch_repins(&f, &mut tensors, &want, "hyb(c = 2, k = 3)");
+        let l = launch_blocked(&f, &mut tensors, (entries, trips), "hyb(c = 2, k = 3)");
         assert_eq!(nests(&l, "nest.axpy"), wide.len(), "{l}");
         assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
         assert_eq!(lane_loops_outside_a_nest(&l), narrow.len(), "only width-1 buckets\n{l}");
 
-        for heads in [1usize, 3] {
+        let (rows, nnz) = (a.rows() as u64, a.nnz() as u64);
+        for riders in [1usize, 3] {
             let k = 8;
             let rt = Runtime::new();
-            let reqs: Vec<(Dense, Dense)> = (0..heads)
+            let reqs: Vec<(Dense, Dense)> = (0..riders)
                 .map(|_| {
                     (
                         gen::random_dense(a.rows(), k, &mut rng),
@@ -629,56 +613,35 @@ mod crosscheck_tests {
                     )
                 })
                 .collect();
-            let mut outs = vec![vec![0.0f32; a.nnz()]; heads];
+            let mut outs = vec![vec![0.0f32; a.nnz()]; riders];
             crate::sddmm::sddmm_execute_views_on(&rt, &a, &reqs, &mut outs).unwrap();
-            let kernel =
-                KernelSpec::BatchedSddmm { a: (&a).into(), heads, k }.compile_on(&rt).unwrap();
+            let kernel = KernelSpec::Sddmm { a: (&a).into(), k }.compile_on(&rt).unwrap();
             assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
-            let what = format!("sddmm, {heads} heads");
-            let l = if heads == 1 {
-                // The `j` loop is the nest, entered once per row.
-                let want = Expect::rows(a.rows() as u64, a.nnz() as u64);
-                assert_fast_path(&kernel, &want, &what)
-            } else {
-                // The head loop under it is, entered once per non-zero; its
-                // entries are no block's: they load at the row and the
-                // non-zero at once, and step nothing.
-                let got = kernel.nest_counts();
-                let (entries, trips) = (a.nnz() as u64, (a.nnz() * heads) as u64);
-                assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
-                    (entries, entries, 0, trips, 0, 0),
-                    "{what}"
-                );
-                kernel.disassemble()
-            };
+            // The `j` loop is the nest, entered once per row and rider.
+            let riders = riders as u64;
+            let what = format!("sddmm, {riders} riders");
+            let l = assert_fast_path(&kernel, (riders * rows, riders * nnz), &what);
             assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
             assert!(!l.contains("bsearch"), "row-shaped, no row recovery\n{l}");
-            assert_eq!(l.contains("gather=@"), heads == 1, "{l}");
+            assert!(l.contains("gather=@"), "{l}");
         }
 
-        // `sddmm_ir` — the benchmark's SDDMM arm — is the one-head served
-        // kernel, on whole tensors.
+        // `sddmm_ir` — the benchmark's SDDMM arm — is the served kernel, on
+        // whole tensors.
         let k = 8;
         let mut tensors = Bindings::new();
         bind_csr(&mut tensors, "A", "J", &a);
         bind_dense(&mut tensors, "X", &gen::random_dense(a.rows(), k, &mut rng));
         bind_dense(&mut tensors, "Y", &gen::random_dense(k, a.cols(), &mut rng));
         bind_zeros(&mut tensors, "Bout", a.nnz());
-        let want = Expect::rows(a.rows() as u64, a.nnz() as u64);
         let f = crate::sddmm::sddmm_ir(&a, k).unwrap();
-        let l = launch_repins(&f, &mut tensors, &want, "sddmm_ir");
+        let l = launch_blocked(&f, &mut tensors, (rows, nnz), "sddmm_ir");
         assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
 
-        // Fused attention, one head: all five passes are nests entered once
-        // per row — the score the SDDMM's, the softmax's running maximum,
+        // Fused attention: all five passes are nests entered once per row
+        // and head — the score the SDDMM's, the softmax's running maximum,
         // `exp(S − M)` map and partition sum, and the aggregation, whose
-        // coefficient is the ratio `P[pos] / Sum[i]`. Three heads: the
-        // softmax passes are still nests entered once per row (the head
-        // loop their lanes), the score nest is the head loop (entered per
-        // non-zero, walked trip by trip as the three-head SDDMM's), and the
-        // aggregation is no nest at all — both halves of its ratio move
-        // with the head.
+        // coefficient is the ratio `P[pos] / Sum[i]`.
         let d = 8;
         for heads in [1usize, 3] {
             let rt = Runtime::new();
@@ -691,38 +654,17 @@ mod crosscheck_tests {
                 (qs.iter().collect(), kts.iter().collect(), vs.iter().collect());
             crate::fused_attention::fused_attention_views_on(&rt, &a, &q, &kt, &v, &mut outs)
                 .unwrap();
-            let spec = KernelSpec::FusedAttention { a: (&a).into(), heads, k: d, vfeat: d };
+            let spec = KernelSpec::FusedAttention { a: (&a).into(), k: d, vfeat: d };
             let kernel = spec.compile_on(&rt).unwrap();
             assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
-            let (l, got) = (kernel.disassemble(), kernel.nest_counts());
-            let (rows, nnz) = (a.rows() as u64, a.nnz() as u64);
+            let heads = heads as u64;
+            let what = format!("attention, {heads} heads");
+            let l = assert_fast_path(&kernel, (5 * heads * rows, 5 * heads * nnz), &what);
             let softmax = ["nest.max", "nest.exp", "nest.axpy"].map(|kind| nests(&l, kind));
-            if heads == 1 {
-                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (5, 1), "{l}");
-                assert_eq!(softmax, [1, 1, 2], "the partition sum and the aggregation\n{l}");
-                assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
-                assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
-                assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
-                    (5 * rows, 5 * rows, 0, 5 * nnz, 5 * nnz, 5 * rows),
-                    "attention, one head: every trip stepped, every row in a block\n{l}"
-                );
-            } else {
-                assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (4, 1), "{l}");
-                assert_eq!(softmax, [1, 1, 1], "the softmax passes\n{l}");
-                assert_eq!(lane_loops_outside_a_nest(&l), 1, "the aggregation\n{l}");
-                let heads = heads as u64;
-                // Per non-zero, the score's head loop; per row, each
-                // softmax pass, every trip of which steps.
-                // The softmax passes' rows in blocks, the score's head loop
-                // in none (as the three-head SDDMM's).
-                let (entries, trips) = (nnz + 3 * rows, nnz * heads + 3 * nnz);
-                assert_eq!(
-                    (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
-                    (entries, entries, 0, trips, 3 * nnz, 3 * rows),
-                    "attention, {heads} heads\n{l}"
-                );
-            }
+            assert_eq!((nests(&l, "nest."), nests(&l, "nest.gsa")), (5, 1), "{l}");
+            assert_eq!(softmax, [1, 1, 2], "the partition sum and the aggregation\n{l}");
+            assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
+            assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
         }
 
         // Fused SAGE: the gather is a row nest over each row's neighbours,
@@ -735,15 +677,10 @@ mod crosscheck_tests {
         crate::fused_sage::fused_sage_execute_on(&rt, &a, &x, &w).unwrap();
         let kernel =
             KernelSpec::FusedSage { a: (&a).into(), feat, hidden }.compile_on(&rt).unwrap();
-        let (l, got) = (kernel.disassemble(), kernel.nest_counts());
+        let want = (2 * rows, nnz + rows * feat as u64);
+        let l = assert_fast_path(&kernel, want, "sage");
         assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (2, 0), "{l}");
         assert!(l.contains("coeff=+1*row"), "the walked product\n{l}");
-        let (rows, trips) = (a.rows() as u64, (a.nnz() + a.rows() * feat) as u64);
-        assert_eq!(
-            (got.entries, got.repinned, got.handovers, got.trips, got.stepped, got.blocked),
-            (2 * rows, 2 * rows, 0, trips, trips, 2 * rows),
-            "sage: every trip stepped, every row in a block\n{l}"
-        );
     }
 
     /// The compiled executor must agree bit-for-bit with the reference

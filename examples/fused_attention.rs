@@ -33,8 +33,8 @@ fn main() {
 
     // --- One kernel vs three ------------------------------------------
     // One request of `heads` heads: each head's Q (n × k), Kᵀ (k × n) and
-    // V (n × dv) binds in place as a segment of the launch's logical
-    // stacked operands — the same layout batched serving widens into.
+    // V (n × dv) binds in place as one-segment views of one run of the
+    // one-head kernel — the launch runs it once per head.
     let request: Vec<AttnHead> = (0..heads)
         .map(|_| AttnHead {
             q: gen::random_dense(n, k, &mut rng),
@@ -83,9 +83,10 @@ fn main() {
     println!("microkernels in the fused launch: {kinds:?}");
 
     // --- Batched serving ----------------------------------------------
-    // Concurrent same-shape requests widen into one fused launch each
-    // dispatch: per-launch fixed costs are paid once per batch, and the
-    // whole three-op pipeline is one launch to begin with.
+    // Concurrent same-shape requests fold into one fused launch each
+    // dispatch, one run of the one-head kernel per head: per-launch fixed
+    // costs are paid once per batch, and the whole three-op pipeline is
+    // one kernel to begin with.
     let engine = Arc::new(Engine::new(EngineConfig {
         workers: 1,
         queue_depth: 64,

@@ -97,7 +97,7 @@ fn main() {
     // --- The generic op path: SDDMM and per-head SpMM share the queue ---
     // Every op submits through one generic path (Submission → Ticket →
     // OpOutput); same-adjacency SDDMM requests with equal inner widths
-    // fold into one widened multi-head launch, and a multi-head
+    // fold into one launch of the one-head kernel per rider, and a multi-head
     // aggregation is one SpMM ticket per head, joining the SpMM column
     // stack. Deadlines bound queueing: a request the engine cannot answer
     // in time is shed with a typed rejection instead of silently running
@@ -135,8 +135,8 @@ fn main() {
 
     // --- Cross-op fused attention: SDDMM → softmax → SpMM, one kernel ---
     // A FusedAttention request carries (Q, Kᵀ, V) per head; the engine
-    // compiles the whole pipeline into a single kernel launch and
-    // same-shape concurrent requests widen into one fused launch.
+    // compiles the whole pipeline into a single kernel and same-shape
+    // concurrent requests fold into one launch, one run per head.
     let (k, vfeat) = (8, 8);
     let fused_tickets: Vec<_> = (0..4)
         .map(|_| {
