@@ -202,31 +202,54 @@ fn blocked(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
     format!("{}/{}", counts.blocked, counts.entries)
 }
 
-/// `[whole launch, run_views alone]` minima of a served SpMM over `xs` at
-/// `config` (one request, or a batch), after checking every request's
-/// output against the floor (bit for bit on the CSR schedule), and the
-/// run's `blocked / entries`.
+/// The layouts a kernel's row blocks run on (`layout=` on each `rows` line
+/// of its listing), each named once in order; `-` when it has none.
+fn layouts(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
+    let mut names: Vec<String> = Vec::new();
+    for line in kernel.disassemble().lines().filter(|l| l.contains("  rows ")) {
+        let name = line.rsplit_once("layout=").map_or("?", |(_, name)| name);
+        if !names.iter().any(|n| n == name) {
+            names.push(name.to_string());
+        }
+    }
+    if names.is_empty() {
+        "-".into()
+    } else {
+        names.join("+")
+    }
+}
+
+/// `[whole launch, run_views alone, floor]` minima of a served SpMM over
+/// `xs` at `config` (one request, or a batch; the floor takes every
+/// request), after checking every request's output against the floor (bit
+/// for bit on the CSR schedule), and the run's `blocked / entries` and
+/// layouts.
 fn spmm_arms(
     a: &Csr,
     xs: &[Dense],
     config: &SpmmConfig,
     (rounds, reps): (usize, usize),
-) -> ([f64; 2], String) {
+) -> ([f64; 3], [String; 2]) {
     let rt = Runtime::new();
     let slabs = Slabs::of(a);
     let refs: Vec<&Dense> = xs.iter().collect();
     let mut outs: Vec<Dense> = xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
     spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM");
-    for (x, out) in xs.iter().zip(&outs) {
-        let mut want = vec![0.0f32; out.data().len()];
-        assert!(spmm_floor(&slabs, (a.rows(), a.cols(), x.cols()), x.data(), &mut want));
+    let mut wants: Vec<Vec<f32>> = outs.iter().map(|o| vec![0.0f32; o.data().len()]).collect();
+    let floor = |wants: &mut [Vec<f32>]| {
+        for (x, want) in xs.iter().zip(wants) {
+            assert!(spmm_floor(&slabs, (a.rows(), a.cols(), x.cols()), x.data(), want));
+        }
+    };
+    floor(&mut wants);
+    for (out, want) in outs.iter().zip(&wants) {
         if config.col_parts.is_none() {
-            assert_bits(&format!("spmm {}", config.label()), out.data(), &want);
+            assert_bits(&format!("spmm {}", config.label()), out.data(), want);
         } else {
             // `hyb` adds a row's non-zeros bucket by bucket: the floor's
             // sum in another order.
             let close = |(g, w): (&f32, &f32)| (g - w).abs() <= 1e-4 * (1.0 + w.abs());
-            assert!(out.data().iter().zip(&want).all(close), "spmm {}", config.label());
+            assert!(out.data().iter().zip(want).all(close), "spmm {}", config.label());
         }
     }
 
@@ -250,20 +273,21 @@ fn spmm_arms(
         &mut [
             &mut || spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM"),
             &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+            &mut || floor(&mut wants),
         ],
     );
-    ([got[0], got[1]], blocked(&kernel))
+    ([got[0], got[1], got[2]], [blocked(&kernel), layouts(&kernel)])
 }
 
 /// The served one-head SDDMM at inner width `k` on `a`, its output checked
 /// bit for bit against the floor: `[whole launch, run_views alone, floor,
-/// native]` minima, and the run's `blocked / entries`.
+/// native]` minima, and the run's `blocked / entries` and layouts.
 fn sddmm_arms(
     a: &Csr,
     k: usize,
     (rounds, reps): (usize, usize),
     rng: &mut rand::rngs::SmallRng,
-) -> ([f64; 4], String) {
+) -> ([f64; 4], [String; 2]) {
     let rt = Runtime::new();
     let slabs = Slabs::of(a);
     let req = (gen::random_dense(a.rows(), k, rng), gen::random_dense(k, a.cols(), rng));
@@ -297,7 +321,7 @@ fn sddmm_arms(
             &mut || sddmm_native(a, k, ops, &mut yt, &mut native),
         ],
     );
-    ([got[0], got[1], got[2], got[3]], blocked(&kernel))
+    ([got[0], got[1], got[2], got[3]], [blocked(&kernel), layouts(&kernel)])
 }
 
 /// The launch-level table on one graph, and the sweep's fit.
@@ -310,22 +334,15 @@ pub fn run() -> String {
     let burst = if smoke() { (3, 4) } else { (200, 10) };
     let (d, k) = (16usize, 8usize);
     let a = rows_graph(440, 440, 8.0, 0x7e);
-    let slabs = Slabs::of(&a);
     let mut rng = gen::rng(0x7f);
     let us = |ns: f64| format!("{:.1}", ns / 1e3);
     let mut rows = Vec::new();
 
     // SpMM, d = 16: CSR, hyb(1, 3), and a batch of eight.
     let x = gen::random_dense(a.cols(), d, &mut rng);
-    let shape = (a.rows(), a.cols(), d);
-    let (mut c_floor, mut c_native) = (vec![0.0f32; a.rows() * d], vec![0.0f32; a.rows() * d]);
-    let fixed = minima(
-        burst.0,
-        burst.1,
-        &mut [&mut || assert!(spmm_floor(&slabs, shape, x.data(), &mut c_floor)), &mut || {
-            spmm_native(&a, d, x.data(), &mut c_native)
-        }],
-    );
+    let mut c_native = vec![0.0f32; a.rows() * d];
+    let native =
+        minima(burst.0, burst.1, &mut [&mut || spmm_native(&a, d, x.data(), &mut c_native)]);
     let csr = SpmmConfig::default_csr();
     let hyb = SpmmConfig { col_parts: Some(1), bucket_k: 3, params: CsrSpmmParams::default() };
     let one = std::slice::from_ref(&x);
@@ -335,43 +352,47 @@ pub fn run() -> String {
         ("spmm d=16 hyb(1,3)", one, &hyb),
         ("spmm d=16 csr, batch of 8", &eight[..], &csr),
     ] {
-        let ([whole, run], blocks) = spmm_arms(&a, xs, config, burst);
-        let per = xs.len() as f64;
-        let floors = [us(fixed[0] * per), us(fixed[1] * per)];
-        rows.push([name.into(), blocks, us(whole), us(run)].into_iter().chain(floors).collect());
+        let ([whole, run, floor], [blocks, layout]) = spmm_arms(&a, xs, config, burst);
+        let native = us(native[0] * xs.len() as f64);
+        rows.push(vec![name.into(), blocks, layout, us(whole), us(run), us(floor), native]);
     }
 
     // SDDMM, one head, k = 8.
-    let (got, blocks) = sddmm_arms(&a, k, burst, &mut rng);
+    let (got, [blocks, layout]) = sddmm_arms(&a, k, burst, &mut rng);
     let name = format!("sddmm k={k}");
-    rows.push([name, blocks].into_iter().chain(got.map(us)).collect());
+    rows.push([name, blocks, layout].into_iter().chain(got.map(us)).collect());
 
     // The batch `serving_throughput` gates on, on its graph.
     {
         let g = serving_throughput::power_law(1000, &mut gen::rng(0xE6));
         let xs: Vec<Dense> = (0..8).map(|_| gen::random_dense(g.cols(), d, &mut rng)).collect();
-        let ([single, _], _) = spmm_arms(&g, &xs[..1], &csr, burst);
-        let ([whole, run], blocks) = spmm_arms(&g, &xs, &csr, burst);
+        let ([single, ..], _) = spmm_arms(&g, &xs[..1], &csr, burst);
+        let ([whole, run, floor], [blocks, layout]) = spmm_arms(&g, &xs, &csr, burst);
         let name =
             format!("serving_throughput graph, batch of 8 (8 × single = {})", us(8.0 * single));
-        rows.push(vec![name, blocks, us(whole), us(run), "-".into(), "-".into()]);
+        rows.push(vec![name, blocks, layout, us(whole), us(run), us(floor), "-".into()]);
     }
 
     // Row-count / non-zero-count sweeps of the CSR SpMM and the SDDMM
-    // runs: least squares for `run = c + entries × a + nnz × b`, each.
+    // runs and their floors: least squares for `c + entries × a + nnz × b`,
+    // each.
     let sweep: &[(usize, f64)] = if smoke() {
         &[(110, 8.0), (220, 4.0), (220, 8.0)]
     } else {
         &[(220, 8.0), (440, 4.0), (440, 8.0), (440, 16.0), (880, 8.0), (1760, 2.0), (1760, 8.0)]
     };
-    let (mut spmm_points, mut sddmm_points) = (Vec::new(), Vec::new());
+    // `[run_views, floor]` points of each.
+    let (mut spmm_points, mut sddmm_points) = ([vec![], vec![]], [vec![], vec![]]);
     for &(n, deg) in sweep {
         let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
         let x = gen::random_dense(g.cols(), d, &mut rng);
-        let ([_, run], _) = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
-        spmm_points.push([1.0, g.rows() as f64, g.nnz() as f64, run]);
-        let ([_, run, ..], _) = sddmm_arms(&g, k, burst, &mut rng);
-        sddmm_points.push([1.0, g.rows() as f64, g.nnz() as f64, run]);
+        let at = |ns: f64| [1.0, g.rows() as f64, g.nnz() as f64, ns];
+        let ([_, run, floor], _) = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
+        spmm_points[0].push(at(run));
+        spmm_points[1].push(at(floor));
+        let ([_, run, floor, _], _) = sddmm_arms(&g, k, burst, &mut rng);
+        sddmm_points[0].push(at(run));
+        sddmm_points[1].push(at(floor));
     }
     let mut out = render_table(
         &format!(
@@ -379,18 +400,20 @@ pub fn run() -> String {
             a.rows(),
             a.nnz()
         ),
-        &["arm", "blocked/entries", "whole launch", "run_views", "floor", "native f32"],
+        &["arm", "blocked/entries", "layout", "whole launch", "run_views", "floor", "native f32"],
         &rows,
     );
     for (name, points) in [("spmm d=16 csr", &spmm_points), ("sddmm k=8", &sddmm_points)] {
-        let [c, per_entry, per_nnz] = least_squares(points);
-        let sweep: Vec<String> =
-            points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
-        out.push_str(&format!(
-            "{name} run_views by rows/nnz, µs: {}\n  = {c:.0} ns + entries × {per_entry:.1} ns + \
-             nnz × {per_nnz:.1} ns (least squares)\n",
-            sweep.join(", ")
-        ));
+        for (arm, points) in ["run_views", "floor"].into_iter().zip(points) {
+            let [c, per_entry, per_nnz] = least_squares(points);
+            let sweep: Vec<String> =
+                points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
+            out.push_str(&format!(
+                "{name} {arm} by rows/nnz, µs: {}\n  = {c:.0} ns + entries × {per_entry:.1} ns + \
+                 nnz × {per_nnz:.1} ns (least squares)\n",
+                sweep.join(", ")
+            ));
+        }
     }
     out.push_str(&attention_passes(&a, 4, burst, &mut rng));
     out.push_str(&rider_costs(&a, burst, &mut rng));
@@ -549,12 +572,13 @@ fn attention_passes(
     drop(refs);
     drop(arms);
     let per_nnz = |ns: f64| format!("{:.0}", ns / a.nnz() as f64);
-    let mut row = vec![format!("d={d}, 1 head"), blocked(&fused)];
+    let mut row = vec![format!("d={d}, 1 head"), blocked(&fused), layouts(&fused)];
     row.extend(got.iter().map(|&ns| per_nnz(ns)));
     row.push(per_nnz(got[1..].iter().sum()));
     let headers = [
         "arm",
         "fused blocked/entries",
+        "layout",
         "fused run",
         "score",
         "rowmax",

@@ -301,21 +301,25 @@ impl<'a, 'h> Interp<'a, 'h> {
             Ok(Value::Float(v))
         } else {
             let (a, b) = (l.as_int()?, r.as_int()?);
+            // Wrapping `+ − *`, and a typed error where the quotient
+            // overflows: one meaning in every evaluator.
             let v = match op {
-                Add => a + b,
-                Sub => a - b,
-                Mul => a * b,
+                Add => a.wrapping_add(b),
+                Sub => a.wrapping_sub(b),
+                Mul => a.wrapping_mul(b),
                 Div => {
                     if b == 0 {
                         return Err(EvalError::new("integer division by zero"));
                     }
-                    a.div_euclid(b)
+                    a.checked_div_euclid(b)
+                        .ok_or_else(|| EvalError::new("integer division overflow"))?
                 }
                 Rem => {
                     if b == 0 {
                         return Err(EvalError::new("integer remainder by zero"));
                     }
-                    a.rem_euclid(b)
+                    a.checked_rem_euclid(b)
+                        .ok_or_else(|| EvalError::new("integer remainder overflow"))?
                 }
                 Min => a.min(b),
                 Max => a.max(b),

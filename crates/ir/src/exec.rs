@@ -635,21 +635,25 @@ impl IntExpr {
             IntExpr::Bin { op, lhs, rhs } => {
                 let a = lhs.eval(fr)?;
                 let b = rhs.eval(fr)?;
+                // As the interpreter: wrapping `+ − *`, a typed error where
+                // the quotient overflows.
                 match op {
-                    IntOp::Add => Ok(a + b),
-                    IntOp::Sub => Ok(a - b),
-                    IntOp::Mul => Ok(a * b),
+                    IntOp::Add => Ok(a.wrapping_add(b)),
+                    IntOp::Sub => Ok(a.wrapping_sub(b)),
+                    IntOp::Mul => Ok(a.wrapping_mul(b)),
                     IntOp::Div => {
                         if b == 0 {
                             return Err(ExecError::new("integer division by zero"));
                         }
-                        Ok(a.div_euclid(b))
+                        a.checked_div_euclid(b)
+                            .ok_or_else(|| ExecError::new("integer division overflow"))
                     }
                     IntOp::Rem => {
                         if b == 0 {
                             return Err(ExecError::new("integer remainder by zero"));
                         }
-                        Ok(a.rem_euclid(b))
+                        a.checked_rem_euclid(b)
+                            .ok_or_else(|| ExecError::new("integer remainder overflow"))
                     }
                     IntOp::Min => Ok(a.min(b)),
                     IntOp::Max => Ok(a.max(b)),
@@ -1472,17 +1476,18 @@ impl Compiler {
     }
 }
 
-/// Constant-fold integer binops at compile time (division folding is left
-/// to runtime so divide-by-zero errors are preserved).
+/// Constant-fold integer binops at compile time, as `IntExpr::eval`
+/// computes them; a division or remainder by zero or one that overflows
+/// is left to run time, so its error is preserved.
 fn fold_int(op: IntOp, lhs: IntExpr, rhs: IntExpr) -> IntExpr {
     if let (IntExpr::Const(a), IntExpr::Const(b)) = (&lhs, &rhs) {
         let (a, b) = (*a, *b);
         let v = match op {
-            IntOp::Add => Some(a + b),
-            IntOp::Sub => Some(a - b),
-            IntOp::Mul => Some(a * b),
-            IntOp::Div if b != 0 => Some(a.div_euclid(b)),
-            IntOp::Rem if b != 0 => Some(a.rem_euclid(b)),
+            IntOp::Add => Some(a.wrapping_add(b)),
+            IntOp::Sub => Some(a.wrapping_sub(b)),
+            IntOp::Mul => Some(a.wrapping_mul(b)),
+            IntOp::Div if b != 0 => a.checked_div_euclid(b),
+            IntOp::Rem if b != 0 => a.checked_rem_euclid(b),
             IntOp::Min => Some(a.min(b)),
             IntOp::Max => Some(a.max(b)),
             _ => None,

@@ -38,7 +38,8 @@
 //!   nest's entry program against the row, and the block runs the rows in
 //!   Rust ([`run_rows`]) — per row its loads, one compare pair per loaded
 //!   register against an interval the launch solved, the cursors' first
-//!   lanes and the nest's trip loop. The row and trip it cannot take go
+//!   lanes and the nest's trip loop, in one compiled row loop per row
+//!   layout and lane op. The row and trip it cannot take go
 //!   to the generic loop behind the nest, the later rows through the loop
 //!   body. So a loop runs one of two ways: as a block, or as the generic
 //!   loop.
@@ -648,7 +649,7 @@ struct State<'c> {
     /// This thread's [`WALKS`] for the launch; `None` until the first
     /// block over the nest establishes it.
     kept: Vec<Option<Kept>>,
-    /// What a block hands the nest's trip loop per entry.
+    /// What a block hands the trip loop of its row loop per entry.
     step: Stepped,
     counts: NestCounts,
 }

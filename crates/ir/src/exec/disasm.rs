@@ -166,13 +166,14 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
 }
 
 /// One line per row block: the loop's slot and extent — with the loop of
-/// `per` rows it splits into blocks — and the nest the rows enter.
+/// `per` rows it splits into blocks — the nest the rows enter, and the
+/// layout its rows run on.
 fn rows(spec: &RowPlan, end: u32) -> String {
     let mut out = format!("rows       %{} in 0..{}", spec.slot, int(&spec.extent));
     if let Some(s) = spec.split {
         let _ = write!(out, " × %{} in 0..{}", s.slot, s.per);
     }
-    let _ = write!(out, ", end={end:04}, nest={:04}", spec.nest_at);
+    let _ = write!(out, ", end={end:04}, nest={:04}, layout={}", spec.nest_at, spec.block.layout());
     out
 }
 
@@ -195,7 +196,11 @@ fn entry(prog: &EntryProgram, ratio_of: Option<Ratio>) -> String {
             } else {
                 "+"
             };
-            let by = if coef.abs() == 1 { String::new() } else { format!("{}*", coef.abs()) };
+            let by = if coef.unsigned_abs() == 1 {
+                String::new()
+            } else {
+                format!("{}*", coef.unsigned_abs())
+            };
             let _ = write!(out, "{sign}{by}{name}");
         }
         if out.is_empty() {

@@ -56,15 +56,16 @@
 //! are the nest's **entry program** — its registers and linear
 //! combinations of them. A **block** runs the entries — the rows of the
 //! loop around the nest, or the nest's one entry — loading each register,
-//! testing it against an interval solved once per launch, and handing the
-//! entry's trips to one monomorphised **trip loop** picked from a fixed
-//! menu when the walk state was established ([`trip_loops`]): a cursor add
+//! testing it against an interval solved once per launch, and taking the
+//! entry's trips in the lane op's **trip loop** ([`TripFn`]): a cursor add
 //! per operand per trip, the affine walks range-tested per entry, the
-//! gathered column per trip (see the `nest` submodule). The nest is the
-//! head of its loop in place of `LoopStart`; the loop behind it is lowered
-//! as without it, and the block hands it the first trip it cannot take —
-//! an entry the menu does not cover at trip 0 — before that trip writes
-//! anything.
+//! gathered column per trip (see the `nest` submodule). The row loop and
+//! the trip loop inside it are one monomorphised function, picked from a
+//! fixed menu when the walk state was established ([`row_loops`]). The
+//! nest is the head of its loop in place of `LoopStart`; the loop behind
+//! it is lowered as without it, and the block hands it the first trip it
+//! cannot take — an entry the menu does not cover at trip 0 — before that
+//! trip writes anything.
 //!
 //! Anything non-contiguous, non-affine, predicated (an `if` in the lane
 //! body — what a split by a factor that does not divide the extent
@@ -100,12 +101,13 @@ use super::{
     IndexExpr, IntExpr, IntOp, RawBuf,
 };
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 mod nest;
 
 pub(super) use nest::{
     build_block, build_nest, Block, Drift, EntryProgram, Exit, IndexPlan, Lin, NestSpec, Ratio,
-    Reg, RowPlan, Solve, Split, Stepped, Trips,
+    Reg, RowLoops, RowPlan, Solve, Split, Stepped, Trips,
 };
 
 // ---------------------------------------------------------------------------
@@ -888,7 +890,7 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
 
 /// Which lanes the init value overwrites the accumulator at.
 #[derive(Clone, Copy)]
-enum LaneInit {
+pub(super) enum LaneInit {
     Never,
     All,
     One(i64),
@@ -1092,70 +1094,73 @@ unsafe fn reduce<V: ValueFn>(
     pd.write(acc);
 }
 
-/// A row nest's trip loop: take the trips of the entry `w` was made for,
-/// the init firing as `first` says at trip 0 and as `rest` says at every
-/// later one; returns the first trip not taken (the trip count, or the one
-/// whose gathered value left the entry's reach — nothing of it written).
-///
-/// # Safety
-/// As [`Stepped::walk`]; and the loop is one [`trip_loops`] picked for the
-/// lane op whose operands `w` holds, on the frame it holds them for.
-type TripLoop = unsafe fn(&Stepped, LaneInit, LaneInit) -> i64;
-
-/// The menu of trip loops: one out-of-line monomorphised loop per lane op
-/// instance and term shape — and per kind of operand: every one a single
-/// run (`[0]`; what whole tensors and one-segment views give), or some cut
-/// into column segments (`[1]`, a batch). Everything a trip does not
-/// change is matched here, once per launch when a nest's walk state is
-/// established, instead of once per non-zero. Inside, a trip
-/// is [`Stepped::walk`]'s cursor adds and the same lane body the
-/// per-invocation path runs.
-///
-/// The `[1]` loops take all-run operands too, so `[0]` is a second copy
-/// kept for what it measures: with only `[1]` installed, `launch_probe`'s
-/// tenant graph (every operand a run; aligned builds, one pinned CPU, three
-/// alternations) reads SpMM d = 16 88.0 → 105.4 µs and SDDMM k = 8
-/// 113.0 → 138.6, the sweep's per-non-zero term 13.7 → 19.0 ns — a
-/// `Lanes` match per operand per trip and the lane bodies' piece loop
-/// around 8–16 lanes of arithmetic. The batch of eight is the same either
-/// way (361 µs).
-fn trip_loops(spec: &LaneSpec) -> [TripLoop; 2] {
-    on_op!(&spec.op,
-        <C, V> => [lanes_trips::<C, V, false>, lanes_trips::<C, V, true>],
-        <V> => [reduce_trips::<V, false>, reduce_trips::<V, true>])
+/// A lane op's trip loop, as a type: take the trips of the entry `w` was
+/// made for, the init firing as `first` says at trip 0 and as `rest` says at
+/// every later one; returns the first trip not taken (the trip count, or
+/// the one whose gathered value left the entry's reach — nothing of it
+/// written). Inlined into the row loop that calls it ([`RowLoops`]).
+pub(super) trait TripFn {
+    /// # Safety
+    /// As [`Stepped::walk`]; and the loop is the one for the lane op whose
+    /// operands `w` holds, on the frame it holds them for.
+    unsafe fn trips(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64;
 }
 
 /// [`lanes`] per trip.
-#[inline(never)]
-unsafe fn lanes_trips<C: CombineFn, V: ValueFn, const SEG: bool>(
-    w: &Stepped,
-    first: LaneInit,
-    rest: LaneInit,
-) -> i64 {
-    let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
-        return 0;
-    };
-    // SAFETY: each trip's operands are what `resolve_lanes` would hand
-    // `lanes` there (`Stepped::walk`).
-    w.walk::<SEG>(|t, ops, c| unsafe {
-        lanes::<C, V>(w.n, ops, if t == 0 { first } else { rest }, c);
-    })
+struct LanesTrips<C, V, const SEG: bool>(PhantomData<(C, V)>);
+
+impl<C: CombineFn, V: ValueFn, const SEG: bool> TripFn for LanesTrips<C, V, SEG> {
+    #[inline(always)]
+    unsafe fn trips(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
+        let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
+            return 0;
+        };
+        // SAFETY: each trip's operands are what `resolve_lanes` would hand
+        // `lanes` there (`Stepped::walk`).
+        w.walk::<SEG>(|t, ops, c| unsafe {
+            lanes::<C, V>(w.n, ops, if t == 0 { first } else { rest }, c);
+        })
+    }
 }
 
 /// [`reduce`] per trip.
-#[inline(never)]
-unsafe fn reduce_trips<V: ValueFn, const SEG: bool>(
-    w: &Stepped,
-    first: LaneInit,
-    rest: LaneInit,
-) -> i64 {
-    let (first, rest) = (first.restart(w.n, w.init32), rest.restart(w.n, w.init32));
-    // SAFETY: each trip's operands are what `resolve_lanes` would hand
-    // `reduce` there (`Stepped::walk`); `0 <= from < n`.
-    w.walk::<SEG>(|t, ops, c| unsafe {
-        let (from, start) = if t == 0 { first } else { rest };
-        reduce::<V>((from, w.n), ops, start, c);
-    })
+struct ReduceTrips<V, const SEG: bool>(PhantomData<V>);
+
+impl<V: ValueFn, const SEG: bool> TripFn for ReduceTrips<V, SEG> {
+    #[inline(always)]
+    unsafe fn trips(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
+        let (first, rest) = (first.restart(w.n, w.init32), rest.restart(w.n, w.init32));
+        // SAFETY: each trip's operands are what `resolve_lanes` would hand
+        // `reduce` there (`Stepped::walk`); `0 <= from < n`.
+        w.walk::<SEG>(|t, ops, c| unsafe {
+            let (from, start) = if t == 0 { first } else { rest };
+            reduce::<V>((from, w.n), ops, start, c);
+        })
+    }
+}
+
+/// The menu of row loops: per lane op instance and term shape, one
+/// monomorphised row loop per row layout — a CSR row in locals, or any
+/// block's planned registers — and per kind of operand: every one a single
+/// run (what whole tensors and one-segment views give), or some cut into
+/// column segments (a batch). Everything a row or a trip does not change
+/// is matched here, once per launch when a nest's walk state is
+/// established, instead of once per row or non-zero; the trip loop —
+/// [`Stepped::walk`]'s cursor adds around the same lane body the
+/// per-invocation path runs — is inlined into its row loop.
+///
+/// The loops for runs only are a second copy of the segmented ones, which
+/// take runs too; they are kept because they skip a `Lanes` match per
+/// operand per trip and the lane bodies' piece loop around 8–16 lanes of
+/// arithmetic. The menu is 17 lane op instances (fill, exp, max, and add
+/// into a run or into one element, each with seven term shapes) × 2
+/// layouts × 2 kinds of operand = 68 row loops, where the out-of-line trip
+/// loops they replaced were 34; the x86-64 release `stbench` binary went
+/// from 2.60 to 2.81 MB with them.
+fn row_loops(spec: &LaneSpec) -> RowLoops {
+    on_op!(&spec.op,
+        <C, V> => RowLoops::of::<LanesTrips<C, V, false>, LanesTrips<C, V, true>>(),
+        <V> => RowLoops::of::<ReduceTrips<V, false>, ReduceTrips<V, true>>())
 }
 
 impl LaneSpec {

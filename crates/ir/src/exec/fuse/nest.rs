@@ -49,14 +49,16 @@
 //! rows of the row loop around the nest, or — for a nest outside any row
 //! loop — its one entry. It loads each register, tests it against an
 //! interval the launch solved from the checks its loads and pins need, and
-//! hands the entry's trips to the trip loop. An entry whose walk state
+//! takes the entry's trips in the trip loop its row loop inlines. An entry
+//! whose walk state
 //! cannot be established, or that fails a test, goes to the generic loop
 //! behind the instruction at trip 0, before anything of it is written; a
 //! nest whose one entry does not fit a block is no nest.
 //!
-//! **Stepped trips.** The trip loop is **one monomorphised loop** from a
-//! fixed menu ([`super::trip_loops`]: lane op × term shape × "every operand
-//! one run" or not), picked once per launch, and a block hands it each
+//! **Stepped trips.** The trip loop is the lane op's ([`super::TripFn`]),
+//! inlined into **one monomorphised row loop** from a fixed menu
+//! ([`super::row_loops`]: lane op × term shape × row layout × "every
+//! operand one run" or not), picked once per launch; a block hands it each
 //! entry as [`Cursor`]s: each operand its lanes at trip 0 plus how far a
 //! trip and a unit of the gathered value carry them — a pointer add for a
 //! [`Lanes::Run`], a row add for a [`Lanes::Cols`]. An affine walk is tested
@@ -77,11 +79,11 @@
 
 mod block;
 
-pub(in crate::exec) use block::{build_block, Block, Exit, RowPlan, Solve, Split};
+pub(in crate::exec) use block::{build_block, Block, Exit, RowLoops, RowPlan, Solve, Split};
 
 use super::{
-    trip_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes,
-    RawBuf, TripLoop, Value,
+    row_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes,
+    RawBuf, Value,
 };
 use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp};
 
@@ -391,7 +393,7 @@ impl Lin {
     /// The value over `regs`; `None` on overflow (the tree evaluators
     /// decide what that means).
     #[inline(always)]
-    fn eval(&self, regs: &[i64; MAX_REGS]) -> Option<i64> {
+    fn eval(&self, regs: &[i64]) -> Option<i64> {
         let mut v = self.konst;
         for &(coef, reg) in &self.terms {
             v = v.checked_add(coef.checked_mul(regs[usize::from(reg)])?)?;
@@ -715,7 +717,7 @@ impl ViewWalk {
 }
 
 /// A nest's walk state: how each operand and the gather are bound, the lane
-/// count, the init and hoisted constants, and the trip loop picked for
+/// count, the init and hoisted constants, and the row loops picked for
 /// them. Established once per launch ([`Trips::establish`]) and kept by the
 /// executor, with what the launch solved for the blocks over the nest.
 pub(in crate::exec) struct Trips {
@@ -729,9 +731,8 @@ pub(in crate::exec) struct Trips {
     coeff: Option<ViewWalk>,
     /// A [`Ratio`]'s factor when it is a constant.
     factor: f32,
-    /// The nest's trip loops: for every operand a run, and for some cut
-    /// into column segments.
-    stepper: [TripLoop; 2],
+    /// The row loops of the nest's lane op, by layout and kind of operand.
+    row_loops: RowLoops,
     /// What this launch solved for the blocks over the nest.
     pub(in crate::exec) rows: Solve,
 }
@@ -740,7 +741,7 @@ impl Trips {
     /// Everything of the nest's walk state that holds for a whole launch —
     /// where each operand and the gather are bound, the strides of their
     /// walks, the init and hoisted constants — with the validation the lane
-    /// prologue performs on it, and the trip loop (chosen here, once per
+    /// prologue performs on it, and the row loops (chosen here, once per
     /// launch: a nest keeps its op and term shape). Every view the op has
     /// gets a walk (one that does not move with the trip still moves from
     /// entry to entry). `None` for a binding or a movement the blocks do
@@ -802,13 +803,13 @@ impl Trips {
             views,
             coeff,
             factor,
-            stepper: trip_loops(lanes),
+            row_loops: row_loops(lanes),
             rows: Solve::Unsolved,
         };
         at.steps(spec, lanes).then_some(at)
     }
 
-    /// Does the menu of trip loops cover this nest as it is bound? Every
+    /// Do the menu's trip loops cover this nest as it is bound? Every
     /// operand moving with the trip or with the gather but not both; at
     /// most one reduce iter moving, affinely, and no init decided lane by
     /// lane from it.
@@ -904,8 +905,8 @@ impl Cursor {
     }
 }
 
-/// Everything the trips of one entry read, as a monomorphised trip loop
-/// ([`TripLoop`]) takes it: filled in by a block ([`block`]) for each entry
+/// Everything the trips of one entry read, as a lane op's trip loop
+/// ([`super::TripFn`]) takes it: filled in by a block ([`block`]) for each entry
 /// once every test of the entry has passed. One per launch, shared by its
 /// nests: it is an entry's scratch, not something a nest keeps.
 pub(in crate::exec) struct Stepped {

@@ -19,10 +19,34 @@
 //! register is fixed. At launch, [`Trips`]' walks being established, the
 //! tests over a loaded register are **solved** once into an interval of its
 //! values ([`solve`]); a test over the row is affine in it, so a block
-//! checks it at its first and last row only. A row of the block then loads
+//! checks it at its first and last row only. A row of the block then has
 //! its registers, compares each against its interval, computes every
-//! cursor's first lane as `base + k·v`, and calls the trip loop the nest
-//! established — no bytecode dispatch, no expression tree.
+//! cursor's first lane as `base + k·v` and takes its trips — no bytecode
+//! dispatch, no expression tree.
+//!
+//! **One compiled row loop per layout and lane op.** The rows run in
+//! [`rows`], monomorphised over how a row has its registers ([`Layout`])
+//! and over the lane op's trip loop ([`TripFn`]), which it inlines; a
+//! launch picks the instance once per nest ([`RowLoops`]), so a row matches
+//! nothing that a launch fixes. Two layouts:
+//!
+//! * [`Csr`], for a block whose rows are CSR rows ([`CsrRegs`]): the head
+//!   has one `i32` load one row on (`next`, `indptr[i + 1]`) and one
+//!   register rolling over from it (`cur`, `indptr[i]`), the trip count is
+//!   exactly `next − cur`, at most one register is gathered at `konst +
+//!   coef·cur` (`col`, the trip-0 column), every other register is the
+//!   row, its block or a fixed slot, and every aim is over the row, `cur`,
+//!   `col` or nothing. A row keeps all three in locals: one `indptr` load,
+//!   the rolled `cur`, one column load and three interval compares. Every
+//!   served CSR row loop has this shape — SpMM whole, on views and in a
+//!   batch's `blockIdx` split, one-head SDDMM, attention's five passes and
+//!   SAGE's gather.
+//! * [`Planned`], for any block: every register in an array, loaded,
+//!   rolled or read per its [`Source`] and tested in program order — SAGE's
+//!   dense transform, `hyb`'s buckets and init nest, blocks of one entry.
+//!
+//! Everything else — the guard, [`Block::begin`], the counting, the aims,
+//! the trip call and every [`Exit`] — is written once, for both.
 //!
 //! A block, row or trip that fails any test is not an error here: the
 //! block hands the loop, at that row and trip, to the generic loop lowered
@@ -31,10 +55,10 @@
 //! block; a nest whose one entry does not fit it is no nest.
 
 use super::{
-    interval, solve, Cursor, Drift, IndexPlan, Lin, NestSpec, Planner, Reg, Spot, Stepped, Trips,
-    MAX_REGS,
+    interval, solve, Cursor, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Planner, Reg, Spot,
+    Stepped, Trips, MAX_REGS,
 };
-use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes};
+use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes, TripFn};
 use crate::exec::{elem_load, CmpOp, Frame, IntExpr, NestCounts, RawBuf};
 
 // ---------------------------------------------------------------------------
@@ -198,6 +222,82 @@ pub(in crate::exec) struct Block {
     /// block's first and last row (and covers its head loads); one over a
     /// loaded register is part of that register's interval.
     probes: Vec<Probe>,
+    /// The registers of a CSR row, when the block's rows have that shape:
+    /// its rows then run on the [`Csr`] layout, else on [`Planned`].
+    csr: Option<CsrRegs>,
+}
+
+/// The registers of a CSR row, by their index in the entry program:
+/// `next`, the `i32` load one row on (`indptr[i + 1]`); `cur`, the one that
+/// rolls over from it (`indptr[i]`); and `col`, the gathered column at
+/// `konst + coef·cur`, when there is one.
+#[derive(Debug, Clone, Copy)]
+pub(in crate::exec) struct CsrRegs {
+    next: u8,
+    cur: u8,
+    col: Option<u8>,
+}
+
+impl CsrRegs {
+    /// The CSR registers of a block whose registers come from `sources`,
+    /// over the entry program `prog` with the operand aims `aims`: the head
+    /// holds one load (`next`) and one register rolling over from it
+    /// (`cur`) besides the row's own slots, the trip count is exactly
+    /// `next − cur`, at most one register is gathered at `konst +
+    /// coef·cur` (`col`), every other register is the row, the block or a
+    /// fixed slot, and every aim is over the row, `cur`, `col` or nothing.
+    fn of(prog: &EntryProgram, sources: &[Source], aims: &[Option<Form>]) -> Option<CsrRegs> {
+        let head = &sources[..prog.head];
+        let mut loads = (0..head.len()).filter(|&k| matches!(head[k], Source::Load { .. }));
+        let (a, b) = (loads.next()?, loads.next()?);
+        if loads.next().is_some() {
+            return None;
+        }
+        let rolls_from = |k: usize, from: usize| match head[k] {
+            Source::Load { rolls: Some(r), .. } => usize::from(r) == from,
+            _ => false,
+        };
+        let (next, cur) = if rolls_from(b, a) {
+            (a, b)
+        } else if rolls_from(a, b) {
+            (b, a)
+        } else {
+            return None;
+        };
+        let (next, cur) = (u8::try_from(next).ok()?, u8::try_from(cur).ok()?);
+        let mut terms = vec![(1, next), (-1, cur)];
+        terms.sort_by_key(|(_, reg)| *reg);
+        if prog.extent != (Lin { konst: 0, terms }) {
+            return None;
+        }
+        let mut col = None;
+        for (k, source) in sources.iter().enumerate() {
+            match source {
+                Source::Row | Source::Block if k < prog.head => {}
+                Source::Outer(_) => {}
+                Source::Load { .. } if k < prog.head => {}
+                Source::Gathered { at, .. } if at.var == Var::Reg(cur) && col.is_none() => {
+                    col = Some(u8::try_from(k).ok()?);
+                }
+                _ => return None,
+            }
+        }
+        let regs = CsrRegs { next, cur, col };
+        let gather = prog.gather.as_ref().map(|&(_, g)| Var::Reg(g));
+        let vars = aims.iter().flatten().map(|form| form.var).chain(gather);
+        vars.map(|var| regs.sel(var)).all(|sel| sel.is_some()).then_some(regs)
+    }
+
+    /// Where a row of the [`Csr`] layout keeps `var`: `[t, cur, col, 0]`.
+    fn sel(self, var: Var) -> Option<u8> {
+        match var {
+            Var::Row => Some(0),
+            Var::Reg(r) if r == self.cur => Some(1),
+            Var::Reg(r) if Some(r) == self.col => Some(2),
+            Var::Fixed => Some(3),
+            Var::Reg(_) => None,
+        }
+    }
 }
 
 impl IndexPlan {
@@ -306,7 +406,8 @@ pub(in crate::exec) fn build_block(
         aims[FACTOR] = Some(Form::of(&at.flat()?, &sources, per)?);
     }
     let probes = p.probes;
-    Some(Block { per, pins, guard, sources, aims, probes })
+    let csr = CsrRegs::of(prog, &sources, &aims);
+    Some(Block { per, pins, guard, sources, aims, probes, csr })
 }
 
 /// Some register rolls over from register `a`.
@@ -437,14 +538,15 @@ pub(in crate::exec) enum Exit {
     Handover { row: i64, done: i64, trips: Option<i64> },
 }
 
-/// Where an operand's run starts over one entry, less its [`Var`]'s part:
-/// lanes `at` at `v = 0`, moving `per` elements (or, for column
-/// segments, rows) per unit of `v`.
+/// Where an operand's run starts over one entry, less its register's
+/// part: lanes `at` at `v = 0`, moving `per` elements (or, for column
+/// segments, rows) per unit of `v`, the value a row's [`Layout`] keeps at
+/// `sel`.
 #[derive(Clone, Copy)]
 struct Aim {
     at: Lanes,
     per: isize,
-    var: Var,
+    sel: u8,
 }
 
 impl Aim {
@@ -462,20 +564,21 @@ impl Aim {
     }
 }
 
-/// An `i32` or `f32` element at `base + per·v`.
+/// An `i32` or `f32` element at `base + per·v`, `v` the value a row's
+/// [`Layout`] keeps at `sel`.
 #[derive(Clone, Copy)]
 struct Elem<T> {
     base: *mut T,
     per: isize,
-    var: Var,
+    sel: u8,
 }
 
 impl<T: Copy> Elem<T> {
     /// `base` at the block's fixed registers `regs`, of the storage at
     /// `ptr`; `None` when a term overflows.
-    fn of(ptr: *mut T, form: &Form, regs: &[i64; MAX_REGS]) -> Option<Elem<T>> {
+    fn of(ptr: *mut T, form: &Form, regs: &[i64], sel: u8) -> Option<Elem<T>> {
         let base = ptr.wrapping_offset(isize::try_from(form.base.eval(regs)?).ok()?);
-        Some(Elem { base, per: isize::try_from(form.coef).ok()?, var: form.var })
+        Some(Elem { base, per: isize::try_from(form.coef).ok()?, sel })
     }
 
     #[inline(always)]
@@ -488,16 +591,6 @@ impl<T: Copy> Elem<T> {
     #[inline(always)]
     unsafe fn load(&self, v: i64) -> T {
         elem_load(self.at(v), 0)
-    }
-}
-
-/// `v`'s value at row `row` over `regs`.
-#[inline(always)]
-fn value(var: Var, row: i64, regs: &[i64; MAX_REGS]) -> i64 {
-    match var {
-        Var::Fixed => 0,
-        Var::Row => row,
-        Var::Reg(r) => regs[usize::from(r)],
     }
 }
 
@@ -597,7 +690,7 @@ impl Block {
         if let [(slot, step, _)] = spec.reduce_moves[..] {
             // A moving reduce iter that is not zero at trip 0 under an init
             // that goes by it, or one that could overflow over a row.
-            if (zero_later && fr.scalars[slot as usize] != 0) || step.abs() > 1 << 20 {
+            if (zero_later && fr.scalars[slot as usize] != 0) || step.unsigned_abs() > 1 << 20 {
                 return None;
             }
         }
@@ -608,14 +701,22 @@ impl Block {
     }
 }
 
-/// A block's per-entry state: the fixed registers, every operand's aim and
-/// how the loads are had.
-struct Entry {
+/// A block's state, fixed for its rows: the fixed registers, every
+/// operand's aim and how the loads are had.
+pub(in crate::exec) struct Entry {
     regs: [i64; MAX_REGS],
-    views: [Option<Aim>; 4],
+    /// `dst`, `a`, `b` (a fill repeats `dst`, a term without `b` repeats
+    /// `a`).
+    ops: [Aim; 3],
+    /// The coefficient's walked load, when it has one.
+    coeff: Option<Aim>,
     gather: Option<Elem<i32>>,
     factor: Option<Elem<f32>>,
     loads: [Option<Elem<i32>>; MAX_REGS],
+    /// Where a row keeps the gathered value at trip 0, and the entry's
+    /// reach — the interval of that value — when an operand moves with
+    /// the gather: a trip then loads and tests the column.
+    reach: Option<(u8, (i64, i64))>,
 }
 
 impl Block {
@@ -648,23 +749,47 @@ impl Block {
         Some((from, to))
     }
 
+    /// The layout the block's rows run on, as the listing names it.
+    pub(in crate::exec) fn layout(&self) -> &'static str {
+        if self.csr.is_some() {
+            "csr"
+        } else {
+            "planned"
+        }
+    }
+
+    /// Where a row of this block's layout keeps `var`'s value.
+    fn sel(&self, var: Var) -> Option<u8> {
+        match (self.csr, var) {
+            (Some(csr), var) => csr.sel(var),
+            (None, Var::Reg(r)) => Some(r),
+            (None, Var::Row) => Some(ROW),
+            (None, Var::Fixed) => Some(ZERO),
+        }
+    }
+
     /// Begin the block: the rows, their registers' sources and the
-    /// operands' aims; the tests over the row at its first and last row.
+    /// operands' aims, each over where the block's [`Layout`] keeps its
+    /// variable; the tests over the row at its first and last row.
     #[allow(clippy::too_many_lines)]
     fn begin(
         &self,
         spec: &NestSpec,
-        at: &Trips,
+        (at, within): (&Trips, &[(i32, i32); MAX_REGS]),
         fr: &Frame,
         w: &mut Stepped,
         (from, to): (i64, i64),
     ) -> Option<Entry> {
+        let nowhere =
+            Aim { at: Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, per: 0, sel: 0 };
         let mut e = Entry {
             regs: [0; MAX_REGS],
-            views: [None; 4],
+            ops: [nowhere; 3],
+            coeff: None,
             gather: None,
             factor: None,
             loads: [None; MAX_REGS],
+            reach: None,
         };
         for (k, source) in self.sources.iter().enumerate() {
             if let Source::Outer(s) = source {
@@ -686,21 +811,23 @@ impl Block {
         for (k, source) in self.sources.iter().enumerate() {
             if let Source::Load { buf, at: form, .. } | Source::Gathered { buf, at: form } = source
             {
-                e.loads[k] = Some(Elem::of(ints(fr, *buf)?.0, form, &e.regs)?);
+                let sel = self.sel(form.var)?;
+                e.loads[k] = Some(Elem::of(ints(fr, *buf)?.0, form, &e.regs, sel)?);
             }
         }
         if let (Some(form), Some(g)) = (&self.aims[GATHER], &at.gather) {
-            e.gather = Some(Elem::of(g.ptr, form, &e.regs)?);
+            e.gather = Some(Elem::of(g.ptr, form, &e.regs, self.sel(form.var)?)?);
         }
         if let (Some(form), Some(buf)) = (&self.aims[FACTOR], factor) {
             let RawBuf::F32 { ptr, .. } = fr.bufs[buf as usize] else { return None };
-            e.factor = Some(Elem::of(ptr, form, &e.regs)?);
+            e.factor = Some(Elem::of(ptr, form, &e.regs, self.sel(form.var)?)?);
         }
-        for k in 0..4 {
+        let mut views = [None; 4];
+        for (k, aimed) in views.iter_mut().enumerate() {
             let view = if k == 3 { at.coeff.as_ref() } else { at.views[k].as_ref() };
             let (Some(form), Some(view)) = (&self.aims[1 + k], view) else { continue };
             let base = form.base.eval(&e.regs)?;
-            let per = isize::try_from(form.coef).ok()?;
+            let (per, sel) = (isize::try_from(form.coef).ok()?, self.sel(form.var)?);
             let Drift { step, scale, .. } = view.drift;
             let (aim, unit, by) = match view.spot {
                 Spot::Flat { ptr, .. } => {
@@ -709,7 +836,7 @@ impl Block {
                         stride: view.stride,
                     };
                     let by = (view.coef.checked_mul(step)?, view.coef.checked_mul(scale)?);
-                    (Aim { at, per, var: form.var }, 1, by)
+                    (Aim { at, per, sel }, 1, by)
                 }
                 Spot::ColsByRow { table, width, row_step, row_scale, .. } => {
                     let (row0, col) = (base.div_euclid(width), base.rem_euclid(width));
@@ -724,14 +851,14 @@ impl Block {
                     let whole = view.n <= i64::from(e.rem);
                     if view.stride == 1 && !whole {
                         let at = Lanes::Cols { table, row: row0 as usize, col0: col as usize };
-                        (Aim { at, per: rows_per, var: form.var }, 1, (row_step, row_scale))
+                        (Aim { at, per: rows_per, sel }, 1, (row_step, row_scale))
                     } else {
                         let unit = i64::from(e.stride);
                         let ptr =
                             e.ptr.wrapping_offset(isize::try_from(row0.checked_mul(unit)?).ok()?);
                         let at = Lanes::Run { ptr, stride: view.stride };
                         let per = rows_per.checked_mul(isize::try_from(unit).ok()?)?;
-                        (Aim { at, per, var: form.var }, unit, (row_step, row_scale))
+                        (Aim { at, per, sel }, unit, (row_step, row_scale))
                     }
                 }
             };
@@ -747,27 +874,32 @@ impl Block {
             } else {
                 w.ops[k] = cursor;
             }
-            e.views[k] = Some(aim);
+            *aimed = Some(aim);
         }
         // A fill repeats `dst`, a term without `b` repeats `a`.
         for k in 1..3 {
-            if e.views[k].is_none() {
-                (e.views[k], w.ops[k]) = (e.views[k - 1], w.ops[k - 1]);
+            if views[k].is_none() {
+                (views[k], w.ops[k]) = (views[k - 1], w.ops[k - 1]);
             }
         }
+        (e.ops, e.coeff) = ([views[0]?, views[1]?, views[2]?], views[3]);
         (w.n, w.init32, w.scalar) = (at.n, at.init32, at.scalar);
         (w.walked, w.ratio, w.factor) = (at.coeff.is_some(), spec.ratio, at.factor);
         w.gather_step = at.gather.as_ref().map_or(0, |g| g.step);
+        let walks = w.ops.iter().chain(w.walked.then_some(&w.coeff)).any(|c| c.gstep != 0);
+        if let Some(&(_, g)) = spec.entry.gather.as_ref().filter(|_| walks) {
+            let (lo, hi) = within[usize::from(g)];
+            e.reach = Some((self.sel(Var::Reg(g))?, (i64::from(lo), i64::from(hi))));
+        }
         Some(e)
     }
 
     /// Run rows `0..rows` of the loop — the slot, the constant binds and the
     /// guard are this function's to set — on the nest `spec` whose walk
-    /// state `at` this launch established and solved, handing its trip
-    /// loops the scratch `w`. Whatever the block does not take is the
-    /// generic loop's, from the row and trip [`Exit`] names: nothing of that
-    /// trip is written.
-    #[allow(clippy::too_many_lines)]
+    /// state `at` this launch established and solved, handing the row loop
+    /// the scratch `w`. Whatever the block does not take is the generic
+    /// loop's, from the row and trip [`Exit`] names: nothing of that trip is
+    /// written.
     pub(in crate::exec) fn run(
         &self,
         spec: &NestSpec,
@@ -777,7 +909,7 @@ impl Block {
         rows: i64,
         counts: &mut NestCounts,
     ) -> Exit {
-        let Solve::Ready(Solved { regs: within, first, rest }) = at.rows else {
+        let Solve::Ready(solved) = &at.rows else {
             return Exit::Plain;
         };
         for &(slot, c) in &self.pins {
@@ -786,125 +918,360 @@ impl Block {
         // No row gets past the guard, or a block's test fails: the loop
         // body takes every row.
         let Some((from, to)) = self.guarded(fr, rows) else { return Exit::Plain };
-        let Some(mut e) = self.begin(spec, at, fr, w, (from, to)) else { return Exit::Plain };
-        // The row's own slot and, in a split loop, its block's.
-        let per = self.per.unwrap_or(i64::MAX);
-        let (mut b, mut r) = (from / per, from % per);
-        let loop_of = usize::from(!w.all_runs());
-        // The gather's register and its interval — the entry's reach — when
-        // an operand moves with it: a trip then loads and tests the column.
-        let walks = w.ops.iter().chain(w.walked.then_some(&w.coeff)).any(|c| c.gstep != 0);
-        let reach = spec.entry.gather.as_ref().filter(|_| walks).map(|&(_, g)| {
-            let (lo, hi) = within[usize::from(g)];
-            (usize::from(g), (i64::from(lo), i64::from(hi)))
-        });
-        let head = spec.entry.head;
-        let mut tally = NestCounts::default();
-        let mut exit = Exit::Done;
-        for i in from..=to {
-            if i > from {
-                r += 1;
-                if r == per {
-                    (b, r) = (b + 1, 0);
+        let Some(e) = self.begin(spec, (at, &solved.regs), fr, w, (from, to)) else {
+            return Exit::Plain;
+        };
+        let (layout, seg) = (usize::from(self.csr.is_none()), usize::from(!w.all_runs()));
+        // SAFETY: the launch picked `row_loops` for the nest's lane op; the
+        // loops for runs only are taken when every operand `begin` just
+        // aimed in `w` is one; `begin` made the block's tests over the row.
+        unsafe { at.row_loops.0[layout][seg](self, &spec.entry, &e, solved, w, (from, to), counts) }
+    }
+}
+
+/// What a row of a block finds once its registers are had.
+enum RowIs {
+    /// No trips: the row is done.
+    Empty,
+    /// A register is outside its interval, or the trip count overflows:
+    /// the row's trip 0 is the generic loop's.
+    Unfit,
+    /// Every test passed: the row's trips, for the trip loop.
+    Trips(i64),
+}
+
+/// How a row of a block has and tests its registers, and where it keeps
+/// the values the aims read ([`rows`]).
+trait Layout: Sized {
+    /// The layout at the block's first row `from`, its loaded registers
+    /// tested against `within`; `None` for a block it does not fit.
+    ///
+    /// # Safety
+    /// [`Block::begin`] made the block's tests over the row, for the rows
+    /// from `from` on.
+    unsafe fn start(
+        block: &Block,
+        e: &Entry,
+        within: &[(i32, i32); MAX_REGS],
+        from: i64,
+    ) -> Option<Self>;
+
+    /// Have and test row `t`'s registers — `(b, r)` its block and its row
+    /// in that block, in a split loop.
+    ///
+    /// # Safety
+    /// `t` is the row after the one this was last called for (or `from`),
+    /// inside the block.
+    unsafe fn row(
+        &mut self,
+        block: &Block,
+        prog: &EntryProgram,
+        e: &Entry,
+        t: i64,
+        at: (i64, i64),
+    ) -> RowIs;
+
+    /// The value the row keeps at `sel`.
+    fn get(&self, sel: u8) -> i64;
+}
+
+/// Where a [`Planned`] row keeps the row and a zero, after the registers.
+const ROW: u8 = MAX_REGS as u8;
+const ZERO: u8 = ROW + 1;
+
+/// Any block: every register in an array, had as its [`Source`] says.
+struct Planned {
+    /// The registers, then the row (at [`ROW`]) and a zero ([`ZERO`]).
+    regs: [i64; MAX_REGS + 2],
+    within: [(i32, i32); MAX_REGS],
+    /// No row has been had yet: nothing rolls over.
+    first: bool,
+}
+
+impl Layout for Planned {
+    unsafe fn start(
+        _: &Block,
+        e: &Entry,
+        within: &[(i32, i32); MAX_REGS],
+        _: i64,
+    ) -> Option<Planned> {
+        let mut regs = [0; MAX_REGS + 2];
+        regs[..MAX_REGS].copy_from_slice(&e.regs);
+        Some(Planned { regs, within: *within, first: true })
+    }
+
+    #[inline(always)]
+    unsafe fn row(
+        &mut self,
+        block: &Block,
+        prog: &EntryProgram,
+        e: &Entry,
+        t: i64,
+        (b, r): (i64, i64),
+    ) -> RowIs {
+        let (regs, head) = (&mut self.regs, prog.head);
+        regs[usize::from(ROW)] = t;
+        if !self.first {
+            // What the previous row loaded, before this row loads over it.
+            for (k, source) in block.sources.iter().enumerate().take(head) {
+                if let Source::Load { rolls: Some(a), .. } = source {
+                    regs[k] = regs[usize::from(*a)];
                 }
             }
-            let regs = &mut e.regs;
-            if i > from {
-                // What the previous row loaded, before this row loads over it.
-                for (k, source) in self.sources.iter().enumerate().take(head) {
-                    if let Source::Load { rolls: Some(a), .. } = source {
-                        regs[k] = regs[usize::from(*a)];
-                    }
+        }
+        for (k, source) in block.sources.iter().enumerate().take(head) {
+            regs[k] = match source {
+                Source::Row => r,
+                Source::Block => b,
+                Source::Load { rolls: Some(_), .. } if !self.first => continue,
+                Source::Load { .. } => {
+                    let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
+                    // SAFETY: the block's tests over the row put every
+                    // row's head load inside its storage.
+                    i64::from(unsafe { load.load(regs[usize::from(load.sel)]) })
                 }
+                _ => continue,
+            };
+        }
+        self.first = false;
+        let trips = prog.extent.eval(regs);
+        if trips.is_some_and(|trips| trips <= 0) {
+            return RowIs::Empty;
+        }
+        let Some(trips) = trips else { return RowIs::Unfit };
+        for (k, source) in block.sources.iter().enumerate() {
+            match source {
+                Source::Row if k >= head => regs[k] = r,
+                Source::Block if k >= head => regs[k] = b,
+                Source::Row | Source::Block | Source::Outer(_) => continue,
+                Source::Load { .. } | Source::Gathered { .. } if k >= head => {
+                    let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
+                    // SAFETY: a load after the head is tested as the
+                    // register its position reads (tested just before),
+                    // or over the row at the block's ends.
+                    regs[k] = i64::from(unsafe { load.load(regs[usize::from(load.sel)]) });
+                }
+                Source::Load { .. } | Source::Gathered { .. } => {}
             }
-            for (k, source) in self.sources.iter().enumerate().take(head) {
-                regs[k] = match source {
-                    Source::Row => r,
-                    Source::Block => b,
-                    Source::Load { rolls: Some(_), .. } if i > from => continue,
-                    Source::Load { .. } => {
-                        let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
-                        // SAFETY: the block's tests over the row put every
-                        // row's head load inside its storage.
-                        i64::from(unsafe { load.load(value(load.var, i, regs)) })
-                    }
-                    _ => continue,
-                };
+            let (lo, hi) = self.within[k];
+            if regs[k] < i64::from(lo) || regs[k] > i64::from(hi) {
+                return RowIs::Unfit;
             }
-            tally.entries += 1;
-            let trips = spec.entry.extent.eval(regs);
-            if trips.is_some_and(|trips| trips <= 0) {
+        }
+        RowIs::Trips(trips)
+    }
+
+    #[inline(always)]
+    fn get(&self, sel: u8) -> i64 {
+        self.regs[usize::from(sel)]
+    }
+}
+
+/// A CSR row ([`CsrRegs`]) in locals: one load of `next`, `cur` rolled
+/// over from the row before, one load of `col` at `cur`, and three
+/// interval compares.
+struct Csr {
+    next_at: Elem<i32>,
+    col_at: Option<Elem<i32>>,
+    /// `next`'s interval, `cur`'s and `col`'s.
+    within: [(i64, i64); 3],
+    /// The last row's `next`: this row's `cur`.
+    next: i64,
+    /// `[t, cur, col, 0]` at the row ([`CsrRegs::sel`]).
+    vals: [i64; 4],
+}
+
+impl Layout for Csr {
+    unsafe fn start(
+        block: &Block,
+        e: &Entry,
+        within: &[(i32, i32); MAX_REGS],
+        from: i64,
+    ) -> Option<Csr> {
+        let CsrRegs { next, cur, col } = block.csr?;
+        let load = |k: u8| e.loads[usize::from(k)];
+        let bound = |k: u8| {
+            let (lo, hi) = within[usize::from(k)];
+            (i64::from(lo), i64::from(hi))
+        };
+        let col_at = match col {
+            Some(col) => Some(load(col)?),
+            None => None,
+        };
+        // SAFETY: the block's tests over the row put `cur`'s position at
+        // its first row inside its storage.
+        let first = i64::from(unsafe { load(cur)?.load(from) });
+        Some(Csr {
+            next_at: load(next)?,
+            col_at,
+            within: [bound(next), bound(cur), col.map_or((i64::MIN, i64::MAX), bound)],
+            next: first,
+            vals: [0; 4],
+        })
+    }
+
+    #[inline(always)]
+    unsafe fn row(
+        &mut self,
+        _: &Block,
+        _: &EntryProgram,
+        _: &Entry,
+        t: i64,
+        _: (i64, i64),
+    ) -> RowIs {
+        let cur = self.next;
+        // SAFETY: the block's tests over the row put `next`'s position at
+        // every row inside its storage.
+        self.next = i64::from(unsafe { self.next_at.load(t) });
+        let trips = self.next - cur;
+        if trips <= 0 {
+            return RowIs::Empty;
+        }
+        let inside = |v: i64, (lo, hi): (i64, i64)| lo <= v && v <= hi;
+        if !inside(self.next, self.within[0]) || !inside(cur, self.within[1]) {
+            return RowIs::Unfit;
+        }
+        let col = match &self.col_at {
+            Some(at) => {
+                // SAFETY: `col`'s position is tested as `cur`, which passed.
+                let col = i64::from(unsafe { at.load(cur) });
+                if !inside(col, self.within[2]) {
+                    return RowIs::Unfit;
+                }
+                col
+            }
+            None => 0,
+        };
+        self.vals = [t, cur, col, 0];
+        RowIs::Trips(trips)
+    }
+
+    #[inline(always)]
+    fn get(&self, sel: u8) -> i64 {
+        // `sel < 4` ([`CsrRegs::sel`]): the mask only spares the bounds
+        // check.
+        self.vals[usize::from(sel) & 3]
+    }
+}
+
+/// One compiled row loop: rows `from..=to` of the block `begin` entered as
+/// `e`, each row's registers had as the layout `L` says, its aims resolved
+/// to `base + k·v` over what the row keeps, and its trips taken by the lane
+/// op's trip loop `T`, inlined. Returns how the block ended, having added
+/// what it did to `counts`.
+///
+/// # Safety
+/// `T` is the trip loop of the nest's lane op, with `SEG` on unless every
+/// operand `w` holds is a run; `w` and `e` are what `begin` aimed for the
+/// block on the frame and walk state of this launch, and `solved` what the
+/// launch solved for the nest.
+unsafe fn rows<L: Layout, T: TripFn>(
+    block: &Block,
+    prog: &EntryProgram,
+    e: &Entry,
+    solved: &Solved,
+    w: &mut Stepped,
+    (from, to): (i64, i64),
+    counts: &mut NestCounts,
+) -> Exit {
+    // SAFETY: `begin` made the block's tests over the row (the caller's
+    // contract).
+    let Some(mut row) = (unsafe { L::start(block, e, &solved.regs, from) }) else {
+        return Exit::Plain;
+    };
+    // The row's own slot and, in a split loop, its block's.
+    let per = block.per.unwrap_or(i64::MAX);
+    let (mut b, mut r) = (from / per, from % per);
+    let mut tally = NestCounts::default();
+    let mut exit = Exit::Done;
+    for i in from..=to {
+        if i > from {
+            r += 1;
+            if r == per {
+                (b, r) = (b + 1, 0);
+            }
+        }
+        tally.entries += 1;
+        // SAFETY: `i` is the block's next row.
+        let trips = match unsafe { row.row(block, prog, e, i, (b, r)) } {
+            RowIs::Empty => {
                 tally.blocked += 1;
                 continue;
             }
-            let mut fits = trips.is_some();
-            for (k, source) in self.sources.iter().enumerate() {
-                if !fits {
-                    break;
-                }
-                match source {
-                    Source::Row if k >= head => regs[k] = r,
-                    Source::Block if k >= head => regs[k] = b,
-                    Source::Row | Source::Block | Source::Outer(_) => continue,
-                    Source::Load { .. } | Source::Gathered { .. } if k >= head => {
-                        let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
-                        // SAFETY: a load after the head is tested as the
-                        // register its position reads (tested just before),
-                        // or over the row at the block's ends.
-                        regs[k] = i64::from(unsafe { load.load(value(load.var, i, regs)) });
-                    }
-                    Source::Load { .. } | Source::Gathered { .. } => {}
-                }
-                let (lo, hi) = within[k];
-                fits = i64::from(lo) <= regs[k] && regs[k] <= i64::from(hi);
-            }
-            let (true, Some(trips)) = (fits, trips) else {
-                // The row's trip 0 is the generic loop's.
+            RowIs::Unfit => {
                 tally.handovers += 1;
                 exit = Exit::Handover { row: i, done: 0, trips: None };
                 break;
-            };
-            w.trips = trips;
-            for k in 0..3 {
-                if let Some(aim) = &e.views[k] {
-                    w.ops[k].at = aim.lanes(value(aim.var, i, regs));
-                }
             }
-            if let Some(aim) = &e.views[3] {
-                w.coeff.at = aim.lanes(value(aim.var, i, regs));
-            }
-            w.gather = std::ptr::null_mut();
-            if let (Some(g), Some((reg, reach))) = (&e.gather, reach) {
-                (w.gather, w.g0, w.reach) = (g.at(value(g.var, i, regs)), regs[reg], reach);
-            }
-            if let Some(f) = &e.factor {
-                // SAFETY: the factor's position passed its tests.
-                w.factor = unsafe { f.load(value(f.var, i, regs)) };
-            }
-            #[cfg(debug_assertions)]
-            {
-                let (lo, hi) = w.reach;
-                let g0 = w.g0;
-                for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
-                    cursor.covers(trips, (lo.saturating_sub(g0), hi.saturating_sub(g0)));
-                }
-            }
-            // SAFETY: `w` holds this row's entry, every position it reads
-            // tested against the storage it is bound to; the loop for runs
-            // only is taken when every operand is one.
-            let stepped = unsafe { at.stepper[loop_of](w, first, rest) };
-            tally.blocked += 1;
-            tally.trips += trips as u64;
-            tally.stepped += stepped as u64;
-            if stepped < trips {
-                // A gathered value left the reach mid-row: the rest of the
-                // row is the generic loop's.
-                tally.handovers += 1;
-                exit = Exit::Handover { row: i, done: stepped, trips: Some(trips) };
-                break;
+            RowIs::Trips(trips) => trips,
+        };
+        w.trips = trips;
+        for (cursor, aim) in w.ops.iter_mut().zip(&e.ops) {
+            cursor.at = aim.lanes(row.get(aim.sel));
+        }
+        if let Some(aim) = &e.coeff {
+            w.coeff.at = aim.lanes(row.get(aim.sel));
+        }
+        w.gather = std::ptr::null_mut();
+        if let (Some(g), Some((g0, reach))) = (&e.gather, e.reach) {
+            (w.gather, w.g0, w.reach) = (g.at(row.get(g.sel)), row.get(g0), reach);
+        }
+        if let Some(f) = &e.factor {
+            // SAFETY: the factor's position passed its tests.
+            w.factor = unsafe { f.load(row.get(f.sel)) };
+        }
+        #[cfg(debug_assertions)]
+        {
+            let (lo, hi) = w.reach;
+            let g0 = w.g0;
+            for cursor in w.ops.iter_mut().chain([&mut w.coeff]) {
+                cursor.covers(trips, (lo.saturating_sub(g0), hi.saturating_sub(g0)));
             }
         }
-        counts.add(tally);
-        exit
+        // SAFETY: `w` holds this row's entry, every position it reads
+        // tested against the storage it is bound to; `T` is the loop for
+        // runs only when every operand is one (the caller's contract).
+        let stepped = unsafe { T::trips(w, solved.first, solved.rest) };
+        tally.blocked += 1;
+        tally.trips += trips as u64;
+        tally.stepped += stepped as u64;
+        if stepped < trips {
+            // A gathered value left the reach mid-row: the rest of the
+            // row is the generic loop's.
+            tally.handovers += 1;
+            exit = Exit::Handover { row: i, done: stepped, trips: Some(trips) };
+            break;
+        }
+    }
+    counts.add(tally);
+    exit
+}
+
+/// A block's row loop, compiled for one layout and one trip loop
+/// ([`rows`]).
+type RowLoop = unsafe fn(
+    &Block,
+    &EntryProgram,
+    &Entry,
+    &Solved,
+    &mut Stepped,
+    (i64, i64),
+    &mut NestCounts,
+) -> Exit;
+
+/// The row loops of a nest's lane op, `[layout][seg]`: for the [`Csr`] and
+/// the [`Planned`] layout, each with every operand a run (`SEG` off) and
+/// with some cut into column segments (`SEG` on). Picked once per launch,
+/// when the nest's walk state is established.
+pub(in crate::exec) struct RowLoops([[RowLoop; 2]; 2]);
+
+impl RowLoops {
+    /// The row loops over `Runs`, a lane op's trip loop for operands that
+    /// are every one a run, and `Segs`, the same loop for any operands.
+    pub(in crate::exec) fn of<Runs: TripFn, Segs: TripFn>() -> RowLoops {
+        RowLoops([
+            [rows::<Csr, Runs>, rows::<Csr, Segs>],
+            [rows::<Planned, Runs>, rows::<Planned, Segs>],
+        ])
     }
 }

@@ -69,7 +69,17 @@
 //! attention's running-maximum and `exp(a − b)` lane ops at one and three
 //! heads, NaN / ±inf / ±`f32::MAX` operands included (finite ones also
 //! against an `f64` oracle), and a column out of reach mid-row handed to
-//! the generic loop at the right trip.
+//! the generic loop at the right trip. Its `csr_rows` members run the CSR
+//! row loop — a row's `indptr`, position and column in locals, `cur`
+//! rolled over from the row before — on the served SpMM, the one-level
+//! SpMM and the one-head SDDMM: a block's first row against later ones,
+//! a roll across an empty row and across a decreasing `indptr`, a `cur`
+//! that fails its interval after an empty row, a column leaving the reach
+//! mid-row in the launch's last row, the `blockIdx` split with a tail
+//! guard, the column-segmented batch of eight, and zero and one rows —
+//! every case one outcome with the interpreter, error text and written
+//! prefix included, and every well-formed one within the `f64` oracle's
+//! bound.
 //!
 //! A seventh, `lane_term`, crosses all seven term shapes with all four
 //! init kinds, NaN and ±Inf operands included, under a serial loop and
@@ -3037,4 +3047,213 @@ fn row_blocks_bit_match_on_segmented_batches() {
     let rows_cut =
         [Part::new("B", None, vec![seg; 8], &mut rng), Part::output("C", a.rows(), vec![feat])];
     assert_eq!(views_differential(&f, &structure, &rows_cut), [None, None]);
+}
+
+// ---------------------------------------------------------------------------
+// Family 6g: the CSR row loop
+// ---------------------------------------------------------------------------
+
+/// The layout of every row block in `f`'s fused listing, in order.
+fn row_layouts(f: &PrimFunc) -> Vec<String> {
+    let listing = CompiledKernel::compile(f).unwrap().disassemble();
+    let rows = listing.lines().filter(|l| l.contains("  rows "));
+    rows.map(|l| l.rsplit_once("layout=").map_or("none", |(_, layout)| layout).to_string())
+        .collect()
+}
+
+/// `lens` as a CSR matrix over `cols` columns.
+fn csr_of(lens: &[usize], cols: usize, rng: &mut SmallRng) -> Csr {
+    let mut next = lens.iter().copied();
+    gen::random_csr_with_row_lengths(lens.len(), cols, |_| next.next().unwrap(), rng)
+}
+
+/// The CSR row loops at width `d` over `a`, each with its tensors — the
+/// output pre-filled with `fill` (9.0 makes a written prefix show; an
+/// empty row writes nothing): the served SpMM
+/// (rows split into `blockIdx` blocks of four, a tail guard when four does
+/// not divide them), the one-level SpMM row loop, and the one-head SDDMM.
+fn csr_loops(
+    a: &Csr,
+    (d, fill): (usize, f32),
+    rng: &mut SmallRng,
+) -> Vec<(&'static str, PrimFunc, HashMap<String, TensorData>)> {
+    let (served, structure) = served_spmm(a, d);
+    let mut spmm = spmm_tensors(a, d, fill, rng);
+    spmm.extend(structure);
+    let mut sddmm = csr_tensors(a);
+    bind_dense(&mut sddmm, "X", &gen::random_dense(a.rows(), d, rng));
+    bind_dense(&mut sddmm, "Y", &gen::random_dense(d, a.cols(), rng));
+    sddmm.insert("Bout".to_string(), TensorData::from(vec![fill; a.nnz()]));
+    vec![
+        ("served spmm", served, spmm.clone()),
+        ("spmm", csr_spmm_ir(a, d).unwrap(), spmm),
+        ("sddmm", batched_sddmm_ir(a, 1, d).unwrap(), sddmm),
+    ]
+}
+
+/// Set `buf[at] = value` in `tensors`' `i32` buffer `buf`.
+fn poke(tensors: &mut HashMap<String, TensorData>, (buf, at, value): (&str, usize, i32)) {
+    let TensorData::I32(slab) = tensors.get_mut(buf).unwrap() else { unreachable!("{buf}") };
+    slab[at] = value;
+}
+
+/// Every CSR row loop of [`csr_loops`] at widths 1, 4 and 17, its row
+/// blocks on the `csr` layout, with `pokes` made to its structure: one
+/// outcome on the interpreter and both executor builds — an error whose
+/// text contains `says` (the same text, the same written prefix), or
+/// success with every bit equal. Well-formed (`pokes` empty), every output
+/// is also within the `f64` oracle's bound, and a block takes every row
+/// and steps every trip.
+fn csr_rows_case(a: &Csr, pokes: &[(&str, usize, i32)], says: Option<&str>, what: &str) {
+    let mut rng = gen::rng(0x74);
+    for d in [1usize, 4, 17] {
+        let fill = if pokes.is_empty() { 0.0 } else { 9.0 };
+        for (name, f, mut tensors) in csr_loops(a, (d, fill), &mut rng) {
+            let what = format!("{what}: {name}, d = {d}");
+            if a.rows() > 1 {
+                let layouts = row_layouts(&f);
+                assert!(!layouts.is_empty() && layouts.iter().all(|l| l == "csr"), "{what}");
+            }
+            pokes.iter().for_each(|&p| poke(&mut tensors, p));
+            match (agree(&f, &tensors), says) {
+                (Some(msg), Some(says)) => assert!(msg.contains(says), "{what}: {msg}"),
+                (None, None) => {}
+                other => panic!("{what}: {other:?}"),
+            }
+            if !pokes.is_empty() {
+                continue;
+            }
+            let t = interpreted(&f, &tensors, &[]);
+            let oracle = match name {
+                "sddmm" => oracle::sddmm_f64(a, t["X"].as_f32(), t["Y"].as_f32(), d),
+                _ => oracle::spmm_f64(a, t["B"].as_f32(), d),
+            };
+            let out = if name == "sddmm" { "Bout" } else { "C" };
+            oracle.check(t[out].as_f32()).unwrap_or_else(|m| panic!("{what}: {m}"));
+            let counts = block_counts(&f, &tensors);
+            assert_eq!(counts.entries, a.rows() as u64, "{what}: {counts:?}");
+            assert_stepped(counts, a.nnz() as u64, &what);
+        }
+    }
+}
+
+/// A block's first row loads `cur`; every later row takes the `next` of
+/// the row before — across an empty row, across a row whose `indptr`
+/// decreases (an empty row, then one starting further back), and across
+/// the block boundaries of the served schedule.
+#[test]
+fn csr_rows_roll_cur_from_the_row_before() {
+    let mut rng = gen::rng(0x75);
+    for lens in [&[3usize, 0, 2, 0, 0, 4, 1, 0, 2][..], &[0, 2, 0, 1, 3, 0], &[2, 2, 2, 2, 1]] {
+        let a = csr_of(lens, 9, &mut rng);
+        csr_rows_case(&a, &[], None, &format!("rows {lens:?}"));
+    }
+    let a = csr_of(&[2, 3, 1, 4, 2, 3], 9, &mut rng);
+    let at = |r: usize| i32::try_from(a.indptr()[r]).unwrap();
+    // Row 2 ends before it starts; row 3 starts at row 2's start.
+    csr_rows_case(&a, &[("J_indptr", 3, at(2))], None, "decreasing mid-launch");
+    // Row 4 ends at row 1's start: rows 4 and 5 roll back across it.
+    csr_rows_case(&a, &[("J_indptr", 5, at(1))], None, "decreasing two rows back");
+    // The launch's last row is empty by a decrease.
+    csr_rows_case(&a, &[("J_indptr", 6, at(5) - 1)], None, "decreasing at the end");
+}
+
+/// `cur` outside its interval on the row after an empty one — negative,
+/// and at the end of the index buffer (where `next`, one past it, fails
+/// too) — and at the launch's first row, which loads it: the row goes to
+/// the generic loop at trip 0, which fails as the interpreter does.
+#[test]
+fn csr_rows_cur_fails_its_interval_after_an_empty_row() {
+    let mut rng = gen::rng(0x76);
+    let a = csr_of(&[2, 3, 1, 4, 2, 3], 9, &mut rng);
+    let nnz = i32::try_from(a.nnz()).unwrap();
+    // Row 2 ends at -3, before it starts: empty. Row 3 starts at -3.
+    csr_rows_case(&a, &[("J_indptr", 3, -3)], Some("out of bounds"), "negative after empty");
+    // Rows 3 and 4 start at `nnz`: row 3 is empty, row 4 one trip long.
+    let past = [("J_indptr", 3, nnz), ("J_indptr", 4, nnz), ("J_indptr", 5, nnz + 1)];
+    csr_rows_case(&a, &past, Some("out of bounds"), "past the indices after empty");
+    csr_rows_case(&a, &[("J_indptr", 0, -1)], Some("out of bounds"), "negative first row");
+}
+
+/// A column that leaves the operand in the middle of the launch's last
+/// row: the row's first trips are written, the failing trip goes to the
+/// generic loop, which fails as the interpreter does.
+#[test]
+fn csr_rows_column_leaves_the_reach_mid_row_in_the_last_row() {
+    let mut rng = gen::rng(0x77);
+    let a = csr_of(&[2, 0, 3, 1, 5], 9, &mut rng);
+    let (cols, mid) = (i32::try_from(a.cols()).unwrap(), a.indptr()[4] + 2);
+    for (value, what) in [(cols, "past the operand"), (-1, "negative")] {
+        csr_rows_case(&a, &[("J_indices", mid, value)], Some("out of bounds"), what);
+    }
+}
+
+/// The served schedule's `blockIdx` split with a tail guard: rows 9, 10
+/// and 11 (one, two and three rows past the last full block of four), with
+/// empty rows at the blocks' edges, and a `cur` that fails in the tail.
+#[test]
+fn csr_rows_split_with_a_tail_guard() {
+    let mut rng = gen::rng(0x78);
+    for lens in [
+        &[1usize, 0, 2, 0, 0, 3, 1, 0, 2][..],
+        &[0, 2, 1, 3, 0, 0, 2, 1, 4, 0],
+        &[3, 1, 0, 0, 2, 1, 1, 0, 0, 2, 0],
+    ] {
+        let a = csr_of(lens, 9, &mut rng);
+        let (served, _) = served_spmm(&a, 4);
+        let listing = CompiledKernel::compile(&served).unwrap().disassemble();
+        assert!(listing.contains("br.false"), "the tail guard\n{listing}");
+        csr_rows_case(&a, &[], None, &format!("rows {lens:?}"));
+        let tail = lens.len() - 1;
+        let pokes = [("J_indptr", tail - 1, 1), ("J_indptr", tail, -1)];
+        csr_rows_case(&a, &pokes, Some("out of bounds"), &format!("rows {lens:?}, bad tail"));
+    }
+}
+
+/// The column-segmented batch of eight (`SEG` on): `B` and `C` cut into
+/// eight column segments of unequal widths, a lane run crossing them —
+/// well-formed, with a decreasing `indptr`, and with a `cur` that fails
+/// after an empty row: interpreter ≡ generic ≡ fused, whole and segmented.
+#[test]
+fn csr_rows_segmented_batch_of_eight() {
+    let mut rng = gen::rng(0x79);
+    let a = csr_of(&[5, 0, 1, 3, 2, 0, 6, 1, 1, 4, 0, 2, 7], 20, &mut rng);
+    let widths: Vec<usize> = (0..8).map(|i| 2 + i / 2 % 2).collect();
+    let feat: usize = widths.iter().sum();
+    let (f, structure) = served_spmm(&a, feat);
+    assert_eq!(row_layouts(&f), ["csr", "csr"]);
+    let parts = [
+        Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
+        Part::output("C", a.rows(), widths.clone()),
+    ];
+    assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    let t = interpreted(&f, &structure, &parts);
+    oracle::spmm_f64(&a, t["B"].as_f32(), feat).check(t["C"].as_f32()).unwrap();
+    let (counts, _) = view_launch(&f, &structure, &parts);
+    assert_eq!(counts.entries, a.rows() as u64, "{counts:?}");
+    assert_stepped(counts, a.nnz() as u64, "column segments");
+
+    let at = |r: usize| i32::try_from(a.indptr()[r]).unwrap();
+    for (pokes, says) in
+        [(vec![("J_indptr", 5, at(3))], None), (vec![("J_indptr", 6, -4)], Some("out of bounds"))]
+    {
+        let mut bad = structure.clone();
+        pokes.into_iter().for_each(|p| poke(&mut bad, p));
+        let got = views_differential(&f, &bad, &parts);
+        match says {
+            Some(says) => assert!(got.iter().all(|e| e.as_ref().is_some_and(|e| e.contains(says)))),
+            None => assert_eq!(got, [None, None]),
+        }
+    }
+}
+
+/// No rows, and one row (no loop: the nest's block of one entry takes it,
+/// on the `planned` layout), empty or not.
+#[test]
+fn csr_rows_zero_and_one_row() {
+    let mut rng = gen::rng(0x7a);
+    for lens in [&[][..], &[0], &[4]] {
+        let a = csr_of(lens, 9, &mut rng);
+        csr_rows_case(&a, &[], None, &format!("rows {lens:?}"));
+    }
 }

@@ -27,6 +27,14 @@
 //! middle of a block, and a column past the operand in the guarded tail.
 //! The row that fails a block's test goes to the generic loop behind the
 //! nest: the same error text and written prefix.
+//! The `csr_rows` cases do it to the CSR row loop, which rolls `cur` over
+//! from the row before: a `cur` that fails its interval after an empty row
+//! and at the launch's first row, and a roll across a decreasing `indptr`.
+//! The `integer_arithmetic` cases are a quotient that overflows (a typed
+//! error with one text on all three executors, never a panic, and no
+//! compile-time fold) and `+ − *` past `i64` (wrapping, everywhere); the
+//! `row_nests` case multiplies a reduce binding by `i64::MIN`, whose
+//! wrapped values restart the init mid-row, so no block takes the nest.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -267,7 +275,7 @@ mod row_nests {
 
     /// The default (`blockIdx`-bound) CSR SpMM schedule at width `d`, its
     /// row loop a nest, with hand-written structure tensors.
-    fn spmm(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
+    pub(super) fn spmm(d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
         // Only the dimensions of `a` reach the IR.
         let indptr = INDPTR.iter().map(|&p| p as usize).collect();
         let sorted = vec![0, 3, 2, 1, 2, 4, 1, 3, 5];
@@ -290,7 +298,11 @@ mod row_nests {
     /// Interpreter, all-generic bytecode and the nest: one outcome — an
     /// error whose text contains `says`, or success for `None` — and `C`
     /// element for element the interpreter's, which is returned.
-    fn agrees(f: &PrimFunc, tensors: &HashMap<String, TensorData>, says: Option<&str>) -> Vec<f32> {
+    pub(super) fn agrees(
+        f: &PrimFunc,
+        tensors: &HashMap<String, TensorData>,
+        says: Option<&str>,
+    ) -> Vec<f32> {
         let mut want = tensors.clone();
         let err = eval_func(f, &HashMap::new(), &mut want).err().map(|e| e.to_string());
         let err = err.as_deref().map(|e| e.strip_prefix("interpreter error: ").expect("prefix"));
@@ -397,6 +409,43 @@ mod row_nests {
         let TensorData::F32(a) = t.get_mut("A").unwrap() else { unreachable!() };
         a.truncate(7);
         fails_identically(&f, &t, "flat index 7 out of bounds (len 7) in buffer `A`");
+    }
+
+    /// Every reduce binding under `s` times `by`.
+    fn scale_reduce(s: &mut Stmt, by: i64) {
+        use sparsetir_ir::stmt::IterKind;
+        match s {
+            Stmt::For { body, .. } | Stmt::Let { body, .. } | Stmt::Allocate { body, .. } => {
+                scale_reduce(body, by);
+            }
+            Stmt::Block(b) => {
+                for iv in b.iter_vars.iter_mut().filter(|iv| iv.kind == IterKind::Reduce) {
+                    iv.binding = iv.binding.clone() * Expr::i32(by);
+                }
+                scale_reduce(&mut b.body, by);
+            }
+            Stmt::Seq(stmts) => stmts.iter_mut().for_each(|s| scale_reduce(s, by)),
+            Stmt::IfThenElse { then_branch, else_branch, .. } => {
+                scale_reduce(then_branch, by);
+                if let Some(e) = else_branch {
+                    scale_reduce(e, by);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn reduce_binding_times_i64_min_wraps_as_the_interpreter_does() {
+        // `j · i64::MIN` wraps to 0 at every even trip, so the init fires
+        // there again: row 3 (three trips) keeps only its last term. A
+        // block would take the row with the init decided once, so the
+        // launch must not solve one (`|step|` must not wrap either).
+        let (mut f, t) = spmm(4);
+        scale_reduce(&mut f.body, i64::MIN);
+        let c = agrees(&f, &t, None);
+        let last_term = 0.5 * (5.0 - 7.0) * 0.125 * (4.0 * 4.0 - 7.0);
+        assert_eq!(c[3 * 4], last_term, "row 3 restarted at its last trip: {c:?}");
     }
 
     #[test]
@@ -904,6 +953,120 @@ mod allocation {
             let mut t = fresh();
             let got = exec_func(&f, &HashMap::new(), &mut t).unwrap_err().to_string();
             assert_eq!(got.strip_prefix("executor error: "), Some(want), "exec_func");
+        }
+    }
+}
+
+mod csr_rows {
+    use super::row_nests::{agrees, spmm};
+    use super::*;
+
+    /// The fixture's row loop runs on the CSR layout, its row pointer
+    /// poked: `indptr[at] = value`.
+    fn poked(d: usize, at: usize, value: i32) -> (PrimFunc, HashMap<String, TensorData>) {
+        let (f, mut t) = spmm(d);
+        let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+        assert!(listing.contains("layout=csr"), "{listing}");
+        let TensorData::I32(ptr) = t.get_mut("J_indptr").unwrap() else { unreachable!() };
+        ptr[at] = value;
+        (f, t)
+    }
+
+    #[test]
+    fn csr_rows_cur_fails_its_interval_after_an_empty_row() {
+        // Row 4 ends at -1, before it starts: empty. Row 5 rolls `cur` =
+        // -1 over from it and fails its test: the generic loop takes row 5
+        // at trip 0 and fails there, rows 0 to 4 written, row 5 not.
+        for d in [4, 64] {
+            let (f, t) = poked(d, 5, -1);
+            let c = agrees(&f, &t, Some("out of bounds"));
+            let (row, last) = (c.len() / 6, &c[5 * (c.len() / 6)..]);
+            assert!(last.iter().all(|&c| c == 9.0), "row 5 untouched: {last:?}");
+            assert!(c[3 * row..4 * row].iter().all(|&c| c != 9.0), "row 3 written: {c:?}");
+        }
+    }
+
+    #[test]
+    fn csr_rows_cur_fails_its_interval_at_the_first_row() {
+        // The launch's first row loads `cur` = -1: nothing is written.
+        let (f, t) = poked(4, 0, -1);
+        let c = agrees(&f, &t, Some("out of bounds"));
+        assert!(c.iter().all(|&c| c == 9.0), "nothing written: {c:?}");
+    }
+
+    #[test]
+    fn csr_rows_roll_across_a_decreasing_row_pointer() {
+        // `indptr[4] = 2 < indptr[3]`: row 3 is empty, row 4 rolls `cur` =
+        // 2 over from it and takes positions 2..6 — no error anywhere.
+        let (f, t) = poked(4, 4, 2);
+        let c = agrees(&f, &t, None);
+        assert!(c[3 * 4..4 * 4].iter().all(|&c| c == 9.0), "row 3 untouched: {c:?}");
+        assert!(c[4 * 4..5 * 4].iter().all(|&c| c != 9.0), "row 4 written: {c:?}");
+    }
+}
+
+mod integer_arithmetic {
+    use super::*;
+
+    /// `C[idx] = 1` over a four-element `C`.
+    fn store_at(idx: Expr) -> PrimFunc {
+        let c = Buffer::global_f32("C", vec![Expr::i32(4)]);
+        let body =
+            Stmt::BufferStore { buffer: c.clone(), indices: vec![idx], value: Expr::f32(1.0) };
+        PrimFunc::new("store_at", vec![], vec![c], body)
+    }
+
+    /// The interpreter and both executor builds fail `f` with `says`; the
+    /// compilations succeed (nothing is folded that would overflow).
+    fn fails_everywhere(f: &PrimFunc, says: &str) {
+        let tensors = || {
+            let mut t = HashMap::new();
+            t.insert("C".to_string(), TensorData::from(vec![0.0f32; 4]));
+            t
+        };
+        let err = eval_func(f, &HashMap::new(), &mut tensors()).unwrap_err().to_string();
+        assert_eq!(err.strip_prefix("interpreter error: "), Some(says), "{err}");
+        for fuse in [false, true] {
+            let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
+            let err = kernel.run(&HashMap::new(), &mut tensors()).unwrap_err().to_string();
+            assert_eq!(err.strip_prefix("executor error: "), Some(says), "fuse = {fuse}: {err}");
+        }
+    }
+
+    #[test]
+    fn quotient_overflow_is_an_error_on_every_executor() {
+        let (min, minus_one) = (Expr::i32(i64::MIN), Expr::i32(-1));
+        fails_everywhere(
+            &store_at((min.clone() / minus_one.clone()) % 4),
+            "integer division overflow",
+        );
+        fails_everywhere(&store_at(min % minus_one), "integer remainder overflow");
+    }
+
+    #[test]
+    fn integer_arithmetic_wraps_on_every_executor() {
+        // `i64::MAX + 1` wraps to `i64::MIN`, `i64::MIN · 2` to 0 and
+        // `i64::MIN − 1` to `i64::MAX`: the stores land at 0, 0 and 3.
+        let big = |v: i64| Expr::i32(v);
+        for (idx, at) in [
+            ((big(i64::MAX) + 1) % 4, 0usize),
+            (big(i64::MIN) * 2, 0),
+            ((big(i64::MIN) - 1) % 4, 3),
+        ] {
+            let f = store_at(idx);
+            let mut want = HashMap::new();
+            want.insert("C".to_string(), TensorData::from(vec![0.0f32; 4]));
+            eval_func(&f, &HashMap::new(), &mut want).unwrap();
+            assert_eq!(want["C"].as_f32()[at], 1.0);
+            for fuse in [false, true] {
+                let mut got = HashMap::new();
+                got.insert("C".to_string(), TensorData::from(vec![0.0f32; 4]));
+                CompiledKernel::compile_with(&f, fuse)
+                    .unwrap()
+                    .run(&HashMap::new(), &mut got)
+                    .unwrap();
+                assert_eq!(got["C"].as_f32(), want["C"].as_f32(), "fuse = {fuse}");
+            }
         }
     }
 }

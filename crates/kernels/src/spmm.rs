@@ -495,6 +495,13 @@ mod crosscheck_tests {
         listing
     }
 
+    /// The layout of every row block of `listing`, in order (`layout=` on
+    /// its `rows` line).
+    fn layouts(listing: &str) -> Vec<&str> {
+        let rows = listing.lines().filter(|l| l.contains("  rows "));
+        rows.map(|l| l.rsplit_once("layout=").map_or("none", |(_, layout)| layout)).collect()
+    }
+
     /// [`assert_fast_path`] after launching `f` on whole tensors.
     fn launch_blocked(
         f: &PrimFunc,
@@ -524,7 +531,9 @@ mod crosscheck_tests {
     /// hoist, and its two gathers (row id, column) do not fit one nest. A
     /// schedule change that silently drops back to a prologue per non-zero,
     /// or a binding kind a block does not cover, fails here, not only in
-    /// `stbench`.
+    /// `stbench`. Every CSR row loop runs on the `csr` layout (its
+    /// `indptr`, position and column in locals); SAGE's transform and
+    /// `hyb`'s buckets, whose trip counts are constants, on `planned`.
     #[test]
     fn served_kernels_keep_their_row_nests() {
         let power_law = |rows: usize| {
@@ -558,6 +567,8 @@ mod crosscheck_tests {
                 let what = format!("csr, {rows} rows, d = {d}");
                 let l = launch_blocked(&f, &mut tensors, want, &what);
                 assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+                // The split loop and the loop of four rows it holds.
+                assert_eq!(layouts(&l), ["csr", "csr"], "{l}");
                 assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
                 assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
             }
@@ -574,7 +585,8 @@ mod crosscheck_tests {
                 let kernel = spec.compile_on(&rt).unwrap();
                 assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
                 let what = format!("csr views, {rows} rows, batch of {batch}");
-                assert_fast_path(&kernel, want, &what);
+                let l = assert_fast_path(&kernel, want, &what);
+                assert_eq!(layouts(&l), ["csr", "csr"], "{l}");
             }
         }
 
@@ -600,6 +612,10 @@ mod crosscheck_tests {
         assert_eq!(nests(&l, "nest.axpy"), wide.len(), "{l}");
         assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
         assert_eq!(lane_loops_outside_a_nest(&l), narrow.len(), "only width-1 buckets\n{l}");
+        // A bucket's rows have a constant trip count (its width), no row
+        // pointer: the rows run on `planned`.
+        let planned = layouts(&l);
+        assert!(!planned.is_empty() && planned.iter().all(|l| *l == "planned"), "{l}");
 
         let (rows, nnz) = (a.rows() as u64, a.nnz() as u64);
         for riders in [1usize, 3] {
@@ -622,6 +638,7 @@ mod crosscheck_tests {
             let what = format!("sddmm, {riders} riders");
             let l = assert_fast_path(&kernel, (riders * rows, riders * nnz), &what);
             assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+            assert_eq!(layouts(&l), ["csr"], "{l}");
             assert!(!l.contains("bsearch"), "row-shaped, no row recovery\n{l}");
             assert!(l.contains("gather=@"), "{l}");
         }
@@ -637,6 +654,7 @@ mod crosscheck_tests {
         let f = crate::sddmm::sddmm_ir(&a, k).unwrap();
         let l = launch_blocked(&f, &mut tensors, (rows, nnz), "sddmm_ir");
         assert_eq!((nests(&l, "nest.gsa"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
+        assert_eq!(layouts(&l), ["csr"], "{l}");
 
         // Fused attention: all five passes are nests entered once per row
         // and head — the score the SDDMM's, the softmax's running maximum,
@@ -665,6 +683,7 @@ mod crosscheck_tests {
             assert_eq!(softmax, [1, 1, 2], "the partition sum and the aggregation\n{l}");
             assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
             assert!(l.contains("coeff=+1/row"), "the walked ratio\n{l}");
+            assert_eq!(layouts(&l), ["csr"; 5], "{l}");
         }
 
         // Fused SAGE: the gather is a row nest over each row's neighbours,
@@ -681,6 +700,8 @@ mod crosscheck_tests {
         let l = assert_fast_path(&kernel, want, "sage");
         assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (2, 0), "{l}");
         assert!(l.contains("coeff=+1*row"), "the walked product\n{l}");
+        // The transform's trip count is the constant `feat`, no row pointer.
+        assert_eq!(layouts(&l), ["csr", "planned"], "{l}");
     }
 
     /// The compiled executor must agree bit-for-bit with the reference
