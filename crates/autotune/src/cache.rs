@@ -20,7 +20,8 @@ pub struct TuneKey {
     pub workload: &'static str,
     /// Evaluation backend (`"gpusim"` or `"measured"`).
     pub backend: &'static str,
-    /// `GpuSpec::device_id` of the device tuned for.
+    /// `GpuSpec::device_id` of the device tuned for, or `"host"` for a
+    /// decision timed on the machine that serves.
     pub device: &'static str,
     /// Extra workload parameters (feature width, heads, …).
     pub extra: Vec<usize>,

@@ -9,10 +9,9 @@
 //!   SpMM, SDDMM and block-sparse attention all tune through, with
 //!   parallel trial evaluation across OS threads;
 //! * two evaluator backends — the GPU **simulator** (cheap pruning pass)
-//!   and a **measured** backend ([`SpmmMeasuredEvaluator`]) that lowers
-//!   each candidate, compiles it through the slot-compiled
-//!   `ir::exec::Runtime`, and wall-clock-times real executions with
-//!   warmup/repeat control;
+//!   and a **measured** backend ([`SpmmMeasuredEvaluator`]) that
+//!   wall-clock-times each candidate's whole served launch on an
+//!   `ir::exec::Runtime` with warmup/repeat control;
 //! * a [`TuneCache`] keyed by a structural [`SparsityFingerprint`] (rows,
 //!   cols, nnz, degree histogram), so repeated tunes of the same matrix
 //!   hit cache with zero recompilation — the amortization the paper
@@ -20,12 +19,15 @@
 //!
 //! The typed tuners below (`tune_spmm`, `tune_sddmm`,
 //! `tune_attention_block`) each search a space priced by
-//! `sparsetir-plans` and cache the winner by fingerprint. One op's
-//! *executable* kernel reads such a decision — SpMM's — and
-//! [`sim_spmm_config`] is the search the serving engine runs for it: this
-//! crate, not the engine, names the simulated device. (GPU-only schedule
-//! spaces — SDDMM's, the attention block size, the RGMS bucket exponent —
-//! change no executable kernel and are priced for the paper figures only.)
+//! `sparsetir-plans` and cache the winner by fingerprint; they draw the
+//! paper figures. One op's *executable* kernel reads a decision —
+//! SpMM's — and the serving engine takes it on the machine that serves:
+//! [`SpmmMeasuredEvaluator::decide`] times the whole launch of each
+//! [`spmm_shortlist`] config and [`pick_spmm`] keeps CSR unless a
+//! challenger beats it by more than [`CHALLENGER_MARGIN`], filed under
+//! [`measured_spmm_key`]. (GPU-only schedule spaces — SDDMM's, the
+//! attention block size, the RGMS bucket exponent — change no executable
+//! kernel and are priced for the paper figures only.)
 
 #![warn(missing_docs)]
 
@@ -37,7 +39,8 @@ pub mod space;
 pub use cache::{SparsityFingerprint, TuneCache, TuneKey};
 pub use engine::{tune, Evaluator, ListSpace, SearchSpace, Trial, TuneOutcome};
 pub use evaluate::{
-    AttentionSimEvaluator, MeasureOpts, SddmmSimEvaluator, SpmmMeasuredEvaluator, SpmmSimEvaluator,
+    pick_spmm, spmm_shortlist, AttentionSimEvaluator, MeasureOpts, SddmmSimEvaluator,
+    SpmmMeasuredEvaluator, SpmmSimEvaluator, CHALLENGER_MARGIN,
 };
 pub use space::{col_part_candidates, schedule_candidates, AttentionSpace, SddmmSpace, SpmmSpace};
 // The configuration types the searches range over live with the kernels
@@ -139,9 +142,9 @@ fn tune_key(
 }
 
 /// The simulator search over SpMM's joint format × schedule space at
-/// feature width `feat` — the one body behind [`tune_spmm`],
-/// [`tune_spmm_measured`]'s pruning pass and [`sim_spmm_config`]. `None`
-/// when no candidate is feasible.
+/// feature width `feat` — the one body behind [`tune_spmm`] and
+/// [`tune_spmm_measured`]'s pruning pass. `None` when no candidate is
+/// feasible.
 fn search_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> Option<TuneOutcome<SpmmConfig>> {
     tune(&SpmmSpace::joint(a), &SpmmSimEvaluator::new(spec, a, feat.max(1)))
 }
@@ -169,40 +172,28 @@ pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
     r
 }
 
-/// The SpMM configuration a tuned *served* launch on `a` runs under: the
-/// winner of [`tune_spmm`]'s search on the V100 model at feature width
-/// `feat`, or the untuned default when no candidate is feasible. Uncached
-/// — the serving engine files the decision in its own [`TuneCache`] under
-/// [`sim_spmm_key`]. A GPU cost model scheduling a CPU executor is
-/// ROADMAP 5(b)'s to replace; until then the device is named here, once,
-/// and nowhere in the engine.
+/// Where a served SpMM decision taken under the tuning anchor `anchor` is
+/// cached: one key per adjacency, whatever the request width (the
+/// decision is timed at the triggering request's width and reused for all
+/// — the §2 amortization trade), on the `"host"` that serves.
 #[must_use]
-pub fn sim_spmm_config(a: &Csr, feat: usize) -> SpmmConfig {
-    search_spmm(&GpuSpec::v100(), a, feat).map_or_else(SpmmConfig::default, |o| o.best.candidate)
-}
-
-/// Where a [`sim_spmm_config`] decision taken under the tuning anchor
-/// `anchor` is cached: one key per adjacency, whatever the request width
-/// (the search runs at the triggering request's width and the winner is
-/// reused for all — the §2 amortization trade).
-#[must_use]
-pub fn sim_spmm_key(anchor: &SparsityFingerprint) -> TuneKey {
+pub fn measured_spmm_key(anchor: &SparsityFingerprint) -> TuneKey {
     TuneKey {
         workload: SpmmOp::kind(),
-        backend: "gpusim",
-        device: GpuSpec::v100().device_id(),
+        backend: "measured",
+        device: "host",
         extra: vec![],
         fingerprint: anchor.clone(),
     }
 }
 
 /// Two-phase measured tuning for SpMM: the simulator prunes the joint
-/// space to a shortlist, then the measured evaluator compiles each
-/// survivor through `ir::exec::Runtime` and wall-clock-times real
-/// executions. The untuned default CSR schedule is always measured too, so
-/// the winner's measured time never exceeds the untuned baseline. Cached
-/// by sparsity fingerprint: a second tune of the same matrix performs zero
-/// new kernel compilations.
+/// space to a shortlist, then the measured evaluator wall-clock-times each
+/// survivor's whole launch on the global `ir::exec::Runtime`. The untuned
+/// default CSR schedule is always measured too, so the winner's measured
+/// time never exceeds the untuned baseline. Cached by sparsity
+/// fingerprint: a second tune of the same matrix performs zero new kernel
+/// compilations.
 #[must_use]
 pub fn tune_spmm_measured(
     spec: &GpuSpec,
@@ -226,7 +217,8 @@ pub fn tune_spmm_measured(
             shortlist.push(default);
         }
         // Phase 2: wall-clock measurement through the compiled executor.
-        let evaluator = SpmmMeasuredEvaluator::new(a, feat, opts);
+        let rt = sparsetir_ir::exec::Runtime::global();
+        let evaluator = SpmmMeasuredEvaluator::new(rt, a, feat, opts);
         let measured = tune(&ListSpace(shortlist), &evaluator)
             .expect("the default CSR schedule always measures");
         let default_seconds = measured
@@ -374,19 +366,50 @@ mod tests {
         assert!(!functional_check_spmm(&a, 24, &broken));
     }
 
-    /// What the serving engine launches under is [`tune_spmm`]'s V100
-    /// decision (`engine_serving::the_engines_decision_is_the_tuners` is
-    /// the other half), and the default when nothing is feasible cannot
-    /// happen on a matrix with a column.
+    /// The served decision rule on synthetic timings: CSR is the
+    /// incumbent, a challenger needs more than [`CHALLENGER_MARGIN`], and
+    /// a failed launch is never the answer.
     #[test]
-    fn sim_spmm_config_is_the_tuners_decision() {
-        let a = power_law(700, 37);
-        let tuned = tune_spmm(&GpuSpec::v100(), &a, 8).config;
-        assert_eq!(sim_spmm_config(&a, 8), tuned);
-        assert!(tuned.col_parts.is_some(), "skewed: not the default by accident");
-        let key = sim_spmm_key(&SparsityFingerprint::of(&a));
-        assert_eq!((key.workload, key.backend, key.device), ("spmm", "gpusim", "V100"));
-        assert!(key.extra.is_empty(), "one decision per adjacency, whatever the width");
+    fn the_served_rule_keeps_csr_unless_a_challenger_wins_by_the_margin() {
+        let [csr, hyb1, hyb2] = spmm_shortlist();
+        let pick = |t: [Option<f64>; 3]| pick_spmm(&[(csr, t[0]), (hyb1, t[1]), (hyb2, t[2])]);
+        let within = 1.0 - CHALLENGER_MARGIN / 2.0;
+        let beyond = 1.0 - 2.0 * CHALLENGER_MARGIN;
+        assert_eq!(pick([Some(1.0), Some(within), Some(2.0)]), csr, "kept within the margin");
+        assert_eq!(pick([Some(1.0), Some(2.0), Some(beyond)]), hyb2, "won beyond it");
+        assert_eq!(pick([Some(1.0), Some(0.5), Some(0.4)]), hyb2, "the faster challenger");
+        assert_eq!(pick([Some(1.0), Some(0.5), Some(0.5)]), hyb1, "equal challengers: the first");
+        assert_eq!(pick([Some(1.0); 3]), csr, "equal timings pick CSR");
+        assert_eq!(pick([Some(1.0), None, None]), csr, "failed challengers are skipped");
+        assert_eq!(pick([None, Some(2.0), None]), hyb1, "a failed incumbent is not picked");
+        assert_eq!(pick([None; 3]), csr, "everything failed: CSR");
+        assert_eq!(pick_spmm(&[]), csr);
+    }
+
+    /// ROADMAP 5's gate: on a `stbench serve_shared_dynamic`-shaped graph
+    /// (n = 2 000, the power-law degree curve at mean 4.5, d = 32), ten
+    /// operand seeds time to one decision.
+    #[test]
+    fn ten_operand_seeds_choose_one_config() {
+        let (n, mean_deg, d) = (2000usize, 4.5f64, 32usize);
+        let eps = 0.015f64;
+        let alpha = mean_deg / ((1.0 + eps).ln() - eps.ln());
+        let mut degrees = (0..n).map(|r| (alpha / ((r as f64 + 0.5) / n as f64 + eps)) as usize);
+        let a = gen::random_csr_with_row_lengths(
+            n,
+            n,
+            |_| degrees.next().unwrap_or(1).clamp(1, n / 2),
+            &mut gen::rng(1001),
+        );
+        let rt = sparsetir_ir::exec::Runtime::new();
+        let picks: Vec<SpmmConfig> = (0..10)
+            .map(|seed| {
+                let x = gen::random_dense(n, d, &mut gen::rng(seed));
+                SpmmMeasuredEvaluator::with_operand(&rt, &a, &x, MeasureOpts::default()).decide()
+            })
+            .collect();
+        assert!(spmm_shortlist().contains(&picks[0]));
+        assert!(picks.iter().all(|p| *p == picks[0]), "{picks:?}");
     }
 
     #[test]

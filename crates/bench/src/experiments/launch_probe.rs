@@ -22,7 +22,10 @@
 //! table prices a batch: SDDMM at k = 8 and fused attention at d = 4 for 1,
 //! 2, 4 and 8 riders through their entry points, in nanoseconds per
 //! (non-zero, rider) — a batch runs the one-head kernel once per rider, so
-//! a rider should cost what a solo launch does.
+//! a rider should cost what a solo launch does. A tune table prices the
+//! served SpMM decision's shortlist (CSR, `hyb(1, 3)`, `hyb(2, 3)`) on the
+//! tenant graph and on a `serve_shared_dynamic`-shaped one: whole launch,
+//! `run_views`, the measured rule's score, and its pick.
 //!
 //! Smoke mode asserts the bit-identities and keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
@@ -417,7 +420,51 @@ pub fn run() -> String {
     }
     out.push_str(&attention_passes(&a, 4, burst, &mut rng));
     out.push_str(&rider_costs(&a, burst, &mut rng));
+    out.push_str(&tune_table(&a, burst, &mut rng));
     out
+}
+
+/// The served SpMM decision's inputs: on the tenant graph at d = 16 and on
+/// a `serve_shared_dynamic`-shaped graph (n = 2 000, mean degree 4.5) at
+/// d = 32, each `autotune::spmm_shortlist` config's whole launch and
+/// `run_views` minima, the score the measured rule gives it (minimum of
+/// three launches after a warm-up, `SpmmMeasuredEvaluator::scores`), CSR
+/// scored a second time in the same rounds (the noise
+/// `autotune::CHALLENGER_MARGIN` is sized against), and the config the
+/// rule picks.
+///
+/// # Panics
+/// Panics when the pick is not in the shortlist.
+fn tune_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
+    use sparsetir_autotune::{spmm_shortlist, MeasureOpts, SpmmMeasuredEvaluator};
+    let us = |s: f64| format!("{:.1}", s * 1e6);
+    let shared = rows_graph(2000, 2000, 4.5, 0x81);
+    let mut rows = Vec::new();
+    for (name, g, d) in [("tenant", a, 16usize), ("serve_shared_dynamic", &shared, 32)] {
+        let x = gen::random_dense(g.cols(), d, rng);
+        let rt = Runtime::new();
+        let tuner = SpmmMeasuredEvaluator::with_operand(&rt, g, &x, MeasureOpts::default());
+        // The shortlist scored as the rule scores it, CSR a second time in
+        // the same rounds.
+        let shortlist = spmm_shortlist();
+        let scores = tuner.scores(&[&shortlist[..], &[SpmmConfig::default_csr()]].concat());
+        let score = |i: usize| scores[i].map_or("failed".into(), us);
+        for (i, config) in shortlist.iter().enumerate() {
+            let ([whole, run, _], _) = spmm_arms(g, std::slice::from_ref(&x), config, burst);
+            rows.push(vec![name.into(), config.label(), us(whole / 1e9), us(run / 1e9), score(i)]);
+        }
+        let again = score(shortlist.len());
+        rows.push(vec![name.into(), "csr, scored again".into(), "-".into(), "-".into(), again]);
+        let pick = tuner.decide();
+        assert!(shortlist.contains(&pick), "{pick:?}");
+        let picked = format!("picked: {}", pick.label());
+        rows.push(vec![name.into(), picked, "-".into(), "-".into(), "-".into()]);
+    }
+    render_table(
+        "launch_probe: the served SpMM decision's shortlist, minima in µs",
+        &["graph", "config", "whole launch", "run_views", "tune score"],
+        &rows,
+    )
 }
 
 /// Rider counts of the rider table.

@@ -14,7 +14,9 @@
 
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
-use sparsetir_autotune::{sim_spmm_config, sim_spmm_key, SparsityFingerprint, TuneCache, TuneKey};
+use sparsetir_autotune::{
+    measured_spmm_key, MeasureOpts, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache, TuneKey,
+};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     bytes_copied_on_thread, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig,
@@ -419,8 +421,8 @@ struct Shared {
 }
 
 /// One tune decision to replay on re-anchor: the cache key it lives
-/// under and the feature width its search ran at (only the matrix
-/// varies).
+/// under and the feature width it was timed at (the replay times a seeded
+/// operand of that width on the updated matrix).
 #[derive(Clone)]
 struct RetuneRecord {
     key: TuneKey,
@@ -707,7 +709,10 @@ impl Engine {
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     for rec in work {
-                        shared.tune_cache.insert(rec.key, sim_spmm_config(&csr, rec.feat));
+                        let opts = MeasureOpts::default();
+                        let tuner =
+                            SpmmMeasuredEvaluator::new(&shared.runtime, &csr, rec.feat, opts);
+                        shared.tune_cache.insert(rec.key, tuner.decide());
                     }
                 }));
                 if result.is_err() {
@@ -947,7 +952,7 @@ impl Served for SpmmOp {
     }
 
     fn tuned(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
-        tuned_spmm_config(shared, adj, head.cols())
+        tuned_spmm_config(shared, adj, head)
     }
 }
 
@@ -1163,18 +1168,21 @@ fn serve_batch(shared: &Shared, batch: Vec<Job>) {
 }
 
 /// The tuned SpMM configuration for one adjacency: the engine-owned
-/// [`TuneCache`] memoizes `autotune`'s simulator-backed search
-/// ([`sim_spmm_config`]) per sparsity fingerprint, so only the first
-/// batch on a new adjacency pays it. The decision is keyed on the
-/// adjacency alone — request widths vary per batch, so the search runs at
-/// the triggering request's `feat` and the winner is reused for all
-/// widths (the §2 amortization trade).
-fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, feat: usize) -> SpmmConfig {
+/// [`TuneCache`] memoizes `autotune`'s measured decision
+/// ([`SpmmMeasuredEvaluator::decide`]: the whole launch of each shortlist
+/// config timed on the engine's own runtime and the batch head's operand,
+/// CSR kept unless a challenger beats it by more than
+/// `autotune::CHALLENGER_MARGIN`) per sparsity fingerprint, so only the
+/// first batch on a new adjacency pays it. The decision is keyed on the
+/// adjacency alone — request widths vary per batch, so it is timed at the
+/// triggering request's width and reused for all widths (the §2
+/// amortization trade).
+fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
     // Keyed on the *anchor*, not the matrix's own fingerprint: a
     // below-threshold `apply_delta` successor shares its predecessor's
     // anchor, so its batches hit the predecessor's cached decision —
     // stale-while-retune serving in the hit path.
-    let key = sim_spmm_key(&adj.anchor);
+    let key = measured_spmm_key(&adj.anchor);
     // Double-checked single flight: serve hits without the guard, and
     // take it only on a miss — TuneCache computes outside its own lock,
     // so concurrent first batches of one adjacency would otherwise each
@@ -1184,8 +1192,10 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, feat: usize) -> SpmmConfi
         return config;
     }
     let _flight = lock(&shared.tune_flight);
-    let (config, hit) =
-        shared.tune_cache.get_or_insert_with(key.clone(), || sim_spmm_config(adj.csr(), feat));
+    let (config, hit) = shared.tune_cache.get_or_insert_with(key.clone(), || {
+        let opts = MeasureOpts::default();
+        SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), head, opts).decide()
+    });
     if !hit {
         // First decision under this anchor: remember how to redo it, so a
         // future re-anchor can replay the search against the updated
@@ -1193,7 +1203,7 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, feat: usize) -> SpmmConfi
         let mut reg = lock(&shared.retune_registry);
         let entry = reg.entry(key.fingerprint.clone()).or_default();
         if !entry.iter().any(|r| r.key == key) {
-            entry.push(RetuneRecord { key, feat });
+            entry.push(RetuneRecord { key, feat: head.cols() });
         }
     }
     config
@@ -1224,7 +1234,7 @@ fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
     // launch memcpy'd for these riders (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // A tuned search runs at the batch head's shape.
+        // A tuned decision is timed on the batch head's operand.
         let config = if tune { O::tuned(shared, &adj, &reqs[0]) } else { O::Config::default() };
         O::execute_batch_on(&shared.runtime, adj.csr(), &reqs, &config)
     }));

@@ -37,10 +37,12 @@
 //!   [`TuneCache`](sparsetir_autotune::TuneCache)** per engine: every
 //!   worker compiles through the same striped kernel cache and reuses
 //!   the same per-`(adjacency, op)` tuning decisions. Only an op whose
-//!   launch reads a searched configuration (SpMM, through
-//!   [`sim_spmm_config`](sparsetir_autotune::sim_spmm_config)) has a
-//!   decision to cache; a tuned submission of any other kind is served
-//!   exactly like an untuned one.
+//!   launch reads a searched configuration has a decision to cache: SpMM,
+//!   whose decision is measured on this engine's runtime
+//!   ([`SpmmMeasuredEvaluator::decide`](sparsetir_autotune::SpmmMeasuredEvaluator::decide)
+//!   times the whole launch of CSR and two `hyb` configs and keeps CSR
+//!   unless a challenger wins by more than a fixed margin). A tuned
+//!   submission of any other kind is served exactly like an untuned one.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
 //!   folded into one kernel launch that binds each rider's operands and

@@ -13,6 +13,7 @@
 //! pre-seeded stale decision — no serving gap.
 
 use proptest::prelude::*;
+use sparsetir_autotune::{measured_spmm_key, spmm_shortlist};
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineError, OpOutput, Submission};
 use sparsetir_kernels::prelude::AttnHead;
 use sparsetir_smat::prelude::*;
@@ -306,6 +307,9 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
     assert_eq!(stats.retunes_in_flight(), 0);
     assert_eq!(stats.retunes_skipped, 0);
     assert_eq!(stats.worker_panics, 0, "the retune thread must not have panicked");
+    let fresh = measured_spmm_key(adj1.anchor());
+    let decided = engine.tune_cache().peek(&fresh).expect("the new anchor holds a decision");
+    assert!(spmm_shortlist().contains(&decided), "{decided:?}");
 
     // After the swap, requests hit the *fresh* decision — still no miss.
     let again = engine

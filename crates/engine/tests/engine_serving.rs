@@ -252,7 +252,7 @@ fn concurrent_clients_get_their_own_answers() {
 }
 
 /// `.tune(true)` routes the first request of each adjacency through the
-/// simulator-backed search exactly once, caches the decision, and keeps
+/// measured decision exactly once, caches the decision, and keeps
 /// serving correct results under the tuned (possibly hyb-decomposed)
 /// configuration.
 #[test]
@@ -280,35 +280,38 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     assert!(engine.tune_cache().hits() >= 1);
 }
 
-/// The engine's decision is the tuner's: one `.tune(true)` SpMM files,
-/// under exactly the key the engine has always used (`spmm` / the
-/// simulator backend / V100 / the adjacency's own fingerprint), the
-/// configuration `autotune::sim_spmm_config` returns for that matrix at
-/// the request's width — which `autotune`'s own
-/// `sim_spmm_config_is_the_tuners_decision` pins to
-/// `tune_spmm(&GpuSpec::v100(), ..).config`. (Two links rather than one:
-/// naming `GpuSpec` here would need the `gpusim` edge this crate's
-/// manifest no longer has.)
+/// The engine's decision is measured: one `.tune(true)` SpMM files,
+/// under `autotune::measured_spmm_key` (`spmm` / the measured backend /
+/// the host / the adjacency's own fingerprint), one of the configs
+/// `autotune::spmm_shortlist` names — the one whose whole launch won on
+/// the engine's runtime — and a second tuned request hits that decision.
 #[test]
-fn the_engines_decision_is_the_tuners() {
-    use sparsetir_autotune::{sim_spmm_config, sim_spmm_key, SparsityFingerprint, TuneKey};
+fn the_engines_decision_is_measured() {
+    use sparsetir_autotune::{measured_spmm_key, spmm_shortlist, SparsityFingerprint, TuneKey};
     let a = power_law_csr(300, 83);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
     let mut rng = gen::rng(84);
     let x = gen::random_dense(300, 8, &mut rng);
-    engine.serve(&adj, Submission::spmm(x).tune(true)).expect("serves tuned spmm");
+    engine.serve(&adj, Submission::spmm(x.clone()).tune(true)).expect("serves tuned spmm");
     let key = TuneKey {
         workload: "spmm",
-        backend: "gpusim",
-        device: "V100",
+        backend: "measured",
+        device: "host",
         extra: vec![],
         fingerprint: SparsityFingerprint::of(&a),
     };
-    assert_eq!(sim_spmm_key(&key.fingerprint), key, "same key as ever");
+    assert_eq!(measured_spmm_key(&key.fingerprint), key);
     let cached = engine.tune_cache().peek(&key).expect("the decision is filed under that key");
-    assert_eq!(cached, sim_spmm_config(&a, 8));
-    assert!(cached.col_parts.is_some(), "a skewed graph: the decision is not the default");
+    assert!(spmm_shortlist().contains(&cached), "{cached:?}");
+    assert_eq!((engine.tune_cache().len(), engine.tune_cache().misses()), (1, 1));
+    let got = engine
+        .serve(&adj, Submission::spmm(x.clone()).tune(true))
+        .and_then(OpOutput::into_dense)
+        .expect("serves tuned spmm again");
+    assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
+    assert_eq!(engine.tune_cache().misses(), 1, "the second request hit the decision");
+    assert!(engine.tune_cache().hits() >= 1);
 }
 
 /// The engine tunes only what a launch reads. SDDMM, fused attention and

@@ -15,7 +15,7 @@
 //! | [`plans`] | every `KernelPlan` builder, priced on `gpusim`: SparseTIR's schedules (SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv) and the cuSPARSE/cuBLAS/Sputnik/dgSPARSE/TACO/Triton/DGL/PyG/Graphiler/TorchSparse-like baselines |
 //! | [`graphs`] | synthetic workload generators for every dataset in the evaluation |
 //! | [`nn`] | end-to-end GraphSAGE training and RGCN inference |
-//! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners over `plans`, the measured evaluator, and `sim_spmm_config`, the search the engine serves SpMM under |
+//! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners over `plans`; the measured evaluator, whose whole-launch timings of a fixed shortlist decide the engine's tuned SpMM |
 //! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path batching SpMM / SDDMM / attention / fused attention (and serving the fused GraphSAGE step) over the kernel cache, with SLO admission, incremental graph updates, and per-submission tuning for the op whose launch reads a searched configuration (SpMM) |
 //!
 //! See `README.md` for the system inventory ("The three-stage IR",
