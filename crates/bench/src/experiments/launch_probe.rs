@@ -25,9 +25,16 @@
 //! a rider should cost what a solo launch does. A tune table prices the
 //! served SpMM decision's shortlist (CSR, `hyb(1, 3)`, `hyb(2, 3)`) on the
 //! tenant graph and on a `serve_shared_dynamic`-shaped one: whole launch,
-//! `run_views`, the measured rule's score, and its pick.
+//! `run_views`, the measured rule's score, and its pick. A delta table
+//! prices a graph update: on the tenant graph each served kind (SpMM d =
+//! 16, SDDMM k = 8, fused attention d = 4, fused SAGE 16 → 16) is warmed,
+//! an edge batch that changes `nnz` is applied, and the successor's first
+//! launch of each kind is timed against a warm one and against a first
+//! launch on a fresh runtime (which compiles), with
+//! `Runtime::compilations()` before and after the update's launches.
 //!
-//! Smoke mode asserts the bit-identities and keeps the bursts short;
+//! Smoke mode asserts the bit-identities and that the update compiles
+//! nothing, and keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
 //! readings are taken the way `stbench` runs, pinned to one CPU
 //! (`taskset -c 1`).
@@ -421,7 +428,104 @@ pub fn run() -> String {
     out.push_str(&attention_passes(&a, 4, burst, &mut rng));
     out.push_str(&rider_costs(&a, burst, &mut rng));
     out.push_str(&tune_table(&a, burst, &mut rng));
+    out.push_str(&delta_table(&a, burst, &mut rng));
     out
+}
+
+/// A served launch of one kind on a graph, through its entry point.
+type Launch<'a> = Box<dyn Fn(&Runtime, &Csr) + 'a>;
+
+/// What a graph update costs the next launch of each served kind: on `a`,
+/// every kind is warmed on one runtime, then a batch of 64 new edges
+/// (`nnz` grows, `rows / cols` do not) is applied. For each kind: the
+/// successor's first launch on that runtime, a warm launch's minimum, and
+/// a first launch on a fresh runtime, which compiles — with the runtime's
+/// `compilations()` before and after the successor's launches.
+///
+/// # Panics
+/// In smoke mode, when the successor's launches compile anything.
+fn delta_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
+    use rand::Rng;
+    let (d, k, attn, (feat, hidden)) = (16usize, 8usize, 4usize, (16usize, 16usize));
+    let x = gen::random_dense(a.cols(), d, rng);
+    let (sx, sy) = (gen::random_dense(a.rows(), k, rng), gen::random_dense(k, a.cols(), rng));
+    let (q, kt) = (gen::random_dense(a.rows(), attn, rng), gen::random_dense(attn, a.cols(), rng));
+    let v = gen::random_dense(a.cols(), attn, rng);
+    let (gx, gw) = (gen::random_dense(a.cols(), feat, rng), gen::random_dense(feat, hidden, rng));
+    let kinds: [(String, Launch<'_>); 4] = [
+        (
+            format!("spmm d={d}"),
+            Box::new(|rt, g| {
+                let mut outs = [Dense::zeros(g.rows(), d)];
+                let csr = SpmmConfig::default_csr();
+                spmm_execute_views_on(rt, g, &[&x], &mut outs, &csr).expect("served spmm");
+            }),
+        ),
+        (
+            format!("sddmm k={k}"),
+            Box::new(|rt, g| {
+                let mut outs = [vec![0.0f32; g.nnz()]];
+                let reqs = [(sx.clone(), sy.clone())];
+                sddmm_execute_views_on(rt, g, &reqs, &mut outs).expect("served sddmm");
+            }),
+        ),
+        (
+            format!("attention d={attn}"),
+            Box::new(|rt, g| {
+                let mut outs = [Dense::zeros(g.rows(), attn)];
+                fused_attention_views_on(rt, g, &[&q], &[&kt], &[&v], &mut outs)
+                    .expect("served attention");
+            }),
+        ),
+        (
+            format!("sage {feat}->{hidden}"),
+            Box::new(|rt, g| {
+                fused_sage_execute_on(rt, g, &gx, &gw).expect("served sage");
+            }),
+        ),
+    ];
+    let rt = Runtime::new();
+    kinds.iter().for_each(|(_, launch)| launch(&rt, a));
+    let mut delta = GraphDelta::new();
+    let mut added = 0;
+    while added < 64 {
+        let (r, c) = (rng.gen_range(0..a.rows()), rng.gen_range(0..a.cols() as u32));
+        if !a.row(r).0.contains(&c) {
+            delta.upsert(r as u32, c, 0.5);
+            added += 1;
+        }
+    }
+    let next = a.apply_delta(&delta).expect("in-bounds delta");
+    let before = rt.compilations();
+    let ms = |t: Instant| format!("{:.3}", t.elapsed().as_secs_f64() * 1e3);
+    let mut rows = Vec::new();
+    for (name, launch) in &kinds {
+        let t0 = Instant::now();
+        launch(&rt, &next);
+        let first = ms(t0);
+        let fresh = Runtime::new();
+        let t0 = Instant::now();
+        launch(&fresh, &next);
+        let cold = ms(t0);
+        let [warm] = minima(burst.0, burst.1, &mut [&mut || launch(&rt, &next)])[..] else {
+            unreachable!("one arm")
+        };
+        rows.push(vec![name.clone(), first, format!("{:.3}", warm / 1e6), cold]);
+    }
+    let after = rt.compilations();
+    if smoke() {
+        assert_eq!(after, before, "a graph update compiled {} kernels", after - before);
+    }
+    render_table(
+        &format!(
+            "launch_probe: after an update of 64 edges (nnz {} -> {}), ms; \
+             compilations {before} -> {after}",
+            a.nnz(),
+            next.nnz()
+        ),
+        &["kind", "successor's first launch", "warm launch", "fresh runtime's first launch"],
+        &rows,
+    )
 }
 
 /// The served SpMM decision's inputs: on the tenant graph at d = 16 and on

@@ -5,7 +5,14 @@
 //! non-zero count constant?), plus a `parent` link forming the axis
 //! dependency tree that coordinate translation (eqs. 1–5) and buffer
 //! flattening (eqs. 6–8) walk.
+//!
+//! A variable axis's `nnz` is an integer [`Expr`]: a constant, or a scalar
+//! parameter (`Var::i32("nnz")`, the paper's `nnz: T.int32`) that the
+//! lowered function lists in its `params` and a launch binds, so one
+//! compiled kernel serves every matrix of the format with its `rows` and
+//! `cols`.
 
+use sparsetir_ir::prelude::*;
 use std::fmt;
 use std::rc::Rc;
 
@@ -50,9 +57,10 @@ pub struct Axis {
     pub parent: Option<Rc<str>>,
     /// Coordinate-space extent (the `n` of the paper's metadata).
     pub length: usize,
-    /// Total accumulated non-zeros over all parent positions
-    /// (variable axes; equals `parent positions × nnz_cols` for fixed).
-    pub nnz: usize,
+    /// Total accumulated non-zeros over all parent positions (variable
+    /// axes; equals `parent positions × nnz_cols` for fixed): a constant
+    /// or an expression over scalar parameters.
+    pub nnz: Expr,
     /// Per-parent non-zero count (fixed axes only).
     pub nnz_cols: Option<usize>,
     /// Buffer name of the index-pointer array (variable axes).
@@ -69,19 +77,20 @@ impl Axis {
             kind: AxisKind::DenseFixed,
             parent: None,
             length,
-            nnz: length,
+            nnz: Expr::from(length),
             nnz_cols: None,
             indptr: None,
             indices: None,
         }
     }
 
-    /// `dense_variable(parent, (length, nnz), indptr)`.
+    /// `dense_variable(parent, (length, nnz), indptr)`; `nnz` a constant
+    /// or a scalar parameter.
     pub fn dense_variable(
         name: impl Into<Rc<str>>,
         parent: impl Into<Rc<str>>,
         length: usize,
-        nnz: usize,
+        nnz: impl Into<Expr>,
         indptr: impl Into<Rc<str>>,
     ) -> Axis {
         Axis {
@@ -89,7 +98,7 @@ impl Axis {
             kind: AxisKind::DenseVariable,
             parent: Some(parent.into()),
             length,
-            nnz,
+            nnz: nnz.into(),
             nnz_cols: None,
             indptr: Some(indptr.into()),
             indices: None,
@@ -109,19 +118,20 @@ impl Axis {
             kind: AxisKind::SparseFixed,
             parent: Some(parent.into()),
             length,
-            nnz: 0, // filled by the program once the parent extent is known
+            nnz: Expr::i32(0), // filled by the program once the parent extent is known
             nnz_cols: Some(nnz_cols),
             indptr: None,
             indices: Some(indices.into()),
         }
     }
 
-    /// `sparse_variable(parent, (length, nnz), (indptr, indices))`.
+    /// `sparse_variable(parent, (length, nnz), (indptr, indices))`; `nnz`
+    /// a constant or a scalar parameter.
     pub fn sparse_variable(
         name: impl Into<Rc<str>>,
         parent: impl Into<Rc<str>>,
         length: usize,
-        nnz: usize,
+        nnz: impl Into<Expr>,
         indptr: impl Into<Rc<str>>,
         indices: impl Into<Rc<str>>,
     ) -> Axis {
@@ -130,7 +140,7 @@ impl Axis {
             kind: AxisKind::SparseVariable,
             parent: Some(parent.into()),
             length,
-            nnz,
+            nnz: nnz.into(),
             nnz_cols: None,
             indptr: Some(indptr.into()),
             indices: Some(indices.into()),
@@ -154,7 +164,7 @@ impl fmt::Display for Axis {
             write!(f, ", nnz_cols={w}")?;
         }
         if self.kind.is_variable() {
-            write!(f, ", nnz={}", self.nnz)?;
+            write!(f, ", nnz={}", print_expr(&self.nnz))?;
         }
         write!(f, ")")
     }
@@ -214,30 +224,36 @@ impl AxisStore {
 
     /// Number of *positions* (stored slots) of an axis: `nnz` for variable
     /// axes, `parent positions × nnz_cols` for fixed-with-parent, `length`
-    /// for roots.
+    /// for roots — simplified, so a constant count is an integer literal.
     #[must_use]
-    pub fn positions(&self, name: &str) -> usize {
-        let Some(axis) = self.get(name) else { return 0 };
+    pub fn positions(&self, name: &str) -> Expr {
+        let Some(axis) = self.get(name) else { return Expr::i32(0) };
+        let per_parent = |w: usize| match &axis.parent {
+            Some(p) => (self.positions(p) * w).simplify(),
+            None => Expr::from(w),
+        };
         match axis.kind {
-            AxisKind::DenseFixed => match &axis.parent {
-                Some(p) => self.positions(p) * axis.length,
-                None => axis.length,
-            },
-            AxisKind::SparseFixed => {
-                let w = axis.nnz_cols.unwrap_or(0);
-                match &axis.parent {
-                    Some(p) => self.positions(p) * w,
-                    None => w,
-                }
-            }
-            AxisKind::DenseVariable | AxisKind::SparseVariable => axis.nnz,
+            AxisKind::DenseFixed => per_parent(axis.length),
+            AxisKind::SparseFixed => per_parent(axis.nnz_cols.unwrap_or(0)),
+            AxisKind::DenseVariable | AxisKind::SparseVariable => axis.nnz.clone(),
         }
+    }
+
+    /// The scalar parameters the axes' extents are written over, each
+    /// once, in axis order: what a lowered function lists in `params`.
+    #[must_use]
+    pub fn params(&self) -> Vec<Var> {
+        let mut vars = Vec::new();
+        for axis in &self.axes {
+            axis.nnz.collect_vars(&mut vars);
+        }
+        vars
     }
 
     /// Positions of the subtree rooted at `name`, restricted to a buffer's
     /// axis list — the `nnz(Tree(A_i))` of eq. 8.
     #[must_use]
-    pub fn tree_positions(&self, name: &str, within: &[Rc<str>]) -> usize {
+    pub fn tree_positions(&self, name: &str, within: &[Rc<str>]) -> Expr {
         // Find the deepest descendant of `name` within the list; its
         // positions count the whole chain.
         let mut best = name.to_string();
@@ -276,27 +292,51 @@ mod tests {
         assert_eq!(s.ancestors("I").len(), 1);
     }
 
+    fn count(e: &Expr) -> Option<i64> {
+        e.as_const_int()
+    }
+
     #[test]
     fn positions_of_each_kind() {
         let mut s = csr_axes();
-        assert_eq!(s.positions("I"), 4);
-        assert_eq!(s.positions("J"), 10);
+        assert_eq!(count(&s.positions("I")), Some(4));
+        assert_eq!(count(&s.positions("J")), Some(10));
         s.add(Axis::sparse_fixed("E", "I", 8, 2, "E_indices"));
-        assert_eq!(s.positions("E"), 8); // 4 parents × 2
+        assert_eq!(count(&s.positions("E")), Some(8)); // 4 parents × 2
         let mut ii = Axis::dense_fixed("II", 2);
         ii.parent = None;
         s.add(ii);
-        assert_eq!(s.positions("II"), 2);
+        assert_eq!(count(&s.positions("II")), Some(2));
     }
 
     #[test]
     fn tree_positions_follows_chain() {
         let s = csr_axes();
         let within: Vec<Rc<str>> = vec!["I".into(), "J".into()];
-        assert_eq!(s.tree_positions("I", &within), 10); // chain I→J has nnz 10
-        assert_eq!(s.tree_positions("J", &within), 10);
+        assert_eq!(count(&s.tree_positions("I", &within)), Some(10)); // chain I→J has nnz 10
+        assert_eq!(count(&s.tree_positions("J", &within)), Some(10));
         let only_i: Vec<Rc<str>> = vec!["I".into()];
-        assert_eq!(s.tree_positions("I", &only_i), 4);
+        assert_eq!(count(&s.tree_positions("I", &only_i)), Some(4));
+    }
+
+    /// A parameter `nnz` stays a parameter: the variable axis's positions
+    /// are the parameter, a fixed axis under it counts in multiples of it,
+    /// and the axes list it once.
+    #[test]
+    fn a_parameter_nnz_is_a_symbolic_position_count() {
+        let nnz = Var::i32("nnz");
+        let mut s = AxisStore::new();
+        s.add(Axis::dense_fixed("I", 4));
+        s.add(Axis::sparse_variable("J", "I", 8, nnz.clone(), "J_indptr", "J_indices"));
+        s.add(Axis::dense_fixed("H", 1));
+        assert_eq!(s.positions("J"), Expr::var(&nnz));
+        assert_eq!(print_expr(&s.tree_positions("I", &["I".into(), "J".into()])), "nnz");
+        let mut k = Axis::sparse_fixed("K", "J", 8, 3, "K_indices");
+        k.nnz = s.positions("J") * 3;
+        s.add(k);
+        assert_eq!(print_expr(&s.positions("K")), "(nnz * 3)");
+        assert_eq!(s.params(), vec![nnz]);
+        assert!(s.get("J").unwrap().to_string().contains("nnz=nnz"));
     }
 
     #[test]

@@ -14,13 +14,14 @@ use sparsetir_ir::prelude::*;
 use std::rc::Rc;
 
 /// Flat storage size of a sparse buffer: the product of `nnz(Tree(root))`
-/// over the roots of its axis forest.
+/// over the roots of its axis forest — an integer literal, or an
+/// expression over the axes' scalar parameters (`nnz`).
 #[must_use]
-pub fn flat_size(axes: &AxisStore, buf: &SpBuffer) -> usize {
-    let mut size = 1usize;
+pub fn flat_size(axes: &AxisStore, buf: &SpBuffer) -> Expr {
+    let mut size = Expr::i32(1);
     for (i, axis_name) in buf.axes.iter().enumerate() {
         if is_root_in(axes, buf, i) {
-            size *= axes.tree_positions(axis_name, &buf.axes);
+            size = (size * axes.tree_positions(axis_name, &buf.axes)).simplify();
         }
     }
     size
@@ -51,13 +52,13 @@ fn is_leaf_in(axes: &AxisStore, buf: &SpBuffer, i: usize) -> bool {
 pub fn flatten_access(axes: &AxisStore, buf: &SpBuffer, q: &[Expr]) -> Result<Expr, LowerError> {
     let n = buf.axes.len();
     // stride(i+1) for each i (eq. 8), computed right-to-left.
-    let mut stride_after = vec![1i64; n];
-    let mut running = 1i64;
+    let mut stride_after = vec![Expr::i32(1); n];
+    let mut running = Expr::i32(1);
     for i in (0..n).rev() {
-        stride_after[i] = running;
+        stride_after[i] = running.clone();
         let axis_name = &buf.axes[i];
         if is_root_in(axes, buf, i) {
-            running *= axes.tree_positions(axis_name, &buf.axes) as i64;
+            running = (running * axes.tree_positions(axis_name, &buf.axes)).simplify();
         }
     }
     // offset(i) recursion (eq. 7).
@@ -80,10 +81,9 @@ pub fn flatten_access(axes: &AxisStore, buf: &SpBuffer, q: &[Expr]) -> Result<Ex
                     (poff * axis.nnz_cols.unwrap_or(0) as i64 + q[i].clone()).simplify()
                 }
                 AxisKind::DenseVariable | AxisKind::SparseVariable => {
-                    let parent_pos = axes.positions(parent);
                     let ip = Buffer::global_i32(
                         axis.indptr.clone().expect("variable axis has indptr"),
-                        vec![Expr::i32(parent_pos as i64 + 1)],
+                        vec![(axes.positions(parent) + 1).simplify()],
                     );
                     (ip.load(vec![poff]) + q[i].clone()).simplify()
                 }
@@ -95,7 +95,7 @@ pub fn flatten_access(axes: &AxisStore, buf: &SpBuffer, q: &[Expr]) -> Result<Ex
     let mut flat = Expr::i32(0);
     for i in 0..n {
         if is_leaf_in(axes, buf, i) {
-            flat = (flat + offsets[i].clone() * stride_after[i]).simplify();
+            flat = (flat + offsets[i].clone() * stride_after[i].clone()).simplify();
         }
     }
     Ok(flat.simplify())
@@ -117,12 +117,7 @@ pub fn lower_to_stage3(program: &SpProgram, stage2: &Stage2Func) -> Result<PrimF
         match program.buffer(&b.name) {
             Some(sb) => {
                 let size = flat_size(axes, sb);
-                flat_buffers.push(Buffer::new(
-                    b.name.clone(),
-                    b.dtype,
-                    vec![Expr::i32(size as i64)],
-                    b.scope,
-                ));
+                flat_buffers.push(Buffer::new(b.name.clone(), b.dtype, vec![size], b.scope));
             }
             None => flat_buffers.push(b.clone()),
         }
@@ -183,12 +178,8 @@ fn rewrite_stmt(program: &SpProgram, s: &Stmt) -> Result<Stmt, LowerError> {
                         .collect::<Result<_, _>>()?;
                     let flat = flatten_access(&program.axes, sb, &q)?;
                     let size = flat_size(&program.axes, sb);
-                    let nb = Buffer::new(
-                        buffer.name.clone(),
-                        buffer.dtype,
-                        vec![Expr::i32(size as i64)],
-                        buffer.scope,
-                    );
+                    let nb =
+                        Buffer::new(buffer.name.clone(), buffer.dtype, vec![size], buffer.scope);
                     Stmt::BufferStore { buffer: nb, indices: vec![flat], value }
                 }
                 None => Stmt::BufferStore {
@@ -234,12 +225,8 @@ fn rewrite_expr(program: &SpProgram, e: &Expr) -> Result<Expr, LowerError> {
                 Some(sb) => {
                     let flat = flatten_access(&program.axes, sb, &idx)?;
                     let size = flat_size(&program.axes, sb);
-                    let nb = Buffer::new(
-                        buffer.name.clone(),
-                        buffer.dtype,
-                        vec![Expr::i32(size as i64)],
-                        buffer.scope,
-                    );
+                    let nb =
+                        Buffer::new(buffer.name.clone(), buffer.dtype, vec![size], buffer.scope);
                     nb.load(vec![flat])
                 }
                 None => Expr::BufferLoad { buffer: buffer.clone(), indices: idx },
@@ -304,7 +291,7 @@ mod tests {
         let flat = flatten_access(&axes, &buf, &[Expr::var(&i), Expr::var(&j)]).unwrap();
         let txt = print_expr(&flat);
         assert_eq!(txt, "(J_indptr[i] + j)");
-        assert_eq!(flat_size(&axes, &buf), 10);
+        assert_eq!(flat_size(&axes, &buf).as_const_int(), Some(10));
     }
 
     #[test]
@@ -318,7 +305,7 @@ mod tests {
         let k = Var::i32("k");
         let flat = flatten_access(&axes, &buf, &[Expr::var(&j), Expr::var(&k)]).unwrap();
         assert_eq!(print_expr(&flat), "((j * 3) + k)");
-        assert_eq!(flat_size(&axes, &buf), 24);
+        assert_eq!(flat_size(&axes, &buf).as_const_int(), Some(24));
     }
 
     #[test]
@@ -341,7 +328,7 @@ mod tests {
         let txt = print_expr(&flat);
         assert!(txt.contains("bsr_indptr[io]"), "{txt}");
         assert!(txt.contains("* 4"), "{txt}");
-        assert_eq!(flat_size(&axes, &buf), 20); // 5 blocks × 4
+        assert_eq!(flat_size(&axes, &buf).as_const_int(), Some(20)); // 5 blocks × 4
     }
 
     #[test]
@@ -349,7 +336,7 @@ mod tests {
         let mut axes = AxisStore::new();
         axes.add(Axis::dense_fixed("I2", 6));
         let mut jb = Axis::sparse_fixed("J2", "I2", 8, 2, "ell_indices");
-        jb.nnz = 12;
+        jb.nnz = Expr::i32(12);
         axes.add(jb);
         let buf = SpBuffer {
             name: "A_ell".into(),
@@ -360,7 +347,7 @@ mod tests {
         let j = Var::i32("j");
         let flat = flatten_access(&axes, &buf, &[Expr::var(&i), Expr::var(&j)]).unwrap();
         assert_eq!(print_expr(&flat), "((i * 2) + j)");
-        assert_eq!(flat_size(&axes, &buf), 12);
+        assert_eq!(flat_size(&axes, &buf).as_const_int(), Some(12));
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn attention_axes(
     b: &mut ProgramBuilder,
     m: usize,
     n: usize,
-    nnz: usize,
+    nnz: impl Into<Expr>,
     heads: usize,
     feat: usize,
     vfeat: usize,
@@ -209,13 +209,18 @@ fn add_aggregate_pass(
 pub fn fused_attention_program(
     m: usize,
     n: usize,
-    nnz: usize,
+    nnz: impl Into<Expr>,
     heads: usize,
     feat: usize,
     vfeat: usize,
 ) -> SpProgram {
-    attention_program("fused_attention", (m, n, nnz), (heads, feat, vfeat), &ATTENTION_PASSES)
-        .expect("every attention pass is known")
+    attention_program(
+        "fused_attention",
+        (m, n, nnz.into()),
+        (heads, feat, vfeat),
+        &ATTENTION_PASSES,
+    )
+    .expect("every attention pass is known")
 }
 
 /// The passes of [`fused_attention_program`], in order.
@@ -231,14 +236,14 @@ pub fn attention_pass_program(
     (m, n, nnz): (usize, usize, usize),
     (heads, feat, vfeat): (usize, usize, usize),
 ) -> Option<SpProgram> {
-    attention_program(&format!("attn_{pass}"), (m, n, nnz), (heads, feat, vfeat), &[pass])
+    attention_program(&format!("attn_{pass}"), (m, n, nnz.into()), (heads, feat, vfeat), &[pass])
 }
 
 /// The attention axes and buffers with `passes` (names of
 /// [`ATTENTION_PASSES`], in order) added; `None` for an unknown name.
 fn attention_program(
     name: &str,
-    (m, n, nnz): (usize, usize, usize),
+    (m, n, nnz): (usize, usize, Expr),
     (heads, feat, vfeat): (usize, usize, usize),
     passes: &[&str],
 ) -> Option<SpProgram> {
@@ -273,7 +278,7 @@ fn attention_program(
 pub fn attention_score_program(
     m: usize,
     n: usize,
-    nnz: usize,
+    nnz: impl Into<Expr>,
     heads: usize,
     feat: usize,
 ) -> SpProgram {
@@ -292,7 +297,7 @@ pub fn attention_score_program(
 /// aggregation launch as its coefficient, identically to the fused
 /// kernel). Inputs: `S`; outputs: `P` and `Sum` (`M` is scratch).
 #[must_use]
-pub fn edge_softmax_program(m: usize, n: usize, nnz: usize, heads: usize) -> SpProgram {
+pub fn edge_softmax_program(m: usize, n: usize, nnz: impl Into<Expr>, heads: usize) -> SpProgram {
     let mut b = ProgramBuilder::new("edge_softmax");
     attention_axes(&mut b, m, n, nnz, heads, 0, 0);
     let s = b.sparse_buffer("S", &["I", "J", "H"], DType::F32);
@@ -311,7 +316,7 @@ pub fn edge_softmax_program(m: usize, n: usize, nnz: usize, heads: usize) -> SpP
 pub fn attention_aggregate_program(
     m: usize,
     n: usize,
-    nnz: usize,
+    nnz: impl Into<Expr>,
     heads: usize,
     vfeat: usize,
 ) -> SpProgram {
@@ -387,7 +392,13 @@ fn add_sage_matmul_pass(
 /// rows, whose aggregation stays zero); `Agg` (`m × feat`) is
 /// per-launch scratch.
 #[must_use]
-pub fn fused_sage_program(m: usize, n: usize, nnz: usize, feat: usize, hidden: usize) -> SpProgram {
+pub fn fused_sage_program(
+    m: usize,
+    n: usize,
+    nnz: impl Into<Expr>,
+    feat: usize,
+    hidden: usize,
+) -> SpProgram {
     let mut b = ProgramBuilder::new("fused_sage");
     b.dense_fixed("I", m);
     b.sparse_variable("J", "I", n, nnz, "J_indptr", "J_indices");
@@ -406,7 +417,7 @@ pub fn fused_sage_program(m: usize, n: usize, nnz: usize, feat: usize, hidden: u
 
 /// Two-launch pipeline piece: the SAGE gather pass alone.
 #[must_use]
-pub fn sage_gather_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
+pub fn sage_gather_program(m: usize, n: usize, nnz: impl Into<Expr>, feat: usize) -> SpProgram {
     let mut b = ProgramBuilder::new("sage_gather");
     b.dense_fixed("I", m);
     b.sparse_variable("J", "I", n, nnz, "J_indptr", "J_indices");

@@ -50,14 +50,15 @@ impl std::error::Error for LowerError {}
 
 /// Value-domain hint for an auxiliary buffer (`assume_buffer_domain`),
 /// recorded for integer-set analysis during Stage II scheduling.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BufferDomain {
     /// Auxiliary buffer name.
     pub buffer: String,
     /// Inclusive lower bound of stored values.
     pub lo: i64,
-    /// Inclusive upper bound of stored values.
-    pub hi: i64,
+    /// Inclusive upper bound of stored values: an `indptr`'s is its axis's
+    /// `nnz`, a scalar parameter when that is one.
+    pub hi: Expr,
 }
 
 /// Result of Stage I → Stage II lowering.
@@ -95,26 +96,21 @@ pub fn lower_to_stage2(program: &SpProgram) -> Result<Stage2Func, LowerError> {
     for axis in program.axes.all() {
         if let Some(indptr) = &axis.indptr {
             if aux_seen.insert(indptr.to_string()) {
-                let parent_pos = axis.parent.as_ref().map_or(1, |p| program.axes.positions(p));
-                aux.push(Buffer::global_i32(
-                    indptr.clone(),
-                    vec![Expr::i32(parent_pos as i64 + 1)],
-                ));
+                aux.push(indptr_buf(&program.axes, &axis.name));
                 domains.push(BufferDomain {
                     buffer: indptr.to_string(),
                     lo: 0,
-                    hi: axis.nnz as i64,
+                    hi: axis.nnz.clone(),
                 });
             }
         }
         if let Some(indices) = &axis.indices {
             if aux_seen.insert(indices.to_string()) {
-                let positions = program.axes.positions(&axis.name);
-                aux.push(Buffer::global_i32(indices.clone(), vec![Expr::i32(positions as i64)]));
+                aux.push(indices_buf(&program.axes, &axis.name));
                 domains.push(BufferDomain {
                     buffer: indices.to_string(),
                     lo: 0,
-                    hi: axis.length as i64 - 1,
+                    hi: Expr::i32(axis.length as i64 - 1),
                 });
             }
         }
@@ -130,7 +126,8 @@ pub fn lower_to_stage2(program: &SpProgram) -> Result<Stage2Func, LowerError> {
         program.buffers.iter().map(|b| b.coord_buffer(&program.axes)).collect();
     buffers.extend(program.extras.iter().cloned());
     buffers.extend(aux);
-    Ok(Stage2Func { func: PrimFunc::new(program.name.clone(), vec![], buffers, body), domains })
+    let params = program.axes.params();
+    Ok(Stage2Func { func: PrimFunc::new(program.name.clone(), params, buffers, body), domains })
 }
 
 fn fresh(used: &mut HashSet<String>, base: &str) -> String {
@@ -148,10 +145,10 @@ fn fresh(used: &mut HashSet<String>, base: &str) -> String {
 
 fn indptr_buf(axes: &AxisStore, axis: &str) -> Buffer {
     let a = axes.get(axis).expect("axis registered");
-    let parent_pos = a.parent.as_ref().map_or(1, |p| axes.positions(p));
+    let parent_pos = a.parent.as_ref().map_or(Expr::i32(1), |p| axes.positions(p));
     Buffer::global_i32(
         a.indptr.clone().expect("variable axis has indptr"),
-        vec![Expr::i32(parent_pos as i64 + 1)],
+        vec![(parent_pos + 1).simplify()],
     )
 }
 
@@ -159,7 +156,7 @@ fn indices_buf(axes: &AxisStore, axis: &str) -> Buffer {
     let a = axes.get(axis).expect("axis registered");
     Buffer::global_i32(
         a.indices.clone().expect("sparse axis has indices"),
-        vec![Expr::i32(axes.positions(axis) as i64)],
+        vec![axes.positions(axis)],
     )
 }
 
@@ -262,7 +259,7 @@ fn lower_iteration(
                     Var::i32(fresh(used, &format!("{}{}", pa.to_lowercase(), ca.to_lowercase())));
                 let row = Var::i32(fresh(used, &format!("{}_row", pa.to_lowercase())));
                 let local = Var::i32(fresh(used, &format!("{}_loc", ca.to_lowercase())));
-                let extent = Expr::i32(child.nnz as i64);
+                let extent = child.nnz.clone();
                 let coord_p = Expr::var(&row);
                 let coord_c = if child.kind.is_sparse() {
                     indices_buf(axes, ca).load(vec![Expr::var(&f)])
@@ -393,14 +390,14 @@ fn lower_iteration(
                     .get(child)
                     .and_then(|a| a.parent.clone())
                     .expect("fused child has parent");
-                let plen = program.axes.positions(&parent_axis) as i64;
+                let plen = program.axes.positions(&parent_axis);
                 // row = upper_bound(indptr, f) - 1 over indptr[0..plen+1].
                 let search = Expr::Call {
                     intrin: Intrinsic::BinarySearch,
                     args: vec![
                         ip.load(vec![Expr::i32(0)]),
                         Expr::i32(0),
-                        Expr::i32(plen + 1),
+                        (plen.clone() + 1).simplify(),
                         Expr::var(var) + 1,
                     ],
                 };
@@ -641,8 +638,14 @@ mod tests {
         assert_eq!(ip.shape[0].as_const_int(), Some(5)); // rows + 1
         let ix = f.buffer("J_indices").expect("indices materialized");
         assert_eq!(ix.shape[0].as_const_int(), Some(7)); // nnz
-        assert!(lowered.domains.iter().any(|d| d.buffer == "J_indptr" && d.hi == 7));
-        assert!(lowered.domains.iter().any(|d| d.buffer == "J_indices" && d.hi == 4));
+        assert!(lowered
+            .domains
+            .iter()
+            .any(|d| d.buffer == "J_indptr" && d.hi.as_const_int() == Some(7)));
+        assert!(lowered
+            .domains
+            .iter()
+            .any(|d| d.buffer == "J_indices" && d.hi.as_const_int() == Some(4)));
     }
 
     #[test]

@@ -142,7 +142,7 @@ impl FormatRewriteRule {
         let j2: Rc<str> = format!("J2_{name}").into();
         let indices = format!("{name}_indices");
         let mut j_axis = Axis::sparse_fixed(j2.clone(), i2.clone(), cols, width, indices);
-        j_axis.nnz = rows * width;
+        j_axis.nnz = Expr::from(rows * width);
         let new_axes = vec![Axis::dense_fixed(i2.clone(), rows), j_axis];
         FormatRewriteRule {
             name,
@@ -175,7 +175,7 @@ impl FormatRewriteRule {
         let rows_name = format!("{name}_rows");
         let rows_buf = Buffer::global_i32(rows_name, vec![Expr::i32(bucket_rows as i64)]);
         let mut j_axis = Axis::sparse_fixed(jb.clone(), ib.clone(), cols, width, indices);
-        j_axis.nnz = bucket_rows * width;
+        j_axis.nnz = Expr::from(bucket_rows * width);
         let new_axes = vec![Axis::dense_fixed(ib.clone(), bucket_rows), j_axis];
         let rows_for_map = rows_buf.clone();
         FormatRewriteRule {

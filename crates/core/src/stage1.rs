@@ -285,13 +285,15 @@ impl ProgramBuilder {
         n
     }
 
-    /// `T.dense_variable(parent, (length, nnz), indptr)`.
+    /// `T.dense_variable(parent, (length, nnz), indptr)`: `nnz` a constant,
+    /// or a scalar parameter (`Var::i32("nnz")`, the paper's `nnz:
+    /// T.int32`) the lowered function lists in its `params`.
     pub fn dense_variable(
         &mut self,
         name: &str,
         parent: &str,
         length: usize,
-        nnz: usize,
+        nnz: impl Into<Expr>,
         indptr: &str,
     ) -> Rc<str> {
         let axis = Axis::dense_variable(name, parent, length, nnz, indptr);
@@ -310,19 +312,22 @@ impl ProgramBuilder {
         indices: &str,
     ) -> Rc<str> {
         let mut axis = Axis::sparse_fixed(name, parent, length, nnz_cols, indices);
-        axis.nnz = self.axes.positions(parent) * nnz_cols;
+        axis.nnz = (self.axes.positions(parent) * nnz_cols).simplify();
         let n = axis.name.clone();
         self.axes.add(axis);
         n
     }
 
-    /// `T.sparse_variable(parent, (length, nnz), (indptr, indices))`.
+    /// `T.sparse_variable(parent, (length, nnz), (indptr, indices))`:
+    /// `nnz` a constant, or a scalar parameter (`Var::i32("nnz")`, the
+    /// paper's `nnz: T.int32`) the lowered function lists in its `params`
+    /// — one kernel then serves every matrix of this `rows × cols`.
     pub fn sparse_variable(
         &mut self,
         name: &str,
         parent: &str,
         length: usize,
-        nnz: usize,
+        nnz: impl Into<Expr>,
         indptr: &str,
         indices: &str,
     ) -> Rc<str> {
@@ -411,10 +416,11 @@ impl ProgramBuilder {
     }
 }
 
-/// Build the paper's running SpMM example (Figure 3) for a concrete CSR
-/// structure: `C[i, k] = Σ_j A[i, j] · B[j, k]`.
+/// Build the paper's running SpMM example (Figure 3) for an `m × n` CSR
+/// matrix with `nnz` non-zeros — a constant, or the scalar parameter
+/// `nnz` of Figure 3: `C[i, k] = Σ_j A[i, j] · B[j, k]`.
 #[must_use]
-pub fn spmm_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
+pub fn spmm_program(m: usize, n: usize, nnz: impl Into<Expr>, feat: usize) -> SpProgram {
     let mut b = ProgramBuilder::new("spmm");
     b.dense_fixed("I", m);
     b.sparse_variable("J", "I", n, nnz, "J_indptr", "J_indices");
@@ -447,7 +453,7 @@ pub fn spmm_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
 /// Build the paper's SDDMM example for a concrete CSR structure:
 /// `B[i, j] = A[i, j] · Σ_k X[i, k] · Y[k, j]` (§4.2.2).
 #[must_use]
-pub fn sddmm_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
+pub fn sddmm_program(m: usize, n: usize, nnz: impl Into<Expr>, feat: usize) -> SpProgram {
     let mut b = ProgramBuilder::new("sddmm");
     b.dense_fixed("I", m);
     b.sparse_variable("J", "I", n, nnz, "J_indptr", "J_indices");
@@ -499,7 +505,7 @@ pub fn sddmm_program(m: usize, n: usize, nnz: usize, feat: usize) -> SpProgram {
 pub fn batched_sddmm_program(
     m: usize,
     n: usize,
-    nnz: usize,
+    nnz: impl Into<Expr>,
     heads: usize,
     feat: usize,
 ) -> SpProgram {

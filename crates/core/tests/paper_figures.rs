@@ -74,9 +74,9 @@ fn figure7_aux_materialization() {
     // assume_buffer_domain hints: indptr values in [0, nnz], indices in
     // [0, n−1].
     let ip_dom = lowered.domains.iter().find(|d| d.buffer == "J_indptr").unwrap();
-    assert_eq!((ip_dom.lo, ip_dom.hi), (0, 40));
+    assert_eq!((ip_dom.lo, ip_dom.hi.as_const_int()), (0, Some(40)));
     let ix_dom = lowered.domains.iter().find(|d| d.buffer == "J_indices").unwrap();
-    assert_eq!((ix_dom.lo, ix_dom.hi), (0, 15));
+    assert_eq!((ix_dom.lo, ix_dom.hi.as_const_int()), (0, Some(15)));
 }
 
 /// Figure 8: nested loop generation — one loop per axis without fusion,

@@ -109,8 +109,9 @@ pub struct Adjacency {
     /// are built from. Freshly-wrapped adjacencies anchor on their own
     /// `sparsity`; [`Engine::apply_delta`] deliberately keeps the previous
     /// anchor while the degree histogram stays within the drift threshold,
-    /// so every cached tune decision (and every compiled kernel keyed off
-    /// it) survives small structural updates.
+    /// so every cached tune decision survives small structural updates.
+    /// (Compiled kernels survive every update: they key on `rows / cols`
+    /// and the request shape and take `nnz` at launch.)
     anchor: Arc<SparsityFingerprint>,
     /// Monotonic delta version: `0` at construction, `+1` per
     /// [`Engine::apply_delta`]. Together with `anchor` this is the
@@ -637,9 +638,9 @@ impl Engine {
     /// keeps serving — the *stale-while-retune* state machine:
     ///
     /// - **Below (or at) the drift threshold** the successor keeps the
-    ///   predecessor's tuning *anchor*: every cached tune decision and
-    ///   compiled kernel stays valid, nothing recompiles, and
-    ///   [`EngineStats::retunes_skipped`] ticks.
+    ///   predecessor's tuning *anchor*: every cached tune decision stays
+    ///   valid, nothing re-tunes, and [`EngineStats::retunes_skipped`]
+    ///   ticks.
     /// - **Above the threshold** the successor anchors on its own
     ///   fingerprint. Every tune decision recorded under the old anchor is
     ///   *pre-seeded* under the new anchor's keys (stale but correct — the
@@ -651,9 +652,13 @@ impl Engine {
     ///   the old anchor there is nothing to replay: the pass counts as
     ///   started and completed on the spot and no thread is spawned.
     ///
-    /// The predecessor adjacency stays fully servable (requests holding it
-    /// batch and execute as before) — callers swap to the successor at
-    /// their own pace.
+    /// Either way the successor's launches run on the kernels the
+    /// predecessor's launches compiled: a served kernel keys on `rows / cols` and
+    /// the request shape and binds `nnz` at launch, so only a `hyb` config,
+    /// whose key lists its buckets, can compile anew. The predecessor
+    /// adjacency stays fully servable (requests holding it batch and
+    /// execute as before) — callers swap to the successor at their own
+    /// pace.
     ///
     /// # Errors
     /// [`EngineError::Shape`] when the delta addresses rows/columns

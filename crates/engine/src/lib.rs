@@ -72,8 +72,10 @@
 //!   `sparsetir-smat`, bit-identical to a rebuild), bumping a monotonic
 //!   version. While the log2-degree histogram stays within
 //!   [`EngineConfig::drift_threshold`] the successor keeps its
-//!   predecessor's tuning *anchor* — cached tune decisions and compiled
-//!   kernels keep serving with zero recompilation. Past the threshold,
+//!   predecessor's tuning *anchor* — cached tune decisions keep serving
+//!   with no re-tune. Compiled kernels serve the successor at any drift:
+//!   a kernel takes `nnz` as a launch parameter, so an update compiles
+//!   nothing (a `hyb` config's key lists its buckets). Past the threshold,
 //!   stale decisions are pre-seeded under the new anchor (no serving
 //!   gap) and one background thread re-tunes and atomically swaps them
 //!   in ([`EngineStats::retunes_started`]/`retunes_completed`/

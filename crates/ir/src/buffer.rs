@@ -81,6 +81,23 @@ impl Buffer {
         self.shape.iter().map(Expr::as_const_int).try_fold(1i64, |acc, d| d.map(|d| acc * d))
     }
 
+    /// The buffer with `var` replaced by `with` in its shape, each extent
+    /// simplified: a shape over a scalar parameter (`[nnz]`) specialized
+    /// to a value reads as the constant-shaped buffer would.
+    #[must_use]
+    pub fn substitute(&self, var: &crate::expr::Var, with: &Expr) -> Buffer {
+        let dim = |d: &Expr| match d {
+            Expr::Int { .. } => d.clone(),
+            _ => d.substitute(var, with).simplify(),
+        };
+        Buffer {
+            name: self.name.clone(),
+            dtype: self.dtype,
+            shape: self.shape.iter().map(dim).collect(),
+            scope: self.scope,
+        }
+    }
+
     /// Read expression `self[indices...]`.
     #[must_use]
     pub fn load(&self, indices: Vec<Expr>) -> Expr {

@@ -1577,6 +1577,8 @@ impl CompiledKernel {
             let slot = c.fresh_buf(&b.name);
             buffers.push((b.name.to_string(), b.dtype.is_float(), slot));
         }
+        // The params took the first slots, and no statement writes one.
+        let n_params = c.n_slots;
         let tree = c.compile_stmt(&func.body)?;
         let plan = MemoryPlan::of(func, &buffers, &c.buf_names, &tree);
         Ok(CompiledKernel {
@@ -1585,7 +1587,7 @@ impl CompiledKernel {
             buffers,
             n_slots: c.n_slots,
             n_bufs: c.n_bufs,
-            code: bytecode::lower(&tree, fuse),
+            code: bytecode::lower(&tree, fuse, n_params),
             fuse,
             slot_names: c.slot_names,
             buf_names: c.buf_names,

@@ -155,9 +155,10 @@ pub(super) struct Code {
 
 /// Lower a compiled statement tree to flat bytecode. When `fuse` is set,
 /// the fusion analysis runs over each candidate loop during lowering and
-/// emits superinstructions.
-pub(super) fn lower(body: &CStmt, fuse: bool) -> Code {
-    let mut lw = Lower { instrs: Vec::new(), fused_ops: 0, nests: 0, fuse };
+/// emits superinstructions. The kernel's scalar parameters are its slots
+/// `0..params`.
+pub(super) fn lower(body: &CStmt, fuse: bool, params: u32) -> Code {
+    let mut lw = Lower { instrs: Vec::new(), fused_ops: 0, nests: 0, fuse, params };
     lw.stmt(body);
     Code { instrs: lw.instrs, fused_ops: lw.fused_ops, nest_counts: Default::default() }
 }
@@ -167,6 +168,7 @@ struct Lower {
     fused_ops: usize,
     nests: u32,
     fuse: bool,
+    params: u32,
 }
 
 impl Lower {
@@ -372,7 +374,10 @@ impl Lower {
             return;
         }
         let lanes_at = u32::try_from(lanes_at).expect("kernel exceeds u32 instructions");
-        let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, lanes_at) else { return };
+        let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, (lanes_at, self.params))
+        else {
+            return;
+        };
         // Outside any row loop, every slot the entry program reads is fixed.
         let Some(block) = fuse::build_block((&spec, lanes), None, Vec::new(), None, |_| true)
         else {

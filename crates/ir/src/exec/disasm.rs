@@ -11,8 +11,8 @@
 
 use super::bytecode::{Code, Instr};
 use super::fuse::{
-    Combine, Drift, EntryProgram, IndexPlan, InitKind, LaneSpec, LaneView, Lin, NestSpec, Ratio,
-    Reg, RowPlan, TermShape, TermSpec, Value,
+    Combine, Drift, EntryProgram, Extent, IndexPlan, InitKind, LaneSpec, LaneView, Lin, NestSpec,
+    Ratio, Reg, RowPlan, TermShape, TermSpec, Value,
 };
 use super::{
     BoolExpr, CmpOp, CompiledKernel, CompiledTile, FloatExpr, FloatOp, IndexExpr, IntExpr, IntOp,
@@ -47,7 +47,11 @@ pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
     out.push_str(";; memory plan:\n");
     for (slot, e) in k.plan.entries.iter().enumerate() {
         let dtype = if e.is_float { "f32" } else { "i32" };
-        let len = e.len.map_or_else(|| "?".to_string(), |l| l.to_string());
+        let len = match (e.len, &e.symbolic) {
+            (Some(l), _) => l.to_string(),
+            (None, Some(shape)) => shape.clone(),
+            (None, None) => "?".to_string(),
+        };
         let kind = if e.local { " local pooled" } else { "" };
         let _ = writeln!(out, ";;   @{slot} = {} : {dtype}[{len}]{kind}", e.name);
     }
@@ -212,7 +216,11 @@ fn entry(prog: &EntryProgram, ratio_of: Option<Ratio>) -> String {
         out
     };
     let at = |p: &IndexPlan| {
-        let dims: Vec<String> = p.dims.iter().map(|(i, d)| format!("{}<{d}", lin(i))).collect();
+        let dim = |(i, d): &(Lin, Extent)| match d {
+            Extent::Const(d) => format!("{}<{d}", lin(i)),
+            Extent::Param(slot) => format!("{}<%{slot}", lin(i)),
+        };
+        let dims: Vec<String> = p.dims.iter().map(dim).collect();
         format!("[{}]", dims.join(", "))
     };
     let loads = prog.regs.iter().enumerate().filter_map(|(k, reg)| match reg {

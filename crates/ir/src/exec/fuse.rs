@@ -106,8 +106,8 @@ use std::marker::PhantomData;
 mod nest;
 
 pub(super) use nest::{
-    build_block, build_nest, Block, Drift, EntryProgram, Exit, IndexPlan, Lin, NestSpec, Ratio,
-    Reg, RowLoops, RowPlan, Solve, Split, Stepped, Trips,
+    build_block, build_nest, Block, Drift, EntryProgram, Exit, Extent, IndexPlan, Lin, NestSpec,
+    Ratio, Reg, RowLoops, RowPlan, Solve, Split, Stepped, Trips,
 };
 
 // ---------------------------------------------------------------------------

@@ -27,8 +27,10 @@
 //! Anything else is no nest: a division, remainder, `min` / `max`,
 //! selection, cast or binary search; a moving value times anything but a
 //! literal constant; a load at a position that reads the gather, or a
-//! second, different gather; a non-constant lane count or index extent; a
-//! second moving dimension in one index; more than [`MAX_REGS`] registers.
+//! second, different gather; a non-constant lane count, or an index extent
+//! that is neither a constant nor, on the outermost dimension, a scalar
+//! parameter of the kernel (a launch fixes `nnz`: [`Extent`]); a second
+//! moving dimension in one index; more than [`MAX_REGS`] registers.
 //! The coefficient is a constant, one `f32` load at such a position, or a
 //! moving such load `*` or `/` a factor that holds for the entry — one
 //! still load or a constant (a [`Ratio`]); the fill value is a constant or
@@ -178,7 +180,7 @@ pub(in crate::exec) fn build_nest(
     lanes: &LaneSpec,
     (slot, extent): (u32, &IntExpr),
     pins: Vec<(u32, i64)>,
-    lanes_at: u32,
+    (lanes_at, params): (u32, u32),
 ) -> Option<NestSpec> {
     let IntExpr::Const(n) = lanes.extent else {
         return None;
@@ -186,7 +188,7 @@ pub(in crate::exec) fn build_nest(
     if n < 1 || lanes.init.value().is_some_and(|value| !float_static(value)) {
         return None;
     }
-    let mut p = Planner::default();
+    let mut p = Planner { params, ..Planner::default() };
     // The trip count is evaluated outside the nest's scope.
     let (extent_at, _) = p.lin(extent)?;
     let head = p.regs.len();
@@ -402,18 +404,38 @@ impl Lin {
     }
 }
 
+/// A dimension's extent in an [`IndexPlan`]: a constant, or a scalar
+/// parameter of the kernel (a sparse buffer's `nnz`), fixed for a launch
+/// and read by [`block::Block::solve`] once per launch. Only the outermost
+/// dimension may have a parameter extent, so no stride is ever a multiple
+/// of one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(in crate::exec) enum Extent {
+    Const(i64),
+    Param(u32),
+}
+
+impl Extent {
+    fn konst(self) -> Option<i64> {
+        match self {
+            Extent::Const(d) => Some(d),
+            Extent::Param(_) => None,
+        }
+    }
+}
+
 /// An index at trip 0: every dimension's position a [`Lin`], every extent
-/// a constant.
+/// a constant but the outermost's, which may be a parameter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(in crate::exec) struct IndexPlan {
-    pub dims: Vec<(Lin, i64)>,
+    pub dims: Vec<(Lin, Extent)>,
 }
 
 impl IndexPlan {
     /// How many elements one step of dimension `dim` advances the flat
-    /// index.
+    /// index: the product of the (constant) extents inside it.
     fn coef(&self, dim: usize) -> Option<i64> {
-        self.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))
+        self.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(d.konst()?))
     }
 
     /// The drift of an index that does not move with the trip, only from
@@ -427,7 +449,8 @@ impl IndexPlan {
 /// elements stay inside it.
 #[inline(always)]
 fn interval(d: i64, span: i64) -> Option<(i64, i64)> {
-    Some((0.max(span.checked_neg()?), (d - 1).min((d - 1).checked_sub(span)?)))
+    let last = d.checked_sub(1)?;
+    Some((0.max(span.checked_neg()?), last.min(last.checked_sub(span)?)))
 }
 
 /// One register of an entry program.
@@ -490,6 +513,9 @@ type RatioPlan = (u32, IndexPlan, Drift, Option<(u32, IndexPlan)>);
 /// gather once a quantity reads it.
 #[derive(Default, Clone)]
 struct Planner<'a> {
+    /// The kernel's scalar parameters are its slots `0..params`: written
+    /// only by the launch, so an outermost extent may be one.
+    params: u32,
     regs: Vec<Reg>,
     env: Vec<(u32, (Lin, Move))>,
     /// The gather's buffer and index, how that index moves, where it starts
@@ -563,16 +589,19 @@ impl<'a> Planner<'a> {
     }
 
     /// An index at trip 0, how its one moving dimension moves, and whether
-    /// that reads the gather; `None` when an extent is not a constant or
-    /// more than one dimension moves.
+    /// that reads the gather; `None` when an extent is neither a constant
+    /// nor, on the outermost dimension, a parameter, or when more than one
+    /// dimension moves.
     fn index(&mut self, ix: &'a IndexExpr) -> Option<(IndexPlan, Option<Drift>, bool)> {
         if ix.dims.is_empty() {
             return None;
         }
         let (mut dims, mut moving, mut gathers) = (Vec::with_capacity(ix.dims.len()), None, false);
         for (dim, (idx, ext)) in ix.dims.iter().enumerate() {
-            let IntExpr::Const(d) = ext else {
-                return None;
+            let d = match *ext {
+                IntExpr::Const(d) => Extent::Const(d),
+                IntExpr::Slot(s) if dim == 0 && s < self.params => Extent::Param(s),
+                _ => return None,
             };
             let (at, m) = self.lin(idx)?;
             if !m.still() {
@@ -581,7 +610,7 @@ impl<'a> Planner<'a> {
                 }
                 gathers = m.gathers;
             }
-            dims.push((at, *d));
+            dims.push((at, d));
         }
         Some((IndexPlan { dims }, moving, gathers))
     }

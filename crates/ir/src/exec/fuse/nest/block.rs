@@ -55,8 +55,8 @@
 //! block; a nest whose one entry does not fit it is no nest.
 
 use super::{
-    interval, solve, Cursor, Drift, EntryProgram, IndexPlan, Lin, NestSpec, Planner, Reg, Spot,
-    Stepped, Trips, MAX_REGS,
+    interval, solve, Cursor, Drift, EntryProgram, Extent, IndexPlan, Lin, NestSpec, Planner, Reg,
+    Spot, Stepped, Trips, MAX_REGS,
 };
 use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes, TripFn};
 use crate::exec::{elem_load, CmpOp, Frame, IntExpr, NestCounts, RawBuf};
@@ -147,8 +147,12 @@ pub(in crate::exec) enum Source {
 /// Where a test's interval comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(in crate::exec) enum Bound {
-    /// A declared dimension: known at compile time.
+    /// A declared dimension of constant extent: known at compile time.
     Dim(i64, i64),
+    /// A declared dimension whose extent is the kernel parameter in slot
+    /// `.0`, from which a run of `.1` further elements must stay inside
+    /// it: read once per launch.
+    Param(u32, i64),
     /// The storage an operand ([`GATHER`] … [`FACTOR`]) is bound to.
     Storage(u8),
     /// The `i32` storage register `.0` loads from.
@@ -301,9 +305,12 @@ impl CsrRegs {
 }
 
 impl IndexPlan {
-    /// The flat element, as a [`Lin`]; `None` on overflow.
+    /// The flat element, as a [`Lin`]; `None` on overflow. The outermost
+    /// extent multiplies nothing.
     fn flat(&self) -> Option<Lin> {
-        self.dims.iter().try_fold(Lin::default(), |flat, (at, d)| flat.times(*d)?.plus(at, 1))
+        let ((first, _), inner) = self.dims.split_first()?;
+        let first = Lin::default().plus(first, 1)?;
+        inner.iter().try_fold(first, |flat, (at, d)| flat.times(d.konst()?)?.plus(at, 1))
     }
 }
 
@@ -476,17 +483,23 @@ impl Probes<'_> {
         let last = walk.filter(|d| d.step != 0).map(|d| (d.dim, d.step));
         let innermost = at.dims.len() - 1;
         for (k, (lin, d)) in at.dims.iter().enumerate() {
-            let (lo, hi) = interval(*d, if k == innermost { span } else { 0 })?;
-            self.probe(lin, Bound::Dim(lo, hi))?;
+            let run = if k == innermost { span } else { 0 };
+            let bound = match *d {
+                Extent::Const(d) => {
+                    let (lo, hi) = interval(d, run)?;
+                    Bound::Dim(lo, hi)
+                }
+                Extent::Param(slot) => Bound::Param(slot, run),
+            };
+            self.probe(lin, bound)?;
             if let Some((_, step)) = last.filter(|(dim, _)| *dim == k) {
-                self.probe(&self.at_last(lin, step)?, Bound::Dim(lo, hi))?;
+                self.probe(&self.at_last(lin, step)?, bound)?;
             }
         }
         let flat = at.flat()?;
         self.probe(&flat, storage)?;
         if let Some((dim, step)) = last {
-            let coef = at.dims[dim + 1..].iter().try_fold(1i64, |c, (_, d)| c.checked_mul(*d))?;
-            self.probe(&self.at_last(&flat, coef.checked_mul(step)?)?, storage)?;
+            self.probe(&self.at_last(&flat, at.coef(dim)?.checked_mul(step)?)?, storage)?;
         }
         Some(())
     }
@@ -637,6 +650,7 @@ impl Block {
     ) -> Option<(i64, i64)> {
         match bound {
             Bound::Dim(lo, hi) => Some((lo, hi)),
+            Bound::Param(slot, span) => interval(fr.scalars[slot as usize], span),
             Bound::Storage(op) => self.storage(usize::from(op), at, fr, factor),
             Bound::Len(reg) => match &self.sources[usize::from(reg)] {
                 Source::Load { buf, .. } | Source::Gathered { buf, .. } => {

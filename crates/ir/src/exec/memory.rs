@@ -6,6 +6,7 @@ use super::{CStmt, IntExpr};
 use super::{CompiledKernel, Runtime};
 use crate::expr::Expr;
 use crate::func::PrimFunc;
+use crate::printer::print_expr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -19,6 +20,10 @@ pub struct PlanEntry {
     /// Statically known element count — `Some` when every shape extent is
     /// a compile-time constant.
     pub len: Option<usize>,
+    /// The element count as the declared shape states it when that is not
+    /// a constant: an expression over the kernel's scalar parameters (a
+    /// sparse buffer's `nnz`), fixed at launch.
+    pub symbolic: Option<String>,
     /// True for kernel-local `Allocate` scratch (served from the buffer
     /// pool at run time) rather than a caller binding.
     pub local: bool,
@@ -42,7 +47,13 @@ impl MemoryPlan {
     ) -> MemoryPlan {
         let mut entries: Vec<PlanEntry> = buf_names
             .iter()
-            .map(|n| PlanEntry { name: n.clone(), is_float: true, len: None, local: true })
+            .map(|n| PlanEntry {
+                name: n.clone(),
+                is_float: true,
+                len: None,
+                symbolic: None,
+                local: true,
+            })
             .collect();
         for (name, is_float, slot) in buffers {
             let e = &mut entries[*slot as usize];
@@ -50,6 +61,10 @@ impl MemoryPlan {
             e.is_float = *is_float;
             if let Some(b) = func.buffers.iter().find(|b| &*b.name == name.as_str()) {
                 e.len = const_shape_product(&b.shape);
+                if e.len.is_none() {
+                    let dims: Vec<String> = b.shape.iter().map(print_expr).collect();
+                    e.symbolic = Some(dims.join(" * "));
+                }
             }
         }
         collect_allocs(tree, &mut entries);

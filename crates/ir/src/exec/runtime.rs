@@ -22,11 +22,13 @@ const CACHE_SHARDS: usize = 16;
 /// Most entries one stripe keeps (so a runtime keeps at most
 /// `CACHE_SHARDS × SHARD_CAPACITY` = 512 kernels): a new key past it
 /// evicts the stripe's least recently used settled entry. A served kernel
-/// bakes its adjacency's shape, so every update that changes `nnz` makes
-/// the old shape's kernels dead weight; without a bound they pile up with
-/// the requests served (≈ 30 KB a kernel, `stbench serve_shared_dynamic`:
-/// ≈ 226 compilations per 1 000 requests). A working set — 48 tenants × 2
-/// ops in `serve_multitenant` — stays far below it.
+/// takes `nnz` as a launch parameter, so a graph update compiles nothing
+/// (`stbench serve_shared_dynamic`: ≈ 1.3 compilations per 1 000
+/// requests); but it bakes `rows / cols` and the request shape, so every
+/// graph of a new shape — a cold probe, a spare tenant — and every `hyb`
+/// bucket list adds kernels (≈ 30 KB each) that would pile up with the
+/// graphs seen. A working set — 48 tenants × 2 ops in `serve_multitenant`
+/// — stays far below the bound.
 const SHARD_CAPACITY: usize = 32;
 
 /// A cache key of any hashable type, held whole and compared whole: what

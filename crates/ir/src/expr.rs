@@ -320,7 +320,8 @@ impl Expr {
         }
     }
 
-    /// Substitute every occurrence of variable `var` with `with`.
+    /// Substitute every occurrence of variable `var` with `with`, the
+    /// shapes of the buffers it loads from included.
     #[must_use]
     pub fn substitute(&self, var: &Var, with: &Expr) -> Expr {
         match self {
@@ -340,7 +341,7 @@ impl Expr {
                 Expr::Cast { dtype: *dtype, value: Box::new(value.substitute(var, with)) }
             }
             Expr::BufferLoad { buffer, indices } => Expr::BufferLoad {
-                buffer: buffer.clone(),
+                buffer: buffer.substitute(var, with),
                 indices: indices.iter().map(|e| e.substitute(var, with)).collect(),
             },
             Expr::Call { intrin, args } => Expr::Call {

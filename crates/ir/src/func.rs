@@ -82,30 +82,23 @@ impl PrimFunc {
 
     /// Substitute scalar parameters with constant values, producing a
     /// specialized function (used when the sparse structure is known at
-    /// compile time, §2 of the paper).
+    /// compile time, §2 of the paper): every occurrence goes, in the body,
+    /// in the shapes of the buffers it touches and in the declared ones,
+    /// so specializing a function whose `nnz` is a parameter gives the
+    /// function built with that `nnz` as a constant.
     #[must_use]
     pub fn specialize(&self, bindings: &HashMap<String, i64>) -> PrimFunc {
-        let mut body = self.body.clone();
-        let mut params = Vec::new();
+        let mut f = PrimFunc { params: Vec::new(), ..self.clone() };
         for p in &self.params {
-            if let Some(v) = bindings.get(&*p.name) {
-                body = body.substitute(p, &Expr::Int { value: *v, dtype: p.dtype });
-            } else {
-                params.push(p.clone());
-            }
+            let Some(v) = bindings.get(&*p.name) else {
+                f.params.push(p.clone());
+                continue;
+            };
+            let c = Expr::Int { value: *v, dtype: p.dtype };
+            f.body = f.body.substitute(p, &c);
+            f.buffers = f.buffers.iter().map(|b| b.substitute(p, &c)).collect();
         }
-        let subst_shape = |b: &Buffer| {
-            let mut shape = b.shape.clone();
-            for p in &self.params {
-                if let Some(v) = bindings.get(&*p.name) {
-                    let c = Expr::Int { value: *v, dtype: p.dtype };
-                    shape = shape.iter().map(|d| d.substitute(p, &c).simplify()).collect();
-                }
-            }
-            Buffer { name: b.name.clone(), dtype: b.dtype, shape, scope: b.scope }
-        };
-        let buffers = self.buffers.iter().map(subst_shape).collect();
-        PrimFunc { name: self.name.clone(), params, buffers, body }
+        f
     }
 
     /// All block names in the body, in pre-order.

@@ -281,7 +281,7 @@ impl Stmt {
                 })
             }
             Stmt::BufferStore { buffer, indices, value } => Stmt::BufferStore {
-                buffer: buffer.clone(),
+                buffer: buffer.substitute(var, with),
                 indices: indices.iter().map(|e| e.substitute(var, with)).collect(),
                 value: value.substitute(var, with),
             },
@@ -300,13 +300,13 @@ impl Stmt {
                 }
             }
             Stmt::Allocate { buffer, body } => Stmt::Allocate {
-                buffer: buffer.clone(),
+                buffer: buffer.substitute(var, with),
                 body: Box::new(body.substitute(var, with)),
             },
             Stmt::Evaluate(e) => Stmt::Evaluate(e.substitute(var, with)),
             Stmt::MmaSync { c, a, b, m, n, k } => {
                 let sub_tile = |t: &TensorTile| TensorTile {
-                    buffer: t.buffer.clone(),
+                    buffer: t.buffer.substitute(var, with),
                     offset: t.offset.substitute(var, with),
                     row_stride: t.row_stride.substitute(var, with),
                 };

@@ -1841,8 +1841,13 @@ enum EntryRule {
     ComputedCoefficient,
     /// The lane count is the parameter `n`.
     ParamLaneCount,
-    /// `X`'s row extent is the parameter `m`.
+    /// `X`'s row extent — its outermost — is the parameter `m`: a nest,
+    /// its bound read once per launch (how a served kernel's `nnz`-sized
+    /// buffers are declared).
     ParamExtent,
+    /// `C`'s column extent — an inner one, which strides multiply — is
+    /// the parameter `n`.
+    InnerParamExtent,
     /// The output row adds eight more enclosing loop variables: nine slot
     /// registers, one more than a program holds.
     NineRegisters,
@@ -1869,10 +1874,11 @@ fn entry_candidate(
     let (nv, mv) = (Var::i32("n"), Var::i32("m"));
     let lane_count = if rule == EntryRule::ParamLaneCount { Expr::var(&nv) } else { Expr::i32(n) };
     let x_extent = if rule == EntryRule::ParamExtent { Expr::var(&mv) } else { Expr::i32(x_rows) };
+    let c_cols = if rule == EntryRule::InnerParamExtent { Expr::var(&nv) } else { Expr::i32(n) };
     let idx = Buffer::global_i32("Idx", vec![Expr::i32(rows * width)]);
     let w = Buffer::global_f32("W", vec![Expr::i32(rows * width)]);
     let x = Buffer::global_f32("X", vec![x_extent, Expr::i32(n)]);
-    let c = Buffer::global_f32("C", vec![Expr::i32(rows), Expr::i32(n)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(rows), c_cols]);
     let (i, j, k, pin) = (Var::i32("i"), Var::i32("j"), Var::i32("k"), Var::i32("p"));
     let outer: Vec<Var> = (0..8).map(|u| Var::i32(format!("u{u}"))).collect();
     let pos = Expr::var(&i) * width + Expr::var(&j);
@@ -1908,13 +1914,15 @@ fn entry_candidate(
         body = outer.into_iter().fold(body, |b, u| Stmt::for_serial(u, 1, b));
     }
     let params = match rule {
-        EntryRule::ParamLaneCount => vec![nv],
+        EntryRule::ParamLaneCount | EntryRule::InnerParamExtent => vec![nv],
         EntryRule::ParamExtent => vec![mv],
         _ => vec![],
     };
     let f = PrimFunc::new("entry_candidate", params, vec![idx, w, x, c], body);
     let scalars = match rule {
-        EntryRule::ParamLaneCount => HashMap::from([("n".to_string(), n)]),
+        EntryRule::ParamLaneCount | EntryRule::InnerParamExtent => {
+            HashMap::from([("n".to_string(), n)])
+        }
         EntryRule::ParamExtent => HashMap::from([("m".to_string(), x_rows)]),
         _ => HashMap::new(),
     };
@@ -1931,13 +1939,14 @@ fn entry_candidate(
 
 /// One negative case per entry-program rule: each is no nest — the loop
 /// stays a `for` around its per-non-zero `Super` — and still bit-matches.
-/// The positive control is a nest with a program, and a block takes every
-/// row.
+/// The positive controls are a nest with a program, and a block takes
+/// every row: the form that fits, and the same with a parameter for its
+/// outermost extent.
 #[test]
 fn entry_program_rules_each_have_a_negative_case() {
     use EntryRule::{
-        ComputedCoefficient, Fits, NineRegisters, ParamExtent, ParamLaneCount, RowUnderDivision,
-        TripTimesPin,
+        ComputedCoefficient, Fits, InnerParamExtent, NineRegisters, ParamExtent, ParamLaneCount,
+        RowUnderDivision, TripTimesPin,
     };
     for rule in [
         Fits,
@@ -1945,17 +1954,19 @@ fn entry_program_rules_each_have_a_negative_case() {
         ComputedCoefficient,
         ParamLaneCount,
         ParamExtent,
+        InnerParamExtent,
         NineRegisters,
         TripTimesPin,
     ] {
         let (f, scalars, tensors) = entry_candidate(rule);
-        let want: &[&str] = if rule == Fits { &["nest.axpy"] } else { &[] };
+        let fits = matches!(rule, Fits | ParamExtent);
+        let want: &[&str] = if fits { &["nest.axpy"] } else { &[] };
         assert_eq!(nests(&f), want, "{rule:?}: a nest only with a program");
-        assert_eq!(entry_programs(&f), usize::from(rule == Fits), "{rule:?}");
+        assert_eq!(entry_programs(&f), usize::from(fits), "{rule:?}");
         assert_eq!(CompiledKernel::compile(&f).unwrap().fused_kinds(), ["AxpyLanes"], "{rule:?}");
         differential(&f, &scalars, &tensors).unwrap_or_else(|m| panic!("{rule:?}: {m}"));
         let counts = launch_counts(&f, &scalars, &tensors);
-        let entries = if rule == Fits { 4 } else { 0 };
+        let entries = if fits { 4 } else { 0 };
         assert_eq!((counts.entries, counts.blocked), (entries, entries), "{rule:?}");
     }
 }

@@ -35,6 +35,11 @@
 //! compile-time fold) and `+ − *` past `i64` (wrapping, everywhere); the
 //! `row_nests` case multiplies a reduce binding by `i64::MIN`, whose
 //! wrapped values restart the init mid-row, so no block takes the nest.
+//! The `param_extents` cases run a CSR row block whose `A` and
+//! `J_indices` are declared `[nnz]`, `nnz` a launch parameter: equal to,
+//! below and above the bound storage's length, a position at `nnz − 1` and
+//! at `nnz`, `nnz` missing, and values no dimension can have — one outcome
+//! on all three executors, error text and written prefix included.
 
 use sparsetir_ir::prelude::*;
 use std::collections::HashMap;
@@ -1157,5 +1162,164 @@ mod row_blocks {
         // Row 5's second trip (position 7) reaches column 6 of six.
         let c = agrees("J_indices", 7, COLS as i32, Some("out of bounds"));
         assert!(c[5 * 4..].iter().all(|&c| c != 9.0), "row 5's first trip landed: {c:?}");
+    }
+}
+
+mod param_extents {
+    use super::*;
+    use sparsetir_core::prelude::{lower, spmm_program};
+
+    const ROWS: usize = 6;
+    const COLS: usize = 8;
+    /// Row lengths 2, 0, 1, 3, 0 and — through [`spmm`]'s `end` — the rest
+    /// of the slabs. An empty row keeps its stale output.
+    const INDPTR: [i32; ROWS] = [0, 2, 2, 3, 6, 6];
+    const D: usize = 4;
+
+    /// The CSR SpMM with `nnz` a parameter — `A` and `J_indices` declared
+    /// `[nnz]` — its rows bound to `blockIdx` and run as one CSR row block,
+    /// over slabs of `len` elements with the row pointer ending at `end`;
+    /// `C` holds stale 9.0s.
+    fn spmm(len: usize, end: i32) -> (PrimFunc, HashMap<String, TensorData>) {
+        let f = lower(&spmm_program(ROWS, COLS, Var::i32("nnz"), D)).unwrap();
+        let mut sch = Schedule::new(f);
+        sch.bind("i", ThreadAxis::BlockIdxX).unwrap();
+        let f = sch.into_func();
+        let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+        let symbolic = listing.contains(";; params: %0=nnz") && listing.contains("<%0]");
+        assert!(symbolic && listing.contains("layout=csr"), "{listing}");
+        let mut indptr = INDPTR.to_vec();
+        indptr.push(end);
+        let cols: Vec<i32> = (0..len as i32).map(|p| (p * 3 + 1) % COLS as i32).collect();
+        let ramp =
+            |len: usize, by: f32| (0..len).map(|x| by * (x as f32 - 5.0)).collect::<Vec<_>>();
+        let mut t = HashMap::new();
+        t.insert("J_indptr".to_string(), TensorData::from(indptr));
+        t.insert("J_indices".to_string(), TensorData::from(cols));
+        t.insert("A".to_string(), TensorData::from(ramp(len, 0.5)));
+        t.insert("B".to_string(), TensorData::from(ramp(COLS * D, 0.125)));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; ROWS * D]));
+        (f, t)
+    }
+
+    /// The interpreter, all-generic bytecode, bytecode with its row block
+    /// and `exec_func`, with `scalars` bound: one outcome each — the error
+    /// `says` word for word, or success — and `C` bit for bit the
+    /// interpreter's, which is returned with what the block's nest counted.
+    fn agrees(
+        (f, tensors): &(PrimFunc, HashMap<String, TensorData>),
+        scalars: &HashMap<String, i64>,
+        says: Option<&str>,
+    ) -> (Vec<f32>, NestCounts) {
+        let mut want = tensors.clone();
+        let err = eval_func(f, scalars, &mut want).err().map(|e| e.to_string());
+        let err = err.as_deref().map(|e| e.strip_prefix("interpreter error: ").expect("prefix"));
+        assert_eq!(err, says, "the interpreter");
+        let same = |got: &HashMap<String, TensorData>, who: &str| {
+            let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "{who}: C diverged\n{got:?}\n{want:?}");
+        };
+        let mut counts = NestCounts::default();
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(f, fuse).unwrap();
+            let e = kernel.run(scalars, &mut got).err().map(|e| e.to_string());
+            let e = e.as_deref().map(|e| e.strip_prefix("executor error: ").expect("prefix"));
+            assert_eq!(e, err, "fuse = {fuse}");
+            same(&got, if fuse { "fused" } else { "generic" });
+            counts = kernel.nest_counts();
+        }
+        let mut got = tensors.clone();
+        let e = exec_func(f, scalars, &mut got).err().map(|e| e.to_string());
+        assert_eq!(e.as_deref().map(|e| e.strip_prefix("executor error: ").unwrap()), err);
+        same(&got, "exec_func");
+        (want["C"].as_f32().to_vec(), counts)
+    }
+
+    fn nnz(v: i64) -> HashMap<String, i64> {
+        HashMap::from([("nnz".to_string(), v)])
+    }
+
+    /// Row `r` of `c`.
+    fn row(c: &[f32], r: usize) -> &[f32] {
+        &c[r * D..(r + 1) * D]
+    }
+
+    #[test]
+    fn parameter_equal_to_the_storage_takes_every_row_in_the_block() {
+        // Ten non-zeros, `nnz = 10`: the last one sits at `nnz − 1`.
+        let (c, counts) = agrees(&spmm(10, 10), &nnz(10), None);
+        for r in [0, 2, 3, 5] {
+            assert!(row(&c, r).iter().all(|&c| c != 9.0), "row {r} written: {c:?}");
+        }
+        assert_eq!(counts.blocked, counts.entries, "{counts:?}");
+        assert_eq!((counts.entries, counts.handovers), (ROWS as u64, 0), "{counts:?}");
+    }
+
+    #[test]
+    fn parameter_below_the_storage_fails_the_position_at_nnz() {
+        // Storage for ten, `nnz = 9`: the last row's fourth non-zero sits at
+        // position 9 = `nnz`, past the declared dimension though inside the
+        // storage. The block's interval, solved from the parameter, sends
+        // the last row to the generic loop, which writes its first three
+        // trips and fails the fourth in the interpreter's words.
+        let (c, counts) = agrees(
+            &spmm(10, 10),
+            &nnz(9),
+            Some("index 9 out of bounds for dim of extent 9 in buffer `J_indices`"),
+        );
+        assert!(row(&c, 3).iter().all(|&c| c != 9.0), "row 3 written: {c:?}");
+        assert!(row(&c, 5).iter().all(|&c| c != 9.0), "the failing row's first trips: {c:?}");
+        assert!(counts.handovers > 0, "{counts:?}");
+    }
+
+    #[test]
+    fn parameter_above_the_storage_is_checked_against_the_storage() {
+        // `nnz = 11` over storage for ten: every position the rows reach
+        // is below both, and the launch succeeds in the block.
+        let (_, counts) = agrees(&spmm(10, 10), &nnz(11), None);
+        assert_eq!((counts.blocked, counts.handovers), (counts.entries, 0), "{counts:?}");
+        // The row pointer claims an eleventh non-zero: position 10 is inside
+        // the declared dimension and past the storage.
+        let (c, counts) = agrees(
+            &spmm(10, 11),
+            &nnz(11),
+            Some("flat index 10 out of bounds (len 10) in buffer `J_indices`"),
+        );
+        assert!(row(&c, 3).iter().all(|&c| c != 9.0), "row 3 written: {c:?}");
+        assert!(counts.handovers > 0, "{counts:?}");
+    }
+
+    #[test]
+    fn a_position_at_nnz_fails_even_with_storage_behind_it() {
+        // Storage for eleven, `nnz = 10`, and the row pointer reaching
+        // position 10 = `nnz`.
+        agrees(
+            &spmm(11, 11),
+            &nnz(10),
+            Some("index 10 out of bounds for dim of extent 10 in buffer `J_indices`"),
+        );
+    }
+
+    #[test]
+    fn a_missing_parameter_writes_nothing() {
+        let (c, counts) =
+            agrees(&spmm(10, 10), &HashMap::new(), Some("missing scalar param `nnz`"));
+        assert!(c.iter().all(|&c| c == 9.0), "nothing written: {c:?}");
+        assert_eq!(counts.entries, 0);
+    }
+
+    #[test]
+    fn parameters_no_dimension_can_have_fail_in_the_generic_loop() {
+        // Zero, negative and the ends of `i64`: the block's interval is
+        // empty (or its bound overflows), the generic loop fails the first
+        // row with a non-zero, and nothing panics.
+        for v in [0, -1, i64::MIN, i64::MIN + 1] {
+            let says = format!("index 0 out of bounds for dim of extent {v} in buffer `J_indices`");
+            let (c, _) = agrees(&spmm(10, 10), &nnz(v), Some(&says));
+            assert!(c.iter().all(|&c| c == 9.0), "nnz = {v}: nothing written: {c:?}");
+        }
+        agrees(&spmm(10, 10), &nnz(i64::MAX), None);
     }
 }

@@ -45,7 +45,7 @@
 //! is never evaluated there); for non-empty rows the partition sum is
 //! ≥ 1 by max-shifting, so the folded `P/Sum` coefficient is safe.
 
-use crate::spec::{KernelResult, KernelSpec};
+use crate::spec::{launch_scalars, KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -261,10 +261,11 @@ pub fn fused_attention_views_on(
     with_operands(rt, a, (qs, kts, vs), outs, 1, |ops, b, outs| {
         let spec = KernelSpec::FusedAttention { a: a.into(), k: ops.k, vfeat: ops.vfeat };
         let kernel = spec.compile_on(rt)?;
+        let scalars = launch_scalars(a);
         let mut views = ViewBindings::from_tensors(b);
         for (h, out) in outs.iter_mut().enumerate() {
             ops.bind(&mut views, h..h + 1, out_view(a.rows(), std::slice::from_mut(out))?)?;
-            kernel.run_views(&HashMap::new(), &mut views)?;
+            kernel.run_views(&scalars, &mut views)?;
         }
         Ok(())
     })

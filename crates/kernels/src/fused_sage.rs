@@ -24,7 +24,7 @@
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
 
-use crate::spec::{KernelResult, KernelSpec};
+use crate::spec::{launch_scalars, KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -52,7 +52,7 @@ pub fn inverse_degrees(a: &Csr) -> Vec<f32> {
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn fused_sage_ir(a: &Csr, feat: usize, hidden: usize) -> KernelResult<PrimFunc> {
-    KernelSpec::FusedSage { a: a.into(), feat, hidden }.build()
+    KernelSpec::FusedSage { a: a.into(), feat, hidden }.build_for(a)
 }
 
 /// The fused-SAGE request-shape rule — the one check behind both
@@ -121,7 +121,7 @@ pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Ker
         views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
         views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);
         views.bind_cols("H1", h1);
-        Ok(kernel.run_views(&HashMap::new(), &mut views)?)
+        Ok(kernel.run_views(&launch_scalars(a), &mut views)?)
     })
 }
 

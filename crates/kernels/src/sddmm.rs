@@ -6,11 +6,10 @@
 //! balancing — is priced by `sparsetir_plans` and kept here only as a test
 //! oracle.
 
-use crate::spec::KernelSpec;
+use crate::spec::{launch_scalars, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
-use std::collections::HashMap;
 
 /// The one-head SDDMM (`X`, `Y`, `Bout` flat, as [`batched_sddmm_ir`]
 /// lays them out at one head): the kernel the served path runs for every
@@ -19,7 +18,7 @@ use std::collections::HashMap;
 /// # Errors
 /// Propagates lowering/scheduling errors.
 pub fn sddmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    KernelSpec::Sddmm { a: a.into(), k: feat }.build()
+    KernelSpec::Sddmm { a: a.into(), k: feat }.build_for(a)
 }
 
 /// The SDDMM request-shape rule — the one check behind both
@@ -80,6 +79,7 @@ pub fn sddmm_execute_views_on(
         }
     }
     let kernel = KernelSpec::Sddmm { a: a.into(), k }.compile_on(rt)?;
+    let scalars = launch_scalars(a);
     let mut structure = Bindings::new();
     bind_csr(&mut structure, "A", "J", a);
     let mut views = ViewBindings::from_tensors(&mut structure);
@@ -87,7 +87,7 @@ pub fn sddmm_execute_views_on(
         views.bind_cols("X", ColsView::read(a.rows(), &[(x.data(), k)])?);
         views.bind_rows("Y", RowsView::read(k * a.cols(), &[y.data()])?);
         views.bind_cols("Bout", ColsView::write(a.nnz(), vec![(out.as_mut_slice(), 1)])?);
-        kernel.run_views(&HashMap::new(), &mut views)?;
+        kernel.run_views(&scalars, &mut views)?;
     }
     Ok(())
 }
@@ -130,6 +130,7 @@ pub(crate) fn fused_ij_sddmm_ir(a: &Csr, heads: usize, feat: usize) -> PrimFunc 
 mod tests {
     use super::*;
     use sparsetir_smat::gen;
+    use std::collections::HashMap;
 
     fn pair(a: &Csr, k: usize, seed: u64) -> (Dense, Dense) {
         let mut rng = gen::rng(seed);

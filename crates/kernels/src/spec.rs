@@ -3,33 +3,47 @@
 //!
 //! Format decomposition, lowering and scheduling are compile-time work
 //! (§3, Stages I–III), and every `*_ir` builder reads only the adjacency's
-//! `rows / cols / nnz`, the request shape and its schedule parameters. A
+//! `rows / cols`, the request shape and its schedule parameters: the
+//! non-zero count is the kernel's scalar parameter [`NNZ`] (Figure 3's
+//! `nnz: T.int32`), which every launch binds ([`launch_scalars`]). A
 //! [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
 //! with no `Csr` in scope — so the function cannot depend on anything the
 //! spec leaves out — and [`KernelSpec::compile_on`] hands the spec itself
 //! to [`Runtime::compile_keyed`] as the key: a warm launch hashes a few
-//! words and builds, prints and hashes no IR. The kernels bake shapes,
-//! never structure: two graphs of equal shape share one kernel.
+//! words and builds, prints and hashes no IR. The kernels bake `rows /
+//! cols` and the request shape, not `nnz`: two graphs of equal `rows` and
+//! `cols` share one kernel, whatever their edges — so a graph update that
+//! adds or deletes edges compiles nothing.
 
 use crate::spmm::CsrSpmmParams;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
 
-/// All a Stage I program reads of an adjacency.
+/// The scalar parameter a served kernel takes its adjacency's non-zero
+/// count as.
+pub(crate) const NNZ: &str = "nnz";
+
+/// The scalars a launch of a served kernel over `a` binds.
+pub(crate) fn launch_scalars(a: &Csr) -> HashMap<String, i64> {
+    HashMap::from([(NNZ.to_string(), a.nnz() as i64)])
+}
+
+/// All a Stage I program reads of an adjacency; its non-zero count is a
+/// launch parameter.
 #[derive(Debug, Clone, Copy, Hash, PartialEq, Eq)]
 pub(crate) struct CsrShape {
     pub rows: usize,
     pub cols: usize,
-    pub nnz: usize,
 }
 
 impl From<&Csr> for CsrShape {
     fn from(a: &Csr) -> CsrShape {
-        CsrShape { rows: a.rows(), cols: a.cols(), nnz: a.nnz() }
+        CsrShape { rows: a.rows(), cols: a.cols() }
     }
 }
 
@@ -76,14 +90,30 @@ impl KernelSpec {
 
     /// Build, lower and schedule the Stage III function (the Figure 3 →
     /// Figure 9/10 pipeline; for hyb through the `decompose_format` bucket
-    /// rewrites of Figure 11).
+    /// rewrites of Figure 11), its non-zero count the parameter [`NNZ`].
     ///
     /// # Errors
     /// Propagates decomposition, lowering and scheduling errors.
     pub(crate) fn build(&self) -> KernelResult<PrimFunc> {
+        self.build_with(Var::i32(NNZ).into())
+    }
+
+    /// [`KernelSpec::build`] with `a.nnz()` a constant: the function
+    /// `build` makes, [`PrimFunc::specialize`]d to `a`'s non-zero count,
+    /// which runs with no scalars bound (the public `*_ir` builders).
+    ///
+    /// # Errors
+    /// [`KernelSpec::build`]'s.
+    pub(crate) fn build_for(&self, a: &Csr) -> KernelResult<PrimFunc> {
+        self.build_with(Expr::from(a.nnz()))
+    }
+
+    /// The spec's function with `nnz` the adjacency's non-zero count: the
+    /// parameter [`NNZ`], or a constant.
+    fn build_with(&self, nnz: Expr) -> KernelResult<PrimFunc> {
         match *self {
             KernelSpec::CsrSpmm { a, feat, rows_per_block, k_factor } => {
-                let f = lower(&spmm_program(a.rows, a.cols, a.nnz, feat))?;
+                let f = lower(&spmm_program(a.rows, a.cols, nnz, feat))?;
                 let mut sch = Schedule::new(f);
                 let (io, _ii) = sch.split("i", rows_per_block as i64)?;
                 sch.bind(&io, ThreadAxis::BlockIdxX)?;
@@ -92,7 +122,7 @@ impl KernelSpec {
                 Ok(sch.into_func())
             }
             KernelSpec::HybSpmm { a, feat, ref buckets } => {
-                let program = spmm_program(a.rows, a.cols, a.nnz, feat);
+                let program = spmm_program(a.rows, a.cols, nnz, feat);
                 let rule = |&(partition, width, len): &(usize, usize, usize)| {
                     let tag = bucket_tag(partition, width);
                     FormatRewriteRule::bucket_ell("A", &tag, width, len, a.cols)
@@ -101,13 +131,13 @@ impl KernelSpec {
                 Ok(lower(&decompose_format(&program, &rules)?.strip_copies())?)
             }
             KernelSpec::Sddmm { a, k } => {
-                Ok(lower(&batched_sddmm_program(a.rows, a.cols, a.nnz, 1, k))?)
+                Ok(lower(&batched_sddmm_program(a.rows, a.cols, nnz, 1, k))?)
             }
             KernelSpec::FusedAttention { a, k, vfeat } => {
-                Ok(lower(&fused_attention_program(a.rows, a.cols, a.nnz, 1, k, vfeat))?)
+                Ok(lower(&fused_attention_program(a.rows, a.cols, nnz, 1, k, vfeat))?)
             }
             KernelSpec::FusedSage { a, feat, hidden } => {
-                Ok(lower(&fused_sage_program(a.rows, a.cols, a.nnz, feat, hidden))?)
+                Ok(lower(&fused_sage_program(a.rows, a.cols, nnz, feat, hidden))?)
             }
         }
     }
@@ -174,6 +204,8 @@ mod tests {
             graph(7, 9, |_| 0, 4),
             // Row lengths 1 and 4 only: `hyb(_, 3)` leaves widths 2 and 8 empty.
             graph(12, 16, |r| [1, 4][r % 2], 5),
+            // The first one's `rows / cols`, one more non-zero a row.
+            graph(36, 30, |r| power_law(r) + 1, 6),
         ];
         let mut specs = Vec::new();
         for a in &graphs {
@@ -204,8 +236,25 @@ mod tests {
             let first = by_text.entry(text).or_insert(spec);
             assert_eq!(*first, spec, "cache split: two specs build\n{text}");
         }
+        // Equal `rows / cols`, different `nnz`: one spec and one text per
+        // op — `nnz` is the kernel's parameter, not part of its key.
+        let (first, denser) = (&graphs[0], &graphs[5]);
+        assert!(first.nnz() < denser.nnz());
+        let same_shape = [
+            |a: &Csr| KernelSpec::csr_spmm(a, 16, CsrSpmmParams::default()),
+            |a: &Csr| KernelSpec::Sddmm { a: a.into(), k: 8 },
+            |a: &Csr| KernelSpec::FusedAttention { a: a.into(), k: 8, vfeat: 4 },
+            |a: &Csr| KernelSpec::FusedSage { a: a.into(), feat: 8, hidden: 4 },
+        ];
+        for spec_of in same_shape {
+            let (spec, other) = (spec_of(first), spec_of(denser));
+            assert_eq!(spec, other);
+            let text = |s: &KernelSpec| print_func(&s.build().unwrap());
+            assert_eq!(text(&spec), text(&other), "{spec:?}");
+            assert!(spec.build().unwrap().param(NNZ).is_some(), "{spec:?} takes `nnz`");
+        }
         // The grid does exercise both directions: specs repeat (parameters
-        // clamping to one schedule, the two same-shaped graphs) and differ.
+        // clamping to one schedule, graphs of one `rows / cols`) and differ.
         assert!((100..specs.len()).contains(&by_spec.len()), "{} specs", by_spec.len());
         let an_empty_bucket = |s: &&KernelSpec| {
             matches!(s, KernelSpec::HybSpmm { buckets, .. }
@@ -323,7 +372,7 @@ mod tests {
 
     /// The one-head SDDMM through the interpreter on whole tensors.
     fn interpreted_sddmm(a: &Csr, x: &Dense, y: &Dense) -> Vec<f32> {
-        let f = KernelSpec::Sddmm { a: a.into(), k: x.cols() }.build().unwrap();
+        let f = KernelSpec::Sddmm { a: a.into(), k: x.cols() }.build_for(a).unwrap();
         let mut t = Bindings::new();
         bind_csr(&mut t, "A", "J", a);
         bind_dense(&mut t, "X", x);
@@ -337,12 +386,127 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// A kernel bakes shapes, never structure: graphs of equal `rows / cols
-    /// / nnz` and different edges — two seeds, and a delta that moves one
-    /// edge — are served by one compiled kernel per op, each to its own
-    /// answer, bit-equal to the interpreter's; a delta that changes `nnz`
-    /// is a new spec and compiles once more. The hyb arm keys on the bucket
-    /// list too, so there equal shapes share a kernel only when they bucket
+    /// Every function buffer of `f` that `structure` does not bind, filled
+    /// with seeded values at its length at `nnz` (outputs and scratch
+    /// included: both runs start from the same bits).
+    fn operands(f: &PrimFunc, mut structure: Bindings, nnz: usize, seed: u64) -> Bindings {
+        let mut rng = gen::rng(seed);
+        let scalars = HashMap::from([(NNZ.to_string(), nnz as i64)]);
+        for b in &f.specialize(&scalars).buffers {
+            let len = b.const_len().expect("constant at a bound nnz") as usize;
+            structure.entry(b.name.to_string()).or_insert_with(|| {
+                TensorData::from(gen::random_dense(len, 1, &mut rng).data().to_vec())
+            });
+        }
+        structure
+    }
+
+    /// What one launch of `kernel` did: every tensor it left, and what its
+    /// nests counted in that launch.
+    fn launch(
+        kernel: &CompiledKernel,
+        scalars: &HashMap<String, i64>,
+        mut t: Bindings,
+    ) -> (Vec<(String, Vec<u32>)>, NestCounts) {
+        let before = kernel.nest_counts();
+        kernel.run(scalars, &mut t).unwrap();
+        let after = kernel.nest_counts();
+        let mut out: Vec<_> = t
+            .into_iter()
+            .filter_map(|(name, data)| match data {
+                TensorData::F32(v) => Some((name, bits(&v))),
+                TensorData::I32(_) => None,
+            })
+            .collect();
+        out.sort();
+        let counts = NestCounts {
+            entries: after.entries - before.entries,
+            handovers: after.handovers - before.handovers,
+            trips: after.trips - before.trips,
+            stepped: after.stepped - before.stepped,
+            blocked: after.blocked - before.blocked,
+        };
+        (out, counts)
+    }
+
+    /// `nnz` as a launch parameter changes nothing a kernel does: every
+    /// served spec on the power-law fixture, run with `nnz` bound, leaves
+    /// the bits the same function specialized to that `nnz` leaves — which
+    /// prints as the spec's build with `nnz` a constant — takes the same
+    /// blocks — every entry, every trip, no hand-over — and has as many
+    /// lane ops. A successor whose
+    /// delta deleted every edge (`nnz = 0`) runs on the kernel first
+    /// compiled at `nnz > 0`, and matches that specialization too. (hyb's
+    /// spec lists its buckets, and an empty graph has none: no kernel to
+    /// share there.)
+    #[test]
+    fn a_launch_parameter_nnz_runs_as_the_specialized_kernel() {
+        let a = graph(36, 30, power_law, 13);
+        let mut delete_all = GraphDelta::new();
+        for r in 0..a.rows() {
+            for &c in a.row(r).0 {
+                delete_all.delete(r as u32, c);
+            }
+        }
+        let emptied = a.apply_delta(&delete_all).unwrap();
+        assert_eq!((emptied.rows(), emptied.cols(), emptied.nnz()), (36, 30, 0));
+        let structure = |a: &Csr| {
+            let mut t = Bindings::new();
+            bind_csr(&mut t, "A", "J", a);
+            t
+        };
+        let served = |a: &Csr| {
+            let sp = CsrShape::from(a);
+            let mut specs = vec![
+                (KernelSpec::csr_spmm(a, 16, CsrSpmmParams::default()), structure(a)),
+                (KernelSpec::csr_spmm(a, 48, csr(4, 2).params), structure(a)),
+                (KernelSpec::Sddmm { a: sp, k: 8 }, structure(a)),
+                (KernelSpec::FusedAttention { a: sp, k: 8, vfeat: 4 }, structure(a)),
+                (KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 }, structure(a)),
+            ];
+            if a.nnz() > 0 {
+                specs.push(spmm_spec(a, 16, &hyb(2, 3)).unwrap());
+            }
+            specs
+        };
+        let mut shared = 0;
+        for (seed, ((spec, t), (spec0, t0))) in
+            served(&a).into_iter().zip(served(&emptied)).enumerate()
+        {
+            let f = spec.build().unwrap();
+            let symbolic = CompiledKernel::compile(&f).unwrap();
+            let check = |a: &Csr, t: Bindings, shared: &CompiledKernel| {
+                let scalars = launch_scalars(a);
+                let t = operands(&f, t, a.nnz(), seed as u64);
+                let specialized = f.specialize(&scalars);
+                let built = spec.build_for(a).unwrap();
+                assert_eq!(print_func(&specialized), print_func(&built), "{spec:?}");
+                let constant = CompiledKernel::compile(&specialized).unwrap();
+                assert!(constant.memory_plan().entries.iter().all(|e| e.symbolic.is_none()));
+                let (got, counts) = launch(shared, &scalars, t.clone());
+                let (want, want_counts) = launch(&constant, &HashMap::new(), t);
+                assert!(got == want, "{spec:?} at nnz = {}: the bits differ", a.nnz());
+                assert_eq!(counts, want_counts, "{spec:?} at nnz = {}", a.nnz());
+                assert_eq!(counts.blocked, counts.entries, "{spec:?}: {counts:?}");
+                assert_eq!((counts.stepped, counts.handovers), (counts.trips, 0), "{spec:?}");
+                assert_eq!(shared.fused_ops(), constant.fused_ops(), "{spec:?}");
+                counts
+            };
+            assert!(check(&a, t, &symbolic).blocked > 0, "{spec:?}: the fixture has rows");
+            if spec0 == spec {
+                check(&emptied, t0, &symbolic);
+                shared += 1;
+            }
+        }
+        assert_eq!(shared, 5, "every spec but hyb's serves the emptied graph");
+    }
+
+    /// A kernel bakes `rows / cols` and the request shape, never structure
+    /// and never `nnz`: graphs of equal `rows / cols` and different edges —
+    /// two seeds, a delta that moves one edge, and one that adds an edge —
+    /// are served by one compiled kernel per op, each to its own answer,
+    /// bit-equal to the interpreter's. The hyb arm keys on the bucket list
+    /// too, so there equal shapes share a kernel only when they bucket
     /// alike.
     #[test]
     fn graphs_of_one_shape_share_a_kernel_and_keep_their_answers() {
@@ -382,7 +546,7 @@ mod tests {
         assert_eq!(rt.compilations(), 2, "and one SDDMM kernel");
         serve(&grown, &config);
         serve_sddmm(&grown);
-        assert_eq!(rt.compilations(), 4, "one more non-zero: one more kernel per op");
+        assert_eq!(rt.compilations(), 2, "one more non-zero: no new kernel");
 
         let before = rt.compilations();
         let bucketings: std::collections::HashSet<KernelSpec> = [&first, &second, &moved]

@@ -3,11 +3,10 @@
 //! (`SparseTIR(hyb)`), lowered to Stage III functions that compile and
 //! launch (and feed CUDA emission).
 
-use crate::spec::{bucket_tag, KernelSpec};
+use crate::spec::{bucket_tag, launch_scalars, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
-use std::collections::HashMap;
 
 /// Schedule parameters of the CSR SpMM kernel (the knobs of the paper's
 /// schedule template).
@@ -109,7 +108,7 @@ pub fn csr_spmm_ir_with(
     feat: usize,
     params: CsrSpmmParams,
 ) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    KernelSpec::csr_spmm(a, feat, params).build()
+    KernelSpec::csr_spmm(a, feat, params).build_for(a)
 }
 
 /// A lowered SpMM ready for repeated compiled execution: the Stage III
@@ -177,7 +176,7 @@ pub fn prepare_spmm_structure(
     config: &SpmmConfig,
 ) -> Result<(PrimFunc, Bindings), Box<dyn std::error::Error>> {
     let (spec, bindings) = spmm_spec(a, feat, config)?;
-    Ok((spec.build()?, bindings))
+    Ok((spec.build_for(a)?, bindings))
 }
 
 /// Lower `config` into an executable kernel for `a · x`: the scheduled CSR
@@ -262,7 +261,7 @@ pub fn spmm_execute_views_on(
     let mut views = ViewBindings::from_tensors(&mut structure);
     views.bind_cols("B", b);
     views.bind_cols("C", c);
-    kernel.run_views(&HashMap::new(), &mut views)?;
+    kernel.run_views(&launch_scalars(a), &mut views)?;
     Ok(())
 }
 
@@ -270,6 +269,7 @@ pub fn spmm_execute_views_on(
 mod tests {
     use super::*;
     use sparsetir_smat::gen;
+    use std::collections::HashMap;
 
     /// The whole-tensor oracle: `prepare_spmm` + `CompiledKernel::run`
     /// (through the global kernel cache).
