@@ -40,7 +40,7 @@
 //! (`taskset -c 1`).
 
 use super::*;
-use sparsetir_ir::prelude::{ColsView, RowsView, Runtime, TensorData, ViewBindings};
+use sparsetir_ir::prelude::{ColsView, Runtime, TensorData, ViewBindings};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -314,9 +314,9 @@ fn sddmm_arms(
     sparsetir_core::prelude::bind_csr(&mut structure, "A", "J", a);
     let mut run_out = vec![0.0f32; a.nnz()];
     let mut views = ViewBindings::from_tensors(&mut structure);
-    views.bind_cols("X", ColsView::read(a.rows(), &[(ops.0, k)]).expect("X"));
-    views.bind_rows("Y", RowsView::read(k * a.cols(), &[ops.1]).expect("Y"));
-    views.bind_cols("Bout", ColsView::write(a.nnz(), vec![(&mut run_out[..], 1)]).expect("out"));
+    views.bind_slice("X", ops.0);
+    views.bind_slice("Y", ops.1);
+    views.bind_slice_mut("Bout", &mut run_out);
     let scalars = HashMap::new();
     let got = minima(
         rounds,

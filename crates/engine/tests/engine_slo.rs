@@ -223,6 +223,9 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
         ..EngineConfig::default()
     }));
     let stop = AtomicBool::new(false);
+    // The flood fills the queue behind the held worker before any Hi
+    // request: how fast a kernel runs must not decide whether it did.
+    let stall = engine.stall_worker();
     std::thread::scope(|s| {
         for _ in 0..2 {
             let engine = Arc::clone(&engine);
@@ -239,6 +242,10 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
                 }
             });
         }
+        while engine.stats().shed.queue_full == 0 {
+            std::thread::yield_now();
+        }
+        drop(stall);
         for i in 0..8 {
             let sub = Submission::sddmm(hi_x.clone(), hi_y.clone())
                 .deadline(Duration::from_secs(5))

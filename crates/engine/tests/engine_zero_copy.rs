@@ -70,7 +70,7 @@ fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
 
 /// Batch of one: a lone request of every served kind — fused SAGE and a
 /// tuned request included — runs end-to-end with zero copies:
-/// single-segment views bind the caller's buffers directly. (With
+/// flat slices bind the caller's buffers directly. (With
 /// `bind_dense` ticking the counter, a whole-tensor SAGE binding of `X`
 /// and `W` would show up here.)
 #[test]

@@ -129,6 +129,17 @@ impl BufferRegion {
         let ranges = indices.iter().map(|i| (i.clone(), Expr::i32(1))).collect();
         BufferRegion { buffer: buffer.clone(), ranges }
     }
+
+    /// The region with `var` replaced by `with` in its buffer's shape (see
+    /// [`Buffer::substitute`]) and in its ranges.
+    #[must_use]
+    pub fn substitute(&self, var: &crate::expr::Var, with: &Expr) -> BufferRegion {
+        let sub = |e: &Expr| e.substitute(var, with);
+        BufferRegion {
+            buffer: self.buffer.substitute(var, with),
+            ranges: self.ranges.iter().map(|(min, extent)| (sub(min), sub(extent))).collect(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,7 @@ mod views;
 
 pub use memory::{BufferPool, MemoryPlan, PlanEntry};
 pub use runtime::{exec_func, Runtime};
-pub use views::{BoundArg, ColsView, RowsView, ViewBindings};
+pub use views::{BoundArg, ColsView, ViewBindings};
 
 /// Error raised while compiling or executing a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -434,14 +434,17 @@ struct CBlock {
 
 /// Raw view of one bound buffer. Pointers stay valid for the duration of a
 /// `run` call: function-level views point into the caller's `TensorData`
-/// map (not structurally mutated during execution) and local views point
-/// into the frame's allocation arena. Element accesses are plain reads and
-/// writes ([`elem_load`], [`elem_store`]).
+/// map or borrowed slices (not structurally mutated during execution) and
+/// local views point into the frame's allocation arena. Element accesses
+/// are plain reads and writes ([`elem_load`], [`elem_store`]).
 #[derive(Debug, Clone, Copy)]
 enum RawBuf {
+    /// Flat f32 storage: a whole tensor, a borrowed slice, or a column
+    /// view of one full-width segment. Stores need `writable`.
     F32 {
         ptr: *mut f32,
         len: usize,
+        writable: bool,
     },
     I32 {
         ptr: *mut i32,
@@ -456,22 +459,13 @@ enum RawBuf {
         rows: usize,
         writable: bool,
     },
-    /// Row-segmented f32 view: `n_segs` equal-length contiguous segments.
-    /// Flat index `i` resolves to offset `i % seg_len` of segment
-    /// `i / seg_len`.
-    SegRows {
-        segs: *const RowSeg,
-        n_segs: usize,
-        seg_len: usize,
-        writable: bool,
-    },
     Absent,
 }
 
 impl RawBuf {
     fn of(data: &mut TensorData) -> RawBuf {
         match data {
-            TensorData::F32(v) => RawBuf::F32 { ptr: v.as_mut_ptr(), len: v.len() },
+            TensorData::F32(v) => RawBuf::F32 { ptr: v.as_mut_ptr(), len: v.len(), writable: true },
             TensorData::I32(v) => RawBuf::I32 { ptr: v.as_mut_ptr(), len: v.len() },
         }
     }
@@ -486,27 +480,6 @@ pub(crate) struct ColSeg {
     pub(crate) ptr: *mut f32,
     pub(crate) stride: u32,
     pub(crate) rem: u32,
-}
-
-/// One segment of a row-segmented binding.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct RowSeg {
-    pub(crate) ptr: *mut f32,
-}
-
-/// SAFETY: `idx < rows * width` has been checked and the table is valid
-/// for the run.
-#[inline]
-unsafe fn seg_cols_ptr(table: *const ColSeg, width: usize, idx: usize) -> *mut f32 {
-    let e = &*table.add(idx % width);
-    e.ptr.add((idx / width) * e.stride as usize)
-}
-
-/// SAFETY: `idx < n_segs * seg_len` has been checked and the segment
-/// table is valid for the run.
-#[inline]
-unsafe fn seg_rows_ptr(segs: *const RowSeg, seg_len: usize, idx: usize) -> *mut f32 {
-    (*segs.add(idx / seg_len)).ptr.add(idx % seg_len)
 }
 
 fn read_only(name: &str) -> ExecError {
@@ -546,37 +519,56 @@ struct Frame {
 }
 
 impl Frame {
+    /// The address of f32 element `idx` of `buf`, bounds-checked, and
+    /// whether its binding may be written. An `i32` binding fails with the
+    /// float load's wording.
     #[inline]
-    fn load_f(&self, buf: u32, idx: usize, name: &str) -> Result<f32, ExecError> {
+    fn f32_at(&self, buf: u32, idx: usize, name: &str) -> Result<(*mut f32, bool), ExecError> {
         match self.bufs[buf as usize] {
-            RawBuf::F32 { ptr, len } => {
+            RawBuf::F32 { ptr, len, writable } => {
                 if idx >= len {
                     return Err(oob(name, idx, len));
                 }
-                // SAFETY: idx < len and the view is valid for the run.
-                Ok(unsafe { elem_load(ptr, idx) })
+                // SAFETY: idx < len elements behind ptr.
+                Ok((unsafe { ptr.add(idx) }, writable))
             }
-            RawBuf::SegCols { table, width, rows, .. } => {
+            RawBuf::SegCols { table, width, rows, writable } => {
                 let len = rows * width;
                 if idx >= len {
                     return Err(oob(name, idx, len));
                 }
-                // SAFETY: idx < rows * width and the view is valid for the run.
-                Ok(unsafe { elem_load(seg_cols_ptr(table, width, idx), 0) })
-            }
-            RawBuf::SegRows { segs, n_segs, seg_len, .. } => {
-                let len = n_segs * seg_len;
-                if idx >= len {
-                    return Err(oob(name, idx, len));
-                }
-                // SAFETY: idx < n_segs * seg_len and the view is valid for the run.
-                Ok(unsafe { elem_load(seg_rows_ptr(segs, seg_len, idx), 0) })
+                // SAFETY: idx < rows * width, so column `idx % width` is in
+                // the table and row `idx / width` inside its segment.
+                let ptr = unsafe {
+                    let e = &*table.add(idx % width);
+                    e.ptr.add((idx / width) * e.stride as usize)
+                };
+                Ok((ptr, writable))
             }
             RawBuf::I32 { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds i32 data, float load expected")))
             }
             RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
         }
+    }
+
+    #[inline]
+    fn load_f(&self, buf: u32, idx: usize, name: &str) -> Result<f32, ExecError> {
+        let (ptr, _) = self.f32_at(buf, idx, name)?;
+        // SAFETY: `f32_at` checked the element's bounds.
+        Ok(unsafe { elem_load(ptr, 0) })
+    }
+
+    /// Store `v` at f32 element `idx` of `buf`: bounds, then writability.
+    #[inline]
+    fn store_f(&self, buf: u32, idx: usize, name: &str, v: f32) -> Result<(), ExecError> {
+        let (ptr, writable) = self.f32_at(buf, idx, name)?;
+        if !writable {
+            return Err(read_only(name));
+        }
+        // SAFETY: `f32_at` checked the element's bounds; it is writable.
+        unsafe { elem_store(ptr, 0, v) };
+        Ok(())
     }
 
     #[inline]
@@ -589,7 +581,7 @@ impl Frame {
                 // SAFETY: idx < len and the view is valid for the run.
                 Ok(i64::from(unsafe { elem_load(ptr, idx) }))
             }
-            RawBuf::F32 { .. } | RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
+            RawBuf::F32 { .. } | RawBuf::SegCols { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds f32 data, int load expected")))
             }
             RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
@@ -689,7 +681,7 @@ impl IntExpr {
                         let seg = unsafe { std::slice::from_raw_parts(ptr.add(lo), hi - lo) };
                         Ok(seg.partition_point(|&v| v < x) as i64)
                     }
-                    RawBuf::F32 { .. } | RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
+                    RawBuf::F32 { .. } | RawBuf::SegCols { .. } => {
                         Err(ExecError::new(format!("binary_search over non-i32 buffer `{name}`")))
                     }
                     RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
@@ -821,49 +813,18 @@ fn exec_store_f(
 ) -> Result<(), ExecError> {
     let v = value.eval(fr)?;
     let flat = index.eval(fr)?;
-    match fr.bufs[buf as usize] {
-        RawBuf::F32 { ptr, len } => {
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < len.
-            unsafe { elem_store(ptr, flat, v) };
-            Ok(())
-        }
-        RawBuf::SegCols { table, width, rows, writable } => {
-            let len = rows * width;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: flat < rows * width.
-            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v) };
-            Ok(())
-        }
-        RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-            let len = n_segs * seg_len;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v) };
-            Ok(())
-        }
-        RawBuf::I32 { .. } => Err(ExecError::new(format!("expected int, got float {v}"))),
-        RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", index.name))),
+    if let RawBuf::I32 { .. } = fr.bufs[buf as usize] {
+        return Err(ExecError::new(format!("expected int, got float {v}")));
     }
+    fr.store_f(buf, flat, &index.name, v)
 }
 
 /// `BufferStore` of the reduction-accumulate form `buf[i] = buf[i] + rest`,
 /// evaluating the flat index once for both the load and the store. The
 /// generic statement's error order is index → load bounds → `rest` →
-/// store bounds; reusing the flat index preserves it exactly (the store's
-/// bounds check is implied by the load's on the same buffer).
+/// store; reusing the flat index preserves it exactly (the store's bounds
+/// check is implied by the load's on the same buffer), and a read-only
+/// binding fails at the store, after `rest`.
 #[inline]
 fn exec_accum_f(
     fr: &Frame,
@@ -872,59 +833,16 @@ fn exec_accum_f(
     rest: &FloatExpr,
 ) -> Result<(), ExecError> {
     let flat = index.eval(fr)?;
-    match fr.bufs[buf as usize] {
-        RawBuf::F32 { ptr, len } => {
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < len and the view is valid for the run.
-            let cur = unsafe { elem_load(ptr, flat) };
-            let v = cur + rest.eval(fr)?;
-            // SAFETY: flat < len, checked above.
-            unsafe { elem_store(ptr, flat, v) };
-            Ok(())
-        }
-        RawBuf::SegCols { table, width, rows, writable } => {
-            let len = rows * width;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < rows * width and the view is valid for the run.
-            let p = unsafe { seg_cols_ptr(table, width, flat) };
-            // SAFETY: `p` is that element's address.
-            let cur = unsafe { elem_load(p, 0) };
-            let v = cur + rest.eval(fr)?;
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: same element, checked above.
-            unsafe { elem_store(p, 0, v) };
-            Ok(())
-        }
-        RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-            let len = n_segs * seg_len;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < n_segs * seg_len and the view is valid for the run.
-            let p = unsafe { seg_rows_ptr(segs, seg_len, flat) };
-            // SAFETY: `p` is that element's address.
-            let cur = unsafe { elem_load(p, 0) };
-            let v = cur + rest.eval(fr)?;
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: same element, checked above.
-            unsafe { elem_store(p, 0, v) };
-            Ok(())
-        }
-        // The generic form fails inside the load, with the load's wording.
-        RawBuf::I32 { .. } => Err(ExecError::new(format!(
-            "buffer `{}` holds i32 data, float load expected",
-            index.name
-        ))),
-        RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", index.name))),
+    // The generic form fails inside the load, with the load's wording.
+    let (ptr, writable) = fr.f32_at(buf, flat, &index.name)?;
+    // SAFETY: `f32_at` checked the element's bounds.
+    let v = unsafe { elem_load(ptr, 0) } + rest.eval(fr)?;
+    if !writable {
+        return Err(read_only(&index.name));
     }
+    // SAFETY: the same element, and it is writable.
+    unsafe { elem_store(ptr, 0, v) };
+    Ok(())
 }
 
 /// `BufferStore` of an int value; int-into-float follows the interpreter
@@ -933,49 +851,15 @@ fn exec_accum_f(
 fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Result<(), ExecError> {
     let v = value.eval(fr)?;
     let flat = index.eval(fr)?;
-    match fr.bufs[buf as usize] {
-        RawBuf::I32 { ptr, len } => {
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < len.
-            unsafe { elem_store(ptr, flat, v as i32) };
-            Ok(())
+    if let RawBuf::I32 { ptr, len } = fr.bufs[buf as usize] {
+        if flat >= len {
+            return Err(oob(&index.name, flat, len));
         }
-        RawBuf::F32 { ptr, len } => {
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            // SAFETY: flat < len.
-            unsafe { elem_store(ptr, flat, v as f32) };
-            Ok(())
-        }
-        RawBuf::SegCols { table, width, rows, writable } => {
-            let len = rows * width;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: flat < rows * width.
-            unsafe { elem_store(seg_cols_ptr(table, width, flat), 0, v as f32) };
-            Ok(())
-        }
-        RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-            let len = n_segs * seg_len;
-            if flat >= len {
-                return Err(oob(&index.name, flat, len));
-            }
-            if !writable {
-                return Err(read_only(&index.name));
-            }
-            // SAFETY: flat < n_segs * seg_len.
-            unsafe { elem_store(seg_rows_ptr(segs, seg_len, flat), 0, v as f32) };
-            Ok(())
-        }
-        RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", index.name))),
+        // SAFETY: flat < len.
+        unsafe { elem_store(ptr, flat, v as i32) };
+        return Ok(());
     }
+    fr.store_f(buf, flat, &index.name, v as f32)
 }
 
 fn tile_base(fr: &Frame, t: &CompiledTile) -> Result<(u32, usize, usize), ExecError> {
@@ -988,7 +872,7 @@ fn tile_base(fr: &Frame, t: &CompiledTile) -> Result<(u32, usize, usize), ExecEr
 }
 
 fn exec_mma(
-    fr: &mut Frame,
+    fr: &Frame,
     c: &CompiledTile,
     a: &CompiledTile,
     b: &CompiledTile,
@@ -999,56 +883,29 @@ fn exec_mma(
     let (ab, ao, asn) = tile_base(fr, a)?;
     let (bb, bo, bsn) = tile_base(fr, b)?;
     let (cb, co, csn) = tile_base(fr, c)?;
-    let read = |fr: &Frame, buf: u32, name: &str, idx: usize| -> Result<f32, ExecError> {
-        match fr.bufs[buf as usize] {
-            RawBuf::F32 { ptr, len } => {
-                if idx >= len {
-                    return Err(oob(name, idx, len));
-                }
-                // SAFETY: idx < len.
-                Ok(unsafe { elem_load(ptr, idx) })
-            }
-            RawBuf::I32 { .. } => Err(ExecError::new("mma_sync operand must be float")),
-            RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
-                Err(ExecError::new("mma_sync on a segmented binding is unsupported"))
-            }
-            RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
-        }
-    };
     let mut acc = vec![0.0f32; m * n];
     for mi in 0..m {
         for ni in 0..n {
             let mut sum = 0.0f32;
             for ki in 0..k {
-                let av = read(fr, ab, &a.name, ao + mi * asn + ki)?;
-                let bv = read(fr, bb, &b.name, bo + ki * bsn + ni)?;
+                let av = fr.load_f(ab, ao + mi * asn + ki, &a.name)?;
+                let bv = fr.load_f(bb, bo + ki * bsn + ni, &b.name)?;
                 sum += av * bv;
             }
             acc[mi * n + ni] = sum;
         }
     }
-    match fr.bufs[cb as usize] {
-        RawBuf::F32 { ptr, len } => {
-            for mi in 0..m {
-                for ni in 0..n {
-                    let idx = co + mi * csn + ni;
-                    if idx >= len {
-                        return Err(oob(&c.name, idx, len));
-                    }
-                    // SAFETY: idx < len.
-                    unsafe {
-                        elem_store(ptr, idx, elem_load(ptr, idx) + acc[mi * n + ni]);
-                    }
-                }
-            }
-            Ok(())
-        }
-        RawBuf::I32 { .. } => Err(ExecError::new("mma_sync target must be float")),
-        RawBuf::SegCols { .. } | RawBuf::SegRows { .. } => {
-            Err(ExecError::new("mma_sync on a segmented binding is unsupported"))
-        }
-        RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{}`", c.name))),
+    if let RawBuf::I32 { .. } = fr.bufs[cb as usize] {
+        return Err(ExecError::new("mma_sync target must be float"));
     }
+    for mi in 0..m {
+        for ni in 0..n {
+            let idx = co + mi * csn + ni;
+            let sum = fr.load_f(cb, idx, &c.name)? + acc[mi * n + ni];
+            fr.store_f(cb, idx, &c.name, sum)?;
+        }
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1661,12 +1518,13 @@ impl CompiledKernel {
     }
 
     /// Execute like [`CompiledKernel::run`], but with bindings that may be
-    /// *segmented views* ([`ColsView`]/[`RowsView`]) over caller-owned
-    /// storage instead of whole tensors. This is the zero-copy batch
-    /// entry: a widened launch binds each operand slot to the riders'
-    /// buffers side by side and writes outputs directly into each rider's
-    /// result buffer. Error conditions and wording match `run`; stores to
-    /// a read-only view fail with a "read-only view" error.
+    /// borrowed slices or *column-segmented views* ([`ColsView`]) over
+    /// caller-owned storage instead of whole tensors. This is the
+    /// zero-copy batch entry: a widened launch binds each operand slot to
+    /// the riders' buffers side by side and writes outputs directly into
+    /// each rider's result buffer. Error conditions and wording match
+    /// `run`; stores to a read-only binding fail with a "read-only view"
+    /// error.
     ///
     /// # Errors
     /// Returns [`ExecError`] on missing bindings, dtype mismatches and
@@ -1679,18 +1537,26 @@ impl CompiledKernel {
         self.run_bound(scalars, |name| {
             Some(match views.map.get_mut(name)? {
                 BoundArg::Tensor(data) => (matches!(**data, TensorData::F32(_)), RawBuf::of(data)),
-                // Segmented views are always f32.
+                // Slices and views are always f32.
+                BoundArg::Slice(s) => {
+                    // Read-only: `writable` gates every store path.
+                    let ptr = s.as_ptr().cast_mut();
+                    (true, RawBuf::F32 { ptr, len: s.len(), writable: false })
+                }
+                BoundArg::SliceMut(s) => {
+                    (true, RawBuf::F32 { ptr: s.as_mut_ptr(), len: s.len(), writable: true })
+                }
                 BoundArg::Cols(v) => (true, v.raw()),
-                BoundArg::Rows(v) => (true, v.raw()),
             })
         })
     }
 
-    /// Shared front half of [`CompiledKernel::run`] and
+    /// Shared body of [`CompiledKernel::run`] and
     /// [`CompiledKernel::run_views`]: fill a pooled scalar frame from the
     /// named params, resolve every function-level buffer through `lookup`
     /// (`(is_float, raw view)` of the binding, `None` when unbound), then
-    /// execute.
+    /// execute. The scalar frame goes back to the pool on every exit, a
+    /// refused launch's included.
     ///
     /// The `RawBuf` views outlive the `lookup` borrows that produced
     /// them; this is sound because the caller's binding map (and each
@@ -1701,33 +1567,36 @@ impl CompiledKernel {
         scalars: &HashMap<String, i64>,
         mut lookup: impl FnMut(&str) -> Option<(bool, RawBuf)>,
     ) -> Result<(), ExecError> {
-        let mut frame_scalars = self.frame_pool.lock().unwrap().pop().unwrap_or_default();
-        frame_scalars.resize(self.n_slots as usize, 0);
-        for (name, slot) in &self.params {
-            let v = scalars
-                .get(name)
-                .ok_or_else(|| ExecError::new(format!("missing scalar param `{name}`")))?;
-            frame_scalars[*slot as usize] = *v;
-        }
-        let mut bufs = vec![RawBuf::Absent; self.n_bufs as usize];
-        for (name, is_float, slot) in &self.buffers {
-            let (bound_float, raw) = lookup(name).ok_or_else(|| {
-                ExecError::new(format!("missing tensor binding for buffer `{name}`"))
-            })?;
-            if *is_float != bound_float {
-                return Err(ExecError::new(format!(
-                    "buffer `{name}` bound to storage of mismatched dtype"
-                )));
+        let frames = || self.frame_pool.lock().expect("nothing panics under the pool lock");
+        let mut frame = Frame {
+            scalars: frames().pop().unwrap_or_default(),
+            bufs: vec![RawBuf::Absent; self.n_bufs as usize],
+            locals: Vec::new(),
+            pool: Arc::clone(&self.pool),
+        };
+        frame.scalars.resize(self.n_slots as usize, 0);
+        let mut bind = || {
+            for (name, slot) in &self.params {
+                let v = scalars
+                    .get(name)
+                    .ok_or_else(|| ExecError::new(format!("missing scalar param `{name}`")))?;
+                frame.scalars[*slot as usize] = *v;
             }
-            bufs[*slot as usize] = raw;
-        }
-        self.exec_frame(frame_scalars, bufs)
-    }
-
-    fn exec_frame(&self, scalars: Vec<i64>, bufs: Vec<RawBuf>) -> Result<(), ExecError> {
-        let mut frame = Frame { scalars, bufs, locals: Vec::new(), pool: Arc::clone(&self.pool) };
-        let result = self.code.exec(&mut frame);
-        self.frame_pool.lock().unwrap().push(frame.scalars);
+            for (name, is_float, slot) in &self.buffers {
+                let (bound_float, raw) = lookup(name).ok_or_else(|| {
+                    ExecError::new(format!("missing tensor binding for buffer `{name}`"))
+                })?;
+                if *is_float != bound_float {
+                    return Err(ExecError::new(format!(
+                        "buffer `{name}` bound to storage of mismatched dtype"
+                    )));
+                }
+                frame.bufs[*slot as usize] = raw;
+            }
+            Ok(())
+        };
+        let result = bind().and_then(|()| self.code.exec(&mut frame));
+        frames().push(frame.scalars);
         result
     }
 

@@ -831,7 +831,7 @@ unsafe fn cols_lanes(
 /// raising: `None` means "run the generic loop instead" (which reproduces
 /// the exact interpreter error, if any). `for_store` additionally
 /// requires the binding to be writable, so stores into read-only
-/// segmented views fall back to the generic loop's error path.
+/// bindings fall back to the generic loop's error path.
 ///
 /// Inlined into the prologue: out of line, passing the view apart and
 /// returning the operand with its place through memory costs ≈ 8 ns per
@@ -849,7 +849,10 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
     let flat_end = flat.checked_add(span)?;
     let within = |len: i64| flat >= 0 && flat < len && flat_end >= 0 && flat_end < len;
     match fr.bufs[buf as usize] {
-        RawBuf::F32 { ptr, len } => {
+        RawBuf::F32 { ptr, len, writable } => {
+            if for_store && !writable {
+                return None;
+            }
             // SAFETY: 0 <= flat < len elements behind ptr.
             within(i64::try_from(len).ok()?)
                 .then(|| Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride })
@@ -864,25 +867,6 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
             }
             // SAFETY: 0 <= flat < rows * width, as is the run's last lane.
             unsafe { cols_lanes(table, w, flat, n, stride) }
-        }
-        RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-            if for_store && !writable {
-                return None;
-            }
-            let sl = i64::try_from(seg_len).ok()?;
-            if sl == 0 || !within(sl.checked_mul(i64::try_from(n_segs).ok()?)?) {
-                return None;
-            }
-            let (s, off) = div_rem(flat, sl);
-            let end_off = off.checked_add(span)?;
-            if end_off < 0 || end_off >= sl {
-                // The run would cross a segment boundary: generic loop.
-                return None;
-            }
-            // SAFETY: s < n_segs entries in the table; off < seg_len
-            // elements behind each.
-            let ptr = unsafe { (*segs.add(s as usize)).ptr.add(off as usize) };
-            Some(Lanes::Run { ptr, stride })
         }
         _ => None,
     }
@@ -1142,7 +1126,7 @@ impl<V: ValueFn, const SEG: bool> TripFn for ReduceTrips<V, SEG> {
 /// The menu of row loops: per lane op instance and term shape, one
 /// monomorphised row loop per row layout — a CSR row in locals, or any
 /// block's planned registers — and per kind of operand: every one a single
-/// run (what whole tensors and one-segment views give), or some cut into
+/// run (what whole tensors and flat slices give), or some cut into
 /// column segments (a batch). Everything a row or a trip does not change
 /// is matched here, once per launch when a nest's walk state is
 /// established, instead of once per row or non-zero; the trip loop —

@@ -75,9 +75,9 @@
 //! order and written prefix stay the interpreter's. The menu does not
 //! cover an operand moving with the trip *and* the gather, more than one
 //! moving reduce iter (or one that is not zero at trip 0 under an init
-//! that goes by it), nor a binding a cursor does not follow (a batch's
-//! row segments, a column segment walked across columns): such a nest's
-//! entries all go to the generic loop.
+//! that goes by it), nor a binding a cursor does not follow (a column
+//! segment walked across columns): such a nest's entries all go to the
+//! generic loop.
 
 mod block;
 
@@ -650,7 +650,8 @@ struct GatherWalk {
 /// Where a walked view's run lands in its bound storage, per kind of
 /// binding a block covers.
 enum Spot {
-    /// One allocation: a whole tensor, or a view of one segment.
+    /// Flat storage: a whole tensor or a borrowed slice (a column view
+    /// of one full-width segment binds as one).
     Flat { ptr: *mut f32, len: i64 },
     /// A column-segmented binding whose flat index moves by whole logical
     /// rows, per trip and per unit of the gathered value: a run keeps its
@@ -690,16 +691,17 @@ impl ViewWalk {
     ) -> Option<ViewWalk> {
         stride.checked_mul(n - 1)?;
         let spot = match fr.bufs[buf as usize] {
-            RawBuf::F32 { ptr, len } => Spot::Flat { ptr, len: i64::try_from(len).ok()? },
+            RawBuf::F32 { ptr, len, writable } => {
+                if for_store && !writable {
+                    return None;
+                }
+                Spot::Flat { ptr, len: i64::try_from(len).ok()? }
+            }
             RawBuf::SegCols { table, width, rows, writable } => {
                 let (w, rows) = (i64::try_from(width).ok()?, i64::try_from(rows).ok()?);
                 if (for_store && !writable) || w == 0 || !(0..=1).contains(&stride) {
                     return None;
                 }
-                debug_assert!(width >= 1);
-                // SAFETY: the table has `width >= 1` entries.
-                let first = unsafe { *table };
-                let one_segment = i64::from(first.rem) == w && i64::from(first.stride) == w;
                 // Whole logical rows per step?
                 let rows_per = |by: i64| match by {
                     0 => Some(0),
@@ -707,23 +709,10 @@ impl ViewWalk {
                     by => (by % w == 0).then(|| by / w),
                 };
                 let by = (coef.checked_mul(drift.step)?, coef.checked_mul(drift.scale)?);
-                match (rows_per(by.0), rows_per(by.1)) {
-                    // One segment as wide as the binding: a row-major
-                    // allocation like any whole tensor.
-                    _ if one_segment => Spot::Flat { ptr: first.ptr, len: w.checked_mul(rows)? },
-                    (Some(row_step), Some(row_scale)) => {
-                        Spot::ColsByRow { table, width: w, rows, row_step, row_scale }
-                    }
-                    _ => return None,
-                }
-            }
-            RawBuf::SegRows { segs, n_segs, seg_len, writable } => {
-                if (for_store && !writable) || seg_len == 0 || n_segs != 1 {
+                let (Some(row_step), Some(row_scale)) = (rows_per(by.0), rows_per(by.1)) else {
                     return None;
-                }
-                // One segment is one allocation.
-                // SAFETY: the table has `n_segs` entries.
-                Spot::Flat { ptr: unsafe { (*segs).ptr }, len: i64::try_from(seg_len).ok()? }
+                };
+                Spot::ColsByRow { table, width: w, rows, row_step, row_scale }
             }
             _ => return None,
         };

@@ -1,17 +1,30 @@
-//! Segmented view bindings: caller-owned storage bound into a kernel's
-//! buffer slots without copying (the zero-copy batch entry,
-//! [`CompiledKernel::run_views`]).
+//! Bindings of caller-owned storage into a kernel's buffer slots without
+//! copying (the zero-copy batch entry, [`CompiledKernel::run_views`]).
+//! A buffer binds three ways: an owned tensor ([`ViewBindings::bind_tensor`]),
+//! a borrowed flat slice ([`ViewBindings::bind_slice`] read-only,
+//! [`ViewBindings::bind_slice_mut`] writable), or a column stack
+//! ([`ColsView`]: several row-major slices side by side, one logical
+//! matrix — a column view of one full-width slice binds as that slice).
 //!
 //! **The aliasing rule.** A writable element is reachable through exactly
 //! one binding of a launch. The executor's element accesses — generic
 //! dispatch and the fused lane bodies alike — are plain raw-pointer reads
 //! and writes on the caller's thread, and this rule is what makes them
 //! sound: a launch's frame is the only accessor of what it writes. The
-//! borrows enforce it. [`ColsView::write`] and [`RowsView::write`] take
-//! `&mut` slices for the view's lifetime, [`BoundArg::Tensor`] a `&mut`
-//! tensor, and a read-only view's `&` slices keep them from being written
-//! elsewhere meanwhile. A slice cannot go into two writable views, or into
-//! a writable view while a read-only one holds it:
+//! borrows enforce it. [`ViewBindings::bind_slice_mut`] and
+//! [`ColsView::write`] take `&mut` slices for the binding's lifetime,
+//! [`BoundArg::Tensor`] a `&mut` tensor, and a read-only binding's `&`
+//! slices keep them from being written elsewhere meanwhile. A slice cannot
+//! be bound writable twice, or writable while a read-only binding holds it:
+//!
+//! ```compile_fail,E0499
+//! use sparsetir_ir::exec::ViewBindings;
+//! let mut c = vec![0.0f32; 8];
+//! let mut views = ViewBindings::new();
+//! views.bind_slice_mut("A", &mut c[..]);
+//! views.bind_slice_mut("B", &mut c[..]);
+//! drop(views);
+//! ```
 //!
 //! ```compile_fail,E0499
 //! use sparsetir_ir::exec::ColsView;
@@ -29,38 +42,25 @@
 //! drop((r, w));
 //! ```
 //!
-//! ```compile_fail,E0499
-//! use sparsetir_ir::exec::RowsView;
-//! let mut c = vec![0.0f32; 8];
-//! let a = RowsView::write(8, vec![&mut c[..]]).unwrap();
-//! let b = RowsView::write(8, vec![&mut c[..]]).unwrap();
-//! drop((a, b));
-//! ```
-//!
-//! ```compile_fail,E0502
-//! use sparsetir_ir::exec::RowsView;
-//! let mut c = vec![0.0f32; 8];
-//! let r = RowsView::read(8, &[&c[..]]).unwrap();
-//! let w = RowsView::write(8, vec![&mut c[..]]).unwrap();
-//! drop((r, w));
-//! ```
-//!
 //! Disjoint slices of one buffer bind side by side, and any number of
-//! read-only views may share one:
+//! read-only bindings may share one:
 //!
 //! ```
-//! use sparsetir_ir::exec::{ColsView, RowsView};
+//! use sparsetir_ir::exec::{ColsView, ViewBindings};
 //! let mut c = vec![0.0f32; 8];
 //! let (lo, hi) = c.split_at_mut(4);
-//! let w = RowsView::write(4, vec![lo, hi]).unwrap();
 //! let b = vec![1.0f32; 8];
-//! let (r1, r2) = (ColsView::read(2, &[(&b[..], 4)]), RowsView::read(8, &[&b[..]]));
-//! assert_eq!((w.n_segs(), r1.unwrap().width(), r2.unwrap().n_segs()), (2, 4, 1));
+//! let mut views = ViewBindings::new();
+//! views.bind_slice_mut("Lo", lo);
+//! views.bind_cols("Hi", ColsView::write(2, vec![(hi, 2)]).unwrap());
+//! views.bind_slice("B", &b);
+//! let r = ColsView::read(2, &[(&b[..], 4)]).unwrap();
+//! assert_eq!((r.rows(), r.width()), (2, 4));
 //! ```
 
 #[cfg(doc)]
 use super::CompiledKernel;
-use super::{ColSeg, ExecError, RawBuf, RowSeg};
+use super::{ColSeg, ExecError, RawBuf};
 use crate::eval::TensorData;
 use std::collections::HashMap;
 
@@ -125,7 +125,17 @@ impl<'a> ColsView<'a> {
         self.rows
     }
 
+    /// The binding the executor sees: flat storage when the table is one
+    /// segment as wide as the view (a row-major allocation like any whole
+    /// tensor), else the column table.
     pub(super) fn raw(&self) -> RawBuf {
+        if let Some(first) = self.table.first() {
+            let w = self.table.len();
+            if first.rem as usize == w && first.stride as usize == w {
+                let len = self.rows * w;
+                return RawBuf::F32 { ptr: first.ptr, len, writable: self.writable };
+            }
+        }
         RawBuf::SegCols {
             table: self.table.as_ptr(),
             width: self.table.len(),
@@ -153,7 +163,7 @@ fn col_table(
             // `rows == 0` the segment is empty (`len == 0`) and `ptr + c`
             // would be out of bounds for `ptr::add`. Every dereference of
             // `ColSeg::ptr` sits behind an `idx < rows * width` check
-            // (`seg_cols_ptr`, `fuse::resolve_lanes`), which a zero-row view
+            // (`Frame::f32_at`, `fuse::resolve_lanes`), which a zero-row view
             // never passes; for `rows > 0`, `c < cols <= len` keeps the
             // pointer inside the segment.
             debug_assert!(rows == 0 || c < len);
@@ -163,83 +173,21 @@ fn col_table(
     Ok(table)
 }
 
-/// A row-segmented f32 binding: `n` equal-length contiguous segments
-/// concatenated into one flat logical buffer (rider matrices stacked
-/// along the leading axis).
-pub struct RowsView<'a> {
-    segs: Vec<RowSeg>,
-    seg_len: usize,
-    writable: bool,
-    _marker: std::marker::PhantomData<&'a mut [f32]>,
-}
-
-impl<'a> RowsView<'a> {
-    /// Read-only view of equal-length segments, each of `seg_len`
-    /// elements.
-    ///
-    /// # Errors
-    /// Fails when a segment's length differs from `seg_len`.
-    pub fn read(seg_len: usize, segs: &[&'a [f32]]) -> Result<RowsView<'a>, ExecError> {
-        let mut table = Vec::with_capacity(segs.len());
-        for (i, s) in segs.iter().enumerate() {
-            check_seg_len(i, s.len(), seg_len)?;
-            table.push(RowSeg { ptr: s.as_ptr().cast_mut() });
-        }
-        Ok(RowsView { segs: table, seg_len, writable: false, _marker: std::marker::PhantomData })
-    }
-
-    /// Writable view of equal-length segments, each of `seg_len`
-    /// elements.
-    ///
-    /// # Errors
-    /// Fails when a segment's length differs from `seg_len`.
-    pub fn write(seg_len: usize, segs: Vec<&'a mut [f32]>) -> Result<RowsView<'a>, ExecError> {
-        let mut table = Vec::with_capacity(segs.len());
-        for (i, s) in segs.into_iter().enumerate() {
-            check_seg_len(i, s.len(), seg_len)?;
-            table.push(RowSeg { ptr: s.as_mut_ptr() });
-        }
-        Ok(RowsView { segs: table, seg_len, writable: true, _marker: std::marker::PhantomData })
-    }
-
-    /// Number of segments.
-    #[must_use]
-    pub fn n_segs(&self) -> usize {
-        self.segs.len()
-    }
-
-    pub(super) fn raw(&self) -> RawBuf {
-        RawBuf::SegRows {
-            segs: self.segs.as_ptr(),
-            n_segs: self.segs.len(),
-            seg_len: self.seg_len,
-            writable: self.writable,
-        }
-    }
-}
-
-fn check_seg_len(i: usize, len: usize, seg_len: usize) -> Result<(), ExecError> {
-    if len != seg_len {
-        return Err(ExecError::new(format!(
-            "segmented binding: segment {i} has {len} elements, expected {seg_len}"
-        )));
-    }
-    Ok(())
-}
-
-/// One binding handed to [`CompiledKernel::run_views`]: a whole tensor or
-/// a segmented view.
+/// One binding handed to [`CompiledKernel::run_views`]: a whole tensor, a
+/// borrowed flat slice or a column-segmented view.
 pub enum BoundArg<'a> {
     /// A whole owned tensor, as [`CompiledKernel::run`] binds.
     Tensor(&'a mut TensorData),
+    /// A read-only flat f32 slice.
+    Slice(&'a [f32]),
+    /// A writable flat f32 slice.
+    SliceMut(&'a mut [f32]),
     /// A column-segmented f32 view.
     Cols(ColsView<'a>),
-    /// A row-segmented f32 view.
-    Rows(RowsView<'a>),
 }
 
 /// Named bindings for [`CompiledKernel::run_views`], mixing whole tensors
-/// with segmented views over caller-owned storage.
+/// with slices and column views over caller-owned storage.
 #[derive(Default)]
 pub struct ViewBindings<'a> {
     pub(super) map: HashMap<String, BoundArg<'a>>,
@@ -264,13 +212,19 @@ impl<'a> ViewBindings<'a> {
         self.map.insert(name.into(), BoundArg::Tensor(t));
     }
 
+    /// Bind a read-only flat slice under `name`: the buffer's row-major
+    /// elements, in place.
+    pub fn bind_slice(&mut self, name: impl Into<String>, s: &'a [f32]) {
+        self.map.insert(name.into(), BoundArg::Slice(s));
+    }
+
+    /// Bind a writable flat slice under `name`.
+    pub fn bind_slice_mut(&mut self, name: impl Into<String>, s: &'a mut [f32]) {
+        self.map.insert(name.into(), BoundArg::SliceMut(s));
+    }
+
     /// Bind a column-segmented view under `name`.
     pub fn bind_cols(&mut self, name: impl Into<String>, v: ColsView<'a>) {
         self.map.insert(name.into(), BoundArg::Cols(v));
-    }
-
-    /// Bind a row-segmented view under `name`.
-    pub fn bind_rows(&mut self, name: impl Into<String>, v: RowsView<'a>) {
-        self.map.insert(name.into(), BoundArg::Rows(v));
     }
 }

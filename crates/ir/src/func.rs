@@ -117,32 +117,44 @@ impl PrimFunc {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::BufferRegion;
     use crate::dtype::DType;
+    use crate::stmt::{Block, IterVar};
 
     #[test]
     fn specialize_substitutes_params_and_shapes() {
         let n = Var::i32("n");
         let a = Buffer::global_f32("A", vec![Expr::var(&n)]);
-        let i = Var::i32("i");
-        let body = Stmt::for_serial(
-            i.clone(),
-            Expr::var(&n),
-            Stmt::BufferStore {
+        let (i, vi) = (Var::i32("i"), Var::i32("vi"));
+        // The block writes `A[vi]` and reads all of `A[0..n]`: both
+        // regions mention the param, the read's through `A`'s shape too.
+        let block = Stmt::Block(Block {
+            name: "zero".into(),
+            iter_vars: vec![IterVar::spatial(vi.clone(), Expr::var(&i))],
+            reads: vec![BufferRegion::full(&a)],
+            writes: vec![BufferRegion::point(&a, &[Expr::var(&vi)])],
+            init: None,
+            body: Box::new(Stmt::BufferStore {
                 buffer: a.clone(),
-                indices: vec![Expr::var(&i)],
+                indices: vec![Expr::var(&vi)],
                 value: Expr::f32(0.0),
-            },
-        );
+            }),
+        });
+        let body = Stmt::for_serial(i.clone(), Expr::var(&n), block);
         let f = PrimFunc::new("zero", vec![n.clone()], vec![a], body);
         let mut bind = HashMap::new();
         bind.insert("n".to_string(), 16i64);
         let g = f.specialize(&bind);
         assert!(g.params.is_empty());
         assert_eq!(g.buffers[0].shape[0].as_const_int(), Some(16));
-        match &g.body {
-            Stmt::For { extent, .. } => assert_eq!(extent.as_const_int(), Some(16)),
-            other => panic!("unexpected {other:?}"),
-        }
+        let Stmt::For { extent, body, .. } = &g.body else { panic!("unexpected {:?}", g.body) };
+        assert_eq!(extent.as_const_int(), Some(16));
+        let Stmt::Block(b) = &**body else { panic!("unexpected {body:?}") };
+        let read = &b.reads[0];
+        assert_eq!(read.ranges[0].1.as_const_int(), Some(16), "the read's extent");
+        assert_eq!(read.buffer.shape[0].as_const_int(), Some(16), "the read's buffer");
+        assert_eq!(b.writes[0].buffer.shape[0].as_const_int(), Some(16), "the write's buffer");
+        assert_eq!(b.writes[0].ranges[0].0, Expr::var(&vi), "block iter vars stay");
     }
 
     #[test]

@@ -267,15 +267,21 @@ impl Stmt {
                         binding: iv.binding.substitute(var, with),
                     })
                     .collect();
-                // Block-local iter vars shadow; body untouched if shadowed.
+                // Block-local iter vars shadow; body and regions untouched
+                // if shadowed.
                 let shadowed = b.iter_vars.iter().any(|iv| &iv.var == var);
                 let sub_stmt =
                     |s: &Stmt| if shadowed { s.clone() } else { s.substitute(var, with) };
+                let sub_regions = |rs: &[BufferRegion]| -> Vec<BufferRegion> {
+                    rs.iter()
+                        .map(|r| if shadowed { r.clone() } else { r.substitute(var, with) })
+                        .collect()
+                };
                 Stmt::Block(Block {
                     name: b.name.clone(),
                     iter_vars,
-                    reads: b.reads.clone(),
-                    writes: b.writes.clone(),
+                    reads: sub_regions(&b.reads),
+                    writes: sub_regions(&b.writes),
                     init: b.init.as_ref().map(|s| Box::new(sub_stmt(s))),
                     body: Box::new(sub_stmt(&b.body)),
                 })

@@ -1040,10 +1040,10 @@ fn missing_binding_fails_identically_on_every_executor() {
 // Family 6: whole tensors (`run`) vs segmented views (`run_views`)
 // ---------------------------------------------------------------------------
 
-/// One view-bound f32 tensor, cut into caller-owned segments. With
+/// One view-bound f32 tensor over caller-owned storage. With
 /// `rows: Some(r)` it is `r × Σ widths`, one row-major `r × w` segment
-/// per width side by side (a `ColsView`); with `None` the segments are
-/// `widths[i]`-element runs laid end to end (a read-only `RowsView`).
+/// per width side by side (a `ColsView`); with `None` it is one flat slice
+/// of `widths[0]` elements (`bind_slice` / `bind_slice_mut`).
 #[derive(Clone)]
 struct Part {
     name: &'static str,
@@ -1072,6 +1072,11 @@ impl Part {
         Part { name, rows: Some(rows), widths, writable: true, segs }
     }
 
+    /// A writable flat slice of `len` elements, each `fill`.
+    fn flat_output(name: &'static str, len: usize, fill: f32) -> Part {
+        Part { name, rows: None, widths: vec![len], writable: true, segs: vec![vec![fill; len]] }
+    }
+
     /// The logical tensor the segments tile, concatenated.
     fn whole(&self) -> Vec<f32> {
         let tiles = || self.segs.iter().zip(&self.widths);
@@ -1092,10 +1097,8 @@ impl Part {
                 let segs: Vec<_> = self.segs.iter().map(Vec::as_slice).zip(widths).collect();
                 views.bind_cols(self.name, ColsView::read(rows, &segs)?);
             }
-            (None, _) => {
-                let segs: Vec<_> = self.segs.iter().map(Vec::as_slice).collect();
-                views.bind_rows(self.name, RowsView::read(self.widths[0], &segs)?);
-            }
+            (None, true) => views.bind_slice_mut(self.name, &mut self.segs[0]),
+            (None, false) => views.bind_slice(self.name, &self.segs[0]),
         }
         Ok(())
     }
@@ -1193,16 +1196,16 @@ fn head_cols(t: &[f32], heads: usize, w: usize, h: usize) -> Vec<f32> {
 }
 
 /// The batched-SDDMM operands of `heads` heads at inner width `k`, with
-/// `X`/`Bout` cut by `x_cut`/`out_cut` and `Y` in `y_segs` row segments.
+/// `X`/`Bout` cut by `x_cut`/`out_cut` and `Y` one flat slice.
 fn sddmm_parts(
     a: &Csr,
     (heads, k): (usize, usize),
-    (x_cut, y_segs, out_cut): (Vec<usize>, usize, Vec<usize>),
+    (x_cut, out_cut): (Vec<usize>, Vec<usize>),
     rng: &mut SmallRng,
 ) -> [Part; 3] {
     [
         Part::new("X", Some(a.rows()), x_cut, rng),
-        Part::new("Y", None, vec![heads * k * a.cols() / y_segs; y_segs], rng),
+        Part::new("Y", None, vec![heads * k * a.cols()], rng),
         Part::output("Bout", a.nnz(), out_cut),
     ]
 }
@@ -1252,11 +1255,8 @@ fn views_batched_sddmm_bit_matches_whole_tensors() {
         let want: &[&str] = if nest.is_some() { &["nest.gsa "] } else { &[] };
         assert_eq!(nests(&f), want, "{listing}");
         assert!(nest.is_none_or(|nest| listing.contains(nest)), "heads = {heads}: {listing}");
-        let y_segs = [1, heads, heads * k];
-        for ((x_cut, y_segs), out_cut) in
-            column_cuts(heads * k).into_iter().zip(y_segs).zip(column_cuts(heads))
-        {
-            let parts = sddmm_parts(&a, (heads, k), (x_cut, y_segs, out_cut), &mut rng);
+        for (x_cut, out_cut) in column_cuts(heads * k).into_iter().zip(column_cuts(heads)) {
+            let parts = sddmm_parts(&a, (heads, k), (x_cut, out_cut), &mut rng);
             assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
             let t = interpreted(&f, &structure, &parts);
             let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
@@ -1278,13 +1278,10 @@ fn views_fused_attention_bit_matches_whole_tensors() {
     for (name, len) in [("S", a.nnz()), ("M", a.rows()), ("P", a.nnz()), ("Sum", a.rows())] {
         structure.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
     }
-    let kt_segs = [1, heads, heads * k];
-    for ((q_cut, kt_segs), v_cut) in
-        column_cuts(heads * k).into_iter().zip(kt_segs).zip(column_cuts(heads * vfeat))
-    {
+    for (q_cut, v_cut) in column_cuts(heads * k).into_iter().zip(column_cuts(heads * vfeat)) {
         let parts = [
             Part::new("Q", Some(a.rows()), q_cut, &mut rng),
-            Part::new("KT", None, vec![heads * k * a.cols() / kt_segs; kt_segs], &mut rng),
+            Part::new("KT", None, vec![heads * k * a.cols()], &mut rng),
             Part::new("V", Some(a.cols()), v_cut.clone(), &mut rng),
             Part::output("Out", a.rows(), v_cut),
         ];
@@ -1321,23 +1318,24 @@ fn views_fused_sage_bit_matches_whole_tensors() {
     }
 }
 
-/// Failure paths on the batched-SDDMM function: a binding one segment
-/// short of what the
-/// kernel indexes fails with the same text whether it is a short whole
+/// Failure paths on the batched-SDDMM function: a binding short of what
+/// the kernel indexes fails with the same text whether it is a short whole
 /// tensor or a short view — `views_differential` demands that — and a
-/// store through a read-only view is refused by name, on every executor
-/// build.
+/// store through a read-only binding is refused by name, on every executor
+/// build, with the output untouched: the batched SDDMM's (no nest), the
+/// one-head SDDMM's (its row blocks) and the served CSR SpMM's (row blocks
+/// over a `blockIdx` loop).
 #[test]
 fn views_short_segment_and_read_only_store_fail_identically() {
     let (a, structure, mut rng) = views_fixture(0x54);
     let (heads, k) = (3, 2);
     let f = batched_sddmm_ir(&a, heads, k).unwrap();
-    let full = (vec![heads * k], heads, vec![heads]);
-    // `X` misses its last column segment; `Y` its last row segment.
-    let short_x = sddmm_parts(&a, (heads, k), (vec![2, 2], 1, vec![heads]), &mut rng);
+    let full = (vec![heads * k], vec![heads]);
+    // `X` misses its last column segment; `Y` its last head.
+    let short_x = sddmm_parts(&a, (heads, k), (vec![2, 2], vec![heads]), &mut rng);
     let mut short_y = sddmm_parts(&a, (heads, k), full.clone(), &mut rng);
-    short_y[1].segs.pop();
-    short_y[1].widths.pop();
+    short_y[1].widths[0] -= k * a.cols();
+    short_y[1].segs[0].truncate(short_y[1].widths[0]);
     for (parts, buffer) in [(short_x, "`X`"), (short_y, "`Y`")] {
         let errs = views_differential(&f, &structure, &parts);
         let want = errs[0].clone().expect("a short binding must fail");
@@ -1345,19 +1343,40 @@ fn views_short_segment_and_read_only_store_fail_identically() {
         assert_eq!(errs, [Some(want.clone()), Some(want)]);
     }
 
-    // `run` has no read-only bindings to compare against: bind the view
-    // run by hand.
-    let mut parts = sddmm_parts(&a, (heads, k), full, &mut rng);
-    parts[2].writable = false;
-    for (fuse, label) in EXECUTORS {
-        let mut tensors = structure.clone();
-        let mut views = ViewBindings::from_tensors(&mut tensors);
-        parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
-        let err = CompiledKernel::compile_with(&f, fuse)
-            .unwrap()
-            .run_views(&HashMap::new(), &mut views)
-            .expect_err(label);
-        assert_eq!(err.to_string(), "executor error: buffer `Bout` is bound to a read-only view");
+    // `run` has no read-only bindings to compare against: bind the views
+    // by hand. The outputs hold 9.0, which no launch leaves if it writes.
+    let mut batched = sddmm_parts(&a, (heads, k), full, &mut rng).to_vec();
+    batched[2].writable = false;
+    let mut one_head = sddmm_parts(&a, (1, k), (vec![k], vec![1]), &mut rng).to_vec();
+    one_head[2] = Part { writable: false, ..Part::flat_output("Bout", a.nnz(), 9.0) };
+    let d = 5;
+    let (spmm, mut spmm_structure) = served_spmm(&a, d);
+    spmm_structure.extend(structure.clone());
+    let spmm_parts = vec![
+        Part::new("B", None, vec![a.cols() * d], &mut rng),
+        Part { writable: false, ..Part::flat_output("C", a.rows() * d, 9.0) },
+    ];
+    assert_eq!(nests(&spmm), ["nest.axpy"]);
+    let cases = [
+        ("batched sddmm", f, &structure, batched, "Bout"),
+        ("one-head sddmm", batched_sddmm_ir(&a, 1, k).unwrap(), &structure, one_head, "Bout"),
+        ("served spmm", spmm, &spmm_structure, spmm_parts, "C"),
+    ];
+    for (what, f, structure, mut parts, out) in cases {
+        let before = parts.last().unwrap().segs.clone();
+        for (fuse, label) in EXECUTORS {
+            let mut tensors = structure.clone();
+            let mut views = ViewBindings::from_tensors(&mut tensors);
+            parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
+            let ran = CompiledKernel::compile_with(&f, fuse)
+                .unwrap()
+                .run_views(&HashMap::new(), &mut views)
+                .map_err(|e| e.to_string());
+            let want = format!("executor error: buffer `{out}` is bound to a read-only view");
+            assert_eq!(ran, Err(want), "{what} [{label}]");
+            drop(views);
+            assert_eq!(parts.last().unwrap().segs, before, "{what} [{label}]: output untouched");
+        }
     }
 }
 
@@ -1765,7 +1784,7 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
         let f = batched_sddmm_ir(&a, 1, k).unwrap();
         assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.gsa ".to_string()], 1));
         for (x_cut, out_cut) in column_cuts(k).into_iter().zip(column_cuts(1)) {
-            let parts = sddmm_parts(&a, (1, k), (x_cut, 1, out_cut), &mut rng);
+            let parts = sddmm_parts(&a, (1, k), (x_cut, out_cut), &mut rng);
             let ran = views_differential(&f, &csr_tensors(&a), &parts);
             assert_eq!(ran, [None, None], "rows {lens:?}, sddmm");
             let t = interpreted(&f, &csr_tensors(&a), &parts);
@@ -2173,11 +2192,12 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
 }
 
 /// The served SDDMM at one head — the row's non-zero loop is the nest, its
-/// operands a one-segment `X`, `Y` and `Bout`, every trip stepped — and the
-/// three-head program, whose head loop is no nest (its output position
-/// mixes the row's loaded start and the non-zero's slot, which a block does
-/// not take): every `(non-zero, head)` a superinstruction. Both against
-/// the interpreter bit for bit and the `f64` oracle per head.
+/// operands a one-segment `X` and `Bout` and a flat `Y`, every trip
+/// stepped — and the three-head program, whose head loop is no nest (its
+/// output position mixes the row's loaded start and the non-zero's slot,
+/// which a block does not take): every `(non-zero, head)` a
+/// superinstruction. Both against the interpreter bit for bit and the
+/// `f64` oracle per head.
 #[test]
 fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6b));
@@ -2185,7 +2205,7 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
         for heads in [1usize, 3] {
             let f = batched_sddmm_ir(&a, heads, k).unwrap();
             let what = format!("k = {k}, {heads} heads");
-            let cuts = (vec![k; heads], heads, vec![1; heads]);
+            let cuts = (vec![k; heads], vec![1; heads]);
             let parts = sddmm_parts(&a, (heads, k), cuts, &mut rng);
             assert_eq!(views_differential(&f, &csr_tensors(&a), &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &csr_tensors(&a), &parts);
@@ -2196,7 +2216,8 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
                 assert_eq!(counts, NestCounts::default(), "{what}");
             }
             for h in 0..heads {
-                oracle::sddmm_f64(&a, &after[0].segs[h], &after[1].segs[h], k)
+                let y = &after[1].segs[0][h * k * a.cols()..(h + 1) * k * a.cols()];
+                oracle::sddmm_f64(&a, &after[0].segs[h], y, k)
                     .check(&after[2].segs[h])
                     .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
             }
@@ -2205,9 +2226,9 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
 }
 
 /// The served fused attention and fused SAGE at lane counts around the
-/// vector widths, on the stepped fixture, operands cut one segment per head
-/// as their entry points bind them: interpreter ≡ generic ≡ fused, whole
-/// and segmented, bit for bit; every head's output within the `f64`
+/// vector widths, on the stepped fixture, `Q` / `V` / `Out` cut one column
+/// segment per head and `KT` one flat slice: interpreter ≡ generic ≡
+/// fused, whole and view-bound, bit for bit; every head's output within the `f64`
 /// oracle's bound. One-head attention walks five nests — the score, the
 /// three softmax passes and the ratio-weighted aggregation — SAGE two — the
 /// gather and the `Agg · Dinv`-weighted transform — every trip stepped;
@@ -2228,7 +2249,7 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             }
             let parts = [
                 Part::new("Q", Some(rows), vec![d; heads], &mut rng),
-                Part::new("KT", None, vec![d * a.cols(); heads], &mut rng),
+                Part::new("KT", None, vec![heads * d * a.cols()], &mut rng),
                 Part::new("V", Some(a.cols()), vec![d; heads], &mut rng),
                 Part::output("Out", rows, vec![d; heads]),
             ];
@@ -2239,7 +2260,8 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             assert_eq!(counts.entries, (passes * rows) as u64, "{what}");
             assert_stepped(counts, (passes * nnz) as u64, &what);
             for h in 0..heads {
-                let [q, kt, v, out] = [0, 1, 2, 3].map(|p| &after[p].segs[h]);
+                let [q, v, out] = [0, 2, 3].map(|p| &after[p].segs[h]);
+                let kt = &after[1].segs[0][h * d * a.cols()..(h + 1) * d * a.cols()];
                 oracle::attention_f64(&a, q, kt, v, d, d)
                     .check(out)
                     .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
@@ -3031,9 +3053,7 @@ fn row_blocks_hand_bad_structure_to_the_nest() {
 
 /// A batch of eight bound as views: `C` and `B` cut into eight column
 /// segments of unequal widths (a lane run crossing them; every row in a
-/// block), and `B` cut into eight row segments two and a half of its rows
-/// long, so rows cross a segment (no block: the generic loop takes them).
-/// Both against the interpreter and each other bit for bit.
+/// block), against the interpreter bit for bit.
 #[test]
 fn row_blocks_bit_match_on_segmented_batches() {
     let mut rng = gen::rng(0x73);
@@ -3052,12 +3072,6 @@ fn row_blocks_bit_match_on_segmented_batches() {
     let rows = a.rows() as u64;
     assert_eq!((counts.entries, counts.blocked), (rows, rows), "{counts:?}");
     assert_stepped(counts, a.nnz() as u64, "column segments");
-
-    let seg = a.cols() * feat / 8;
-    assert_ne!(seg % feat, 0, "rows of `B` cross its segments");
-    let rows_cut =
-        [Part::new("B", None, vec![seg; 8], &mut rng), Part::output("C", a.rows(), vec![feat])];
-    assert_eq!(views_differential(&f, &structure, &rows_cut), [None, None]);
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@
 //! The one executable entry point, [`fused_attention_views_on`], takes
 //! *per-head* operands and runs the one-head kernel once per head, each
 //! head's `Q` (`m × feat`), `KT` (`feat × n`), `V` (`n × vfeat`) and output
-//! (`m × vfeat`) bound as one-segment views over its own storage. The
+//! (`m × vfeat`) bound as flat slices of its own storage. The
 //! multi-head program ([`fused_attention_ir`] at `heads > 1`) is written
 //! against the logical stacked tensors — `Q` `m × heads·feat` with head
 //! `h` owning `feat` consecutive columns, `KT` `heads·feat × n` with the
@@ -50,7 +50,6 @@ use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Lower the whole attention pipeline to one `PrimFunc`: five passes
 /// (score / rowmax / exp / psum / agg), each walking the adjacency row by
@@ -147,30 +146,13 @@ pub(crate) fn check_heads<'a>(
 }
 
 /// The operands of one attention launch after validation: the head
-/// shape and every dense operand cut into the segments its view binds.
+/// shape and every head's dense operands.
 struct Operands<'a> {
-    a: &'a Csr,
     k: usize,
     vfeat: usize,
-    q_segs: Vec<(&'a [f32], usize)>,
-    kt_segs: Vec<&'a [f32]>,
-    v_segs: Vec<(&'a [f32], usize)>,
-}
-
-impl Operands<'_> {
-    /// Bind heads `hs` of `Q`, `KT` and `V`, and `out` for their output.
-    fn bind<'v>(
-        &'v self,
-        views: &mut ViewBindings<'v>,
-        hs: Range<usize>,
-        out: ColsView<'v>,
-    ) -> Result<(), ExecError> {
-        views.bind_cols("Q", ColsView::read(self.a.rows(), &self.q_segs[hs.clone()])?);
-        views.bind_rows("KT", RowsView::read(self.k * self.a.cols(), &self.kt_segs[hs.clone()])?);
-        views.bind_cols("V", ColsView::read(self.a.cols(), &self.v_segs[hs])?);
-        views.bind_cols("Out", out);
-        Ok(())
-    }
+    qs: &'a [&'a Dense],
+    kts: &'a [&'a Dense],
+    vs: &'a [&'a Dense],
 }
 
 /// What the fused entry point and the pipeline oracle share: validate
@@ -201,14 +183,18 @@ fn with_operands(
     }
     check_heads(a, qs.iter().zip(kts).zip(vs).map(|((q, kt), v)| (*q, *kt, *v)))
         .map_err(|e| format!("fused attention: {e}"))?;
-    let ops = Operands {
-        a,
-        k: qs[0].cols(),
-        vfeat: vs[0].cols(),
-        q_segs: qs.iter().map(|q| (q.data(), q.cols())).collect(),
-        kt_segs: kts.iter().map(|t| t.data()).collect(),
-        v_segs: vs.iter().map(|v| (v.data(), v.cols())).collect(),
-    };
+    let ops = Operands { k: qs[0].cols(), vfeat: vs[0].cols(), qs, kts, vs };
+    if let Some((h, o)) =
+        outs.iter().enumerate().find(|(_, o)| (o.rows(), o.cols()) != (a.rows(), ops.vfeat))
+    {
+        let (rows, vfeat) = (a.rows(), ops.vfeat);
+        return Err(format!(
+            "fused attention: output {h} is {}x{}, expected {rows}x{vfeat}",
+            o.rows(),
+            o.cols()
+        )
+        .into());
+    }
     let pool = rt.pool().clone();
     let mut b = Bindings::new();
     bind_csr(&mut b, "A", "J", a);
@@ -226,30 +212,21 @@ fn with_operands(
     result
 }
 
-/// `outs` side by side as one writable view, a segment each.
-fn out_view(rows: usize, outs: &mut [Dense]) -> Result<ColsView<'_>, ExecError> {
-    let segs = outs.iter_mut().map(|o| {
-        let w = o.cols();
-        (o.data_mut(), w)
-    });
-    ColsView::write(rows, segs.collect())
-}
-
 /// Serve multi-head attention — the only executable fused-attention entry
 /// point: the one-head fused kernel is compiled and the adjacency bound
 /// once, then the kernel runs once per head on that head's `qs[h]`
 /// (`rows × k`), `kts[h]` (`k × cols`) and `vs[h]` (`cols × vfeat`), bound
-/// as one-segment views over the rider's own storage, and writes the
-/// head's aggregation directly into `outs[h]` (`rows × vfeat`,
-/// zero-filled). The softmax intermediates `S`/`M`/`P`/`Sum` come from the
-/// runtime's [`BufferPool`] instead of fresh allocations, one head's worth,
-/// which every head's launch overwrites before it reads. A head's launch
-/// is the one it would make alone, so results are bit-identical to it.
+/// as flat slices of the rider's own storage, and writes the head's
+/// aggregation directly into `outs[h]` (`rows × vfeat`, zero-filled). The
+/// softmax intermediates `S`/`M`/`P`/`Sum` come from the runtime's
+/// [`BufferPool`] instead of fresh allocations, one head's worth, which
+/// every head's launch overwrites before it reads. A head's launch is the
+/// one it would make alone, so results are bit-identical to it.
 ///
 /// # Errors
-/// Rejects zero heads, slices of different lengths and heads that do
-/// not fit the adjacency or mix `(k, vfeat)`; propagates lowering,
-/// view-validation (mis-sized outputs) and execution errors.
+/// Rejects zero heads, slices of different lengths, heads that do not
+/// fit the adjacency or mix `(k, vfeat)` and mis-sized outputs;
+/// propagates lowering and execution errors.
 pub fn fused_attention_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -264,7 +241,10 @@ pub fn fused_attention_views_on(
         let scalars = launch_scalars(a);
         let mut views = ViewBindings::from_tensors(b);
         for (h, out) in outs.iter_mut().enumerate() {
-            ops.bind(&mut views, h..h + 1, out_view(a.rows(), std::slice::from_mut(out))?)?;
+            views.bind_slice("Q", ops.qs[h].data());
+            views.bind_slice("KT", ops.kts[h].data());
+            views.bind_slice("V", ops.vs[h].data());
+            views.bind_slice_mut("Out", out.data_mut());
             kernel.run_views(&scalars, &mut views)?;
         }
         Ok(())
@@ -273,12 +253,13 @@ pub fn fused_attention_views_on(
 
 /// **Test reference, not a serving path:** the same attention as three
 /// launches (score SDDMM, edge-softmax, aggregation) of the multi-head
-/// programs over the operands [`fused_attention_views_on`] takes, stacked
-/// as segments of the logical tensors, bit-identical to it (see the module
-/// docs). The launches share one binding map, so the intermediates (`S`,
-/// then `P`/`Sum`) stay in place between them instead of round-tripping
-/// through fresh copies. Compiles three kernels on `rt` where the fused
-/// entry point compiles one.
+/// programs over the operands [`fused_attention_views_on`] takes — `Q`,
+/// `V` and the outputs stacked as column segments of the logical tensors,
+/// the heads' `KT` copied into one stacked buffer — bit-identical to it
+/// (see the module docs). The launches share one binding map, so the
+/// intermediates (`S`, then `P`/`Sum`) stay in place between them instead
+/// of round-tripping through fresh copies. Compiles three kernels on `rt`
+/// where the fused entry point compiles one.
 ///
 /// # Errors
 /// As [`fused_attention_views_on`].
@@ -293,8 +274,15 @@ pub fn attention_pipeline_oracle(
     let heads = qs.len();
     with_operands(rt, a, (qs, kts, vs), outs, heads, |ops, b, outs| {
         let scalars = HashMap::new();
+        let q_segs: Vec<_> = ops.qs.iter().map(|q| (q.data(), ops.k)).collect();
+        let kt: Vec<f32> = ops.kts.iter().flat_map(|kt| kt.data()).copied().collect();
+        let v_segs: Vec<_> = ops.vs.iter().map(|v| (v.data(), ops.vfeat)).collect();
+        let out_segs = outs.iter_mut().map(|o| (o.data_mut(), ops.vfeat)).collect();
         let mut views = ViewBindings::from_tensors(b);
-        ops.bind(&mut views, 0..heads, out_view(a.rows(), outs)?)?;
+        views.bind_cols("Q", ColsView::read(a.rows(), &q_segs)?);
+        views.bind_slice("KT", &kt);
+        views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
+        views.bind_cols("Out", ColsView::write(a.rows(), out_segs)?);
         for f in [
             attention_score_ir(a, heads, ops.k)?,
             edge_softmax_ir(a, heads)?,
@@ -520,6 +508,14 @@ mod tests {
         let e = fused_attention_views_on(&rt, &a, &[q], &[kt, kt], &[v], &mut [Dense::zeros(8, 3)])
             .expect_err("length mismatch");
         assert!(e.to_string().contains("1 q, 2 kt, 1 v operands for 1 outputs"), "{e}");
+        // Outputs bind as flat slices: a mis-shaped one is refused by
+        // shape, one too wide as well as one too short.
+        for out in [Dense::zeros(8, 4), Dense::zeros(7, 3)] {
+            let shape = format!("output 0 is {}x{}, expected 8x3", out.rows(), out.cols());
+            let e = fused_attention_views_on(&rt, &a, &[q], &[kt], &[v], &mut [out])
+                .expect_err("mis-shaped output");
+            assert!(e.to_string().contains(&shape), "{e}");
+        }
         assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
     }
 }

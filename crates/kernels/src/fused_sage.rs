@@ -77,14 +77,14 @@ pub(crate) fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> 
 
 /// What the fused entry point and the pipeline oracle share: validate
 /// the shapes, bind the adjacency, `Dinv` and the pool-drawn `Agg`
-/// intermediate, hand `launches` the bindings and the writable `H1` view
-/// over the returned matrix, and return `Agg` to the pool.
+/// intermediate, hand `launches` the bindings and the returned matrix's
+/// storage for `H1`, and return `Agg` to the pool.
 fn with_operands(
     rt: &Runtime,
     a: &Csr,
     x: &Dense,
     w: &Dense,
-    launches: impl FnOnce(&mut Bindings, ColsView<'_>) -> KernelResult<()>,
+    launches: impl FnOnce(&mut Bindings, &mut [f32]) -> KernelResult<()>,
 ) -> KernelResult<Dense> {
     check_shapes(a, x, w).map_err(|e| format!("fused sage: {e}"))?;
     let mut out = Dense::zeros(a.rows(), w.cols());
@@ -93,10 +93,7 @@ fn with_operands(
     bind_csr(&mut b, "A", "J", a);
     b.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
     b.insert("Agg".to_string(), TensorData::from(pool.acquire_f32(a.rows() * x.cols())));
-    let result = (|| {
-        let h1 = ColsView::write(a.rows(), vec![(out.data_mut(), w.cols())])?;
-        launches(&mut b, h1)
-    })();
+    let result = launches(&mut b, out.data_mut());
     if let Some(TensorData::F32(agg)) = b.remove("Agg") {
         pool.release_f32(agg);
     }
@@ -105,10 +102,9 @@ fn with_operands(
 
 /// Serve the fused SAGE layer step `H1 = (A_structural · X / deg) · W`
 /// through `rt` in **one** kernel launch — the only executable fused-SAGE
-/// entry point. `X`, `W` and the result bind as single-segment views
-/// over the caller's operands and the returned matrix (nothing is
-/// copied); the `Agg` intermediate comes from the runtime's
-/// [`BufferPool`].
+/// entry point. `X`, `W` and the result bind as flat slices of the
+/// caller's operands and the returned matrix (nothing is copied); the
+/// `Agg` intermediate comes from the runtime's [`BufferPool`].
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates
@@ -118,9 +114,9 @@ pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Ker
     with_operands(rt, a, x, w, |b, h1| {
         let kernel = KernelSpec::FusedSage { a: a.into(), feat, hidden }.compile_on(rt)?;
         let mut views = ViewBindings::from_tensors(b);
-        views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
-        views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);
-        views.bind_cols("H1", h1);
+        views.bind_slice("X", x.data());
+        views.bind_slice("W", w.data());
+        views.bind_slice_mut("H1", h1);
         Ok(kernel.run_views(&launch_scalars(a), &mut views)?)
     })
 }
@@ -140,13 +136,13 @@ pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Kern
         let gather = rt.compile(&sage_gather_ir(a, feat)?)?;
         {
             let mut views = ViewBindings::from_tensors(b);
-            views.bind_cols("X", ColsView::read(a.cols(), &[(x.data(), feat)])?);
+            views.bind_slice("X", x.data());
             gather.run_views(&scalars, &mut views)?;
         }
         let matmul = rt.compile(&lower(&sage_matmul_program(a.rows(), feat, hidden))?)?;
         let mut views = ViewBindings::from_tensors(b);
-        views.bind_cols("W", ColsView::read(feat, &[(w.data(), hidden)])?);
-        views.bind_cols("H1", h1);
+        views.bind_slice("W", w.data());
+        views.bind_slice_mut("H1", h1);
         Ok(matmul.run_views(&scalars, &mut views)?)
     })
 }

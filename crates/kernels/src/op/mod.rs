@@ -24,10 +24,10 @@
 //!   oracles.
 //!
 //! A `launch` allocates one zeroed output per rider and hands riders and
-//! outputs to the op's single kernel entry point, which binds them as
-//! segments of the tensors its IR is written against (`ColsView`/`RowsView`
-//! from `sparsetir-ir`) — a batch of one is the same launch with one
-//! segment. Two batch shapes cover all batched ops:
+//! outputs to the op's single kernel entry point, which binds them in
+//! place as the tensors its IR is written against — column segments
+//! (`ColsView` from `sparsetir-ir`) or flat slices — without copying. Two
+//! batch shapes cover all batched ops:
 //! * **Column segments** (SpMM): rider `i`'s feature operand is
 //!   columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
 //!   `Σ wᵢ`, and the schedule's vector split is widened to span it — one
@@ -37,7 +37,7 @@
 //! * **One head per run** (SDDMM, fused attention): the entry point
 //!   compiles the one-head kernel and binds the adjacency once, then runs
 //!   the kernel once per rider (attention: per head) on that rider's own
-//!   one-segment views — exactly the launch the rider would make alone, so
+//!   storage, bound as flat slices — exactly the launch the rider would make alone, so
 //!   a rider costs what a solo launch does and its bits are its own. A
 //!   batch shares the per-launch fixed costs (kernel lookup, structure
 //!   binding, scratch); the multi-head program with the head axis inside

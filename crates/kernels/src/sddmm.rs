@@ -44,17 +44,17 @@ pub(crate) fn check_shapes(a: &Csr, x: &Dense, y: &Dense) -> Result<(), String> 
 /// Execute a batch of SDDMM requests — the only executable SDDMM entry
 /// point, for one request or many: the one-head kernel is compiled and the
 /// adjacency bound once, then the kernel runs once per request on its own
-/// operands, bound as one-segment views over the request's storage, and
-/// writes its per-non-zero scores directly into `outs[h]` (which must hold
-/// `a.nnz()` elements, zero-filled). All requests must share the inner
-/// width `k`. Each request's launch is the one it would make alone, so
-/// results are bit-identical to running it alone, and a rider costs what a
-/// solo launch does.
+/// operands, bound as flat slices of the request's storage, and writes its
+/// per-non-zero scores directly into `outs[h]` (which must hold `a.nnz()`
+/// elements, zero-filled). All requests must share the inner width `k`.
+/// Each request's launch is the one it would make alone, so results are
+/// bit-identical to running it alone, and a rider costs what a solo launch
+/// does.
 ///
 /// # Errors
 /// Rejects an empty batch, `reqs`/`outs` of different lengths, operands
-/// incompatible with the adjacency and mixed inner widths; propagates
-/// lowering, view-validation (mis-sized outputs) and execution errors.
+/// incompatible with the adjacency, mixed inner widths and mis-sized
+/// outputs; propagates lowering and execution errors.
 pub fn sddmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -68,7 +68,7 @@ pub fn sddmm_execute_views_on(
     if reqs.len() != outs.len() {
         return Err(format!("sddmm: {} requests for {} outputs", reqs.len(), outs.len()).into());
     }
-    for (i, (x, y)) in reqs.iter().enumerate() {
+    for (i, ((x, y), out)) in reqs.iter().zip(outs.iter()).enumerate() {
         check_shapes(a, x, y).map_err(|e| format!("sddmm request {i}: {e}"))?;
         if x.cols() != k {
             return Err(format!(
@@ -77,6 +77,10 @@ pub fn sddmm_execute_views_on(
             )
             .into());
         }
+        if out.len() != a.nnz() {
+            let (len, nnz) = (out.len(), a.nnz());
+            return Err(format!("sddmm request {i}: output of {len} for {nnz} non-zeros").into());
+        }
     }
     let kernel = KernelSpec::Sddmm { a: a.into(), k }.compile_on(rt)?;
     let scalars = launch_scalars(a);
@@ -84,9 +88,9 @@ pub fn sddmm_execute_views_on(
     bind_csr(&mut structure, "A", "J", a);
     let mut views = ViewBindings::from_tensors(&mut structure);
     for ((x, y), out) in reqs.iter().zip(outs.iter_mut()) {
-        views.bind_cols("X", ColsView::read(a.rows(), &[(x.data(), k)])?);
-        views.bind_rows("Y", RowsView::read(k * a.cols(), &[y.data()])?);
-        views.bind_cols("Bout", ColsView::write(a.nnz(), vec![(out.as_mut_slice(), 1)])?);
+        views.bind_slice("X", x.data());
+        views.bind_slice("Y", y.data());
+        views.bind_slice_mut("Bout", out);
         kernel.run_views(&scalars, &mut views)?;
     }
     Ok(())
@@ -168,6 +172,12 @@ mod tests {
         assert!(err.contains("request 1: inner width 4"), "{err}");
         let bad = (gen::random_dense(5, 3, &mut rng), good.1.clone());
         assert!(run(&[bad], &mut [vec![0.0; nnz]]).contains("incompatible"));
+        // Outputs bind as flat slices: a mis-sized one is refused by size,
+        // one too long as well as one too short.
+        for len in [nnz + 1, nnz - 1] {
+            let err = run(&[good.clone(), good.clone()], &mut [vec![0.0; nnz], vec![0.0; len]]);
+            assert!(err.contains(&format!("request 1: output of {len} for {nnz}")), "{err}");
+        }
         assert_eq!(rt.compilations(), 0, "rejected before anything compiles");
     }
 

@@ -33,7 +33,7 @@ fn main() {
 
     // --- One kernel vs three ------------------------------------------
     // One request of `heads` heads: each head's Q (n × k), Kᵀ (k × n) and
-    // V (n × dv) binds in place as one-segment views of one run of the
+    // V (n × dv) binds in place as flat slices of one run of the
     // one-head kernel — the launch runs it once per head.
     let request: Vec<AttnHead> = (0..heads)
         .map(|_| AttnHead {
