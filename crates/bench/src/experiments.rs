@@ -859,18 +859,20 @@ pub mod ablation_bucketing {
 pub mod serving_throughput {
     use super::*;
     use sparsetir_engine::{
-        Adjacency, Engine, EngineConfig, EngineStats, OpRequest, DEFAULT_DRIFT_THRESHOLD,
+        Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket, DEFAULT_DRIFT_THRESHOLD,
     };
     use std::sync::Arc;
     use std::time::Instant;
 
-    /// Floor on [`EngineStats::batching_rate`] at 8 clients for every
-    /// batched arm (armed by `SPARSETIR_BENCH_ASSERT`): with one worker
-    /// and eight blocking clients, requests queue behind every launch,
-    /// so nearly all of them ride a shared one. Ten smoke runs of the
-    /// PR 15 commit on the 2-core box read 0.92–0.98 (spmm) and
-    /// 0.94–1.00 (sddmm), ten of this arm set 0.94–1.00 for fused
-    /// attention; the floor sits at roughly half the lowest reading — a
+    /// Floor on [`EngineStats::batching_rate`] at 8 clients, and for the
+    /// fan-out client (`1x16`), for every batched arm (armed by
+    /// `SPARSETIR_BENCH_ASSERT`): with one worker and eight blocking
+    /// clients, or sixteen tickets in flight, requests queue behind every
+    /// launch, so nearly all of them ride a shared one (the fan-out rows
+    /// read 0.95–1.00 in eight smoke runs when they were added). Ten
+    /// smoke runs of the PR 15 commit on the 2-core box read 0.92–0.98
+    /// (spmm) and 0.94–1.00 (sddmm), ten of this arm set 0.94–1.00 for
+    /// fused attention; the floor sits at roughly half the lowest reading — a
     /// count that says "batching happened", not a timing.
     ///
     /// No arm's *speedup* is gated; all three are printed. The SDDMM and
@@ -909,6 +911,14 @@ pub mod serving_throughput {
         )
     }
 
+    /// Tickets the fan-out client keeps in flight: it submits this many
+    /// before it waits on the oldest, as `stbench`'s loaded phase does.
+    /// Each of its submits after the first finds a ticket outstanding, so
+    /// the engine queues it (none is served on the client's thread) and
+    /// the worker can fold them; an engine that served them inline, one
+    /// after another, would batch nothing.
+    const FAN_OUT: usize = 16;
+
     /// Median mean-ns-per-request of three [`run_arm`] repetitions (the
     /// arms are short wall-clock windows on a shared machine; a single
     /// window is too noisy to gate on). Returns the stats of the median
@@ -918,22 +928,27 @@ pub mod serving_throughput {
         payloads: &[Vec<OpRequest>],
         warm: &OpRequest,
         batched: bool,
+        in_flight: usize,
     ) -> (f64, EngineStats) {
-        let mut reps: Vec<(f64, EngineStats)> =
-            (0..3).map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), batched)).collect();
+        let mut reps: Vec<(f64, EngineStats)> = (0..3)
+            .map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), batched, in_flight))
+            .collect();
         reps.sort_by(|a, b| a.0.total_cmp(&b.0));
         reps.swap_remove(1)
     }
 
     /// One serving arm: one client thread per payload list, each issuing
-    /// its requests blocking against the shared adjacency through the
-    /// engine's generic submit path. Returns mean wall-clock nanoseconds
+    /// its requests with blocking submits against the shared adjacency
+    /// through the engine's generic submit path, with at most `in_flight`
+    /// tickets outstanding (it waits on the oldest before submitting
+    /// more; 1 is submit-then-wait). Returns mean wall-clock nanoseconds
     /// per request and the engine's final counters.
     fn run_arm(
         adj: &Adjacency,
         payloads: Vec<Vec<OpRequest>>,
         warm: OpRequest,
         batched: bool,
+        in_flight: usize,
     ) -> (f64, EngineStats) {
         // One worker on both arms: a single dispatcher, so the batched
         // arm folds every waiting request into one launch and the
@@ -957,8 +972,16 @@ pub mod serving_throughput {
                 let engine = Arc::clone(&engine);
                 let adj = adj.clone();
                 s.spawn(move || {
+                    let mut tickets = std::collections::VecDeque::new();
                     for req in reqs {
-                        engine.serve(&adj, req).expect("request served");
+                        if tickets.len() == in_flight {
+                            let oldest: Ticket = tickets.pop_front().expect("in flight");
+                            oldest.wait().expect("request served");
+                        }
+                        tickets.push_back(engine.submit(&adj, req).expect("admitted"));
+                    }
+                    for t in tickets {
+                        t.wait().expect("request served");
                     }
                 });
             }
@@ -971,13 +994,16 @@ pub mod serving_throughput {
         (elapsed / total.max(1) as f64, stats)
     }
 
-    /// Sweep one op arm over 1/4/8 clients and return its table rows.
+    /// Sweep one op arm over 1/4/8 one-at-a-time clients, then one client
+    /// with [`FAN_OUT`] tickets in flight and as many requests as the 8
+    /// clients (row `1x16`), and return its table rows.
     ///
     /// # Panics
     /// Panics when a batched arm copied a byte, or — under
     /// `SPARSETIR_BENCH_ASSERT=1` — when batching did not happen at 8
-    /// clients (`max_batch < 2` or a batching rate under
-    /// [`BATCHING_RATE_FLOOR`]): counts, so no wall clock decides it.
+    /// clients or for the fan-out client (`max_batch < 2` or a batching
+    /// rate under [`BATCHING_RATE_FLOOR`]): counts, so no wall clock
+    /// decides it.
     fn sweep_op(
         adj: &Adjacency,
         op: &str,
@@ -986,24 +1012,28 @@ pub mod serving_throughput {
     ) -> Vec<Vec<String>> {
         let warm = make();
         let mut rows = Vec::new();
-        for &clients in &[1usize, 4, 8] {
+        for (clients, in_flight) in [(1usize, 1usize), (4, 1), (8, 1), (1, FAN_OUT)] {
+            let per = if in_flight == 1 { per_client } else { per_client * 8 };
             let payloads: Vec<Vec<OpRequest>> =
-                (0..clients).map(|_| (0..per_client).map(|_| make()).collect()).collect();
-            let (ns_unbatched, _) = run_arm_median(adj, &payloads, &warm, false);
-            let (ns_batched, stats) = run_arm_median(adj, &payloads, &warm, true);
+                (0..clients).map(|_| (0..per).map(|_| make()).collect()).collect();
+            let (ns_unbatched, _) = run_arm_median(adj, &payloads, &warm, false, in_flight);
+            let (ns_batched, stats) = run_arm_median(adj, &payloads, &warm, true, in_flight);
+            let label =
+                if in_flight == 1 { clients.to_string() } else { format!("{clients}x{in_flight}") };
             // The counter pins the batched arm to the view contract
             // regardless of the wall clock: operands and outputs are
             // staged in place, so a single copied byte is a regression.
             assert_eq!(
                 stats.bytes_copied, 0,
-                "batched {op} arm copied {} bytes at {clients} clients",
+                "batched {op} arm copied {} bytes at {label} clients",
                 stats.bytes_copied
             );
             let speedup = ns_unbatched / ns_batched;
-            if clients == 8 && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
+            let gated = clients == 8 || in_flight > 1;
+            if gated && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
                 assert!(
                     stats.max_batch >= 2 && stats.batching_rate() >= BATCHING_RATE_FLOOR,
-                    "batched {op} arm did not batch at 8 clients: max batch {}, rate {:.2} \
+                    "batched {op} arm did not batch at {label} clients: max batch {}, rate {:.2} \
                      (floor {BATCHING_RATE_FLOOR})",
                     stats.max_batch,
                     stats.batching_rate()
@@ -1011,7 +1041,7 @@ pub mod serving_throughput {
             }
             rows.push(vec![
                 op.to_string(),
-                clients.to_string(),
+                label,
                 format!("{:.0}", 1e9 / ns_unbatched),
                 format!("{:.0}", 1e9 / ns_batched),
                 fmt_speedup(speedup),
@@ -1028,7 +1058,8 @@ pub mod serving_throughput {
     /// Panics when a served result disagrees with its reference (or
     /// served fused attention with the three-launch pipeline oracle, bit
     /// for bit), or — under `SPARSETIR_BENCH_ASSERT=1` — when an arm did
-    /// not batch at 8 clients (see [`BATCHING_RATE_FLOOR`]).
+    /// not batch at 8 clients or for the fan-out client (see
+    /// [`BATCHING_RATE_FLOOR`]).
     #[must_use]
     pub fn run() -> String {
         // Full mode serves a mid-size graph: big enough that kernel work
@@ -1150,7 +1181,7 @@ pub mod serving_throughput {
         rows.extend(attn_rows);
         render_table(
             &format!(
-                "Serving throughput: batched vs unbatched engine (shared adjacency, spmm d={feat}; at 8 clients every arm batches, speedups not gated)"
+                "Serving throughput: batched vs unbatched engine (shared adjacency, spmm d={feat}; at 8 clients and for one client with 16 tickets in flight (1x16) every arm batches, speedups not gated)"
             ),
             &["op", "clients", "unbatched req/s", "batched req/s", "speedup", "max batch", "batched %"],
             &rows,

@@ -31,10 +31,16 @@
 //! an edge batch that changes `nnz` is applied, and the successor's first
 //! launch of each kind is timed against a warm one and against a first
 //! launch on a fresh runtime (which compiles), with
-//! `Runtime::compilations()` before and after the update's launches.
+//! `Runtime::compilations()` before and after the update's launches. An
+//! engine table names the serving layer's share of a request: on the
+//! tenant graph at SpMM d = 16, `Engine::serve` on an idle one-worker
+//! engine (as `stbench` builds it) against `spmm_execute_views_on` on that
+//! engine's own runtime, both taking an operand copy and a fresh output,
+//! alternating; the gap is the engine's cost per request.
 //!
-//! Smoke mode asserts the bit-identities and that the update compiles
-//! nothing, and keeps the bursts short;
+//! Smoke mode asserts the bit-identities (the engine's answer against the
+//! direct launch's included) and that the update compiles nothing, and
+//! keeps the bursts short;
 //! timings are printed, never gated (`stbench` judges speed). Quoted
 //! readings are taken the way `stbench` runs, pinned to one CPU
 //! (`taskset -c 1`).
@@ -429,7 +435,73 @@ pub fn run() -> String {
     out.push_str(&rider_costs(&a, burst, &mut rng));
     out.push_str(&tune_table(&a, burst, &mut rng));
     out.push_str(&delta_table(&a, burst, &mut rng));
+    out.push_str(&engine_table(&a, burst, &mut rng));
     out
+}
+
+/// The serving layer's share of a warm tenant request: SpMM d = 16 on
+/// `a`, `Engine::serve` on an idle one-worker engine against the entry
+/// point it ends in, `spmm_execute_views_on` on the engine's own runtime
+/// (so both hit one compiled kernel). Each arm copies the operand (a
+/// submission owns it) and gets a fresh output, so the gap is what the
+/// engine adds: validation, admission, the hand-off if any, the config
+/// lookup, the panic guard and the counters.
+///
+/// # Panics
+/// In smoke mode, when the served answer differs in a bit from the direct
+/// launch's.
+fn engine_table(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
+    use sparsetir_engine::{Adjacency, Engine, EngineConfig, OpOutput, Submission};
+    let d = 16usize;
+    let x = gen::random_dense(a.cols(), d, rng);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let serve = || {
+        let out = engine.serve(&adj, Submission::spmm(x.clone()));
+        out.and_then(OpOutput::into_dense).expect("served SpMM")
+    };
+    let direct = || {
+        let (x, mut out) = (x.clone(), [Dense::zeros(a.rows(), d)]);
+        let config = SpmmConfig::default();
+        spmm_execute_views_on(engine.runtime(), a, &[&x], &mut out, &config).expect("SpMM");
+        let [out] = out;
+        out
+    };
+    if smoke() {
+        assert_bits("engine spmm d=16", serve().data(), direct().data());
+    }
+    let before = engine.stats();
+    let got = minima(
+        rounds,
+        reps,
+        &mut [
+            &mut || {
+                serve();
+            },
+            &mut || {
+                direct();
+            },
+        ],
+    );
+    let stats = engine.stats().delta_since(&before);
+    let us = |ns: f64| format!("{:.1}", ns / 1e3);
+    let rows = vec![vec![
+        format!("spmm d={d}"),
+        us(got[0]),
+        us(got[1]),
+        us(got[0] - got[1]),
+        format!("{}/{}", stats.served_inline, stats.completed),
+    ]];
+    render_table(
+        &format!(
+            "launch_probe: the engine's share of a warm request on the tenant graph \
+             (n = {}, nnz = {}), minima in µs",
+            a.rows(),
+            a.nnz()
+        ),
+        &["arm", "engine.serve", "direct launch", "engine's share", "served inline"],
+        &rows,
+    )
 }
 
 /// A served launch of one kind on a graph, through its entry point.

@@ -11,6 +11,19 @@
 //! loop drops already-expired requests without executing them, and an
 //! optional adaptive batch window trades a bounded wait for wider
 //! batches when arrivals predict more compatible riders.
+//!
+//! A request costs its launch, not a thread hand-off: the engine holds
+//! `workers` launch permits, shared by the workers and by submitting
+//! threads, so at most [`EngineConfig::workers`] launches run at once. A
+//! blocking [`Engine::submit`] that finds nobody waiting — no other
+//! ticket outstanding, the queue empty, a permit free and no test hook
+//! pending — serves its request on the calling thread, through the same
+//! serve path a worker runs, and returns a ticket that is already
+//! answered ([`EngineStats::served_inline`] counts these). Anything else
+//! queues: an inline request never overtakes a queued one, and a client
+//! with tickets in flight (or several clients at once) keeps the workers'
+//! parallelism and batching. [`Engine::try_submit`] always queues,
+//! because it must not block.
 
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
@@ -29,7 +42,8 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::slice;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -326,7 +340,10 @@ impl OpOutput {
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue.
+    /// Worker threads draining the queue, and the most launches that run
+    /// at once: workers and inline-serving callers share this many launch
+    /// permits (see [`Engine::submit`]), so serving on a caller's thread
+    /// adds no parallelism.
     pub workers: usize,
     /// Bound on queued (not yet dispatched) requests — the backpressure
     /// knob: blocking submits wait for space (at most until their
@@ -343,7 +360,9 @@ pub struct EngineConfig {
     /// while arrivals are recent, and never when the wait would push the
     /// batch's most urgent deadline past feasibility. `None` (the
     /// default) keeps the legacy greedy drain: fire immediately with
-    /// whatever is queued.
+    /// whatever is queued. A request that arrives while a batch waits
+    /// here finds that batch's tickets outstanding, so it queues and
+    /// rides rather than being served inline.
     pub batch_window: Option<Duration>,
     /// Degree-histogram drift (see [`SparsityFingerprint::drift`]) above
     /// which [`Engine::apply_delta`] re-anchors the adjacency's tuning
@@ -373,15 +392,14 @@ struct Job {
     deadline: Option<Instant>,
     priority: Priority,
     tune: bool,
-    /// Admission order, for stable FIFO among equal (priority, deadline)
-    /// keys — default-option submissions order exactly like the pre-SLO
-    /// queue.
-    seq: u64,
-    reply: mpsc::Sender<Result<OpOutput, EngineError>>,
+    reply: ReplyTx,
 }
 
 struct QueueState {
     queue: VecDeque<Job>,
+    /// Launch permits in use, by workers and inline-serving callers;
+    /// never more than [`Shared::permits`].
+    launches: usize,
     /// Crash-safety test hook (see [`Engine::inject_worker_panic`]):
     /// each pending injection makes one draining worker panic while it
     /// holds the queue lock.
@@ -389,9 +407,119 @@ struct QueueState {
     /// Occupancy test hook (see [`Engine::stall_worker`]): each pending
     /// gate parks one draining worker until its guard is dropped.
     stalls: Vec<mpsc::Receiver<()>>,
-    /// Monotonic admission counter feeding [`Job::seq`].
-    seq: u64,
     shutdown: bool,
+}
+
+impl QueueState {
+    fn hook_pending(&self) -> bool {
+        self.inject_panics > 0 || !self.stalls.is_empty()
+    }
+}
+
+/// One of the engine's launch permits, held by a worker for one tick or
+/// by a caller serving its request inline. Dropping it hands it back and,
+/// when it was the last free one and work is waiting, wakes the workers.
+struct Permit<'a> {
+    shared: &'a Shared,
+}
+
+impl<'a> Permit<'a> {
+    /// Take a free permit; the caller checked one is free under the lock.
+    fn take(shared: &'a Shared, st: &mut QueueState) -> Permit<'a> {
+        st.launches += 1;
+        debug_assert!(
+            st.launches <= shared.permits(),
+            "{} launches at once with {} permits",
+            st.launches,
+            shared.permits()
+        );
+        Permit { shared }
+    }
+}
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        let mut st = lock(&self.shared.state);
+        // Only a worker that found every permit taken waits for one back;
+        // below the cap, whoever queued the work already woke a worker.
+        let capped = st.launches == self.shared.permits();
+        st.launches -= 1;
+        let waiting = capped && (!st.queue.is_empty() || st.hook_pending());
+        drop(st);
+        if waiting {
+            self.shared.not_empty.notify_all();
+        }
+    }
+}
+
+/// One ticket the engine issued whose client has not yet waited on it or
+/// dropped it; counted in [`Shared::tickets`] while it lives.
+#[derive(Debug)]
+struct Outstanding(Arc<AtomicUsize>);
+
+impl Outstanding {
+    fn open(tickets: &Arc<AtomicUsize>) -> Outstanding {
+        tickets.fetch_add(1, Ordering::Relaxed);
+        Outstanding(Arc::clone(tickets))
+    }
+}
+
+impl Drop for Outstanding {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+type Answer = Result<OpOutput, EngineError>;
+
+/// A request's one-shot answer, filled once by whoever serves, sheds or
+/// drops the request (before `submit` returns, for one served inline).
+#[derive(Debug, Default)]
+struct ReplySlot {
+    answer: Mutex<Option<Answer>>,
+    filled: Condvar,
+}
+
+impl ReplySlot {
+    fn put(&self, answer: Answer) {
+        *lock(&self.answer) = Some(answer);
+        self.filled.notify_one();
+    }
+}
+
+/// The serving end of a [`ReplySlot`]. Dropped unanswered, it answers
+/// [`EngineError::Shutdown`]: what the ticket of a request the engine
+/// lost reads.
+struct ReplyTx(Option<Arc<ReplySlot>>);
+
+impl ReplyTx {
+    fn send(mut self, answer: Answer) {
+        if let Some(slot) = self.0.take() {
+            slot.put(answer);
+        }
+    }
+}
+
+impl Drop for ReplyTx {
+    fn drop(&mut self) {
+        if let Some(slot) = self.0.take() {
+            slot.put(Err(EngineError::Shutdown));
+        }
+    }
+}
+
+/// A reply slot and its serving end.
+fn reply_slot() -> (ReplyTx, Arc<ReplySlot>) {
+    let slot = Arc::new(ReplySlot::default());
+    (ReplyTx(Some(Arc::clone(&slot))), slot)
+}
+
+/// How admission placed a submission.
+enum Admitted<'a> {
+    /// Serve it on the submitting thread, under this permit.
+    Inline(Permit<'a>),
+    /// Queue it at this position; the queue lock is still held.
+    Queued(MutexGuard<'a, QueueState>, usize),
 }
 
 struct Shared {
@@ -411,6 +539,11 @@ struct Shared {
     /// adaptive batch window's arrival-rate signal (a stale value means
     /// waiting for riders is pointless).
     last_arrival_ns: AtomicU64,
+    /// Tickets issued and not yet waited on or dropped ([`Outstanding`]).
+    /// A blocking submit is served inline only when this reads 0: a
+    /// client with tickets in flight, or another client's ticket, means
+    /// the workers can run or batch the new request beside them.
+    tickets: Arc<AtomicUsize>,
     /// Every tune decision taken under an anchor fingerprint, with the
     /// width it was searched at — the worklist a background retune replays
     /// when [`Engine::apply_delta`] re-anchors past the drift threshold.
@@ -431,6 +564,11 @@ struct RetuneRecord {
 }
 
 impl Shared {
+    /// Launch permits: one per worker.
+    fn permits(&self) -> usize {
+        self.config.workers.max(1)
+    }
+
     fn note_arrival(&self) {
         self.last_arrival_ns.store(self.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
@@ -442,23 +580,33 @@ impl Shared {
     }
 }
 
-/// Pending result of any submitted request: the one generic ticket every
-/// op answers through. [`Ticket::wait`] yields the unified [`OpOutput`];
-/// the `wait_*` conveniences convert to the op's native result.
+/// Result of any submitted request: the one generic ticket every op
+/// answers through, waiting on a one-shot reply slot its server fills (a
+/// request served on the submitting thread comes back with the slot
+/// already filled). [`Ticket::wait`] yields the unified [`OpOutput`]; the
+/// `wait_*` conveniences convert to the op's native result.
 #[derive(Debug)]
 #[must_use = "wait() on the ticket to receive the result"]
 pub struct Ticket {
-    rx: mpsc::Receiver<Result<OpOutput, EngineError>>,
+    slot: Arc<ReplySlot>,
+    _outstanding: Outstanding,
 }
 
 impl Ticket {
-    /// Block until the engine answers.
+    /// Block until the engine answers (at once for a request served on
+    /// the submitting thread).
     ///
     /// # Errors
-    /// Propagates the worker-side error, or [`EngineError::Shutdown`]
+    /// Propagates the serving-side error, or [`EngineError::Shutdown`]
     /// when the engine died before answering.
     pub fn wait(self) -> Result<OpOutput, EngineError> {
-        self.rx.recv().unwrap_or(Err(EngineError::Shutdown))
+        let answer = self
+            .slot
+            .filled
+            .wait_while(lock(&self.slot.answer), |answer| answer.is_none())
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        answer.unwrap_or(Err(EngineError::Shutdown))
     }
 
     /// Wait and unwrap a dense (SpMM) result.
@@ -519,16 +667,16 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Start an engine with `config.workers` worker threads and a fresh
-    /// kernel cache.
+    /// Start an engine with `config.workers` worker threads (and as many
+    /// launch permits) and a fresh kernel cache.
     #[must_use]
     pub fn new(config: EngineConfig) -> Engine {
         let shared = Arc::new(Shared {
             state: Mutex::new(QueueState {
                 queue: VecDeque::new(),
+                launches: 0,
                 inject_panics: 0,
                 stalls: Vec::new(),
-                seq: 0,
                 shutdown: false,
             }),
             not_empty: Condvar::new(),
@@ -539,6 +687,7 @@ impl Engine {
             tune_flight: Mutex::new(()),
             t0: Instant::now(),
             last_arrival_ns: AtomicU64::new(0),
+            tickets: Arc::new(AtomicUsize::new(0)),
             retune_registry: Mutex::new(HashMap::new()),
             retune_threads: Mutex::new(Vec::new()),
             stats: StatsInner::default(),
@@ -593,6 +742,16 @@ impl Engine {
     /// that deadline, and is shed at admission when the deadline is
     /// infeasible or already passed.
     ///
+    /// When nobody is waiting — no other ticket of this engine is
+    /// outstanding (issued and not yet waited on or dropped), the queue is
+    /// empty, a launch permit is free and no test hook is pending — the
+    /// request is served on the calling thread before `submit` returns,
+    /// and the ticket is already answered ([`EngineStats::served_inline`]
+    /// ticks). Otherwise it queues for a worker, behind everything it does
+    /// not outrank: a client that submits several requests before waiting
+    /// has the second and later ones run by the workers, side by side or
+    /// batched.
+    ///
     /// # Errors
     /// [`EngineError::Shape`] when the operands are incompatible with
     /// the adjacency, [`EngineError::Rejected`] when the admission
@@ -608,7 +767,9 @@ impl Engine {
 
     /// Submit any op without blocking: a full queue answers
     /// [`EngineError::Rejected`] (`QueueFull`) immediately (unless the
-    /// submission outranks queued work, which it evicts instead).
+    /// submission outranks queued work, which it evicts instead). The
+    /// request always queues for a worker, never serves on the calling
+    /// thread, since that would block the caller for a launch.
     ///
     /// # Errors
     /// Like [`Engine::submit`].
@@ -755,11 +916,11 @@ impl Engine {
     }
 
     /// Occupancy test hook: the next worker to reach the queue parks —
-    /// holding neither the lock nor a job — until the returned guard is
-    /// dropped. Requests submitted meanwhile pile up behind it exactly as
-    /// behind a long-running kernel, for as long as the test needs and
-    /// however fast kernels run (with `workers: 1`, nothing is served
-    /// until the drop).
+    /// holding a launch permit but neither the lock nor a job — until the
+    /// returned guard is dropped. Requests submitted meanwhile pile up
+    /// behind it exactly as behind a long-running kernel, for as long as
+    /// the test needs and however fast kernels run (with `workers: 1`,
+    /// nothing is served until the drop, not even inline).
     #[doc(hidden)]
     #[must_use = "the worker resumes as soon as the guard is dropped"]
     pub fn stall_worker(&self) -> WorkerStall<'_> {
@@ -779,44 +940,64 @@ impl Engine {
     ) -> Result<Ticket, EngineError> {
         let Submission { req, opts } = sub;
         req.validate(adj)?;
-        let now = Instant::now();
-        let (tx, rx) = mpsc::channel();
-        let job = Job {
-            adj: adj.clone(),
-            req,
-            enqueued: now,
-            deadline: opts.deadline.map(|d| now + d),
-            priority: opts.priority,
-            tune: opts.tune,
-            seq: 0,
-            reply: tx,
-        };
-        self.push(job, block)?;
-        Ok(Ticket { rx })
-    }
-
-    fn push(&self, job: Job, block: bool) -> Result<(), EngineError> {
+        let shared = &*self.shared;
+        let enqueued = Instant::now();
+        let (deadline, priority) = (opts.deadline.map(|d| enqueued + d), opts.priority);
         let mut evicted = None;
-        let result = self.admit(job, block, &mut evicted);
+        let admitted = self.admit(req.kind(), deadline, priority, block, &mut evicted);
+        let ticket = admitted.map(|(admitted, outstanding)| {
+            let (reply, slot) = reply_slot();
+            match admitted {
+                Admitted::Inline(permit) => {
+                    shared.stats.served_inline.fetch_add(1, Ordering::Relaxed);
+                    let reply = Reply { enqueued, priority, tx: reply };
+                    serve(shared, adj, opts.tune, Riders::One(req, reply));
+                    drop(permit);
+                }
+                Admitted::Queued(mut st, pos) => {
+                    let job = Job {
+                        adj: adj.clone(),
+                        req,
+                        enqueued,
+                        deadline,
+                        priority,
+                        tune: opts.tune,
+                        reply,
+                    };
+                    st.queue.insert(pos, job);
+                    shared.stats.queue_high_water.fetch_max(st.queue.len(), Ordering::Relaxed);
+                    drop(st);
+                    // notify_all, not notify_one: a worker parked in the
+                    // adaptive batch window also consumes wakeups, so a
+                    // single notify could be swallowed by a window-waiter
+                    // while an idle worker sleeps.
+                    shared.not_empty.notify_all();
+                }
+            }
+            Ticket { slot, _outstanding: outstanding }
+        });
         // Answer the eviction victim outside the queue lock; its ticket
         // may already be dropped.
         if let Some(v) = evicted {
-            self.shared.stats.shed(RejectReason::QueueFull, v.priority);
-            let _ = v.reply.send(Err(EngineError::Rejected { reason: RejectReason::QueueFull }));
+            shared.stats.shed(RejectReason::QueueFull, v.priority);
+            v.reply.send(Err(EngineError::Rejected { reason: RejectReason::QueueFull }));
         }
-        result
+        ticket
     }
 
     /// The admission controller: find (or free) a queue slot, shed what
-    /// cannot be served in time, and insert in priority-then-deadline
-    /// order.
+    /// cannot be served in time, and place the submission — on the
+    /// calling thread when a blocking submit finds nobody waiting, else
+    /// in priority-then-deadline order — counting its ticket outstanding.
     fn admit(
         &self,
-        mut job: Job,
+        kind: &str,
+        deadline: Option<Instant>,
+        priority: Priority,
         block: bool,
         evicted: &mut Option<Job>,
-    ) -> Result<(), EngineError> {
-        let shared = &self.shared;
+    ) -> Result<(Admitted<'_>, Outstanding), EngineError> {
+        let shared = &*self.shared;
         let depth = shared.config.queue_depth.max(1);
         let mut st = lock(&shared.state);
         loop {
@@ -824,8 +1005,8 @@ impl Engine {
                 return Err(EngineError::Shutdown);
             }
             let now = Instant::now();
-            if job.deadline.is_some_and(|dl| dl <= now) {
-                shared.stats.shed(RejectReason::Expired, job.priority);
+            if deadline.is_some_and(|dl| dl <= now) {
+                shared.stats.shed(RejectReason::Expired, priority);
                 return Err(EngineError::Rejected { reason: RejectReason::Expired });
             }
             if st.queue.len() < depth {
@@ -835,15 +1016,15 @@ impl Engine {
             // the queue's lowest-ranked entry instead of waiting behind
             // it — this is what keeps Hi traffic unstarvable under a
             // saturating Lo flood.
-            if st.queue.back().is_some_and(|back| back.priority < job.priority) {
+            if st.queue.back().is_some_and(|back| back.priority < priority) {
                 *evicted = st.queue.pop_back();
                 break;
             }
             if !block {
-                shared.stats.shed(RejectReason::QueueFull, job.priority);
+                shared.stats.shed(RejectReason::QueueFull, priority);
                 return Err(EngineError::Rejected { reason: RejectReason::QueueFull });
             }
-            st = match job.deadline {
+            st = match deadline {
                 // A deadlined blocking submit waits for space at most
                 // until its deadline (the next loop turn sheds it as
                 // Expired).
@@ -854,59 +1035,58 @@ impl Engine {
                 None => shared.not_full.wait(st).unwrap_or_else(PoisonError::into_inner),
             };
         }
-        st.seq += 1;
-        job.seq = st.seq;
-        let pos = insert_pos(&st.queue, &job);
+        // Nobody is waiting: no ticket in flight whose request a worker
+        // could run or batch beside this one, no queued request to
+        // overtake, a permit free and no test hook for a worker to take
+        // first.
+        let inline = block
+            && shared.tickets.load(Ordering::Relaxed) == 0
+            && st.queue.is_empty()
+            && st.launches < shared.permits()
+            && !st.hook_pending();
+        let pos = if inline { 0 } else { insert_pos(&st.queue, priority, deadline) };
         // Deadline-feasibility check: with `pos` requests served first
         // at roughly the op's estimated execution time each (single
         // worker, no batching assumed — a deliberately conservative
         // model), would this request still answer in time? Shed now
         // rather than let it expire in the queue. No estimate yet (cold
         // kind) admits optimistically.
-        if let Some(dl) = job.deadline {
-            let est = shared.stats.exec_estimate_ns(job.req.kind());
+        if let Some(dl) = deadline {
+            let est = shared.stats.exec_estimate_ns(kind);
             if est > 0 {
                 let eta = Duration::from_nanos(est.saturating_mul(pos as u64 + 1));
                 if Instant::now() + eta > dl {
-                    shared.stats.shed(RejectReason::DeadlineInfeasible, job.priority);
+                    shared.stats.shed(RejectReason::DeadlineInfeasible, priority);
                     return Err(EngineError::Rejected { reason: RejectReason::DeadlineInfeasible });
                 }
             }
         }
-        st.queue.insert(pos, job);
-        let qdepth = st.queue.len();
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        shared.stats.queue_high_water.fetch_max(qdepth, Ordering::Relaxed);
         shared.note_arrival();
-        drop(st);
-        // notify_all, not notify_one: a worker parked in the adaptive
-        // batch window also consumes wakeups, so a single notify could
-        // be swallowed by a window-waiter while an idle worker sleeps.
-        self.shared.not_empty.notify_all();
-        Ok(())
+        let outstanding = Outstanding::open(&shared.tickets);
+        if inline {
+            return Ok((Admitted::Inline(Permit::take(shared, &mut st)), outstanding));
+        }
+        Ok((Admitted::Queued(st, pos), outstanding))
     }
 }
 
-/// Queue ordering: priority descending, then deadline ascending
-/// (deadline-less after deadlined within a class), then admission order.
-/// Default-option submissions therefore keep exact FIFO order — the
-/// pre-SLO queue discipline.
-fn orders_before(a: &Job, b: &Job) -> bool {
-    if a.priority != b.priority {
-        return a.priority > b.priority;
-    }
-    match (a.deadline, b.deadline) {
-        (Some(x), Some(y)) if x != y => x < y,
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        _ => a.seq < b.seq,
-    }
-}
-
-/// Where `job` slots into the ordered queue (after every entry it does
-/// not outrank — stable for ties).
-fn insert_pos(queue: &VecDeque<Job>, job: &Job) -> usize {
-    queue.partition_point(|q| !orders_before(job, q))
+/// Where a new submission slots into the ordered queue: priority
+/// descending, then deadline ascending (deadline-less after deadlined
+/// within a class), then admission order — it goes after every entry it
+/// does not outrank, so default-option submissions keep exact FIFO order,
+/// the pre-SLO queue discipline.
+fn insert_pos(queue: &VecDeque<Job>, priority: Priority, deadline: Option<Instant>) -> usize {
+    queue.partition_point(|q| {
+        if q.priority != priority {
+            return q.priority > priority;
+        }
+        match (q.deadline, deadline) {
+            (Some(theirs), Some(ours)) => theirs <= ours,
+            (None, Some(_)) => false,
+            (_, None) => true,
+        }
+    })
 }
 
 impl Drop for Engine {
@@ -1000,59 +1180,89 @@ impl Served for FusedSageOp {
     }
 }
 
+/// The payload of [`Engine::inject_worker_panic`]'s panic.
+const INJECTED_PANIC: &str = "injected worker panic (crash-safety test hook)";
+
 fn worker_loop(shared: &Shared) {
     loop {
         // A panic anywhere in a tick — including the injected lock-held
         // panic of the crash-safety tests — must not kill the worker:
         // catch it, count it, keep draining. The queue mutex recovers
-        // from the poisoning via `lock`.
-        match catch_unwind(AssertUnwindSafe(|| worker_tick(shared))) {
+        // from the poisoning via `lock`. The tick's launch permit lives
+        // out here and goes back only once the tick is fully accounted,
+        // `worker_panics` included, so no caller takes that permit ahead
+        // of the count.
+        let mut permit = None;
+        let tick = catch_unwind(AssertUnwindSafe(|| worker_tick(shared, &mut permit)));
+        match tick {
             Ok(true) => {}
             Ok(false) => return,
+            // The injected panic counted itself before it was raised.
+            Err(payload) if payload.downcast_ref::<&str>() == Some(&INJECTED_PANIC) => {}
             Err(_) => {
                 shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             }
         }
+        drop(permit);
     }
 }
 
-/// One drain-and-serve iteration; `false` means shutdown.
-fn worker_tick(shared: &Shared) -> bool {
+/// One drain-and-serve iteration; `false` means shutdown. Whatever the
+/// tick takes — a batch or a test hook — it takes under a launch permit,
+/// left in `permit`.
+fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool {
     let mut expired = Vec::new();
     let batch = {
         let mut st = lock(&shared.state);
         loop {
-            if st.inject_panics > 0 {
-                st.inject_panics -= 1;
-                panic!("injected worker panic (crash-safety test hook)")
-            }
-            if let Some(gate) = st.stalls.pop() {
-                drop(st);
-                // Parked until the test drops its `WorkerStall`.
-                let _ = gate.recv();
-                st = lock(&shared.state);
-                continue;
-            }
-            // Expired-at-drain requests are swept out before dispatch
-            // and answered Expired — their operands never reach
-            // `execute_batch_on`.
-            sweep_expired(&mut st.queue, &mut expired);
-            if let Some(first) = st.queue.pop_front() {
-                // Greedily fold queued compatible requests (same
-                // adjacency fingerprint, same op, op-level can_batch)
-                // into this dispatch, up to max_batch.
-                let mut batch = vec![first];
-                drain_compatible(&mut st.queue, &mut batch, shared.config.max_batch);
-                if let Some(window) = shared.config.batch_window {
-                    drop(hold_for_riders(shared, st, &mut batch, &mut expired, window));
+            // While inline callers hold every permit, queued work waits
+            // for the first permit back (its holder wakes us). A hook
+            // comes first, while `expired` is still empty: leaving the
+            // tick early must not drop a swept request unanswered.
+            let permit_free = st.launches < shared.permits();
+            if permit_free {
+                if st.inject_panics > 0 {
+                    st.inject_panics -= 1;
+                    *permit = Some(Permit::take(shared, &mut st));
+                    // Counted before it unwinds: a first unwind (backtrace
+                    // included) takes milliseconds, long enough for the
+                    // other permits' holders to finish every request and
+                    // read the counters ahead of a count taken after it.
+                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    std::panic::panic_any(INJECTED_PANIC)
                 }
-                break batch;
+                if let Some(gate) = st.stalls.pop() {
+                    *permit = Some(Permit::take(shared, &mut st));
+                    drop(st);
+                    // Parked until the test drops its `WorkerStall`.
+                    let _ = gate.recv();
+                    return true;
+                }
+            }
+            // Expired-at-drain requests are swept out before dispatch and
+            // answered Expired — their operands never reach
+            // `execute_batch_on`. Answering needs no permit, so this runs
+            // even while every permit is taken.
+            sweep_expired(&mut st.queue, &mut expired);
+            if permit_free {
+                if let Some(first) = st.queue.pop_front() {
+                    *permit = Some(Permit::take(shared, &mut st));
+                    // Greedily fold queued compatible requests (same
+                    // adjacency fingerprint, same op, op-level can_batch)
+                    // into this dispatch, up to max_batch.
+                    let mut batch = vec![first];
+                    drain_compatible(&mut st.queue, &mut batch, shared.config.max_batch);
+                    if let Some(window) = shared.config.batch_window {
+                        drop(hold_for_riders(shared, st, &mut batch, &mut expired, window));
+                    }
+                    break batch;
+                }
             }
             if !expired.is_empty() {
                 // Nothing left to serve, but sweep results to deliver.
                 break Vec::new();
             }
-            if st.shutdown {
+            if st.shutdown && st.queue.is_empty() {
                 return false;
             }
             st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
@@ -1088,7 +1298,7 @@ fn answer_expired(shared: &Shared, expired: Vec<Job>) {
     for job in expired {
         shared.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
         shared.stats.expire(job.priority);
-        let _ = job.reply.send(Err(EngineError::Rejected { reason: RejectReason::Expired }));
+        job.reply.send(Err(EngineError::Rejected { reason: RejectReason::Expired }));
     }
 }
 
@@ -1161,14 +1371,52 @@ fn hold_for_riders<'a>(
     st
 }
 
-/// One dispatch: route the kind-matched batch to its op's generic serve
-/// path.
+/// What one launch serves: a kind-matched batch a worker drained, or one
+/// request served on its submitting thread.
+enum Riders {
+    Batch(Vec<Job>),
+    One(OpRequest, Reply),
+}
+
+/// A worker's dispatch: the batch head decides the adjacency and the
+/// tuning mode for its riders (one launch, one configuration).
 fn serve_batch(shared: &Shared, batch: Vec<Job>) {
-    match &batch[0].req {
-        OpRequest::Spmm(_) => serve_as::<SpmmOp>(shared, batch),
-        OpRequest::Sddmm(_) => serve_as::<SddmmOp>(shared, batch),
-        OpRequest::FusedAttention(_) => serve_as::<FusedAttentionOp>(shared, batch),
-        OpRequest::FusedSage(_) => serve_as::<FusedSageOp>(shared, batch),
+    let (adj, tune) = (batch[0].adj.clone(), batch[0].tune);
+    serve(shared, &adj, tune, Riders::Batch(batch));
+}
+
+/// Route kind-matched riders to their op's generic serve path.
+fn serve(shared: &Shared, adj: &Adjacency, tune: bool, riders: Riders) {
+    let head = match &riders {
+        Riders::Batch(jobs) => &jobs[0].req,
+        Riders::One(req, _) => req,
+    };
+    match head {
+        OpRequest::Spmm(_) => serve_kind::<SpmmOp>(shared, adj, tune, riders),
+        OpRequest::Sddmm(_) => serve_kind::<SddmmOp>(shared, adj, tune, riders),
+        OpRequest::FusedAttention(_) => serve_kind::<FusedAttentionOp>(shared, adj, tune, riders),
+        OpRequest::FusedSage(_) => serve_kind::<FusedSageOp>(shared, adj, tune, riders),
+    }
+}
+
+/// Split riders into the op's operands and their replies; one request
+/// served inline borrows its operands as a one-element slice.
+fn serve_kind<O: Served>(shared: &Shared, adj: &Adjacency, tune: bool, riders: Riders) {
+    match riders {
+        Riders::One(req, reply) => {
+            serve_as::<O>(shared, adj, tune, slice::from_ref(&O::extract(req)), [reply]);
+        }
+        Riders::Batch(jobs) => {
+            let (reqs, replies): (Vec<_>, Vec<_>) = jobs
+                .into_iter()
+                .map(|job| {
+                    let reply =
+                        Reply { enqueued: job.enqueued, priority: job.priority, tx: job.reply };
+                    (O::extract(job.req), reply)
+                })
+                .unzip();
+            serve_as::<O>(shared, adj, tune, &reqs, replies);
+        }
     }
 }
 
@@ -1217,31 +1465,27 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConf
 /// Serve one kind-matched batch through the op's generic contract:
 /// config lookup → one `execute_batch_on` launch → per-request replies. A
 /// panicking kernel answers every rider with [`EngineError::Exec`]
-/// instead of killing the worker.
-fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
-    let adj = batch[0].adj.clone();
-    // The batch head decides the tuning mode for its riders (one launch,
-    // one configuration).
-    let tune = batch[0].tune;
-    shared.stats.record_batch(O::kind(), batch.len());
-    let width = batch.len().max(1) as u64;
-    let mut replies = Vec::with_capacity(batch.len());
-    let mut reqs = Vec::with_capacity(batch.len());
-    for job in batch {
-        replies.push((job.enqueued, job.priority, job.reply));
-        reqs.push(O::extract(job.req));
-    }
+/// instead of killing the thread that serves it.
+fn serve_as<O: Served>(
+    shared: &Shared,
+    adj: &Adjacency,
+    tune: bool,
+    reqs: &[O::Operands],
+    replies: impl IntoIterator<Item = Reply>,
+) {
+    shared.stats.record_batch(O::kind(), reqs.len());
+    let width = reqs.len().max(1) as u64;
     // The config lookup sits inside the catch: a panicking tuning search
     // must answer its riders with `Exec` too, not drop their replies.
     let started = Instant::now();
-    // Sample the thread-local copy counter around the launch: the worker
-    // thread runs the whole batch, so the delta is exactly the bytes the
-    // launch memcpy'd for these riders (0 on the view paths).
+    // Sample the thread-local copy counter around the launch: one thread
+    // runs the whole batch, so the delta is exactly the bytes the launch
+    // memcpy'd for these riders (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
     let result = catch_unwind(AssertUnwindSafe(|| {
         // A tuned decision is timed on the batch head's operand.
-        let config = if tune { O::tuned(shared, &adj, &reqs[0]) } else { O::Config::default() };
-        O::execute_batch_on(&shared.runtime, adj.csr(), &reqs, &config)
+        let config = if tune { O::tuned(shared, adj, &reqs[0]) } else { O::Config::default() };
+        O::execute_batch_on(&shared.runtime, adj.csr(), reqs, &config)
     }));
     shared
         .stats
@@ -1252,8 +1496,8 @@ fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
             // Per-request execution estimate for admission: the batch's
             // wall time amortized over its riders.
             shared.stats.record_exec(O::kind(), started.elapsed().as_nanos() as u64 / width);
-            for ((enqueued, priority, reply), out) in replies.into_iter().zip(outs) {
-                finish(shared, enqueued, priority, true, || reply.send(Ok(O::wrap(out))).is_ok());
+            for (reply, out) in replies.into_iter().zip(outs) {
+                finish(shared, reply, Ok(O::wrap(out)));
             }
         }
         Ok(Err(e)) => {
@@ -1271,29 +1515,118 @@ fn serve_as<O: Served>(shared: &Shared, batch: Vec<Job>) {
     }
 }
 
-type Reply = (Instant, Priority, mpsc::Sender<Result<OpOutput, EngineError>>);
+/// One rider's reply: when it was submitted and at which priority (what
+/// its latency and outcome counters need), and where its answer goes.
+struct Reply {
+    enqueued: Instant,
+    priority: Priority,
+    tx: ReplyTx,
+}
 
-fn answer_error(shared: &Shared, replies: Vec<Reply>, err: &EngineError) {
-    for (enqueued, priority, reply) in replies {
-        let err = err.clone();
-        finish(shared, enqueued, priority, false, || reply.send(Err(err)).is_ok());
+fn answer_error(shared: &Shared, replies: impl IntoIterator<Item = Reply>, err: &EngineError) {
+    for reply in replies {
+        finish(shared, reply, Err(err.clone()));
     }
 }
 
-/// Record latency + outcome and deliver the reply (a client that dropped
+/// Record latency + outcome and deliver the answer (a client that dropped
 /// its ticket is not an error).
-fn finish(
-    shared: &Shared,
-    enqueued: Instant,
-    priority: Priority,
-    ok: bool,
-    send: impl FnOnce() -> bool,
-) {
-    shared.stats.record_latency(enqueued.elapsed().as_nanos() as u64);
-    if ok {
-        shared.stats.serve(priority);
+fn finish(shared: &Shared, reply: Reply, answer: Answer) {
+    shared.stats.record_latency(reply.enqueued.elapsed().as_nanos() as u64);
+    if answer.is_ok() {
+        shared.stats.serve(reply.priority);
     } else {
         shared.stats.failed.fetch_add(1, Ordering::Relaxed);
     }
-    let _ = send();
+    reply.tx.send(answer);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sparsetir_smat::prelude::gen;
+
+    /// A reply slot whose serving end is dropped unanswered — a job lost
+    /// to shutdown or an unwinding thread — answers `Shutdown`, also to a
+    /// ticket already waiting on another thread; a ticket stops counting
+    /// as outstanding once waited on.
+    #[test]
+    fn a_reply_slot_dropped_unanswered_reads_shutdown() {
+        let tickets = Arc::new(AtomicUsize::new(0));
+        let ticket = |slot| Ticket { slot, _outstanding: Outstanding::open(&tickets) };
+        let (tx, slot) = reply_slot();
+        drop(tx);
+        assert_eq!(ticket(slot).wait().err(), Some(EngineError::Shutdown));
+
+        let (tx, slot) = reply_slot();
+        let pending = ticket(slot);
+        let waiter = std::thread::spawn(move || pending.wait().err());
+        std::thread::sleep(Duration::from_millis(5));
+        drop(tx);
+        assert_eq!(waiter.join().expect("waiter returns"), Some(EngineError::Shutdown));
+
+        let (tx, slot) = reply_slot();
+        let answered = ticket(slot);
+        tx.send(Ok(OpOutput::Edges(vec![1.0])));
+        assert_eq!(tickets.load(Ordering::Relaxed), 1);
+        let got = answered.wait_edges();
+        assert_eq!(got, Ok(vec![1.0]), "an answered slot is not overwritten by the drop");
+        assert_eq!(tickets.load(Ordering::Relaxed), 0);
+    }
+
+    /// Four blocking clients on a two-worker engine: workers and inline
+    /// callers share two launch permits, so no more than two launches
+    /// ever run at once (`Permit::take` asserts it in debug builds; an
+    /// observer samples it in every profile), and every answer is right.
+    #[test]
+    fn launch_permits_never_exceed_workers() {
+        const CLIENTS: usize = 4;
+        const PER_CLIENT: usize = 40;
+        let mut rng = gen::rng(0x9e);
+        let a = gen::random_csr(48, 48, 0.2, &mut rng);
+        let adj = Adjacency::new(a.clone());
+        let engine = Engine::new(EngineConfig {
+            workers: 2,
+            queue_depth: 16,
+            max_batch: 4,
+            batch_window: None,
+            ..EngineConfig::default()
+        });
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let peak = std::thread::scope(|s| {
+            let observer = s.spawn(|| {
+                let mut peak = 0;
+                while !done.load(Ordering::Relaxed) {
+                    peak = peak.max(lock(&engine.shared.state).launches);
+                    std::thread::yield_now();
+                }
+                peak
+            });
+            let clients: Vec<_> = (0..CLIENTS)
+                .map(|client| {
+                    let (engine, adj, a) = (&engine, &adj, &a);
+                    s.spawn(move || {
+                        let mut rng = gen::rng(0x9f + client as u64);
+                        for _ in 0..PER_CLIENT {
+                            let x = gen::random_dense(48, 1 + client % 3, &mut rng);
+                            let got = engine
+                                .serve(adj, OpRequest::Spmm(x.clone()))
+                                .and_then(OpOutput::into_dense)
+                                .expect("serves");
+                            assert!(got.approx_eq(&a.spmm(&x).expect("reference"), 1e-4));
+                        }
+                    })
+                })
+                .collect();
+            for c in clients {
+                c.join().expect("client finishes");
+            }
+            done.store(true, Ordering::Relaxed);
+            observer.join().expect("observer finishes")
+        });
+        assert!(peak <= 2, "{peak} launches at once with two permits");
+        let stats = engine.stats();
+        assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
+        assert_eq!((stats.failed, stats.worker_panics), (0, 0));
+    }
 }

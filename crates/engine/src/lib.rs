@@ -57,6 +57,13 @@
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with
 //!   [`EngineError::Rejected`] instead.
+//! * **No hand-off when nobody waits**: workers and submitting threads
+//!   share [`EngineConfig::workers`] launch permits; a blocking
+//!   [`Engine::submit`] that finds no other [`Ticket`] outstanding, the
+//!   queue empty and a permit free serves its request on the calling
+//!   thread and returns an answered ticket
+//!   ([`EngineStats::served_inline`]); a client with tickets in flight
+//!   has its further requests queued for the workers to run or batch.
 //! * **Crash containment**: a panicking worker answers its riders with
 //!   [`EngineError::Exec`], recovers the queue mutex from poisoning, and
 //!   keeps serving ([`EngineStats::worker_panics`] counts the events).

@@ -68,6 +68,7 @@ struct PriorityCounters {
 #[derive(Default)]
 pub(crate) struct StatsInner {
     pub submitted: AtomicU64,
+    pub served_inline: AtomicU64,
     pub completed: AtomicU64,
     pub failed: AtomicU64,
     pub rejected: AtomicU64,
@@ -193,6 +194,7 @@ impl StatsInner {
         });
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
+            served_inline: self.served_inline.load(Ordering::Relaxed),
             completed,
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
@@ -376,8 +378,14 @@ impl OpBatchWidth {
 /// counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Requests accepted into the queue.
+    /// Requests accepted: queued, or served on the submitting thread.
     pub submitted: u64,
+    /// Requests a blocking submit served on the submitting thread,
+    /// because no other ticket was outstanding, the queue was empty and a
+    /// launch permit free (see
+    /// [`Engine::submit`](crate::Engine::submit)). They never queue, so
+    /// they leave [`EngineStats::queue_high_water`] alone.
+    pub served_inline: u64,
     /// Requests answered successfully.
     pub completed: u64,
     /// Requests answered with an error.
@@ -510,6 +518,7 @@ impl EngineStats {
         });
         EngineStats {
             submitted: self.submitted.saturating_sub(earlier.submitted),
+            served_inline: self.served_inline.saturating_sub(earlier.served_inline),
             completed: self.completed.saturating_sub(earlier.completed),
             failed: self.failed.saturating_sub(earlier.failed),
             rejected: self.rejected.saturating_sub(earlier.rejected),

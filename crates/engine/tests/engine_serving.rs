@@ -94,9 +94,7 @@ fn served_sddmm_matches_direct_execution() {
 /// still be bit-identical to unbatched execution.
 #[test]
 fn queued_requests_batch_and_stay_bit_identical() {
-    let big = power_law_csr(1500, 31);
     let small = power_law_csr(64, 32);
-    let adj_big = Adjacency::new(big);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig {
         workers: 1,
@@ -106,24 +104,23 @@ fn queued_requests_batch_and_stay_bit_identical() {
         ..EngineConfig::default()
     });
     let mut rng = gen::rng(33);
-    // Occupy the single worker with a heavyweight request (compile +
-    // run is milliseconds; the submissions below are microseconds).
-    let plug = engine
-        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
-        .expect("submits");
+    // The test holds the single worker (and its launch permit), so every
+    // submission below queues behind it.
+    let stall = engine.stall_worker();
     let xs: Vec<Dense> = (0..6).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
         .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
         .collect();
-    plug.wait_dense().expect("plug completes");
+    drop(stall);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
         let want = solo::<SpmmOp>(&small, x);
         assert!(bit_eq(&got, &want));
     }
     let stats = engine.stats();
-    assert_eq!(stats.completed, 7);
+    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.served_inline, 0, "nothing is served inline behind a held worker");
     assert!(stats.max_batch >= 2, "queued requests should have batched: {stats:?}");
     assert!(
         stats.batches < stats.completed,
@@ -156,6 +153,98 @@ fn try_submit_saturates_on_a_full_queue() {
     assert_eq!(engine.stats().rejected, 1);
     drop(stall);
     t1.wait_dense().expect("completes");
+}
+
+/// An idle engine serves a blocking submit on the calling thread: the
+/// ticket comes back answered (the counters say so before `wait`), the
+/// answer is bit-identical to the sequential oracle, and nothing queued.
+#[test]
+fn an_idle_engine_serves_a_blocking_submit_inline() {
+    let a = power_law_csr(64, 43);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(44);
+    let x = gen::random_dense(64, 4, &mut rng);
+    let ticket = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.served_inline, stats.completed), (1, 1, 1), "{stats:?}");
+    assert_eq!(stats.queue_high_water, 0, "{stats:?}");
+    let got = ticket.wait_dense().expect("serves");
+    assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+    assert_eq!(stats.latency.count(), 1, "an inline request records its latency");
+}
+
+/// A held worker holds its launch permit: a blocking submit queues behind
+/// it instead of serving inline, and is answered once the worker is let go.
+#[test]
+fn a_held_worker_makes_a_blocking_submit_queue() {
+    let a = power_law_csr(64, 45);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(46);
+    let x = gen::random_dense(64, 4, &mut rng);
+    let stall = engine.stall_worker();
+    let ticket = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
+    let stats = engine.stats();
+    assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 0, 1));
+    drop(stall);
+    let got = ticket.wait_dense().expect("served by the worker");
+    assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+    assert_eq!(engine.stats().served_inline, 0);
+}
+
+/// A ticket in flight means somebody is waiting: a client that submits
+/// again before waiting (a fan-out) gets its later requests queued for
+/// the workers, which can run them beside each other or batch them,
+/// instead of served one after another on its own thread. Once every
+/// ticket is waited on, the next blocking submit is served inline again.
+#[test]
+fn a_ticket_in_flight_makes_the_next_submit_queue() {
+    let a = power_law_csr(64, 49);
+    let adj = Adjacency::new(a.clone());
+    // Three workers: the (at most) two that serve the queued requests may
+    // still hold their permits when the last submits arrive; the third
+    // permit stays free.
+    let engine = Engine::new(EngineConfig { workers: 3, ..EngineConfig::default() });
+    let mut rng = gen::rng(50);
+    let xs: Vec<Dense> = (0..4).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
+    let first = engine.submit(&adj, Submission::spmm(xs[0].clone())).expect("submits");
+    assert_eq!(engine.stats().served_inline, 1, "an idle engine serves the first inline");
+    let fanned: Vec<_> = xs[1..3]
+        .iter()
+        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .collect();
+    assert_eq!(engine.stats().served_inline, 1, "a ticket in flight: the others queue");
+    for (x, t) in xs.iter().zip(std::iter::once(first).chain(fanned)) {
+        assert!(bit_eq(&t.wait_dense().expect("serves"), &solo::<SpmmOp>(&a, x)));
+    }
+    let dropped = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
+    drop(dropped);
+    let got = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
+    let stats = engine.stats();
+    assert_eq!((stats.served_inline, stats.completed), (3, 5), "{stats:?}");
+    assert!(bit_eq(&got.wait_dense().expect("serves"), &solo::<SpmmOp>(&a, &xs[3])));
+}
+
+/// `try_submit` promises not to block, so even an idle engine queues it
+/// for a worker.
+#[test]
+fn try_submit_never_serves_inline() {
+    let a = power_law_csr(64, 47);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(48);
+    for _ in 0..3 {
+        let x = gen::random_dense(64, 4, &mut rng);
+        let got = engine
+            .try_submit(&adj, Submission::spmm(x.clone()))
+            .expect("admits")
+            .wait_dense()
+            .expect("serves");
+        assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 3, 1));
 }
 
 #[test]
@@ -218,6 +307,9 @@ fn concurrent_clients_get_their_own_answers() {
         ..EngineConfig::default()
     }));
     let a = Arc::new(a);
+    // Both workers start held, with both launch permits: every client's
+    // first request queues, so the queue fills whatever the scheduling.
+    let stalls = [engine.stall_worker(), engine.stall_worker()];
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
             let engine = Arc::clone(&engine);
@@ -241,12 +333,16 @@ fn concurrent_clients_get_their_own_answers() {
                 }
             });
         }
+        while engine.stats().submitted < CLIENTS as u64 {
+            std::thread::yield_now();
+        }
+        drop(stalls);
     });
     let stats = engine.stats();
     assert_eq!(stats.submitted, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.failed, 0);
-    assert!(stats.queue_high_water >= 1);
+    assert!(stats.queue_high_water >= CLIENTS, "{stats:?}");
 }
 
 /// `.tune(true)` routes the first request of each adjacency through the
@@ -565,9 +661,7 @@ fn concurrent_submits_survive_worker_panic() {
 /// bit-identical to unbatched execution.
 #[test]
 fn queued_sddmm_requests_batch_and_stay_bit_identical() {
-    let big = power_law_csr(1500, 131);
     let small = power_law_csr(48, 132);
-    let adj_big = Adjacency::new(big);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig {
         workers: 1,
@@ -577,9 +671,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         ..EngineConfig::default()
     });
     let mut rng = gen::rng(133);
-    let plug = engine
-        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
-        .expect("submits");
+    let stall = engine.stall_worker();
     let k = 5;
     let reqs: Vec<(Dense, Dense)> = (0..5)
         .map(|_| (gen::random_dense(48, k, &mut rng), gen::random_dense(k, 48, &mut rng)))
@@ -590,7 +682,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
             engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
         })
         .collect();
-    plug.wait_dense().expect("plug completes");
+    drop(stall);
     for (req, t) in reqs.iter().zip(tickets) {
         let got = t.wait_edges().expect("completes");
         let want = solo::<SddmmOp>(&small, req);
@@ -600,7 +692,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
         }
     }
     let stats = engine.stats();
-    assert_eq!(stats.completed, 6);
+    assert_eq!(stats.completed, 5);
     assert!(stats.max_batch >= 2, "queued SDDMM requests should have batched: {stats:?}");
 }
 
@@ -609,9 +701,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
 /// different inner widths refuse to share a block-diagonal stack.
 #[test]
 fn incompatible_requests_do_not_batch() {
-    let big = power_law_csr(1500, 141);
     let small = power_law_csr(32, 142);
-    let adj_big = Adjacency::new(big);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig {
         workers: 1,
@@ -621,17 +711,16 @@ fn incompatible_requests_do_not_batch() {
         ..EngineConfig::default()
     });
     let mut rng = gen::rng(143);
-    let plug = engine
-        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
-        .expect("submits");
-    // Two SDDMM inner widths plus one SpMM, all queued behind the plug.
+    let stall = engine.stall_worker();
+    // Two SDDMM inner widths plus one SpMM, all queued behind the held
+    // worker.
     let s1 = (gen::random_dense(32, 2, &mut rng), gen::random_dense(2, 32, &mut rng));
     let s2 = (gen::random_dense(32, 3, &mut rng), gen::random_dense(3, 32, &mut rng));
     let t1 = engine.submit(&adj, Submission::sddmm(s1.0.clone(), s1.1.clone())).expect("submits");
     let t2 = engine.submit(&adj, Submission::sddmm(s2.0.clone(), s2.1.clone())).expect("submits");
     let x = gen::random_dense(32, 4, &mut rng);
     let t3 = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
-    plug.wait_dense().expect("plug completes");
+    drop(stall);
     let got1 = t1.wait_edges().expect("completes");
     let got2 = t2.wait_edges().expect("completes");
     let got3 = t3.wait_dense().expect("completes");
@@ -643,8 +732,8 @@ fn incompatible_requests_do_not_batch() {
     }
     assert!(got3.approx_eq(&small.spmm(&x).unwrap(), 1e-4));
     let stats = engine.stats();
-    // plug + three incompatible dispatches = four separate batches.
-    assert_eq!(stats.batches, 4, "{stats:?}");
+    // Three incompatible dispatches = three separate batches.
+    assert_eq!(stats.batches, 3, "{stats:?}");
     assert_eq!(stats.max_batch, 1, "{stats:?}");
 }
 
@@ -697,9 +786,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
 /// and the per-op-kind width histogram records exactly that.
 #[test]
 fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
-    let big = power_law_csr(1500, 171);
     let small = power_law_csr(48, 172);
-    let adj_big = Adjacency::new(big);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig {
         workers: 1,
@@ -709,9 +796,7 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
         ..EngineConfig::default()
     });
     let mut rng = gen::rng(173);
-    let plug = engine
-        .submit(&adj_big, Submission::spmm(gen::random_dense(adj_big.csr().cols(), 32, &mut rng)))
-        .expect("submits");
+    let stall = engine.stall_worker();
     // Two compatible (k=2, vfeat=2) requests plus one incompatible
     // (k=3, vfeat=2): the pair must share a launch, the odd one out must
     // dispatch alone.
@@ -726,7 +811,7 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
             engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
         })
         .collect();
-    plug.wait_dense().expect("plug completes");
+    drop(stall);
     for (heads, t) in reqs.iter().zip(tickets) {
         let got = t.wait_heads().expect("completes");
         assert_eq!(got.len(), heads.len());
@@ -741,8 +826,6 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     assert_eq!(widths.width_sum, 3);
     assert_eq!(widths.max_width, 2);
     assert!((widths.mean_width() - 1.5).abs() < 1e-9);
-    let spmm = stats.widths_of("spmm").expect("the plug was an spmm");
-    assert_eq!((spmm.batches, spmm.max_width), (1, 1));
 }
 
 /// Zero-row and zero-nnz adjacencies are valid public constructions:

@@ -99,9 +99,11 @@ fn main() {
     // OpOutput); same-adjacency SDDMM requests with equal inner widths
     // fold into one launch of the one-head kernel per rider, and a multi-head
     // aggregation is one SpMM ticket per head, joining the SpMM column
-    // stack. Deadlines bound queueing: a request the engine cannot answer
-    // in time is shed with a typed rejection instead of silently running
-    // late.
+    // stack. The first of each group finds the engine idle and is served
+    // on this thread as it is submitted; the three submitted while its
+    // ticket is outstanding queue for the worker and fold. Deadlines
+    // bound queueing: a request the engine cannot answer in time is shed
+    // with a typed rejection instead of silently running late.
     let mut rng = gen::rng(77);
     let sddmm_tickets: Vec<_> = (0..4)
         .map(|_| {
@@ -135,8 +137,10 @@ fn main() {
 
     // --- Cross-op fused attention: SDDMM → softmax → SpMM, one kernel ---
     // A FusedAttention request carries (Q, Kᵀ, V) per head; the engine
-    // compiles the whole pipeline into a single kernel and same-shape
-    // concurrent requests fold into one launch, one run per head.
+    // compiles the whole pipeline into a single kernel, and same-shape
+    // requests the worker finds queued together (here among the three
+    // submitted behind the first, inline one) share a launch, one run
+    // per head.
     let (k, vfeat) = (8, 8);
     let fused_tickets: Vec<_> = (0..4)
         .map(|_| {
