@@ -1,6 +1,6 @@
 //! The generic tuning engine: a [`SearchSpace`] enumerates candidates, an
 //! [`Evaluator`] scores them, and [`tune`] keeps the minimum — evaluating
-//! trials in parallel across OS threads when the evaluator allows it.
+//! trials in parallel across OS threads.
 //! SpMM, SDDMM and block-sparse attention all tune through this one engine
 //! instead of bespoke grid loops.
 
@@ -19,16 +19,10 @@ pub trait SearchSpace {
 pub trait Evaluator<C>: Sync {
     /// Cost of one candidate.
     fn evaluate(&self, candidate: &C) -> Option<f64>;
-
-    /// Whether trials may run concurrently. Wall-clock (measured)
-    /// evaluators return `false` so timings don't perturb each other.
-    fn parallel(&self) -> bool {
-        true
-    }
 }
 
-/// An explicit candidate list as a space — used for measured shortlists
-/// after a simulator pruning pass.
+/// An explicit candidate list as a space (e.g. the RGMS bucket
+/// exponents).
 pub struct ListSpace<C>(pub Vec<C>);
 
 impl<C: Clone + Send + Sync> SearchSpace for ListSpace<C> {
@@ -44,7 +38,8 @@ impl<C: Clone + Send + Sync> SearchSpace for ListSpace<C> {
 pub struct Trial<C> {
     /// The evaluated candidate.
     pub candidate: C,
-    /// Its cost (milliseconds under the simulator, seconds when measured).
+    /// Its cost (in the evaluator's unit; simulated milliseconds for the
+    /// typed tuners).
     pub score: f64,
 }
 
@@ -65,11 +60,7 @@ where
     E: Evaluator<S::Candidate>,
 {
     let candidates = space.candidates();
-    let scores = if evaluator.parallel() && candidates.len() > 1 {
-        parallel_scores(&candidates, evaluator)
-    } else {
-        candidates.iter().map(|c| evaluator.evaluate(c)).collect()
-    };
+    let scores = parallel_scores(&candidates, evaluator);
     let trials: Vec<Trial<S::Candidate>> = candidates
         .into_iter()
         .zip(scores)
@@ -93,7 +84,7 @@ where
     E: Evaluator<C>,
 {
     let threads = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let chunk = candidates.len().div_ceil(threads.clamp(1, candidates.len()));
+    let chunk = candidates.len().div_ceil(threads).max(1);
     let mut scores = vec![None; candidates.len()];
     std::thread::scope(|s| {
         for (cands, out) in candidates.chunks(chunk).zip(scores.chunks_mut(chunk)) {

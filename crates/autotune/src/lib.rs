@@ -1,48 +1,44 @@
 //! # sparsetir-autotune
 //!
-//! The measurement-driven tuning subsystem of §2: SparseTIR "constructs a
+//! The joint format × schedule search of §2: SparseTIR "constructs a
 //! joint search space of composable formats and composable
 //! transformations", and the search cost "can be amortized" across a
-//! training run. Three layers deliver that:
+//! training run. Two layers deliver that:
 //!
 //! * a generic engine ([`SearchSpace`] / [`Evaluator`] / [`tune`]) that
-//!   SpMM, SDDMM and block-sparse attention all tune through, with
-//!   parallel trial evaluation across OS threads;
-//! * two evaluator backends — the GPU **simulator** (cheap pruning pass)
-//!   and a **measured** backend ([`SpmmMeasuredEvaluator`]) that
-//!   wall-clock-times each candidate's whole served launch on an
-//!   `ir::exec::Runtime` with warmup/repeat control;
+//!   SpMM, SDDMM and block-sparse attention all tune through, evaluating
+//!   trials in parallel across OS threads, each priced on the GPU
+//!   simulator;
 //! * a [`TuneCache`] keyed by a structural [`SparsityFingerprint`] (rows,
 //!   cols, nnz, degree histogram), so repeated tunes of the same matrix
-//!   hit cache with zero recompilation — the amortization the paper
+//!   hit cache with zero re-simulation — the amortization the paper
 //!   assumes.
 //!
 //! The typed tuners below (`tune_spmm`, `tune_sddmm`,
 //! `tune_attention_block`) each search a space priced by
 //! `sparsetir-plans` and cache the winner by fingerprint; they draw the
 //! paper figures. One op's *executable* kernel reads a decision —
-//! SpMM's — and the serving engine takes it on the machine that serves:
-//! [`SpmmMeasuredEvaluator::decide`] times the whole launch of each
-//! [`spmm_shortlist`] config and [`pick_spmm`] keeps CSR unless a
-//! challenger beats it by more than [`CHALLENGER_MARGIN`], filed under
-//! [`measured_spmm_key`]. (GPU-only schedule spaces — SDDMM's, the
-//! attention block size, the RGMS bucket exponent — change no executable
-//! kernel and are priced for the paper figures only.)
+//! SpMM's — and that decision is measured on the machine that serves, by
+//! the one rule in `sparsetir_kernels::tune` ([`SpmmMeasuredEvaluator::decide`],
+//! [`spmm_shortlist`], [`pick_spmm`], [`CHALLENGER_MARGIN`],
+//! [`measured_spmm_key`]), re-exported here with the cache it files
+//! into. (GPU-only schedule spaces — SDDMM's, the attention block size,
+//! the RGMS bucket exponent — change no executable kernel and are priced
+//! for the paper figures only.)
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod engine;
 pub mod evaluate;
 pub mod space;
 
-pub use cache::{SparsityFingerprint, TuneCache, TuneKey};
 pub use engine::{tune, Evaluator, ListSpace, SearchSpace, Trial, TuneOutcome};
-pub use evaluate::{
-    pick_spmm, spmm_shortlist, AttentionSimEvaluator, MeasureOpts, SddmmSimEvaluator,
-    SpmmMeasuredEvaluator, SpmmSimEvaluator, CHALLENGER_MARGIN,
-};
+pub use evaluate::{AttentionSimEvaluator, SddmmSimEvaluator, SpmmSimEvaluator};
 pub use space::{col_part_candidates, schedule_candidates, AttentionSpace, SddmmSpace, SpmmSpace};
+pub use sparsetir_kernels::tune::{
+    measured_spmm_key, pick_spmm, spmm_shortlist, SparsityFingerprint, SpmmMeasuredEvaluator,
+    TuneCache, TuneKey, CHALLENGER_MARGIN,
+};
 // The configuration types the searches range over live with the kernels
 // that consume them; re-exported here so tuner callers need one import.
 pub use sparsetir_kernels::spmm::SpmmConfig;
@@ -69,33 +65,9 @@ pub struct TuneResult<C = SpmmConfig> {
     pub from_cache: bool,
 }
 
-/// Result of a measured SpMM tuning run.
-#[derive(Debug, Clone)]
-pub struct MeasuredTuneResult {
-    /// Winning configuration under real executor wall clock.
-    pub config: SpmmConfig,
-    /// Its measured time in seconds (minimum over repeats).
-    pub seconds: f64,
-    /// Measured time of the untuned default CSR schedule from the same
-    /// pass — the baseline the winner is guaranteed not to exceed.
-    pub default_seconds: f64,
-    /// Trials evaluated by the simulator pruning pass.
-    pub sim_trials: usize,
-    /// The measured shortlist trials (candidate, seconds).
-    pub measured: Vec<Trial<SpmmConfig>>,
-    /// True when served from the [`TuneCache`].
-    pub from_cache: bool,
-}
-
 /// Process-wide cache of simulator-backed SpMM decisions.
 pub fn spmm_sim_cache() -> &'static TuneCache<TuneResult> {
     static CACHE: OnceLock<TuneCache<TuneResult>> = OnceLock::new();
-    CACHE.get_or_init(TuneCache::new)
-}
-
-/// Process-wide cache of measured SpMM decisions.
-pub fn spmm_measured_cache() -> &'static TuneCache<MeasuredTuneResult> {
-    static CACHE: OnceLock<TuneCache<MeasuredTuneResult>> = OnceLock::new();
     CACHE.get_or_init(TuneCache::new)
 }
 
@@ -141,14 +113,6 @@ fn tune_key(
     }
 }
 
-/// The simulator search over SpMM's joint format × schedule space at
-/// feature width `feat` — the one body behind [`tune_spmm`] and
-/// [`tune_spmm_measured`]'s pruning pass. `None` when no candidate is
-/// feasible.
-fn search_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> Option<TuneOutcome<SpmmConfig>> {
-    tune(&SpmmSpace::joint(a), &SpmmSimEvaluator::new(spec, a, feat.max(1)))
-}
-
 /// Grid-search the joint format × schedule space for SpMM on `a` at
 /// feature width `feat` under the simulator, returning the fastest
 /// configuration. Cached by sparsity fingerprint, so a repeated tune of
@@ -158,7 +122,7 @@ pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
     let r = tune_cached(
         spmm_sim_cache(),
         tune_key("spmm", "gpusim", spec, a, vec![feat]),
-        || search_spmm(spec, a, feat),
+        || tune(&SpmmSpace::joint(a), &SpmmSimEvaluator::new(spec, a, feat.max(1))),
         |config| tuned_spmm_time(spec, a, feat, config),
     );
     if !r.from_cache {
@@ -170,73 +134,6 @@ pub fn tune_spmm(spec: &GpuSpec, a: &Csr, feat: usize) -> TuneResult {
         );
     }
     r
-}
-
-/// Where a served SpMM decision taken under the tuning anchor `anchor` is
-/// cached: one key per adjacency, whatever the request width (the
-/// decision is timed at the triggering request's width and reused for all
-/// — the §2 amortization trade), on the `"host"` that serves.
-#[must_use]
-pub fn measured_spmm_key(anchor: &SparsityFingerprint) -> TuneKey {
-    TuneKey {
-        workload: SpmmOp::kind(),
-        backend: "measured",
-        device: "host",
-        extra: vec![],
-        fingerprint: anchor.clone(),
-    }
-}
-
-/// Two-phase measured tuning for SpMM: the simulator prunes the joint
-/// space to a shortlist, then the measured evaluator wall-clock-times each
-/// survivor's whole launch on the global `ir::exec::Runtime`. The untuned
-/// default CSR schedule is always measured too, so the winner's measured
-/// time never exceeds the untuned baseline. Cached by sparsity
-/// fingerprint: a second tune of the same matrix performs zero new kernel
-/// compilations.
-#[must_use]
-pub fn tune_spmm_measured(
-    spec: &GpuSpec,
-    a: &Csr,
-    feat: usize,
-    opts: MeasureOpts,
-) -> MeasuredTuneResult {
-    // Measurement controls are part of the decision's identity: a retune
-    // with more repeats or a wider shortlist must not hit the old entry.
-    let key =
-        tune_key("spmm", "measured", spec, a, vec![feat, opts.warmup, opts.repeat, opts.shortlist]);
-    let (mut result, hit) = spmm_measured_cache().get_or_insert_with(key, || {
-        // Phase 1: simulator pruning over the full joint space.
-        let sim = search_spmm(spec, a, feat).expect("non-empty SpMM search space");
-        let mut ranked = sim.trials.clone();
-        ranked.sort_by(|x, y| x.score.total_cmp(&y.score));
-        let mut shortlist: Vec<SpmmConfig> =
-            ranked.iter().take(opts.shortlist.max(1)).map(|t| t.candidate).collect();
-        let default = SpmmConfig::default_csr();
-        if !shortlist.contains(&default) {
-            shortlist.push(default);
-        }
-        // Phase 2: wall-clock measurement through the compiled executor.
-        let rt = sparsetir_ir::exec::Runtime::global();
-        let evaluator = SpmmMeasuredEvaluator::new(rt, a, feat, opts);
-        let measured = tune(&ListSpace(shortlist), &evaluator)
-            .expect("the default CSR schedule always measures");
-        let default_seconds = measured
-            .trials
-            .iter()
-            .find(|t| t.candidate == default)
-            .map_or(f64::INFINITY, |t| t.score);
-        MeasuredTuneResult {
-            config: measured.best.candidate,
-            seconds: measured.best.score,
-            default_seconds,
-            sim_trials: sim.trials.len(),
-            measured: measured.trials,
-            from_cache: false,
-        }
-    });
-    result.from_cache = hit;
-    result
 }
 
 /// Tune the SDDMM schedule (§4.2.2) under the simulator, cached by
@@ -366,52 +263,6 @@ mod tests {
         assert!(!functional_check_spmm(&a, 24, &broken));
     }
 
-    /// The served decision rule on synthetic timings: CSR is the
-    /// incumbent, a challenger needs more than [`CHALLENGER_MARGIN`], and
-    /// a failed launch is never the answer.
-    #[test]
-    fn the_served_rule_keeps_csr_unless_a_challenger_wins_by_the_margin() {
-        let [csr, hyb1, hyb2] = spmm_shortlist();
-        let pick = |t: [Option<f64>; 3]| pick_spmm(&[(csr, t[0]), (hyb1, t[1]), (hyb2, t[2])]);
-        let within = 1.0 - CHALLENGER_MARGIN / 2.0;
-        let beyond = 1.0 - 2.0 * CHALLENGER_MARGIN;
-        assert_eq!(pick([Some(1.0), Some(within), Some(2.0)]), csr, "kept within the margin");
-        assert_eq!(pick([Some(1.0), Some(2.0), Some(beyond)]), hyb2, "won beyond it");
-        assert_eq!(pick([Some(1.0), Some(0.5), Some(0.4)]), hyb2, "the faster challenger");
-        assert_eq!(pick([Some(1.0), Some(0.5), Some(0.5)]), hyb1, "equal challengers: the first");
-        assert_eq!(pick([Some(1.0); 3]), csr, "equal timings pick CSR");
-        assert_eq!(pick([Some(1.0), None, None]), csr, "failed challengers are skipped");
-        assert_eq!(pick([None, Some(2.0), None]), hyb1, "a failed incumbent is not picked");
-        assert_eq!(pick([None; 3]), csr, "everything failed: CSR");
-        assert_eq!(pick_spmm(&[]), csr);
-    }
-
-    /// ROADMAP 5's gate: on a `stbench serve_shared_dynamic`-shaped graph
-    /// (n = 2 000, the power-law degree curve at mean 4.5, d = 32), ten
-    /// operand seeds time to one decision.
-    #[test]
-    fn ten_operand_seeds_choose_one_config() {
-        let (n, mean_deg, d) = (2000usize, 4.5f64, 32usize);
-        let eps = 0.015f64;
-        let alpha = mean_deg / ((1.0 + eps).ln() - eps.ln());
-        let mut degrees = (0..n).map(|r| (alpha / ((r as f64 + 0.5) / n as f64 + eps)) as usize);
-        let a = gen::random_csr_with_row_lengths(
-            n,
-            n,
-            |_| degrees.next().unwrap_or(1).clamp(1, n / 2),
-            &mut gen::rng(1001),
-        );
-        let rt = sparsetir_ir::exec::Runtime::new();
-        let picks: Vec<SpmmConfig> = (0..10)
-            .map(|seed| {
-                let x = gen::random_dense(n, d, &mut gen::rng(seed));
-                SpmmMeasuredEvaluator::with_operand(&rt, &a, &x, MeasureOpts::default()).decide()
-            })
-            .collect();
-        assert!(spmm_shortlist().contains(&picks[0]));
-        assert!(picks.iter().all(|p| *p == picks[0]), "{picks:?}");
-    }
-
     #[test]
     fn sim_tuning_caches_by_fingerprint() {
         let a = power_law(400, 27);
@@ -424,37 +275,6 @@ mod tests {
         assert_eq!(r1.trials, r2.trials);
         // Same structure, different feature width → distinct decision.
         assert!(!tune_spmm(&spec, &a, 16).from_cache);
-    }
-
-    #[test]
-    fn measured_tuning_beats_default_and_caches_with_zero_recompilation() {
-        use sparsetir_ir::exec::Runtime;
-        let a = power_law(500, 29);
-        let spec = GpuSpec::v100();
-        let opts = MeasureOpts::default();
-        let r1 = tune_spmm_measured(&spec, &a, 32, opts);
-        assert!(!r1.from_cache);
-        // The untuned default CSR schedule was measured in the same pass,
-        // and the winner is the minimum over a set containing it.
-        assert!(r1.default_seconds.is_finite());
-        assert!(
-            r1.seconds <= r1.default_seconds,
-            "measured winner {}s vs untuned default {}s",
-            r1.seconds,
-            r1.default_seconds
-        );
-        assert!(r1.sim_trials >= 20, "sim pruning pass must cover the joint space");
-        // Second tune of the same matrix: TuneCache hit, zero new kernel
-        // compilations in the executor runtime.
-        let compiles = Runtime::global().compilations();
-        let r2 = tune_spmm_measured(&spec, &a, 32, opts);
-        assert!(r2.from_cache, "second measured tune must hit the TuneCache");
-        assert_eq!(r2.config, r1.config);
-        assert_eq!(
-            Runtime::global().compilations(),
-            compiles,
-            "a TuneCache hit must not compile any kernel"
-        );
     }
 
     #[test]
@@ -554,20 +374,8 @@ mod tests {
                 }
             }
         }
-        struct Serial;
-        impl Evaluator<i64> for Serial {
-            fn evaluate(&self, c: &i64) -> Option<f64> {
-                Parallel.evaluate(c)
-            }
-            fn parallel(&self) -> bool {
-                false
-            }
-        }
         let p = tune(&Range, &Parallel).unwrap();
-        let s = tune(&Range, &Serial).unwrap();
         assert_eq!(p.best.candidate, 18);
-        assert_eq!(s.best.candidate, 18);
-        assert_eq!(p.trials.len(), s.trials.len());
         assert!(p.trials.iter().all(|t| t.candidate % 7 != 3));
     }
 

@@ -698,21 +698,23 @@ pub mod ablation_hfuse {
     }
 }
 
-/// Autotuning report: the joint format × schedule search of §2 evaluated
-/// by both backends — the GPU simulator (pruning pass) and the measured
-/// evaluator, which compiles each shortlisted candidate through
-/// `ir::exec::Runtime` and wall-clock-times real executions. Rows compare
-/// the simulator-picked and measured-picked configurations and the
-/// measured gain over the untuned default CSR schedule; measured trials
-/// run on a row slice so wall clock stays bounded (smoke-mode capped
-/// further).
+/// Autotuning report: the joint format × schedule search of §2 on the GPU
+/// simulator beside the rule that decides a served SpMM on the machine
+/// that serves. Per graph, one [`SpmmMeasuredEvaluator::scores`] call on
+/// one fresh `Runtime` times the whole launch of each `spmm_shortlist()`
+/// config and of the simulator's pick; rows give the simulator's pick with
+/// its measured time, the served pick (`pick_spmm` over the shortlist's
+/// times) with its time, and the untuned CSR launch's. Graphs are cut to a
+/// row slice so wall clock stays bounded (smoke-mode capped further).
+///
+/// [`SpmmMeasuredEvaluator::scores`]: sparsetir_kernels::tune::SpmmMeasuredEvaluator::scores
 pub mod autotuning {
     use super::*;
-    use sparsetir_autotune::{
-        spmm_measured_cache, spmm_sim_cache, tune_spmm_measured, MeasureOpts,
-    };
+    use sparsetir_autotune::spmm_sim_cache;
+    use sparsetir_ir::prelude::Runtime;
+    use sparsetir_kernels::tune::{pick_spmm, spmm_shortlist, SpmmMeasuredEvaluator};
 
-    /// Render the comparison plus `TuneCache` statistics.
+    /// Render the comparison plus the simulator's `TuneCache` statistics.
     #[must_use]
     pub fn run() -> String {
         let spec = GpuSpec::v100();
@@ -724,33 +726,37 @@ pub mod autotuning {
             let keep: Vec<u32> = (0..g.rows().min(cap) as u32).collect();
             let g = g.select_rows(&keep);
             let sim = tune_spmm(&spec, &g, feat);
-            let measured = tune_spmm_measured(&spec, &g, feat, MeasureOpts::default());
-            // The simulator's pick is always rank 1 of the pruning pass,
-            // so its measured time is in the shortlist trials.
-            let sim_pick_seconds = measured
-                .measured
-                .iter()
-                .find(|t| t.candidate == sim.config)
-                .map_or(f64::NAN, |t| t.score);
+            let shortlist = spmm_shortlist();
+            let rt = Runtime::new();
+            let scores = SpmmMeasuredEvaluator::new(&rt, &g, feat)
+                .scores(&[&shortlist[..], &[sim.config]].concat());
+            let seconds = |i: usize| scores[i].unwrap_or(f64::NAN);
+            let timed: Vec<_> = shortlist.iter().copied().zip(scores.iter().copied()).collect();
+            let served = pick_spmm(&timed);
+            let at = shortlist.iter().position(|c| *c == served).expect("picked from the list");
+            let (served_s, untuned_s) = (seconds(at), seconds(0));
             rows.push(vec![
                 gs.name.to_string(),
                 sim.config.label(),
-                fmt_us(sim_pick_seconds),
-                measured.config.label(),
-                fmt_us(measured.seconds),
-                fmt_us(measured.default_seconds),
-                fmt_speedup(measured.default_seconds / measured.seconds),
-                measured.sim_trials.to_string(),
+                fmt_us(seconds(shortlist.len())),
+                served.label(),
+                fmt_us(served_s),
+                fmt_us(untuned_s),
+                fmt_speedup(untuned_s / served_s),
+                sim.trials.to_string(),
             ]);
         }
         let mut out = render_table(
-            &format!("Autotuning: simulator-picked vs measured-picked SpMM configs (d={feat}, row cap {cap})"),
+            &format!(
+                "Autotuning: simulator-picked vs served (measured) SpMM configs \
+                 (d={feat}, row cap {cap})"
+            ),
             &[
                 "Graph",
                 "sim pick",
-                "sim pick (meas.)",
-                "measured pick",
-                "measured",
+                "sim pick (measured)",
+                "served pick",
+                "served",
                 "untuned",
                 "gain",
                 "sim trials",
@@ -758,11 +764,9 @@ pub mod autotuning {
             &rows,
         );
         out.push_str(&format!(
-            "TuneCache: sim {} hits / {} misses, measured {} hits / {} misses\n",
+            "TuneCache: sim {} hits / {} misses\n",
             spmm_sim_cache().hits(),
             spmm_sim_cache().misses(),
-            spmm_measured_cache().hits(),
-            spmm_measured_cache().misses(),
         ));
         out
     }

@@ -36,7 +36,8 @@
 //! tenant graph at SpMM d = 16, `Engine::serve` on an idle one-worker
 //! engine (as `stbench` builds it) against `spmm_execute_views_on` on that
 //! engine's own runtime, both taking an operand copy and a fresh output,
-//! alternating; the gap is the engine's cost per request.
+//! alternating; the median over rounds of the two arms' paired burst
+//! difference is the engine's cost per request.
 //!
 //! Smoke mode asserts the bit-identities (the engine's answer against the
 //! direct launch's included) and that the update compiles nothing, and
@@ -72,19 +73,40 @@ fn rows_graph(n: usize, cols: usize, mean_deg: f64, seed: u64) -> Csr {
     gen::random_csr_with_row_lengths(n, cols, |_| next.next().unwrap_or(1), &mut rng)
 }
 
-/// Minimum nanoseconds per call of each arm over `rounds` alternations of
-/// `reps`-call bursts (one untimed call each first).
-fn minima(rounds: usize, reps: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
-    let mut best = vec![f64::INFINITY; arms.len()];
+/// Nanoseconds per call of each arm in each of `rounds` alternations of
+/// `reps`-call bursts (one untimed call each first), one row per round.
+fn bursts(rounds: usize, reps: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<Vec<f64>> {
     arms.iter_mut().for_each(|arm| arm());
-    for _ in 0..rounds {
-        for (arm, best) in arms.iter_mut().zip(&mut best) {
-            let t0 = Instant::now();
-            (0..reps).for_each(|_| arm());
-            *best = best.min(t0.elapsed().as_nanos() as f64 / reps as f64);
-        }
-    }
-    best
+    (0..rounds)
+        .map(|_| {
+            let time = |arm: &mut &mut dyn FnMut()| {
+                let t0 = Instant::now();
+                (0..reps).for_each(|_| arm());
+                t0.elapsed().as_nanos() as f64 / reps as f64
+            };
+            arms.iter_mut().map(time).collect()
+        })
+        .collect()
+}
+
+/// Minimum nanoseconds per call of each arm over [`bursts`].
+fn minima(rounds: usize, reps: usize, arms: &mut [&mut dyn FnMut()]) -> Vec<f64> {
+    let by_round = bursts(rounds, reps, arms);
+    (0..arms.len()).map(|arm| min_over(&by_round, arm)).collect()
+}
+
+/// Arm `arm`'s minimum over [`bursts`] rows.
+fn min_over(by_round: &[Vec<f64>], arm: usize) -> f64 {
+    by_round.iter().map(|r| r[arm]).fold(f64::INFINITY, f64::min)
+}
+
+/// One arm's cost over another's, from [`bursts`] rows: the median over
+/// rounds of arm `a`'s burst minus arm `b`'s burst of the same round. The
+/// two bursts of a round share its clock state; the difference of the two
+/// arms' minima mixes two quiet moments and can read negative.
+fn paired_median(by_round: &[Vec<f64>], a: usize, b: usize) -> f64 {
+    let mut gaps: Vec<f64> = by_round.iter().map(|r| r[a] - r[b]).collect();
+    median(&mut gaps)
 }
 
 /// The CSR structure as the kernels bind it (`i32` slabs).
@@ -445,7 +467,8 @@ pub fn run() -> String {
 /// (so both hit one compiled kernel). Each arm copies the operand (a
 /// submission owns it) and gets a fresh output, so the gap is what the
 /// engine adds: validation, admission, the hand-off if any, the config
-/// lookup, the panic guard and the counters.
+/// lookup, the panic guard and the counters. The arms' minima are
+/// printed; the engine's share is their [`paired_median`].
 ///
 /// # Panics
 /// In smoke mode, when the served answer differs in a bit from the direct
@@ -471,7 +494,7 @@ fn engine_table(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::S
         assert_bits("engine spmm d=16", serve().data(), direct().data());
     }
     let before = engine.stats();
-    let got = minima(
+    let by_round = bursts(
         rounds,
         reps,
         &mut [
@@ -487,15 +510,16 @@ fn engine_table(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::S
     let us = |ns: f64| format!("{:.1}", ns / 1e3);
     let rows = vec![vec![
         format!("spmm d={d}"),
-        us(got[0]),
-        us(got[1]),
-        us(got[0] - got[1]),
+        us(min_over(&by_round, 0)),
+        us(min_over(&by_round, 1)),
+        us(paired_median(&by_round, 0, 1)),
         format!("{}/{}", stats.served_inline, stats.completed),
     ]];
     render_table(
         &format!(
             "launch_probe: the engine's share of a warm request on the tenant graph \
-             (n = {}, nnz = {}), minima in µs",
+             (n = {}, nnz = {}), µs: minima, and the share as the median over rounds \
+             of the paired difference",
             a.rows(),
             a.nnz()
         ),
@@ -602,24 +626,24 @@ fn delta_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) -
 
 /// The served SpMM decision's inputs: on the tenant graph at d = 16 and on
 /// a `serve_shared_dynamic`-shaped graph (n = 2 000, mean degree 4.5) at
-/// d = 32, each `autotune::spmm_shortlist` config's whole launch and
+/// d = 32, each `kernels::tune::spmm_shortlist` config's whole launch and
 /// `run_views` minima, the score the measured rule gives it (minimum of
 /// three launches after a warm-up, `SpmmMeasuredEvaluator::scores`), CSR
 /// scored a second time in the same rounds (the noise
-/// `autotune::CHALLENGER_MARGIN` is sized against), and the config the
+/// `kernels::tune::CHALLENGER_MARGIN` is sized against), and the config the
 /// rule picks.
 ///
 /// # Panics
 /// Panics when the pick is not in the shortlist.
 fn tune_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
-    use sparsetir_autotune::{spmm_shortlist, MeasureOpts, SpmmMeasuredEvaluator};
+    use sparsetir_kernels::tune::{spmm_shortlist, SpmmMeasuredEvaluator};
     let us = |s: f64| format!("{:.1}", s * 1e6);
     let shared = rows_graph(2000, 2000, 4.5, 0x81);
     let mut rows = Vec::new();
     for (name, g, d) in [("tenant", a, 16usize), ("serve_shared_dynamic", &shared, 32)] {
         let x = gen::random_dense(g.cols(), d, rng);
         let rt = Runtime::new();
-        let tuner = SpmmMeasuredEvaluator::with_operand(&rt, g, &x, MeasureOpts::default());
+        let tuner = SpmmMeasuredEvaluator::with_operand(&rt, g, &x);
         // The shortlist scored as the rule scores it, CSR a second time in
         // the same rounds.
         let shortlist = spmm_shortlist();
@@ -843,4 +867,26 @@ fn least_squares(points: &[[f64; 4]]) -> [f64; 3] {
         }
     }
     [0, 1, 2].map(|i| if m[i][i] == 0.0 { 0.0 } else { m[i][3] / m[i][i] })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Five rounds in which the served arm's quietest burst and the direct
+    /// arm's fell in different rounds (round one caught the direct burst
+    /// busy): the difference of the minima reads the engine as saving
+    /// 3 µs, the paired median reads the 1 µs most rounds show.
+    #[test]
+    fn the_engines_share_pairs_bursts_by_round() {
+        let by_round = vec![
+            vec![22_000.0, 26_000.0],
+            vec![26_000.0, 25_000.0],
+            vec![30_000.0, 29_000.0],
+            vec![27_000.0, 26_000.0],
+            vec![33_000.0, 31_500.0],
+        ];
+        assert_eq!(min_over(&by_round, 0) - min_over(&by_round, 1), -3_000.0);
+        assert_eq!(paired_median(&by_round, 0, 1), 1_000.0);
+    }
 }

@@ -27,13 +27,13 @@
 
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
-use sparsetir_autotune::{
-    measured_spmm_key, MeasureOpts, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache, TuneKey,
-};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
     bytes_copied_on_thread, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig,
     SpmmOp,
+};
+use sparsetir_kernels::tune::{
+    measured_spmm_key, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache, TuneKey,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
 use std::collections::hash_map::DefaultHasher;
@@ -875,9 +875,7 @@ impl Engine {
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
                     for rec in work {
-                        let opts = MeasureOpts::default();
-                        let tuner =
-                            SpmmMeasuredEvaluator::new(&shared.runtime, &csr, rec.feat, opts);
+                        let tuner = SpmmMeasuredEvaluator::new(&shared.runtime, &csr, rec.feat);
                         shared.tune_cache.insert(rec.key, tuner.decide());
                     }
                 }));
@@ -1421,11 +1419,11 @@ fn serve_kind<O: Served>(shared: &Shared, adj: &Adjacency, tune: bool, riders: R
 }
 
 /// The tuned SpMM configuration for one adjacency: the engine-owned
-/// [`TuneCache`] memoizes `autotune`'s measured decision
+/// [`TuneCache`] memoizes the measured decision of `kernels::tune`
 /// ([`SpmmMeasuredEvaluator::decide`]: the whole launch of each shortlist
 /// config timed on the engine's own runtime and the batch head's operand,
 /// CSR kept unless a challenger beats it by more than
-/// `autotune::CHALLENGER_MARGIN`) per sparsity fingerprint, so only the
+/// `kernels::tune::CHALLENGER_MARGIN`) per sparsity fingerprint, so only the
 /// first batch on a new adjacency pays it. The decision is keyed on the
 /// adjacency alone — request widths vary per batch, so it is timed at the
 /// triggering request's width and reused for all widths (the §2
@@ -1446,8 +1444,7 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConf
     }
     let _flight = lock(&shared.tune_flight);
     let (config, hit) = shared.tune_cache.get_or_insert_with(key.clone(), || {
-        let opts = MeasureOpts::default();
-        SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), head, opts).decide()
+        SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), head).decide()
     });
     if !hit {
         // First decision under this anchor: remember how to redo it, so a

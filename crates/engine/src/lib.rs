@@ -34,12 +34,12 @@
 //!   kernel; the multi-launch forms exist only as test oracles in
 //!   `sparsetir-kernels`.
 //! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and one
-//!   [`TuneCache`](sparsetir_autotune::TuneCache)** per engine: every
+//!   [`TuneCache`](sparsetir_kernels::tune::TuneCache)** per engine: every
 //!   worker compiles through the same striped kernel cache and reuses
 //!   the same per-`(adjacency, op)` tuning decisions. Only an op whose
 //!   launch reads a searched configuration has a decision to cache: SpMM,
 //!   whose decision is measured on this engine's runtime
-//!   ([`SpmmMeasuredEvaluator::decide`](sparsetir_autotune::SpmmMeasuredEvaluator::decide)
+//!   ([`SpmmMeasuredEvaluator::decide`](sparsetir_kernels::tune::SpmmMeasuredEvaluator::decide)
 //!   times the whole launch of CSR and two `hyb` configs and keeps CSR
 //!   unless a challenger wins by more than a fixed margin). A tuned
 //!   submission of any other kind is served exactly like an untuned one.

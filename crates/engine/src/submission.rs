@@ -114,7 +114,7 @@ pub struct SubmitOpts {
     /// Whether this request's batch launches under a searched
     /// configuration; `false` by default. When set, the first batch for
     /// each `(adjacency, op)` pair of an op whose launch reads one
-    /// (SpMM) times `autotune`'s shortlist on the engine's runtime, and
+    /// (SpMM) times `kernels::tune`'s shortlist on the engine's runtime, and
     /// the picked configuration is cached in the engine's `TuneCache` (see
     /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
     /// tuned batch on that pair. An op whose launch reads no configuration

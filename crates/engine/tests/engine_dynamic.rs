@@ -13,9 +13,9 @@
 //! pre-seeded stale decision — no serving gap.
 
 use proptest::prelude::*;
-use sparsetir_autotune::{measured_spmm_key, spmm_shortlist};
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineError, OpOutput, Submission};
 use sparsetir_kernels::prelude::AttnHead;
+use sparsetir_kernels::tune::{measured_spmm_key, spmm_shortlist};
 use sparsetir_smat::prelude::*;
 use std::collections::BTreeMap;
 

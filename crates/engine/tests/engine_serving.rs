@@ -375,13 +375,16 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
 }
 
 /// The engine's decision is measured: one `.tune(true)` SpMM files,
-/// under `autotune::measured_spmm_key` (`spmm` / the measured backend /
+/// under `kernels::tune::measured_spmm_key` (`spmm` / the measured backend /
 /// the host / the adjacency's own fingerprint), one of the configs
-/// `autotune::spmm_shortlist` names — the one whose whole launch won on
-/// the engine's runtime — and a second tuned request hits that decision.
+/// `kernels::tune::spmm_shortlist` names — the one whose whole launch won on
+/// the engine's runtime — and a second tuned request hits that decision
+/// and compiles no kernel.
 #[test]
 fn the_engines_decision_is_measured() {
-    use sparsetir_autotune::{measured_spmm_key, spmm_shortlist, SparsityFingerprint, TuneKey};
+    use sparsetir_kernels::tune::{
+        measured_spmm_key, spmm_shortlist, SparsityFingerprint, TuneKey,
+    };
     let a = power_law_csr(300, 83);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
@@ -399,6 +402,7 @@ fn the_engines_decision_is_measured() {
     let cached = engine.tune_cache().peek(&key).expect("the decision is filed under that key");
     assert!(spmm_shortlist().contains(&cached), "{cached:?}");
     assert_eq!((engine.tune_cache().len(), engine.tune_cache().misses()), (1, 1));
+    let compilations = engine.runtime().compilations();
     let got = engine
         .serve(&adj, Submission::spmm(x.clone()).tune(true))
         .and_then(OpOutput::into_dense)
@@ -406,6 +410,7 @@ fn the_engines_decision_is_measured() {
     assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
     assert_eq!(engine.tune_cache().misses(), 1, "the second request hit the decision");
     assert!(engine.tune_cache().hits() >= 1);
+    assert_eq!(engine.runtime().compilations(), compilations, "a decision hit compiles nothing");
 }
 
 /// The engine tunes only what a launch reads. SDDMM, fused attention and

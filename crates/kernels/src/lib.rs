@@ -23,6 +23,10 @@
 //! The multi-launch forms of the two fused ops
 //! ([`fused_attention::attention_pipeline_oracle`],
 //! [`fused_sage::sage_pipeline_oracle`]) are test references only.
+//!
+//! One launch reads a searched configuration — SpMM's — and [`tune`]
+//! decides it by timing that launch: the served rule, its shortlist and
+//! the cache a serving engine files the decision in.
 
 #![warn(missing_docs)]
 
@@ -32,6 +36,7 @@ pub mod op;
 pub mod sddmm;
 mod spec;
 pub mod spmm;
+pub mod tune;
 
 /// Common imports.
 pub mod prelude {
