@@ -854,17 +854,15 @@ pub mod ablation_bucketing {
 /// Serving throughput: requests/sec through the batched engine vs
 /// unbatched per-request execution, at 1/4/8 client threads sharing one
 /// adjacency — for SpMM, SDDMM and fused attention. The batched arms
-/// fold fingerprint-compatible concurrent requests into single widened
-/// kernel launches (SpMM: feature matrices bound side by side as column
-/// segments; SDDMM and fused attention: a head axis inside the fused
-/// non-zero walk); the unbatched arms run the identical engine machinery
-/// with `max_batch = 1`, isolating the batching effect. Both arms of
-/// every op run the same (fused) kernels.
+/// fold fingerprint-compatible concurrent requests into single launches
+/// that look up the one-rider kernel and bind the adjacency once, then run
+/// the kernel once per rider on its own operands; the unbatched arms run
+/// the identical engine machinery with `max_batch = 1`, isolating the
+/// batching effect. Both arms of every op run the same (fused) kernels, so
+/// what batching saves is the per-launch fixed cost.
 pub mod serving_throughput {
     use super::*;
-    use sparsetir_engine::{
-        Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket, DEFAULT_DRIFT_THRESHOLD,
-    };
+    use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket};
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -962,7 +960,6 @@ pub mod serving_throughput {
             queue_depth: 256,
             max_batch: if batched { 16 } else { 1 },
             batch_window: None,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
         // Warm the single-request-shape kernel so neither arm pays
         // first-compile latency while timed (payloads were pre-generated
@@ -1067,8 +1064,8 @@ pub mod serving_throughput {
     #[must_use]
     pub fn run() -> String {
         // Full mode serves a mid-size graph: big enough that kernel work
-        // dominates scheduling noise, small enough that the stacked dense
-        // operand stays cache-resident (the regime batching targets).
+        // dominates scheduling noise, small enough that a rider's dense
+        // operand stays cache-resident.
         let (n, per_client): (usize, usize) = if smoke() { (1000, 16) } else { (2000, 24) };
         let feat = 16;
         let mut rng = gen::rng(0xE6);
@@ -1107,13 +1104,11 @@ pub mod serving_throughput {
         let spmm_rows = sweep_op(&adj, "spmm", per_client, || {
             OpRequest::Spmm(gen::random_dense(n, feat, &mut rng_spmm))
         });
-        // The SDDMM arm serves its own *small* adjacency: block-diagonal
-        // stacking amortizes per-launch and per-request fixed costs but
-        // duplicates the per-non-zero walk, so its win lives in the
+        // The SDDMM arm serves its own *small* adjacency: a batch
+        // amortizes only the per-launch fixed costs (every rider still
+        // walks the non-zeros), so its win lives in the
         // many-small-requests regime where those fixed costs are a big
-        // slice and the stacked operands stay cache-resident (on the big
-        // graph above the H-times-wider stacked Y falls out of cache and
-        // batching is a wash).
+        // slice of a launch.
         let sn = 128;
         let sfeat = 8;
         let mut rng_sddmm = gen::rng(0x5e42);
@@ -1208,7 +1203,6 @@ pub mod serving_slo {
     use super::*;
     use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Priority, Submission,
-        DEFAULT_DRIFT_THRESHOLD,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
@@ -1237,7 +1231,6 @@ pub mod serving_slo {
             queue_depth: 16,
             max_batch: 8,
             batch_window: None,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         });
         Duration::from_nanos(median_ns(5, || {
             engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration request");
@@ -1272,7 +1265,6 @@ pub mod serving_slo {
             queue_depth: 64,
             max_batch: 8,
             batch_window: if slo { Some(window) } else { None },
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }));
         // Warm every kernel shape outside the measured window.
         for (adj, x) in lo {
@@ -1488,7 +1480,7 @@ pub mod serving_slo {
 /// adjacency current.
 pub mod dynamic_graphs {
     use super::*;
-    use sparsetir_engine::{Adjacency, Engine, EngineConfig, OpRequest, DEFAULT_DRIFT_THRESHOLD};
+    use sparsetir_engine::{Adjacency, Engine, EngineConfig, OpRequest};
     use std::collections::BTreeMap;
     use std::time::{Duration, Instant};
 
@@ -1498,13 +1490,7 @@ pub mod dynamic_graphs {
     pub const INCREMENTAL_SPEEDUP_BAR: f64 = 1.2;
 
     fn serving_engine() -> Engine {
-        Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 64,
-            max_batch: 8,
-            batch_window: None,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
-        })
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None })
     }
 
     /// The edge map a rebuild arm maintains (and the oracle both arms are

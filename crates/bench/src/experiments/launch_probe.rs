@@ -19,12 +19,12 @@
 //! apart: at one head and `stbench kernel_narrow`'s d = 4, the fused run
 //! beside each of its five passes compiled alone from its Stage I program
 //! (score, rowmax, exp, psum, agg), in nanoseconds per non-zero. A rider
-//! table prices a batch: SDDMM at k = 8 and fused attention at d = 4 for 1,
-//! 2, 4 and 8 riders through their entry points, in nanoseconds per
-//! (non-zero, rider) — a batch runs the one-head kernel once per rider, so
-//! a rider should cost what a solo launch does. A tune table prices the
-//! served SpMM decision's shortlist (CSR, `hyb(1, 3)`, `hyb(2, 3)`) on the
-//! tenant graph and on a `serve_shared_dynamic`-shaped one: whole launch,
+//! table prices a batch: SpMM at d = 16, SDDMM at k = 8 and fused attention
+//! at d = 4 for 1, 2, 4 and 8 riders through their entry points, in
+//! nanoseconds per (non-zero, rider) — a batch runs the one-rider kernel
+//! once per rider, so a rider should cost what a solo launch does. A tune
+//! table prices the served SpMM decision's shortlist (CSR, `hyb(1, 3)`,
+//! `hyb(2, 3)`) on the tenant graph and on a `serve_shared_dynamic`-shaped one: whole launch,
 //! `run_views`, the measured rule's score, and its pick. A delta table
 //! prices a graph update: on the tenant graph each served kind (SpMM d =
 //! 16, SDDMM k = 8, fused attention d = 4, fused SAGE 16 → 16) is warmed,
@@ -47,7 +47,7 @@
 //! (`taskset -c 1`).
 
 use super::*;
-use sparsetir_ir::prelude::{ColsView, Runtime, TensorData, ViewBindings};
+use sparsetir_ir::prelude::{Runtime, TensorData, ViewBindings};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -257,61 +257,53 @@ fn layouts(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
     }
 }
 
-/// `[whole launch, run_views alone, floor]` minima of a served SpMM over
-/// `xs` at `config` (one request, or a batch; the floor takes every
-/// request), after checking every request's output against the floor (bit
-/// for bit on the CSR schedule), and the run's `blocked / entries` and
-/// layouts.
+/// `[whole launch, run_views alone, floor]` minima of a served SpMM of `x`
+/// at `config`, after checking its output against the floor (bit for bit
+/// on the CSR schedule), and the run's `blocked / entries` and layouts.
 fn spmm_arms(
     a: &Csr,
-    xs: &[Dense],
+    x: &Dense,
     config: &SpmmConfig,
     (rounds, reps): (usize, usize),
 ) -> ([f64; 3], [String; 2]) {
     let rt = Runtime::new();
     let slabs = Slabs::of(a);
-    let refs: Vec<&Dense> = xs.iter().collect();
-    let mut outs: Vec<Dense> = xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
-    spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM");
-    let mut wants: Vec<Vec<f32>> = outs.iter().map(|o| vec![0.0f32; o.data().len()]).collect();
-    let floor = |wants: &mut [Vec<f32>]| {
-        for (x, want) in xs.iter().zip(wants) {
-            assert!(spmm_floor(&slabs, (a.rows(), a.cols(), x.cols()), x.data(), want));
-        }
+    let d = x.cols();
+    let mut outs = [Dense::zeros(a.rows(), d)];
+    spmm_execute_views_on(&rt, a, &[x], &mut outs, config).expect("served SpMM");
+    let floor = |want: &mut [f32]| {
+        assert!(spmm_floor(&slabs, (a.rows(), a.cols(), d), x.data(), want));
     };
-    floor(&mut wants);
-    for (out, want) in outs.iter().zip(&wants) {
-        if config.col_parts.is_none() {
-            assert_bits(&format!("spmm {}", config.label()), out.data(), want);
-        } else {
-            // `hyb` adds a row's non-zeros bucket by bucket: the floor's
-            // sum in another order.
-            let close = |(g, w): (&f32, &f32)| (g - w).abs() <= 1e-4 * (1.0 + w.abs());
-            assert!(out.data().iter().zip(want).all(close), "spmm {}", config.label());
-        }
+    let mut want = vec![0.0f32; a.rows() * d];
+    floor(&mut want);
+    let out = outs[0].data();
+    if config.col_parts.is_none() {
+        assert_bits(&format!("spmm {}", config.label()), out, &want);
+    } else {
+        // `hyb` adds a row's non-zeros bucket by bucket: the floor's sum in
+        // another order.
+        let close = |(g, w): (&f32, &f32)| (g - w).abs() <= 1e-4 * (1.0 + w.abs());
+        assert!(out.iter().zip(&want).all(close), "spmm {}", config.label());
     }
 
-    let feat: usize = xs.iter().map(Dense::cols).sum();
     // The schedule the entry point compiles: the vector split widened to
-    // span the stacked width.
+    // span the rider's width.
     let mut wide = *config;
-    wide.params.vec_width = wide.params.vec_width.max(feat.div_ceil(8));
-    let (func, mut structure) = prepare_spmm_structure(a, feat, &wide).expect("lowers");
+    wide.params.vec_width = wide.params.vec_width.max(d.div_ceil(8));
+    let (func, mut structure) = prepare_spmm_structure(a, d, &wide).expect("lowers");
     let kernel = rt.compile(&func).expect("compiles");
-    let mut run_outs = outs.clone();
-    let b_segs: Vec<(&[f32], usize)> = xs.iter().map(|x| (x.data(), x.cols())).collect();
-    let c_segs = run_outs.iter_mut().map(|o| (o.cols(), o.data_mut())).map(|(w, o)| (o, w));
+    let mut run_out = vec![0.0f32; a.rows() * d];
     let mut views = ViewBindings::from_tensors(&mut structure);
-    views.bind_cols("B", ColsView::read(a.cols(), &b_segs).expect("B"));
-    views.bind_cols("C", ColsView::write(a.rows(), c_segs.collect()).expect("C"));
+    views.bind_slice("B", x.data());
+    views.bind_slice_mut("C", &mut run_out);
     let scalars = HashMap::new();
     let got = minima(
         rounds,
         reps,
         &mut [
-            &mut || spmm_execute_views_on(&rt, a, &refs, &mut outs, config).expect("served SpMM"),
+            &mut || spmm_execute_views_on(&rt, a, &[x], &mut outs, config).expect("served SpMM"),
             &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
-            &mut || floor(&mut wants),
+            &mut || floor(&mut want),
         ],
     );
     ([got[0], got[1], got[2]], [blocked(&kernel), layouts(&kernel)])
@@ -376,40 +368,22 @@ pub fn run() -> String {
     let us = |ns: f64| format!("{:.1}", ns / 1e3);
     let mut rows = Vec::new();
 
-    // SpMM, d = 16: CSR, hyb(1, 3), and a batch of eight.
+    // SpMM, d = 16: CSR and hyb(1, 3).
     let x = gen::random_dense(a.cols(), d, &mut rng);
     let mut c_native = vec![0.0f32; a.rows() * d];
     let native =
         minima(burst.0, burst.1, &mut [&mut || spmm_native(&a, d, x.data(), &mut c_native)]);
     let csr = SpmmConfig::default_csr();
     let hyb = SpmmConfig { col_parts: Some(1), bucket_k: 3, params: CsrSpmmParams::default() };
-    let one = std::slice::from_ref(&x);
-    let eight: Vec<Dense> = (0..8).map(|_| gen::random_dense(a.cols(), d, &mut rng)).collect();
-    for (name, xs, config) in [
-        ("spmm d=16 csr", one, &csr),
-        ("spmm d=16 hyb(1,3)", one, &hyb),
-        ("spmm d=16 csr, batch of 8", &eight[..], &csr),
-    ] {
-        let ([whole, run, floor], [blocks, layout]) = spmm_arms(&a, xs, config, burst);
-        let native = us(native[0] * xs.len() as f64);
-        rows.push(vec![name.into(), blocks, layout, us(whole), us(run), us(floor), native]);
+    for (name, config) in [("spmm d=16 csr", &csr), ("spmm d=16 hyb(1,3)", &hyb)] {
+        let ([whole, run, floor], [blocks, layout]) = spmm_arms(&a, &x, config, burst);
+        rows.push(vec![name.into(), blocks, layout, us(whole), us(run), us(floor), us(native[0])]);
     }
 
     // SDDMM, one head, k = 8.
     let (got, [blocks, layout]) = sddmm_arms(&a, k, burst, &mut rng);
     let name = format!("sddmm k={k}");
     rows.push([name, blocks, layout].into_iter().chain(got.map(us)).collect());
-
-    // The batch `serving_throughput` gates on, on its graph.
-    {
-        let g = serving_throughput::power_law(1000, &mut gen::rng(0xE6));
-        let xs: Vec<Dense> = (0..8).map(|_| gen::random_dense(g.cols(), d, &mut rng)).collect();
-        let ([single, ..], _) = spmm_arms(&g, &xs[..1], &csr, burst);
-        let ([whole, run, floor], [blocks, layout]) = spmm_arms(&g, &xs, &csr, burst);
-        let name =
-            format!("serving_throughput graph, batch of 8 (8 × single = {})", us(8.0 * single));
-        rows.push(vec![name, blocks, layout, us(whole), us(run), us(floor), "-".into()]);
-    }
 
     // Row-count / non-zero-count sweeps of the CSR SpMM and the SDDMM
     // runs and their floors: least squares for `c + entries × a + nnz × b`,
@@ -425,7 +399,7 @@ pub fn run() -> String {
         let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
         let x = gen::random_dense(g.cols(), d, &mut rng);
         let at = |ns: f64| [1.0, g.rows() as f64, g.nnz() as f64, ns];
-        let ([_, run, floor], _) = spmm_arms(&g, std::slice::from_ref(&x), &csr, burst);
+        let ([_, run, floor], _) = spmm_arms(&g, &x, &csr, burst);
         spmm_points[0].push(at(run));
         spmm_points[1].push(at(floor));
         let ([_, run, floor, _], _) = sddmm_arms(&g, k, burst, &mut rng);
@@ -650,7 +624,7 @@ fn tune_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) ->
         let scores = tuner.scores(&[&shortlist[..], &[SpmmConfig::default_csr()]].concat());
         let score = |i: usize| scores[i].map_or("failed".into(), us);
         for (i, config) in shortlist.iter().enumerate() {
-            let ([whole, run, _], _) = spmm_arms(g, std::slice::from_ref(&x), config, burst);
+            let ([whole, run, _], _) = spmm_arms(g, &x, config, burst);
             rows.push(vec![name.into(), config.label(), us(whole / 1e9), us(run / 1e9), score(i)]);
         }
         let again = score(shortlist.len());
@@ -670,18 +644,22 @@ fn tune_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) ->
 /// Rider counts of the rider table.
 const RIDERS: [usize; 4] = [1, 2, 4, 8];
 
-/// A batch's cost per rider: SDDMM at k = 8 and fused attention at d = 4
-/// (one head a rider), each at [`RIDERS`] riders through its served entry
-/// point on a warm runtime of its own — so an arm's `blocked / entries` is
-/// its runtime's ([`Runtime::nest_counts`]) — as minima in ns per
-/// (non-zero, rider) and against the one-rider arm. The arms' riders are
-/// the first `n` of one pool of eight, and every rider's output is checked
-/// bit for bit against the eight-rider batch's.
+/// A batch's cost per rider: SpMM at d = 16, SDDMM at k = 8 and fused
+/// attention at d = 4 (one head a rider), each at [`RIDERS`] riders through
+/// its served entry point on a warm runtime of its own — so an arm's
+/// `blocked / entries` is its runtime's ([`Runtime::nest_counts`]) — as
+/// minima in ns per (non-zero, rider) and against the one-rider arm. The
+/// arms' riders are the first `n` of one pool of eight; every SpMM rider's
+/// output is checked bit for bit against the floor, every other rider's
+/// against the eight-rider batch's.
 ///
 /// # Panics
-/// Panics when a rider's output differs in a bit between batch sizes.
+/// Panics when a rider's output differs in a bit from its floor or between
+/// batch sizes.
 fn rider_costs(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::SmallRng) -> String {
-    let (k, d, most) = (8usize, 4usize, RIDERS[RIDERS.len() - 1]);
+    let (f, k, d, most) = (16usize, 8usize, 4usize, RIDERS[RIDERS.len() - 1]);
+    let feats: Vec<Dense> = (0..most).map(|_| gen::random_dense(a.cols(), f, rng)).collect();
+    let feat_refs: Vec<&Dense> = feats.iter().collect();
     let pairs: Vec<(Dense, Dense)> = (0..most)
         .map(|_| (gen::random_dense(a.rows(), k, rng), gen::random_dense(k, a.cols(), rng)))
         .collect();
@@ -693,17 +671,28 @@ fn rider_costs(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::Sm
         .collect();
     let operand = |p: usize| -> Vec<&Dense> { heads.iter().map(|h| &h[p]).collect() };
     let (qs, kts, vs) = (operand(0), operand(1), operand(2));
-    let rts: Vec<Runtime> = (0..2 * RIDERS.len()).map(|_| Runtime::new()).collect();
+    let rts: Vec<Runtime> = (0..3 * RIDERS.len()).map(|_| Runtime::new()).collect();
+    let (spmm_rts, rest) = rts.split_at(RIDERS.len());
+    let (sddmm_rts, attention_rts) = rest.split_at(RIDERS.len());
+    let mut feat_outs: Vec<Vec<Dense>> =
+        RIDERS.iter().map(|&n| vec![Dense::zeros(a.rows(), f); n]).collect();
     let mut edge_outs: Vec<Vec<Vec<f32>>> =
         RIDERS.iter().map(|&n| vec![vec![0.0f32; a.nnz()]; n]).collect();
     let mut head_outs: Vec<Vec<Dense>> =
         RIDERS.iter().map(|&n| vec![Dense::zeros(a.rows(), d); n]).collect();
     let mut arms: Vec<Box<dyn FnMut() + '_>> = Vec::new();
-    for ((&n, outs), rt) in RIDERS.iter().zip(&mut edge_outs).zip(&rts) {
+    let csr = SpmmConfig::default_csr();
+    for ((&n, outs), rt) in RIDERS.iter().zip(&mut feat_outs).zip(spmm_rts) {
+        let xs = &feat_refs[..n];
+        arms.push(Box::new(move || {
+            spmm_execute_views_on(rt, a, xs, outs, &csr).expect("served SpMM");
+        }));
+    }
+    for ((&n, outs), rt) in RIDERS.iter().zip(&mut edge_outs).zip(sddmm_rts) {
         let reqs = &pairs[..n];
         arms.push(Box::new(move || sddmm_execute_views_on(rt, a, reqs, outs).expect("served")));
     }
-    for ((&n, outs), rt) in RIDERS.iter().zip(&mut head_outs).zip(&rts[RIDERS.len()..]) {
+    for ((&n, outs), rt) in RIDERS.iter().zip(&mut head_outs).zip(attention_rts) {
         let (q, kt, v) = (&qs[..n], &kts[..n], &vs[..n]);
         arms.push(Box::new(move || {
             fused_attention_views_on(rt, a, q, kt, v, outs).expect("served attention");
@@ -713,6 +702,20 @@ fn rider_costs(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::Sm
     let got = minima(rounds, reps, &mut refs);
     drop(refs);
     drop(arms);
+    let slabs = Slabs::of(a);
+    let floors: Vec<Vec<f32>> = feats
+        .iter()
+        .map(|x| {
+            let mut want = vec![0.0f32; a.rows() * f];
+            assert!(spmm_floor(&slabs, (a.rows(), a.cols(), f), x.data(), &mut want));
+            want
+        })
+        .collect();
+    for (n, outs) in RIDERS.iter().zip(&feat_outs) {
+        for (r, out) in outs.iter().enumerate() {
+            assert_bits(&format!("spmm rider {r} of {n}"), out.data(), &floors[r]);
+        }
+    }
     for (n, outs) in RIDERS.iter().zip(&edge_outs) {
         for (r, out) in outs.iter().enumerate() {
             assert_bits(&format!("sddmm rider {r} of {n}"), out, &edge_outs[RIDERS.len() - 1][r]);
@@ -725,7 +728,8 @@ fn rider_costs(a: &Csr, (rounds, reps): (usize, usize), rng: &mut rand::rngs::Sm
         }
     }
     let mut rows = Vec::new();
-    for (op, at) in [(format!("sddmm k={k}"), 0), (format!("attention d={d}"), RIDERS.len())] {
+    let ops = [format!("spmm d={f}"), format!("sddmm k={k}"), format!("attention d={d}")];
+    for (op, at) in ops.iter().zip((0..).step_by(RIDERS.len())) {
         let per_rider = |i: usize| got[at + i] / (a.nnz() * RIDERS[i]) as f64;
         for (i, &n) in RIDERS.iter().enumerate() {
             let counts = rts[at + i].nest_counts();

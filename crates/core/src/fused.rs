@@ -16,9 +16,9 @@
 //! one).
 //!
 //! Pass structure of the attention pipeline (head axis `H` *inside* each
-//! row's non-zero loop — the multi-head batching contract of the widened
-//! SDDMM launch). Every pass is a walk of each row's non-zeros whose body
-//! is one store — one lane op of the executor, the head loop its lanes:
+//! row's non-zero loop, as in the multi-head SDDMM program). Every pass
+//! is a walk of each row's non-zeros whose body is one store — one lane
+//! op of the executor, the head loop its lanes:
 //!
 //! 1. `score`  — `S[i,j,h] += A[i,j] · Q[i,h,k] · KT[h,k,j]` (the batched
 //!    SDDMM body; its `K` loop hits the `GatherScaleAccumulate`

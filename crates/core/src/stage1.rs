@@ -488,12 +488,12 @@ pub fn sddmm_program(m: usize, n: usize, nnz: impl Into<Expr>, feat: usize) -> S
 /// Build the *batched* (multi-head) SDDMM sharing one sparsity structure:
 /// `Bout[i, j, h] = A[i, j] · Σ_k X[i, h, k] · Y[h, k, j]`.
 ///
-/// This is the widened-launch form a serving engine folds same-adjacency
-/// SDDMM requests into: the head axis `H` sits *inside* the sparse
-/// `(I, J)` pair, so the per-non-zero coordinate walk (index loads, and
-/// under `sparse_fuse` on `(I, J)` the binary-searched row) is paid
-/// once and shared by every head — the SDDMM analogue of column-stacking
-/// an SpMM batch. With `heads = 1` the loop body degenerates to exactly
+/// The head axis `H` sits *inside* the sparse `(I, J)` pair, so the
+/// per-non-zero coordinate walk (index loads, and under `sparse_fuse` on
+/// `(I, J)` the binary-searched row) is paid once and shared by every
+/// head. A serving engine does not launch it: a batch runs the one-head
+/// program once per rider; this form is the multi-head test and oracle
+/// program. With `heads = 1` the loop body degenerates to exactly
 /// [`sddmm_program`]'s, so per-head results are bit-identical to
 /// unbatched execution (same reduction order over `K`).
 ///

@@ -1,9 +1,9 @@
 //! The serving engine: a bounded multi-producer request queue drained by
 //! a worker pool that folds fingerprint-compatible requests of *any*
 //! batchable [`SparseOp`] — SpMM, SDDMM, fused attention — into single
-//! kernel launches through one generic request path (SpMM riders widen
-//! one kernel run; SDDMM and attention riders each run the one-head
-//! kernel, the launch's fixed costs shared).
+//! kernel launches through one generic request path (every rider runs
+//! the one-rider kernel on its own storage, the launch's fixed costs
+//! shared).
 //!
 //! Since the SLO redesign the queue is priority-then-deadline ordered,
 //! admission sheds infeasible or expired work with typed
@@ -50,13 +50,14 @@ use std::time::{Duration, Instant};
 /// Default bound on the request queue (the backpressure knob).
 pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 
-/// Default [`EngineConfig::drift_threshold`]: how far the log2-degree
-/// histogram may drift (L1 distance over row count — a single moved row
-/// contributes 2) before [`Engine::apply_delta`] re-anchors the tuning
-/// identity and triggers a background retune. At `0.1`, five percent of
-/// rows changing degree bin re-tunes; anything less keeps serving the
-/// existing decisions.
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.1;
+/// How far the log2-degree histogram may drift (see
+/// [`SparsityFingerprint::drift`]: L1 distance over row count — a single
+/// moved row contributes 2) before [`Engine::apply_delta`] re-anchors the
+/// adjacency's tuning identity and schedules a background retune. At or
+/// below it the old anchor is kept: cached tune decisions and compiled
+/// kernels keep serving unchanged. At `0.1`, five percent of rows changing
+/// degree bin re-tunes; anything less keeps serving the existing decisions.
+pub const DRIFT_THRESHOLD: f64 = 0.1;
 
 /// Lock a mutex, recovering from poisoning: a panicking worker must not
 /// wedge every subsequent submit/shutdown on the client threads. The
@@ -364,13 +365,6 @@ pub struct EngineConfig {
     /// here finds that batch's tickets outstanding, so it queues and
     /// rides rather than being served inline.
     pub batch_window: Option<Duration>,
-    /// Degree-histogram drift (see [`SparsityFingerprint::drift`]) above
-    /// which [`Engine::apply_delta`] re-anchors the adjacency's tuning
-    /// identity and schedules a background retune. At or below the
-    /// threshold the old anchor is kept: cached tune decisions and
-    /// compiled kernels keep serving unchanged. Defaults to
-    /// [`DEFAULT_DRIFT_THRESHOLD`].
-    pub drift_threshold: f64,
 }
 
 impl Default for EngineConfig {
@@ -380,7 +374,6 @@ impl Default for EngineConfig {
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_batch: 8,
             batch_window: None,
-            drift_threshold: DEFAULT_DRIFT_THRESHOLD,
         }
     }
 }
@@ -836,7 +829,7 @@ impl Engine {
         next.version = adj.version + 1;
         shared.stats.deltas_applied.fetch_add(1, Ordering::Relaxed);
         let drift = adj.anchor.drift(&next.sparsity);
-        if drift <= shared.config.drift_threshold {
+        if drift <= DRIFT_THRESHOLD {
             next.anchor = Arc::clone(&adj.anchor);
             shared.stats.retunes_skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(next);
@@ -1587,7 +1580,6 @@ mod tests {
             queue_depth: 16,
             max_batch: 4,
             batch_window: None,
-            ..EngineConfig::default()
         });
         let done = std::sync::atomic::AtomicBool::new(false);
         let peak = std::thread::scope(|s| {

@@ -16,7 +16,7 @@
 //!   ([`Engine::submit`] → [`Ticket`] → [`OpOutput`]). Built via
 //!   `Submission::spmm(feat).deadline(d).priority(Priority::Hi)`-style
 //!   constructors. A multi-head aggregation is one SpMM submission per
-//!   head: they fold into one widened launch like any other SpMM riders.
+//!   head: heads of one width batch like any other SpMM riders.
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -45,14 +45,13 @@
 //!   submission of any other kind is served exactly like an untuned one.
 //! * **Batching by adjacency fingerprint**: concurrent requests that
 //!   share an [`Adjacency`] and satisfy their op's batching contract are
-//!   folded into one kernel launch that binds each rider's operands and
-//!   output buffer in place as views — column segments of one widened
-//!   kernel run for SpMM, one run of the one-head kernel per rider for
-//!   SDDMM/fused attention (a rider costs what a solo launch does) — so
-//!   nothing is stacked or split back ([`EngineStats::bytes_copied`] stays
-//!   0). The fixed per-request costs (kernel lookup, structure binding,
-//!   dispatch) are paid once per batch. Results are bit-identical to
-//!   unbatched execution.
+//!   folded into one kernel launch that looks up the one-rider kernel and
+//!   binds the adjacency once, then runs it once per rider with that
+//!   rider's operands and output buffer bound in place as flat slices (a
+//!   rider costs what a solo launch does), so nothing is stacked or split
+//!   back ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
+//!   costs (kernel lookup, structure binding, dispatch) are paid once per
+//!   batch. Results are bit-identical to unbatched execution.
 //! * **Bounded queue with backpressure**: blocking submits wait while
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with
@@ -78,7 +77,7 @@
 //!   [`GraphDelta`] batch of edge inserts/deletes (two-pointer merge in
 //!   `sparsetir-smat`, bit-identical to a rebuild), bumping a monotonic
 //!   version. While the log2-degree histogram stays within
-//!   [`EngineConfig::drift_threshold`] the successor keeps its
+//!   [`DRIFT_THRESHOLD`] the successor keeps its
 //!   predecessor's tuning *anchor* — cached tune decisions keep serving
 //!   with no re-tune. Compiled kernels serve the successor at any drift:
 //!   a kernel takes `nnz` as a launch parameter, so an update compiles
@@ -102,8 +101,8 @@ mod stats;
 mod submission;
 
 pub use engine::{
-    Adjacency, Engine, EngineConfig, EngineError, OpOutput, OpRequest, Ticket,
-    DEFAULT_DRIFT_THRESHOLD, DEFAULT_QUEUE_DEPTH,
+    Adjacency, Engine, EngineConfig, EngineError, OpOutput, OpRequest, Ticket, DEFAULT_QUEUE_DEPTH,
+    DRIFT_THRESHOLD,
 };
 pub use stats::{EngineStats, LatencyHistogram, OpBatchWidth, PriorityStats, ShedStats};
 pub use submission::{Priority, RejectReason, Submission, SubmitOpts};

@@ -437,7 +437,7 @@ pub struct EngineStats {
     pub deltas_applied: u64,
     /// Retune passes started because a delta pushed the
     /// degree-histogram drift past
-    /// [`EngineConfig::drift_threshold`](crate::EngineConfig::drift_threshold)
+    /// [`DRIFT_THRESHOLD`](crate::DRIFT_THRESHOLD)
     /// (run on a background thread; inline when nothing was tuned under
     /// the old anchor, so there is nothing to replay).
     pub retunes_started: u64,

@@ -123,27 +123,24 @@ fn assert_oracle(want: &oracle::Oracle, got: &[f32], tag: &str) -> Result<(), Te
 }
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig {
-        workers: 2,
-        queue_depth: 16,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 8, batch_window: None })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The pure SpMM batching primitive: one stacked launch vs a
-    /// sequential loop of single-request executions.
+    /// The pure SpMM batching primitive: one launch (the one-rider kernel
+    /// run once per rider) vs a sequential loop of single-request
+    /// launches. All requests share one width here (the batching
+    /// contract); widths 0 and 1 are included.
     #[test]
     fn batched_kernel_matches_sequential_loop(
         a in sparse_matrix(20, 60),
-        widths in request_widths(),
+        w in prop_oneof![Just(0usize), Just(1usize), 2usize..8],
+        n in 1usize..7,
         seed in 0u64..1 << 32,
     ) {
-        let xs = random_feats(&a, &widths, seed);
+        let xs = random_feats(&a, &vec![w; n], seed);
         let batched =
             SpmmOp::execute_batch_on(&Runtime::new(), &a, &xs, &SpmmConfig::default())
                 .expect("batched execution");
@@ -202,6 +199,11 @@ proptest! {
         prop_assert_eq!(stats.failed, 0);
         prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
         prop_assert_eq!(stats.widths_of("fused_sage").map(|w| w.max_width), Some(1));
+        // Riders of different widths never share a launch: the widest SpMM
+        // batch is at most the largest group of one width.
+        let largest_group = widths.iter().map(|w| widths.iter().filter(|v| *v == w).count()).max();
+        let spmm = stats.widths_of("spmm").map(|w| w.max_width);
+        prop_assert!(spmm <= largest_group, "{:?} vs {:?}: {:?}", spmm, largest_group, widths);
     }
 
     /// The pure SDDMM batching primitive: one launch (the one-head kernel
@@ -309,7 +311,6 @@ proptest! {
             queue_depth: 16,
             max_batch: 8,
             batch_window: None,
-            ..EngineConfig::default()
         });
         let tickets: Vec<_> = reqs
             .iter()

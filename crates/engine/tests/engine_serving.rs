@@ -96,13 +96,8 @@ fn served_sddmm_matches_direct_execution() {
 fn queued_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(64, 32);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
     let mut rng = gen::rng(33);
     // The test holds the single worker (and its launch permit), so every
     // submission below queues behind it.
@@ -132,13 +127,8 @@ fn queued_requests_batch_and_stay_bit_identical() {
 fn try_submit_saturates_on_a_full_queue() {
     let a = power_law_csr(64, 41);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 1,
-        max_batch: 1,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 1, max_batch: 1, batch_window: None });
     let mut rng = gen::rng(42);
     // The test holds the worker (a kernel's speed must not decide it):
     // the first request fills the depth-1 queue; the second must bounce.
@@ -271,13 +261,8 @@ fn shutdown_drains_pending_requests() {
     let mut rng = gen::rng(61);
     let a = gen::random_csr(40, 40, 0.15, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 4,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 4, batch_window: None });
     let xs: Vec<Dense> = (0..5).map(|_| gen::random_dense(40, 3, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
@@ -304,7 +289,6 @@ fn concurrent_clients_get_their_own_answers() {
         queue_depth: 32,
         max_batch: 8,
         batch_window: None,
-        ..EngineConfig::default()
     }));
     let a = Arc::new(a);
     // Both workers start held, with both launch permits: every client's
@@ -318,7 +302,8 @@ fn concurrent_clients_get_their_own_answers() {
             s.spawn(move || {
                 let mut rng = gen::rng(100 + client as u64);
                 for i in 0..PER_CLIENT {
-                    // Mixed widths so the column split-back is exercised.
+                    // Mixed widths: a batch takes riders of one width, so
+                    // every width waits for dispatches of its own.
                     let w = 1 + (client + i) % 5;
                     let x = gen::random_dense(96, w, &mut rng);
                     let got = engine
@@ -343,6 +328,8 @@ fn concurrent_clients_get_their_own_answers() {
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.failed, 0);
     assert!(stats.queue_high_water >= CLIENTS, "{stats:?}");
+    let spmm = stats.widths_of("spmm").expect("spmm dispatched");
+    assert!(spmm.batches >= 5, "five widths, five dispatches at least: {spmm:?}");
 }
 
 /// `.tune(true)` routes the first request of each adjacency through the
@@ -353,13 +340,8 @@ fn concurrent_clients_get_their_own_answers() {
 fn tuned_engine_caches_one_decision_per_adjacency() {
     let a = power_law_csr(300, 81);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 16,
-        max_batch: 4,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4, batch_window: None });
     let mut rng = gen::rng(82);
     for _ in 0..3 {
         let x = gen::random_dense(300, 8, &mut rng);
@@ -481,13 +463,8 @@ fn repeated_requests_reuse_compiled_kernels() {
     let mut rng = gen::rng(91);
     let a = gen::random_csr(32, 32, 0.2, &mut rng);
     let adj = Adjacency::new(a);
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 16,
-        max_batch: 1,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1, batch_window: None });
     for _ in 0..4 {
         let x = gen::random_dense(32, 4, &mut rng);
         engine.serve(&adj, Submission::spmm(x)).and_then(OpOutput::into_dense).expect("serves");
@@ -506,13 +483,8 @@ fn repeated_requests_reuse_compiled_kernels() {
 /// first ones — `kernel_hits / kernel_lookups` = 114 / 120.
 #[test]
 fn warm_requests_hit_the_kernel_cache() {
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 16,
-        max_batch: 1,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1, batch_window: None });
     let tenants: Vec<Adjacency> =
         [24usize, 32, 40].iter().map(|&n| Adjacency::new(power_law_csr(n, n as u64))).collect();
     let mut rng = gen::rng(92);
@@ -591,13 +563,8 @@ fn engine_survives_injected_worker_panic() {
     let mut rng = gen::rng(111);
     let a = gen::random_csr(24, 24, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 16,
-        max_batch: 4,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4, batch_window: None });
     // A request before the crash proves the worker was healthy.
     let x0 = gen::random_dense(24, 3, &mut rng);
     assert!(engine.serve(&adj, Submission::spmm(x0)).and_then(OpOutput::into_dense).is_ok());
@@ -635,7 +602,6 @@ fn concurrent_submits_survive_worker_panic() {
         queue_depth: 16,
         max_batch: 4,
         batch_window: None,
-        ..EngineConfig::default()
     }));
     engine.inject_worker_panic();
     std::thread::scope(|s| {
@@ -668,13 +634,8 @@ fn concurrent_submits_survive_worker_panic() {
 fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(48, 132);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
     let mut rng = gen::rng(133);
     let stall = engine.stall_worker();
     let k = 5;
@@ -703,18 +664,13 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
 
 /// Mixed-op queues never cross-batch: SpMM and SDDMM requests on one
 /// adjacency dispatch as separate launches, and SDDMM requests with
-/// different inner widths refuse to share a block-diagonal stack.
+/// different inner widths refuse to share a launch.
 #[test]
 fn incompatible_requests_do_not_batch() {
     let small = power_law_csr(32, 142);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
     let mut rng = gen::rng(143);
     let stall = engine.stall_worker();
     // Two SDDMM inner widths plus one SpMM, all queued behind the held
@@ -740,6 +696,48 @@ fn incompatible_requests_do_not_batch() {
     // Three incompatible dispatches = three separate batches.
     assert_eq!(stats.batches, 3, "{stats:?}");
     assert_eq!(stats.max_batch, 1, "{stats:?}");
+}
+
+/// SpMM riders batch at one width: mixed widths queued behind the held
+/// worker dispatch once per width, every answer bit-identical to its solo
+/// launch; and a zero-width batch answers `rows × 0` without looking up a
+/// kernel.
+#[test]
+fn spmm_riders_dispatch_once_per_width() {
+    let small = power_law_csr(32, 144);
+    let adj = Adjacency::new(small.clone());
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let mut rng = gen::rng(145);
+    let stall = engine.stall_worker();
+    let xs: Vec<Dense> =
+        [3usize, 5, 3, 1, 5, 3].iter().map(|&w| gen::random_dense(32, w, &mut rng)).collect();
+    let tickets: Vec<_> = xs
+        .iter()
+        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .collect();
+    drop(stall);
+    for (x, t) in xs.iter().zip(tickets) {
+        let got = t.wait_dense().expect("completes");
+        assert!(bit_eq(&got, &solo::<SpmmOp>(&small, x)), "width {}", x.cols());
+    }
+    let stats = engine.stats();
+    let spmm = stats.widths_of("spmm").expect("spmm dispatched");
+    // Widths 3, 5 and 1: three riders, two and one.
+    assert_eq!((spmm.batches, spmm.width_sum, spmm.max_width), (3, 6, 3), "{spmm:?}");
+
+    let stall = engine.stall_worker();
+    let tickets: Vec<_> = (0..2)
+        .map(|_| engine.submit(&adj, Submission::spmm(Dense::zeros(32, 0))).expect("submits"))
+        .collect();
+    drop(stall);
+    for t in tickets {
+        let got = t.wait_dense().expect("completes");
+        assert_eq!((got.rows(), got.cols()), (32, 0));
+    }
+    let after = engine.stats();
+    assert_eq!(after.kernel_lookups, stats.kernel_lookups, "a zero-width batch launches nothing");
+    assert_eq!(after.widths_of("spmm").map(|w| (w.batches, w.max_width)), Some((4, 3)));
 }
 
 fn random_head(a: &Csr, k: usize, vfeat: usize, rng: &mut rand::rngs::SmallRng) -> AttnHead {
@@ -793,13 +791,8 @@ fn served_fused_ops_match_their_pipeline_oracles() {
 fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     let small = power_law_csr(48, 172);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
     let mut rng = gen::rng(173);
     let stall = engine.stall_worker();
     // Two compatible (k=2, vfeat=2) requests plus one incompatible

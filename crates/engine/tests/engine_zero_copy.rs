@@ -3,7 +3,7 @@
 //! batched-vs-sequential bit-identity checks (with the same
 //! `bytes_copied == 0` assertion per case) live in
 //! `engine_differential.rs`; this file forces the interesting schedules
-//! by hand — a widened batch behind a stalled worker
+//! by hand — a batch behind a stalled worker
 //! (`Engine::stall_worker`: the worker is held by the test, not by a
 //! kernel that has to run long enough), the batch-of-one fast path of
 //! every batchable kind, pool reuse, and mid-drain expiry.
@@ -16,38 +16,27 @@ use sparsetir_smat::prelude::*;
 use std::time::Duration;
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig {
-        workers: 2,
-        queue_depth: 32,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8, batch_window: None })
 }
 
-/// Deterministically force a widened batch: stall the single worker,
-/// queue `riders` compatible requests behind it, release it, and return
-/// the engine once everything answered.
+/// Deterministically force a batch: stall the single worker, queue
+/// `riders` compatible requests (one width) behind it, release it, and
+/// return the engine once everything answered.
 fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
     let mut rng = gen::rng(0x2c0);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
     let adj = Adjacency::new(small);
-    let xs: Vec<Dense> = (0..riders).map(|i| gen::random_dense(24, 2 + i, &mut rng)).collect();
+    let xs: Vec<Dense> = (0..riders).map(|_| gen::random_dense(24, 3, &mut rng)).collect();
 
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 32,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8, batch_window: None });
     let stall = engine.stall_worker();
     let tickets: Vec<_> = xs
         .iter()
         .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("rider admits"))
         .collect();
     // All riders are queued: the released worker drains them as one
-    // widened dispatch.
+    // dispatch.
     drop(stall);
     let outs: Vec<Dense> =
         tickets.into_iter().map(|t| t.wait_dense().expect("rider serves")).collect();
@@ -61,7 +50,7 @@ fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
 fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
     let (engine, xs, outs) = run_forced_batch(4);
     let stats = engine.stats();
-    assert!(stats.max_batch >= 2, "riders must have shared a widened launch: {stats:?}");
+    assert!(stats.max_batch >= 2, "riders must have shared a launch: {stats:?}");
     assert_eq!(stats.bytes_copied, 0, "view path must copy nothing: {stats:?}");
     for (x, out) in xs.iter().zip(&outs) {
         assert_eq!((out.rows(), out.cols()), (24, x.cols()));
@@ -139,13 +128,8 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
     let victim_x = gen::random_dense(24, 3, &mut rng);
     let rider_x = gen::random_dense(24, 4, &mut rng);
 
-    let engine = Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 16,
-        max_batch: 8,
-        batch_window: None,
-        ..EngineConfig::default()
-    });
+    let engine =
+        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8, batch_window: None });
     let stall = engine.stall_worker();
     // The victim's deadline lapses while the worker is stalled, so it
     // expires in the queue; the rider has no deadline and drains.
@@ -172,6 +156,6 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
     // The victim never reached assembly: the one recorded SpMM dispatch
     // is the rider alone after the sweep.
     let w = stats.widths_of("spmm").expect("spmm dispatched");
-    assert_eq!(w.max_width, 1, "the swept victim must not widen any launch: {stats:?}");
+    assert_eq!(w.max_width, 1, "the swept victim must not ride any launch: {stats:?}");
     assert_eq!(w.batches, 1, "the rider dispatched exactly once: {stats:?}");
 }

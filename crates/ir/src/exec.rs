@@ -58,7 +58,7 @@
 //! listing — see the `disasm` submodule and the golden-file tests under
 //! `tests/golden/`.
 //!
-//! Segmented view bindings live in the `views` submodule, the memory plan
+//! Borrowed-slice bindings live in the `views` submodule, the memory plan
 //! and scratch pool in `memory`, and the compile-once kernel cache in
 //! `runtime`; all are re-exported here.
 
@@ -81,7 +81,7 @@ mod views;
 
 pub use memory::{BufferPool, MemoryPlan, PlanEntry};
 pub use runtime::{exec_func, Runtime};
-pub use views::{BoundArg, ColsView, ViewBindings};
+pub use views::{BoundArg, ViewBindings};
 
 /// Error raised while compiling or executing a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -439,8 +439,8 @@ struct CBlock {
 /// are plain reads and writes ([`elem_load`], [`elem_store`]).
 #[derive(Debug, Clone, Copy)]
 enum RawBuf {
-    /// Flat f32 storage: a whole tensor, a borrowed slice, or a column
-    /// view of one full-width segment. Stores need `writable`.
+    /// Flat f32 storage: a whole tensor or a borrowed slice. Stores need
+    /// `writable`.
     F32 {
         ptr: *mut f32,
         len: usize,
@@ -449,15 +449,6 @@ enum RawBuf {
     I32 {
         ptr: *mut i32,
         len: usize,
-    },
-    /// Column-segmented f32 view: `width` logical columns, each described
-    /// by a [`ColSeg`] table entry (segment base pointer + row stride).
-    /// Flat index `i` resolves to column `i % width` of row `i / width`.
-    SegCols {
-        table: *const ColSeg,
-        width: usize,
-        rows: usize,
-        writable: bool,
     },
     Absent,
 }
@@ -469,17 +460,6 @@ impl RawBuf {
             TensorData::I32(v) => RawBuf::I32 { ptr: v.as_mut_ptr(), len: v.len() },
         }
     }
-}
-
-/// One logical column of a column-segmented binding: the column's address
-/// at row 0, the owning segment's row stride, and how many columns of that
-/// segment remain from this one (contiguous-run headroom for the fused
-/// lane kernels).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ColSeg {
-    pub(crate) ptr: *mut f32,
-    pub(crate) stride: u32,
-    pub(crate) rem: u32,
 }
 
 fn read_only(name: &str) -> ExecError {
@@ -532,19 +512,6 @@ impl Frame {
                 // SAFETY: idx < len elements behind ptr.
                 Ok((unsafe { ptr.add(idx) }, writable))
             }
-            RawBuf::SegCols { table, width, rows, writable } => {
-                let len = rows * width;
-                if idx >= len {
-                    return Err(oob(name, idx, len));
-                }
-                // SAFETY: idx < rows * width, so column `idx % width` is in
-                // the table and row `idx / width` inside its segment.
-                let ptr = unsafe {
-                    let e = &*table.add(idx % width);
-                    e.ptr.add((idx / width) * e.stride as usize)
-                };
-                Ok((ptr, writable))
-            }
             RawBuf::I32 { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds i32 data, float load expected")))
             }
@@ -581,7 +548,7 @@ impl Frame {
                 // SAFETY: idx < len and the view is valid for the run.
                 Ok(i64::from(unsafe { elem_load(ptr, idx) }))
             }
-            RawBuf::F32 { .. } | RawBuf::SegCols { .. } => {
+            RawBuf::F32 { .. } => {
                 Err(ExecError::new(format!("buffer `{name}` holds f32 data, int load expected")))
             }
             RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
@@ -681,7 +648,7 @@ impl IntExpr {
                         let seg = unsafe { std::slice::from_raw_parts(ptr.add(lo), hi - lo) };
                         Ok(seg.partition_point(|&v| v < x) as i64)
                     }
-                    RawBuf::F32 { .. } | RawBuf::SegCols { .. } => {
+                    RawBuf::F32 { .. } => {
                         Err(ExecError::new(format!("binary_search over non-i32 buffer `{name}`")))
                     }
                     RawBuf::Absent => Err(ExecError::new(format!("unbound buffer `{name}`"))),
@@ -1518,13 +1485,12 @@ impl CompiledKernel {
     }
 
     /// Execute like [`CompiledKernel::run`], but with bindings that may be
-    /// borrowed slices or *column-segmented views* ([`ColsView`]) over
-    /// caller-owned storage instead of whole tensors. This is the
-    /// zero-copy batch entry: a widened launch binds each operand slot to
-    /// the riders' buffers side by side and writes outputs directly into
-    /// each rider's result buffer. Error conditions and wording match
-    /// `run`; stores to a read-only binding fail with a "read-only view"
-    /// error.
+    /// borrowed flat slices of caller-owned storage instead of whole
+    /// tensors. This is the zero-copy batch entry: a batch re-binds each
+    /// rider's operands and output and launches once per rider, writing
+    /// straight into the rider's result buffer. Error conditions and
+    /// wording match `run`; stores to a read-only binding fail with a
+    /// "read-only view" error.
     ///
     /// # Errors
     /// Returns [`ExecError`] on missing bindings, dtype mismatches and
@@ -1537,7 +1503,7 @@ impl CompiledKernel {
         self.run_bound(scalars, |name| {
             Some(match views.map.get_mut(name)? {
                 BoundArg::Tensor(data) => (matches!(**data, TensorData::F32(_)), RawBuf::of(data)),
-                // Slices and views are always f32.
+                // Slices are always f32.
                 BoundArg::Slice(s) => {
                     // Read-only: `writable` gates every store path.
                     let ptr = s.as_ptr().cast_mut();
@@ -1546,7 +1512,6 @@ impl CompiledKernel {
                 BoundArg::SliceMut(s) => {
                     (true, RawBuf::F32 { ptr: s.as_mut_ptr(), len: s.len(), writable: true })
                 }
-                BoundArg::Cols(v) => (true, v.raw()),
             })
         })
     }
@@ -1559,9 +1524,9 @@ impl CompiledKernel {
     /// refused launch's included.
     ///
     /// The `RawBuf` views outlive the `lookup` borrows that produced
-    /// them; this is sound because the caller's binding map (and each
-    /// view's segment table) is not structurally mutated while the frame
-    /// is live and buffer names are distinct keys.
+    /// them; this is sound because the caller's binding map is not
+    /// structurally mutated while the frame is live and buffer names are
+    /// distinct keys.
     fn run_bound(
         &self,
         scalars: &HashMap<String, i64>,

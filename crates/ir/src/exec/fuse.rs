@@ -91,14 +91,12 @@
 //! [`TermShape`], under the contract generic dispatch's element
 //! accesses rest on ([`super::elem_load`]): a launch runs on one thread
 //! and is the only accessor of its bindings. Raw pointers, never `&mut`
-//! slices, so operands that alias one another stay defined. A run is
-//! resolved into per-segment contiguous pieces first ([`pieces`]), so a
-//! lane run crossing a column-segment boundary of a batched binding costs
-//! one extra piece, not a table chase per lane.
+//! slices, so operands that alias one another stay defined. Every binding
+//! is flat storage, so an operand's lanes are one strided run.
 
 use super::{
-    scan_float, scan_index, scan_int, CStmt, ColSeg, ExprInfo, FloatExpr, FloatOp, Frame,
-    IndexExpr, IntExpr, IntOp, RawBuf,
+    scan_float, scan_index, scan_int, CStmt, ExprInfo, FloatExpr, FloatOp, Frame, IndexExpr,
+    IntExpr, IntOp, RawBuf,
 };
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -713,13 +711,11 @@ fn match_term(e: &FloatExpr, env: &StrideEnv) -> Option<TermSpec> {
 
 /// Resolved lane range of one buffer: every lane's element has been
 /// bounds-checked against both the declared shape and the bound storage.
+/// Lane `l` is `ptr[stride·l]`, inside one allocation.
 #[derive(Clone, Copy)]
-enum Lanes {
-    /// Strided run inside one allocation: lane `l` is `ptr[stride·l]`.
-    Run { ptr: *mut f32, stride: i64 },
-    /// Unit-stride run across a column-segmented binding that crosses a
-    /// segment boundary: one contiguous piece per segment.
-    Cols { table: *const ColSeg, row: usize, col0: usize },
+struct Lanes {
+    ptr: *mut f32,
+    stride: i64,
 }
 
 impl Lanes {
@@ -727,103 +723,7 @@ impl Lanes {
     fn first(self) -> f32 {
         // SAFETY: every `Lanes` was resolved — each lane bounds-checked —
         // for at least one lane, so lane 0's element is live.
-        unsafe { self.piece(0).0.read() }
-    }
-
-    fn stride(self) -> i64 {
-        match self {
-            Lanes::Run { stride, .. } => stride,
-            Lanes::Cols { .. } => 1,
-        }
-    }
-
-    /// Lane `l`'s element and how many lanes from `l` on lie on one
-    /// `stride`-strided run with it.
-    ///
-    /// # Safety
-    /// `l < n` for the `n` this was resolved with.
-    #[inline(always)]
-    unsafe fn piece(self, l: i64) -> (*mut f32, i64) {
-        match self {
-            Lanes::Run { ptr, stride } => (ptr.offset((stride * l) as isize), i64::MAX),
-            Lanes::Cols { table, row, col0 } => {
-                let e = &*table.add(col0 + l as usize);
-                (e.ptr.add(row * e.stride as usize), i64::from(e.rem))
-            }
-        }
-    }
-}
-
-/// Call `body(len, base pointers)` on each maximal stretch of lanes
-/// `from..n` over which every operand of `v` stays on one strided run —
-/// the whole range at once unless a segmented operand crosses a segment
-/// boundary.
-///
-/// # Safety
-/// Every operand was resolved by `resolve_lanes` for (at least) `n` lanes.
-#[inline(always)]
-unsafe fn pieces<const N: usize>(
-    from: i64,
-    n: i64,
-    v: [Lanes; N],
-    mut body: impl FnMut(usize, [*mut f32; N]),
-) {
-    let mut l = from;
-    while l < n {
-        let mut len = n - l;
-        let mut at = [std::ptr::null_mut(); N];
-        for (p, lanes) in at.iter_mut().zip(v) {
-            let (ptr, run) = lanes.piece(l);
-            *p = ptr;
-            len = len.min(run);
-        }
-        debug_assert!(len >= 1, "every column of a segment table has rem >= 1");
-        body(len as usize, at);
-        l += len;
-    }
-}
-
-/// `(x / w, x % w)` for `x >= 0`, `w > 0` — through a 32-bit divide when
-/// both fit, which is several times cheaper than the 64-bit one.
-#[inline(always)]
-fn div_rem(x: i64, w: i64) -> (i64, i64) {
-    debug_assert!(x >= 0 && w > 0);
-    match (u32::try_from(x), u32::try_from(w)) {
-        (Ok(x), Ok(w)) => (i64::from(x / w), i64::from(x % w)),
-        _ => (x / w, x % w),
-    }
-}
-
-/// The lanes of an `n`-lane run at `stride` starting at element `flat` of
-/// a column-segmented binding `width` columns wide; `None` for a run the
-/// microkernels do not take (one crossing a logical row, a strided one).
-///
-/// # Safety
-/// `0 <= flat` and the run's last lane `flat + stride·(n − 1)` both lie
-/// inside the binding's `rows × width` elements, and `table` is its
-/// column table.
-#[inline(always)]
-unsafe fn cols_lanes(
-    table: *const ColSeg,
-    width: i64,
-    flat: i64,
-    n: i64,
-    stride: i64,
-) -> Option<Lanes> {
-    let (row, col0) = div_rem(flat, width);
-    // SAFETY: col0 < width entries in the table, each pointing at row 0
-    // of a `rows`-row column with row stride `e.stride`, and row < rows.
-    let e = &*table.add(col0 as usize);
-    let first = e.ptr.add(row as usize * e.stride as usize);
-    match stride {
-        // Lane-invariant: one element, shared by all lanes.
-        0 => Some(Lanes::Run { ptr: first, stride: 0 }),
-        // The run would cross a logical row: generic loop.
-        1 if col0 + n > width => None,
-        // The whole run stays inside one segment.
-        1 if n <= i64::from(e.rem) => Some(Lanes::Run { ptr: first, stride: 1 }),
-        1 => Some(Lanes::Cols { table, row: row as usize, col0: col0 as usize }),
-        _ => None,
+        unsafe { self.ptr.read() }
     }
 }
 
@@ -855,18 +755,7 @@ fn resolve_lanes(fr: &Frame, view: &LaneView, n: i64, for_store: bool) -> Option
             }
             // SAFETY: 0 <= flat < len elements behind ptr.
             within(i64::try_from(len).ok()?)
-                .then(|| Lanes::Run { ptr: unsafe { ptr.add(flat as usize) }, stride })
-        }
-        RawBuf::SegCols { table, width, rows, writable } => {
-            if for_store && !writable {
-                return None;
-            }
-            let w = i64::try_from(width).ok()?;
-            if w == 0 || !within(w.checked_mul(i64::try_from(rows).ok()?)?) {
-                return None;
-            }
-            // SAFETY: 0 <= flat < rows * width, as is the run's last lane.
-            unsafe { cols_lanes(table, w, flat, n, stride) }
+                .then(|| Lanes { ptr: unsafe { ptr.add(flat as usize) }, stride })
         }
         _ => None,
     }
@@ -1038,19 +927,20 @@ unsafe fn lanes<C: CombineFn, V: ValueFn>(
     base: Option<f32>,
     c: f32,
 ) {
-    debug_assert!([d, a, b].iter().all(|v| v.stride() == 1));
-    pieces(0, n, [d, a, b], |len, [pd, pa, pb]| match base {
+    debug_assert!([d, a, b].iter().all(|v| v.stride == 1));
+    let (pd, pa, pb) = (d.ptr, a.ptr, b.ptr);
+    match base {
         Some(base) => {
-            for l in 0..len {
+            for l in 0..n as usize {
                 pd.add(l).write(C::of(base, V::of(c, pa.add(l), pb.add(l))));
             }
         }
         None => {
-            for l in 0..len {
+            for l in 0..n as usize {
                 pd.add(l).write(C::of(pd.add(l).read(), V::of(c, pa.add(l), pb.add(l))));
             }
         }
-    });
+    }
 }
 
 /// `acc = acc + V(c, a_l, b_l)` over lanes `from..n` into the one element
@@ -1066,15 +956,14 @@ unsafe fn reduce<V: ValueFn>(
     start: Option<f32>,
     c: f32,
 ) {
-    debug_assert!(d.stride() == 0 && (0..n).contains(&from));
-    let (pd, _) = d.piece(0);
+    debug_assert!(d.stride == 0 && (0..n).contains(&from));
+    let pd = d.ptr;
     let mut acc = start.unwrap_or_else(|| pd.read());
-    let (sa, sb) = (a.stride() as isize, b.stride() as isize);
-    pieces(from, n, [a, b], |len, [pa, pb]| {
-        for l in 0..len as isize {
-            acc = Add::of(acc, V::of(c, pa.offset(l * sa), pb.offset(l * sb)));
-        }
-    });
+    let (sa, sb) = (a.stride as isize, b.stride as isize);
+    let (pa, pb) = (a.ptr.offset(from as isize * sa), b.ptr.offset(from as isize * sb));
+    for l in 0..(n - from) as isize {
+        acc = Add::of(acc, V::of(c, pa.offset(l * sa), pb.offset(l * sb)));
+    }
     pd.write(acc);
 }
 
@@ -1091,9 +980,9 @@ pub(super) trait TripFn {
 }
 
 /// [`lanes`] per trip.
-struct LanesTrips<C, V, const SEG: bool>(PhantomData<(C, V)>);
+struct LanesTrips<C, V>(PhantomData<(C, V)>);
 
-impl<C: CombineFn, V: ValueFn, const SEG: bool> TripFn for LanesTrips<C, V, SEG> {
+impl<C: CombineFn, V: ValueFn> TripFn for LanesTrips<C, V> {
     #[inline(always)]
     unsafe fn trips(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
         let (Some(first), Some(rest)) = (first.base(w.init32), rest.base(w.init32)) else {
@@ -1101,22 +990,22 @@ impl<C: CombineFn, V: ValueFn, const SEG: bool> TripFn for LanesTrips<C, V, SEG>
         };
         // SAFETY: each trip's operands are what `resolve_lanes` would hand
         // `lanes` there (`Stepped::walk`).
-        w.walk::<SEG>(|t, ops, c| unsafe {
+        w.walk(|t, ops, c| unsafe {
             lanes::<C, V>(w.n, ops, if t == 0 { first } else { rest }, c);
         })
     }
 }
 
 /// [`reduce`] per trip.
-struct ReduceTrips<V, const SEG: bool>(PhantomData<V>);
+struct ReduceTrips<V>(PhantomData<V>);
 
-impl<V: ValueFn, const SEG: bool> TripFn for ReduceTrips<V, SEG> {
+impl<V: ValueFn> TripFn for ReduceTrips<V> {
     #[inline(always)]
     unsafe fn trips(w: &Stepped, first: LaneInit, rest: LaneInit) -> i64 {
         let (first, rest) = (first.restart(w.n, w.init32), rest.restart(w.n, w.init32));
         // SAFETY: each trip's operands are what `resolve_lanes` would hand
         // `reduce` there (`Stepped::walk`); `0 <= from < n`.
-        w.walk::<SEG>(|t, ops, c| unsafe {
+        w.walk(|t, ops, c| unsafe {
             let (from, start) = if t == 0 { first } else { rest };
             reduce::<V>((from, w.n), ops, start, c);
         })
@@ -1125,26 +1014,17 @@ impl<V: ValueFn, const SEG: bool> TripFn for ReduceTrips<V, SEG> {
 
 /// The menu of row loops: per lane op instance and term shape, one
 /// monomorphised row loop per row layout — a CSR row in locals, or any
-/// block's planned registers — and per kind of operand: every one a single
-/// run (what whole tensors and flat slices give), or some cut into
-/// column segments (a batch). Everything a row or a trip does not change
+/// block's planned registers. Everything a row or a trip does not change
 /// is matched here, once per launch when a nest's walk state is
 /// established, instead of once per row or non-zero; the trip loop —
 /// [`Stepped::walk`]'s cursor adds around the same lane body the
-/// per-invocation path runs — is inlined into its row loop.
-///
-/// The loops for runs only are a second copy of the segmented ones, which
-/// take runs too; they are kept because they skip a `Lanes` match per
-/// operand per trip and the lane bodies' piece loop around 8–16 lanes of
-/// arithmetic. The menu is 17 lane op instances (fill, exp, max, and add
-/// into a run or into one element, each with seven term shapes) × 2
-/// layouts × 2 kinds of operand = 68 row loops, where the out-of-line trip
-/// loops they replaced were 34; the x86-64 release `stbench` binary went
-/// from 2.60 to 2.81 MB with them.
+/// per-invocation path runs — is inlined into its row loop. The menu is 17
+/// lane op instances (fill, exp, max, and add into a run or into one
+/// element, each with seven term shapes) × 2 layouts = 34 row loops.
 fn row_loops(spec: &LaneSpec) -> RowLoops {
     on_op!(&spec.op,
-        <C, V> => RowLoops::of::<LanesTrips<C, V, false>, LanesTrips<C, V, true>>(),
-        <V> => RowLoops::of::<ReduceTrips<V, false>, ReduceTrips<V, true>>())
+        <C, V> => RowLoops::of::<LanesTrips<C, V>>(),
+        <V> => RowLoops::of::<ReduceTrips<V>>())
 }
 
 impl LaneSpec {

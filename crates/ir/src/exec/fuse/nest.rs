@@ -39,8 +39,8 @@
 //!
 //! **One way in: a block.** What an entry needs splits by when it can
 //! change. *Launch-invariant*: where each operand is bound (pointer,
-//! length, segment table, width), strides, spans, the lane count, the init
-//! and hoisted values, and the trip loop they call for — the first block
+//! length), strides, spans, the lane count, the init and hoisted values,
+//! and the trip loop they call for — the first block
 //! over the nest in a launch establishes these ([`Trips::establish`]) and
 //! the executor keeps them for the rest of the launch, dropping them when
 //! a buffer the nest names is allocated or freed. *Entry-varying*: the
@@ -59,13 +59,12 @@
 //!
 //! **Stepped trips.** The trip loop is the lane op's ([`super::TripFn`]),
 //! inlined into **one monomorphised row loop** from a fixed menu
-//! ([`super::row_loops`]: lane op × term shape × row layout × "every
-//! operand one run" or not), picked once per launch; a block hands it each
-//! entry as [`Cursor`]s: each operand its lanes at trip 0 plus how far a
-//! trip and a unit of the gathered value carry them — a pointer add for a
-//! [`Lanes::Run`], a row add for a [`Lanes::Cols`]. An affine walk is tested
-//! per entry, at its first and last trip (both ends inside the dimension,
-//! the storage and one segment means every trip between is), while the
+//! ([`super::row_loops`]: lane op × term shape × row layout), picked once
+//! per launch; a block hands it each entry as [`Cursor`]s: each operand its
+//! lanes at trip 0 plus how far a trip and a unit of the gathered value
+//! carry them, a pointer add each. An affine walk is tested per entry, at
+//! its first and last trip (both ends inside the dimension and the storage
+//! means every trip between is), while the
 //! gathered value keeps a per-trip test (and load: none when no operand
 //! moves with it) against the entry's *reach* — the interval of values at
 //! which every gather-moved operand passes its checks, solved once per
@@ -73,19 +72,17 @@
 //! yet: the generic loop behind the instruction, with the per-non-zero
 //! `Super` inside it, resumes at exactly that trip, so error text, error
 //! order and written prefix stay the interpreter's. The menu does not
-//! cover an operand moving with the trip *and* the gather, more than one
-//! moving reduce iter (or one that is not zero at trip 0 under an init
-//! that goes by it), nor a binding a cursor does not follow (a column
-//! segment walked across columns): such a nest's entries all go to the
-//! generic loop.
+//! cover an operand moving with the trip *and* the gather, nor more than
+//! one moving reduce iter (or one that is not zero at trip 0 under an init
+//! that goes by it): such a nest's entries all go to the generic loop.
 
 mod block;
 
 pub(in crate::exec) use block::{build_block, Block, Exit, RowLoops, RowPlan, Solve, Split};
 
 use super::{
-    row_loops, ColSeg, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes,
-    RawBuf, Value,
+    row_loops, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes, RawBuf,
+    Value,
 };
 use crate::exec::{elem_load, scan_index, ExprInfo, FloatOp};
 
@@ -647,18 +644,6 @@ struct GatherWalk {
     step: isize,
 }
 
-/// Where a walked view's run lands in its bound storage, per kind of
-/// binding a block covers.
-enum Spot {
-    /// Flat storage: a whole tensor or a borrowed slice (a column view
-    /// of one full-width segment binds as one).
-    Flat { ptr: *mut f32, len: i64 },
-    /// A column-segmented binding whose flat index moves by whole logical
-    /// rows, per trip and per unit of the gathered value: a run keeps its
-    /// column — and so its segment pieces — for a whole entry.
-    ColsByRow { table: *const ColSeg, width: i64, rows: i64, row_step: i64, row_scale: i64 },
-}
-
 /// The integers `g` with `lo <= base + k·g <= hi`, as an interval (empty
 /// when its ends cross); `k != 0`.
 fn solve(k: i128, base: i128, (lo, hi): (i128, i128)) -> (i128, i128) {
@@ -669,20 +654,21 @@ fn solve(k: i128, base: i128, (lo, hi): (i128, i128)) -> (i128, i128) {
 
 /// One walked lane view as a launch binds it: how its moving dimension
 /// moves (`drift`) and how many elements of the flat index one unit of that
-/// dimension is (`coef`), its run of `n` lanes at `stride`, and where the
-/// run lands.
+/// dimension is (`coef`), its run of `n` lanes at `stride`, and the flat
+/// storage the run lands in.
 struct ViewWalk {
     drift: Drift,
     coef: i64,
     n: i64,
     stride: i64,
-    spot: Spot,
+    ptr: *mut f32,
+    len: i64,
 }
 
 impl ViewWalk {
     /// How `n` lanes at `stride` land in what `buf` is bound to, walked as
-    /// `drift` says. `None` for a binding / movement combination a block
-    /// does not cover (the per-non-zero path still does).
+    /// `drift` says. `None` for a binding a block does not cover (the
+    /// per-non-zero path still does).
     fn new(
         fr: &Frame,
         (buf, stride): (u32, i64),
@@ -690,33 +676,11 @@ impl ViewWalk {
         (n, for_store): (i64, bool),
     ) -> Option<ViewWalk> {
         stride.checked_mul(n - 1)?;
-        let spot = match fr.bufs[buf as usize] {
-            RawBuf::F32 { ptr, len, writable } => {
-                if for_store && !writable {
-                    return None;
-                }
-                Spot::Flat { ptr, len: i64::try_from(len).ok()? }
-            }
-            RawBuf::SegCols { table, width, rows, writable } => {
-                let (w, rows) = (i64::try_from(width).ok()?, i64::try_from(rows).ok()?);
-                if (for_store && !writable) || w == 0 || !(0..=1).contains(&stride) {
-                    return None;
-                }
-                // Whole logical rows per step?
-                let rows_per = |by: i64| match by {
-                    0 => Some(0),
-                    by if by == w => Some(1),
-                    by => (by % w == 0).then(|| by / w),
-                };
-                let by = (coef.checked_mul(drift.step)?, coef.checked_mul(drift.scale)?);
-                let (Some(row_step), Some(row_scale)) = (rows_per(by.0), rows_per(by.1)) else {
-                    return None;
-                };
-                Spot::ColsByRow { table, width: w, rows, row_step, row_scale }
-            }
-            _ => return None,
-        };
-        Some(ViewWalk { drift, coef, n, stride, spot })
+        let RawBuf::F32 { ptr, len, writable } = fr.bufs[buf as usize] else { return None };
+        if for_store && !writable {
+            return None;
+        }
+        Some(ViewWalk { drift, coef, n, stride, ptr, len: i64::try_from(len).ok()? })
     }
 
     /// How far a run's last lane is from its first (`new` checked the
@@ -847,9 +811,9 @@ impl Trips {
 // The stepped trip loop
 // ---------------------------------------------------------------------------
 
-/// One operand over the trips of an entry: its lanes at trip 0, and how far
-/// they move per trip and per unit the gathered value is away from trip 0's
-/// — elements of a [`Lanes::Run`], logical rows of a [`Lanes::Cols`].
+/// One operand over the trips of an entry: its lanes at trip 0, and how many
+/// elements they move per trip and per unit the gathered value is away from
+/// trip 0's.
 #[derive(Clone, Copy)]
 struct Cursor {
     at: Lanes,
@@ -884,17 +848,14 @@ impl Cursor {
     }
 
     /// The operand's lanes at trip `t`, where the gather loaded `dg` more
-    /// than at trip 0. With `SEG` off the cursor is known to be a
-    /// [`Lanes::Run`], and so is what comes back — the lane bodies then
-    /// compile to their single-piece form.
+    /// than at trip 0.
     ///
     /// # Safety
     /// `t` is a trip of the entry the cursor was aimed for and `dg` comes
     /// from a gathered value inside the reach the block solved: those tests
-    /// put every lane at `(t, dg)` inside the bound storage. Without `SEG`,
-    /// the cursor is a run.
+    /// put every lane at `(t, dg)` inside the bound storage.
     #[inline(always)]
-    unsafe fn lanes<const SEG: bool>(&self, t: i64, dg: i64) -> Lanes {
+    unsafe fn lanes(&self, t: i64, dg: i64) -> Lanes {
         let by = self.step * t as isize + self.gstep * dg as isize;
         #[cfg(debug_assertions)]
         assert!(
@@ -902,24 +863,9 @@ impl Cursor {
             "trip {t}, gather {dg:+}: a move of {by} outside the entry's tested {:?}",
             self.room
         );
-        match self.at {
-            // SAFETY: the entry's range tests cover this move (the
-            // caller's contract, asserted above in debug builds).
-            Lanes::Run { ptr, stride } => Lanes::Run { ptr: ptr.offset(by), stride },
-            Lanes::Cols { table, row, col0 } if SEG => {
-                Lanes::Cols { table, row: row.wrapping_add_signed(by), col0 }
-            }
-            // SAFETY: without `SEG` the cursor is a run (the caller's
-            // contract; `Stepped::all_runs` decides which loop runs).
-            Lanes::Cols { .. } => {
-                debug_assert!(false, "a segmented cursor in the loop for runs");
-                std::hint::unreachable_unchecked()
-            }
-        }
-    }
-
-    fn is_run(&self) -> bool {
-        matches!(self.at, Lanes::Run { .. })
+        // SAFETY: the entry's range tests cover this move (the caller's
+        // contract, asserted above in debug builds).
+        Lanes { ptr: self.at.ptr.offset(by), stride: self.at.stride }
     }
 }
 
@@ -957,7 +903,7 @@ impl Stepped {
     /// Scratch for one launch: every entry a block takes fills it in before
     /// a trip loop reads it.
     pub(in crate::exec) fn scratch() -> Stepped {
-        let nowhere = Cursor::new(Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, 0, 0);
+        let nowhere = Cursor::new(Lanes { ptr: std::ptr::null_mut(), stride: 0 }, 0, 0);
         Stepped {
             n: 0,
             init32: 0.0,
@@ -975,27 +921,18 @@ impl Stepped {
         }
     }
 
-    /// Every operand is one run: the entry takes the loop compiled for
-    /// that (`SEG` off).
-    fn all_runs(&self) -> bool {
-        self.ops.iter().all(Cursor::is_run)
-    }
-
     /// Take the entry's trips: per trip one load of the gathered value and
-    /// its test against the entry's reach, a pointer (or row) add per
-    /// operand, one coefficient load, and `body` — a lane body over the
-    /// trip, its operands and its coefficient. Returns the first trip not
-    /// taken: the trip count, or the one whose gathered value left the
-    /// reach, before anything of it is written.
+    /// its test against the entry's reach, a pointer add per operand, one
+    /// coefficient load, and `body` — a lane body over the trip, its
+    /// operands and its coefficient. Returns the first trip not taken: the
+    /// trip count, or the one whose gathered value left the reach, before
+    /// anything of it is written.
     ///
     /// # Safety
-    /// This is the entry `self` was filled in for, nothing was re-bound
-    /// since, and `SEG` is on unless [`Stepped::all_runs`].
+    /// This is the entry `self` was filled in for, and nothing was
+    /// re-bound since.
     #[inline(always)]
-    pub(super) unsafe fn walk<const SEG: bool>(
-        &self,
-        mut body: impl FnMut(i64, [Lanes; 3], f32),
-    ) -> i64 {
+    pub(super) unsafe fn walk(&self, mut body: impl FnMut(i64, [Lanes; 3], f32)) -> i64 {
         for t in 0..self.trips {
             let dg = if self.gather.is_null() {
                 0
@@ -1012,10 +949,9 @@ impl Stepped {
             };
             // SAFETY: `t` is a trip of the entry and the gathered value is
             // inside the reach, checked right above.
-            let at = [0, 1, 2].map(|k| self.ops[k].lanes::<SEG>(t, dg));
+            let at = [0, 1, 2].map(|k| self.ops[k].lanes(t, dg));
             let c = if self.walked {
-                // A coefficient is one element: always a run.
-                let load = self.coeff.lanes::<false>(t, dg).first();
+                let load = self.coeff.lanes(t, dg).first();
                 self.ratio.map_or(load, |r| r.of(load, self.factor))
             } else {
                 self.scalar

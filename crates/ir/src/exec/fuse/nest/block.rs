@@ -56,7 +56,7 @@
 
 use super::{
     interval, solve, Cursor, Drift, EntryProgram, Extent, IndexPlan, Lin, NestSpec, Planner, Reg,
-    Spot, Stepped, Trips, MAX_REGS,
+    Stepped, Trips, MAX_REGS,
 };
 use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes, TripFn};
 use crate::exec::{elem_load, CmpOp, Frame, IntExpr, NestCounts, RawBuf};
@@ -552,9 +552,8 @@ pub(in crate::exec) enum Exit {
 }
 
 /// Where an operand's run starts over one entry, less its register's
-/// part: lanes `at` at `v = 0`, moving `per` elements (or, for column
-/// segments, rows) per unit of `v`, the value a row's [`Layout`] keeps at
-/// `sel`.
+/// part: lanes `at` at `v = 0`, moving `per` elements per unit of `v`, the
+/// value a row's [`Layout`] keeps at `sel`.
 #[derive(Clone, Copy)]
 struct Aim {
     at: Lanes,
@@ -568,12 +567,7 @@ impl Aim {
     #[inline(always)]
     fn lanes(&self, v: i64) -> Lanes {
         let by = self.per.wrapping_mul(v as isize);
-        match self.at {
-            Lanes::Run { ptr, stride } => Lanes::Run { ptr: ptr.wrapping_offset(by), stride },
-            Lanes::Cols { table, row, col0 } => {
-                Lanes::Cols { table, row: row.wrapping_add_signed(by), col0 }
-            }
-        }
+        Lanes { ptr: self.at.ptr.wrapping_offset(by), stride: self.at.stride }
     }
 }
 
@@ -634,11 +628,8 @@ impl Block {
             COEFF => at.coeff.as_ref()?,
             k => at.views[k - 1].as_ref()?,
         };
-        let span = view.span();
-        match view.spot {
-            Spot::Flat { len, .. } => Some((0.max(-span), (len - 1).min(len - 1 - span))),
-            Spot::ColsByRow { width, rows, .. } => Some((0, rows.checked_mul(width)? - 1)),
-        }
+        let (span, len) = (view.span(), view.len);
+        Some((0.max(-span), (len - 1).min(len - 1 - span)))
     }
 
     fn bound(
@@ -794,8 +785,7 @@ impl Block {
         w: &mut Stepped,
         (from, to): (i64, i64),
     ) -> Option<Entry> {
-        let nowhere =
-            Aim { at: Lanes::Run { ptr: std::ptr::null_mut(), stride: 0 }, per: 0, sel: 0 };
+        let nowhere = Aim { at: Lanes { ptr: std::ptr::null_mut(), stride: 0 }, per: 0, sel: 0 };
         let mut e = Entry {
             regs: [0; MAX_REGS],
             ops: [nowhere; 3],
@@ -843,41 +833,10 @@ impl Block {
             let base = form.base.eval(&e.regs)?;
             let (per, sel) = (isize::try_from(form.coef).ok()?, self.sel(form.var)?);
             let Drift { step, scale, .. } = view.drift;
-            let (aim, unit, by) = match view.spot {
-                Spot::Flat { ptr, .. } => {
-                    let at = Lanes::Run {
-                        ptr: ptr.wrapping_offset(isize::try_from(base).ok()?),
-                        stride: view.stride,
-                    };
-                    let by = (view.coef.checked_mul(step)?, view.coef.checked_mul(scale)?);
-                    (Aim { at, per, sel }, 1, by)
-                }
-                Spot::ColsByRow { table, width, row_step, row_scale, .. } => {
-                    let (row0, col) = (base.div_euclid(width), base.rem_euclid(width));
-                    // The run stays in its column: inside the logical row,
-                    // whole rows per unit of what moves it.
-                    if col + view.span() >= width || form.coef % width != 0 {
-                        return None;
-                    }
-                    let rows_per = isize::try_from(form.coef / width).ok()?;
-                    // SAFETY: 0 <= col < width entries in the table.
-                    let e = unsafe { &*table.add(col as usize) };
-                    let whole = view.n <= i64::from(e.rem);
-                    if view.stride == 1 && !whole {
-                        let at = Lanes::Cols { table, row: row0 as usize, col0: col as usize };
-                        (Aim { at, per: rows_per, sel }, 1, (row_step, row_scale))
-                    } else {
-                        let unit = i64::from(e.stride);
-                        let ptr =
-                            e.ptr.wrapping_offset(isize::try_from(row0.checked_mul(unit)?).ok()?);
-                        let at = Lanes::Run { ptr, stride: view.stride };
-                        let per = rows_per.checked_mul(isize::try_from(unit).ok()?)?;
-                        (Aim { at, per, sel }, unit, (row_step, row_scale))
-                    }
-                }
-            };
+            let ptr = view.ptr.wrapping_offset(isize::try_from(base).ok()?);
+            let aim = Aim { at: Lanes { ptr, stride: view.stride }, per, sel };
             let (step, gstep) = if view.moves() {
-                (by.0.checked_mul(unit)?, by.1.checked_mul(unit)?)
+                (view.coef.checked_mul(step)?, view.coef.checked_mul(scale)?)
             } else {
                 (0, 0)
             };
@@ -935,11 +894,10 @@ impl Block {
         let Some(e) = self.begin(spec, (at, &solved.regs), fr, w, (from, to)) else {
             return Exit::Plain;
         };
-        let (layout, seg) = (usize::from(self.csr.is_none()), usize::from(!w.all_runs()));
-        // SAFETY: the launch picked `row_loops` for the nest's lane op; the
-        // loops for runs only are taken when every operand `begin` just
-        // aimed in `w` is one; `begin` made the block's tests over the row.
-        unsafe { at.row_loops.0[layout][seg](self, &spec.entry, &e, solved, w, (from, to), counts) }
+        let layout = usize::from(self.csr.is_none());
+        // SAFETY: the launch picked `row_loops` for the nest's lane op;
+        // `begin` made the block's tests over the row.
+        unsafe { at.row_loops.0[layout](self, &spec.entry, &e, solved, w, (from, to), counts) }
     }
 }
 
@@ -1175,10 +1133,9 @@ impl Layout for Csr {
 /// what it did to `counts`.
 ///
 /// # Safety
-/// `T` is the trip loop of the nest's lane op, with `SEG` on unless every
-/// operand `w` holds is a run; `w` and `e` are what `begin` aimed for the
-/// block on the frame and walk state of this launch, and `solved` what the
-/// launch solved for the nest.
+/// `T` is the trip loop of the nest's lane op; `w` and `e` are what `begin`
+/// aimed for the block on the frame and walk state of this launch, and
+/// `solved` what the launch solved for the nest.
 unsafe fn rows<L: Layout, T: TripFn>(
     block: &Block,
     prog: &EntryProgram,
@@ -1243,8 +1200,8 @@ unsafe fn rows<L: Layout, T: TripFn>(
             }
         }
         // SAFETY: `w` holds this row's entry, every position it reads
-        // tested against the storage it is bound to; `T` is the loop for
-        // runs only when every operand is one (the caller's contract).
+        // tested against the storage it is bound to; `T` is the nest's loop
+        // (the caller's contract).
         let stepped = unsafe { T::trips(w, solved.first, solved.rest) };
         tally.blocked += 1;
         tally.trips += trips as u64;
@@ -1273,19 +1230,14 @@ type RowLoop = unsafe fn(
     &mut NestCounts,
 ) -> Exit;
 
-/// The row loops of a nest's lane op, `[layout][seg]`: for the [`Csr`] and
-/// the [`Planned`] layout, each with every operand a run (`SEG` off) and
-/// with some cut into column segments (`SEG` on). Picked once per launch,
-/// when the nest's walk state is established.
-pub(in crate::exec) struct RowLoops([[RowLoop; 2]; 2]);
+/// The row loops of a nest's lane op, `[layout]`: for the [`Csr`] and the
+/// [`Planned`] layout. Picked once per launch, when the nest's walk state
+/// is established.
+pub(in crate::exec) struct RowLoops([RowLoop; 2]);
 
 impl RowLoops {
-    /// The row loops over `Runs`, a lane op's trip loop for operands that
-    /// are every one a run, and `Segs`, the same loop for any operands.
-    pub(in crate::exec) fn of<Runs: TripFn, Segs: TripFn>() -> RowLoops {
-        RowLoops([
-            [rows::<Csr, Runs>, rows::<Csr, Segs>],
-            [rows::<Planned, Runs>, rows::<Planned, Segs>],
-        ])
+    /// The row loops over `T`, a lane op's trip loop.
+    pub(in crate::exec) fn of<T: TripFn>() -> RowLoops {
+        RowLoops([rows::<Csr, T>, rows::<Planned, T>])
     }
 }

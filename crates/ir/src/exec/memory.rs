@@ -148,8 +148,8 @@ fn size_class(len: usize) -> usize {
 /// next-power-of-two class (a *hit*) or heap-allocates one (a *miss*) and
 /// returns it zeroed either way; `release_*` files storage back by
 /// capacity class. Kernels compiled through one [`Runtime`] share its
-/// pool, so the serving engine's per-launch scratch (widened outputs,
-/// fused-attention intermediates) stops hitting the allocator once warm.
+/// pool, so the serving engine's per-launch scratch (fused-attention and
+/// fused-SAGE intermediates) stops hitting the allocator once warm.
 pub struct BufferPool {
     f32_free: Vec<Mutex<Vec<Vec<f32>>>>,
     i32_free: Vec<Mutex<Vec<Vec<i32>>>>,

@@ -67,8 +67,8 @@ pub mod prelude {
     pub use crate::dtype::DType;
     pub use crate::eval::{eval_func, eval_func_counting, scalar_map, OpKind, TensorData};
     pub use crate::exec::{
-        exec_func, BoundArg, BufferPool, ColsView, CompiledKernel, ExecError, MemoryPlan,
-        NestCounts, PlanEntry, Runtime, ViewBindings,
+        exec_func, BoundArg, BufferPool, CompiledKernel, ExecError, MemoryPlan, NestCounts,
+        PlanEntry, Runtime, ViewBindings,
     };
     pub use crate::expr::{BinOp, Expr, Intrinsic, Var};
     pub use crate::func::PrimFunc;

@@ -35,16 +35,13 @@
 //! A sixth family, `views`, pins the two *binding* modes of one compiled
 //! kernel against each other and against the interpreter: the real
 //! CSR-SpMM, batched-SDDMM, fused-attention and fused-SAGE functions run
-//! once over
-//! whole concatenated tensors ([`CompiledKernel::run`]) and once over the
-//! same data cut into caller-owned segments
-//! ([`CompiledKernel::run_views`]: one segment, three, and mixed widths
-//! with a zero-width one, cut points not aligned to head boundaries) —
+//! once over whole tensors ([`CompiledKernel::run`]) and once over the
+//! same data as caller-owned flat slices ([`CompiledKernel::run_views`]) —
 //! bit-identical outputs, each also within the independent `f64` oracle's
 //! bound, and identical error text on a short binding and on a store to a
 //! read-only view. Its `split_k` members run the default
 //! CSR schedule's `split(k, 32)` at widths 32 … 128 (lane-coalesced) and
-//! 48 (guarded tail, generic) through the same three bindings. Its
+//! 48 (guarded tail, generic) both ways. Its
 //! `row_nest` members pin the row-nest superinstruction: the served CSR /
 //! ELL / one-head SDDMM loops must compile to one, keep every output bit
 //! (every row shape and every ELL bucket width also within the `f64`
@@ -61,7 +58,7 @@
 //! entry-program rule, each no nest, and the ratio coefficients within the
 //! `f64` oracle's bound too. Its `stepped` members run the monomorphised
 //! trip loop a block hands each entry: lane counts around the vector widths
-//! × batches of unequal segments × one and three heads on a graph with
+//! × batches of riders run back to back × one and three heads on a graph with
 //! empty rows, one-non-zero rows and one row of `n / 2`, every output also
 //! checked against an independent `f64` oracle; every term shape × init
 //! kind under a nest entered once per row; and what the menu of trip loops
@@ -76,7 +73,7 @@
 //! a roll across an empty row and across a decreasing `indptr`, a `cur`
 //! that fails its interval after an empty row, a column leaving the reach
 //! mid-row in the launch's last row, the `blockIdx` split with a tail
-//! guard, the column-segmented batch of eight, and zero and one rows —
+//! guard, and zero and one rows —
 //! every case one outcome with the interpreter, error text and written
 //! prefix included, and every well-formed one within the `f64` oracle's
 //! bound.
@@ -1037,80 +1034,37 @@ fn missing_binding_fails_identically_on_every_executor() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 6: whole tensors (`run`) vs segmented views (`run_views`)
+// Family 6: whole tensors (`run`) vs borrowed slices (`run_views`)
 // ---------------------------------------------------------------------------
 
-/// One view-bound f32 tensor over caller-owned storage. With
-/// `rows: Some(r)` it is `r × Σ widths`, one row-major `r × w` segment
-/// per width side by side (a `ColsView`); with `None` it is one flat slice
-/// of `widths[0]` elements (`bind_slice` / `bind_slice_mut`).
+/// One view-bound f32 tensor over caller-owned storage: its row-major
+/// elements, bound as one flat slice (`bind_slice` / `bind_slice_mut`).
 #[derive(Clone)]
 struct Part {
     name: &'static str,
-    rows: Option<usize>,
-    widths: Vec<usize>,
+    data: Vec<f32>,
     writable: bool,
-    segs: Vec<Vec<f32>>,
 }
 
 impl Part {
-    /// Random read-only operand, or a zeroed writable output.
-    fn new(
-        name: &'static str,
-        rows: Option<usize>,
-        widths: Vec<usize>,
-        rng: &mut SmallRng,
-    ) -> Part {
-        let len = |w: &usize| rows.unwrap_or(1) * w;
-        let segs =
-            widths.iter().map(|w| (0..len(w)).map(|_| rng.gen_range(-1.0f32..1.0)).collect());
-        Part { name, rows, segs: segs.collect(), widths, writable: false }
+    /// A random read-only operand of `len` elements.
+    fn new(name: &'static str, len: usize, rng: &mut SmallRng) -> Part {
+        let data = (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        Part { name, data, writable: false }
     }
 
-    fn output(name: &'static str, rows: usize, widths: Vec<usize>) -> Part {
-        let segs = widths.iter().map(|w| vec![0.0; rows * w]).collect();
-        Part { name, rows: Some(rows), widths, writable: true, segs }
+    /// A writable output of `len` elements, each `fill`.
+    fn output(name: &'static str, len: usize, fill: f32) -> Part {
+        Part { name, data: vec![fill; len], writable: true }
     }
 
-    /// A writable flat slice of `len` elements, each `fill`.
-    fn flat_output(name: &'static str, len: usize, fill: f32) -> Part {
-        Part { name, rows: None, widths: vec![len], writable: true, segs: vec![vec![fill; len]] }
-    }
-
-    /// The logical tensor the segments tile, concatenated.
-    fn whole(&self) -> Vec<f32> {
-        let tiles = || self.segs.iter().zip(&self.widths);
-        (0..self.rows.unwrap_or(1))
-            .flat_map(|r| tiles().flat_map(move |(s, w)| &s[r * w..(r + 1) * w]))
-            .copied()
-            .collect()
-    }
-
-    fn bind<'a>(&'a mut self, views: &mut ViewBindings<'a>) -> Result<(), ExecError> {
-        let widths = self.widths.iter().copied();
-        match (self.rows, self.writable) {
-            (Some(rows), true) => {
-                let segs = self.segs.iter_mut().map(Vec::as_mut_slice).zip(widths).collect();
-                views.bind_cols(self.name, ColsView::write(rows, segs)?);
-            }
-            (Some(rows), false) => {
-                let segs: Vec<_> = self.segs.iter().map(Vec::as_slice).zip(widths).collect();
-                views.bind_cols(self.name, ColsView::read(rows, &segs)?);
-            }
-            (None, true) => views.bind_slice_mut(self.name, &mut self.segs[0]),
-            (None, false) => views.bind_slice(self.name, &self.segs[0]),
+    fn bind<'a>(&'a mut self, views: &mut ViewBindings<'a>) {
+        if self.writable {
+            views.bind_slice_mut(self.name, &mut self.data);
+        } else {
+            views.bind_slice(self.name, &self.data);
         }
-        Ok(())
     }
-}
-
-/// The three cuts of a `total`-wide column axis every case runs: one
-/// segment, three near-equal ones, and mixed widths around a zero-width
-/// segment (cut points need not fall on head boundaries).
-fn column_cuts(total: usize) -> [Vec<usize>; 3] {
-    let (third, head) = (total / 3, total.min(1));
-    let mid = (total - head) / 2;
-    [vec![total], vec![third, third, total - 2 * third], vec![head, 0, mid, total - head - mid]]
 }
 
 /// A small random matrix with empty rows, as the CSR structure tensors
@@ -1124,7 +1078,7 @@ fn views_fixture(seed: u64) -> (Csr, HashMap<String, TensorData>, SmallRng) {
 }
 
 /// Run `f` on the interpreter and on both executor builds with `parts`
-/// bound whole (`run`), and on both builds with them segmented
+/// bound whole (`run`), and on both builds with them bound as slices
 /// (`run_views`). Where all succeed every tensor must agree bit for bit;
 /// where any fails all must, with the same error text — and `run` must
 /// leave the interpreter's written prefix. Returns that text per executor
@@ -1137,7 +1091,7 @@ fn views_differential(
     let scalars = HashMap::new();
     let mut bound = structure.clone();
     for p in parts {
-        bound.insert(p.name.to_string(), TensorData::from(p.whole()));
+        bound.insert(p.name.to_string(), TensorData::from(p.data.clone()));
     }
     let mut interp = bound.clone();
     let ran_interp = eval_func(f, &scalars, &mut interp)
@@ -1152,19 +1106,15 @@ fn views_differential(
         }
 
         let mut tensors = structure.clone();
-        let mut segmented = parts.to_vec();
-        let ran_views = (|| {
-            let mut views = ViewBindings::from_tensors(&mut tensors);
-            for p in &mut segmented {
-                p.bind(&mut views)?;
-            }
-            kernel.run_views(&scalars, &mut views)
-        })()
-        .map_err(|e| e.to_string());
+        let mut sliced = parts.to_vec();
+        let mut views = ViewBindings::from_tensors(&mut tensors);
+        sliced.iter_mut().for_each(|p| p.bind(&mut views));
+        let ran_views = kernel.run_views(&scalars, &mut views).map_err(|e| e.to_string());
+        drop(views);
 
         assert_eq!(ran_whole, ran_views, "[{label}] run vs run_views outcome");
-        for p in segmented.iter().filter(|_| ran_views.is_ok()) {
-            assert_bits_eq(p.name, &whole[p.name], &TensorData::from(p.whole())).expect(label);
+        for p in sliced.iter().filter(|_| ran_views.is_ok()) {
+            assert_bits_eq(p.name, &whole[p.name], &TensorData::from(p.data.clone())).expect(label);
         }
         for (name, data) in tensors.iter().filter(|_| ran_views.is_ok()) {
             assert_bits_eq(name, &whole[name], data).expect(label);
@@ -1175,8 +1125,9 @@ fn views_differential(
 }
 
 /// The tensors the interpreter leaves after running `f` on `parts` bound
-/// whole — what [`views_differential`] proved every executor build and
-/// every cut equal to, bit for bit — for a check against the `f64` oracle.
+/// whole — what [`views_differential`] proved every executor build equal
+/// to, bit for bit, whole and sliced — for a check against the `f64`
+/// oracle.
 fn interpreted(
     f: &PrimFunc,
     structure: &HashMap<String, TensorData>,
@@ -1184,7 +1135,7 @@ fn interpreted(
 ) -> HashMap<String, TensorData> {
     let mut tensors = structure.clone();
     for p in parts {
-        tensors.insert(p.name.to_string(), TensorData::from(p.whole()));
+        tensors.insert(p.name.to_string(), TensorData::from(p.data.clone()));
     }
     eval_func(f, &HashMap::new(), &mut tensors).expect("the interpreter runs");
     tensors
@@ -1195,18 +1146,13 @@ fn head_cols(t: &[f32], heads: usize, w: usize, h: usize) -> Vec<f32> {
     t.chunks_exact(heads * w).flat_map(|row| &row[h * w..(h + 1) * w]).copied().collect()
 }
 
-/// The batched-SDDMM operands of `heads` heads at inner width `k`, with
-/// `X`/`Bout` cut by `x_cut`/`out_cut` and `Y` one flat slice.
-fn sddmm_parts(
-    a: &Csr,
-    (heads, k): (usize, usize),
-    (x_cut, out_cut): (Vec<usize>, Vec<usize>),
-    rng: &mut SmallRng,
-) -> [Part; 3] {
+/// The batched-SDDMM operands of `heads` heads at inner width `k`: `X`,
+/// `Y` and the zeroed `Bout`.
+fn sddmm_parts(a: &Csr, (heads, k): (usize, usize), rng: &mut SmallRng) -> [Part; 3] {
     [
-        Part::new("X", Some(a.rows()), x_cut, rng),
-        Part::new("Y", None, vec![heads * k * a.cols()], rng),
-        Part::output("Bout", a.nnz(), out_cut),
+        Part::new("X", a.rows() * heads * k, rng),
+        Part::new("Y", heads * k * a.cols(), rng),
+        Part::output("Bout", a.nnz() * heads, 0.0),
     ]
 }
 
@@ -1215,26 +1161,18 @@ fn views_csr_spmm_bit_matches_whole_tensors() {
     let (a, structure, mut rng) = views_fixture(0x51);
     let f = csr_spmm_ir(&a, 7).unwrap();
     assert_eq!(nests(&f), ["nest.axpy"], "the row loop is one nest");
-    for cut in column_cuts(7) {
-        let parts = [
-            Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
-            Part::output("C", a.rows(), cut),
-        ];
-        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
-        let t = interpreted(&f, &structure, &parts);
-        oracle::spmm_f64(&a, t["B"].as_f32(), 7).check(t["C"].as_f32()).unwrap();
-    }
-    // A `B` one segment short fails mid-kernel, inside a nest: same text
-    // and same written prefix as the interpreter, whole and segmented.
-    let f = serial_spmm(&a, 7);
+    let d = 7;
+    let parts = [Part::new("B", a.cols() * d, &mut rng), Part::output("C", a.rows() * d, 0.0)];
+    assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    let t = interpreted(&f, &structure, &parts);
+    oracle::spmm_f64(&a, t["B"].as_f32(), d).check(t["C"].as_f32()).unwrap();
+    // A `B` short of its last columns' rows fails mid-kernel, inside a
+    // nest: same text and same written prefix as the interpreter, whole
+    // and sliced.
+    let f = serial_spmm(&a, d);
     assert_eq!(nests(&f), ["nest.axpy"]);
-    let cut = &column_cuts(7)[1];
-    let mut short = [
-        Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
-        Part::output("C", a.rows(), cut.clone()),
-    ];
-    short[0].segs.pop();
-    short[0].widths.pop();
+    let mut short = parts.clone();
+    short[0].data.truncate(a.cols() * 4);
     let errs = views_differential(&f, &structure, &short);
     let want = errs[0].clone().expect("a short binding must fail");
     assert!(want.contains("out of bounds") && want.contains("`B`"), "{want}");
@@ -1255,17 +1193,15 @@ fn views_batched_sddmm_bit_matches_whole_tensors() {
         let want: &[&str] = if nest.is_some() { &["nest.gsa "] } else { &[] };
         assert_eq!(nests(&f), want, "{listing}");
         assert!(nest.is_none_or(|nest| listing.contains(nest)), "heads = {heads}: {listing}");
-        for (x_cut, out_cut) in column_cuts(heads * k).into_iter().zip(column_cuts(heads)) {
-            let parts = sddmm_parts(&a, (heads, k), (x_cut, out_cut), &mut rng);
-            assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
-            let t = interpreted(&f, &structure, &parts);
-            let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
-            for h in 0..heads {
-                let y = &y[h * k * a.cols()..(h + 1) * k * a.cols()];
-                oracle::sddmm_f64(&a, &head_cols(x, heads, k, h), y, k)
-                    .check(&head_cols(out, heads, 1, h))
-                    .unwrap_or_else(|e| panic!("{heads} heads, head {h}: {e}"));
-            }
+        let parts = sddmm_parts(&a, (heads, k), &mut rng);
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+        let t = interpreted(&f, &structure, &parts);
+        let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
+        for h in 0..heads {
+            let y = &y[h * k * a.cols()..(h + 1) * k * a.cols()];
+            oracle::sddmm_f64(&a, &head_cols(x, heads, k, h), y, k)
+                .check(&head_cols(out, heads, 1, h))
+                .unwrap_or_else(|e| panic!("{heads} heads, head {h}: {e}"));
         }
     }
 }
@@ -1278,23 +1214,21 @@ fn views_fused_attention_bit_matches_whole_tensors() {
     for (name, len) in [("S", a.nnz()), ("M", a.rows()), ("P", a.nnz()), ("Sum", a.rows())] {
         structure.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
     }
-    for (q_cut, v_cut) in column_cuts(heads * k).into_iter().zip(column_cuts(heads * vfeat)) {
-        let parts = [
-            Part::new("Q", Some(a.rows()), q_cut, &mut rng),
-            Part::new("KT", None, vec![heads * k * a.cols()], &mut rng),
-            Part::new("V", Some(a.cols()), v_cut.clone(), &mut rng),
-            Part::output("Out", a.rows(), v_cut),
-        ];
-        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
-        let t = interpreted(&f, &structure, &parts);
-        let [q, kt, v, out] = ["Q", "KT", "V", "Out"].map(|n| t[n].as_f32());
-        for h in 0..heads {
-            let kt = &kt[h * k * a.cols()..(h + 1) * k * a.cols()];
-            let (q, v) = (head_cols(q, heads, k, h), head_cols(v, heads, vfeat, h));
-            oracle::attention_f64(&a, &q, kt, &v, k, vfeat)
-                .check(&head_cols(out, heads, vfeat, h))
-                .unwrap_or_else(|e| panic!("head {h}: {e}"));
-        }
+    let parts = [
+        Part::new("Q", a.rows() * heads * k, &mut rng),
+        Part::new("KT", heads * k * a.cols(), &mut rng),
+        Part::new("V", a.cols() * heads * vfeat, &mut rng),
+        Part::output("Out", a.rows() * heads * vfeat, 0.0),
+    ];
+    assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    let t = interpreted(&f, &structure, &parts);
+    let [q, kt, v, out] = ["Q", "KT", "V", "Out"].map(|n| t[n].as_f32());
+    for h in 0..heads {
+        let kt = &kt[h * k * a.cols()..(h + 1) * k * a.cols()];
+        let (q, v) = (head_cols(q, heads, k, h), head_cols(v, heads, vfeat, h));
+        oracle::attention_f64(&a, &q, kt, &v, k, vfeat)
+            .check(&head_cols(out, heads, vfeat, h))
+            .unwrap_or_else(|e| panic!("head {h}: {e}"));
     }
 }
 
@@ -1305,17 +1239,15 @@ fn views_fused_sage_bit_matches_whole_tensors() {
     let f = fused_sage_ir(&a, feat, hidden).unwrap();
     structure.insert("Dinv".to_string(), TensorData::from(inverse_degrees(&a)));
     structure.insert("Agg".to_string(), TensorData::zeros(DType::F32, a.rows() * feat));
-    for (x_cut, h_cut) in column_cuts(feat).into_iter().zip(column_cuts(hidden)) {
-        let parts = [
-            Part::new("X", Some(a.cols()), x_cut, &mut rng),
-            Part::new("W", Some(feat), h_cut.clone(), &mut rng),
-            Part::output("H1", a.rows(), h_cut),
-        ];
-        assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
-        let t = interpreted(&f, &structure, &parts);
-        let [x, w, h1] = ["X", "W", "H1"].map(|n| t[n].as_f32());
-        oracle::sage_f64(&a, x, w, feat, hidden).check(h1).unwrap();
-    }
+    let parts = [
+        Part::new("X", a.cols() * feat, &mut rng),
+        Part::new("W", feat * hidden, &mut rng),
+        Part::output("H1", a.rows() * hidden, 0.0),
+    ];
+    assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
+    let t = interpreted(&f, &structure, &parts);
+    let [x, w, h1] = ["X", "W", "H1"].map(|n| t[n].as_f32());
+    oracle::sage_f64(&a, x, w, feat, hidden).check(h1).unwrap();
 }
 
 /// Failure paths on the batched-SDDMM function: a binding short of what
@@ -1330,12 +1262,11 @@ fn views_short_segment_and_read_only_store_fail_identically() {
     let (a, structure, mut rng) = views_fixture(0x54);
     let (heads, k) = (3, 2);
     let f = batched_sddmm_ir(&a, heads, k).unwrap();
-    let full = (vec![heads * k], vec![heads]);
-    // `X` misses its last column segment; `Y` its last head.
-    let short_x = sddmm_parts(&a, (heads, k), (vec![2, 2], vec![heads]), &mut rng);
-    let mut short_y = sddmm_parts(&a, (heads, k), full.clone(), &mut rng);
-    short_y[1].widths[0] -= k * a.cols();
-    short_y[1].segs[0].truncate(short_y[1].widths[0]);
+    // `X` misses its last rows' last head; `Y` its last head.
+    let mut short_x = sddmm_parts(&a, (heads, k), &mut rng);
+    short_x[0].data.truncate((a.rows() - 1) * heads * k + 2);
+    let mut short_y = sddmm_parts(&a, (heads, k), &mut rng);
+    short_y[1].data.truncate((heads - 1) * k * a.cols());
     for (parts, buffer) in [(short_x, "`X`"), (short_y, "`Y`")] {
         let errs = views_differential(&f, &structure, &parts);
         let want = errs[0].clone().expect("a short binding must fail");
@@ -1345,16 +1276,16 @@ fn views_short_segment_and_read_only_store_fail_identically() {
 
     // `run` has no read-only bindings to compare against: bind the views
     // by hand. The outputs hold 9.0, which no launch leaves if it writes.
-    let mut batched = sddmm_parts(&a, (heads, k), full, &mut rng).to_vec();
-    batched[2].writable = false;
-    let mut one_head = sddmm_parts(&a, (1, k), (vec![k], vec![1]), &mut rng).to_vec();
-    one_head[2] = Part { writable: false, ..Part::flat_output("Bout", a.nnz(), 9.0) };
+    let mut batched = sddmm_parts(&a, (heads, k), &mut rng).to_vec();
+    batched[2] = Part { writable: false, ..Part::output("Bout", a.nnz() * heads, 9.0) };
+    let mut one_head = sddmm_parts(&a, (1, k), &mut rng).to_vec();
+    one_head[2] = Part { writable: false, ..Part::output("Bout", a.nnz(), 9.0) };
     let d = 5;
     let (spmm, mut spmm_structure) = served_spmm(&a, d);
     spmm_structure.extend(structure.clone());
     let spmm_parts = vec![
-        Part::new("B", None, vec![a.cols() * d], &mut rng),
-        Part { writable: false, ..Part::flat_output("C", a.rows() * d, 9.0) },
+        Part::new("B", a.cols() * d, &mut rng),
+        Part { writable: false, ..Part::output("C", a.rows() * d, 9.0) },
     ];
     assert_eq!(nests(&spmm), ["nest.axpy"]);
     let cases = [
@@ -1363,11 +1294,11 @@ fn views_short_segment_and_read_only_store_fail_identically() {
         ("served spmm", spmm, &spmm_structure, spmm_parts, "C"),
     ];
     for (what, f, structure, mut parts, out) in cases {
-        let before = parts.last().unwrap().segs.clone();
+        let before = parts.last().unwrap().data.clone();
         for (fuse, label) in EXECUTORS {
             let mut tensors = structure.clone();
             let mut views = ViewBindings::from_tensors(&mut tensors);
-            parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
+            parts.iter_mut().for_each(|p| p.bind(&mut views));
             let ran = CompiledKernel::compile_with(&f, fuse)
                 .unwrap()
                 .run_views(&HashMap::new(), &mut views)
@@ -1375,7 +1306,7 @@ fn views_short_segment_and_read_only_store_fail_identically() {
             let want = format!("executor error: buffer `{out}` is bound to a read-only view");
             assert_eq!(ran, Err(want), "{what} [{label}]");
             drop(views);
-            assert_eq!(parts.last().unwrap().segs, before, "{what} [{label}]: output untouched");
+            assert_eq!(parts.last().unwrap().data, before, "{what} [{label}]: output untouched");
         }
     }
 }
@@ -1405,10 +1336,8 @@ fn serial_spmm(a: &Csr, d: usize) -> PrimFunc {
 /// Widths the split divides (one coalesced `k_o × 32` lane run per
 /// non-zero) and 48, where it leaves a guarded tail: an `if` in the lane
 /// body keeps the whole nest on generic dispatch. Every width must agree
-/// with the interpreter whole and through one, three and mixed-width
-/// column segments (cuts off the 32-lane boundaries, so coalesced runs
-/// cross segments mid-chunk), and fail identically on a `B` one segment
-/// short.
+/// with the interpreter whole and sliced, and fail identically on a `B` a
+/// third short.
 #[test]
 fn views_split_k_spmm_bit_matches_at_every_width() {
     let (a, structure, mut rng) = views_fixture(0x55);
@@ -1420,25 +1349,15 @@ fn views_split_k_spmm_bit_matches_at_every_width() {
         assert_eq!(fused.disassemble().contains("coalesced"), divides, "d = {d}");
         // A nest needs a fused lane loop under it: none at d = 48.
         assert_eq!(nests(&f).len(), usize::from(divides), "d = {d}");
-        for cut in column_cuts(d) {
-            let parts = [
-                Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
-                Part::output("C", a.rows(), cut),
-            ];
-            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "d = {d}");
-            let t = interpreted(&f, &structure, &parts);
-            oracle::spmm_f64(&a, t["B"].as_f32(), d)
-                .check(t["C"].as_f32())
-                .unwrap_or_else(|e| panic!("d = {d}: {e}"));
-        }
+        let parts = [Part::new("B", a.cols() * d, &mut rng), Part::output("C", a.rows() * d, 0.0)];
+        assert_eq!(views_differential(&f, &structure, &parts), [None, None], "d = {d}");
+        let t = interpreted(&f, &structure, &parts);
+        oracle::spmm_f64(&a, t["B"].as_f32(), d)
+            .check(t["C"].as_f32())
+            .unwrap_or_else(|e| panic!("d = {d}: {e}"));
 
-        let cut = &column_cuts(d)[1];
-        let mut short = [
-            Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
-            Part::output("C", a.rows(), cut.clone()),
-        ];
-        short[0].segs.pop();
-        short[0].widths.pop();
+        let mut short = parts.clone();
+        short[0].data.truncate(a.cols() * (d / 3 * 2));
         let errs = views_differential(&f, &structure, &short);
         let want = errs[0].clone().expect("a short binding must fail");
         assert!(want.contains("out of bounds") && want.contains("`B`"), "d = {d}: {want}");
@@ -1717,8 +1636,8 @@ fn launch_counts(
 /// `for i_o: blockIdx.x { for i_i in 0..4 { [if r < rows] nest } }` (row
 /// counts the blocks divide, and ones that leave the guard), a plain
 /// `for i` (the serial SpMM and the one-head SDDMM), and `hyb` buckets
-/// whose row comes through a row-id buffer. Whole tensors and one, three
-/// and mixed-width column segments; fused vs all-generic vs interpreter,
+/// whose row comes through a row-id buffer. Whole tensors and borrowed
+/// slices; fused vs all-generic vs interpreter,
 /// bit for bit. And the fast path is the one taken: a block takes every
 /// entry of each nest, the first included — `hyb`'s init nest, outside any
 /// row loop, as a block of one entry.
@@ -1756,18 +1675,14 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
             let n_nests = nests(&f).len();
             assert!(n_nests >= 1, "rows {lens:?}, {what}");
             assert_eq!(entry_programs(&f), n_nests, "rows {lens:?}, {what}: a program each");
-            for cut in column_cuts(d) {
-                let parts = [
-                    Part::new("B", Some(a.cols()), cut.clone(), &mut rng),
-                    Part::output("C", a.rows(), cut),
-                ];
-                let ran = views_differential(&f, &structure, &parts);
-                assert_eq!(ran, [None, None], "rows {lens:?}, {what}");
-                let t = interpreted(&f, &structure, &parts);
-                oracle::spmm_f64(&a, t["B"].as_f32(), d)
-                    .check(t["C"].as_f32())
-                    .unwrap_or_else(|m| panic!("rows {lens:?}, {what}: {m}"));
-            }
+            let parts =
+                [Part::new("B", a.cols() * d, &mut rng), Part::output("C", a.rows() * d, 0.0)];
+            let ran = views_differential(&f, &structure, &parts);
+            assert_eq!(ran, [None, None], "rows {lens:?}, {what}");
+            let t = interpreted(&f, &structure, &parts);
+            oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                .check(t["C"].as_f32())
+                .unwrap_or_else(|m| panic!("rows {lens:?}, {what}: {m}"));
             let mut whole = structure.clone();
             whole.insert("B".to_string(), TensorData::from(vec![0.5f32; a.cols() * d]));
             whole.insert("C".to_string(), TensorData::from(vec![0.0f32; a.rows() * d]));
@@ -1783,16 +1698,14 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
 
         let f = batched_sddmm_ir(&a, 1, k).unwrap();
         assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.gsa ".to_string()], 1));
-        for (x_cut, out_cut) in column_cuts(k).into_iter().zip(column_cuts(1)) {
-            let parts = sddmm_parts(&a, (1, k), (x_cut, out_cut), &mut rng);
-            let ran = views_differential(&f, &csr_tensors(&a), &parts);
-            assert_eq!(ran, [None, None], "rows {lens:?}, sddmm");
-            let t = interpreted(&f, &csr_tensors(&a), &parts);
-            let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
-            oracle::sddmm_f64(&a, x, y, k)
-                .check(out)
-                .unwrap_or_else(|m| panic!("rows {lens:?}, sddmm: {m}"));
-        }
+        let parts = sddmm_parts(&a, (1, k), &mut rng);
+        let ran = views_differential(&f, &csr_tensors(&a), &parts);
+        assert_eq!(ran, [None, None], "rows {lens:?}, sddmm");
+        let t = interpreted(&f, &csr_tensors(&a), &parts);
+        let [x, y, out] = ["X", "Y", "Bout"].map(|n| t[n].as_f32());
+        oracle::sddmm_f64(&a, x, y, k)
+            .check(out)
+            .unwrap_or_else(|m| panic!("rows {lens:?}, sddmm: {m}"));
     }
 }
 
@@ -2056,7 +1969,7 @@ fn ratio_f64(rule: EntryRule, t: &HashMap<String, TensorData>) -> oracle::Oracle
 }
 
 /// Attention's one-head aggregation on the stepped fixture: structure, `P`
-/// and `Sum` whole, `V` and `Out` cut into segments.
+/// and `Sum` whole, `V` and `Out` slices.
 fn ratio_aggregate(
     a: &Csr,
     d: usize,
@@ -2069,15 +1982,12 @@ fn ratio_aggregate(
     };
     structure.insert("P".to_string(), positive(a.nnz(), rng));
     structure.insert("Sum".to_string(), positive(a.rows(), rng));
-    // Mixed widths around a zero-width segment.
-    let [.., cut] = column_cuts(d);
-    let parts =
-        [Part::new("V", Some(a.cols()), cut.clone(), rng), Part::output("Out", a.rows(), cut)];
+    let parts = [Part::new("V", a.cols() * d, rng), Part::output("Out", a.rows() * d, 0.0)];
     (f, structure, parts)
 }
 
 /// The ratio's failure modes and IEEE corners on every binding, whole and
-/// segmented, against the interpreter: a factor of ±0, NaN or ±inf in the
+/// sliced, against the interpreter: a factor of ±0, NaN or ±inf in the
 /// launch's first row and in later ones — bits; `Sum` one row short of
 /// what an entry loads — the entry falls back and fails with the
 /// interpreter's text and prefix; `P` ending mid-row — the same, trips in.
@@ -2127,8 +2037,8 @@ fn stepped_fixture() -> Csr {
     gen::random_csr_with_row_lengths(lens.len(), 24, |_| next.next().unwrap(), &mut gen::rng(0x69))
 }
 
-/// One view launch of `f` on a fresh fused build with `parts` bound
-/// segmented: what its row nests counted, and the parts as it left them.
+/// One view launch of `f` on a fresh fused build with `parts` bound as
+/// slices: what its row nests counted, and the parts as it left them.
 fn view_launch(
     f: &PrimFunc,
     structure: &HashMap<String, TensorData>,
@@ -2137,7 +2047,7 @@ fn view_launch(
     let kernel = CompiledKernel::compile(f).unwrap();
     let (mut tensors, mut parts) = (structure.clone(), parts.to_vec());
     let mut views = ViewBindings::from_tensors(&mut tensors);
-    parts.iter_mut().for_each(|p| p.bind(&mut views).unwrap());
+    parts.iter_mut().for_each(|p| p.bind(&mut views));
     kernel.run_views(&HashMap::new(), &mut views).unwrap();
     (kernel.nest_counts(), parts)
 }
@@ -2152,47 +2062,53 @@ fn assert_stepped(counts: NestCounts, trips: u64, what: &str) {
     );
 }
 
-/// The served CSR SpMM — the default schedule, its vector split widened
-/// over the stacked width as `spmm_execute_views_on` does — at lane counts
-/// around the vector widths, for one request and for batches of three and
-/// eight with unequal widths (so the batch binds `B` and `C` as several
-/// column segments and a lane run crosses them): interpreter ≡ generic ≡
-/// fused, whole and segmented, bit for bit; every request's output within
-/// the `f64` oracle's bound; and every trip stepped.
+/// The served CSR SpMM — the default schedule, its vector split widened to
+/// the rider's width as `spmm_execute_views_on` does — at lane counts
+/// around the vector widths, for one rider and for batches of three and
+/// eight run back to back on one kernel, each rider's `B` and `C` bound as
+/// its own slices: interpreter ≡ generic ≡ fused, whole and sliced, bit for
+/// bit; every rider's output the same bits as its solo launch on a fresh
+/// kernel and within the `f64` oracle's bound; and every trip of every
+/// launch stepped.
 #[test]
 fn stepped_spmm_bit_matches_at_every_width_and_batch() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6a));
     for d in [1usize, 3, 4, 16, 17, 48] {
+        let (f, structure) = served_spmm(&a, d);
+        assert_eq!((nests(&f), entry_programs(&f)), (vec!["nest.axpy".to_string()], 1), "d = {d}");
         for batch in [1usize, 3, 8] {
-            let widths: Vec<usize> = (0..batch).map(|i| d + i % 3).collect();
-            let feat: usize = widths.iter().sum();
-            let mut config = SpmmConfig::default_csr();
-            config.params.vec_width = config.params.vec_width.max(feat.div_ceil(8));
-            let (f, structure) = prepare_spmm_structure(&a, feat, &config).unwrap();
             let what = format!("d = {d}, batch of {batch}");
-            assert_eq!(
-                (nests(&f), entry_programs(&f)),
-                (vec!["nest.axpy".to_string()], 1),
-                "{what}"
-            );
-            let parts = [
-                Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
-                Part::output("C", a.rows(), widths.clone()),
-            ];
-            assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
-            let (counts, after) = view_launch(&f, &structure, &parts);
-            assert_stepped(counts, a.nnz() as u64, &what);
-            for (i, &w) in widths.iter().enumerate() {
-                oracle::spmm_f64(&a, &after[0].segs[i], w)
-                    .check(&after[1].segs[i])
-                    .unwrap_or_else(|e| panic!("{what}, request {i}: {e}"));
+            let riders: Vec<[Part; 2]> = (0..batch)
+                .map(|_| {
+                    [Part::new("B", a.cols() * d, &mut rng), Part::output("C", a.rows() * d, 0.0)]
+                })
+                .collect();
+            let kernel = CompiledKernel::compile(&f).unwrap();
+            let mut tensors = structure.clone();
+            for (i, rider) in riders.iter().enumerate() {
+                assert_eq!(views_differential(&f, &structure, rider), [None, None], "{what}");
+                let mut served = rider.clone();
+                let mut views = ViewBindings::from_tensors(&mut tensors);
+                served.iter_mut().for_each(|p| p.bind(&mut views));
+                kernel.run_views(&HashMap::new(), &mut views).unwrap();
+                drop(views);
+                let (solo, alone) = view_launch(&f, &structure, rider);
+                assert_stepped(solo, a.nnz() as u64, &what);
+                let [served_c, alone_c] =
+                    [&served[1], &alone[1]].map(|p| TensorData::from(p.data.clone()));
+                assert_bits_eq("C", &served_c, &alone_c)
+                    .unwrap_or_else(|e| panic!("{what}, rider {i}: {e}"));
+                oracle::spmm_f64(&a, &served[0].data, d)
+                    .check(&served[1].data)
+                    .unwrap_or_else(|e| panic!("{what}, rider {i}: {e}"));
             }
+            assert_stepped(kernel.nest_counts(), (batch * a.nnz()) as u64, &what);
         }
     }
 }
 
 /// The served SDDMM at one head — the row's non-zero loop is the nest, its
-/// operands a one-segment `X` and `Bout` and a flat `Y`, every trip
+/// operands flat slices, every trip
 /// stepped — and the three-head program, whose head loop is no nest (its
 /// output position mixes the row's loaded start and the non-zero's slot,
 /// which a block does not take): every `(non-zero, head)` a
@@ -2205,8 +2121,7 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
         for heads in [1usize, 3] {
             let f = batched_sddmm_ir(&a, heads, k).unwrap();
             let what = format!("k = {k}, {heads} heads");
-            let cuts = (vec![k; heads], vec![1; heads]);
-            let parts = sddmm_parts(&a, (heads, k), cuts, &mut rng);
+            let parts = sddmm_parts(&a, (heads, k), &mut rng);
             assert_eq!(views_differential(&f, &csr_tensors(&a), &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &csr_tensors(&a), &parts);
             if heads == 1 {
@@ -2215,10 +2130,11 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
                 assert!(nests(&f).is_empty(), "{what}");
                 assert_eq!(counts, NestCounts::default(), "{what}");
             }
+            let [x, y, out] = [0, 1, 2].map(|p| &after[p].data);
             for h in 0..heads {
-                let y = &after[1].segs[0][h * k * a.cols()..(h + 1) * k * a.cols()];
-                oracle::sddmm_f64(&a, &after[0].segs[h], y, k)
-                    .check(&after[2].segs[h])
+                let y = &y[h * k * a.cols()..(h + 1) * k * a.cols()];
+                oracle::sddmm_f64(&a, &head_cols(x, heads, k, h), y, k)
+                    .check(&head_cols(out, heads, 1, h))
                     .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
             }
         }
@@ -2226,15 +2142,15 @@ fn stepped_sddmm_bit_matches_at_every_width_and_head_count() {
 }
 
 /// The served fused attention and fused SAGE at lane counts around the
-/// vector widths, on the stepped fixture, `Q` / `V` / `Out` cut one column
-/// segment per head and `KT` one flat slice: interpreter ≡ generic ≡
-/// fused, whole and view-bound, bit for bit; every head's output within the `f64`
-/// oracle's bound. One-head attention walks five nests — the score, the
-/// three softmax passes and the ratio-weighted aggregation — SAGE two — the
-/// gather and the `Agg · Dinv`-weighted transform — every trip stepped;
-/// the three-head program's softmax passes are nests entered once per row,
-/// every trip stepped, its score and aggregation no nests (as the
-/// three-head SDDMM's head loop).
+/// vector widths, on the stepped fixture, every operand one flat slice:
+/// interpreter ≡ generic ≡ fused, whole and view-bound, bit for bit;
+/// every head's output within the `f64` oracle's bound. One-head attention
+/// walks five nests — the score, the three softmax passes and the
+/// ratio-weighted aggregation — SAGE two — the gather and the
+/// `Agg · Dinv`-weighted transform — every trip stepped; the three-head
+/// program's softmax passes are nests entered once per row, every trip
+/// stepped, its score and aggregation no nests (as the three-head SDDMM's
+/// head loop).
 #[test]
 fn stepped_attention_and_sage_bit_match_at_every_width() {
     let (a, mut rng) = (stepped_fixture(), gen::rng(0x6d));
@@ -2248,10 +2164,10 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
                 structure.insert(name.to_string(), TensorData::zeros(DType::F32, len * heads));
             }
             let parts = [
-                Part::new("Q", Some(rows), vec![d; heads], &mut rng),
-                Part::new("KT", None, vec![heads * d * a.cols()], &mut rng),
-                Part::new("V", Some(a.cols()), vec![d; heads], &mut rng),
-                Part::output("Out", rows, vec![d; heads]),
+                Part::new("Q", rows * heads * d, &mut rng),
+                Part::new("KT", heads * d * a.cols(), &mut rng),
+                Part::new("V", a.cols() * heads * d, &mut rng),
+                Part::output("Out", rows * heads * d, 0.0),
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
@@ -2260,10 +2176,10 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             assert_eq!(counts.entries, (passes * rows) as u64, "{what}");
             assert_stepped(counts, (passes * nnz) as u64, &what);
             for h in 0..heads {
-                let [q, v, out] = [0, 2, 3].map(|p| &after[p].segs[h]);
-                let kt = &after[1].segs[0][h * d * a.cols()..(h + 1) * d * a.cols()];
-                oracle::attention_f64(&a, q, kt, v, d, d)
-                    .check(out)
+                let [q, v, out] = [0, 2, 3].map(|p| head_cols(&after[p].data, heads, d, h));
+                let kt = &after[1].data[h * d * a.cols()..(h + 1) * d * a.cols()];
+                oracle::attention_f64(&a, &q, kt, &v, d, d)
+                    .check(&out)
                     .unwrap_or_else(|e| panic!("{what}, head {h}: {e}"));
             }
         }
@@ -2274,16 +2190,16 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             structure.insert("Dinv".to_string(), TensorData::from(inverse_degrees(&a)));
             structure.insert("Agg".to_string(), TensorData::zeros(DType::F32, rows * feat));
             let parts = [
-                Part::new("X", Some(a.cols()), vec![feat], &mut rng),
-                Part::new("W", Some(feat), vec![hidden], &mut rng),
-                Part::output("H1", rows, vec![hidden]),
+                Part::new("X", a.cols() * feat, &mut rng),
+                Part::new("W", feat * hidden, &mut rng),
+                Part::output("H1", rows * hidden, 0.0),
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
             // One input is a unit-trip bind: the transform has no nest.
             let trips = (nnz + if feat > 1 { rows * feat } else { 0 }) as u64;
             assert_stepped(counts, trips, &what);
-            let [x, w, h1] = [0, 1, 2].map(|p| &after[p].segs[0]);
+            let [x, w, h1] = [0, 1, 2].map(|p| &after[p].data);
             oracle::sage_f64(&a, x, w, feat, hidden)
                 .check(h1)
                 .unwrap_or_else(|e| panic!("{what}: {e}"));
@@ -3051,29 +2967,6 @@ fn row_blocks_hand_bad_structure_to_the_nest() {
     }
 }
 
-/// A batch of eight bound as views: `C` and `B` cut into eight column
-/// segments of unequal widths (a lane run crossing them; every row in a
-/// block), against the interpreter bit for bit.
-#[test]
-fn row_blocks_bit_match_on_segmented_batches() {
-    let mut rng = gen::rng(0x73);
-    let lens = [5usize, 0, 1, 3, 2, 0, 6, 1, 1, 4, 0, 2, 7];
-    let mut next = lens.iter().copied();
-    let a = gen::random_csr_with_row_lengths(lens.len(), 20, |_| next.next().unwrap(), &mut rng);
-    let widths: Vec<usize> = (0..8).map(|i| 2 + i / 2 % 2).collect();
-    let feat: usize = widths.iter().sum();
-    let (f, structure) = served_spmm(&a, feat);
-    let cols = [
-        Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
-        Part::output("C", a.rows(), widths.clone()),
-    ];
-    assert_eq!(views_differential(&f, &structure, &cols), [None, None]);
-    let (counts, _) = view_launch(&f, &structure, &cols);
-    let rows = a.rows() as u64;
-    assert_eq!((counts.entries, counts.blocked), (rows, rows), "{counts:?}");
-    assert_stepped(counts, a.nnz() as u64, "column segments");
-}
-
 // ---------------------------------------------------------------------------
 // Family 6g: the CSR row loop
 // ---------------------------------------------------------------------------
@@ -3232,43 +3125,6 @@ fn csr_rows_split_with_a_tail_guard() {
         let tail = lens.len() - 1;
         let pokes = [("J_indptr", tail - 1, 1), ("J_indptr", tail, -1)];
         csr_rows_case(&a, &pokes, Some("out of bounds"), &format!("rows {lens:?}, bad tail"));
-    }
-}
-
-/// The column-segmented batch of eight (`SEG` on): `B` and `C` cut into
-/// eight column segments of unequal widths, a lane run crossing them —
-/// well-formed, with a decreasing `indptr`, and with a `cur` that fails
-/// after an empty row: interpreter ≡ generic ≡ fused, whole and segmented.
-#[test]
-fn csr_rows_segmented_batch_of_eight() {
-    let mut rng = gen::rng(0x79);
-    let a = csr_of(&[5, 0, 1, 3, 2, 0, 6, 1, 1, 4, 0, 2, 7], 20, &mut rng);
-    let widths: Vec<usize> = (0..8).map(|i| 2 + i / 2 % 2).collect();
-    let feat: usize = widths.iter().sum();
-    let (f, structure) = served_spmm(&a, feat);
-    assert_eq!(row_layouts(&f), ["csr", "csr"]);
-    let parts = [
-        Part::new("B", Some(a.cols()), widths.clone(), &mut rng),
-        Part::output("C", a.rows(), widths.clone()),
-    ];
-    assert_eq!(views_differential(&f, &structure, &parts), [None, None]);
-    let t = interpreted(&f, &structure, &parts);
-    oracle::spmm_f64(&a, t["B"].as_f32(), feat).check(t["C"].as_f32()).unwrap();
-    let (counts, _) = view_launch(&f, &structure, &parts);
-    assert_eq!(counts.entries, a.rows() as u64, "{counts:?}");
-    assert_stepped(counts, a.nnz() as u64, "column segments");
-
-    let at = |r: usize| i32::try_from(a.indptr()[r]).unwrap();
-    for (pokes, says) in
-        [(vec![("J_indptr", 5, at(3))], None), (vec![("J_indptr", 6, -4)], Some("out of bounds"))]
-    {
-        let mut bad = structure.clone();
-        pokes.into_iter().for_each(|p| poke(&mut bad, p));
-        let got = views_differential(&f, &bad, &parts);
-        match says {
-            Some(says) => assert!(got.iter().all(|e| e.as_ref().is_some_and(|e| e.contains(says)))),
-            None => assert_eq!(got, [None, None]),
-        }
     }
 }
 

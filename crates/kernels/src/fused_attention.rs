@@ -158,8 +158,8 @@ struct Operands<'a> {
 /// What the fused entry point and the pipeline oracle share: validate
 /// the heads, bind the adjacency and the pool-drawn softmax
 /// intermediates `S`/`M`/`P`/`Sum` for `scratch_heads` heads at once, hand
-/// `launches` the operand segments and the outputs, and return the scratch
-/// to the pool.
+/// `launches` the operands and the outputs, and return the scratch to the
+/// pool.
 fn with_operands(
     rt: &Runtime,
     a: &Csr,
@@ -253,13 +253,14 @@ pub fn fused_attention_views_on(
 
 /// **Test reference, not a serving path:** the same attention as three
 /// launches (score SDDMM, edge-softmax, aggregation) of the multi-head
-/// programs over the operands [`fused_attention_views_on`] takes — `Q`,
-/// `V` and the outputs stacked as column segments of the logical tensors,
-/// the heads' `KT` copied into one stacked buffer — bit-identical to it
-/// (see the module docs). The launches share one binding map, so the
-/// intermediates (`S`, then `P`/`Sum`) stay in place between them instead
-/// of round-tripping through fresh copies. Compiles three kernels on `rt`
-/// where the fused entry point compiles one.
+/// programs over the operands [`fused_attention_views_on`] takes — the
+/// heads' `Q`, `KT` and `V` copied into the stacked tensors the programs
+/// are written against, and the stacked `Out` split back into the outputs
+/// after the last launch — bit-identical to it (see the module docs). The
+/// launches share one binding map, so the intermediates (`S`, then
+/// `P`/`Sum`) stay in place between them instead of round-tripping through
+/// fresh copies. Compiles three kernels on `rt` where the fused entry point
+/// compiles one.
 ///
 /// # Errors
 /// As [`fused_attention_views_on`].
@@ -274,24 +275,41 @@ pub fn attention_pipeline_oracle(
     let heads = qs.len();
     with_operands(rt, a, (qs, kts, vs), outs, heads, |ops, b, outs| {
         let scalars = HashMap::new();
-        let q_segs: Vec<_> = ops.qs.iter().map(|q| (q.data(), ops.k)).collect();
+        let (q, v) = (stack_cols(ops.qs), stack_cols(ops.vs));
         let kt: Vec<f32> = ops.kts.iter().flat_map(|kt| kt.data()).copied().collect();
-        let v_segs: Vec<_> = ops.vs.iter().map(|v| (v.data(), ops.vfeat)).collect();
-        let out_segs = outs.iter_mut().map(|o| (o.data_mut(), ops.vfeat)).collect();
+        let w = ops.vfeat;
+        let mut out = vec![0.0f32; a.rows() * heads * w];
         let mut views = ViewBindings::from_tensors(b);
-        views.bind_cols("Q", ColsView::read(a.rows(), &q_segs)?);
+        views.bind_slice("Q", &q);
         views.bind_slice("KT", &kt);
-        views.bind_cols("V", ColsView::read(a.cols(), &v_segs)?);
-        views.bind_cols("Out", ColsView::write(a.rows(), out_segs)?);
+        views.bind_slice("V", &v);
+        views.bind_slice_mut("Out", &mut out);
         for f in [
             attention_score_ir(a, heads, ops.k)?,
             edge_softmax_ir(a, heads)?,
-            attention_aggregate_ir(a, heads, ops.vfeat)?,
+            attention_aggregate_ir(a, heads, w)?,
         ] {
             rt.compile(&f)?.run_views(&scalars, &mut views)?;
         }
+        drop(views);
+        for (h, o) in outs.iter_mut().enumerate() {
+            for r in 0..a.rows() {
+                let at = (r * heads + h) * w;
+                o.data_mut()[r * w..(r + 1) * w].copy_from_slice(&out[at..at + w]);
+            }
+        }
         Ok(())
     })
+}
+
+/// The heads' `rows × w` operands side by side: one row-major
+/// `rows × heads·w` tensor, head `h` owning columns `[h·w, (h + 1)·w)`.
+fn stack_cols(heads: &[&Dense]) -> Vec<f32> {
+    let (rows, w) = (heads[0].rows(), heads[0].cols());
+    (0..rows)
+        .flat_map(|r| heads.iter().flat_map(move |h| &h.data()[r * w..(r + 1) * w]))
+        .copied()
+        .collect()
 }
 
 /// Pure-Rust reference: per-row masked softmax attention with f64

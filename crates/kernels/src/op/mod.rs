@@ -25,25 +25,18 @@
 //!
 //! A `launch` allocates one zeroed output per rider and hands riders and
 //! outputs to the op's single kernel entry point, which binds them in
-//! place as the tensors its IR is written against — column segments
-//! (`ColsView` from `sparsetir-ir`) or flat slices — without copying. Two
-//! batch shapes cover all batched ops:
-//! * **Column segments** (SpMM): rider `i`'s feature operand is
-//!   columns `[Σ_{<i} w, Σ_{≤i} w)` of one logical operand of width
-//!   `Σ wᵢ`, and the schedule's vector split is widened to span it — one
-//!   widened kernel run. Splitting the (spatial) feature axis differently
-//!   never changes an output column's reduction order, so results are
-//!   bit-identical to unbatched execution.
-//! * **One head per run** (SDDMM, fused attention): the entry point
-//!   compiles the one-head kernel and binds the adjacency once, then runs
-//!   the kernel once per rider (attention: per head) on that rider's own
-//!   storage, bound as flat slices — exactly the launch the rider would make alone, so
-//!   a rider costs what a solo launch does and its bits are its own. A
-//!   batch shares the per-launch fixed costs (kernel lookup, structure
-//!   binding, scratch); the multi-head program with the head axis inside
-//!   each row's non-zero loop ([`crate::sddmm::batched_sddmm_ir`]) stays a
-//!   test and oracle builder: its head loop walks no row, and a rider cost
-//!   1.6–4× a solo launch there.
+//! place, as flat slices of the tensors its IR is written against, without
+//! copying. One batch shape covers every batched op (SpMM, SDDMM, fused
+//! attention): the entry point looks up the one-rider kernel and binds the
+//! adjacency once, then runs the kernel once per rider (attention: per
+//! head) on that rider's own storage — exactly the launch the rider would
+//! make alone, so a rider costs what a solo launch does and its bits are
+//! its own. Riders batch when they share the widths the kernel is compiled
+//! at. A batch shares the per-launch fixed costs (kernel lookup, structure
+//! binding, scratch); the multi-head program with the head axis inside
+//! each row's non-zero loop ([`crate::sddmm::batched_sddmm_ir`]) stays a
+//! test and oracle builder: its head loop walks no row, and a rider cost
+//! 1.6–4× a solo launch there.
 //!
 //! The `bytes_copied` thread counter (`sparsetir-core`) tallies any
 //! dense bytes copied into or out of a whole-tensor binding; every
@@ -102,9 +95,9 @@ pub trait SparseOp {
 
     /// Run `reqs` as one launch through `rt`'s kernel cache and
     /// return one output per request, in order — the zero-copy batching
-    /// primitive: every dense rider operand binds as a segmented view
-    /// over the request's own storage and results are written in place
-    /// into per-rider buffers. Callers pass a non-empty batch of
+    /// primitive: every dense rider operand binds as a flat slice of the
+    /// request's own storage and results are written in place into
+    /// per-rider buffers. Callers pass a non-empty batch of
     /// [`validate`](SparseOp::validate)d, pairwise
     /// [`can_batch`](SparseOp::can_batch) requests, so a never-batching
     /// op sees exactly one ([`execute_batch_on`](SparseOp::execute_batch_on)

@@ -6,7 +6,9 @@ use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
 
 /// SpMM (`A · X`) as a [`SparseOp`]: one dense feature operand per
-/// request, batched as column segments of one widened launch.
+/// request; requests batch when their widths agree, folding into one
+/// launch that runs the one-rider kernel once per rider, the adjacency
+/// bound once.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpmmOp;
 
@@ -23,9 +25,10 @@ impl SparseOp for SpmmOp {
         spmm::check_shapes(adj, req)
     }
 
-    fn can_batch(_lhs: &Dense, _rhs: &Dense) -> bool {
-        // Column segments are width-agnostic: any widths fold together.
-        true
+    fn can_batch(lhs: &Dense, rhs: &Dense) -> bool {
+        // One launch runs one kernel, compiled at one width, once per
+        // rider.
+        lhs.cols() == rhs.cols()
     }
 
     fn launch(

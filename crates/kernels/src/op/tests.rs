@@ -22,22 +22,39 @@ fn hyb_arm() -> SpmmConfig {
 fn spmm_op_batch_matches_singles() {
     let mut rng = gen::rng(71);
     let a = gen::random_csr(18, 14, 0.25, &mut rng);
-    let xs: Vec<Dense> =
-        [3usize, 0, 1, 5].iter().map(|&w| gen::random_dense(14, w, &mut rng)).collect();
+    // A batch of three at each width, the 0 and 1 edge cases included.
+    let batches: Vec<Vec<Dense>> = [3usize, 0, 1, 5]
+        .iter()
+        .map(|&w| (0..3).map(|_| gen::random_dense(14, w, &mut rng)).collect())
+        .collect();
     let rt = rt();
     // A non-unit `Config` reaches the IR: each configuration compiles its
     // own kernels, and every one of them computes SpMM.
     let mut compiled = rt.compilations();
     for config in [SpmmConfig::default(), hyb_arm()] {
-        let batched = SpmmOp::execute_batch_on(&rt, &a, &xs, &config).unwrap();
+        for xs in &batches {
+            assert!(xs.iter().all(|x| SpmmOp::can_batch(&xs[0], x)));
+            let batched = SpmmOp::execute_batch_on(&rt, &a, xs, &config).unwrap();
+            for (x, got) in xs.iter().zip(&batched) {
+                let want = SpmmOp::execute_on(&rt, &a, x, &config).unwrap();
+                assert!(bit_eq(got.data(), want.data()));
+                assert!(got.approx_eq(&SpmmOp::reference(&a, x).unwrap(), 1e-4));
+            }
+        }
         assert!(rt.compilations() > compiled, "{} compiled nothing new", config.label());
         compiled = rt.compilations();
-        for (x, got) in xs.iter().zip(&batched) {
-            let want = SpmmOp::execute_on(&rt, &a, x, &config).unwrap();
-            assert!(bit_eq(got.data(), want.data()));
-            assert!(got.approx_eq(&SpmmOp::reference(&a, x).unwrap(), 1e-4));
-        }
     }
+}
+
+#[test]
+fn spmm_op_refuses_mixed_widths() {
+    let mut rng = gen::rng(74);
+    let a = gen::random_csr(4, 4, 0.5, &mut rng);
+    let (narrow, wide) = (gen::random_dense(4, 2, &mut rng), gen::random_dense(4, 3, &mut rng));
+    assert!(!SpmmOp::can_batch(&narrow, &wide));
+    let err = SpmmOp::execute_batch_on(&rt(), &a, &[narrow, wide], &SpmmConfig::default())
+        .expect_err("mixed widths must be rejected");
+    assert!(err.to_string().contains("request 1"), "{err}");
 }
 
 #[test]

@@ -68,11 +68,10 @@ impl SpmmConfig {
         format!("{fmt}/rpb{}/vw{}", self.params.rows_per_block, self.params.vec_width)
     }
 
-    /// `self` as [`spmm_execute_views_on`] schedules a stacked width of
+    /// `self` as [`spmm_execute_views_on`] schedules a rider of width
     /// `feat`: the vector split widened to span it — otherwise the feature
     /// loop re-chunks into `vec_width·8`-lane pieces and the per-non-zero
-    /// overhead is paid once per chunk, exactly the cost batching exists to
-    /// amortize.
+    /// overhead is paid once per chunk.
     pub(crate) fn widened(&self, feat: usize) -> SpmmConfig {
         let mut wide = *self;
         wide.params.vec_width = self.params.vec_width.max(feat.div_ceil(8));
@@ -165,7 +164,7 @@ pub(crate) fn spmm_spec(
 /// `feat`, binding only the *structure* operands (CSR index buffers, `A`
 /// values, hyb buckets). The operand `B` and output `C` stay unbound so
 /// the caller can supply them either as whole tensors
-/// ([`prepare_spmm`]) or as segmented views over rider-owned storage
+/// ([`prepare_spmm`]) or as flat slices of rider-owned storage
 /// ([`spmm_execute_views_on`]).
 ///
 /// # Errors
@@ -213,20 +212,21 @@ pub(crate) fn check_shapes(a: &Csr, x: &Dense) -> Result<(), String> {
     Ok(())
 }
 
-/// Execute one SpMM launch with `B` and `C` bound as column-segmented
-/// views over per-request operands and outputs — the only executable
-/// SpMM entry point, for one request or a batch. Request `i` contributes
-/// `xs[i].cols()` columns to the stacked width and the kernel writes its
-/// result columns directly into `outs[i]` (which must be
-/// `a.rows() × xs[i].cols()`, zero-filled). Zero-width requests are
-/// skipped; an all-zero-width batch skips the launch. Results are
-/// bit-identical to running each request alone: view binding changes
-/// only address resolution, never per-column reduction order.
+/// Execute a batch of SpMM requests — the only executable SpMM entry
+/// point, for one request or many: the one-rider kernel at the batch's
+/// width is looked up and the adjacency bound once, then the kernel runs
+/// once per request with `B` and `C` bound as flat slices of that
+/// request's operand and output, writing `outs[i]` (which must be
+/// `a.rows() × xs[i].cols()`, zero-filled) in place. All requests share
+/// one width; an empty or zero-width batch launches nothing. Each
+/// request's launch is the one it would make alone, so results are
+/// bit-identical to running it alone, and a rider costs what a solo launch
+/// does.
 ///
 /// # Errors
-/// Rejects `xs`/`outs` of different lengths and an operand whose row
-/// count differs from `a.cols()`; propagates lowering, view-validation
-/// (mis-sized outputs) and execution errors.
+/// Rejects `xs`/`outs` of different lengths, an operand whose row count
+/// differs from `a.cols()`, mixed widths and mis-sized outputs, all before
+/// anything is written; propagates lowering and execution errors.
 pub fn spmm_execute_views_on(
     rt: &Runtime,
     a: &Csr,
@@ -237,31 +237,34 @@ pub fn spmm_execute_views_on(
     if xs.len() != outs.len() {
         return Err(format!("spmm: {} operands for {} outputs", xs.len(), outs.len()).into());
     }
-    for (i, x) in xs.iter().enumerate() {
+    let width = xs.first().map_or(0, |x| x.cols());
+    for (i, (x, out)) in xs.iter().zip(outs.iter()).enumerate() {
         check_shapes(a, x).map_err(|e| format!("spmm request {i}: {e}"))?;
+        if x.cols() != width {
+            let w = x.cols();
+            return Err(
+                format!("spmm request {i}: width {w} differs from request 0's {width}").into()
+            );
+        }
+        if (out.rows(), out.cols()) != (a.rows(), width) {
+            let (r, c) = (out.rows(), out.cols());
+            return Err(
+                format!("spmm request {i}: output of {r}x{c} for {}x{width}", a.rows()).into()
+            );
+        }
     }
-    let feat: usize = xs.iter().map(|x| x.cols()).sum();
-    if feat == 0 {
+    if width == 0 {
         return Ok(());
     }
-    let (spec, mut structure) = spmm_spec(a, feat, &config.widened(feat))?;
+    let (spec, mut structure) = spmm_spec(a, width, &config.widened(width))?;
     let kernel = spec.compile_on(rt)?;
-    let b_segs: Vec<(&[f32], usize)> =
-        xs.iter().filter(|x| x.cols() > 0).map(|x| (x.data(), x.cols())).collect();
-    let c_segs: Vec<(&mut [f32], usize)> = outs
-        .iter_mut()
-        .filter(|o| o.cols() > 0)
-        .map(|o| {
-            let w = o.cols();
-            (o.data_mut(), w)
-        })
-        .collect();
-    let b = ColsView::read(a.cols(), &b_segs)?;
-    let c = ColsView::write(a.rows(), c_segs)?;
+    let scalars = launch_scalars(a);
     let mut views = ViewBindings::from_tensors(&mut structure);
-    views.bind_cols("B", b);
-    views.bind_cols("C", c);
-    kernel.run_views(&launch_scalars(a), &mut views)?;
+    for (x, out) in xs.iter().zip(outs.iter_mut()) {
+        views.bind_slice("B", x.data());
+        views.bind_slice_mut("C", out.data_mut());
+        kernel.run_views(&scalars, &mut views)?;
+    }
     Ok(())
 }
 
@@ -325,21 +328,22 @@ mod tests {
     fn batched_execute_is_bit_identical_to_sequential() {
         let mut rng = gen::rng(51);
         let a = gen::random_csr(20, 16, 0.25, &mut rng);
-        // Mixed widths including the 0 and 1 edge cases.
-        let widths = [3usize, 0, 1, 5];
-        let xs: Vec<Dense> =
-            widths.iter().map(|&w| gen::random_dense(a.cols(), w, &mut rng)).collect();
         for config in [
             SpmmConfig::default_csr(),
             SpmmConfig { col_parts: Some(2), bucket_k: 2, params: CsrSpmmParams::default() },
         ] {
-            // One widened view launch vs one whole-tensor run per request.
-            let batched = run_views(&a, &xs, &config).unwrap();
-            for (x, got) in xs.iter().zip(&batched) {
-                let want = run_whole(&a, x, &config);
-                assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
-                for (g, w) in got.data().iter().zip(want.data()) {
-                    assert_eq!(g.to_bits(), w.to_bits(), "config {}", config.label());
+            // A batch of three riders at each width, the 0 and 1 edge cases
+            // included, against one whole-tensor run per rider.
+            for w in [3usize, 0, 1, 5] {
+                let xs: Vec<Dense> =
+                    (0..3).map(|_| gen::random_dense(a.cols(), w, &mut rng)).collect();
+                let batched = run_views(&a, &xs, &config).unwrap();
+                for (x, got) in xs.iter().zip(&batched) {
+                    let want = run_whole(&a, x, &config);
+                    assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()));
+                    for (g, w) in got.data().iter().zip(want.data()) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "config {}", config.label());
+                    }
                 }
             }
         }
@@ -373,6 +377,34 @@ mod tests {
         let err = spmm_execute_views_on(&Runtime::new(), &a, &[&good, &good], &mut [], &config)
             .expect_err("length mismatch");
         assert!(err.to_string().contains("2 operands for 0 outputs"), "{err}");
+    }
+
+    /// One batch runs one kernel at one width: a rider of another width,
+    /// and an output of the wrong shape, are refused before anything
+    /// compiles or any output is written.
+    #[test]
+    fn batched_execute_refuses_mixed_widths_and_missized_outputs() {
+        let mut rng = gen::rng(55);
+        let a = gen::random_csr(8, 8, 0.3, &mut rng);
+        let (narrow, wide) = (gen::random_dense(8, 2, &mut rng), gen::random_dense(8, 3, &mut rng));
+        let rt = Runtime::new();
+        let config = SpmmConfig::default_csr();
+        let mut outs = vec![Dense::zeros(8, 2), Dense::zeros(8, 3)];
+        let err = spmm_execute_views_on(&rt, &a, &[&narrow, &wide], &mut outs, &config)
+            .expect_err("mixed widths");
+        assert!(err.to_string().contains("request 1: width 3 differs from request 0's 2"), "{err}");
+        for (rows, cols) in [(8, 3), (7, 2), (9, 2)] {
+            let mut outs = vec![Dense::from_fn(8, 2, |_, _| 9.0), Dense::zeros(rows, cols)];
+            let err = spmm_execute_views_on(&rt, &a, &[&narrow, &narrow], &mut outs, &config)
+                .expect_err("mis-sized output");
+            let says = format!("request 1: output of {rows}x{cols} for 8x2");
+            assert!(err.to_string().contains(&says), "{err}");
+            assert!(
+                outs[0].data().iter().all(|&v| v == 9.0),
+                "request 0 written before the refusal"
+            );
+        }
+        assert_eq!(rt.compilations(), 0, "refused before anything compiles");
     }
 
     #[test]
@@ -524,7 +556,7 @@ mod crosscheck_tests {
     /// (a nest outside any row loop: a block of one entry), the SDDMM for
     /// one rider and a batch of three, each on a power-law graph, fused
     /// attention for one head (five nests) and three, and fused SAGE. The
-    /// batches run the one-head kernel once per rider, so they count what
+    /// batches run the one-rider kernel once per rider, so they count what
     /// that many solo launches would. A width-1 bucket stays as it is: its
     /// column loop is a unit-trip bind, so the lane loop is a per-row
     /// `Super` under the row loop — one non-zero per row leaves nothing to
@@ -572,7 +604,8 @@ mod crosscheck_tests {
                 assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
                 assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
             }
-            // As served: `B` and `C` the views of one request, and of eight.
+            // As served: `B` and `C` the views of one request, and of eight
+            // run back to back, each entering the nest once per row.
             for batch in [1usize, 8] {
                 let (d, rt) = (16, Runtime::new());
                 let xs: Vec<Dense> =
@@ -581,11 +614,12 @@ mod crosscheck_tests {
                 let mut outs = vec![Dense::zeros(rows, d); batch];
                 let config = SpmmConfig::default_csr();
                 spmm_execute_views_on(&rt, &a, &refs, &mut outs, &config).unwrap();
-                let (spec, _) = spmm_spec(&a, batch * d, &config.widened(batch * d)).unwrap();
+                let (spec, _) = spmm_spec(&a, d, &config.widened(d)).unwrap();
                 let kernel = spec.compile_on(&rt).unwrap();
                 assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
                 let what = format!("csr views, {rows} rows, batch of {batch}");
-                let l = assert_fast_path(&kernel, want, &what);
+                let riders = batch as u64;
+                let l = assert_fast_path(&kernel, (riders * want.0, riders * want.1), &what);
                 assert_eq!(layouts(&l), ["csr", "csr"], "{l}");
             }
         }

@@ -1,8 +1,8 @@
 //! GraphSAGE inference served through the batched engine: both
 //! aggregation SpMMs of the forward pass are submitted as engine
 //! requests, so concurrent inference clients sharing one graph get their
-//! feature aggregations folded into wider batched kernel launches while
-//! the dense GEMM/ReLU tail stays on the caller's thread (it is
+//! same-width feature aggregations batched into shared kernel launches
+//! while the dense GEMM/ReLU tail stays on the caller's thread (it is
 //! per-request by construction).
 
 use crate::graphsage::GraphSage;
@@ -179,7 +179,6 @@ mod tests {
             queue_depth: 32,
             max_batch: 8,
             batch_window: None,
-            ..EngineConfig::default()
         }));
         std::thread::scope(|s| {
             for client in 0..CLIENTS {
@@ -201,8 +200,8 @@ mod tests {
         assert_eq!(stats.completed, (CLIENTS * 4 * 2) as u64);
         assert_eq!(stats.failed, 0);
         // With a single worker and six concurrent clients, requests must
-        // have queued behind a busy dispatch and folded into wider
-        // launches at least once.
+        // have queued behind a busy dispatch and shared a launch with an
+        // aggregation of the same width at least once.
         assert!(stats.max_batch >= 2, "concurrent aggregations never batched: {stats:?}");
     }
 }

@@ -92,7 +92,6 @@ fn main() {
         queue_depth: 64,
         max_batch: 8,
         batch_window: Some(std::time::Duration::from_micros(50)),
-        ..EngineConfig::default()
     }));
     let adj = Adjacency::new(graph.clone());
     let clients = 8;

@@ -34,7 +34,6 @@ fn main() {
         queue_depth: 64,
         max_batch: 8,
         batch_window: Some(std::time::Duration::from_micros(50)),
-        ..EngineConfig::default()
     }));
 
     // --- Raw SpMM serving: 8 clients share one adjacency ------------

@@ -44,7 +44,7 @@ pub mod prelude {
     pub use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineError, EngineStats, LatencyHistogram, OpBatchWidth,
         OpOutput, OpRequest, Priority, PriorityStats, RejectReason, ShedStats, Submission,
-        SubmitOpts, Ticket, DEFAULT_DRIFT_THRESHOLD,
+        SubmitOpts, Ticket, DRIFT_THRESHOLD,
     };
     pub use sparsetir_gpusim::prelude::*;
     pub use sparsetir_graphs::prelude::*;
