@@ -851,15 +851,13 @@ pub mod ablation_bucketing {
     }
 }
 
-/// Serving throughput: requests/sec through the batched engine vs
-/// unbatched per-request execution, at 1/4/8 client threads sharing one
-/// adjacency — for SpMM, SDDMM and fused attention. The batched arms
-/// fold fingerprint-compatible concurrent requests into single launches
+/// Serving throughput: requests/sec through the batched engine at 1/4/8
+/// client threads sharing one adjacency, and for one client with many
+/// tickets in flight — for SpMM, SDDMM and fused attention. The engine
+/// folds fingerprint-compatible concurrent requests into single launches
 /// that look up the one-rider kernel and bind the adjacency once, then run
-/// the kernel once per rider on its own operands; the unbatched arms run
-/// the identical engine machinery with `max_batch = 1`, isolating the
-/// batching effect. Both arms of every op run the same (fused) kernels, so
-/// what batching saves is the per-launch fixed cost.
+/// the kernel once per rider on its own operands. The table reports how
+/// often that happened; `stbench` judges speed.
 pub mod serving_throughput {
     use super::*;
     use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket};
@@ -867,35 +865,13 @@ pub mod serving_throughput {
     use std::time::Instant;
 
     /// Floor on [`EngineStats::batching_rate`] at 8 clients, and for the
-    /// fan-out client (`1x16`), for every batched arm (armed by
+    /// fan-out client (`1x16`), for every op (armed by
     /// `SPARSETIR_BENCH_ASSERT`): with one worker and eight blocking
     /// clients, or sixteen tickets in flight, requests queue behind every
-    /// launch, so nearly all of them ride a shared one (the fan-out rows
-    /// read 0.95–1.00 in eight smoke runs when they were added). Ten
-    /// smoke runs of the PR 15 commit on the 2-core box read 0.92–0.98
-    /// (spmm) and 0.94–1.00 (sddmm), ten of this arm set 0.94–1.00 for
-    /// fused attention; the floor sits at roughly half the lowest reading — a
-    /// count that says "batching happened", not a timing.
-    ///
-    /// No arm's *speedup* is gated; all three are printed. The SDDMM and
-    /// fused-attention ones never were: their win is amortization of
-    /// per-launch fixed costs only, 1.1–1.6× on this box and inside its
-    /// wall-clock noise. The SpMM one was held to a speed-up bar until
-    /// PR 24, and that ratio measures how much per-launch fixed cost
-    /// a shared launch amortises — so it *fell* every time a launch got
-    /// cheaper: ≈ 3× at PR 15, 2.2–2.7× at PR 18, 1.85–1.99× after PR 20,
-    /// 1.53–1.78× after PR 21 (bar 2.0, then 1.2 = 80 % of the lowest of
-    /// ten). PR 24 cut the per-non-zero cost of the unbatched launch by
-    /// more than the batched one's (at launch level on this graph eight
-    /// single launches over one batch of eight went 2.34 → 1.78), and ten
-    /// smoke runs of that tree read 1.17 / 1.46 / 1.48 / 1.52 / 1.54 /
-    /// 1.58 / 1.58 / 1.70 / 1.89 / 2.06× — unbatched 310–2 187 req/s,
-    /// batched 586–3 408 on a box other tenants were loading. By the rule
-    /// the bar was set with, 80 % of the lowest is 0.94: under 1.1, where a
-    /// bar can no longer tell "a shared launch is clearly cheaper than
-    /// eight" from noise. So the SpMM arm is gated like the other two, on what
-    /// cannot drift with launch cost: it batched (`max_batch ≥ 2`, this
-    /// floor) and copied nothing. `stbench` judges speed.
+    /// launch, so nearly all of them ride a shared one. Smoke runs on a
+    /// 2-core box read 0.92–1.00 for all three ops; the floor sits at
+    /// roughly half the lowest reading — a count that says "batching
+    /// happened", not a timing, so it cannot drift with launch cost.
     pub const BATCHING_RATE_FLOOR: f64 = 0.5;
 
     /// An `n × n` adjacency with heavy-tailed row lengths (most rows
@@ -929,12 +905,10 @@ pub mod serving_throughput {
         adj: &Adjacency,
         payloads: &[Vec<OpRequest>],
         warm: &OpRequest,
-        batched: bool,
         in_flight: usize,
     ) -> (f64, EngineStats) {
-        let mut reps: Vec<(f64, EngineStats)> = (0..3)
-            .map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), batched, in_flight))
-            .collect();
+        let mut reps: Vec<(f64, EngineStats)> =
+            (0..3).map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), in_flight)).collect();
         reps.sort_by(|a, b| a.0.total_cmp(&b.0));
         reps.swap_remove(1)
     }
@@ -949,19 +923,13 @@ pub mod serving_throughput {
         adj: &Adjacency,
         payloads: Vec<Vec<OpRequest>>,
         warm: OpRequest,
-        batched: bool,
         in_flight: usize,
     ) -> (f64, EngineStats) {
-        // One worker on both arms: a single dispatcher, so the batched
-        // arm folds every waiting request into one launch and the
-        // unbatched arm is the same machinery minus the folding.
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 256,
-            max_batch: if batched { 16 } else { 1 },
-            batch_window: None,
-        }));
-        // Warm the single-request-shape kernel so neither arm pays
+        // One worker: a single dispatcher, so every waiting request folds
+        // into its next launch.
+        let engine =
+            Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 256, max_batch: 16 }));
+        // Warm the single-request-shape kernel so the arm pays no
         // first-compile latency while timed (payloads were pre-generated
         // by the caller, so RNG cost is outside the window too).
         engine.serve(adj, warm).expect("warmup");
@@ -1000,7 +968,7 @@ pub mod serving_throughput {
     /// clients (row `1x16`), and return its table rows.
     ///
     /// # Panics
-    /// Panics when a batched arm copied a byte, or — under
+    /// Panics when an arm copied a byte, or — under
     /// `SPARSETIR_BENCH_ASSERT=1` — when batching did not happen at 8
     /// clients or for the fan-out client (`max_batch < 2` or a batching
     /// rate under [`BATCHING_RATE_FLOOR`]): counts, so no wall clock
@@ -1017,11 +985,10 @@ pub mod serving_throughput {
             let per = if in_flight == 1 { per_client } else { per_client * 8 };
             let payloads: Vec<Vec<OpRequest>> =
                 (0..clients).map(|_| (0..per).map(|_| make()).collect()).collect();
-            let (ns_unbatched, _) = run_arm_median(adj, &payloads, &warm, false, in_flight);
-            let (ns_batched, stats) = run_arm_median(adj, &payloads, &warm, true, in_flight);
+            let (ns, stats) = run_arm_median(adj, &payloads, &warm, in_flight);
             let label =
                 if in_flight == 1 { clients.to_string() } else { format!("{clients}x{in_flight}") };
-            // The counter pins the batched arm to the view contract
+            // The counter pins the arm to the view contract
             // regardless of the wall clock: operands and outputs are
             // staged in place, so a single copied byte is a regression.
             assert_eq!(
@@ -1029,7 +996,6 @@ pub mod serving_throughput {
                 "batched {op} arm copied {} bytes at {label} clients",
                 stats.bytes_copied
             );
-            let speedup = ns_unbatched / ns_batched;
             let gated = clients == 8 || in_flight > 1;
             if gated && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
                 assert!(
@@ -1043,9 +1009,7 @@ pub mod serving_throughput {
             rows.push(vec![
                 op.to_string(),
                 label,
-                format!("{:.0}", 1e9 / ns_unbatched),
-                format!("{:.0}", 1e9 / ns_batched),
-                fmt_speedup(speedup),
+                format!("{:.0}", 1e9 / ns),
                 format!("{}", stats.max_batch),
                 fmt_pct(stats.batching_rate() * 100.0),
             ]);
@@ -1180,9 +1144,9 @@ pub mod serving_throughput {
         rows.extend(attn_rows);
         render_table(
             &format!(
-                "Serving throughput: batched vs unbatched engine (shared adjacency, spmm d={feat}; at 8 clients and for one client with 16 tickets in flight (1x16) every arm batches, speedups not gated)"
+                "Serving throughput: batched engine (shared adjacency, spmm d={feat}; at 8 clients and for one client with 16 tickets in flight (1x16) every op batches)"
             ),
-            &["op", "clients", "unbatched req/s", "batched req/s", "speedup", "max batch", "batched %"],
+            &["op", "clients", "batched req/s", "max batch", "batched %"],
             &rows,
         ) + &workloads
     }
@@ -1191,8 +1155,8 @@ pub mod serving_throughput {
 /// SLO serving: deadline-hit-rate of latency-sensitive (`Hi`-priority,
 /// deadlined) traffic under a saturating best-effort (`Lo`) flood, with
 /// the engine's SLO machinery (priority-then-deadline queue, admission
-/// shedding, adaptive batch window) vs the pre-0.2 FIFO/blocking
-/// baseline serving the identical mixed workload. One worker on both
+/// shedding) vs a FIFO/blocking baseline serving the identical mixed
+/// workload. One worker on both
 /// arms; the Lo flood runs heavyweight SpMM requests on distinct
 /// adjacencies (they never batch, so each occupies the worker for a full
 /// execution), the measured Hi clients run cheap SDDMM requests on a
@@ -1226,12 +1190,7 @@ pub mod serving_slo {
     /// experiment is calibrated against, so the arms express "about two
     /// executions of backlog" identically on fast and slow machines.
     fn calibrate_lo_exec(adj: &Adjacency, x: &Dense) -> Duration {
-        let engine = Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 16,
-            max_batch: 8,
-            batch_window: None,
-        });
+        let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8 });
         Duration::from_nanos(median_ns(5, || {
             engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration request");
         }) as u64)
@@ -1246,10 +1205,9 @@ pub mod serving_slo {
     /// closed loop until the measured traffic completes; `hi_clients`
     /// threads each issue `hi_per_client` deadlined SDDMM requests and
     /// score a hit when the answer arrives in time. `slo` selects the
-    /// machinery under test: priorities + deadlines + adaptive window vs
-    /// plain FIFO submits of the identical requests (the deadline then
-    /// exists only in the client's stopwatch).
-    #[allow(clippy::too_many_arguments)]
+    /// machinery under test: priorities + deadlines vs plain FIFO submits
+    /// of the identical requests (the deadline then exists only in the
+    /// client's stopwatch).
     fn run_arm(
         lo: &[(Adjacency, Dense)],
         hi_adj: &Adjacency,
@@ -1257,15 +1215,10 @@ pub mod serving_slo {
         hi_clients: usize,
         hi_per_client: usize,
         hi_deadline: Duration,
-        window: Duration,
         slo: bool,
     ) -> ArmResult {
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 64,
-            max_batch: 8,
-            batch_window: if slo { Some(window) } else { None },
-        }));
+        let engine =
+            Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
         // Warm every kernel shape outside the measured window.
         for (adj, x) in lo {
             engine.serve(adj, OpRequest::Spmm(x.clone())).expect("lo warmup");
@@ -1361,14 +1314,12 @@ pub mod serving_slo {
         // Deadline ≈ two Lo executions plus a fixed scheduling
         // allowance: with ≥ 2 Lo requests backlogged FIFO must miss,
         // while the priority queue answers after at most the in-flight
-        // execution (+ window).
+        // execution.
         let hi_deadline = lo_exec * 2 + Duration::from_micros(100);
-        let window = (lo_exec / 8).clamp(Duration::from_micros(20), Duration::from_micros(200));
         let workload = format!(
-            "lo spmm n={n} d={feat}, hi sddmm n={sn} hi_per_client={hi_per_client}, lo_exec={}us deadline={}us window={}us workers=1\n",
+            "lo spmm n={n} d={feat}, hi sddmm n={sn} hi_per_client={hi_per_client}, lo_exec={}us deadline={}us workers=1\n",
             lo_exec.as_micros(),
-            hi_deadline.as_micros(),
-            window.as_micros()
+            hi_deadline.as_micros()
         );
         let mut rows = Vec::new();
         let mut gain_at_8 = 0.0;
@@ -1388,7 +1339,6 @@ pub mod serving_slo {
                         hi_clients,
                         hi_per_client,
                         hi_deadline,
-                        window,
                         false,
                     );
                     let slo = run_arm(
@@ -1398,7 +1348,6 @@ pub mod serving_slo {
                         hi_clients,
                         hi_per_client,
                         hi_deadline,
-                        window,
                         true,
                     );
                     // Floor the denominator at one hit's worth: FIFO
@@ -1449,7 +1398,7 @@ pub mod serving_slo {
         }
         render_table(
             &format!(
-                "SLO serving: Hi-priority deadline-hit-rate, priorities+admission+window vs FIFO (deadline={}us, bar at 8 clients ≥ {SLO_HIT_RATE_BAR}x)",
+                "SLO serving: Hi-priority deadline-hit-rate, priorities+admission vs FIFO (deadline={}us, bar at 8 clients ≥ {SLO_HIT_RATE_BAR}x)",
                 hi_deadline.as_micros()
             ),
             &[
@@ -1490,7 +1439,7 @@ pub mod dynamic_graphs {
     pub const INCREMENTAL_SPEEDUP_BAR: f64 = 1.2;
 
     fn serving_engine() -> Engine {
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None })
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 })
     }
 
     /// The edge map a rebuild arm maintains (and the oracle both arms are

@@ -5,12 +5,12 @@
 //! the one-rider kernel on its own storage, the launch's fixed costs
 //! shared).
 //!
-//! Since the SLO redesign the queue is priority-then-deadline ordered,
-//! admission sheds infeasible or expired work with typed
-//! [`EngineError::Rejected`] answers instead of only blocking, the drain
-//! loop drops already-expired requests without executing them, and an
-//! optional adaptive batch window trades a bounded wait for wider
-//! batches when arrivals predict more compatible riders.
+//! The queue is priority-then-deadline ordered, admission sheds
+//! infeasible or expired work with typed [`EngineError::Rejected`]
+//! answers instead of only blocking, and the drain loop drops
+//! already-expired requests without executing them. A worker has one
+//! drain rule: fire at once with every compatible queued request, up to
+//! [`EngineConfig::max_batch`].
 //!
 //! A request costs its launch, not a thread hand-off: the engine holds
 //! `workers` launch permits, shared by the workers and by submitting
@@ -43,7 +43,7 @@ use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -352,19 +352,9 @@ pub struct EngineConfig {
     /// (`QueueFull`).
     pub queue_depth: usize,
     /// Most requests folded into one batched kernel launch; `1` disables
-    /// batching (every request runs alone — the unbatched baseline the
-    /// `serving_throughput` experiment compares against).
+    /// batching (every request runs alone). A worker fires at once with
+    /// every compatible queued request, up to this many.
     pub max_batch: usize,
-    /// Adaptive batch window: after draining a batch that still has
-    /// rider room, a worker with an otherwise-empty queue waits up to
-    /// this long for more compatible arrivals before firing — but only
-    /// while arrivals are recent, and never when the wait would push the
-    /// batch's most urgent deadline past feasibility. `None` (the
-    /// default) keeps the legacy greedy drain: fire immediately with
-    /// whatever is queued. A request that arrives while a batch waits
-    /// here finds that batch's tickets outstanding, so it queues and
-    /// rides rather than being served inline.
-    pub batch_window: Option<Duration>,
 }
 
 impl Default for EngineConfig {
@@ -373,7 +363,6 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_batch: 8,
-            batch_window: None,
         }
     }
 }
@@ -526,12 +515,6 @@ struct Shared {
     /// outside its lock by design, so without this, workers racing the
     /// *first* batches of one adjacency would each pay the full search.
     tune_flight: Mutex<()>,
-    /// Engine birth instant: the epoch for [`Shared::last_arrival_ns`].
-    t0: Instant,
-    /// Nanoseconds-since-`t0` of the most recent admission — the
-    /// adaptive batch window's arrival-rate signal (a stale value means
-    /// waiting for riders is pointless).
-    last_arrival_ns: AtomicU64,
     /// Tickets issued and not yet waited on or dropped ([`Outstanding`]).
     /// A blocking submit is served inline only when this reads 0: a
     /// client with tickets in flight, or another client's ticket, means
@@ -560,16 +543,6 @@ impl Shared {
     /// Launch permits: one per worker.
     fn permits(&self) -> usize {
         self.config.workers.max(1)
-    }
-
-    fn note_arrival(&self) {
-        self.last_arrival_ns.store(self.t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    }
-
-    /// True when something was admitted within the last `horizon`.
-    fn arrival_recent(&self, horizon: Duration) -> bool {
-        let last = self.last_arrival_ns.load(Ordering::Relaxed);
-        self.t0.elapsed().saturating_sub(Duration::from_nanos(last)) <= horizon
     }
 }
 
@@ -678,8 +651,6 @@ impl Engine {
             runtime: Arc::new(Runtime::new()),
             tune_cache: TuneCache::new(),
             tune_flight: Mutex::new(()),
-            t0: Instant::now(),
-            last_arrival_ns: AtomicU64::new(0),
             tickets: Arc::new(AtomicUsize::new(0)),
             retune_registry: Mutex::new(HashMap::new()),
             retune_threads: Mutex::new(Vec::new()),
@@ -933,7 +904,9 @@ impl Engine {
         req.validate(adj)?;
         let shared = &*self.shared;
         let enqueued = Instant::now();
-        let (deadline, priority) = (opts.deadline.map(|d| enqueued + d), opts.priority);
+        // A budget past the clock's range is no deadline at all.
+        let deadline = opts.deadline.and_then(|d| enqueued.checked_add(d));
+        let priority = opts.priority;
         let mut evicted = None;
         let admitted = self.admit(req.kind(), deadline, priority, block, &mut evicted);
         let ticket = admitted.map(|(admitted, outstanding)| {
@@ -958,10 +931,6 @@ impl Engine {
                     st.queue.insert(pos, job);
                     shared.stats.queue_high_water.fetch_max(st.queue.len(), Ordering::Relaxed);
                     drop(st);
-                    // notify_all, not notify_one: a worker parked in the
-                    // adaptive batch window also consumes wakeups, so a
-                    // single notify could be swallowed by a window-waiter
-                    // while an idle worker sleeps.
                     shared.not_empty.notify_all();
                 }
             }
@@ -1053,7 +1022,6 @@ impl Engine {
             }
         }
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        shared.note_arrival();
         let outstanding = Outstanding::open(&shared.tickets);
         if inline {
             return Ok((Admitted::Inline(Permit::take(shared, &mut st)), outstanding));
@@ -1065,8 +1033,7 @@ impl Engine {
 /// Where a new submission slots into the ordered queue: priority
 /// descending, then deadline ascending (deadline-less after deadlined
 /// within a class), then admission order — it goes after every entry it
-/// does not outrank, so default-option submissions keep exact FIFO order,
-/// the pre-SLO queue discipline.
+/// does not outrank, so default-option submissions keep exact FIFO order.
 fn insert_pos(queue: &VecDeque<Job>, priority: Priority, deadline: Option<Instant>) -> usize {
     queue.partition_point(|q| {
         if q.priority != priority {
@@ -1243,9 +1210,6 @@ fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool 
                     // into this dispatch, up to max_batch.
                     let mut batch = vec![first];
                     drain_compatible(&mut st.queue, &mut batch, shared.config.max_batch);
-                    if let Some(window) = shared.config.batch_window {
-                        drop(hold_for_riders(shared, st, &mut batch, &mut expired, window));
-                    }
                     break batch;
                 }
             }
@@ -1316,50 +1280,6 @@ fn drain_compatible(queue: &mut VecDeque<Job>, batch: &mut Vec<Job>, max_batch: 
             i += 1;
         }
     }
-}
-
-/// The adaptive batch window: with rider room left and an otherwise
-/// drained queue, park briefly for more compatible arrivals — but fire
-/// immediately under deadline pressure (the wait plus the op's estimated
-/// execution must still fit the batch's most urgent deadline), when
-/// arrivals have gone quiet, or when incompatible work is already
-/// waiting behind us.
-fn hold_for_riders<'a>(
-    shared: &Shared,
-    mut st: MutexGuard<'a, QueueState>,
-    batch: &mut Vec<Job>,
-    expired: &mut Vec<Job>,
-    window: Duration,
-) -> MutexGuard<'a, QueueState> {
-    let give_up = Instant::now() + window;
-    let est = Duration::from_nanos(shared.stats.exec_estimate_ns(batch[0].req.kind()));
-    loop {
-        if batch.len() >= shared.config.max_batch.max(1) || !st.queue.is_empty() || st.shutdown {
-            break;
-        }
-        let now = Instant::now();
-        if let Some(urgent) = batch.iter().filter_map(|j| j.deadline).min() {
-            if urgent.saturating_duration_since(now) <= window + est {
-                break;
-            }
-        }
-        if !shared.arrival_recent(window.max(Duration::from_millis(1)) * 8) {
-            break;
-        }
-        let left = give_up.saturating_duration_since(now);
-        if left.is_zero() {
-            break;
-        }
-        let (guard, timeout) =
-            shared.not_empty.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner);
-        st = guard;
-        sweep_expired(&mut st.queue, expired);
-        drain_compatible(&mut st.queue, batch, shared.config.max_batch);
-        if timeout.timed_out() {
-            break;
-        }
-    }
-    st
 }
 
 /// What one launch serves: a kind-matched batch a worker drained, or one
@@ -1575,12 +1495,7 @@ mod tests {
         let mut rng = gen::rng(0x9e);
         let a = gen::random_csr(48, 48, 0.2, &mut rng);
         let adj = Adjacency::new(a.clone());
-        let engine = Engine::new(EngineConfig {
-            workers: 2,
-            queue_depth: 16,
-            max_batch: 4,
-            batch_window: None,
-        });
+        let engine = Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 4 });
         let done = std::sync::atomic::AtomicBool::new(false);
         let peak = std::thread::scope(|s| {
             let observer = s.spawn(|| {

@@ -24,11 +24,6 @@
 //!   expired) instead of only blocking, evicting lower-priority queued
 //!   work for higher-priority arrivals; the drain loop drops expired
 //!   requests unexecuted.
-//! * **Adaptive batch window** ([`EngineConfig::batch_window`]): a
-//!   worker with rider room and a drained queue waits briefly for more
-//!   compatible arrivals when traffic predicts them, and fires
-//!   immediately under deadline pressure. `None` keeps the legacy
-//!   greedy drain.
 //! * **Cross-op fusion is what the fused ops do**: `FusedAttention` and
 //!   `FusedSage` requests always compile their whole pipeline into one
 //!   kernel; the multi-launch forms exist only as test oracles in
@@ -88,8 +83,8 @@
 //!   `retunes_skipped`/`deltas_applied` count the state machine).
 //!
 //! The `serving_throughput` and `serving_slo` experiments in
-//! `sparsetir-bench` measure this engine's batched-vs-unbatched
-//! requests/sec and its deadline-hit-rate under overload,
+//! `sparsetir-bench` measure this engine's batched requests/sec and
+//! batching rate and its deadline-hit-rate under overload,
 //! `dynamic_graphs` measures incremental-update-vs-rebuild throughput,
 //! and `sparsetir-nn`'s serving path drives GraphSAGE inference through
 //! it.
@@ -105,7 +100,7 @@ pub use engine::{
     DRIFT_THRESHOLD,
 };
 pub use stats::{EngineStats, LatencyHistogram, OpBatchWidth, PriorityStats, ShedStats};
-pub use submission::{Priority, RejectReason, Submission, SubmitOpts};
+pub use submission::{Priority, RejectReason, Submission};
 // The delta type `apply_delta` consumes, re-exported so serving callers
 // need not depend on `sparsetir-smat` directly.
 pub use sparsetir_smat::prelude::GraphDelta;

@@ -96,32 +96,13 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// Per-request serving options. Build through the [`Submission`]
-/// builder methods (the struct is `#[non_exhaustive]`; start from
-/// `SubmitOpts::default()` when constructing directly).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct SubmitOpts {
-    /// Answer-by budget, relative to submission time. `None` (the
-    /// default) never expires — the legacy blocking contract. With a
-    /// deadline set, the admission controller sheds the request when the
-    /// deadline is infeasible or already passed, a blocking submit waits
-    /// for queue space at most until the deadline, and the drain loop
-    /// drops the request unexecuted once the deadline passes.
-    pub deadline: Option<Duration>,
-    /// Priority class; [`Priority::Normal`] by default.
-    pub priority: Priority,
-    /// Whether this request's batch launches under a searched
-    /// configuration; `false` by default. When set, the first batch for
-    /// each `(adjacency, op)` pair of an op whose launch reads one
-    /// (SpMM) times `kernels::tune`'s shortlist on the engine's runtime, and
-    /// the picked configuration is cached in the engine's `TuneCache` (see
-    /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
-    /// tuned batch on that pair. An op whose launch reads no configuration
-    /// has nothing to decide and is served the same either way. The first
-    /// request of a batch decides for its riders (batched requests share
-    /// one launch configuration).
-    pub tune: bool,
+/// Per-request serving options, set through the [`Submission`] builder
+/// methods.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SubmitOpts {
+    pub(crate) deadline: Option<Duration>,
+    pub(crate) priority: Priority,
+    pub(crate) tune: bool,
 }
 
 /// One op request plus its serving options — what [`Engine::submit`]
@@ -141,8 +122,7 @@ pub struct SubmitOpts {
 ///
 /// A bare [`OpRequest`] converts `Into<Submission>` with default options
 /// (no deadline, [`Priority::Normal`], untuned), so
-/// `engine.submit(&adj, req)` keeps compiling — the legacy behavior is
-/// the default-options corner of this surface.
+/// `engine.submit(&adj, req)` takes a request as it is.
 ///
 /// [`Engine::submit`]: crate::Engine::submit
 #[derive(Debug, Clone)]
@@ -183,37 +163,40 @@ impl Submission {
         Submission::new(OpRequest::FusedSage((x, w)))
     }
 
-    /// Set the answer-by budget, relative to submission time.
+    /// Set the answer-by budget, relative to submission time. Without
+    /// one (the default) a request never expires. With one, the
+    /// admission controller sheds the request when the deadline is
+    /// infeasible or already passed, a blocking submit waits for queue
+    /// space at most until the deadline, and the drain loop drops the
+    /// request unexecuted once the deadline passes. A budget too long
+    /// for the clock to represent never expires.
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Submission {
         self.opts.deadline = Some(deadline);
         self
     }
 
-    /// Set the priority class.
+    /// Set the priority class; [`Priority::Normal`] by default.
     #[must_use]
     pub fn priority(mut self, priority: Priority) -> Submission {
         self.opts.priority = priority;
         self
     }
 
-    /// Ask for (or decline) a tuned launch; see [`SubmitOpts::tune`].
+    /// Ask for (or decline) a tuned launch; untuned by default. When set,
+    /// the first batch for each `(adjacency, op)` pair of an op whose
+    /// launch reads a searched configuration (SpMM) times
+    /// `kernels::tune`'s shortlist on the engine's runtime, and the picked
+    /// configuration is cached in the engine's `TuneCache` (see
+    /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
+    /// tuned batch on that pair. An op whose launch reads no configuration
+    /// has nothing to decide and is served the same either way. The first
+    /// request of a batch decides for its riders (batched requests share
+    /// one launch configuration).
     #[must_use]
     pub fn tune(mut self, tune: bool) -> Submission {
         self.opts.tune = tune;
         self
-    }
-
-    /// The wrapped op request.
-    #[must_use]
-    pub fn request(&self) -> &OpRequest {
-        &self.req
-    }
-
-    /// The serving options.
-    #[must_use]
-    pub fn opts(&self) -> &SubmitOpts {
-        &self.opts
     }
 
     /// The op kind tag this submission routes to (`"spmm"`, `"sddmm"`,

@@ -123,7 +123,7 @@ fn assert_oracle(want: &oracle::Oracle, got: &[f32], tag: &str) -> Result<(), Te
 }
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 8, batch_window: None })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 8 })
 }
 
 proptest! {
@@ -310,7 +310,6 @@ proptest! {
             workers: 2,
             queue_depth: 16,
             max_batch: 8,
-            batch_window: None,
         });
         let tickets: Vec<_> = reqs
             .iter()

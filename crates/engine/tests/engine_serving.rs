@@ -96,8 +96,7 @@ fn served_sddmm_matches_direct_execution() {
 fn queued_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(64, 32);
     let adj = Adjacency::new(small.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
     let mut rng = gen::rng(33);
     // The test holds the single worker (and its launch permit), so every
     // submission below queues behind it.
@@ -127,8 +126,7 @@ fn queued_requests_batch_and_stay_bit_identical() {
 fn try_submit_saturates_on_a_full_queue() {
     let a = power_law_csr(64, 41);
     let adj = Adjacency::new(a.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 1, max_batch: 1, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1, max_batch: 1 });
     let mut rng = gen::rng(42);
     // The test holds the worker (a kernel's speed must not decide it):
     // the first request fills the depth-1 queue; the second must bounce.
@@ -261,8 +259,7 @@ fn shutdown_drains_pending_requests() {
     let mut rng = gen::rng(61);
     let a = gen::random_csr(40, 40, 0.15, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 4, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 4 });
     let xs: Vec<Dense> = (0..5).map(|_| gen::random_dense(40, 3, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
@@ -284,12 +281,7 @@ fn concurrent_clients_get_their_own_answers() {
     const PER_CLIENT: usize = 6;
     let a = power_law_csr(96, 71);
     let adj = Adjacency::new(a.clone());
-    let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 2,
-        queue_depth: 32,
-        max_batch: 8,
-        batch_window: None,
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8 }));
     let a = Arc::new(a);
     // Both workers start held, with both launch permits: every client's
     // first request queues, so the queue fills whatever the scheduling.
@@ -340,8 +332,7 @@ fn concurrent_clients_get_their_own_answers() {
 fn tuned_engine_caches_one_decision_per_adjacency() {
     let a = power_law_csr(300, 81);
     let adj = Adjacency::new(a.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4 });
     let mut rng = gen::rng(82);
     for _ in 0..3 {
         let x = gen::random_dense(300, 8, &mut rng);
@@ -463,8 +454,7 @@ fn repeated_requests_reuse_compiled_kernels() {
     let mut rng = gen::rng(91);
     let a = gen::random_csr(32, 32, 0.2, &mut rng);
     let adj = Adjacency::new(a);
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1 });
     for _ in 0..4 {
         let x = gen::random_dense(32, 4, &mut rng);
         engine.serve(&adj, Submission::spmm(x)).and_then(OpOutput::into_dense).expect("serves");
@@ -483,8 +473,7 @@ fn repeated_requests_reuse_compiled_kernels() {
 /// first ones — `kernel_hits / kernel_lookups` = 114 / 120.
 #[test]
 fn warm_requests_hit_the_kernel_cache() {
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1 });
     let tenants: Vec<Adjacency> =
         [24usize, 32, 40].iter().map(|&n| Adjacency::new(power_law_csr(n, n as u64))).collect();
     let mut rng = gen::rng(92);
@@ -563,8 +552,7 @@ fn engine_survives_injected_worker_panic() {
     let mut rng = gen::rng(111);
     let a = gen::random_csr(24, 24, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4 });
     // A request before the crash proves the worker was healthy.
     let x0 = gen::random_dense(24, 3, &mut rng);
     assert!(engine.serve(&adj, Submission::spmm(x0)).and_then(OpOutput::into_dense).is_ok());
@@ -597,12 +585,7 @@ fn concurrent_submits_survive_worker_panic() {
     const PER_CLIENT: usize = 6;
     let a = power_law_csr(64, 121);
     let adj = Adjacency::new(a.clone());
-    let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 2,
-        queue_depth: 16,
-        max_batch: 4,
-        batch_window: None,
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 4 }));
     engine.inject_worker_panic();
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
@@ -634,8 +617,7 @@ fn concurrent_submits_survive_worker_panic() {
 fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(48, 132);
     let adj = Adjacency::new(small.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
     let mut rng = gen::rng(133);
     let stall = engine.stall_worker();
     let k = 5;
@@ -669,8 +651,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
 fn incompatible_requests_do_not_batch() {
     let small = power_law_csr(32, 142);
     let adj = Adjacency::new(small.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
     let mut rng = gen::rng(143);
     let stall = engine.stall_worker();
     // Two SDDMM inner widths plus one SpMM, all queued behind the held
@@ -706,8 +687,7 @@ fn incompatible_requests_do_not_batch() {
 fn spmm_riders_dispatch_once_per_width() {
     let small = power_law_csr(32, 144);
     let adj = Adjacency::new(small.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
     let mut rng = gen::rng(145);
     let stall = engine.stall_worker();
     let xs: Vec<Dense> =
@@ -791,8 +771,7 @@ fn served_fused_ops_match_their_pipeline_oracles() {
 fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     let small = power_law_csr(48, 172);
     let adj = Adjacency::new(small.clone());
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
     let mut rng = gen::rng(173);
     let stall = engine.stall_worker();
     // Two compatible (k=2, vfeat=2) requests plus one incompatible

@@ -16,7 +16,7 @@ use sparsetir_smat::prelude::*;
 use std::time::Duration;
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8, batch_window: None })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8 })
 }
 
 /// Deterministically force a batch: stall the single worker, queue
@@ -28,8 +28,7 @@ fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
     let adj = Adjacency::new(small);
     let xs: Vec<Dense> = (0..riders).map(|_| gen::random_dense(24, 3, &mut rng)).collect();
 
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8 });
     let stall = engine.stall_worker();
     let tickets: Vec<_> = xs
         .iter()
@@ -128,8 +127,7 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
     let victim_x = gen::random_dense(24, 3, &mut rng);
     let rider_x = gen::random_dense(24, 4, &mut rng);
 
-    let engine =
-        Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8, batch_window: None });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8 });
     let stall = engine.stall_worker();
     // The victim's deadline lapses while the worker is stalled, so it
     // expires in the queue; the rider has no deadline and drains.

@@ -174,12 +174,8 @@ mod tests {
         let adj_csr = toy_graph(80, 17);
         let model = Arc::new(GraphSage::new(&adj_csr, 10, 8, 3, 23).unwrap());
         let adj = serving_adjacency(&model);
-        let engine = Arc::new(Engine::new(EngineConfig {
-            workers: 1,
-            queue_depth: 32,
-            max_batch: 8,
-            batch_window: None,
-        }));
+        let engine =
+            Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8 }));
         std::thread::scope(|s| {
             for client in 0..CLIENTS {
                 let engine = Arc::clone(&engine);

@@ -87,12 +87,7 @@ fn main() {
     // dispatch, one run of the one-head kernel per head: per-launch fixed
     // costs are paid once per batch, and the whole three-op pipeline is
     // one kernel to begin with.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: Some(std::time::Duration::from_micros(50)),
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
     let adj = Adjacency::new(graph.clone());
     let clients = 8;
     let per_client = 8;

@@ -29,12 +29,7 @@ fn main() {
 
     // One engine per deployment: it owns the kernel cache and the
     // per-adjacency tuning decisions every worker shares.
-    let engine = Arc::new(Engine::new(EngineConfig {
-        workers: 1,
-        queue_depth: 64,
-        max_batch: 8,
-        batch_window: Some(std::time::Duration::from_micros(50)),
-    }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
 
     // --- Raw SpMM serving: 8 clients share one adjacency ------------
     // Each request goes through the `Submission` builder: deadline and

@@ -43,8 +43,8 @@ pub mod prelude {
     pub use sparsetir_core::prelude::*;
     pub use sparsetir_engine::{
         Adjacency, Engine, EngineConfig, EngineError, EngineStats, LatencyHistogram, OpBatchWidth,
-        OpOutput, OpRequest, Priority, PriorityStats, RejectReason, ShedStats, Submission,
-        SubmitOpts, Ticket, DRIFT_THRESHOLD,
+        OpOutput, OpRequest, Priority, PriorityStats, RejectReason, ShedStats, Submission, Ticket,
+        DRIFT_THRESHOLD,
     };
     pub use sparsetir_gpusim::prelude::*;
     pub use sparsetir_graphs::prelude::*;
