@@ -182,8 +182,9 @@ pub fn functional_check_spmm(a: &Csr, feat: usize, config: &SpmmConfig) -> bool 
     let mut rng = gen::rng(0xB0B);
     let x = gen::random_dense(a.cols(), feat, &mut rng);
     let rt = sparsetir_ir::exec::Runtime::global();
-    match (SpmmOp::execute_on(rt, a, &x, config), a.spmm(&x)) {
-        (Ok(got), Ok(want)) => got.approx_eq(&want, 1e-3),
+    let mut got = [Dense::zeros(a.rows(), feat)];
+    match (spmm_execute_views_on(rt, a, &[&x], &mut got, config), a.spmm(&x)) {
+        (Ok(()), Ok(want)) => got[0].approx_eq(&want, 1e-3),
         _ => false,
     }
 }

@@ -854,7 +854,7 @@ pub mod ablation_bucketing {
 /// Serving throughput: requests/sec through the batched engine at 1/4/8
 /// client threads sharing one adjacency, and for one client with many
 /// tickets in flight — for SpMM, SDDMM and fused attention. The engine
-/// folds fingerprint-compatible concurrent requests into single launches
+/// folds compatible concurrent requests on one adjacency into single launches
 /// that look up the one-rider kernel and bind the adjacency once, then run
 /// the kernel once per rider on its own operands. The table reports how
 /// often that happened; `stbench` judges speed.

@@ -1,9 +1,10 @@
 //! The serving engine: a bounded multi-producer request queue drained by
-//! a worker pool that folds fingerprint-compatible requests of *any*
-//! batchable [`SparseOp`] — SpMM, SDDMM, fused attention — into single
-//! kernel launches through one generic request path (every rider runs
-//! the one-rider kernel on its own storage, the launch's fixed costs
-//! shared).
+//! a worker pool that folds compatible requests on one shared
+//! [`Adjacency`] — SpMM, SDDMM, fused attention — into single kernel
+//! launches. [`OpRequest`] is the table of served ops: each variant is
+//! checked at submit by its kernel's request-shape rule and launched
+//! through its kernel's one entry point (every rider runs the one-rider
+//! kernel on its own storage, the launch's fixed costs shared).
 //!
 //! The queue is priority-then-deadline ordered, admission sheds
 //! infeasible or expired work with typed [`EngineError::Rejected`]
@@ -25,21 +26,17 @@
 //! parallelism and batching. [`Engine::try_submit`] always queues,
 //! because it must not block.
 
+use crate::op::{launch, OpOutput, OpRequest};
 use crate::stats::{EngineStats, StatsInner};
 use crate::submission::{Priority, RejectReason, Submission};
 use sparsetir_ir::exec::Runtime;
-use sparsetir_kernels::prelude::{
-    bytes_copied_on_thread, AttnHead, FusedAttentionOp, FusedSageOp, SddmmOp, SparseOp, SpmmConfig,
-    SpmmOp,
-};
+use sparsetir_kernels::prelude::{bytes_copied_on_thread, SpmmConfig};
 use sparsetir_kernels::tune::{
-    measured_spmm_key, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache, TuneKey,
+    measured_spmm_key, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::slice;
@@ -104,19 +101,14 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A shareable, fingerprinted adjacency: the unit of kernel reuse and
-/// request batching. The fingerprint is a content hash over the full CSR
-/// (shape, structure and values), computed once at construction, so the
-/// engine can group same-adjacency requests in O(1) per request —
-/// cloning an `Adjacency` is an `Arc` bump.
-///
-/// Two requests batch together only when their fingerprints *and* their
-/// matrix dimensions match; distinct matrices colliding in the 64-bit
-/// hash is the usual negligible-probability caveat.
+/// A shareable adjacency: the unit of kernel reuse and request batching.
+/// Cloning an `Adjacency` is an `Arc` bump, and requests batch together
+/// only when they hold clones of one `Adjacency` — wrapping the same
+/// matrix twice gives two adjacencies whose requests never share a
+/// launch.
 #[derive(Debug, Clone)]
 pub struct Adjacency {
     csr: Arc<Csr>,
-    fingerprint: u64,
     /// Structural sparsity summary of *this* matrix, precomputed so the
     /// tuned path never rescans the matrix per batch.
     sparsity: Arc<SparsityFingerprint>,
@@ -130,43 +122,23 @@ pub struct Adjacency {
     anchor: Arc<SparsityFingerprint>,
     /// Monotonic delta version: `0` at construction, `+1` per
     /// [`Engine::apply_delta`]. Together with `anchor` this is the
-    /// versioned fingerprint of the issue: the version says *how many*
+    /// adjacency's versioned identity: the version says *how many*
     /// updates happened, the anchor says whether tuning identity changed.
     version: u64,
 }
 
 impl Adjacency {
-    /// Fingerprint and wrap a CSR adjacency for serving.
+    /// Wrap a CSR adjacency for serving.
     #[must_use]
     pub fn new(csr: Csr) -> Adjacency {
-        let mut h = DefaultHasher::new();
-        csr.rows().hash(&mut h);
-        csr.cols().hash(&mut h);
-        csr.indptr().hash(&mut h);
-        csr.indices().hash(&mut h);
-        for v in csr.values() {
-            v.to_bits().hash(&mut h);
-        }
         let sparsity = Arc::new(SparsityFingerprint::of(&csr));
-        Adjacency {
-            csr: Arc::new(csr),
-            fingerprint: h.finish(),
-            anchor: Arc::clone(&sparsity),
-            sparsity,
-            version: 0,
-        }
+        Adjacency { csr: Arc::new(csr), anchor: Arc::clone(&sparsity), sparsity, version: 0 }
     }
 
     /// The wrapped matrix.
     #[must_use]
     pub fn csr(&self) -> &Csr {
         &self.csr
-    }
-
-    /// The content fingerprint requests are batched by.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// The structural sparsity summary of this matrix.
@@ -189,152 +161,10 @@ impl Adjacency {
         self.version
     }
 
-    /// True when `other` may share a batched kernel launch with `self`.
+    /// True when `other` may share a batched kernel launch with `self`:
+    /// both are clones of one `Adjacency`.
     fn batches_with(&self, other: &Adjacency) -> bool {
-        self.fingerprint == other.fingerprint
-            && self.csr.rows() == other.csr.rows()
-            && self.csr.cols() == other.csr.cols()
-            && self.csr.nnz() == other.csr.nnz()
-    }
-}
-
-/// One request for any served op, as queued by the generic submit path.
-/// The variant carries exactly the op's [`SparseOp::Operands`]. Build
-/// through [`Submission`]'s per-op constructors for the serving surface;
-/// a bare `OpRequest` converts `Into<Submission>` with default options.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub enum OpRequest {
-    /// SpMM `A · X`: one dense feature operand.
-    Spmm(Dense),
-    /// SDDMM `A ⊙ (X · Y)`: the dense operand pair.
-    Sddmm((Dense, Dense)),
-    /// Cross-op fused attention pipeline (SDDMM → edge-softmax → SpMM in
-    /// one kernel): one `(Q, Kᵀ, V)` triple per head.
-    FusedAttention(Vec<AttnHead>),
-    /// Cross-op fused GraphSAGE layer step (gather → normalize → matmul
-    /// in one kernel): the `(X, W)` operand pair.
-    FusedSage((Dense, Dense)),
-}
-
-impl OpRequest {
-    /// The op kind tag this request routes to (`"spmm"`, `"sddmm"`,
-    /// `"fused_attention"`, `"fused_sage"`) — useful for logging and
-    /// metrics.
-    #[must_use]
-    pub fn kind(&self) -> &'static str {
-        match self {
-            OpRequest::Spmm(_) => SpmmOp::kind(),
-            OpRequest::Sddmm(_) => SddmmOp::kind(),
-            OpRequest::FusedAttention(_) => FusedAttentionOp::kind(),
-            OpRequest::FusedSage(_) => FusedSageOp::kind(),
-        }
-    }
-
-    /// Shape-validate against the adjacency via the op's own contract.
-    fn validate(&self, adj: &Adjacency) -> Result<(), EngineError> {
-        match self {
-            OpRequest::Spmm(x) => SpmmOp::validate(adj.csr(), x),
-            OpRequest::Sddmm(pair) => SddmmOp::validate(adj.csr(), pair),
-            OpRequest::FusedAttention(heads) => FusedAttentionOp::validate(adj.csr(), heads),
-            OpRequest::FusedSage(pair) => FusedSageOp::validate(adj.csr(), pair),
-        }
-        .map_err(EngineError::Shape)
-    }
-
-    /// The op-level batching contract, lifted to the request enum: same
-    /// kind, and the op's [`SparseOp::can_batch`] agrees.
-    fn can_batch_with(&self, other: &OpRequest) -> bool {
-        match (self, other) {
-            (OpRequest::Spmm(a), OpRequest::Spmm(b)) => SpmmOp::can_batch(a, b),
-            (OpRequest::Sddmm(a), OpRequest::Sddmm(b)) => SddmmOp::can_batch(a, b),
-            (OpRequest::FusedAttention(a), OpRequest::FusedAttention(b)) => {
-                FusedAttentionOp::can_batch(a, b)
-            }
-            (OpRequest::FusedSage(a), OpRequest::FusedSage(b)) => FusedSageOp::can_batch(a, b),
-            _ => false,
-        }
-    }
-}
-
-/// The result of any served op — the one shape of output handling every
-/// ticket answers with. Typed accessors convert back to the op's native
-/// result.
-#[derive(Debug, Clone)]
-pub enum OpOutput {
-    /// A dense matrix (SpMM, fused GraphSAGE).
-    Dense(Dense),
-    /// Per-non-zero edge values (SDDMM).
-    Edges(Vec<f32>),
-    /// One dense matrix per head (fused attention).
-    Heads(Vec<Dense>),
-}
-
-impl OpOutput {
-    fn variant(&self) -> &'static str {
-        match self {
-            OpOutput::Dense(_) => "Dense",
-            OpOutput::Edges(_) => "Edges",
-            OpOutput::Heads(_) => "Heads",
-        }
-    }
-
-    /// The op kinds that produce an output variant — so a mismatch error
-    /// names both sides' ops, not just the variant tags.
-    fn kinds_of(variant: &'static str) -> &'static str {
-        match variant {
-            "Dense" => "spmm|fused_sage",
-            "Edges" => "sddmm",
-            _ => "fused_attention",
-        }
-    }
-
-    fn mismatch(expected: &'static str, got: &OpOutput) -> EngineError {
-        EngineError::Output(format!(
-            "expected {expected} ({}), got {} ({})",
-            OpOutput::kinds_of(expected),
-            got.variant(),
-            OpOutput::kinds_of(got.variant()),
-        ))
-    }
-
-    /// The dense SpMM result.
-    ///
-    /// # Errors
-    /// [`EngineError::Output`] when this output belongs to a different
-    /// op; the message carries the expected and actual variant + op
-    /// kinds.
-    pub fn into_dense(self) -> Result<Dense, EngineError> {
-        match self {
-            OpOutput::Dense(d) => Ok(d),
-            other => Err(OpOutput::mismatch("Dense", &other)),
-        }
-    }
-
-    /// The per-non-zero SDDMM result.
-    ///
-    /// # Errors
-    /// [`EngineError::Output`] when this output belongs to a different
-    /// op; the message carries the expected and actual variant + op
-    /// kinds.
-    pub fn into_edges(self) -> Result<Vec<f32>, EngineError> {
-        match self {
-            OpOutput::Edges(v) => Ok(v),
-            other => Err(OpOutput::mismatch("Edges", &other)),
-        }
-    }
-
-    /// The per-head fused-attention result.
-    ///
-    /// # Errors
-    /// [`EngineError::Output`] when this output belongs to a different
-    /// op; the message carries the expected and actual variant + op
-    /// kinds.
-    pub fn into_heads(self) -> Result<Vec<Dense>, EngineError> {
-        match self {
-            OpOutput::Heads(v) => Ok(v),
-            other => Err(OpOutput::mismatch("Heads", &other)),
-        }
+        Arc::ptr_eq(&self.csr, &other.csr)
     }
 }
 
@@ -475,7 +305,7 @@ impl ReplySlot {
 struct ReplyTx(Option<Arc<ReplySlot>>);
 
 impl ReplyTx {
-    fn send(mut self, answer: Answer) {
+    fn send(&mut self, answer: Answer) {
         if let Some(slot) = self.0.take() {
             slot.put(answer);
         }
@@ -520,23 +350,15 @@ struct Shared {
     /// client with tickets in flight, or another client's ticket, means
     /// the workers can run or batch the new request beside them.
     tickets: Arc<AtomicUsize>,
-    /// Every tune decision taken under an anchor fingerprint, with the
-    /// width it was searched at — the worklist a background retune replays
-    /// when [`Engine::apply_delta`] re-anchors past the drift threshold.
-    retune_registry: Mutex<HashMap<SparsityFingerprint, Vec<RetuneRecord>>>,
+    /// Every anchor a tune decision was taken under, with the feature
+    /// width it was timed at — the worklist a background retune replays
+    /// (on a seeded operand of that width) when [`Engine::apply_delta`]
+    /// re-anchors past the drift threshold.
+    retune_registry: Mutex<HashMap<SparsityFingerprint, usize>>,
     /// In-flight background retune threads; joined by
     /// [`Engine::quiesce_retunes`] and at drop.
     retune_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
     stats: StatsInner,
-}
-
-/// One tune decision to replay on re-anchor: the cache key it lives
-/// under and the feature width it was timed at (the replay times a seeded
-/// operand of that width on the updated matrix).
-#[derive(Clone)]
-struct RetuneRecord {
-    key: TuneKey,
-    feat: usize,
 }
 
 impl Shared {
@@ -614,10 +436,10 @@ pub struct WorkerStall<'a> {
 
 /// Multi-tenant serving engine: owns a shared kernel-cache [`Runtime`]
 /// and a [`TuneCache`] of SpMM decisions, accepts [`Submission`]s for any
-/// served [`SparseOp`] from any number of client threads through one
-/// generic submit path, and batches concurrent requests that share an
-/// [`Adjacency`] fingerprint (and satisfy the op's batching contract)
-/// into single kernel launches.
+/// served [`OpRequest`] from any number of client threads through one
+/// submit path, and batches concurrent requests that hold clones of one
+/// [`Adjacency`] (and agree on their kernel's widths) into single kernel
+/// launches.
 ///
 /// Submissions carry optional SLO envelopes — a deadline and a
 /// [`Priority`] class. The queue serves higher priorities first and
@@ -767,14 +589,15 @@ impl Engine {
     ///   valid, nothing re-tunes, and [`EngineStats::retunes_skipped`]
     ///   ticks.
     /// - **Above the threshold** the successor anchors on its own
-    ///   fingerprint. Every tune decision recorded under the old anchor is
-    ///   *pre-seeded* under the new anchor's keys (stale but correct — the
+    ///   fingerprint. The tune decision taken under the old anchor is
+    ///   *pre-seeded* under the new anchor's key (stale but correct — the
     ///   matrix changed shape-compatibly, so the old schedule still runs),
-    ///   then ONE background thread replays the tuning searches against
-    ///   the updated matrix and atomically overwrites each seed in the
-    ///   [`TuneCache`] as it lands. Requests never observe a gap: they hit
-    ///   either the stale or the fresh decision. With nothing tuned under
-    ///   the old anchor there is nothing to replay: the pass counts as
+    ///   then ONE background thread replays the decision against the
+    ///   updated matrix and atomically overwrites the seed in the
+    ///   [`TuneCache`] when it lands. Requests never observe a gap: they
+    ///   hit either the stale or the fresh decision. With nothing tuned
+    ///   under the old anchor, or a new anchor that already has a
+    ///   decision, there is nothing to seed or replay: the pass counts as
     ///   started and completed on the spot and no thread is spawned.
     ///
     /// Either way the successor's launches run on the kernels the
@@ -805,43 +628,35 @@ impl Engine {
             shared.stats.retunes_skipped.fetch_add(1, Ordering::Relaxed);
             return Ok(next);
         }
-        // Re-anchor: move the old anchor's tune records to the new one,
-        // seeding each new key with the stale decision so lookups keep
-        // hitting while the background pass runs.
-        let mut work = Vec::new();
+        // Re-anchor: move the old anchor's width to the new one, seeding
+        // the new key with the stale decision so lookups keep hitting while
+        // the background pass runs.
         let mut reg = lock(&shared.retune_registry);
-        if let Some(records) = reg.remove(&*adj.anchor) {
-            let entry = reg.entry((*next.anchor).clone()).or_default();
-            for rec in records {
-                let mut key = rec.key.clone();
-                key.fingerprint = (*next.anchor).clone();
-                if entry.iter().any(|r| r.key == key) {
-                    continue;
-                }
-                if let Some(stale) = shared.tune_cache.peek(&rec.key) {
+        let work = match reg.remove(&*adj.anchor) {
+            Some(feat) if !reg.contains_key(&*next.anchor) => {
+                reg.insert((*next.anchor).clone(), feat);
+                let key = measured_spmm_key(&next.anchor);
+                if let Some(stale) = shared.tune_cache.peek(&measured_spmm_key(&adj.anchor)) {
                     shared.tune_cache.insert(key.clone(), stale);
                 }
-                let rec = RetuneRecord { key, ..rec };
-                work.push(rec.clone());
-                entry.push(rec);
+                Some((key, feat))
             }
-        }
+            _ => None,
+        };
         drop(reg);
         shared.stats.retunes_started.fetch_add(1, Ordering::Relaxed);
-        if work.is_empty() {
+        let Some((key, feat)) = work else {
             shared.stats.retunes_completed.fetch_add(1, Ordering::Relaxed);
             return Ok(next);
-        }
+        };
         let csr = Arc::clone(&next.csr);
         let shared = Arc::clone(&self.shared);
         let handle = std::thread::Builder::new()
             .name("sparsetir-retune".into())
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
-                    for rec in work {
-                        let tuner = SpmmMeasuredEvaluator::new(&shared.runtime, &csr, rec.feat);
-                        shared.tune_cache.insert(rec.key, tuner.decide());
-                    }
+                    let tuner = SpmmMeasuredEvaluator::new(&shared.runtime, &csr, feat);
+                    shared.tune_cache.insert(key, tuner.decide());
                 }));
                 if result.is_err() {
                     shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -900,8 +715,8 @@ impl Engine {
         sub: Submission,
         block: bool,
     ) -> Result<Ticket, EngineError> {
-        let Submission { req, opts } = sub;
-        req.validate(adj)?;
+        let Submission { mut req, opts } = sub;
+        req.validate(adj.csr())?;
         let shared = &*self.shared;
         let enqueued = Instant::now();
         // A budget past the clock's range is no deadline at all.
@@ -914,8 +729,14 @@ impl Engine {
             match admitted {
                 Admitted::Inline(permit) => {
                     shared.stats.served_inline.fetch_add(1, Ordering::Relaxed);
-                    let reply = Reply { enqueued, priority, tx: reply };
-                    serve(shared, adj, opts.tune, Riders::One(req, reply));
+                    let mut reply = Reply { enqueued, priority, tx: reply };
+                    serve(
+                        shared,
+                        adj,
+                        opts.tune,
+                        slice::from_mut(&mut req),
+                        slice::from_mut(&mut reply),
+                    );
                     drop(permit);
                 }
                 Admitted::Queued(mut st, pos) => {
@@ -938,7 +759,7 @@ impl Engine {
         });
         // Answer the eviction victim outside the queue lock; its ticket
         // may already be dropped.
-        if let Some(v) = evicted {
+        if let Some(mut v) = evicted {
             shared.stats.shed(RejectReason::QueueFull, v.priority);
             v.reply.send(Err(EngineError::Rejected { reason: RejectReason::QueueFull }));
         }
@@ -1063,81 +884,6 @@ impl Drop for Engine {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// The engine-side face of a servable op: how to pull this op's typed
-/// operands out of the [`OpRequest`] enum and wrap its output back into
-/// the unified [`OpOutput`]. Everything else — batching, execution —
-/// comes from the generic [`SparseOp`] contract, so adding a served op is
-/// one enum variant plus one impl of this glue.
-trait Served: SparseOp {
-    fn extract(req: OpRequest) -> Self::Operands;
-    fn wrap(out: Self::Output) -> OpOutput;
-
-    /// The configuration a tuned batch headed by `head` launches under.
-    /// Only an op whose launch reads a searched configuration has a
-    /// decision to take (SpMM overrides this with [`tuned_spmm_config`]);
-    /// every other op launches under its default and never touches the
-    /// tune cache.
-    fn tuned(_shared: &Shared, _adj: &Adjacency, _head: &Self::Operands) -> Self::Config {
-        Self::Config::default()
-    }
-}
-
-impl Served for SpmmOp {
-    fn extract(req: OpRequest) -> Dense {
-        match req {
-            OpRequest::Spmm(x) => x,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Dense) -> OpOutput {
-        OpOutput::Dense(out)
-    }
-
-    fn tuned(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
-        tuned_spmm_config(shared, adj, head)
-    }
-}
-
-impl Served for SddmmOp {
-    fn extract(req: OpRequest) -> (Dense, Dense) {
-        match req {
-            OpRequest::Sddmm(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<f32>) -> OpOutput {
-        OpOutput::Edges(out)
-    }
-}
-
-impl Served for FusedAttentionOp {
-    fn extract(req: OpRequest) -> Vec<AttnHead> {
-        match req {
-            OpRequest::FusedAttention(heads) => heads,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Vec<Dense>) -> OpOutput {
-        OpOutput::Heads(out)
-    }
-}
-
-impl Served for FusedSageOp {
-    fn extract(req: OpRequest) -> (Dense, Dense) {
-        match req {
-            OpRequest::FusedSage(pair) => pair,
-            _ => unreachable!("kind-matched batch"),
-        }
-    }
-
-    fn wrap(out: Dense) -> OpOutput {
-        OpOutput::Dense(out)
-    }
-}
-
 /// The payload of [`Engine::inject_worker_panic`]'s panic.
 const INJECTED_PANIC: &str = "injected worker panic (crash-safety test hook)";
 
@@ -1198,15 +944,15 @@ fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool 
                 }
             }
             // Expired-at-drain requests are swept out before dispatch and
-            // answered Expired — their operands never reach
-            // `execute_batch_on`. Answering needs no permit, so this runs
-            // even while every permit is taken.
+            // answered Expired — their operands never reach a kernel.
+            // Answering needs no permit, so this runs even while every
+            // permit is taken.
             sweep_expired(&mut st.queue, &mut expired);
             if permit_free {
                 if let Some(first) = st.queue.pop_front() {
                     *permit = Some(Permit::take(shared, &mut st));
-                    // Greedily fold queued compatible requests (same
-                    // adjacency fingerprint, same op, op-level can_batch)
+                    // Greedily fold queued compatible requests (a clone
+                    // of the same adjacency, same op, equal kernel widths)
                     // into this dispatch, up to max_batch.
                     let mut batch = vec![first];
                     drain_compatible(&mut st.queue, &mut batch, shared.config.max_batch);
@@ -1250,7 +996,7 @@ fn sweep_expired(queue: &mut VecDeque<Job>, expired: &mut Vec<Job>) {
 /// Answer drain-time-expired jobs with `Rejected { Expired }` — latency
 /// is recorded (they waited in the queue), but they never execute.
 fn answer_expired(shared: &Shared, expired: Vec<Job>) {
-    for job in expired {
+    for mut job in expired {
         shared.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
         shared.stats.expire(job.priority);
         job.reply.send(Err(EngineError::Rejected { reason: RejectReason::Expired }));
@@ -1282,53 +1028,18 @@ fn drain_compatible(queue: &mut VecDeque<Job>, batch: &mut Vec<Job>, max_batch: 
     }
 }
 
-/// What one launch serves: a kind-matched batch a worker drained, or one
-/// request served on its submitting thread.
-enum Riders {
-    Batch(Vec<Job>),
-    One(OpRequest, Reply),
-}
-
 /// A worker's dispatch: the batch head decides the adjacency and the
 /// tuning mode for its riders (one launch, one configuration).
 fn serve_batch(shared: &Shared, batch: Vec<Job>) {
     let (adj, tune) = (batch[0].adj.clone(), batch[0].tune);
-    serve(shared, &adj, tune, Riders::Batch(batch));
-}
-
-/// Route kind-matched riders to their op's generic serve path.
-fn serve(shared: &Shared, adj: &Adjacency, tune: bool, riders: Riders) {
-    let head = match &riders {
-        Riders::Batch(jobs) => &jobs[0].req,
-        Riders::One(req, _) => req,
-    };
-    match head {
-        OpRequest::Spmm(_) => serve_kind::<SpmmOp>(shared, adj, tune, riders),
-        OpRequest::Sddmm(_) => serve_kind::<SddmmOp>(shared, adj, tune, riders),
-        OpRequest::FusedAttention(_) => serve_kind::<FusedAttentionOp>(shared, adj, tune, riders),
-        OpRequest::FusedSage(_) => serve_kind::<FusedSageOp>(shared, adj, tune, riders),
-    }
-}
-
-/// Split riders into the op's operands and their replies; one request
-/// served inline borrows its operands as a one-element slice.
-fn serve_kind<O: Served>(shared: &Shared, adj: &Adjacency, tune: bool, riders: Riders) {
-    match riders {
-        Riders::One(req, reply) => {
-            serve_as::<O>(shared, adj, tune, slice::from_ref(&O::extract(req)), [reply]);
-        }
-        Riders::Batch(jobs) => {
-            let (reqs, replies): (Vec<_>, Vec<_>) = jobs
-                .into_iter()
-                .map(|job| {
-                    let reply =
-                        Reply { enqueued: job.enqueued, priority: job.priority, tx: job.reply };
-                    (O::extract(job.req), reply)
-                })
-                .unzip();
-            serve_as::<O>(shared, adj, tune, &reqs, replies);
-        }
-    }
+    let (mut reqs, mut replies): (Vec<_>, Vec<_>) = batch
+        .into_iter()
+        .map(|job| {
+            let reply = Reply { enqueued: job.enqueued, priority: job.priority, tx: job.reply };
+            (job.req, reply)
+        })
+        .unzip();
+    serve(shared, &adj, tune, &mut reqs, &mut replies);
 }
 
 /// The tuned SpMM configuration for one adjacency: the engine-owned
@@ -1360,59 +1071,60 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConf
         SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), head).decide()
     });
     if !hit {
-        // First decision under this anchor: remember how to redo it, so a
-        // future re-anchor can replay the search against the updated
-        // matrix in the background.
-        let mut reg = lock(&shared.retune_registry);
-        let entry = reg.entry(key.fingerprint.clone()).or_default();
-        if !entry.iter().any(|r| r.key == key) {
-            entry.push(RetuneRecord { key, feat: head.cols() });
-        }
+        // First decision under this anchor: remember the width it was
+        // timed at, so a future re-anchor can replay it against the
+        // updated matrix in the background.
+        lock(&shared.retune_registry).entry(key.fingerprint).or_insert(head.cols());
     }
     config
 }
 
-/// Serve one kind-matched batch through the op's generic contract:
-/// config lookup → one `execute_batch_on` launch → per-request replies. A
+/// Serve kind-matched riders — a batch a worker drained, or one request
+/// on its submitting thread — in one launch, and answer each rider. A
 /// panicking kernel answers every rider with [`EngineError::Exec`]
 /// instead of killing the thread that serves it.
-fn serve_as<O: Served>(
+fn serve(
     shared: &Shared,
     adj: &Adjacency,
     tune: bool,
-    reqs: &[O::Operands],
-    replies: impl IntoIterator<Item = Reply>,
+    reqs: &mut [OpRequest],
+    replies: &mut [Reply],
 ) {
-    shared.stats.record_batch(O::kind(), reqs.len());
-    let width = reqs.len().max(1) as u64;
-    // The config lookup sits inside the catch: a panicking tuning search
-    // must answer its riders with `Exec` too, not drop their replies.
+    let kind = reqs[0].kind();
+    shared.stats.record_batch(kind, reqs.len());
+    let width = reqs.len() as u64;
     let started = Instant::now();
     // Sample the thread-local copy counter around the launch: one thread
     // runs the whole batch, so the delta is exactly the bytes the launch
     // memcpy'd for these riders (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
+    let mut answered = 0;
     let result = catch_unwind(AssertUnwindSafe(|| {
-        // A tuned decision is timed on the batch head's operand.
-        let config = if tune { O::tuned(shared, adj, &reqs[0]) } else { O::Config::default() };
-        O::execute_batch_on(&shared.runtime, adj.csr(), reqs, &config)
+        // The config lookup sits inside the catch: a panicking tuning
+        // search must answer its riders with `Exec` too, not drop their
+        // replies. Only SpMM reads a config; a tuned decision is timed on
+        // the batch head's operand.
+        let config = match &reqs[0] {
+            OpRequest::Spmm(head) if tune => tuned_spmm_config(shared, adj, head),
+            _ => SpmmConfig::default(),
+        };
+        launch(&shared.runtime, adj.csr(), &config, reqs, &mut |out| {
+            if answered == 0 {
+                // Per-request execution estimate for admission: the
+                // launch's wall time amortized over its riders.
+                shared.stats.record_exec(kind, started.elapsed().as_nanos() as u64 / width);
+            }
+            finish(shared, &mut replies[answered], Ok(out));
+            answered += 1;
+        })
     }));
     shared
         .stats
         .bytes_copied
         .fetch_add(bytes_copied_on_thread().saturating_sub(copied_before), Ordering::Relaxed);
-    match result {
-        Ok(Ok(outs)) => {
-            // Per-request execution estimate for admission: the batch's
-            // wall time amortized over its riders.
-            shared.stats.record_exec(O::kind(), started.elapsed().as_nanos() as u64 / width);
-            for (reply, out) in replies.into_iter().zip(outs) {
-                finish(shared, reply, Ok(O::wrap(out)));
-            }
-        }
-        Ok(Err(e)) => {
-            answer_error(shared, replies, &EngineError::Exec(e.to_string()));
-        }
+    let err = match result {
+        Ok(Ok(())) => return,
+        Ok(Err(e)) => EngineError::Exec(e.to_string()),
         Err(panic) => {
             shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             let msg = panic
@@ -1420,8 +1132,11 @@ fn serve_as<O: Served>(
                 .map(|s| (*s).to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "worker panicked while executing the batch".to_string());
-            answer_error(shared, replies, &EngineError::Exec(format!("worker panic: {msg}")));
+            EngineError::Exec(format!("worker panic: {msg}"))
         }
+    };
+    for reply in &mut replies[answered..] {
+        finish(shared, reply, Err(err.clone()));
     }
 }
 
@@ -1433,15 +1148,9 @@ struct Reply {
     tx: ReplyTx,
 }
 
-fn answer_error(shared: &Shared, replies: impl IntoIterator<Item = Reply>, err: &EngineError) {
-    for reply in replies {
-        finish(shared, reply, Err(err.clone()));
-    }
-}
-
 /// Record latency + outcome and deliver the answer (a client that dropped
 /// its ticket is not an error).
-fn finish(shared: &Shared, reply: Reply, answer: Answer) {
+fn finish(shared: &Shared, reply: &mut Reply, answer: Answer) {
     shared.stats.record_latency(reply.enqueued.elapsed().as_nanos() as u64);
     if answer.is_ok() {
         shared.stats.serve(reply.priority);
@@ -1475,7 +1184,7 @@ mod tests {
         drop(tx);
         assert_eq!(waiter.join().expect("waiter returns"), Some(EngineError::Shutdown));
 
-        let (tx, slot) = reply_slot();
+        let (mut tx, slot) = reply_slot();
         let answered = ticket(slot);
         tx.send(Ok(OpOutput::Edges(vec![1.0])));
         assert_eq!(tickets.load(Ordering::Relaxed), 1);

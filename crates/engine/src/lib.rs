@@ -8,12 +8,13 @@
 //! feature operands. The [`Engine`] packages that reuse behind a
 //! multi-tenant request queue:
 //!
-//! * **One generic submission path for every op**: a [`Submission`]
-//!   wraps the [`OpRequest`] enum over the kernel crate's
-//!   [`SparseOp`](sparsetir_kernels::op::SparseOp) layer — SpMM, SDDMM,
-//!   the cross-op fused attention pipeline and the fused GraphSAGE layer
-//!   step all submit, batch and answer through the same machinery
-//!   ([`Engine::submit`] → [`Ticket`] → [`OpOutput`]). Built via
+//! * **One submission path for every op**: a [`Submission`] wraps an
+//!   [`OpRequest`], the one table of served ops — SpMM, SDDMM, the
+//!   cross-op fused attention pipeline and the fused GraphSAGE layer step
+//!   all submit, batch and answer through the same machinery
+//!   ([`Engine::submit`] → [`Ticket`] → [`OpOutput`]). A request is
+//!   checked at submit by its kernel's request-shape rule and launched
+//!   through its kernel's one entry point, which checks it again. Built via
 //!   `Submission::spmm(feat).deadline(d).priority(Priority::Hi)`-style
 //!   constructors. A multi-head aggregation is one SpMM submission per
 //!   head: heads of one width batch like any other SpMM riders.
@@ -38,8 +39,9 @@
 //!   times the whole launch of CSR and two `hyb` configs and keeps CSR
 //!   unless a challenger wins by more than a fixed margin). A tuned
 //!   submission of any other kind is served exactly like an untuned one.
-//! * **Batching by adjacency fingerprint**: concurrent requests that
-//!   share an [`Adjacency`] and satisfy their op's batching contract are
+//! * **Batching by shared [`Adjacency`]**: concurrent requests that hold
+//!   clones of one [`Adjacency`] and agree on the widths their op's kernel
+//!   is compiled at are
 //!   folded into one kernel launch that looks up the one-rider kernel and
 //!   binds the adjacency once, then runs it once per rider with that
 //!   rider's operands and output buffer bound in place as flat slices (a
@@ -92,13 +94,14 @@
 #![warn(missing_docs)]
 
 mod engine;
+mod op;
 mod stats;
 mod submission;
 
 pub use engine::{
-    Adjacency, Engine, EngineConfig, EngineError, OpOutput, OpRequest, Ticket, DEFAULT_QUEUE_DEPTH,
-    DRIFT_THRESHOLD,
+    Adjacency, Engine, EngineConfig, EngineError, Ticket, DEFAULT_QUEUE_DEPTH, DRIFT_THRESHOLD,
 };
+pub use op::{OpOutput, OpRequest};
 pub use stats::{EngineStats, LatencyHistogram, OpBatchWidth, PriorityStats, ShedStats};
 pub use submission::{Priority, RejectReason, Submission};
 // The delta type `apply_delta` consumes, re-exported so serving callers

@@ -3,7 +3,7 @@
 //! per-request tuning override. `Submission` is the one public face of
 //! [`Engine::submit`](crate::Engine::submit).
 
-use crate::engine::OpRequest;
+use crate::op::OpRequest;
 use sparsetir_kernels::prelude::AttnHead;
 use sparsetir_smat::prelude::Dense;
 use std::fmt;

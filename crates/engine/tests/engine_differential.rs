@@ -1,8 +1,8 @@
 //! Property-based differential tests: for random CSR matrices and random
 //! request sets — widths 0, 1, and mixed — the batched engine output of
 //! *every served op* (SpMM, SDDMM, fused attention, fused SAGE) must be
-//! bit-identical to a sequential loop of the op's single-request
-//! `SparseOp::execute_on` calls on a fresh runtime — sequential execution
+//! bit-identical to a sequential loop of single-request launches through
+//! the op's kernel entry point on a fresh runtime — sequential execution
 //! is the batching oracle. This is the serving-path analogue of the
 //! executor's interpreter-differential suite: batching must be a pure
 //! performance transformation, and it must copy nothing
@@ -24,8 +24,8 @@ use proptest::prelude::*;
 use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, SddmmOp, SparseOp, SpmmConfig,
-    SpmmOp,
+    attention_pipeline_oracle, sage_pipeline_oracle, sddmm_execute_views_on, spmm_execute_views_on,
+    AttnHead, SpmmConfig,
 };
 use sparsetir_smat::prelude::*;
 
@@ -69,10 +69,30 @@ fn random_pairs(a: &Csr, widths: &[usize], seed: u64) -> Vec<(Dense, Dense)> {
         .collect()
 }
 
-/// The sequential oracle: one request alone through the op layer on a
-/// fresh runtime.
-fn solo<O: SparseOp>(a: &Csr, req: &O::Operands) -> O::Output {
-    O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("sequential execution")
+/// One untuned launch of `xs` through the SpMM entry point on a fresh
+/// runtime.
+fn spmm_batch(a: &Csr, xs: &[Dense]) -> Vec<Dense> {
+    let refs: Vec<&Dense> = xs.iter().collect();
+    let mut outs: Vec<Dense> = xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
+    spmm_execute_views_on(&Runtime::new(), a, &refs, &mut outs, &SpmmConfig::default())
+        .expect("executes");
+    outs
+}
+
+/// One launch of `reqs` through the SDDMM entry point on a fresh runtime.
+fn sddmm_batch(a: &Csr, reqs: &[(Dense, Dense)]) -> Vec<Vec<f32>> {
+    let mut outs = vec![vec![0.0; a.nnz()]; reqs.len()];
+    sddmm_execute_views_on(&Runtime::new(), a, reqs, &mut outs).expect("executes");
+    outs
+}
+
+/// The sequential oracles: one request alone.
+fn solo_spmm(a: &Csr, x: &Dense) -> Dense {
+    spmm_batch(a, std::slice::from_ref(x)).remove(0)
+}
+
+fn solo_sddmm(a: &Csr, req: &(Dense, Dense)) -> Vec<f32> {
+    sddmm_batch(a, std::slice::from_ref(req)).remove(0)
 }
 
 /// The three-launch pipeline oracle over one request's heads, on a fresh
@@ -141,12 +161,10 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let xs = random_feats(&a, &vec![w; n], seed);
-        let batched =
-            SpmmOp::execute_batch_on(&Runtime::new(), &a, &xs, &SpmmConfig::default())
-                .expect("batched execution");
+        let batched = spmm_batch(&a, &xs);
         prop_assert_eq!(batched.len(), xs.len());
         for (i, (x, got)) in xs.iter().zip(&batched).enumerate() {
-            let want = solo::<SpmmOp>(&a, x);
+            let want = solo_spmm(&a, x);
             assert_bit_identical(got, &want, &format!("request {i}"))?;
             let f64_ref = oracle::spmm_f64(&a, x.data(), x.cols());
             assert_oracle(&f64_ref, got.data(), &format!("request {i}"))?;
@@ -185,7 +203,7 @@ proptest! {
             .collect();
         for (i, ((x, w), (spmm, sage))) in xs.iter().zip(&ws).zip(tickets).enumerate() {
             let got = spmm.wait_dense().expect("engine answers");
-            assert_bit_identical(&got, &solo::<SpmmOp>(&a, x), &format!("request {i}"))?;
+            assert_bit_identical(&got, &solo_spmm(&a, x), &format!("request {i}"))?;
             let f64_ref = oracle::spmm_f64(&a, x.data(), x.cols());
             assert_oracle(&f64_ref, got.data(), &format!("request {i}"))?;
             let got = sage.wait_dense().expect("engine answers");
@@ -218,12 +236,10 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let reqs = random_pairs(&a, &vec![k; n], seed);
-        let batched =
-            SddmmOp::execute_batch_on(&Runtime::new(), &a, &reqs, &())
-                .expect("batched execution");
+        let batched = sddmm_batch(&a, &reqs);
         prop_assert_eq!(batched.len(), reqs.len());
         for (i, (req, got)) in reqs.iter().zip(&batched).enumerate() {
-            let want = solo::<SddmmOp>(&a, req);
+            let want = solo_sddmm(&a, req);
             assert_bits_eq(got, &want, &format!("request {i}"))?;
             let (x, y) = req;
             let f64_ref = oracle::sddmm_f64(&a, x.data(), y.data(), k);
@@ -252,7 +268,7 @@ proptest! {
             .collect();
         for (i, (req, t)) in reqs.iter().zip(tickets).enumerate() {
             let got = t.wait_edges().expect("engine answers");
-            let want = solo::<SddmmOp>(&a, req);
+            let want = solo_sddmm(&a, req);
             assert_bits_eq(&got, &want, &format!("request {i}"))?;
             let (x, y) = req;
             let f64_ref = oracle::sddmm_f64(&a, x.data(), y.data(), x.cols());

@@ -7,8 +7,8 @@ use sparsetir_engine::{
 };
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{
-    attention_pipeline_oracle, sage_pipeline_oracle, AttnHead, FusedAttentionOp, FusedSageOp,
-    SddmmOp, SparseOp, SpmmOp,
+    attention_pipeline_oracle, fused_attention_reference, fused_sage_reference,
+    sage_pipeline_oracle, sddmm_execute_views_on, spmm_execute_views_on, AttnHead, SpmmConfig,
 };
 use sparsetir_smat::prelude::*;
 use std::sync::Arc;
@@ -27,10 +27,22 @@ fn power_law_csr(n: usize, seed: u64) -> Csr {
     )
 }
 
-/// The sequential oracle: one request alone through the op layer on a
-/// fresh runtime.
-fn solo<O: SparseOp>(a: &Csr, req: &O::Operands) -> O::Output {
-    O::execute_on(&Runtime::new(), a, req, &O::Config::default()).expect("executes")
+/// The sequential oracles: one request alone through its kernel entry
+/// point on a fresh runtime, untuned.
+fn solo_spmm(a: &Csr, x: &Dense) -> Dense {
+    let mut outs = [Dense::zeros(a.rows(), x.cols())];
+    spmm_execute_views_on(&Runtime::new(), a, &[x], &mut outs, &SpmmConfig::default())
+        .expect("executes");
+    let [out] = outs;
+    out
+}
+
+fn solo_sddmm(a: &Csr, req: &(Dense, Dense)) -> Vec<f32> {
+    let mut outs = [vec![0.0; a.nnz()]];
+    sddmm_execute_views_on(&Runtime::new(), a, std::slice::from_ref(req), &mut outs)
+        .expect("executes");
+    let [out] = outs;
+    out
 }
 
 /// The three-launch pipeline oracle over one request's heads, on a fresh
@@ -62,7 +74,7 @@ fn served_spmm_matches_direct_execution() {
         .serve(&adj, Submission::spmm(x.clone()))
         .and_then(OpOutput::into_dense)
         .expect("serves");
-    let direct = solo::<SpmmOp>(&a, &x);
+    let direct = solo_spmm(&a, &x);
     assert!(bit_eq(&served, &direct), "served result must be bit-identical to direct execution");
     assert!(served.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     let stats = engine.stats();
@@ -82,7 +94,7 @@ fn served_sddmm_matches_direct_execution() {
         .serve(&adj, Submission::sddmm(x.clone(), y.clone()))
         .and_then(OpOutput::into_edges)
         .expect("serves");
-    let direct = solo::<SddmmOp>(&a, &(x, y));
+    let direct = solo_sddmm(&a, &(x, y));
     assert_eq!(served.len(), direct.len());
     for (s, d) in served.iter().zip(&direct) {
         assert_eq!(s.to_bits(), d.to_bits());
@@ -109,7 +121,7 @@ fn queued_requests_batch_and_stay_bit_identical() {
     drop(stall);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
-        let want = solo::<SpmmOp>(&small, x);
+        let want = solo_spmm(&small, x);
         assert!(bit_eq(&got, &want));
     }
     let stats = engine.stats();
@@ -158,7 +170,7 @@ fn an_idle_engine_serves_a_blocking_submit_inline() {
     assert_eq!((stats.submitted, stats.served_inline, stats.completed), (1, 1, 1), "{stats:?}");
     assert_eq!(stats.queue_high_water, 0, "{stats:?}");
     let got = ticket.wait_dense().expect("serves");
-    assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+    assert!(bit_eq(&got, &solo_spmm(&a, &x)));
     assert_eq!(stats.latency.count(), 1, "an inline request records its latency");
 }
 
@@ -177,7 +189,7 @@ fn a_held_worker_makes_a_blocking_submit_queue() {
     assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 0, 1));
     drop(stall);
     let got = ticket.wait_dense().expect("served by the worker");
-    assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+    assert!(bit_eq(&got, &solo_spmm(&a, &x)));
     assert_eq!(engine.stats().served_inline, 0);
 }
 
@@ -204,14 +216,14 @@ fn a_ticket_in_flight_makes_the_next_submit_queue() {
         .collect();
     assert_eq!(engine.stats().served_inline, 1, "a ticket in flight: the others queue");
     for (x, t) in xs.iter().zip(std::iter::once(first).chain(fanned)) {
-        assert!(bit_eq(&t.wait_dense().expect("serves"), &solo::<SpmmOp>(&a, x)));
+        assert!(bit_eq(&t.wait_dense().expect("serves"), &solo_spmm(&a, x)));
     }
     let dropped = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
     drop(dropped);
     let got = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
     let stats = engine.stats();
     assert_eq!((stats.served_inline, stats.completed), (3, 5), "{stats:?}");
-    assert!(bit_eq(&got.wait_dense().expect("serves"), &solo::<SpmmOp>(&a, &xs[3])));
+    assert!(bit_eq(&got.wait_dense().expect("serves"), &solo_spmm(&a, &xs[3])));
 }
 
 /// `try_submit` promises not to block, so even an idle engine queues it
@@ -229,7 +241,7 @@ fn try_submit_never_serves_inline() {
             .expect("admits")
             .wait_dense()
             .expect("serves");
-        assert!(bit_eq(&got, &solo::<SpmmOp>(&a, &x)));
+        assert!(bit_eq(&got, &solo_spmm(&a, &x)));
     }
     let stats = engine.stats();
     assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 3, 1));
@@ -526,15 +538,15 @@ fn generic_submit_path_serves_every_op() {
     let err = attn.clone().into_dense().expect_err("heads are not one dense matrix");
     assert!(matches!(&err, EngineError::Output(m) if m.contains("fused_attention")), "{err}");
     let outs = attn.into_heads().unwrap();
-    let want = FusedAttentionOp::reference(&a, &heads).unwrap();
     assert_eq!(outs.len(), heads.len());
-    for (out, w) in outs.iter().zip(&want) {
-        assert!(out.approx_eq(w, 1e-4), "max |Δ| = {}", out.max_abs_diff(w));
+    for (out, h) in outs.iter().zip(&heads) {
+        let want = fused_attention_reference(&a, &h.q, &h.kt, &h.v, 1);
+        assert!(out.approx_eq(&want, 1e-4), "max |Δ| = {}", out.max_abs_diff(&want));
     }
 
     let (sx, w) = (gen::random_dense(16, 5, &mut rng), gen::random_dense(5, 3, &mut rng));
     let sage = engine.serve(&adj, OpRequest::FusedSage((sx.clone(), w.clone())));
-    let want = FusedSageOp::reference(&a, &(sx, w)).unwrap();
+    let want = fused_sage_reference(&a, &sx, &w);
     assert!(sage.expect("fused sage serves").into_dense().unwrap().approx_eq(&want, 1e-4));
 
     // An op-mismatched accessor is a typed error, not a panic.
@@ -633,7 +645,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     drop(stall);
     for (req, t) in reqs.iter().zip(tickets) {
         let got = t.wait_edges().expect("completes");
-        let want = solo::<SddmmOp>(&small, req);
+        let want = solo_sddmm(&small, req);
         assert_eq!(got.len(), want.len());
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
@@ -667,7 +679,7 @@ fn incompatible_requests_do_not_batch() {
     let got2 = t2.wait_edges().expect("completes");
     let got3 = t3.wait_dense().expect("completes");
     for (got, req) in [(got1, &s1), (got2, &s2)] {
-        let want = solo::<SddmmOp>(&small, req);
+        let want = solo_sddmm(&small, req);
         for (g, w) in got.iter().zip(&want) {
             assert_eq!(g.to_bits(), w.to_bits());
         }
@@ -699,7 +711,7 @@ fn spmm_riders_dispatch_once_per_width() {
     drop(stall);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
-        assert!(bit_eq(&got, &solo::<SpmmOp>(&small, x)), "width {}", x.cols());
+        assert!(bit_eq(&got, &solo_spmm(&small, x)), "width {}", x.cols());
     }
     let stats = engine.stats();
     let spmm = stats.widths_of("spmm").expect("spmm dispatched");

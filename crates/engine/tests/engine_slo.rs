@@ -64,7 +64,7 @@ proptest! {
     /// A request that was admissible at submit time but whose deadline
     /// lapses while the single worker is held up is answered
     /// `Rejected { reason: Expired }` at drain — and its operands never
-    /// reach `execute_batch_on`: across random victim shapes the engine
+    /// reach a kernel entry point: across random victim shapes the engine
     /// compiles no kernel for it and completes no request for it.
     #[test]
     fn expired_at_drain_is_shed_without_executing(

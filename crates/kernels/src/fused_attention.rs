@@ -14,8 +14,9 @@
 //! `h` owning `feat` consecutive columns, `KT` `heads·feat × n` with the
 //! heads' key transposes stacked row-wise, `V` `n × heads·vfeat` and the
 //! output `m × heads·vfeat` column-stacked — and is what the pipeline
-//! oracle and the tests bind. Flattening requests into heads and
-//! regrouping the outputs lives in `FusedAttentionOp`.
+//! oracle and the tests bind. A request is a list of [`AttnHead`]s;
+//! flattening requests into heads and regrouping the outputs is the
+//! serving engine's.
 //!
 //! ## Numerical contract
 //!
@@ -50,6 +51,18 @@ use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::collections::HashMap;
+
+/// One attention head's operands: query, transposed key and value
+/// projections against the shared mask.
+#[derive(Debug, Clone)]
+pub struct AttnHead {
+    /// Queries (`rows × k`).
+    pub q: Dense,
+    /// Transposed keys (`k × cols`).
+    pub kt: Dense,
+    /// Values (`cols × vfeat`).
+    pub v: Dense,
+}
 
 /// Lower the whole attention pipeline to one `PrimFunc`: five passes
 /// (score / rowmax / exp / psum / agg), each walking the adjacency row by
@@ -102,14 +115,13 @@ pub fn attention_aggregate_ir(a: &Csr, heads: usize, vfeat: usize) -> KernelResu
     Ok(lower(&program)?)
 }
 
-/// The fused-attention head-shape rule — the one check behind both
-/// `FusedAttentionOp::validate` and [`fused_attention_views_on`]: every
-/// `(q, kt, v)` head fits the adjacency and all heads share one
-/// `(k, vfeat)`.
+/// The fused-attention head-shape rule — the one check behind a serving
+/// engine's admission and [`fused_attention_views_on`]: every `(q, kt, v)`
+/// head fits the adjacency and all heads share one `(k, vfeat)`.
 ///
 /// # Errors
 /// Describes the first offending head.
-pub(crate) fn check_heads<'a>(
+pub fn check_heads<'a>(
     a: &Csr,
     heads: impl IntoIterator<Item = (&'a Dense, &'a Dense, &'a Dense)>,
 ) -> Result<(), String> {
@@ -492,6 +504,24 @@ mod tests {
         let _ = pipeline(&pipeline_rt, &a, &hs).unwrap();
         assert_eq!(fused_rt.compilations(), c1);
         assert_eq!(pipeline_rt.compilations(), c2);
+    }
+
+    /// A batch of heads — one request's, or several requests' folded into
+    /// one launch — is bit-identical to launching each head alone, and
+    /// each agrees with the f64 reference.
+    #[test]
+    fn a_batch_of_heads_is_bit_identical_to_solo_launches() {
+        let mut rng = gen::rng(81);
+        let a = gen::random_csr(14, 12, 0.25, &mut rng);
+        let hs = heads(&a, 3, 4, 3, 82);
+        let rt = Runtime::new();
+        let batched = launch(&rt, &a, &hs).unwrap();
+        for (head, got) in hs.iter().zip(&batched) {
+            let solo = launch(&rt, &a, std::slice::from_ref(head)).unwrap();
+            assert!(bit_eq(std::slice::from_ref(got), &solo), "batched must equal solo");
+        }
+        assert_matches_reference(&a, &hs, &batched);
+        assert_eq!(rt.cached(), 1, "every head runs the one-head kernel");
     }
 
     #[test]

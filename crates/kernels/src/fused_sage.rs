@@ -55,12 +55,12 @@ pub fn fused_sage_ir(a: &Csr, feat: usize, hidden: usize) -> KernelResult<PrimFu
     KernelSpec::FusedSage { a: a.into(), feat, hidden }.build_for(a)
 }
 
-/// The fused-SAGE request-shape rule — the one check behind both
-/// `FusedSageOp::validate` and [`fused_sage_execute_on`].
+/// The fused-SAGE request-shape rule — the one check behind a serving
+/// engine's admission and [`fused_sage_execute_on`].
 ///
 /// # Errors
 /// Describes the mismatch.
-pub(crate) fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
+pub fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
     if x.rows() != a.cols() || w.rows() != x.cols() {
         return Err(format!(
             "sage operands x {}x{}, w {}x{} incompatible with {}x{} adjacency",

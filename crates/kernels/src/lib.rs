@@ -11,15 +11,18 @@
 //! schedule parameters on the V100 model live above it, in
 //! `sparsetir-plans`.
 //!
-//! The served kernels sit behind the generic [`op::SparseOp`] layer: one
-//! descriptor per operator with a `Config` holding exactly what its launch
-//! reads, a zero-copy batching contract (`can_batch` + one `launch`) and a
-//! reference-executor hook, so the serving engine is op-agnostic. Each
-//! served kernel has exactly one executable entry point —
+//! Each served kernel has exactly one executable entry point —
 //! [`spmm::spmm_execute_views_on`], [`sddmm::sddmm_execute_views_on`],
 //! [`fused_attention::fused_attention_views_on`],
 //! [`fused_sage::fused_sage_execute_on`] — binding the caller's operands
-//! and outputs as views; `SparseOp::launch` is a thin adapter over it.
+//! and outputs as views. The SpMM, SDDMM and attention ones take one
+//! request or a batch: the one-rider kernel is looked up and the adjacency
+//! bound once, then the kernel runs once per rider (attention: per head)
+//! on that rider's own storage, so a rider's bits are the ones it would
+//! get alone. Beside each entry point sits its
+//! request-shape rule ([`spmm::check_shapes`], [`sddmm::check_shapes`],
+//! [`fused_attention::check_heads`], [`fused_sage::check_shapes`]), which
+//! the entry point applies and a serving engine applies at admission.
 //! The multi-launch forms of the two fused ops
 //! ([`fused_attention::attention_pipeline_oracle`],
 //! [`fused_sage::sage_pipeline_oracle`]) are test references only.
@@ -32,7 +35,6 @@
 
 pub mod fused_attention;
 pub mod fused_sage;
-pub mod op;
 pub mod sddmm;
 mod spec;
 pub mod spmm;
@@ -42,14 +44,11 @@ pub mod tune;
 pub mod prelude {
     pub use crate::fused_attention::{
         attention_aggregate_ir, attention_pipeline_oracle, attention_score_ir, edge_softmax_ir,
-        fused_attention_ir, fused_attention_reference, fused_attention_views_on,
+        fused_attention_ir, fused_attention_reference, fused_attention_views_on, AttnHead,
     };
     pub use crate::fused_sage::{
         fused_sage_execute_on, fused_sage_ir, fused_sage_reference, inverse_degrees,
         sage_pipeline_oracle,
-    };
-    pub use crate::op::{
-        AttnHead, FusedAttentionOp, FusedSageOp, OpError, SddmmOp, SparseOp, SpmmOp,
     };
     pub use crate::sddmm::{sddmm_execute_views_on, sddmm_ir};
     pub use crate::spmm::{

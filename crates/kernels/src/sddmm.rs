@@ -21,12 +21,12 @@ pub fn sddmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error::Er
     KernelSpec::Sddmm { a: a.into(), k: feat }.build_for(a)
 }
 
-/// The SDDMM request-shape rule — the one check behind both
-/// `SddmmOp::validate` and [`sddmm_execute_views_on`].
+/// The SDDMM request-shape rule — the one check behind a serving
+/// engine's admission and [`sddmm_execute_views_on`].
 ///
 /// # Errors
 /// Describes the mismatch.
-pub(crate) fn check_shapes(a: &Csr, x: &Dense, y: &Dense) -> Result<(), String> {
+pub fn check_shapes(a: &Csr, x: &Dense, y: &Dense) -> Result<(), String> {
     if x.rows() != a.rows() || y.cols() != a.cols() || y.rows() != x.cols() {
         return Err(format!(
             "sddmm operands {}x{} · {}x{} incompatible with {}x{} adjacency",

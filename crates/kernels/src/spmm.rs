@@ -196,12 +196,12 @@ pub fn prepare_spmm(
     Ok(PreparedSpmm { func, bindings, rows: a.rows(), feat })
 }
 
-/// The SpMM request-shape rule — the one check behind both
-/// `SpmmOp::validate` and [`spmm_execute_views_on`].
+/// The SpMM request-shape rule — the one check behind a serving
+/// engine's admission and [`spmm_execute_views_on`].
 ///
 /// # Errors
 /// Describes the mismatch.
-pub(crate) fn check_shapes(a: &Csr, x: &Dense) -> Result<(), String> {
+pub fn check_shapes(a: &Csr, x: &Dense) -> Result<(), String> {
     if x.rows() != a.cols() {
         return Err(format!(
             "feature matrix has {} rows, adjacency has {} cols",
@@ -344,6 +344,7 @@ mod tests {
                     for (g, w) in got.data().iter().zip(want.data()) {
                         assert_eq!(g.to_bits(), w.to_bits(), "config {}", config.label());
                     }
+                    assert!(got.approx_eq(&a.spmm(x).unwrap(), 1e-4), "config {}", config.label());
                 }
             }
         }

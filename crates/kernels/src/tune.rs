@@ -8,7 +8,6 @@
 //! [`SparsityFingerprint`], so repeated requests on one adjacency hit the
 //! decision with zero recompilation and zero re-measurement.
 
-use crate::op::{SparseOp, SpmmOp};
 use crate::spmm::{spmm_execute_views_on, SpmmConfig};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_smat::prelude::*;
@@ -254,7 +253,7 @@ pub fn pick_spmm(timed: &[(SpmmConfig, Option<f64>)]) -> SpmmConfig {
 #[must_use]
 pub fn measured_spmm_key(anchor: &SparsityFingerprint) -> TuneKey {
     TuneKey {
-        workload: SpmmOp::kind(),
+        workload: "spmm",
         backend: "measured",
         device: "host",
         extra: vec![],

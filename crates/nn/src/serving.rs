@@ -11,8 +11,8 @@ use sparsetir_smat::prelude::Dense;
 
 /// The engine-side handle for a model's normalized adjacency. Build it
 /// once per deployed model and clone it per client thread — requests
-/// from every clone batch together (the clone is an `Arc` bump and the
-/// content fingerprint is reused).
+/// from every clone batch together (the clone is an `Arc` bump); a second
+/// wrap of the same matrix would not batch with the first.
 #[must_use]
 pub fn serving_adjacency(model: &GraphSage) -> Adjacency {
     Adjacency::new(model.a_norm.clone())

@@ -21,33 +21,33 @@ impl Ell {
     /// Convert from CSR.
     ///
     /// # Errors
-    /// Fails when any row has more than `width` non-zeros, or when
-    /// `rows × width` overflows `usize`.
+    /// Fails when any row has more than `width` non-zeros, or when the
+    /// `rows × width` storage overflows `usize` or cannot be reserved —
+    /// checked before anything is allocated.
     pub fn from_csr(csr: &Csr, width: usize) -> Result<Ell, SmatError> {
         let rows = csr.rows();
-        let stored = rows.checked_mul(width).ok_or_else(|| {
-            SmatError::new(format!("ELL storage of {rows} rows × width {width} overflows usize"))
-        })?;
-        let mut col_indices = vec![0u32; stored];
-        let mut values = vec![0.0f32; stored];
+        if let Some(r) = (0..rows).find(|&r| csr.row_nnz(r) > width) {
+            return Err(SmatError::new(format!(
+                "row {r} has {} non-zeros, exceeding ELL width {width}",
+                csr.row_nnz(r)
+            )));
+        }
+        let storage = |e: &dyn std::fmt::Display| {
+            SmatError::new(format!("ELL storage of {rows} rows × width {width}: {e}"))
+        };
+        let stored = rows.checked_mul(width).ok_or_else(|| storage(&"overflows usize"))?;
+        let (mut col_indices, mut values) = (Vec::new(), Vec::new());
+        col_indices.try_reserve_exact(stored).map_err(|e| storage(&e))?;
+        values.try_reserve_exact(stored).map_err(|e| storage(&e))?;
         for r in 0..rows {
             let (cols, vals) = csr.row(r);
-            if cols.len() > width {
-                return Err(SmatError::new(format!(
-                    "row {r} has {} non-zeros, exceeding ELL width {width}",
-                    cols.len()
-                )));
-            }
-            for (j, (&c, &v)) in cols.iter().zip(vals).enumerate() {
-                col_indices[r * width + j] = c;
-                values[r * width + j] = v;
-            }
             // Pad with the row's last valid column (or 0) so indices stay
             // in-bounds; values are 0 so the contribution vanishes.
             let pad_col = cols.last().copied().unwrap_or(0);
-            for j in cols.len()..width {
-                col_indices[r * width + j] = pad_col;
-            }
+            col_indices.extend_from_slice(cols);
+            col_indices.resize((r + 1) * width, pad_col);
+            values.extend_from_slice(vals);
+            values.resize((r + 1) * width, 0.0);
         }
         Ok(Ell { rows, cols: csr.cols(), width, nnz: csr.nnz(), col_indices, values })
     }
@@ -158,6 +158,21 @@ mod tests {
     fn width_too_small_errors() {
         let csr = sample();
         assert!(Ell::from_csr(&csr, 1).is_err());
+    }
+
+    /// A width whose storage overflows, or exceeds what a `Vec` can hold
+    /// (a one-row matrix at `usize::MAX`), is refused before anything is
+    /// allocated instead of panicking on the allocation.
+    #[test]
+    fn an_unreservable_width_is_an_error_not_a_panic() {
+        let one_row = Csr::from_coo(&Coo::from_entries(1, 4, vec![(0, 1, 1.0)]).unwrap());
+        for width in [usize::MAX, usize::MAX / 2 + 1] {
+            let err = Ell::from_csr(&one_row, width).expect_err("unreservable width");
+            assert!(err.to_string().contains("ELL storage of 1 rows"), "{err}");
+        }
+        assert!(Ell::from_csr(&sample(), usize::MAX).is_err(), "3 rows × usize::MAX overflows");
+        let empty = Csr::from_coo(&Coo::new(0, 4));
+        assert_eq!(Ell::from_csr(&empty, usize::MAX).unwrap().stored(), 0);
     }
 
     #[test]

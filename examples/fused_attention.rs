@@ -42,8 +42,12 @@ fn main() {
             v: gen::random_dense(n, vfeat, &mut rng),
         })
         .collect();
+    let qs: Vec<&Dense> = request.iter().map(|h| &h.q).collect();
+    let kts: Vec<&Dense> = request.iter().map(|h| &h.kt).collect();
+    let vs: Vec<&Dense> = request.iter().map(|h| &h.v).collect();
     let fused_rt = Runtime::new();
-    let fused = FusedAttentionOp::execute_on(&fused_rt, &graph, &request, &()).expect("fused");
+    let mut fused = vec![Dense::zeros(n, vfeat); heads];
+    fused_attention_views_on(&fused_rt, &graph, &qs, &kts, &vs, &mut fused).expect("fused");
     println!(
         "fused:    {} kernel(s) compiled — score, row-max, exp-sum and aggregate passes share one \
          launch",
@@ -54,9 +58,6 @@ fn main() {
     // reference (`attention_pipeline_oracle`), not something a serving or
     // library call ever selects.
     let pipeline_rt = Runtime::new();
-    let qs: Vec<&Dense> = request.iter().map(|h| &h.q).collect();
-    let kts: Vec<&Dense> = request.iter().map(|h| &h.kt).collect();
-    let vs: Vec<&Dense> = request.iter().map(|h| &h.v).collect();
     let mut pipeline = vec![Dense::zeros(n, vfeat); heads];
     attention_pipeline_oracle(&pipeline_rt, &graph, &qs, &kts, &vs, &mut pipeline)
         .expect("pipeline");
@@ -69,7 +70,8 @@ fn main() {
     println!("fused vs three-launch pipeline bit-identical: {bit_identical}");
     assert!(bit_identical);
 
-    let reference = FusedAttentionOp::reference(&graph, &request).expect("reference");
+    let reference: Vec<Dense> =
+        request.iter().map(|h| fused_attention_reference(&graph, &h.q, &h.kt, &h.v, 1)).collect();
     let max_diff =
         fused.iter().zip(&reference).map(|(f, r)| f.max_abs_diff(r)).fold(0.0f32, f32::max);
     println!("max |Δ| vs f64 reference: {max_diff:.2e}");

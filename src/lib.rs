@@ -11,7 +11,7 @@
 //! | [`smat`] | sparse matrix formats: CSR, COO, BSR, DBSR, ELL, SR-BCRS, `hyb(c,k)`; the delta layer |
 //! | [`core`] | the paper's contribution: Stage I sparse IR, format decomposition, Stage I schedules, the two lowering passes, horizontal fusion |
 //! | [`gpusim`] | deterministic GPU performance simulator (V100/RTX 3070) — the substitution for physical GPUs |
-//! | [`kernels`] | the SparseTIR-generated operators that compile and launch — SpMM, SDDMM, attention, fused attention, the fused GraphSAGE step — behind the executable `SparseOp` face; nothing under it knows the simulator |
+//! | [`kernels`] | the SparseTIR-generated operators that compile and launch — SpMM, SDDMM, attention, fused attention, the fused GraphSAGE step — one view-bound entry point and one request-shape rule each; nothing under it knows the simulator |
 //! | [`plans`] | every `KernelPlan` builder, priced on `gpusim`: SparseTIR's schedules (SpMM, SDDMM, attention, pruned-weight SpMM, RGMS, sparse conv) and the cuSPARSE/cuBLAS/Sputnik/dgSPARSE/TACO/Triton/DGL/PyG/Graphiler/TorchSparse-like baselines |
 //! | [`graphs`] | synthetic workload generators for every dataset in the evaluation |
 //! | [`nn`] | end-to-end GraphSAGE training and RGCN inference |

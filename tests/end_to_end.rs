@@ -186,10 +186,11 @@ fn sddmm_fused_ir_on_dataset_slice() {
     let feat = 8;
     let x = gen::random_dense(g.rows(), feat, &mut rng);
     let y = gen::random_dense(feat, g.cols(), &mut rng);
-    let got =
-        SddmmOp::execute_on(&Runtime::new(), &g, &(x.clone(), y.clone()), &()).expect("executes");
+    let mut got = [vec![0.0; g.nnz()]];
+    sddmm_execute_views_on(&Runtime::new(), &g, &[(x.clone(), y.clone())], &mut got)
+        .expect("executes");
     let expect = g.sddmm(&x, &y).unwrap();
-    for (gv, ev) in got.iter().zip(expect.values()) {
+    for (gv, ev) in got[0].iter().zip(expect.values()) {
         assert!((gv - ev).abs() < 1e-3);
     }
 }
