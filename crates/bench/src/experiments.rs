@@ -861,17 +861,16 @@ pub mod ablation_bucketing {
 pub mod serving_throughput {
     use super::*;
     use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::Instant;
 
     /// Floor on [`EngineStats::batching_rate`] at 8 clients, and for the
     /// fan-out client (`1x16`), for every op (armed by
-    /// `SPARSETIR_BENCH_ASSERT`): with one worker and eight blocking
-    /// clients, or sixteen tickets in flight, requests queue behind every
-    /// launch, so nearly all of them ride a shared one. Smoke runs on a
-    /// 2-core box read 0.92–1.00 for all three ops; the floor sits at
-    /// roughly half the lowest reading — a count that says "batching
-    /// happened", not a timing, so it cannot drift with launch cost.
+    /// `SPARSETIR_BENCH_ASSERT`). Those rows run in waves queued behind a
+    /// stalled worker ([`Engine::stall_worker`]), so an engine that folds
+    /// queued compatible requests batches every one of them (rate 1.00),
+    /// and one that does not batches none — a count that says "batching
+    /// happened", not a scheduling outcome or a timing.
     pub const BATCHING_RATE_FLOOR: f64 = 0.5;
 
     /// An `n × n` adjacency with heavy-tailed row lengths (most rows
@@ -890,11 +889,7 @@ pub mod serving_throughput {
     }
 
     /// Tickets the fan-out client keeps in flight: it submits this many
-    /// before it waits on the oldest, as `stbench`'s loaded phase does.
-    /// Each of its submits after the first finds a ticket outstanding, so
-    /// the engine queues it (none is served on the client's thread) and
-    /// the worker can fold them; an engine that served them inline, one
-    /// after another, would batch nothing.
+    /// before it waits on them, as `stbench`'s loaded phase does.
     const FAN_OUT: usize = 16;
 
     /// Median mean-ns-per-request of three [`run_arm`] repetitions (the
@@ -905,25 +900,30 @@ pub mod serving_throughput {
         adj: &Adjacency,
         payloads: &[Vec<OpRequest>],
         warm: &OpRequest,
-        in_flight: usize,
+        (in_flight, waves): (usize, bool),
     ) -> (f64, EngineStats) {
-        let mut reps: Vec<(f64, EngineStats)> =
-            (0..3).map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), in_flight)).collect();
+        let mut reps: Vec<(f64, EngineStats)> = (0..3)
+            .map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), (in_flight, waves)))
+            .collect();
         reps.sort_by(|a, b| a.0.total_cmp(&b.0));
         reps.swap_remove(1)
     }
 
     /// One serving arm: one client thread per payload list, each issuing
     /// its requests with blocking submits against the shared adjacency
-    /// through the engine's generic submit path, with at most `in_flight`
-    /// tickets outstanding (it waits on the oldest before submitting
-    /// more; 1 is submit-then-wait). Returns mean wall-clock nanoseconds
-    /// per request and the engine's final counters.
+    /// through the engine's generic submit path, `in_flight` at a time,
+    /// then waiting on them (1 is submit-then-wait). Free-running (`waves`
+    /// false), whether riders meet depends on when they arrive. In
+    /// `waves`, every client submits its next requests while the worker is
+    /// stalled ([`Engine::stall_worker`]: nothing is served, not even
+    /// inline), and the worker is released once all of them are queued.
+    /// Returns mean wall-clock nanoseconds per request and the engine's
+    /// final counters.
     fn run_arm(
         adj: &Adjacency,
         payloads: Vec<Vec<OpRequest>>,
         warm: OpRequest,
-        in_flight: usize,
+        (in_flight, waves): (usize, bool),
     ) -> (f64, EngineStats) {
         // One worker: a single dispatcher, so every waiting request folds
         // into its next launch.
@@ -934,25 +934,42 @@ pub mod serving_throughput {
         // by the caller, so RNG cost is outside the window too).
         engine.serve(adj, warm).expect("warmup");
         let total: usize = payloads.iter().map(Vec::len).sum();
+        let rounds = payloads[0].len().div_ceil(in_flight);
+        let gate = Barrier::new(payloads.len() + 1);
         let warmed = engine.stats();
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for reqs in payloads {
-                let engine = Arc::clone(&engine);
-                let adj = adj.clone();
+                let (engine, adj, gate) = (Arc::clone(&engine), adj.clone(), &gate);
                 s.spawn(move || {
-                    let mut tickets = std::collections::VecDeque::new();
-                    for req in reqs {
-                        if tickets.len() == in_flight {
-                            let oldest: Ticket = tickets.pop_front().expect("in flight");
-                            oldest.wait().expect("request served");
+                    let mut reqs = reqs.into_iter();
+                    for _ in 0..rounds {
+                        if waves {
+                            gate.wait(); // the last wave is answered
+                            gate.wait(); // the next one opens behind the stall
                         }
-                        tickets.push_back(engine.submit(&adj, req).expect("admitted"));
-                    }
-                    for t in tickets {
-                        t.wait().expect("request served");
+                        let wave: Vec<Ticket> = (&mut reqs)
+                            .take(in_flight)
+                            .map(|req| engine.submit(&adj, req).expect("admitted"))
+                            .collect();
+                        if waves {
+                            gate.wait(); // every ticket of the wave is queued
+                        }
+                        for t in wave {
+                            t.wait().expect("request served");
+                        }
                     }
                 });
+            }
+            for _ in (0..rounds).filter(|_| waves) {
+                // Stalled only once the last wave is answered: a worker
+                // that meets a pending stall parks before it serves the
+                // queue.
+                gate.wait();
+                let stall = engine.stall_worker();
+                gate.wait();
+                gate.wait();
+                drop(stall);
             }
         });
         let elapsed = t0.elapsed().as_nanos() as f64;
@@ -965,7 +982,8 @@ pub mod serving_throughput {
 
     /// Sweep one op arm over 1/4/8 one-at-a-time clients, then one client
     /// with [`FAN_OUT`] tickets in flight and as many requests as the 8
-    /// clients (row `1x16`), and return its table rows.
+    /// clients (row `1x16`), and return its table rows. The two gated rows
+    /// (8 and `1x16`) run in waves behind a stalled worker ([`run_arm`]).
     ///
     /// # Panics
     /// Panics when an arm copied a byte, or — under
@@ -985,7 +1003,8 @@ pub mod serving_throughput {
             let per = if in_flight == 1 { per_client } else { per_client * 8 };
             let payloads: Vec<Vec<OpRequest>> =
                 (0..clients).map(|_| (0..per).map(|_| make()).collect()).collect();
-            let (ns, stats) = run_arm_median(adj, &payloads, &warm, in_flight);
+            let gated = clients == 8 || in_flight > 1;
+            let (ns, stats) = run_arm_median(adj, &payloads, &warm, (in_flight, gated));
             let label =
                 if in_flight == 1 { clients.to_string() } else { format!("{clients}x{in_flight}") };
             // The counter pins the arm to the view contract
@@ -996,7 +1015,6 @@ pub mod serving_throughput {
                 "batched {op} arm copied {} bytes at {label} clients",
                 stats.bytes_copied
             );
-            let gated = clients == 8 || in_flight > 1;
             if gated && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
                 assert!(
                     stats.max_batch >= 2 && stats.batching_rate() >= BATCHING_RATE_FLOOR,

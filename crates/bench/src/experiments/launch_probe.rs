@@ -47,7 +47,8 @@
 //! (`taskset -c 1`).
 
 use super::*;
-use sparsetir_ir::prelude::{Runtime, TensorData, ViewBindings};
+use sparsetir_core::prelude::LaunchBindings;
+use sparsetir_ir::prelude::{Runtime, TensorData};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -290,19 +291,21 @@ fn spmm_arms(
     // span the rider's width.
     let mut wide = *config;
     wide.params.vec_width = wide.params.vec_width.max(d.div_ceil(8));
-    let (func, mut structure) = prepare_spmm_structure(a, d, &wide).expect("lowers");
+    let (func, _) = prepare_spmm_structure(a, d, &wide).expect("lowers");
     let kernel = rt.compile(&func).expect("compiles");
+    // The structure bound in place, as the entry point binds it.
+    let hyb = wide.col_parts.map(|c| Hyb::from_csr(a, c, wide.bucket_k).expect("decomposes"));
+    let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
     let mut run_out = vec![0.0f32; a.rows() * d];
-    let mut views = ViewBindings::from_tensors(&mut structure);
+    let mut views = launch.views([]);
     views.bind_slice("B", x.data());
     views.bind_slice_mut("C", &mut run_out);
-    let scalars = HashMap::new();
     let got = minima(
         rounds,
         reps,
         &mut [
             &mut || spmm_execute_views_on(&rt, a, &[x], &mut outs, config).expect("served SpMM"),
-            &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+            &mut || kernel.run_views(&[], &mut views).expect("runs"),
             &mut || floor(&mut want),
         ],
     );
@@ -330,14 +333,12 @@ fn sddmm_arms(
 
     let func = batched_sddmm_ir(a, 1, k).expect("lowers");
     let kernel = rt.compile(&func).expect("compiles");
-    let mut structure: HashMap<String, TensorData> = HashMap::new();
-    sparsetir_core::prelude::bind_csr(&mut structure, "A", "J", a);
+    let mut launch = LaunchBindings::new(rt.pool(), a, None, []);
     let mut run_out = vec![0.0f32; a.nnz()];
-    let mut views = ViewBindings::from_tensors(&mut structure);
+    let mut views = launch.views([]);
     views.bind_slice("X", ops.0);
     views.bind_slice("Y", ops.1);
     views.bind_slice_mut("Bout", &mut run_out);
-    let scalars = HashMap::new();
     let got = minima(
         rounds,
         reps,
@@ -346,7 +347,7 @@ fn sddmm_arms(
                 sddmm_execute_views_on(&rt, a, std::slice::from_ref(&req), &mut outs)
                     .expect("served");
             },
-            &mut || kernel.run_views(&scalars, &mut views).expect("runs"),
+            &mut || kernel.run_views(&[], &mut views).expect("runs"),
             &mut || assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want)),
             &mut || sddmm_native(a, k, ops, &mut yt, &mut native),
         ],

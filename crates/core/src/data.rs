@@ -1,8 +1,9 @@
 //! Data binding helpers: produce the interpreter tensor bindings for Stage
 //! III functions from `sparsetir-smat` matrices (the runtime counterpart of
-//! the "indices inference" conversions).
+//! the "indices inference" conversions), owned or in place ([`LaunchBindings`]).
 
 use sparsetir_ir::eval::TensorData;
+use sparsetir_ir::exec::{BufferPool, ViewBindings};
 use sparsetir_smat::prelude::*;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -44,6 +45,55 @@ pub fn bind_csr(bindings: &mut Bindings, name: &str, prefix: &str, csr: &Csr) {
     bindings.insert(name.to_string(), TensorData::from(csr.values().to_vec()));
 }
 
+/// What a view launch binds besides its requests' operands, under the
+/// names [`bind_csr`]`(.., "A", "J", ..)` and [`bind_bucket`] use: the
+/// adjacency's values and column ids (and a hyb decomposition's buckets)
+/// borrowed, its `indptr` as the one array a launch converts (`rows + 1`
+/// words), and `N` pool scratch buffers, handed back on drop.
+pub struct LaunchBindings<'a, const N: usize> {
+    csr: &'a Csr,
+    indptr: Vec<u32>,
+    buckets: Vec<([String; 3], &'a EllBucket)>,
+    pool: &'a BufferPool,
+    scratch: [Vec<f32>; N],
+}
+
+impl<'a, const N: usize> LaunchBindings<'a, N> {
+    /// A launch over `csr` (as `hyb` when given) with zeroed scratch of
+    /// `lens` elements from `pool`.
+    pub fn new(pool: &'a BufferPool, csr: &'a Csr, hyb: Option<&'a Hyb>, lens: [usize; N]) -> Self {
+        let buckets = hyb.into_iter().flat_map(hyb_buckets);
+        let buckets = buckets.map(|(pi, b)| (bucket_names(&bucket_tag(pi, b.width)), b)).collect();
+        let indptr = csr.indptr().iter().map(|&v| v as u32).collect();
+        LaunchBindings { csr, indptr, buckets, pool, scratch: lens.map(|n| pool.acquire_f32(n)) }
+    }
+
+    /// The structure and, writable under `names`, the scratch.
+    pub fn views(&mut self, names: [&'a str; N]) -> ViewBindings<'_> {
+        let mut views = ViewBindings::new();
+        views.bind_slice("A", self.csr.values());
+        views.bind_indices("J_indptr", &self.indptr);
+        views.bind_indices("J_indices", self.csr.indices());
+        for ([values, rows, indices], bucket) in &self.buckets {
+            views.bind_slice(values, &bucket.values);
+            views.bind_indices(rows, &bucket.row_ids);
+            views.bind_indices(indices, &bucket.col_indices);
+        }
+        for (name, buf) in names.into_iter().zip(&mut self.scratch) {
+            views.bind_slice_mut(name, buf);
+        }
+        views
+    }
+}
+
+impl<const N: usize> Drop for LaunchBindings<'_, N> {
+    fn drop(&mut self) {
+        for buf in &mut self.scratch {
+            self.pool.release_f32(std::mem::take(buf));
+        }
+    }
+}
+
 /// Bind a dense matrix as a flat row-major value buffer — a copy of the
 /// operand, tallied in [`bytes_copied_on_thread`] (view bindings are the
 /// zero-copy alternative).
@@ -79,18 +129,34 @@ pub fn bind_bsr(bindings: &mut Bindings, name: &str, prefix: &str, bsr: &Bsr) {
     bindings.insert(name.to_string(), TensorData::from(bsr.values().to_vec()));
 }
 
-/// Bind one hyb ELL bucket: `<prefix>_rows` (row ids), `<prefix>_indices`
-/// (column ids) and its values.
-pub fn bind_bucket(bindings: &mut Bindings, name: &str, prefix: &str, bucket: &EllBucket) {
-    bindings.insert(
-        format!("{prefix}_rows"),
-        TensorData::from(bucket.row_ids.iter().map(|&v| v as i32).collect::<Vec<_>>()),
-    );
-    bindings.insert(
-        format!("{prefix}_indices"),
-        TensorData::from(bucket.col_indices.iter().map(|&v| v as i32).collect::<Vec<_>>()),
-    );
-    bindings.insert(name.to_string(), TensorData::from(bucket.values.clone()));
+/// The name stem one hyb bucket's rewrite rule and bindings share: the
+/// bucket of width `width` in column partition `partition`.
+#[must_use]
+pub fn bucket_tag(partition: usize, width: usize) -> String {
+    format!("p{partition}_w{width}")
+}
+
+/// The non-empty buckets of `hyb` with their column partitions, in order.
+pub fn hyb_buckets(hyb: &Hyb) -> impl Iterator<Item = (usize, &EllBucket)> {
+    let parts = hyb.partitions().iter().enumerate();
+    parts.flat_map(|(pi, part)| part.buckets.iter().filter(|b| !b.is_empty()).map(move |b| (pi, b)))
+}
+
+/// The buffer names of the hyb bucket tagged `tag` — its values, row ids
+/// and column ids — as `FormatRewriteRule::bucket_ell(.., tag, ..)`
+/// declares them for the buffer `A`.
+fn bucket_names(tag: &str) -> [String; 3] {
+    [format!("A_hyb_{tag}"), format!("hyb_{tag}_rows"), format!("hyb_{tag}_indices")]
+}
+
+/// Bind one hyb ELL bucket under the names of its tag `tag`: its values,
+/// row ids and column ids (i32).
+pub fn bind_bucket(bindings: &mut Bindings, tag: &str, bucket: &EllBucket) {
+    let [values, rows, indices] = bucket_names(tag);
+    let as_i32 = |v: &[u32]| TensorData::from(v.iter().map(|&v| v as i32).collect::<Vec<_>>());
+    bindings.insert(rows, as_i32(&bucket.row_ids));
+    bindings.insert(indices, as_i32(&bucket.col_indices));
+    bindings.insert(values, TensorData::from(bucket.values.clone()));
 }
 
 /// Read a bound f32 buffer back as a dense matrix of the given shape.
@@ -147,8 +213,9 @@ mod tests {
             .find(|b| !b.is_empty())
             .expect("some bucket non-empty");
         let mut b = Bindings::new();
-        bind_bucket(&mut b, "A_ell", "E", bucket);
-        assert_eq!(b["E_rows"].as_i32().len(), bucket.len());
-        assert_eq!(b["A_ell"].as_f32().len(), bucket.stored());
+        bind_bucket(&mut b, "p0_w2", bucket);
+        assert_eq!(b["hyb_p0_w2_rows"].as_i32().len(), bucket.len());
+        assert_eq!(b["hyb_p0_w2_indices"].as_i32().len(), bucket.stored());
+        assert_eq!(b["A_hyb_p0_w2"].as_f32().len(), bucket.stored());
     }
 }

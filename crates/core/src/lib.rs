@@ -40,8 +40,8 @@ pub mod validate;
 pub mod prelude {
     pub use crate::axis::{Axis, AxisKind, AxisStore};
     pub use crate::data::{
-        bind_bsr, bind_bucket, bind_csr, bind_dense, bind_ell, bind_zeros, bytes_copied_on_thread,
-        read_dense, Bindings,
+        bind_bsr, bind_bucket, bind_csr, bind_dense, bind_ell, bind_zeros, bucket_tag,
+        bytes_copied_on_thread, hyb_buckets, read_dense, Bindings, LaunchBindings,
     };
     pub use crate::flatten::{aux_buffer_names, flat_size, flatten_access, lower, lower_to_stage3};
     pub use crate::fused::{

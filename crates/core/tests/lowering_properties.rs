@@ -99,7 +99,7 @@ proptest! {
         let x = gen::random_dense(a.cols(), feat, &mut rng);
         let mut b = Bindings::new();
         for (tag, bucket) in &buckets {
-            bind_bucket(&mut b, &format!("A_hyb_{tag}"), &format!("hyb_{tag}"), bucket);
+            bind_bucket(&mut b, tag, bucket);
         }
         bind_csr(&mut b, "A", "J", &a);
         bind_dense(&mut b, "B", &x);

@@ -217,7 +217,7 @@ fn decomposed_bucket_ell_spmm_matches_reference() {
 
     let mut b = Bindings::new();
     for (tag, bucket) in &tags {
-        bind_bucket(&mut b, &format!("A_hyb_{tag}"), &format!("hyb_{tag}"), bucket);
+        bind_bucket(&mut b, tag, bucket);
     }
     bind_csr(&mut b, "A", "J", &a);
     bind_dense(&mut b, "B", &x);

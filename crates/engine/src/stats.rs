@@ -428,9 +428,9 @@ pub struct EngineStats {
     /// How many of [`EngineStats::kernel_lookups`] found the kernel compiled
     /// — a warm launch, which builds no IR. The rest each compiled one.
     pub kernel_hits: u64,
-    /// Operand/result bytes memcpy'd by launch paths while serving — a
-    /// "something copied" alarm: view assembly and move-out output
-    /// extraction keep this at 0 for every served op.
+    /// Dense operand and result bytes memcpy'd while serving — a "something
+    /// copied" alarm that view assembly keeps at 0 for every served op. The
+    /// adjacency binds in place but for `indptr`, which is not counted.
     pub bytes_copied: u64,
     /// Graph deltas applied through
     /// [`Engine::apply_delta`](crate::Engine::apply_delta).

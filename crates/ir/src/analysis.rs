@@ -1,10 +1,10 @@
-//! Static analysis over the loop-level IR: a structural verifier, FLOP
-//! counting and access summaries. The FLOP counter is used by the test
-//! suite to cross-check simulator kernel plans against the IR they mirror
-//! (README, "Interpreter vs. compiled executor").
+//! Static analysis over the loop-level IR: a structural verifier and FLOP
+//! counting. The FLOP counter is used by the test suite to cross-check
+//! simulator kernel plans against the IR they mirror (README,
+//! "Interpreter vs. compiled executor").
 
 use crate::buffer::Buffer;
-use crate::expr::{BinOp, Expr, Var};
+use crate::expr::Expr;
 use crate::func::PrimFunc;
 use crate::stmt::{ForKind, Stmt, ThreadAxis};
 use std::collections::{HashMap, HashSet};
@@ -243,89 +243,13 @@ pub fn count_ops(
     Ok(counts)
 }
 
-/// Maximum loop-nest depth.
-#[must_use]
-pub fn loop_depth(func: &PrimFunc) -> usize {
-    fn go(s: &Stmt) -> usize {
-        match s {
-            Stmt::For { body, .. } => 1 + go(body),
-            Stmt::Block(b) => {
-                let i = b.init.as_ref().map_or(0, |s| go(s));
-                i.max(go(&b.body))
-            }
-            Stmt::Seq(v) => v.iter().map(go).max().unwrap_or(0),
-            Stmt::IfThenElse { then_branch, else_branch, .. } => {
-                go(then_branch).max(else_branch.as_ref().map_or(0, |e| go(e)))
-            }
-            Stmt::Let { body, .. } | Stmt::Allocate { body, .. } => go(body),
-            _ => 0,
-        }
-    }
-    go(&func.body)
-}
-
-/// Names of buffers read and written (from syntactic occurrence).
-#[must_use]
-pub fn buffer_access_summary(func: &PrimFunc) -> (Vec<String>, Vec<String>) {
-    let mut reads: Vec<String> = Vec::new();
-    let mut writes: Vec<String> = Vec::new();
-    func.body.walk(&mut |s| {
-        if let Stmt::BufferStore { buffer, value, indices } = s {
-            if !writes.contains(&buffer.name.to_string()) {
-                writes.push(buffer.name.to_string());
-            }
-            let mut collect = |e: &Expr| {
-                let mut vars = Vec::new();
-                e.collect_vars(&mut vars);
-                collect_reads(e, &mut reads);
-            };
-            collect(value);
-            for i in indices {
-                collect_reads(i, &mut reads);
-            }
-        }
-    });
-    (reads, writes)
-}
-
-fn collect_reads(e: &Expr, out: &mut Vec<String>) {
-    match e {
-        Expr::BufferLoad { buffer, indices } => {
-            if !out.contains(&buffer.name.to_string()) {
-                out.push(buffer.name.to_string());
-            }
-            for i in indices {
-                collect_reads(i, out);
-            }
-        }
-        Expr::Binary { lhs, rhs, .. } => {
-            collect_reads(lhs, out);
-            collect_reads(rhs, out);
-        }
-        Expr::Select { cond, then, otherwise } => {
-            collect_reads(cond, out);
-            collect_reads(then, out);
-            collect_reads(otherwise, out);
-        }
-        Expr::Cast { value, .. } => collect_reads(value, out),
-        Expr::Call { args, .. } => {
-            for a in args {
-                collect_reads(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-#[allow(unused)]
-fn unused(_: &Var, _: BinOp) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::Scope;
     use crate::dtype::DType;
     use crate::eval::TensorData;
+    use crate::expr::Var;
 
     fn sample_func() -> PrimFunc {
         let i = Var::i32("i");
@@ -455,14 +379,5 @@ mod tests {
         assert_eq!(counts.loads, 4);
         assert_eq!(counts.stores, 4);
         assert!((counts.flops - 8.0).abs() < 1e-9, "{}", counts.flops);
-    }
-
-    #[test]
-    fn loop_depth_and_summary() {
-        let f = sample_func();
-        assert_eq!(loop_depth(&f), 1);
-        let (reads, writes) = buffer_access_summary(&f);
-        assert_eq!(reads, vec!["A".to_string()]);
-        assert_eq!(writes, vec!["C".to_string()]);
     }
 }

@@ -81,7 +81,7 @@ mod views;
 
 pub use memory::{BufferPool, MemoryPlan, PlanEntry};
 pub use runtime::{exec_func, Runtime};
-pub use views::{BoundArg, ViewBindings};
+pub use views::ViewBindings;
 
 /// Error raised while compiling or executing a kernel.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -439,7 +439,7 @@ struct CBlock {
 /// are plain reads and writes ([`elem_load`], [`elem_store`]).
 #[derive(Debug, Clone, Copy)]
 enum RawBuf {
-    /// Flat f32 storage: a whole tensor or a borrowed slice. Stores need
+    /// Flat storage: a whole tensor or a borrowed slice. Stores need
     /// `writable`.
     F32 {
         ptr: *mut f32,
@@ -449,6 +449,7 @@ enum RawBuf {
     I32 {
         ptr: *mut i32,
         len: usize,
+        writable: bool,
     },
     Absent,
 }
@@ -457,7 +458,7 @@ impl RawBuf {
     fn of(data: &mut TensorData) -> RawBuf {
         match data {
             TensorData::F32(v) => RawBuf::F32 { ptr: v.as_mut_ptr(), len: v.len(), writable: true },
-            TensorData::I32(v) => RawBuf::I32 { ptr: v.as_mut_ptr(), len: v.len() },
+            TensorData::I32(v) => RawBuf::I32 { ptr: v.as_mut_ptr(), len: v.len(), writable: true },
         }
     }
 }
@@ -541,7 +542,7 @@ impl Frame {
     #[inline]
     fn load_i(&self, buf: u32, idx: usize, name: &str) -> Result<i64, ExecError> {
         match self.bufs[buf as usize] {
-            RawBuf::I32 { ptr, len } => {
+            RawBuf::I32 { ptr, len, .. } => {
                 if idx >= len {
                     return Err(oob(name, idx, len));
                 }
@@ -636,7 +637,7 @@ impl IntExpr {
                 let hi = hi.eval(fr)? as usize;
                 let x = x.eval(fr)? as i32;
                 match fr.bufs[*buf as usize] {
-                    RawBuf::I32 { ptr, len } => {
+                    RawBuf::I32 { ptr, len, .. } => {
                         if lo > hi || hi > len {
                             return Err(ExecError::new(format!(
                                 "binary_search range {lo}..{hi} out of bounds (len {len}) in buffer `{name}`"
@@ -818,11 +819,14 @@ fn exec_accum_f(
 fn exec_store_i(fr: &Frame, buf: u32, index: &IndexExpr, value: &IntExpr) -> Result<(), ExecError> {
     let v = value.eval(fr)?;
     let flat = index.eval(fr)?;
-    if let RawBuf::I32 { ptr, len } = fr.bufs[buf as usize] {
+    if let RawBuf::I32 { ptr, len, writable } = fr.bufs[buf as usize] {
         if flat >= len {
             return Err(oob(&index.name, flat, len));
         }
-        // SAFETY: flat < len.
+        if !writable {
+            return Err(read_only(&index.name));
+        }
+        // SAFETY: flat < len, and the view is writable.
         unsafe { elem_store(ptr, flat, v as i32) };
         return Ok(());
     }
@@ -1478,59 +1482,47 @@ impl CompiledKernel {
         scalars: &HashMap<String, i64>,
         tensors: &mut HashMap<String, TensorData>,
     ) -> Result<(), ExecError> {
-        self.run_bound(scalars, |name| {
-            let data = tensors.get_mut(name)?;
-            Some((matches!(data, TensorData::F32(_)), RawBuf::of(data)))
-        })
+        self.run_bound(
+            |name| scalars.get(name).copied(),
+            |name| tensors.get_mut(name).map(RawBuf::of),
+        )
     }
 
-    /// Execute like [`CompiledKernel::run`], but with bindings that may be
-    /// borrowed flat slices of caller-owned storage instead of whole
-    /// tensors. This is the zero-copy batch entry: a batch re-binds each
-    /// rider's operands and output and launches once per rider, writing
-    /// straight into the rider's result buffer. Error conditions and
-    /// wording match `run`; stores to a read-only binding fail with a
-    /// "read-only view" error.
+    /// Execute like [`CompiledKernel::run`], but on borrowed flat slices
+    /// of caller-owned storage instead of whole tensors, with the scalar
+    /// params as `(name, value)` pairs. This is the zero-copy entry: a
+    /// batch re-binds each rider's operands and output and launches once
+    /// per rider, writing straight into the rider's result buffer. Error
+    /// conditions and wording match `run`; stores to a read-only binding
+    /// fail with a "read-only view" error.
     ///
     /// # Errors
     /// Returns [`ExecError`] on missing bindings, dtype mismatches and
     /// the interpreter's run-time error conditions.
     pub fn run_views(
         &self,
-        scalars: &HashMap<String, i64>,
+        scalars: &[(&str, i64)],
         views: &mut ViewBindings<'_>,
     ) -> Result<(), ExecError> {
-        self.run_bound(scalars, |name| {
-            Some(match views.map.get_mut(name)? {
-                BoundArg::Tensor(data) => (matches!(**data, TensorData::F32(_)), RawBuf::of(data)),
-                // Slices are always f32.
-                BoundArg::Slice(s) => {
-                    // Read-only: `writable` gates every store path.
-                    let ptr = s.as_ptr().cast_mut();
-                    (true, RawBuf::F32 { ptr, len: s.len(), writable: false })
-                }
-                BoundArg::SliceMut(s) => {
-                    (true, RawBuf::F32 { ptr: s.as_mut_ptr(), len: s.len(), writable: true })
-                }
-            })
-        })
+        let scalar = |name: &str| scalars.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
+        self.run_bound(scalar, |name| views.map.iter().find(|(n, _)| *n == name).map(|b| b.1))
     }
 
     /// Shared body of [`CompiledKernel::run`] and
     /// [`CompiledKernel::run_views`]: fill a pooled scalar frame from the
-    /// named params, resolve every function-level buffer through `lookup`
-    /// (`(is_float, raw view)` of the binding, `None` when unbound), then
-    /// execute. The scalar frame goes back to the pool on every exit, a
-    /// refused launch's included.
+    /// named params through `scalar`, resolve every function-level buffer
+    /// through `lookup` (the binding's raw view, `None` when unbound),
+    /// then execute. The scalar frame goes back to the pool on every exit,
+    /// a refused launch's included.
     ///
     /// The `RawBuf` views outlive the `lookup` borrows that produced
-    /// them; this is sound because the caller's binding map is not
+    /// them; this is sound because the caller's bindings are not
     /// structurally mutated while the frame is live and buffer names are
     /// distinct keys.
     fn run_bound(
         &self,
-        scalars: &HashMap<String, i64>,
-        mut lookup: impl FnMut(&str) -> Option<(bool, RawBuf)>,
+        scalar: impl Fn(&str) -> Option<i64>,
+        mut lookup: impl FnMut(&str) -> Option<RawBuf>,
     ) -> Result<(), ExecError> {
         let frames = || self.frame_pool.lock().expect("nothing panics under the pool lock");
         let mut frame = Frame {
@@ -1542,16 +1534,15 @@ impl CompiledKernel {
         frame.scalars.resize(self.n_slots as usize, 0);
         let mut bind = || {
             for (name, slot) in &self.params {
-                let v = scalars
-                    .get(name)
+                let v = scalar(name)
                     .ok_or_else(|| ExecError::new(format!("missing scalar param `{name}`")))?;
-                frame.scalars[*slot as usize] = *v;
+                frame.scalars[*slot as usize] = v;
             }
             for (name, is_float, slot) in &self.buffers {
-                let (bound_float, raw) = lookup(name).ok_or_else(|| {
+                let raw = lookup(name).ok_or_else(|| {
                     ExecError::new(format!("missing tensor binding for buffer `{name}`"))
                 })?;
-                if *is_float != bound_float {
+                if *is_float != matches!(raw, RawBuf::F32 { .. }) {
                     return Err(ExecError::new(format!(
                         "buffer `{name}` bound to storage of mismatched dtype"
                     )));

@@ -736,7 +736,7 @@ impl Trips {
     ) -> Option<Trips> {
         let gather = match (&spec.gather, &prog.gather) {
             (Some(g), Some((at, _))) => {
-                let RawBuf::I32 { ptr, len } = fr.bufs[g.buf as usize] else {
+                let RawBuf::I32 { ptr, len, .. } = fr.bufs[g.buf as usize] else {
                     return None;
                 };
                 let step = at.coef(g.drift.dim)?.checked_mul(g.drift.step)?;

@@ -604,7 +604,7 @@ impl<T: Copy> Elem<T> {
 /// An `i32` buffer's storage: its pointer and element count.
 fn ints(fr: &Frame, buf: u32) -> Option<(*mut i32, i64)> {
     match fr.bufs[buf as usize] {
-        RawBuf::I32 { ptr, len } => Some((ptr, i64::try_from(len).ok()?)),
+        RawBuf::I32 { ptr, len, .. } => Some((ptr, i64::try_from(len).ok()?)),
         _ => None,
     }
 }

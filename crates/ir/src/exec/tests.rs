@@ -847,14 +847,53 @@ fn empty_views_construct_and_reject_every_index() {
     let f = axpy_func(8);
     for fuse in [true, false] {
         let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
-        let (mut a, mut c) = (TensorData::from(vec![1.5f32]), Vec::<f32>::new());
+        let (a, mut c) = ([1.5f32], Vec::<f32>::new());
         let mut views = ViewBindings::new();
-        views.bind_tensor("A", &mut a);
+        views.bind_slice("A", &a);
         views.bind_slice("B", &[]);
         views.bind_slice_mut("C", &mut c);
-        let err = kernel.run_views(&HashMap::new(), &mut views).unwrap_err().to_string();
+        let err = kernel.run_views(&[], &mut views).unwrap_err().to_string();
         assert!(err.contains("out of bounds"), "fuse={fuse}: {err}");
     }
+}
+
+/// An index binding is read in place as the `i32` its bits make (a `u32`
+/// past `i32::MAX` reads negative, as the owned binders' `v as i32`) and
+/// is read-only: the integer store into it is refused with the float
+/// store's wording, on both executor builds, and leaves it untouched.
+#[test]
+fn index_views_read_in_place_and_refuse_stores() {
+    let i = Var::i32("i");
+    let j = Buffer::global_i32("J", vec![Expr::i32(3)]);
+    let c = Buffer::global_f32("C", vec![Expr::i32(3)]);
+    let store = |buffer: &Buffer, value: Expr| Stmt::BufferStore {
+        buffer: buffer.clone(),
+        indices: vec![Expr::var(&i)],
+        value,
+    };
+    let read = store(&c, j.load(vec![Expr::var(&i)]));
+    let read = PrimFunc::new("read", vec![], vec![j.clone(), c.clone()], read);
+    let write = PrimFunc::new("write", vec![], vec![j.clone()], store(&j, Expr::var(&i)));
+    let [read, write] = [read, write].map(|mut f| {
+        f.body = Stmt::for_serial(i.clone(), 3, f.body);
+        f
+    });
+    let words = [7u32, 0, u32::MAX];
+    for fuse in [true, false] {
+        let mut out = vec![0.0f32; 3];
+        let mut views = ViewBindings::new();
+        views.bind_indices("J", &words);
+        views.bind_slice_mut("C", &mut out);
+        CompiledKernel::compile_with(&read, fuse).unwrap().run_views(&[], &mut views).unwrap();
+        drop(views);
+        assert_eq!(out, [7.0, 0.0, -1.0], "fuse={fuse}");
+        let mut views = ViewBindings::new();
+        views.bind_indices("J", &words);
+        let kernel = CompiledKernel::compile_with(&write, fuse).unwrap();
+        let err = kernel.run_views(&[], &mut views).unwrap_err().to_string();
+        assert_eq!(err, "executor error: buffer `J` is bound to a read-only view", "fuse={fuse}");
+    }
+    assert_eq!(words, [7, 0, u32::MAX]);
 }
 
 /// A launch allocates no walk state and a kernel keeps none: the kept

@@ -1,9 +1,12 @@
 //! Bindings of caller-owned storage into a kernel's buffer slots without
-//! copying (the zero-copy batch entry, [`CompiledKernel::run_views`]).
-//! A buffer binds two ways: an owned tensor ([`ViewBindings::bind_tensor`])
-//! or a borrowed flat slice ([`ViewBindings::bind_slice`] read-only,
-//! [`ViewBindings::bind_slice_mut`] writable) holding its row-major
-//! elements. A batch re-binds the slices of each rider and launches again.
+//! copying (the zero-copy entry, [`CompiledKernel::run_views`]). Every
+//! binding borrows a flat slice holding the buffer's row-major elements:
+//! [`ViewBindings::bind_slice`] read-only and
+//! [`ViewBindings::bind_slice_mut`] writable for `f32` data, and
+//! [`ViewBindings::bind_indices`] read-only for index data — a sparse
+//! format's own `u32` position and coordinate arrays, which the executor
+//! reads as its `i32` (the owned binders' `v as i32`, bit for bit). A
+//! batch re-binds the slices of each rider and launches again.
 //!
 //! **The aliasing rule.** A writable element is reachable through exactly
 //! one binding of a launch. The executor's element accesses — generic
@@ -11,10 +14,11 @@
 //! and writes on the caller's thread, and this rule is what makes them
 //! sound: a launch's frame is the only accessor of what it writes. The
 //! borrows enforce it. [`ViewBindings::bind_slice_mut`] takes a `&mut`
-//! slice for the binding's lifetime, [`BoundArg::Tensor`] a `&mut` tensor,
-//! and a read-only binding's `&` slice keeps it from being written
-//! elsewhere meanwhile. A slice cannot be bound writable twice, or
-//! writable while a read-only binding holds it:
+//! slice for the binding's lifetime, and a read-only binding's `&` slice —
+//! an `f32` one or an index one — keeps it from being written elsewhere
+//! meanwhile, while the executor refuses every store into it. A slice
+//! cannot be bound writable twice, or writable while a read-only binding
+//! holds it:
 //!
 //! ```compile_fail,E0499
 //! use sparsetir_ir::exec::ViewBindings;
@@ -51,25 +55,22 @@
 
 #[cfg(doc)]
 use super::CompiledKernel;
-use crate::eval::TensorData;
-use std::collections::HashMap;
+use super::RawBuf;
+use std::marker::PhantomData;
 
-/// One binding handed to [`CompiledKernel::run_views`]: a whole tensor or
-/// a borrowed flat slice.
-pub enum BoundArg<'a> {
-    /// A whole owned tensor, as [`CompiledKernel::run`] binds.
-    Tensor(&'a mut TensorData),
-    /// A read-only flat f32 slice.
-    Slice(&'a [f32]),
-    /// A writable flat f32 slice.
-    SliceMut(&'a mut [f32]),
+/// Named borrowed bindings for [`CompiledKernel::run_views`]. Binding a
+/// name again replaces its earlier binding.
+pub struct ViewBindings<'a> {
+    pub(super) map: Vec<(&'a str, RawBuf)>,
+    /// The borrows the raw views were taken from.
+    borrows: PhantomData<&'a mut [f32]>,
 }
 
-/// Named bindings for [`CompiledKernel::run_views`], mixing whole tensors
-/// with slices of caller-owned storage.
-#[derive(Default)]
-pub struct ViewBindings<'a> {
-    pub(super) map: HashMap<String, BoundArg<'a>>,
+impl Default for ViewBindings<'_> {
+    fn default() -> Self {
+        // Room for a served kernel's bindings (fused attention's eleven).
+        ViewBindings { map: Vec::with_capacity(12), borrows: PhantomData }
+    }
 }
 
 impl<'a> ViewBindings<'a> {
@@ -79,26 +80,31 @@ impl<'a> ViewBindings<'a> {
         ViewBindings::default()
     }
 
-    /// Bind every tensor of `tensors` by name (the bridge from the
-    /// copying path's binding map).
-    pub fn from_tensors(tensors: &'a mut HashMap<String, TensorData>) -> ViewBindings<'a> {
-        let map = tensors.iter_mut().map(|(k, v)| (k.clone(), BoundArg::Tensor(v))).collect();
-        ViewBindings { map }
-    }
-
-    /// Bind a whole tensor under `name`.
-    pub fn bind_tensor(&mut self, name: impl Into<String>, t: &'a mut TensorData) {
-        self.map.insert(name.into(), BoundArg::Tensor(t));
+    fn bind(&mut self, name: &'a str, view: RawBuf) {
+        self.map.retain(|(n, _)| *n != name);
+        self.map.push((name, view));
     }
 
     /// Bind a read-only flat slice under `name`: the buffer's row-major
     /// elements, in place.
-    pub fn bind_slice(&mut self, name: impl Into<String>, s: &'a [f32]) {
-        self.map.insert(name.into(), BoundArg::Slice(s));
+    pub fn bind_slice(&mut self, name: &'a str, s: &'a [f32]) {
+        // Read-only: `writable` gates every store path.
+        let ptr = s.as_ptr().cast_mut();
+        self.bind(name, RawBuf::F32 { ptr, len: s.len(), writable: false });
     }
 
     /// Bind a writable flat slice under `name`.
-    pub fn bind_slice_mut(&mut self, name: impl Into<String>, s: &'a mut [f32]) {
-        self.map.insert(name.into(), BoundArg::SliceMut(s));
+    pub fn bind_slice_mut(&mut self, name: &'a str, s: &'a mut [f32]) {
+        self.bind(name, RawBuf::F32 { ptr: s.as_mut_ptr(), len: s.len(), writable: true });
+    }
+
+    /// Bind a read-only index array under `name`, in place: element `i`
+    /// reads as `s[i] as i32`.
+    pub fn bind_indices(&mut self, name: &'a str, s: &'a [u32]) {
+        // `u32` and `i32` share size and alignment, and every bit pattern
+        // is both. Read-only: `writable` gates the one integer store path,
+        // so nothing writes through a pointer from a shared borrow.
+        let ptr = s.as_ptr().cast::<i32>().cast_mut();
+        self.bind(name, RawBuf::I32 { ptr, len: s.len(), writable: false });
     }
 }

@@ -59,16 +59,14 @@ pub mod stmt;
 
 /// Common imports for building and scheduling IR.
 pub mod prelude {
-    pub use crate::analysis::{
-        buffer_access_summary, count_ops, loop_depth, verify, OpCounts, VerifyError,
-    };
+    pub use crate::analysis::{count_ops, verify, OpCounts, VerifyError};
     pub use crate::buffer::{Buffer, BufferRegion, Scope};
     pub use crate::codegen::{codegen_cuda, launch_config};
     pub use crate::dtype::DType;
     pub use crate::eval::{eval_func, eval_func_counting, scalar_map, OpKind, TensorData};
     pub use crate::exec::{
-        exec_func, BoundArg, BufferPool, CompiledKernel, ExecError, MemoryPlan, NestCounts,
-        PlanEntry, Runtime, ViewBindings,
+        exec_func, BufferPool, CompiledKernel, ExecError, MemoryPlan, NestCounts, PlanEntry,
+        Runtime, ViewBindings,
     };
     pub use crate::expr::{BinOp, Expr, Intrinsic, Var};
     pub use crate::func::PrimFunc;

@@ -34,12 +34,6 @@ impl ThreadAxis {
             ThreadAxis::ThreadIdxZ => "threadIdx.z",
         }
     }
-
-    /// True for the block (grid) axes.
-    #[must_use]
-    pub fn is_block(self) -> bool {
-        matches!(self, ThreadAxis::BlockIdxX | ThreadAxis::BlockIdxY | ThreadAxis::BlockIdxZ)
-    }
 }
 
 /// Execution kind of a `for` loop.

@@ -1067,6 +1067,43 @@ impl Part {
     }
 }
 
+/// Whole tensors as a view launch holds them: each f32 tensor bound
+/// writable in place, each i32 one read-only through its bits as `u32` —
+/// the way a served launch binds its adjacency.
+#[derive(Clone)]
+struct Held {
+    floats: Vec<(String, Vec<f32>)>,
+    ints: Vec<(String, Vec<u32>)>,
+}
+
+impl Held {
+    fn of(tensors: &HashMap<String, TensorData>) -> Held {
+        let mut held = Held { floats: Vec::new(), ints: Vec::new() };
+        for (name, data) in tensors {
+            match data {
+                TensorData::F32(v) => held.floats.push((name.clone(), v.clone())),
+                TensorData::I32(v) => {
+                    held.ints.push((name.clone(), v.iter().map(|&x| x as u32).collect()));
+                }
+            }
+        }
+        held
+    }
+
+    /// A binding set holding these tensors and `parts`.
+    fn views<'a>(&'a mut self, parts: &'a mut [Part]) -> ViewBindings<'a> {
+        let mut views = ViewBindings::new();
+        for (name, data) in &mut self.floats {
+            views.bind_slice_mut(name, data);
+        }
+        for (name, data) in &self.ints {
+            views.bind_indices(name, data);
+        }
+        parts.iter_mut().for_each(|p| p.bind(&mut views));
+        views
+    }
+}
+
 /// A small random matrix with empty rows, as the CSR structure tensors
 /// `bind_csr(.., "A", "J", ..)` would bind.
 fn views_fixture(seed: u64) -> (Csr, HashMap<String, TensorData>, SmallRng) {
@@ -1105,19 +1142,18 @@ fn views_differential(
             assert_bits_eq(name, data, &whole[name]).expect(label);
         }
 
-        let mut tensors = structure.clone();
+        let mut held = Held::of(structure);
         let mut sliced = parts.to_vec();
-        let mut views = ViewBindings::from_tensors(&mut tensors);
-        sliced.iter_mut().for_each(|p| p.bind(&mut views));
-        let ran_views = kernel.run_views(&scalars, &mut views).map_err(|e| e.to_string());
+        let mut views = held.views(&mut sliced);
+        let ran_views = kernel.run_views(&[], &mut views).map_err(|e| e.to_string());
         drop(views);
 
         assert_eq!(ran_whole, ran_views, "[{label}] run vs run_views outcome");
         for p in sliced.iter().filter(|_| ran_views.is_ok()) {
             assert_bits_eq(p.name, &whole[p.name], &TensorData::from(p.data.clone())).expect(label);
         }
-        for (name, data) in tensors.iter().filter(|_| ran_views.is_ok()) {
-            assert_bits_eq(name, &whole[name], data).expect(label);
+        for (name, data) in held.floats.iter().filter(|_| ran_views.is_ok()) {
+            assert_bits_eq(name, &whole[name], &TensorData::from(data.clone())).expect(label);
         }
         ran_views.err()
     };
@@ -1296,12 +1332,11 @@ fn views_short_segment_and_read_only_store_fail_identically() {
     for (what, f, structure, mut parts, out) in cases {
         let before = parts.last().unwrap().data.clone();
         for (fuse, label) in EXECUTORS {
-            let mut tensors = structure.clone();
-            let mut views = ViewBindings::from_tensors(&mut tensors);
-            parts.iter_mut().for_each(|p| p.bind(&mut views));
+            let mut held = Held::of(structure);
+            let mut views = held.views(&mut parts);
             let ran = CompiledKernel::compile_with(&f, fuse)
                 .unwrap()
-                .run_views(&HashMap::new(), &mut views)
+                .run_views(&[], &mut views)
                 .map_err(|e| e.to_string());
             let want = format!("executor error: buffer `{out}` is bound to a read-only view");
             assert_eq!(ran, Err(want), "{what} [{label}]");
@@ -2045,10 +2080,8 @@ fn view_launch(
     parts: &[Part],
 ) -> (NestCounts, Vec<Part>) {
     let kernel = CompiledKernel::compile(f).unwrap();
-    let (mut tensors, mut parts) = (structure.clone(), parts.to_vec());
-    let mut views = ViewBindings::from_tensors(&mut tensors);
-    parts.iter_mut().for_each(|p| p.bind(&mut views));
-    kernel.run_views(&HashMap::new(), &mut views).unwrap();
+    let (mut held, mut parts) = (Held::of(structure), parts.to_vec());
+    kernel.run_views(&[], &mut held.views(&mut parts)).unwrap();
     (kernel.nest_counts(), parts)
 }
 
@@ -2084,14 +2117,11 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
                 })
                 .collect();
             let kernel = CompiledKernel::compile(&f).unwrap();
-            let mut tensors = structure.clone();
+            let mut held = Held::of(&structure);
             for (i, rider) in riders.iter().enumerate() {
                 assert_eq!(views_differential(&f, &structure, rider), [None, None], "{what}");
                 let mut served = rider.clone();
-                let mut views = ViewBindings::from_tensors(&mut tensors);
-                served.iter_mut().for_each(|p| p.bind(&mut views));
-                kernel.run_views(&HashMap::new(), &mut views).unwrap();
-                drop(views);
+                kernel.run_views(&[], &mut held.views(&mut served)).unwrap();
                 let (solo, alone) = view_launch(&f, &structure, rider);
                 assert_stepped(solo, a.nnz() as u64, &what);
                 let [served_c, alone_c] =

@@ -46,11 +46,10 @@
 //! is never evaluated there); for non-empty rows the partition sum is
 //! ≥ 1 by max-shifting, so the folded `P/Sum` coefficient is safe.
 
-use crate::spec::{launch_scalars, KernelResult, KernelSpec};
+use crate::spec::{KernelResult, KernelSpec, NNZ};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
-use std::collections::HashMap;
 
 /// One attention head's operands: query, transposed key and value
 /// projections against the shared mask.
@@ -157,29 +156,15 @@ pub fn check_heads<'a>(
     Ok(())
 }
 
-/// The operands of one attention launch after validation: the head
-/// shape and every head's dense operands.
-struct Operands<'a> {
-    k: usize,
-    vfeat: usize,
-    qs: &'a [&'a Dense],
-    kts: &'a [&'a Dense],
-    vs: &'a [&'a Dense],
-}
-
-/// What the fused entry point and the pipeline oracle share: validate
-/// the heads, bind the adjacency and the pool-drawn softmax
-/// intermediates `S`/`M`/`P`/`Sum` for `scratch_heads` heads at once, hand
-/// `launches` the operands and the outputs, and return the scratch to the
-/// pool.
-fn with_operands(
-    rt: &Runtime,
+/// What the fused entry point and the pipeline oracle check before they
+/// launch: at least one head, one `(q, kt, v)` triple per output, heads
+/// that fit the adjacency and share one shape, and outputs of that shape.
+/// Returns the head shape `(k, vfeat)`.
+fn check_launch(
     a: &Csr,
     (qs, kts, vs): (&[&Dense], &[&Dense], &[&Dense]),
-    outs: &mut [Dense],
-    scratch_heads: usize,
-    launches: impl FnOnce(&Operands<'_>, &mut Bindings, &mut [Dense]) -> KernelResult<()>,
-) -> KernelResult<()> {
+    outs: &[Dense],
+) -> KernelResult<(usize, usize)> {
     let heads = qs.len();
     if heads == 0 {
         return Err("fused attention: zero heads".into());
@@ -195,11 +180,11 @@ fn with_operands(
     }
     check_heads(a, qs.iter().zip(kts).zip(vs).map(|((q, kt), v)| (*q, *kt, *v)))
         .map_err(|e| format!("fused attention: {e}"))?;
-    let ops = Operands { k: qs[0].cols(), vfeat: vs[0].cols(), qs, kts, vs };
+    let (k, vfeat) = (qs[0].cols(), vs[0].cols());
     if let Some((h, o)) =
-        outs.iter().enumerate().find(|(_, o)| (o.rows(), o.cols()) != (a.rows(), ops.vfeat))
+        outs.iter().enumerate().find(|(_, o)| (o.rows(), o.cols()) != (a.rows(), vfeat))
     {
-        let (rows, vfeat) = (a.rows(), ops.vfeat);
+        let rows = a.rows();
         return Err(format!(
             "fused attention: output {h} is {}x{}, expected {rows}x{vfeat}",
             o.rows(),
@@ -207,33 +192,20 @@ fn with_operands(
         )
         .into());
     }
-    let pool = rt.pool().clone();
-    let mut b = Bindings::new();
-    bind_csr(&mut b, "A", "J", a);
-    let (nnz, rows) = (a.nnz() * scratch_heads, a.rows() * scratch_heads);
-    b.insert("S".to_string(), TensorData::from(pool.acquire_f32(nnz)));
-    b.insert("M".to_string(), TensorData::from(pool.acquire_f32(rows)));
-    b.insert("P".to_string(), TensorData::from(pool.acquire_f32(nnz)));
-    b.insert("Sum".to_string(), TensorData::from(pool.acquire_f32(rows)));
-    let result = launches(&ops, &mut b, outs);
-    for name in ["S", "M", "P", "Sum"] {
-        if let Some(TensorData::F32(v)) = b.remove(name) {
-            pool.release_f32(v);
-        }
-    }
-    result
+    Ok((k, vfeat))
 }
 
 /// Serve multi-head attention — the only executable fused-attention entry
 /// point: the one-head fused kernel is compiled and the adjacency bound
-/// once, then the kernel runs once per head on that head's `qs[h]`
-/// (`rows × k`), `kts[h]` (`k × cols`) and `vs[h]` (`cols × vfeat`), bound
-/// as flat slices of the rider's own storage, and writes the head's
-/// aggregation directly into `outs[h]` (`rows × vfeat`, zero-filled). The
-/// softmax intermediates `S`/`M`/`P`/`Sum` come from the runtime's
-/// [`BufferPool`] instead of fresh allocations, one head's worth, which
-/// every head's launch overwrites before it reads. A head's launch is the
-/// one it would make alone, so results are bit-identical to it.
+/// once, in place, then the kernel runs once per head on that head's
+/// `qs[h]` (`rows × k`), `kts[h]` (`k × cols`) and `vs[h]` (`cols ×
+/// vfeat`), bound as flat slices of the rider's own storage, and writes the
+/// head's aggregation directly into `outs[h]` (`rows × vfeat`,
+/// zero-filled). The softmax intermediates `S`/`M`/`P`/`Sum` come from the
+/// runtime's [`BufferPool`] instead of fresh allocations, one head's
+/// worth, which every head's launch overwrites before it reads. A head's
+/// launch is the one it would make alone, so results are bit-identical to
+/// it.
 ///
 /// # Errors
 /// Rejects zero heads, slices of different lengths, heads that do not
@@ -247,20 +219,19 @@ pub fn fused_attention_views_on(
     vs: &[&Dense],
     outs: &mut [Dense],
 ) -> KernelResult<()> {
-    with_operands(rt, a, (qs, kts, vs), outs, 1, |ops, b, outs| {
-        let spec = KernelSpec::FusedAttention { a: a.into(), k: ops.k, vfeat: ops.vfeat };
-        let kernel = spec.compile_on(rt)?;
-        let scalars = launch_scalars(a);
-        let mut views = ViewBindings::from_tensors(b);
-        for (h, out) in outs.iter_mut().enumerate() {
-            views.bind_slice("Q", ops.qs[h].data());
-            views.bind_slice("KT", ops.kts[h].data());
-            views.bind_slice("V", ops.vs[h].data());
-            views.bind_slice_mut("Out", out.data_mut());
-            kernel.run_views(&scalars, &mut views)?;
-        }
-        Ok(())
-    })
+    let (k, vfeat) = check_launch(a, (qs, kts, vs), outs)?;
+    let kernel = KernelSpec::FusedAttention { a: a.into(), k, vfeat }.compile_on(rt)?;
+    let mut launch =
+        LaunchBindings::new(rt.pool(), a, None, [a.nnz(), a.rows(), a.nnz(), a.rows()]);
+    let mut views = launch.views(["S", "M", "P", "Sum"]);
+    for (h, out) in outs.iter_mut().enumerate() {
+        views.bind_slice("Q", qs[h].data());
+        views.bind_slice("KT", kts[h].data());
+        views.bind_slice("V", vs[h].data());
+        views.bind_slice_mut("Out", out.data_mut());
+        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
+    }
+    Ok(())
 }
 
 /// **Test reference, not a serving path:** the same attention as three
@@ -269,7 +240,7 @@ pub fn fused_attention_views_on(
 /// heads' `Q`, `KT` and `V` copied into the stacked tensors the programs
 /// are written against, and the stacked `Out` split back into the outputs
 /// after the last launch — bit-identical to it (see the module docs). The
-/// launches share one binding map, so the intermediates (`S`, then
+/// launches share one binding set, so the intermediates (`S`, then
 /// `P`/`Sum`) stay in place between them instead of round-tripping through
 /// fresh copies. Compiles three kernels on `rt` where the fused entry point
 /// compiles one.
@@ -284,34 +255,33 @@ pub fn attention_pipeline_oracle(
     vs: &[&Dense],
     outs: &mut [Dense],
 ) -> KernelResult<()> {
+    let (k, w) = check_launch(a, (qs, kts, vs), outs)?;
     let heads = qs.len();
-    with_operands(rt, a, (qs, kts, vs), outs, heads, |ops, b, outs| {
-        let scalars = HashMap::new();
-        let (q, v) = (stack_cols(ops.qs), stack_cols(ops.vs));
-        let kt: Vec<f32> = ops.kts.iter().flat_map(|kt| kt.data()).copied().collect();
-        let w = ops.vfeat;
-        let mut out = vec![0.0f32; a.rows() * heads * w];
-        let mut views = ViewBindings::from_tensors(b);
-        views.bind_slice("Q", &q);
-        views.bind_slice("KT", &kt);
-        views.bind_slice("V", &v);
-        views.bind_slice_mut("Out", &mut out);
-        for f in [
-            attention_score_ir(a, heads, ops.k)?,
-            edge_softmax_ir(a, heads)?,
-            attention_aggregate_ir(a, heads, w)?,
-        ] {
-            rt.compile(&f)?.run_views(&scalars, &mut views)?;
+    let (q, v) = (stack_cols(qs), stack_cols(vs));
+    let kt: Vec<f32> = kts.iter().flat_map(|kt| kt.data()).copied().collect();
+    let mut out = vec![0.0f32; a.rows() * heads * w];
+    let (nnz, rows) = (a.nnz() * heads, a.rows() * heads);
+    let mut launch = LaunchBindings::new(rt.pool(), a, None, [nnz, rows, nnz, rows]);
+    let mut views = launch.views(["S", "M", "P", "Sum"]);
+    views.bind_slice("Q", &q);
+    views.bind_slice("KT", &kt);
+    views.bind_slice("V", &v);
+    views.bind_slice_mut("Out", &mut out);
+    for f in [
+        attention_score_ir(a, heads, k)?,
+        edge_softmax_ir(a, heads)?,
+        attention_aggregate_ir(a, heads, w)?,
+    ] {
+        rt.compile(&f)?.run_views(&[], &mut views)?;
+    }
+    drop(views);
+    for (h, o) in outs.iter_mut().enumerate() {
+        for r in 0..a.rows() {
+            let at = (r * heads + h) * w;
+            o.data_mut()[r * w..(r + 1) * w].copy_from_slice(&out[at..at + w]);
         }
-        drop(views);
-        for (h, o) in outs.iter_mut().enumerate() {
-            for r in 0..a.rows() {
-                let at = (r * heads + h) * w;
-                o.data_mut()[r * w..(r + 1) * w].copy_from_slice(&out[at..at + w]);
-            }
-        }
-        Ok(())
-    })
+    }
+    Ok(())
 }
 
 /// The heads' `rows × w` operands side by side: one row-major

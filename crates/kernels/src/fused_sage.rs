@@ -24,11 +24,10 @@
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
 
-use crate::spec::{launch_scalars, KernelResult, KernelSpec};
+use crate::spec::{KernelResult, KernelSpec, NNZ};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
-use std::collections::HashMap;
 
 /// Per-row inverse degrees of `a` (`0` for empty rows), the `Dinv`
 /// operand of the fused SAGE kernel.
@@ -76,48 +75,44 @@ pub fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
 }
 
 /// What the fused entry point and the pipeline oracle share: validate
-/// the shapes, bind the adjacency, `Dinv` and the pool-drawn `Agg`
-/// intermediate, hand `launches` the bindings and the returned matrix's
-/// storage for `H1`, and return `Agg` to the pool.
+/// the shapes, bind the adjacency in place, `Dinv`, the pool-drawn `Agg`
+/// intermediate, `X`, `W` and the returned matrix's storage as `H1`, and
+/// run `launches` on those bindings.
 fn with_operands(
     rt: &Runtime,
     a: &Csr,
     x: &Dense,
     w: &Dense,
-    launches: impl FnOnce(&mut Bindings, &mut [f32]) -> KernelResult<()>,
+    launches: impl FnOnce(&mut ViewBindings<'_>) -> KernelResult<()>,
 ) -> KernelResult<Dense> {
     check_shapes(a, x, w).map_err(|e| format!("fused sage: {e}"))?;
     let mut out = Dense::zeros(a.rows(), w.cols());
-    let pool = rt.pool().clone();
-    let mut b = Bindings::new();
-    bind_csr(&mut b, "A", "J", a);
-    b.insert("Dinv".to_string(), TensorData::from(inverse_degrees(a)));
-    b.insert("Agg".to_string(), TensorData::from(pool.acquire_f32(a.rows() * x.cols())));
-    let result = launches(&mut b, out.data_mut());
-    if let Some(TensorData::F32(agg)) = b.remove("Agg") {
-        pool.release_f32(agg);
-    }
-    result.map(|()| out)
+    let dinv = inverse_degrees(a);
+    let mut launch = LaunchBindings::new(rt.pool(), a, None, [a.rows() * x.cols()]);
+    let mut views = launch.views(["Agg"]);
+    views.bind_slice("Dinv", &dinv);
+    views.bind_slice("X", x.data());
+    views.bind_slice("W", w.data());
+    views.bind_slice_mut("H1", out.data_mut());
+    launches(&mut views)?;
+    drop(views);
+    Ok(out)
 }
 
 /// Serve the fused SAGE layer step `H1 = (A_structural · X / deg) · W`
 /// through `rt` in **one** kernel launch — the only executable fused-SAGE
-/// entry point. `X`, `W` and the result bind as flat slices of the
-/// caller's operands and the returned matrix (nothing is copied); the
-/// `Agg` intermediate comes from the runtime's [`BufferPool`].
+/// entry point. The adjacency binds in place, and `X`, `W` and the result
+/// as flat slices of the caller's operands and the returned matrix
+/// (nothing is copied); the `Agg` intermediate comes from the runtime's
+/// [`BufferPool`].
 ///
 /// # Errors
 /// Returns an error on operand-shape mismatches and propagates
 /// lowering/execution errors.
 pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
-    let (feat, hidden) = (x.cols(), w.cols());
-    with_operands(rt, a, x, w, |b, h1| {
-        let kernel = KernelSpec::FusedSage { a: a.into(), feat, hidden }.compile_on(rt)?;
-        let mut views = ViewBindings::from_tensors(b);
-        views.bind_slice("X", x.data());
-        views.bind_slice("W", w.data());
-        views.bind_slice_mut("H1", h1);
-        Ok(kernel.run_views(&launch_scalars(a), &mut views)?)
+    let spec = KernelSpec::FusedSage { a: a.into(), feat: x.cols(), hidden: w.cols() };
+    with_operands(rt, a, x, w, |views| {
+        Ok(spec.compile_on(rt)?.run_views(&[(NNZ, a.nnz() as i64)], views)?)
     })
 }
 
@@ -131,19 +126,10 @@ pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Ker
 /// As [`fused_sage_execute_on`].
 pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
     let (feat, hidden) = (x.cols(), w.cols());
-    with_operands(rt, a, x, w, |b, h1| {
-        let scalars = HashMap::new();
-        let gather = rt.compile(&sage_gather_ir(a, feat)?)?;
-        {
-            let mut views = ViewBindings::from_tensors(b);
-            views.bind_slice("X", x.data());
-            gather.run_views(&scalars, &mut views)?;
-        }
-        let matmul = rt.compile(&lower(&sage_matmul_program(a.rows(), feat, hidden))?)?;
-        let mut views = ViewBindings::from_tensors(b);
-        views.bind_slice("W", w.data());
-        views.bind_slice_mut("H1", h1);
-        Ok(matmul.run_views(&scalars, &mut views)?)
+    with_operands(rt, a, x, w, |views| {
+        rt.compile(&sage_gather_ir(a, feat)?)?.run_views(&[], views)?;
+        let matmul = lower(&sage_matmul_program(a.rows(), feat, hidden))?;
+        Ok(rt.compile(&matmul)?.run_views(&[], views)?)
     })
 }
 

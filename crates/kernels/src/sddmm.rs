@@ -6,7 +6,7 @@
 //! balancing — is priced by `sparsetir_plans` and kept here only as a test
 //! oracle.
 
-use crate::spec::{launch_scalars, KernelSpec};
+use crate::spec::{KernelSpec, NNZ};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -83,15 +83,13 @@ pub fn sddmm_execute_views_on(
         }
     }
     let kernel = KernelSpec::Sddmm { a: a.into(), k }.compile_on(rt)?;
-    let scalars = launch_scalars(a);
-    let mut structure = Bindings::new();
-    bind_csr(&mut structure, "A", "J", a);
-    let mut views = ViewBindings::from_tensors(&mut structure);
+    let mut launch = LaunchBindings::new(rt.pool(), a, None, []);
+    let mut views = launch.views([]);
     for ((x, y), out) in reqs.iter().zip(outs.iter_mut()) {
         views.bind_slice("X", x.data());
         views.bind_slice("Y", y.data());
         views.bind_slice_mut("Bout", out);
-        kernel.run_views(&scalars, &mut views)?;
+        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
     }
     Ok(())
 }

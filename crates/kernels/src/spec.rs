@@ -5,7 +5,7 @@
 //! (§3, Stages I–III), and every `*_ir` builder reads only the adjacency's
 //! `rows / cols`, the request shape and its schedule parameters: the
 //! non-zero count is the kernel's scalar parameter [`NNZ`] (Figure 3's
-//! `nnz: T.int32`), which every launch binds ([`launch_scalars`]). A
+//! `nnz: T.int32`), which every launch binds. A
 //! [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
 //! with no `Csr` in scope — so the function cannot depend on anything the
 //! spec leaves out — and [`KernelSpec::compile_on`] hands the spec itself
@@ -19,7 +19,6 @@ use crate::spmm::CsrSpmmParams;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 pub(crate) type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
@@ -27,11 +26,6 @@ pub(crate) type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
 /// The scalar parameter a served kernel takes its adjacency's non-zero
 /// count as.
 pub(crate) const NNZ: &str = "nnz";
-
-/// The scalars a launch of a served kernel over `a` binds.
-pub(crate) fn launch_scalars(a: &Csr) -> HashMap<String, i64> {
-    HashMap::from([(NNZ.to_string(), a.nnz() as i64)])
-}
 
 /// All a Stage I program reads of an adjacency; its non-zero count is a
 /// launch parameter.
@@ -68,11 +62,6 @@ pub(crate) enum KernelSpec {
     FusedAttention { a: CsrShape, k: usize, vfeat: usize },
     /// Gather → normalize → matmul in one function.
     FusedSage { a: CsrShape, feat: usize, hidden: usize },
-}
-
-/// The name stem one hyb bucket's rewrite rule and bindings share.
-pub(crate) fn bucket_tag(partition: usize, width: usize) -> String {
-    format!("p{partition}_w{width}")
 }
 
 impl KernelSpec {
@@ -158,7 +147,9 @@ mod tests {
     use crate::fused_attention::fused_attention_views_on;
     use crate::fused_sage::fused_sage_execute_on;
     use crate::sddmm::sddmm_execute_views_on;
-    use crate::spmm::{prepare_spmm, spmm_execute_views_on, spmm_spec, SpmmConfig};
+    use crate::spmm::{
+        prepare_spmm, prepare_spmm_structure, spmm_execute_views_on, spmm_spec, SpmmConfig,
+    };
     use sparsetir_smat::gen;
     use std::collections::HashMap;
 
@@ -465,7 +456,8 @@ mod tests {
                 (KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 }, structure(a)),
             ];
             if a.nnz() > 0 {
-                specs.push(spmm_spec(a, 16, &hyb(2, 3)).unwrap());
+                let (_, structure) = prepare_spmm_structure(a, 16, &hyb(2, 3)).unwrap();
+                specs.push((spmm_spec(a, 16, &hyb(2, 3)).unwrap().0, structure));
             }
             specs
         };
@@ -476,7 +468,7 @@ mod tests {
             let f = spec.build().unwrap();
             let symbolic = CompiledKernel::compile(&f).unwrap();
             let check = |a: &Csr, t: Bindings, shared: &CompiledKernel| {
-                let scalars = launch_scalars(a);
+                let scalars = HashMap::from([(NNZ.to_string(), a.nnz() as i64)]);
                 let t = operands(&f, t, a.nnz(), seed as u64);
                 let specialized = f.specialize(&scalars);
                 let built = spec.build_for(a).unwrap();

@@ -3,7 +3,7 @@
 //! (`SparseTIR(hyb)`), lowered to Stage III functions that compile and
 //! launch (and feed CUDA emission).
 
-use crate::spec::{bucket_tag, launch_scalars, KernelSpec};
+use crate::spec::{KernelSpec, NNZ};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -130,42 +130,26 @@ impl PreparedSpmm {
     }
 }
 
-/// What `config` compiles to on `a` at feature width `feat`, with the
-/// *structure* operands bound (CSR index buffers, `A` values, hyb
-/// buckets). The hyb arm decomposes here — its spec lists the buckets
-/// `Hyb::from_csr` found, and their arrays are what it binds.
+/// What `config` compiles to on `a` at feature width `feat`, and for the
+/// hyb arm the decomposition it is compiled against: its spec lists the
+/// buckets `Hyb::from_csr` found, and their arrays are what a launch binds.
 pub(crate) fn spmm_spec(
     a: &Csr,
     feat: usize,
     config: &SpmmConfig,
-) -> Result<(KernelSpec, Bindings), Box<dyn std::error::Error>> {
-    let mut bindings = Bindings::new();
-    let spec = match config.col_parts {
-        None => KernelSpec::csr_spmm(a, feat, config.params),
-        Some(c) => {
-            let hyb = Hyb::from_csr(a, c, config.bucket_k)?;
-            let mut buckets = Vec::new();
-            for (pi, part) in hyb.partitions().iter().enumerate() {
-                for bucket in part.buckets.iter().filter(|b| !b.is_empty()) {
-                    let tag = bucket_tag(pi, bucket.width);
-                    let (name, prefix) = (format!("A_hyb_{tag}"), format!("hyb_{tag}"));
-                    bind_bucket(&mut bindings, &name, &prefix, bucket);
-                    buckets.push((pi, bucket.width, bucket.len()));
-                }
-            }
-            KernelSpec::HybSpmm { a: a.into(), feat, buckets }
-        }
+) -> Result<(KernelSpec, Option<Hyb>), Box<dyn std::error::Error>> {
+    let Some(c) = config.col_parts else {
+        return Ok((KernelSpec::csr_spmm(a, feat, config.params), None));
     };
-    bind_csr(&mut bindings, "A", "J", a);
-    Ok((spec, bindings))
+    let hyb = Hyb::from_csr(a, c, config.bucket_k)?;
+    let buckets = hyb_buckets(&hyb).map(|(pi, b)| (pi, b.width, b.len())).collect();
+    Ok((KernelSpec::HybSpmm { a: a.into(), feat, buckets }, Some(hyb)))
 }
 
 /// Lower `config` into the Stage III SpMM function at feature width
-/// `feat`, binding only the *structure* operands (CSR index buffers, `A`
-/// values, hyb buckets). The operand `B` and output `C` stay unbound so
-/// the caller can supply them either as whole tensors
-/// ([`prepare_spmm`]) or as flat slices of rider-owned storage
-/// ([`spmm_execute_views_on`]).
+/// `feat`, with only the *structure* operands (CSR index buffers, `A`
+/// values, hyb buckets) bound, as whole tensors. The operand `B` and output
+/// `C` stay unbound for the caller to supply ([`prepare_spmm`]).
 ///
 /// # Errors
 /// Propagates decomposition and lowering errors.
@@ -174,7 +158,15 @@ pub fn prepare_spmm_structure(
     feat: usize,
     config: &SpmmConfig,
 ) -> Result<(PrimFunc, Bindings), Box<dyn std::error::Error>> {
-    let (spec, bindings) = spmm_spec(a, feat, config)?;
+    let (spec, hyb) = spmm_spec(a, feat, config)?;
+    let mut bindings = Bindings::new();
+    // Dropped once its buckets are copied: held through lowering, it adds to the peak.
+    if let Some(hyb) = hyb {
+        for (pi, bucket) in hyb_buckets(&hyb) {
+            bind_bucket(&mut bindings, &bucket_tag(pi, bucket.width), bucket);
+        }
+    }
+    bind_csr(&mut bindings, "A", "J", a);
     Ok((spec.build_for(a)?, bindings))
 }
 
@@ -256,14 +248,14 @@ pub fn spmm_execute_views_on(
     if width == 0 {
         return Ok(());
     }
-    let (spec, mut structure) = spmm_spec(a, width, &config.widened(width))?;
+    let (spec, hyb) = spmm_spec(a, width, &config.widened(width))?;
     let kernel = spec.compile_on(rt)?;
-    let scalars = launch_scalars(a);
-    let mut views = ViewBindings::from_tensors(&mut structure);
+    let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
+    let mut views = launch.views([]);
     for (x, out) in xs.iter().zip(outs.iter_mut()) {
         views.bind_slice("B", x.data());
         views.bind_slice_mut("C", out.data_mut());
-        kernel.run_views(&scalars, &mut views)?;
+        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
     }
     Ok(())
 }

@@ -14,20 +14,28 @@ pub struct Coo {
 
 impl Coo {
     /// Empty matrix of the given shape.
+    ///
+    /// # Panics
+    /// Panics where [`Coo::from_entries`] refuses `rows`.
     #[must_use]
     pub fn new(rows: usize, cols: usize) -> Coo {
-        Coo { rows, cols, entries: Vec::new() }
+        Coo::from_entries(rows, cols, Vec::new()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build from triplets.
     ///
     /// # Errors
-    /// Fails when any coordinate is out of bounds.
+    /// Fails when `rows + 1` row pointers cannot exist (their count or
+    /// bytes overflow), so that every `Coo` has a CSR, and when any
+    /// coordinate is out of bounds.
     pub fn from_entries(
         rows: usize,
         cols: usize,
         entries: Vec<(u32, u32, f32)>,
     ) -> Result<Coo, SmatError> {
+        if rows.checked_add(1).map(std::alloc::Layout::array::<usize>).is_none_or(|l| l.is_err()) {
+            return Err(SmatError::new(format!("{rows} rows: the row pointers cannot exist")));
+        }
         for &(r, c, _) in &entries {
             if r as usize >= rows || c as usize >= cols {
                 return Err(SmatError::new(format!(

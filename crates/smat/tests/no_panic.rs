@@ -102,8 +102,9 @@ proptest! {
         }
     }
 
-    /// Triplets in and out of bounds, duplicates included; an accepted
-    /// small `Coo` converts to a valid CSR.
+    /// Triplets in and out of bounds, duplicates included, at any
+    /// dimensions: a row count whose `rows + 1` row pointers cannot exist
+    /// is refused, and an accepted small `Coo` converts to a valid CSR.
     #[test]
     fn coo_from_entries_is_ok_or_a_typed_error(
         rows in size(),
@@ -111,15 +112,17 @@ proptest! {
         entries in proptest::collection::vec((coord(), coord(), 0.1f32..2.0), 0..12),
     ) {
         let in_bounds = entries.iter().all(|&(r, c, _)| (r as usize) < rows && (c as usize) < cols);
+        let has_csr = rows.checked_add(1).is_some_and(|p| std::alloc::Layout::array::<usize>(p).is_ok());
         match Coo::from_entries(rows, cols, entries) {
             Ok(coo) => {
                 prop_assert!(in_bounds, "an out-of-bounds triplet is accepted");
+                prop_assert!(has_csr, "{rows} rows are accepted");
                 if rows < 8 && cols < 8 {
                     check_csr(Ok(Csr::from_coo(&coo)))?;
                 }
             }
             Err(e) => {
-                prop_assert!(!in_bounds, "in-bounds triplets are refused: {e}");
+                prop_assert!(!in_bounds || !has_csr, "in-bounds triplets are refused: {e}");
             }
         }
     }
@@ -181,5 +184,18 @@ proptest! {
         let next = a.apply_delta(&delta);
         prop_assert_eq!(next.is_ok(), in_range);
         check_csr(next)?;
+    }
+}
+
+/// `Csr::from_coo` returns no `Result`, so a `Coo` whose CSR cannot exist
+/// — `rows + 1` overflows, or the row pointers' bytes do — must be refused
+/// where it is built; converted, it would panic.
+#[test]
+fn a_coo_whose_csr_cannot_exist_is_refused_where_it_is_built() {
+    for rows in [usize::MAX, usize::MAX / 2 + 1] {
+        match Coo::from_entries(rows, 2, vec![]) {
+            Ok(coo) => panic!("{rows} rows accepted: {:?}", Csr::from_coo(&coo).rows()),
+            Err(e) => assert!(e.to_string().contains("row pointers"), "{e}"),
+        }
     }
 }

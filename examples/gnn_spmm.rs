@@ -64,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let x = gen::random_dense(graph.cols(), feat, &mut rng);
     let mut bindings = Bindings::new();
     for (tag, bucket) in &buckets {
-        bind_bucket(&mut bindings, &format!("A_hyb_{tag}"), &format!("hyb_{tag}"), bucket);
+        bind_bucket(&mut bindings, tag, bucket);
     }
     bind_csr(&mut bindings, "A", "J", &graph);
     bind_dense(&mut bindings, "B", &x);

@@ -5,6 +5,9 @@
 #   scripts/bench_history.sh            run benchmark/run.sh, then append
 #   scripts/bench_history.sh --no-run   append from the benchmark/out/run.jsonl
 #                                       a run.sh already left behind
+#   scripts/bench_history.sh --table N  print, per workload, the end-to-end
+#                                       metrics of the last N lines that read
+#                                       it, with their shas; appends nothing
 #
 # One line per call: {"sha", "date", "host", "metrics"}, where metrics maps
 # each workload to the medians (over the seeds run; RUNS=<n> is passed on to
@@ -15,6 +18,28 @@
 # benchmark/Cargo.lock run.sh's cargo call rewrites is restored).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [ "${1:-}" = "--table" ]; then
+    python3 - "${2:?--table needs a line count}" <<'PY'
+import json, sys
+
+last = int(sys.argv[1])
+END_TO_END = ["setup_s", "native_ratio", "cold_ratio", "capacity_ratio", "peak_rss_mb"]
+rows = {}  # workload -> [(sha, date, metrics)], oldest first
+with open("BENCH_history.jsonl") as history:
+    for line in filter(str.strip, history):
+        entry = json.loads(line)
+        for w, ms in entry["metrics"].items():
+            rows.setdefault(w, []).append((entry["sha"], entry["date"], ms))
+for w, entries in rows.items():
+    print(f"{w}:")
+    print(f"  {'sha':<14}{'date':<12}" + "".join(f"{m:>16}" for m in END_TO_END))
+    for sha, date, ms in entries[-last:]:
+        cells = "".join(f"{ms[m]:>16.4g}" if m in ms else f"{'-':>16}" for m in END_TO_END)
+        print(f"  {sha:<14}{date:<12}{cells}")
+PY
+    exit 0
+fi
 
 if [ "${1:-}" != "--no-run" ]; then
     # An unlocked cargo call on benchmark/Cargo.toml rewrites a lock whose

@@ -64,7 +64,7 @@ fn decomposed_hyb_pipeline_on_real_graph_slice() {
     let x = gen::random_dense(g.cols(), feat, &mut rng);
     let mut b = Bindings::new();
     for (tag, bucket) in &buckets {
-        bind_bucket(&mut b, &format!("A_hyb_{tag}"), &format!("hyb_{tag}"), bucket);
+        bind_bucket(&mut b, tag, bucket);
     }
     bind_csr(&mut b, "A", "J", &g);
     bind_dense(&mut b, "B", &x);
