@@ -851,27 +851,15 @@ pub mod ablation_bucketing {
     }
 }
 
-/// Serving throughput: requests/sec through the batched engine at 1/4/8
-/// client threads sharing one adjacency, and for one client with many
-/// tickets in flight — for SpMM, SDDMM and fused attention. The engine
-/// folds compatible concurrent requests on one adjacency into single launches
-/// that look up the one-rider kernel and bind the adjacency once, then run
-/// the kernel once per rider on its own operands. The table reports how
-/// often that happened; `stbench` judges speed.
+/// Serving throughput: requests/sec through the engine at 1/4/8 client
+/// threads sharing one adjacency, and for one client with many tickets in
+/// flight — for SpMM, SDDMM and fused attention, one launch per request.
+/// Every arm must copy nothing; `stbench` judges speed.
 pub mod serving_throughput {
     use super::*;
     use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Ticket};
-    use std::sync::{Arc, Barrier};
+    use std::sync::Arc;
     use std::time::Instant;
-
-    /// Floor on [`EngineStats::batching_rate`] at 8 clients, and for the
-    /// fan-out client (`1x16`), for every op (armed by
-    /// `SPARSETIR_BENCH_ASSERT`). Those rows run in waves queued behind a
-    /// stalled worker ([`Engine::stall_worker`]), so an engine that folds
-    /// queued compatible requests batches every one of them (rate 1.00),
-    /// and one that does not batches none — a count that says "batching
-    /// happened", not a scheduling outcome or a timing.
-    pub const BATCHING_RATE_FLOOR: f64 = 0.5;
 
     /// An `n × n` adjacency with heavy-tailed row lengths (most rows
     /// short, a few up to `n / 2`).
@@ -894,17 +882,16 @@ pub mod serving_throughput {
 
     /// Median mean-ns-per-request of three [`run_arm`] repetitions (the
     /// arms are short wall-clock windows on a shared machine; a single
-    /// window is too noisy to gate on). Returns the stats of the median
+    /// window is too noisy to report). Returns the stats of the median
     /// repetition.
     fn run_arm_median(
         adj: &Adjacency,
         payloads: &[Vec<OpRequest>],
         warm: &OpRequest,
-        (in_flight, waves): (usize, bool),
+        in_flight: usize,
     ) -> (f64, EngineStats) {
-        let mut reps: Vec<(f64, EngineStats)> = (0..3)
-            .map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), (in_flight, waves)))
-            .collect();
+        let mut reps: Vec<(f64, EngineStats)> =
+            (0..3).map(|_| run_arm(adj, payloads.to_vec(), warm.clone(), in_flight)).collect();
         reps.sort_by(|a, b| a.0.total_cmp(&b.0));
         reps.swap_remove(1)
     }
@@ -912,85 +899,51 @@ pub mod serving_throughput {
     /// One serving arm: one client thread per payload list, each issuing
     /// its requests with blocking submits against the shared adjacency
     /// through the engine's generic submit path, `in_flight` at a time,
-    /// then waiting on them (1 is submit-then-wait). Free-running (`waves`
-    /// false), whether riders meet depends on when they arrive. In
-    /// `waves`, every client submits its next requests while the worker is
-    /// stalled ([`Engine::stall_worker`]: nothing is served, not even
-    /// inline), and the worker is released once all of them are queued.
-    /// Returns mean wall-clock nanoseconds per request and the engine's
-    /// final counters.
+    /// then waiting on them (1 is submit-then-wait). Returns mean
+    /// wall-clock nanoseconds per request and the engine's counters over
+    /// the timed window.
     fn run_arm(
         adj: &Adjacency,
         payloads: Vec<Vec<OpRequest>>,
         warm: OpRequest,
-        (in_flight, waves): (usize, bool),
+        in_flight: usize,
     ) -> (f64, EngineStats) {
-        // One worker: a single dispatcher, so every waiting request folds
-        // into its next launch.
-        let engine =
-            Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 256, max_batch: 16 }));
+        let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 256 }));
         // Warm the single-request-shape kernel so the arm pays no
         // first-compile latency while timed (payloads were pre-generated
         // by the caller, so RNG cost is outside the window too).
         engine.serve(adj, warm).expect("warmup");
         let total: usize = payloads.iter().map(Vec::len).sum();
-        let rounds = payloads[0].len().div_ceil(in_flight);
-        let gate = Barrier::new(payloads.len() + 1);
         let warmed = engine.stats();
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for reqs in payloads {
-                let (engine, adj, gate) = (Arc::clone(&engine), adj.clone(), &gate);
+                let (engine, adj) = (Arc::clone(&engine), adj.clone());
                 s.spawn(move || {
-                    let mut reqs = reqs.into_iter();
-                    for _ in 0..rounds {
-                        if waves {
-                            gate.wait(); // the last wave is answered
-                            gate.wait(); // the next one opens behind the stall
-                        }
+                    let mut reqs = reqs.into_iter().peekable();
+                    while reqs.peek().is_some() {
                         let wave: Vec<Ticket> = (&mut reqs)
                             .take(in_flight)
                             .map(|req| engine.submit(&adj, req).expect("admitted"))
                             .collect();
-                        if waves {
-                            gate.wait(); // every ticket of the wave is queued
-                        }
                         for t in wave {
                             t.wait().expect("request served");
                         }
                     }
                 });
             }
-            for _ in (0..rounds).filter(|_| waves) {
-                // Stalled only once the last wave is answered: a worker
-                // that meets a pending stall parks before it serves the
-                // queue.
-                gate.wait();
-                let stall = engine.stall_worker();
-                gate.wait();
-                gate.wait();
-                drop(stall);
-            }
         });
         let elapsed = t0.elapsed().as_nanos() as f64;
-        // Report counters for the timed window only (the warmup request
-        // would otherwise deflate the batching rate); maxima are
-        // unaffected by the size-1 warm dispatch.
-        let stats = engine.stats().delta_since(&warmed);
-        (elapsed / total.max(1) as f64, stats)
+        (elapsed / total.max(1) as f64, engine.stats().delta_since(&warmed))
     }
 
     /// Sweep one op arm over 1/4/8 one-at-a-time clients, then one client
     /// with [`FAN_OUT`] tickets in flight and as many requests as the 8
-    /// clients (row `1x16`), and return its table rows. The two gated rows
-    /// (8 and `1x16`) run in waves behind a stalled worker ([`run_arm`]).
+    /// clients (row `1x16`), and return its table rows.
     ///
     /// # Panics
-    /// Panics when an arm copied a byte, or — under
-    /// `SPARSETIR_BENCH_ASSERT=1` — when batching did not happen at 8
-    /// clients or for the fan-out client (`max_batch < 2` or a batching
-    /// rate under [`BATCHING_RATE_FLOOR`]): counts, so no wall clock
-    /// decides it.
+    /// Panics when an arm copied a byte: a count, so no wall clock decides
+    /// it.
     fn sweep_op(
         adj: &Adjacency,
         op: &str,
@@ -1003,34 +956,18 @@ pub mod serving_throughput {
             let per = if in_flight == 1 { per_client } else { per_client * 8 };
             let payloads: Vec<Vec<OpRequest>> =
                 (0..clients).map(|_| (0..per).map(|_| make()).collect()).collect();
-            let gated = clients == 8 || in_flight > 1;
-            let (ns, stats) = run_arm_median(adj, &payloads, &warm, (in_flight, gated));
+            let (ns, stats) = run_arm_median(adj, &payloads, &warm, in_flight);
             let label =
                 if in_flight == 1 { clients.to_string() } else { format!("{clients}x{in_flight}") };
             // The counter pins the arm to the view contract
             // regardless of the wall clock: operands and outputs are
-            // staged in place, so a single copied byte is a regression.
+            // bound in place, so a single copied byte is a regression.
             assert_eq!(
                 stats.bytes_copied, 0,
-                "batched {op} arm copied {} bytes at {label} clients",
+                "{op} arm copied {} bytes at {label} clients",
                 stats.bytes_copied
             );
-            if gated && std::env::var_os("SPARSETIR_BENCH_ASSERT").is_some() {
-                assert!(
-                    stats.max_batch >= 2 && stats.batching_rate() >= BATCHING_RATE_FLOOR,
-                    "batched {op} arm did not batch at {label} clients: max batch {}, rate {:.2} \
-                     (floor {BATCHING_RATE_FLOOR})",
-                    stats.max_batch,
-                    stats.batching_rate()
-                );
-            }
-            rows.push(vec![
-                op.to_string(),
-                label,
-                format!("{:.0}", 1e9 / ns),
-                format!("{}", stats.max_batch),
-                fmt_pct(stats.batching_rate() * 100.0),
-            ]);
+            rows.push(vec![op.to_string(), label, format!("{:.0}", 1e9 / ns)]);
         }
         rows
     }
@@ -1040,13 +977,11 @@ pub mod serving_throughput {
     /// # Panics
     /// Panics when a served result disagrees with its reference (or
     /// served fused attention with the three-launch pipeline oracle, bit
-    /// for bit), or — under `SPARSETIR_BENCH_ASSERT=1` — when an arm did
-    /// not batch at 8 clients or for the fan-out client (see
-    /// [`BATCHING_RATE_FLOOR`]).
+    /// for bit), or when an arm copied a byte.
     #[must_use]
     pub fn run() -> String {
         // Full mode serves a mid-size graph: big enough that kernel work
-        // dominates scheduling noise, small enough that a rider's dense
+        // dominates scheduling noise, small enough that a request's dense
         // operand stays cache-resident.
         let (n, per_client): (usize, usize) = if smoke() { (1000, 16) } else { (2000, 24) };
         let feat = 16;
@@ -1086,11 +1021,9 @@ pub mod serving_throughput {
         let spmm_rows = sweep_op(&adj, "spmm", per_client, || {
             OpRequest::Spmm(gen::random_dense(n, feat, &mut rng_spmm))
         });
-        // The SDDMM arm serves its own *small* adjacency: a batch
-        // amortizes only the per-launch fixed costs (every rider still
-        // walks the non-zeros), so its win lives in the
-        // many-small-requests regime where those fixed costs are a big
-        // slice of a launch.
+        // The SDDMM arm serves its own *small* adjacency: the
+        // many-small-requests regime, where the engine's per-request
+        // costs are a big slice of a launch.
         let sn = 128;
         let sfeat = 8;
         let mut rng_sddmm = gen::rng(0x5e42);
@@ -1098,7 +1031,7 @@ pub mod serving_throughput {
         let sadj = Adjacency::new(sg);
         // Small-graph SDDMM requests are ~10x faster than the SpMM arm's,
         // so issue proportionally more per client — otherwise the timed
-        // windows are a few tens of milliseconds and too noisy to gate.
+        // windows are a few tens of milliseconds and too noisy to read.
         let sddmm_per_client = per_client * 4;
         workloads.push_str(&format!(
             "sddmm: n={sn} nnz={} d={sfeat} per_client={sddmm_per_client} workers=1\n",
@@ -1112,7 +1045,7 @@ pub mod serving_throughput {
         });
         // The fused-attention arm (SDDMM → edge-softmax → SpMM as one
         // kernel per launch) serves a small graph too, for the SDDMM
-        // arm's reason: its batching win is fixed-cost amortization.
+        // arm's reason.
         let (an, k, vfeat) = (256, 8, 8);
         let mut rng_attn = gen::rng(0xFA);
         let ag = power_law(an, &mut rng_attn);
@@ -1124,7 +1057,7 @@ pub mod serving_throughput {
         };
         // One served result against the f64 reference (relative epsilon,
         // for the softmax exp) and, bit for bit, against the three-launch
-        // pipeline oracle — serving adds batching, not rounding.
+        // pipeline oracle — serving adds no rounding.
         {
             let engine = Engine::new(EngineConfig::default());
             let h = make_head();
@@ -1162,9 +1095,9 @@ pub mod serving_throughput {
         rows.extend(attn_rows);
         render_table(
             &format!(
-                "Serving throughput: batched engine (shared adjacency, spmm d={feat}; at 8 clients and for one client with 16 tickets in flight (1x16) every op batches)"
+                "Serving throughput: engine, one launch per request (shared adjacency, spmm d={feat}; 1x16 = one client with 16 tickets in flight)"
             ),
-            &["op", "clients", "batched req/s", "max batch", "batched %"],
+            &["op", "clients", "req/s"],
             &rows,
         ) + &workloads
     }
@@ -1176,8 +1109,8 @@ pub mod serving_throughput {
 /// shedding) vs a FIFO/blocking baseline serving the identical mixed
 /// workload. One worker on both
 /// arms; the Lo flood runs heavyweight SpMM requests on distinct
-/// adjacencies (they never batch, so each occupies the worker for a full
-/// execution), the measured Hi clients run cheap SDDMM requests on a
+/// adjacencies (each occupies the worker for a full execution), the
+/// measured Hi clients run cheap SDDMM requests on a
 /// shared small adjacency with a deadline ≈ 2 Lo-executions — met only
 /// by jumping the Lo backlog, which is exactly what the priority queue
 /// buys and FIFO cannot.
@@ -1208,7 +1141,7 @@ pub mod serving_slo {
     /// experiment is calibrated against, so the arms express "about two
     /// executions of backlog" identically on fast and slow machines.
     fn calibrate_lo_exec(adj: &Adjacency, x: &Dense) -> Duration {
-        let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8 });
+        let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
         Duration::from_nanos(median_ns(5, || {
             engine.serve(adj, OpRequest::Spmm(x.clone())).expect("calibration request");
         }) as u64)
@@ -1235,8 +1168,7 @@ pub mod serving_slo {
         hi_deadline: Duration,
         slo: bool,
     ) -> ArmResult {
-        let engine =
-            Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
+        let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64 }));
         // Warm every kernel shape outside the measured window.
         for (adj, x) in lo {
             engine.serve(adj, OpRequest::Spmm(x.clone())).expect("lo warmup");
@@ -1305,9 +1237,8 @@ pub mod serving_slo {
         let (n, hi_per_client): (usize, usize) = if smoke() { (1200, 12) } else { (2500, 20) };
         let feat = 32;
         let mut rng = gen::rng(0x510);
-        // One heavyweight adjacency per Lo flood client (distinct
-        // fingerprints: the flood cannot batch, each request costs a
-        // full execution — a genuinely occupied worker).
+        // One heavyweight adjacency per Lo flood client (each request
+        // costs a full execution — a genuinely occupied worker).
         let lo: Vec<(Adjacency, Dense)> = (0..4)
             .map(|_| {
                 let g = gen::random_csr_with_row_lengths(
@@ -1457,7 +1388,7 @@ pub mod dynamic_graphs {
     pub const INCREMENTAL_SPEEDUP_BAR: f64 = 1.2;
 
     fn serving_engine() -> Engine {
-        Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 })
+        Engine::new(EngineConfig { workers: 1, queue_depth: 64 })
     }
 
     /// The edge map a rebuild arm maintains (and the oracle both arms are

@@ -13,8 +13,12 @@
 //! in short bursts and report minima, so the box's clock states cancel.
 //! Each arm also says how many of its nest entries a row block took
 //! (`blocked / entries` of `CompiledKernel::nest_counts`). A sweep over
-//! row and non-zero counts then fits the SpMM run at d = 16 and the SDDMM
-//! run at k = 8, each to its own `c + entries × a + nnz × b`. A per-pass
+//! row and non-zero counts then times the SpMM run at d = 16 and the SDDMM
+//! run at k = 8 against their floors, every point's arms in every round
+//! (so a clock-state change lands on all points alike), prints each
+//! point's `run_views` / floor as the median over rounds of the ratio
+//! within one round, and fits each arm's minima over the same rounds to
+//! its own `c + entries × a + nnz × b`. A per-pass
 //! table takes fused attention
 //! apart: at one head and `stbench kernel_narrow`'s d = 4, the fused run
 //! beside each of its five passes compiled alone from its Stage I program
@@ -48,9 +52,10 @@
 
 use super::*;
 use sparsetir_core::prelude::LaunchBindings;
-use sparsetir_ir::prelude::{Runtime, TensorData};
+use sparsetir_ir::prelude::{CompiledKernel, Runtime, TensorData};
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// `stbench`'s tenant graph shape, `n` rows over `cols` columns: the
@@ -258,6 +263,15 @@ fn layouts(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
     }
 }
 
+/// The kernel the SpMM entry point compiles for width `d` at `config`: the
+/// vector split widened to span the width.
+fn spmm_run_kernel(rt: &Runtime, a: &Csr, d: usize, config: &SpmmConfig) -> Arc<CompiledKernel> {
+    let mut wide = *config;
+    wide.params.vec_width = wide.params.vec_width.max(d.div_ceil(8));
+    let (func, _) = prepare_spmm_structure(a, d, &wide).expect("lowers");
+    rt.compile(&func).expect("compiles")
+}
+
 /// `[whole launch, run_views alone, floor]` minima of a served SpMM of `x`
 /// at `config`, after checking its output against the floor (bit for bit
 /// on the CSR schedule), and the run's `blocked / entries` and layouts.
@@ -287,14 +301,9 @@ fn spmm_arms(
         assert!(out.iter().zip(&want).all(close), "spmm {}", config.label());
     }
 
-    // The schedule the entry point compiles: the vector split widened to
-    // span the rider's width.
-    let mut wide = *config;
-    wide.params.vec_width = wide.params.vec_width.max(d.div_ceil(8));
-    let (func, _) = prepare_spmm_structure(a, d, &wide).expect("lowers");
-    let kernel = rt.compile(&func).expect("compiles");
+    let kernel = spmm_run_kernel(&rt, a, d, config);
     // The structure bound in place, as the entry point binds it.
-    let hyb = wide.col_parts.map(|c| Hyb::from_csr(a, c, wide.bucket_k).expect("decomposes"));
+    let hyb = config.col_parts.map(|c| Hyb::from_csr(a, c, config.bucket_k).expect("decomposes"));
     let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
     let mut run_out = vec![0.0f32; a.rows() * d];
     let mut views = launch.views([]);
@@ -386,27 +395,6 @@ pub fn run() -> String {
     let name = format!("sddmm k={k}");
     rows.push([name, blocks, layout].into_iter().chain(got.map(us)).collect());
 
-    // Row-count / non-zero-count sweeps of the CSR SpMM and the SDDMM
-    // runs and their floors: least squares for `c + entries × a + nnz × b`,
-    // each.
-    let sweep: &[(usize, f64)] = if smoke() {
-        &[(110, 8.0), (220, 4.0), (220, 8.0)]
-    } else {
-        &[(220, 8.0), (440, 4.0), (440, 8.0), (440, 16.0), (880, 8.0), (1760, 2.0), (1760, 8.0)]
-    };
-    // `[run_views, floor]` points of each.
-    let (mut spmm_points, mut sddmm_points) = ([vec![], vec![]], [vec![], vec![]]);
-    for &(n, deg) in sweep {
-        let g = rows_graph(n, a.cols(), deg, 0x80 + n as u64);
-        let x = gen::random_dense(g.cols(), d, &mut rng);
-        let at = |ns: f64| [1.0, g.rows() as f64, g.nnz() as f64, ns];
-        let ([_, run, floor], _) = spmm_arms(&g, &x, &csr, burst);
-        spmm_points[0].push(at(run));
-        spmm_points[1].push(at(floor));
-        let ([_, run, floor, _], _) = sddmm_arms(&g, k, burst, &mut rng);
-        sddmm_points[0].push(at(run));
-        sddmm_points[1].push(at(floor));
-    }
     let mut out = render_table(
         &format!(
             "launch_probe: warm launches on the tenant graph (n = {}, nnz = {}), minima in µs",
@@ -416,8 +404,124 @@ pub fn run() -> String {
         &["arm", "blocked/entries", "layout", "whole launch", "run_views", "floor", "native f32"],
         &rows,
     );
-    for (name, points) in [("spmm d=16 csr", &spmm_points), ("sddmm k=8", &sddmm_points)] {
-        for (arm, points) in ["run_views", "floor"].into_iter().zip(points) {
+    let sweep: &[(usize, f64)] = if smoke() {
+        &[(110, 8.0), (220, 4.0), (220, 8.0)]
+    } else {
+        &[(220, 8.0), (440, 4.0), (440, 8.0), (440, 16.0), (880, 8.0), (1760, 2.0), (1760, 8.0)]
+    };
+    out.push_str(&sweep_table(a.cols(), sweep, (d, k), burst, &mut rng));
+    out.push_str(&attention_passes(&a, 4, burst, &mut rng));
+    out.push_str(&rider_costs(&a, burst, &mut rng));
+    out.push_str(&tune_table(&a, burst, &mut rng));
+    out.push_str(&delta_table(&a, burst, &mut rng));
+    out.push_str(&engine_table(&a, burst, &mut rng));
+    out
+}
+
+/// One sweep point's own state: its graph and structure slabs, the SpMM
+/// and SDDMM operands, and both runs compiled on its own runtime.
+struct SweepPoint {
+    g: Csr,
+    slabs: Slabs,
+    x: Dense,
+    pair: (Dense, Dense),
+    rt: Runtime,
+    spmm: Arc<CompiledKernel>,
+    sddmm: Arc<CompiledKernel>,
+}
+
+/// The row-count / non-zero-count sweep of the CSR SpMM at `d` and the
+/// one-head SDDMM at `k`: `run_views` and floor at each `(n, mean degree)`
+/// point. Every round times every arm of every point in turn, so a
+/// clock-state change lands on all points alike. Each point's ratio is the
+/// median over rounds of `run_views` / floor within one round, and the
+/// `c + entries × a + nnz × b` least-squares fits take each arm's minimum
+/// over those same rounds.
+///
+/// # Panics
+/// When a point's `run_views` output differs in a bit from its floor's.
+fn sweep_table(
+    cols: usize,
+    sweep: &[(usize, f64)],
+    (d, k): (usize, usize),
+    (rounds, reps): (usize, usize),
+    rng: &mut rand::rngs::SmallRng,
+) -> String {
+    let pts: Vec<SweepPoint> = sweep
+        .iter()
+        .map(|&(n, deg)| {
+            let g = rows_graph(n, cols, deg, 0x80 + n as u64);
+            let x = gen::random_dense(g.cols(), d, rng);
+            let pair = (gen::random_dense(g.rows(), k, rng), gen::random_dense(k, g.cols(), rng));
+            let rt = Runtime::new();
+            let spmm = spmm_run_kernel(&rt, &g, d, &SpmmConfig::default_csr());
+            let sddmm = rt.compile(&batched_sddmm_ir(&g, 1, k).expect("lowers")).expect("compiles");
+            SweepPoint { slabs: Slabs::of(&g), g, x, pair, rt, spmm, sddmm }
+        })
+        .collect();
+    let mut outs: Vec<[Vec<f32>; 2]> =
+        pts.iter().map(|p| [vec![0.0; p.g.rows() * d], vec![0.0; p.g.nnz()]]).collect();
+    let mut wants = outs.clone();
+    let by_round = {
+        let mut launches: Vec<[LaunchBindings<'_, 0>; 2]> = pts
+            .iter()
+            .map(|p| [(); 2].map(|()| LaunchBindings::new(p.rt.pool(), &p.g, None, [])))
+            .collect();
+        let mut views: Vec<_> = launches
+            .iter_mut()
+            .zip(&pts)
+            .zip(outs.iter_mut())
+            .map(|(([ls, ld], p), [os, od])| {
+                let mut vs = ls.views([]);
+                vs.bind_slice("B", p.x.data());
+                vs.bind_slice_mut("C", os);
+                let mut vd = ld.views([]);
+                vd.bind_slice("X", p.pair.0.data());
+                vd.bind_slice("Y", p.pair.1.data());
+                vd.bind_slice_mut("Bout", od);
+                [vs, vd]
+            })
+            .collect();
+        // Four arms a point: SpMM run, SpMM floor, SDDMM run, SDDMM floor.
+        let mut arms: Vec<Box<dyn FnMut() + '_>> = Vec::new();
+        for ((p, [vs, vd]), [ws, wd]) in pts.iter().zip(views.iter_mut()).zip(wants.iter_mut()) {
+            let (rows, cols) = (p.g.rows(), p.g.cols());
+            let ops = (p.pair.0.data(), p.pair.1.data());
+            arms.push(Box::new(move || p.spmm.run_views(&[], vs).expect("runs")));
+            arms.push(Box::new(move || {
+                assert!(spmm_floor(&p.slabs, (rows, cols, d), p.x.data(), ws))
+            }));
+            arms.push(Box::new(move || p.sddmm.run_views(&[], vd).expect("runs")));
+            arms.push(Box::new(move || assert!(sddmm_floor(&p.slabs, (rows, cols, k), ops, wd))));
+        }
+        let mut refs: Vec<&mut dyn FnMut()> =
+            arms.iter_mut().map(|arm| &mut **arm as &mut dyn FnMut()).collect();
+        bursts(rounds, reps, &mut refs)
+    };
+    for (p, (got, want)) in pts.iter().zip(outs.iter().zip(&wants)) {
+        let at = format!("rows {} nnz {}", p.g.rows(), p.g.nnz());
+        assert_bits(&format!("sweep spmm d={d} {at}"), &got[0], &want[0]);
+        assert_bits(&format!("sweep sddmm k={k} {at}"), &got[1], &want[1]);
+    }
+    let us = |ns: f64| format!("{:.1}", ns / 1e3);
+    let mut out = String::new();
+    for (op, name) in [(0, format!("spmm d={d} csr")), (2, format!("sddmm k={k}"))] {
+        let (mut ratios, mut fits) = (Vec::new(), [vec![], vec![]]);
+        for (i, p) in pts.iter().enumerate() {
+            let (run, floor) = (4 * i + op, 4 * i + op + 1);
+            let mut same_round: Vec<f64> = by_round.iter().map(|r| r[run] / r[floor]).collect();
+            let at = format!("{}/{}", p.g.rows(), p.g.nnz());
+            ratios.push(format!("{at}: {:.2}", median(&mut same_round)));
+            for (fit, arm) in fits.iter_mut().zip([run, floor]) {
+                fit.push([1.0, p.g.rows() as f64, p.g.nnz() as f64, min_over(&by_round, arm)]);
+            }
+        }
+        out.push_str(&format!(
+            "{name} run_views / floor by rows/nnz (median over rounds, both arms of each round): \
+             {}\n",
+            ratios.join(", ")
+        ));
+        for (arm, points) in ["run_views", "floor"].into_iter().zip(&fits) {
             let [c, per_entry, per_nnz] = least_squares(points);
             let sweep: Vec<String> =
                 points.iter().map(|p| format!("{:.0}/{:.0}: {}", p[1], p[2], us(p[3]))).collect();
@@ -428,11 +532,6 @@ pub fn run() -> String {
             ));
         }
     }
-    out.push_str(&attention_passes(&a, 4, burst, &mut rng));
-    out.push_str(&rider_costs(&a, burst, &mut rng));
-    out.push_str(&tune_table(&a, burst, &mut rng));
-    out.push_str(&delta_table(&a, burst, &mut rng));
-    out.push_str(&engine_table(&a, burst, &mut rng));
     out
 }
 

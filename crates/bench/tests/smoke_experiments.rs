@@ -50,13 +50,13 @@ fn simulator_figures_run_end_to_end_in_smoke_mode() {
 #[test]
 fn serving_throughput_runs_end_to_end_in_smoke_mode() {
     let out = run_smoke("serving_throughput");
-    // op | clients | batched req/s | max batch | batched %
+    // op | clients | req/s
     let rows = rows(&out);
     let attn = rows
         .iter()
         .find(|r| r[0] == "fused_attention" && r[1] == "8")
         .unwrap_or_else(|| panic!("no fused-attention arm at 8 clients:\n{out}"));
-    assert!(attn[2].parse::<f64>().is_ok_and(|rps| rps > 0.0), "batched requests/sec:\n{out}");
+    assert!(attn[2].parse::<f64>().is_ok_and(|rps| rps > 0.0), "requests/sec:\n{out}");
     for op in ["spmm", "sddmm"] {
         assert!(rows.iter().any(|r| r[0] == op && r[1] == "8"), "no {op} arm at 8 clients:\n{out}");
     }

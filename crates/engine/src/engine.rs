@@ -1,17 +1,13 @@
 //! The serving engine: a bounded multi-producer request queue drained by
-//! a worker pool that folds compatible requests on one shared
-//! [`Adjacency`] — SpMM, SDDMM, fused attention — into single kernel
-//! launches. [`OpRequest`] is the table of served ops: each variant is
-//! checked at submit by its kernel's request-shape rule and launched
-//! through its kernel's one entry point (every rider runs the one-rider
-//! kernel on its own storage, the launch's fixed costs shared).
+//! a worker pool, one request per kernel launch. [`OpRequest`] is the
+//! table of served ops: each variant is checked at submit by its kernel's
+//! request-shape rule and launched through its kernel's one entry point.
 //!
 //! The queue is priority-then-deadline ordered, admission sheds
 //! infeasible or expired work with typed [`EngineError::Rejected`]
 //! answers instead of only blocking, and the drain loop drops
-//! already-expired requests without executing them. A worker has one
-//! drain rule: fire at once with every compatible queued request, up to
-//! [`EngineConfig::max_batch`].
+//! already-expired requests without executing them. A worker pops the
+//! queue head and serves it.
 //!
 //! A request costs its launch, not a thread hand-off: the engine holds
 //! `workers` launch permits, shared by the workers and by submitting
@@ -23,7 +19,7 @@
 //! answered ([`EngineStats::served_inline`] counts these). Anything else
 //! queues: an inline request never overtakes a queued one, and a client
 //! with tickets in flight (or several clients at once) keeps the workers'
-//! parallelism and batching. [`Engine::try_submit`] always queues,
+//! parallelism. [`Engine::try_submit`] always queues,
 //! because it must not block.
 
 use crate::op::{launch, OpOutput, OpRequest};
@@ -39,7 +35,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::slice;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -101,16 +96,15 @@ impl fmt::Display for EngineError {
 
 impl std::error::Error for EngineError {}
 
-/// A shareable adjacency: the unit of kernel reuse and request batching.
-/// Cloning an `Adjacency` is an `Arc` bump, and requests batch together
-/// only when they hold clones of one `Adjacency` — wrapping the same
-/// matrix twice gives two adjacencies whose requests never share a
-/// launch.
+/// A shareable adjacency: the matrix requests are served against, with
+/// the sparsity summary its tune decisions are keyed by. Cloning an
+/// `Adjacency` is an `Arc` bump; wrap a matrix once and clone the handle
+/// per client.
 #[derive(Debug, Clone)]
 pub struct Adjacency {
     csr: Arc<Csr>,
     /// Structural sparsity summary of *this* matrix, precomputed so the
-    /// tuned path never rescans the matrix per batch.
+    /// tuned path never rescans the matrix per request.
     sparsity: Arc<SparsityFingerprint>,
     /// The *tuning anchor*: the structural fingerprint [`TuneCache`] keys
     /// are built from. Freshly-wrapped adjacencies anchor on their own
@@ -160,12 +154,6 @@ impl Adjacency {
     pub fn version(&self) -> u64 {
         self.version
     }
-
-    /// True when `other` may share a batched kernel launch with `self`:
-    /// both are clones of one `Adjacency`.
-    fn batches_with(&self, other: &Adjacency) -> bool {
-        Arc::ptr_eq(&self.csr, &other.csr)
-    }
 }
 
 /// Engine construction parameters.
@@ -181,10 +169,6 @@ pub struct EngineConfig {
     /// deadline), `try_submit*` fails with [`EngineError::Rejected`]
     /// (`QueueFull`).
     pub queue_depth: usize,
-    /// Most requests folded into one batched kernel launch; `1` disables
-    /// batching (every request runs alone). A worker fires at once with
-    /// every compatible queued request, up to this many.
-    pub max_batch: usize,
 }
 
 impl Default for EngineConfig {
@@ -192,7 +176,6 @@ impl Default for EngineConfig {
         EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             queue_depth: DEFAULT_QUEUE_DEPTH,
-            max_batch: 8,
         }
     }
 }
@@ -343,12 +326,13 @@ struct Shared {
     tune_cache: TuneCache<SpmmConfig>,
     /// Single-flight guard for tuning searches: [`TuneCache`] computes
     /// outside its lock by design, so without this, workers racing the
-    /// *first* batches of one adjacency would each pay the full search.
+    /// *first* tuned requests of one adjacency would each pay the full
+    /// search.
     tune_flight: Mutex<()>,
     /// Tickets issued and not yet waited on or dropped ([`Outstanding`]).
     /// A blocking submit is served inline only when this reads 0: a
     /// client with tickets in flight, or another client's ticket, means
-    /// the workers can run or batch the new request beside them.
+    /// the workers can run the new request beside them.
     tickets: Arc<AtomicUsize>,
     /// Every anchor a tune decision was taken under, with the feature
     /// width it was timed at — the worklist a background retune replays
@@ -437,9 +421,8 @@ pub struct WorkerStall<'a> {
 /// Multi-tenant serving engine: owns a shared kernel-cache [`Runtime`]
 /// and a [`TuneCache`] of SpMM decisions, accepts [`Submission`]s for any
 /// served [`OpRequest`] from any number of client threads through one
-/// submit path, and batches concurrent requests that hold clones of one
-/// [`Adjacency`] (and agree on their kernel's widths) into single kernel
-/// launches.
+/// submit path, and serves each request in its own kernel launch, under
+/// its own tuning flag.
 ///
 /// Submissions carry optional SLO envelopes — a deadline and a
 /// [`Priority`] class. The queue serves higher priorities first and
@@ -535,8 +518,7 @@ impl Engine {
     /// and the ticket is already answered ([`EngineStats::served_inline`]
     /// ticks). Otherwise it queues for a worker, behind everything it does
     /// not outrank: a client that submits several requests before waiting
-    /// has the second and later ones run by the workers, side by side or
-    /// batched.
+    /// has the second and later ones run by the workers, side by side.
     ///
     /// # Errors
     /// [`EngineError::Shape`] when the operands are incompatible with
@@ -604,9 +586,8 @@ impl Engine {
     /// predecessor's launches compiled: a served kernel keys on `rows / cols` and
     /// the request shape and binds `nnz` at launch, so only a `hyb` config,
     /// whose key lists its buckets, can compile anew. The predecessor
-    /// adjacency stays fully servable (requests holding it batch and
-    /// execute as before) — callers swap to the successor at their own
-    /// pace.
+    /// adjacency stays fully servable (requests holding it execute as
+    /// before) — callers swap to the successor at their own pace.
     ///
     /// # Errors
     /// [`EngineError::Shape`] when the delta addresses rows/columns
@@ -715,7 +696,7 @@ impl Engine {
         sub: Submission,
         block: bool,
     ) -> Result<Ticket, EngineError> {
-        let Submission { mut req, opts } = sub;
+        let Submission { req, opts } = sub;
         req.validate(adj.csr())?;
         let shared = &*self.shared;
         let enqueued = Instant::now();
@@ -726,29 +707,15 @@ impl Engine {
         let admitted = self.admit(req.kind(), deadline, priority, block, &mut evicted);
         let ticket = admitted.map(|(admitted, outstanding)| {
             let (reply, slot) = reply_slot();
+            let job =
+                Job { adj: adj.clone(), req, enqueued, deadline, priority, tune: opts.tune, reply };
             match admitted {
                 Admitted::Inline(permit) => {
                     shared.stats.served_inline.fetch_add(1, Ordering::Relaxed);
-                    let mut reply = Reply { enqueued, priority, tx: reply };
-                    serve(
-                        shared,
-                        adj,
-                        opts.tune,
-                        slice::from_mut(&mut req),
-                        slice::from_mut(&mut reply),
-                    );
+                    serve(shared, job);
                     drop(permit);
                 }
                 Admitted::Queued(mut st, pos) => {
-                    let job = Job {
-                        adj: adj.clone(),
-                        req,
-                        enqueued,
-                        deadline,
-                        priority,
-                        tune: opts.tune,
-                        reply,
-                    };
                     st.queue.insert(pos, job);
                     shared.stats.queue_high_water.fetch_max(st.queue.len(), Ordering::Relaxed);
                     drop(st);
@@ -817,7 +784,7 @@ impl Engine {
             };
         }
         // Nobody is waiting: no ticket in flight whose request a worker
-        // could run or batch beside this one, no queued request to
+        // could run beside this one, no queued request to
         // overtake, a permit free and no test hook for a worker to take
         // first.
         let inline = block
@@ -828,8 +795,8 @@ impl Engine {
         let pos = if inline { 0 } else { insert_pos(&st.queue, priority, deadline) };
         // Deadline-feasibility check: with `pos` requests served first
         // at roughly the op's estimated execution time each (single
-        // worker, no batching assumed — a deliberately conservative
-        // model), would this request still answer in time? Shed now
+        // worker assumed — a deliberately conservative model), would this
+        // request still answer in time? Shed now
         // rather than let it expire in the queue. No estimate yet (cold
         // kind) admits optimistically.
         if let Some(dl) = deadline {
@@ -912,11 +879,11 @@ fn worker_loop(shared: &Shared) {
 }
 
 /// One drain-and-serve iteration; `false` means shutdown. Whatever the
-/// tick takes — a batch or a test hook — it takes under a launch permit,
+/// tick takes — a request or a test hook — it takes under a launch permit,
 /// left in `permit`.
 fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool {
     let mut expired = Vec::new();
-    let batch = {
+    let job = {
         let mut st = lock(&shared.state);
         loop {
             // While inline callers hold every permit, queued work waits
@@ -949,19 +916,14 @@ fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool 
             // permit is taken.
             sweep_expired(&mut st.queue, &mut expired);
             if permit_free {
-                if let Some(first) = st.queue.pop_front() {
+                if let Some(job) = st.queue.pop_front() {
                     *permit = Some(Permit::take(shared, &mut st));
-                    // Greedily fold queued compatible requests (a clone
-                    // of the same adjacency, same op, equal kernel widths)
-                    // into this dispatch, up to max_batch.
-                    let mut batch = vec![first];
-                    drain_compatible(&mut st.queue, &mut batch, shared.config.max_batch);
-                    break batch;
+                    break Some(job);
                 }
             }
             if !expired.is_empty() {
                 // Nothing left to serve, but sweep results to deliver.
-                break Vec::new();
+                break None;
             }
             if st.shutdown && st.queue.is_empty() {
                 return false;
@@ -972,8 +934,8 @@ fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool 
     // Space was freed: wake blocked submitters.
     shared.not_full.notify_all();
     answer_expired(shared, expired);
-    if !batch.is_empty() {
-        serve_batch(shared, batch);
+    if let Some(job) = job {
+        serve(shared, job);
     }
     true
 }
@@ -1003,64 +965,25 @@ fn answer_expired(shared: &Shared, expired: Vec<Job>) {
     }
 }
 
-/// Pull every queued job batch-compatible with the batch out of the
-/// queue, preserving the relative order of everything else.
-fn drain_compatible(queue: &mut VecDeque<Job>, batch: &mut Vec<Job>, max_batch: usize) {
-    if max_batch <= 1 {
-        return;
-    }
-    let mut i = 0;
-    while i < queue.len() && batch.len() < max_batch {
-        // Pairwise against the whole batch, not just the head: batching
-        // contracts need not be transitive (a 0-head fused-attention
-        // request rides with any shape, but must not bridge two
-        // incompatible shape groups into one launch).
-        let job = &queue[i];
-        let compatible = batch[0].adj.batches_with(&job.adj)
-            && batch.iter().all(|b| b.req.can_batch_with(&job.req));
-        if compatible {
-            if let Some(job) = queue.remove(i) {
-                batch.push(job);
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// A worker's dispatch: the batch head decides the adjacency and the
-/// tuning mode for its riders (one launch, one configuration).
-fn serve_batch(shared: &Shared, batch: Vec<Job>) {
-    let (adj, tune) = (batch[0].adj.clone(), batch[0].tune);
-    let (mut reqs, mut replies): (Vec<_>, Vec<_>) = batch
-        .into_iter()
-        .map(|job| {
-            let reply = Reply { enqueued: job.enqueued, priority: job.priority, tx: job.reply };
-            (job.req, reply)
-        })
-        .unzip();
-    serve(shared, &adj, tune, &mut reqs, &mut replies);
-}
-
 /// The tuned SpMM configuration for one adjacency: the engine-owned
 /// [`TuneCache`] memoizes the measured decision of `kernels::tune`
 /// ([`SpmmMeasuredEvaluator::decide`]: the whole launch of each shortlist
-/// config timed on the engine's own runtime and the batch head's operand,
-/// CSR kept unless a challenger beats it by more than
+/// config timed on the engine's own runtime and the triggering request's
+/// operand, CSR kept unless a challenger beats it by more than
 /// `kernels::tune::CHALLENGER_MARGIN`) per sparsity fingerprint, so only the
-/// first batch on a new adjacency pays it. The decision is keyed on the
-/// adjacency alone — request widths vary per batch, so it is timed at the
+/// first tuned request on a new adjacency pays it. The decision is keyed on
+/// the adjacency alone — request widths vary, so it is timed at the
 /// triggering request's width and reused for all widths (the §2
 /// amortization trade).
-fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConfig {
+fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, x: &Dense) -> SpmmConfig {
     // Keyed on the *anchor*, not the matrix's own fingerprint: a
     // below-threshold `apply_delta` successor shares its predecessor's
-    // anchor, so its batches hit the predecessor's cached decision —
+    // anchor, so its requests hit the predecessor's cached decision —
     // stale-while-retune serving in the hit path.
     let key = measured_spmm_key(&adj.anchor);
     // Double-checked single flight: serve hits without the guard, and
     // take it only on a miss — TuneCache computes outside its own lock,
-    // so concurrent first batches of one adjacency would otherwise each
+    // so concurrent first requests of one adjacency would otherwise each
     // run the full search, while a global guard on the hit path would
     // serialize unrelated adjacencies behind a slow search.
     if let Some(config) = shared.tune_cache.get(&key) {
@@ -1068,96 +991,67 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, head: &Dense) -> SpmmConf
     }
     let _flight = lock(&shared.tune_flight);
     let (config, hit) = shared.tune_cache.get_or_insert_with(key.clone(), || {
-        SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), head).decide()
+        SpmmMeasuredEvaluator::with_operand(&shared.runtime, adj.csr(), x).decide()
     });
     if !hit {
         // First decision under this anchor: remember the width it was
         // timed at, so a future re-anchor can replay it against the
         // updated matrix in the background.
-        lock(&shared.retune_registry).entry(key.fingerprint).or_insert(head.cols());
+        lock(&shared.retune_registry).entry(key.fingerprint).or_insert(x.cols());
     }
     config
 }
 
-/// Serve kind-matched riders — a batch a worker drained, or one request
-/// on its submitting thread — in one launch, and answer each rider. A
-/// panicking kernel answers every rider with [`EngineError::Exec`]
-/// instead of killing the thread that serves it.
-fn serve(
-    shared: &Shared,
-    adj: &Adjacency,
-    tune: bool,
-    reqs: &mut [OpRequest],
-    replies: &mut [Reply],
-) {
-    let kind = reqs[0].kind();
-    shared.stats.record_batch(kind, reqs.len());
-    let width = reqs.len() as u64;
+/// Serve one request — popped by a worker, or on its submitting thread —
+/// in its own launch, under its own tuning flag, and answer it. A
+/// panicking kernel answers [`EngineError::Exec`] instead of killing the
+/// thread that serves it.
+fn serve(shared: &Shared, mut job: Job) {
+    let kind = job.req.kind();
+    shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
-    // Sample the thread-local copy counter around the launch: one thread
-    // runs the whole batch, so the delta is exactly the bytes the launch
-    // memcpy'd for these riders (0 on the view paths).
+    // Sample the thread-local copy counter around the launch: the delta is
+    // exactly the bytes the launch memcpy'd (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
-    let mut answered = 0;
     let result = catch_unwind(AssertUnwindSafe(|| {
         // The config lookup sits inside the catch: a panicking tuning
-        // search must answer its riders with `Exec` too, not drop their
-        // replies. Only SpMM reads a config; a tuned decision is timed on
-        // the batch head's operand.
-        let config = match &reqs[0] {
-            OpRequest::Spmm(head) if tune => tuned_spmm_config(shared, adj, head),
+        // search must answer `Exec` too, not drop the reply. Only SpMM
+        // reads a config.
+        let config = match &job.req {
+            OpRequest::Spmm(x) if job.tune => tuned_spmm_config(shared, &job.adj, x),
             _ => SpmmConfig::default(),
         };
-        launch(&shared.runtime, adj.csr(), &config, reqs, &mut |out| {
-            if answered == 0 {
-                // Per-request execution estimate for admission: the
-                // launch's wall time amortized over its riders.
-                shared.stats.record_exec(kind, started.elapsed().as_nanos() as u64 / width);
-            }
-            finish(shared, &mut replies[answered], Ok(out));
-            answered += 1;
-        })
+        let out = launch(&shared.runtime, job.adj.csr(), &config, &job.req)?;
+        // The launch's wall time is admission's execution estimate.
+        shared.stats.record_exec(kind, started.elapsed().as_nanos() as u64);
+        Ok::<_, Box<dyn std::error::Error>>(out)
     }));
     shared
         .stats
         .bytes_copied
         .fetch_add(bytes_copied_on_thread().saturating_sub(copied_before), Ordering::Relaxed);
-    let err = match result {
-        Ok(Ok(())) => return,
-        Ok(Err(e)) => EngineError::Exec(e.to_string()),
+    let answer = match result {
+        Ok(Ok(out)) => Ok(out),
+        Ok(Err(e)) => Err(EngineError::Exec(e.to_string())),
         Err(panic) => {
             shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
             let msg = panic
                 .downcast_ref::<&str>()
                 .map(|s| (*s).to_string())
                 .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked while executing the batch".to_string());
-            EngineError::Exec(format!("worker panic: {msg}"))
+                .unwrap_or_else(|| "worker panicked while executing the request".to_string());
+            Err(EngineError::Exec(format!("worker panic: {msg}")))
         }
     };
-    for reply in &mut replies[answered..] {
-        finish(shared, reply, Err(err.clone()));
-    }
-}
-
-/// One rider's reply: when it was submitted and at which priority (what
-/// its latency and outcome counters need), and where its answer goes.
-struct Reply {
-    enqueued: Instant,
-    priority: Priority,
-    tx: ReplyTx,
-}
-
-/// Record latency + outcome and deliver the answer (a client that dropped
-/// its ticket is not an error).
-fn finish(shared: &Shared, reply: &mut Reply, answer: Answer) {
-    shared.stats.record_latency(reply.enqueued.elapsed().as_nanos() as u64);
+    // Record latency + outcome and deliver the answer (a client that
+    // dropped its ticket is not an error).
+    shared.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
     if answer.is_ok() {
-        shared.stats.serve(reply.priority);
+        shared.stats.serve(job.priority);
     } else {
         shared.stats.failed.fetch_add(1, Ordering::Relaxed);
     }
-    reply.tx.send(answer);
+    job.reply.send(answer);
 }
 
 #[cfg(test)]
@@ -1204,7 +1098,7 @@ mod tests {
         let mut rng = gen::rng(0x9e);
         let a = gen::random_csr(48, 48, 0.2, &mut rng);
         let adj = Adjacency::new(a.clone());
-        let engine = Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 4 });
+        let engine = Engine::new(EngineConfig { workers: 2, queue_depth: 16 });
         let done = std::sync::atomic::AtomicBool::new(false);
         let peak = std::thread::scope(|s| {
             let observer = s.spawn(|| {

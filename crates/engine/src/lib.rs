@@ -1,6 +1,6 @@
 //! # sparsetir-engine
 //!
-//! A concurrent, batched, SLO-aware serving front end over the SparseTIR
+//! A concurrent, SLO-aware serving front end over the SparseTIR
 //! kernel cache. SparseTIR's premise — compile once per sparsity
 //! structure, then reuse the composed kernel across many inputs (§2's
 //! amortization argument) — is exactly the shape of an inference-serving
@@ -11,13 +11,13 @@
 //! * **One submission path for every op**: a [`Submission`] wraps an
 //!   [`OpRequest`], the one table of served ops — SpMM, SDDMM, the
 //!   cross-op fused attention pipeline and the fused GraphSAGE layer step
-//!   all submit, batch and answer through the same machinery
+//!   all submit and answer through the same machinery
 //!   ([`Engine::submit`] → [`Ticket`] → [`OpOutput`]). A request is
 //!   checked at submit by its kernel's request-shape rule and launched
 //!   through its kernel's one entry point, which checks it again. Built via
 //!   `Submission::spmm(feat).deadline(d).priority(Priority::Hi)`-style
 //!   constructors. A multi-head aggregation is one SpMM submission per
-//!   head: heads of one width batch like any other SpMM riders.
+//!   head.
 //! * **SLO envelopes**: submissions carry optional deadlines and a
 //!   [`Priority`] class. The queue is priority-then-deadline ordered;
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
@@ -39,16 +39,15 @@
 //!   times the whole launch of CSR and two `hyb` configs and keeps CSR
 //!   unless a challenger wins by more than a fixed margin). A tuned
 //!   submission of any other kind is served exactly like an untuned one.
-//! * **Batching by shared [`Adjacency`]**: concurrent requests that hold
-//!   clones of one [`Adjacency`] and agree on the widths their op's kernel
-//!   is compiled at are
-//!   folded into one kernel launch that looks up the one-rider kernel and
-//!   binds the adjacency once, then runs it once per rider with that
-//!   rider's operands and output buffer bound in place as flat slices (a
-//!   rider costs what a solo launch does), so nothing is stacked or split
-//!   back ([`EngineStats::bytes_copied`] stays 0). The fixed per-request
-//!   costs (kernel lookup, structure binding, dispatch) are paid once per
-//!   batch. Results are bit-identical to unbatched execution.
+//! * **One request, one launch**: a worker pops the queue head and runs it
+//!   through its kernel's entry point, which looks up the compiled kernel
+//!   and binds the adjacency, the request's operands and its output
+//!   buffer in place as flat slices, so nothing is stacked or split back
+//!   ([`EngineStats::bytes_copied`] stays 0). The amortization is §2's:
+//!   a kernel compiles once per sparsity structure and request shape, and
+//!   every later request hits it. Concurrent requests do not share
+//!   launches: a rider of a shared launch cost 0.95–0.99× a solo one, and
+//!   under load riders rarely met.
 //! * **Bounded queue with backpressure**: blocking submits wait while
 //!   the queue is at `queue_depth` (deadlined submissions wait at most
 //!   until their deadline); [`Engine::try_submit`] fails fast with
@@ -59,14 +58,14 @@
 //!   queue empty and a permit free serves its request on the calling
 //!   thread and returns an answered ticket
 //!   ([`EngineStats::served_inline`]); a client with tickets in flight
-//!   has its further requests queued for the workers to run or batch.
-//! * **Crash containment**: a panicking worker answers its riders with
+//!   has its further requests queued for the workers to run.
+//! * **Crash containment**: a panicking worker answers its request with
 //!   [`EngineError::Exec`], recovers the queue mutex from poisoning, and
 //!   keeps serving ([`EngineStats::worker_panics`] counts the events).
 //! * **Tail-latency observability**: [`EngineStats`] carries a
 //!   log-bucketed, lock-free p50/p95/p99 [`LatencyHistogram`],
 //!   per-priority served/shed/expired counters ([`PriorityStats`]) and
-//!   per-reason shed counters ([`ShedStats`]) alongside the batching and
+//!   per-reason shed counters ([`ShedStats`]) alongside the launch and
 //!   throughput counters.
 //!
 //! * **Incremental graph updates with stale-while-retune serving**:
@@ -85,8 +84,8 @@
 //!   `retunes_skipped`/`deltas_applied` count the state machine).
 //!
 //! The `serving_throughput` and `serving_slo` experiments in
-//! `sparsetir-bench` measure this engine's batched requests/sec and
-//! batching rate and its deadline-hit-rate under overload,
+//! `sparsetir-bench` measure this engine's requests/sec and its
+//! deadline-hit-rate under overload,
 //! `dynamic_graphs` measures incremental-update-vs-rebuild throughput,
 //! and `sparsetir-nn`'s serving path drives GraphSAGE inference through
 //! it.
@@ -102,7 +101,7 @@ pub use engine::{
     Adjacency, Engine, EngineConfig, EngineError, Ticket, DEFAULT_QUEUE_DEPTH, DRIFT_THRESHOLD,
 };
 pub use op::{OpOutput, OpRequest};
-pub use stats::{EngineStats, LatencyHistogram, OpBatchWidth, PriorityStats, ShedStats};
+pub use stats::{EngineStats, LatencyHistogram, PriorityStats, ShedStats};
 pub use submission::{Priority, RejectReason, Submission};
 // The delta type `apply_delta` consumes, re-exported so serving callers
 // need not depend on `sparsetir-smat` directly.

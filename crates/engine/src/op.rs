@@ -63,26 +63,6 @@ impl OpRequest {
         }
         .map_err(EngineError::Shape)
     }
-
-    /// True when two validated requests may share one launch: same kind,
-    /// and the widths the one-rider kernel is compiled at agree — SpMM's
-    /// feature width, SDDMM's inner width, attention's per-head
-    /// `(k, vfeat)`. A 0-head attention request adds nothing to a launch
-    /// and rides with any shape, so the relation is not transitive; fused
-    /// SAGE requests never batch (each already spans the whole graph).
-    pub(crate) fn can_batch_with(&self, other: &OpRequest) -> bool {
-        match (self, other) {
-            (OpRequest::Spmm(a), OpRequest::Spmm(b)) => a.cols() == b.cols(),
-            (OpRequest::Sddmm((a, _)), OpRequest::Sddmm((b, _))) => a.cols() == b.cols(),
-            (OpRequest::FusedAttention(a), OpRequest::FusedAttention(b)) => {
-                match (a.first(), b.first()) {
-                    (Some(a), Some(b)) => (a.q.cols(), a.v.cols()) == (b.q.cols(), b.v.cols()),
-                    _ => true,
-                }
-            }
-            _ => false,
-        }
-    }
 }
 
 /// The result of any served op — the one shape of output handling every
@@ -166,115 +146,55 @@ impl OpOutput {
     }
 }
 
-/// Launch a kind-matched batch through its op's kernel entry point —
-/// allocate each rider's zeroed output, bind operands and outputs in
-/// place — and hand `answer` the outputs in rider order once the launch
-/// succeeded. The entry point checks the batch; only SpMM reads `config`.
+/// Launch one request through its op's kernel entry point — allocate its
+/// zeroed output, bind operands and output in place, and return the
+/// output. The entry point checks the request again; only SpMM reads
+/// `config`.
 pub(crate) fn launch(
     rt: &Runtime,
     a: &Csr,
     config: &SpmmConfig,
-    reqs: &mut [OpRequest],
-    answer: &mut dyn FnMut(OpOutput),
-) -> Result<(), Box<dyn Error>> {
-    match reqs[0] {
-        OpRequest::Spmm(_) => {
-            let xs: Vec<&Dense> = reqs
-                .iter()
-                .filter_map(|r| if let OpRequest::Spmm(x) = r { Some(x) } else { None })
-                .collect();
-            let mut outs: Vec<Dense> =
-                xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
-            spmm_execute_views_on(rt, a, &xs, &mut outs, config)?;
-            outs.into_iter().map(OpOutput::Dense).for_each(answer);
+    req: &OpRequest,
+) -> Result<OpOutput, Box<dyn Error>> {
+    Ok(match req {
+        OpRequest::Spmm(x) => {
+            let mut out = [Dense::zeros(a.rows(), x.cols())];
+            spmm_execute_views_on(rt, a, &[x], &mut out, config)?;
+            let [out] = out;
+            OpOutput::Dense(out)
         }
-        OpRequest::Sddmm(_) => {
-            // The entry point takes the pairs side by side: a lone rider
-            // lends its own, a batch's are moved out (an empty matrix
-            // allocates nothing).
-            let moved: Vec<(Dense, Dense)>;
-            let pairs = match reqs {
-                [OpRequest::Sddmm(pair)] => slice::from_ref(pair),
-                batch => {
-                    let empty = || (Dense::zeros(0, 0), Dense::zeros(0, 0));
-                    moved = batch
-                        .iter_mut()
-                        .filter_map(|r| match r {
-                            OpRequest::Sddmm(pair) => Some(std::mem::replace(pair, empty())),
-                            _ => None,
-                        })
-                        .collect();
-                    &moved
-                }
-            };
-            let mut outs = vec![vec![0.0; a.nnz()]; pairs.len()];
-            sddmm_execute_views_on(rt, a, pairs, &mut outs)?;
-            outs.into_iter().map(OpOutput::Edges).for_each(answer);
+        OpRequest::Sddmm(pair) => {
+            let mut out = [vec![0.0; a.nnz()]];
+            sddmm_execute_views_on(rt, a, slice::from_ref(pair), &mut out)?;
+            let [out] = out;
+            OpOutput::Edges(out)
         }
-        OpRequest::FusedAttention(_) => {
-            fn heads_of(r: &OpRequest) -> &[AttnHead] {
-                if let OpRequest::FusedAttention(heads) = r {
-                    heads
-                } else {
-                    &[]
-                }
-            }
-            let heads: Vec<&AttnHead> = reqs.iter().flat_map(heads_of).collect();
+        OpRequest::FusedAttention(heads) => {
             let mut outs: Vec<Dense> =
                 heads.iter().map(|h| Dense::zeros(a.rows(), h.v.cols())).collect();
-            // A batch of 0-head requests has nothing to launch.
+            // A 0-head request has nothing to launch.
             if !heads.is_empty() {
                 let qs: Vec<&Dense> = heads.iter().map(|h| &h.q).collect();
                 let kts: Vec<&Dense> = heads.iter().map(|h| &h.kt).collect();
                 let vs: Vec<&Dense> = heads.iter().map(|h| &h.v).collect();
                 fused_attention_views_on(rt, a, &qs, &kts, &vs, &mut outs)?;
             }
-            // Hand the flat per-head outputs back per request, in order.
-            let mut outs = outs.into_iter();
-            for r in reqs.iter() {
-                answer(OpOutput::Heads(outs.by_ref().take(heads_of(r).len()).collect()));
-            }
+            OpOutput::Heads(outs)
         }
-        OpRequest::FusedSage(_) => {
-            for r in reqs.iter() {
-                if let OpRequest::FusedSage((x, w)) = r {
-                    answer(OpOutput::Dense(fused_sage_execute_on(rt, a, x, w)?));
-                }
-            }
-        }
-    }
-    Ok(())
+        OpRequest::FusedSage((x, w)) => OpOutput::Dense(fused_sage_execute_on(rt, a, x, w)?),
+    })
 }
 
 #[cfg(test)]
 mod tests {
-    //! The op table against its kernels: a batch is bit-identical to its
-    //! riders launched alone, the batching rule and the shape rules refuse
-    //! what the kernels cannot share, and a refused batch names the
-    //! offending request.
+    //! The op table against its kernels: a request launched alone is
+    //! bit-identical to the same request riding in a kernel batch, and the
+    //! shape rules refuse what the kernels cannot run, naming the offending
+    //! request or head.
 
     use super::*;
     use sparsetir_kernels::prelude::{fused_sage_reference, CsrSpmmParams};
     use sparsetir_smat::prelude::gen;
-
-    /// Launch `reqs` as one batch and collect the answers in rider order.
-    fn run(
-        rt: &Runtime,
-        a: &Csr,
-        config: &SpmmConfig,
-        reqs: &mut [OpRequest],
-    ) -> Result<Vec<OpOutput>, Box<dyn Error>> {
-        let mut outs = Vec::new();
-        launch(rt, a, config, reqs, &mut |out| outs.push(out))?;
-        Ok(outs)
-    }
-
-    /// Launch one request alone.
-    fn solo(rt: &Runtime, a: &Csr, config: &SpmmConfig, req: &OpRequest) -> OpOutput {
-        let mut outs = run(rt, a, config, &mut [req.clone()]).expect("a lone rider launches");
-        assert_eq!(outs.len(), 1);
-        outs.remove(0)
-    }
 
     fn bit_eq(a: &[f32], b: &[f32]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
@@ -303,25 +223,25 @@ mod tests {
     fn spmm_op_batch_matches_singles() {
         let mut rng = gen::rng(71);
         let a = gen::random_csr(18, 14, 0.25, &mut rng);
-        // A batch of three at each width, the 0 and 1 edge cases included.
-        let batches: Vec<Vec<OpRequest>> = [3usize, 0, 1, 5]
+        // Three operands at each width, the 0 and 1 edge cases included.
+        let batches: Vec<Vec<Dense>> = [3usize, 0, 1, 5]
             .iter()
-            .map(|&w| (0..3).map(|_| OpRequest::Spmm(gen::random_dense(14, w, &mut rng))).collect())
+            .map(|&w| (0..3).map(|_| gen::random_dense(14, w, &mut rng)).collect())
             .collect();
         let rt = Runtime::new();
         // A non-unit config reaches the IR: each configuration compiles
         // its own kernels, and every one of them computes SpMM.
         let mut compiled = rt.compilations();
         for config in [SpmmConfig::default(), hyb_arm()] {
-            for reqs in &batches {
-                assert!(reqs.iter().all(|r| reqs[0].can_batch_with(r)));
-                let batched = run(&rt, &a, &config, &mut reqs.clone()).unwrap();
-                assert_eq!(batched.len(), reqs.len());
-                for (req, got) in reqs.iter().zip(batched) {
-                    let want = solo(&rt, &a, &config, req).into_dense().unwrap();
-                    let got = got.into_dense().unwrap();
-                    assert!(bit_eq(got.data(), want.data()));
-                    let OpRequest::Spmm(x) = req else { unreachable!("an SpMM batch") };
+            for xs in &batches {
+                let refs: Vec<&Dense> = xs.iter().collect();
+                let mut batched: Vec<Dense> =
+                    xs.iter().map(|x| Dense::zeros(a.rows(), x.cols())).collect();
+                spmm_execute_views_on(&rt, &a, &refs, &mut batched, &config).unwrap();
+                for (x, in_batch) in xs.iter().zip(&batched) {
+                    let req = OpRequest::Spmm(x.clone());
+                    let got = launch(&rt, &a, &config, &req).unwrap().into_dense().unwrap();
+                    assert!(bit_eq(got.data(), in_batch.data()));
                     assert!(got.approx_eq(&a.spmm(x).unwrap(), 1e-4));
                 }
             }
@@ -331,61 +251,21 @@ mod tests {
     }
 
     #[test]
-    fn spmm_op_refuses_mixed_widths() {
-        let mut rng = gen::rng(74);
-        let a = gen::random_csr(4, 4, 0.5, &mut rng);
-        let narrow = OpRequest::Spmm(gen::random_dense(4, 2, &mut rng));
-        let wide = OpRequest::Spmm(gen::random_dense(4, 3, &mut rng));
-        assert!(!narrow.can_batch_with(&wide));
-        let err = run(&Runtime::new(), &a, &SpmmConfig::default(), &mut [narrow, wide])
-            .expect_err("mixed widths must be rejected");
-        assert!(err.to_string().contains("request 1"), "{err}");
-    }
-
-    #[test]
     fn sddmm_op_block_diagonal_batch_is_bit_identical() {
         let mut rng = gen::rng(72);
         let a = gen::random_csr(12, 10, 0.3, &mut rng);
         let k = 4;
-        let reqs: Vec<OpRequest> = (0..3)
-            .map(|_| {
-                OpRequest::Sddmm((
-                    gen::random_dense(12, k, &mut rng),
-                    gen::random_dense(k, 10, &mut rng),
-                ))
-            })
+        let pairs: Vec<(Dense, Dense)> = (0..3)
+            .map(|_| (gen::random_dense(12, k, &mut rng), gen::random_dense(k, 10, &mut rng)))
             .collect();
-        assert!(reqs[0].can_batch_with(&reqs[1]));
         let rt = Runtime::new();
-        let config = SpmmConfig::default();
-        // The batch path moves its operands out, so it launches a copy.
-        let batched = run(&rt, &a, &config, &mut reqs.clone()).unwrap();
-        assert_eq!(batched.len(), reqs.len());
-        for (req, got) in reqs.iter().zip(batched) {
-            let want = solo(&rt, &a, &config, req).into_edges().unwrap();
-            assert!(bit_eq(&got.into_edges().unwrap(), &want));
+        let mut batched = vec![vec![0.0; a.nnz()]; pairs.len()];
+        sddmm_execute_views_on(&rt, &a, &pairs, &mut batched).unwrap();
+        for (pair, in_batch) in pairs.iter().zip(&batched) {
+            let req = OpRequest::Sddmm(pair.clone());
+            let got = launch(&rt, &a, &SpmmConfig::default(), &req).unwrap();
+            assert!(bit_eq(&got.into_edges().unwrap(), in_batch));
         }
-    }
-
-    #[test]
-    fn sddmm_op_refuses_mixed_inner_widths() {
-        let mut rng = gen::rng(73);
-        let a = gen::random_csr(4, 4, 0.5, &mut rng);
-        let narrow = OpRequest::Sddmm((
-            gen::random_dense(4, 2, &mut rng),
-            gen::random_dense(2, 4, &mut rng),
-        ));
-        let wide = OpRequest::Sddmm((
-            gen::random_dense(4, 3, &mut rng),
-            gen::random_dense(3, 4, &mut rng),
-        ));
-        assert!(!narrow.can_batch_with(&wide));
-        // The entry point enforces the contract the drain relies on: a
-        // mixed-width batch is a typed error, never a silently wrong
-        // launch.
-        let err = run(&Runtime::new(), &a, &SpmmConfig::default(), &mut [narrow, wide])
-            .expect_err("mixed inner widths must be rejected");
-        assert!(err.to_string().contains("request 1"), "{err}");
     }
 
     #[test]
@@ -396,31 +276,31 @@ mod tests {
         let bad = OpRequest::Spmm(gen::random_dense(9, 2, &mut rng));
         assert!(good.validate(&a).is_ok());
         assert!(matches!(bad.validate(&a), Err(EngineError::Shape(_))));
-        let err = run(&Runtime::new(), &a, &SpmmConfig::default(), &mut [good, bad])
+        // The entry point checks again: a request is its launch's request 0.
+        let err = launch(&Runtime::new(), &a, &SpmmConfig::default(), &bad)
             .expect_err("row mismatch must be rejected");
-        assert!(err.to_string().contains("request 1"), "{err}");
+        assert!(err.to_string().contains("request 0"), "{err}");
     }
 
     #[test]
     fn fused_attention_op_refuses_mixed_head_shapes() {
-        let mut rng = gen::rng(84);
-        let a = gen::random_csr(8, 8, 0.3, &mut rng);
-        let narrow = attn_req(&a, 1, 2, 3, 85);
-        let wide = attn_req(&a, 1, 4, 3, 86);
-        assert!(!narrow.can_batch_with(&wide));
-        // The batch launches its heads flat: with one head per request,
-        // head 1 is request 1.
-        let err = run(&Runtime::new(), &a, &SpmmConfig::default(), &mut [narrow, wide])
-            .expect_err("mixed (k, vfeat) must be rejected");
-        assert!(err.to_string().contains("head 1"), "{err}");
-        // Non-uniform heads inside one request are a validation error.
-        let (OpRequest::FusedAttention(mut bad), OpRequest::FusedAttention(other)) =
+        let a = gen::random_csr(8, 8, 0.3, &mut gen::rng(84));
+        // Heads of one request that differ in `(k, vfeat)` are a
+        // validation error, and the entry point names the odd head.
+        let (OpRequest::FusedAttention(mut mixed), OpRequest::FusedAttention(other)) =
             (attn_req(&a, 1, 2, 3, 87), attn_req(&a, 1, 2, 5, 88))
         else {
             unreachable!("attention requests")
         };
-        bad.extend(other);
-        assert!(OpRequest::FusedAttention(bad).validate(&a).is_err());
+        mixed.extend(other);
+        let mixed = OpRequest::FusedAttention(mixed);
+        assert!(mixed.validate(&a).is_err());
+        let err = launch(&Runtime::new(), &a, &SpmmConfig::default(), &mixed)
+            .expect_err("mixed (k, vfeat) must be rejected");
+        assert!(err.to_string().contains("head 1"), "{err}");
+        // A 0-head request launches nothing and answers no heads.
+        let empty = launch(&Runtime::new(), &a, &SpmmConfig::default(), &attn_req(&a, 0, 2, 3, 89));
+        assert!(empty.unwrap().into_heads().unwrap().is_empty());
     }
 
     #[test]
@@ -429,8 +309,10 @@ mod tests {
         let a = gen::random_csr(12, 12, 0.3, &mut rng);
         let (x, w) = (gen::random_dense(12, 5, &mut rng), gen::random_dense(5, 4, &mut rng));
         let req = OpRequest::FusedSage((x.clone(), w.clone()));
-        assert!(!req.can_batch_with(&req));
-        let got = solo(&Runtime::new(), &a, &SpmmConfig::default(), &req).into_dense().unwrap();
+        let rt = Runtime::new();
+        let got = launch(&rt, &a, &SpmmConfig::default(), &req).unwrap().into_dense().unwrap();
         assert!(got.approx_eq(&fused_sage_reference(&a, &x, &w), 1e-4));
+        // One request is one whole-graph launch of one compiled kernel.
+        assert_eq!(rt.compilations(), 1);
     }
 }

@@ -9,10 +9,9 @@
 use crate::submission::{Priority, RejectReason};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Every op kind the engine can dispatch, in snapshot order. The
-/// per-kind width histogram is a fixed array of atomics (no locks on the
-/// serving path); an unknown kind tag falls through to the global
-/// counters only.
+/// Every op kind the engine can dispatch. The per-kind execution
+/// estimate is a fixed array of atomics (no locks on the serving path); an
+/// unknown kind tag has no estimate.
 const OP_KINDS: [&str; 4] = ["spmm", "sddmm", "fused_attention", "fused_sage"];
 
 /// Power-of-two latency buckets: bucket `i` holds samples in
@@ -22,14 +21,6 @@ const LATENCY_BUCKETS: usize = 64;
 /// Floor log₂ bucket index of a nanosecond sample (0 ns records as 1 ns).
 fn latency_bucket(ns: u64) -> usize {
     63 - ns.max(1).leading_zeros() as usize
-}
-
-/// Per-kind batch-width counters (one slot per [`OP_KINDS`] entry).
-#[derive(Default)]
-struct KindWidths {
-    batches: AtomicU64,
-    width_sum: AtomicU64,
-    max_width: AtomicUsize,
 }
 
 /// Lock-free log₂-bucketed latency histogram (the worker-side half of
@@ -74,8 +65,6 @@ pub(crate) struct StatsInner {
     pub rejected: AtomicU64,
     pub expired: AtomicU64,
     pub batches: AtomicU64,
-    pub batched_requests: AtomicU64,
-    pub max_batch: AtomicUsize,
     pub queue_high_water: AtomicUsize,
     pub latency_ns_sum: AtomicU64,
     pub latency_ns_max: AtomicU64,
@@ -93,7 +82,6 @@ pub(crate) struct StatsInner {
     /// EWMA of per-request execution time per op kind (ns); 0 = no
     /// sample yet. Feeds the admission controller's feasibility check.
     exec_est_ns: [AtomicU64; OP_KINDS.len()],
-    kind_widths: [KindWidths; OP_KINDS.len()],
 }
 
 impl StatsInner {
@@ -160,33 +148,8 @@ impl StatsInner {
             .map_or(0, |slot| self.exec_est_ns[slot].load(Ordering::Relaxed))
     }
 
-    pub fn record_batch(&self, kind: &str, size: usize) {
-        self.batches.fetch_add(1, Ordering::Relaxed);
-        if size > 1 {
-            self.batched_requests.fetch_add(size as u64, Ordering::Relaxed);
-        }
-        self.max_batch.fetch_max(size, Ordering::Relaxed);
-        if let Some(slot) = OP_KINDS.iter().position(|k| *k == kind) {
-            let w = &self.kind_widths[slot];
-            w.batches.fetch_add(1, Ordering::Relaxed);
-            w.width_sum.fetch_add(size as u64, Ordering::Relaxed);
-            w.max_width.fetch_max(size, Ordering::Relaxed);
-        }
-    }
-
     pub fn snapshot(&self) -> EngineStats {
-        let completed = self.completed.load(Ordering::Relaxed);
-        let op_widths = OP_KINDS
-            .iter()
-            .zip(&self.kind_widths)
-            .map(|(kind, w)| OpBatchWidth {
-                kind,
-                batches: w.batches.load(Ordering::Relaxed),
-                width_sum: w.width_sum.load(Ordering::Relaxed),
-                max_width: w.max_width.load(Ordering::Relaxed),
-            })
-            .filter(|w| w.batches > 0)
-            .collect();
+        let batches = self.batches.load(Ordering::Relaxed);
         let priorities = std::array::from_fn(|slot| PriorityStats {
             served: self.per_priority[slot].served.load(Ordering::Relaxed),
             shed: self.per_priority[slot].shed.load(Ordering::Relaxed),
@@ -195,13 +158,12 @@ impl StatsInner {
         EngineStats {
             submitted: self.submitted.load(Ordering::Relaxed),
             served_inline: self.served_inline.load(Ordering::Relaxed),
-            completed,
+            completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
-            batches: self.batches.load(Ordering::Relaxed),
-            batched_requests: self.batched_requests.load(Ordering::Relaxed),
-            max_batch: self.max_batch.load(Ordering::Relaxed),
+            batches,
+            max_batch: usize::from(batches > 0),
             queue_high_water: self.queue_high_water.load(Ordering::Relaxed),
             latency_ns_sum: self.latency_ns_sum.load(Ordering::Relaxed),
             latency_ns_max: self.latency_ns_max.load(Ordering::Relaxed),
@@ -222,7 +184,6 @@ impl StatsInner {
             },
             latency: self.latency_hist.snapshot(),
             priorities,
-            op_widths,
         }
     }
 }
@@ -347,33 +308,6 @@ impl ShedStats {
     }
 }
 
-/// Served-batch-width histogram of one op kind: how many kernel
-/// dispatches that kind got and how wide they were — the batching-
-/// efficacy signal per op, not just globally.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OpBatchWidth {
-    /// Op kind tag (`"spmm"`, `"fused_attention"`, …).
-    pub kind: &'static str,
-    /// Kernel dispatches of this kind.
-    pub batches: u64,
-    /// Total requests over those dispatches (`Σ` batch widths).
-    pub width_sum: u64,
-    /// Widest single dispatch.
-    pub max_width: usize,
-}
-
-impl OpBatchWidth {
-    /// Mean served batch width (0 when this kind never dispatched).
-    #[must_use]
-    pub fn mean_width(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.width_sum as f64 / self.batches as f64
-        }
-    }
-}
-
 /// A point-in-time snapshot of an [`Engine`](crate::Engine)'s serving
 /// counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -399,11 +333,10 @@ pub struct EngineStats {
     /// deadline had passed (answered
     /// [`RejectReason::Expired`]).
     pub expired: u64,
-    /// Kernel dispatches (a batch of *n* requests counts once).
+    /// Kernel launches: one per request served (each request runs in its
+    /// own launch).
     pub batches: u64,
-    /// Requests that were served as part of a batch of size ≥ 2.
-    pub batched_requests: u64,
-    /// Largest batch dispatched so far.
+    /// Most requests one launch served: 1 once anything launched, else 0.
     pub max_batch: usize,
     /// Deepest the request queue has been.
     pub queue_high_water: usize,
@@ -455,9 +388,6 @@ pub struct EngineStats {
     /// Per-priority outcome counters, indexed by [`Priority::ALL`] order
     /// (use [`EngineStats::priority`]).
     pub priorities: [PriorityStats; 3],
-    /// Per-op-kind served-batch-width histogram (kinds that never
-    /// dispatched are omitted).
-    pub op_widths: Vec<OpBatchWidth>,
 }
 
 impl EngineStats {
@@ -473,21 +403,11 @@ impl EngineStats {
         }
     }
 
-    /// Fraction of answered requests that rode in a batch of size ≥ 2.
+    /// Fraction of answered requests that shared a launch with another:
+    /// always 0.0, since each request runs in its own launch.
     #[must_use]
     pub fn batching_rate(&self) -> f64 {
-        let answered = self.completed + self.failed;
-        if answered == 0 {
-            0.0
-        } else {
-            self.batched_requests as f64 / answered as f64
-        }
-    }
-
-    /// The width histogram of one op kind, if it ever dispatched.
-    #[must_use]
-    pub fn widths_of(&self, kind: &str) -> Option<&OpBatchWidth> {
-        self.op_widths.iter().find(|w| w.kind == kind)
+        0.0
     }
 
     /// Outcome counters of one priority class.
@@ -505,10 +425,8 @@ impl EngineStats {
     }
 
     /// The change in counters since an `earlier` snapshot of the same
-    /// engine: counts subtract (saturating), maxima and high-water marks
-    /// keep the later value, and the per-kind width histogram keeps the
-    /// later snapshot (widths are cumulative too, but per-kind deltas
-    /// rarely matter mid-run).
+    /// engine: counts subtract (saturating), and maxima and high-water
+    /// marks keep the later value.
     #[must_use]
     pub fn delta_since(&self, earlier: &EngineStats) -> EngineStats {
         let priorities = std::array::from_fn(|slot| PriorityStats {
@@ -524,7 +442,6 @@ impl EngineStats {
             rejected: self.rejected.saturating_sub(earlier.rejected),
             expired: self.expired.saturating_sub(earlier.expired),
             batches: self.batches.saturating_sub(earlier.batches),
-            batched_requests: self.batched_requests.saturating_sub(earlier.batched_requests),
             max_batch: self.max_batch,
             queue_high_water: self.queue_high_water,
             latency_ns_sum: self.latency_ns_sum.saturating_sub(earlier.latency_ns_sum),
@@ -549,7 +466,6 @@ impl EngineStats {
             },
             latency: self.latency.saturating_sub(&earlier.latency),
             priorities,
-            op_widths: self.op_widths.clone(),
         }
     }
 }

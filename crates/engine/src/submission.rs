@@ -184,15 +184,14 @@ impl Submission {
     }
 
     /// Ask for (or decline) a tuned launch; untuned by default. When set,
-    /// the first batch for each `(adjacency, op)` pair of an op whose
-    /// launch reads a searched configuration (SpMM) times
-    /// `kernels::tune`'s shortlist on the engine's runtime, and the picked
-    /// configuration is cached in the engine's `TuneCache` (see
-    /// [`Engine::tune_cache`](crate::Engine::tune_cache)) for every later
-    /// tuned batch on that pair. An op whose launch reads no configuration
-    /// has nothing to decide and is served the same either way. The first
-    /// request of a batch decides for its riders (batched requests share
-    /// one launch configuration).
+    /// the first tuned request for each `(adjacency, op)` pair of an op
+    /// whose launch reads a searched configuration (SpMM) times
+    /// `kernels::tune`'s shortlist on the engine's runtime and its own
+    /// operand, and the picked configuration is cached in the engine's
+    /// `TuneCache` (see [`Engine::tune_cache`](crate::Engine::tune_cache))
+    /// for every later tuned request on that pair. An op whose launch reads
+    /// no configuration has nothing to decide and is served the same either
+    /// way. Every request runs in its own launch under its own flag.
     #[must_use]
     pub fn tune(mut self, tune: bool) -> Submission {
         self.opts.tune = tune;

@@ -62,19 +62,19 @@ fn allocations(f: impl FnOnce()) -> usize {
 }
 
 /// One warm SpMM request on an idle one-worker engine is served on the
-/// caller's thread in 7 allocations: the ticket's reply slot, the batch's
-/// operand and output lists, the output matrix, the launch's `indptr`
-/// words, its binding set and the executor's buffer table. Before the
-/// adjacency bound in place — three `String`-keyed maps and fresh copies of
-/// `indptr`, `indices` and the values per launch — the same request
-/// allocated 22 times.
+/// caller's thread in 5 allocations: the ticket's reply slot, the output
+/// matrix, the launch's `indptr` words, its binding set and the executor's
+/// buffer table. Before the adjacency bound in place — three
+/// `String`-keyed maps and fresh copies of `indptr`, `indices` and the
+/// values per launch — the same request allocated 22 times, and 7 while a
+/// launch still gathered its requests' operands and outputs into lists.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
-fn a_warm_inline_spmm_allocates_seven_times() {
+fn a_warm_inline_spmm_allocates_five_times() {
     let mut rng = gen::rng(0x46);
     let adj = Adjacency::new(gen::random_csr(64, 64, 0.1, &mut rng));
     let x = gen::random_dense(64, 16, &mut rng);
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32 });
     let serve = |x: Dense| {
         let ticket = engine.submit(&adj, Submission::spmm(x)).expect("admits");
         ticket.wait_dense().expect("serves")
@@ -85,5 +85,5 @@ fn a_warm_inline_spmm_allocates_seven_times() {
     let n = allocations(|| warm = Some(serve(operand)));
     assert_eq!(warm.as_ref(), Some(&cold));
     assert_eq!(engine.stats().served_inline, 3, "every request ran on this thread");
-    assert_eq!(n, 7, "allocations of one warm inline SpMM");
+    assert_eq!(n, 5, "allocations of one warm inline SpMM");
 }

@@ -1,13 +1,14 @@
 //! Property-based differential tests: for random CSR matrices and random
-//! request sets — widths 0, 1, and mixed — the batched engine output of
-//! *every served op* (SpMM, SDDMM, fused attention, fused SAGE) must be
-//! bit-identical to a sequential loop of single-request launches through
-//! the op's kernel entry point on a fresh runtime — sequential execution
-//! is the batching oracle. This is the serving-path analogue of the
-//! executor's interpreter-differential suite: batching must be a pure
-//! performance transformation, and it must copy nothing
-//! (`bytes_copied == 0` on every engine, across widths 0/1/mixed, empty
-//! rows and 0-head riders).
+//! request sets — widths 0, 1, and mixed — every concurrently served
+//! answer of *every served op* (SpMM, SDDMM, fused attention, fused SAGE)
+//! must equal its solo launch, bit for bit: a sequential loop of
+//! single-request launches through the op's kernel entry point on a fresh
+//! runtime. The kernel entry points' batches of riders (which attention's
+//! heads are, and which callers of the entry points may form) are held to
+//! the same oracle. This is the serving-path analogue of the executor's
+//! interpreter-differential suite: concurrency and batching must be pure
+//! scheduling, and serving must copy nothing (`bytes_copied == 0` on every
+//! engine, across widths 0/1/mixed, empty rows and 0-head requests).
 //!
 //! Bit-identity between our own paths cannot catch a mistake they share,
 //! so every answer is also checked against the independent `f64` oracle
@@ -143,7 +144,7 @@ fn assert_oracle(want: &oracle::Oracle, got: &[f32], tag: &str) -> Result<(), Te
 }
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 8 })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 16 })
 }
 
 proptest! {
@@ -172,10 +173,10 @@ proptest! {
     }
 
     /// The full engine SpMM path: requests submitted as tickets (so the
-    /// worker can fold them into batches), every other one asking for
+    /// two workers serve them concurrently), every other one asking for
     /// tuning, answers compared against the sequential loop. Each
-    /// feature matrix also rides a fused-SAGE request (never batched,
-    /// `X`/`W`/`H1` bound as views) checked against its two-launch
+    /// feature matrix also rides a fused-SAGE request (`X`/`W`/`H1` bound
+    /// as views) checked against its two-launch
     /// pipeline oracle — with `bind_dense` ticking the counter, neither
     /// op, tuned or not, may copy a byte.
     #[test]
@@ -216,12 +217,7 @@ proptest! {
         prop_assert_eq!(stats.completed, 2 * xs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
         prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
-        prop_assert_eq!(stats.widths_of("fused_sage").map(|w| w.max_width), Some(1));
-        // Riders of different widths never share a launch: the widest SpMM
-        // batch is at most the largest group of one width.
-        let largest_group = widths.iter().map(|w| widths.iter().filter(|v| *v == w).count()).max();
-        let spmm = stats.widths_of("spmm").map(|w| w.max_width);
-        prop_assert!(spmm <= largest_group, "{:?} vs {:?}: {:?}", spmm, largest_group, widths);
+        prop_assert_eq!(stats.batches, stats.completed);
     }
 
     /// The pure SDDMM batching primitive: one launch (the one-head kernel
@@ -247,9 +243,8 @@ proptest! {
         }
     }
 
-    /// The full engine SDDMM path with *mixed* inner widths: compatible
-    /// requests share a launch, incompatible ones dispatch alone,
-    /// and every answer must still be bit-identical to the sequential
+    /// The full engine SDDMM path with *mixed* inner widths, served
+    /// concurrently: every answer must be bit-identical to the sequential
     /// loop.
     #[test]
     fn engine_sddmm_output_matches_sequential_loop(
@@ -282,9 +277,8 @@ proptest! {
 }
 
 /// Strategy: per-request fused-attention shapes `(heads, k, vfeat)`.
-/// Head counts include 0 (legal, splits back to an empty result); the
-/// `(k, vfeat)` pairs vary across requests so incompatible requests must
-/// dispatch separately rather than cross-batch.
+/// Head counts include 0 (legal, answers an empty result); the
+/// `(k, vfeat)` pairs vary across requests.
 fn fused_attn_shapes() -> impl Strategy<Value = Vec<(usize, usize, usize)>> {
     proptest::collection::vec(
         (prop_oneof![Just(0usize), Just(1usize), 2usize..4], 1usize..4, 1usize..4),
@@ -298,10 +292,10 @@ proptest! {
     /// The fused-attention serving path vs the sequential three-launch
     /// oracle: over random adjacencies (empty rows appear by
     /// construction), 0-head requests, and mixed per-request head counts
-    /// and `(k, vfeat)` shapes, every head the batched fused engine
-    /// answers must be bit-identical to its own unbatched three-launch
-    /// pipeline run. Cross-op fusion and batching must both be pure
-    /// performance transformations.
+    /// and `(k, vfeat)` shapes, every head the fused engine answers must
+    /// be bit-identical to its own one-head three-launch pipeline run.
+    /// Cross-op fusion and running a request's heads as riders of one
+    /// launch must both be pure performance transformations.
     #[test]
     fn engine_fused_attention_matches_three_launch_oracle(
         a in sparse_matrix(12, 36),
@@ -322,11 +316,7 @@ proptest! {
             })
             .collect();
         let adj = Adjacency::new(a.clone());
-        let engine = Engine::new(EngineConfig {
-            workers: 2,
-            queue_depth: 16,
-            max_batch: 8,
-        });
+        let engine = test_engine();
         let tickets: Vec<_> = reqs
             .iter()
             .map(|heads| {
@@ -350,37 +340,6 @@ proptest! {
         prop_assert_eq!(stats.completed, reqs.len() as u64);
         prop_assert_eq!(stats.failed, 0);
         prop_assert!(stats.bytes_copied == 0, "view assembly must copy nothing: {:?}", stats);
-        // Requests with distinct (k, vfeat) shapes must not have shared a
-        // launch: the widest recorded fused-attention batch is bounded by
-        // the largest same-shape group (0-head requests ride with any
-        // group, so they relax the bound).
-        let distinct: std::collections::HashSet<(usize, usize)> = shapes
-            .iter()
-            .filter(|s| s.0 > 0)
-            .map(|&(_, k, v)| (k, v))
-            .collect();
-        if let Some(w) = stats.widths_of("fused_attention") {
-            let zero_heads = shapes.iter().filter(|s| s.0 == 0).count();
-            let largest_group = shapes
-                .iter()
-                .filter(|s| s.0 > 0)
-                .map(|&(_, k, v)| (k, v))
-                .fold(std::collections::HashMap::new(), |mut m, kv| {
-                    *m.entry(kv).or_insert(0usize) += 1;
-                    m
-                })
-                .into_values()
-                .max()
-                .unwrap_or(0);
-            prop_assert!(
-                w.max_width <= largest_group + zero_heads,
-                "incompatible shapes cross-batched: max_width {} vs {} same-shape + {} zero-head \
-                 (distinct shapes: {:?})",
-                w.max_width,
-                largest_group,
-                zero_heads,
-                distinct
-            );
-        }
+        prop_assert_eq!(stats.batches, stats.completed);
     }
 }

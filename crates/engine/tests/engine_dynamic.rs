@@ -20,7 +20,7 @@ use sparsetir_smat::prelude::*;
 use std::collections::BTreeMap;
 
 fn dynamic_engine() -> Engine {
-    Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8 })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 32 })
 }
 
 /// Strategy: a base matrix plus a stream of delta batches against its

@@ -233,7 +233,7 @@ fn outputs(out: OpOutput) -> Vec<((usize, usize), Vec<f32>)> {
 }
 
 fn one_worker() -> Engine {
-    Engine::new(EngineConfig { workers: 1, queue_depth: 4, max_batch: 4 })
+    Engine::new(EngineConfig { workers: 1, queue_depth: 4 })
 }
 
 proptest! {
@@ -326,4 +326,44 @@ fn a_deadline_past_the_clock_s_range_never_expires() {
         assert!(got.approx_eq(&a.spmm(&x).expect("reference"), 1e-5));
     }
     assert_eq!(engine.stats().worker_panics, 0);
+}
+
+/// Regression: a request whose output cannot exist is a `Shape` error at
+/// submit. On a 2 × 0 adjacency every operand below holds no element, but
+/// the result (SpMM's `C`, an attention head's `Out`, SAGE's result) or
+/// SAGE's `Agg` scratch would be `2 × width`, a count that overflows
+/// `usize` or bytes no `Vec<f32>` can hold. Before, `submit` admitted them
+/// and the launch panicked allocating the output.
+#[test]
+fn an_output_that_cannot_exist_is_a_shape_error_at_submit() {
+    let a = Csr::from_coo(&Coo::new(2, 0));
+    let huge = usize::MAX / 2 + 1;
+    let empty = |rows, cols| Dense::from_vec(rows, cols, Vec::new()).expect("no elements");
+    let engine = one_worker();
+    let adj = Adjacency::new(a.clone());
+    let requests = [
+        ("spmm count", Submission::spmm(empty(0, huge))),
+        ("spmm bytes", Submission::spmm(empty(0, usize::MAX / 4))),
+        (
+            "attention",
+            Submission::fused_attention(vec![AttnHead {
+                q: Dense::zeros(2, 1),
+                kt: empty(1, 0),
+                v: empty(0, huge),
+            }]),
+        ),
+        ("sage agg", Submission::fused_sage(empty(0, huge), empty(huge, 0))),
+        ("sage result", Submission::fused_sage(empty(0, 0), empty(0, huge))),
+    ];
+    for (what, sub) in requests {
+        let got = engine.serve(&adj, sub);
+        assert!(matches!(got, Err(EngineError::Shape(_))), "{what}: {got:?}");
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.worker_panics, stats.batches), (0, 0), "{stats:?}");
+    // The entry point applies the same rule before it allocates.
+    let rt = sparsetir_ir::exec::Runtime::new();
+    let sage =
+        sparsetir_kernels::prelude::fused_sage_execute_on(&rt, &a, &empty(0, 0), &empty(0, huge));
+    assert!(sage.is_err());
 }

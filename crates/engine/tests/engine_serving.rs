@@ -1,5 +1,5 @@
 //! Behavioral tests for the serving engine: correctness of served
-//! results, batching under a busy worker, backpressure, shape
+//! results, one launch per request under a busy worker, backpressure, shape
 //! validation, drain-on-shutdown, and the tuned configuration path.
 
 use sparsetir_engine::{
@@ -101,14 +101,15 @@ fn served_sddmm_matches_direct_execution() {
     }
 }
 
-/// A busy single worker accumulates queued same-adjacency requests, which
-/// must then dispatch as one wider batch — and every batched result must
-/// still be bit-identical to unbatched execution.
+/// A busy single worker accumulates queued same-adjacency requests;
+/// released, it serves each in its own launch (queued requests no longer
+/// share one), and every answer is bit-identical to the request's solo
+/// launch.
 #[test]
 fn queued_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(64, 32);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(33);
     // The test holds the single worker (and its launch permit), so every
     // submission below queues behind it.
@@ -127,18 +128,14 @@ fn queued_requests_batch_and_stay_bit_identical() {
     let stats = engine.stats();
     assert_eq!(stats.completed, 6);
     assert_eq!(stats.served_inline, 0, "nothing is served inline behind a held worker");
-    assert!(stats.max_batch >= 2, "queued requests should have batched: {stats:?}");
-    assert!(
-        stats.batches < stats.completed,
-        "batching must dispatch fewer kernels than requests: {stats:?}"
-    );
+    assert_eq!((stats.batches, stats.max_batch), (6, 1), "one launch per request: {stats:?}");
 }
 
 #[test]
 fn try_submit_saturates_on_a_full_queue() {
     let a = power_law_csr(64, 41);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1, max_batch: 1 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1 });
     let mut rng = gen::rng(42);
     // The test holds the worker (a kernel's speed must not decide it):
     // the first request fills the depth-1 queue; the second must bounce.
@@ -195,7 +192,7 @@ fn a_held_worker_makes_a_blocking_submit_queue() {
 
 /// A ticket in flight means somebody is waiting: a client that submits
 /// again before waiting (a fan-out) gets its later requests queued for
-/// the workers, which can run them beside each other or batch them,
+/// the workers, which can run them beside each other,
 /// instead of served one after another on its own thread. Once every
 /// ticket is waited on, the next blocking submit is served inline again.
 #[test]
@@ -271,7 +268,7 @@ fn shutdown_drains_pending_requests() {
     let mut rng = gen::rng(61);
     let a = gen::random_csr(40, 40, 0.15, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 4 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let xs: Vec<Dense> = (0..5).map(|_| gen::random_dense(40, 3, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
@@ -286,14 +283,14 @@ fn shutdown_drains_pending_requests() {
 
 /// Concurrent clients hammering one engine from many threads: every
 /// response must be the right answer for *its* request (no cross-request
-/// mixups from the batching split), and the counters must reconcile.
+/// mixups), and the counters must reconcile.
 #[test]
 fn concurrent_clients_get_their_own_answers() {
     const CLIENTS: usize = 8;
     const PER_CLIENT: usize = 6;
     let a = power_law_csr(96, 71);
     let adj = Adjacency::new(a.clone());
-    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8 }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 32 }));
     let a = Arc::new(a);
     // Both workers start held, with both launch permits: every client's
     // first request queues, so the queue fills whatever the scheduling.
@@ -306,8 +303,6 @@ fn concurrent_clients_get_their_own_answers() {
             s.spawn(move || {
                 let mut rng = gen::rng(100 + client as u64);
                 for i in 0..PER_CLIENT {
-                    // Mixed widths: a batch takes riders of one width, so
-                    // every width waits for dispatches of its own.
                     let w = 1 + (client + i) % 5;
                     let x = gen::random_dense(96, w, &mut rng);
                     let got = engine
@@ -332,8 +327,7 @@ fn concurrent_clients_get_their_own_answers() {
     assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
     assert_eq!(stats.failed, 0);
     assert!(stats.queue_high_water >= CLIENTS, "{stats:?}");
-    let spmm = stats.widths_of("spmm").expect("spmm dispatched");
-    assert!(spmm.batches >= 5, "five widths, five dispatches at least: {spmm:?}");
+    assert_eq!(stats.batches, stats.completed, "one launch per request: {stats:?}");
 }
 
 /// `.tune(true)` routes the first request of each adjacency through the
@@ -344,7 +338,7 @@ fn concurrent_clients_get_their_own_answers() {
 fn tuned_engine_caches_one_decision_per_adjacency() {
     let a = power_law_csr(300, 81);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
     let mut rng = gen::rng(82);
     for _ in 0..3 {
         let x = gen::random_dense(300, 8, &mut rng);
@@ -355,7 +349,7 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
     }
     assert_eq!(engine.tune_cache().len(), 1, "one cached decision for one adjacency");
-    assert_eq!(engine.tune_cache().misses(), 1, "only the first batch tunes");
+    assert_eq!(engine.tune_cache().misses(), 1, "only the first request tunes");
     assert!(engine.tune_cache().hits() >= 1);
 }
 
@@ -466,7 +460,7 @@ fn repeated_requests_reuse_compiled_kernels() {
     let mut rng = gen::rng(91);
     let a = gen::random_csr(32, 32, 0.2, &mut rng);
     let adj = Adjacency::new(a);
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
     for _ in 0..4 {
         let x = gen::random_dense(32, 4, &mut rng);
         engine.serve(&adj, Submission::spmm(x)).and_then(OpOutput::into_dense).expect("serves");
@@ -485,7 +479,7 @@ fn repeated_requests_reuse_compiled_kernels() {
 /// first ones — `kernel_hits / kernel_lookups` = 114 / 120.
 #[test]
 fn warm_requests_hit_the_kernel_cache() {
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 1 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
     let tenants: Vec<Adjacency> =
         [24usize, 32, 40].iter().map(|&n| Adjacency::new(power_law_csr(n, n as u64))).collect();
     let mut rng = gen::rng(92);
@@ -564,7 +558,7 @@ fn engine_survives_injected_worker_panic() {
     let mut rng = gen::rng(111);
     let a = gen::random_csr(24, 24, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 4 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
     // A request before the crash proves the worker was healthy.
     let x0 = gen::random_dense(24, 3, &mut rng);
     assert!(engine.serve(&adj, Submission::spmm(x0)).and_then(OpOutput::into_dense).is_ok());
@@ -590,14 +584,14 @@ fn engine_survives_injected_worker_panic() {
 }
 
 /// Concurrent clients racing an injected panic: nobody observes a client-
-/// side panic, every request is answered, and the engine keeps batching.
+/// side panic, every request is answered, and the engine keeps serving.
 #[test]
 fn concurrent_submits_survive_worker_panic() {
     const CLIENTS: usize = 4;
     const PER_CLIENT: usize = 6;
     let a = power_law_csr(64, 121);
     let adj = Adjacency::new(a.clone());
-    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 16, max_batch: 4 }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 16 }));
     engine.inject_worker_panic();
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
@@ -622,14 +616,13 @@ fn concurrent_submits_survive_worker_panic() {
     assert_eq!(stats.worker_panics, 1);
 }
 
-/// SDDMM requests queued behind a busy worker must fold into one batch —
-/// one launch, the one-head kernel run once per rider — and stay
-/// bit-identical to unbatched execution.
+/// SDDMM requests queued behind a busy worker launch once each and stay
+/// bit-identical to their solo launch.
 #[test]
 fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let small = power_law_csr(48, 132);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(133);
     let stall = engine.stall_worker();
     let k = 5;
@@ -653,17 +646,16 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     }
     let stats = engine.stats();
     assert_eq!(stats.completed, 5);
-    assert!(stats.max_batch >= 2, "queued SDDMM requests should have batched: {stats:?}");
+    assert_eq!((stats.batches, stats.max_batch), (5, 1), "one launch per request: {stats:?}");
 }
 
 /// Mixed-op queues never cross-batch: SpMM and SDDMM requests on one
-/// adjacency dispatch as separate launches, and SDDMM requests with
-/// different inner widths refuse to share a launch.
+/// adjacency, SDDMM at two inner widths, dispatch as separate launches.
 #[test]
 fn incompatible_requests_do_not_batch() {
     let small = power_law_csr(32, 142);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(143);
     let stall = engine.stall_worker();
     // Two SDDMM inner widths plus one SpMM, all queued behind the held
@@ -686,20 +678,19 @@ fn incompatible_requests_do_not_batch() {
     }
     assert!(got3.approx_eq(&small.spmm(&x).unwrap(), 1e-4));
     let stats = engine.stats();
-    // Three incompatible dispatches = three separate batches.
+    // Three requests, three launches.
     assert_eq!(stats.batches, 3, "{stats:?}");
     assert_eq!(stats.max_batch, 1, "{stats:?}");
 }
 
-/// SpMM riders batch at one width: mixed widths queued behind the held
-/// worker dispatch once per width, every answer bit-identical to its solo
-/// launch; and a zero-width batch answers `rows × 0` without looking up a
-/// kernel.
+/// SpMM requests at mixed widths queued behind the held worker launch once
+/// each, every answer bit-identical to its solo launch; and a zero-width
+/// request answers `rows × 0` without looking up a kernel.
 #[test]
 fn spmm_riders_dispatch_once_per_width() {
     let small = power_law_csr(32, 144);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(145);
     let stall = engine.stall_worker();
     let xs: Vec<Dense> =
@@ -714,9 +705,8 @@ fn spmm_riders_dispatch_once_per_width() {
         assert!(bit_eq(&got, &solo_spmm(&small, x)), "width {}", x.cols());
     }
     let stats = engine.stats();
-    let spmm = stats.widths_of("spmm").expect("spmm dispatched");
-    // Widths 3, 5 and 1: three riders, two and one.
-    assert_eq!((spmm.batches, spmm.width_sum, spmm.max_width), (3, 6, 3), "{spmm:?}");
+    assert_eq!((stats.batches, stats.max_batch), (6, 1), "one launch per request: {stats:?}");
+    assert_eq!(stats.kernel_lookups, 6, "each launch looks up its kernel: {stats:?}");
 
     let stall = engine.stall_worker();
     let tickets: Vec<_> = (0..2)
@@ -728,8 +718,8 @@ fn spmm_riders_dispatch_once_per_width() {
         assert_eq!((got.rows(), got.cols()), (32, 0));
     }
     let after = engine.stats();
-    assert_eq!(after.kernel_lookups, stats.kernel_lookups, "a zero-width batch launches nothing");
-    assert_eq!(after.widths_of("spmm").map(|w| (w.batches, w.max_width)), Some((4, 3)));
+    assert_eq!(after.kernel_lookups, stats.kernel_lookups, "a zero-width launch runs nothing");
+    assert_eq!(after.batches, 8);
 }
 
 fn random_head(a: &Csr, k: usize, vfeat: usize, rng: &mut rand::rngs::SmallRng) -> AttnHead {
@@ -742,7 +732,7 @@ fn random_head(a: &Csr, k: usize, vfeat: usize, rng: &mut rand::rngs::SmallRng) 
 
 /// The fused ops serve through the same generic path as everything else,
 /// and their answers are bit-identical to the multi-launch pipeline run
-/// outside the engine — serving adds batching, not rounding.
+/// outside the engine — serving adds no rounding.
 #[test]
 fn served_fused_ops_match_their_pipeline_oracles() {
     let mut rng = gen::rng(151);
@@ -771,24 +761,20 @@ fn served_fused_ops_match_their_pipeline_oracles() {
     let sage_oracle = sage_pipeline_oracle(&Runtime::new(), &a, &x, &w).expect("pipeline oracle");
     assert!(bit_eq(&sage, &sage_oracle), "served fused sage must match the two-launch oracle");
 
-    let stats = engine.stats();
-    assert_eq!(stats.widths_of("fused_attention").map(|h| h.batches), Some(1));
-    assert_eq!(stats.widths_of("fused_sage").map(|h| h.batches), Some(1));
+    assert_eq!(engine.stats().batches, 2, "one launch per request");
 }
 
-/// Fused attention requests queued behind a busy worker fold into one
-/// launch — but only compatible `(k, vfeat)` shapes share it —
-/// and the per-op-kind width histogram records exactly that.
+/// Fused attention requests queued behind a busy worker, at mixed head
+/// shapes and head counts, launch once each and match the three-launch
+/// pipeline bit for bit; the launch counters record one launch per
+/// request, the widest one request wide.
 #[test]
 fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     let small = power_law_csr(48, 172);
     let adj = Adjacency::new(small.clone());
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(173);
     let stall = engine.stall_worker();
-    // Two compatible (k=2, vfeat=2) requests plus one incompatible
-    // (k=3, vfeat=2): the pair must share a launch, the odd one out must
-    // dispatch alone.
     let reqs: Vec<Vec<AttnHead>> = vec![
         vec![random_head(&small, 2, 2, &mut rng)],
         vec![random_head(&small, 2, 2, &mut rng), random_head(&small, 2, 2, &mut rng)],
@@ -806,15 +792,13 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
         assert_eq!(got.len(), heads.len());
         let want = attention_pipeline(&small, heads);
         for (out, want) in got.iter().zip(&want) {
-            assert!(bit_eq(out, want), "batched fused attention must match the oracle");
+            assert!(bit_eq(out, want), "served fused attention must match the oracle");
         }
     }
     let stats = engine.stats();
-    let widths = stats.widths_of("fused_attention").expect("histogram has the kind");
-    assert_eq!(widths.batches, 2, "compatible pair + lone incompatible: {stats:?}");
-    assert_eq!(widths.width_sum, 3);
-    assert_eq!(widths.max_width, 2);
-    assert!((widths.mean_width() - 1.5).abs() < 1e-9);
+    assert_eq!(stats.completed, 3);
+    assert_eq!((stats.batches, stats.max_batch), (3, 1), "one launch per request: {stats:?}");
+    assert_eq!(stats.kernel_lookups, 3, "each launch looks up its kernel: {stats:?}");
 }
 
 /// Zero-row and zero-nnz adjacencies are valid public constructions:

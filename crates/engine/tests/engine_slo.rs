@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 fn slo_config() -> EngineConfig {
-    EngineConfig { workers: 1, queue_depth: 16, max_batch: 4 }
+    EngineConfig { workers: 1, queue_depth: 16 }
 }
 
 /// One expired-at-drain scenario: the single worker is stalled
@@ -53,9 +53,9 @@ fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     assert_eq!(stats.rejected, 0);
     assert_eq!(stats.shed.total(), 0);
     // The proof the operands never reached a kernel: nothing was ever
-    // compiled, and no SDDMM batch was launched.
+    // compiled, and nothing was launched.
     assert_eq!(engine.runtime().cached(), 0, "no kernel may be compiled for the shed SDDMM");
-    assert!(stats.widths_of("sddmm").is_none(), "no SDDMM launch may be recorded");
+    assert_eq!(stats.batches, 0, "no launch may be recorded");
 }
 
 proptest! {
@@ -115,7 +115,7 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
     let small_adj = Adjacency::new(gen::random_csr(32, 32, 0.3, &mut rng));
     let x = gen::random_dense(32, 4, &mut rng);
 
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2, max_batch: 1 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2 });
     let stall = engine.stall_worker();
     let lo_kept = engine
         .try_submit(&small_adj, Submission::spmm(x.clone()).priority(Priority::Lo))
@@ -157,7 +157,7 @@ fn equal_priority_submission_never_evicts() {
     let small_adj = Adjacency::new(gen::random_csr(32, 32, 0.3, &mut rng));
     let x = gen::random_dense(32, 4, &mut rng);
 
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2, max_batch: 1 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2 });
     let stall = engine.stall_worker();
     let queued: Vec<_> = (0..2)
         .map(|i| {
@@ -197,7 +197,7 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
     let hi_x = gen::random_dense(64, 4, &mut rng);
     let hi_y = gen::random_dense(4, 64, &mut rng);
 
-    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 4, max_batch: 1 }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 4 }));
     let stop = AtomicBool::new(false);
     // The flood fills the queue behind the held worker before any Hi
     // request: how fast a kernel runs must not decide whether it did.

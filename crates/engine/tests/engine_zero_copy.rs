@@ -1,62 +1,64 @@
 //! Zero-copy serving suite: deterministic pins on the engine's
 //! `bytes_copied` counter and scratch pool. The randomized
-//! batched-vs-sequential bit-identity checks (with the same
+//! concurrent-vs-sequential bit-identity checks (with the same
 //! `bytes_copied == 0` assertion per case) live in
 //! `engine_differential.rs`; this file forces the interesting schedules
-//! by hand — a batch behind a stalled worker
+//! by hand — requests queued behind a stalled worker
 //! (`Engine::stall_worker`: the worker is held by the test, not by a
-//! kernel that has to run long enough), the batch-of-one fast path of
-//! every batchable kind, pool reuse, and mid-drain expiry.
+//! kernel that has to run long enough) and a kernel batch of riders, a
+//! lone request of every served kind, pool reuse, and mid-drain expiry.
 
 use sparsetir_engine::{
     Adjacency, Engine, EngineConfig, EngineError, Priority, RejectReason, Submission,
 };
-use sparsetir_kernels::prelude::AttnHead;
+use sparsetir_ir::exec::Runtime;
+use sparsetir_kernels::prelude::{
+    bytes_copied_on_thread, spmm_execute_views_on, AttnHead, SpmmConfig,
+};
 use sparsetir_smat::prelude::*;
 use std::time::Duration;
 
 fn test_engine() -> Engine {
-    Engine::new(EngineConfig { workers: 2, queue_depth: 32, max_batch: 8 })
+    Engine::new(EngineConfig { workers: 2, queue_depth: 32 })
 }
 
-/// Deterministically force a batch: stall the single worker, queue
-/// `riders` compatible requests (one width) behind it, release it, and
-/// return the engine once everything answered.
-fn run_forced_batch(riders: usize) -> (Engine, Vec<Dense>, Vec<Dense>) {
+/// The acceptance headline: SpMM on the view path copies zero operand and
+/// zero output bytes — the answers land straight in their own buffers.
+/// Four requests queued behind the stalled single worker launch one by
+/// one, and the same four as one batch of riders through the kernel entry
+/// point copy nothing either.
+#[test]
+fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
     let mut rng = gen::rng(0x2c0);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
-    let adj = Adjacency::new(small);
-    let xs: Vec<Dense> = (0..riders).map(|_| gen::random_dense(24, 3, &mut rng)).collect();
+    let adj = Adjacency::new(small.clone());
+    let xs: Vec<Dense> = (0..4).map(|_| gen::random_dense(24, 3, &mut rng)).collect();
 
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32 });
     let stall = engine.stall_worker();
     let tickets: Vec<_> = xs
         .iter()
-        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("rider admits"))
+        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("request admits"))
         .collect();
-    // All riders are queued: the released worker drains them as one
-    // dispatch.
     drop(stall);
     let outs: Vec<Dense> =
-        tickets.into_iter().map(|t| t.wait_dense().expect("rider serves")).collect();
-    (engine, xs, outs)
-}
-
-/// The acceptance headline: a *batched* SpMM launch on the view path
-/// copies zero operand and zero output bytes — the riders' answers land
-/// straight in their own buffers.
-#[test]
-fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
-    let (engine, xs, outs) = run_forced_batch(4);
+        tickets.into_iter().map(|t| t.wait_dense().expect("request serves")).collect();
     let stats = engine.stats();
-    assert!(stats.max_batch >= 2, "riders must have shared a launch: {stats:?}");
+    assert_eq!(stats.batches, 4, "one launch per request: {stats:?}");
     assert_eq!(stats.bytes_copied, 0, "view path must copy nothing: {stats:?}");
-    for (x, out) in xs.iter().zip(&outs) {
-        assert_eq!((out.rows(), out.cols()), (24, x.cols()));
+
+    let refs: Vec<&Dense> = xs.iter().collect();
+    let mut batched: Vec<Dense> = xs.iter().map(|_| Dense::zeros(24, 3)).collect();
+    let before = bytes_copied_on_thread();
+    spmm_execute_views_on(&Runtime::new(), &small, &refs, &mut batched, &SpmmConfig::default())
+        .expect("the batch launches");
+    assert_eq!(bytes_copied_on_thread(), before, "a batch of riders must copy nothing");
+    for (out, rider) in outs.iter().zip(&batched) {
+        assert_eq!(out, rider, "a rider's answer is its request's");
     }
 }
 
-/// Batch of one: a lone request of every served kind — fused SAGE and a
+/// A lone request of every served kind — fused SAGE and a
 /// tuned request included — runs end-to-end with zero copies:
 /// flat slices bind the caller's buffers directly. (With
 /// `bind_dense` ticking the counter, a whole-tensor SAGE binding of `X`
@@ -89,7 +91,7 @@ fn batch_of_one_is_zero_copy_end_to_end() {
 
     let stats = engine.stats();
     assert_eq!(stats.completed, 6, "all six singleton requests answered: {stats:?}");
-    assert_eq!(stats.bytes_copied, 0, "batch-of-one must be zero-copy: {stats:?}");
+    assert_eq!(stats.bytes_copied, 0, "a lone request must be zero-copy: {stats:?}");
 }
 
 /// Scratch buffers for the fused-attention pipeline come from the
@@ -115,27 +117,27 @@ fn repeated_serving_hits_the_buffer_pool() {
 }
 
 /// Mid-drain expiry on the view path: a victim whose deadline lapses
-/// while the worker is held up is swept before dispatch — its live rider
-/// still answers, the victim's output buffer is never assembled or
-/// written (no launch of its kind beyond the rider's, nothing copied),
-/// and the answer is `Rejected { Expired }`.
+/// while the worker is held up is swept before dispatch — the live request
+/// behind it still answers, the victim's output buffer is never allocated
+/// or written (one launch, the live request's; nothing copied), and the
+/// answer is `Rejected { Expired }`.
 #[test]
 fn expired_victim_is_swept_without_writing_its_buffer() {
     let mut rng = gen::rng(0x2c3);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
     let adj = Adjacency::new(small.clone());
     let victim_x = gen::random_dense(24, 3, &mut rng);
-    let rider_x = gen::random_dense(24, 4, &mut rng);
+    let live_x = gen::random_dense(24, 4, &mut rng);
 
-    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16, max_batch: 8 });
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
     let stall = engine.stall_worker();
     // The victim's deadline lapses while the worker is stalled, so it
-    // expires in the queue; the rider has no deadline and drains.
+    // expires in the queue; the live request has no deadline and drains.
     let deadline = Duration::from_millis(1);
     let victim = engine
         .submit(&adj, Submission::spmm(victim_x).deadline(deadline))
         .expect("victim admits while its deadline is still open");
-    let rider = engine.submit(&adj, Submission::spmm(rider_x)).expect("rider admits");
+    let live = engine.submit(&adj, Submission::spmm(live_x)).expect("live request admits");
     std::thread::sleep(deadline * 2);
     drop(stall);
 
@@ -144,16 +146,12 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::Expired })),
         "expired victim must answer Rejected {{ Expired }}, got {res:?}"
     );
-    rider.wait_dense().expect("live rider still serves");
+    live.wait_dense().expect("the live request still serves");
 
     let stats = engine.stats();
     assert_eq!(stats.expired, 1, "exactly the victim expired: {stats:?}");
-    assert_eq!(stats.completed, 1, "only the rider executed: {stats:?}");
+    assert_eq!(stats.completed, 1, "only the live request executed: {stats:?}");
     assert_eq!(stats.priority(Priority::Normal).expired, 1);
     assert_eq!(stats.bytes_copied, 0, "nothing may be staged for the victim: {stats:?}");
-    // The victim never reached assembly: the one recorded SpMM dispatch
-    // is the rider alone after the sweep.
-    let w = stats.widths_of("spmm").expect("spmm dispatched");
-    assert_eq!(w.max_width, 1, "the swept victim must not ride any launch: {stats:?}");
-    assert_eq!(w.batches, 1, "the rider dispatched exactly once: {stats:?}");
+    assert_eq!(stats.batches, 1, "the swept victim must not launch: {stats:?}");
 }

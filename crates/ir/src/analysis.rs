@@ -214,27 +214,22 @@ pub struct OpCounts {
     pub stores: u64,
 }
 
-/// Count operations of an interpreted run by instrumenting a lightweight
-/// walk: loop extents are evaluated with the given scalar/tensor bindings
-/// (so data-dependent extents like `indptr[i+1] − indptr[i]` are exact).
-/// Statement bodies are *not* numerically executed — only loads/stores /
-/// float-op counts are accumulated — so the cost is O(trip counts).
+/// Count operations of one interpreted run: `func` is fully executed by
+/// the interpreter ([`eval_func_counting`](crate::eval::eval_func_counting))
+/// on a clone of `tensors`, which is left untouched, and every float op,
+/// load and store it executes is counted — so data-dependent extents like
+/// `indptr[i+1] − indptr[i]` are exact, and the cost is a whole
+/// interpretation.
 ///
 /// # Errors
-/// Propagates interpreter errors from extent evaluation.
+/// Propagates interpreter errors.
 pub fn count_ops(
     func: &PrimFunc,
     scalars: &HashMap<String, i64>,
     tensors: &HashMap<String, crate::eval::TensorData>,
 ) -> Result<OpCounts, crate::eval::EvalError> {
-    // Reuse the interpreter for extent evaluation by building a counting
-    // clone: replace every store's value with itself (we interpret fully —
-    // simplest correct implementation — but count as we go). For the
-    // matrix sizes used in tests this is cheap.
     let mut tensors = tensors.clone();
     let mut counts = OpCounts::default();
-    // Count statically per executed store: walk with a callback interpreter.
-    // Full interpretation is the simplest faithful approach.
     crate::eval::eval_func_counting(func, scalars, &mut tensors, &mut |kind| match kind {
         crate::eval::OpKind::Flop => counts.flops += 1.0,
         crate::eval::OpKind::Load => counts.loads += 1,

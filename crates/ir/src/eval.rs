@@ -9,7 +9,7 @@
 
 use crate::buffer::Buffer;
 use crate::dtype::DType;
-use crate::expr::{BinOp, Expr, Intrinsic, Var};
+use crate::expr::{BinOp, Expr, Intrinsic};
 use crate::func::PrimFunc;
 use crate::stmt::{IterKind, Stmt, TensorTile};
 use std::cell::RefCell;
@@ -587,20 +587,7 @@ pub fn eval_func(
     scalars: &HashMap<String, i64>,
     tensors: &mut HashMap<String, TensorData>,
 ) -> Result<(), EvalError> {
-    let mut env = HashMap::new();
-    for p in &func.params {
-        let v = scalars
-            .get(&*p.name.to_string())
-            .ok_or_else(|| EvalError::new(format!("missing scalar param `{}`", p.name)))?;
-        env.insert(p.name.to_string(), *v);
-    }
-    for b in &func.buffers {
-        if !tensors.contains_key(&*b.name.to_string()) {
-            return Err(EvalError::new(format!("missing tensor binding for buffer `{}`", b.name)));
-        }
-    }
-    let mut interp = Interp { env, tensors, locals: Vec::new(), hook: None };
-    interp.exec(&func.body)
+    run(func, scalars, tensors, None)
 }
 
 /// Like [`eval_func`], but reports every executed float op, load and store
@@ -614,6 +601,17 @@ pub fn eval_func_counting(
     tensors: &mut HashMap<String, TensorData>,
     hook: &mut dyn FnMut(OpKind),
 ) -> Result<(), EvalError> {
+    run(func, scalars, tensors, Some(hook))
+}
+
+/// The one interpreter body: bind the scalar params, check every buffer
+/// is bound, and run `func`, reporting to `hook` when there is one.
+fn run(
+    func: &PrimFunc,
+    scalars: &HashMap<String, i64>,
+    tensors: &mut HashMap<String, TensorData>,
+    hook: Option<&mut dyn FnMut(OpKind)>,
+) -> Result<(), EvalError> {
     let mut env = HashMap::new();
     for p in &func.params {
         let v = scalars
@@ -626,7 +624,7 @@ pub fn eval_func_counting(
             return Err(EvalError::new(format!("missing tensor binding for buffer `{}`", b.name)));
         }
     }
-    let mut interp = Interp { env, tensors, locals: Vec::new(), hook: Some(RefCell::new(hook)) };
+    let mut interp = Interp { env, tensors, locals: Vec::new(), hook: hook.map(RefCell::new) };
     interp.exec(&func.body)
 }
 
@@ -636,13 +634,11 @@ pub fn scalar_map(pairs: &[(&str, i64)]) -> HashMap<String, i64> {
     pairs.iter().map(|(k, v)| ((*k).to_string(), *v)).collect()
 }
 
-#[allow(unused)]
-fn var_unused(_: &Var) {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::buffer::{Buffer, Scope};
+    use crate::expr::Var;
     use crate::stmt::{Block, ForKind, IterVar};
 
     /// Build `C[i] = A[i] + B[i]` over n=4 and run it.

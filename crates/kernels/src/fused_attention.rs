@@ -116,7 +116,8 @@ pub fn attention_aggregate_ir(a: &Csr, heads: usize, vfeat: usize) -> KernelResu
 
 /// The fused-attention head-shape rule — the one check behind a serving
 /// engine's admission and [`fused_attention_views_on`]: every `(q, kt, v)`
-/// head fits the adjacency and all heads share one `(k, vfeat)`.
+/// head fits the adjacency, its `a.rows() × vfeat` output can be
+/// allocated, and all heads share one `(k, vfeat)`.
 ///
 /// # Errors
 /// Describes the first offending head.
@@ -143,6 +144,7 @@ pub fn check_heads<'a>(
                 a.cols()
             ));
         }
+        crate::check_output("output", a.rows(), v.cols()).map_err(|e| format!("head {h}: {e}"))?;
         let first = *shape.get_or_insert((q.cols(), v.cols()));
         if first != (q.cols(), v.cols()) {
             return Err(format!(

@@ -55,7 +55,9 @@ pub fn fused_sage_ir(a: &Csr, feat: usize, hidden: usize) -> KernelResult<PrimFu
 }
 
 /// The fused-SAGE request-shape rule — the one check behind a serving
-/// engine's admission and [`fused_sage_execute_on`].
+/// engine's admission and [`fused_sage_execute_on`]: the operands fit the
+/// adjacency, and the `a.rows() × hidden` result and the
+/// `a.rows() × feat` `Agg` scratch can be allocated.
 ///
 /// # Errors
 /// Describes the mismatch.
@@ -71,7 +73,8 @@ pub fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
             a.cols()
         ));
     }
-    Ok(())
+    crate::check_output("Agg scratch", a.rows(), x.cols())?;
+    crate::check_output("result", a.rows(), w.cols())
 }
 
 /// What the fused entry point and the pipeline oracle share: validate

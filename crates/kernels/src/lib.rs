@@ -40,6 +40,17 @@ mod spec;
 pub mod spmm;
 pub mod tune;
 
+/// The output rule behind every request-shape rule: a `rows × cols` `f32`
+/// result (or scratch) can exist only when its element count fits `usize`
+/// and its bytes what a `Vec<f32>` can hold, so a request refused here
+/// allocates nothing.
+fn check_output(what: &str, rows: usize, cols: usize) -> Result<(), String> {
+    match rows.checked_mul(cols).map(std::alloc::Layout::array::<f32>) {
+        Some(Ok(_)) => Ok(()),
+        _ => Err(format!("{what} of {rows}x{cols} f32s cannot be allocated")),
+    }
+}
+
 /// Common imports.
 pub mod prelude {
     pub use crate::fused_attention::{

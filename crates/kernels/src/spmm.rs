@@ -189,7 +189,9 @@ pub fn prepare_spmm(
 }
 
 /// The SpMM request-shape rule — the one check behind a serving
-/// engine's admission and [`spmm_execute_views_on`].
+/// engine's admission and [`spmm_execute_views_on`]: the feature matrix
+/// has `a.cols()` rows, and the `a.rows() × width` result can be
+/// allocated.
 ///
 /// # Errors
 /// Describes the mismatch.
@@ -201,7 +203,7 @@ pub fn check_shapes(a: &Csr, x: &Dense) -> Result<(), String> {
             a.cols()
         ));
     }
-    Ok(())
+    crate::check_output("output", a.rows(), x.cols())
 }
 
 /// Execute a batch of SpMM requests — the only executable SpMM entry

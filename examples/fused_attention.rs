@@ -1,7 +1,7 @@
 //! Cross-op fusion walkthrough: compile the whole sparse attention
 //! pipeline — SDDMM scores, edge-softmax, SpMM aggregation — into **one**
 //! kernel sharing a single non-zero walk, check it bit-for-bit against
-//! the three-launch pipeline oracle, then serve it batched through the
+//! the three-launch pipeline oracle, then serve it through the
 //! engine.
 //!
 //! ```sh
@@ -84,12 +84,11 @@ fn main() {
     let kinds = Runtime::new().compile(&f).expect("compiles").fused_kinds();
     println!("microkernels in the fused launch: {kinds:?}");
 
-    // --- Batched serving ----------------------------------------------
-    // Concurrent same-shape requests fold into one fused launch each
-    // dispatch, one run of the one-head kernel per head: per-launch fixed
-    // costs are paid once per batch, and the whole three-op pipeline is
-    // one kernel to begin with.
-    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
+    // --- Serving ------------------------------------------------------
+    // Concurrent clients share the engine's one compiled fused kernel:
+    // each request is one launch, one run of the one-head kernel per
+    // head, and the whole three-op pipeline is one kernel to begin with.
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64 }));
     let adj = Adjacency::new(graph.clone());
     let clients = 8;
     let per_client = 8;
@@ -123,13 +122,6 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         stats.completed as f64 / elapsed.as_secs_f64()
     );
-    if let Some(w) = stats.widths_of("fused_attention") {
-        println!(
-            "  {} launches, mean batch width {:.1}, max width {} — one cross-op kernel per launch",
-            w.batches,
-            w.mean_width(),
-            w.max_width
-        );
-    }
+    println!("  {} launches — one cross-op kernel per request", stats.batches);
     println!("  compiled kernels: {}", engine.runtime().cached());
 }

@@ -1,6 +1,6 @@
-//! Serving walkthrough: stand up the batched engine over one shared
-//! adjacency, hammer it from concurrent client threads, and watch the
-//! batching fold same-graph requests into wider kernel launches.
+//! Serving walkthrough: stand up the engine over one shared adjacency,
+//! hammer it from concurrent client threads, and watch every request hit
+//! the kernels its shape compiled once, one launch per request.
 //!
 //! ```sh
 //! cargo run --release --example serving
@@ -29,7 +29,7 @@ fn main() {
 
     // One engine per deployment: it owns the kernel cache and the
     // per-adjacency tuning decisions every worker shares.
-    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64, max_batch: 8 }));
+    let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64 }));
 
     // --- Raw SpMM serving: 8 clients share one adjacency ------------
     // Each request goes through the `Submission` builder: deadline and
@@ -65,12 +65,7 @@ fn main() {
         elapsed.as_secs_f64() * 1e3,
         stats.completed as f64 / elapsed.as_secs_f64()
     );
-    println!(
-        "  kernel dispatches: {} (max batch {}, {:.0}% of requests batched)",
-        stats.batches,
-        stats.max_batch,
-        stats.batching_rate() * 100.0
-    );
+    println!("  kernel launches: {} (one per request)", stats.batches);
     println!(
         "  mean latency {:.2} ms, worst {:.2} ms, queue high-water {}",
         stats.mean_latency_ns() / 1e6,
@@ -90,14 +85,12 @@ fn main() {
 
     // --- The generic op path: SDDMM and per-head SpMM share the queue ---
     // Every op submits through one generic path (Submission → Ticket →
-    // OpOutput); same-adjacency SDDMM requests with equal inner widths
-    // fold into one launch of the one-head kernel per rider, and a multi-head
-    // aggregation is one SpMM ticket per head, joining the SpMM column
-    // stack. The first of each group finds the engine idle and is served
+    // OpOutput), and a multi-head aggregation is one SpMM ticket per
+    // head. The first of each group finds the engine idle and is served
     // on this thread as it is submitted; the three submitted while its
-    // ticket is outstanding queue for the worker and fold. Deadlines
-    // bound queueing: a request the engine cannot answer in time is shed
-    // with a typed rejection instead of silently running late.
+    // ticket is outstanding queue for the worker. Deadlines bound
+    // queueing: a request the engine cannot answer in time is shed with a
+    // typed rejection instead of silently running late.
     let mut rng = gen::rng(77);
     let sddmm_tickets: Vec<_> = (0..4)
         .map(|_| {
@@ -111,8 +104,7 @@ fn main() {
         let edges = t.wait_edges().expect("sddmm served");
         assert_eq!(edges.len(), graph.nnz());
     }
-    let spmm_launches = |stats: EngineStats| stats.widths_of("spmm").map_or(0, |w| w.batches);
-    let before = spmm_launches(engine.stats());
+    let before = engine.stats().batches;
     let head_tickets: Vec<_> = (0..4)
         .map(|_| {
             let x = gen::random_dense(n, 8, &mut rng);
@@ -123,17 +115,15 @@ fn main() {
         let out = t.wait_dense().expect("head served");
         assert_eq!((out.rows(), out.cols()), (n, 8));
     }
-    let launches = spmm_launches(engine.stats()) - before;
+    let launches = engine.stats().batches - before;
     println!(
         "generic op path: 4 SDDMM requests (per-edge outputs) + 4 per-head SpMM requests \
-         in {launches} SpMM launch(es)"
+         (the heads in {launches} SpMM launches)"
     );
 
     // --- Cross-op fused attention: SDDMM → softmax → SpMM, one kernel ---
     // A FusedAttention request carries (Q, Kᵀ, V) per head; the engine
-    // compiles the whole pipeline into a single kernel, and same-shape
-    // requests the worker finds queued together (here among the three
-    // submitted behind the first, inline one) share a launch, one run
+    // compiles the whole pipeline into a single kernel and runs it once
     // per head.
     let (k, vfeat) = (8, 8);
     let fused_tickets: Vec<_> = (0..4)
@@ -152,18 +142,7 @@ fn main() {
     }
     println!("fused attention: 4 requests served, whole pipeline in one kernel per launch");
 
-    // --- Per-op-kind batching: how wide did each op's launches get? ---
     let stats = engine.stats();
-    println!("served batch widths by op kind:");
-    for w in &stats.op_widths {
-        println!(
-            "  {:<16} {} launches, mean width {:.1}, max width {}",
-            w.kind,
-            w.batches,
-            w.mean_width(),
-            w.max_width
-        );
-    }
 
     // --- SLO accounting: latency percentiles and per-priority counters ---
     // The lock-free log-bucketed histogram answers p50/p95/p99 without

@@ -16,7 +16,7 @@
 //! | [`graphs`] | synthetic workload generators for every dataset in the evaluation |
 //! | [`nn`] | end-to-end GraphSAGE training and RGCN inference |
 //! | [`autotune`] | the joint format × schedule search of §2: typed, fingerprint-cached tuners over `plans`; the measured evaluator, whose whole-launch timings of a fixed shortlist decide the engine's tuned SpMM |
-//! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path batching SpMM / SDDMM / attention / fused attention (and serving the fused GraphSAGE step) over the kernel cache, with SLO admission, incremental graph updates, and per-submission tuning for the op whose launch reads a searched configuration (SpMM) |
+//! | [`engine`] | concurrent op-agnostic serving engine: one generic `Submission` path serving SpMM / SDDMM / fused attention / the fused GraphSAGE step over the kernel cache, one launch per request, with SLO admission, incremental graph updates, and per-submission tuning for the op whose launch reads a searched configuration (SpMM) |
 //!
 //! See `README.md` for the system inventory ("The three-stage IR",
 //! "Crate map") and for how to run and gate the paper's experiments
@@ -42,8 +42,8 @@ pub mod prelude {
     pub use sparsetir_autotune::{tune_spmm, SpmmConfig, TuneResult};
     pub use sparsetir_core::prelude::*;
     pub use sparsetir_engine::{
-        Adjacency, Engine, EngineConfig, EngineError, EngineStats, LatencyHistogram, OpBatchWidth,
-        OpOutput, OpRequest, Priority, PriorityStats, RejectReason, ShedStats, Submission, Ticket,
+        Adjacency, Engine, EngineConfig, EngineError, EngineStats, LatencyHistogram, OpOutput,
+        OpRequest, Priority, PriorityStats, RejectReason, ShedStats, Submission, Ticket,
         DRIFT_THRESHOLD,
     };
     pub use sparsetir_gpusim::prelude::*;
