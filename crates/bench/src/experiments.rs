@@ -1120,7 +1120,7 @@ pub mod serving_slo {
         Adjacency, Engine, EngineConfig, EngineStats, OpRequest, Priority, Submission,
     };
     use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
     use std::time::{Duration, Instant};
 
     /// Acceptance floor: Hi-traffic deadline-hit-rate with the SLO
@@ -1158,7 +1158,8 @@ pub mod serving_slo {
     /// score a hit when the answer arrives in time. `slo` selects the
     /// machinery under test: priorities + deadlines vs plain FIFO submits
     /// of the identical requests (the deadline then exists only in the
-    /// client's stopwatch).
+    /// client's stopwatch). Staged, not raced: the flood queues behind a
+    /// stalled worker before any Hi client starts ([`Engine::stall_worker`]).
     fn run_arm(
         lo: &[(Adjacency, Dense)],
         hi_adj: &Adjacency,
@@ -1176,34 +1177,38 @@ pub mod serving_slo {
         engine.serve(hi_adj, OpRequest::Sddmm(hi_payload.clone())).expect("hi warmup");
         let warmed = engine.stats();
         let stop = AtomicBool::new(false);
+        let queued = Barrier::new(lo.len() + 1);
+        let [lo_class, hi_class] =
+            if slo { [Priority::Lo, Priority::Hi] } else { [Priority::Normal; 2] };
         let hits: u64 = std::thread::scope(|s| {
+            let stall = engine.stall_worker();
             for (adj, x) in lo {
                 let engine = Arc::clone(&engine);
-                let stop = &stop;
+                let (stop, queued) = (&stop, &queued);
                 s.spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        let sub = if slo {
-                            Submission::spmm(x.clone()).priority(Priority::Lo)
-                        } else {
-                            Submission::new(OpRequest::Spmm(x.clone()))
-                        };
-                        engine.serve(adj, sub).expect("lo flood request");
+                    let sub = || Submission::spmm(x.clone()).priority(lo_class);
+                    let mut ticket = engine.submit(adj, sub()).expect("lo flood request");
+                    queued.wait();
+                    loop {
+                        ticket.wait().expect("lo flood request");
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
+                        ticket = engine.submit(adj, sub()).expect("lo flood request");
                     }
                 });
             }
+            queued.wait();
+            drop(stall);
             let measurers: Vec<_> = (0..hi_clients)
                 .map(|_| {
                     let engine = Arc::clone(&engine);
                     s.spawn(move || {
                         let mut hits = 0u64;
                         for _ in 0..hi_per_client {
-                            let sub = if slo {
-                                Submission::sddmm(hi_payload.0.clone(), hi_payload.1.clone())
-                                    .deadline(hi_deadline)
-                                    .priority(Priority::Hi)
-                            } else {
-                                Submission::new(OpRequest::Sddmm(hi_payload.clone()))
-                            };
+                            let (x, y) = hi_payload.clone();
+                            let sub = Submission::sddmm(x, y).priority(hi_class);
+                            let sub = if slo { sub.deadline(hi_deadline) } else { sub };
                             let t = Instant::now();
                             // A shed/expired answer is a deadline miss by
                             // definition; so is a late success.

@@ -306,7 +306,7 @@ fn spmm_arms(
     let hyb = config.col_parts.map(|c| Hyb::from_csr(a, c, config.bucket_k).expect("decomposes"));
     let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
     let mut run_out = vec![0.0f32; a.rows() * d];
-    let mut views = launch.views([]);
+    let mut views = launch.views(&kernel, []);
     views.bind_slice("B", x.data());
     views.bind_slice_mut("C", &mut run_out);
     let got = minima(
@@ -314,7 +314,7 @@ fn spmm_arms(
         reps,
         &mut [
             &mut || spmm_execute_views_on(&rt, a, &[x], &mut outs, config).expect("served SpMM"),
-            &mut || kernel.run_views(&[], &mut views).expect("runs"),
+            &mut || kernel.run_views(&mut views).expect("runs"),
             &mut || floor(&mut want),
         ],
     );
@@ -344,7 +344,7 @@ fn sddmm_arms(
     let kernel = rt.compile(&func).expect("compiles");
     let mut launch = LaunchBindings::new(rt.pool(), a, None, []);
     let mut run_out = vec![0.0f32; a.nnz()];
-    let mut views = launch.views([]);
+    let mut views = launch.views(&kernel, []);
     views.bind_slice("X", ops.0);
     views.bind_slice("Y", ops.1);
     views.bind_slice_mut("Bout", &mut run_out);
@@ -356,7 +356,7 @@ fn sddmm_arms(
                 sddmm_execute_views_on(&rt, a, std::slice::from_ref(&req), &mut outs)
                     .expect("served");
             },
-            &mut || kernel.run_views(&[], &mut views).expect("runs"),
+            &mut || kernel.run_views(&mut views).expect("runs"),
             &mut || assert!(sddmm_floor(&slabs, (a.rows(), a.cols(), k), ops, &mut want)),
             &mut || sddmm_native(a, k, ops, &mut yt, &mut native),
         ],
@@ -472,10 +472,10 @@ fn sweep_table(
             .zip(&pts)
             .zip(outs.iter_mut())
             .map(|(([ls, ld], p), [os, od])| {
-                let mut vs = ls.views([]);
+                let mut vs = ls.views(&p.spmm, []);
                 vs.bind_slice("B", p.x.data());
                 vs.bind_slice_mut("C", os);
-                let mut vd = ld.views([]);
+                let mut vd = ld.views(&p.sddmm, []);
                 vd.bind_slice("X", p.pair.0.data());
                 vd.bind_slice("Y", p.pair.1.data());
                 vd.bind_slice_mut("Bout", od);
@@ -487,11 +487,11 @@ fn sweep_table(
         for ((p, [vs, vd]), [ws, wd]) in pts.iter().zip(views.iter_mut()).zip(wants.iter_mut()) {
             let (rows, cols) = (p.g.rows(), p.g.cols());
             let ops = (p.pair.0.data(), p.pair.1.data());
-            arms.push(Box::new(move || p.spmm.run_views(&[], vs).expect("runs")));
+            arms.push(Box::new(move || p.spmm.run_views(vs).expect("runs")));
             arms.push(Box::new(move || {
                 assert!(spmm_floor(&p.slabs, (rows, cols, d), p.x.data(), ws))
             }));
-            arms.push(Box::new(move || p.sddmm.run_views(&[], vd).expect("runs")));
+            arms.push(Box::new(move || p.sddmm.run_views(vd).expect("runs")));
             arms.push(Box::new(move || assert!(sddmm_floor(&p.slabs, (rows, cols, k), ops, wd))));
         }
         let mut refs: Vec<&mut dyn FnMut()> =

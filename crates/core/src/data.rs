@@ -3,7 +3,7 @@
 //! the "indices inference" conversions), owned or in place ([`LaunchBindings`]).
 
 use sparsetir_ir::eval::TensorData;
-use sparsetir_ir::exec::{BufferPool, ViewBindings};
+use sparsetir_ir::exec::{BufferPool, CompiledKernel, ViewBindings};
 use sparsetir_smat::prelude::*;
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -45,11 +45,14 @@ pub fn bind_csr(bindings: &mut Bindings, name: &str, prefix: &str, csr: &Csr) {
     bindings.insert(name.to_string(), TensorData::from(csr.values().to_vec()));
 }
 
+/// A served kernel's non-zero-count parameter (Figure 3's `nnz: T.int32`).
+pub const NNZ: &str = "nnz";
+
 /// What a view launch binds besides its requests' operands, under the
 /// names [`bind_csr`]`(.., "A", "J", ..)` and [`bind_bucket`] use: the
 /// adjacency's values and column ids (and a hyb decomposition's buckets)
 /// borrowed, its `indptr` as the one array a launch converts (`rows + 1`
-/// words), and `N` pool scratch buffers, handed back on drop.
+/// words), [`NNZ`], and `N` pool scratch buffers, handed back on drop.
 pub struct LaunchBindings<'a, const N: usize> {
     csr: &'a Csr,
     indptr: Vec<u32>,
@@ -68,9 +71,10 @@ impl<'a, const N: usize> LaunchBindings<'a, N> {
         LaunchBindings { csr, indptr, buckets, pool, scratch: lens.map(|n| pool.acquire_f32(n)) }
     }
 
-    /// The structure and, writable under `names`, the scratch.
-    pub fn views(&mut self, names: [&'a str; N]) -> ViewBindings<'_> {
-        let mut views = ViewBindings::new();
+    /// `k`'s slot table with the structure, [`NNZ`] and the scratch (under `names`) bound.
+    pub fn views<'v>(&'v mut self, k: &'v CompiledKernel, names: [&str; N]) -> ViewBindings<'v> {
+        let mut views = ViewBindings::new(k);
+        views.bind_scalar(NNZ, self.csr.nnz() as i64);
         views.bind_slice("A", self.csr.values());
         views.bind_indices("J_indptr", &self.indptr);
         views.bind_indices("J_indices", self.csr.indices());

@@ -1,15 +1,18 @@
 //! Heap allocations of one warm served request, counted by a global
 //! allocator that tallies the calling thread's `alloc`, `alloc_zeroed` and
-//! `realloc` calls while a count is open. A warm inline SpMM binds its
-//! adjacency in place: what it still allocates is the request's own
-//! bookkeeping, its output, and the one structure array a launch converts
-//! (`indptr`).
+//! `realloc` calls while a count is open. A warm launch binds its
+//! adjacency in place, into its kernel's slots in the thread's one slot
+//! table: what a warm request still allocates is its own bookkeeping, its
+//! output, what its entry point gathers or computes per call, and the one
+//! structure array a launch converts (`indptr`).
 //!
 //! Release builds only: a debug build re-runs a keyed kernel's `build` on
 //! every cache hit to check the key (`Runtime::compile_keyed`), which
 //! allocates the whole function.
 
-use sparsetir_engine::{Adjacency, Engine, EngineConfig, Submission};
+use sparsetir_engine::{Adjacency, Engine, EngineConfig, EngineError, Submission, Ticket};
+use sparsetir_ir::exec::Runtime;
+use sparsetir_kernels::prelude::{spmm_execute_views_on, AttnHead, SpmmConfig};
 use sparsetir_smat::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -61,29 +64,94 @@ fn allocations(f: impl FnOnce()) -> usize {
     COUNT.with(|c| c.replace(None)).expect("the count is open")
 }
 
-/// One warm SpMM request on an idle one-worker engine is served on the
-/// caller's thread in 5 allocations: the ticket's reply slot, the output
-/// matrix, the launch's `indptr` words, its binding set and the executor's
-/// buffer table. Before the adjacency bound in place — three
-/// `String`-keyed maps and fresh copies of `indptr`, `indices` and the
-/// values per launch — the same request allocated 22 times, and 7 while a
-/// launch still gathered its requests' operands and outputs into lists.
-#[test]
-#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
-fn a_warm_inline_spmm_allocates_five_times() {
+/// The allocations of the third of three `sub()` requests on a fresh idle
+/// one-worker engine, each served on this thread, after checking that it
+/// answered (through `wait`) as the first did.
+fn warm_inline<T: PartialEq + std::fmt::Debug>(
+    sub: impl Fn() -> Submission,
+    wait: impl Fn(Ticket) -> Result<T, EngineError>,
+) -> usize {
     let mut rng = gen::rng(0x46);
     let adj = Adjacency::new(gen::random_csr(64, 64, 0.1, &mut rng));
-    let x = gen::random_dense(64, 16, &mut rng);
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32 });
-    let serve = |x: Dense| {
-        let ticket = engine.submit(&adj, Submission::spmm(x)).expect("admits");
-        ticket.wait_dense().expect("serves")
-    };
-    let cold = serve(x.clone());
-    serve(x.clone());
-    let (mut warm, operand) = (None, x.clone());
-    let n = allocations(|| warm = Some(serve(operand)));
+    let serve = |s: Submission| wait(engine.submit(&adj, s).expect("admits")).expect("serves");
+    let cold = serve(sub());
+    serve(sub());
+    let (mut warm, s) = (None, sub());
+    let n = allocations(|| warm = Some(serve(s)));
     assert_eq!(warm.as_ref(), Some(&cold));
     assert_eq!(engine.stats().served_inline, 3, "every request ran on this thread");
-    assert_eq!(n, 5, "allocations of one warm inline SpMM");
+    n
+}
+
+/// Operands for requests on the 64 × 64 graph, drawn from `seed`.
+fn dense(rows: usize, cols: usize, seed: u64) -> Dense {
+    gen::random_dense(rows, cols, &mut gen::rng(seed))
+}
+
+/// A warm SpMM is served in 3 allocations: the ticket's reply slot, the
+/// output matrix and the launch's `indptr` words. Before the adjacency
+/// bound in place — three `String`-keyed maps and fresh copies of
+/// `indptr`, `indices` and the values per launch — the same request
+/// allocated 22 times; 7 while a launch gathered its requests' operands and
+/// outputs into lists, and 5 while a launch made a name-keyed binding list
+/// and a buffer table of its own.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_inline_spmm_allocates_three_times() {
+    let n = warm_inline(|| Submission::spmm(dense(64, 16, 1)), Ticket::wait_dense);
+    assert_eq!(n, 3, "allocations of one warm inline SpMM");
+}
+
+/// A warm SDDMM: the reply slot, the output's non-zero values and the
+/// `indptr` words.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_inline_sddmm_allocates_three_times() {
+    let sub = || Submission::sddmm(dense(64, 8, 2), dense(8, 64, 3));
+    assert_eq!(warm_inline(sub, Ticket::wait_edges), 3, "allocations of one warm inline SDDMM");
+}
+
+/// A warm one-head fused attention: the reply slot, the request's list
+/// of outputs and its one output matrix, the three operand lists the op
+/// table hands the entry point (`qs`, `kts`, `vs`), and the `indptr`
+/// words. Its softmax scratch (`S`, `M`, `P`, `Sum`) comes back from the
+/// runtime's pool.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_inline_one_head_attention_allocates_seven_times() {
+    let sub = || {
+        let head = AttnHead { q: dense(64, 4, 4), kt: dense(4, 64, 5), v: dense(64, 4, 6) };
+        Submission::fused_attention(vec![head])
+    };
+    assert_eq!(warm_inline(sub, Ticket::wait_heads), 7, "allocations of one warm attention");
+}
+
+/// A warm fused SAGE: the reply slot, the output matrix, the inverse
+/// degrees `Dinv` the entry point computes per call, and the `indptr`
+/// words. Its `Agg` scratch comes back from the runtime's pool.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_inline_fused_sage_allocates_four_times() {
+    let sub = || Submission::fused_sage(dense(64, 8, 7), dense(8, 4, 8));
+    assert_eq!(warm_inline(sub, Ticket::wait_dense), 4, "allocations of one warm fused SAGE");
+}
+
+/// The entry point alone, on a warm runtime and into an output the caller
+/// holds, allocates once: the launch's `indptr` words.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_direct_spmm_allocates_its_indptr_once() {
+    let a = gen::random_csr(64, 64, 0.1, &mut gen::rng(0x46));
+    let (x, rt, config) = (dense(64, 16, 1), Runtime::new(), SpmmConfig::default());
+    let mut outs = [Dense::zeros(64, 16)];
+    for _ in 0..2 {
+        spmm_execute_views_on(&rt, &a, &[&x], &mut outs, &config).expect("serves");
+    }
+    let warm = outs[0].clone();
+    let n = allocations(|| {
+        spmm_execute_views_on(&rt, &a, &[&x], &mut outs, &config).expect("serves");
+    });
+    assert_eq!(outs[0], warm);
+    assert_eq!(n, 1, "allocations of one warm direct SpMM");
 }

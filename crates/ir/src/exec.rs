@@ -15,9 +15,10 @@
 //!    constants, and lower the body into a typed statement tree and from
 //!    there into flat bytecode, with no string lookups and no per-step
 //!    allocation.
-//! 2. **Execute** ([`CompiledKernel::run`]): bind scalar parameters and
-//!    tensor storage into a flat frame (a `Vec<i64>` of scalar slots and a
-//!    table of raw buffer views) and run the instruction stream on the
+//! 2. **Execute** ([`CompiledKernel::run_views`]): bind scalar parameters
+//!    and tensor storage into the launch's slot table ([`ViewBindings`]: a
+//!    `Vec<i64>` of scalar slots and a table of raw buffer views, each name
+//!    resolved when it is bound) and run the instruction stream on the
 //!    caller's thread. A loop bound to `blockIdx.*` is a serial loop here,
 //!    as in the interpreter: the binding is a GPU schedule (§3.3), which
 //!    Stage III lets the CPU lower sequentially, and a server parallelises
@@ -58,7 +59,8 @@
 //! listing — see the `disasm` submodule and the golden-file tests under
 //! `tests/golden/`.
 //!
-//! Borrowed-slice bindings live in the `views` submodule, the memory plan
+//! The slot table's bindings live in the `views` submodule (the table is
+//! per thread, beside the walk state in `bytecode`), the memory plan
 //! and scratch pool in `memory`, and the compile-once kernel cache in
 //! `runtime`; all are re-exported here.
 
@@ -70,7 +72,7 @@ use crate::stmt::{IterKind, Stmt, TensorTile};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 mod bytecode;
 mod disasm;
@@ -433,8 +435,8 @@ struct CBlock {
 // ---------------------------------------------------------------------------
 
 /// Raw view of one bound buffer. Pointers stay valid for the duration of a
-/// `run` call: function-level views point into the caller's `TensorData`
-/// map or borrowed slices (not structurally mutated during execution) and
+/// launch: function-level views point into the caller's `TensorData` map
+/// or borrowed slices (not structurally mutated during execution) and
 /// local views point into the frame's allocation arena. Element accesses
 /// are plain reads and writes ([`elem_load`], [`elem_store`]).
 #[derive(Debug, Clone, Copy)]
@@ -489,6 +491,7 @@ unsafe fn elem_store<T>(ptr: *mut T, idx: usize, v: T) {
     ptr.add(idx).write(v);
 }
 
+/// A launch's state: its slot table, moved in for the run, and scratch.
 struct Frame {
     scalars: Vec<i64>,
     bufs: Vec<RawBuf>,
@@ -940,13 +943,11 @@ fn kind_of(e: &Expr) -> Kind {
 struct Compiler {
     /// Lexically scoped name → scalar slot map (innermost last).
     var_scopes: Vec<HashMap<Rc<str>, u32>>,
-    n_slots: u32,
     /// Lexically scoped buffer name → buffer slot map.
     buf_scopes: Vec<HashMap<Rc<str>, u32>>,
-    n_bufs: u32,
-    /// Source name of each scalar slot, by slot index (disassembly).
+    /// Source name of each scalar slot, by slot index: one per slot made.
     slot_names: Vec<String>,
-    /// Source name of each buffer slot, by slot index (disassembly).
+    /// Source name of each buffer slot, by slot index: one per slot made.
     buf_names: Vec<String>,
 }
 
@@ -954,17 +955,14 @@ impl Compiler {
     fn new() -> Self {
         Compiler {
             var_scopes: vec![HashMap::new()],
-            n_slots: 0,
             buf_scopes: vec![HashMap::new()],
-            n_bufs: 0,
             slot_names: Vec::new(),
             buf_names: Vec::new(),
         }
     }
 
     fn fresh_slot(&mut self, name: &Rc<str>) -> u32 {
-        let slot = self.n_slots;
-        self.n_slots += 1;
+        let slot = self.slot_names.len() as u32;
         self.slot_names.push(name.to_string());
         self.var_scopes.last_mut().expect("scope").insert(name.clone(), slot);
         slot
@@ -975,8 +973,7 @@ impl Compiler {
     }
 
     fn fresh_buf(&mut self, name: &Rc<str>) -> u32 {
-        let slot = self.n_bufs;
-        self.n_bufs += 1;
+        let slot = self.buf_names.len() as u32;
         self.buf_names.push(name.to_string());
         self.buf_scopes.last_mut().expect("scope").insert(name.clone(), slot);
         slot
@@ -1335,22 +1332,16 @@ fn fold_int(op: IntOp, lhs: IntExpr, rhs: IntExpr) -> IntExpr {
 /// bindings without re-walking the IR.
 pub struct CompiledKernel {
     name: String,
-    /// `(param name, scalar slot)` bindings filled from the caller's map.
-    params: Vec<(String, u32)>,
-    /// `(buffer name, is_float, buffer slot)` for function-level buffers.
-    buffers: Vec<(String, bool, u32)>,
-    n_slots: u32,
-    n_bufs: u32,
+    /// The function's scalar params: scalar slots `0..n_params`.
+    n_params: u32,
+    /// The function's buffers: buffer slots `0..n_buffers`.
+    n_buffers: u32,
     /// The lowered flat instruction stream.
     code: bytecode::Code,
     fuse: bool,
-    /// Source name of every scalar slot, by index (disassembly).
+    /// Source name of every scalar slot, by index.
     slot_names: Vec<String>,
-    /// Source name of every buffer slot, by index (disassembly).
-    buf_names: Vec<String>,
-    /// Scratch scalar frames reused across invocations.
-    frame_pool: Mutex<Vec<Vec<i64>>>,
-    /// Compile-time memory requirements, one entry per buffer slot.
+    /// Compile-time memory requirements and name of every buffer slot.
     plan: MemoryPlan,
     /// Size-classed pool serving `Allocate` scratch at run time. Kernels
     /// compiled through a [`Runtime`] share its pool; standalone
@@ -1362,8 +1353,8 @@ impl fmt::Debug for CompiledKernel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompiledKernel")
             .field("name", &self.name)
-            .field("slots", &self.n_slots)
-            .field("buffers", &self.n_bufs)
+            .field("slots", &self.slot_names.len())
+            .field("buffers", &self.plan.entries.len())
             .finish()
     }
 }
@@ -1395,31 +1386,23 @@ impl CompiledKernel {
     /// constructs that the interpreter would also reject.
     pub fn compile_with(func: &PrimFunc, fuse: bool) -> Result<CompiledKernel, ExecError> {
         let mut c = Compiler::new();
-        let mut params = Vec::with_capacity(func.params.len());
         for p in &func.params {
-            let slot = c.fresh_slot(&p.name);
-            params.push((p.name.to_string(), slot));
+            c.fresh_slot(&p.name);
         }
-        let mut buffers = Vec::with_capacity(func.buffers.len());
         for b in &func.buffers {
-            let slot = c.fresh_buf(&b.name);
-            buffers.push((b.name.to_string(), b.dtype.is_float(), slot));
+            c.fresh_buf(&b.name);
         }
         // The params took the first slots, and no statement writes one.
-        let n_params = c.n_slots;
+        let (n_params, n_buffers) = (c.slot_names.len() as u32, c.buf_names.len() as u32);
         let tree = c.compile_stmt(&func.body)?;
-        let plan = MemoryPlan::of(func, &buffers, &c.buf_names, &tree);
+        let plan = MemoryPlan::of(func, c.buf_names, &tree);
         Ok(CompiledKernel {
             name: func.name.to_string(),
-            params,
-            buffers,
-            n_slots: c.n_slots,
-            n_bufs: c.n_bufs,
+            n_params,
+            n_buffers,
             code: bytecode::lower(&tree, fuse, n_params),
             fuse,
             slot_names: c.slot_names,
-            buf_names: c.buf_names,
-            frame_pool: Mutex::new(Vec::new()),
             plan,
             pool: Arc::new(BufferPool::new()),
         })
@@ -1435,7 +1418,7 @@ impl CompiledKernel {
     /// variables; diagnostic).
     #[must_use]
     pub fn scalar_slots(&self) -> usize {
-        self.n_slots as usize
+        self.slot_names.len()
     }
 
     /// Number of dense-lane microkernel instructions the fusion pass
@@ -1472,6 +1455,8 @@ impl CompiledKernel {
 
     /// Execute against named scalar parameters and tensor storage, exactly
     /// like [`crate::eval::eval_func`]. Output buffers mutate in place.
+    /// Each parameter and buffer binds into the launch's slot table, as
+    /// [`CompiledKernel::run_views`] runs it.
     ///
     /// # Errors
     /// Returns [`ExecError`] on missing bindings, divide-by-zero and
@@ -1482,77 +1467,59 @@ impl CompiledKernel {
         scalars: &HashMap<String, i64>,
         tensors: &mut HashMap<String, TensorData>,
     ) -> Result<(), ExecError> {
-        self.run_bound(
-            |name| scalars.get(name).copied(),
-            |name| tensors.get_mut(name).map(RawBuf::of),
-        )
+        let mut views = ViewBindings::new(self);
+        for (name, &v) in scalars {
+            views.bind_scalar(name, v);
+        }
+        // Distinct keys, one tensor each, borrowed unchanged for the launch.
+        for (name, t) in tensors.iter_mut() {
+            views.bind(name, RawBuf::of(t));
+        }
+        self.run_views(&mut views)
     }
 
-    /// Execute like [`CompiledKernel::run`], but on borrowed flat slices
-    /// of caller-owned storage instead of whole tensors, with the scalar
-    /// params as `(name, value)` pairs. This is the zero-copy entry: a
-    /// batch re-binds each rider's operands and output and launches once
-    /// per rider, writing straight into the rider's result buffer. Error
+    /// Execute on `views`, the slot table bound for this kernel: on
+    /// borrowed flat slices of caller-owned storage instead of whole
+    /// tensors. This is the zero-copy entry: a batch re-binds each rider's
+    /// operands and output and launches once per rider, writing straight
+    /// into the rider's result buffer. The names were resolved when the
+    /// bindings were made; a launch checks that every parameter and
+    /// function-level buffer is bound, with its dtype, and runs — it
+    /// resolves no name, allocates no table and takes no lock. Error
     /// conditions and wording match `run`; stores to a read-only binding
     /// fail with a "read-only view" error.
     ///
     /// # Errors
     /// Returns [`ExecError`] on missing bindings, dtype mismatches and
     /// the interpreter's run-time error conditions.
-    pub fn run_views(
-        &self,
-        scalars: &[(&str, i64)],
-        views: &mut ViewBindings<'_>,
-    ) -> Result<(), ExecError> {
-        let scalar = |name: &str| scalars.iter().find(|(n, _)| *n == name).map(|&(_, v)| v);
-        self.run_bound(scalar, |name| views.map.iter().find(|(n, _)| *n == name).map(|b| b.1))
-    }
-
-    /// Shared body of [`CompiledKernel::run`] and
-    /// [`CompiledKernel::run_views`]: fill a pooled scalar frame from the
-    /// named params through `scalar`, resolve every function-level buffer
-    /// through `lookup` (the binding's raw view, `None` when unbound),
-    /// then execute. The scalar frame goes back to the pool on every exit,
-    /// a refused launch's included.
     ///
-    /// The `RawBuf` views outlive the `lookup` borrows that produced
-    /// them; this is sound because the caller's bindings are not
-    /// structurally mutated while the frame is live and buffer names are
-    /// distinct keys.
-    fn run_bound(
-        &self,
-        scalar: impl Fn(&str) -> Option<i64>,
-        mut lookup: impl FnMut(&str) -> Option<RawBuf>,
-    ) -> Result<(), ExecError> {
-        let frames = || self.frame_pool.lock().expect("nothing panics under the pool lock");
+    /// # Panics
+    /// Panics when `views` was made for another kernel.
+    pub fn run_views(&self, views: &mut ViewBindings<'_>) -> Result<(), ExecError> {
+        assert!(std::ptr::eq(views.kernel, self), "bindings made for another kernel");
+        let table = &mut views.slots;
+        if let Some(p) = table.bound.iter().position(|b| !b) {
+            return Err(ExecError::new(format!("missing scalar param `{}`", self.slot_names[p])));
+        }
+        let args = &self.plan.entries[..self.n_buffers as usize];
+        for (raw, PlanEntry { name, is_float, .. }) in table.bufs.iter().zip(args) {
+            let refusal = match *raw {
+                RawBuf::Absent => format!("missing tensor binding for buffer `{name}`"),
+                raw if *is_float != matches!(raw, RawBuf::F32 { .. }) => {
+                    format!("buffer `{name}` bound to storage of mismatched dtype")
+                }
+                _ => continue,
+            };
+            return Err(ExecError::new(refusal));
+        }
         let mut frame = Frame {
-            scalars: frames().pop().unwrap_or_default(),
-            bufs: vec![RawBuf::Absent; self.n_bufs as usize],
+            scalars: std::mem::take(&mut table.scalars),
+            bufs: std::mem::take(&mut table.bufs),
             locals: Vec::new(),
             pool: Arc::clone(&self.pool),
         };
-        frame.scalars.resize(self.n_slots as usize, 0);
-        let mut bind = || {
-            for (name, slot) in &self.params {
-                let v = scalar(name)
-                    .ok_or_else(|| ExecError::new(format!("missing scalar param `{name}`")))?;
-                frame.scalars[*slot as usize] = v;
-            }
-            for (name, is_float, slot) in &self.buffers {
-                let raw = lookup(name).ok_or_else(|| {
-                    ExecError::new(format!("missing tensor binding for buffer `{name}`"))
-                })?;
-                if *is_float != matches!(raw, RawBuf::F32 { .. }) {
-                    return Err(ExecError::new(format!(
-                        "buffer `{name}` bound to storage of mismatched dtype"
-                    )));
-                }
-                frame.bufs[*slot as usize] = raw;
-            }
-            Ok(())
-        };
-        let result = bind().and_then(|()| self.code.exec(&mut frame));
-        frames().push(frame.scalars);
+        let result = self.code.exec(&mut frame);
+        (table.scalars, table.bufs) = (frame.scalars, frame.bufs);
         result
     }
 

@@ -51,8 +51,10 @@
 //!   one slab per launching thread ([`WALKS`]), handed back empty after
 //!   every launch: a warm launch allocates no walk state, a kernel keeps
 //!   none. Entries, hand-overs and the entries and trips a block took are
-//!   counted per launch and added to the [`Code`]'s totals when `exec`
-//!   returns ([`Code::nest_counts`]).
+//!   counted per launch and added to the [`Code`]'s atomic totals when
+//!   `exec` returns ([`Code::nest_counts`]).
+//! * **A launch's slot table is per thread too** ([`SLOTS`]): taken when its
+//!   [`ViewBindings`](super::ViewBindings) are made, handed back when they drop.
 //!
 //! A launch is one pass of this loop on the caller's thread: a
 //! `blockIdx`-bound loop is a `LoopStart` like any other.
@@ -69,7 +71,7 @@ use super::{
 };
 use std::cell::Cell;
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One flat-stream instruction. Jump targets are absolute instruction
 /// indices into the owning [`Code`].
@@ -149,8 +151,8 @@ pub(super) enum Instr {
 pub(super) struct Code {
     instrs: Vec<Instr>,
     fused_ops: usize,
-    /// What the row nests counted, summed over every run.
-    nest_counts: Mutex<NestCounts>,
+    /// What the row nests counted over every run, [`NestCounts`]' fields.
+    nest_counts: [AtomicU64; 5],
 }
 
 /// Lower a compiled statement tree to flat bytecode. When `fuse` is set,
@@ -608,7 +610,7 @@ struct LoopFrame {
 }
 
 /// What a row nest keeps from one entry to the next within a launch.
-struct Kept {
+pub(super) struct Kept {
     /// The launch-invariant walk state — with what the launch solved for
     /// the blocks over the nest; `None` when the nest's bindings are of a
     /// kind the blocks do not cover (every entry then goes to the generic
@@ -626,23 +628,27 @@ thread_local! {
     /// kept ([`State`]'s `Drop`), every nest unestablished for the next
     /// launch of any kernel — so a warm launch allocates no walk state, and
     /// a kernel keeps none between launches.
-    static WALKS: Cell<Vec<Option<Kept>>> = const { Cell::new(Vec::new()) };
+    pub(super) static WALKS: Cell<Vec<Option<Kept>>> = const { Cell::new(Vec::new()) };
+
+    /// The slot table of the launch being bound on this thread, handed back
+    /// cleared; a binding set made while another is live gets its own.
+    pub(super) static SLOTS: Cell<Slots> =
+        const { Cell::new(Slots { scalars: Vec::new(), bound: Vec::new(), bufs: Vec::new() }) };
+}
+
+/// A launch's slot table, sized to its kernel: the scalar frame, which
+/// params are bound, and one view per buffer slot (`Absent` until bound).
+#[derive(Default)]
+pub(super) struct Slots {
+    pub(super) scalars: Vec<i64>,
+    pub(super) bound: Vec<bool>,
+    pub(super) bufs: Vec<RawBuf>,
 }
 
 /// Nests [`WALKS`] has room for from a thread's first launch: more than a
 /// served kernel has (`hyb(c, k)`: one per non-empty bucket, plus the
 /// init), so the slab stays where that launch put it.
 const RESERVED_NESTS: usize = 64;
-
-/// Length, capacity and address of this thread's walk-state slab (the
-/// pool's tests).
-#[cfg(test)]
-pub(super) fn walk_slab() -> (usize, usize, usize) {
-    let slab = WALKS.take();
-    let seen = (slab.len(), slab.capacity(), slab.as_ptr() as usize);
-    WALKS.set(slab);
-    seen
-}
 
 /// Mutable interpreter state threaded through [`dispatch`] alongside the
 /// frame: the loop stack, the alloc shadow stack, and what the row nests
@@ -722,7 +728,9 @@ impl Code {
 
     /// What the stream's row nests did, summed over every run so far.
     pub(super) fn nest_counts(&self) -> NestCounts {
-        *self.nest_counts.lock().expect("no panic while counting")
+        let [entries, handovers, trips, stepped, blocked] =
+            self.nest_counts.each_ref().map(|n| n.load(Ordering::Relaxed));
+        NestCounts { entries, handovers, trips, stepped, blocked }
     }
 
     /// Execute the whole stream against `fr`, on this thread.
@@ -736,7 +744,11 @@ impl Code {
             st.kept.reserve_exact(RESERVED_NESTS);
         }
         let result = dispatch(&self.instrs, fr, &mut st);
-        self.nest_counts.lock().expect("no panic while counting").add(st.counts);
+        let c = st.counts;
+        let counts = [c.entries, c.handovers, c.trips, c.stepped, c.blocked];
+        for (total, n) in self.nest_counts.iter().zip(counts) {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
         result
     }
 }

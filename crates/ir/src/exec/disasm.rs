@@ -23,21 +23,21 @@ use std::fmt::Write as _;
 pub(super) fn render(k: &CompiledKernel, code: &Code) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ";; kernel `{}` fuse={}", k.name, if k.fuse { "on" } else { "off" });
-    if k.params.is_empty() {
+    if k.n_params == 0 {
         out.push_str(";; params: (none)\n");
     } else {
-        let cells: Vec<String> =
-            k.params.iter().map(|(name, slot)| format!("%{slot}={name}")).collect();
+        let params = k.slot_names[..k.n_params as usize].iter().enumerate();
+        let cells: Vec<String> = params.map(|(slot, name)| format!("%{slot}={name}")).collect();
         let _ = writeln!(out, ";; params: {}", cells.join("  "));
     }
     out.push_str(";; buffers:\n");
-    for (slot, name) in k.buf_names.iter().enumerate() {
-        let dtype = k
-            .buffers
-            .iter()
-            .find(|(_, _, s)| *s as usize == slot)
-            .map_or("local", |(_, is_float, _)| if *is_float { "f32" } else { "i32" });
-        let _ = writeln!(out, ";;   @{slot} = {name} : {dtype}");
+    for (slot, e) in k.plan.entries.iter().enumerate() {
+        let dtype = match (e.local, e.is_float) {
+            (true, _) => "local",
+            (false, true) => "f32",
+            (false, false) => "i32",
+        };
+        let _ = writeln!(out, ";;   @{slot} = {} : {dtype}", e.name);
     }
     out.push_str(";; slots:\n");
     for (slot, name) in k.slot_names.iter().enumerate() {

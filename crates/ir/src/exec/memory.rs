@@ -39,32 +39,19 @@ pub struct MemoryPlan {
 }
 
 impl MemoryPlan {
-    pub(super) fn of(
-        func: &PrimFunc,
-        buffers: &[(String, bool, u32)],
-        buf_names: &[String],
-        tree: &CStmt,
-    ) -> MemoryPlan {
+    /// `func`'s plan: its buffers are the first of the named slots.
+    pub(super) fn of(func: &PrimFunc, buf_names: Vec<String>, tree: &CStmt) -> MemoryPlan {
         let mut entries: Vec<PlanEntry> = buf_names
-            .iter()
-            .map(|n| PlanEntry {
-                name: n.clone(),
-                is_float: true,
-                len: None,
-                symbolic: None,
-                local: true,
-            })
+            .into_iter()
+            .map(|name| PlanEntry { name, is_float: true, len: None, symbolic: None, local: true })
             .collect();
-        for (name, is_float, slot) in buffers {
-            let e = &mut entries[*slot as usize];
+        for (e, b) in entries.iter_mut().zip(&func.buffers) {
             e.local = false;
-            e.is_float = *is_float;
-            if let Some(b) = func.buffers.iter().find(|b| &*b.name == name.as_str()) {
-                e.len = const_shape_product(&b.shape);
-                if e.len.is_none() {
-                    let dims: Vec<String> = b.shape.iter().map(print_expr).collect();
-                    e.symbolic = Some(dims.join(" * "));
-                }
+            e.is_float = b.dtype.is_float();
+            e.len = const_shape_product(&b.shape);
+            if e.len.is_none() {
+                let dims: Vec<String> = b.shape.iter().map(print_expr).collect();
+                e.symbolic = Some(dims.join(" * "));
             }
         }
         collect_allocs(tree, &mut entries);

@@ -503,6 +503,10 @@ fn fused_bounds_violation_falls_back_with_identical_error() {
     assert_eq!(tensors["C"], t2["C"]);
 }
 
+/// A launch's slot table is this thread's one table: every run takes it
+/// when its bindings are made and hands it back cleared, its capacity
+/// kept — a refused one too — so each warm launch reuses the table the
+/// first one grew, of this kernel or another.
 #[test]
 fn frames_are_reused_across_runs() {
     let i = Var::i32("i");
@@ -517,18 +521,33 @@ fn frames_are_reused_across_runs() {
         },
     );
     let f = PrimFunc::new("iota8", vec![], vec![c], body);
-    let k = CompiledKernel::compile(&f).unwrap();
+    let kernels =
+        [CompiledKernel::compile(&f).unwrap(), CompiledKernel::compile_with(&f, false).unwrap()];
     let mut tensors = HashMap::new();
     tensors.insert("C".to_string(), TensorData::zeros(DType::F32, 8));
-    for _ in 0..3 {
-        k.run(&HashMap::new(), &mut tensors).unwrap();
+    let mut table = None;
+    for launch in 0..3 {
+        for k in &kernels {
+            k.run(&HashMap::new(), &mut tensors).unwrap();
+            let mut out = [0.0f32; 8];
+            let mut views = ViewBindings::new(k);
+            assert_eq!(slot_table(), None, "launch {launch}: the bindings hold the table");
+            views.bind_slice_mut("C", &mut out);
+            k.run_views(&mut views).unwrap();
+            drop(views);
+            assert_eq!(out, [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+            let seen = slot_table().expect("handed back cleared");
+            assert_eq!(*table.get_or_insert(seen), seen, "launch {launch} reused the table");
+            let refused = k.run(&HashMap::new(), &mut HashMap::new()).unwrap_err();
+            assert_eq!(refused.message, "missing tensor binding for buffer `C`");
+            assert_eq!(slot_table(), table, "launch {launch}: refused, table kept");
+        }
     }
-    assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "scratch frame is pooled");
 }
 
 /// A launch refused before it runs — a missing scalar param, a missing
-/// binding, a dtype mismatch — hands its pooled scalar frame back like a
-/// launch that ran: the pool keeps its one frame.
+/// binding, a dtype mismatch — hands its slot table back like a launch
+/// that ran: the thread keeps its one table, cleared, for the next.
 #[test]
 fn refused_launches_return_their_frame() {
     let (i, n) = (Var::i32("i"), Var::i32("n"));
@@ -546,6 +565,7 @@ fn refused_launches_return_their_frame() {
     let scalars = HashMap::from([("n".to_string(), 8i64)]);
     let floats = HashMap::from([("C".to_string(), TensorData::zeros(DType::F32, 8))]);
     k.run(&scalars, &mut floats.clone()).unwrap();
+    let table = slot_table().expect("handed back cleared");
     let ints = HashMap::from([("C".to_string(), TensorData::zeros(DType::I32, 8))]);
     let refusals = [
         (HashMap::new(), floats, "missing scalar param `n`"),
@@ -555,18 +575,47 @@ fn refused_launches_return_their_frame() {
     for (scalars, mut tensors, says) in refusals {
         let err = k.run(&scalars, &mut tensors).unwrap_err();
         assert_eq!(err.message, says);
-        assert_eq!(k.frame_pool.lock().unwrap().len(), 1, "{says}: the frame is pooled again");
+        assert_eq!(slot_table(), Some(table), "{says}: the table is handed back");
     }
+    // Through views too: an index array where `C`'s floats belong.
+    let words = [0u32; 8];
+    let mut views = ViewBindings::new(&k);
+    views.bind_scalar("n", 8);
+    views.bind_indices("C", &words);
+    let err = k.run_views(&mut views).unwrap_err();
+    assert_eq!(err.message, "buffer `C` bound to storage of mismatched dtype");
+    drop(views);
+    assert_eq!(slot_table(), Some(table), "refused views hand the table back");
 }
 
-/// A frame over `tensors` like the one `run_bound` builds.
+/// Length, capacity and address of this thread's walk-state slab.
+fn walk_slab() -> (usize, usize, usize) {
+    let slab = bytecode::WALKS.take();
+    let seen = (slab.len(), slab.capacity(), slab.as_ptr() as usize);
+    bytecode::WALKS.set(slab);
+    seen
+}
+
+/// Where this thread's slot table keeps its scalar frame and buffer
+/// table, while the thread holds it cleared and with storage — `None`
+/// while a binding set holds it or after it was dropped.
+fn slot_table() -> Option<[usize; 2]> {
+    let table = bytecode::SLOTS.take();
+    let at = [table.scalars.as_ptr() as usize, table.bufs.as_ptr() as usize];
+    let cleared = table.scalars.is_empty() && table.bound.is_empty() && table.bufs.is_empty();
+    let held = cleared && table.bufs.capacity() > 0;
+    bytecode::SLOTS.set(table);
+    held.then_some(at)
+}
+
+/// A frame over `tensors` like the one `run` binds.
 fn frame_of(k: &CompiledKernel, tensors: &mut HashMap<String, TensorData>) -> Frame {
-    let mut bufs = vec![RawBuf::Absent; k.n_bufs as usize];
-    for (name, _, slot) in &k.buffers {
-        bufs[*slot as usize] = RawBuf::of(tensors.get_mut(name).expect("bound"));
+    let mut bufs = vec![RawBuf::Absent; k.plan.entries.len()];
+    for (slot, e) in k.plan.entries[..k.n_buffers as usize].iter().enumerate() {
+        bufs[slot] = RawBuf::of(tensors.get_mut(&e.name).expect("bound"));
     }
     Frame {
-        scalars: vec![0; k.n_slots as usize],
+        scalars: vec![0; k.slot_names.len()],
         bufs,
         locals: Vec::new(),
         pool: Arc::clone(&k.pool),
@@ -838,6 +887,26 @@ fn nest_reports_the_first_trip_it_cannot_take() {
     assert_eq!((counts.entries, counts.blocked, counts.handovers), (1, 0, 1));
 }
 
+/// A binding resolves its name when it is made: a name the kernel lacks
+/// is ignored (the scalar `n`, the buffer `D`), and binding a name again
+/// replaces its earlier binding.
+#[test]
+fn unknown_names_are_ignored_and_a_rebinding_replaces() {
+    let kernel = CompiledKernel::compile(&axpy_func(4)).unwrap();
+    let (a, b, stale) = ([2.0f32], [1.0f32, 2.0, 3.0, 4.0], [0.0f32; 2]);
+    let mut c = [9.0f32; 4];
+    let mut views = ViewBindings::new(&kernel);
+    views.bind_scalar("n", 4);
+    views.bind_slice("D", &b);
+    views.bind_slice("A", &stale);
+    views.bind_slice("A", &a);
+    views.bind_slice("B", &b);
+    views.bind_slice_mut("C", &mut c);
+    kernel.run_views(&mut views).unwrap();
+    drop(views);
+    assert_eq!(c, [6.0, 12.0, 18.0, 24.0]);
+}
+
 /// Empty views are valid bindings, not dangling-pointer arithmetic: empty
 /// slices (what a zero-row adjacency's SpMM operands and output are) bind,
 /// and every index a kernel then tries fails the bounds check on both
@@ -848,11 +917,11 @@ fn empty_views_construct_and_reject_every_index() {
     for fuse in [true, false] {
         let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
         let (a, mut c) = ([1.5f32], Vec::<f32>::new());
-        let mut views = ViewBindings::new();
+        let mut views = ViewBindings::new(&kernel);
         views.bind_slice("A", &a);
         views.bind_slice("B", &[]);
         views.bind_slice_mut("C", &mut c);
-        let err = kernel.run_views(&[], &mut views).unwrap_err().to_string();
+        let err = kernel.run_views(&mut views).unwrap_err().to_string();
         assert!(err.contains("out of bounds"), "fuse={fuse}: {err}");
     }
 }
@@ -881,16 +950,17 @@ fn index_views_read_in_place_and_refuse_stores() {
     let words = [7u32, 0, u32::MAX];
     for fuse in [true, false] {
         let mut out = vec![0.0f32; 3];
-        let mut views = ViewBindings::new();
+        let kernel = CompiledKernel::compile_with(&read, fuse).unwrap();
+        let mut views = ViewBindings::new(&kernel);
         views.bind_indices("J", &words);
         views.bind_slice_mut("C", &mut out);
-        CompiledKernel::compile_with(&read, fuse).unwrap().run_views(&[], &mut views).unwrap();
+        kernel.run_views(&mut views).unwrap();
         drop(views);
         assert_eq!(out, [7.0, 0.0, -1.0], "fuse={fuse}");
-        let mut views = ViewBindings::new();
-        views.bind_indices("J", &words);
         let kernel = CompiledKernel::compile_with(&write, fuse).unwrap();
-        let err = kernel.run_views(&[], &mut views).unwrap_err().to_string();
+        let mut views = ViewBindings::new(&kernel);
+        views.bind_indices("J", &words);
+        let err = kernel.run_views(&mut views).unwrap_err().to_string();
         assert_eq!(err, "executor error: buffer `J` is bound to a read-only view", "fuse={fuse}");
     }
     assert_eq!(words, [7, 0, u32::MAX]);
@@ -922,7 +992,7 @@ fn walk_state_is_one_slab_per_thread() {
             let mut t = tensors.clone();
             kernel.run(&HashMap::new(), &mut t).unwrap();
             assert_eq!(t["C"], interp["C"], "launch {launch}");
-            let (len, capacity, at) = bytecode::walk_slab();
+            let (len, capacity, at) = walk_slab();
             assert!(len == 0 && capacity >= 1, "handed back empty, capacity kept");
             assert_eq!(*slab.get_or_insert(at), at, "launch {launch} reused the first one's slab");
         }

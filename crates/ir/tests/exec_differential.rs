@@ -1090,9 +1090,13 @@ impl Held {
         held
     }
 
-    /// A binding set holding these tensors and `parts`.
-    fn views<'a>(&'a mut self, parts: &'a mut [Part]) -> ViewBindings<'a> {
-        let mut views = ViewBindings::new();
+    /// `kernel`'s binding set holding these tensors and `parts`.
+    fn views<'a>(
+        &'a mut self,
+        kernel: &'a CompiledKernel,
+        parts: &'a mut [Part],
+    ) -> ViewBindings<'a> {
+        let mut views = ViewBindings::new(kernel);
         for (name, data) in &mut self.floats {
             views.bind_slice_mut(name, data);
         }
@@ -1144,8 +1148,8 @@ fn views_differential(
 
         let mut held = Held::of(structure);
         let mut sliced = parts.to_vec();
-        let mut views = held.views(&mut sliced);
-        let ran_views = kernel.run_views(&[], &mut views).map_err(|e| e.to_string());
+        let mut views = held.views(&kernel, &mut sliced);
+        let ran_views = kernel.run_views(&mut views).map_err(|e| e.to_string());
         drop(views);
 
         assert_eq!(ran_whole, ran_views, "[{label}] run vs run_views outcome");
@@ -1333,11 +1337,9 @@ fn views_short_segment_and_read_only_store_fail_identically() {
         let before = parts.last().unwrap().data.clone();
         for (fuse, label) in EXECUTORS {
             let mut held = Held::of(structure);
-            let mut views = held.views(&mut parts);
-            let ran = CompiledKernel::compile_with(&f, fuse)
-                .unwrap()
-                .run_views(&[], &mut views)
-                .map_err(|e| e.to_string());
+            let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+            let mut views = held.views(&kernel, &mut parts);
+            let ran = kernel.run_views(&mut views).map_err(|e| e.to_string());
             let want = format!("executor error: buffer `{out}` is bound to a read-only view");
             assert_eq!(ran, Err(want), "{what} [{label}]");
             drop(views);
@@ -2081,7 +2083,7 @@ fn view_launch(
 ) -> (NestCounts, Vec<Part>) {
     let kernel = CompiledKernel::compile(f).unwrap();
     let (mut held, mut parts) = (Held::of(structure), parts.to_vec());
-    kernel.run_views(&[], &mut held.views(&mut parts)).unwrap();
+    kernel.run_views(&mut held.views(&kernel, &mut parts)).unwrap();
     (kernel.nest_counts(), parts)
 }
 
@@ -2121,7 +2123,7 @@ fn stepped_spmm_bit_matches_at_every_width_and_batch() {
             for (i, rider) in riders.iter().enumerate() {
                 assert_eq!(views_differential(&f, &structure, rider), [None, None], "{what}");
                 let mut served = rider.clone();
-                kernel.run_views(&[], &mut held.views(&mut served)).unwrap();
+                kernel.run_views(&mut held.views(&kernel, &mut served)).unwrap();
                 let (solo, alone) = view_launch(&f, &structure, rider);
                 assert_stepped(solo, a.nnz() as u64, &what);
                 let [served_c, alone_c] =

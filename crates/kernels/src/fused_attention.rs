@@ -14,9 +14,9 @@
 //! `h` owning `feat` consecutive columns, `KT` `heads·feat × n` with the
 //! heads' key transposes stacked row-wise, `V` `n × heads·vfeat` and the
 //! output `m × heads·vfeat` column-stacked — and is what the pipeline
-//! oracle and the tests bind. A request is a list of [`AttnHead`]s;
-//! flattening requests into heads and regrouping the outputs is the
-//! serving engine's.
+//! oracle and the tests bind. A served request is a list of [`AttnHead`]s
+//! and one entry-point call: the adjacency and scratch bind once, and each
+//! head re-binds its operands and output and launches.
 //!
 //! ## Numerical contract
 //!
@@ -46,7 +46,7 @@
 //! is never evaluated there); for non-empty rows the partition sum is
 //! ≥ 1 by max-shifting, so the folded `P/Sum` coefficient is safe.
 
-use crate::spec::{KernelResult, KernelSpec, NNZ};
+use crate::spec::{KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -225,13 +225,13 @@ pub fn fused_attention_views_on(
     let kernel = KernelSpec::FusedAttention { a: a.into(), k, vfeat }.compile_on(rt)?;
     let mut launch =
         LaunchBindings::new(rt.pool(), a, None, [a.nnz(), a.rows(), a.nnz(), a.rows()]);
-    let mut views = launch.views(["S", "M", "P", "Sum"]);
+    let mut views = launch.views(&kernel, ["S", "M", "P", "Sum"]);
     for (h, out) in outs.iter_mut().enumerate() {
         views.bind_slice("Q", qs[h].data());
         views.bind_slice("KT", kts[h].data());
         views.bind_slice("V", vs[h].data());
         views.bind_slice_mut("Out", out.data_mut());
-        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
+        kernel.run_views(&mut views)?;
     }
     Ok(())
 }
@@ -241,11 +241,11 @@ pub fn fused_attention_views_on(
 /// programs over the operands [`fused_attention_views_on`] takes — the
 /// heads' `Q`, `KT` and `V` copied into the stacked tensors the programs
 /// are written against, and the stacked `Out` split back into the outputs
-/// after the last launch — bit-identical to it (see the module docs). The
-/// launches share one binding set, so the intermediates (`S`, then
-/// `P`/`Sum`) stay in place between them instead of round-tripping through
-/// fresh copies. Compiles three kernels on `rt` where the fused entry point
-/// compiles one.
+/// after the last launch — bit-identical to it (see the module docs). Each
+/// launch binds the same storage into its kernel's slots, so the
+/// intermediates (`S`, then `P`/`Sum`, pool scratch) stay in place between
+/// them instead of round-tripping through fresh copies. Compiles three
+/// kernels on `rt` where the fused entry point compiles one.
 ///
 /// # Errors
 /// As [`fused_attention_views_on`].
@@ -264,19 +264,19 @@ pub fn attention_pipeline_oracle(
     let mut out = vec![0.0f32; a.rows() * heads * w];
     let (nnz, rows) = (a.nnz() * heads, a.rows() * heads);
     let mut launch = LaunchBindings::new(rt.pool(), a, None, [nnz, rows, nnz, rows]);
-    let mut views = launch.views(["S", "M", "P", "Sum"]);
-    views.bind_slice("Q", &q);
-    views.bind_slice("KT", &kt);
-    views.bind_slice("V", &v);
-    views.bind_slice_mut("Out", &mut out);
     for f in [
         attention_score_ir(a, heads, k)?,
         edge_softmax_ir(a, heads)?,
         attention_aggregate_ir(a, heads, w)?,
     ] {
-        rt.compile(&f)?.run_views(&[], &mut views)?;
+        let kernel = rt.compile(&f)?;
+        let mut views = launch.views(&kernel, ["S", "M", "P", "Sum"]);
+        views.bind_slice("Q", &q);
+        views.bind_slice("KT", &kt);
+        views.bind_slice("V", &v);
+        views.bind_slice_mut("Out", &mut out);
+        kernel.run_views(&mut views)?;
     }
-    drop(views);
     for (h, o) in outs.iter_mut().enumerate() {
         for r in 0..a.rows() {
             let at = (r * heads + h) * w;

@@ -24,7 +24,7 @@
 //! adjacency the grouping differs (`Σ (x/deg)` vs `(Σ x)/deg`), so that
 //! comparison is relative-epsilon, not bit equality.
 
-use crate::spec::{KernelResult, KernelSpec, NNZ};
+use crate::spec::{KernelResult, KernelSpec};
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -78,27 +78,28 @@ pub fn check_shapes(a: &Csr, x: &Dense, w: &Dense) -> Result<(), String> {
 }
 
 /// What the fused entry point and the pipeline oracle share: validate
-/// the shapes, bind the adjacency in place, `Dinv`, the pool-drawn `Agg`
-/// intermediate, `X`, `W` and the returned matrix's storage as `H1`, and
-/// run `launches` on those bindings.
-fn with_operands(
+/// the shapes, compile `kernels`, and launch each in order with the
+/// adjacency in place, `Dinv`, the pool-drawn `Agg` intermediate, `X`, `W`
+/// and the returned matrix's storage as `H1` bound into its slots.
+fn with_operands<const K: usize>(
     rt: &Runtime,
     a: &Csr,
     x: &Dense,
     w: &Dense,
-    launches: impl FnOnce(&mut ViewBindings<'_>) -> KernelResult<()>,
+    kernels: impl FnOnce() -> KernelResult<[std::sync::Arc<CompiledKernel>; K]>,
 ) -> KernelResult<Dense> {
     check_shapes(a, x, w).map_err(|e| format!("fused sage: {e}"))?;
     let mut out = Dense::zeros(a.rows(), w.cols());
     let dinv = inverse_degrees(a);
     let mut launch = LaunchBindings::new(rt.pool(), a, None, [a.rows() * x.cols()]);
-    let mut views = launch.views(["Agg"]);
-    views.bind_slice("Dinv", &dinv);
-    views.bind_slice("X", x.data());
-    views.bind_slice("W", w.data());
-    views.bind_slice_mut("H1", out.data_mut());
-    launches(&mut views)?;
-    drop(views);
+    for kernel in kernels()? {
+        let mut views = launch.views(&kernel, ["Agg"]);
+        views.bind_slice("Dinv", &dinv);
+        views.bind_slice("X", x.data());
+        views.bind_slice("W", w.data());
+        views.bind_slice_mut("H1", out.data_mut());
+        kernel.run_views(&mut views)?;
+    }
     Ok(out)
 }
 
@@ -114,9 +115,7 @@ fn with_operands(
 /// lowering/execution errors.
 pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
     let spec = KernelSpec::FusedSage { a: a.into(), feat: x.cols(), hidden: w.cols() };
-    with_operands(rt, a, x, w, |views| {
-        Ok(spec.compile_on(rt)?.run_views(&[(NNZ, a.nnz() as i64)], views)?)
-    })
+    with_operands(rt, a, x, w, || Ok([spec.compile_on(rt)?]))
 }
 
 /// **Test reference, not a serving path:** the same layer step as two
@@ -129,10 +128,9 @@ pub fn fused_sage_execute_on(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> Ker
 /// As [`fused_sage_execute_on`].
 pub fn sage_pipeline_oracle(rt: &Runtime, a: &Csr, x: &Dense, w: &Dense) -> KernelResult<Dense> {
     let (feat, hidden) = (x.cols(), w.cols());
-    with_operands(rt, a, x, w, |views| {
-        rt.compile(&sage_gather_ir(a, feat)?)?.run_views(&[], views)?;
+    with_operands(rt, a, x, w, || {
         let matmul = lower(&sage_matmul_program(a.rows(), feat, hidden))?;
-        Ok(rt.compile(&matmul)?.run_views(&[], views)?)
+        Ok([rt.compile(&sage_gather_ir(a, feat)?)?, rt.compile(&matmul)?])
     })
 }
 

@@ -6,7 +6,7 @@
 //! balancing — is priced by `sparsetir_plans` and kept here only as a test
 //! oracle.
 
-use crate::spec::{KernelSpec, NNZ};
+use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -84,12 +84,12 @@ pub fn sddmm_execute_views_on(
     }
     let kernel = KernelSpec::Sddmm { a: a.into(), k }.compile_on(rt)?;
     let mut launch = LaunchBindings::new(rt.pool(), a, None, []);
-    let mut views = launch.views([]);
+    let mut views = launch.views(&kernel, []);
     for ((x, y), out) in reqs.iter().zip(outs.iter_mut()) {
         views.bind_slice("X", x.data());
         views.bind_slice("Y", y.data());
         views.bind_slice_mut("Bout", out);
-        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
+        kernel.run_views(&mut views)?;
     }
     Ok(())
 }

@@ -5,8 +5,8 @@
 //! (§3, Stages I–III), and every `*_ir` builder reads only the adjacency's
 //! `rows / cols`, the request shape and its schedule parameters: the
 //! non-zero count is the kernel's scalar parameter [`NNZ`] (Figure 3's
-//! `nnz: T.int32`), which every launch binds. A
-//! [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
+//! `nnz: T.int32`), which every launch binds ([`LaunchBindings::views`]).
+//! A [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
 //! with no `Csr` in scope — so the function cannot depend on anything the
 //! spec leaves out — and [`KernelSpec::compile_on`] hands the spec itself
 //! to [`Runtime::compile_keyed`] as the key: a warm launch hashes a few
@@ -16,16 +16,13 @@
 //! adds or deletes edges compiles nothing.
 
 use crate::spmm::CsrSpmmParams;
+use sparsetir_core::data::NNZ;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 use std::sync::Arc;
 
 pub(crate) type KernelResult<T> = Result<T, Box<dyn std::error::Error>>;
-
-/// The scalar parameter a served kernel takes its adjacency's non-zero
-/// count as.
-pub(crate) const NNZ: &str = "nnz";
 
 /// All a Stage I program reads of an adjacency; its non-zero count is a
 /// launch parameter.
@@ -98,18 +95,11 @@ impl KernelSpec {
     }
 
     /// The spec's function with `nnz` the adjacency's non-zero count: the
-    /// parameter [`NNZ`], or a constant.
+    /// parameter [`NNZ`], or a constant; debug builds [`validate`] the
+    /// Stage I program and [`verify`] the function.
     fn build_with(&self, nnz: Expr) -> KernelResult<PrimFunc> {
-        match *self {
-            KernelSpec::CsrSpmm { a, feat, rows_per_block, k_factor } => {
-                let f = lower(&spmm_program(a.rows, a.cols, nnz, feat))?;
-                let mut sch = Schedule::new(f);
-                let (io, _ii) = sch.split("i", rows_per_block as i64)?;
-                sch.bind(&io, ThreadAxis::BlockIdxX)?;
-                let (_, ki) = sch.split("k", k_factor as i64)?;
-                sch.bind(&ki, ThreadAxis::ThreadIdxX)?;
-                Ok(sch.into_func())
-            }
+        let program = match *self {
+            KernelSpec::CsrSpmm { a, feat, .. } => spmm_program(a.rows, a.cols, nnz, feat),
             KernelSpec::HybSpmm { a, feat, ref buckets } => {
                 let program = spmm_program(a.rows, a.cols, nnz, feat);
                 let rule = |&(partition, width, len): &(usize, usize, usize)| {
@@ -117,18 +107,28 @@ impl KernelSpec {
                     FormatRewriteRule::bucket_ell("A", &tag, width, len, a.cols)
                 };
                 let rules: Vec<_> = buckets.iter().map(rule).collect();
-                Ok(lower(&decompose_format(&program, &rules)?.strip_copies())?)
+                decompose_format(&program, &rules)?.strip_copies()
             }
-            KernelSpec::Sddmm { a, k } => {
-                Ok(lower(&batched_sddmm_program(a.rows, a.cols, nnz, 1, k))?)
-            }
+            KernelSpec::Sddmm { a, k } => batched_sddmm_program(a.rows, a.cols, nnz, 1, k),
             KernelSpec::FusedAttention { a, k, vfeat } => {
-                Ok(lower(&fused_attention_program(a.rows, a.cols, nnz, 1, k, vfeat))?)
+                fused_attention_program(a.rows, a.cols, nnz, 1, k, vfeat)
             }
             KernelSpec::FusedSage { a, feat, hidden } => {
-                Ok(lower(&fused_sage_program(a.rows, a.cols, nnz, feat, hidden))?)
+                fused_sage_program(a.rows, a.cols, nnz, feat, hidden)
             }
+        };
+        debug_assert_eq!(validate(&program), Ok(()), "{self:?}: the Stage I program");
+        let mut func = lower(&program)?;
+        if let KernelSpec::CsrSpmm { rows_per_block, k_factor, .. } = *self {
+            let mut sch = Schedule::new(func);
+            let (io, _ii) = sch.split("i", rows_per_block as i64)?;
+            sch.bind(&io, ThreadAxis::BlockIdxX)?;
+            let (_, ki) = sch.split("k", k_factor as i64)?;
+            sch.bind(&ki, ThreadAxis::ThreadIdxX)?;
+            func = sch.into_func();
         }
+        debug_assert_eq!(verify(&func), Ok(()), "{self:?}: the Stage III function");
+        Ok(func)
     }
 
     /// The kernel of this spec on `rt`, compiled on first sight: the step

@@ -3,7 +3,7 @@
 //! (`SparseTIR(hyb)`), lowered to Stage III functions that compile and
 //! launch (and feed CUDA emission).
 
-use crate::spec::{KernelSpec, NNZ};
+use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
@@ -253,11 +253,11 @@ pub fn spmm_execute_views_on(
     let (spec, hyb) = spmm_spec(a, width, &config.widened(width))?;
     let kernel = spec.compile_on(rt)?;
     let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
-    let mut views = launch.views([]);
+    let mut views = launch.views(&kernel, []);
     for (x, out) in xs.iter().zip(outs.iter_mut()) {
         views.bind_slice("B", x.data());
         views.bind_slice_mut("C", out.data_mut());
-        kernel.run_views(&[(NNZ, a.nnz() as i64)], &mut views)?;
+        kernel.run_views(&mut views)?;
     }
     Ok(())
 }
