@@ -263,18 +263,15 @@ fn layouts(kernel: &sparsetir_ir::prelude::CompiledKernel) -> String {
     }
 }
 
-/// The kernel the SpMM entry point compiles for width `d` at `config`: the
-/// vector split widened to span the width.
+/// The kernel the SpMM entry point compiles for width `d` at `config`.
 fn spmm_run_kernel(rt: &Runtime, a: &Csr, d: usize, config: &SpmmConfig) -> Arc<CompiledKernel> {
-    let mut wide = *config;
-    wide.params.vec_width = wide.params.vec_width.max(d.div_ceil(8));
-    let (func, _) = prepare_spmm_structure(a, d, &wide).expect("lowers");
+    let (func, _) = prepare_spmm_structure(a, d, config).expect("lowers");
     rt.compile(&func).expect("compiles")
 }
 
 /// `[whole launch, run_views alone, floor]` minima of a served SpMM of `x`
 /// at `config`, after checking its output against the floor (bit for bit
-/// on the CSR schedule), and the run's `blocked / entries` and layouts.
+/// on the CSR kernel), and the run's `blocked / entries` and layouts.
 fn spmm_arms(
     a: &Csr,
     x: &Dense,

@@ -32,8 +32,7 @@
 //!   ([`run_entry`]) and hands the loop behind it — lowered exactly as
 //!   without the nest — whichever trip it cannot take.
 //! * **A row loop over a nest is a block, not jump-encoded.** A loop whose
-//!   whole body is one nest (behind constant binds and a tail guard), or a
-//!   `blockIdx` loop over a constant number of such rows, is headed by an
+//!   whole body is one nest (behind constant binds) is headed by an
 //!   [`Instr::Rows`]: [`fuse::build_block`] plans every register of the
 //!   nest's entry program against the row, and the block runs the rows in
 //!   Rust ([`run_rows`]) — per row its loads, one compare pair per loaded
@@ -42,7 +41,10 @@
 //!   layout and lane op. The row and trip it cannot take go
 //!   to the generic loop behind the nest, the later rows through the loop
 //!   body. So a loop runs one of two ways: as a block, or as the generic
-//!   loop.
+//!   loop. Any other loop is the generic loop: the `blockIdx` loop of a GPU
+//!   schedule's split rows runs its blocks of rows one after another, and a
+//!   row loop whose nest stands behind a tail guard enters it as a block of
+//!   one entry per row.
 //! * **A nest keeps, within a launch, what cannot change between
 //!   entries.** The dispatch loop's [`State`] has one slot per nest
 //!   instruction: the launch's first block over the nest establishes the
@@ -63,7 +65,7 @@
 //! ([`crate::eval`]); the differential suite drives interpreter /
 //! bytecode-generic / bytecode-fused three-way.
 
-use super::fuse::{self, Block, Exit, LaneSpec, NestSpec, RowPlan, Solve, Split, Stepped, Trips};
+use super::fuse::{self, Block, Exit, LaneSpec, NestSpec, RowPlan, Solve, Stepped, Trips};
 use super::{
     exec_accum_f, exec_mma, exec_store_f, exec_store_i, scan_int, BoolExpr, CBlock, CStmt,
     ExecError, ExprInfo, FloatExpr, FloatOp, Frame, IndexExpr, IntExpr, MmaOp, NestCounts, RawBuf,
@@ -381,8 +383,7 @@ impl Lower {
             return;
         };
         // Outside any row loop, every slot the entry program reads is fixed.
-        let Some(block) = fuse::build_block((&spec, lanes), None, Vec::new(), None, |_| true)
-        else {
+        let Some(block) = fuse::build_block((&spec, lanes), None, Vec::new(), |_| true) else {
             return;
         };
         let (spec, block) = (Box::new(spec), Box::new(block));
@@ -391,48 +392,23 @@ impl Lower {
     }
 
     /// Turn the loop just lowered at `at` into a row block when its whole
-    /// body is one row nest — `LoopStart; [br.false guard -> back edge];
-    /// [v = const]*; Nest ..; LoopEnd` — or one such loop of a constant
-    /// number of rows, itself a row block (the `blockIdx` split: `LoopStart;
-    /// [v = const]*; Rows ..; LoopEnd`), and [`fuse::build_block`] can plan
-    /// the nest's entry program against the rows. Only the head changes:
-    /// the block replaces the `LoopStart`, and the body behind it is the way
-    /// in for every row the block does not take.
+    /// body is one row nest — `LoopStart; [v = const]*; Nest ..; LoopEnd` —
+    /// and [`fuse::build_block`] can plan the nest's entry program against
+    /// the rows. Only the head changes: the block replaces the `LoopStart`,
+    /// and the body behind it is the way in for every row the block does
+    /// not take.
     fn row_block(&mut self, at: usize) {
         let Instr::LoopStart { slot, extent, end } = &self.instrs[at] else { return };
         let (slot, end) = (*slot, *end as usize);
-        let binds = |mut k: usize, pins: &mut Vec<(usize, u32, i64)>| {
-            while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[k] {
-                pins.push((k, *slot, *c));
-                k += 1;
-            }
-            k
-        };
         let mut pins = Vec::new();
-        let mut body = binds(at + 1, &mut pins);
-        // The back edge of the loop over the rows themselves.
-        let mut back = end - 1;
-        let split = match &self.instrs[body] {
-            Instr::Rows { spec, end: inner } if *inner as usize == end - 1 => {
-                let (None, IntExpr::Const(per @ 1..)) = (spec.split, &spec.extent) else { return };
-                let split = Split { slot: spec.slot, per: *per, at: body as u32 };
-                (back, body) = (end - 2, body + 1);
-                Some(split)
-            }
-            _ => None,
-        };
-        let guard = match &self.instrs[body] {
-            Instr::Branch { cond: super::BoolExpr::CmpI { op, lhs, rhs }, else_ }
-                if *else_ as usize == back =>
-            {
-                body += 1;
-                Some((*op, &**lhs, &**rhs))
-            }
-            _ => None,
-        };
-        let body = binds(body, &mut pins);
+        let mut body = at + 1;
+        while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[body] {
+            pins.push((*slot, *c));
+            body += 1;
+        }
         let Instr::Nest { spec, end: nest_end, .. } = &self.instrs[body] else { return };
-        if *nest_end as usize != back {
+        // The nest's generic loop runs into the row loop's back edge.
+        if *nest_end as usize != end - 1 {
             return;
         }
         let Instr::Super { spec: lanes, .. } = &self.instrs[spec.lanes_at as usize] else {
@@ -441,17 +417,12 @@ impl Lower {
         // Slots the loop body writes other than by its constant binds: what
         // a block reads of any other is fixed for the block.
         let mut written: HashSet<u32> = [slot, spec.slot].into_iter().collect();
-        let pinned_at: HashSet<usize> = pins.iter().map(|(k, ..)| *k).collect();
-        let body_instrs = (at + 1..end).filter(|k| !pinned_at.contains(k));
-        for ins in body_instrs.map(|k| &self.instrs[k]) {
+        for ins in &self.instrs[body + 1..end] {
             match ins {
                 Instr::LoopStart { slot, .. }
                 | Instr::Bind { slot, .. }
                 | Instr::BindSlot { slot, .. } => {
                     written.insert(*slot);
-                }
-                Instr::Rows { spec, .. } => {
-                    written.insert(spec.slot);
                 }
                 Instr::BindAll { iters } => written.extend(iters.iter().map(|(s, _)| *s)),
                 Instr::BlockHead { iters, .. } => written.extend(iters.iter().map(|(s, ..)| *s)),
@@ -464,12 +435,9 @@ impl Lower {
             }
         }
         let outer = |s: u32| !written.contains(&s);
-        let pins = pins.into_iter().map(|(_, slot, c)| (slot, c)).collect();
         let nest_at = u32::try_from(body).expect("kernel exceeds u32 instructions");
-        if let Some(block) =
-            fuse::build_block((spec, lanes), Some((slot, split)), pins, guard, outer)
-        {
-            let plan = RowPlan { slot, extent: extent.clone(), split, nest_at, block };
+        if let Some(block) = fuse::build_block((spec, lanes), Some(slot), pins, outer) {
+            let plan = RowPlan { slot, extent: extent.clone(), nest_at, block };
             self.instrs[at] = Instr::Rows { spec: Box::new(plan), end: end as u32 };
         }
     }
@@ -996,18 +964,10 @@ fn run_rows<'c>(
     if n <= 0 {
         return Ok(end);
     }
-    // How many rows, over every block of a split loop.
-    let exit = match plan.split.map_or(Some(n), |s| n.checked_mul(s.per)) {
-        Some(rows) => run_block(code, plan.nest_at, &plan.block, rows, fr, st),
-        None => Exit::Plain,
-    };
-    let (row, done, trips) = match exit {
+    let (row, done, trips) = match run_block(code, plan.nest_at, &plan.block, n, fr, st) {
         Exit::Done => {
-            // Where the loops' back edges leave their variables.
+            // Where the loop's back edge leaves its variable.
             fr.scalars[plan.slot as usize] = n - 1;
-            if let Some(s) = plan.split {
-                fr.scalars[s.slot as usize] = s.per - 1;
-            }
             return Ok(end);
         }
         Exit::Plain => {
@@ -1018,16 +978,8 @@ fn run_rows<'c>(
         }
         Exit::Handover { row, done, trips } => (row, done, trips),
     };
-    // Inside the loop over the rows — and its block, when split — at `row`.
-    let (b, row) = match plan.split {
-        Some(s) => (row / s.per, Some((s, row % s.per))),
-        None => (row, None),
-    };
-    fr.scalars[plan.slot as usize] = b;
-    st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: b, n });
-    if let Some((s, row)) = row {
-        fr.scalars[s.slot as usize] = row;
-        st.loops.push(LoopFrame { slot: s.slot, body: s.at + 1, i: row, n: s.per });
-    }
+    // Inside the loop over the rows, at `row`.
+    fr.scalars[plan.slot as usize] = row;
+    st.loops.push(LoopFrame { slot: plan.slot, body: ip + 1, i: row, n });
     generic(code, plan.nest_at, done, trips, fr, st)
 }

@@ -169,16 +169,12 @@ fn nest(spec: &NestSpec, lanes: &Instr, end: u32) -> String {
     out
 }
 
-/// One line per row block: the loop's slot and extent — with the loop of
-/// `per` rows it splits into blocks — the nest the rows enter, and the
-/// layout its rows run on.
+/// One line per row block: the loop's slot and extent, the nest the rows
+/// enter, and the layout its rows run on.
 fn rows(spec: &RowPlan, end: u32) -> String {
-    let mut out = format!("rows       %{} in 0..{}", spec.slot, int(&spec.extent));
-    if let Some(s) = spec.split {
-        let _ = write!(out, " × %{} in 0..{}", s.slot, s.per);
-    }
-    let _ = write!(out, ", end={end:04}, nest={:04}, layout={}", spec.nest_at, spec.block.layout());
-    out
+    let (slot, extent, nest, layout) =
+        (spec.slot, int(&spec.extent), spec.nest_at, spec.block.layout());
+    format!("rows       %{slot} in 0..{extent}, end={end:04}, nest={nest:04}, layout={layout}")
 }
 
 /// The entry program of a row nest: its load registers (`$k`, in

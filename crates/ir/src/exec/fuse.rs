@@ -105,7 +105,7 @@ mod nest;
 
 pub(super) use nest::{
     build_block, build_nest, Block, Drift, EntryProgram, Exit, Extent, IndexPlan, Lin, NestSpec,
-    Ratio, Reg, RowLoops, RowPlan, Solve, Split, Stepped, Trips,
+    Ratio, Reg, RowLoops, RowPlan, Solve, Stepped, Trips,
 };
 
 // ---------------------------------------------------------------------------

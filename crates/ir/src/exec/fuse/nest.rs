@@ -78,7 +78,7 @@
 
 mod block;
 
-pub(in crate::exec) use block::{build_block, Block, Exit, RowLoops, RowPlan, Solve, Split};
+pub(in crate::exec) use block::{build_block, Block, Exit, RowLoops, RowPlan, Solve};
 
 use super::{
     row_loops, FloatExpr, Frame, IndexExpr, InitKind, IntExpr, IntOp, LaneSpec, Lanes, RawBuf,

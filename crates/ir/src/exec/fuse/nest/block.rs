@@ -35,18 +35,17 @@
 //!   register rolling over from it (`cur`, `indptr[i]`), the trip count is
 //!   exactly `next − cur`, at most one register is gathered at `konst +
 //!   coef·cur` (`col`, the trip-0 column), every other register is the
-//!   row, its block or a fixed slot, and every aim is over the row, `cur`,
-//!   `col` or nothing. A row keeps all three in locals: one `indptr` load,
-//!   the rolled `cur`, one column load and three interval compares. Every
-//!   served CSR row loop has this shape — SpMM whole, on views and in a
-//!   batch's `blockIdx` split, one-head SDDMM, attention's five passes and
-//!   SAGE's gather.
+//!   row or a fixed slot, and every aim is over the row, `cur`, `col` or
+//!   nothing. A row keeps all three in locals: one `indptr` load, the
+//!   rolled `cur`, one column load and three interval compares. Every
+//!   served CSR row loop has this shape — SpMM whole and on views, one-head
+//!   SDDMM, attention's five passes and SAGE's gather.
 //! * [`Planned`], for any block: every register in an array, loaded,
 //!   rolled or read per its [`Source`] and tested in program order — SAGE's
 //!   dense transform, `hyb`'s buckets and init nest, blocks of one entry.
 //!
-//! Everything else — the guard, [`Block::begin`], the counting, the aims,
-//! the trip call and every [`Exit`] — is written once, for both.
+//! Everything else — [`Block::begin`], the counting, the aims, the trip
+//! call and every [`Exit`] — is written once, for both.
 //!
 //! A block, row or trip that fails any test is not an error here: the
 //! block hands the loop, at that row and trip, to the generic loop lowered
@@ -55,11 +54,11 @@
 //! block; a nest whose one entry does not fit it is no nest.
 
 use super::{
-    interval, solve, Cursor, Drift, EntryProgram, Extent, IndexPlan, Lin, NestSpec, Planner, Reg,
-    Stepped, Trips, MAX_REGS,
+    interval, solve, Cursor, Drift, EntryProgram, Extent, IndexPlan, Lin, NestSpec, Reg, Stepped,
+    Trips, MAX_REGS,
 };
 use crate::exec::fuse::{InitKind, LaneInit, LaneSpec, Lanes, TripFn};
-use crate::exec::{elem_load, CmpOp, Frame, IntExpr, NestCounts, RawBuf};
+use crate::exec::{elem_load, Frame, IntExpr, NestCounts, RawBuf};
 
 // ---------------------------------------------------------------------------
 // Compile time
@@ -88,31 +87,23 @@ pub(in crate::exec) struct Form {
 
 impl Form {
     /// `lin` over the registers `sources` says, when it has at most one
-    /// varying term: the row `t = per·b + r` when the loop is split into
-    /// blocks of `per` rows (`b` the [`Source::Block`], `r` the
-    /// [`Source::Row`] register), else `t = r`.
-    fn of(lin: &Lin, sources: &[Source], per: Option<i64>) -> Option<Form> {
+    /// varying term.
+    fn of(lin: &Lin, sources: &[Source]) -> Option<Form> {
         let mut form =
             Form { base: Lin { konst: lin.konst, terms: Vec::new() }, coef: 0, var: Var::Fixed };
-        let (mut r, mut b) = (0, 0);
         for &(coef, reg) in &lin.terms {
-            match sources[usize::from(reg)] {
-                Source::Outer(_) => form.base.terms.push((coef, reg)),
-                Source::Row => r = coef,
-                Source::Block => b = coef,
-                _ if form.var == Var::Fixed => (form.coef, form.var) = (coef, Var::Reg(reg)),
-                _ => return None,
-            }
-        }
-        // `c·r + c·per·b` is `c·t`; anything else is not affine in `t`.
-        if b != per.map_or(Some(0), |per| per.checked_mul(r))? {
-            return None;
-        }
-        if r != 0 {
+            let var = match sources[usize::from(reg)] {
+                Source::Outer(_) => {
+                    form.base.terms.push((coef, reg));
+                    continue;
+                }
+                Source::Row => Var::Row,
+                _ => Var::Reg(reg),
+            };
             if form.var != Var::Fixed {
                 return None;
             }
-            (form.coef, form.var) = (r, Var::Row);
+            (form.coef, form.var) = (coef, var);
         }
         // A loaded register's tests are solved before any block is entered.
         if matches!(form.var, Var::Reg(_)) && !form.base.terms.is_empty() {
@@ -127,9 +118,6 @@ impl Form {
 pub(in crate::exec) enum Source {
     /// The row loop's variable.
     Row,
-    /// The variable of the loop that splits the rows into blocks
-    /// ([`Split`]).
-    Block,
     /// A scalar slot the row loop does not write (an enclosing loop's
     /// variable, a constant bind in front of the nest): read once a block.
     Outer(u32),
@@ -172,37 +160,12 @@ pub(in crate::exec) struct Probe {
     pub bound: Bound,
 }
 
-/// One side of a tail guard: `konst + coef·t + Σ c·slot`, the slots fixed
-/// for a block — as `(konst, coef, [(c, slot)])`.
-type Side = (i64, i64, Vec<(i64, u32)>);
-
-/// The tail guard of a row loop whose rows do not fill its last block:
-/// `lhs op rhs`, each side affine in the row over slots fixed for a block.
-#[derive(Debug, Clone)]
-pub(in crate::exec) struct Guard {
-    op: CmpOp,
-    sides: [Side; 2],
-}
-
-/// A row loop split into blocks of `per` rows by the loop around it — the
-/// `blockIdx` schedule: `for b { for r in 0..per { .. } }` walks the rows
-/// `t = per·b + r` — whose inner loop heads at `at`, over `slot`.
-#[derive(Debug, Clone, Copy)]
-pub(in crate::exec) struct Split {
-    pub slot: u32,
-    pub per: i64,
-    pub at: u32,
-}
-
 /// A row loop whose whole body is one row nest, planned as a block:
-/// `for slot in 0..extent { [if guard] [pins] nest }`, or that loop split
-/// into blocks: `for slot in 0..extent { [pins] for split.slot in
-/// 0..split.per { [if guard] [pins] nest } }`.
+/// `for slot in 0..extent { [pins] nest }`.
 #[derive(Debug, Clone)]
 pub(in crate::exec) struct RowPlan {
     pub slot: u32,
     pub extent: IntExpr,
-    pub split: Option<Split>,
     /// Stream address of the nest.
     pub nest_at: u32,
     pub block: Block,
@@ -212,11 +175,8 @@ pub(in crate::exec) struct RowPlan {
 /// [`RowPlan`], or the one entry of a nest outside any row loop.
 #[derive(Debug, Clone)]
 pub(in crate::exec) struct Block {
-    /// Rows per block of a split loop.
-    per: Option<i64>,
     /// Constant binds in front of the nest.
     pins: Vec<(u32, i64)>,
-    guard: Option<Guard>,
     /// Per register of the nest's entry program.
     sources: Vec<Source>,
     /// Where each operand starts at trip 0 — the gather, `dst`, `a`, `b`,
@@ -248,8 +208,8 @@ impl CsrRegs {
     /// holds one load (`next`) and one register rolling over from it
     /// (`cur`) besides the row's own slots, the trip count is exactly
     /// `next − cur`, at most one register is gathered at `konst +
-    /// coef·cur` (`col`), every other register is the row, the block or a
-    /// fixed slot, and every aim is over the row, `cur`, `col` or nothing.
+    /// coef·cur` (`col`), every other register is the row or a fixed
+    /// slot, and every aim is over the row, `cur`, `col` or nothing.
     fn of(prog: &EntryProgram, sources: &[Source], aims: &[Option<Form>]) -> Option<CsrRegs> {
         let head = &sources[..prog.head];
         let mut loads = (0..head.len()).filter(|&k| matches!(head[k], Source::Load { .. }));
@@ -277,7 +237,7 @@ impl CsrRegs {
         let mut col = None;
         for (k, source) in sources.iter().enumerate() {
             match source {
-                Source::Row | Source::Block if k < prog.head => {}
+                Source::Row if k < prog.head => {}
                 Source::Outer(_) => {}
                 Source::Load { .. } if k < prog.head => {}
                 Source::Gathered { at, .. } if at.var == Var::Reg(cur) && col.is_none() => {
@@ -314,35 +274,26 @@ impl IndexPlan {
     }
 }
 
-/// Plan the block over the nest `spec` that the row loop `for slot in
-/// 0..extent` (split as `split` says) makes of its body — behind the
-/// constant binds `pins` and the tail guard `guard` (`lhs op rhs`), `outer(s)`
+/// Plan the block over the nest `spec` that the row loop over the slot
+/// `row` makes of its body — behind the constant binds `pins`, `outer(s)`
 /// saying whether the loop's body leaves slot `s` alone — or, with no row
 /// loop, the block of the nest's one entry. `None` when a register, pin or
 /// test does not fit a block: the loop stays a loop.
 pub(in crate::exec) fn build_block(
     (spec, lanes): (&NestSpec, &LaneSpec),
-    row_loop: Option<(u32, Option<Split>)>,
+    row: Option<u32>,
     pins: Vec<(u32, i64)>,
-    guard: Option<(CmpOp, &IntExpr, &IntExpr)>,
     outer: impl Fn(u32) -> bool,
 ) -> Option<Block> {
     let prog = &spec.entry;
-    // The row's own slot, and the block's when split.
-    let (row, block, per) = match row_loop {
-        Some((slot, Some(s))) => (Some(s.slot), Some(slot), Some(s.per)),
-        Some((slot, None)) => (Some(slot), None, None),
-        None => (None, None, None),
-    };
     let mut sources: Vec<Source> = Vec::with_capacity(prog.regs.len());
     for (k, reg) in prog.regs.iter().enumerate() {
         let source = match reg {
             Reg::Slot(s) if Some(*s) == row => Source::Row,
-            Reg::Slot(s) if Some(*s) == block => Source::Block,
             Reg::Slot(s) if outer(*s) => Source::Outer(*s),
             Reg::Slot(_) => return None,
             Reg::Load { buf, at } => {
-                let at = Form::of(&at.flat()?, &sources, per)?;
+                let at = Form::of(&at.flat()?, &sources)?;
                 match at.var {
                     // Not loaded for an entry without trips.
                     Var::Reg(_) if k < prog.head => return None,
@@ -376,11 +327,7 @@ pub(in crate::exec) fn build_block(
         return None;
     }
 
-    let guard = match guard {
-        Some((op, lhs, rhs)) => Some(plan_guard(op, [lhs, rhs], (row?, block, per), &outer)?),
-        None => None,
-    };
-    let mut p = Probes { sources: &sources, per, extent: &prog.extent, probes: Vec::new() };
+    let mut p = Probes { sources: &sources, extent: &prog.extent, probes: Vec::new() };
     for (k, source) in sources.iter().enumerate() {
         if let (Source::Load { .. } | Source::Gathered { .. }, Reg::Load { at, .. }) =
             (source, &prog.regs[k])
@@ -391,7 +338,7 @@ pub(in crate::exec) fn build_block(
     let mut aims: [Option<Form>; OPERANDS] = Default::default();
     if let (Some(g), Some((at, _))) = (&spec.gather, &prog.gather) {
         p.index(at, 0, Some(g.drift), Bound::Storage(GATHER as u8))?;
-        aims[GATHER] = Some(Form::of(&at.flat()?, &sources, per)?);
+        aims[GATHER] = Some(Form::of(&at.flat()?, &sources)?);
     }
     let lanes_views = spec.views.iter().zip(&prog.views).enumerate();
     for (k, (drift, at)) in lanes_views {
@@ -400,21 +347,21 @@ pub(in crate::exec) fn build_block(
             let span = stride.checked_mul(prog.n - 1)?;
             let drift = drift.unwrap_or_else(|| at.still());
             p.index(at, span, Some(drift), Bound::Storage(1 + k as u8))?;
-            aims[1 + k] = Some(Form::of(&at.flat()?, &sources, per)?);
+            aims[1 + k] = Some(Form::of(&at.flat()?, &sources)?);
         }
     }
     if let Some(at) = &prog.coeff {
         let drift = spec.coeff.unwrap_or_else(|| at.still());
         p.index(at, 0, Some(drift), Bound::Storage(COEFF as u8))?;
-        aims[COEFF] = Some(Form::of(&at.flat()?, &sources, per)?);
+        aims[COEFF] = Some(Form::of(&at.flat()?, &sources)?);
     }
     if let Some((_, at)) = &prog.factor {
         p.index(at, 0, None, Bound::Storage(FACTOR as u8))?;
-        aims[FACTOR] = Some(Form::of(&at.flat()?, &sources, per)?);
+        aims[FACTOR] = Some(Form::of(&at.flat()?, &sources)?);
     }
     let probes = p.probes;
     let csr = CsrRegs::of(prog, &sources, &aims);
-    Some(Block { per, pins, guard, sources, aims, probes, csr })
+    Some(Block { pins, sources, aims, probes, csr })
 }
 
 /// Some register rolls over from register `a`.
@@ -422,39 +369,9 @@ fn rolled_from(sources: &[Source], a: usize) -> bool {
     sources.iter().any(|s| matches!(s, Source::Load { rolls: Some(r), .. } if usize::from(*r) == a))
 }
 
-/// The tail guard `lhs op rhs`, each side over the row `t` — `row`, or
-/// `per·block + row` — and fixed slots.
-fn plan_guard(
-    op: CmpOp,
-    sides: [&IntExpr; 2],
-    (row, block, per): (u32, Option<u32>, Option<i64>),
-    outer: &impl Fn(u32) -> bool,
-) -> Option<Guard> {
-    if matches!(op, CmpOp::Eq | CmpOp::Ne) {
-        return None;
-    }
-    let side = |e: &IntExpr| {
-        let mut p = Planner::default();
-        let (lin, _) = p.lin(e)?;
-        let (mut r, mut b, mut fixed) = (0, 0, Vec::new());
-        for (coef, reg) in lin.terms {
-            match p.regs[usize::from(reg)] {
-                Reg::Slot(s) if s == row => r = coef,
-                Reg::Slot(s) if Some(s) == block => b = coef,
-                Reg::Slot(s) if outer(s) => fixed.push((coef, s)),
-                _ => return None,
-            }
-        }
-        (b == per.map_or(Some(0), |per| per.checked_mul(r))?).then_some((lin.konst, r, fixed))
-    };
-    Some(Guard { op, sides: [side(sides[0])?, side(sides[1])?] })
-}
-
 /// The tests of an entry with trips, gathered.
 struct Probes<'a> {
     sources: &'a [Source],
-    /// Rows per block of a split loop.
-    per: Option<i64>,
     /// The nest's trip count at an entry.
     extent: &'a Lin,
     probes: Vec<Probe>,
@@ -462,7 +379,7 @@ struct Probes<'a> {
 
 impl Probes<'_> {
     fn probe(&mut self, lin: &Lin, bound: Bound) -> Option<()> {
-        self.probes.push(Probe { form: Form::of(lin, self.sources, self.per)?, bound });
+        self.probes.push(Probe { form: Form::of(lin, self.sources)?, bound });
         Some(())
     }
 
@@ -725,35 +642,6 @@ pub(in crate::exec) struct Entry {
 }
 
 impl Block {
-    /// The rows `from..=to` of `0..rows` the tail guard lets in; `None`
-    /// when no row is, or a side overflows.
-    fn guarded(&self, fr: &Frame, rows: i64) -> Option<(i64, i64)> {
-        let Some(guard) = &self.guard else { return Some((0, rows - 1)) };
-        let side = |(konst, row, fixed): &Side| {
-            let at0 = fixed.iter().try_fold(*konst, |v, &(coef, slot)| {
-                v.checked_add(coef.checked_mul(fr.scalars[slot as usize])?)
-            })?;
-            // Affine: no overflow at either end means none between.
-            at0.checked_add(row.checked_mul(rows - 1)?)?;
-            Some((at0, *row))
-        };
-        let (l, r) = (side(&guard.sides[0])?, side(&guard.sides[1])?);
-        let lets_in = |i: i64| {
-            let (a, b) = (l.0 + l.1 * i, r.0 + r.1 * i);
-            match guard.op {
-                CmpOp::Lt => a < b,
-                CmpOp::Le => a <= b,
-                CmpOp::Gt => a > b,
-                CmpOp::Ge => a >= b,
-                CmpOp::Eq | CmpOp::Ne => unreachable!("`plan_guard` takes no (in)equality"),
-            }
-        };
-        // Affine sides: the rows let in are one run.
-        let from = (0..rows).find(|&i| lets_in(i))?;
-        let to = (from..rows).rev().find(|&i| lets_in(i))?;
-        Some((from, to))
-    }
-
     /// The layout the block's rows run on, as the listing names it.
     pub(in crate::exec) fn layout(&self) -> &'static str {
         if self.csr.is_some() {
@@ -773,7 +661,7 @@ impl Block {
         }
     }
 
-    /// Begin the block: the rows, their registers' sources and the
+    /// Begin the block of rows `0..rows`: their registers' sources and the
     /// operands' aims, each over where the block's [`Layout`] keeps its
     /// variable; the tests over the row at its first and last row.
     #[allow(clippy::too_many_lines)]
@@ -783,7 +671,7 @@ impl Block {
         (at, within): (&Trips, &[(i32, i32); MAX_REGS]),
         fr: &Frame,
         w: &mut Stepped,
-        (from, to): (i64, i64),
+        rows: i64,
     ) -> Option<Entry> {
         let nowhere = Aim { at: Lanes { ptr: std::ptr::null_mut(), stride: 0 }, per: 0, sel: 0 };
         let mut e = Entry {
@@ -804,7 +692,7 @@ impl Block {
         for probe in self.probes.iter().filter(|p| !matches!(p.form.var, Var::Reg(_))) {
             let (lo, hi) = self.bound(probe.bound, at, fr, factor)?;
             let base = probe.form.base.eval(&e.regs)?;
-            let ends = if probe.form.var == Var::Row { [from, to] } else { [0, 0] };
+            let ends = if probe.form.var == Var::Row { [0, rows - 1] } else { [0, 0] };
             for i in ends {
                 let v = base.checked_add(probe.form.coef.checked_mul(i)?)?;
                 if v < lo || v > hi {
@@ -867,8 +755,8 @@ impl Block {
         Some(e)
     }
 
-    /// Run rows `0..rows` of the loop — the slot, the constant binds and the
-    /// guard are this function's to set — on the nest `spec` whose walk
+    /// Run rows `0..rows` of the loop — the slot and the constant binds are
+    /// this function's to set — on the nest `spec` whose walk
     /// state `at` this launch established and solved, handing the row loop
     /// the scratch `w`. Whatever the block does not take is the generic
     /// loop's, from the row and trip [`Exit`] names: nothing of that trip is
@@ -888,16 +776,14 @@ impl Block {
         for &(slot, c) in &self.pins {
             fr.scalars[slot as usize] = c;
         }
-        // No row gets past the guard, or a block's test fails: the loop
-        // body takes every row.
-        let Some((from, to)) = self.guarded(fr, rows) else { return Exit::Plain };
-        let Some(e) = self.begin(spec, (at, &solved.regs), fr, w, (from, to)) else {
+        // A block's test fails: the loop body takes every row.
+        let Some(e) = self.begin(spec, (at, &solved.regs), fr, w, rows) else {
             return Exit::Plain;
         };
         let layout = usize::from(self.csr.is_none());
         // SAFETY: the launch picked `row_loops` for the nest's lane op;
         // `begin` made the block's tests over the row.
-        unsafe { at.row_loops.0[layout](self, &spec.entry, &e, solved, w, (from, to), counts) }
+        unsafe { at.row_loops.0[layout](self, &spec.entry, &e, solved, w, rows, counts) }
     }
 }
 
@@ -915,33 +801,19 @@ enum RowIs {
 /// How a row of a block has and tests its registers, and where it keeps
 /// the values the aims read ([`rows`]).
 trait Layout: Sized {
-    /// The layout at the block's first row `from`, its loaded registers
-    /// tested against `within`; `None` for a block it does not fit.
+    /// The layout at the block's first row, its loaded registers tested
+    /// against `within`; `None` for a block it does not fit.
     ///
     /// # Safety
-    /// [`Block::begin`] made the block's tests over the row, for the rows
-    /// from `from` on.
-    unsafe fn start(
-        block: &Block,
-        e: &Entry,
-        within: &[(i32, i32); MAX_REGS],
-        from: i64,
-    ) -> Option<Self>;
+    /// [`Block::begin`] made the block's tests over the row.
+    unsafe fn start(block: &Block, e: &Entry, within: &[(i32, i32); MAX_REGS]) -> Option<Self>;
 
-    /// Have and test row `t`'s registers — `(b, r)` its block and its row
-    /// in that block, in a split loop.
+    /// Have and test row `t`'s registers.
     ///
     /// # Safety
-    /// `t` is the row after the one this was last called for (or `from`),
+    /// `t` is the row after the one this was last called for (or 0),
     /// inside the block.
-    unsafe fn row(
-        &mut self,
-        block: &Block,
-        prog: &EntryProgram,
-        e: &Entry,
-        t: i64,
-        at: (i64, i64),
-    ) -> RowIs;
+    unsafe fn row(&mut self, block: &Block, prog: &EntryProgram, e: &Entry, t: i64) -> RowIs;
 
     /// The value the row keeps at `sel`.
     fn get(&self, sel: u8) -> i64;
@@ -961,26 +833,14 @@ struct Planned {
 }
 
 impl Layout for Planned {
-    unsafe fn start(
-        _: &Block,
-        e: &Entry,
-        within: &[(i32, i32); MAX_REGS],
-        _: i64,
-    ) -> Option<Planned> {
+    unsafe fn start(_: &Block, e: &Entry, within: &[(i32, i32); MAX_REGS]) -> Option<Planned> {
         let mut regs = [0; MAX_REGS + 2];
         regs[..MAX_REGS].copy_from_slice(&e.regs);
         Some(Planned { regs, within: *within, first: true })
     }
 
     #[inline(always)]
-    unsafe fn row(
-        &mut self,
-        block: &Block,
-        prog: &EntryProgram,
-        e: &Entry,
-        t: i64,
-        (b, r): (i64, i64),
-    ) -> RowIs {
+    unsafe fn row(&mut self, block: &Block, prog: &EntryProgram, e: &Entry, t: i64) -> RowIs {
         let (regs, head) = (&mut self.regs, prog.head);
         regs[usize::from(ROW)] = t;
         if !self.first {
@@ -993,8 +853,7 @@ impl Layout for Planned {
         }
         for (k, source) in block.sources.iter().enumerate().take(head) {
             regs[k] = match source {
-                Source::Row => r,
-                Source::Block => b,
+                Source::Row => t,
                 Source::Load { rolls: Some(_), .. } if !self.first => continue,
                 Source::Load { .. } => {
                     let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
@@ -1013,9 +872,8 @@ impl Layout for Planned {
         let Some(trips) = trips else { return RowIs::Unfit };
         for (k, source) in block.sources.iter().enumerate() {
             match source {
-                Source::Row if k >= head => regs[k] = r,
-                Source::Block if k >= head => regs[k] = b,
-                Source::Row | Source::Block | Source::Outer(_) => continue,
+                Source::Row if k >= head => regs[k] = t,
+                Source::Row | Source::Outer(_) => continue,
                 Source::Load { .. } | Source::Gathered { .. } if k >= head => {
                     let Some(load) = &e.loads[k] else { unreachable!("a load has its aim") };
                     // SAFETY: a load after the head is tested as the
@@ -1054,12 +912,7 @@ struct Csr {
 }
 
 impl Layout for Csr {
-    unsafe fn start(
-        block: &Block,
-        e: &Entry,
-        within: &[(i32, i32); MAX_REGS],
-        from: i64,
-    ) -> Option<Csr> {
+    unsafe fn start(block: &Block, e: &Entry, within: &[(i32, i32); MAX_REGS]) -> Option<Csr> {
         let CsrRegs { next, cur, col } = block.csr?;
         let load = |k: u8| e.loads[usize::from(k)];
         let bound = |k: u8| {
@@ -1072,7 +925,7 @@ impl Layout for Csr {
         };
         // SAFETY: the block's tests over the row put `cur`'s position at
         // its first row inside its storage.
-        let first = i64::from(unsafe { load(cur)?.load(from) });
+        let first = i64::from(unsafe { load(cur)?.load(0) });
         Some(Csr {
             next_at: load(next)?,
             col_at,
@@ -1083,14 +936,7 @@ impl Layout for Csr {
     }
 
     #[inline(always)]
-    unsafe fn row(
-        &mut self,
-        _: &Block,
-        _: &EntryProgram,
-        _: &Entry,
-        t: i64,
-        _: (i64, i64),
-    ) -> RowIs {
+    unsafe fn row(&mut self, _: &Block, _: &EntryProgram, _: &Entry, t: i64) -> RowIs {
         let cur = self.next;
         // SAFETY: the block's tests over the row put `next`'s position at
         // every row inside its storage.
@@ -1126,7 +972,7 @@ impl Layout for Csr {
     }
 }
 
-/// One compiled row loop: rows `from..=to` of the block `begin` entered as
+/// One compiled row loop: rows `0..rows` of the block `begin` entered as
 /// `e`, each row's registers had as the layout `L` says, its aims resolved
 /// to `base + k·v` over what the row keeps, and its trips taken by the lane
 /// op's trip loop `T`, inlined. Returns how the block ended, having added
@@ -1142,29 +988,20 @@ unsafe fn rows<L: Layout, T: TripFn>(
     e: &Entry,
     solved: &Solved,
     w: &mut Stepped,
-    (from, to): (i64, i64),
+    rows: i64,
     counts: &mut NestCounts,
 ) -> Exit {
     // SAFETY: `begin` made the block's tests over the row (the caller's
     // contract).
-    let Some(mut row) = (unsafe { L::start(block, e, &solved.regs, from) }) else {
+    let Some(mut row) = (unsafe { L::start(block, e, &solved.regs) }) else {
         return Exit::Plain;
     };
-    // The row's own slot and, in a split loop, its block's.
-    let per = block.per.unwrap_or(i64::MAX);
-    let (mut b, mut r) = (from / per, from % per);
     let mut tally = NestCounts::default();
     let mut exit = Exit::Done;
-    for i in from..=to {
-        if i > from {
-            r += 1;
-            if r == per {
-                (b, r) = (b + 1, 0);
-            }
-        }
+    for i in 0..rows {
         tally.entries += 1;
         // SAFETY: `i` is the block's next row.
-        let trips = match unsafe { row.row(block, prog, e, i, (b, r)) } {
+        let trips = match unsafe { row.row(block, prog, e, i) } {
             RowIs::Empty => {
                 tally.blocked += 1;
                 continue;
@@ -1220,15 +1057,8 @@ unsafe fn rows<L: Layout, T: TripFn>(
 
 /// A block's row loop, compiled for one layout and one trip loop
 /// ([`rows`]).
-type RowLoop = unsafe fn(
-    &Block,
-    &EntryProgram,
-    &Entry,
-    &Solved,
-    &mut Stepped,
-    (i64, i64),
-    &mut NestCounts,
-) -> Exit;
+type RowLoop =
+    unsafe fn(&Block, &EntryProgram, &Entry, &Solved, &mut Stepped, i64, &mut NestCounts) -> Exit;
 
 /// The row loops of a nest's lane op, `[layout]`: for the [`Csr`] and the
 /// [`Planned`] layout. Picked once per launch, when the nest's walk state

@@ -48,9 +48,11 @@
 //! oracle's bound), and fail like the interpreter when a trip in the *middle* of a row does
 //! (a corrupted column index, a short `B`); one negative case per
 //! classification rule must stay on the per-non-zero `Super`. Its
-//! `reentered` members run every row shape under each loop shape a served
-//! nest sits in (blocked rows with and without the tail guard, a plain
-//! row loop, `hyb` buckets and the init nest outside any row loop), check
+//! `reentered` members run every row shape under each loop shape a nest
+//! sits in (the GPU schedule's `blockIdx` split of the rows — a row block
+//! per `blockIdx` block, or behind its tail guard a loop of nests, each a
+//! block of one entry — a plain row loop, `hyb` buckets and the init nest
+//! outside any row loop), check
 //! through [`CompiledKernel::nest_counts`] that a block takes every entry,
 //! the launch's first included — and bit-match, the SpMM, `hyb` and SDDMM
 //! arms also within the `f64` oracle's bound, and where re-allocating a
@@ -72,8 +74,8 @@
 //! SpMM and the one-head SDDMM: a block's first row against later ones,
 //! a roll across an empty row and across a decreasing `indptr`, a `cur`
 //! that fails its interval after an empty row, a column leaving the reach
-//! mid-row in the launch's last row, the `blockIdx` split with a tail
-//! guard, and zero and one rows —
+//! mid-row in the launch's last row, and zero and one rows — and the GPU
+//! schedule's `blockIdx` split with a tail guard, which is no row block —
 //! every case one outcome with the interpreter, error text and written
 //! prefix included, and every well-formed one within the `f64` oracle's
 //! bound.
@@ -92,8 +94,8 @@ use sparsetir_core::prelude::{
 use sparsetir_ir::prelude::*;
 use sparsetir_ir::stmt::IterVar;
 use sparsetir_kernels::prelude::{
-    csr_spmm_ir, csr_spmm_ir_with, fused_attention_ir, fused_sage_ir, inverse_degrees,
-    prepare_spmm_structure, CsrSpmmParams, SpmmConfig,
+    csr_spmm_ir, fused_attention_ir, fused_sage_ir, inverse_degrees, prepare_spmm_structure,
+    CsrSpmmParams, SpmmConfig,
 };
 use sparsetir_kernels::sddmm::batched_sddmm_ir;
 use sparsetir_smat::prelude::{gen, Csr};
@@ -1295,8 +1297,8 @@ fn views_fused_sage_bit_matches_whole_tensors() {
 /// tensor or a short view — `views_differential` demands that — and a
 /// store through a read-only binding is refused by name, on every executor
 /// build, with the output untouched: the batched SDDMM's (no nest), the
-/// one-head SDDMM's (its row blocks) and the served CSR SpMM's (row blocks
-/// over a `blockIdx` loop).
+/// one-head SDDMM's (its row blocks) and the served CSR SpMM's (its row
+/// blocks).
 #[test]
 fn views_short_segment_and_read_only_store_fail_identically() {
     let (a, structure, mut rng) = views_fixture(0x54);
@@ -1367,6 +1369,22 @@ fn serial_spmm(a: &Csr, d: usize) -> PrimFunc {
     let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
     let mut sch = Schedule::new(f);
     sch.split("k", 32.min(d as i64)).unwrap();
+    sch.into_func()
+}
+
+/// The GE-SpMM GPU schedule at the default parameters: rows split four per
+/// `blockIdx.x` (fewer when the matrix is shorter), with an `r < rows` tail
+/// guard when four does not divide them, and the feature loop split by
+/// `min(32, d)` for `threadIdx.x`. Nothing served runs it. A CPU launch runs
+/// the `blockIdx` loop as a plain loop, each block's rows a row block — or,
+/// behind the guard, a loop of nests, each a block of one entry.
+fn split_rows_spmm(a: &Csr, d: usize) -> PrimFunc {
+    let f = lower(&spmm_program(a.rows(), a.cols(), a.nnz(), d)).unwrap();
+    let mut sch = Schedule::new(f);
+    let (io, _) = sch.split("i", a.rows().clamp(1, 4) as i64).unwrap();
+    sch.bind(&io, ThreadAxis::BlockIdxX).unwrap();
+    let (_, ki) = sch.split("k", 32.min(d.max(1) as i64)).unwrap();
+    sch.bind(&ki, ThreadAxis::ThreadIdxX).unwrap();
     sch.into_func()
 }
 
@@ -1669,15 +1687,16 @@ fn launch_counts(
 
 /// Every row shape — empty, one, two and many non-zeros, each of them
 /// first and last, plus a matrix without non-zeros and one without rows —
-/// under the three shapes of loop a served nest sits in: the default
+/// under the three shapes of loop a nest sits in: the GPU schedule's
 /// `for i_o: blockIdx.x { for i_i in 0..4 { [if r < rows] nest } }` (row
 /// counts the blocks divide, and ones that leave the guard), a plain
-/// `for i` (the serial SpMM and the one-head SDDMM), and `hyb` buckets
-/// whose row comes through a row-id buffer. Whole tensors and borrowed
-/// slices; fused vs all-generic vs interpreter,
+/// `for i` (the served SpMM, the serial one and the one-head SDDMM), and
+/// `hyb` buckets whose row comes through a row-id buffer. Whole tensors and
+/// borrowed slices; fused vs all-generic vs interpreter,
 /// bit for bit. And the fast path is the one taken: a block takes every
 /// entry of each nest, the first included — `hyb`'s init nest, outside any
-/// row loop, as a block of one entry.
+/// row loop, and the guarded split schedule's nest, as blocks of one
+/// entry.
 #[test]
 fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
     let mut rng = gen::rng(0x66);
@@ -1695,11 +1714,14 @@ fn reentered_nests_bit_match_under_every_enclosing_loop_shape() {
         let a =
             gen::random_csr_with_row_lengths(lens.len(), 10, |_| next.next().unwrap(), &mut rng);
         let csr = csr_tensors(&a);
-        let split = csr_spmm_ir_with(&a, d, CsrSpmmParams::default()).unwrap();
+        let split = split_rows_spmm(&a, d);
         let listing = CompiledKernel::compile(&split).unwrap().disassemble();
         // Blocks are four rows (fewer when the matrix is shorter).
         let guarded = lens.len() % lens.len().clamp(1, 4) != 0;
         assert_eq!(listing.contains("br.false"), guarded, "rows {lens:?}\n{listing}");
+        // The rows of one `blockIdx` block are a row block inside a `for`,
+        // unless the guard stands before the nest: then a loop of nests.
+        assert_eq!(listing.contains("  rows "), !guarded, "rows {lens:?}\n{listing}");
         let mut spmms =
             vec![("blockIdx + split", split, csr.clone()), ("for i", serial_spmm(&a, d), csr)];
         if a.nnz() > 0 {
@@ -2097,8 +2119,7 @@ fn assert_stepped(counts: NestCounts, trips: u64, what: &str) {
     );
 }
 
-/// The served CSR SpMM — the default schedule, its vector split widened to
-/// the rider's width as `spmm_execute_views_on` does — at lane counts
+/// The served CSR SpMM at lane counts
 /// around the vector widths, for one rider and for batches of three and
 /// eight run back to back on one kernel, each rider's `B` and `C` bound as
 /// its own slices: interpreter ≡ generic ≡ fused, whole and sliced, bit for
@@ -2866,14 +2887,10 @@ proptest! {
 // Family 6f: row blocks
 // ---------------------------------------------------------------------------
 
-/// The served CSR SpMM at width `d` — the default schedule, its rows split
-/// into `blockIdx` blocks of four (a tail guard when they do not divide
-/// the rows), the vector split widened as `spmm_execute_views_on` widens it
-/// — with the structure tensors it binds.
+/// The served CSR SpMM at width `d` — the unscheduled row walk, one loop
+/// over the rows — with the structure tensors it binds.
 fn served_spmm(a: &Csr, d: usize) -> (PrimFunc, HashMap<String, TensorData>) {
-    let mut config = SpmmConfig::default_csr();
-    config.params.vec_width = config.params.vec_width.max(d.div_ceil(8));
-    prepare_spmm_structure(a, d, &config).unwrap()
+    prepare_spmm_structure(a, d, &SpmmConfig::default_csr()).unwrap()
 }
 
 /// Interpreter ≡ generic ≡ fused on `f` over `tensors`, whichever way it
@@ -2896,13 +2913,15 @@ fn block_counts(f: &PrimFunc, tensors: &HashMap<String, TensorData>) -> NestCoun
     kernel.nest_counts()
 }
 
-/// Row shapes at a block's edges — empty and one-non-zero rows first and
-/// last in a block of four and in the guarded tail, every row empty, every
-/// row one non-zero, `M = 0` and `M = 1` — on the served (split) schedule
-/// and the one-level row loop, SpMM and one-head SDDMM: bit for bit against
-/// the interpreter, within the `f64` oracle's bound, and every row of a
-/// launch taken by a block (one row is no loop: the nest's own block of one
-/// entry takes it).
+/// Row shapes at a block's edges — empty and one-non-zero rows first,
+/// last and in between, every row empty, every row one non-zero, `M = 0`
+/// and `M = 1` — on the served row loop, the `blockIdx`-bound one and the
+/// GPU schedule's `blockIdx` split of the rows, mostly behind a tail guard
+/// (a loop of nests, each a block of one entry), SpMM and one-head SDDMM:
+/// bit for bit against the
+/// interpreter, within the `f64` oracle's bound, and every row of a launch
+/// taken by a block (one row is no loop: the nest's own block of one entry
+/// takes it).
 #[test]
 fn row_blocks_bit_match_at_every_row_shape() {
     let mut rng = gen::rng(0x71);
@@ -2923,7 +2942,7 @@ fn row_blocks_bit_match_at_every_row_shape() {
             let what = format!("rows {lens:?}, d = {d}");
             let (served, structure) = served_spmm(&a, d);
             let blocked = rows;
-            for f in [served, csr_spmm_ir(&a, d).unwrap()] {
+            for f in [served, csr_spmm_ir(&a, d).unwrap(), split_rows_spmm(&a, d)] {
                 let mut tensors = spmm_tensors(&a, d, 0.0, &mut rng);
                 tensors.extend(structure.clone());
                 assert_eq!(agree(&f, &tensors), None, "{what}");
@@ -2957,10 +2976,11 @@ fn row_blocks_bit_match_at_every_row_shape() {
 /// A row pointer that decreases in the middle of a block (an empty row,
 /// then a row starting further back), runs past `len(indices)`, or goes
 /// negative, and a gathered column that leaves `B` in the middle of a
-/// block, at its first row and in the guarded tail: one outcome on every
-/// executor — the interpreter's error text and written prefix, or its
-/// bits. The block hands every such row to the generic loop behind the
-/// nest, at the trip it cannot take.
+/// block and in its last row: one outcome on every executor — the
+/// interpreter's error text and written prefix, or its bits — on the
+/// served row loop, the `blockIdx`-bound one and the GPU schedule's split
+/// rows behind a tail guard. The block hands every such row to the generic
+/// loop behind the nest, at the trip it cannot take.
 #[test]
 fn row_blocks_hand_bad_structure_to_the_nest() {
     let mut rng = gen::rng(0x72);
@@ -2972,17 +2992,17 @@ fn row_blocks_hand_bad_structure_to_the_nest() {
     type Bad = (&'static str, &'static str, usize, i32);
     let cases: [(Bad, Option<&str>); 8] = [
         (("decreasing mid-block", "J_indptr", 2, 1), None),
-        (("decreasing at the tail", "J_indptr", 8, 14), None),
+        (("decreasing at the last row", "J_indptr", 8, 14), None),
         (("past the indices mid-block", "J_indptr", 2, nnz + 3), Some("out of bounds")),
         (("past the indices at the end", "J_indptr", 9, nnz + 1), Some("out of bounds")),
         (("negative mid-block", "J_indptr", 1, -2), Some("out of bounds")),
         (("column past B mid-block", "J_indices", start(2) + 1, cols), Some("`B`")),
-        (("negative column at a block's first row", "J_indices", start(4), -1), Some("`B`")),
-        (("column past B in the tail", "J_indices", start(8), cols + 5), Some("`B`")),
+        (("negative column at a row's first trip", "J_indices", start(4), -1), Some("`B`")),
+        (("column past B in the last row", "J_indices", start(8), cols + 5), Some("`B`")),
     ];
     for d in [1usize, 4, 16] {
         let (served, structure) = served_spmm(&a, d);
-        for f in [served, csr_spmm_ir(&a, d).unwrap()] {
+        for f in [served, csr_spmm_ir(&a, d).unwrap(), split_rows_spmm(&a, d)] {
             for ((what, buf, at, value), says) in cases {
                 let mut tensors = spmm_tensors(&a, d, 9.0, &mut rng);
                 tensors.extend(structure.clone());
@@ -3019,9 +3039,8 @@ fn csr_of(lens: &[usize], cols: usize, rng: &mut SmallRng) -> Csr {
 
 /// The CSR row loops at width `d` over `a`, each with its tensors — the
 /// output pre-filled with `fill` (9.0 makes a written prefix show; an
-/// empty row writes nothing): the served SpMM
-/// (rows split into `blockIdx` blocks of four, a tail guard when four does
-/// not divide them), the one-level SpMM row loop, and the one-head SDDMM.
+/// empty row writes nothing): the served SpMM, the `blockIdx`-bound SpMM
+/// row loop, and the one-head SDDMM.
 fn csr_loops(
     a: &Csr,
     (d, fill): (usize, f32),
@@ -3088,9 +3107,8 @@ fn csr_rows_case(a: &Csr, pokes: &[(&str, usize, i32)], says: Option<&str>, what
 }
 
 /// A block's first row loads `cur`; every later row takes the `next` of
-/// the row before — across an empty row, across a row whose `indptr`
-/// decreases (an empty row, then one starting further back), and across
-/// the block boundaries of the served schedule.
+/// the row before — across an empty row and across a row whose `indptr`
+/// decreases (an empty row, then one starting further back).
 #[test]
 fn csr_rows_roll_cur_from_the_row_before() {
     let mut rng = gen::rng(0x75);
@@ -3138,9 +3156,13 @@ fn csr_rows_column_leaves_the_reach_mid_row_in_the_last_row() {
     }
 }
 
-/// The served schedule's `blockIdx` split with a tail guard: rows 9, 10
-/// and 11 (one, two and three rows past the last full block of four), with
-/// empty rows at the blocks' edges, and a `cur` that fails in the tail.
+/// The GPU schedule's `blockIdx` split with a tail guard: rows 9, 10 and
+/// 11 (one, two and three rows past the last full block of four), with
+/// empty rows at the blocks' edges, and a `cur` that fails in the tail. No
+/// row block: the `blockIdx` loop and the guard are the generic loop, the
+/// nest under them a block of one entry per row the guard lets in — one
+/// outcome with the interpreter, within the `f64` oracle's bound, and
+/// every entry and trip taken by a block.
 #[test]
 fn csr_rows_split_with_a_tail_guard() {
     let mut rng = gen::rng(0x78);
@@ -3150,13 +3172,27 @@ fn csr_rows_split_with_a_tail_guard() {
         &[3, 1, 0, 0, 2, 1, 1, 0, 0, 2, 0],
     ] {
         let a = csr_of(lens, 9, &mut rng);
-        let (served, _) = served_spmm(&a, 4);
-        let listing = CompiledKernel::compile(&served).unwrap().disassemble();
-        assert!(listing.contains("br.false"), "the tail guard\n{listing}");
-        csr_rows_case(&a, &[], None, &format!("rows {lens:?}"));
         let tail = lens.len() - 1;
-        let pokes = [("J_indptr", tail - 1, 1), ("J_indptr", tail, -1)];
-        csr_rows_case(&a, &pokes, Some("out of bounds"), &format!("rows {lens:?}, bad tail"));
+        for d in [1usize, 4, 17] {
+            let (f, what) = (split_rows_spmm(&a, d), format!("rows {lens:?}, d = {d}"));
+            let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+            assert!(listing.contains("br.false"), "{what}: the tail guard\n{listing}");
+            assert!(!listing.contains("  rows "), "{what}: no row block\n{listing}");
+            let tensors = spmm_tensors(&a, d, 0.0, &mut rng);
+            assert_eq!(agree(&f, &tensors), None, "{what}");
+            let t = interpreted(&f, &tensors, &[]);
+            oracle::spmm_f64(&a, t["B"].as_f32(), d)
+                .check(t["C"].as_f32())
+                .unwrap_or_else(|m| panic!("{what}: {m}"));
+            let counts = block_counts(&f, &tensors);
+            assert_eq!(counts.entries, a.rows() as u64, "{what}: {counts:?}");
+            assert_stepped(counts, a.nnz() as u64, &what);
+            let mut bad = spmm_tensors(&a, d, 9.0, &mut rng);
+            poke(&mut bad, ("J_indptr", tail - 1, 1));
+            poke(&mut bad, ("J_indptr", tail, -1));
+            let msg = agree(&f, &bad).unwrap_or_else(|| panic!("{what}, bad tail: no error"));
+            assert!(msg.contains("out of bounds"), "{what}, bad tail: {msg}");
+        }
     }
 }
 

@@ -107,15 +107,11 @@ fn hyb_spmm_disassembly_is_stable() {
 #[test]
 fn served_csr_spmm_disassembly_is_stable() {
     // The kernel the zero-copy view path compiles for a rider of width 6:
-    // the default schedule, its vector runs widened by the same rule as
-    // `spmm_execute_views_on` (a no-op at this width), rows split into
-    // `blockIdx` blocks. A batch runs it once per rider, `B` and `C` bound
-    // as that rider's flat slices — bindings never appear in a listing.
+    // the unscheduled row walk, one row block over the rows. A batch runs
+    // it once per rider, `B` and `C` bound as that rider's flat slices —
+    // bindings never appear in a listing.
     let a = fixture_csr();
-    let feat: usize = 6;
-    let mut cfg = SpmmConfig::default_csr();
-    cfg.params.vec_width = cfg.params.vec_width.max(feat.div_ceil(8));
-    let (f, _) = prepare_spmm_structure(&a, feat, &cfg).expect("builds");
+    let (f, _) = prepare_spmm_structure(&a, 6, &SpmmConfig::default_csr()).expect("builds");
     check_golden("csr_spmm_served", &f);
 }
 

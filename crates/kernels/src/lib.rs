@@ -5,8 +5,9 @@
 //! and GraphSAGE steps.
 //!
 //! Each kernel is one thing here — an **IR path**: Stage I program →
-//! lowering → schedules → a Stage III function that compiles and launches
-//! (functional validation, serving, CUDA emission). Nothing in this crate
+//! lowering → a Stage III function that compiles and launches (functional
+//! validation, serving) — the row walk, unscheduled; the `*_ir` builders
+//! that feed CUDA emission add a GPU schedule. Nothing in this crate
 //! knows the GPU simulator: the `KernelPlan` builders that price the same
 //! schedule parameters on the V100 model live above it, in
 //! `sparsetir-plans`.
@@ -63,8 +64,8 @@ pub mod prelude {
     };
     pub use crate::sddmm::{sddmm_execute_views_on, sddmm_ir};
     pub use crate::spmm::{
-        csr_spmm_ir, csr_spmm_ir_with, prepare_spmm, prepare_spmm_structure, spmm_execute_views_on,
-        CsrSpmmParams, PreparedSpmm, SpmmConfig,
+        csr_spmm_ir, prepare_spmm, prepare_spmm_structure, spmm_execute_views_on, CsrSpmmParams,
+        PreparedSpmm, SpmmConfig,
     };
     pub use sparsetir_core::prelude::bytes_copied_on_thread;
 }

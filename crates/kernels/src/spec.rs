@@ -1,11 +1,13 @@
 //! What generates each served Stage III function, as a value: the
 //! compile-cache key of the four served entry points.
 //!
-//! Format decomposition, lowering and scheduling are compile-time work
-//! (§3, Stages I–III), and every `*_ir` builder reads only the adjacency's
-//! `rows / cols`, the request shape and its schedule parameters: the
-//! non-zero count is the kernel's scalar parameter [`NNZ`] (Figure 3's
-//! `nnz: T.int32`), which every launch binds ([`LaunchBindings::views`]).
+//! Format decomposition and lowering are compile-time work (§3, Stages
+//! I–III), and a served kernel is built from the adjacency's `rows / cols`
+//! and the request shape alone (hyb adds its bucket list). No served kernel
+//! is scheduled: Stage II's `bind` / `split` map loops onto a GPU (§3.3),
+//! so each is the unscheduled row walk. The non-zero count is the kernel's
+//! scalar parameter [`NNZ`] (Figure 3's `nnz: T.int32`), which every
+//! launch binds ([`LaunchBindings::views`]).
 //! A [`KernelSpec`] holds exactly those, [`KernelSpec::build`] is the builder
 //! with no `Csr` in scope — so the function cannot depend on anything the
 //! spec leaves out — and [`KernelSpec::compile_on`] hands the spec itself
@@ -15,7 +17,6 @@
 //! `cols` share one kernel, whatever their edges — so a graph update that
 //! adds or deletes edges compiles nothing.
 
-use crate::spmm::CsrSpmmParams;
 use sparsetir_core::data::NNZ;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
@@ -41,17 +42,14 @@ impl From<&Csr> for CsrShape {
 /// One served kernel, described by what its function is generated from.
 /// Equal specs build equal functions and — the other half of being a cache
 /// key — different specs different ones: a field holds what the builder
-/// uses (the clamped split factor, not the `vec_width` it came from), so
-/// no two keys file the same kernel twice.
+/// uses, so no two keys file the same kernel twice.
 #[derive(Debug, Clone, Hash, PartialEq, Eq)]
 pub(crate) enum KernelSpec {
-    /// The scheduled CSR SpMM at feature width `feat`: rows split
-    /// `rows_per_block` per `blockIdx.x`, the feature loop by `k_factor` for
-    /// `threadIdx.x`.
-    CsrSpmm { a: CsrShape, feat: usize, rows_per_block: usize, k_factor: usize },
+    /// The row-shaped CSR SpMM at feature width `feat`.
+    CsrSpmm { a: CsrShape, feat: usize },
     /// The `hyb(c, k)` SpMM: one `bucket_ell` rewrite per non-empty bucket,
     /// listed as `(partition, width, bucket rows)` in partition-then-width
-    /// order.
+    /// order — at least one: with none, the function is `CsrSpmm`'s.
     HybSpmm { a: CsrShape, feat: usize, buckets: Vec<(usize, usize, usize)> },
     /// The row-shaped one-head SDDMM at inner width `k`.
     Sddmm { a: CsrShape, k: usize },
@@ -62,24 +60,12 @@ pub(crate) enum KernelSpec {
 }
 
 impl KernelSpec {
-    /// The CSR SpMM `params` schedules on `a`: the split factors are
-    /// clamped to the loops they split here, so parameters that schedule
-    /// the same loop nest are one spec.
-    pub(crate) fn csr_spmm(a: &Csr, feat: usize, params: CsrSpmmParams) -> KernelSpec {
-        KernelSpec::CsrSpmm {
-            a: a.into(),
-            feat,
-            rows_per_block: params.rows_per_block.clamp(1, a.rows().max(1)),
-            k_factor: params.vec_width.max(1).saturating_mul(8).clamp(1, feat.max(1)),
-        }
-    }
-
-    /// Build, lower and schedule the Stage III function (the Figure 3 →
-    /// Figure 9/10 pipeline; for hyb through the `decompose_format` bucket
-    /// rewrites of Figure 11), its non-zero count the parameter [`NNZ`].
+    /// Build and lower the Stage III function (the Figure 3 → Figure 9
+    /// pipeline; for hyb through the `decompose_format` bucket rewrites of
+    /// Figure 11), its non-zero count the parameter [`NNZ`].
     ///
     /// # Errors
-    /// Propagates decomposition, lowering and scheduling errors.
+    /// Propagates decomposition and lowering errors.
     pub(crate) fn build(&self) -> KernelResult<PrimFunc> {
         self.build_with(Var::i32(NNZ).into())
     }
@@ -99,7 +85,7 @@ impl KernelSpec {
     /// Stage I program and [`verify`] the function.
     fn build_with(&self, nnz: Expr) -> KernelResult<PrimFunc> {
         let program = match *self {
-            KernelSpec::CsrSpmm { a, feat, .. } => spmm_program(a.rows, a.cols, nnz, feat),
+            KernelSpec::CsrSpmm { a, feat } => spmm_program(a.rows, a.cols, nnz, feat),
             KernelSpec::HybSpmm { a, feat, ref buckets } => {
                 let program = spmm_program(a.rows, a.cols, nnz, feat);
                 let rule = |&(partition, width, len): &(usize, usize, usize)| {
@@ -118,15 +104,7 @@ impl KernelSpec {
             }
         };
         debug_assert_eq!(validate(&program), Ok(()), "{self:?}: the Stage I program");
-        let mut func = lower(&program)?;
-        if let KernelSpec::CsrSpmm { rows_per_block, k_factor, .. } = *self {
-            let mut sch = Schedule::new(func);
-            let (io, _ii) = sch.split("i", rows_per_block as i64)?;
-            sch.bind(&io, ThreadAxis::BlockIdxX)?;
-            let (_, ki) = sch.split("k", k_factor as i64)?;
-            sch.bind(&ki, ThreadAxis::ThreadIdxX)?;
-            func = sch.into_func();
-        }
+        let func = lower(&program)?;
         debug_assert_eq!(verify(&func), Ok(()), "{self:?}: the Stage III function");
         Ok(func)
     }
@@ -232,7 +210,7 @@ mod tests {
         let (first, denser) = (&graphs[0], &graphs[5]);
         assert!(first.nnz() < denser.nnz());
         let same_shape = [
-            |a: &Csr| KernelSpec::csr_spmm(a, 16, CsrSpmmParams::default()),
+            |a: &Csr| KernelSpec::CsrSpmm { a: a.into(), feat: 16 },
             |a: &Csr| KernelSpec::Sddmm { a: a.into(), k: 8 },
             |a: &Csr| KernelSpec::FusedAttention { a: a.into(), k: 8, vfeat: 4 },
             |a: &Csr| KernelSpec::FusedSage { a: a.into(), feat: 8, hidden: 4 },
@@ -244,9 +222,11 @@ mod tests {
             assert_eq!(text(&spec), text(&other), "{spec:?}");
             assert!(spec.build().unwrap().param(NNZ).is_some(), "{spec:?} takes `nnz`");
         }
-        // The grid does exercise both directions: specs repeat (parameters
-        // clamping to one schedule, graphs of one `rows / cols`) and differ.
-        assert!((100..specs.len()).contains(&by_spec.len()), "{} specs", by_spec.len());
+        // The grid does exercise both directions: specs repeat (GPU schedule
+        // parameters the CPU kernel does not read, graphs of one `rows /
+        // cols`, a graph without non-zeros under every `hyb` config — no
+        // bucket, the CSR kernel) and differ: 104 of 366.
+        assert!((90..specs.len()).contains(&by_spec.len()), "{} specs", by_spec.len());
         let an_empty_bucket = |s: &&KernelSpec| {
             matches!(s, KernelSpec::HybSpmm { buckets, .. }
             if buckets.iter().map(|b| b.1).eq([1, 4]))
@@ -256,26 +236,37 @@ mod tests {
 
     /// One Stage I program, two schedules: what the CPU compiles walks rows
     /// — no kernel a spec builds, nor `sddmm_ir` (the benchmark's SDDMM
-    /// arm), recovers a row by binary search — while the pipeline oracles
-    /// and the SDDMM oracle keep the GPU's `sparse_fuse(["I", "J"])` and
-    /// search a row per non-zero. The served-vs-oracle bit checks compare
-    /// across loop shapes, not one shape with itself.
+    /// arm), recovers a row by binary search, and none splits its rows into
+    /// blocks or guards a tail: one `rows` loop per row nest, no branch, at
+    /// every width on row counts four does not divide — while the pipeline
+    /// oracles and the SDDMM oracle keep the GPU's `sparse_fuse(["I",
+    /// "J"])` and search a row per non-zero. The served-vs-oracle bit checks
+    /// compare across loop shapes, not one shape with itself.
     #[test]
     fn cpu_kernels_walk_rows_and_the_oracles_search_them() {
-        let a = graph(36, 30, power_law, 11);
         let listing = |f: &PrimFunc| CompiledKernel::compile(f).unwrap().disassemble();
-        let sp = CsrShape::from(&a);
-        let specs = [
-            KernelSpec::csr_spmm(&a, 16, CsrSpmmParams::default()),
-            spmm_spec(&a, 16, &hyb(2, 3)).unwrap().0,
-            KernelSpec::Sddmm { a: sp, k: 8 },
-            KernelSpec::FusedAttention { a: sp, k: 8, vfeat: 4 },
-            KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 },
-        ];
-        for spec in &specs {
-            let l = listing(&spec.build().unwrap());
-            assert!(!l.contains("bsearch"), "{spec:?}\n{l}");
+        for rows in [37, 61] {
+            let a = graph(rows, 30, power_law, 11);
+            let sp = CsrShape::from(&a);
+            for d in [1usize, 4, 16, 48, 128] {
+                let specs = [
+                    KernelSpec::CsrSpmm { a: sp, feat: d },
+                    KernelSpec::Sddmm { a: sp, k: d },
+                    KernelSpec::FusedAttention { a: sp, k: d, vfeat: d },
+                    KernelSpec::FusedSage { a: sp, feat: d, hidden: d },
+                ];
+                for spec in &specs {
+                    let l = listing(&spec.build().unwrap());
+                    assert!(!l.contains("bsearch"), "{spec:?}\n{l}");
+                    assert!(!l.contains("br."), "{spec:?}: a branch\n{l}");
+                    let split = l.lines().any(|i| i.contains("  rows ") && i.contains(" × "));
+                    assert!(!split, "{spec:?}: a split row loop\n{l}");
+                }
+            }
         }
+        let a = graph(36, 30, power_law, 11);
+        let l = listing(&spmm_spec(&a, 16, &hyb(2, 3)).unwrap().0.build().unwrap());
+        assert!(!l.contains("bsearch"), "hyb\n{l}");
         let l = listing(&crate::sddmm::sddmm_ir(&a, 8).unwrap());
         assert!(!l.contains("bsearch"), "sddmm_ir\n{l}");
 
@@ -353,10 +344,9 @@ mod tests {
         }
     }
 
-    /// `a · x` through the interpreter on whole tensors, at the schedule
-    /// the served launch widens `config` to.
+    /// `a · x` through the interpreter on whole tensors.
     fn interpreted_spmm(a: &Csr, x: &Dense, config: &SpmmConfig) -> Dense {
-        let mut p = prepare_spmm(a, x, &config.widened(x.cols())).unwrap();
+        let mut p = prepare_spmm(a, x, config).unwrap();
         eval_func(&p.func, &HashMap::new(), &mut p.bindings).unwrap();
         read_dense(&p.bindings, "C", a.rows(), x.cols())
     }
@@ -449,8 +439,8 @@ mod tests {
         let served = |a: &Csr| {
             let sp = CsrShape::from(a);
             let mut specs = vec![
-                (KernelSpec::csr_spmm(a, 16, CsrSpmmParams::default()), structure(a)),
-                (KernelSpec::csr_spmm(a, 48, csr(4, 2).params), structure(a)),
+                (KernelSpec::CsrSpmm { a: sp, feat: 16 }, structure(a)),
+                (KernelSpec::CsrSpmm { a: sp, feat: 48 }, structure(a)),
                 (KernelSpec::Sddmm { a: sp, k: 8 }, structure(a)),
                 (KernelSpec::FusedAttention { a: sp, k: 8, vfeat: 4 }, structure(a)),
                 (KernelSpec::FusedSage { a: sp, feat: 8, hidden: 4 }, structure(a)),

@@ -1,15 +1,18 @@
-//! SparseTIR SpMM kernels (§4.2.1): the GE-SpMM-style CSR schedule
-//! (`SparseTIR(no-hyb)`) and the composable `hyb(c, k)` kernel
-//! (`SparseTIR(hyb)`), lowered to Stage III functions that compile and
-//! launch (and feed CUDA emission).
+//! SparseTIR SpMM kernels (§4.2.1): the CSR kernel (`SparseTIR(no-hyb)`)
+//! and the composable `hyb(c, k)` kernel (`SparseTIR(hyb)`), lowered to
+//! Stage III functions that compile and launch. What a launch runs is the
+//! unscheduled row walk of either; the GE-SpMM-style GPU schedule is
+//! [`csr_spmm_ir`]'s, which feeds CUDA emission, and [`CsrSpmmParams`]
+//! are that schedule's parameters, priced by the GPU cost model.
 
 use crate::spec::KernelSpec;
 use sparsetir_core::prelude::*;
 use sparsetir_ir::prelude::*;
 use sparsetir_smat::prelude::*;
 
-/// Schedule parameters of the CSR SpMM kernel (the knobs of the paper's
-/// schedule template).
+/// GPU schedule parameters of the CSR SpMM kernel (the knobs of the
+/// paper's schedule template), which the GPU cost model prices. The CPU
+/// kernel does not read them: a launch runs the unscheduled row walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrSpmmParams {
     /// Rows handled per thread block.
@@ -31,16 +34,16 @@ impl Default for CsrSpmmParams {
 
 /// One point of the joint SpMM format × schedule space of §2: the `c` of
 /// `hyb(c, k)` (`None` = no format decomposition), the bucket exponent
-/// `k`, and the schedule parameters. The autotuner searches over these;
-/// [`prepare_spmm`] and [`spmm_execute_views_on`] consume a chosen
-/// configuration.
+/// `k`, and the GPU schedule parameters. The autotuner searches over
+/// these; [`prepare_spmm`] and [`spmm_execute_views_on`] compile the format
+/// a chosen configuration names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpmmConfig {
     /// Column partitions `c` (`None` = no format decomposition).
     pub col_parts: Option<usize>,
     /// Bucket exponent `k` (ignored without decomposition).
     pub bucket_k: u32,
-    /// Schedule parameters.
+    /// GPU schedule parameters (not read by the CPU kernel).
     pub params: CsrSpmmParams,
 }
 
@@ -67,20 +70,11 @@ impl SpmmConfig {
         };
         format!("{fmt}/rpb{}/vw{}", self.params.rows_per_block, self.params.vec_width)
     }
-
-    /// `self` as [`spmm_execute_views_on`] schedules a rider of width
-    /// `feat`: the vector split widened to span it — otherwise the feature
-    /// loop re-chunks into `vec_width·8`-lane pieces and the per-non-zero
-    /// overhead is paid once per chunk.
-    pub(crate) fn widened(&self, feat: usize) -> SpmmConfig {
-        let mut wide = *self;
-        wide.params.vec_width = self.params.vec_width.max(feat.div_ceil(8));
-        wide
-    }
 }
 
-/// Build, lower and schedule the IR-path CSR SpMM for functional
-/// validation / codegen (Figure 3 → Figure 9/10 pipeline).
+/// Build, lower and GPU-schedule the CSR SpMM for codegen (Figure 3 →
+/// Figure 9/10 pipeline): rows bound to `blockIdx.x`, the feature loop
+/// split by `min(32, feat)` for `threadIdx.x`.
 ///
 /// # Errors
 /// Propagates lowering/scheduling errors.
@@ -94,26 +88,10 @@ pub fn csr_spmm_ir(a: &Csr, feat: usize) -> Result<PrimFunc, Box<dyn std::error:
     Ok(sch.into_func())
 }
 
-/// Like [`csr_spmm_ir`] but with the schedule driven by `params`: rows are
-/// grouped `rows_per_block` per `blockIdx.x`, and the feature loop is split
-/// by a vector-width-scaled factor for `threadIdx.x`. Distinct parameters
-/// lower to distinct Stage III functions, so the measured evaluator can
-/// tell schedule candidates apart by wall clock.
-///
-/// # Errors
-/// Propagates lowering/scheduling errors.
-pub fn csr_spmm_ir_with(
-    a: &Csr,
-    feat: usize,
-    params: CsrSpmmParams,
-) -> Result<PrimFunc, Box<dyn std::error::Error>> {
-    KernelSpec::csr_spmm(a, feat, params).build_for(a)
-}
-
 /// A lowered SpMM ready for repeated compiled execution: the Stage III
 /// function plus its tensor bindings, with `C` zero-initialized.
 pub struct PreparedSpmm {
-    /// Lowered (and, for the CSR arm, scheduled) function.
+    /// Lowered function.
     pub func: PrimFunc,
     /// Tensor bindings for `exec_func` / `CompiledKernel::run`.
     pub bindings: Bindings,
@@ -139,10 +117,15 @@ pub(crate) fn spmm_spec(
     config: &SpmmConfig,
 ) -> Result<(KernelSpec, Option<Hyb>), Box<dyn std::error::Error>> {
     let Some(c) = config.col_parts else {
-        return Ok((KernelSpec::csr_spmm(a, feat, config.params), None));
+        return Ok((KernelSpec::CsrSpmm { a: a.into(), feat }, None));
     };
     let hyb = Hyb::from_csr(a, c, config.bucket_k)?;
-    let buckets = hyb_buckets(&hyb).map(|(pi, b)| (pi, b.width, b.len())).collect();
+    let buckets: Vec<_> = hyb_buckets(&hyb).map(|(pi, b)| (pi, b.width, b.len())).collect();
+    // No non-zero, no bucket: the decomposition rewrites nothing, and what
+    // is left is the CSR kernel.
+    if buckets.is_empty() {
+        return Ok((KernelSpec::CsrSpmm { a: a.into(), feat }, None));
+    }
     Ok((KernelSpec::HybSpmm { a: a.into(), feat, buckets }, Some(hyb)))
 }
 
@@ -170,9 +153,9 @@ pub fn prepare_spmm_structure(
     Ok((spec.build_for(a)?, bindings))
 }
 
-/// Lower `config` into an executable kernel for `a · x`: the scheduled CSR
-/// kernel, or the `hyb(c, k)` decomposition via `decompose_format` bucket
-/// rewrites (the Figure 11 pipeline), bound and ready to run.
+/// Lower `config` into an executable kernel for `a · x`: the CSR kernel,
+/// or the `hyb(c, k)` decomposition via `decompose_format` bucket rewrites
+/// (the Figure 11 pipeline), bound and ready to run.
 ///
 /// # Errors
 /// Propagates decomposition and lowering errors.
@@ -250,7 +233,7 @@ pub fn spmm_execute_views_on(
     if width == 0 {
         return Ok(());
     }
-    let (spec, hyb) = spmm_spec(a, width, &config.widened(width))?;
+    let (spec, hyb) = spmm_spec(a, width, config)?;
     let kernel = spec.compile_on(rt)?;
     let mut launch = LaunchBindings::new(rt.pool(), a, hyb.as_ref(), []);
     let mut views = launch.views(&kernel, []);
@@ -438,16 +421,23 @@ mod tests {
         assert!(first.approx_eq(&a.spmm(&x).unwrap(), 1e-3));
     }
 
+    /// The GPU schedule parameters price a GPU launch and do not reach the
+    /// CPU kernel: every CSR configuration compiles the one row walk.
     #[test]
-    fn parameterized_schedules_lower_to_distinct_functions() {
+    fn schedule_parameters_do_not_reach_the_cpu_kernel() {
         let mut rng = gen::rng(44);
         let a = gen::random_csr(32, 32, 0.1, &mut rng);
-        let f1 = csr_spmm_ir_with(&a, 16, CsrSpmmParams::default()).unwrap();
-        let f2 =
-            csr_spmm_ir_with(&a, 16, CsrSpmmParams { rows_per_block: 8, ..Default::default() })
-                .unwrap();
-        use sparsetir_ir::exec::Runtime;
-        assert_ne!(Runtime::fingerprint(&f1), Runtime::fingerprint(&f2));
+        let params = [
+            CsrSpmmParams::default(),
+            CsrSpmmParams { rows_per_block: 8, ..Default::default() },
+            CsrSpmmParams { vec_width: 1, threads: 32, ..Default::default() },
+        ];
+        let funcs = params.map(|params| {
+            let config = SpmmConfig { params, ..SpmmConfig::default_csr() };
+            prepare_spmm_structure(&a, 16, &config).unwrap().0
+        });
+        let printed = funcs.map(|f| print_func(&f));
+        assert!(printed.iter().all(|p| *p == printed[0]), "{}", printed[0]);
     }
 }
 
@@ -543,10 +533,10 @@ mod crosscheck_tests {
 
     /// What the served path compiles keeps its row nests, and a launch
     /// takes every entry of them in a row block and every trip in the
-    /// block's trip loop: the CSR kernel at the widened default schedule
-    /// (narrow, served and wide widths; row counts the 4-row blocks divide
-    /// and leave a guarded tail on; whole tensors, and `B` / `C` bound as
-    /// the views of one request and of a batch of eight), every bucket of
+    /// block's trip loop: the CSR kernel (narrow, served and wide widths;
+    /// an even row count and an odd one — one row loop either way, no
+    /// guard; whole tensors, and `B` / `C` bound as the views of one
+    /// request and of a batch of eight), every bucket of
     /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init nest
     /// (a nest outside any row loop: a block of one entry), the SDDMM for
     /// one rider and a batch of three, each on a power-law graph, fused
@@ -588,16 +578,16 @@ mod crosscheck_tests {
             assert!((0..rows).any(|r| a.row_nnz(r) == 0) && (0..rows).any(|r| a.row_nnz(r) > 8));
             let want = (rows as u64, a.nnz() as u64);
             for d in [4usize, 16, 128] {
-                let config = SpmmConfig::default_csr().widened(d);
+                let config = SpmmConfig::default_csr();
                 let (f, mut tensors) = prepare_spmm_structure(&a, d, &config).unwrap();
                 operands(&a, d, &mut tensors);
                 let what = format!("csr, {rows} rows, d = {d}");
                 let l = launch_blocked(&f, &mut tensors, want, &what);
                 assert_eq!((nests(&l, "nest.axpy"), lane_loops_outside_a_nest(&l)), (1, 0), "{l}");
-                // The split loop and the loop of four rows it holds.
-                assert_eq!(layouts(&l), ["csr", "csr"], "{l}");
+                // One loop over the rows, no guard.
+                assert_eq!(layouts(&l), ["csr"], "{l}");
                 assert!(l.contains("gather=@"), "the column index is the nest's gather\n{l}");
-                assert_eq!(l.contains("br.false"), rows % 4 != 0, "the tail guard\n{l}");
+                assert!(!l.contains("br."), "no branch\n{l}");
             }
             // As served: `B` and `C` the views of one request, and of eight
             // run back to back, each entering the nest once per row.
@@ -609,13 +599,14 @@ mod crosscheck_tests {
                 let mut outs = vec![Dense::zeros(rows, d); batch];
                 let config = SpmmConfig::default_csr();
                 spmm_execute_views_on(&rt, &a, &refs, &mut outs, &config).unwrap();
-                let (spec, _) = spmm_spec(&a, d, &config.widened(d)).unwrap();
+                let (spec, _) = spmm_spec(&a, d, &config).unwrap();
                 let kernel = spec.compile_on(&rt).unwrap();
                 assert_eq!(rt.compilations(), 1, "the kernel the launch ran");
                 let what = format!("csr views, {rows} rows, batch of {batch}");
                 let riders = batch as u64;
                 let l = assert_fast_path(&kernel, (riders * want.0, riders * want.1), &what);
-                assert_eq!(layouts(&l), ["csr", "csr"], "{l}");
+                assert_eq!(layouts(&l), ["csr"], "{l}");
+                assert!(!l.contains("br."), "no branch\n{l}");
             }
         }
 
@@ -734,7 +725,7 @@ mod crosscheck_tests {
     }
 
     /// The compiled executor must agree bit-for-bit with the reference
-    /// interpreter on the lowered, scheduled SpMM kernel.
+    /// interpreter on the lowered SpMM kernel.
     #[test]
     fn compiled_executor_bit_matches_interpreter() {
         let mut rng = gen::rng(81);

@@ -35,22 +35,40 @@ pub struct Dense {
 }
 
 impl Dense {
-    /// All-zero matrix.
-    #[must_use]
-    pub fn zeros(rows: usize, cols: usize) -> Dense {
-        Dense { rows, cols, data: vec![0.0; rows * cols] }
+    /// All-zero `rows × cols` matrix, or why it cannot exist.
+    ///
+    /// # Errors
+    /// Fails when `rows × cols` overflows `usize` or its `f32`s need more
+    /// bytes than one allocation can hold; nothing is allocated then.
+    pub fn try_zeros(rows: usize, cols: usize) -> Result<Dense, SmatError> {
+        match rows.checked_mul(cols).map(|len| (len, std::alloc::Layout::array::<f32>(len))) {
+            Some((len, Ok(_))) => Ok(Dense { rows, cols, data: vec![0.0; len] }),
+            _ => Err(SmatError::new(format!("dense shape {rows}x{cols} cannot be allocated"))),
+        }
     }
 
-    /// Build from a function of `(row, col)`.
+    /// All-zero matrix.
+    ///
+    /// # Panics
+    /// With [`Dense::try_zeros`]' message, when the matrix cannot exist.
+    #[must_use]
+    pub fn zeros(rows: usize, cols: usize) -> Dense {
+        Dense::try_zeros(rows, cols).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build from a function of `(row, col)`, called in row-major order.
+    ///
+    /// # Panics
+    /// As [`Dense::zeros`].
     #[must_use]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Dense {
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            for c in 0..cols {
-                data.push(f(r, c));
+        let mut m = Dense::zeros(rows, cols);
+        for (r, row) in m.data.chunks_exact_mut(cols.max(1)).enumerate() {
+            for (c, v) in row.iter_mut().enumerate() {
+                *v = f(r, c);
             }
         }
-        Dense { rows, cols, data }
+        m
     }
 
     /// Wrap an existing row-major buffer.

@@ -102,6 +102,14 @@ proptest! {
         }
     }
 
+    #[test]
+    fn dense_try_zeros_is_ok_or_a_typed_error(rows in size(), cols in size()) {
+        match Dense::try_zeros(rows, cols) {
+            Ok(d) => prop_assert_eq!(d.data().len(), rows * cols),
+            Err(e) => prop_assert!(e.to_string().contains("cannot be allocated"), "{e}"),
+        }
+    }
+
     /// Triplets in and out of bounds, duplicates included, at any
     /// dimensions: a row count whose `rows + 1` row pointers cannot exist
     /// is refused, and an accepted small `Coo` converts to a valid CSR.
@@ -197,5 +205,24 @@ fn a_coo_whose_csr_cannot_exist_is_refused_where_it_is_built() {
             Ok(coo) => panic!("{rows} rows accepted: {:?}", Csr::from_coo(&coo).rows()),
             Err(e) => assert!(e.to_string().contains("row pointers"), "{e}"),
         }
+    }
+}
+
+/// A dense matrix whose element count overflows `usize` (`2⁶³ × 2`, whose
+/// unchecked product wraps to 0 in a release build), or whose `f32`s
+/// overflow what one allocation can hold (`2⁶² × 1`), is refused before
+/// anything is allocated; `Dense::zeros` panics with the same message
+/// rather than return a matrix with no storage.
+#[test]
+fn a_dense_matrix_that_cannot_exist_is_refused() {
+    for (rows, cols) in [(1usize << 63, 2usize), (1 << 62, 1)] {
+        let e = Dense::try_zeros(rows, cols).expect_err("refused");
+        assert_eq!(
+            e.to_string(),
+            format!("sparse matrix error: dense shape {rows}x{cols} cannot be allocated")
+        );
+        let panic = std::panic::catch_unwind(|| Dense::zeros(rows, cols)).expect_err("panics");
+        let said = panic.downcast_ref::<String>().expect("a formatted message");
+        assert_eq!(*said, e.to_string());
     }
 }
