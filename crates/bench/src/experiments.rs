@@ -739,7 +739,7 @@ pub mod autotuning {
                 gs.name.to_string(),
                 sim.config.label(),
                 fmt_us(seconds(shortlist.len())),
-                served.label(),
+                served.format_label(),
                 fmt_us(served_s),
                 fmt_us(untuned_s),
                 fmt_speedup(untuned_s / served_s),

@@ -290,12 +290,12 @@ fn spmm_arms(
     floor(&mut want);
     let out = outs[0].data();
     if config.col_parts.is_none() {
-        assert_bits(&format!("spmm {}", config.label()), out, &want);
+        assert_bits(&format!("spmm {}", config.format_label()), out, &want);
     } else {
         // `hyb` adds a row's non-zeros bucket by bucket: the floor's sum in
         // another order.
         let close = |(g, w): (&f32, &f32)| (g - w).abs() <= 1e-4 * (1.0 + w.abs());
-        assert!(out.iter().zip(&want).all(close), "spmm {}", config.label());
+        assert!(out.iter().zip(&want).all(close), "spmm {}", config.format_label());
     }
 
     let kernel = spmm_run_kernel(&rt, a, d, config);
@@ -722,13 +722,19 @@ fn tune_table(a: &Csr, burst: (usize, usize), rng: &mut rand::rngs::SmallRng) ->
         let score = |i: usize| scores[i].map_or("failed".into(), us);
         for (i, config) in shortlist.iter().enumerate() {
             let ([whole, run, _], _) = spmm_arms(g, &x, config, burst);
-            rows.push(vec![name.into(), config.label(), us(whole / 1e9), us(run / 1e9), score(i)]);
+            rows.push(vec![
+                name.into(),
+                config.format_label(),
+                us(whole / 1e9),
+                us(run / 1e9),
+                score(i),
+            ]);
         }
         let again = score(shortlist.len());
         rows.push(vec![name.into(), "csr, scored again".into(), "-".into(), "-".into(), again]);
         let pick = tuner.decide();
         assert!(shortlist.contains(&pick), "{pick:?}");
-        let picked = format!("picked: {}", pick.label());
+        let picked = format!("picked: {}", pick.format_label());
         rows.push(vec![name.into(), picked, "-".into(), "-".into(), "-".into()]);
     }
     render_table(

@@ -18,7 +18,8 @@
 //!   dispatch, jumping over the lowered init when any reduce binding is
 //!   nonzero. Ungated blocks lower to a bare `Bind`/`BindSlot`/`BindAll`.
 //! * **Unit-trip loops are binds.** `for v in 0..1 { body }` lowers to
-//!   `v = 0` and the body: no loop record, no back edge.
+//!   `v = 0` and the body: no loop record, no back edge — unless a nest
+//!   needs the loop back (next bullet but one).
 //! * **Fusion emits superinstructions.** Lowering consults the
 //!   [`fuse::build_fused`] analysis; a matching loop becomes one
 //!   [`Instr::Super`] carrying the [`LaneSpec`] microkernel, and the
@@ -30,7 +31,13 @@
 //!   of one entry ([`fuse::build_block`]), is headed by an [`Instr::Nest`]
 //!   instead of a `LoopStart`: the nest runs the trips itself
 //!   ([`run_entry`]) and hands the loop behind it — lowered exactly as
-//!   without the nest — whichever trip it cannot take.
+//!   without the nest — whichever trip it cannot take. When that loop is no
+//!   nest but its lane loop stands right behind a unit-trip loop's `v = 0`
+//!   (a width-1 ELL bucket's column), the bind becomes the one-trip loop
+//!   again and the nest heads that: a nest of one trip, whose entry program
+//!   loads what moves with the outer loop (the bucket row's column and row
+//!   id), so the outer loop can be a row block over it. A one-trip nest that
+//!   does not plan leaves the bind as it was.
 //! * **A row loop over a nest is a block, not jump-encoded.** A loop whose
 //!   whole body is one nest (behind constant binds) is headed by an
 //!   [`Instr::Rows`]: [`fuse::build_block`] plans every register of the
@@ -237,7 +244,9 @@ impl Lower {
                 let end = self.here();
                 self.patch(at, end);
                 if self.fuse {
-                    self.nest_head(at);
+                    if !self.nest_head(at) {
+                        self.unit_nest(at);
+                    }
                     self.row_block(at);
                 }
             }
@@ -360,35 +369,74 @@ impl Lower {
     /// loop's prologue against the loop variable (how each quantity moves,
     /// and its entry program) and [`fuse::build_block`] the nest's one
     /// entry as a block. Only the head changes: the nest replaces the
-    /// `LoopStart` and refers to the `Super` behind it.
-    fn nest_head(&mut self, at: usize) {
-        let mut lanes_at = at + 1;
-        let mut pins = Vec::new();
-        while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[lanes_at] {
-            pins.push((*slot, *c));
-            lanes_at += 1;
-        }
+    /// `LoopStart` and refers to the `Super` behind it. Returns whether the
+    /// loop became a nest.
+    fn nest_head(&mut self, at: usize) -> bool {
+        let (lanes_at, pins) = self.pinned(at + 1);
         let (Instr::LoopStart { slot, extent, end }, Instr::Super { spec: lanes, done }) =
             (&self.instrs[at], &self.instrs[lanes_at])
         else {
-            return;
+            return false;
         };
         // The superinstruction's fallback must run into the back edge.
         if done + 1 != *end {
-            return;
+            return false;
         }
         let lanes_at = u32::try_from(lanes_at).expect("kernel exceeds u32 instructions");
         let Some(spec) = fuse::build_nest(lanes, (*slot, extent), pins, (lanes_at, self.params))
         else {
-            return;
+            return false;
         };
         // Outside any row loop, every slot the entry program reads is fixed.
         let Some(block) = fuse::build_block((&spec, lanes), None, Vec::new(), |_| true) else {
-            return;
+            return false;
         };
         let (spec, block) = (Box::new(spec), Box::new(block));
         self.instrs[at] = Instr::Nest { spec, block, id: self.nests, end: *end };
         self.nests += 1;
+        true
+    }
+
+    /// The constant binds from `from` on, and where they stop.
+    fn pinned(&self, from: usize) -> (usize, Vec<(u32, i64)>) {
+        let (mut at, mut pins) = (from, Vec::new());
+        while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[at] {
+            pins.push((*slot, *c));
+            at += 1;
+        }
+        (at, pins)
+    }
+
+    /// The loop just lowered at `at` is no nest, but its lane loop stands
+    /// right behind a unit-trip loop's pin (`v = 0`: a width-1 ELL bucket's
+    /// column, one-input SAGE's transform): make that pin the one-trip loop
+    /// it was — a `LoopStart` over `0..1`, with a `LoopEnd` behind the lane
+    /// loop's fallback — and plan it as a nest of one trip, whose entry
+    /// program loads what moved with `at`'s variable (a bucket row's column
+    /// and row id), so [`Self::row_block`] can make `at` a row block over it.
+    /// A one-trip nest that does not plan leaves the stream as it was.
+    fn unit_nest(&mut self, at: usize) {
+        let Instr::LoopStart { end, .. } = self.instrs[at] else { return };
+        let (lanes_at, pins) = self.pinned(at + 1);
+        let (Some(&(slot, 0)), Instr::Super { done, .. }) = (pins.last(), &self.instrs[lanes_at])
+        else {
+            return;
+        };
+        if done + 1 != end {
+            return;
+        }
+        // Only `at`'s `LoopStart` and the lane loop's fallback point at or
+        // past the new back edge: the fallback's jumps to `done` now land on
+        // it, as they should.
+        let (pin_at, done) = (lanes_at - 1, *done as usize);
+        self.instrs[pin_at] = Instr::LoopStart { slot, extent: IntExpr::Const(1), end };
+        self.instrs.insert(done, Instr::LoopEnd);
+        self.patch(at, end + 1);
+        if !self.nest_head(pin_at) {
+            self.instrs.remove(done);
+            self.instrs[pin_at] = Instr::Bind { slot, value: IntExpr::Const(0) };
+            self.patch(at, end);
+        }
     }
 
     /// Turn the loop just lowered at `at` into a row block when its whole
@@ -400,12 +448,7 @@ impl Lower {
     fn row_block(&mut self, at: usize) {
         let Instr::LoopStart { slot, extent, end } = &self.instrs[at] else { return };
         let (slot, end) = (*slot, *end as usize);
-        let mut pins = Vec::new();
-        let mut body = at + 1;
-        while let Instr::Bind { slot, value: IntExpr::Const(c) } = &self.instrs[body] {
-            pins.push((*slot, *c));
-            body += 1;
-        }
+        let (body, pins) = self.pinned(at + 1);
         let Instr::Nest { spec, end: nest_end, .. } = &self.instrs[body] else { return };
         // The nest's generic loop runs into the row loop's back edge.
         if *nest_end as usize != end - 1 {

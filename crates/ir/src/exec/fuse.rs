@@ -34,7 +34,9 @@
 //! loop *around* a fused lane loop — a CSR row's or ELL bucket's
 //! non-zeros — as a **row nest** that pays no prologue at all. The outer
 //! body must be the lane loop and nothing else (unit-trip loops in between
-//! only pin their variable to 0). One walk over the lane prologue then
+//! only pin their variable to 0; when the loop around them is no nest, the
+//! innermost such loop becomes a nest of one trip instead — a width-1 ELL
+//! bucket's column). One walk over the lane prologue then
 //! takes every integer quantity — the trip count, each iter binding, each
 //! index dimension of the lane views and of the coefficient's load — apart
 //! into its value at trip 0, a sum of constant multiples of a few

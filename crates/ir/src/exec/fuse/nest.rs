@@ -9,7 +9,12 @@
 //! fallback being the whole loop body behind nothing but constant binds
 //! (what unit-trip loops in between lower to) — in **one walk** over the
 //! prologue: the trip count, each iter binding, the flat index of the three
-//! lane views, the coefficient (or fill value) and the init value.
+//! lane views, the coefficient (or fill value) and the init value. The
+//! `for j` may itself be a unit-trip loop, which the lowering keeps as a
+//! loop only to plan it this way, when the loop around it is no nest: a
+//! width-1 ELL bucket's column loop, whose row loop sees two gathers (row
+//! id and column) where the one-trip nest sees one gather and a still
+//! load, so its rows run as a block.
 //!
 //! **One walk, two answers.** [`Planner::lin`] takes each integer quantity
 //! apart once, into

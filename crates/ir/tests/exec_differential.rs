@@ -1501,9 +1501,10 @@ fn row_nest_init_overwrites_on_trip_zero_then_accumulates() {
     }
 }
 
-/// Every non-empty bucket of a `hyb(c, k)` decomposition — width-1
-/// buckets included, whose one-trip column loop is a bind, not a nest —
-/// and the `C = 0` init nest in front of them bit-match the interpreter.
+/// Every non-empty bucket of a `hyb(c, k)` decomposition is a nest —
+/// a width-1 bucket's one-trip column loop included, whose nest loads the
+/// row's column and row id in its entry program — and, with the `C = 0`
+/// init nest in front of them, bit-matches the interpreter.
 #[test]
 fn row_nest_covers_ell_buckets_of_every_width() {
     let mut rng = gen::rng(0x63);
@@ -1515,7 +1516,8 @@ fn row_nest_covers_ell_buckets_of_every_width() {
     let widths = |w: &str| tensors.keys().filter(|k| k.ends_with(w) && k.starts_with("A_")).count();
     let (narrow, wide) = (widths("_w1"), widths("_w2") + widths("_w4") + widths("_w8"));
     assert!(narrow > 0 && wide > 0, "fixture has width-1 and wider buckets");
-    assert_eq!(nests(&f).iter().filter(|n| *n == "nest.axpy").count(), wide, "{listing}");
+    let axpy = nests(&f).iter().filter(|n| *n == "nest.axpy").count();
+    assert_eq!(axpy, narrow + wide, "{listing}");
     assert_eq!(nests(&f).iter().filter(|n| *n == "nest.fill").count(), 1, "{listing}");
     bind_dense(&mut tensors, "B", &gen::random_dense(a.cols(), d, &mut rng));
     bind_zeros(&mut tensors, "C", a.rows() * d);
@@ -2249,8 +2251,10 @@ fn stepped_attention_and_sage_bit_match_at_every_width() {
             ];
             assert_eq!(views_differential(&f, &structure, &parts), [None, None], "{what}");
             let (counts, after) = view_launch(&f, &structure, &parts);
-            // One input is a unit-trip bind: the transform has no nest.
-            let trips = (nnz + if feat > 1 { rows * feat } else { 0 }) as u64;
+            // The transform is a nest at every input width: at `feat = 1`
+            // a one-trip nest, each row one trip.
+            let trips = (nnz + rows * feat) as u64;
+            assert_eq!(counts.entries, (2 * rows) as u64, "{what}");
             assert_stepped(counts, trips, &what);
             let [x, w, h1] = [0, 1, 2].map(|p| &after[p].data);
             oracle::sage_f64(&a, x, w, feat, hidden)

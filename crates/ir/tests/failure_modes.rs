@@ -27,6 +27,10 @@
 //! column past the operand in its last row.
 //! The row that fails a block's test goes to the generic loop behind the
 //! nest: the same error text and written prefix.
+//! The `unit_nests` case does it to a `hyb` width-1 bucket, whose rows
+//! run as a block over a nest of one trip: a column past the operand in a
+//! middle bucket row; beside it, a unit-trip loop whose one-trip nest does
+//! not plan keeps the listing it had without the rule.
 //! The `csr_rows` cases do it to the CSR row loop, which rolls `cur` over
 //! from the row before: a `cur` that fails its interval after an empty row
 //! and at the launch's first row, and a roll across a decreasing `indptr`.
@@ -1162,6 +1166,117 @@ mod row_blocks {
         // Row 5's second trip (position 7) reaches column 6 of six.
         let c = agrees("J_indices", 7, COLS as i32, Some("out of bounds"));
         assert!(c[5 * 4..].iter().all(|&c| c != 9.0), "row 5's first trip landed: {c:?}");
+    }
+}
+
+mod unit_nests {
+    use super::*;
+    use sparsetir_kernels::prelude::{prepare_spmm_structure, CsrSpmmParams, SpmmConfig};
+    use sparsetir_smat::prelude::Csr;
+
+    /// `hyb(1, 0)` of a 5 × 6 matrix with row lengths 1, 2, 0, 1, 3: every
+    /// non-zero is a row of the one width-1 bucket (row ids 0, 1, 1, 3, 4,
+    /// 4, 4), at width 4, with `hyb_p0_w1_indices[at] = value` and a `C` of
+    /// stale 9.0s.
+    fn bucket(at: usize, value: i32) -> (PrimFunc, HashMap<String, TensorData>) {
+        let indptr = vec![0, 1, 3, 3, 4, 7];
+        let a = Csr::new(5, 6, indptr, vec![2, 0, 5, 1, 0, 3, 4], vec![1.5; 7]).unwrap();
+        let config =
+            SpmmConfig { col_parts: Some(1), bucket_k: 0, params: CsrSpmmParams::default() };
+        let (f, mut t) = prepare_spmm_structure(&a, 4, &config).unwrap();
+        let b = (0..6 * 4).map(|x| x as f32 * 0.25 - 2.0).collect::<Vec<_>>();
+        t.insert("B".to_string(), TensorData::from(b));
+        t.insert("C".to_string(), TensorData::from(vec![9.0f32; 5 * 4]));
+        let TensorData::I32(cols) = t.get_mut("hyb_p0_w1_indices").unwrap() else { unreachable!() };
+        cols[at] = value;
+        (f, t)
+    }
+
+    /// The bucket's rows run as a row block over a nest of one trip.
+    #[test]
+    fn a_width_one_bucket_is_a_row_block_over_a_one_trip_nest() {
+        let (f, _) = bucket(0, 2);
+        let listing = CompiledKernel::compile(&f).unwrap().disassemble();
+        let rows = listing.lines().find(|l| l.contains("  rows ")).expect("a row block");
+        assert!(rows.contains("in 0..7") && rows.ends_with("layout=planned"), "{listing}");
+        assert!(listing.contains(" in 0..1, end="), "a one-trip nest\n{listing}");
+    }
+
+    /// A bucket row whose column is past `B`: the block hands that row to
+    /// the generic loop, whose per-non-zero `Super` fails as the
+    /// interpreter does — same text, and `C` bit for bit the interpreter's
+    /// (rows 0 and 1 accumulated, the init's zeros from row 3 on).
+    #[test]
+    fn column_past_the_operand_in_a_middle_bucket_row() {
+        let (f, tensors) = bucket(3, 6);
+        let mut want = tensors.clone();
+        let err = eval_func(&f, &HashMap::new(), &mut want).unwrap_err().to_string();
+        assert!(err.contains("out of bounds") && err.contains("`B`"), "{err}");
+        let err = err.strip_prefix("interpreter error: ").expect("prefix");
+        for fuse in [false, true] {
+            let mut got = tensors.clone();
+            let kernel = CompiledKernel::compile_with(&f, fuse).unwrap();
+            let e = kernel.run(&HashMap::new(), &mut got).unwrap_err().to_string();
+            assert_eq!(e.strip_prefix("executor error: "), Some(err), "fuse = {fuse}");
+            let (got, want) = (got["C"].as_f32(), want["C"].as_f32());
+            let same = got.iter().zip(want).all(|(g, w)| g.to_bits() == w.to_bits());
+            assert!(same, "fuse = {fuse}: C diverged\n{got:?}\n{want:?}");
+            if fuse {
+                // Bucket rows 0–2 in the block, row 3 handed over.
+                let n = kernel.nest_counts();
+                assert_eq!((n.blocked, n.handovers), (n.entries - 1, 1), "{n:?}");
+            }
+        }
+        let c = want["C"].as_f32();
+        assert!(c[..8].iter().any(|&c| c != 0.0), "rows 0 and 1 landed: {c:?}");
+        assert!(c[8..].iter().all(|&c| c == 0.0), "nothing from row 3 on: {c:?}");
+    }
+
+    /// `for i in 0..4 { for j in 0..1 { for k in 0..3 { C[i, k] +=
+    /// X[Idx[i / 2 + j], k] } } }`: the column's position divides, so
+    /// neither loop plans as a nest — and the one-trip nest tried on `j`
+    /// leaves the listing as the unit-trip loop lowers without it, a
+    /// `bind` in front of the per-row `Super`.
+    #[test]
+    fn a_one_trip_nest_that_does_not_plan_leaves_the_listing_as_it_was() {
+        let idx = Buffer::global_i32("Idx", vec![Expr::i32(2)]);
+        let x = Buffer::global_f32("X", vec![Expr::i32(3), Expr::i32(3)]);
+        let c = Buffer::global_f32("C", vec![Expr::i32(4), Expr::i32(3)]);
+        let (i, j, k) = (Var::i32("i"), Var::i32("j"), Var::i32("k"));
+        let at = vec![Expr::var(&i), Expr::var(&k)];
+        let col = idx.load(vec![Expr::var(&i) / Expr::i32(2) + Expr::var(&j)]);
+        let lanes = Stmt::for_serial(
+            k.clone(),
+            3,
+            Stmt::BufferStore {
+                buffer: c.clone(),
+                indices: at.clone(),
+                value: c.load(at) + x.load(vec![col, Expr::var(&k)]),
+            },
+        );
+        let body = Stmt::for_serial(i.clone(), 4, Stmt::for_serial(j.clone(), 1, lanes));
+        let f = PrimFunc::new("undivided", vec![], vec![idx, x, c], body);
+        let kernel = CompiledKernel::compile(&f).unwrap();
+        let listing = kernel.disassemble();
+        let code = listing.split_once("\n\n").expect("a header, then the code").1;
+        let want = "\
+0000  for        %0 in 0..4, end=0007
+0001  bind       %1 = 0
+0002  super.axpy %2 in 0..3, dst=@2[%0<4, %2<3]+1 term=@1[@0[((%0 / 2) + %1)<2]<3, %2<3]+1, init=none, iters=[] -> 0006
+0003  for        %2 in 0..3, end=0006
+0004  acc.f32    @2[%0<4, %2<3] += @1[@0[((%0 / 2) + %1)<2]<3, %2<3]
+0005  end
+0006  end
+";
+        assert_eq!(code, want, "{listing}");
+        let mut t = HashMap::new();
+        t.insert("Idx".to_string(), TensorData::from(vec![2, 0]));
+        t.insert("X".to_string(), TensorData::from((0..9).map(|v| v as f32).collect::<Vec<_>>()));
+        t.insert("C".to_string(), TensorData::from(vec![0.5f32; 12]));
+        let mut want = t.clone();
+        eval_func(&f, &HashMap::new(), &mut want).unwrap();
+        kernel.run(&HashMap::new(), &mut t).unwrap();
+        assert_eq!(t["C"].as_f32(), want["C"].as_f32());
     }
 }
 

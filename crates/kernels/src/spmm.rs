@@ -60,15 +60,23 @@ impl SpmmConfig {
         SpmmConfig { col_parts: None, bucket_k: 0, params: CsrSpmmParams::default() }
     }
 
-    /// Compact human-readable label, e.g. `csr/rpb4/vw4` or
-    /// `hyb(c=2,k=3)/rpb4/vw4`.
+    /// Compact human-readable label with the GPU schedule, e.g.
+    /// `csr/rpb4/vw4` or `hyb(c=2,k=3)/rpb4/vw4`: what the simulator prices.
     #[must_use]
     pub fn label(&self) -> String {
-        let fmt = match self.col_parts {
+        let (rpb, vw) = (self.params.rows_per_block, self.params.vec_width);
+        format!("{}/rpb{rpb}/vw{vw}", self.format_label())
+    }
+
+    /// The format alone, e.g. `csr` or `hyb(c=2,k=3)`: all the CPU kernel
+    /// reads of a config, so two configs with one format label compile one
+    /// kernel.
+    #[must_use]
+    pub fn format_label(&self) -> String {
+        match self.col_parts {
             None => "csr".to_string(),
             Some(c) => format!("hyb(c={c},k={})", self.bucket_k),
-        };
-        format!("{fmt}/rpb{}/vw{}", self.params.rows_per_block, self.params.vec_width)
+        }
     }
 }
 
@@ -269,6 +277,25 @@ mod tests {
         let refs: Vec<&Dense> = xs.iter().collect();
         spmm_execute_views_on(&Runtime::new(), a, &refs, &mut outs, config)?;
         Ok(outs)
+    }
+
+    /// The format label names what the CPU kernel is built from: two CSR
+    /// configs with different GPU schedules print one label and make one
+    /// kernel spec, while `label` keeps the schedule the simulator prices.
+    #[test]
+    fn format_labels_name_the_kernel_the_cpu_compiles() {
+        let a = gen::random_csr(12, 10, 0.25, &mut gen::rng(6));
+        let csr = SpmmConfig::default_csr();
+        let wide = SpmmConfig {
+            params: CsrSpmmParams { rows_per_block: 1, vec_width: 1, ..csr.params },
+            ..csr
+        };
+        assert_eq!((csr.label(), wide.label()), ("csr/rpb4/vw4".into(), "csr/rpb1/vw1".into()));
+        assert_eq!((csr.format_label(), wide.format_label()), ("csr".into(), "csr".into()));
+        assert_eq!(spmm_spec(&a, 4, &csr).unwrap().0, spmm_spec(&a, 4, &wide).unwrap().0);
+        let hyb = SpmmConfig { col_parts: Some(1), bucket_k: 3, ..csr };
+        assert_eq!(hyb.format_label(), "hyb(c=1,k=3)");
+        assert_eq!(hyb.label(), "hyb(c=1,k=3)/rpb4/vw4");
     }
 
     #[test]
@@ -537,15 +564,15 @@ mod crosscheck_tests {
     /// an even row count and an odd one — one row loop either way, no
     /// guard; whole tensors, and `B` / `C` bound as the views of one
     /// request and of a batch of eight), every bucket of
-    /// `hyb(c = 2, k = 3)` wider than one column plus the `C = 0` init nest
-    /// (a nest outside any row loop: a block of one entry), the SDDMM for
-    /// one rider and a batch of three, each on a power-law graph, fused
-    /// attention for one head (five nests) and three, and fused SAGE. The
-    /// batches run the one-rider kernel once per rider, so they count what
-    /// that many solo launches would. A width-1 bucket stays as it is: its
-    /// column loop is a unit-trip bind, so the lane loop is a per-row
-    /// `Super` under the row loop — one non-zero per row leaves nothing to
-    /// hoist, and its two gathers (row id, column) do not fit one nest. A
+    /// `hyb(c = 2, k = 3)` plus the `C = 0` init nest (a nest outside any
+    /// row loop: a block of one entry), the SDDMM for one rider and a batch
+    /// of three, each on a power-law graph, fused attention for one head
+    /// (five nests) and three, and fused SAGE. The batches run the
+    /// one-rider kernel once per rider, so they count what that many solo
+    /// launches would. A width-1 bucket is a nest of one trip: its
+    /// unit-trip column loop stays a loop, whose entry program loads the
+    /// row's column and row id, so its rows run in a block like any
+    /// wider bucket's. A
     /// schedule change that silently drops back to a prologue per non-zero,
     /// or a binding kind a block does not cover, fails here, not only in
     /// `stbench`. Every CSR row loop runs on the `csr` layout (its
@@ -614,24 +641,25 @@ mod crosscheck_tests {
         let config =
             SpmmConfig { col_parts: Some(2), bucket_k: 3, params: CsrSpmmParams::default() };
         let (f, mut tensors) = prepare_spmm_structure(&a, 16, &config).unwrap();
-        let buckets = |wide: bool| {
-            let names = tensors.keys().filter(|k| k.starts_with("A_hyb_"));
-            names.filter(|k| k.ends_with("_w1") != wide).cloned().collect::<Vec<_>>()
-        };
-        let (narrow, wide) = (buckets(false), buckets(true));
-        assert!(!narrow.is_empty() && !wide.is_empty(), "fixture has narrow and wide buckets");
-        // One entry per row of every wide bucket (`A_hyb_<tag>` holds
-        // `rows × width` values, each a trip), and one of the init nest
-        // (a trip per row of `C`).
+        let buckets: Vec<String> =
+            tensors.keys().filter(|k| k.starts_with("A_hyb_")).cloned().collect();
+        assert!(
+            buckets.iter().any(|b| b.ends_with("_w1"))
+                && buckets.iter().any(|b| !b.ends_with("_w1")),
+            "fixture has width-1 and wider buckets"
+        );
+        // One entry per row of every bucket (`A_hyb_<tag>` holds
+        // `rows × width` values, each a trip; a width-1 row is one entry of
+        // one trip), and one of the init nest (a trip per row of `C`).
         let width_of = |name: &str| name.rsplit_once("_w").unwrap().1.parse::<usize>().unwrap();
         let slots = |b: &String| tensors[b].as_f32().len();
-        let entries = 1 + wide.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64;
-        let trips = (a.rows() + wide.iter().map(slots).sum::<usize>()) as u64;
+        let entries = 1 + buckets.iter().map(|b| slots(b) / width_of(b)).sum::<usize>() as u64;
+        let trips = (a.rows() + buckets.iter().map(slots).sum::<usize>()) as u64;
         operands(&a, 16, &mut tensors);
         let l = launch_blocked(&f, &mut tensors, (entries, trips), "hyb(c = 2, k = 3)");
-        assert_eq!(nests(&l, "nest.axpy"), wide.len(), "{l}");
+        assert_eq!(nests(&l, "nest.axpy"), buckets.len(), "{l}");
         assert_eq!(nests(&l, "nest.fill"), 1, "{l}");
-        assert_eq!(lane_loops_outside_a_nest(&l), narrow.len(), "only width-1 buckets\n{l}");
+        assert_eq!(lane_loops_outside_a_nest(&l), 0, "{l}");
         // A bucket's rows have a constant trip count (its width), no row
         // pointer: the rows run on `planned`.
         let planned = layouts(&l);

@@ -182,12 +182,13 @@ impl Bsr {
     /// Reference SpMM on block storage.
     ///
     /// # Errors
-    /// Fails when `x.rows() != self.cols()`.
+    /// Fails when `x.rows() != self.cols()`, or when the `rows × x.cols()`
+    /// output cannot be allocated.
     pub fn spmm(&self, x: &Dense) -> Result<Dense, SmatError> {
         if x.rows() != self.cols {
             return Err(SmatError::new("bsr spmm shape mismatch"));
         }
-        let mut y = Dense::zeros(self.rows, x.cols());
+        let mut y = Dense::try_zeros(self.rows, x.cols())?;
         let b = self.block;
         for br in 0..self.block_rows {
             for p in self.indptr[br]..self.indptr[br + 1] {

@@ -220,7 +220,8 @@ impl Csr {
     /// Reference SpMM: `Y = self × X` (paper §4.2.1).
     ///
     /// # Errors
-    /// Fails when `X.rows() != self.cols()`.
+    /// Fails when `X.rows() != self.cols()`, or when the `rows × X.cols()`
+    /// output cannot be allocated.
     pub fn spmm(&self, x: &Dense) -> Result<Dense, SmatError> {
         if x.rows() != self.cols {
             return Err(SmatError::new(format!(
@@ -231,7 +232,7 @@ impl Csr {
                 x.cols()
             )));
         }
-        let mut y = Dense::zeros(self.rows, x.cols());
+        let mut y = Dense::try_zeros(self.rows, x.cols())?;
         for r in 0..self.rows {
             let (cols, vals) = self.row(r);
             let yrow = y.row_mut(r);

@@ -115,12 +115,13 @@ impl Ell {
     /// Reference SpMM on ELL storage.
     ///
     /// # Errors
-    /// Fails when `x.rows() != self.cols()`.
+    /// Fails when `x.rows() != self.cols()`, or when the `rows × x.cols()`
+    /// output cannot be allocated.
     pub fn spmm(&self, x: &Dense) -> Result<Dense, SmatError> {
         if x.rows() != self.cols {
             return Err(SmatError::new("ell spmm shape mismatch"));
         }
-        let mut y = Dense::zeros(self.rows, x.cols());
+        let mut y = Dense::try_zeros(self.rows, x.cols())?;
         for r in 0..self.rows {
             for j in 0..self.width {
                 let v = self.values[r * self.width + j];

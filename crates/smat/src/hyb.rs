@@ -248,12 +248,13 @@ impl Hyb {
     /// partitions, buckets and split rows).
     ///
     /// # Errors
-    /// Fails when `x.rows() != self.cols()`.
+    /// Fails when `x.rows() != self.cols()`, or when the `rows × x.cols()`
+    /// output cannot be allocated.
     pub fn spmm(&self, x: &Dense) -> Result<Dense, SmatError> {
         if x.rows() != self.cols {
             return Err(SmatError::new("hyb spmm shape mismatch"));
         }
-        let mut y = Dense::zeros(self.rows, x.cols());
+        let mut y = Dense::try_zeros(self.rows, x.cols())?;
         for part in &self.partitions {
             for b in &part.buckets {
                 for (i, &r) in b.row_ids.iter().enumerate() {

@@ -171,12 +171,13 @@ impl SrBcrs {
     /// Reference SpMM on the tiled storage.
     ///
     /// # Errors
-    /// Fails when `x.rows() != self.cols()`.
+    /// Fails when `x.rows() != self.cols()`, or when the `rows × x.cols()`
+    /// output cannot be allocated.
     pub fn spmm(&self, x: &Dense) -> Result<Dense, SmatError> {
         if x.rows() != self.cols {
             return Err(SmatError::new("sr-bcrs spmm shape mismatch"));
         }
-        let mut y = Dense::zeros(self.rows, x.cols());
+        let mut y = Dense::try_zeros(self.rows, x.cols())?;
         for tr in 0..self.tile_rows {
             let lo = self.group_indptr[tr] * self.g;
             let hi = self.group_indptr[tr + 1] * self.g;

@@ -1,8 +1,8 @@
 //! The no-panic boundary of the `smat` constructors (ROADMAP 7(a), the
 //! `smat` slice): whatever dimensions, arrays or parameters a caller
 //! passes, `Csr::new`, `Dense::from_vec`, `Coo::from_entries`, the
-//! `from_csr` conversions and the delta path answer `Ok` or a typed
-//! `SmatError` — never a panic. Dimensions and parameters come from 0..8
+//! `from_csr` conversions, the delta path and every format's reference
+//! `spmm` answer `Ok` or a typed `SmatError` — never a panic. Dimensions and parameters come from 0..8
 //! or are values whose successor, product or byte size overflows `usize`:
 //! those must be refused before anything is allocated, so no case
 //! allocates more than a few MB.
@@ -225,4 +225,48 @@ fn a_dense_matrix_that_cannot_exist_is_refused() {
         let said = panic.downcast_ref::<String>().expect("a formatted message");
         assert_eq!(*said, e.to_string());
     }
+}
+
+/// A reference SpMM whose `rows × x.cols()` output cannot exist: a
+/// `0 × 2⁶²` operand passes the shape check against a 0-column matrix,
+/// and each format's `spmm` then refuses the output with the
+/// `Dense::try_zeros` error instead of panicking in `Dense::zeros`.
+fn refuses_an_output_that_cannot_exist(spmm: impl Fn(&Dense) -> Result<Dense, SmatError>) {
+    let x = Dense::try_zeros(0, 1 << 62).expect("no elements");
+    let e = spmm(&x).expect_err("refused");
+    assert!(e.to_string().contains("dense shape 3x4611686018427387904 cannot be"), "{e}");
+}
+
+/// Three rows, no columns.
+fn no_columns() -> Csr {
+    Csr::new(3, 0, vec![0; 4], vec![], vec![]).unwrap()
+}
+
+#[test]
+fn csr_spmm_refuses_an_output_that_cannot_exist() {
+    refuses_an_output_that_cannot_exist(|x| no_columns().spmm(x));
+}
+
+#[test]
+fn ell_spmm_refuses_an_output_that_cannot_exist() {
+    let ell = Ell::from_csr(&no_columns(), 1).unwrap();
+    refuses_an_output_that_cannot_exist(|x| ell.spmm(x));
+}
+
+#[test]
+fn hyb_spmm_refuses_an_output_that_cannot_exist() {
+    let hyb = Hyb::from_csr(&no_columns(), 1, 2).unwrap();
+    refuses_an_output_that_cannot_exist(|x| hyb.spmm(x));
+}
+
+#[test]
+fn bsr_spmm_refuses_an_output_that_cannot_exist() {
+    let bsr = Bsr::from_csr(&no_columns(), 2).unwrap();
+    refuses_an_output_that_cannot_exist(|x| bsr.spmm(x));
+}
+
+#[test]
+fn srbcrs_spmm_refuses_an_output_that_cannot_exist() {
+    let tiled = SrBcrs::from_csr(&no_columns(), 2, 2).unwrap();
+    refuses_an_output_that_cannot_exist(|x| tiled.spmm(x));
 }
