@@ -319,49 +319,6 @@ impl Csr {
         hist
     }
 
-    /// Split columns into `parts` contiguous partitions of equal width
-    /// (the last absorbs the remainder). Column indices stay global.
-    /// This is the column-partition step of `hyb(c, k)` (paper Fig. 11).
-    /// `parts` is clamped to `1..=max(cols, 1)` — a partition past the last
-    /// column could only be empty, and a table is allocated per partition —
-    /// so the result may hold fewer matrices than asked for.
-    ///
-    /// Single pass over the matrix: each entry is bucketed directly into
-    /// its partition (`O(nnz + rows·parts)`), rather than rescanning the
-    /// full matrix once per partition — this is the decomposition hot path
-    /// every hyb tuning trial pays.
-    #[must_use]
-    pub fn column_partition(&self, parts: usize) -> Vec<Csr> {
-        let parts = parts.clamp(1, self.cols.max(1));
-        let width = self.cols.div_ceil(parts).max(1);
-        let mut indptrs = vec![vec![0usize; self.rows + 1]; parts];
-        let mut indices: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        let mut values: Vec<Vec<f32>> = vec![Vec::new(); parts];
-        for r in 0..self.rows {
-            let (cols, vals) = self.row(r);
-            for (&c, &v) in cols.iter().zip(vals) {
-                let p = c as usize / width;
-                indices[p].push(c);
-                values[p].push(v);
-            }
-            for p in 0..parts {
-                indptrs[p][r + 1] = indices[p].len();
-            }
-        }
-        indptrs
-            .into_iter()
-            .zip(indices)
-            .zip(values)
-            .map(|((indptr, indices), values)| Csr {
-                rows: self.rows,
-                cols: self.cols,
-                indptr,
-                indices,
-                values,
-            })
-            .collect()
-    }
-
     /// Extract the sub-matrix of the given rows (keeping all columns); used
     /// by bucketing. Returns parallel `(csr, original_row_ids)`.
     #[must_use]
@@ -454,49 +411,6 @@ mod tests {
             for ((&c, &v), &a) in cols.iter().zip(vals).zip(avals) {
                 let expected = a * xy.get(r, c as usize);
                 assert!((v - expected).abs() < 1e-4, "at ({r},{c}): {v} vs {expected}");
-            }
-        }
-    }
-
-    #[test]
-    fn column_partition_preserves_content() {
-        let m = sample();
-        let parts = m.column_partition(2);
-        assert_eq!(parts.len(), 2);
-        let merged =
-            parts.iter().fold(Dense::zeros(3, 3), |acc, p| acc.add(&p.to_dense()).unwrap());
-        assert_eq!(merged, m.to_dense());
-    }
-
-    #[test]
-    fn column_partition_buckets_by_range() {
-        let m = Csr::new(2, 5, vec![0, 3, 5], vec![0, 2, 4, 1, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0])
-            .unwrap();
-        // width = ⌈5/3⌉ = 2: ranges [0,2), [2,4), [4,…).
-        let parts = m.column_partition(3);
-        assert_eq!(parts[0].indices(), &[0, 1]);
-        assert_eq!(parts[1].indices(), &[2, 3]);
-        assert_eq!(parts[2].indices(), &[4]);
-        assert_eq!(parts[0].row(0).0, &[0]);
-        assert_eq!(parts[0].row(1).0, &[1]);
-        assert_eq!(parts[2].row(1).0, &[] as &[u32]);
-    }
-
-    /// Any partition count is answered, never allocated for: at most one
-    /// partition per column comes back, and they concatenate to the input.
-    #[test]
-    fn column_partition_clamps_the_partition_count() {
-        let no_cols = Csr::new(3, 0, vec![0; 4], vec![], vec![]).unwrap();
-        let one_col = Csr::new(3, 1, vec![0, 1, 1, 2], vec![0, 0], vec![1.0, 2.0]).unwrap();
-        for m in [no_cols, one_col, sample()] {
-            for parts in [0, 1, m.cols(), m.cols() + 1, usize::MAX] {
-                let sub = m.column_partition(parts);
-                assert_eq!(sub.len(), parts.clamp(1, m.cols().max(1)), "{parts} of {}", m.cols());
-                for r in 0..m.rows() {
-                    let cols: Vec<u32> = sub.iter().flat_map(|p| p.row(r).0.to_vec()).collect();
-                    let vals: Vec<f32> = sub.iter().flat_map(|p| p.row(r).1.to_vec()).collect();
-                    assert_eq!((&cols[..], &vals[..]), m.row(r), "row {r}, {parts} parts");
-                }
             }
         }
     }

@@ -2,8 +2,8 @@
 //! already-built CSR instead of rebuilding it from an edge list.
 //!
 //! Real serving traffic mutates adjacencies continuously, but every format
-//! constructor in this crate (`Csr::from_coo`, `Hyb::from_csr`,
-//! `column_partition`) assumes a frozen matrix. This module is the delta
+//! constructor in this crate (`Csr::from_coo`, `Hyb::from_csr`) assumes a
+//! frozen matrix. This module is the delta
 //! layer — one update path, the one `Engine::apply_delta` runs:
 //!
 //! * [`GraphDelta`] — a normalized batch of edge upserts and deletes;

@@ -96,9 +96,11 @@ impl Ell {
     }
 
     /// Dense reconstruction.
-    #[must_use]
-    pub fn to_dense(&self) -> Dense {
-        let mut d = Dense::zeros(self.rows, self.cols);
+    ///
+    /// # Errors
+    /// Fails when the `rows × cols` matrix cannot be allocated.
+    pub fn to_dense(&self) -> Result<Dense, SmatError> {
+        let mut d = Dense::try_zeros(self.rows, self.cols)?;
         for r in 0..self.rows {
             for j in 0..self.width {
                 let v = self.values[r * self.width + j];
@@ -109,7 +111,7 @@ impl Ell {
                 }
             }
         }
-        d
+        Ok(d)
     }
 
     /// Reference SpMM on ELL storage.
@@ -152,7 +154,7 @@ mod tests {
     fn roundtrip_preserves_matrix() {
         let csr = sample();
         let ell = Ell::from_csr(&csr, 2).unwrap();
-        assert_eq!(ell.to_dense(), csr.to_dense());
+        assert_eq!(ell.to_dense().unwrap(), csr.to_dense());
     }
 
     #[test]

@@ -104,52 +104,60 @@ impl Hyb {
                 u32::BITS
             )));
         }
-        let parts = csr.column_partition(c);
-        let width_cols = csr.cols().div_ceil(c);
-        let max_width = 1usize << k;
-        let mut partitions = Vec::with_capacity(c);
-        for (p, part) in parts.iter().enumerate() {
-            let col_lo = (p * width_cols).min(csr.cols()) as u32;
-            let col_hi = (((p + 1) * width_cols).min(csr.cols())) as u32;
-            let mut buckets: Vec<EllBucket> = (0..=k)
-                .map(|i| EllBucket {
-                    width: 1usize << i,
-                    row_ids: Vec::new(),
-                    col_indices: Vec::new(),
-                    values: Vec::new(),
-                    real: 0,
-                })
-                .collect();
-            for r in 0..part.rows() {
-                let (cols, vals) = part.row(r);
-                if cols.is_empty() {
-                    continue;
+        let step = csr.cols().div_ceil(c).max(1);
+        let mut partitions: Vec<HybPartition> = (0..c)
+            .map(|p| HybPartition {
+                col_lo: (p * step).min(csr.cols()) as u32,
+                col_hi: (p + 1).saturating_mul(step).min(csr.cols()) as u32,
+                buckets: (0..=k)
+                    .map(|i| EllBucket {
+                        width: 1usize << i,
+                        row_ids: Vec::new(),
+                        col_indices: Vec::new(),
+                        values: Vec::new(),
+                        real: 0,
+                    })
+                    .collect(),
+            })
+            .collect();
+        // One pass over the rows. A row's columns ascend, so each partition
+        // it touches holds one run of them; each run splits into `2^k`-wide
+        // chunks (one contiguous copy into bucket `k`) and one shorter tail,
+        // padded with its last column and `0.0`.
+        let mask = (1usize << k) - 1;
+        for r in 0..csr.rows() {
+            let (cols, vals) = csr.row(r);
+            let (mut start, mut p, mut hi) = (0, 0, step);
+            while start < cols.len() {
+                let col = cols[start] as usize;
+                if col >= hi {
+                    // Divide only when the row jumps past the next partition.
+                    p = if col - hi < step { p + 1 } else { col / step };
+                    hi = (p + 1) * step;
                 }
-                // Split rows longer than 2^k into chunks of 2^k.
-                let mut start = 0usize;
-                while start < cols.len() {
-                    let chunk = (cols.len() - start).min(max_width);
-                    let ccols = &cols[start..start + chunk];
-                    let cvals = &vals[start..start + chunk];
-                    let bucket_idx = bucket_for(chunk, k);
-                    let width = 1usize << bucket_idx;
-                    let b = &mut buckets[bucket_idx as usize];
+                let end = start + cols[start..].partition_point(|&x| (x as usize) < hi);
+                let buckets = &mut partitions[p].buckets;
+                let full = (end - start) & !mask;
+                if full > 0 {
+                    let b = &mut buckets[k as usize];
+                    b.row_ids.resize(b.row_ids.len() + (full >> k), r as u32);
+                    b.col_indices.extend_from_slice(&cols[start..start + full]);
+                    b.values.extend_from_slice(&vals[start..start + full]);
+                    b.real += full;
+                }
+                let tail = start + full;
+                if tail < end {
+                    let b = &mut buckets[ceil_log2(end - tail) as usize];
+                    let pad = b.col_indices.len() + b.width;
                     b.row_ids.push(r as u32);
-                    b.real += chunk;
-                    let pad_col = *ccols.last().expect("nonempty chunk");
-                    for j in 0..width {
-                        if j < chunk {
-                            b.col_indices.push(ccols[j]);
-                            b.values.push(cvals[j]);
-                        } else {
-                            b.col_indices.push(pad_col);
-                            b.values.push(0.0);
-                        }
-                    }
-                    start += chunk;
+                    b.col_indices.extend_from_slice(&cols[tail..end]);
+                    b.col_indices.resize(pad, cols[end - 1]);
+                    b.values.extend_from_slice(&vals[tail..end]);
+                    b.values.resize(pad, 0.0);
+                    b.real += end - tail;
                 }
+                start = end;
             }
-            partitions.push(HybPartition { col_lo, col_hi, buckets });
         }
         Ok(Hyb {
             rows: csr.rows(),
@@ -224,9 +232,11 @@ impl Hyb {
     }
 
     /// Dense reconstruction (sums split rows back together).
-    #[must_use]
-    pub fn to_dense(&self) -> Dense {
-        let mut d = Dense::zeros(self.rows, self.cols);
+    ///
+    /// # Errors
+    /// Fails when the `rows × cols` matrix cannot be allocated.
+    pub fn to_dense(&self) -> Result<Dense, SmatError> {
+        let mut d = Dense::try_zeros(self.rows, self.cols)?;
         for part in &self.partitions {
             for b in &part.buckets {
                 for (i, &r) in b.row_ids.iter().enumerate() {
@@ -241,7 +251,7 @@ impl Hyb {
                 }
             }
         }
-        d
+        Ok(d)
     }
 
     /// Reference SpMM over the decomposed storage (accumulating across
@@ -344,7 +354,11 @@ mod tests {
         let csr = skewed();
         let widest = Hyb::from_csr(&csr, 1, 31).expect("2^31 is a bucket width");
         assert_eq!(widest.partitions()[0].buckets.len(), 32);
-        assert_eq!(widest.to_dense(), csr.to_dense(), "wide buckets stay empty, not wrong");
+        assert_eq!(
+            widest.to_dense().unwrap(),
+            csr.to_dense(),
+            "wide buckets stay empty, not wrong"
+        );
         for k in [32, 64, u32::MAX] {
             let err = Hyb::from_csr(&csr, 1, k).expect_err("not a bucket width");
             assert!(err.to_string().contains("bucket exponent"), "{err}");
@@ -356,7 +370,7 @@ mod tests {
         let csr = skewed();
         let per_column = Hyb::from_csr(&csr, csr.cols(), 3).expect("one partition per column");
         assert_eq!(per_column.partitions().len(), 16);
-        assert_eq!(per_column.to_dense(), csr.to_dense());
+        assert_eq!(per_column.to_dense().unwrap(), csr.to_dense());
         for c in [csr.cols() + 1, usize::MAX] {
             let err = Hyb::from_csr(&csr, c, 3).expect_err("more partitions than columns");
             assert!(err.to_string().contains("column partitions"), "{err}");
@@ -395,7 +409,7 @@ mod tests {
     fn roundtrip_single_partition() {
         let csr = skewed();
         let hyb = Hyb::from_csr(&csr, 1, 3).unwrap();
-        assert_eq!(hyb.to_dense(), csr.to_dense());
+        assert_eq!(hyb.to_dense().unwrap(), csr.to_dense());
     }
 
     #[test]
@@ -403,7 +417,7 @@ mod tests {
         let csr = skewed();
         for c in [2usize, 4] {
             let hyb = Hyb::from_csr(&csr, c, 2).unwrap();
-            assert_eq!(hyb.to_dense(), csr.to_dense(), "c={c}");
+            assert_eq!(hyb.to_dense().unwrap(), csr.to_dense(), "c={c}");
         }
     }
 
@@ -415,7 +429,7 @@ mod tests {
         let bucket1 = &hyb.partitions()[0].buckets[1];
         let count_row0 = bucket1.row_ids.iter().filter(|&&r| r == 0).count();
         assert!(count_row0 >= 4, "long row should split, got {count_row0}");
-        assert_eq!(hyb.to_dense(), csr.to_dense());
+        assert_eq!(hyb.to_dense().unwrap(), csr.to_dense());
     }
 
     #[test]

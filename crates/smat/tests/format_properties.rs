@@ -53,7 +53,7 @@ proptest! {
         k in 0u32..4,
     ) {
         let hyb = Hyb::from_csr(&m, c.min(m.cols()), k).expect("0 < c <= cols");
-        prop_assert_eq!(hyb.to_dense(), m.to_dense());
+        prop_assert_eq!(hyb.to_dense().expect("small"), m.to_dense());
     }
 
     #[test]
@@ -96,7 +96,7 @@ proptest! {
     fn ell_roundtrip_when_wide_enough(m in sparse_matrix(16, 48)) {
         let width = m.row_lengths().into_iter().max().unwrap_or(0).max(1);
         let ell = Ell::from_csr(&m, width).expect("wide enough");
-        prop_assert_eq!(ell.to_dense(), m.to_dense());
+        prop_assert_eq!(ell.to_dense().expect("small"), m.to_dense());
     }
 
     #[test]
@@ -129,7 +129,7 @@ proptest! {
     #[test]
     fn hyb_roundtrip(m in sparse_matrix(20, 64), c in 1usize..5, k in 0u32..4) {
         let hyb = Hyb::from_csr(&m, c.min(m.cols()), k).expect("0 < c <= cols");
-        prop_assert_eq!(hyb.to_dense(), m.to_dense());
+        prop_assert_eq!(hyb.to_dense().expect("small"), m.to_dense());
         prop_assert!(hyb.stored() >= m.nnz());
         let ratio = hyb.padding_ratio();
         prop_assert!((0.0..1.0).contains(&ratio) || hyb.stored() == 0);
@@ -176,15 +176,101 @@ proptest! {
         }
     }
 
+    /// `Hyb::from_csr` decomposes exactly as the two-stage oracle does:
+    /// empty rows and columns, every `c` in `1..=cols`, `k` in `0..=5`,
+    /// rows longer than `2^k` and rows spanning every partition.
     #[test]
-    fn column_partition_sums_to_original(m in sparse_matrix(16, 48), parts in 1usize..6) {
-        let sub = m.column_partition(parts);
-        prop_assert_eq!(sub.len(), parts.clamp(1, m.cols()));
-        let merged = sub.iter().fold(Dense::zeros(m.rows(), m.cols()), |acc, p| {
-            acc.add(&p.to_dense()).expect("same shape")
-        });
-        prop_assert_eq!(merged, m.to_dense());
-        let total: usize = sub.iter().map(Csr::nnz).sum();
-        prop_assert_eq!(total, m.nnz());
+    fn hyb_matches_the_two_stage_oracle(
+        lens in proptest::collection::vec(prop_oneof![Just(0usize), 1usize..=8, 0usize..=96], 1..13),
+        cols in 1usize..=96,
+        c in 1usize..=96,
+        k in 0u32..=5,
+        seed in 0u64..1 << 32,
+    ) {
+        let rows = lens.len();
+        let mut lens = lens.into_iter();
+        let row_len = |_: &mut _| lens.next().unwrap_or(0);
+        let m = gen::random_csr_with_row_lengths(rows, cols, row_len, &mut gen::rng(seed));
+        assert_matches_two_stage_oracle(&m, 1 + (c - 1) % cols, k);
     }
+}
+
+/// One partition per column of a wide matrix: most partitions hold one
+/// column, and every row jumps across many of them.
+#[test]
+fn hyb_matches_the_two_stage_oracle_with_one_partition_per_column() {
+    let m = gen::random_csr(64, 4096, 0.02, &mut gen::rng(51));
+    for k in [0, 3] {
+        assert_matches_two_stage_oracle(&m, m.cols(), k);
+    }
+}
+
+/// `hyb(c, k)` as two stages: split the columns into `c` CSR matrices
+/// (the last absorbs the remainder), then cut each partition's rows into
+/// chunks of at most `2^k`, one element at a time. `Hyb::from_csr` must
+/// build exactly these partitions.
+fn assert_matches_two_stage_oracle(m: &Csr, c: usize, k: u32) {
+    let hyb = Hyb::from_csr(m, c, k).expect("0 < c <= cols, k < 32");
+    let width_cols = m.cols().div_ceil(c);
+    let step = width_cols.max(1);
+    let mut indptrs = vec![vec![0usize; m.rows() + 1]; c];
+    let mut indices: Vec<Vec<u32>> = vec![Vec::new(); c];
+    let mut values: Vec<Vec<f32>> = vec![Vec::new(); c];
+    for r in 0..m.rows() {
+        let (cols, vals) = m.row(r);
+        for (&col, &v) in cols.iter().zip(vals) {
+            let p = col as usize / step;
+            indices[p].push(col);
+            values[p].push(v);
+        }
+        for p in 0..c {
+            indptrs[p][r + 1] = indices[p].len();
+        }
+    }
+    let mut oracle = Vec::with_capacity(c);
+    for (p, ((indptr, indices), values)) in indptrs.into_iter().zip(indices).zip(values).enumerate()
+    {
+        let part = Csr::new(m.rows(), m.cols(), indptr, indices, values).expect("a partition");
+        let mut buckets: Vec<EllBucket> = (0..=k)
+            .map(|i| EllBucket {
+                width: 1 << i,
+                row_ids: Vec::new(),
+                col_indices: Vec::new(),
+                values: Vec::new(),
+                real: 0,
+            })
+            .collect();
+        for r in 0..part.rows() {
+            let (cols, vals) = part.row(r);
+            let mut start = 0;
+            while start < cols.len() {
+                let chunk = (cols.len() - start).min(1 << k);
+                let b = &mut buckets[bucket_for(chunk, k) as usize];
+                b.row_ids.push(r as u32);
+                b.real += chunk;
+                for j in 0..b.width {
+                    if j < chunk {
+                        b.col_indices.push(cols[start + j]);
+                        b.values.push(vals[start + j]);
+                    } else {
+                        b.col_indices.push(cols[start + chunk - 1]);
+                        b.values.push(0.0);
+                    }
+                }
+                start += chunk;
+            }
+        }
+        oracle.push(HybPartition {
+            col_lo: (p * width_cols).min(m.cols()) as u32,
+            col_hi: ((p + 1) * width_cols).min(m.cols()) as u32,
+            buckets,
+        });
+    }
+    let stored: usize = oracle.iter().flat_map(|p| &p.buckets).map(EllBucket::stored).sum();
+    let padding = if stored == 0 { 0.0 } else { (stored - m.nnz()) as f64 / stored as f64 };
+    let at = format!("hyb({c}, {k}) of a {}x{} matrix", m.rows(), m.cols());
+    assert_eq!(hyb.partitions(), &oracle[..], "{at}");
+    assert_eq!(hyb.stored(), stored, "{at}");
+    assert_eq!(hyb.padding_ratio().to_bits(), padding.to_bits(), "{at}");
+    assert_eq!(hyb.original_nnz(), m.nnz(), "{at}");
 }

@@ -1,8 +1,9 @@
 //! The no-panic boundary of the `smat` constructors (ROADMAP 7(a), the
 //! `smat` slice): whatever dimensions, arrays or parameters a caller
 //! passes, `Csr::new`, `Dense::from_vec`, `Coo::from_entries`, the
-//! `from_csr` conversions, the delta path and every format's reference
-//! `spmm` answer `Ok` or a typed `SmatError` — never a panic. Dimensions and parameters come from 0..8
+//! `from_csr` conversions, the delta path, every format's reference
+//! `spmm` and the ELL / `hyb` `to_dense` answer `Ok` or a typed `SmatError`
+//! — never a panic. Dimensions and parameters come from 0..8
 //! or are values whose successor, product or byte size overflows `usize`:
 //! those must be refused before anything is allocated, so no case
 //! allocates more than a few MB.
@@ -269,4 +270,23 @@ fn bsr_spmm_refuses_an_output_that_cannot_exist() {
 fn srbcrs_spmm_refuses_an_output_that_cannot_exist() {
     let tiled = SrBcrs::from_csr(&no_columns(), 2, 2).unwrap();
     refuses_an_output_that_cannot_exist(|x| tiled.spmm(x));
+}
+
+/// A dense reconstruction that cannot exist: a `2 × 2⁶²` matrix with no
+/// non-zeros builds in any format, but its `2⁶³` dense `f32`s cannot be
+/// allocated, so `to_dense` refuses it with the `Dense::try_zeros` error.
+fn refuses_a_dense_form_that_cannot_exist(to_dense: impl Fn(&Csr) -> Result<Dense, SmatError>) {
+    let a = Csr::new(2, 1 << 62, vec![0; 3], vec![], vec![]).unwrap();
+    let e = to_dense(&a).expect_err("refused");
+    assert!(e.to_string().contains("dense shape 2x4611686018427387904 cannot be"), "{e}");
+}
+
+#[test]
+fn ell_to_dense_refuses_a_matrix_that_cannot_exist() {
+    refuses_a_dense_form_that_cannot_exist(|a| Ell::from_csr(a, 1)?.to_dense());
+}
+
+#[test]
+fn hyb_to_dense_refuses_a_matrix_that_cannot_exist() {
+    refuses_a_dense_form_that_cannot_exist(|a| Hyb::from_csr(a, 1, 2)?.to_dense());
 }
