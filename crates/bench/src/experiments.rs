@@ -1107,9 +1107,9 @@ pub mod serving_throughput {
 /// deadlined) traffic under a saturating best-effort (`Lo`) flood, with
 /// the engine's SLO machinery (priority-then-deadline queue, admission
 /// shedding) vs a FIFO/blocking baseline serving the identical mixed
-/// workload. One worker on both
+/// workload. One launch permit on both
 /// arms; the Lo flood runs heavyweight SpMM requests on distinct
-/// adjacencies (each occupies the worker for a full execution), the
+/// adjacencies (each holds the permit for a full execution), the
 /// measured Hi clients run cheap SDDMM requests on a
 /// shared small adjacency with a deadline ≈ 2 Lo-executions — met only
 /// by jumping the Lo backlog, which is exactly what the priority queue
@@ -1137,7 +1137,7 @@ pub mod serving_slo {
     pub const GAIN_CAP: f64 = 2.0;
 
     /// Measure the median wall-clock of one Lo-class SpMM execution on a
-    /// warmed single-worker engine — the unit every deadline in the
+    /// warmed one-permit engine — the unit every deadline in the
     /// experiment is calibrated against, so the arms express "about two
     /// executions of backlog" identically on fast and slow machines.
     fn calibrate_lo_exec(adj: &Adjacency, x: &Dense) -> Duration {
@@ -1158,8 +1158,9 @@ pub mod serving_slo {
     /// score a hit when the answer arrives in time. `slo` selects the
     /// machinery under test: priorities + deadlines vs plain FIFO submits
     /// of the identical requests (the deadline then exists only in the
-    /// client's stopwatch). Staged, not raced: the flood queues behind a
-    /// stalled worker before any Hi client starts ([`Engine::stall_worker`]).
+    /// client's stopwatch). Staged, not raced: every flood client queues
+    /// its first request with `try_submit` before any Hi client starts,
+    /// and nothing serves the queue until some client waits.
     fn run_arm(
         lo: &[(Adjacency, Dense)],
         hi_adj: &Adjacency,
@@ -1181,13 +1182,12 @@ pub mod serving_slo {
         let [lo_class, hi_class] =
             if slo { [Priority::Lo, Priority::Hi] } else { [Priority::Normal; 2] };
         let hits: u64 = std::thread::scope(|s| {
-            let stall = engine.stall_worker();
             for (adj, x) in lo {
                 let engine = Arc::clone(&engine);
                 let (stop, queued) = (&stop, &queued);
                 s.spawn(move || {
                     let sub = || Submission::spmm(x.clone()).priority(lo_class);
-                    let mut ticket = engine.submit(adj, sub()).expect("lo flood request");
+                    let mut ticket = engine.try_submit(adj, sub()).expect("lo flood request");
                     queued.wait();
                     loop {
                         ticket.wait().expect("lo flood request");
@@ -1199,7 +1199,6 @@ pub mod serving_slo {
                 });
             }
             queued.wait();
-            drop(stall);
             let measurers: Vec<_> = (0..hi_clients)
                 .map(|_| {
                     let engine = Arc::clone(&engine);
@@ -1243,7 +1242,7 @@ pub mod serving_slo {
         let feat = 32;
         let mut rng = gen::rng(0x510);
         // One heavyweight adjacency per Lo flood client (each request
-        // costs a full execution — a genuinely occupied worker).
+        // costs a full execution — a genuinely occupied launch permit).
         let lo: Vec<(Adjacency, Dense)> = (0..4)
             .map(|_| {
                 let g = gen::random_csr_with_row_lengths(

@@ -37,7 +37,7 @@
 //! launch on a fresh runtime (which compiles), with
 //! `Runtime::compilations()` before and after the update's launches. An
 //! engine table names the serving layer's share of a request: on the
-//! tenant graph at SpMM d = 16, `Engine::serve` on an idle one-worker
+//! tenant graph at SpMM d = 16, `Engine::serve` on an idle one-permit
 //! engine (as `stbench` builds it) against `spmm_execute_views_on` on that
 //! engine's own runtime, both taking an operand copy and a fresh output,
 //! alternating; the median over rounds of the two arms' paired burst
@@ -533,7 +533,7 @@ fn sweep_table(
 }
 
 /// The serving layer's share of a warm tenant request: SpMM d = 16 on
-/// `a`, `Engine::serve` on an idle one-worker engine against the entry
+/// `a`, `Engine::serve` on an idle one-permit engine against the entry
 /// point it ends in, `spmm_execute_views_on` on the engine's own runtime
 /// (so both hit one compiled kernel). Each arm copies the operand (a
 /// submission owns it) and gets a fresh output, so the gap is what the

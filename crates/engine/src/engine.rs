@@ -1,26 +1,26 @@
-//! The serving engine: a bounded multi-producer request queue drained by
-//! a worker pool, one request per kernel launch. [`OpRequest`] is the
-//! table of served ops: each variant is checked at submit by its kernel's
-//! request-shape rule and launched through its kernel's one entry point.
+//! The serving engine, caller-run: a bounded, ordered request queue
+//! served by the threads that submit and wait, one request per kernel
+//! launch. [`OpRequest`] is the table of served ops: each variant is
+//! checked at submit by its kernel's request-shape rule and launched
+//! through its kernel's one entry point.
 //!
-//! The queue is priority-then-deadline ordered, admission sheds
-//! infeasible or expired work with typed [`EngineError::Rejected`]
-//! answers instead of only blocking, and the drain loop drops
-//! already-expired requests without executing them. A worker pops the
-//! queue head and serves it.
+//! The engine starts no thread. It holds [`EngineConfig::workers`] launch
+//! permits, so at most that many launches run at once. A blocking
+//! [`Engine::submit`] that finds a permit free and nothing queued that it
+//! does not outrank serves its request on the calling thread and returns
+//! an answered ticket ([`EngineStats::served_inline`]). Anything else
+//! queues, in priority → deadline → arrival order, and [`Ticket::wait`]
+//! takes a permit and serves queue heads, sweeping expired ones, until
+//! its own answer lands; with no permit free it sleeps until one comes
+//! back or its answer is filled. [`Engine::try_submit`] always queues,
+//! because it must not block. So:
 //!
-//! A request costs its launch, not a thread hand-off: the engine holds
-//! `workers` launch permits, shared by the workers and by submitting
-//! threads, so at most [`EngineConfig::workers`] launches run at once. A
-//! blocking [`Engine::submit`] that finds nobody waiting — no other
-//! ticket outstanding, the queue empty, a permit free and no test hook
-//! pending — serves its request on the calling thread, through the same
-//! serve path a worker runs, and returns a ticket that is already
-//! answered ([`EngineStats::served_inline`] counts these). Anything else
-//! queues: an inline request never overtakes a queued one, and a client
-//! with tickets in flight (or several clients at once) keeps the workers'
-//! parallelism. [`Engine::try_submit`] always queues,
-//! because it must not block.
+//! - a queued request makes progress only while some caller waits or
+//!   submits;
+//! - a dropped ticket's request is still served, by the next waiter
+//!   whose own request ranks behind it, or at the engine's drop;
+//! - one client holding many tickets is served one launch at a time,
+//!   however many cores the host has.
 
 use crate::op::{launch, OpOutput, OpRequest};
 use crate::stats::{EngineStats, StatsInner};
@@ -28,15 +28,14 @@ use crate::submission::{Priority, RejectReason, Submission};
 use sparsetir_ir::exec::Runtime;
 use sparsetir_kernels::prelude::{bytes_copied_on_thread, SpmmConfig};
 use sparsetir_kernels::tune::{
-    measured_spmm_key, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache,
+    measured_spmm_key, SparsityFingerprint, SpmmMeasuredEvaluator, TuneCache, TuneKey,
 };
 use sparsetir_smat::prelude::{Csr, Dense, GraphDelta};
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Default bound on the request queue (the backpressure knob).
@@ -45,17 +44,14 @@ pub const DEFAULT_QUEUE_DEPTH: usize = 64;
 /// How far the log2-degree histogram may drift (see
 /// [`SparsityFingerprint::drift`]: L1 distance over row count — a single
 /// moved row contributes 2) before [`Engine::apply_delta`] re-anchors the
-/// adjacency's tuning identity and schedules a background retune. At or
+/// adjacency's tuning identity and queues a retune. At or
 /// below it the old anchor is kept: cached tune decisions and compiled
 /// kernels keep serving unchanged. At `0.1`, five percent of rows changing
 /// degree bin re-tunes; anything less keeps serving the existing decisions.
 pub const DRIFT_THRESHOLD: f64 = 0.1;
 
-/// Lock a mutex, recovering from poisoning: a panicking worker must not
-/// wedge every subsequent submit/shutdown on the client threads. The
-/// queue state stays structurally consistent across a worker unwind (a
-/// popped job either completes or is answered with an error), so the
-/// poison flag carries no information we act on.
+/// Lock a mutex, recovering from poisoning: launches run outside every
+/// lock, inside [`contain`], so the flag carries nothing we act on.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -68,15 +64,15 @@ pub enum EngineError {
     Shape(String),
     /// The engine shut down before (or while) answering.
     Shutdown,
-    /// The admission controller or drain loop refused the submission;
+    /// The admission controller or a serving caller refused the submission;
     /// the reason says whether the queue was full, the deadline was
     /// infeasible, or the deadline had already passed.
     Rejected {
         /// Why the submission was refused.
         reason: RejectReason,
     },
-    /// Kernel lowering/compilation/execution failed (including a worker
-    /// panic, which the engine survives).
+    /// Kernel lowering/compilation/execution failed (including a panic
+    /// while serving, which the engine survives).
     Exec(String),
     /// A ticket was asked for a different op's output variant.
     Output(String),
@@ -159,15 +155,13 @@ impl Adjacency {
 /// Engine construction parameters.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads draining the queue, and the most launches that run
-    /// at once: workers and inline-serving callers share this many launch
-    /// permits (see [`Engine::submit`]), so serving on a caller's thread
-    /// adds no parallelism.
+    /// Launch permits: the most launches that run at once, each on a
+    /// thread that submits or waits (the engine starts none).
     pub workers: usize,
-    /// Bound on queued (not yet dispatched) requests — the backpressure
-    /// knob: blocking submits wait for space (at most until their
-    /// deadline), `try_submit*` fails with [`EngineError::Rejected`]
-    /// (`QueueFull`).
+    /// Bound on queued requests — the backpressure knob: a blocking
+    /// submit against a full queue serves the queue head itself (waiting
+    /// at most until its deadline for a permit), `try_submit*` fails with
+    /// [`EngineError::Rejected`] (`QueueFull`).
     pub queue_depth: usize,
 }
 
@@ -180,89 +174,48 @@ impl Default for EngineConfig {
     }
 }
 
+/// A queued unit of work and its place in the queue's order.
 struct Job {
-    adj: Adjacency,
-    req: OpRequest,
     enqueued: Instant,
     deadline: Option<Instant>,
     priority: Priority,
-    tune: bool,
-    reply: ReplyTx,
+    task: Task,
 }
 
-struct QueueState {
-    queue: VecDeque<Job>,
-    /// Launch permits in use, by workers and inline-serving callers;
-    /// never more than [`Shared::permits`].
-    launches: usize,
-    /// Crash-safety test hook (see [`Engine::inject_worker_panic`]):
-    /// each pending injection makes one draining worker panic while it
-    /// holds the queue lock.
-    inject_panics: usize,
-    /// Occupancy test hook (see [`Engine::stall_worker`]): each pending
-    /// gate parks one draining worker until its guard is dropped.
-    stalls: Vec<mpsc::Receiver<()>>,
-    shutdown: bool,
+enum Task {
+    /// A client's request, answered through `reply`.
+    Request { adj: Adjacency, req: OpRequest, tune: bool, reply: ReplyTx },
+    /// A re-anchor's retune ([`Engine::apply_delta`]): replay the SpMM
+    /// decision timed at width `feat` against `csr` and file it under
+    /// `key`, over the stale seed.
+    Retune { csr: Arc<Csr>, key: TuneKey, feat: usize },
 }
 
-impl QueueState {
-    fn hook_pending(&self) -> bool {
-        self.inject_panics > 0 || !self.stalls.is_empty()
+impl Job {
+    fn is_request(&self) -> bool {
+        matches!(self.task, Task::Request { .. })
     }
-}
 
-/// One of the engine's launch permits, held by a worker for one tick or
-/// by a caller serving its request inline. Dropping it hands it back and,
-/// when it was the last free one and work is waiting, wakes the workers.
-struct Permit<'a> {
-    shared: &'a Shared,
-}
-
-impl<'a> Permit<'a> {
-    /// Take a free permit; the caller checked one is free under the lock.
-    fn take(shared: &'a Shared, st: &mut QueueState) -> Permit<'a> {
-        st.launches += 1;
-        debug_assert!(
-            st.launches <= shared.permits(),
-            "{} launches at once with {} permits",
-            st.launches,
-            shared.permits()
-        );
-        Permit { shared }
-    }
-}
-
-impl Drop for Permit<'_> {
-    fn drop(&mut self) {
-        let mut st = lock(&self.shared.state);
-        // Only a worker that found every permit taken waits for one back;
-        // below the cap, whoever queued the work already woke a worker.
-        let capped = st.launches == self.shared.permits();
-        st.launches -= 1;
-        let waiting = capped && (!st.queue.is_empty() || st.hook_pending());
-        drop(st);
-        if waiting {
-            self.shared.not_empty.notify_all();
+    /// Answer a request that will not be served (a retune has nobody to
+    /// answer).
+    fn refuse(&mut self, reason: RejectReason) {
+        if let Task::Request { reply, .. } = &mut self.task {
+            reply.send(Err(EngineError::Rejected { reason }));
         }
     }
 }
 
-/// One ticket the engine issued whose client has not yet waited on it or
-/// dropped it; counted in [`Shared::tickets`] while it lives.
-#[derive(Debug)]
-struct Outstanding(Arc<AtomicUsize>);
-
-impl Outstanding {
-    fn open(tickets: &Arc<AtomicUsize>) -> Outstanding {
-        tickets.fetch_add(1, Ordering::Relaxed);
-        Outstanding(Arc::clone(tickets))
-    }
-}
-
-impl Drop for Outstanding {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
-    }
+#[derive(Default)]
+struct QueueState {
+    queue: VecDeque<Job>,
+    /// Launch permits in use; never more than [`Shared::permits`].
+    launches: usize,
+    /// Threads asleep on [`Shared::wake`].
+    sleepers: usize,
+    /// Retune jobs queued or running ([`Engine::quiesce_retunes`] waits
+    /// for 0).
+    retunes: usize,
+    shutdown: bool,
 }
 
 type Answer = Result<OpOutput, EngineError>;
@@ -270,17 +223,7 @@ type Answer = Result<OpOutput, EngineError>;
 /// A request's one-shot answer, filled once by whoever serves, sheds or
 /// drops the request (before `submit` returns, for one served inline).
 #[derive(Debug, Default)]
-struct ReplySlot {
-    answer: Mutex<Option<Answer>>,
-    filled: Condvar,
-}
-
-impl ReplySlot {
-    fn put(&self, answer: Answer) {
-        *lock(&self.answer) = Some(answer);
-        self.filled.notify_one();
-    }
-}
+struct ReplySlot(Mutex<Option<Answer>>);
 
 /// The serving end of a [`ReplySlot`]. Dropped unanswered, it answers
 /// [`EngineError::Shutdown`]: what the ticket of a request the engine
@@ -290,16 +233,14 @@ struct ReplyTx(Option<Arc<ReplySlot>>);
 impl ReplyTx {
     fn send(&mut self, answer: Answer) {
         if let Some(slot) = self.0.take() {
-            slot.put(answer);
+            *lock(&slot.0) = Some(answer);
         }
     }
 }
 
 impl Drop for ReplyTx {
     fn drop(&mut self) {
-        if let Some(slot) = self.0.take() {
-            slot.put(Err(EngineError::Shutdown));
-        }
+        self.send(Err(EngineError::Shutdown));
     }
 }
 
@@ -309,75 +250,144 @@ fn reply_slot() -> (ReplyTx, Arc<ReplySlot>) {
     (ReplyTx(Some(Arc::clone(&slot))), slot)
 }
 
-/// How admission placed a submission.
-enum Admitted<'a> {
-    /// Serve it on the submitting thread, under this permit.
-    Inline(Permit<'a>),
-    /// Queue it at this position; the queue lock is still held.
-    Queued(MutexGuard<'a, QueueState>, usize),
-}
-
 struct Shared {
     state: Mutex<QueueState>,
-    not_empty: Condvar,
-    not_full: Condvar,
+    /// Wakes sleeping callers: a permit came back or an answer was filled.
+    wake: Condvar,
     config: EngineConfig,
     runtime: Arc<Runtime>,
     tune_cache: TuneCache<SpmmConfig>,
     /// Single-flight guard for tuning searches: [`TuneCache`] computes
-    /// outside its lock by design, so without this, workers racing the
+    /// outside its lock by design, so without this, callers racing the
     /// *first* tuned requests of one adjacency would each pay the full
     /// search.
     tune_flight: Mutex<()>,
-    /// Tickets issued and not yet waited on or dropped ([`Outstanding`]).
-    /// A blocking submit is served inline only when this reads 0: a
-    /// client with tickets in flight, or another client's ticket, means
-    /// the workers can run the new request beside them.
-    tickets: Arc<AtomicUsize>,
     /// Every anchor a tune decision was taken under, with the feature
-    /// width it was timed at — the worklist a background retune replays
-    /// (on a seeded operand of that width) when [`Engine::apply_delta`]
-    /// re-anchors past the drift threshold.
+    /// width it was timed at — the worklist a retune replays (on a seeded
+    /// operand of that width) when [`Engine::apply_delta`] re-anchors past
+    /// the drift threshold.
     retune_registry: Mutex<HashMap<SparsityFingerprint, usize>>,
-    /// In-flight background retune threads; joined by
-    /// [`Engine::quiesce_retunes`] and at drop.
-    retune_threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Test hook ([`Engine::inject_worker_panic`]): the next served
+    /// launch panics.
+    panic_next: AtomicBool,
     stats: StatsInner,
 }
 
 impl Shared {
-    /// Launch permits: one per worker.
     fn permits(&self) -> usize {
         self.config.workers.max(1)
+    }
+
+    /// Serve queue heads on the calling thread until `done` holds (it is
+    /// checked under the queue lock).
+    fn serve_until(&self, mut done: impl FnMut(&QueueState) -> bool) {
+        let mut st = lock(&self.state);
+        while !done(&st) {
+            st = self.step(st, None);
+        }
+    }
+
+    /// One turn of caller-run service: answer the queued requests whose
+    /// deadline has passed; else serve the queue head under a free permit;
+    /// else sleep until woken (or until `until`).
+    fn step<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, QueueState>,
+        until: Option<Instant>,
+    ) -> MutexGuard<'a, QueueState> {
+        if self.sweep_expired(&mut st) {
+            return st;
+        }
+        if st.launches < self.permits() {
+            if let Some(job) = st.queue.pop_front() {
+                let retune = !job.is_request();
+                st.launches += 1;
+                drop(st);
+                serve(self, job);
+                let mut st = lock(&self.state);
+                st.retunes -= usize::from(retune);
+                self.release(&mut st);
+                return st;
+            }
+        }
+        st.sleepers += 1;
+        let mut st = match until {
+            Some(t) => {
+                let left = t.saturating_duration_since(Instant::now());
+                self.wake.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner).0
+            }
+            None => self.wake.wait(st).unwrap_or_else(PoisonError::into_inner),
+        };
+        st.sleepers -= 1;
+        st
+    }
+
+    /// Hand a launch permit back and wake the sleepers: one may take it,
+    /// or find its answer filled by the launch that held it.
+    fn release(&self, st: &mut QueueState) {
+        debug_assert!(st.launches <= self.permits(), "{} launches at once", st.launches);
+        st.launches -= 1;
+        if st.sleepers > 0 {
+            self.wake.notify_all();
+        }
+    }
+
+    /// Remove every queued request whose deadline has passed, preserving
+    /// order, and answer it `Rejected { Expired }` unexecuted — its
+    /// operands never reach a kernel, and its latency is recorded (it
+    /// waited in the queue). Returns whether anything expired.
+    fn sweep_expired(&self, st: &mut QueueState) -> bool {
+        let (now, before) = (Instant::now(), st.queue.len());
+        st.queue.retain_mut(|job| {
+            let live = job.deadline.is_none_or(|dl| dl > now);
+            if !live {
+                self.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
+                self.stats.expire(job.priority);
+                job.refuse(RejectReason::Expired);
+            }
+            live
+        });
+        let swept = st.queue.len() < before;
+        if swept && st.sleepers > 0 {
+            self.wake.notify_all();
+        }
+        swept
     }
 }
 
 /// Result of any submitted request: the one generic ticket every op
-/// answers through, waiting on a one-shot reply slot its server fills (a
-/// request served on the submitting thread comes back with the slot
-/// already filled). [`Ticket::wait`] yields the unified [`OpOutput`]; the
-/// `wait_*` conveniences convert to the op's native result.
-#[derive(Debug)]
+/// answers through. A request served on the submitting thread comes back
+/// answered; for a queued one, [`Ticket::wait`] serves the queue until it
+/// is. [`Ticket::wait`] yields the unified [`OpOutput`]; the `wait_*`
+/// conveniences convert to the op's native result.
 #[must_use = "wait() on the ticket to receive the result"]
 pub struct Ticket {
     slot: Arc<ReplySlot>,
-    _outstanding: Outstanding,
+    shared: Arc<Shared>,
+}
+
+impl fmt::Debug for Ticket {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Ticket").field("slot", &self.slot).finish_non_exhaustive()
+    }
 }
 
 impl Ticket {
-    /// Block until the engine answers (at once for a request served on
-    /// the submitting thread).
+    /// The answer: at once for a request already served; else, on this
+    /// thread, take a launch permit and serve queue heads in order until
+    /// this request's answer lands (sleeping while every permit is taken).
     ///
     /// # Errors
     /// Propagates the serving-side error, or [`EngineError::Shutdown`]
-    /// when the engine died before answering.
+    /// when the engine lost the request.
     pub fn wait(self) -> Result<OpOutput, EngineError> {
-        let answer = self
-            .slot
-            .filled
-            .wait_while(lock(&self.slot.answer), |answer| answer.is_none())
-            .unwrap_or_else(PoisonError::into_inner)
-            .take();
+        let mut answer = lock(&self.slot.0).take();
+        if answer.is_none() {
+            self.shared.serve_until(|_| {
+                answer = lock(&self.slot.0).take();
+                answer.is_some()
+            });
+        }
         answer.unwrap_or(Err(EngineError::Shutdown))
     }
 
@@ -409,68 +419,41 @@ impl Ticket {
     }
 }
 
-/// Guard of [`Engine::stall_worker`]: one worker stays parked while it
-/// lives. It borrows the engine, so the engine cannot shut down (and wait
-/// for that worker) underneath it.
-#[doc(hidden)]
-pub struct WorkerStall<'a> {
-    _guard: mpsc::Sender<()>,
-    _engine: PhantomData<&'a Engine>,
-}
-
 /// Multi-tenant serving engine: owns a shared kernel-cache [`Runtime`]
 /// and a [`TuneCache`] of SpMM decisions, accepts [`Submission`]s for any
 /// served [`OpRequest`] from any number of client threads through one
 /// submit path, and serves each request in its own kernel launch, under
-/// its own tuning flag.
+/// its own tuning flag, on a thread that submits or waits.
 ///
 /// Submissions carry optional SLO envelopes — a deadline and a
 /// [`Priority`] class. The queue serves higher priorities first and
 /// earlier deadlines first within a class; the admission controller
-/// sheds work it cannot serve in time ([`EngineError::Rejected`]); the
-/// drain loop drops expired requests unexecuted.
+/// sheds work it cannot serve in time ([`EngineError::Rejected`]); a
+/// serving caller answers expired requests unexecuted.
 ///
-/// Dropping the engine shuts it down: queued requests are still drained
-/// and answered, then the workers exit.
+/// Dropping the engine shuts it down: the dropping thread serves and
+/// answers whatever is still queued.
 pub struct Engine {
     shared: Arc<Shared>,
-    workers: Vec<std::thread::JoinHandle<()>>,
 }
 
 impl Engine {
-    /// Start an engine with `config.workers` worker threads (and as many
-    /// launch permits) and a fresh kernel cache.
+    /// An engine with `config.workers` launch permits and a fresh kernel
+    /// cache. It starts no thread.
     #[must_use]
     pub fn new(config: EngineConfig) -> Engine {
         let shared = Arc::new(Shared {
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                launches: 0,
-                inject_panics: 0,
-                stalls: Vec::new(),
-                shutdown: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            config: config.clone(),
+            state: Mutex::new(QueueState::default()),
+            wake: Condvar::new(),
+            config,
             runtime: Arc::new(Runtime::new()),
             tune_cache: TuneCache::new(),
             tune_flight: Mutex::new(()),
-            tickets: Arc::new(AtomicUsize::new(0)),
             retune_registry: Mutex::new(HashMap::new()),
-            retune_threads: Mutex::new(Vec::new()),
+            panic_next: AtomicBool::new(false),
             stats: StatsInner::default(),
         });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("sparsetir-engine-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn engine worker")
-            })
-            .collect();
-        Engine { shared, workers }
+        Engine { shared }
     }
 
     /// The engine's kernel-cache runtime (for compilation accounting:
@@ -503,22 +486,20 @@ impl Engine {
         stats
     }
 
-    /// Submit any op, blocking while the queue is at capacity. Accepts a
-    /// [`Submission`] (op + SLO options) or a bare [`OpRequest`]
-    /// (default options).
+    /// Submit any op. Accepts a [`Submission`] (op + SLO options) or a
+    /// bare [`OpRequest`] (default options).
     ///
-    /// A submission with a deadline blocks on a full queue at most until
-    /// that deadline, and is shed at admission when the deadline is
+    /// When a launch permit is free and nothing is queued that the
+    /// submission does not outrank, the request is served on the calling
+    /// thread before `submit` returns, and the ticket is already answered
+    /// ([`EngineStats::served_inline`] ticks). Otherwise it queues behind
+    /// everything it does not outrank, for [`Ticket::wait`] to serve.
+    ///
+    /// Against a full queue, a submit serves the queue head itself (or,
+    /// with every permit taken, sleeps until one comes back) until there
+    /// is space; a submission with a deadline does so at most until that
+    /// deadline. A submission is shed at admission when its deadline is
     /// infeasible or already passed.
-    ///
-    /// When nobody is waiting — no other ticket of this engine is
-    /// outstanding (issued and not yet waited on or dropped), the queue is
-    /// empty, a launch permit is free and no test hook is pending — the
-    /// request is served on the calling thread before `submit` returns,
-    /// and the ticket is already answered ([`EngineStats::served_inline`]
-    /// ticks). Otherwise it queues for a worker, behind everything it does
-    /// not outrank: a client that submits several requests before waiting
-    /// has the second and later ones run by the workers, side by side.
     ///
     /// # Errors
     /// [`EngineError::Shape`] when the operands are incompatible with
@@ -536,8 +517,9 @@ impl Engine {
     /// Submit any op without blocking: a full queue answers
     /// [`EngineError::Rejected`] (`QueueFull`) immediately (unless the
     /// submission outranks queued work, which it evicts instead). The
-    /// request always queues for a worker, never serves on the calling
-    /// thread, since that would block the caller for a launch.
+    /// request always queues, never serves on the calling thread, since
+    /// that would block the caller for a launch; it is served when some
+    /// caller waits.
     ///
     /// # Errors
     /// Like [`Engine::submit`].
@@ -574,13 +556,15 @@ impl Engine {
     ///   fingerprint. The tune decision taken under the old anchor is
     ///   *pre-seeded* under the new anchor's key (stale but correct — the
     ///   matrix changed shape-compatibly, so the old schedule still runs),
-    ///   then ONE background thread replays the decision against the
-    ///   updated matrix and atomically overwrites the seed in the
-    ///   [`TuneCache`] when it lands. Requests never observe a gap: they
-    ///   hit either the stale or the fresh decision. With nothing tuned
-    ///   under the old anchor, or a new anchor that already has a
+    ///   and ONE retune job queues, ranked like a `Normal` request with no
+    ///   deadline submitted now: the caller that serves it replays the
+    ///   decision against the updated matrix and overwrites the seed in
+    ///   the [`TuneCache`]. Requests never observe a gap: they hit either
+    ///   the stale or the fresh decision. A retune job never expires, is
+    ///   never evicted and counts toward the queue bound. With nothing
+    ///   tuned under the old anchor, or a new anchor that already has a
     ///   decision, there is nothing to seed or replay: the pass counts as
-    ///   started and completed on the spot and no thread is spawned.
+    ///   started and completed on the spot and nothing queues.
     ///
     /// Either way the successor's launches run on the kernels the
     /// predecessor's launches compiled: a served kernel keys on `rows / cols` and
@@ -610,8 +594,8 @@ impl Engine {
             return Ok(next);
         }
         // Re-anchor: move the old anchor's width to the new one, seeding
-        // the new key with the stale decision so lookups keep hitting while
-        // the background pass runs.
+        // the new key with the stale decision so lookups keep hitting until
+        // the retune runs.
         let mut reg = lock(&shared.retune_registry);
         let work = match reg.remove(&*adj.anchor) {
             Some(feat) if !reg.contains_key(&*next.anchor) => {
@@ -630,64 +614,33 @@ impl Engine {
             shared.stats.retunes_completed.fetch_add(1, Ordering::Relaxed);
             return Ok(next);
         };
-        let csr = Arc::clone(&next.csr);
-        let shared = Arc::clone(&self.shared);
-        let handle = std::thread::Builder::new()
-            .name("sparsetir-retune".into())
-            .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let tuner = SpmmMeasuredEvaluator::new(&shared.runtime, &csr, feat);
-                    shared.tune_cache.insert(key, tuner.decide());
-                }));
-                if result.is_err() {
-                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                }
-                shared.stats.retunes_completed.fetch_add(1, Ordering::Relaxed);
-            })
-            .expect("spawn retune thread");
-        lock(&self.shared.retune_threads).push(handle);
+        let task = Task::Retune { csr: Arc::clone(&next.csr), key, feat };
+        let job =
+            Job { enqueued: Instant::now(), deadline: None, priority: Priority::Normal, task };
+        let mut st = lock(&shared.state);
+        let pos = insert_pos(&st.queue, job.priority, None);
+        st.queue.insert(pos, job);
+        st.retunes += 1;
         Ok(next)
     }
 
-    /// Join every background retune spawned by [`Engine::apply_delta`].
-    /// Serving does not require this — stale decisions answer until the
-    /// swap — but tests and orderly shutdowns use it to observe the
-    /// settled state ([`EngineStats::retunes_completed`] catches up to
+    /// Serve queue heads on this thread until no retune job queued by
+    /// [`Engine::apply_delta`] is left queued or running. Serving does not
+    /// require this — stale decisions answer until the swap — but tests
+    /// and orderly shutdowns use it to observe the settled state
+    /// ([`EngineStats::retunes_completed`] catches up to
     /// [`EngineStats::retunes_started`]).
     pub fn quiesce_retunes(&self) {
-        let handles: Vec<_> = lock(&self.shared.retune_threads).drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
+        self.shared.serve_until(|st| st.retunes == 0);
     }
 
-    /// Crash-safety regression hook: make the next worker that drains the
-    /// queue panic *while holding the queue lock*, poisoning the mutex.
-    /// The engine must recover — the worker survives, later submits
-    /// succeed, and [`EngineStats::worker_panics`] counts the event.
+    /// Crash-safety regression hook: make the next served launch panic,
+    /// inside the catch every launch runs under. Its request is answered
+    /// [`EngineError::Exec`], [`EngineStats::worker_panics`] counts the
+    /// event, and the serving thread and the engine carry on.
     #[doc(hidden)]
     pub fn inject_worker_panic(&self) {
-        let mut st = lock(&self.shared.state);
-        st.inject_panics += 1;
-        drop(st);
-        self.shared.not_empty.notify_one();
-    }
-
-    /// Occupancy test hook: the next worker to reach the queue parks —
-    /// holding a launch permit but neither the lock nor a job — until the
-    /// returned guard is dropped. Requests submitted meanwhile pile up
-    /// behind it exactly as behind a long-running kernel, for as long as
-    /// the test needs and however fast kernels run (with `workers: 1`,
-    /// nothing is served until the drop, not even inline).
-    #[doc(hidden)]
-    #[must_use = "the worker resumes as soon as the guard is dropped"]
-    pub fn stall_worker(&self) -> WorkerStall<'_> {
-        let (guard, gate) = mpsc::channel();
-        let mut st = lock(&self.shared.state);
-        st.stalls.push(gate);
-        drop(st);
-        self.shared.not_empty.notify_one();
-        WorkerStall { _guard: guard, _engine: PhantomData }
+        self.shared.panic_next.store(true, Ordering::Relaxed);
     }
 
     fn submit_request(
@@ -703,48 +656,36 @@ impl Engine {
         // A budget past the clock's range is no deadline at all.
         let deadline = opts.deadline.and_then(|d| enqueued.checked_add(d));
         let priority = opts.priority;
-        let mut evicted = None;
-        let admitted = self.admit(req.kind(), deadline, priority, block, &mut evicted);
-        let ticket = admitted.map(|(admitted, outstanding)| {
-            let (reply, slot) = reply_slot();
-            let job =
-                Job { adj: adj.clone(), req, enqueued, deadline, priority, tune: opts.tune, reply };
-            match admitted {
-                Admitted::Inline(permit) => {
-                    shared.stats.served_inline.fetch_add(1, Ordering::Relaxed);
-                    serve(shared, job);
-                    drop(permit);
-                }
-                Admitted::Queued(mut st, pos) => {
-                    st.queue.insert(pos, job);
-                    shared.stats.queue_high_water.fetch_max(st.queue.len(), Ordering::Relaxed);
-                    drop(st);
-                    shared.not_empty.notify_all();
-                }
-            }
-            Ticket { slot, _outstanding: outstanding }
-        });
-        // Answer the eviction victim outside the queue lock; its ticket
-        // may already be dropped.
-        if let Some(mut v) = evicted {
-            shared.stats.shed(RejectReason::QueueFull, v.priority);
-            v.reply.send(Err(EngineError::Rejected { reason: RejectReason::QueueFull }));
+        let (mut st, pos) = self.admit(req.kind(), deadline, priority, block)?;
+        let (reply, slot) = reply_slot();
+        let task = Task::Request { adj: adj.clone(), req, tune: opts.tune, reply };
+        let job = Job { enqueued, deadline, priority, task };
+        // Nothing queued that this submission does not outrank, and a
+        // permit free: serve it here.
+        if block && pos == 0 && st.launches < shared.permits() {
+            st.launches += 1;
+            drop(st);
+            shared.stats.served_inline.fetch_add(1, Ordering::Relaxed);
+            serve(shared, job);
+            shared.release(&mut lock(&shared.state));
+        } else {
+            st.queue.insert(pos, job);
+            shared.stats.queue_high_water.fetch_max(st.queue.len(), Ordering::Relaxed);
         }
-        ticket
+        Ok(Ticket { slot, shared: Arc::clone(&self.shared) })
     }
 
     /// The admission controller: find (or free) a queue slot, shed what
-    /// cannot be served in time, and place the submission — on the
-    /// calling thread when a blocking submit finds nobody waiting, else
-    /// in priority-then-deadline order — counting its ticket outstanding.
+    /// cannot be served in time, and count the submission. Returns the
+    /// queue lock and the submission's position in priority-then-deadline
+    /// order.
     fn admit(
         &self,
         kind: &str,
         deadline: Option<Instant>,
         priority: Priority,
         block: bool,
-        evicted: &mut Option<Job>,
-    ) -> Result<(Admitted<'_>, Outstanding), EngineError> {
+    ) -> Result<(MutexGuard<'_, QueueState>, usize), EngineError> {
         let shared = &*self.shared;
         let depth = shared.config.queue_depth.max(1);
         let mut st = lock(&shared.state);
@@ -752,8 +693,7 @@ impl Engine {
             if st.shutdown {
                 return Err(EngineError::Shutdown);
             }
-            let now = Instant::now();
-            if deadline.is_some_and(|dl| dl <= now) {
+            if deadline.is_some_and(|dl| dl <= Instant::now()) {
                 shared.stats.shed(RejectReason::Expired, priority);
                 return Err(EngineError::Rejected { reason: RejectReason::Expired });
             }
@@ -761,41 +701,33 @@ impl Engine {
                 break;
             }
             // Full queue: a higher-priority submission takes the slot of
-            // the queue's lowest-ranked entry instead of waiting behind
+            // the queue's lowest-ranked request instead of waiting behind
             // it — this is what keeps Hi traffic unstarvable under a
             // saturating Lo flood.
-            if st.queue.back().is_some_and(|back| back.priority < priority) {
-                *evicted = st.queue.pop_back();
+            let last = st.queue.iter().rposition(Job::is_request);
+            let outranked = last.filter(|&i| st.queue[i].priority < priority);
+            if let Some(mut victim) = outranked.and_then(|i| st.queue.remove(i)) {
+                shared.stats.shed(RejectReason::QueueFull, victim.priority);
+                shared.stats.evicted.fetch_add(1, Ordering::Relaxed);
+                victim.refuse(RejectReason::QueueFull);
+                if st.sleepers > 0 {
+                    shared.wake.notify_all();
+                }
                 break;
             }
             if !block {
                 shared.stats.shed(RejectReason::QueueFull, priority);
                 return Err(EngineError::Rejected { reason: RejectReason::QueueFull });
             }
-            st = match deadline {
-                // A deadlined blocking submit waits for space at most
-                // until its deadline (the next loop turn sheds it as
-                // Expired).
-                Some(dl) => {
-                    let left = dl.saturating_duration_since(now);
-                    shared.not_full.wait_timeout(st, left).unwrap_or_else(PoisonError::into_inner).0
-                }
-                None => shared.not_full.wait(st).unwrap_or_else(PoisonError::into_inner),
-            };
+            // A blocking submit makes the space itself: it serves the
+            // queue head (the next loop turn sheds it as Expired once its
+            // deadline passes).
+            st = shared.step(st, deadline);
         }
-        // Nobody is waiting: no ticket in flight whose request a worker
-        // could run beside this one, no queued request to
-        // overtake, a permit free and no test hook for a worker to take
-        // first.
-        let inline = block
-            && shared.tickets.load(Ordering::Relaxed) == 0
-            && st.queue.is_empty()
-            && st.launches < shared.permits()
-            && !st.hook_pending();
-        let pos = if inline { 0 } else { insert_pos(&st.queue, priority, deadline) };
+        let pos = insert_pos(&st.queue, priority, deadline);
         // Deadline-feasibility check: with `pos` requests served first
-        // at roughly the op's estimated execution time each (single
-        // worker assumed — a deliberately conservative model), would this
+        // at roughly the op's estimated execution time each (one launch at
+        // a time assumed — a deliberately conservative model), would this
         // request still answer in time? Shed now
         // rather than let it expire in the queue. No estimate yet (cold
         // kind) admits optimistically.
@@ -810,11 +742,7 @@ impl Engine {
             }
         }
         shared.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        let outstanding = Outstanding::open(&shared.tickets);
-        if inline {
-            return Ok((Admitted::Inline(Permit::take(shared, &mut st)), outstanding));
-        }
-        Ok((Admitted::Queued(st, pos), outstanding))
+        Ok((st, pos))
     }
 }
 
@@ -836,132 +764,11 @@ fn insert_pos(queue: &VecDeque<Job>, priority: Priority, deadline: Option<Instan
 }
 
 impl Drop for Engine {
+    /// Shut down: refuse new submissions and serve everything still
+    /// queued on the dropping thread, so every ticket is answered.
     fn drop(&mut self) {
         lock(&self.shared.state).shutdown = true;
-        self.shared.not_empty.notify_all();
-        self.shared.not_full.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        self.quiesce_retunes();
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-/// The payload of [`Engine::inject_worker_panic`]'s panic.
-const INJECTED_PANIC: &str = "injected worker panic (crash-safety test hook)";
-
-fn worker_loop(shared: &Shared) {
-    loop {
-        // A panic anywhere in a tick — including the injected lock-held
-        // panic of the crash-safety tests — must not kill the worker:
-        // catch it, count it, keep draining. The queue mutex recovers
-        // from the poisoning via `lock`. The tick's launch permit lives
-        // out here and goes back only once the tick is fully accounted,
-        // `worker_panics` included, so no caller takes that permit ahead
-        // of the count.
-        let mut permit = None;
-        let tick = catch_unwind(AssertUnwindSafe(|| worker_tick(shared, &mut permit)));
-        match tick {
-            Ok(true) => {}
-            Ok(false) => return,
-            // The injected panic counted itself before it was raised.
-            Err(payload) if payload.downcast_ref::<&str>() == Some(&INJECTED_PANIC) => {}
-            Err(_) => {
-                shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        drop(permit);
-    }
-}
-
-/// One drain-and-serve iteration; `false` means shutdown. Whatever the
-/// tick takes — a request or a test hook — it takes under a launch permit,
-/// left in `permit`.
-fn worker_tick<'a>(shared: &'a Shared, permit: &mut Option<Permit<'a>>) -> bool {
-    let mut expired = Vec::new();
-    let job = {
-        let mut st = lock(&shared.state);
-        loop {
-            // While inline callers hold every permit, queued work waits
-            // for the first permit back (its holder wakes us). A hook
-            // comes first, while `expired` is still empty: leaving the
-            // tick early must not drop a swept request unanswered.
-            let permit_free = st.launches < shared.permits();
-            if permit_free {
-                if st.inject_panics > 0 {
-                    st.inject_panics -= 1;
-                    *permit = Some(Permit::take(shared, &mut st));
-                    // Counted before it unwinds: a first unwind (backtrace
-                    // included) takes milliseconds, long enough for the
-                    // other permits' holders to finish every request and
-                    // read the counters ahead of a count taken after it.
-                    shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-                    std::panic::panic_any(INJECTED_PANIC)
-                }
-                if let Some(gate) = st.stalls.pop() {
-                    *permit = Some(Permit::take(shared, &mut st));
-                    drop(st);
-                    // Parked until the test drops its `WorkerStall`.
-                    let _ = gate.recv();
-                    return true;
-                }
-            }
-            // Expired-at-drain requests are swept out before dispatch and
-            // answered Expired — their operands never reach a kernel.
-            // Answering needs no permit, so this runs even while every
-            // permit is taken.
-            sweep_expired(&mut st.queue, &mut expired);
-            if permit_free {
-                if let Some(job) = st.queue.pop_front() {
-                    *permit = Some(Permit::take(shared, &mut st));
-                    break Some(job);
-                }
-            }
-            if !expired.is_empty() {
-                // Nothing left to serve, but sweep results to deliver.
-                break None;
-            }
-            if st.shutdown && st.queue.is_empty() {
-                return false;
-            }
-            st = shared.not_empty.wait(st).unwrap_or_else(PoisonError::into_inner);
-        }
-    };
-    // Space was freed: wake blocked submitters.
-    shared.not_full.notify_all();
-    answer_expired(shared, expired);
-    if let Some(job) = job {
-        serve(shared, job);
-    }
-    true
-}
-
-/// Remove every queued job whose deadline has passed, preserving order.
-fn sweep_expired(queue: &mut VecDeque<Job>, expired: &mut Vec<Job>) {
-    let now = Instant::now();
-    let mut i = 0;
-    while i < queue.len() {
-        if queue[i].deadline.is_some_and(|dl| dl <= now) {
-            if let Some(job) = queue.remove(i) {
-                expired.push(job);
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Answer drain-time-expired jobs with `Rejected { Expired }` — latency
-/// is recorded (they waited in the queue), but they never execute.
-fn answer_expired(shared: &Shared, expired: Vec<Job>) {
-    for mut job in expired {
-        shared.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
-        shared.stats.expire(job.priority);
-        job.reply.send(Err(EngineError::Rejected { reason: RejectReason::Expired }));
+        self.shared.serve_until(|st| st.queue.is_empty());
     }
 }
 
@@ -995,37 +802,54 @@ fn tuned_spmm_config(shared: &Shared, adj: &Adjacency, x: &Dense) -> SpmmConfig 
     });
     if !hit {
         // First decision under this anchor: remember the width it was
-        // timed at, so a future re-anchor can replay it against the
-        // updated matrix in the background.
+        // timed at, so a future re-anchor's retune can replay it against
+        // the updated matrix.
         lock(&shared.retune_registry).entry(key.fingerprint).or_insert(x.cols());
     }
     config
 }
 
-/// Serve one request — popped by a worker, or on its submitting thread —
-/// in its own launch, under its own tuning flag, and answer it. A
-/// panicking kernel answers [`EngineError::Exec`] instead of killing the
-/// thread that serves it.
-fn serve(shared: &Shared, mut job: Job) {
-    let kind = job.req.kind();
+/// Serve one job on the calling thread, under a launch permit: a request
+/// in its own launch, under its own tuning flag, answered; or a retune,
+/// filed in the tune cache. A panicking kernel or tuning search answers
+/// [`EngineError::Exec`] (ends the retune) instead of unwinding through
+/// the thread that serves it.
+fn serve(shared: &Shared, job: Job) {
+    let Job { enqueued, priority, task, .. } = job;
+    let (adj, req, tune, mut reply) = match task {
+        Task::Request { adj, req, tune, reply } => (adj, req, tune, reply),
+        Task::Retune { csr, key, feat } => {
+            let _ = contain(shared, || {
+                let tuner = SpmmMeasuredEvaluator::new(&shared.runtime, &csr, feat);
+                shared.tune_cache.insert(key, tuner.decide());
+            });
+            shared.stats.retunes_completed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
+    };
     shared.stats.batches.fetch_add(1, Ordering::Relaxed);
     let started = Instant::now();
     // Sample the thread-local copy counter around the launch: the delta is
     // exactly the bytes the launch memcpy'd (0 on the view paths).
     let copied_before = bytes_copied_on_thread();
-    let result = catch_unwind(AssertUnwindSafe(|| {
+    let result = contain(shared, || {
+        if shared.panic_next.load(Ordering::Relaxed)
+            && shared.panic_next.swap(false, Ordering::Relaxed)
+        {
+            panic!("injected launch panic (crash-safety test hook)");
+        }
         // The config lookup sits inside the catch: a panicking tuning
         // search must answer `Exec` too, not drop the reply. Only SpMM
         // reads a config.
-        let config = match &job.req {
-            OpRequest::Spmm(x) if job.tune => tuned_spmm_config(shared, &job.adj, x),
+        let config = match &req {
+            OpRequest::Spmm(x) if tune => tuned_spmm_config(shared, &adj, x),
             _ => SpmmConfig::default(),
         };
-        let out = launch(&shared.runtime, job.adj.csr(), &config, &job.req)?;
+        let out = launch(&shared.runtime, adj.csr(), &config, &req)?;
         // The launch's wall time is admission's execution estimate.
-        shared.stats.record_exec(kind, started.elapsed().as_nanos() as u64);
+        shared.stats.record_exec(req.kind(), started.elapsed().as_nanos() as u64);
         Ok::<_, Box<dyn std::error::Error>>(out)
-    }));
+    });
     shared
         .stats
         .bytes_copied
@@ -1033,25 +857,30 @@ fn serve(shared: &Shared, mut job: Job) {
     let answer = match result {
         Ok(Ok(out)) => Ok(out),
         Ok(Err(e)) => Err(EngineError::Exec(e.to_string())),
-        Err(panic) => {
-            shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked while executing the request".to_string());
-            Err(EngineError::Exec(format!("worker panic: {msg}")))
-        }
+        Err(msg) => Err(EngineError::Exec(format!("panic while serving: {msg}"))),
     };
     // Record latency + outcome and deliver the answer (a client that
     // dropped its ticket is not an error).
-    shared.stats.record_latency(job.enqueued.elapsed().as_nanos() as u64);
+    shared.stats.record_latency(enqueued.elapsed().as_nanos() as u64);
     if answer.is_ok() {
-        shared.stats.serve(job.priority);
+        shared.stats.serve(priority);
     } else {
         shared.stats.failed.fetch_add(1, Ordering::Relaxed);
     }
-    job.reply.send(answer);
+    reply.send(answer);
+}
+
+/// Run `f`, containing a panic: it is counted in
+/// [`EngineStats::worker_panics`] and comes back as its message.
+fn contain<T>(shared: &Shared, f: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|panic| {
+        shared.stats.worker_panics.fetch_add(1, Ordering::Relaxed);
+        panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "panicked while serving the request".to_string())
+    })
 }
 
 #[cfg(test)]
@@ -1059,38 +888,30 @@ mod tests {
     use super::*;
     use sparsetir_smat::prelude::gen;
 
-    /// A reply slot whose serving end is dropped unanswered — a job lost
-    /// to shutdown or an unwinding thread — answers `Shutdown`, also to a
-    /// ticket already waiting on another thread; a ticket stops counting
-    /// as outstanding once waited on.
+    /// A reply slot whose serving end is dropped unanswered — a job the
+    /// engine lost — answers `Shutdown`; an answered slot is not
+    /// overwritten by the drop.
     #[test]
     fn a_reply_slot_dropped_unanswered_reads_shutdown() {
-        let tickets = Arc::new(AtomicUsize::new(0));
-        let ticket = |slot| Ticket { slot, _outstanding: Outstanding::open(&tickets) };
+        let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1 });
+        let ticket = |slot| Ticket { slot, shared: Arc::clone(&engine.shared) };
         let (tx, slot) = reply_slot();
         drop(tx);
         assert_eq!(ticket(slot).wait().err(), Some(EngineError::Shutdown));
 
-        let (tx, slot) = reply_slot();
-        let pending = ticket(slot);
-        let waiter = std::thread::spawn(move || pending.wait().err());
-        std::thread::sleep(Duration::from_millis(5));
-        drop(tx);
-        assert_eq!(waiter.join().expect("waiter returns"), Some(EngineError::Shutdown));
-
         let (mut tx, slot) = reply_slot();
         let answered = ticket(slot);
         tx.send(Ok(OpOutput::Edges(vec![1.0])));
-        assert_eq!(tickets.load(Ordering::Relaxed), 1);
+        drop(tx);
         let got = answered.wait_edges();
         assert_eq!(got, Ok(vec![1.0]), "an answered slot is not overwritten by the drop");
-        assert_eq!(tickets.load(Ordering::Relaxed), 0);
     }
 
-    /// Four blocking clients on a two-worker engine: workers and inline
-    /// callers share two launch permits, so no more than two launches
-    /// ever run at once (`Permit::take` asserts it in debug builds; an
-    /// observer samples it in every profile), and every answer is right.
+    /// Four blocking clients on a two-permit engine: the callers that
+    /// serve inline and the ones that serve the queue while they wait share
+    /// two launch permits, so no more than two launches ever run at once
+    /// (`Shared::release` asserts it in debug builds; an observer samples
+    /// it in every profile), and every answer is right.
     #[test]
     fn launch_permits_never_exceed_workers() {
         const CLIENTS: usize = 4;

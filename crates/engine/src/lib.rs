@@ -23,7 +23,7 @@
 //!   admission sheds work with typed [`EngineError::Rejected`] answers
 //!   ([`RejectReason`]: full queue, infeasible deadline, already
 //!   expired) instead of only blocking, evicting lower-priority queued
-//!   work for higher-priority arrivals; the drain loop drops expired
+//!   work for higher-priority arrivals; a serving caller drops expired
 //!   requests unexecuted.
 //! * **Cross-op fusion is what the fused ops do**: `FusedAttention` and
 //!   `FusedSage` requests always compile their whole pipeline into one
@@ -31,7 +31,7 @@
 //!   `sparsetir-kernels`.
 //! * **One shared [`Runtime`](sparsetir_ir::exec::Runtime) and one
 //!   [`TuneCache`](sparsetir_kernels::tune::TuneCache)** per engine: every
-//!   worker compiles through the same striped kernel cache and reuses
+//!   serving thread compiles through the same striped kernel cache and reuses
 //!   the same per-`(adjacency, op)` tuning decisions. Only an op whose
 //!   launch reads a searched configuration has a decision to cache: SpMM,
 //!   whose decision is measured on this engine's runtime
@@ -39,7 +39,7 @@
 //!   times the whole launch of CSR and two `hyb` configs and keeps CSR
 //!   unless a challenger wins by more than a fixed margin). A tuned
 //!   submission of any other kind is served exactly like an untuned one.
-//! * **One request, one launch**: a worker pops the queue head and runs it
+//! * **One request, one launch**: a serving thread runs each request
 //!   through its kernel's entry point, which looks up the compiled kernel
 //!   and binds the adjacency, the request's operands and its output
 //!   buffer in place as flat slices, so nothing is stacked or split back
@@ -48,20 +48,22 @@
 //!   every later request hits it. Concurrent requests do not share
 //!   launches: a rider of a shared launch cost 0.95–0.99× a solo one, and
 //!   under load riders rarely met.
-//! * **Bounded queue with backpressure**: blocking submits wait while
-//!   the queue is at `queue_depth` (deadlined submissions wait at most
-//!   until their deadline); [`Engine::try_submit`] fails fast with
-//!   [`EngineError::Rejected`] instead.
-//! * **No hand-off when nobody waits**: workers and submitting threads
-//!   share [`EngineConfig::workers`] launch permits; a blocking
-//!   [`Engine::submit`] that finds no other [`Ticket`] outstanding, the
-//!   queue empty and a permit free serves its request on the calling
-//!   thread and returns an answered ticket
-//!   ([`EngineStats::served_inline`]); a client with tickets in flight
-//!   has its further requests queued for the workers to run.
-//! * **Crash containment**: a panicking worker answers its request with
-//!   [`EngineError::Exec`], recovers the queue mutex from poisoning, and
-//!   keeps serving ([`EngineStats::worker_panics`] counts the events).
+//! * **Served on the threads that wait**: the engine starts no thread.
+//!   Callers share [`EngineConfig::workers`] launch permits; a blocking
+//!   [`Engine::submit`] serves inline when it can
+//!   ([`EngineStats::served_inline`]), and [`Ticket::wait`] serves queue
+//!   heads in order until its own answer lands, so a queued request
+//!   progresses only while some caller waits or submits.
+//! * **Bounded queue with backpressure**: a blocking submit against a
+//!   queue at `queue_depth` serves the queue head itself until there is
+//!   space (a deadlined one at most until its deadline);
+//!   [`Engine::try_submit`] fails fast with [`EngineError::Rejected`]
+//!   instead.
+//! * **Crash containment**: a panic while serving is caught on the
+//!   serving thread and answers its request with [`EngineError::Exec`];
+//!   the thread and the engine carry on ([`EngineStats::worker_panics`]
+//!   counts the events). [`EngineStats::conserved`] checks, at
+//!   quiescence, that every accepted request was answered exactly once.
 //! * **Tail-latency observability**: [`EngineStats`] carries a
 //!   log-bucketed, lock-free p50/p95/p99 [`LatencyHistogram`],
 //!   per-priority served/shed/expired counters ([`PriorityStats`]) and
@@ -79,8 +81,8 @@
 //!   a kernel takes `nnz` as a launch parameter, so an update compiles
 //!   nothing (a `hyb` config's key lists its buckets). Past the threshold,
 //!   stale decisions are pre-seeded under the new anchor (no serving
-//!   gap) and one background thread re-tunes and atomically swaps them
-//!   in ([`EngineStats::retunes_started`]/`retunes_completed`/
+//!   gap) and one queued retune job, served like a request, re-tunes and
+//!   swaps them in ([`EngineStats::retunes_started`]/`retunes_completed`/
 //!   `retunes_skipped`/`deltas_applied` count the state machine).
 //!
 //! The `serving_throughput` and `serving_slo` experiments in

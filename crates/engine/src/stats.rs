@@ -1,5 +1,5 @@
-//! Engine serving statistics: lock-free counters updated by workers and
-//! submitters, snapshotted into [`EngineStats`] on demand. Since the SLO
+//! Engine serving statistics: lock-free counters updated by the threads
+//! that submit and serve, snapshotted into [`EngineStats`] on demand. Since the SLO
 //! redesign this includes a log-bucketed latency histogram (p50/p95/p99
 //! without locks on the serving path), per-[`Priority`] outcome
 //! counters, per-[`RejectReason`] shed counters, and an EWMA execution-
@@ -23,7 +23,7 @@ fn latency_bucket(ns: u64) -> usize {
     63 - ns.max(1).leading_zeros() as usize
 }
 
-/// Lock-free log₂-bucketed latency histogram (the worker-side half of
+/// Lock-free log₂-bucketed latency histogram (the serving-side half of
 /// [`LatencyHistogram`]).
 struct LatencyHistInner {
     buckets: [AtomicU64; LATENCY_BUCKETS],
@@ -55,7 +55,7 @@ struct PriorityCounters {
     expired: AtomicU64,
 }
 
-/// Atomic counter block shared by the engine's submitters and workers.
+/// Atomic counter block shared by the threads that submit and serve.
 #[derive(Default)]
 pub(crate) struct StatsInner {
     pub submitted: AtomicU64,
@@ -63,6 +63,7 @@ pub(crate) struct StatsInner {
     pub completed: AtomicU64,
     pub failed: AtomicU64,
     pub rejected: AtomicU64,
+    pub evicted: AtomicU64,
     pub expired: AtomicU64,
     pub batches: AtomicU64,
     pub queue_high_water: AtomicUsize,
@@ -119,7 +120,7 @@ impl StatsInner {
 
     /// Fold one measured per-request execution time into the op kind's
     /// EWMA estimate (α = 1/4). A `compare_exchange_weak` loop replaces
-    /// the old load-then-blind-store: under concurrent workers the blind
+    /// the old load-then-blind-store: under concurrent serving threads the blind
     /// store silently dropped whole updates (both racers fold from the
     /// same `old`, the slower store erasing the faster one's sample),
     /// skewing the estimate the admission controller's
@@ -161,6 +162,7 @@ impl StatsInner {
             completed: self.completed.load(Ordering::Relaxed),
             failed: self.failed.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
+            evicted: self.evicted.load(Ordering::Relaxed),
             expired: self.expired.load(Ordering::Relaxed),
             batches,
             max_batch: usize::from(batches > 0),
@@ -315,8 +317,8 @@ pub struct EngineStats {
     /// Requests accepted: queued, or served on the submitting thread.
     pub submitted: u64,
     /// Requests a blocking submit served on the submitting thread,
-    /// because no other ticket was outstanding, the queue was empty and a
-    /// launch permit free (see
+    /// because a launch permit was free and nothing it does not outrank
+    /// was queued (see
     /// [`Engine::submit`](crate::Engine::submit)). They never queue, so
     /// they leave [`EngineStats::queue_high_water`] alone.
     pub served_inline: u64,
@@ -329,6 +331,9 @@ pub struct EngineStats {
     /// and queued requests evicted for higher-priority work. [`Self::shed`]
     /// splits this total by reason.
     pub rejected: u64,
+    /// Queued requests evicted for higher-priority work (each also
+    /// counted in [`Self::rejected`] and `shed.queue_full`).
+    pub evicted: u64,
     /// Queued requests dropped unexecuted at drain time because their
     /// deadline had passed (answered
     /// [`RejectReason::Expired`]).
@@ -344,9 +349,10 @@ pub struct EngineStats {
     pub latency_ns_sum: u64,
     /// Worst single-request enqueue-to-answer latency.
     pub latency_ns_max: u64,
-    /// Worker panics survived (the affected requests are answered with
-    /// [`EngineError::Exec`](crate::EngineError::Exec) and the worker
-    /// keeps serving; the queue mutex recovers from the poisoning).
+    /// Panics while serving survived (the affected request is answered
+    /// [`EngineError::Exec`](crate::EngineError::Exec), a panicking retune
+    /// leaves the stale decision in place, and the serving thread carries
+    /// on).
     pub worker_panics: u64,
     /// Scratch-buffer acquisitions served from the runtime's size-classed
     /// [`BufferPool`](sparsetir_ir::exec::BufferPool) without allocating.
@@ -371,8 +377,8 @@ pub struct EngineStats {
     /// Retune passes started because a delta pushed the
     /// degree-histogram drift past
     /// [`DRIFT_THRESHOLD`](crate::DRIFT_THRESHOLD)
-    /// (run on a background thread; inline when nothing was tuned under
-    /// the old anchor, so there is nothing to replay).
+    /// (queued as a retune job; completed on the spot when nothing was
+    /// tuned under the old anchor, so there is nothing to replay).
     pub retunes_started: u64,
     /// Retune passes that finished and swapped their fresh configs into
     /// the tune cache.
@@ -410,6 +416,15 @@ impl EngineStats {
         0.0
     }
 
+    /// The engine's conservation law, which holds whenever nothing is
+    /// queued or being served: every accepted submission was answered
+    /// exactly once — served, failed, expired in the queue or evicted
+    /// from it.
+    #[must_use]
+    pub fn conserved(&self) -> bool {
+        self.submitted == self.completed + self.failed + self.expired + self.evicted
+    }
+
     /// Outcome counters of one priority class.
     #[must_use]
     pub fn priority(&self, p: Priority) -> &PriorityStats {
@@ -440,6 +455,7 @@ impl EngineStats {
             completed: self.completed.saturating_sub(earlier.completed),
             failed: self.failed.saturating_sub(earlier.failed),
             rejected: self.rejected.saturating_sub(earlier.rejected),
+            evicted: self.evicted.saturating_sub(earlier.evicted),
             expired: self.expired.saturating_sub(earlier.expired),
             batches: self.batches.saturating_sub(earlier.batches),
             max_batch: self.max_batch,

@@ -56,7 +56,7 @@ impl fmt::Display for Priority {
     }
 }
 
-/// Why the admission controller refused (or the drain loop dropped) a
+/// Why the admission controller refused (or a serving caller dropped) a
 /// submission — the payload of
 /// [`EngineError::Rejected`](crate::EngineError::Rejected).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,8 +72,8 @@ pub enum RejectReason {
     /// admission instead of wasting a slot.
     DeadlineInfeasible,
     /// The deadline had already passed — at admission, while blocking on
-    /// a full queue, or at drain time (the worker drops expired requests
-    /// without executing them).
+    /// a full queue, or in the queue (a serving caller drops expired
+    /// requests without executing them).
     Expired,
 }
 
@@ -166,9 +166,9 @@ impl Submission {
     /// Set the answer-by budget, relative to submission time. Without
     /// one (the default) a request never expires. With one, the
     /// admission controller sheds the request when the deadline is
-    /// infeasible or already passed, a blocking submit waits for queue
-    /// space at most until the deadline, and the drain loop drops the
-    /// request unexecuted once the deadline passes. A budget too long
+    /// infeasible or already passed, a blocking submit makes queue space
+    /// at most until the deadline, and a serving caller drops the request
+    /// unexecuted once the deadline passes. A budget too long
     /// for the clock to represent never expires.
     #[must_use]
     pub fn deadline(mut self, deadline: Duration) -> Submission {

@@ -64,24 +64,39 @@ fn allocations(f: impl FnOnce()) -> usize {
     COUNT.with(|c| c.replace(None)).expect("the count is open")
 }
 
-/// The allocations of the third of three `sub()` requests on a fresh idle
-/// one-worker engine, each served on this thread, after checking that it
-/// answered (through `wait`) as the first did.
-fn warm_inline<T: PartialEq + std::fmt::Debug>(
+/// The allocations of the third of three `sub()` requests on a fresh
+/// one-permit engine, each served on this thread — inline by a blocking
+/// submit, or, `queued`, by its own `wait` after a `try_submit` — after
+/// checking that it answered (through `wait`) as the first did.
+fn warm_served<T: PartialEq + std::fmt::Debug>(
     sub: impl Fn() -> Submission,
     wait: impl Fn(Ticket) -> Result<T, EngineError>,
+    queued: bool,
 ) -> usize {
     let mut rng = gen::rng(0x46);
     let adj = Adjacency::new(gen::random_csr(64, 64, 0.1, &mut rng));
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32 });
-    let serve = |s: Submission| wait(engine.submit(&adj, s).expect("admits")).expect("serves");
+    let serve = |s: Submission| {
+        let ticket = if queued { engine.try_submit(&adj, s) } else { engine.submit(&adj, s) };
+        wait(ticket.expect("admits")).expect("serves")
+    };
     let cold = serve(sub());
     serve(sub());
     let (mut warm, s) = (None, sub());
     let n = allocations(|| warm = Some(serve(s)));
     assert_eq!(warm.as_ref(), Some(&cold));
-    assert_eq!(engine.stats().served_inline, 3, "every request ran on this thread");
+    let stats = engine.stats();
+    let inline = if queued { 0 } else { 3 };
+    assert_eq!((stats.served_inline, stats.completed), (inline, 3), "{stats:?}");
     n
+}
+
+/// [`warm_served`], served inline.
+fn warm_inline<T: PartialEq + std::fmt::Debug>(
+    sub: impl Fn() -> Submission,
+    wait: impl Fn(Ticket) -> Result<T, EngineError>,
+) -> usize {
+    warm_served(sub, wait, false)
 }
 
 /// Operands for requests on the 64 × 64 graph, drawn from `seed`.
@@ -101,6 +116,16 @@ fn dense(rows: usize, cols: usize, seed: u64) -> Dense {
 fn a_warm_inline_spmm_allocates_three_times() {
     let n = warm_inline(|| Submission::spmm(dense(64, 16, 1)), Ticket::wait_dense);
     assert_eq!(n, 3, "allocations of one warm inline SpMM");
+}
+
+/// A warm SpMM queued by `try_submit` and served by its own `wait` on
+/// this thread allocates what an inline one does: queueing and waiting
+/// add nothing (the queue holds its capacity from the first request).
+#[test]
+#[cfg_attr(debug_assertions, ignore = "debug builds rebuild the kernel on every cache hit")]
+fn a_warm_waited_spmm_allocates_three_times() {
+    let n = warm_served(|| Submission::spmm(dense(64, 16, 1)), Ticket::wait_dense, true);
+    assert_eq!(n, 3, "allocations of one warm SpMM served by its wait");
 }
 
 /// A warm SDDMM: the reply slot, the output's non-zero values and the

@@ -186,6 +186,7 @@ proptest! {
         prop_assert_eq!(stats.deltas_applied, stream.len() as u64);
         // Every delta either kept the anchor or started a retune pass.
         prop_assert_eq!(stats.retunes_skipped + stats.retunes_started, stream.len() as u64);
+        prop_assert!(stats.conserved(), "{:?}", stats);
     }
 }
 
@@ -247,6 +248,7 @@ fn below_threshold_delta_recompiles_nothing() {
     assert_eq!(stats.retunes_skipped, 1);
     assert_eq!(stats.retunes_started, 0);
     assert_eq!(stats.retunes_completed, 0);
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 /// A delta that moves every row across a log2-degree bucket boundary
@@ -313,6 +315,7 @@ fn above_threshold_delta_retunes_exactly_once_without_serving_gap() {
         .expect("dense");
     assert!(again.approx_eq(&reference, 1e-4));
     assert_eq!(engine.tune_cache().misses(), 1);
+    assert!(engine.stats().conserved(), "{:?}", engine.stats());
 }
 
 /// With nothing tuned under the old anchor a re-anchor has nothing to
@@ -349,6 +352,7 @@ fn above_threshold_deltas_with_nothing_tuned_complete_inline() {
         (stats.deltas_applied, stats.retunes_started, stats.retunes_completed),
         (32, 32, 32)
     );
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 /// Kernels are keyed by `rows / cols` and request shape, and `nnz` is a
@@ -382,6 +386,7 @@ fn successor_hits_from_its_first_request_and_the_predecessor_keeps_hitting() {
     assert_eq!(serve_both(&adj1), (4, 2, 2), "the successor hits from its first request");
     assert_eq!(serve_both(&adj0), (6, 4, 2), "the predecessor keeps hitting");
     assert_eq!(serve_both(&adj1), (8, 6, 2), "and so does the successor");
+    assert!(engine.stats().conserved(), "{:?}", engine.stats());
 }
 
 /// A delta addressing rows/columns outside the adjacency is refused with
@@ -398,4 +403,5 @@ fn out_of_bounds_delta_is_a_shape_error() {
     assert!(matches!(err, EngineError::Shape(_)), "typed shape refusal, got {err:?}");
     assert_eq!(adj.version(), 0);
     assert_eq!(engine.stats().deltas_applied, 0, "a refused delta is not counted as applied");
+    assert!(engine.stats().conserved(), "{:?}", engine.stats());
 }

@@ -305,7 +305,9 @@ proptest! {
             Err(e) => prop_assert!(false, "unexpected delta error {e} for {case:?}"),
         }
         engine.quiesce_retunes();
-        prop_assert_eq!(engine.stats().worker_panics, 0);
+        let stats = engine.stats();
+        prop_assert_eq!(stats.worker_panics, 0);
+        prop_assert!(stats.conserved(), "{:?}", stats);
         drop(engine);
     }
 }
@@ -326,6 +328,7 @@ fn a_deadline_past_the_clock_s_range_never_expires() {
         assert!(got.approx_eq(&a.spmm(&x).expect("reference"), 1e-5));
     }
     assert_eq!(engine.stats().worker_panics, 0);
+    assert!(engine.stats().conserved(), "{:?}", engine.stats());
 }
 
 /// Regression: a request whose output cannot exist is a `Shape` error at
@@ -361,6 +364,7 @@ fn an_output_that_cannot_exist_is_a_shape_error_at_submit() {
     }
     let stats = engine.stats();
     assert_eq!((stats.worker_panics, stats.batches), (0, 0), "{stats:?}");
+    assert!(stats.conserved(), "{stats:?}");
     // The entry point applies the same rule before it allocates.
     let rt = sparsetir_ir::exec::Runtime::new();
     let sage =

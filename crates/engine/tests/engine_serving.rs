@@ -1,6 +1,11 @@
 //! Behavioral tests for the serving engine: correctness of served
-//! results, one launch per request under a busy worker, backpressure, shape
-//! validation, drain-on-shutdown, and the tuned configuration path.
+//! results, one launch per queued request, caller-run service (inline,
+//! by the waiters, by a submit against a full queue, at drop),
+//! backpressure, shape validation, and the tuned configuration path.
+//! Every engine ends its test quiescent, where `EngineStats::conserved`
+//! must hold. A test stages a queue by `try_submit`-ing before anyone
+//! waits: nothing serves a queued request until some caller waits or
+//! submits.
 
 use sparsetir_engine::{
     Adjacency, Engine, EngineConfig, EngineError, OpOutput, RejectReason, Submission,
@@ -57,6 +62,12 @@ fn attention_pipeline(a: &Csr, heads: &[AttnHead]) -> Vec<Dense> {
     outs
 }
 
+/// The conservation law of a quiescent engine.
+fn assert_conserved(engine: &Engine) {
+    let stats = engine.stats();
+    assert!(stats.conserved(), "every accepted request answered exactly once: {stats:?}");
+}
+
 fn bit_eq(a: &Dense, b: &Dense) -> bool {
     a.rows() == b.rows()
         && a.cols() == b.cols()
@@ -80,6 +91,7 @@ fn served_spmm_matches_direct_execution() {
     let stats = engine.stats();
     assert_eq!((stats.submitted, stats.completed, stats.failed), (1, 1, 0));
     assert!(stats.latency_ns_max > 0);
+    assert_conserved(&engine);
 }
 
 #[test]
@@ -99,27 +111,23 @@ fn served_sddmm_matches_direct_execution() {
     for (s, d) in served.iter().zip(&direct) {
         assert_eq!(s.to_bits(), d.to_bits());
     }
+    assert_conserved(&engine);
 }
 
-/// A busy single worker accumulates queued same-adjacency requests;
-/// released, it serves each in its own launch (queued requests no longer
-/// share one), and every answer is bit-identical to the request's solo
-/// launch.
+/// Queued same-adjacency requests are served one launch each (queued
+/// requests do not share one), and every answer is bit-identical to the
+/// request's solo launch.
 #[test]
-fn queued_requests_batch_and_stay_bit_identical() {
+fn queued_requests_launch_once_each_and_stay_bit_identical() {
     let small = power_law_csr(64, 32);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(33);
-    // The test holds the single worker (and its launch permit), so every
-    // submission below queues behind it.
-    let stall = engine.stall_worker();
     let xs: Vec<Dense> = (0..6).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
-        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .map(|x| engine.try_submit(&adj, Submission::spmm(x.clone())).expect("submits"))
         .collect();
-    drop(stall);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
         let want = solo_spmm(&small, x);
@@ -127,8 +135,9 @@ fn queued_requests_batch_and_stay_bit_identical() {
     }
     let stats = engine.stats();
     assert_eq!(stats.completed, 6);
-    assert_eq!(stats.served_inline, 0, "nothing is served inline behind a held worker");
+    assert_eq!(stats.served_inline, 0, "nothing is served inline from the queue");
     assert_eq!((stats.batches, stats.max_batch), (6, 1), "one launch per request: {stats:?}");
+    assert_conserved(&engine);
 }
 
 #[test]
@@ -137,19 +146,18 @@ fn try_submit_saturates_on_a_full_queue() {
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1 });
     let mut rng = gen::rng(42);
-    // The test holds the worker (a kernel's speed must not decide it):
-    // the first request fills the depth-1 queue; the second must bounce.
-    let stall = engine.stall_worker();
+    // The first request fills the depth-1 queue, and nobody serves it
+    // until it is waited on; the second must bounce.
     let t1 = engine
-        .submit(&adj, Submission::spmm(gen::random_dense(a.cols(), 2, &mut rng)))
+        .try_submit(&adj, Submission::spmm(gen::random_dense(a.cols(), 2, &mut rng)))
         .expect("submits");
     let err = engine
         .try_submit(&adj, Submission::spmm(gen::random_dense(a.cols(), 2, &mut rng)))
         .expect_err("queue is full");
     assert_eq!(err, EngineError::Rejected { reason: RejectReason::QueueFull });
     assert_eq!(engine.stats().rejected, 1);
-    drop(stall);
     t1.wait_dense().expect("completes");
+    assert_conserved(&engine);
 }
 
 /// An idle engine serves a blocking submit on the calling thread: the
@@ -169,58 +177,108 @@ fn an_idle_engine_serves_a_blocking_submit_inline() {
     let got = ticket.wait_dense().expect("serves");
     assert!(bit_eq(&got, &solo_spmm(&a, &x)));
     assert_eq!(stats.latency.count(), 1, "an inline request records its latency");
+    assert_conserved(&engine);
 }
 
-/// A held worker holds its launch permit: a blocking submit queues behind
-/// it instead of serving inline, and is answered once the worker is let go.
+/// A ticket in flight whose request is still queued (a `try_submit`'s)
+/// makes the next blocking submit, which does not outrank it, queue
+/// behind it instead of serving inline; waiting on the second ticket
+/// serves both, in order, on the waiting thread.
 #[test]
-fn a_held_worker_makes_a_blocking_submit_queue() {
+fn a_ticket_in_flight_makes_the_next_submit_queue() {
     let a = power_law_csr(64, 45);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
     let mut rng = gen::rng(46);
-    let x = gen::random_dense(64, 4, &mut rng);
-    let stall = engine.stall_worker();
-    let ticket = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
+    let xs: Vec<Dense> = (0..2).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
+    let first = engine.try_submit(&adj, Submission::spmm(xs[0].clone())).expect("submits");
+    let second = engine.submit(&adj, Submission::spmm(xs[1].clone())).expect("submits");
     let stats = engine.stats();
-    assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 0, 1));
-    drop(stall);
-    let got = ticket.wait_dense().expect("served by the worker");
-    assert!(bit_eq(&got, &solo_spmm(&a, &x)));
+    assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 0, 2));
+    let got = second.wait_dense().expect("served by its own wait");
+    assert!(bit_eq(&got, &solo_spmm(&a, &xs[1])));
+    assert_eq!(engine.stats().completed, 2, "the wait served the queue head first");
+    assert!(bit_eq(&first.wait_dense().expect("already answered"), &solo_spmm(&a, &xs[0])));
     assert_eq!(engine.stats().served_inline, 0);
+    assert_conserved(&engine);
 }
 
-/// A ticket in flight means somebody is waiting: a client that submits
-/// again before waiting (a fan-out) gets its later requests queued for
-/// the workers, which can run them beside each other,
-/// instead of served one after another on its own thread. Once every
-/// ticket is waited on, the next blocking submit is served inline again.
+/// A queued request makes no progress on its own: the engine has no
+/// thread of its own, so until some caller waits or submits, nothing
+/// serves it.
 #[test]
-fn a_ticket_in_flight_makes_the_next_submit_queue() {
+fn a_queued_request_waits_for_a_caller() {
+    let a = power_law_csr(64, 51);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let x = gen::random_dense(64, 4, &mut gen::rng(52));
+    let ticket = engine.try_submit(&adj, Submission::spmm(x.clone())).expect("submits");
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.completed, stats.batches), (1, 0, 0), "{stats:?}");
+    assert!(bit_eq(&ticket.wait_dense().expect("served by its wait"), &solo_spmm(&a, &x)));
+    assert_eq!(engine.stats().completed, 1);
+    assert_conserved(&engine);
+}
+
+/// A blocking submit that meets a full queue serves the head itself to
+/// make space; then, nothing queued and a permit free, it serves its own
+/// request inline. Both tickets come back answered.
+#[test]
+fn a_blocking_submit_on_a_full_queue_serves_the_head_itself() {
+    let a = power_law_csr(64, 53);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 1 });
+    let mut rng = gen::rng(54);
+    let xs: Vec<Dense> = (0..2).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
+    let queued = engine.try_submit(&adj, Submission::spmm(xs[0].clone())).expect("fills the queue");
+    let inline = engine.submit(&adj, Submission::spmm(xs[1].clone())).expect("submits");
+    let stats = engine.stats();
+    assert_eq!((stats.completed, stats.served_inline, stats.rejected), (2, 1, 0), "{stats:?}");
+    assert!(bit_eq(&queued.wait_dense().expect("served by the submit"), &solo_spmm(&a, &xs[0])));
+    assert!(bit_eq(&inline.wait_dense().expect("served inline"), &solo_spmm(&a, &xs[1])));
+    assert_conserved(&engine);
+}
+
+/// A ticket dropped unwaited does not drop its request: the next waiter
+/// whose own request ranks behind it serves it first.
+#[test]
+fn a_dropped_tickets_request_is_still_served() {
+    let a = power_law_csr(64, 55);
+    let adj = Adjacency::new(a.clone());
+    let engine = Engine::new(EngineConfig { workers: 1, ..EngineConfig::default() });
+    let mut rng = gen::rng(56);
+    let xs: Vec<Dense> = (0..2).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
+    drop(engine.try_submit(&adj, Submission::spmm(xs[0].clone())).expect("submits"));
+    let kept = engine.try_submit(&adj, Submission::spmm(xs[1].clone())).expect("submits");
+    assert_eq!(engine.stats().completed, 0);
+    assert!(bit_eq(&kept.wait_dense().expect("serves"), &solo_spmm(&a, &xs[1])));
+    let stats = engine.stats();
+    assert_eq!((stats.completed, stats.batches), (2, 2), "the dropped one launched too: {stats:?}");
+    assert_conserved(&engine);
+}
+
+/// A client that submits several requests before waiting holds several
+/// tickets, but each blocking submit finds a permit free and nothing
+/// queued, so each is served inline on the client's thread, one launch at
+/// a time, however many permits the engine has.
+#[test]
+fn a_client_holding_tickets_is_served_one_launch_at_a_time() {
     let a = power_law_csr(64, 49);
     let adj = Adjacency::new(a.clone());
-    // Three workers: the (at most) two that serve the queued requests may
-    // still hold their permits when the last submits arrive; the third
-    // permit stays free.
     let engine = Engine::new(EngineConfig { workers: 3, ..EngineConfig::default() });
     let mut rng = gen::rng(50);
     let xs: Vec<Dense> = (0..4).map(|_| gen::random_dense(64, 4, &mut rng)).collect();
-    let first = engine.submit(&adj, Submission::spmm(xs[0].clone())).expect("submits");
-    assert_eq!(engine.stats().served_inline, 1, "an idle engine serves the first inline");
-    let fanned: Vec<_> = xs[1..3]
+    let tickets: Vec<_> = xs
         .iter()
         .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
         .collect();
-    assert_eq!(engine.stats().served_inline, 1, "a ticket in flight: the others queue");
-    for (x, t) in xs.iter().zip(std::iter::once(first).chain(fanned)) {
+    let stats = engine.stats();
+    assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (4, 4, 0));
+    for (x, t) in xs.iter().zip(tickets) {
         assert!(bit_eq(&t.wait_dense().expect("serves"), &solo_spmm(&a, x)));
     }
-    let dropped = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
-    drop(dropped);
-    let got = engine.submit(&adj, Submission::spmm(xs[3].clone())).expect("submits");
-    let stats = engine.stats();
-    assert_eq!((stats.served_inline, stats.completed), (3, 5), "{stats:?}");
-    assert!(bit_eq(&got.wait_dense().expect("serves"), &solo_spmm(&a, &xs[3])));
+    assert_conserved(&engine);
 }
 
 /// `try_submit` promises not to block, so even an idle engine queues it
@@ -242,6 +300,7 @@ fn try_submit_never_serves_inline() {
     }
     let stats = engine.stats();
     assert_eq!((stats.served_inline, stats.completed, stats.queue_high_water), (0, 3, 1));
+    assert_conserved(&engine);
 }
 
 #[test]
@@ -259,10 +318,12 @@ fn shape_mismatches_are_rejected_at_submit() {
     let y_bad = gen::random_dense(4, 8, &mut rng); // y.rows != x.cols
     assert!(matches!(engine.submit(&adj, Submission::sddmm(x, y_bad)), Err(EngineError::Shape(_))));
     assert_eq!(engine.stats().submitted, 0, "rejected requests never enqueue");
+    assert_conserved(&engine);
 }
 
-/// Dropping the engine drains the queue: already-submitted requests are
-/// still answered, and submissions after shutdown fail.
+/// Dropping the engine drains the queue: the dropping thread serves the
+/// requests still queued, so their tickets are answered after the engine
+/// is gone.
 #[test]
 fn shutdown_drains_pending_requests() {
     let mut rng = gen::rng(61);
@@ -272,8 +333,10 @@ fn shutdown_drains_pending_requests() {
     let xs: Vec<Dense> = (0..5).map(|_| gen::random_dense(40, 3, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
-        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .map(|x| engine.try_submit(&adj, Submission::spmm(x.clone())).expect("submits"))
         .collect();
+    let stats = engine.stats();
+    assert_eq!((stats.submitted, stats.completed), (5, 0), "all five queued: {stats:?}");
     drop(engine);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("drained on shutdown");
@@ -292,35 +355,36 @@ fn concurrent_clients_get_their_own_answers() {
     let adj = Adjacency::new(a.clone());
     let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 32 }));
     let a = Arc::new(a);
-    // Both workers start held, with both launch permits: every client's
-    // first request queues, so the queue fills whatever the scheduling.
-    let stalls = [engine.stall_worker(), engine.stall_worker()];
+    // Every client queues its first request before anyone waits, so the
+    // queue fills whatever the scheduling; then the clients serve it.
+    let queued = std::sync::Barrier::new(CLIENTS);
     std::thread::scope(|s| {
         for client in 0..CLIENTS {
             let engine = Arc::clone(&engine);
             let adj = adj.clone();
             let a = Arc::clone(&a);
+            let queued = &queued;
             s.spawn(move || {
                 let mut rng = gen::rng(100 + client as u64);
-                for i in 0..PER_CLIENT {
-                    let w = 1 + (client + i) % 5;
-                    let x = gen::random_dense(96, w, &mut rng);
-                    let got = engine
-                        .serve(&adj, Submission::spmm(x.clone()))
-                        .and_then(OpOutput::into_dense)
-                        .expect("serves");
-                    let want = a.spmm(&x).unwrap();
+                let xs: Vec<Dense> = (0..PER_CLIENT)
+                    .map(|i| gen::random_dense(96, 1 + (client + i) % 5, &mut rng))
+                    .collect();
+                let check = |i: usize, got: Dense| {
+                    let want = a.spmm(&xs[i]).unwrap();
                     assert!(
                         got.approx_eq(&want, 1e-4),
                         "client {client} request {i} got a wrong answer"
                     );
+                };
+                let first = engine.try_submit(&adj, Submission::spmm(xs[0].clone()));
+                queued.wait();
+                check(0, first.and_then(sparsetir_engine::Ticket::wait_dense).expect("serves"));
+                for (i, x) in xs.iter().enumerate().skip(1) {
+                    let got = engine.serve(&adj, Submission::spmm(x.clone()));
+                    check(i, got.and_then(OpOutput::into_dense).expect("serves"));
                 }
             });
         }
-        while engine.stats().submitted < CLIENTS as u64 {
-            std::thread::yield_now();
-        }
-        drop(stalls);
     });
     let stats = engine.stats();
     assert_eq!(stats.submitted, (CLIENTS * PER_CLIENT) as u64);
@@ -328,6 +392,7 @@ fn concurrent_clients_get_their_own_answers() {
     assert_eq!(stats.failed, 0);
     assert!(stats.queue_high_water >= CLIENTS, "{stats:?}");
     assert_eq!(stats.batches, stats.completed, "one launch per request: {stats:?}");
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 /// `.tune(true)` routes the first request of each adjacency through the
@@ -351,6 +416,7 @@ fn tuned_engine_caches_one_decision_per_adjacency() {
     assert_eq!(engine.tune_cache().len(), 1, "one cached decision for one adjacency");
     assert_eq!(engine.tune_cache().misses(), 1, "only the first request tunes");
     assert!(engine.tune_cache().hits() >= 1);
+    assert_conserved(&engine);
 }
 
 /// The engine's decision is measured: one `.tune(true)` SpMM files,
@@ -390,6 +456,7 @@ fn the_engines_decision_is_measured() {
     assert_eq!(engine.tune_cache().misses(), 1, "the second request hit the decision");
     assert!(engine.tune_cache().hits() >= 1);
     assert_eq!(engine.runtime().compilations(), compilations, "a decision hit compiles nothing");
+    assert_conserved(&engine);
 }
 
 /// The engine tunes only what a launch reads. SDDMM, fused attention and
@@ -435,7 +502,7 @@ fn tuned_submissions_search_only_ops_whose_launch_reads_a_config() {
     assert_eq!((cache.len(), cache.misses()), (1, 1), "the one searched kind");
 
     // A second edge on every row shifts the whole degree histogram a bin:
-    // the successor re-anchors and the background pass replays SpMM's
+    // the successor re-anchors and the queued retune replays SpMM's
     // decision under the new anchor — old + new, nothing else.
     let mut delta = GraphDelta::new();
     for i in 0..n {
@@ -451,6 +518,7 @@ fn tuned_submissions_search_only_ops_whose_launch_reads_a_config() {
         .expect("serves the successor");
     assert!(served.approx_eq(&next.csr().spmm(&x).unwrap(), 1e-4));
     assert_eq!(cache.misses(), 1, "the successor hit the replayed decision");
+    assert_conserved(&engine);
 }
 
 /// The engine's private runtime caches kernels across requests: repeated
@@ -471,6 +539,7 @@ fn repeated_requests_reuse_compiled_kernels() {
         "four same-shape requests must share one compiled kernel"
     );
     assert_eq!(engine.runtime().cached(), 1);
+    assert_conserved(&engine);
 }
 
 /// A warm request looks its kernel up by spec and builds nothing: three
@@ -500,6 +569,7 @@ fn warm_requests_hit_the_kernel_cache() {
     engine.serve(&tenants[0], Submission::spmm(Dense::zeros(24, 4))).expect("serves");
     let delta = engine.stats().delta_since(&warm);
     assert_eq!((delta.kernel_lookups, delta.kernel_hits), (1, 1), "deltas carry both counters");
+    assert_conserved(&engine);
 }
 
 /// The generic submit path serves every op through one ticket shape:
@@ -546,45 +616,50 @@ fn generic_submit_path_serves_every_op() {
     // An op-mismatched accessor is a typed error, not a panic.
     let again = engine.serve(&adj, OpRequest::Spmm(x)).expect("serves");
     assert!(matches!(again.into_edges(), Err(EngineError::Output(_))));
+    assert_conserved(&engine);
 }
 
-/// A worker panic while holding the queue lock poisons the mutex; the
-/// engine must recover — the worker survives, later submits from client
-/// threads succeed, and shutdown drains cleanly. Regression test for the
-/// poisoned-`Mutex` `.lock().unwrap()` panic that used to cascade into
-/// every subsequent `submit_*`/`shutdown` call.
+/// An injected panic fires in the next served launch, inside the catch
+/// every launch runs under: that request is answered `Exec`, the panic is
+/// counted, and the serving thread and the engine carry on — later
+/// requests are served, and shutdown does not hang.
 #[test]
 fn engine_survives_injected_worker_panic() {
     let mut rng = gen::rng(111);
     let a = gen::random_csr(24, 24, 0.2, &mut rng);
     let adj = Adjacency::new(a.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
-    // A request before the crash proves the worker was healthy.
+    // A request before the crash proves the engine was healthy.
     let x0 = gen::random_dense(24, 3, &mut rng);
     assert!(engine.serve(&adj, Submission::spmm(x0)).and_then(OpOutput::into_dense).is_ok());
 
     engine.inject_worker_panic();
+    let crashed = engine.serve(&adj, Submission::spmm(gen::random_dense(24, 3, &mut rng)));
+    assert!(
+        matches!(&crashed, Err(EngineError::Exec(m)) if m.contains("injected")),
+        "the injected panic answers its request Exec: {crashed:?}"
+    );
 
-    // Submits *after* the induced panic must not panic in the client
-    // thread and must still be served by the surviving worker.
+    // Submits *after* the panic must not panic in the client thread and
+    // must still be served.
     for i in 0..4 {
         let x = gen::random_dense(24, 2 + i % 3, &mut rng);
         let got = engine
             .serve(&adj, Submission::spmm(x.clone()))
             .and_then(OpOutput::into_dense)
-            .expect("served after worker panic");
+            .expect("served after the panic");
         assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
     }
     let stats = engine.stats();
     assert_eq!(stats.worker_panics, 1, "the injected panic must be counted: {stats:?}");
-    assert_eq!(stats.completed, 5);
-    assert_eq!(stats.failed, 0);
-    // Shutdown (Drop) must not hang or panic on the once-poisoned mutex.
+    assert_eq!((stats.completed, stats.failed), (5, 1), "{stats:?}");
+    assert_conserved(&engine);
     drop(engine);
 }
 
 /// Concurrent clients racing an injected panic: nobody observes a client-
-/// side panic, every request is answered, and the engine keeps serving.
+/// side panic, every request is answered — exactly one of them `Exec` —
+/// and the engine keeps serving.
 #[test]
 fn concurrent_submits_survive_worker_panic() {
     const CLIENTS: usize = 4;
@@ -593,38 +668,47 @@ fn concurrent_submits_survive_worker_panic() {
     let adj = Adjacency::new(a.clone());
     let engine = Arc::new(Engine::new(EngineConfig { workers: 2, queue_depth: 16 }));
     engine.inject_worker_panic();
-    std::thread::scope(|s| {
-        for client in 0..CLIENTS {
-            let engine = Arc::clone(&engine);
-            let adj = adj.clone();
-            let a = a.clone();
-            s.spawn(move || {
-                let mut rng = gen::rng(500 + client as u64);
-                for _ in 0..PER_CLIENT {
-                    let x = gen::random_dense(64, 1 + client % 4, &mut rng);
-                    let got = engine
-                        .serve(&adj, Submission::spmm(x.clone()))
-                        .and_then(OpOutput::into_dense)
-                        .expect("served");
-                    assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
-                }
-            });
-        }
+    let crashed: usize = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let engine = Arc::clone(&engine);
+                let adj = adj.clone();
+                let a = a.clone();
+                s.spawn(move || {
+                    let mut rng = gen::rng(500 + client as u64);
+                    let mut crashed = 0;
+                    for _ in 0..PER_CLIENT {
+                        let x = gen::random_dense(64, 1 + client % 4, &mut rng);
+                        match engine.serve(&adj, Submission::spmm(x.clone())) {
+                            Ok(got) => {
+                                let got = got.into_dense().expect("dense");
+                                assert!(got.approx_eq(&a.spmm(&x).unwrap(), 1e-4));
+                            }
+                            Err(EngineError::Exec(_)) => crashed += 1,
+                            Err(e) => panic!("unexpected answer {e}"),
+                        }
+                    }
+                    crashed
+                })
+            })
+            .collect();
+        clients.into_iter().map(|c| c.join().expect("client finishes")).sum()
     });
+    assert_eq!(crashed, 1, "exactly the one launch the hook armed");
     let stats = engine.stats();
-    assert_eq!(stats.completed, (CLIENTS * PER_CLIENT) as u64);
-    assert_eq!(stats.worker_panics, 1);
+    assert_eq!(stats.completed, (CLIENTS * PER_CLIENT - 1) as u64);
+    assert_eq!((stats.failed, stats.worker_panics), (1, 1));
+    assert!(stats.conserved(), "{stats:?}");
 }
 
-/// SDDMM requests queued behind a busy worker launch once each and stay
-/// bit-identical to their solo launch.
+/// Queued SDDMM requests launch once each and stay bit-identical to their
+/// solo launch.
 #[test]
-fn queued_sddmm_requests_batch_and_stay_bit_identical() {
+fn queued_sddmm_requests_launch_once_each_and_stay_bit_identical() {
     let small = power_law_csr(48, 132);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(133);
-    let stall = engine.stall_worker();
     let k = 5;
     let reqs: Vec<(Dense, Dense)> = (0..5)
         .map(|_| (gen::random_dense(48, k, &mut rng), gen::random_dense(k, 48, &mut rng)))
@@ -632,10 +716,9 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let tickets: Vec<_> = reqs
         .iter()
         .map(|(x, y)| {
-            engine.submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
+            engine.try_submit(&adj, Submission::sddmm(x.clone(), y.clone())).expect("submits")
         })
         .collect();
-    drop(stall);
     for (req, t) in reqs.iter().zip(tickets) {
         let got = t.wait_edges().expect("completes");
         let want = solo_sddmm(&small, req);
@@ -647,6 +730,7 @@ fn queued_sddmm_requests_batch_and_stay_bit_identical() {
     let stats = engine.stats();
     assert_eq!(stats.completed, 5);
     assert_eq!((stats.batches, stats.max_batch), (5, 1), "one launch per request: {stats:?}");
+    assert_conserved(&engine);
 }
 
 /// Mixed-op queues never cross-batch: SpMM and SDDMM requests on one
@@ -657,16 +741,14 @@ fn incompatible_requests_do_not_batch() {
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(143);
-    let stall = engine.stall_worker();
-    // Two SDDMM inner widths plus one SpMM, all queued behind the held
-    // worker.
+    // Two SDDMM inner widths plus one SpMM, all queued before any wait.
     let s1 = (gen::random_dense(32, 2, &mut rng), gen::random_dense(2, 32, &mut rng));
     let s2 = (gen::random_dense(32, 3, &mut rng), gen::random_dense(3, 32, &mut rng));
-    let t1 = engine.submit(&adj, Submission::sddmm(s1.0.clone(), s1.1.clone())).expect("submits");
-    let t2 = engine.submit(&adj, Submission::sddmm(s2.0.clone(), s2.1.clone())).expect("submits");
+    let sddmm = |s: &(Dense, Dense)| Submission::sddmm(s.0.clone(), s.1.clone());
+    let t1 = engine.try_submit(&adj, sddmm(&s1)).expect("submits");
+    let t2 = engine.try_submit(&adj, sddmm(&s2)).expect("submits");
     let x = gen::random_dense(32, 4, &mut rng);
-    let t3 = engine.submit(&adj, Submission::spmm(x.clone())).expect("submits");
-    drop(stall);
+    let t3 = engine.try_submit(&adj, Submission::spmm(x.clone())).expect("submits");
     let got1 = t1.wait_edges().expect("completes");
     let got2 = t2.wait_edges().expect("completes");
     let got3 = t3.wait_dense().expect("completes");
@@ -681,10 +763,10 @@ fn incompatible_requests_do_not_batch() {
     // Three requests, three launches.
     assert_eq!(stats.batches, 3, "{stats:?}");
     assert_eq!(stats.max_batch, 1, "{stats:?}");
+    assert_conserved(&engine);
 }
 
-/// SpMM requests at mixed widths queued behind the held worker launch once
-/// each, every answer bit-identical to its solo launch; and a zero-width
+/// Queued SpMM requests at mixed widths launch once each, every answer bit-identical to its solo launch; and a zero-width
 /// request answers `rows × 0` without looking up a kernel.
 #[test]
 fn spmm_riders_dispatch_once_per_width() {
@@ -692,14 +774,12 @@ fn spmm_riders_dispatch_once_per_width() {
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(145);
-    let stall = engine.stall_worker();
     let xs: Vec<Dense> =
         [3usize, 5, 3, 1, 5, 3].iter().map(|&w| gen::random_dense(32, w, &mut rng)).collect();
     let tickets: Vec<_> = xs
         .iter()
-        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("submits"))
+        .map(|x| engine.try_submit(&adj, Submission::spmm(x.clone())).expect("submits"))
         .collect();
-    drop(stall);
     for (x, t) in xs.iter().zip(tickets) {
         let got = t.wait_dense().expect("completes");
         assert!(bit_eq(&got, &solo_spmm(&small, x)), "width {}", x.cols());
@@ -708,11 +788,9 @@ fn spmm_riders_dispatch_once_per_width() {
     assert_eq!((stats.batches, stats.max_batch), (6, 1), "one launch per request: {stats:?}");
     assert_eq!(stats.kernel_lookups, 6, "each launch looks up its kernel: {stats:?}");
 
-    let stall = engine.stall_worker();
     let tickets: Vec<_> = (0..2)
-        .map(|_| engine.submit(&adj, Submission::spmm(Dense::zeros(32, 0))).expect("submits"))
+        .map(|_| engine.try_submit(&adj, Submission::spmm(Dense::zeros(32, 0))).expect("submits"))
         .collect();
-    drop(stall);
     for t in tickets {
         let got = t.wait_dense().expect("completes");
         assert_eq!((got.rows(), got.cols()), (32, 0));
@@ -720,6 +798,7 @@ fn spmm_riders_dispatch_once_per_width() {
     let after = engine.stats();
     assert_eq!(after.kernel_lookups, stats.kernel_lookups, "a zero-width launch runs nothing");
     assert_eq!(after.batches, 8);
+    assert_conserved(&engine);
 }
 
 fn random_head(a: &Csr, k: usize, vfeat: usize, rng: &mut rand::rngs::SmallRng) -> AttnHead {
@@ -762,19 +841,19 @@ fn served_fused_ops_match_their_pipeline_oracles() {
     assert!(bit_eq(&sage, &sage_oracle), "served fused sage must match the two-launch oracle");
 
     assert_eq!(engine.stats().batches, 2, "one launch per request");
+    assert_conserved(&engine);
 }
 
-/// Fused attention requests queued behind a busy worker, at mixed head
-/// shapes and head counts, launch once each and match the three-launch
-/// pipeline bit for bit; the launch counters record one launch per
-/// request, the widest one request wide.
+/// Queued fused attention requests, at mixed head shapes and head counts,
+/// launch once each and match the three-launch pipeline bit for bit; the
+/// launch counters record one launch per request, the widest one request
+/// wide.
 #[test]
-fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
+fn queued_fused_attention_requests_launch_once_each() {
     let small = power_law_csr(48, 172);
     let adj = Adjacency::new(small.clone());
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 64 });
     let mut rng = gen::rng(173);
-    let stall = engine.stall_worker();
     let reqs: Vec<Vec<AttnHead>> = vec![
         vec![random_head(&small, 2, 2, &mut rng)],
         vec![random_head(&small, 2, 2, &mut rng), random_head(&small, 2, 2, &mut rng)],
@@ -783,10 +862,9 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     let tickets: Vec<_> = reqs
         .iter()
         .map(|heads| {
-            engine.submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
+            engine.try_submit(&adj, Submission::fused_attention(heads.clone())).expect("submits")
         })
         .collect();
-    drop(stall);
     for (heads, t) in reqs.iter().zip(tickets) {
         let got = t.wait_heads().expect("completes");
         assert_eq!(got.len(), heads.len());
@@ -799,6 +877,7 @@ fn queued_fused_attention_batches_and_the_width_histogram_records_it() {
     assert_eq!(stats.completed, 3);
     assert_eq!((stats.batches, stats.max_batch), (3, 1), "one launch per request: {stats:?}");
     assert_eq!(stats.kernel_lookups, 3, "each launch looks up its kernel: {stats:?}");
+    assert_conserved(&engine);
 }
 
 /// Zero-row and zero-nnz adjacencies are valid public constructions:
@@ -857,5 +936,6 @@ fn empty_adjacencies_are_answered_not_panicked_on() {
         assert_eq!(served.map(|d| (d.rows(), d.cols())).expect(&tag), (m, 2));
         let stats = engine.stats();
         assert_eq!((stats.worker_panics, stats.failed, stats.completed), (0, 0, 4), "{tag}");
+        assert_conserved(&engine);
     }
 }

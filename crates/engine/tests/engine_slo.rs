@@ -1,7 +1,10 @@
 //! SLO-machinery tests: expired-at-drain shedding (the refused request's
 //! operands must never reach a kernel), exact quantiles out of the
 //! log-bucketed latency histogram on a known stream, and priority
-//! scheduling under a saturating low-priority flood.
+//! scheduling under a saturating low-priority flood. A test stages its
+//! queue by `try_submit`-ing before anyone waits (nothing serves a queued
+//! request until some caller waits or submits), and every engine ends
+//! quiescent, where `EngineStats::conserved` must hold.
 
 use proptest::prelude::*;
 use sparsetir_engine::{
@@ -17,9 +20,8 @@ fn slo_config() -> EngineConfig {
     EngineConfig { workers: 1, queue_depth: 16 }
 }
 
-/// One expired-at-drain scenario: the single worker is stalled
-/// (`Engine::stall_worker`) while a cheap SDDMM victim of shape `(sn, k)`
-/// waits in the queue past its deadline.
+/// One expired-at-drain scenario: a cheap SDDMM victim of shape `(sn, k)`
+/// waits in the queue, unserved, past its deadline, then is waited on.
 fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     let mut rng = gen::rng(seed);
     // Cheap victim: an SDDMM on a small graph. Its op kind has no
@@ -30,13 +32,11 @@ fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     let sy = gen::random_dense(k, sn, &mut rng);
 
     let engine = Engine::new(slo_config());
-    let stall = engine.stall_worker();
     let deadline = Duration::from_millis(1);
     let victim = engine
-        .submit(&small_adj, Submission::sddmm(sx, sy).deadline(deadline))
+        .try_submit(&small_adj, Submission::sddmm(sx, sy).deadline(deadline))
         .expect("victim admits: deadline is in the future and the kind is cold");
     std::thread::sleep(deadline * 2);
-    drop(stall);
 
     let res = victim.wait();
     assert!(
@@ -56,13 +56,14 @@ fn expired_at_drain_case(seed: u64, sn: usize, k: usize) {
     // compiled, and nothing was launched.
     assert_eq!(engine.runtime().cached(), 0, "no kernel may be compiled for the shed SDDMM");
     assert_eq!(stats.batches, 0, "no launch may be recorded");
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// A request that was admissible at submit time but whose deadline
-    /// lapses while the single worker is held up is answered
+    /// lapses while it waits in the queue is answered
     /// `Rejected { reason: Expired }` at drain — and its operands never
     /// reach a kernel entry point: across random victim shapes the engine
     /// compiles no kernel for it and completes no request for it.
@@ -103,8 +104,8 @@ fn histogram_percentiles_are_exact_on_a_known_stream() {
     assert_eq!(h2.p50(), 1 << 10);
 }
 
-/// The admission eviction path, pinned end to end: with the single
-/// worker stalled and the queue full of Lo work, a Hi submission takes
+/// The admission eviction path, pinned end to end: with the queue full
+/// of Lo work that nobody has waited on yet, a Hi submission takes
 /// the queue tail's slot. The evicted victim is answered
 /// `Rejected { QueueFull }` (exactly once — its shed is tallied once,
 /// under *its own* priority class, and it never executes), everything
@@ -116,7 +117,6 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
     let x = gen::random_dense(32, 4, &mut rng);
 
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2 });
-    let stall = engine.stall_worker();
     let lo_kept = engine
         .try_submit(&small_adj, Submission::spmm(x.clone()).priority(Priority::Lo))
         .expect("first Lo fills slot 1");
@@ -128,7 +128,6 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
     let hi = engine
         .try_submit(&small_adj, Submission::spmm(x.clone()).priority(Priority::Hi))
         .expect("Hi evicts a Lo victim instead of being rejected");
-    drop(stall);
 
     let res = lo_victim.wait();
     assert!(
@@ -146,6 +145,8 @@ fn eviction_victim_is_answered_queue_full_exactly_once() {
     assert_eq!(stats.priority(Priority::Lo).served, 1);
     assert_eq!(stats.priority(Priority::Hi).shed, 0, "the evictor sheds nothing");
     assert_eq!(stats.priority(Priority::Hi).served, 1, "the evicting Hi request");
+    assert_eq!(stats.evicted, 1);
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 /// An equal-priority submission never evicts: against a full queue of
@@ -158,7 +159,6 @@ fn equal_priority_submission_never_evicts() {
     let x = gen::random_dense(32, 4, &mut rng);
 
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 2 });
-    let stall = engine.stall_worker();
     let queued: Vec<_> = (0..2)
         .map(|i| {
             engine
@@ -171,7 +171,6 @@ fn equal_priority_submission_never_evicts() {
         matches!(res, Err(EngineError::Rejected { reason: RejectReason::QueueFull })),
         "an equal-priority submission must be refused, not evict: {res:?}"
     );
-    drop(stall);
     for (i, t) in queued.into_iter().enumerate() {
         t.wait_dense().unwrap_or_else(|e| panic!("queued request {i} must survive: {e:?}"));
     }
@@ -182,12 +181,15 @@ fn equal_priority_submission_never_evicts() {
     assert_eq!(stats.shed.queue_full, 1);
     assert_eq!(stats.priority(Priority::Normal).shed, 1, "counted under the SUBMITTER's class");
     assert_eq!(stats.priority(Priority::Normal).served, 2);
+    assert_eq!(stats.evicted, 0);
+    assert!(stats.conserved(), "{stats:?}");
 }
 
 /// A saturating Lo-priority flood cannot starve Hi traffic: with the
 /// queue permanently full of Lo work, every blocking Hi submission is
 /// admitted (evicting a Lo victim if needed), ordered ahead of the
-/// backlog, and served within its deadline.
+/// backlog, and served within its deadline. One last Lo request then
+/// queues behind the flood's leftovers, and its wait serves them all.
 #[test]
 fn hi_priority_is_never_starved_by_a_lo_flood() {
     let mut rng = gen::rng(0x52);
@@ -199,9 +201,8 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
 
     let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 4 }));
     let stop = AtomicBool::new(false);
-    // The flood fills the queue behind the held worker before any Hi
-    // request: how fast a kernel runs must not decide whether it did.
-    let stall = engine.stall_worker();
+    // The flood fills the queue before any Hi request: nobody waits on a
+    // flood request, so nothing serves the queue until the Hi clients come.
     std::thread::scope(|s| {
         for _ in 0..2 {
             let engine = Arc::clone(&engine);
@@ -210,8 +211,8 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
             let stop = &stop;
             s.spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
-                    // Fire-and-forget: the dropped ticket still counts as
-                    // served/shed in the stats.
+                    // Fire-and-forget: the dropped ticket's request is
+                    // still served (or shed) and counted in the stats.
                     let _ = engine
                         .try_submit(&adj, Submission::spmm(lo_x.clone()).priority(Priority::Lo));
                     std::thread::yield_now();
@@ -221,7 +222,6 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
         while engine.stats().shed.queue_full == 0 {
             std::thread::yield_now();
         }
-        drop(stall);
         for i in 0..8 {
             let sub = Submission::sddmm(hi_x.clone(), hi_y.clone())
                 .deadline(Duration::from_secs(5))
@@ -231,10 +231,14 @@ fn hi_priority_is_never_starved_by_a_lo_flood() {
         }
         stop.store(true, Ordering::Relaxed);
     });
+    engine
+        .serve(&adj, Submission::spmm(lo_x.clone()).priority(Priority::Lo))
+        .expect("the last Lo request drains the queue");
 
     let stats = engine.stats();
     assert_eq!(stats.priority(Priority::Hi).served, 8, "every Hi request must be served");
     assert_eq!(stats.priority(Priority::Hi).shed, 0);
     assert!(stats.rejected > 0, "the Lo flood must have been shed: {stats:?}");
     assert!(stats.shed.queue_full > 0, "full-queue rejections must be tagged");
+    assert!(stats.conserved(), "{stats:?}");
 }

@@ -3,10 +3,10 @@
 //! concurrent-vs-sequential bit-identity checks (with the same
 //! `bytes_copied == 0` assertion per case) live in
 //! `engine_differential.rs`; this file forces the interesting schedules
-//! by hand — requests queued behind a stalled worker
-//! (`Engine::stall_worker`: the worker is held by the test, not by a
-//! kernel that has to run long enough) and a kernel batch of riders, a
-//! lone request of every served kind, pool reuse, and mid-drain expiry.
+//! by hand — requests queued by `try_submit` before anyone waits (nothing
+//! serves them until a caller does, however fast kernels run) and a
+//! kernel batch of riders, a lone request of every served kind, pool
+//! reuse, and mid-drain expiry.
 
 use sparsetir_engine::{
     Adjacency, Engine, EngineConfig, EngineError, Priority, RejectReason, Submission,
@@ -24,23 +24,20 @@ fn test_engine() -> Engine {
 
 /// The acceptance headline: SpMM on the view path copies zero operand and
 /// zero output bytes — the answers land straight in their own buffers.
-/// Four requests queued behind the stalled single worker launch one by
-/// one, and the same four as one batch of riders through the kernel entry
-/// point copy nothing either.
+/// Four queued requests launch one by one, and the same four as one batch
+/// of riders through the kernel entry point copy nothing either.
 #[test]
-fn batched_spmm_launch_copies_zero_bytes_on_view_path() {
+fn queued_spmm_launches_copy_zero_bytes_on_view_path() {
     let mut rng = gen::rng(0x2c0);
     let small = gen::random_csr(24, 24, 0.3, &mut rng);
     let adj = Adjacency::new(small.clone());
     let xs: Vec<Dense> = (0..4).map(|_| gen::random_dense(24, 3, &mut rng)).collect();
 
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 32 });
-    let stall = engine.stall_worker();
     let tickets: Vec<_> = xs
         .iter()
-        .map(|x| engine.submit(&adj, Submission::spmm(x.clone())).expect("request admits"))
+        .map(|x| engine.try_submit(&adj, Submission::spmm(x.clone())).expect("request admits"))
         .collect();
-    drop(stall);
     let outs: Vec<Dense> =
         tickets.into_iter().map(|t| t.wait_dense().expect("request serves")).collect();
     let stats = engine.stats();
@@ -117,7 +114,7 @@ fn repeated_serving_hits_the_buffer_pool() {
 }
 
 /// Mid-drain expiry on the view path: a victim whose deadline lapses
-/// while the worker is held up is swept before dispatch — the live request
+/// while it waits in the queue is swept before dispatch — the live request
 /// behind it still answers, the victim's output buffer is never allocated
 /// or written (one launch, the live request's; nothing copied), and the
 /// answer is `Rejected { Expired }`.
@@ -130,16 +127,14 @@ fn expired_victim_is_swept_without_writing_its_buffer() {
     let live_x = gen::random_dense(24, 4, &mut rng);
 
     let engine = Engine::new(EngineConfig { workers: 1, queue_depth: 16 });
-    let stall = engine.stall_worker();
-    // The victim's deadline lapses while the worker is stalled, so it
-    // expires in the queue; the live request has no deadline and drains.
+    // Nobody waits until the victim's deadline has lapsed, so it expires
+    // in the queue; the live request has no deadline and drains.
     let deadline = Duration::from_millis(1);
     let victim = engine
-        .submit(&adj, Submission::spmm(victim_x).deadline(deadline))
+        .try_submit(&adj, Submission::spmm(victim_x).deadline(deadline))
         .expect("victim admits while its deadline is still open");
-    let live = engine.submit(&adj, Submission::spmm(live_x)).expect("live request admits");
+    let live = engine.try_submit(&adj, Submission::spmm(live_x)).expect("live request admits");
     std::thread::sleep(deadline * 2);
-    drop(stall);
 
     let res = victim.wait();
     assert!(

@@ -1,8 +1,8 @@
 //! GraphSAGE inference served through the engine: both aggregation SpMMs
 //! of the forward pass are submitted as engine requests, so concurrent
 //! inference clients sharing one graph share its compiled kernels and the
-//! engine's workers, while the dense GEMM/ReLU tail stays on the caller's
-//! thread (it is per-request by construction).
+//! engine's launch permits, while the dense GEMM/ReLU tail stays on the
+//! caller's thread (it is per-request by construction).
 
 use crate::graphsage::GraphSage;
 use sparsetir_engine::{Adjacency, Engine, EngineError, Submission};

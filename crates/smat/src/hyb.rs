@@ -60,9 +60,9 @@ impl EllBucket {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HybPartition {
     /// First column (inclusive) covered by this partition.
-    pub col_lo: u32,
+    pub col_lo: usize,
     /// One past the last column covered.
-    pub col_hi: u32,
+    pub col_hi: usize,
     /// Buckets indexed by exponent: `buckets[i]` has width `2^i`.
     pub buckets: Vec<EllBucket>,
 }
@@ -107,8 +107,8 @@ impl Hyb {
         let step = csr.cols().div_ceil(c).max(1);
         let mut partitions: Vec<HybPartition> = (0..c)
             .map(|p| HybPartition {
-                col_lo: (p * step).min(csr.cols()) as u32,
-                col_hi: (p + 1).saturating_mul(step).min(csr.cols()) as u32,
+                col_lo: (p * step).min(csr.cols()),
+                col_hi: (p + 1).saturating_mul(step).min(csr.cols()),
                 buckets: (0..=k)
                     .map(|i| EllBucket {
                         width: 1usize << i,
@@ -465,5 +465,21 @@ mod tests {
     #[test]
     fn zero_partitions_rejected() {
         assert!(Hyb::from_csr(&skewed(), 0, 2).is_err());
+    }
+
+    /// Partition bounds are column counts, not column ids: a matrix wider
+    /// than `u32::MAX` columns reports them untruncated.
+    #[test]
+    fn partition_bounds_hold_past_u32_columns() {
+        let cols = 1usize << 62;
+        let csr = Csr::new(2, cols, vec![0, 2, 2], vec![5, u32::MAX], vec![1.0, 2.0])
+            .expect("a valid 2 x 2^62 matrix");
+        let bounds = |c| {
+            let hyb = Hyb::from_csr(&csr, c, 2).expect("decomposes");
+            assert_eq!(hyb.original_nnz(), 2);
+            hyb.partitions().iter().map(|p| (p.col_lo, p.col_hi)).collect::<Vec<_>>()
+        };
+        assert_eq!(bounds(1), [(0, cols)]);
+        assert_eq!(bounds(2), [(0, cols / 2), (cols / 2, cols)]);
     }
 }

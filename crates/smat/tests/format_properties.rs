@@ -261,8 +261,8 @@ fn assert_matches_two_stage_oracle(m: &Csr, c: usize, k: u32) {
             }
         }
         oracle.push(HybPartition {
-            col_lo: (p * width_cols).min(m.cols()) as u32,
-            col_hi: ((p + 1) * width_cols).min(m.cols()) as u32,
+            col_lo: (p * width_cols).min(m.cols()),
+            col_hi: ((p + 1) * width_cols).min(m.cols()),
             buckets,
         });
     }

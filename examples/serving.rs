@@ -28,7 +28,8 @@ fn main() {
     println!("graph: {} nodes, {} edges", graph.rows(), graph.nnz());
 
     // One engine per deployment: it owns the kernel cache and the
-    // per-adjacency tuning decisions every worker shares.
+    // per-adjacency tuning decisions every client thread shares, and it
+    // serves requests on the threads that submit and wait (it starts none).
     let engine = Arc::new(Engine::new(EngineConfig { workers: 1, queue_depth: 64 }));
 
     // --- Raw SpMM serving: 8 clients share one adjacency ------------
@@ -86,11 +87,11 @@ fn main() {
     // --- The generic op path: SDDMM and per-head SpMM share the queue ---
     // Every op submits through one generic path (Submission → Ticket →
     // OpOutput), and a multi-head aggregation is one SpMM ticket per
-    // head. The first of each group finds the engine idle and is served
-    // on this thread as it is submitted; the three submitted while its
-    // ticket is outstanding queue for the worker. Deadlines bound
-    // queueing: a request the engine cannot answer in time is shed with a
-    // typed rejection instead of silently running late.
+    // head. Each finds the engine idle and is served on this thread as it
+    // is submitted (one launch at a time), so its ticket comes back
+    // answered. Deadlines bound queueing: a request the engine cannot
+    // answer in time is shed with a typed rejection instead of silently
+    // running late.
     let mut rng = gen::rng(77);
     let sddmm_tickets: Vec<_> = (0..4)
         .map(|_| {
